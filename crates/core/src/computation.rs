@@ -6,7 +6,9 @@
 //! * a resolved `CompSpec` (its private version snapshot from Rule 1),
 //! * a task queue of asynchronously triggered handler calls and explicitly
 //!   spawned closures,
-//! * a small, demand-grown set of worker threads (at least the root thread),
+//! * a small, demand-grown set of workers — the root job plus up to
+//!   `max_threads_per_computation - 1` helpers, each holding one thread of
+//!   the executor (`exec.rs`) until the computation has no work left,
 //! * an error slot (the paper throws; we record and report on join).
 //!
 //! A computation *completes* when its closure body returned and every task —
@@ -14,13 +16,16 @@
 //! worker then runs Rule 3 (upgrade local versions / release locks) exactly
 //! once.
 //!
-//! ## Why a fixed worker pool cannot deadlock here
+//! ## Why a capped set of workers cannot deadlock here
 //!
 //! Workers block while waiting for version admission, but version waits
-//! always point from younger computations to strictly older ones (versions
-//! are handed out in spawn order under the spawn lock), so the oldest
+//! always point from younger computations to strictly older ones (Rule 1
+//! hands out versions in spawn order: overlapping spawns are serialised by
+//! the per-cell gates of the `gv` sweep in `runtime.rs`), so the oldest
 //! computation always makes progress — and each computation keeps at least
-//! its root worker alive until its own task count reaches zero. This is the
+//! its root worker, on a thread of its own, until its own task count reaches
+//! zero. The executor never queues a job behind another, so "a thread of its
+//! own" holds however many computations are blocked. This is the
 //! deadlock-freedom argument of paper §6 made operational.
 
 use std::collections::VecDeque;
@@ -200,30 +205,51 @@ impl ComputationInner {
         if self.idle.load(Ordering::SeqCst) > 0 {
             self.queue_cv.notify_one();
         } else {
-            let w = self.workers.load(Ordering::SeqCst);
-            if w < self.rt.config.max_threads_per_computation {
-                self.workers.fetch_add(1, Ordering::SeqCst);
-                let comp = Arc::clone(self);
-                let hook = self.rt.hook.clone();
-                let token = hook.as_ref().map(|h| match self.static_seed() {
-                    Some(seed) => h.on_thread_spawn_with(&seed),
-                    None => h.on_thread_spawn(),
-                });
-                std::thread::spawn(move || {
-                    if let (Some(h), Some(t)) = (&hook, token) {
-                        h.on_thread_start(t);
-                    }
-                    comp.worker_loop();
-                    comp.worker_exit();
-                    if let Some(h) = &hook {
-                        h.on_thread_exit();
-                    }
-                });
+            // Reserve the worker slot in one step: a separate check and
+            // increment lets concurrent issuers overshoot the cap.
+            let cap = self.rt.config.max_threads_per_computation;
+            let reserve = |w| (w < cap).then_some(w + 1);
+            if self
+                .workers
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, reserve)
+                .is_ok()
+            {
+                self.start_worker((), |_| {});
             }
             // Otherwise an existing (busy) worker will drain the queue; the
             // root worker stays alive until pending == 0, so progress is
             // guaranteed even if no new thread could be spawned.
         }
+    }
+
+    /// Give the computation one more thread of the executor: it runs
+    /// `first` (the root job's closure body; nothing for a helper), drains
+    /// tasks until the computation has none left, and takes part in
+    /// completion. `guard` is dropped when the job ends, before the thread
+    /// can serve anything else.
+    pub(crate) fn start_worker(
+        self: &Arc<Self>,
+        guard: impl Send + 'static,
+        first: impl FnOnce(&Arc<Self>) + Send + 'static,
+    ) {
+        let comp = Arc::clone(self);
+        let hook = self.rt.hook.clone();
+        let token = hook.as_ref().map(|h| match self.static_seed() {
+            Some(seed) => h.on_thread_spawn_with(&seed),
+            None => h.on_thread_spawn(),
+        });
+        crate::exec::execute(move || {
+            let _guard = guard;
+            if let (Some(h), Some(t)) = (&hook, token) {
+                h.on_thread_start(t);
+            }
+            first(&comp);
+            comp.worker_loop();
+            comp.worker_exit();
+            if let Some(h) = &hook {
+                h.on_thread_exit();
+            }
+        });
     }
 
     fn next_task(&self) -> Option<Task> {
@@ -263,6 +289,10 @@ impl ComputationInner {
     /// they can exit.
     pub(crate) fn release_pending(&self) {
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // A worker that has read `pending != 0` and not yet parked still
+            // holds the queue lock; passing through it puts the notify
+            // after that worker's wait instead of into the gap.
+            drop(self.queue.lock());
             self.queue_cv.notify_all();
             if let Some(h) = &self.rt.hook {
                 h.signal(SchedResource::Queue(self.id));

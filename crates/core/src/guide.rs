@@ -409,11 +409,12 @@
 //! stack survive real sockets at load are baked into the runtime and
 //! RelComm and worth knowing about:
 //!
-//! * **Admission control.** An OS thread per external computation is the
-//!   model, so an unbounded socket reader can exhaust threads. Nodes gate
-//!   external spawns (`NodeConfig::max_inflight_external`) with a slot
-//!   that rides the *whole* computation thread — body plus the
-//!   asynchronous-trigger drain phase — via `Runtime::spawn_guarded`.
+//! * **Admission control.** Every external computation holds an OS thread
+//!   while it runs (§11), so an unbounded socket reader can exhaust
+//!   threads. Nodes gate external spawns
+//!   (`NodeConfig::max_inflight_external`) with a slot that rides the
+//!   *whole* root job — body plus the asynchronous-trigger drain phase —
+//!   via `Runtime::spawn_guarded`.
 //! * **Adaptive retransmission.** A fixed RTO below the loaded RTT turns
 //!   load into a retransmit storm (each duplicate costs the receiver a
 //!   serialized computation, raising the RTT further). RelComm tracks a
@@ -509,6 +510,30 @@
 //! protocol's cell, and the wake path is the handshake above. Experiment
 //! E14 pins the result — uncontended admission within noise of `unsync`,
 //! parking-seam counters identically zero.
+//!
+//! ### Where computations get their threads
+//!
+//! A waiter that parks in Rule 2 parks *on an OS thread*, and the
+//! deadlock-freedom argument (paper §6) needs exactly one thing from the
+//! threading layer: every computation holds a thread of its own from spawn
+//! to Rule 3, so that the oldest computation — which waits on nobody — is
+//! always running. It does not need that thread to be new. [`Runtime::spawn`]
+//! and the per-computation helper workers therefore take their threads from
+//! one process-wide **cache with direct hand-off and no run queue**: a job
+//! goes to the most recently parked idle worker (one wake, on that worker's
+//! own slot), a new `samoa-worker` thread is created only when none is
+//! idle, a finished worker parks itself in the cache, and idle workers exit
+//! after a fraction of a second. A job therefore starts no later than it
+//! would on a fresh thread, and nothing about parking, nested spawns or
+//! sleeping handlers changes; only the ~20 µs of thread creation per
+//! computation is gone.
+//!
+//! A *bounded* pool with a queue would be a different design, not a tuning
+//! of this one: with every worker parked on computation `k`, `k`'s own job
+//! could sit in the queue behind them — a deadlock the versioning rules
+//! cannot see. It needs computations that give their thread back while
+//! they wait (continuations at the admission seam), plus a bound and an
+//! overload policy at ingress.
 //!
 //! ## 12. Pitfalls
 //!

@@ -49,6 +49,7 @@ pub mod computation;
 pub mod ctx;
 pub mod error;
 pub mod event;
+mod exec;
 pub mod graph;
 pub mod guide;
 pub mod handler;

@@ -9,8 +9,9 @@
 //! `isolated*` conveniences — the calling thread becomes the computation's
 //! root worker and the call returns after the computation has completed) or
 //! *detached* ([`Runtime::spawn`] — Rule 1 still executes synchronously in
-//! the caller, so spawn order determines version order, then a new root
-//! thread takes over and the caller gets a [`CompHandle`]).
+//! the caller, so spawn order determines version order, then the body runs as
+//! a root job on a thread of the executor — a cached worker, or a new thread
+//! if none is idle, never a queue — and the caller gets a [`CompHandle`]).
 //!
 //! Never call a blocking `isolated*` from *inside* a handler when the new
 //! declaration overlaps the running computation's: the inner computation
@@ -940,7 +941,10 @@ impl Runtime {
 
     /// Start a computation *detached* and return a handle. Rule 1 executes
     /// synchronously here, so the caller's spawn order fixes the version
-    /// (i.e. serialisation) order; the body runs on a new root thread.
+    /// (i.e. serialisation) order; the body runs as a root job on a thread
+    /// of its own, handed to an idle cached worker or, if there is none, to
+    /// a new thread. The job never queues, so the computation owns a thread
+    /// from here until Rule 3, however many other computations are blocked.
     ///
     /// # Panics
     ///
@@ -956,12 +960,13 @@ impl Runtime {
     }
 
     /// [`Runtime::spawn`], holding `guard` until the computation's root
-    /// thread fully exits — body, asynchronous drain, and Rule 3 release
-    /// included. Callers use the guard's `Drop` as a completion signal for
+    /// job ends — body, asynchronous drain, and Rule 3 release included —
+    /// and dropping it before the thread that ran the job can take another.
+    /// Callers use the guard's `Drop` as a completion signal for
     /// backpressure: dropping it when the *body* returns would under-count,
-    /// because the thread can still block in the drain phase long after
-    /// (see the worker loop), and unbounded spawn rates then exhaust OS
-    /// threads regardless of any body-scoped accounting.
+    /// because the job can still block in the drain phase long after (see
+    /// the worker loop), and unbounded spawn rates then exhaust OS threads
+    /// regardless of any body-scoped accounting.
     pub fn spawn_guarded(
         &self,
         decl: Decl<'_>,
@@ -972,24 +977,7 @@ impl Runtime {
             panic!("{e}");
         }
         let comp = self.spawn_comp(&decl);
-        let c2 = Arc::clone(&comp);
-        let hook = self.inner.hook.clone();
-        let token = hook.as_ref().map(|h| match comp.static_seed() {
-            Some(seed) => h.on_thread_spawn_with(&seed),
-            None => h.on_thread_spawn(),
-        });
-        std::thread::spawn(move || {
-            let _guard = guard;
-            if let (Some(h), Some(t)) = (&hook, token) {
-                h.on_thread_start(t);
-            }
-            root_execute(&c2, f);
-            c2.worker_loop();
-            c2.worker_exit();
-            if let Some(h) = &hook {
-                h.on_thread_exit();
-            }
-        });
+        comp.start_worker(guard, |comp| root_execute(comp, f));
         CompHandle { comp }
     }
 

@@ -18,7 +18,10 @@
 //!   in the *spawning* thread (returning a token), then
 //!   [`SchedHook::on_thread_start`] as the first action of the new thread and
 //!   [`SchedHook::on_thread_exit`] as its last. A controller can therefore
-//!   account for every runtime thread with no startup race.
+//!   account for every runtime thread with no startup race. A "thread" here
+//!   is one job of the runtime's executor: the OS thread under it may be a
+//!   reused one, so the same `ThreadId` can start again after its exit — a
+//!   controller keyed on `ThreadId` overwrites the entry at each start.
 //! * [`SchedHook::yield_point`] marks a scheduling decision point. A
 //!   controller typically parks the calling thread there until it is that
 //!   thread's turn.

@@ -127,6 +127,68 @@ fn single_worker_config_still_completes_async_storms() {
     assert_eq!(count.load(Ordering::SeqCst), 50);
 }
 
+/// Regression: growing a computation's workers *reserves* the slot. With a
+/// separate check and increment, issuers released together could all pass
+/// the check and overshoot `max_threads_per_computation`.
+#[test]
+fn worker_cap_holds_under_concurrent_async_triggers() {
+    const ISSUERS: usize = 8;
+    let mut b = StackBuilder::new();
+    let in_handler = Arc::new(AtomicUsize::new(0));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let mut protocols = Vec::new();
+    let mut events = Vec::new();
+    for i in 0..ISSUERS {
+        let p = b.protocol(&format!("P{i}"));
+        let e = b.event(&format!("E{i}"));
+        let (in_handler, peak) = (Arc::clone(&in_handler), Arc::clone(&peak));
+        b.bind(e, p, &format!("h{i}"), move |_, _| {
+            let now = in_handler.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            // Long enough that every worker the computation has is inside
+            // a handler at the same time.
+            std::thread::sleep(Duration::from_millis(1));
+            in_handler.fetch_sub(1, Ordering::SeqCst);
+            Ok(())
+        });
+        protocols.push(p);
+        events.push(e);
+    }
+    let rt = Runtime::with_config(
+        b.build(),
+        RuntimeConfig {
+            max_threads_per_computation: 2,
+            ..RuntimeConfig::default()
+        },
+    );
+    for _ in 0..40 {
+        rt.isolated(&protocols, |ctx| {
+            // The handlers touch disjoint microprotocols, so nothing but
+            // the cap limits their overlap; the barrier lines the issuers
+            // up on the reservation.
+            let start = std::sync::Barrier::new(ISSUERS);
+            std::thread::scope(|s| {
+                let issuers: Vec<_> = events
+                    .iter()
+                    .map(|&e| {
+                        let start = &start;
+                        s.spawn(move || {
+                            start.wait();
+                            ctx.async_trigger(e, EventData::empty())
+                        })
+                    })
+                    .collect();
+                issuers
+                    .into_iter()
+                    .try_for_each(|t| t.join().expect("issuer thread"))
+            })
+        })
+        .unwrap();
+    }
+    let peak = peak.load(Ordering::SeqCst);
+    assert!(peak <= 2, "{peak} handlers ran at once under a cap of 2");
+}
+
 #[test]
 fn payload_type_mismatch_is_reported() {
     let mut b = StackBuilder::new();

@@ -315,7 +315,9 @@ impl ExtGate {
     }
 }
 
-/// RAII slot in the gate; released when the computation's body finishes.
+/// RAII slot in the gate. It rides the computation's whole root job
+/// (`Runtime::spawn_guarded`): released after the body, the asynchronous
+/// drain and Rule 3, as the job hands its thread back.
 struct ExtSlot(Arc<ExtGate>);
 
 impl Drop for ExtSlot {
@@ -758,10 +760,10 @@ impl Node {
         } else {
             (basic, bound)
         };
-        // The slot rides the computation's root thread (not just the body):
-        // it is released only when the thread fully exits, so the gate
-        // counts every thread the computation still occupies — including
-        // ones blocked in the post-body drain phase.
+        // The slot rides the computation's root job (not just the body):
+        // it is released only when the job ends, so the gate counts every
+        // thread a computation still occupies — including ones blocked in
+        // the post-body drain phase.
         let slot = self.ext_gate.as_ref().map(|g| g.acquire());
         let body = move |ctx: &Ctx| ctx.trigger(event, data);
         match self.cfg.policy {

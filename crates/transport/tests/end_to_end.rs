@@ -41,6 +41,9 @@ fn single_message_roundtrip() {
 fn large_message_is_fragmented_and_reassembled() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 16;
+    // The network loses nothing, so any retransmission would be a spurious
+    // timeout: an RTO of seconds keeps a scheduler hiccup from causing one.
+    cfg.rto = Duration::from_secs(30);
     let net = TransportNet::new(2, NetConfig::fast(2), cfg);
     let msg = big_message(7, 10_000); // 625 fragments
     net.endpoint(0).send(SiteId(1), msg.clone());
