@@ -86,7 +86,7 @@ fn noop_stack(
 fn uncontended_admission_never_parks_contended_admission_does() {
     // --- zero leg: strictly sequential computations (each joined before
     // the next spawns) across every policy family — version cells
-    // (Basic/Bound/Route), the sharded 2PL lock table (TwoPhase) and the
+    // (Basic/Bound/Route), the 2PL lock table (TwoPhase) and the
     // all-declaring Serial comparator. Nothing can conflict, so the
     // fast path must absorb every admission: zero parks, zero notifies,
     // zero Rule-1 gate spins.

@@ -42,7 +42,7 @@ use crate::graph::RouteCheck;
 use crate::handler::HandlerId;
 use crate::policy::{AccessMode, CompMode, CompSpec};
 use crate::protocol::ProtocolId;
-use crate::runtime::RuntimeInner;
+use crate::runtime::{RuntimeInner, Wait};
 use crate::sched::{ReleaseReason, SchedPoint, SchedResource};
 use crate::trace::TraceKind;
 
@@ -177,7 +177,7 @@ impl ComputationInner {
         for e in &self.spec.entries {
             seed.push(SchedResource::Version(e.pid.index() as u32));
             if self.spec.mode == CompMode::Locked {
-                seed.push(SchedResource::Lock(self.rt.lock_idx(e.pid) as u32));
+                seed.push(SchedResource::Lock(e.pid.index() as u32));
             }
         }
         Some(seed)
@@ -439,7 +439,7 @@ impl ComputationInner {
             // version cell for the versioning family, its lock slot for
             // 2PL — standing for the handler's state accesses too.
             let fp = if self.spec.mode == CompMode::Locked {
-                SchedResource::Lock(self.rt.lock_idx(pid) as u32)
+                SchedResource::Lock(pid.index() as u32)
             } else {
                 SchedResource::Version(pid.index() as u32)
             };
@@ -453,35 +453,34 @@ impl ComputationInner {
         }
 
         // ---- Rule 2: admission ----
-        // Blocked-time accounting lives inside the `vwait_*`/lock waits and
-        // brackets only the parked phase, so an admission that never
-        // deschedules reads no clock at all.
+        // Every versioning wait is `lv + k >= pv`: `k` is 1 (basic, route),
+        // the declared bound, or 0 for a reader, which waits for the writer
+        // at its snapshot epoch itself. Writers also wait out readers of
+        // older epochs; readers mind no reader (epoch 0). Blocked-time
+        // accounting lives inside `RuntimeInner::wait` and brackets only the
+        // parked phase, so an admission that never deschedules reads no
+        // clock at all.
+        let undeclared = || SamoaError::UndeclaredProtocol {
+            comp: self.id,
+            protocol: pid,
+        };
+        let admit = |pv: u64, k: u64, epoch: u64| {
+            let idx = pid.index();
+            self.rt
+                .wait(Wait::Version { idx, pv, k, epoch }, Some(self.id));
+        };
         match self.spec.mode {
             CompMode::Unsync => {}
             CompMode::Locked => {
                 // Locks were acquired at spawn; only validate the declaration.
                 if self.spec.entry(pid).is_none() {
-                    return Err(SamoaError::UndeclaredProtocol {
-                        comp: self.id,
-                        protocol: pid,
-                    });
+                    return Err(undeclared());
                 }
             }
             CompMode::Basic => {
-                let e = self.spec.entry(pid).ok_or(SamoaError::UndeclaredProtocol {
-                    comp: self.id,
-                    protocol: pid,
-                })?;
-                let pv = e.pv;
+                let e = self.spec.entry(pid).ok_or_else(undeclared)?;
                 match e.mode {
-                    AccessMode::Write => {
-                        self.rt.vwait_write_traced(
-                            self.id,
-                            pid.index(),
-                            move |lv| lv + 1 >= pv,
-                            pv,
-                        );
-                    }
+                    AccessMode::Write => admit(e.pv, 1, e.pv),
                     AccessMode::Read => {
                         // Read-mode computations may only call read-only
                         // handlers, and wait only for writers up to their
@@ -493,16 +492,12 @@ impl ComputationInner {
                                 handler,
                             });
                         }
-                        self.rt
-                            .vwait_until_traced(self.id, pid.index(), move |lv| lv >= pv, pv);
+                        admit(e.pv, 0, 0);
                     }
                 }
             }
             CompMode::Bound => {
-                let e = self.spec.entry(pid).ok_or(SamoaError::UndeclaredProtocol {
-                    comp: self.id,
-                    protocol: pid,
-                })?;
+                let e = self.spec.entry(pid).ok_or_else(undeclared)?;
                 if !e.reserve() {
                     return Err(SamoaError::BoundExhausted {
                         comp: self.id,
@@ -510,9 +505,7 @@ impl ComputationInner {
                         bound: e.bound,
                     });
                 }
-                let (pv, b) = (e.pv, e.bound);
-                self.rt
-                    .vwait_write_traced(self.id, pid.index(), move |lv| lv + b >= pv, pv);
+                admit(e.pv, e.bound, e.pv);
             }
             CompMode::Route => {
                 let rs = self.spec.route.as_ref().expect("route spec");
@@ -523,9 +516,7 @@ impl ComputationInner {
                     self.route_check_to_result(check, caller, handler)?;
                 }
                 let e = self.spec.entry(pid).expect("pattern protocol declared");
-                let pv = e.pv;
-                self.rt
-                    .vwait_write_traced(self.id, pid.index(), move |lv| lv + 1 >= pv, pv);
+                admit(e.pv, 1, e.pv);
             }
         }
 
@@ -675,11 +666,8 @@ impl ComputationInner {
         match self.spec.mode {
             CompMode::Unsync => {}
             CompMode::Locked => {
-                // Release the stripes actually held — with a sharded table
-                // several declared protocols can map to one slot, and the
-                // growing phase acquired it once.
-                for s in self.rt.lock_stripes(&self.spec.entries) {
-                    self.rt.lock_release(s);
+                for e in &self.spec.entries {
+                    self.rt.lock_release(e.pid.index());
                 }
             }
             CompMode::Basic | CompMode::Bound => {
@@ -690,10 +678,7 @@ impl ComputationInner {
                         self.rt.vsignal(e.pid.index());
                         continue;
                     }
-                    let (pv, b) = (e.pv, e.bound);
-                    self.rt
-                        .vwait_raise(e.pid.index(), move |lv| lv + b >= pv, pv);
-                    self.rt.vsignal(e.pid.index());
+                    self.rt.raise_when_admitted(e.pid.index(), e.pv, e.bound);
                 }
             }
             CompMode::Route => {
@@ -706,9 +691,7 @@ impl ComputationInner {
                     .unreleased_protocols();
                 for p in remaining {
                     let e = self.spec.entry(p).expect("pattern protocol declared");
-                    let pv = e.pv;
-                    self.rt.vwait_raise(p.index(), move |lv| lv + 1 >= pv, pv);
-                    self.rt.vsignal(p.index());
+                    self.rt.raise_when_admitted(p.index(), e.pv, 1);
                 }
             }
         }

@@ -411,8 +411,8 @@
 //!
 //! * **Admission control.** Every external computation holds an OS thread
 //!   while it runs (§11), so an unbounded socket reader can exhaust
-//!   threads. Nodes gate external spawns
-//!   (`NodeConfig::max_inflight_external`) with a slot that rides the
+//!   threads. Nodes gate external spawns (at most 64 in flight per
+//!   node, a constant of `samoa-proto`) with a slot that rides the
 //!   *whole* root job — body plus the asynchronous-trigger drain phase —
 //!   via `Runtime::spawn_guarded`.
 //! * **Adaptive retransmission.** A fixed RTO below the loaded RTT turns
@@ -487,13 +487,20 @@
 //!   the predicate true *is* the admission — there is nothing to
 //!   re-validate and no ABA window, which is exactly why the mutex was
 //!   never load-bearing.
-//! * **The parking seam is a Dekker handshake.** A waiter that must block
-//!   publishes itself (waiter count, `SeqCst`), re-checks the predicate,
-//!   and only then parks; a completer raises `lv` first and checks the
-//!   waiter count after (`SeqCst` again). Whatever the interleaving, one
-//!   side sees the other: either the waiter's re-check sees the new `lv`,
-//!   or the completer sees the waiter and notifies. No lost wakeups —
-//!   `crates/core/tests/version_proptest.rs` races this seam explicitly.
+//! * **The parking seam is a Dekker handshake, written once.** A waiter
+//!   that must block publishes itself (waiter count, `SeqCst`), re-checks
+//!   the predicate, and only then parks; a completer raises `lv` first and
+//!   checks the waiter count after (`SeqCst` again). Whatever the
+//!   interleaving, one side sees the other: either the waiter's re-check
+//!   sees the new `lv`, or the completer sees the waiter and notifies. No
+//!   lost wakeups. The protocol — try, bounded spin → yield probe, park,
+//!   waiter-gated wake — is one private type in `version.rs`, whose module
+//!   docs carry the full argument; version cells, the 2PL lock slots and
+//!   the `quiesce` gate are three instances of it, and every wait on them
+//!   enters through one runtime routine that also owns the free-running
+//!   vs. [`SchedHook`](crate::sched::SchedHook) fork and the accounting
+//!   below. The seam's unit tests and
+//!   `crates/core/tests/version_proptest.rs` race it explicitly.
 //! * **Parking happens only on actual conflict.** An unsatisfied waiter
 //!   probes through a bounded spin window and a time-bounded yield window
 //!   before touching the park mutex. All blocked-time surfaces —

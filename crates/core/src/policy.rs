@@ -19,10 +19,11 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::graph::RouteState;
 use crate::protocol::ProtocolId;
+use crate::version::ParkSeam;
 
 /// The concurrency-control algorithm a computation (or a whole experiment)
 /// runs under. Mainly a label for benches and tables; the runtime picks the
@@ -175,21 +176,15 @@ impl fmt::Debug for CompSpec {
 /// acquired it (a computation's completion may run on any of its worker
 /// threads).
 ///
-/// Like [`VersionCell`](crate::version), the uncontended paths are pure
-/// atomics — acquire is one CAS, release one store — and a thread parks
-/// only after the CAS actually fails; the release side takes the park lock
-/// only when the waiter count says someone is parked. Same Dekker-style
-/// lost-wakeup argument over the `SeqCst` order as the version cell: the
-/// waiter registers in `waiters` before retrying the CAS, the releaser
-/// clears `held` before reading `waiters`.
+/// An instance of the parking seam ([`crate::version`] module docs): the
+/// uncontended paths are pure atomics — acquire is one CAS, release one
+/// store — a thread parks only after the CAS still fails past the probe
+/// window, and release takes the park lock only when someone is parked.
 #[derive(Debug, Default)]
 pub(crate) struct LockCell {
     /// 0 = free, 1 = held.
     held: AtomicU64,
-    /// Threads inside the parking protocol (registered under `park`).
-    waiters: AtomicU64,
-    park: Mutex<()>,
-    cv: Condvar,
+    seam: ParkSeam,
 }
 
 impl LockCell {
@@ -197,56 +192,22 @@ impl LockCell {
         LockCell::default()
     }
 
-    /// Full blocking acquire; the runtime drives the two phases separately
-    /// (the parked phase is what its blocked-time accounting brackets).
+    /// Full blocking acquire: probe, then park. The runtime runs the two
+    /// halves itself (the parked one is what its blocked-time accounting
+    /// brackets).
     #[cfg(test)]
     pub(crate) fn acquire(&self) {
-        if self.spin_acquire() {
-            return;
-        }
-        self.park_acquire();
-    }
-
-    /// The bounded non-parking prefix of [`Self::acquire`]: the one-CAS
-    /// probe, then busy probes, then yielding probes (same window as
-    /// `VersionCell::spin_until`). `false` means the caller should park.
-    pub(crate) fn spin_acquire(&self) -> bool {
-        if self.try_acquire() {
-            return true;
-        }
-        for _ in 0..crate::version::SPIN_LIMIT {
-            std::hint::spin_loop();
-            if self.try_acquire() {
-                return true;
-            }
-        }
-        let deadline = std::time::Instant::now() + crate::version::YIELD_WINDOW;
-        loop {
-            for _ in 0..crate::version::YIELD_CHECK {
-                std::thread::yield_now();
-                if self.try_acquire() {
-                    return true;
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
+        if crate::version::probe(|| self.try_acquire().then_some(())).is_none() {
+            self.park_acquire();
         }
     }
 
-    /// The parking tail of [`Self::acquire`].
+    /// The parking tail of an acquisition, for after a failed probe.
     pub(crate) fn park_acquire(&self) {
-        let mut guard = self.park.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        while !self.try_acquire() {
-            crate::version::note_park();
-            self.cv.wait(&mut guard);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        self.seam.park(|_| self.try_acquire().then_some(()), || {});
     }
 
-    /// Non-blocking acquire — one CAS. Also the cooperative-scheduling
-    /// path's probe.
+    /// Non-blocking acquire — one CAS.
     pub(crate) fn try_acquire(&self) -> bool {
         self.held
             .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
@@ -256,11 +217,7 @@ impl LockCell {
     pub(crate) fn release(&self) {
         let prev = self.held.swap(0, Ordering::SeqCst);
         debug_assert!(prev == 1, "releasing a lock that is not held");
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            crate::version::note_park_notify();
-            let _guard = self.park.lock();
-            self.cv.notify_all();
-        }
+        self.seam.wake();
     }
 }
 

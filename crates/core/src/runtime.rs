@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::computation::{panic_message, ComputationInner, ExecState, PostAction};
 use crate::ctx::Ctx;
@@ -36,7 +36,7 @@ use crate::protocol::ProtocolId;
 use crate::sched::{SchedHook, SchedPoint, SchedResource};
 use crate::stack::Stack;
 use crate::trace::{Algo, TraceCtl, TraceKind, TraceSink, WaitForGraph};
-use crate::version::{CachePadded, VersionCell};
+use crate::version::{CachePadded, ParkSeam, VersionCell};
 
 /// Tunables of a [`Runtime`].
 #[derive(Debug, Clone)]
@@ -58,16 +58,6 @@ pub struct RuntimeConfig {
     /// default: the closure check is conservative and may reject tight
     /// declarations that are correct for a particular entry event.
     pub strict_analysis: bool,
-    /// Number of slots in the 2PL lock table. `0` (the default) gives every
-    /// microprotocol its own slot — exact locking. A positive value stripes
-    /// microprotocols across that many slots (`pid % shards`): coarser and
-    /// therefore more conservative (two protocols sharing a slot serialise
-    /// even without a real conflict), but still deadlock-free — the growing
-    /// phase acquires deduplicated slots in ascending order — and still
-    /// policy-equivalent: every history a striped table admits is a history
-    /// the exact table admits. Values above the protocol count clamp to the
-    /// exact table.
-    pub lock_shards: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -76,7 +66,6 @@ impl Default for RuntimeConfig {
             record_history: false,
             max_threads_per_computation: 4,
             strict_analysis: false,
-            lock_shards: 0,
         }
     }
 }
@@ -95,17 +84,6 @@ impl RuntimeConfig {
     pub fn strict() -> Self {
         RuntimeConfig {
             strict_analysis: true,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// A recording config with a striped 2PL lock table of `shards` slots
-    /// (see [`RuntimeConfig::lock_shards`]) — what the shard-sweep
-    /// equivalence tests use.
-    pub fn recording_sharded(shards: usize) -> Self {
-        RuntimeConfig {
-            record_history: true,
-            lock_shards: shards,
             ..RuntimeConfig::default()
         }
     }
@@ -225,8 +203,7 @@ pub(crate) struct RuntimeInner {
     /// Per-microprotocol `lv_p` cells, cache-line padded so neighbouring
     /// protocols never false-share.
     pub(crate) versions: Vec<CachePadded<VersionCell>>,
-    /// The 2PL lock table — one padded slot per microprotocol, or fewer
-    /// stripes under [`RuntimeConfig::lock_shards`].
+    /// The 2PL lock table — one padded slot per microprotocol.
     pub(crate) locks: Vec<CachePadded<LockCell>>,
     pub(crate) history: HistoryRecorder,
     pub(crate) config: RuntimeConfig,
@@ -244,25 +221,45 @@ pub(crate) struct RuntimeInner {
     gv: Vec<CachePadded<AtomicU64>>,
     comp_seq: AtomicU64,
     /// Computations spawned but not yet completed. Plain atomic; `quiesce`
-    /// parks on `quiesce_park`/`quiesce_cv` only while this is nonzero.
+    /// parks on the `quiesce` seam only while this is nonzero.
     active: AtomicU64,
-    quiesce_waiters: AtomicU64,
-    quiesce_park: Mutex<()>,
-    quiesce_cv: Condvar,
+    quiesce: ParkSeam,
+}
+
+/// A condition a thread of this runtime can be descheduled on — as data,
+/// so that [`RuntimeInner::wait`] can try it, park on it and name it to a
+/// [`SchedHook`] without a closure per call site.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wait {
+    /// `lv + k >= pv` on version cell `idx`, with no reader hold below
+    /// `epoch` (the cell's admission triple, see [`VersionCell`]).
+    Version {
+        idx: usize,
+        pv: u64,
+        k: u64,
+        epoch: u64,
+    },
+    /// 2PL lock slot `idx`, taken by the waiter when the wait ends.
+    Lock(usize),
+    /// No computation is active.
+    Quiesce,
+}
+
+impl Wait {
+    fn resource(self) -> SchedResource {
+        match self {
+            Wait::Version { idx, .. } => SchedResource::Version(idx as u32),
+            Wait::Lock(idx) => SchedResource::Lock(idx as u32),
+            Wait::Quiesce => SchedResource::Quiesce,
+        }
+    }
 }
 
 impl RuntimeInner {
     pub(crate) fn computation_finished(&self) {
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
         if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Same park protocol as `VersionCell`: the quiescer registers in
-            // `quiesce_waiters` (under the park mutex) before re-checking
-            // `active`, we drop `active` before reading `quiesce_waiters`.
-            if self.quiesce_waiters.load(Ordering::SeqCst) > 0 {
-                crate::version::note_park_notify();
-                let _guard = self.quiesce_park.lock();
-                self.quiesce_cv.notify_all();
-            }
+            self.quiesce.wake();
             if let Some(h) = &self.hook {
                 h.signal(SchedResource::Quiesce);
             }
@@ -274,104 +271,132 @@ impl RuntimeInner {
         self.active.load(Ordering::SeqCst)
     }
 
-    /// The lock-table stripe serving microprotocol `pid`.
-    pub(crate) fn lock_idx(&self, pid: ProtocolId) -> usize {
-        debug_assert!(!self.locks.is_empty(), "lock table is empty");
-        pid.index() % self.locks.len()
-    }
-
-    /// The deduplicated, ascending lock-table stripes covering `entries` —
-    /// the canonical 2PL acquisition (and release) order. Striping can map
-    /// two declared protocols to one slot; acquiring it twice would
-    /// self-deadlock, so callers must always go through this.
-    pub(crate) fn lock_stripes(&self, entries: &[PvEntry]) -> Vec<usize> {
-        let mut stripes: Vec<usize> = entries.iter().map(|e| self.lock_idx(e.pid)).collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        stripes
-    }
-
-    // ---- cooperative version waits ----
+    // ---- blocking ----
     //
-    // Uninstrumented runtimes use the atomic fast path / parked slow path
-    // in `VersionCell` directly; with a hook installed, every wait becomes
-    // a try-predicate → `SchedHook::block` loop so the controller owns the
-    // interleaving, and every `lv` change signals the matching resource.
-    //
-    // These are the Rule-2 sites, so they also own the `admission_wait`
-    // accounting: the clock brackets only the *descheduled* phase (parked
-    // on the cell, or cooperatively blocked in the hook) — an admission
-    // that resolves in the probe window reads no clock and takes no lock.
+    // Every wait on a version cell, a lock slot or the quiesce gate goes
+    // through `wait`, in the seam's three steps (`version.rs` module docs):
+    // try, probe, deschedule. Free-running, "deschedule" parks on the seam;
+    // with a hook installed it is a try → `SchedHook::block` loop, so the
+    // controller owns the interleaving — and every change of a waited-on
+    // word signals the matching resource.
 
-    /// Probe the cell without descheduling: the bounded spin/yield window
-    /// when free-running, a single check under a hook (spinning would
-    /// perturb the cooperative schedule).
-    fn vprobe_until(&self, idx: usize, pred: &impl Fn(u64) -> bool) -> Option<u64> {
-        match &self.hook {
-            None => self.versions[idx].spin_until(pred),
-            Some(_) => self.versions[idx].try_until(pred),
+    /// One non-blocking try of `w`.
+    fn attempt(&self, w: Wait) -> bool {
+        match w {
+            Wait::Version { idx, pv, k, epoch } => {
+                self.versions[idx].try_admit(pv, k, epoch).is_some()
+            }
+            Wait::Lock(idx) => self.locks[idx].try_acquire(),
+            Wait::Quiesce => self.active_count() == 0,
         }
     }
 
-    fn vprobe_write(&self, idx: usize, pred: &impl Fn(u64) -> bool, pv: u64) -> Option<u64> {
-        match &self.hook {
-            None => self.versions[idx].spin_write(pred, pv),
-            Some(_) => self.versions[idx].try_write(pred, pv),
-        }
-    }
-
-    /// Descheduled phase after a failed probe: park on the cell (or block
-    /// cooperatively under the hook), clocking the elapsed time into
-    /// `admission_wait`.
-    fn vblock_until(&self, idx: usize, pred: impl Fn(u64) -> bool) -> u64 {
-        let t0 = std::time::Instant::now();
-        let v = match &self.hook {
-            None => self.versions[idx].park_wait_until(pred),
-            Some(h) => loop {
-                if let Some(v) = self.versions[idx].try_until(&pred) {
-                    break v;
+    /// The descheduled phase of a wait, after a failed probe. The one place
+    /// that knows whether the runtime is free-running or hooked.
+    fn block(&self, w: Wait) {
+        match (&self.hook, w) {
+            (None, Wait::Version { idx, pv, k, epoch }) => {
+                self.versions[idx].park_admit(pv, k, epoch);
+            }
+            (None, Wait::Lock(idx)) => self.locks[idx].park_acquire(),
+            (None, Wait::Quiesce) => self.quiesce.park(|_| self.attempt(w).then_some(()), || {}),
+            (Some(h), _) => {
+                while !self.attempt(w) {
+                    h.block(w.resource());
+                    if let Wait::Version { idx, .. } = w {
+                        self.versions[idx].note_wakeup();
+                    }
                 }
-                h.block(SchedResource::Version(idx as u32));
-                self.versions[idx].note_wakeup();
-            },
+            }
+        }
+    }
+
+    /// Wait until `w` holds. The probe — the bounded spin/yield window when
+    /// free-running, a single try under a hook (spinning would perturb the
+    /// cooperative schedule) — resolves most waits without descheduling;
+    /// only a wait that outlives it blocks.
+    ///
+    /// `admitting` names the computation when the wait is an *admission*
+    /// (Rule 2, 2PL growing phase; not Rule 3, not `quiesce`). Admissions
+    /// own the `admission_wait` accounting and the trace's view of
+    /// blocking, both with the same parked-only definition: the clock and
+    /// the `WaitBegin`/`WaitEnd` span (with the blocking computation's
+    /// identity) bracket only the descheduled phase, and only then does the
+    /// waiter appear in the wait-for graph of `Runtime::waiters`. A probing
+    /// waiter is runnable, not blocked: an admission that resolves in the
+    /// window reads no clock, takes no lock and records nothing (a waiter
+    /// headed for a real block shows up at most one window late).
+    pub(crate) fn wait(&self, w: Wait, admitting: Option<CompId>) {
+        let passed = match &self.hook {
+            None => crate::version::probe(|| self.attempt(w).then_some(())).is_some(),
+            Some(_) => self.attempt(w),
         };
-        self.stats.note_admission_wait(t0.elapsed());
-        v
-    }
-
-    fn vblock_write(&self, idx: usize, pred: impl Fn(u64) -> bool, pv: u64) -> u64 {
-        let t0 = std::time::Instant::now();
-        let v = match &self.hook {
-            None => self.versions[idx].park_wait_write(pred, pv),
-            Some(h) => loop {
-                if let Some(v) = self.versions[idx].try_write(&pred, pv) {
-                    break v;
-                }
-                h.block(SchedResource::Version(idx as u32));
-                self.versions[idx].note_wakeup();
-            },
-        };
-        self.stats.note_admission_wait(t0.elapsed());
-        v
-    }
-
-    /// Rule-3 completion step for one cell: wait until `pred(lv)` holds,
-    /// then raise `lv` to at least `target`. Replaces the old
-    /// locked wait-then-mutate: every completion action is a monotone raise,
-    /// so an unlocked check + `fetch_max` is linearizable against concurrent
-    /// bumps (see `version.rs` module docs).
-    pub(crate) fn vwait_raise(&self, idx: usize, pred: impl Fn(u64) -> bool, target: u64) {
-        match &self.hook {
-            None => self.versions[idx].wait_raise(pred, target),
-            Some(h) => loop {
-                if self.versions[idx].try_raise(&pred, target) {
-                    self.vsignal(idx);
-                    return;
-                }
-                h.block(SchedResource::Version(idx as u32));
-                self.versions[idx].note_wakeup();
-            },
+        if passed {
+            return;
         }
+        let Some(comp) = admitting else {
+            return self.block(w);
+        };
+        let clock = std::time::Instant::now();
+        let span = self.trace.as_ref().map(|t| {
+            let (idx, blocker) = match w {
+                // The blocker is the oldest holder in `(lv, pv]` other than
+                // the waiter: a writer skips its own hold at `pv`, a reader
+                // has none and waits for the writer holding `pv` itself.
+                Wait::Version { idx, pv, .. } => {
+                    let lv = self.versions[idx].get();
+                    (idx, t.wait_begin(comp, idx, pv + 1, lv))
+                }
+                // The lock table does not track owners: no blocker.
+                Wait::Lock(idx) => {
+                    t.lock_wait_begin(comp, idx);
+                    (idx, None)
+                }
+                Wait::Quiesce => unreachable!("quiesce admits no computation"),
+            };
+            let protocol = ProtocolId(idx as u32);
+            let t0 = t.now_ns();
+            t.emit_at(
+                t0,
+                TraceKind::WaitBegin {
+                    comp,
+                    protocol,
+                    blocker,
+                },
+            );
+            (t, protocol, blocker, t0)
+        });
+        self.block(w);
+        self.stats.note_admission_wait(clock.elapsed());
+        if let Some((t, protocol, blocker, t0)) = span {
+            let t1 = t.now_ns();
+            t.wait_end(comp, protocol.index());
+            t.emit_at(
+                t1,
+                TraceKind::WaitEnd {
+                    comp,
+                    protocol,
+                    wait_ns: t1.saturating_sub(t0),
+                    blocker,
+                },
+            );
+        }
+    }
+
+    /// Rule-3 completion step for one cell: wait until `lv + k >= pv`, then
+    /// raise `lv` to at least `pv`. Every completion action is a monotone
+    /// raise, so an unlocked check + `fetch_max` is linearizable against
+    /// concurrent bumps (see `version.rs` module docs).
+    pub(crate) fn raise_when_admitted(&self, idx: usize, pv: u64, k: u64) {
+        let admitted = Wait::Version {
+            idx,
+            pv,
+            k,
+            epoch: 0,
+        };
+        self.wait(admitted, None);
+        self.versions[idx].raise_to(pv);
+        self.vsignal(idx);
     }
 
     /// Wake cooperative waiters of version cell `idx` (no-op without hook).
@@ -379,165 +404,6 @@ impl RuntimeInner {
         if let Some(h) = &self.hook {
             h.signal(SchedResource::Version(idx as u32));
         }
-    }
-
-    // ---- traced admission waits ----
-    //
-    // Rule 2 call sites go through these: with no sink attached they
-    // delegate straight to the waits above (one branch); with a sink, a
-    // wait that actually *deschedules* is bracketed by WaitBegin/WaitEnd
-    // events carrying the blocking computation's identity, and registered
-    // in the wait-for graph for `Runtime::waiters`. The probe window is
-    // invisible here by the same parked-only definition as the
-    // `admission_wait` stat: a probing waiter is runnable, not blocked, so
-    // it records no span and never appears in the wait-for graph (a waiter
-    // headed for a real block shows up at most one probe window late).
-
-    pub(crate) fn vwait_write_traced(
-        &self,
-        comp: CompId,
-        idx: usize,
-        pred: impl Fn(u64) -> bool + Copy,
-        pv: u64,
-    ) -> u64 {
-        if let Some(v) = self.vprobe_write(idx, &pred, pv) {
-            return v;
-        }
-        match &self.trace {
-            None => self.vblock_write(idx, pred, pv),
-            Some(t) => {
-                let protocol = ProtocolId(idx as u32);
-                let lv = self.versions[idx].get();
-                let blocker = t.wait_begin(comp, idx, pv, lv);
-                let t0 = t.now_ns();
-                t.emit_at(
-                    t0,
-                    TraceKind::WaitBegin {
-                        comp,
-                        protocol,
-                        blocker,
-                    },
-                );
-                let v = self.vblock_write(idx, pred, pv);
-                let t1 = t.now_ns();
-                t.wait_end(comp, idx);
-                t.emit_at(
-                    t1,
-                    TraceKind::WaitEnd {
-                        comp,
-                        protocol,
-                        wait_ns: t1.saturating_sub(t0),
-                        blocker,
-                    },
-                );
-                v
-            }
-        }
-    }
-
-    /// Read-mode admission: the waiter's epoch is `pv` *inclusive* (it waits
-    /// for the writer holding `pv` itself), hence the `pv + 1` upper bound
-    /// for the blocker lookup.
-    pub(crate) fn vwait_until_traced(
-        &self,
-        comp: CompId,
-        idx: usize,
-        pred: impl Fn(u64) -> bool + Copy,
-        pv: u64,
-    ) -> u64 {
-        if let Some(v) = self.vprobe_until(idx, &pred) {
-            return v;
-        }
-        match &self.trace {
-            None => self.vblock_until(idx, pred),
-            Some(t) => {
-                let protocol = ProtocolId(idx as u32);
-                let lv = self.versions[idx].get();
-                let blocker = t.wait_begin(comp, idx, pv + 1, lv);
-                let t0 = t.now_ns();
-                t.emit_at(
-                    t0,
-                    TraceKind::WaitBegin {
-                        comp,
-                        protocol,
-                        blocker,
-                    },
-                );
-                let v = self.vblock_until(idx, pred);
-                let t1 = t.now_ns();
-                t.wait_end(comp, idx);
-                t.emit_at(
-                    t1,
-                    TraceKind::WaitEnd {
-                        comp,
-                        protocol,
-                        wait_ns: t1.saturating_sub(t0),
-                        blocker,
-                    },
-                );
-                v
-            }
-        }
-    }
-
-    /// 2PL growing-phase acquisition with tracing. The lock table does not
-    /// track owners, so the wait edge carries no blocker.
-    pub(crate) fn lock_acquire_traced(&self, comp: CompId, idx: usize) {
-        if self.lock_probe(idx) {
-            return;
-        }
-        match &self.trace {
-            None => self.lock_block(idx),
-            Some(t) => {
-                let protocol = ProtocolId(idx as u32);
-                let t0 = t.now_ns();
-                t.lock_wait_begin(comp, idx);
-                t.emit_at(
-                    t0,
-                    TraceKind::WaitBegin {
-                        comp,
-                        protocol,
-                        blocker: None,
-                    },
-                );
-                self.lock_block(idx);
-                let t1 = t.now_ns();
-                t.wait_end(comp, idx);
-                t.emit_at(
-                    t1,
-                    TraceKind::WaitEnd {
-                        comp,
-                        protocol,
-                        wait_ns: t1.saturating_sub(t0),
-                        blocker: None,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Probe stripe `idx` without descheduling (spin/yield window when
-    /// free-running, single try under a hook).
-    fn lock_probe(&self, idx: usize) -> bool {
-        match &self.hook {
-            None => self.locks[idx].spin_acquire(),
-            Some(_) => self.locks[idx].try_acquire(),
-        }
-    }
-
-    /// Descheduled acquisition after a failed probe, clocked into
-    /// `admission_wait`.
-    fn lock_block(&self, idx: usize) {
-        let t0 = std::time::Instant::now();
-        match &self.hook {
-            None => self.locks[idx].park_acquire(),
-            Some(h) => {
-                while !self.locks[idx].try_acquire() {
-                    h.block(SchedResource::Lock(idx as u32));
-                }
-            }
-        }
-        self.stats.note_admission_wait(t0.elapsed());
     }
 
     /// Release 2PL lock `idx` and wake waiters.
@@ -675,11 +541,6 @@ impl Runtime {
     ) -> Self {
         let n = stack.protocol_count();
         let stats = StatCounters::default();
-        let lock_slots = if config.lock_shards == 0 {
-            n
-        } else {
-            config.lock_shards.min(n).max(usize::from(n > 0))
-        };
         Runtime {
             inner: Arc::new(RuntimeInner {
                 versions: (0..n)
@@ -689,9 +550,7 @@ impl Runtime {
                         )))
                     })
                     .collect(),
-                locks: (0..lock_slots)
-                    .map(|_| CachePadded(LockCell::new()))
-                    .collect(),
+                locks: (0..n).map(|_| CachePadded(LockCell::new())).collect(),
                 history: HistoryRecorder::new(config.record_history),
                 stats,
                 hook,
@@ -699,9 +558,7 @@ impl Runtime {
                 gv: (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect(),
                 comp_seq: AtomicU64::new(0),
                 active: AtomicU64::new(0),
-                quiesce_waiters: AtomicU64::new(0),
-                quiesce_park: Mutex::new(()),
-                quiesce_cv: Condvar::new(),
+                quiesce: ParkSeam::default(),
                 stack,
                 config,
             }),
@@ -770,12 +627,12 @@ impl Runtime {
             });
         }
         if spec.mode == CompMode::Locked {
-            // Conservative 2PL growing phase: all lock-table stripes before
-            // the computation starts, in canonical deduplicated ascending
-            // order (deadlock-free; contended time feeds `admission_wait`
-            // inside `lock_acquire`).
-            for s in self.inner.lock_stripes(&spec.entries) {
-                self.inner.lock_acquire_traced(id, s);
+            // Conservative 2PL growing phase: every declared slot before the
+            // computation starts, in ascending order (`entries` is sorted
+            // and deduplicated: deadlock-free; contended time feeds
+            // `admission_wait`).
+            for e in &spec.entries {
+                self.inner.wait(Wait::Lock(e.pid.index()), Some(id));
             }
         }
         self.inner.active.fetch_add(1, Ordering::SeqCst);
@@ -1137,33 +994,10 @@ impl Runtime {
 
     // ---- observation ----
 
-    /// Block until every computation spawned so far has completed.
+    /// Block until every computation spawned so far has completed. Already
+    /// quiescent is one atomic load, no lock.
     pub fn quiesce(&self) {
-        match &self.inner.hook {
-            None => {
-                // Fast path: already quiescent — one atomic load, no lock.
-                if self.inner.active_count() == 0 {
-                    return;
-                }
-                // Same park protocol as `VersionCell`: register in
-                // `quiesce_waiters` under the park mutex before re-checking
-                // `active`; `computation_finished` drops `active` to zero
-                // before reading `quiesce_waiters` (both `SeqCst`).
-                let mut guard = self.inner.quiesce_park.lock();
-                self.inner.quiesce_waiters.fetch_add(1, Ordering::SeqCst);
-                while self.inner.active.load(Ordering::SeqCst) > 0 {
-                    crate::version::note_park();
-                    self.inner.quiesce_cv.wait(&mut guard);
-                }
-                self.inner.quiesce_waiters.fetch_sub(1, Ordering::SeqCst);
-            }
-            Some(h) => loop {
-                if self.inner.active_count() == 0 {
-                    return;
-                }
-                h.block(SchedResource::Quiesce);
-            },
-        }
+        self.inner.wait(Wait::Quiesce, None);
     }
 
     /// Snapshot the runtime counters: computations, handler calls, and the
@@ -1344,6 +1178,129 @@ mod tests {
         assert!(!c.strict_analysis);
         assert!(RuntimeConfig::recording().record_history);
         assert!(RuntimeConfig::strict().strict_analysis);
+    }
+
+    /// A `SchedHook` that records every `block`/`signal` and, on `block`,
+    /// runs the next scripted step — the change the blocked thread waits
+    /// for — on the caller's own thread. Nothing runs concurrently, so the
+    /// recorded call sequence is exact.
+    #[derive(Default)]
+    struct Script {
+        calls: Mutex<Vec<String>>,
+        steps: Mutex<std::collections::VecDeque<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl SchedHook for Script {
+        fn block(&self, resource: SchedResource) {
+            self.calls.lock().push(format!("block {resource:?}"));
+            let step = self.steps.lock().pop_front();
+            step.expect("blocked with the script exhausted")();
+        }
+
+        fn signal(&self, resource: SchedResource) {
+            self.calls.lock().push(format!("signal {resource:?}"));
+        }
+    }
+
+    impl Script {
+        fn then(&self, step: impl FnOnce() + Send + 'static) {
+            self.steps.lock().push_back(Box::new(step));
+        }
+
+        fn take_calls(&self) -> Vec<String> {
+            std::mem::take(&mut self.calls.lock())
+        }
+    }
+
+    fn scripted_runtime() -> (Arc<Script>, Runtime) {
+        use crate::stack::StackBuilder;
+        let mut b = StackBuilder::new();
+        let p = b.protocol("P");
+        let e = b.event("e");
+        b.bind(e, p, "h", |_, _| Ok(()));
+        let script = Arc::new(Script::default());
+        let hook = Arc::clone(&script) as Arc<dyn SchedHook>;
+        let rt = Runtime::with_hook(b.build(), RuntimeConfig::default(), hook);
+        (script, rt)
+    }
+
+    #[test]
+    fn hooked_version_wait_blocks_and_signals_in_order() {
+        let (script, rt) = scripted_runtime();
+        let advance = |script: &Script| {
+            let inner = Arc::clone(&rt.inner);
+            script.then(move || {
+                inner.versions[0].bump();
+                inner.vsignal(0);
+            });
+        };
+        // Rule 2 for pv = 3, k = 1 needs lv >= 2: two blocks, each ended by
+        // one advance.
+        advance(&script);
+        advance(&script);
+        let (idx, pv, k) = (0, 3, 1);
+        rt.inner.wait(
+            Wait::Version {
+                idx,
+                pv,
+                k,
+                epoch: pv,
+            },
+            Some(7),
+        );
+        assert_eq!(
+            script.take_calls(),
+            [
+                "block Version(0)",
+                "signal Version(0)",
+                "block Version(0)",
+                "signal Version(0)"
+            ]
+        );
+        assert_eq!(rt.stats().version_wait_wakeups, 2);
+        let admission_wait = rt.stats().admission_wait;
+        assert!(admission_wait > std::time::Duration::ZERO);
+
+        // Rule 3 with the admission already holding: no block, one signal
+        // for the raise.
+        rt.inner.raise_when_admitted(idx, pv, k);
+        assert_eq!(script.take_calls(), ["signal Version(0)"]);
+        assert_eq!(rt.local_version(ProtocolId(0)), 3);
+
+        // Rule 3 that has to wait (pv = 5 needs lv >= 4) blocks the same
+        // way, but is not an admission: `admission_wait` stays put.
+        advance(&script);
+        rt.inner.raise_when_admitted(idx, 5, k);
+        assert_eq!(
+            script.take_calls(),
+            ["block Version(0)", "signal Version(0)", "signal Version(0)"]
+        );
+        assert_eq!(rt.local_version(ProtocolId(0)), 5);
+        assert_eq!(rt.stats().version_wait_wakeups, 3);
+        assert_eq!(rt.stats().admission_wait, admission_wait);
+    }
+
+    #[test]
+    fn hooked_lock_and_quiesce_waits_block_and_signal_in_order() {
+        let (script, rt) = scripted_runtime();
+        assert!(rt.inner.locks[0].try_acquire());
+        let inner = Arc::clone(&rt.inner);
+        script.then(move || inner.lock_release(0));
+        rt.inner.wait(Wait::Lock(0), Some(1));
+        assert_eq!(script.take_calls(), ["block Lock(0)", "signal Lock(0)"]);
+        assert!(
+            !rt.inner.locks[0].try_acquire(),
+            "the waiter holds the lock"
+        );
+        assert!(rt.stats().admission_wait > std::time::Duration::ZERO);
+
+        rt.inner.active.fetch_add(1, Ordering::SeqCst);
+        let inner = Arc::clone(&rt.inner);
+        script.then(move || inner.computation_finished());
+        rt.quiesce();
+        assert_eq!(script.take_calls(), ["block Quiesce", "signal Quiesce"]);
+        // Only version waits count as version-wait wake-ups.
+        assert_eq!(rt.stats().version_wait_wakeups, 0);
     }
 
     /// Stack with a dangling trigger: "a" declares it triggers an event with

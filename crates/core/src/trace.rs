@@ -625,19 +625,20 @@ impl TraceCtl {
         }
     }
 
-    /// `comp` is about to block on protocol `idx` with private version
-    /// `my_pv` while `lv` is the current local version: record the wait
-    /// edge and return the blocker — the oldest still-active predecessor.
+    /// `comp` is about to block on protocol `idx` while `lv` is the current
+    /// local version: record the wait edge and return the blocker — the
+    /// oldest still-active holder, other than `comp` itself, of a version
+    /// in `(lv, upto)`.
     pub(crate) fn wait_begin(
         &self,
         comp: CompId,
         idx: usize,
-        my_pv: u64,
+        upto: u64,
         lv: u64,
     ) -> Option<CompId> {
         let mut reg = self.reg.lock();
         let blocker = reg.holders[idx]
-            .range(lv + 1..my_pv)
+            .range(lv + 1..upto)
             .map(|(_, &c)| c)
             .find(|&c| c != comp);
         reg.waits.push(WaitEdge {

@@ -11,35 +11,56 @@
 //!
 //! `VersionCell` (crate-internal) is the `lv_p` side. `lv` is a plain
 //! [`AtomicU64`]: the uncontended Rule-2 admission check is a single atomic
-//! load and predicate evaluation — no mutex, no allocation, no syscall.
-//! Threads *park* (mutex + condvar) only when the predicate actually fails,
-//! i.e. on a real version conflict, and advancers (`bump`, `raise_to`,
-//! `fetch_max` raises) take the park lock only when a `waiters` count says
-//! someone is actually parked.
+//! load and comparison — no mutex, no allocation, no syscall. Every
+//! admission condition in the tree has one shape, `lv + k >= pv` (`k` = 1
+//! for VCAbasic and VCAroute, the declared bound for VCAbound, 0 for the
+//! read mode), so an admission is *data* — `(pv, k, epoch)` — not a closure,
+//! and the cell has one admission primitive in three steps: `try_admit`
+//! (one check), the `probe` window, `park_admit`.
 //!
-//! The parking protocol is lost-wakeup-free by a Dekker-style argument over
-//! the `SeqCst` total order: a waiter increments `waiters` (under the park
-//! mutex) *before* re-reading `lv`; an advancer stores `lv` *before* reading
-//! `waiters`. If the waiter misses the new `lv`, its `waiters` increment
-//! precedes the advancer's `waiters` read in the total order, so the
-//! advancer sees it and notifies — and because the waiter holds the park
-//! mutex from registration until `Condvar::wait` releases it, the notify
-//! cannot fire in the window between the waiter's re-check and its park.
-//! Conversely, if the advancer sees `waiters == 0`, the waiter's increment
-//! came later, so the waiter's subsequent `lv` load observes the advanced
-//! value and never parks. `crates/core/tests/version_proptest.rs` exercises
-//! this argument under randomized interleavings.
-//!
-//! All admission predicates are **monotone** (once true they stay true as
+//! All admission conditions are **monotone** (once true they stay true as
 //! `lv` grows), and all advances are monotone raises (`fetch_add`,
 //! `fetch_max`), which is what makes the unlocked check-then-raise
-//! linearizable: a predicate observed true cannot be invalidated by a
+//! linearizable: a condition observed true cannot be invalidated by a
 //! concurrent raise, and concurrent raises commute.
 //!
 //! The `gv_p` side lives in the runtime's spawn state as one atomic per
 //! microprotocol with an embedded lock bit; Rule 1's bulk
 //! increment-and-snapshot is an ordered two-phase CAS sweep over the
 //! declared cells (see `runtime.rs`).
+//!
+//! ## The parking seam
+//!
+//! Everything in this crate that waits for an atomic word to change — a
+//! version cell (`lv`), a 2PL lock slot (`held`), the runtime's quiesce
+//! gate (`active`) — waits through one type, `ParkSeam`, in the same three
+//! steps: a *try* of the condition (pure atomics), the bounded `probe`
+//! window (busy spins, then yields, for [`YIELD_WINDOW`]), and only then
+//! `ParkSeam::park` (mutex + condvar). The side that changes the word calls
+//! `ParkSeam::wake`, which takes the park mutex only when the waiter count
+//! says someone is parked: releases on an uncontended cell stay pure
+//! atomics.
+//!
+//! Parking is lost-wakeup-free by a Dekker-style argument over the `SeqCst`
+//! total order: a waiter increments `waiters` (under the park mutex)
+//! *before* re-trying its condition; a waker changes the word *before*
+//! reading `waiters`. If the waiter misses the new value, its `waiters`
+//! increment precedes the waker's `waiters` read in the total order, so the
+//! waker sees it and notifies — and because the waiter holds the park mutex
+//! from registration until `Condvar::wait` releases it, the notify cannot
+//! fire in the window between the waiter's re-try and its park. Conversely,
+//! if the waker sees `waiters == 0`, the waiter's increment came later, so
+//! the waiter's subsequent re-try observes the changed word and never
+//! parks. The argument needs two things of a user: the condition reads only
+//! `SeqCst` atomics (or data guarded by the park mutex), and every change
+//! that can make it true is followed by `wake`. The seam's unit tests and
+//! `crates/core/tests/version_proptest.rs` exercise it under randomized
+//! interleavings.
+//!
+//! Waits that guard mutex-protected data rather than an atomic word — a
+//! computation's task queue and `done` flag, the executor's timed slots —
+//! are plain condvar waits and do not go through the seam: they have no
+//! probe window and must not count into [`parks`].
 //!
 //! ## Reader sharing (paper §7 future work)
 //!
@@ -57,8 +78,9 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Pads (and aligns) a value to a cache line, so neighbouring slots of a
 /// `Vec` never share a line — the classic false-sharing fix for per-protocol
@@ -82,19 +104,19 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 
 // ---- the parking seam ----
 //
-// Process-global counters over every park/wake on every version or lock
-// cell, mirroring `trace::events_emitted()`: `crates/bench/tests/
-// fast_path_guard.rs` pins the fast-path claim ("zero parking, zero
-// syscalls when uncontended") on their deltas staying zero across full
-// uncontended workloads.
+// Process-global counters over every park/wake on every seam, mirroring
+// `trace::events_emitted()`: `crates/bench/tests/fast_path_guard.rs` pins
+// the fast-path claim ("zero parking, zero syscalls when uncontended") on
+// their deltas staying zero across full uncontended workloads.
 
 static PARKS: AtomicU64 = AtomicU64::new(0);
 static PARK_NOTIFIES: AtomicU64 = AtomicU64::new(0);
 static GATE_SPINS: AtomicU64 = AtomicU64::new(0);
 
-/// Times any thread actually parked (condvar wait) on a version or 2PL lock
-/// cell, process-wide. The uncontended admission path never parks; the
-/// fast-path guard test pins a zero delta across uncontended workloads.
+/// Times any thread actually parked (condvar wait) on a version cell, a 2PL
+/// lock cell or the quiesce gate, process-wide. The uncontended admission
+/// path never parks; the fast-path guard test pins a zero delta across
+/// uncontended workloads.
 pub fn parks() -> u64 {
     PARKS.load(Ordering::Relaxed)
 }
@@ -110,14 +132,6 @@ pub fn park_notifies() -> u64 {
 /// process-wide. Zero when spawns don't overlap on shared microprotocols.
 pub fn gate_spins() -> u64 {
     GATE_SPINS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_park() {
-    PARKS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_park_notify() {
-    PARK_NOTIFIES.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn note_gate_spin() {
@@ -140,11 +154,119 @@ pub(crate) const SPIN_LIMIT: u32 = 64;
 /// a coarse-grain conflict and parks, burning no further CPU. Yielding
 /// probes donate their timeslice, so the burn is bounded by the window
 /// even on a fully loaded machine.
-pub(crate) const YIELD_WINDOW: std::time::Duration = std::time::Duration::from_millis(1);
+const YIELD_WINDOW: Duration = Duration::from_millis(1);
 
 /// Yields between wall-clock checks of [`YIELD_WINDOW`] (an `Instant`
 /// read per probe would double the probe cost for nothing).
-pub(crate) const YIELD_CHECK: u32 = 32;
+const YIELD_CHECK: u32 = 32;
+
+/// The bounded non-parking prefix of every seam wait: one `attempt`, then
+/// `SPIN_LIMIT` busy re-tries, then yielding re-tries for `YIELD_WINDOW`.
+/// `None` means the condition still fails and the caller should
+/// [`ParkSeam::park`]. Kept apart from `park` so the runtime can bracket
+/// only the parked phase with its blocked-time accounting: a probing
+/// waiter is runnable, not descheduled.
+pub(crate) fn probe<R>(mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
+    if let Some(r) = attempt() {
+        return Some(r);
+    }
+    for _ in 0..SPIN_LIMIT {
+        std::hint::spin_loop();
+        if let Some(r) = attempt() {
+            return Some(r);
+        }
+    }
+    let deadline = Instant::now() + YIELD_WINDOW;
+    loop {
+        for _ in 0..YIELD_CHECK {
+            std::thread::yield_now();
+            if let Some(r) = attempt() {
+                return Some(r);
+            }
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+    }
+}
+
+/// Where threads park until an atomic word changes, and how the side that
+/// changes it wakes them — the one implementation of the protocol argued in
+/// the module docs. `T` is extra data the park mutex guards for its user
+/// (the version cell's reader-epoch map); conditions may read it.
+#[derive(Debug, Default)]
+pub(crate) struct ParkSeam<T = ()> {
+    /// Threads inside [`Self::park`] (registered under `guarded`).
+    waiters: AtomicU64,
+    guarded: Mutex<T>,
+    cv: Condvar,
+}
+
+impl<T> ParkSeam<T> {
+    /// The park mutex, for access to the data it guards.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
+        self.guarded.lock()
+    }
+
+    /// Park until `attempt` succeeds: register, then re-try under the park
+    /// mutex before every wait. `woke` runs after each wake-up.
+    pub(crate) fn park<R>(&self, attempt: impl FnMut(&T) -> Option<R>, woke: impl Fn()) -> R {
+        self.park_deadline(None, attempt, woke)
+            .expect("a park without a deadline ends only in success")
+    }
+
+    /// [`Self::park`], giving up with `None` after `timeout` — so a test
+    /// hunting a lost wake-up fails instead of hanging.
+    #[cfg(test)]
+    pub(crate) fn park_timeout<R>(
+        &self,
+        timeout: Duration,
+        attempt: impl FnMut(&T) -> Option<R>,
+    ) -> Option<R> {
+        self.park_deadline(Some(Instant::now() + timeout), attempt, || {})
+    }
+
+    fn park_deadline<R>(
+        &self,
+        deadline: Option<Instant>,
+        mut attempt: impl FnMut(&T) -> Option<R>,
+        woke: impl Fn(),
+    ) -> Option<R> {
+        let mut guard = self.guarded.lock();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let out = loop {
+            if let Some(r) = attempt(&*guard) {
+                break Some(r);
+            }
+            PARKS.fetch_add(1, Ordering::Relaxed);
+            let timed_out = match deadline {
+                None => {
+                    self.cv.wait(&mut guard);
+                    false
+                }
+                Some(d) => self.cv.wait_until(&mut guard, d).timed_out(),
+            };
+            if timed_out {
+                break None;
+            }
+            woke();
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        out
+    }
+
+    /// Wake parked threads after the word they wait on changed — taking the
+    /// park mutex only when somebody is registered. The `SeqCst` ordering
+    /// against the waiter's registration is what makes the skip safe
+    /// (module docs).
+    pub(crate) fn wake(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            PARK_NOTIFIES.fetch_add(1, Ordering::Relaxed);
+            let _guard = self.guarded.lock();
+            self.cv.notify_all();
+        }
+    }
+}
 
 /// A waitable, monotonically increasing local version counter (`lv_p`) with
 /// reader-hold tracking. Lock-free on the uncontended paths; see the module
@@ -154,21 +276,25 @@ pub(crate) const YIELD_CHECK: u32 = 32;
 /// test battery (`crates/core/tests/version_proptest.rs`) can drive it
 /// under adversarial interleavings from outside the crate; it is an
 /// internal primitive, not a stable API.
+///
+/// An admission is the triple `(pv, k, epoch)`: it holds once
+/// `lv + k >= pv` **and** no reader holds an epoch older than `epoch`. A
+/// write admission passes `epoch = pv`; a read admission — and the Rule-3
+/// wait, which ignores readers — passes `epoch = 0`, below which no reader
+/// can be.
 #[derive(Debug, Default)]
 pub struct VersionCell {
     /// The local version. Advanced only by monotone raises.
     lv: AtomicU64,
     /// Active reader holds, summed over epochs — gates the epoch map.
     reader_count: AtomicU64,
-    /// Threads inside the parking protocol (registered under `park`).
-    waiters: AtomicU64,
-    /// Park mutex; also owns the reader epoch map (readers are the rare
-    /// case, and keeping the map under the park mutex lets the slow-path
-    /// re-check of "pred(lv) and no older readers" be race-free).
-    park: Mutex<BTreeMap<u64, usize>>,
-    cv: Condvar,
-    /// Times a waiter woke up and re-checked its predicate (both the parked
-    /// paths here and the cooperative paths in `RuntimeInner`). Shared: the
+    /// Where admissions park. Its mutex also owns the reader epoch map
+    /// (readers are the rare case, and keeping the map under the park mutex
+    /// lets the parked re-try of "`lv + k >= pv` and no older readers" be
+    /// race-free).
+    seam: ParkSeam<BTreeMap<u64, usize>>,
+    /// Times a waiter woke up and re-tried its admission (both the parked
+    /// path here and the cooperative path in `RuntimeInner`). Shared: the
     /// runtime hands every cell the *same* counter — the
     /// `version_wait_wakeups` member of its `StatCounters` — so
     /// `RuntimeStats` reads one atomic instead of summing per-cell values.
@@ -199,231 +325,73 @@ impl VersionCell {
         self.lv.load(Ordering::SeqCst)
     }
 
-    /// Wake parked waiters — but only take the park lock when somebody is
-    /// actually parked. The `SeqCst` fence ordering against the waiter's
-    /// registration is what makes the skip safe (module docs).
-    fn wake_waiters(&self) {
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            note_park_notify();
-            let _guard = self.park.lock();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Park until `cond` holds, re-checking under the park mutex. `cond`
-    /// receives the reader map so write admissions can fold the reader
-    /// condition into the same race-free re-check.
-    fn park_until(&self, cond: impl Fn(&BTreeMap<u64, usize>) -> Option<u64>) -> u64 {
-        let mut readers = self.park.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let v = loop {
-            if let Some(v) = cond(&readers) {
-                break v;
-            }
-            note_park();
-            self.cv.wait(&mut readers);
-            self.note_wakeup();
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        v
-    }
-
-    /// Block until `pred(lv)` holds, then return the value that satisfied it.
-    ///
-    /// `pred` must be monotone: once true it must stay true as `lv` grows.
-    /// All admission conditions in the paper (`lv == pv - 1` being reached
-    /// from below, `lv >= pv - bound`) are of this shape because a
-    /// computation only waits on versions *ahead* of the current `lv`.
-    pub fn wait_until(&self, pred: impl Fn(u64) -> bool) -> u64 {
-        if let Some(v) = self.spin_until(&pred) {
-            return v;
-        }
-        self.park_wait_until(pred)
-    }
-
-    /// The bounded non-parking prefix of [`Self::wait_until`]: the one-load
-    /// probe, then `SPIN_LIMIT` busy probes, then `YIELD_LIMIT` yielding
-    /// probes. Returns `None` if the predicate still fails — the caller
-    /// should park ([`Self::park_wait_until`]). The runtime calls this
-    /// separately so its blocked-time accounting covers only the parked
-    /// phase: a probing waiter is runnable, not descheduled.
-    pub fn spin_until(&self, pred: impl Fn(u64) -> bool) -> Option<u64> {
-        if let Some(v) = self.try_until(&pred) {
-            return Some(v);
-        }
-        for _ in 0..SPIN_LIMIT {
-            std::hint::spin_loop();
-            if let Some(v) = self.try_until(&pred) {
-                return Some(v);
-            }
-        }
-        let deadline = std::time::Instant::now() + YIELD_WINDOW;
-        loop {
-            for _ in 0..YIELD_CHECK {
-                std::thread::yield_now();
-                if let Some(v) = self.try_until(&pred) {
-                    return Some(v);
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// The parking tail of [`Self::wait_until`].
-    pub(crate) fn park_wait_until(&self, pred: impl Fn(u64) -> bool) -> u64 {
-        self.park_until(|_| {
-            let v = self.lv.load(Ordering::SeqCst);
-            pred(v).then_some(v)
-        })
-    }
-
-    /// Write admission: block until `pred(lv)` holds **and** no reader holds
-    /// an epoch older than `pv`.
-    pub fn wait_write(&self, pred: impl Fn(u64) -> bool, pv: u64) -> u64 {
-        if let Some(v) = self.spin_write(&pred, pv) {
-            return v;
-        }
-        self.park_wait_write(pred, pv)
-    }
-
-    /// The bounded non-parking prefix of [`Self::wait_write`]; see
-    /// [`Self::spin_until`].
-    pub fn spin_write(&self, pred: impl Fn(u64) -> bool, pv: u64) -> Option<u64> {
-        if let Some(v) = self.try_write(&pred, pv) {
-            return Some(v);
-        }
-        for _ in 0..SPIN_LIMIT {
-            std::hint::spin_loop();
-            if let Some(v) = self.try_write(&pred, pv) {
-                return Some(v);
-            }
-        }
-        let deadline = std::time::Instant::now() + YIELD_WINDOW;
-        loop {
-            for _ in 0..YIELD_CHECK {
-                std::thread::yield_now();
-                if let Some(v) = self.try_write(&pred, pv) {
-                    return Some(v);
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// The parking tail of [`Self::wait_write`].
-    pub(crate) fn park_wait_write(&self, pred: impl Fn(u64) -> bool, pv: u64) -> u64 {
-        self.park_until(|readers| {
-            let v = self.lv.load(Ordering::SeqCst);
-            (pred(v) && !readers_below(readers, pv)).then_some(v)
-        })
-    }
-
-    /// Non-blocking [`Self::wait_until`]: `Some(lv)` if the predicate already
-    /// holds, `None` otherwise. One atomic load — the Rule-2 fast path. The
-    /// cooperative-scheduling path in `RuntimeInner` loops try →
-    /// `SchedHook::block` with this.
-    pub fn try_until(&self, pred: impl Fn(u64) -> bool) -> Option<u64> {
+    /// One non-blocking admission check: `Some(lv)` if `(pv, k, epoch)`
+    /// holds now. One atomic load — the Rule-2 fast path — unless the
+    /// admission minds readers (`epoch > 0`) and reader holds exist on the
+    /// cell, in which case the epoch map is consulted under the park mutex.
+    pub fn try_admit(&self, pv: u64, k: u64, epoch: u64) -> Option<u64> {
         let v = self.lv.load(Ordering::SeqCst);
-        pred(v).then_some(v)
-    }
-
-    /// Non-blocking [`Self::wait_write`]. Lock-free while no reader holds
-    /// exist anywhere on the cell (the common case); with holds present it
-    /// consults the epoch map under the park mutex.
-    pub fn try_write(&self, pred: impl Fn(u64) -> bool, pv: u64) -> Option<u64> {
-        let v = self.lv.load(Ordering::SeqCst);
-        if !pred(v) {
+        if v + k < pv {
             return None;
         }
-        if self.reader_count.load(Ordering::SeqCst) == 0 {
+        if epoch == 0 || self.reader_count.load(Ordering::SeqCst) == 0 {
             return Some(v);
         }
-        let readers = self.park.lock();
-        // Re-read lv under the lock: the map check and the version check
-        // must see a consistent "now".
-        let v = self.lv.load(Ordering::SeqCst);
-        (pred(v) && !readers_below(&readers, pv)).then_some(v)
+        self.admit_under(&self.seam.lock(), pv, k, epoch)
     }
 
-    /// Count one waiter wake-up (predicate re-check).
+    /// The admission check with the park mutex held: `lv` is re-read under
+    /// it so the map check and the version check see a consistent "now".
+    fn admit_under(
+        &self,
+        readers: &BTreeMap<u64, usize>,
+        pv: u64,
+        k: u64,
+        epoch: u64,
+    ) -> Option<u64> {
+        let v = self.lv.load(Ordering::SeqCst);
+        (v + k >= pv && !readers_below(readers, epoch)).then_some(v)
+    }
+
+    /// The parking tail of an admission, for after a failed [`probe`].
+    pub(crate) fn park_admit(&self, pv: u64, k: u64, epoch: u64) -> u64 {
+        self.seam.park(
+            |readers| self.admit_under(readers, pv, k, epoch),
+            || self.note_wakeup(),
+        )
+    }
+
+    /// Block until `(pv, k, epoch)` holds and return the `lv` that
+    /// satisfied it: probe, then park. The runtime runs the two halves
+    /// itself, to account for the parked one only.
+    pub fn admit(&self, pv: u64, k: u64, epoch: u64) -> u64 {
+        probe(|| self.try_admit(pv, k, epoch)).unwrap_or_else(|| self.park_admit(pv, k, epoch))
+    }
+
+    /// Count one waiter wake-up (admission re-try).
     pub(crate) fn note_wakeup(&self) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total waiter wake-ups so far.
-    #[cfg(test)]
-    pub(crate) fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Like [`Self::wait_until`], but gives up after `timeout` and returns
-    /// `None`. Used by deadlock-detection tests and defensive shutdown paths.
-    #[cfg(test)]
-    pub(crate) fn wait_until_timeout(
-        &self,
-        pred: impl Fn(u64) -> bool,
-        timeout: std::time::Duration,
-    ) -> Option<u64> {
-        if let Some(v) = self.try_until(&pred) {
-            return Some(v);
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut readers = self.park.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let out = loop {
-            let v = self.lv.load(Ordering::SeqCst);
-            if pred(v) {
-                break Some(v);
-            }
-            note_park();
-            if self.cv.wait_until(&mut readers, deadline).timed_out() {
-                break None;
-            }
-            self.note_wakeup();
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        out
     }
 
     /// Increment by one and wake waiters (VCAbound Rule 4). A single
     /// `fetch_add` when nobody is parked.
     pub fn bump(&self) -> u64 {
         let v = self.lv.fetch_add(1, Ordering::SeqCst) + 1;
-        self.wake_waiters();
+        self.seam.wake();
         v
     }
 
     /// Raise to `target` if currently below it, and wake waiters. Versions
     /// are never downgraded (Rules 3 of VCAbound/VCAroute); `fetch_max`
-    /// makes concurrent raises commute without a lock.
+    /// makes concurrent raises commute without a lock. The Rule-3
+    /// completion step (`if lv < pv { lv = pv }`) is an admission followed
+    /// by this raise; the two need not be one critical section, because the
+    /// admission is monotone — a concurrent advance cannot invalidate it
+    /// between the check and the `fetch_max`.
     pub fn raise_to(&self, target: u64) {
         if self.lv.fetch_max(target, Ordering::SeqCst) < target {
-            self.wake_waiters();
+            self.seam.wake();
         }
-    }
-
-    /// Wait until `pred(lv)` holds, then raise `lv` to at least `target` —
-    /// the Rule-3 completion step (`if lv < pv { lv = pv }`). The check and
-    /// the raise need not be one critical section: `pred` is monotone, so a
-    /// concurrent advance cannot invalidate it between the check and the
-    /// `fetch_max`, and `fetch_max` never moves `lv` backwards.
-    pub fn wait_raise(&self, pred: impl Fn(u64) -> bool, target: u64) {
-        self.wait_until(pred);
-        self.raise_to(target);
-    }
-
-    /// Non-blocking [`Self::wait_raise`], for the cooperative-scheduling
-    /// path: `true` if the predicate held and the raise was applied.
-    pub fn try_raise(&self, pred: impl Fn(u64) -> bool, target: u64) -> bool {
-        if self.try_until(pred).is_none() {
-            return false;
-        }
-        self.raise_to(target);
-        true
     }
 
     /// Register a reader hold at `epoch`. Called while the runtime's Rule-1
@@ -432,26 +400,26 @@ impl VersionCell {
     /// (the atomic count *and*, via the park mutex, the epoch entry) before
     /// its own admission check.
     pub fn register_reader(&self, epoch: u64) {
-        let mut readers = self.park.lock();
+        let mut readers = self.seam.lock();
         *readers.entry(epoch).or_insert(0) += 1;
         self.reader_count.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Release a reader hold registered at `epoch`.
+    /// Release a reader hold registered at `epoch`, waking writers parked
+    /// on an older-reader condition.
     pub fn unregister_reader(&self, epoch: u64) {
-        let mut readers = self.park.lock();
-        match readers.get_mut(&epoch) {
-            Some(count) if *count > 1 => *count -= 1,
-            Some(_) => {
-                readers.remove(&epoch);
+        {
+            let mut readers = self.seam.lock();
+            match readers.get_mut(&epoch) {
+                Some(count) if *count > 1 => *count -= 1,
+                Some(_) => {
+                    readers.remove(&epoch);
+                }
+                None => debug_assert!(false, "unregistering a reader that is not held"),
             }
-            None => debug_assert!(false, "unregistering a reader that is not held"),
+            self.reader_count.fetch_sub(1, Ordering::SeqCst);
         }
-        self.reader_count.fetch_sub(1, Ordering::SeqCst);
-        // Writers parked on an older-reader condition re-check under the
-        // park mutex, which we hold: notify unconditionally while the map
-        // just changed (rare path — readers exist).
-        self.cv.notify_all();
+        self.seam.wake();
     }
 
     /// Number of active reader holds (diagnostics).
@@ -463,8 +431,147 @@ impl VersionCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::sync::mpsc;
+
+    impl VersionCell {
+        /// [`VersionCell::admit`] without the probe window, giving up after
+        /// `timeout`.
+        fn admit_timeout(&self, pv: u64, k: u64, timeout: Duration) -> Option<u64> {
+            self.seam
+                .park_timeout(timeout, |readers| self.admit_under(readers, pv, k, 0))
+        }
+    }
+
+    // ---- the seam itself ----
+
+    #[test]
+    fn probe_tries_once_when_the_condition_holds() {
+        let mut tries = 0;
+        assert_eq!(
+            probe(|| {
+                tries += 1;
+                Some(7)
+            }),
+            Some(7)
+        );
+        assert_eq!(tries, 1);
+    }
+
+    #[test]
+    fn probe_gives_up_after_its_window() {
+        let mut tries = 0u32;
+        let t0 = Instant::now();
+        assert_eq!(
+            probe(|| {
+                tries += 1;
+                None::<()>
+            }),
+            None
+        );
+        assert!(t0.elapsed() >= YIELD_WINDOW);
+        assert!(tries > SPIN_LIMIT + YIELD_CHECK, "{tries} tries");
+    }
+
+    #[test]
+    fn probe_sees_a_change_inside_its_window() {
+        let mut tries = 0;
+        let got = probe(|| {
+            tries += 1;
+            (tries > SPIN_LIMIT + 2).then_some(tries)
+        });
+        assert_eq!(got, Some(SPIN_LIMIT + 3), "succeeded on the 2nd yield");
+    }
+
+    /// Returns once a thread is inside `Condvar::wait` on `seam`: a waiter
+    /// holds the park mutex from its registration until the wait releases
+    /// it, so whoever sees it registered and then gets the mutex finds it
+    /// parked.
+    fn wait_until_parked<T>(seam: &ParkSeam<T>) {
+        while seam.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        drop(seam.lock());
+    }
+
+    /// The Dekker argument, forced: the word changes only *after* the
+    /// waiter has parked, so the wake-up is the only thing that can end
+    /// the park. A lost one turns into a timeout, not a hang.
+    #[test]
+    fn waiter_registered_before_the_change_is_always_woken() {
+        const ROUNDS: u64 = 1000;
+        let seam = Arc::new(ParkSeam::<()>::default());
+        let word = Arc::new(AtomicU64::new(0));
+        let (ack_tx, ack_rx) = mpsc::channel();
+        let waiter = {
+            let (seam, word) = (Arc::clone(&seam), Arc::clone(&word));
+            std::thread::spawn(move || {
+                for round in 1..=ROUNDS {
+                    let woken = seam.park_timeout(Duration::from_secs(10), |_| {
+                        (word.load(Ordering::SeqCst) >= round).then_some(())
+                    });
+                    ack_tx.send(woken.is_some()).unwrap();
+                }
+            })
+        };
+        for round in 1..=ROUNDS {
+            wait_until_parked(&seam);
+            word.store(round, Ordering::SeqCst);
+            seam.wake();
+            assert!(ack_rx.recv().unwrap(), "round {round}: wake-up lost");
+        }
+        waiter.join().unwrap();
+        assert_eq!(seam.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    /// With nobody registered, `wake` is a load: it returns while the test
+    /// itself holds the park mutex, which it could not if it took it. (That
+    /// it then leaves the process-wide `park_notifies()` alone is pinned
+    /// where the counter can be watched in isolation, for all three seam
+    /// users: `crates/bench/tests/fast_path_guard.rs`.)
+    #[test]
+    fn wake_without_a_waiter_takes_no_lock() {
+        let seam = Arc::new(ParkSeam::<()>::default());
+        let (done_tx, done_rx) = mpsc::channel();
+        let held = Arc::clone(&seam);
+        std::thread::spawn(move || {
+            let _guard = held.lock();
+            held.wake();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("wake() went for the park mutex with no waiter registered");
+    }
+
+    #[test]
+    fn park_reports_each_wakeup() {
+        let seam = Arc::new(ParkSeam::<()>::default());
+        let word = Arc::new(AtomicU64::new(0));
+        let woke = Arc::new(AtomicU64::new(0));
+        let waiter = {
+            let (seam, word, woke) = (Arc::clone(&seam), Arc::clone(&word), Arc::clone(&woke));
+            std::thread::spawn(move || {
+                seam.park(
+                    |_| (word.load(Ordering::SeqCst) == 1).then_some(()),
+                    || {
+                        woke.fetch_add(1, Ordering::SeqCst);
+                    },
+                )
+            })
+        };
+        wait_until_parked(&seam);
+        assert_eq!(
+            woke.load(Ordering::SeqCst),
+            0,
+            "registration is not a wake-up"
+        );
+        word.store(1, Ordering::SeqCst);
+        seam.wake();
+        waiter.join().unwrap();
+        assert!(woke.load(Ordering::SeqCst) >= 1);
+    }
+
+    // ---- the version cell ----
 
     #[test]
     fn starts_at_zero() {
@@ -489,16 +596,16 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_returns_immediately_when_satisfied() {
+    fn admit_returns_immediately_when_satisfied() {
         let c = VersionCell::new();
-        assert_eq!(c.wait_until(|v| v == 0), 0);
+        assert_eq!(c.admit(0, 0, 0), 0);
     }
 
     #[test]
-    fn wait_until_wakes_on_bump() {
+    fn admit_wakes_on_bump() {
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.wait_until(|v| v >= 3));
+        let t = std::thread::spawn(move || c2.admit(3, 0, 0));
         for _ in 0..3 {
             std::thread::sleep(Duration::from_millis(1));
             c.bump();
@@ -507,25 +614,20 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_timeout_times_out() {
+    fn admit_timeout_times_out() {
         let c = VersionCell::new();
-        assert_eq!(
-            c.wait_until_timeout(|v| v >= 1, Duration::from_millis(10)),
-            None
-        );
+        assert_eq!(c.admit_timeout(1, 0, Duration::from_millis(10)), None);
         c.bump();
-        assert_eq!(
-            c.wait_until_timeout(|v| v >= 1, Duration::from_millis(10)),
-            Some(1)
-        );
+        assert_eq!(c.admit_timeout(1, 0, Duration::from_millis(10)), Some(1));
     }
 
     #[test]
-    fn wait_raise_applies_after_predicate() {
+    fn rule3_raise_applies_after_admission() {
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || {
-            c2.wait_raise(|v| v >= 1, 10);
+            c2.admit(1, 0, 0);
+            c2.raise_to(10);
             c2.get()
         });
         std::thread::sleep(Duration::from_millis(2));
@@ -540,7 +642,7 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || c.wait_until(|v| v >= 1)));
+            handles.push(std::thread::spawn(move || c.admit(1, 0, 0)));
         }
         std::thread::sleep(Duration::from_millis(5));
         c.bump();
@@ -564,13 +666,13 @@ mod tests {
     }
 
     #[test]
-    fn wait_write_blocks_on_older_reader() {
+    fn write_admission_blocks_on_older_reader() {
         let c = Arc::new(VersionCell::new());
         c.register_reader(0); // reader at epoch 0
         let c2 = Arc::clone(&c);
-        // Writer with pv = 1: lv condition (lv >= 0) holds, but the epoch-0
-        // reader blocks it.
-        let t = std::thread::spawn(move || c2.wait_write(|v| v + 1 >= 1, 1));
+        // Writer with pv = 1: lv condition (lv + 1 >= 1) holds, but the
+        // epoch-0 reader blocks it.
+        let t = std::thread::spawn(move || c2.admit(1, 1, 1));
         std::thread::sleep(Duration::from_millis(10));
         assert!(!t.is_finished(), "writer ignored the reader hold");
         c.unregister_reader(0);
@@ -578,35 +680,44 @@ mod tests {
     }
 
     #[test]
-    fn wait_write_ignores_newer_readers() {
+    fn write_admission_ignores_newer_readers() {
         let c = VersionCell::new();
         c.register_reader(5); // reader spawned after the writer
                               // Writer with pv = 1 must not wait for it.
-        assert_eq!(c.wait_write(|v| v + 1 >= 1, 1), 0);
+        assert_eq!(c.admit(1, 1, 1), 0);
     }
 
     #[test]
-    fn try_variants_do_not_block() {
+    fn read_admission_is_a_write_admission_at_epoch_zero() {
         let c = VersionCell::new();
-        assert_eq!(c.try_until(|v| v >= 1), None);
-        c.bump();
-        assert_eq!(c.try_until(|v| v >= 1), Some(1));
         c.register_reader(0);
-        assert_eq!(c.try_write(|v| v >= 1, 2), None, "older reader blocks");
-        c.unregister_reader(0);
-        assert_eq!(c.try_write(|v| v >= 1, 2), Some(1));
-        assert!(!c.try_raise(|v| v >= 5, 7));
-        assert_eq!(c.get(), 1, "failed try_raise must not move lv");
-        assert!(c.try_raise(|v| v >= 1, 7));
-        assert_eq!(c.get(), 7);
+        c.register_reader(3);
+        // No reader is below epoch 0, whatever holds exist.
+        assert_eq!(c.try_admit(0, 0, 0), Some(0));
+        assert_eq!(c.try_admit(1, 0, 0), None, "still waits for lv");
+        assert_eq!(c.try_admit(0, 0, 1), None, "epoch 1 minds the epoch-0 hold");
     }
 
     #[test]
-    fn wakeups_count_recheck_iterations() {
+    fn try_admit_does_not_block() {
+        let c = VersionCell::new();
+        assert_eq!(c.try_admit(1, 0, 0), None);
+        c.bump();
+        assert_eq!(c.try_admit(1, 0, 0), Some(1));
+        c.register_reader(0);
+        assert_eq!(c.try_admit(1, 0, 2), None, "older reader blocks");
+        c.unregister_reader(0);
+        assert_eq!(c.try_admit(1, 0, 2), Some(1));
+        assert_eq!(c.try_admit(5, 0, 0), None);
+        assert_eq!(c.get(), 1, "a failed admission must not move lv");
+    }
+
+    #[test]
+    fn wakeups_count_retries() {
         let c = Arc::new(VersionCell::new());
-        assert_eq!(c.wakeups(), 0);
+        assert_eq!(c.wakeups.load(Ordering::Relaxed), 0);
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.wait_until(|v| v >= 2));
+        let t = std::thread::spawn(move || c2.admit(2, 0, 0));
         std::thread::sleep(Duration::from_millis(2));
         c.bump();
         std::thread::sleep(Duration::from_millis(2));
@@ -622,9 +733,9 @@ mod tests {
         c.register_reader(3);
         // A writer at pv=3 is not blocked by epoch-3 readers (they are
         // "after" it in serial order)...
-        assert_eq!(c.wait_write(|v| v + 1 >= 1, 3), 0);
+        assert_eq!(c.admit(1, 1, 3), 0);
         // ...but a writer at pv=4 is.
-        assert!(readers_below(&c.park.lock(), 4));
+        assert!(readers_below(&c.seam.lock(), 4));
     }
 
     // The "uncontended traffic never parks" claim is pinned by
@@ -633,12 +744,12 @@ mod tests {
     // tests here park deliberately.
 
     #[test]
-    fn contended_wait_parks_and_notifies() {
+    fn contended_admission_parks_and_notifies() {
         let before = parks();
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.wait_until(|v| v >= 1));
-        // Give the waiter ample time to exhaust its spin budget and park.
+        let t = std::thread::spawn(move || c2.admit(1, 0, 0));
+        // Give the waiter ample time to exhaust its probe window and park.
         std::thread::sleep(Duration::from_millis(20));
         c.bump();
         assert_eq!(t.join().unwrap(), 1);

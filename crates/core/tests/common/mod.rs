@@ -30,8 +30,7 @@ pub fn conflict_stack(n: usize) -> ConflictStack {
     conflict_stack_with(n, RuntimeConfig::recording())
 }
 
-/// [`conflict_stack`] under an explicit runtime configuration (e.g. a
-/// sharded 2PL lock table via [`RuntimeConfig::recording_sharded`]).
+/// [`conflict_stack`] under an explicit runtime configuration.
 pub fn conflict_stack_with(n: usize, config: RuntimeConfig) -> ConflictStack {
     let mut b = StackBuilder::new();
     let mut protocols = Vec::new();

@@ -49,10 +49,6 @@ struct Built {
 }
 
 fn build(n_protocols: usize) -> Built {
-    build_with(n_protocols, RuntimeConfig::recording())
-}
-
-fn build_with(n_protocols: usize, config: RuntimeConfig) -> Built {
     let mut b = StackBuilder::new();
     let mut protocols = Vec::new();
     let mut events = Vec::new();
@@ -77,7 +73,7 @@ fn build_with(n_protocols: usize, config: RuntimeConfig) -> Built {
         logs.push(log);
     }
     Built {
-        rt: Runtime::with_config(b.build(), config),
+        rt: Runtime::with_config(b.build(), RuntimeConfig::recording()),
         protocols,
         events,
         logs,
@@ -94,17 +90,7 @@ fn run_concurrent(
     wl: &Workload,
     spawn: impl Fn(&Built, &[ProtocolId], Vec<(EventType, u64)>) -> CompHandle,
 ) -> (Vec<Vec<(u64, usize)>>, Vec<u64>) {
-    run_concurrent_with(wl, RuntimeConfig::recording(), spawn)
-}
-
-/// [`run_concurrent`] under an explicit runtime configuration — the shard
-/// sweep runs the same workloads over differently-striped lock tables.
-fn run_concurrent_with(
-    wl: &Workload,
-    config: RuntimeConfig,
-    spawn: impl Fn(&Built, &[ProtocolId], Vec<(EventType, u64)>) -> CompHandle,
-) -> (Vec<Vec<(u64, usize)>>, Vec<u64>) {
-    let built = build_with(wl.n_protocols, config);
+    let built = build(wl.n_protocols);
     let mut handles = Vec::new();
     for visits in &wl.visits {
         let decl: Vec<ProtocolId> = {
@@ -226,45 +212,6 @@ fn two_phase_is_equivalent_to_a_serial_execution() {
                 Ok(())
             })
         });
-    }
-}
-
-/// The sharded 2PL lock table must be **policy-equivalent**: at every
-/// stripe count — one global slot (maximal false sharing of the table),
-/// a few stripes, and more stripes than protocols (the identity clamp) —
-/// the same workloads stay serializable and replay to bit-identical
-/// serial states. Striping coarsens *which* conflicts exist (two
-/// protocols can share a slot), but may never change the meaning of the
-/// histories it admits.
-#[test]
-fn two_phase_shard_sweep_is_policy_equivalent() {
-    for shards in [1usize, 4, 64] {
-        for seed in 30..32 {
-            let wl = gen_workload(seed, 3, 10);
-            let (concurrent, order) = run_concurrent_with(
-                &wl,
-                RuntimeConfig::recording_sharded(shards),
-                |b, decl, evs| {
-                    b.rt.spawn_two_phase(decl, move |ctx| {
-                        for &(e, tag) in &evs {
-                            ctx.trigger(e, tag)?;
-                        }
-                        Ok(())
-                    })
-                },
-            );
-            assert_eq!(
-                order.len(),
-                10,
-                "two-phase/{shards} shards seed {seed}: checker lost computations"
-            );
-            let serial = run_serial(&wl, &order);
-            assert_eq!(
-                concurrent, serial,
-                "two-phase/{shards} shards seed {seed}: concurrent execution is \
-                 NOT equivalent to the serial execution in order {order:?}"
-            );
-        }
     }
 }
 

@@ -97,41 +97,6 @@ fn stress_two_phase() {
     stress(30, Policy::TwoPhase, 4, 24);
 }
 
-/// The sharded 2PL lock table at every interesting stripe count — one
-/// global slot, a few stripes, and more stripes than protocols (identity
-/// after the clamp) — must admit only policy-equivalent histories: no
-/// lost updates and a serializable run, exactly like the unsharded table.
-#[test]
-fn stress_two_phase_shard_sweep() {
-    for shards in [1usize, 4, 64] {
-        let s = conflict_stack_with(4, RuntimeConfig::recording_sharded(shards));
-        let mut rng = StdRng::seed_from_u64(40 + shards as u64);
-        let mut handles = Vec::new();
-        for _ in 0..24 {
-            let i = rng.gen_range(0..4);
-            let j = rng.gen_range(0..4);
-            let mut decl = vec![s.protocols[i], s.protocols[j]];
-            decl.sort_unstable();
-            decl.dedup();
-            let (ei, ej) = (s.events[i], s.events[j]);
-            let sleep = rng.gen_range(0..=1u64);
-            handles.push(s.rt.spawn_two_phase(&decl, move |ctx| {
-                ctx.trigger(ei, sleep)?;
-                if ej != ei {
-                    ctx.trigger(ej, sleep)?;
-                }
-                Ok(())
-            }));
-        }
-        for h in handles {
-            join_within(h, Duration::from_secs(120)).unwrap();
-        }
-        assert!(s.no_lost_updates(), "lost update at {shards} shards");
-        s.rt.check_isolation()
-            .unwrap_or_else(|v| panic!("{shards} shards: {v}"));
-    }
-}
-
 /// Order-insensitive digest of a conflict stack's final state: per
 /// protocol, the sorted tag multiset and the sorted observed-length
 /// multiset, hashed. Serialized appends always observe lengths

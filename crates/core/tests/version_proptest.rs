@@ -5,12 +5,12 @@
 //! and **monotonic** (no thread ever observes `lv` decrease), and waiters
 //! always observe a version `>=` their wait target.
 //!
-//! These are the properties the Dekker-style park protocol (waiter
-//! registers in `waiters` before re-checking, advancer advances `lv`
-//! before reading `waiters`, both `SeqCst`) and the monotone-raise
+//! These are the properties the parking seam's Dekker-style argument
+//! (`samoa_core::version` module docs) and the monotone-raise
 //! linearizability argument claim; the interleavings are randomized with
 //! per-operation delay jitter so the schedules actually differ run to run
-//! within each case.
+//! within each case. An admission is the triple `(pv, k, epoch)`:
+//! `lv + k >= pv` with no reader hold below `epoch`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -83,7 +83,7 @@ proptest! {
             let cell = Arc::clone(&cell);
             let slot = Arc::clone(slot);
             handles.push(std::thread::spawn(move || {
-                let v = cell.wait_until(move |lv| lv >= target);
+                let v = cell.admit(target, 0, 0);
                 slot.store(v, Ordering::SeqCst);
             }));
         }
@@ -133,10 +133,11 @@ proptest! {
     }
 
     /// The Rule-3 completion chain: thread `k` waits for `lv >= k` then
-    /// raises to `k + 1` (`wait_raise`), exactly what VCAbasic completion
-    /// does. Spawned in a generated (shuffled) order, each link's wakeup
-    /// is load-bearing — a single lost wakeup deadlocks the whole chain —
-    /// and afterwards `lv` must equal the chain length exactly.
+    /// raises to `k + 1` (`admit` then `raise_to`), exactly what VCAbasic
+    /// completion does. Spawned in a generated (shuffled) order, each
+    /// link's wakeup is load-bearing — a single lost wakeup deadlocks the
+    /// whole chain — and afterwards `lv` must equal the chain length
+    /// exactly.
     #[test]
     fn completion_chain_never_loses_a_wakeup(
         // A permutation seed: spawn order is 0..n rotated/interleaved.
@@ -160,7 +161,8 @@ proptest! {
             let pv = k + 1;
             handles.push(std::thread::spawn(move || {
                 jitter(j);
-                cell.wait_raise(move |lv| lv + 1 >= pv, pv);
+                cell.admit(pv, 1, 0);
+                cell.raise_to(pv);
             }));
         }
         join_all_within(handles, Duration::from_secs(20), "completion chain");
@@ -231,11 +233,13 @@ proptest! {
             cell.register_reader(e);
         }
         let older: Vec<u64> = epochs.iter().copied().filter(|&e| e < pv).collect();
-        let blocked = cell.try_write(|_| true, pv).is_none();
+        // `k = pv` makes the version condition vacuous (`lv + pv >= pv`):
+        // only the reader holds decide.
+        let blocked = cell.try_admit(pv, pv, pv).is_none();
         prop_assert_eq!(
             blocked,
             !older.is_empty(),
-            "try_write blocked={} with older readers {:?} (pv {})",
+            "try_admit blocked={} with older readers {:?} (pv {})",
             blocked, older, pv
         );
 
@@ -243,7 +247,7 @@ proptest! {
         let writer = {
             let cell = Arc::clone(&cell);
             std::thread::spawn(move || {
-                cell.wait_write(|_| true, pv);
+                cell.admit(pv, pv, pv);
             })
         };
         let releaser = {

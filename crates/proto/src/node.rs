@@ -157,6 +157,19 @@ pub enum StackPolicy {
     TwoPhase,
 }
 
+/// Worker threads per computation: 1 keeps intra-computation event
+/// processing FIFO, which the delivery-order assertions rely on.
+const INTRA_THREADS: usize = 1;
+
+/// Maximum in-flight external computations per node. Every computation
+/// runs on its own thread, so an unbounded arrival rate (real sockets
+/// deliver far faster than the simulator) can pile up thousands of
+/// admission-blocked threads until thread creation fails. The entry point
+/// (reader thread, timer, application) blocks while the node is at this
+/// limit — natural backpressure that TCP propagates to the sender. Not
+/// applied to hooked runtimes (the controller owns scheduling).
+const MAX_INFLIGHT_EXTERNAL: usize = 64;
+
 /// Node tunables.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -175,9 +188,6 @@ pub struct NodeConfig {
     pub enable_timers: bool,
     /// Initial group view (defaults to all sites of the network).
     pub initial_members: Option<Vec<SiteId>>,
-    /// Worker threads per computation (1 keeps intra-computation event
-    /// processing FIFO, which the delivery-order assertions rely on).
-    pub intra_threads: usize,
     /// Record history for the isolation checker.
     pub record_history: bool,
     /// Artificial delay in RelComm's `view_change` handler (experiment E5's
@@ -188,15 +198,6 @@ pub struct NodeConfig {
     /// The paper notes that `M` "could be inferred statically" — this knob
     /// measures what that inference buys.
     pub declare_all: bool,
-    /// Maximum in-flight external computations per node. Every computation
-    /// runs on its own thread, so an unbounded arrival rate (real sockets
-    /// deliver far faster than the simulator) can pile up thousands of
-    /// admission-blocked threads until thread creation fails. The entry
-    /// point (reader thread, timer, application) blocks while the node is
-    /// at this limit — natural backpressure that TCP propagates to the
-    /// sender. Ignored for hooked runtimes (the controller owns
-    /// scheduling).
-    pub max_inflight_external: usize,
     /// The time source the stack's timeout logic (failure detector,
     /// RelComm retransmission) reads. Defaults to the wall clock; a
     /// [`ProtoClock::manual`] clock shared across a cluster makes every
@@ -227,11 +228,9 @@ impl Default for NodeConfig {
             enable_fd: false,
             enable_timers: true,
             initial_members: None,
-            intra_threads: 1,
             record_history: false,
             view_change_delay: Duration::ZERO,
             declare_all: false,
-            max_inflight_external: 64,
             clock: ProtoClock::wall(),
             dedup_enabled: true,
             ab_order_enabled: true,
@@ -301,13 +300,12 @@ struct RouteTable {
 struct ExtGate {
     count: Mutex<usize>,
     cv: Condvar,
-    cap: usize,
 }
 
 impl ExtGate {
     fn acquire(self: &Arc<Self>) -> ExtSlot {
         let mut g = self.count.lock();
-        while *g >= self.cap {
+        while *g >= MAX_INFLIGHT_EXTERNAL {
             self.cv.wait(&mut g);
         }
         *g += 1;
@@ -406,19 +404,6 @@ impl Node {
         hook: Arc<dyn samoa_core::SchedHook>,
     ) -> Arc<Node> {
         Node::build(Arc::new(net), site, cfg, Some(hook), Observe::default())
-    }
-
-    /// [`Node::new_hooked`] over any [`Transport`] backend — lets a fault-
-    /// exploring harness interpose an instrumented transport (e.g. one that
-    /// announces each send's destination to the hook) between the stack and
-    /// the manual network.
-    pub fn new_hooked_on(
-        transport: Arc<dyn Transport>,
-        site: SiteId,
-        cfg: NodeConfig,
-        hook: Arc<dyn samoa_core::SchedHook>,
-    ) -> Arc<Node> {
-        Node::build(transport, site, cfg, Some(hook), Observe::default())
     }
 
     /// The general constructor: any [`Transport`], an optional scheduling
@@ -602,7 +587,7 @@ impl Node {
 
         let rt_cfg = RuntimeConfig {
             record_history: cfg.record_history,
-            max_threads_per_computation: cfg.intra_threads.max(1),
+            max_threads_per_computation: INTRA_THREADS,
             ..RuntimeConfig::default()
         };
         let hooked = hook.is_some();
@@ -612,11 +597,10 @@ impl Node {
             (None, Some(s)) => Runtime::with_trace(stack, rt_cfg, s),
             (None, None) => Runtime::with_config(stack, rt_cfg),
         };
-        let ext_gate = (!hooked && cfg.max_inflight_external > 0).then(|| {
+        let ext_gate = (!hooked).then(|| {
             Arc::new(ExtGate {
                 count: Mutex::new(0),
                 cv: Condvar::new(),
-                cap: cfg.max_inflight_external,
             })
         });
 
