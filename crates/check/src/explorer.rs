@@ -420,10 +420,10 @@ impl Explorer {
         for i in 0..cfg.schedules {
             let (report, trace) = run_once(scenario, generator.decider(i), cfg.max_steps);
             runs = i + 1;
-            if let Some(failure) = classify(&report, &trace) {
+            if let Some(mut failure) = classify(&report, &trace) {
                 let mut choices: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
                 if cfg.minimise {
-                    choices = minimise(scenario, choices, &failure, cfg.max_steps);
+                    (choices, failure) = minimise(scenario, choices, failure, cfg.max_steps);
                 }
                 return Exploration {
                     schedules_run: runs,
@@ -472,11 +472,11 @@ impl Explorer {
         for i in 0..cfg.schedules {
             let (report, trace) = run_once(scenario, generator.decider(i), cfg.max_steps);
             runs = i + 1;
-            if let Some(failure) = classify(&report, &trace) {
+            if let Some(mut failure) = classify(&report, &trace) {
                 if seen.insert(failure.signature()) {
                     let mut choices: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
                     if cfg.minimise {
-                        choices = minimise(scenario, choices, &failure, cfg.max_steps);
+                        (choices, failure) = minimise(scenario, choices, failure, cfg.max_steps);
                     }
                     failures.push(Witness {
                         scenario: scenario.name().to_string(),
@@ -579,7 +579,10 @@ fn canonical(mut choices: Vec<u32>) -> Vec<u32> {
 /// Greedy witness shrinking: try deleting each choice (from the back — late
 /// choices are most likely incidental), keep deletions that preserve a
 /// failure of the same kind. Every kept deletion is validated by a full
-/// replay, so the result is guaranteed to still fail.
+/// replay, so the result is guaranteed to still fail — and the failure
+/// returned with it is the one *its* replay produced, which may name other
+/// computations or sites than the original did: a witness must replay to
+/// exactly the failure it records.
 ///
 /// Replays are memoised on the controller's *effective* decision log: a
 /// deletion candidate is an arbitrary prefix, but the run it induces is
@@ -591,21 +594,15 @@ fn canonical(mut choices: Vec<u32>) -> Vec<u32> {
 fn minimise(
     scenario: &dyn Scenario,
     mut choices: Vec<u32>,
-    original: &Failure,
+    original: Failure,
     max_steps: u64,
-) -> Vec<u32> {
-    let same_kind = |f: &Failure| {
-        matches!(
-            (f, original),
-            (Failure::Isolation(_), Failure::Isolation(_))
-                | (Failure::Invariant(_), Failure::Invariant(_))
-                | (Failure::Deadlock, Failure::Deadlock)
-                | (Failure::Runaway, Failure::Runaway)
-        )
-    };
-    // canonical(candidate) → "replaying it fails with the original kind".
-    let mut cache: HashMap<Vec<u32>, bool> = HashMap::new();
-    cache.insert(canonical(choices.clone()), true);
+) -> (Vec<u32>, Failure) {
+    let same_kind = |f: &Failure| std::mem::discriminant(f) == std::mem::discriminant(&original);
+    // canonical(candidate) → the failure of the original kind its replay
+    // ends in, if it does.
+    let mut cache: HashMap<Vec<u32>, Option<Failure>> = HashMap::new();
+    cache.insert(canonical(choices.clone()), Some(original.clone()));
+    let mut failure = original.clone();
     let mut i = choices.len();
     while i > 0 {
         i -= 1;
@@ -613,28 +610,29 @@ fn minimise(
         candidate.remove(i);
         let key = canonical(candidate.clone());
         let fails = match cache.get(&key) {
-            Some(&hit) => hit,
+            Some(hit) => hit.clone(),
             None => {
                 let (report, trace) = run_once(
                     scenario,
                     Box::new(PrefixDecider::new(candidate.clone())),
                     max_steps,
                 );
-                let fails = classify(&report, &trace).as_ref().is_some_and(same_kind);
+                let fails = classify(&report, &trace).filter(same_kind);
                 // The effective log describes the same run as the
                 // candidate — future candidates that collapse onto it are
                 // settled without replaying.
                 let effective: Vec<u32> = trace.choices.iter().map(|c| c.chosen).collect();
-                cache.insert(canonical(effective), fails);
-                cache.insert(key, fails);
+                cache.insert(canonical(effective), fails.clone());
+                cache.insert(key, fails.clone());
                 fails
             }
         };
-        if fails {
+        if let Some(f) = fails {
             choices = candidate;
+            failure = f;
         }
     }
-    canonical(choices)
+    (canonical(choices), failure)
 }
 
 #[cfg(test)]

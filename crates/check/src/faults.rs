@@ -13,9 +13,10 @@
 //!   [`FaultBudget`]),
 //! * **crash** a site (budget-gated),
 //! * **partition** the network / **heal** it (budget-gated),
-//! * **tick** — advance virtual time past the retransmission timeout and
-//!   inject a retransmit tick into every live node (the recovery path for
-//!   drops and crashes, bounded by a tick allowance).
+//! * **tick** — let the acks RelComm has deferred land, then advance
+//!   virtual time past the retransmission timeout and inject a retransmit
+//!   tick into every live node (the recovery path for drops and crashes,
+//!   bounded by a tick allowance).
 //!
 //! Each move carries a [`SchedResource`] footprint, so
 //! [`Strategy::Dpor`](crate::Strategy::Dpor) treats environment moves as
@@ -178,9 +179,9 @@ impl ClusterScenario {
         self
     }
 
-    /// Override the virtual-time tick allowance (each tick advances the
-    /// shared clock past the retransmission backoff cap and injects a
-    /// retransmit tick into every live node).
+    /// Override the virtual-time tick allowance (each tick lets the deferred
+    /// acks land, advances the shared clock past the retransmission backoff
+    /// cap and injects a retransmit tick into every live node).
     pub fn with_ticks(mut self, ticks: u32) -> ClusterScenario {
         self.ticks = ticks;
         self
@@ -292,6 +293,22 @@ impl ClusterScenario {
     }
 }
 
+/// Inject one retransmit tick into every live node.
+fn tick_live(nodes: &[Arc<Node>], crashed: &[bool]) {
+    for (i, node) in nodes.iter().enumerate() {
+        if !crashed[i] {
+            node.inject_retransmit_tick();
+        }
+    }
+}
+
+/// Let every computation running anywhere in the cluster finish.
+fn quiesce(nodes: &[Arc<Node>]) {
+    for node in nodes {
+        node.runtime().quiesce();
+    }
+}
+
 /// Does `dg` cross the fixed partition split (site 0 versus the rest)?
 fn crosses_split(from: SiteId, to: SiteId) -> bool {
     (from.0 == 0) != (to.0 == 0)
@@ -348,9 +365,7 @@ impl Scenario for ClusterScenario {
             // Let the computations triggered by the previous move finish
             // (their interleaving is explored by the same controller), so
             // the next enumeration sees a settled network.
-            for node in &nodes {
-                node.runtime().quiesce();
-            }
+            quiesce(&nodes);
             // Dead datagrams — to/from a crashed site, or across an active
             // partition — are discarded deterministically rather than
             // offered as no-op choices.
@@ -385,12 +400,28 @@ impl Scenario for ClusterScenario {
                     partitioned = false;
                 }
                 TICK_ID => {
-                    clock.advance(tick_advance);
-                    for (i, node) in nodes.iter().enumerate() {
-                        if !crashed[i] {
-                            node.inject_retransmit_tick();
+                    // RelComm defers its acks to the retransmission tick, and
+                    // the real tick fires several times per RTO. Model that
+                    // before time passes the RTO: one tick at the current
+                    // time makes every site flush the acks it owes, and what
+                    // that tick put on the network is delivered as part of
+                    // this move. The tick after the advance then resends only
+                    // what is really unacknowledged — a frame or an ack was
+                    // dropped, or the peer is gone — not every frame whose
+                    // ack was still waiting for a ride. Ack loss stays a
+                    // decision through the data datagrams that carry acks.
+                    let before: HashSet<u64> =
+                        h.pending_datagrams().iter().map(|dg| dg.seq).collect();
+                    tick_live(&nodes, &crashed);
+                    quiesce(&nodes);
+                    for dg in h.pending_datagrams() {
+                        if !before.contains(&dg.seq) {
+                            h.pump_seq(dg.seq);
                         }
                     }
+                    quiesce(&nodes);
+                    clock.advance(tick_advance);
+                    tick_live(&nodes, &crashed);
                     ticks_left -= 1;
                 }
                 id if (CRASH_BASE..CRASH_BASE + n as u32).contains(&id) => {

@@ -3,8 +3,9 @@
 //!
 //! Layering, bottom-up:
 //!
-//! * [`Wire`] — what actually crosses the simulated network: RelComm data
-//!   frames and acks, plus raw failure-detector heartbeats.
+//! * [`Wire`] — what actually crosses the network: RelComm data frames and
+//!   acks, plus raw failure-detector heartbeats. A datagram is a sequence
+//!   of such frames (acks ride behind the data frame going the same way).
 //! * [`Payload`] — what RelComm delivers reliably: RelCast traffic
 //!   ([`CastMsg`]) or consensus point-to-point messages ([`ConsMsg`]).
 //! * [`CastMsg`] — what RelCast floods: user broadcasts, atomic-broadcast
@@ -196,7 +197,9 @@ pub struct TraceCtx {
     pub hop: u8,
 }
 
-/// A datagram on the simulated network.
+/// One frame of a datagram. A datagram is a sequence of frames: RelComm
+/// sends a data frame followed by the acks it owes the same peer, or acks
+/// alone; the failure detector sends a lone heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Wire {
     /// RelComm data frame: per-destination sequence number plus payload.
@@ -495,9 +498,18 @@ fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
 }
 
 impl Wire {
-    /// Serialise to bytes.
+    /// Serialise one frame to bytes (a one-frame datagram).
     pub fn encode(&self) -> Bytes {
         let mut out = BytesMut::with_capacity(64);
+        self.encode_into(&mut out);
+        out.freeze()
+    }
+
+    /// Append this frame to `out`. Frames are self-delimiting, so a
+    /// datagram is simply their concatenation; RelComm uses this to put the
+    /// acks it owes a peer behind the data frame it is sending there anyway
+    /// ([`decode_all`](Wire::decode_all) is the inverse).
+    pub fn encode_into(&self, out: &mut BytesMut) {
         match self {
             Wire::Data { seq, ctx, payload } => {
                 out.put_u8(0);
@@ -514,15 +526,15 @@ impl Wire {
                 match payload {
                     Payload::Cast(c) => {
                         out.put_u8(0);
-                        put_cast(&mut out, c);
+                        put_cast(out, c);
                     }
                     Payload::Cons(c) => {
                         out.put_u8(1);
-                        put_cons(&mut out, c);
+                        put_cons(out, c);
                     }
                     Payload::Sync(s) => {
                         out.put_u8(2);
-                        put_sync(&mut out, s);
+                        put_sync(out, s);
                     }
                 }
             }
@@ -534,20 +546,37 @@ impl Wire {
                 out.put_u8(2);
             }
         }
-        out.freeze()
     }
 
-    /// Deserialise from bytes.
+    /// Deserialise the first frame of a datagram; whatever follows it is
+    /// ignored.
     pub fn decode(mut buf: Bytes) -> DecResult<Wire> {
-        need(&buf, 1)?;
+        Wire::decode_frame(&mut buf)
+    }
+
+    /// Deserialise every frame of a datagram, in order. Fails if any frame
+    /// is malformed or the bytes end inside one. Nothing is allocated from
+    /// a length the input merely claims: every decoded frame consumed the
+    /// bytes that encode it.
+    pub fn decode_all(mut buf: Bytes) -> DecResult<Vec<Wire>> {
+        let mut frames = Vec::new();
+        while !buf.is_empty() {
+            frames.push(Wire::decode_frame(&mut buf)?);
+        }
+        Ok(frames)
+    }
+
+    /// Deserialise one frame off the front of `buf`.
+    fn decode_frame(buf: &mut Bytes) -> DecResult<Wire> {
+        need(buf, 1)?;
         match buf.get_u8() {
             0 => {
-                need(&buf, 9)?;
+                need(buf, 9)?;
                 let seq = buf.get_u64_le();
                 let ctx = match buf.get_u8() {
                     0 => None,
                     1 => {
-                        need(&buf, 11)?;
+                        need(buf, 11)?;
                         Some(TraceCtx {
                             origin: SiteId(buf.get_u16_le()),
                             op: buf.get_u64_le(),
@@ -556,17 +585,17 @@ impl Wire {
                     }
                     t => return Err(CodecError::BadTag(t)),
                 };
-                need(&buf, 1)?;
+                need(buf, 1)?;
                 let payload = match buf.get_u8() {
-                    0 => Payload::Cast(get_cast(&mut buf)?),
-                    1 => Payload::Cons(get_cons(&mut buf)?),
-                    2 => Payload::Sync(get_sync(&mut buf)?),
+                    0 => Payload::Cast(get_cast(buf)?),
+                    1 => Payload::Cons(get_cons(buf)?),
+                    2 => Payload::Sync(get_sync(buf)?),
                     t => return Err(CodecError::BadTag(t)),
                 };
                 Ok(Wire::Data { seq, ctx, payload })
             }
             1 => {
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 Ok(Wire::Ack {
                     seq: buf.get_u64_le(),
                 })
@@ -576,9 +605,9 @@ impl Wire {
         }
     }
 
-    /// Header-only read of the causal context on an encoded frame: inspects
-    /// at most the first 21 bytes, no payload decode. `None` for non-data
-    /// frames, frames without a context, or anything malformed (full
+    /// Header-only read of the causal context on a datagram's first frame:
+    /// inspects at most the first 21 bytes, no payload decode. `None` for
+    /// non-data frames, frames without a context, or anything malformed (full
     /// [`decode`](Wire::decode) is the arbiter of validity).
     pub fn peek_ctx(buf: &Bytes) -> Option<TraceCtx> {
         let b: &[u8] = buf.as_ref();

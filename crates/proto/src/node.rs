@@ -251,11 +251,11 @@ impl NodeConfig {
 /// The kind of external event (selects the isolation declaration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExtKind {
-    /// Inbound data frame whose cascade may reach the whole stack.
+    /// Inbound data datagram whose cascade may reach the whole stack.
     DataFull,
-    /// Inbound data frame carrying a plain user broadcast.
+    /// Inbound data datagram carrying a plain user broadcast.
     DataUser,
-    /// Inbound RelComm ack.
+    /// Inbound ack-only datagram.
     Ack,
     /// Inbound heartbeat.
     Beat,
@@ -676,10 +676,30 @@ impl Node {
         node
     }
 
-    /// Handle one inbound datagram (the Network Module).
+    /// Handle one inbound datagram (the Network Module): decode all its
+    /// frames and spawn **one** computation for it. A datagram is a data
+    /// frame followed by the acks going the same way, acks alone, or a lone
+    /// heartbeat; anything else is malformed and dropped, like a real UDP
+    /// stack would.
     fn on_datagram(&self, from: SiteId, payload: Bytes) {
-        match Wire::decode(payload) {
-            Ok(Wire::Data { seq, ctx, payload }) => {
+        let Ok(frames) = Wire::decode_all(payload) else {
+            return;
+        };
+        if frames == [Wire::Heartbeat] {
+            self.spawn_external(ExtKind::Beat, self.ev.fd_beat, EventData::new(from));
+            return;
+        }
+        let mut frames = frames.into_iter().peekable();
+        let data = frames.next_if(|f| matches!(f, Wire::Data { .. }));
+        let acks: Option<Vec<u64>> = frames
+            .map(|f| match f {
+                Wire::Ack { seq } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        let Some(acks) = acks else { return };
+        match data {
+            Some(Wire::Data { seq, ctx, payload }) => {
                 if let (Some(t), Some(c)) = (&self.tracer, ctx) {
                     t.emit(samoa_core::TraceKind::CtxRecv {
                         site: t.site().0,
@@ -700,20 +720,21 @@ impl Node {
                         seq,
                         ctx,
                         payload,
+                        acks,
                     }),
                 );
             }
-            Ok(Wire::Ack { seq }) => {
+            _ if !acks.is_empty() => {
                 self.spawn_external(
                     ExtKind::Ack,
                     self.ev.rc_ack,
-                    EventData::new(RcAckIn { sender: from, seq }),
+                    EventData::new(RcAckIn {
+                        sender: from,
+                        seqs: acks,
+                    }),
                 );
             }
-            Ok(Wire::Heartbeat) => {
-                self.spawn_external(ExtKind::Beat, self.ev.fd_beat, EventData::new(from));
-            }
-            Err(_) => { /* malformed datagram: drop, like a real UDP stack */ }
+            _ => {}
         }
     }
 

@@ -5,12 +5,38 @@
 //! retransmission timer. Messages are only sent to — and only delivered
 //! from — sites in the current view ("this requirement is necessary to
 //! implement finite buffers"); pending messages to sites that leave the
-//! view are discarded.
+//! view are discarded, and so are the acks owed to them.
+//!
+//! ## Deferred acks
+//!
+//! Every data frame is acknowledged — duplicates too, the first ack may
+//! have been lost — but an ack never costs a datagram of its own while
+//! there is traffic the other way. `recv_data` only *records* the ack it
+//! owes the sender (per peer, in arrival order). Every data datagram built
+//! for that peer (`send`, `retransmit`) takes the owed list along: the
+//! `Wire::Ack` frames follow the `Wire::Data` frame in the same datagram,
+//! and the receiver's Network Module hands the whole datagram to one
+//! computation. What is still owed when the retransmission tick fires — or
+//! as soon as `OWED_ACK_CAP` acks have piled up for one peer, whichever
+//! comes first — leaves as one ack-only datagram per peer.
+//!
+//! So an ack is at most one `tick_interval` late. The RTT estimator sees
+//! the deferral as part of the round trip and absorbs it; what must hold is
+//! `rto ≥ 2 × tick_interval` (25 ms vs 10 ms by default), so that a
+//! deferred ack is back before the sender's first timeout can fire. A
+//! smaller `rto` stays correct — dedup suppresses the spurious resends —
+//! it just wastes datagrams.
+//!
+//! Acks stay per sequence number and selective. A cumulative ack ("all up
+//! to n") would be smaller still, but a single lost frame would pin the
+//! floor, every later frame would look unacknowledged, and the sender
+//! would resend its whole window behind one hole.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::{Bytes, BytesMut};
 use samoa_core::prelude::*;
 use samoa_net::{SiteId, Transport};
 
@@ -30,7 +56,8 @@ pub struct RDeliver {
     pub payload: Payload,
 }
 
-/// An inbound data frame (the decoded `Wire::Data`), payload of `RcData`.
+/// An inbound data datagram (the decoded `Wire::Data` and the acks that
+/// rode behind it), payload of `RcData`.
 #[derive(Debug, Clone)]
 pub struct RcDataIn {
     /// The sending site.
@@ -41,15 +68,17 @@ pub struct RcDataIn {
     pub ctx: Option<TraceCtx>,
     /// The carried payload.
     pub payload: Payload,
+    /// Sequence numbers the sender acknowledges in the same datagram.
+    pub acks: Vec<u64>,
 }
 
-/// An inbound ack, payload of `RcAck`.
-#[derive(Debug, Clone, Copy)]
+/// An inbound ack-only datagram, payload of `RcAck`.
+#[derive(Debug, Clone)]
 pub struct RcAckIn {
     /// The acknowledging site.
     pub sender: SiteId,
-    /// The acknowledged sequence number.
-    pub seq: u64,
+    /// The acknowledged sequence numbers.
+    pub seqs: Vec<u64>,
 }
 
 /// Duplicate-suppression state for one inbound channel.
@@ -81,6 +110,55 @@ impl Dedup {
 /// send queues every RTO, drowning both the fresh traffic and the acks
 /// that would drain it.
 const RETRANSMIT_WINDOW: usize = 32;
+
+/// How many acks may be owed to one peer before they leave as a datagram of
+/// their own without waiting for the tick: bounds the owed list (and the
+/// datagram) under a one-directional burst.
+const OWED_ACK_CAP: usize = 64;
+
+/// How many operations' hop counts [`HopTable`] remembers. A hop count is
+/// looked up only while its operation is in flight — a few round trips —
+/// so at any load the ext-gate admits (64 computations per site) what gets
+/// evicted has long finished.
+const CTX_HOPS_CAP: usize = 1024;
+
+/// Smallest causal hop count observed per operation uid, learned from
+/// inbound frame contexts, for the `CTX_HOPS_CAP` most recently first-seen
+/// operations. Eviction is FIFO by first sight, so the table — like the
+/// contexts derived from it — is a pure function of the delivered frames.
+#[derive(Default)]
+struct HopTable {
+    hops: HashMap<MsgUid, u8>,
+    order: VecDeque<MsgUid>,
+}
+
+impl HopTable {
+    fn learn(&mut self, uid: MsgUid, hop: u8) {
+        if let Some(h) = self.hops.get_mut(&uid) {
+            *h = (*h).min(hop);
+            return;
+        }
+        if self.order.len() == CTX_HOPS_CAP {
+            if let Some(old) = self.order.pop_front() {
+                self.hops.remove(&old);
+            }
+        }
+        self.hops.insert(uid, hop);
+        self.order.push_back(uid);
+    }
+}
+
+/// One outbound datagram: the data frame, if any, then the owed acks.
+fn datagram(data: Option<Wire>, acks: &[u64]) -> Bytes {
+    let mut out = BytesMut::with_capacity(64 + 9 * acks.len());
+    if let Some(frame) = data {
+        frame.encode_into(&mut out);
+    }
+    for &seq in acks {
+        Wire::Ack { seq }.encode_into(&mut out);
+    }
+    out.freeze()
+}
 
 /// One sent-but-unacknowledged message: payload, causal context as first
 /// transmitted (retransmissions must be byte-identical), last transmission
@@ -137,7 +215,14 @@ pub struct RelCommState {
     site: SiteId,
     view: GroupView,
     next_seq: HashMap<SiteId, u64>,
-    pending: HashMap<(SiteId, u64), Pending>,
+    /// Sent but unacknowledged, ordered by `(target, seq)`: the oldest
+    /// unacked frames of a target are a range scan, and resend order is a
+    /// pure function of the set (hooked exploration replays schedules by
+    /// decision index and diverges if send order varies run to run).
+    pending: BTreeMap<(SiteId, u64), Pending>,
+    /// Acks owed per peer, in arrival order (see the module docs). Ordered
+    /// for the same reason as `pending`.
+    owed: BTreeMap<SiteId, Vec<u64>>,
     inbound: HashMap<SiteId, Dedup>,
     rto: Duration,
     rtt: HashMap<SiteId, Rtt>,
@@ -160,12 +245,10 @@ pub struct RelCommState {
     /// experiment E5 to widen the §3 race window (simulating the "time
     /// consuming" view installation work the paper's motivation cites).
     pub view_change_delay: Duration,
-    /// Smallest causal hop count observed per operation uid, learned from
-    /// inbound frame contexts. Outbound frames serving a learned operation
-    /// carry `hop + 1`; frames serving a locally originated operation carry
-    /// hop 0. A pure function of delivered frames, so attached contexts are
-    /// schedule-replay stable.
-    ctx_hops: HashMap<MsgUid, u8>,
+    /// Outbound frames serving an operation learned here carry `hop + 1`;
+    /// frames serving a locally originated (or forgotten) operation carry
+    /// hop 0.
+    ctx_hops: HopTable,
     /// Cluster tracer, when the node is traced (retransmit spans).
     pub tracer: Option<ClusterTracer>,
     /// Metric instruments, when a registry is installed.
@@ -186,7 +269,8 @@ impl RelCommState {
             site,
             view,
             next_seq: HashMap::new(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
+            owed: BTreeMap::new(),
             inbound: HashMap::new(),
             rto,
             rtt: HashMap::new(),
@@ -195,7 +279,7 @@ impl RelCommState {
             retransmissions: 0,
             discarded: 0,
             view_change_delay: Duration::ZERO,
-            ctx_hops: HashMap::new(),
+            ctx_hops: HopTable::default(),
             tracer: None,
             instruments: None,
         }
@@ -208,6 +292,7 @@ impl RelCommState {
         let uid = payload.root_uid()?;
         let hop = self
             .ctx_hops
+            .hops
             .get(&uid)
             .map(|h| h.saturating_add(1))
             .unwrap_or(0);
@@ -238,6 +323,27 @@ impl RelCommState {
             .map(|r| r.timeout())
             .unwrap_or(Duration::ZERO);
         adaptive.clamp(self.rto, self.rto * 40)
+    }
+
+    /// `from` acknowledges `seqs`: both the ack-only datagram (`recv_ack`)
+    /// and the acks riding a data datagram (`recv_data`) end up here.
+    fn apply_acks(&mut self, from: SiteId, seqs: &[u64]) {
+        for &seq in seqs {
+            let Some(p) = self.pending.remove(&(from, seq)) else {
+                continue;
+            };
+            if p.attempts == 0 {
+                // Karn's rule: sample only unambiguous acks.
+                let sample = self.clock.now().saturating_duration_since(p.last);
+                self.rtt
+                    .entry(from)
+                    .or_insert(Rtt {
+                        srtt: sample,
+                        rttvar: sample / 2,
+                    })
+                    .observe(sample);
+            }
+        }
     }
 }
 
@@ -299,19 +405,17 @@ pub fn register(
                     ins.sends.inc();
                     ins.rto_us.set(s.rto_for(*target).as_micros() as u64);
                 }
-                Some((s.site, seq, wire_ctx))
+                // The acks owed to the target ride along.
+                let acks = s.owed.remove(target).unwrap_or_default();
+                Some((s.site, seq, wire_ctx, acks))
             });
-            if let Some((site, seq, wire_ctx)) = frame {
-                net.send(
-                    site,
-                    *target,
-                    Wire::Data {
-                        seq,
-                        ctx: wire_ctx,
-                        payload: payload.clone(),
-                    }
-                    .encode(),
-                );
+            if let Some((site, seq, wire_ctx, acks)) = frame {
+                let data = Wire::Data {
+                    seq,
+                    ctx: wire_ctx,
+                    payload: payload.clone(),
+                };
+                net.send(site, *target, datagram(Some(data), &acks));
             }
             Ok(())
         })
@@ -329,7 +433,8 @@ pub fn register(
             &[from_rcomm],
             move |ctx, data| {
                 let m: &RcDataIn = data.expect(e)?;
-                let (me, deliver) = state.with(ctx, |s| {
+                let (me, deliver, overflow) = state.with(ctx, |s| {
+                    s.apply_acks(m.sender, &m.acks);
                     // Learn the operation's hop distance so frames this site
                     // forwards on the operation's behalf carry hop + 1.
                     if let Some(c) = m.ctx {
@@ -337,20 +442,28 @@ pub fn register(
                             origin: c.origin,
                             seq: c.op,
                         };
-                        s.ctx_hops
-                            .entry(uid)
-                            .and_modify(|h| *h = (*h).min(c.hop))
-                            .or_insert(c.hop);
+                        s.ctx_hops.learn(uid, c.hop);
                     }
                     // The dedup filter is the exactly-once guarantee; with
                     // the injected bug enabled it is recorded but ignored.
                     let fresh = s.inbound.entry(m.sender).or_default().fresh(m.seq);
                     let fresh = fresh || !s.dedup_enabled;
+                    // Always owe an ack — even for duplicates (the original
+                    // ack may be lost). It rides the next datagram to the
+                    // sender; only a full list leaves on its own.
+                    let owed = s.owed.entry(m.sender).or_default();
+                    owed.push(m.seq);
+                    let overflow = if owed.len() >= OWED_ACK_CAP {
+                        s.owed.remove(&m.sender)
+                    } else {
+                        None
+                    };
                     // Deliver only from in-view senders (paper's recv).
-                    (s.site, fresh && s.view.contains(m.sender))
+                    (s.site, fresh && s.view.contains(m.sender), overflow)
                 });
-                // Always ack — even duplicates (the original ack may be lost).
-                net.send(me, m.sender, Wire::Ack { seq: m.seq }.encode());
+                if let Some(acks) = overflow {
+                    net.send(me, m.sender, datagram(None, &acks));
+                }
                 if deliver {
                     ctx.async_trigger_all(
                         from_rcomm,
@@ -370,21 +483,7 @@ pub fn register(
         let e = ev.rc_ack;
         b.bind_with_triggers(e, pid, "relcomm.recv_ack", &[], move |ctx, data| {
             let a: &RcAckIn = data.expect(e)?;
-            state.with(ctx, |s| {
-                if let Some(p) = s.pending.remove(&(a.sender, a.seq)) {
-                    if p.attempts == 0 {
-                        // Karn's rule: sample only unambiguous acks.
-                        let sample = s.clock.now().saturating_duration_since(p.last);
-                        s.rtt
-                            .entry(a.sender)
-                            .or_insert(Rtt {
-                                srtt: sample,
-                                rttvar: sample / 2,
-                            })
-                            .observe(sample);
-                    }
-                }
-            });
+            state.with(ctx, |s| s.apply_acks(a.sender, &a.seqs));
             Ok(())
         })
     };
@@ -394,10 +493,10 @@ pub fn register(
         let net = Arc::clone(&net);
         let e = ev.retransmit_tick;
         b.bind_with_triggers(e, pid, "relcomm.retransmit", &[], move |ctx, _| {
-            let (me, resend) = state.with(ctx, |s| {
+            let (me, out) = state.with(ctx, |s| {
                 let now = s.clock.now();
                 // Purge pending messages to departed sites.
-                let view = s.view.clone();
+                let view = &s.view;
                 s.pending.retain(|(target, _), _| view.contains(*target));
                 // Head-of-line retransmission: per target, only the
                 // RETRANSMIT_WINDOW oldest unacked seqs are eligible. The
@@ -405,53 +504,49 @@ pub fn register(
                 // far past an undelivered head is pure flood; a windowed
                 // sender advances the head, collects acks, and drains a
                 // backlog instead of regenerating it every tick.
-                // BTreeMap so resend order is a pure function of the pending
-                // set: hooked exploration replays schedules by decision index
-                // and diverges if send order varies run to run.
-                let mut by_target: std::collections::BTreeMap<SiteId, Vec<u64>> =
-                    std::collections::BTreeMap::new();
-                for (target, seq) in s.pending.keys() {
-                    by_target.entry(*target).or_default().push(*seq);
-                }
-                let mut resend = Vec::new();
-                for (target, mut seqs) in by_target {
-                    seqs.sort_unstable();
-                    seqs.truncate(RETRANSMIT_WINDOW);
+                let mut out = Vec::new();
+                for &target in s.view.members() {
                     let rto = s.rto_for(target);
-                    for seq in seqs {
-                        let p = s.pending.get_mut(&(target, seq)).expect("pending key");
-                        if now.duration_since(p.last) >= p.due(rto) {
-                            p.last = now;
-                            p.attempts += 1;
-                            s.retransmissions += 1;
-                            let attempts = p.attempts;
-                            if let Some(ins) = &s.instruments {
-                                ins.retransmits.inc();
-                            }
-                            if let Some(t) = &s.tracer {
-                                t.emit(samoa_core::TraceKind::Retransmit {
-                                    site: t.site().0,
-                                    to: target.0,
-                                    attempts,
-                                });
-                            }
-                            resend.push((target, seq, p.ctx, p.payload.clone()));
+                    let oldest = s
+                        .pending
+                        .range_mut((target, 0)..=(target, u64::MAX))
+                        .take(RETRANSMIT_WINDOW);
+                    for (&(_, seq), p) in oldest {
+                        if now.duration_since(p.last) < p.due(rto) {
+                            continue;
                         }
+                        p.last = now;
+                        p.attempts += 1;
+                        s.retransmissions += 1;
+                        if let Some(ins) = &s.instruments {
+                            ins.retransmits.inc();
+                        }
+                        if let Some(t) = &s.tracer {
+                            t.emit(samoa_core::TraceKind::Retransmit {
+                                site: t.site().0,
+                                to: target.0,
+                                attempts: p.attempts,
+                            });
+                        }
+                        let data = Wire::Data {
+                            seq,
+                            ctx: p.ctx,
+                            payload: p.payload.clone(),
+                        };
+                        // The first resend to a target takes its owed acks.
+                        let acks = s.owed.remove(&target).unwrap_or_default();
+                        out.push((target, datagram(Some(data), &acks)));
                     }
                 }
-                (s.site, resend)
+                // Whatever no data datagram took along goes out on its own,
+                // one datagram per peer.
+                for (peer, acks) in std::mem::take(&mut s.owed) {
+                    out.push((peer, datagram(None, &acks)));
+                }
+                (s.site, out)
             });
-            for (target, seq, wire_ctx, payload) in resend {
-                net.send(
-                    me,
-                    target,
-                    Wire::Data {
-                        seq,
-                        ctx: wire_ctx,
-                        payload,
-                    }
-                    .encode(),
-                );
+            for (target, bytes) in out {
+                net.send(me, target, bytes);
             }
             Ok(())
         })
@@ -470,8 +565,12 @@ pub fn register(
             }
             state.with(ctx, |s| {
                 s.view = v.clone();
-                let view = s.view.clone();
+                // Finite buffers: nothing stays queued for a departed site,
+                // neither unacknowledged messages nor the acks owed to it.
+                // (A frame it still sends afterwards is acked as before.)
+                let view = &s.view;
                 s.pending.retain(|(target, _), _| view.contains(*target));
+                s.owed.retain(|peer, _| view.contains(*peer));
             });
             Ok(())
         })
@@ -513,6 +612,67 @@ mod tests {
         assert!(d.fresh(1));
         assert_eq!(d.low, 1);
         assert!(!d.fresh(100));
+    }
+
+    #[test]
+    fn ctx_hops_stays_bounded_through_recv_data() {
+        use crate::msgs::{CastData, CastMsg};
+        use samoa_net::{NetConfig, SimNet};
+
+        let net = SimNet::new_manual(2, NetConfig::fast(1));
+        let mut b = StackBuilder::new();
+        let pid = b.protocol("RelComm");
+        let ev = Events::declare(&mut b);
+        let state = ProtocolState::new(
+            pid,
+            RelCommState::new(SiteId(0), GroupView::of_first(2), Duration::from_millis(25)),
+        );
+        register(&mut b, pid, &ev, state.clone(), Arc::new(net.handle()));
+        let rt = Runtime::new(b.build());
+
+        // One fresh operation per frame: what every site sees under load.
+        let ops = 10 * CTX_HOPS_CAP as u64;
+        for op in 1..=ops {
+            let uid = MsgUid {
+                origin: SiteId(1),
+                seq: op,
+            };
+            let m = RcDataIn {
+                sender: SiteId(1),
+                seq: op,
+                ctx: Some(TraceCtx {
+                    origin: uid.origin,
+                    op,
+                    hop: 2,
+                }),
+                payload: Payload::Cast(CastMsg {
+                    uid,
+                    data: CastData::User(Bytes::new()),
+                }),
+                acks: Vec::new(),
+            };
+            rt.isolated(&[pid], |ctx| ctx.trigger(ev.rc_data, EventData::new(m)))
+                .expect("recv_data");
+        }
+        let probe = |op| {
+            Payload::Cast(CastMsg {
+                uid: MsgUid {
+                    origin: SiteId(1),
+                    seq: op,
+                },
+                data: CastData::User(Bytes::new()),
+            })
+        };
+        state.read(|s| {
+            assert_eq!(s.ctx_hops.hops.len(), CTX_HOPS_CAP);
+            assert_eq!(s.ctx_hops.order.len(), CTX_HOPS_CAP);
+            // The newest operation is remembered, an evicted one reads as
+            // locally originated.
+            assert_eq!(s.ctx_for(&probe(ops)).map(|c| c.hop), Some(3));
+            assert_eq!(s.ctx_for(&probe(1)).map(|c| c.hop), Some(0));
+            // The owed-ack list is bounded by its cap the same way.
+            assert!(s.owed.values().all(|v| v.len() < OWED_ACK_CAP));
+        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! over arbitrary messages, group-view algebra, and atomic-broadcast
 //! delivery invariants.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use samoa_net::SiteId;
 use samoa_proto::{
@@ -99,7 +99,7 @@ fn arb_ctx() -> impl Strategy<Value = Option<TraceCtx>> {
     ]
 }
 
-fn arb_wire() -> impl Strategy<Value = Wire> {
+fn arb_data() -> impl Strategy<Value = Wire> {
     prop_oneof![
         (any::<u64>(), arb_ctx(), arb_cast()).prop_map(|(seq, ctx, c)| Wire::Data {
             seq,
@@ -116,9 +116,42 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
             ctx,
             payload: Payload::Sync(s)
         }),
+    ]
+}
+
+/// A frame that may follow the first one in a datagram.
+fn arb_tail_frame() -> impl Strategy<Value = Wire> {
+    prop_oneof![
         any::<u64>().prop_map(|seq| Wire::Ack { seq }),
         Just(Wire::Heartbeat),
     ]
+}
+
+fn arb_wire() -> impl Strategy<Value = Wire> {
+    prop_oneof![arb_data(), arb_tail_frame()]
+}
+
+/// A datagram's frame list: at most one data frame, leading. RelComm emits
+/// `Data Ack*` and `Ack+`; the codec takes any such list.
+fn arb_datagram() -> impl Strategy<Value = Vec<Wire>> {
+    (
+        any::<bool>(),
+        arb_data(),
+        proptest::collection::vec(arb_tail_frame(), 0..80),
+    )
+        .prop_map(|(with_data, data, tail)| {
+            let mut frames = if with_data { vec![data] } else { Vec::new() };
+            frames.extend(tail);
+            frames
+        })
+}
+
+fn encode_all(frames: &[Wire]) -> Bytes {
+    let mut out = BytesMut::new();
+    for f in frames {
+        f.encode_into(&mut out);
+    }
+    out.freeze()
 }
 
 proptest! {
@@ -149,6 +182,71 @@ proptest! {
         if cut < enc.len() {
             let truncated = enc.slice(0..enc.len() - 1 - cut % enc.len().max(1));
             let _ = Wire::decode(truncated);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// decode_all ∘ encode = identity on frame lists.
+    #[test]
+    fn datagram_roundtrip(frames in arb_datagram()) {
+        let decoded = Wire::decode_all(encode_all(&frames)).expect("decode_all failed");
+        prop_assert_eq!(decoded, frames);
+    }
+
+    /// Readers that only want the data frame — `decode` and the header-only
+    /// `peek_ctx` — see on a coalesced datagram exactly what they see on
+    /// the bare data frame.
+    #[test]
+    fn first_frame_readers_ignore_what_follows(
+        data in arb_data(),
+        tail in proptest::collection::vec(arb_tail_frame(), 0..80),
+    ) {
+        let bare = data.encode();
+        let mut frames = vec![data];
+        frames.extend(tail);
+        let coalesced = encode_all(&frames);
+        prop_assert_eq!(&coalesced[..bare.len()], &bare[..], "first frame must stay byte-compatible");
+        prop_assert_eq!(Wire::decode(coalesced.clone()), Wire::decode(bare.clone()));
+        prop_assert_eq!(Wire::peek_ctx(&coalesced), Wire::peek_ctx(&bare));
+    }
+
+    /// `decode_all` is total on arbitrary bytes, and whatever it accepts it
+    /// accounted for byte by byte: the frames re-encode to exactly the
+    /// input, so nothing decoded — no batch, no member list, no frame count
+    /// — can be larger than the bytes that arrived.
+    #[test]
+    fn decode_all_total_and_bounded_by_input(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let input = Bytes::from(bytes);
+        if let Ok(frames) = Wire::decode_all(input.clone()) {
+            prop_assert!(frames.len() <= input.len());
+            prop_assert_eq!(encode_all(&frames), input);
+        }
+    }
+
+    /// The same on near-valid input, where the decoder gets past the first
+    /// tag: a valid datagram with one byte overwritten, then cut short.
+    #[test]
+    fn decode_all_total_on_corrupted_datagrams(
+        frames in arb_datagram(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        keep in any::<usize>(),
+    ) {
+        let mut raw = encode_all(&frames).to_vec();
+        if !raw.is_empty() {
+            let at = at % raw.len();
+            raw[at] = byte;
+            raw.truncate(keep % (raw.len() + 1));
+        }
+        let input = Bytes::from(raw);
+        if let Ok(frames) = Wire::decode_all(input.clone()) {
+            prop_assert!(frames.len() <= input.len());
+            prop_assert_eq!(encode_all(&frames), input);
         }
     }
 }
