@@ -125,9 +125,8 @@ pub struct ClusterProbe {
 ///    commands have the same digest.
 ///
 /// With the stack healthy no schedule or in-budget fault combination
-/// violates these; the injected-bug constructors
-/// ([`ClusterScenario::with_ab_order_bug`],
-/// [`ClusterScenario::with_dedup_bug`]) re-introduce the races the stack's
+/// violates these; the injected-bug constructor
+/// ([`ClusterScenario::with_ab_order_bug`]) re-introduces a race the stack's
 /// own machinery is there to close, so the explorer can demonstrate a
 /// minimised, replayable cluster-level witness.
 pub struct ClusterScenario {
@@ -139,7 +138,6 @@ pub struct ClusterScenario {
     abcasts: usize,
     kv_puts: usize,
     ab_order_bug: bool,
-    dedup_bug: bool,
     max_actions: u32,
     probe: Mutex<ClusterProbe>,
 }
@@ -165,7 +163,6 @@ impl ClusterScenario {
             abcasts: 2,
             kv_puts: 1,
             ab_order_bug: false,
-            dedup_bug: false,
             max_actions: 600,
             probe: Mutex::new(ClusterProbe::default()),
         }
@@ -193,14 +190,6 @@ impl ClusterScenario {
     /// prefix agreement.
     pub fn with_ab_order_bug(mut self) -> ClusterScenario {
         self.ab_order_bug = true;
-        self
-    }
-
-    /// Enable the injected **dedup knob** ([`NodeConfig::dedup_enabled`] =
-    /// false): RelComm's at-most-once guarantee is off and the upper
-    /// layers' uid dedup becomes load-bearing against duplicated frames.
-    pub fn with_dedup_bug(mut self) -> ClusterScenario {
-        self.dedup_bug = true;
         self
     }
 
@@ -318,8 +307,6 @@ impl Scenario for ClusterScenario {
     fn name(&self) -> &'static str {
         if self.ab_order_bug {
             "cluster/ab-order-bug"
-        } else if self.dedup_bug {
-            "cluster/dedup-bug"
         } else {
             "cluster/faults"
         }
@@ -333,7 +320,6 @@ impl Scenario for ClusterScenario {
         cfg.enable_timers = false;
         cfg.enable_fd = false;
         cfg.clock = clock.clone();
-        cfg.dedup_enabled = !self.dedup_bug;
         cfg.ab_order_enabled = !self.ab_order_bug;
         let nodes: Vec<Arc<Node>> = (0..n as u16)
             .map(|i| Node::new_hooked(net.handle(), SiteId(i), cfg.clone(), Arc::clone(&hook)))

@@ -1,0 +1,202 @@
+//! One ARQ core: *when is an unacknowledged frame resent* ([`ArqSender`])
+//! and *has this sequence number been seen* ([`ArqReceiver`]).
+//!
+//! Plain data, no thread, no I/O, no clock: a call that needs the time is
+//! handed `now`, from the caller's [`ProtoClock`](crate::ProtoClock). RelComm
+//! (`samoa-proto`) and Window (`samoa-transport`) wrap it and keep what
+//! differs: what a frame carries, when acks leave, flow control and in-order
+//! release. Sequence numbers are per peer and start at 1.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::{Duration, Instant};
+
+use crate::SiteId;
+
+/// Smoothed round-trip estimate toward one peer (RFC 6298). A fixed RTO
+/// below the *loaded* RTT retransmits spuriously: each duplicate costs the
+/// receiver a serialized computation, raising the RTT further — the classic
+/// congestion spiral. `srtt + 4·rttvar` stays above the real ack latency as
+/// load varies.
+#[derive(Clone, Copy)]
+struct Rtt {
+    srtt: Duration,
+    rttvar: Duration,
+}
+
+impl Rtt {
+    /// `prev` with `sample` folded in.
+    fn after(prev: Option<Rtt>, sample: Duration) -> Rtt {
+        match prev {
+            None => Rtt {
+                srtt: sample,
+                rttvar: sample / 2,
+            },
+            Some(Rtt { srtt, rttvar }) => Rtt {
+                srtt: (srtt * 7 + sample) / 8,
+                rttvar: (rttvar * 3 + srtt.abs_diff(sample)) / 4,
+            },
+        }
+    }
+}
+
+/// A sent frame, when it last left and how often it has been resent.
+struct Unacked<P> {
+    payload: P,
+    last: Instant,
+    attempts: u32,
+}
+
+struct PeerTx<P> {
+    next_seq: u64,
+    rtt: Option<Rtt>,
+    unacked: BTreeMap<u64, Unacked<P>>,
+}
+
+impl<P> PeerTx<P> {
+    /// The timeout before backoff: never below `floor` (an idle, fast link
+    /// still recovers from a loss quickly), at most `40 × floor` (one
+    /// extreme sample cannot park the channel).
+    fn rto(&self, floor: Duration) -> Duration {
+        let adaptive = self.rtt.map_or(floor, |r| r.srtt + r.rttvar * 4);
+        adaptive.clamp(floor, floor * 40)
+    }
+}
+
+/// The sender half: sequence numbers, the unacknowledged frames and the
+/// retransmission policy. Ordered maps, so that resend order is a pure
+/// function of the state (hooked exploration replays schedules by decision
+/// index and diverges if send order varies run to run).
+pub struct ArqSender<P> {
+    floor: Duration,
+    backoff_cap: u32,
+    peers: BTreeMap<SiteId, PeerTx<P>>,
+}
+
+impl<P> ArqSender<P> {
+    /// How many of a peer's oldest unacked frames one [`due`](Self::due) may
+    /// resend. Unbounded retransmission turns a transient receiver stall
+    /// into a self-sustaining storm: the whole backlog re-enters the
+    /// (bounded) send queues every RTO, drowning the fresh traffic and the
+    /// acks that would drain it. The receiver's floor only moves past its
+    /// head, so resending far beyond an undelivered head is pure flood.
+    pub const RETRANSMIT_WINDOW: usize = 32;
+
+    /// The timeout toward a peer is `srtt + 4·rttvar` within `[floor, 40 ×
+    /// floor]`, doubled per retransmission of the frame up to `backoff_cap`
+    /// times (0: a fixed interval) — backoff keeps a stalled peer from being
+    /// sent the same duplicates every tick.
+    pub fn new(floor: Duration, backoff_cap: u32) -> Self {
+        ArqSender {
+            floor,
+            backoff_cap,
+            peers: BTreeMap::new(),
+        }
+    }
+
+    /// Hold `payload` until `peer` acknowledges it; returns its sequence
+    /// number.
+    pub fn send(&mut self, peer: SiteId, payload: P, now: Instant) -> u64 {
+        let p = self.peers.entry(peer).or_insert_with(|| PeerTx {
+            next_seq: 0,
+            rtt: None,
+            unacked: BTreeMap::new(),
+        });
+        p.next_seq += 1;
+        let unacked = Unacked {
+            payload,
+            last: now,
+            attempts: 0,
+        };
+        p.unacked.insert(p.next_seq, unacked);
+        p.next_seq
+    }
+
+    /// `peer` acknowledged `seq`. Only a never-retransmitted frame is a
+    /// round-trip sample (Karn's rule): a retransmission's ack is ambiguous.
+    pub fn ack(&mut self, peer: SiteId, seq: u64, now: Instant) {
+        let Some(p) = self.peers.get_mut(&peer) else {
+            return;
+        };
+        match p.unacked.remove(&seq) {
+            Some(u) if u.attempts == 0 => {
+                p.rtt = Some(Rtt::after(p.rtt, now.saturating_duration_since(u.last)))
+            }
+            _ => {}
+        }
+    }
+
+    /// The retransmission timeout toward `peer` before backoff.
+    pub fn rto(&self, peer: SiteId) -> Duration {
+        let known = self.peers.get(&peer);
+        known.map_or(self.floor, |p| p.rto(self.floor))
+    }
+
+    /// Call `resend(peer, seq, attempts, payload)` for every frame whose
+    /// timeout has run out, in `(peer, seq)` order, and re-arm it.
+    pub fn due(&mut self, now: Instant, mut resend: impl FnMut(SiteId, u64, u32, &P)) {
+        for (&peer, p) in self.peers.iter_mut() {
+            let rto = p.rto(self.floor);
+            for (&seq, u) in p.unacked.iter_mut().take(Self::RETRANSMIT_WINDOW) {
+                if now.duration_since(u.last) < rto * (1u32 << u.attempts.min(self.backoff_cap)) {
+                    continue;
+                }
+                u.last = now;
+                u.attempts += 1;
+                resend(peer, seq, u.attempts, &u.payload);
+            }
+        }
+    }
+
+    /// Frames sent to `peer` and not yet acknowledged.
+    pub fn in_flight(&self, peer: SiteId) -> usize {
+        self.peers.get(&peer).map_or(0, |p| p.unacked.len())
+    }
+
+    /// Frames not yet acknowledged, all peers.
+    pub fn unacked(&self) -> usize {
+        self.peers.values().map(|p| p.unacked.len()).sum()
+    }
+
+    /// Forget what is unacknowledged toward every peer `keep` rejects (its
+    /// numbering continues should it return).
+    pub fn retain_peers(&mut self, keep: impl Fn(SiteId) -> bool) {
+        for (&peer, p) in self.peers.iter_mut() {
+            if !keep(peer) {
+                p.unacked.clear();
+            }
+        }
+    }
+}
+
+#[derive(Default)]
+struct Seen {
+    /// All sequence numbers `<= floor` have been seen.
+    floor: u64,
+    /// Seen sequence numbers above `floor`.
+    above: BTreeSet<u64>,
+}
+
+/// The receiver half: per-peer duplicate suppression.
+#[derive(Default)]
+pub struct ArqReceiver {
+    peers: HashMap<SiteId, Seen>,
+}
+
+impl ArqReceiver {
+    /// Record `seq` from `peer`; true the first time it is seen.
+    pub fn fresh(&mut self, peer: SiteId, seq: u64) -> bool {
+        let s = self.peers.entry(peer).or_default();
+        if seq <= s.floor || !s.above.insert(seq) {
+            return false;
+        }
+        while s.above.remove(&(s.floor + 1)) {
+            s.floor += 1;
+        }
+        true
+    }
+
+    /// Every sequence number from `peer` up to this one has been seen.
+    pub fn floor(&self, peer: SiteId) -> u64 {
+        self.peers.get(&peer).map_or(0, |s| s.floor)
+    }
+}

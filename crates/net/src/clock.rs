@@ -1,17 +1,17 @@
-//! A pluggable time source for the stack's timeout logic.
+//! A pluggable time source for the stacks' timeout logic.
 //!
-//! The failure detector and RelComm's retransmission logic both compare
-//! "now" against recorded instants. In production that is the wall clock;
-//! under the deterministic checker it must be a **virtual clock** that only
-//! moves when the exploring controller decides to fire a tick — otherwise
-//! timeouts depend on host scheduling and no schedule replays byte-
-//! identically. [`ProtoClock`] is that seam: a cheap cloneable handle that
-//! is either the wall clock or a shared monotone counter advanced
-//! explicitly by the test harness.
+//! The failure detector and both ARQ wrappers (RelComm, the transport
+//! Window) compare "now" against recorded instants. In production that is
+//! the wall clock; under the deterministic checker it must be a **virtual
+//! clock** that only moves when the exploring controller decides to fire a
+//! tick — otherwise timeouts depend on host scheduling and no schedule
+//! replays byte-identically. [`ProtoClock`] is that seam: a cheap cloneable
+//! handle that is either the wall clock or a shared monotone counter
+//! advanced explicitly by the test harness.
 //!
 //! ```
 //! use std::time::Duration;
-//! use samoa_proto::ProtoClock;
+//! use samoa_net::ProtoClock;
 //!
 //! let clock = ProtoClock::manual();
 //! let t0 = clock.now();

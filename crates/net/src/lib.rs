@@ -11,6 +11,9 @@
 //!   localhost with reconnecting, bounded per-peer outbound queues
 //!   ([`TcpMesh`] bundles `n` endpoints for in-process cluster tests).
 //!
+//! Both stacks above them share the ARQ core ([`arq`]) and its injectable
+//! time source ([`ProtoClock`]).
+//!
 //! ```
 //! use samoa_net::{NetConfig, SimNet, SiteId};
 //! use bytes::Bytes;
@@ -31,12 +34,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod arq;
+pub mod clock;
 pub mod config;
 pub mod sim;
 pub mod stats;
 pub mod tcp;
 pub mod transport;
 
+pub use arq::{ArqReceiver, ArqSender};
+pub use clock::ProtoClock;
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};
 pub use stats::SiteStats;

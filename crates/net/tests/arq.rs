@@ -1,0 +1,211 @@
+//! The ARQ core on virtual time: the receiver's duplicate filter and the
+//! sender's retransmission policy, driven through their public methods with
+//! a [`ProtoClock::manual`] — nothing here sleeps or reads the wall clock.
+
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use proptest::prelude::*;
+use samoa_net::{ArqReceiver, ArqSender, ProtoClock, SiteId};
+
+const FLOOR: Duration = Duration::from_millis(10);
+const A: SiteId = SiteId(1);
+const B: SiteId = SiteId(2);
+const WINDOW: u64 = ArqSender::<()>::RETRANSMIT_WINDOW as u64;
+
+/// Feed `arrivals` to a fresh receiver; each sequence number must be fresh
+/// exactly the first time, and the floor must be the contiguous prefix of
+/// what has arrived.
+fn check_receiver(arrivals: &[u64]) {
+    let mut rx = ArqReceiver::default();
+    let mut seen = BTreeSet::new();
+    for &seq in arrivals {
+        let first_time = seq > 0 && seen.insert(seq);
+        assert_eq!(rx.fresh(A, seq), first_time, "seq {seq} of {arrivals:?}");
+        let prefix = (1..).take_while(|s| seen.contains(s)).count() as u64;
+        assert_eq!(rx.floor(A), prefix, "after {seq} of {arrivals:?}");
+        assert_eq!(rx.floor(B), 0, "floors are per peer");
+    }
+}
+
+#[test]
+fn receiver_accepts_fresh_rejects_duplicates_and_compacts() {
+    check_receiver(&[1, 1, 3, 3, 2, 2, 0]);
+}
+
+#[test]
+fn receiver_handles_large_gaps() {
+    check_receiver(&[100, 1, 100, u64::MAX, 2]);
+}
+
+/// Everything the sender says is due at the current time, re-arming it.
+fn due<P: Clone>(tx: &mut ArqSender<P>, clock: &ProtoClock) -> Vec<(SiteId, u64, u32, P)> {
+    let mut out = Vec::new();
+    tx.due(clock.now(), |peer, seq, attempts, p| {
+        out.push((peer, seq, attempts, p.clone()))
+    });
+    out
+}
+
+fn seqs<P>(resends: &[(SiteId, u64, u32, P)], peer: SiteId) -> Vec<u64> {
+    let of_peer = resends.iter().filter(|r| r.0 == peer);
+    of_peer.map(|r| r.1).collect()
+}
+
+#[test]
+fn numbering_is_per_peer_from_one_and_survives_retain() {
+    let clock = ProtoClock::manual();
+    let mut tx = ArqSender::new(FLOOR, 4);
+    assert_eq!(tx.send(A, 'a', clock.now()), 1);
+    assert_eq!(tx.send(A, 'b', clock.now()), 2);
+    assert_eq!(tx.send(B, 'c', clock.now()), 1);
+    assert_eq!((tx.in_flight(A), tx.in_flight(B), tx.unacked()), (2, 1, 3));
+    tx.retain_peers(|peer| peer == B);
+    assert_eq!((tx.in_flight(A), tx.in_flight(B), tx.unacked()), (0, 1, 1));
+    assert_eq!(tx.send(A, 'd', clock.now()), 3);
+    clock.advance(FLOOR);
+    assert_eq!(due(&mut tx, &clock), [(A, 3, 1, 'd'), (B, 1, 1, 'c')]);
+}
+
+#[test]
+fn only_the_oldest_frames_of_each_peer_are_resent() {
+    let clock = ProtoClock::manual();
+    let mut tx = ArqSender::new(FLOOR, 4);
+    for _ in 0..100 {
+        tx.send(A, (), clock.now());
+    }
+    for _ in 0..40 {
+        tx.send(B, (), clock.now());
+    }
+    clock.advance(FLOOR);
+    let first = due(&mut tx, &clock);
+    assert_eq!(seqs(&first, A), (1..=WINDOW).collect::<Vec<_>>());
+    assert_eq!(seqs(&first, B), (1..=WINDOW).collect::<Vec<_>>());
+    // The head moves with the acks, not with time.
+    for seq in 1..=10 {
+        tx.ack(A, seq, clock.now());
+    }
+    clock.advance(FLOOR * 32);
+    let second = due(&mut tx, &clock);
+    assert_eq!(seqs(&second, A), (11..=10 + WINDOW).collect::<Vec<_>>());
+    assert_eq!(seqs(&second, B), (1..=WINDOW).collect::<Vec<_>>());
+}
+
+#[test]
+fn the_first_three_samples_follow_rfc_6298() {
+    let clock = ProtoClock::manual();
+    let mut tx = ArqSender::new(FLOOR, 4);
+    let ms = Duration::from_millis;
+    let mut sample = |rtt: Duration| {
+        let seq = tx.send(A, (), clock.now());
+        clock.advance(rtt);
+        tx.ack(A, seq, clock.now());
+        tx.rto(A)
+    };
+    // SRTT = R, RTTVAR = R/2: 100 + 4·50.
+    assert_eq!(sample(ms(100)), ms(300));
+    // RTTVAR = 3/4·50 + 1/4·0 = 37.5, SRTT = 100.
+    assert_eq!(sample(ms(100)), ms(250));
+    // RTTVAR = 3/4·37.5 + 1/4·100 = 53.125, SRTT = 7/8·100 + 1/8·200 = 112.5.
+    assert_eq!(sample(ms(200)), ms(325));
+}
+
+#[test]
+fn the_timeout_stays_between_the_floor_and_forty_floors() {
+    let clock = ProtoClock::manual();
+    let mut tx = ArqSender::new(FLOOR, 4);
+    assert_eq!(tx.rto(A), FLOOR, "no sample yet");
+    let seq = tx.send(A, (), clock.now());
+    tx.ack(A, seq, clock.now());
+    assert_eq!(tx.rto(A), FLOOR, "a zero sample");
+    let seq = tx.send(B, (), clock.now());
+    clock.advance(FLOOR * 1000);
+    tx.ack(B, seq, clock.now());
+    assert_eq!(tx.rto(B), FLOOR * 40, "an extreme sample");
+    assert_eq!(tx.rto(A), FLOOR, "estimates are per peer");
+}
+
+#[test]
+fn the_ack_of_a_retransmitted_frame_is_not_sampled() {
+    let clock = ProtoClock::manual();
+    let mut tx = ArqSender::new(FLOOR, 4);
+    tx.send(A, (), clock.now());
+    clock.advance(FLOOR * 20);
+    assert_eq!(due(&mut tx, &clock), [(A, 1, 1, ())]);
+    tx.ack(A, 1, clock.now());
+    assert_eq!(tx.in_flight(A), 0);
+    assert_eq!(tx.rto(A), FLOOR, "Karn: an ambiguous ack is no sample");
+    // The next clean round trip is the first sample.
+    let seq = tx.send(A, (), clock.now());
+    clock.advance(FLOOR * 2);
+    tx.ack(A, seq, clock.now());
+    assert_eq!(tx.rto(A), FLOOR * 6);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any arrival order, with duplicates.
+    #[test]
+    fn receiver_reports_each_seq_fresh_exactly_once(
+        arrivals in proptest::collection::vec(0u64..24, 0..80),
+    ) {
+        check_receiver(&arrivals);
+    }
+
+    /// One frame, time advanced in arbitrary steps with a `due` call after
+    /// each: it is resent exactly when `floor << min(attempts, cap)` has
+    /// passed since its last transmission, never earlier.
+    #[test]
+    fn nothing_is_due_before_its_backed_off_timeout(
+        cap in 0u32..6,
+        steps_ms in proptest::collection::vec(0u64..200, 1..60),
+    ) {
+        let clock = ProtoClock::manual();
+        let mut tx = ArqSender::new(FLOOR, cap);
+        tx.send(A, (), clock.now());
+        let (mut since_last, mut attempts) = (Duration::ZERO, 0u32);
+        for ms in steps_ms {
+            let step = Duration::from_millis(ms);
+            clock.advance(step);
+            since_last += step;
+            let expected = if since_last >= FLOOR * (1 << attempts.min(cap)) {
+                since_last = Duration::ZERO;
+                attempts += 1;
+                vec![(A, 1, attempts, ())]
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(due(&mut tx, &clock), expected);
+        }
+    }
+
+    /// Resend order is a pure function of the state: the same frames, sent
+    /// to the peers in any interleaving, come back in `(peer, seq)` order,
+    /// at most `RETRANSMIT_WINDOW` per peer.
+    #[test]
+    fn resend_order_is_a_pure_function_of_the_state(
+        targets in proptest::collection::vec(0u16..5, 0..200),
+    ) {
+        let clock = ProtoClock::manual();
+        let mut tx = ArqSender::new(FLOOR, 4);
+        let mut sorted = ArqSender::new(FLOOR, 4);
+        let mut by_peer = targets.clone();
+        by_peer.sort_unstable();
+        for (&t, &s) in targets.iter().zip(&by_peer) {
+            tx.send(SiteId(t), (), clock.now());
+            sorted.send(SiteId(s), (), clock.now());
+        }
+        clock.advance(FLOOR);
+        let resends = due(&mut tx, &clock);
+        prop_assert_eq!(&resends, &due(&mut sorted, &clock));
+        let keys: Vec<(SiteId, u64)> = resends.iter().map(|r| (r.0, r.1)).collect();
+        let mut expected = Vec::new();
+        for peer in (0..5).map(SiteId) {
+            let sent = by_peer.iter().filter(|&&t| SiteId(t) == peer).count() as u64;
+            expected.extend((1..=sent.min(WINDOW)).map(|seq| (peer, seq)));
+        }
+        prop_assert_eq!(keys, expected);
+        prop_assert!(due(&mut tx, &clock).is_empty(), "re-armed");
+    }
+}

@@ -31,7 +31,6 @@
 
 pub mod abcast;
 pub mod app;
-pub mod clock;
 pub mod consensus;
 pub mod events;
 pub mod fd;
@@ -44,7 +43,6 @@ pub mod relcast;
 pub mod relcomm;
 pub mod view;
 
-pub use clock::ProtoClock;
 pub use events::Events;
 pub use kv::{KvApplied, KvCmd, KvPending, KvReply, KvState};
 pub use msgs::{
@@ -52,4 +50,5 @@ pub use msgs::{
 };
 pub use node::{Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster};
 pub use observe::ClusterTracer;
+pub use samoa_net::clock::{self, ProtoClock};
 pub use view::{GroupView, ViewOp};

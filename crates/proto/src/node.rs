@@ -204,12 +204,6 @@ pub struct NodeConfig {
     /// timeout a function of explicit [`ProtoClock::advance`] calls —
     /// the substrate for deterministic fault exploration.
     pub clock: ProtoClock,
-    /// When false, RelComm's inbound duplicate suppression is bypassed —
-    /// an **injected fault-surface knob** for the fault explorer: the
-    /// upper layers' own uid-based dedup (RelCast, abcast, consensus)
-    /// then becomes load-bearing against duplicated frames. Leave true
-    /// everywhere else.
-    pub dedup_enabled: bool,
     /// When false, abcast delivers decisions in *arrival* order instead of
     /// instance order — an **injected bug** the fault explorer uses to
     /// demonstrate a minimised, replayable cluster-level witness: a
@@ -232,7 +226,6 @@ impl Default for NodeConfig {
             view_change_delay: Duration::ZERO,
             declare_all: false,
             clock: ProtoClock::wall(),
-            dedup_enabled: true,
             ab_order_enabled: true,
         }
     }
@@ -483,9 +476,6 @@ impl Node {
 
         if !cfg.view_change_delay.is_zero() {
             relcomm_st.write(|s| s.view_change_delay = cfg.view_change_delay);
-        }
-        if !cfg.dedup_enabled {
-            relcomm_st.write(|s| s.dedup_enabled = false);
         }
         if !cfg.ab_order_enabled {
             abcast_st.write(|s| s.order_enabled = false);

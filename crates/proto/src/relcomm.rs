@@ -2,10 +2,11 @@
 //!
 //! Sends datagrams with per-channel sequence numbers, acknowledges and
 //! deduplicates on receipt, and retransmits unacknowledged messages on the
-//! retransmission timer. Messages are only sent to — and only delivered
-//! from — sites in the current view ("this requirement is necessary to
-//! implement finite buffers"); pending messages to sites that leave the
-//! view are discarded, and so are the acks owed to them.
+//! retransmission timer: that much is [`samoa_net::arq`]. Messages are only
+//! sent to — and only delivered from — sites in the current view ("this
+//! requirement is necessary to implement finite buffers"); pending messages
+//! to sites that leave the view are discarded, and so are the acks owed to
+//! them.
 //!
 //! ## Deferred acks
 //!
@@ -32,13 +33,13 @@
 //! floor, every later frame would look unacknowledged, and the sender
 //! would resend its whole window behind one hole.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use samoa_core::prelude::*;
-use samoa_net::{SiteId, Transport};
+use samoa_net::{ArqReceiver, ArqSender, SiteId, Transport};
 
 use crate::clock::ProtoClock;
 use crate::events::Events;
@@ -81,35 +82,8 @@ pub struct RcAckIn {
     pub seqs: Vec<u64>,
 }
 
-/// Duplicate-suppression state for one inbound channel.
-#[derive(Debug, Default)]
-struct Dedup {
-    /// All sequence numbers `<= low` have been received.
-    low: u64,
-    /// Received sequence numbers above `low`.
-    extra: BTreeSet<u64>,
-}
-
-impl Dedup {
-    /// Record `seq`; returns true when it is fresh.
-    fn fresh(&mut self, seq: u64) -> bool {
-        if seq <= self.low || self.extra.contains(&seq) {
-            return false;
-        }
-        self.extra.insert(seq);
-        while self.extra.remove(&(self.low + 1)) {
-            self.low += 1;
-        }
-        true
-    }
-}
-
-/// How many of the oldest unacked messages per target each retransmit tick
-/// may resend. Unbounded retransmission turns a transient receiver stall
-/// into a self-sustaining storm: the whole backlog re-enters the (bounded)
-/// send queues every RTO, drowning both the fresh traffic and the acks
-/// that would drain it.
-const RETRANSMIT_WINDOW: usize = 32;
+/// A message's timeout doubles per retransmission, up to 16×.
+const BACKOFF_CAP: u32 = 4;
 
 /// How many acks may be owed to one peer before they leave as a datagram of
 /// their own without waiting for the tick: bounds the owed list (and the
@@ -160,80 +134,18 @@ fn datagram(data: Option<Wire>, acks: &[u64]) -> Bytes {
     out.freeze()
 }
 
-/// One sent-but-unacknowledged message: payload, causal context as first
-/// transmitted (retransmissions must be byte-identical), last transmission
-/// time, and how many retransmissions it has had (drives exponential
-/// backoff).
-struct Pending {
-    payload: Payload,
-    ctx: Option<TraceCtx>,
-    last: Instant,
-    attempts: u32,
-}
-
-/// Per-target smoothed round-trip estimator (RFC 6298 shape). A fixed RTO
-/// below the *loaded* RTT retransmits spuriously: each duplicate costs the
-/// receiver a serialized computation, raising the RTT further — the
-/// classic congestion spiral. Tracking `srtt + 4·rttvar` per target keeps
-/// the timeout above the real ack latency as load varies, with the
-/// configured RTO as the floor (so an idle, fast link still recovers from
-/// a genuine loss quickly).
-#[derive(Clone, Copy)]
-struct Rtt {
-    srtt: Duration,
-    rttvar: Duration,
-}
-
-impl Rtt {
-    /// Fold in an ack-latency sample (only taken from never-retransmitted
-    /// messages — Karn's rule — so a retransmission's ambiguous ack can
-    /// never corrupt the estimate).
-    fn observe(&mut self, sample: Duration) {
-        let dev = self.srtt.abs_diff(sample);
-        self.rttvar = (self.rttvar * 3 + dev) / 4;
-        self.srtt = (self.srtt * 7 + sample) / 8;
-    }
-
-    fn timeout(&self) -> Duration {
-        self.srtt + self.rttvar * 4
-    }
-}
-
-impl Pending {
-    /// The timeout before the next retransmission: `rto << attempts`,
-    /// capped at 16x. Backoff keeps a congested or stalled peer from being
-    /// flooded with duplicates every tick — sustained retransmit storms
-    /// feed on themselves (each duplicate costs the receiver an isolated
-    /// computation, slowing it further, losing more acks).
-    fn due(&self, rto: Duration) -> Duration {
-        rto * (1u32 << self.attempts.min(4))
-    }
-}
-
 /// The local state of the RelComm microprotocol.
 pub struct RelCommState {
     site: SiteId,
     view: GroupView,
-    next_seq: HashMap<SiteId, u64>,
-    /// Sent but unacknowledged, ordered by `(target, seq)`: the oldest
-    /// unacked frames of a target are a range scan, and resend order is a
-    /// pure function of the set (hooked exploration replays schedules by
-    /// decision index and diverges if send order varies run to run).
-    pending: BTreeMap<(SiteId, u64), Pending>,
-    /// Acks owed per peer, in arrival order (see the module docs). Ordered
-    /// for the same reason as `pending`.
+    /// Sent but unacknowledged: payload and causal context as first
+    /// transmitted (retransmissions must be byte-identical).
+    tx: ArqSender<(Payload, Option<TraceCtx>)>,
+    rx: ArqReceiver,
+    /// Acks owed per peer, in arrival order (see the module docs). Ordered,
+    /// so that flush order is a pure function of the state, like resends.
     owed: BTreeMap<SiteId, Vec<u64>>,
-    inbound: HashMap<SiteId, Dedup>,
-    rto: Duration,
-    rtt: HashMap<SiteId, Rtt>,
     clock: ProtoClock,
-    /// When false, inbound duplicate suppression is bypassed: every data
-    /// frame is delivered upward, even retransmissions and network-level
-    /// duplicates. **This is an injected bug** — it exists so the fault
-    /// explorer can demonstrate a minimised cluster-level witness (a
-    /// duplicated frame double-delivers through abcast). Always true in
-    /// production configurations.
-    pub dedup_enabled: bool,
     /// Retransmissions performed (observable for tests/benches).
     pub retransmissions: u64,
     /// Sends discarded because the target was not in RelComm's view. Under
@@ -268,14 +180,10 @@ impl RelCommState {
         RelCommState {
             site,
             view,
-            next_seq: HashMap::new(),
-            pending: BTreeMap::new(),
+            tx: ArqSender::new(rto, BACKOFF_CAP),
+            rx: ArqReceiver::default(),
             owed: BTreeMap::new(),
-            inbound: HashMap::new(),
-            rto,
-            rtt: HashMap::new(),
             clock,
-            dedup_enabled: true,
             retransmissions: 0,
             discarded: 0,
             view_change_delay: Duration::ZERO,
@@ -305,7 +213,7 @@ impl RelCommState {
 
     /// Messages sent but not yet acknowledged.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.tx.unacked()
     }
 
     /// The view RelComm currently believes in.
@@ -313,36 +221,12 @@ impl RelCommState {
         &self.view
     }
 
-    /// The effective retransmission timeout toward `target`: the adaptive
-    /// estimate when one exists (never below the configured floor, capped
-    /// at 40x so a single extreme sample cannot park the channel).
-    fn rto_for(&self, target: SiteId) -> Duration {
-        let adaptive = self
-            .rtt
-            .get(&target)
-            .map(|r| r.timeout())
-            .unwrap_or(Duration::ZERO);
-        adaptive.clamp(self.rto, self.rto * 40)
-    }
-
     /// `from` acknowledges `seqs`: both the ack-only datagram (`recv_ack`)
     /// and the acks riding a data datagram (`recv_data`) end up here.
     fn apply_acks(&mut self, from: SiteId, seqs: &[u64]) {
+        let now = self.clock.now();
         for &seq in seqs {
-            let Some(p) = self.pending.remove(&(from, seq)) else {
-                continue;
-            };
-            if p.attempts == 0 {
-                // Karn's rule: sample only unambiguous acks.
-                let sample = self.clock.now().saturating_duration_since(p.last);
-                self.rtt
-                    .entry(from)
-                    .or_insert(Rtt {
-                        srtt: sample,
-                        rttvar: sample / 2,
-                    })
-                    .observe(sample);
-            }
+            self.tx.ack(from, seq, now);
         }
     }
 }
@@ -387,23 +271,12 @@ pub fn register(
                     }
                     return None; // discard, as the paper prescribes
                 }
-                let seq = s.next_seq.entry(*target).or_insert(0);
-                *seq += 1;
-                let seq = *seq;
-                let now = s.clock.now();
                 let wire_ctx = s.ctx_for(payload);
-                s.pending.insert(
-                    (*target, seq),
-                    Pending {
-                        payload: payload.clone(),
-                        ctx: wire_ctx,
-                        last: now,
-                        attempts: 0,
-                    },
-                );
+                let now = s.clock.now();
+                let seq = s.tx.send(*target, (payload.clone(), wire_ctx), now);
                 if let Some(ins) = &s.instruments {
                     ins.sends.inc();
-                    ins.rto_us.set(s.rto_for(*target).as_micros() as u64);
+                    ins.rto_us.set(s.tx.rto(*target).as_micros() as u64);
                 }
                 // The acks owed to the target ride along.
                 let acks = s.owed.remove(target).unwrap_or_default();
@@ -444,10 +317,8 @@ pub fn register(
                         };
                         s.ctx_hops.learn(uid, c.hop);
                     }
-                    // The dedup filter is the exactly-once guarantee; with
-                    // the injected bug enabled it is recorded but ignored.
-                    let fresh = s.inbound.entry(m.sender).or_default().fresh(m.seq);
-                    let fresh = fresh || !s.dedup_enabled;
+                    // The dedup filter is the exactly-once guarantee.
+                    let fresh = s.rx.fresh(m.sender, m.seq);
                     // Always owe an ack — even for duplicates (the original
                     // ack may be lost). It rides the next datagram to the
                     // sender; only a full list leaves on its own.
@@ -497,47 +368,29 @@ pub fn register(
                 let now = s.clock.now();
                 // Purge pending messages to departed sites.
                 let view = &s.view;
-                s.pending.retain(|(target, _), _| view.contains(*target));
-                // Head-of-line retransmission: per target, only the
-                // RETRANSMIT_WINDOW oldest unacked seqs are eligible. The
-                // receiver dedups contiguously from its floor, so resending
-                // far past an undelivered head is pure flood; a windowed
-                // sender advances the head, collects acks, and drains a
-                // backlog instead of regenerating it every tick.
+                s.tx.retain_peers(|target| view.contains(target));
                 let mut out = Vec::new();
-                for &target in s.view.members() {
-                    let rto = s.rto_for(target);
-                    let oldest = s
-                        .pending
-                        .range_mut((target, 0)..=(target, u64::MAX))
-                        .take(RETRANSMIT_WINDOW);
-                    for (&(_, seq), p) in oldest {
-                        if now.duration_since(p.last) < p.due(rto) {
-                            continue;
-                        }
-                        p.last = now;
-                        p.attempts += 1;
-                        s.retransmissions += 1;
-                        if let Some(ins) = &s.instruments {
-                            ins.retransmits.inc();
-                        }
-                        if let Some(t) = &s.tracer {
-                            t.emit(samoa_core::TraceKind::Retransmit {
-                                site: t.site().0,
-                                to: target.0,
-                                attempts: p.attempts,
-                            });
-                        }
-                        let data = Wire::Data {
-                            seq,
-                            ctx: p.ctx,
-                            payload: p.payload.clone(),
-                        };
-                        // The first resend to a target takes its owed acks.
-                        let acks = s.owed.remove(&target).unwrap_or_default();
-                        out.push((target, datagram(Some(data), &acks)));
+                s.tx.due(now, |target, seq, attempts, (payload, ctx)| {
+                    s.retransmissions += 1;
+                    if let Some(ins) = &s.instruments {
+                        ins.retransmits.inc();
                     }
-                }
+                    if let Some(t) = &s.tracer {
+                        t.emit(samoa_core::TraceKind::Retransmit {
+                            site: t.site().0,
+                            to: target.0,
+                            attempts,
+                        });
+                    }
+                    let data = Wire::Data {
+                        seq,
+                        ctx: *ctx,
+                        payload: payload.clone(),
+                    };
+                    // The first resend to a target takes its owed acks.
+                    let acks = s.owed.remove(&target).unwrap_or_default();
+                    out.push((target, datagram(Some(data), &acks)));
+                });
                 // Whatever no data datagram took along goes out on its own,
                 // one datagram per peer.
                 for (peer, acks) in std::mem::take(&mut s.owed) {
@@ -569,7 +422,7 @@ pub fn register(
                 // neither unacknowledged messages nor the acks owed to it.
                 // (A frame it still sends afterwards is acked as before.)
                 let view = &s.view;
-                s.pending.retain(|(target, _), _| view.contains(*target));
+                s.tx.retain_peers(|target| view.contains(target));
                 s.owed.retain(|peer, _| view.contains(*peer));
             });
             Ok(())
@@ -588,31 +441,6 @@ pub fn register(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dedup_accepts_fresh_rejects_dup() {
-        let mut d = Dedup::default();
-        assert!(d.fresh(1));
-        assert!(!d.fresh(1));
-        assert!(d.fresh(3));
-        assert!(!d.fresh(3));
-        assert!(d.fresh(2));
-        assert!(!d.fresh(2));
-        // Compaction: low advanced past 3, extras drained.
-        assert_eq!(d.low, 3);
-        assert!(d.extra.is_empty());
-        assert!(!d.fresh(0));
-    }
-
-    #[test]
-    fn dedup_handles_large_gaps() {
-        let mut d = Dedup::default();
-        assert!(d.fresh(100));
-        assert_eq!(d.low, 0);
-        assert!(d.fresh(1));
-        assert_eq!(d.low, 1);
-        assert!(!d.fresh(100));
-    }
 
     #[test]
     fn ctx_hops_stays_bounded_through_recv_data() {

@@ -9,7 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use samoa_core::prelude::*;
-use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, Transport};
+use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Transport};
 
 use crate::checksum::{self, ChecksumState};
 use crate::chunker::{self, ChunkerState};
@@ -37,12 +37,16 @@ pub struct TransportConfig {
     pub mtu: usize,
     /// Sliding-window size (frames in flight per peer).
     pub window: usize,
-    /// Retransmission timeout.
+    /// Retransmission timeout (the floor of the adaptive estimate).
     pub rto: Duration,
     /// Timer period.
     pub tick_interval: Duration,
     /// Run the retransmission timer.
     pub enable_timers: bool,
+    /// The time source Window's timeouts read. Defaults to the wall clock;
+    /// with a [`ProtoClock::manual`] clock they are a function of explicit
+    /// [`ProtoClock::advance`] calls.
+    pub clock: ProtoClock,
 }
 
 impl Default for TransportConfig {
@@ -54,6 +58,7 @@ impl Default for TransportConfig {
             rto: Duration::from_millis(20),
             tick_interval: Duration::from_millis(8),
             enable_timers: true,
+            clock: ProtoClock::wall(),
         }
     }
 }
@@ -114,7 +119,10 @@ impl Endpoint {
         let ev = Events::declare(&mut b);
 
         let chunker_st = ProtocolState::new(p_chunker, ChunkerState::new(cfg.mtu));
-        let window_st = ProtocolState::new(p_window, WindowState::new(cfg.window, cfg.rto));
+        let window_st = ProtocolState::new(
+            p_window,
+            WindowState::new(cfg.window, cfg.rto, cfg.clock.clone()),
+        );
         let checksum_st = ProtocolState::new(p_checksum, ChecksumState::default());
         let delivered = ProtocolState::new(p_app, Vec::new());
 
@@ -188,9 +196,7 @@ impl Endpoint {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let decl = [node.p_window, node.p_checksum];
-                        let tick = node.ev.tick;
-                        node.spawn(&decl, tick, EventData::empty());
+                        node.inject_tick();
                     }
                 })
                 .expect("spawn timer");
@@ -222,6 +228,14 @@ impl Endpoint {
     pub fn send(&self, peer: SiteId, data: impl Into<Bytes>) {
         let decl = [self.p_chunker, self.p_window, self.p_checksum];
         self.spawn(&decl, self.ev.send_msg, EventData::new((peer, data.into())));
+    }
+
+    /// Inject one retransmission-timer tick, exactly as the timer thread
+    /// would. With `enable_timers: false` this is the only way Window
+    /// retransmits.
+    pub fn inject_tick(&self) {
+        let decl = [self.p_window, self.p_checksum];
+        self.spawn(&decl, self.ev.tick, EventData::empty());
     }
 
     /// Messages delivered to the application, in arrival order.

@@ -1,167 +1,142 @@
 //! The Window microprotocol: sliding-window ARQ.
 //!
-//! Per peer: the sender assigns sequence numbers, keeps at most
-//! `window_size` frames in flight (excess queues in a backlog), and
-//! retransmits unacknowledged frames on the timer. The receiver acks every
-//! data frame, suppresses duplicates, and releases fragments strictly in
-//! order to the Chunker above.
+//! Per peer: at most `window_size` frames are in flight (excess queues in a
+//! backlog) and unacknowledged frames are resent on the timer; the receiver
+//! acks every data frame at once, suppresses duplicates, and releases
+//! fragments strictly in order to the Chunker above. Sequence numbers, the
+//! timeout and the duplicate filter are [`samoa_net::arq`], without backoff:
+//! a window-limited sender cannot storm, so it resends at a fixed interval.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use samoa_core::prelude::*;
-use samoa_net::SiteId;
+use samoa_net::{ArqReceiver, ArqSender, ProtoClock, SiteId};
 
 use crate::events::Events;
 use crate::frames::Frame;
 
-#[derive(Default)]
-struct PeerTx {
-    next_seq: u64,
-    in_flight: BTreeMap<u64, (Frame, Instant)>,
-    backlog: VecDeque<Frame>,
+/// `frame` as it goes on the wire with sequence number `seq`.
+fn stamped(mut frame: Frame, seq: u64) -> Frame {
+    if let Frame::Data { seq: s, .. } = &mut frame {
+        *s = seq;
+    }
+    frame
 }
 
-#[derive(Default)]
-struct PeerRx {
-    expected: u64,
-    buffered: BTreeMap<u64, Frame>,
-}
+/// How many windows ahead of its in-order floor the receiver holds frames.
+/// The sender bounds how many frames are unacknowledged, not how far apart
+/// they are: while a lost frame waits out its RTO the rest of the window
+/// turns over once per round trip. Further ahead than a hole plausibly lasts
+/// is stray or hostile, and holding it all would let outside input grow the
+/// buffer without bound: dropped unacknowledged, so a sender resends it.
+const HELD_WINDOWS: u64 = 64;
 
 /// Local state of the Window microprotocol.
 pub struct WindowState {
     window_size: usize,
-    rto: Duration,
-    tx: HashMap<SiteId, PeerTx>,
-    rx: HashMap<SiteId, PeerRx>,
+    clock: ProtoClock,
+    /// In flight, as enqueued: the sequence number is stamped on the way out.
+    tx: ArqSender<Frame>,
+    backlog: HashMap<SiteId, VecDeque<Frame>>,
+    rx: ArqReceiver,
+    /// Received ahead of a gap, waiting for in-order release.
+    held: HashMap<SiteId, BTreeMap<u64, Frame>>,
     /// Frames retransmitted (diagnostics).
     pub retransmissions: u64,
     /// Duplicate data frames suppressed (diagnostics).
     pub duplicates: u64,
+    /// Data frames dropped for lying too far ahead to hold (diagnostics).
+    pub out_of_window: u64,
 }
 
 impl WindowState {
-    /// Fresh state.
-    pub fn new(window_size: usize, rto: Duration) -> Self {
+    /// Fresh state; `rto` is the retransmission timeout's floor.
+    pub fn new(window_size: usize, rto: Duration, clock: ProtoClock) -> Self {
         assert!(window_size > 0);
         WindowState {
             window_size,
-            rto,
-            tx: HashMap::new(),
-            rx: HashMap::new(),
+            clock,
+            tx: ArqSender::new(rto, 0),
+            backlog: HashMap::new(),
+            rx: ArqReceiver::default(),
+            held: HashMap::new(),
             retransmissions: 0,
             duplicates: 0,
+            out_of_window: 0,
         }
     }
 
     /// Frames currently in flight to `peer`.
     pub fn in_flight(&self, peer: SiteId) -> usize {
-        self.tx.get(&peer).map_or(0, |t| t.in_flight.len())
+        self.tx.in_flight(peer)
     }
 
     /// Frames queued behind the window to `peer`.
     pub fn backlog(&self, peer: SiteId) -> usize {
-        self.tx.get(&peer).map_or(0, |t| t.backlog.len())
+        self.backlog.get(&peer).map_or(0, |b| b.len())
     }
 
     /// Enqueue a frame for `peer`; returns the frames to transmit now
     /// (window permitting), with sequence numbers assigned.
     fn enqueue(&mut self, peer: SiteId, frame: Frame) -> Vec<Frame> {
-        let t = self.tx.entry(peer).or_default();
-        t.backlog.push_back(frame);
-        Self::drain(t, self.window_size)
+        self.backlog.entry(peer).or_default().push_back(frame);
+        self.drain(peer, self.clock.now())
     }
 
-    fn drain(t: &mut PeerTx, window: usize) -> Vec<Frame> {
+    fn drain(&mut self, peer: SiteId, now: Instant) -> Vec<Frame> {
         let mut out = Vec::new();
-        while t.in_flight.len() < window {
-            let Some(mut f) = t.backlog.pop_front() else {
+        let Some(backlog) = self.backlog.get_mut(&peer) else {
+            return out;
+        };
+        while self.tx.in_flight(peer) < self.window_size {
+            let Some(f) = backlog.pop_front() else {
                 break;
             };
-            if let Frame::Data { seq, .. } = &mut f {
-                *seq = t.next_seq;
-            }
-            t.in_flight.insert(t.next_seq, (f.clone(), Instant::now()));
-            t.next_seq += 1;
-            out.push(f);
+            let seq = self.tx.send(peer, f.clone(), now);
+            out.push(stamped(f, seq));
         }
         out
     }
 
     /// Handle an ack from `peer`; returns newly transmittable frames.
     fn on_ack(&mut self, peer: SiteId, seq: u64) -> Vec<Frame> {
-        let t = self.tx.entry(peer).or_default();
-        t.in_flight.remove(&seq);
-        Self::drain(t, self.window_size)
+        let now = self.clock.now();
+        self.tx.ack(peer, seq, now);
+        self.drain(peer, now)
     }
 
-    /// Handle a data frame from `peer`; returns `(frames released in
-    /// order, is_duplicate)`.
-    fn on_data(&mut self, peer: SiteId, frame: Frame) -> (Vec<Frame>, bool) {
+    /// Handle a data frame from `peer`; returns the frames released in
+    /// order, or `None` for a frame that is dropped and must not be
+    /// acknowledged (see [`HELD_WINDOWS`]).
+    fn on_data(&mut self, peer: SiteId, frame: Frame) -> Option<Vec<Frame>> {
         let seq = frame.seq();
-        let r = self.rx.entry(peer).or_default();
-        if seq < r.expected || r.buffered.contains_key(&seq) {
+        let ahead = seq.saturating_sub(self.rx.floor(peer));
+        if ahead > HELD_WINDOWS.saturating_mul(self.window_size as u64) {
+            self.out_of_window += 1;
+            return None;
+        }
+        if !self.rx.fresh(peer, seq) {
             self.duplicates += 1;
-            return (Vec::new(), true);
+            return Some(Vec::new());
         }
-        r.buffered.insert(seq, frame);
+        let held = self.held.entry(peer).or_default();
+        held.insert(seq, frame);
+        let floor = self.rx.floor(peer);
         let mut released = Vec::new();
-        while let Some(f) = r.buffered.remove(&r.expected) {
-            r.expected += 1;
-            released.push(f);
+        while let Some(first) = held.first_entry().filter(|e| *e.key() <= floor) {
+            released.push(first.remove());
         }
-        (released, false)
-    }
-
-    /// Test hook: enqueue a minimal data frame tagged `i`; returns the
-    /// sequence numbers transmitted now.
-    #[doc(hidden)]
-    pub fn enqueue_for_tests(&mut self, peer: SiteId, i: u64) -> Vec<u64> {
-        let f = Frame::Data {
-            msg_id: 1,
-            frag_idx: i as u32,
-            frag_total: u32::MAX,
-            seq: 0,
-            payload: bytes::Bytes::new(),
-        };
-        self.enqueue(peer, f).iter().map(|f| f.seq()).collect()
-    }
-
-    /// Test hook: ack `seq`; returns the sequence numbers transmitted now.
-    #[doc(hidden)]
-    pub fn on_ack_for_tests(&mut self, peer: SiteId, seq: u64) -> Vec<u64> {
-        self.on_ack(peer, seq).iter().map(|f| f.seq()).collect()
-    }
-
-    /// Test hook: receive a data frame with `seq`; returns the released
-    /// sequence numbers and the duplicate flag.
-    #[doc(hidden)]
-    pub fn on_data_for_tests(&mut self, peer: SiteId, seq: u64) -> (Vec<u64>, bool) {
-        let f = Frame::Data {
-            msg_id: 1,
-            frag_idx: 0,
-            frag_total: u32::MAX,
-            seq,
-            payload: bytes::Bytes::new(),
-        };
-        let (rel, dup) = self.on_data(peer, f);
-        (rel.iter().map(|f| f.seq()).collect(), dup)
+        Some(released)
     }
 
     /// Collect frames overdue for retransmission.
     fn overdue(&mut self) -> Vec<(SiteId, Frame)> {
-        let now = Instant::now();
-        let rto = self.rto;
         let mut out = Vec::new();
-        for (&peer, t) in self.tx.iter_mut() {
-            for (f, last) in t.in_flight.values_mut() {
-                if now.duration_since(*last) >= rto {
-                    *last = now;
-                    self.retransmissions += 1;
-                    out.push((peer, f.clone()));
-                }
-            }
-        }
+        self.tx.due(self.clock.now(), |peer, seq, _, f| {
+            out.push((peer, stamped(f.clone(), seq)))
+        });
+        self.retransmissions += out.len() as u64;
         out
     }
 }
@@ -212,12 +187,16 @@ pub fn register(
                     }
                 }
                 Frame::Data { seq, .. } => {
-                    // Always ack — the previous ack may have been lost.
+                    let released = state.with(ctx, |s| s.on_data(*from, frame.clone()));
+                    let Some(released) = released else {
+                        return Ok(());
+                    };
+                    // Ack duplicates too — the previous ack may have been
+                    // lost.
                     ctx.trigger(
                         events.csum_out,
                         EventData::new((*from, Frame::Ack { seq: *seq })),
                     )?;
-                    let (released, _dup) = state.with(ctx, |s| s.on_data(*from, frame.clone()));
                     for f in released {
                         ctx.trigger(events.chunk_in, EventData::new((*from, f)))?;
                     }
@@ -251,73 +230,88 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    fn data(i: u64) -> Frame {
+    const RTO: Duration = Duration::from_millis(10);
+
+    fn window(size: usize) -> (WindowState, ProtoClock) {
+        let clock = ProtoClock::manual();
+        (WindowState::new(size, RTO, clock.clone()), clock)
+    }
+
+    fn data(seq: u64) -> Frame {
         Frame::Data {
             msg_id: 1,
-            frag_idx: i as u32,
+            frag_idx: 0,
             frag_total: 10,
-            seq: 0,
-            payload: Bytes::from(vec![i as u8]),
+            seq,
+            payload: Bytes::new(),
         }
+    }
+
+    fn seqs(frames: &[Frame]) -> Vec<u64> {
+        frames.iter().map(Frame::seq).collect()
     }
 
     #[test]
     fn window_limits_in_flight() {
-        let mut w = WindowState::new(2, Duration::from_millis(10));
+        let (mut w, _) = window(2);
         let peer = SiteId(1);
         assert_eq!(w.enqueue(peer, data(0)).len(), 1);
-        assert_eq!(w.enqueue(peer, data(1)).len(), 1);
-        assert_eq!(w.enqueue(peer, data(2)).len(), 0, "window full");
+        assert_eq!(w.enqueue(peer, data(0)).len(), 1);
+        assert_eq!(w.enqueue(peer, data(0)).len(), 0, "window full");
         assert_eq!(w.in_flight(peer), 2);
         assert_eq!(w.backlog(peer), 1);
-        // Ack of seq 0 releases the backlog.
-        let out = w.on_ack(peer, 0);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].seq(), 2);
+        // The first ack releases the backlog.
+        assert_eq!(seqs(&w.on_ack(peer, 1)), [3]);
     }
 
     #[test]
     fn sequence_numbers_are_consecutive_per_peer() {
-        let mut w = WindowState::new(10, Duration::from_millis(10));
-        let out1 = w.enqueue(SiteId(1), data(0));
-        let out2 = w.enqueue(SiteId(1), data(1));
-        let other = w.enqueue(SiteId(2), data(0));
-        assert_eq!(out1[0].seq(), 0);
-        assert_eq!(out2[0].seq(), 1);
-        assert_eq!(other[0].seq(), 0, "per-peer numbering");
+        let (mut w, _) = window(10);
+        assert_eq!(seqs(&w.enqueue(SiteId(1), data(0))), [1]);
+        assert_eq!(seqs(&w.enqueue(SiteId(1), data(0))), [2]);
+        assert_eq!(seqs(&w.enqueue(SiteId(2), data(0))), [1], "per peer");
     }
 
     #[test]
     fn receiver_releases_in_order_and_dedupes() {
-        let mut w = WindowState::new(4, Duration::from_millis(10));
+        let (mut w, _) = window(4);
         let peer = SiteId(0);
-        let mk = |seq: u64| Frame::Data {
-            msg_id: 1,
-            frag_idx: seq as u32,
-            frag_total: 3,
-            seq,
-            payload: Bytes::new(),
-        };
-        let (rel, dup) = w.on_data(peer, mk(1));
-        assert!(rel.is_empty() && !dup, "out-of-order buffered");
-        let (rel, _) = w.on_data(peer, mk(0));
-        assert_eq!(rel.len(), 2, "0 then 1 released together");
-        let (rel, dup) = w.on_data(peer, mk(0));
-        assert!(rel.is_empty() && dup, "duplicate suppressed");
+        assert_eq!(w.on_data(peer, data(2)), Some(vec![]), "held");
+        assert_eq!(w.on_data(peer, data(1)), Some(vec![data(1), data(2)]));
+        assert_eq!(w.on_data(peer, data(1)), Some(vec![]), "duplicate");
         assert_eq!(w.duplicates, 1);
-        let (rel, _) = w.on_data(peer, mk(2));
-        assert_eq!(rel.len(), 1);
+        assert_eq!(w.on_data(peer, data(3)), Some(vec![data(3)]));
+    }
+
+    #[test]
+    fn a_frame_too_far_ahead_is_neither_held_nor_acked() {
+        let (mut w, _) = window(4);
+        let peer = SiteId(0);
+        let limit = HELD_WINDOWS * 4;
+        for seq in [limit + 1, limit + 1000, u64::MAX] {
+            assert_eq!(w.on_data(peer, data(seq)), None);
+        }
+        assert_eq!(w.out_of_window, 3);
+        assert!(w.held.is_empty());
+        // The limit is relative to the floor and moves with it.
+        assert_eq!(w.on_data(peer, data(limit)), Some(vec![]));
+        assert_eq!(w.on_data(peer, data(1)), Some(vec![data(1)]));
+        assert_eq!(w.on_data(peer, data(limit + 1)), Some(vec![]));
     }
 
     #[test]
     fn overdue_retransmits_and_rearms() {
-        let mut w = WindowState::new(4, Duration::from_millis(1));
+        let (mut w, clock) = window(4);
         w.enqueue(SiteId(1), data(0));
-        std::thread::sleep(Duration::from_millis(3));
-        let o = w.overdue();
-        assert_eq!(o.len(), 1);
-        assert_eq!(w.retransmissions, 1);
-        // Immediately after, nothing is overdue (timestamp refreshed).
+        clock.advance(RTO - Duration::from_nanos(1));
         assert!(w.overdue().is_empty());
+        clock.advance(Duration::from_nanos(1));
+        assert_eq!(w.overdue(), [(SiteId(1), data(1))]);
+        assert_eq!(w.retransmissions, 1);
+        // Re-armed: nothing is overdue until another RTO has passed, and
+        // then again (no backoff).
+        assert!(w.overdue().is_empty());
+        clock.advance(RTO);
+        assert_eq!(w.overdue().len(), 1);
     }
 }

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use samoa_net::{NetConfig, SiteId};
+use samoa_net::{NetConfig, ProtoClock, SiteId};
 use samoa_transport::{TransportConfig, TransportNet, TransportPolicy};
 
 fn big_message(seed: u8, len: usize) -> Bytes {
@@ -42,8 +42,8 @@ fn large_message_is_fragmented_and_reassembled() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 16;
     // The network loses nothing, so any retransmission would be a spurious
-    // timeout: an RTO of seconds keeps a scheduler hiccup from causing one.
-    cfg.rto = Duration::from_secs(30);
+    // timeout: on a clock that never advances nothing can time out.
+    cfg.clock = ProtoClock::manual();
     let net = TransportNet::new(2, NetConfig::fast(2), cfg);
     let msg = big_message(7, 10_000); // 625 fragments
     net.endpoint(0).send(SiteId(1), msg.clone());

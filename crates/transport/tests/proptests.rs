@@ -1,9 +1,8 @@
 //! Property tests for the transport substrate: frame codec totality and
-//! round-trips, window-state invariants.
+//! round-trips. (The ARQ invariants are `samoa-net`'s `tests/arq.rs`.)
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use samoa_net::SiteId;
 use samoa_transport::Frame;
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -56,71 +55,5 @@ proptest! {
     #[test]
     fn decoder_total(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
         let _ = Frame::decode(Bytes::from(bytes));
-    }
-}
-
-mod window_props {
-    use super::*;
-    use samoa_transport::window::WindowState;
-    use std::time::Duration;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Whatever arrival order the network produces, the receiver
-        /// releases exactly the sequence 0..n in order, each seq once.
-        #[test]
-        fn receiver_release_is_a_permutation_free_prefix(
-            mut order in proptest::collection::vec(0u64..20, 1..40),
-        ) {
-            order.sort_unstable();
-            order.dedup();
-            // Shuffle deterministically by reversing chunks.
-            let mut shuffled = order.clone();
-            shuffled.reverse();
-            let mut w = WindowState::new(64, Duration::from_millis(5));
-            let peer = SiteId(0);
-            let mut released: Vec<u64> = Vec::new();
-            for &seq in &shuffled {
-                let (rel, _) = w.on_data_for_tests(peer, seq);
-                released.extend(rel);
-            }
-            // Released = the contiguous prefix of 0..n present in the input.
-            let mut expected = Vec::new();
-            let mut next = 0;
-            while order.contains(&next) {
-                expected.push(next);
-                next += 1;
-            }
-            prop_assert_eq!(released, expected);
-        }
-
-        /// The sender never exceeds its window, and every enqueued frame is
-        /// eventually transmitted once all acks arrive.
-        #[test]
-        fn sender_window_invariant(n in 1usize..30, window in 1usize..8) {
-            let mut w = WindowState::new(window, Duration::from_millis(5));
-            let peer = SiteId(1);
-            let mut sent: Vec<u64> = Vec::new();
-            for i in 0..n {
-                let out = w.enqueue_for_tests(peer, i as u64);
-                prop_assert!(w.in_flight(peer) <= window);
-                sent.extend(out);
-            }
-            // Ack everything as it becomes visible.
-            let mut acked = 0;
-            while acked < sent.len() {
-                let seq = sent[acked];
-                acked += 1;
-                let out = w.on_ack_for_tests(peer, seq);
-                prop_assert!(w.in_flight(peer) <= window);
-                sent.extend(out);
-            }
-            prop_assert_eq!(sent.len(), n, "not all frames transmitted");
-            // Sequence numbers are exactly 0..n.
-            let mut s = sent.clone();
-            s.sort_unstable();
-            prop_assert_eq!(s, (0..n as u64).collect::<Vec<_>>());
-        }
     }
 }
