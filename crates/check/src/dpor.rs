@@ -222,7 +222,7 @@ impl DporSearch {
     }
 
     /// Fallback candidates suppressed by static independence — the
-    /// numerator of the *pruned ratio* the benchmarks report.
+    /// numerator of the *pruned ratio* (`Sweep::backtrack_pruned`).
     pub fn fallback_pruned(&self) -> usize {
         self.fallback_pruned
     }

@@ -196,7 +196,7 @@ pub struct Sweep {
     pub backtrack_candidates: usize,
     /// Under [`Strategy::Dpor`]: of those, threads suppressed by the
     /// scenario's [`StaticIndependence`] relation. The quotient is the
-    /// *pruned ratio* the benchmarks report.
+    /// *pruned ratio* `tests/conformance.rs` bounds.
     pub backtrack_pruned: usize,
 }
 

@@ -432,7 +432,7 @@
 //! site* picture. `samoa-proto` adds three pieces, all following the same
 //! pay-nothing-when-off discipline (with neither a sink nor a registry
 //! installed, every instrumentation site is a single `Option` branch —
-//! pinned by `crates/bench/tests/no_sink_guard.rs`):
+//! pinned by the `no_sink_guard` and `no_registry_guard` test binaries):
 //!
 //! * **Causal trace propagation.** Every wire message carries a compact
 //!   causal context — originating site, per-site operation id, hop count —

@@ -7,8 +7,8 @@
 //! allocation, no atomic, no lock. The process-global [`instruments_touched`]
 //! counter (incremented on every instrument mutation, mirroring
 //! [`events_emitted`]) lets a guard test *prove* that claim:
-//! `crates/bench/tests/no_sink_guard.rs` runs a full workload with no
-//! registry and asserts the counter stayed at zero.
+//! `crates/proto/tests/no_registry_guard.rs` runs a full cluster workload
+//! with no registry and asserts the counter stayed at zero.
 //!
 //! Instruments are name-addressed and get-or-create, so independent
 //! components converge on the same instrument by naming convention

@@ -21,7 +21,7 @@
 //!   single-threaded. This is exactly why the paper's group-communication
 //!   stack uses the versioning family.
 //!
-//! Experiment E9 benches the two families against each other: optimistic
+//! Experiment E9 compares the two families against each other: optimistic
 //! wins when conflicts are rare (no blocking at all), versioning wins under
 //! contention (no wasted re-execution).
 

@@ -25,9 +25,9 @@ use crate::graph::RouteState;
 use crate::protocol::ProtocolId;
 use crate::version::ParkSeam;
 
-/// The concurrency-control algorithm a computation (or a whole experiment)
-/// runs under. Mainly a label for benches and tables; the runtime picks the
-/// algorithm per `isolated*` call.
+/// The concurrency-control algorithm a computation runs under, as a value:
+/// what the static conflict analysis is parameterised by ([`Policy::cell`])
+/// and a label; the runtime picks the algorithm per `isolated*` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Appia baseline: fully serial computations.
@@ -45,7 +45,7 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// All policies, in the order the experiment tables print them.
+    /// All policies: baselines, the 2PL comparator, then the paper's three.
     pub const ALL: [Policy; 6] = [
         Policy::Unsync,
         Policy::Serial,

@@ -72,7 +72,7 @@ impl Default for RuntimeConfig {
 
 impl RuntimeConfig {
     /// A config with history recording enabled — what the isolation tests
-    /// and experiment tables use.
+    /// and `samoa-check`'s scenarios run under.
     pub fn recording() -> Self {
         RuntimeConfig {
             record_history: true,
@@ -92,8 +92,8 @@ impl RuntimeConfig {
 /// Declaration of a computation: which concurrency-control algorithm it runs
 /// under and what it declares a priori (paper §4).
 ///
-/// A uniform entry point for benches; protocol code usually calls the typed
-/// conveniences ([`Runtime::isolated`], [`Runtime::isolated_bound`], …).
+/// The uniform entry point for callers that choose the algorithm at run
+/// time; protocol code usually calls the typed conveniences ([`Runtime::isolated`], [`Runtime::isolated_bound`], …).
 #[derive(Debug, Clone)]
 pub enum Decl<'a> {
     /// `isolated M e` — VCAbasic over the microprotocols in `M`.

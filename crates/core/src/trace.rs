@@ -29,7 +29,7 @@
 //! well-predicted branch**: event construction — including the
 //! `Instant::now()` timestamp — happens inside the `if let Some(..)`, so
 //! the no-sink hot path does no clock reads, no allocation, and no atomic
-//! traffic. The `no_sink_guard` test in `crates/bench` asserts this by
+//! traffic. `crates/core/tests/no_sink_guard.rs` asserts this by
 //! checking the process-global [`events_emitted`] counter stays flat across
 //! an untraced workload.
 //!
@@ -330,8 +330,8 @@ pub trait TraceSink: Send + Sync {
 /// Process-global count of trace events ever emitted (any runtime, any
 /// sink). Instrumentation sites increment it *inside* the sink branch, so a
 /// workload on an untraced runtime leaves it untouched — the
-/// `no_sink_guard` test in `crates/bench` pins the one-branch cost model to
-/// this counter.
+/// `no_sink_guard` test in `crates/core/tests` pins the one-branch cost
+/// model to this counter.
 pub fn events_emitted() -> u64 {
     EMITTED.load(Ordering::Relaxed)
 }
@@ -995,8 +995,8 @@ impl ContentionProfile {
 
 /// Percentile of a sorted nanosecond series, in microseconds (nearest-rank).
 ///
-/// Shared by [`ContentionProfile`] and external latency harnesses (the bench
-/// crate's cluster fleet driver) so every reported pNN uses one definition.
+/// Public so that a latency harness outside this crate can report its pNN
+/// with the definition [`ContentionProfile`] uses.
 /// The input must already be sorted ascending; an empty series yields `0.0`.
 pub fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
     if sorted_ns.is_empty() {
@@ -1352,8 +1352,7 @@ pub fn render_summary(events: &[TraceEvent], stack: &Stack) -> String {
     out
 }
 
-/// Quote and escape a JSON string (local copy; core does not depend on the
-/// bench crate's report module).
+/// Quote and escape a JSON string.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

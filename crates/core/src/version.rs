@@ -105,7 +105,7 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 // ---- the parking seam ----
 //
 // Process-global counters over every park/wake on every seam, mirroring
-// `trace::events_emitted()`: `crates/bench/tests/fast_path_guard.rs` pins
+// `trace::events_emitted()`: `crates/core/tests/fast_path_guard.rs` pins
 // the fast-path claim ("zero parking, zero syscalls when uncontended") on
 // their deltas staying zero across full uncontended workloads.
 
@@ -527,7 +527,7 @@ mod tests {
     /// itself holds the park mutex, which it could not if it took it. (That
     /// it then leaves the process-wide `park_notifies()` alone is pinned
     /// where the counter can be watched in isolation, for all three seam
-    /// users: `crates/bench/tests/fast_path_guard.rs`.)
+    /// users: `crates/core/tests/fast_path_guard.rs`.)
     #[test]
     fn wake_without_a_waiter_takes_no_lock() {
         let seam = Arc::new(ParkSeam::<()>::default());
@@ -739,7 +739,7 @@ mod tests {
     }
 
     // The "uncontended traffic never parks" claim is pinned by
-    // `crates/bench/tests/fast_path_guard.rs`, which owns its whole test
+    // `crates/core/tests/fast_path_guard.rs`, which owns its whole test
     // binary — the parking counters are process-global, and sibling unit
     // tests here park deliberately.
 

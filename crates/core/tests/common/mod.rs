@@ -107,3 +107,59 @@ pub fn wait_flag(flag: &AtomicBool, timeout: Duration) -> bool {
 pub fn flag() -> Arc<AtomicBool> {
     Arc::new(AtomicBool::new(false))
 }
+
+/// A chain of no-op stages, one microprotocol each: stage `i`'s handler
+/// bumps its counter and *asynchronously* triggers stage `i + 1`, so a
+/// finished stage is releasable under `VCAbound`/`VCAroute` (Rule 4).
+pub struct ChainStack {
+    pub rt: Runtime,
+    pub protocols: Vec<ProtocolId>,
+    pub handlers: Vec<HandlerId>,
+    /// The entry event (stage 0).
+    pub entry: EventType,
+}
+
+/// Build a chain of `stages` stages, traced into `sink` if there is one.
+pub fn chain_stack(stages: usize, sink: Option<Arc<dyn TraceSink>>) -> ChainStack {
+    let mut b = StackBuilder::new();
+    let protocols: Vec<ProtocolId> = (0..stages).map(|i| b.protocol(&format!("S{i}"))).collect();
+    let events: Vec<EventType> = (0..stages).map(|i| b.event(&format!("Stage{i}"))).collect();
+    let mut handlers = Vec::new();
+    for i in 0..stages {
+        let visits = ProtocolState::new(protocols[i], 0u64);
+        let next = events.get(i + 1).copied();
+        handlers.push(b.bind(
+            events[i],
+            protocols[i],
+            &format!("stage{i}"),
+            move |ctx, ev| {
+                visits.with(ctx, |v| *v += 1);
+                if let Some(next) = next {
+                    ctx.async_trigger(next, ev.clone())?;
+                }
+                Ok(())
+            },
+        ));
+    }
+    let stack = b.build();
+    ChainStack {
+        rt: match sink {
+            Some(s) => Runtime::with_trace(stack, RuntimeConfig::default(), s),
+            None => Runtime::new(stack),
+        },
+        protocols,
+        handlers,
+        entry: events[0],
+    }
+}
+
+impl ChainStack {
+    /// The chain routing pattern (stage 0 as root).
+    pub fn route_pattern(&self) -> RoutePattern {
+        let mut pat = RoutePattern::new().root(self.handlers[0]);
+        for w in self.handlers.windows(2) {
+            pat = pat.edge(w[0], w[1]);
+        }
+        pat
+    }
+}

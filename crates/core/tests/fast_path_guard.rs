@@ -15,13 +15,15 @@
 //! Each file under `tests/` is its own process, so sibling test binaries
 //! (which do park) cannot perturb these counters.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use samoa_bench::synth::{pipeline_stack, WorkKind};
+use common::chain_stack;
 use samoa_core::version::{gate_spins, park_notifies, parks};
 use samoa_core::{Ctx, Decl, EventData, ProtocolState, Result, Runtime, StackBuilder};
 
@@ -92,7 +94,7 @@ fn uncontended_admission_never_parks_contended_admission_does() {
     // zero Rule-1 gate spins.
     let (rt, protocols, events) = noop_stack(3);
     let bounds: Vec<(samoa_core::ProtocolId, u64)> = protocols.iter().map(|&p| (p, 1)).collect();
-    let route_stack = pipeline_stack(3, Duration::ZERO, WorkKind::Cpu);
+    let route_stack = chain_stack(3, None);
     let pattern = route_stack.route_pattern();
 
     let (p0, n0, g0) = (parks(), park_notifies(), gate_spins());

@@ -193,11 +193,6 @@ pub struct NodeConfig {
     /// Artificial delay in RelComm's `view_change` handler (experiment E5's
     /// race-window widener; zero in normal operation).
     pub view_change_delay: Duration,
-    /// Ablation knob (experiment E8): declare *every* microprotocol for
-    /// every external event instead of the event-kind-specific tight sets.
-    /// The paper notes that `M` "could be inferred statically" — this knob
-    /// measures what that inference buys.
-    pub declare_all: bool,
     /// The time source the stack's timeout logic (failure detector,
     /// RelComm retransmission) reads. Defaults to the wall clock; a
     /// [`ProtoClock::manual`] clock shared across a cluster makes every
@@ -224,7 +219,6 @@ impl Default for NodeConfig {
             initial_members: None,
             record_history: false,
             view_change_delay: Duration::ZERO,
-            declare_all: false,
             clock: ProtoClock::wall(),
             ab_order_enabled: true,
         }
@@ -748,12 +742,6 @@ impl Node {
             ExtKind::RetrTick => (&d.relcomm_only, &d.bounds_relcomm, &d.routes.retr),
             ExtKind::Beat => (&d.fd_only, &d.bounds_fd, &d.routes.beat),
             ExtKind::FdTick => (&d.all, &d.bounds_all, &d.routes.fd_tick),
-        };
-        // E8 ablation: coarse declarations serialise unrelated event kinds.
-        let (basic, bound) = if self.cfg.declare_all {
-            (&d.all[..], &d.bounds_all[..])
-        } else {
-            (basic, bound)
         };
         // The slot rides the computation's root job (not just the body):
         // it is released only when the job ends, so the gate counts every

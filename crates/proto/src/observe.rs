@@ -3,8 +3,9 @@
 //!
 //! Both follow the core one-branch discipline: protocol states hold these as
 //! `Option<...>`; with nothing installed the hot path pays a single
-//! never-taken branch, pinned by `crates/bench/tests/no_sink_guard.rs`
-//! (via [`samoa_core::trace::events_emitted`] and
+//! never-taken branch, pinned by `crates/core/tests/no_sink_guard.rs`
+//! (via [`samoa_core::trace::events_emitted`]) and
+//! `crates/proto/tests/no_registry_guard.rs` (via
 //! [`samoa_core::metrics::instruments_touched`]).
 
 use std::sync::Arc;

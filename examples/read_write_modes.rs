@@ -17,14 +17,14 @@ use samoa::prelude::*;
 const LOOKUPS: usize = 24;
 const LOOKUP_COST: Duration = Duration::from_millis(2);
 
-struct Table {
+struct RoutingStack {
     rt: Runtime,
     table: ProtocolId,
     lookup: EventType,
     update: EventType,
 }
 
-fn build() -> Table {
+fn build() -> RoutingStack {
     let mut b = StackBuilder::new();
     let table = b.protocol("RoutingTable");
     let lookup = b.event("Lookup");
@@ -48,7 +48,7 @@ fn build() -> Table {
             Ok(())
         });
     }
-    Table {
+    RoutingStack {
         rt: Runtime::with_config(b.build(), RuntimeConfig::recording()),
         table,
         lookup,

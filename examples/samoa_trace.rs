@@ -24,8 +24,11 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "../tests/common/mod.rs"]
+mod common; // the staggered-pipeline fixture `tests/trace.rs` asserts on
+
+use common::{pipeline_stack, run_pipeline};
 use samoa::prelude::*;
-use samoa_bench::synth::{pipeline_stack_with_sink, run_pipeline_staggered, BenchPolicy, WorkKind};
 use samoa_core::ChromeTrace;
 
 const STAGES: usize = 4;
@@ -36,18 +39,18 @@ const STAGGER: Duration = Duration::from_millis(6);
 const SITES: usize = 3;
 const MSGS: usize = 6;
 
-fn trace_pipeline(policy: BenchPolicy, pid: u32, chrome: &mut ChromeTrace) {
+fn trace_pipeline(policy: Policy, pid: u32, chrome: &mut ChromeTrace) {
     let sink = TraceBuffer::new();
-    let stack = pipeline_stack_with_sink(STAGES, STAGE_WORK, WorkKind::Io, sink.clone());
-    run_pipeline_staggered(&stack, COMPS, policy, STAGGER);
+    let stack = pipeline_stack(STAGES, STAGE_WORK, Some(sink.clone()));
+    run_pipeline(&stack, COMPS, policy, 1, STAGGER);
     let events = sink.drain();
     let profile = ContentionProfile::from_events(&events, stack.rt.stack());
-    println!("--- pipeline under {} ---", policy.label());
+    println!("--- pipeline under {policy} ---");
     print!("{}", profile.render());
     println!("stats: {}\n", stack.rt.stats());
     chrome.add_process(
         pid,
-        &format!("pipeline/{}", policy.label()),
+        &format!("pipeline/{policy}"),
         &events,
         stack.rt.stack(),
     );
@@ -115,9 +118,9 @@ fn main() {
         "{COMPS} computations through a {STAGES}-stage pipeline ({STAGE_WORK:?} per stage, \
          spawned every {STAGGER:?}), traced under each versioning algorithm\n"
     );
-    trace_pipeline(BenchPolicy::Basic, 1, &mut chrome);
-    trace_pipeline(BenchPolicy::Bound, 2, &mut chrome);
-    trace_pipeline(BenchPolicy::Route, 3, &mut chrome);
+    trace_pipeline(Policy::VcaBasic, 1, &mut chrome);
+    trace_pipeline(Policy::VcaBound, 2, &mut chrome);
+    trace_pipeline(Policy::VcaRoute, 3, &mut chrome);
 
     println!("{SITES}-site atomic broadcast, {MSGS} messages, traced per site under each policy\n");
     trace_cluster(StackPolicy::Basic, 10, &mut chrome);

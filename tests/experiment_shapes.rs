@@ -3,13 +3,25 @@
 //! qualitative boundaries fall. Absolute numbers vary with the machine;
 //! these assertions use generous margins.
 
+mod common;
+
 use std::time::Duration;
 
-use samoa_bench::gc::{abcast_run, view_race_run};
-use samoa_bench::synth::{
-    flat_stack, flat_workload, pipeline_stack, run_flat, run_pipeline, BenchPolicy, WorkKind,
+use common::{
+    abcast_run, flat_stack, flat_workload, pipeline_stack, run_flat, run_pipeline, total_visits,
+    view_race_run,
 };
-use samoa_proto::StackPolicy;
+use samoa::prelude::*;
+
+/// Wall time of the seeded 24-computation workload on a fresh flat stack of
+/// `n` microprotocols with 1 ms I/O-style handlers under `policy`; every
+/// visit must have executed.
+fn flat_wall(n: usize, seed: u64, policy: Policy) -> Duration {
+    let stack = flat_stack(n, Duration::from_millis(1));
+    let wall = run_flat(&stack, &flat_workload(n, 24, seed), policy, 4);
+    assert_eq!(total_visits(&stack.counters), 24, "{policy} lost visits");
+    wall
+}
 
 /// E2: every isolating policy delivers all messages with agreement, and the
 /// versioning overhead stays within a small factor of unsync.
@@ -36,16 +48,8 @@ fn e2_shape_agreement_and_bounded_overhead() {
 /// beats the Appia-style serial baseline clearly.
 #[test]
 fn e3_shape_versioning_beats_serial_on_coarse_grain() {
-    let work = Duration::from_millis(1);
-    let wl = flat_workload(8, 24, 1, 0.0, 3);
-    let serial = {
-        let stack = flat_stack(8, work, WorkKind::Io);
-        run_flat(&stack, &wl, BenchPolicy::Serial, 4)
-    };
-    let basic = {
-        let stack = flat_stack(8, work, WorkKind::Io);
-        run_flat(&stack, &wl, BenchPolicy::Basic, 4)
-    };
+    let serial = flat_wall(8, 3, Policy::Serial);
+    let basic = flat_wall(8, 3, Policy::VcaBasic);
     assert!(
         basic.as_secs_f64() * 1.5 < serial.as_secs_f64(),
         "expected ≥1.5x: serial {serial:?}, basic {basic:?}"
@@ -59,17 +63,18 @@ fn e3_shape_versioning_beats_serial_on_coarse_grain() {
 #[test]
 fn e4_shape_bound_and_route_pipeline() {
     let stages = 4;
-    let early_releases = |policy: BenchPolicy| {
-        let stack = pipeline_stack(stages, Duration::from_millis(1), WorkKind::Io);
-        run_pipeline(&stack, 12, policy, 2);
+    let early_releases = |policy: Policy| {
+        let stack = pipeline_stack(stages, Duration::from_millis(1), None);
+        run_pipeline(&stack, 12, policy, 2, Duration::ZERO);
         let s = stack.rt.stats();
         assert_eq!(s.computations_completed, 12, "{policy:?}");
+        assert_eq!(total_visits(&stack.counters), 12 * stages as u64);
         (s.bound_releases, s.route_releases)
     };
-    assert_eq!(early_releases(BenchPolicy::Basic), (0, 0));
-    let (bound, route) = early_releases(BenchPolicy::Bound);
+    assert_eq!(early_releases(Policy::VcaBasic), (0, 0));
+    let (bound, route) = early_releases(Policy::VcaBound);
     assert!(bound > 0 && route == 0, "bound: {bound} / {route}");
-    let (bound, route) = early_releases(BenchPolicy::Route);
+    let (bound, route) = early_releases(Policy::VcaRoute);
     assert!(route > 0 && bound == 0, "route: {bound} / {route}");
 }
 
@@ -79,7 +84,7 @@ fn e4_shape_bound_and_route_pipeline() {
 fn e5_shape_race_only_without_isolation() {
     let mut unsync_races = 0u64;
     for seed in 0..5 {
-        unsync_races += view_race_run(StackPolicy::Unsync, seed, 6).stale_discards;
+        unsync_races += view_race_run(StackPolicy::Unsync, seed, 6);
     }
     assert!(
         unsync_races > 0,
@@ -87,9 +92,9 @@ fn e5_shape_race_only_without_isolation() {
     );
     for policy in [StackPolicy::Basic, StackPolicy::Serial] {
         for seed in 0..3 {
-            let o = view_race_run(policy, seed, 6);
             assert_eq!(
-                o.stale_discards, 0,
+                view_race_run(policy, seed, 6),
+                0,
                 "{policy:?} exhibited the race (seed {seed})"
             );
         }
@@ -100,15 +105,9 @@ fn e5_shape_race_only_without_isolation() {
 /// factor) while serial pays the full sum of work.
 #[test]
 fn e6_shape_versioning_approaches_unsync_without_conflicts() {
-    let work = Duration::from_millis(1);
-    let wl = flat_workload(16, 24, 1, 0.0, 9);
-    let run = |p: BenchPolicy| {
-        let stack = flat_stack(16, work, WorkKind::Io);
-        run_flat(&stack, &wl, p, 4)
-    };
-    let unsync = run(BenchPolicy::Unsync);
-    let basic = run(BenchPolicy::Basic);
-    let serial = run(BenchPolicy::Serial);
+    let unsync = flat_wall(16, 9, Policy::Unsync);
+    let basic = flat_wall(16, 9, Policy::VcaBasic);
+    let serial = flat_wall(16, 9, Policy::Serial);
     assert!(
         basic.as_secs_f64() < unsync.as_secs_f64() * 6.0 + 0.05,
         "basic too far from unsync: {basic:?} vs {unsync:?}"
@@ -119,20 +118,37 @@ fn e6_shape_versioning_approaches_unsync_without_conflicts() {
     );
 }
 
-/// E12-metrics shape: a metered fleet commits the same workload as an
+/// E12-metrics shape: a metered cluster commits the same workload as an
 /// unmetered one, snapshots a health report accounting for every apply,
 /// and the unmetered run reports no health at all.
 #[test]
 fn e12_metrics_shape_metered_fleet_health_accounts_for_all_applies() {
-    use samoa_bench::cluster::{kv_fleet_run, Backend, FleetConfig};
+    use samoa_proto::Observe;
 
-    let cfg = FleetConfig::new(Backend::Sim, 3, 2, 4, StackPolicy::Basic);
-    let plain = kv_fleet_run(&cfg);
-    let metered = kv_fleet_run(&cfg.clone().metered());
-    assert!(plain.health.is_none(), "unmetered run grew a registry");
-    assert_eq!(plain.committed, metered.committed);
-    assert!(metered.converged, "metered fleet diverged");
-    let health = metered.health.expect("metered fleet must snapshot health");
+    let run = |observe: Option<Observe>| {
+        let (net, cfg) = (NetConfig::fast(42), NodeConfig::default());
+        let c = match observe {
+            Some(o) => Cluster::new_observed(3, net, cfg, o),
+            None => Cluster::new(3, net, cfg),
+        };
+        let puts: Vec<_> = (0..8)
+            .map(|i| c.node(i % 3).kv_put(format!("key-{i}"), format!("v{i}")))
+            .collect();
+        let committed = puts
+            .into_iter()
+            .filter_map(|p| p.wait(Duration::from_secs(10)))
+            .count();
+        c.settle();
+        let converged = (1..3).all(|i| c.node(i).kv_digest() == c.node(0).kv_digest());
+        (committed, converged, c.metrics())
+    };
+    let (plain_committed, _, plain_health) = run(None);
+    let registry = std::sync::Arc::new(samoa_core::Registry::new());
+    let (committed, converged, health) = run(Some(Observe::metered(registry)));
+    assert!(plain_health.is_none(), "unmetered run grew a registry");
+    assert_eq!(plain_committed, committed);
+    assert!(converged, "metered fleet diverged");
+    let health = health.expect("metered fleet must snapshot health");
     for site in 0..3 {
         assert_eq!(
             health
@@ -143,9 +159,16 @@ fn e12_metrics_shape_metered_fleet_health_accounts_for_all_applies() {
             Some(8),
             "site {site} apply counter wrong"
         );
+        let delivered = health
+            .metrics
+            .counters
+            .get(&format!("site{site}.abcast.delivered"));
+        assert!(delivered.is_some_and(|&d| d > 0), "site {site}: {health:?}");
     }
-    // Transport counters ride along under the canonical names.
+    // Transport counters ride along under the canonical names, in both
+    // renderings.
     assert!(health.to_json().contains("\"delivered\""));
+    assert!(health.render().contains("site0.net:"));
 }
 
 /// E13 shape: across a seed sweep, trace-guided PCT needs no more

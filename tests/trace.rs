@@ -4,10 +4,12 @@
 //! the exported Chrome `trace_event` JSON must round-trip through
 //! `serde_json`.
 
+mod common;
+
 use std::time::Duration;
 
+use common::{pipeline_stack, run_pipeline};
 use samoa::prelude::*;
-use samoa_bench::synth::{pipeline_stack_with_sink, run_pipeline_staggered, BenchPolicy, WorkKind};
 use samoa_core::ChromeTrace;
 
 const STAGES: usize = 4;
@@ -20,17 +22,17 @@ const STAGGER: Duration = Duration::from_millis(6);
 /// `STAGES × STAGE_WORK`, so the basic construct (which holds stage 0 until
 /// Rule 3) blocks every later spawn, while route (which releases stage 0
 /// after one visit, well inside the stagger window) admits them instantly.
-fn traced_run(policy: BenchPolicy) -> (Vec<TraceEvent>, Stack) {
+fn traced_run(policy: Policy) -> (Vec<TraceEvent>, Stack) {
     let sink = TraceBuffer::new();
-    let stack = pipeline_stack_with_sink(STAGES, STAGE_WORK, WorkKind::Io, sink.clone());
-    run_pipeline_staggered(&stack, COMPS, policy, STAGGER);
+    let stack = pipeline_stack(STAGES, STAGE_WORK, Some(sink.clone()));
+    run_pipeline(&stack, COMPS, policy, 1, STAGGER);
     (sink.drain(), stack.rt.stack().clone())
 }
 
 #[test]
 fn basic_blocks_where_route_releases_and_chrome_json_round_trips() {
-    let (basic_events, stack) = traced_run(BenchPolicy::Basic);
-    let (route_events, _) = traced_run(BenchPolicy::Route);
+    let (basic_events, stack) = traced_run(Policy::VcaBasic);
+    let (route_events, _) = traced_run(Policy::VcaRoute);
 
     let basic = ContentionProfile::from_events(&basic_events, &stack);
     let route = ContentionProfile::from_events(&route_events, &stack);
@@ -101,8 +103,8 @@ fn basic_blocks_where_route_releases_and_chrome_json_round_trips() {
 #[test]
 fn waiters_snapshot_is_empty_after_quiescence() {
     let sink = TraceBuffer::new();
-    let stack = pipeline_stack_with_sink(STAGES, Duration::ZERO, WorkKind::Cpu, sink.clone());
-    run_pipeline_staggered(&stack, 4, BenchPolicy::Basic, Duration::ZERO);
+    let stack = pipeline_stack(STAGES, Duration::ZERO, Some(sink));
+    run_pipeline(&stack, 4, Policy::VcaBasic, 1, Duration::ZERO);
     let g = stack.rt.waiters();
     assert!(g.is_empty());
     assert!(!g.has_cycle());
