@@ -12,6 +12,12 @@
 //! * **drop** or **duplicate** an in-flight datagram (gated by the
 //!   [`FaultBudget`]),
 //! * **crash** a site (budget-gated),
+//! * **suspect** — advance virtual time past the failure-detector timeout
+//!   and inject one FD tick into a live site, which then suspects every
+//!   peer it has not heard from (budget-gated; ◇S permits false suspicion
+//!   at any time, so the move is always legal). This is the only way an
+//!   instance leaves round 0: the suspecting site restarts consensus in a
+//!   later round, whose read phase must find what round 0 may have chosen,
 //! * **partition** the network / **heal** it (budget-gated),
 //! * **tick** — let the acks RelComm has deferred land, then advance
 //!   virtual time past the retransmission timeout and inject a retransmit
@@ -48,6 +54,9 @@ use crate::scenarios::{RunReport, Scenario};
 /// live far above real registration indices, so they never collide with
 /// the controller's thread ids.
 const CRASH_BASE: u32 = 1024;
+/// Pseudo-thread id of "site `k`'s failure detector ticks after a silence"
+/// (`SUSPECT_BASE + k`).
+const SUSPECT_BASE: u32 = 1280;
 /// Pseudo-thread id of the partition move.
 const PARTITION_ID: u32 = 1536;
 /// Pseudo-thread id of the heal move.
@@ -74,6 +83,11 @@ pub struct FaultBudget {
     /// Network partitions (the split is site 0 versus the rest; each
     /// partition move enables one budget-free heal move).
     pub partitions: u32,
+    /// Failure-detector ticks after a silence longer than `fd_timeout`, on
+    /// one live site each: that site suspects every peer it has not heard
+    /// from, rightly or not, and its heartbeats go out as ordinary
+    /// datagrams.
+    pub suspicions: u32,
 }
 
 impl FaultBudget {
@@ -94,7 +108,7 @@ impl FaultBudget {
 
     /// Total tokens across all fault kinds.
     pub fn total(&self) -> u32 {
-        self.crashes + self.drops + self.duplicates + self.partitions
+        self.crashes + self.drops + self.duplicates + self.partitions + self.suspicions
     }
 }
 
@@ -224,6 +238,20 @@ impl ClusterScenario {
                     alts.push(ExternalChoice::new(
                         CRASH_BASE + i as u32,
                         vec![SchedResource::NetSite(i as u16), SchedResource::FaultBudget],
+                    ));
+                }
+            }
+        }
+        if budget.suspicions > 0 {
+            for (i, c) in crashed.iter().enumerate() {
+                if !*c {
+                    alts.push(ExternalChoice::new(
+                        SUSPECT_BASE + i as u32,
+                        vec![
+                            SchedResource::NetSite(i as u16),
+                            SchedResource::TimeWheel,
+                            SchedResource::FaultBudget,
+                        ],
                     ));
                 }
             }
@@ -415,6 +443,11 @@ impl Scenario for ClusterScenario {
                     h.crash(SiteId(site as u16));
                     crashed[site] = true;
                     budget.crashes -= 1;
+                }
+                id if (SUSPECT_BASE..SUSPECT_BASE + n as u32).contains(&id) => {
+                    clock.advance(cfg.fd_timeout + cfg.tick_interval);
+                    nodes[(id - SUSPECT_BASE) as usize].inject_fd_tick();
+                    budget.suspicions -= 1;
                 }
                 id => {
                     let seq = ((id - MSG_BASE) / 4) as u64;

@@ -4,6 +4,8 @@
 //! * The bounded DPOR sweep of a hooked 3-site cluster with a fault budget
 //!   of one crash + one drop is **deterministic**: two runs produce
 //!   identical schedule counts and failure signatures.
+//! * So is the sweep with one crash + one suspicion, the budget under which
+//!   consensus instances leave round 0.
 //! * The injected ordering bug ([`ClusterScenario::with_ab_order_bug`])
 //!   yields a minimised cluster-level witness that replays
 //!   deterministically — byte-identical choices on a re-exploration and
@@ -16,11 +18,11 @@ fn scenario(budget: FaultBudget) -> ClusterScenario {
     ClusterScenario::new(3, StackPolicy::Basic, 7, budget)
 }
 
-#[test]
-fn dpor_sweep_with_crash_and_drop_budget_is_deterministic() {
-    let cfg = ExplorerConfig::new(12, Strategy::Dpor);
-    let a = Explorer::sweep(&scenario(FaultBudget::crash_and_drop()), &cfg);
-    let b = Explorer::sweep(&scenario(FaultBudget::crash_and_drop()), &cfg);
+/// Two bounded sweeps under `budget` agree with each other and the healthy
+/// stack survives every schedule × fault mix they explore.
+fn assert_sweep_deterministic_and_clean(budget: FaultBudget, cfg: ExplorerConfig) {
+    let a = Explorer::sweep(&scenario(budget), &cfg);
+    let b = Explorer::sweep(&scenario(budget), &cfg);
     assert_eq!(a.schedules_run, b.schedules_run);
     assert!(a.schedules_run > 1, "the budgeted space must branch");
     let sigs = |s: &samoa_check::Sweep| {
@@ -30,8 +32,34 @@ fn dpor_sweep_with_crash_and_drop_budget_is_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(sigs(&a), sigs(&b));
-    // The healthy stack survives every explored schedule and fault mix.
     assert_eq!(sigs(&a), Vec::<String>::new());
+}
+
+#[test]
+fn dpor_sweep_with_crash_and_drop_budget_is_deterministic() {
+    assert_sweep_deterministic_and_clean(
+        FaultBudget::crash_and_drop(),
+        ExplorerConfig::new(12, Strategy::Dpor),
+    );
+}
+
+/// A suspicion restarts consensus in a round ≥ 1, whose read phase has to
+/// find whatever round 0's coordinator proposed without one — alone, or
+/// after that coordinator (or anyone else) crashed. DPOR's bounded prefix
+/// spends both tokens before the first delivery; the random walk is the leg
+/// that suspects *after* a site adopted a round-0 proposal.
+#[test]
+fn sweeps_with_crash_and_suspicion_budget_are_deterministic() {
+    let budget = FaultBudget {
+        crashes: 1,
+        suspicions: 1,
+        ..FaultBudget::default()
+    };
+    assert_sweep_deterministic_and_clean(budget, ExplorerConfig::new(12, Strategy::Dpor));
+    assert_sweep_deterministic_and_clean(
+        budget,
+        ExplorerConfig::new(64, Strategy::Random { seed: 5 }),
+    );
 }
 
 /// Pinned cluster-witness regression: a fixed seed *and* a fault budget.

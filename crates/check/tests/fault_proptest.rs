@@ -31,14 +31,19 @@ fn run_once(
 }
 
 fn budget_for(pick: u8) -> FaultBudget {
-    match pick % 3 {
+    match pick % 4 {
         0 => FaultBudget::none(),
         1 => FaultBudget::crash_and_drop(),
-        _ => FaultBudget {
-            crashes: 0,
+        2 => FaultBudget {
             drops: 1,
             duplicates: 1,
             partitions: 1,
+            ..FaultBudget::default()
+        },
+        _ => FaultBudget {
+            crashes: 1,
+            suspicions: 1,
+            ..FaultBudget::default()
         },
     }
 }
@@ -52,7 +57,7 @@ proptest! {
     #[test]
     fn fault_schedule_replay_is_deterministic(
         seed in 0u64..10_000,
-        pick in 0u8..3,
+        pick in 0u8..4,
         bug in any::<bool>(),
     ) {
         let mut scenario = ClusterScenario::new(3, StackPolicy::Basic, 7, budget_for(pick));

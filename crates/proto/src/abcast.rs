@@ -8,6 +8,12 @@
 //! (`CastData::Decide`), are buffered per instance, and are delivered in
 //! instance order — messages within a batch in `uid` order — yielding the
 //! same total order at every site.
+//!
+//! A joiner is sent the ordering state by every incumbent: the next
+//! instance, the delivered uids, and the incumbent's `pending` requests —
+//! they were cast before the joiner was a member, RelCast will not bring
+//! them, and if the joiner sorts first in the view it is the one site that
+//! proposes in round 0 (see `consensus.rs`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -166,25 +172,31 @@ impl AbcastState {
         SyncMsg {
             next_inst: self.next_inst,
             delivered,
+            pending: self.pending.values().cloned().collect(),
             view_id: self.view.id,
             members: self.view.members().to_vec(),
         }
     }
 
     /// Adopt a state-transfer snapshot if it is ahead of us; returns true
-    /// when adopted.
+    /// when adopted. Its pending requests are taken either way: incumbents
+    /// need not hold the same set, and `delivered` is complete up to our
+    /// own `next_inst`, so a stale snapshot cannot resurrect a request.
     fn apply_sync(&mut self, sync: &SyncMsg) -> bool {
-        if sync.next_inst <= self.next_inst {
-            return false;
+        let adopted = sync.next_inst > self.next_inst;
+        if adopted {
+            self.next_inst = sync.next_inst;
+            self.delivered.extend(sync.delivered.iter().copied());
+            let lim = self.next_inst;
+            self.decides.retain(|&k, _| k >= lim);
+            let delivered = &self.delivered;
+            self.pending.retain(|uid, _| !delivered.contains(uid));
+            self.proposed_for = None;
         }
-        self.next_inst = sync.next_inst;
-        self.delivered.extend(sync.delivered.iter().copied());
-        let lim = self.next_inst;
-        self.decides.retain(|&k, _| k >= lim);
-        let delivered = &self.delivered;
-        self.pending.retain(|uid, _| !delivered.contains(uid));
-        self.proposed_for = None;
-        true
+        for m in &sync.pending {
+            self.note_request(m);
+        }
+        adopted
     }
 
     /// Buffer a decision; returns batches now deliverable, in order.
@@ -348,7 +360,8 @@ pub fn register(
                     (s.site, joiners, snap)
                 });
                 // Every incumbent sends the joiner the ordering state —
-                // redundant but loss-tolerant; adoption is idempotent.
+                // redundant but loss-tolerant; adoption is idempotent, and
+                // the pending sets add up.
                 for j in joiners {
                     if j != me {
                         ctx.trigger(
@@ -459,6 +472,26 @@ mod tests {
         assert_eq!(inst, 1);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].uid.origin, SiteId(2));
+    }
+
+    #[test]
+    fn sync_hands_the_joiner_what_is_pending() {
+        let mut incumbent = st();
+        incumbent.note_request(&m(1, 1));
+        incumbent.note_request(&m(2, 1));
+        let _ = incumbent.note_decide(0, vec![m(1, 1)]);
+        let snap = incumbent.snapshot();
+        assert_eq!(snap.pending, vec![m(2, 1)]);
+
+        let mut joiner = AbcastState::new(SiteId(3), GroupView::of_first(3));
+        assert!(joiner.apply_sync(&snap));
+        assert_eq!(joiner.proposal(), Some((1, vec![m(2, 1)])));
+        // A second incumbent's snapshot is not ahead, but what it alone has
+        // pending is taken; what the joiner knows as delivered is not.
+        let mut other = snap.clone();
+        other.pending = vec![m(1, 1), m(2, 2)];
+        assert!(!joiner.apply_sync(&other));
+        assert_eq!(joiner.pending_count(), 2);
     }
 
     #[test]

@@ -16,6 +16,39 @@
 //!    decision is flooded via RelCast (`CastData::Decide`) so every site
 //!    learns it even if the coordinator crashes mid-broadcast.
 //!
+//! **Round 0 of a pristine instance runs steps 3–4 only; everything else
+//! runs 1–4.** The read phase exists to find a value an earlier round may
+//! already have chosen, and round 0 has no earlier round. What makes
+//! skipping it safe is that round 0 of instance `k` has exactly one
+//! proposer: atomic broadcast calls [`ConsensusState::propose`]`(k)` only
+//! after delivering every instance below `k`, view changes are delivered
+//! in that prefix, so every site that proposes for `k` does so under the
+//! same view and agrees on `view.coordinator(0)`. That site proposes its
+//! own estimate straight away, provided the instance is *pristine* — it has
+//! promised, adopted and coordinated nothing. The other sites record their
+//! estimate and send nothing (one exception, below): RelCast hands the
+//! coordinator the same requests, and it proposes by itself.
+//!
+//! Every other way a round starts keeps the read phase: `on_kick`, and
+//! `restart` after a suspicion or a view change — `view.coordinator(0)` is a
+//! function of the view, so a *restarted* round 0 may belong to a different
+//! site than the one that already proposed in it, and only its `Collect`
+//! finds what a majority may have accepted from the first.
+//!
+//! **A coordinator that has just joined.** Views are sorted, so a joining
+//! lowest site is round 0's coordinator from the moment it is a member, and
+//! both things the silent follower relies on fail for it. Requests cast
+//! before it was a member were never sent its way: atomic broadcast's state
+//! transfer carries them (`SyncMsg::pending`). And RelComm delivers nothing
+//! from a site outside the receiver's view, so a `Propose` of the newcomer
+//! that reaches a site before that site installs the view is acknowledged,
+//! discarded and never resent. So when a view change makes a site that was
+//! not in the previous view round 0's coordinator, a follower `Kick`s with
+//! each proposal, as it would in a later round, until it has accepted one
+//! `Propose` from that coordinator; and a coordinator kicked for a round it
+//! is already writing answers with that round's `Propose` — a plain
+//! retransmission, one proposer and one value per round.
+//!
 //! Suspicion of the current coordinator (from the failure detector) bumps
 //! the round; the new coordinator is kicked into action with the kicker's
 //! estimate riding along.
@@ -39,8 +72,10 @@ use crate::view::GroupView;
 pub struct Actions {
     /// Point-to-point consensus messages to send via RelComm.
     pub out: Vec<(SiteId, ConsMsg)>,
-    /// A decision to flood via RelCast.
-    pub decide: Option<(u64, Vec<AbMsg>)>,
+    /// Decisions to flood via RelCast, in instance order. More than one
+    /// when a suspicion or a view change restarts several instances that
+    /// each decide on the spot (single-member view).
+    pub decide: Vec<(u64, Vec<AbMsg>)>,
 }
 
 impl Actions {
@@ -50,9 +85,7 @@ impl Actions {
 
     fn merge(&mut self, other: Actions) {
         self.out.extend(other.out);
-        if self.decide.is_none() {
-            self.decide = other.decide;
-        }
+        self.decide.extend(other.decide);
     }
 }
 
@@ -93,6 +126,10 @@ pub struct ConsensusState {
     view: GroupView,
     gc_below: u64,
     insts: HashMap<u64, Inst>,
+    /// Round 0's coordinator joined with the current view and no `Propose`
+    /// of its has been accepted here since (module docs, "A coordinator
+    /// that has just joined").
+    newcomer_coord: bool,
     /// Metric instruments, when a registry is installed.
     pub instruments: Option<crate::observe::ConsensusInstruments>,
 }
@@ -105,6 +142,7 @@ impl ConsensusState {
             view,
             gc_below: 0,
             insts: HashMap::new(),
+            newcomer_coord: false,
             instruments: None,
         }
     }
@@ -120,34 +158,34 @@ impl ConsensusState {
         if inst < self.gc_below {
             return Actions::none();
         }
-        let me = self.site;
         let i = self.insts.entry(inst).or_default();
         if i.decided {
             return Actions::none();
         }
+        let pristine = i.round == 0 && i.est_round == 0 && i.max_round == 0 && i.coord.is_none();
         if i.est.is_empty() {
             i.est = value;
         }
-        let round = i.round;
-        match self.view.coordinator(round) {
-            Some(c) if c == me => self.start_collect(inst, round),
-            Some(c) => {
-                let i = self.insts.get(&inst).expect("just inserted");
-                Actions {
-                    out: vec![(
-                        c,
-                        ConsMsg::Kick {
-                            inst,
-                            round,
-                            est: i.est.clone(),
-                            est_round: i.est_round,
-                        },
-                    )],
-                    decide: None,
-                }
-            }
-            None => Actions::none(),
+        let follower = self.view.coordinator(0) != Some(self.site);
+        if i.round > 0 || (follower && self.newcomer_coord) {
+            return self.restart(inst);
         }
+        if follower {
+            // RelCast hands the coordinator the same requests and it
+            // proposes by itself; the estimate stays so that `on_suspect`
+            // or `set_view` can restart this instance in a later round.
+            return Actions::none();
+        }
+        if !pristine {
+            return self.start_collect(inst, 0);
+        }
+        // Round 0 has one proposer and no earlier round (module docs): go
+        // straight to the write phase with our own estimate.
+        if let Some(ins) = &self.instruments {
+            ins.rounds.inc();
+        }
+        let value = i.est.clone();
+        self.start_write(inst, 0, value)
     }
 
     /// Handle a consensus message from `from`.
@@ -185,7 +223,9 @@ impl ConsensusState {
         insts.sort_unstable();
         let mut acts = Actions::none();
         for inst in insts {
-            let i = self.insts.get_mut(&inst).expect("listed");
+            let Some(i) = self.insts.get_mut(&inst) else {
+                continue;
+            };
             if self.view.coordinator(i.round) == Some(site) {
                 i.round += 1;
                 acts.merge(self.restart(inst));
@@ -197,6 +237,10 @@ impl ConsensusState {
     /// A new view was installed: re-kick undecided instances so they keep
     /// making progress under the new coordinator mapping.
     pub fn set_view(&mut self, view: GroupView) -> Actions {
+        let coord = view.coordinator(0);
+        if coord != self.view.coordinator(0) {
+            self.newcomer_coord = coord.is_some_and(|c| !self.view.contains(c));
+        }
         self.view = view;
         let mut insts: Vec<u64> = self
             .insts
@@ -212,22 +256,31 @@ impl ConsensusState {
         acts
     }
 
-    /// Instances below `below` are decided everywhere; drop their state.
+    /// Drop the state of instances below `below`. The bound is this site's
+    /// *own* delivery point (`cons_gc` carries abcast's local `next_inst`),
+    /// not a cluster-wide one: a lagging peer learns those decisions from
+    /// the RelCast `Decide` flood, never from consensus, so messages for a
+    /// collected instance are ignored rather than answered.
     pub fn gc(&mut self, below: u64) {
         self.gc_below = self.gc_below.max(below);
         let lim = self.gc_below;
         self.insts.retain(|&k, _| k >= lim);
     }
 
-    /// Start (or restart) coordination for the instance's current round.
+    /// Start (or restart) coordination for the instance's current round —
+    /// always through the read phase.
     fn restart(&mut self, inst: u64) -> Actions {
-        let me = self.site;
-        let i = self.insts.get_mut(&inst).expect("instance exists");
+        let Some(i) = self.insts.get_mut(&inst) else {
+            return Actions::none();
+        };
         let round = i.round;
         match self.view.coordinator(round) {
-            Some(c) if c == me => self.start_collect(inst, round),
+            Some(c) if c == self.site => self.start_collect(inst, round),
             Some(c) => {
-                let i = self.insts.get(&inst).expect("instance exists");
+                // The coordinator counts the kick as our `Estimate` for the
+                // round, so it carries the same promise: nothing below
+                // `round` is accepted or proposed here from now on.
+                i.max_round = i.max_round.max(round);
                 Actions {
                     out: vec![(
                         c,
@@ -238,23 +291,28 @@ impl ConsensusState {
                             est_round: i.est_round,
                         },
                     )],
-                    decide: None,
+                    decide: Vec::new(),
                 }
             }
             None => Actions::none(),
         }
     }
 
-    /// Begin the read phase for `round` of `inst` (we are its coordinator).
-    fn start_collect(&mut self, inst: u64, round: u64) -> Actions {
+    /// The other members of the view.
+    fn peers(&self) -> Vec<SiteId> {
         let me = self.site;
-        let peers: Vec<SiteId> = self
-            .view
+        self.view
             .members()
             .iter()
             .copied()
             .filter(|&m| m != me)
-            .collect();
+            .collect()
+    }
+
+    /// Begin the read phase for `round` of `inst` (we are its coordinator).
+    fn start_collect(&mut self, inst: u64, round: u64) -> Actions {
+        let me = self.site;
+        let peers = self.peers();
         let i = self.insts.entry(inst).or_default();
         if i.decided {
             return Actions::none();
@@ -283,7 +341,7 @@ impl ConsensusState {
                 .into_iter()
                 .map(|p| (p, ConsMsg::Collect { inst, round }))
                 .collect(),
-            decide: None,
+            decide: Vec::new(),
         };
         // Single-member view: our own estimate is already a majority.
         acts.merge(self.try_choose(inst));
@@ -309,6 +367,16 @@ impl ConsensusState {
             let i = self.insts.entry(inst).or_default();
             if i.decided {
                 return Actions::none();
+            }
+            if let Some(c) = &i.coord {
+                if let (true, Phase::Proposing(v)) = (c.round == round, &c.phase) {
+                    // The kicker has nothing from us for a round we are
+                    // already writing: say it again.
+                    return Actions {
+                        out: proposals([from], inst, round, v),
+                        decide: Vec::new(),
+                    };
+                }
             }
             // Adopt the kicker's estimate as ours if we have none.
             if i.est.is_empty() {
@@ -343,7 +411,7 @@ impl ConsensusState {
                     est_round: i.est_round,
                 },
             )],
-            decide: None,
+            decide: Vec::new(),
         }
     }
 
@@ -388,47 +456,41 @@ impl ConsensusState {
     /// If the read phase has a majority and a non-empty candidate, move to
     /// the write phase.
     fn try_choose(&mut self, inst: u64) -> Actions {
-        let me = self.site;
         let majority = self.view.majority();
-        let peers: Vec<SiteId> = self
-            .view
-            .members()
-            .iter()
-            .copied()
-            .filter(|&m| m != me)
-            .collect();
-        let Some(i) = self.insts.get_mut(&inst) else {
+        let Some(i) = self.insts.get(&inst) else {
             return Actions::none();
         };
         if i.decided {
             return Actions::none();
         }
-        let Some(c) = &mut i.coord else {
+        let Some(c) = &i.coord else {
             return Actions::none();
         };
         if !matches!(c.phase, Phase::Collecting) || c.est_from.len() < majority {
             return Actions::none();
         }
-        let max_adopted = c.ests.iter().map(|&(_, r)| r).max().unwrap_or(0);
-        let value: Vec<AbMsg> = if max_adopted > 0 {
-            c.ests
-                .iter()
-                .find(|&&(_, r)| r == max_adopted)
-                .expect("max exists")
-                .0
-                .clone()
-        } else {
-            // Nothing adopted anywhere: any proposal is safe; take the
-            // deduplicated union, sorted by uid for determinism.
-            let mut seen: HashSet<MsgUid> = HashSet::new();
-            let mut v: Vec<AbMsg> = c
-                .ests
-                .iter()
-                .flat_map(|(e, _)| e.iter().cloned())
-                .filter(|m| seen.insert(m.uid))
-                .collect();
-            v.sort_by_key(|m| m.uid);
-            v
+        // One proposer per round, so estimates adopted in the same round
+        // carry the same value and any of them will do.
+        let adopted = c
+            .ests
+            .iter()
+            .filter(|&&(_, r)| r > 0)
+            .max_by_key(|&&(_, r)| r);
+        let value: Vec<AbMsg> = match adopted {
+            Some((v, _)) => v.clone(),
+            None => {
+                // Nothing adopted anywhere: any proposal is safe; take the
+                // deduplicated union, sorted by uid for determinism.
+                let mut seen: HashSet<MsgUid> = HashSet::new();
+                let mut v: Vec<AbMsg> = c
+                    .ests
+                    .iter()
+                    .flat_map(|(e, _)| e.iter().cloned())
+                    .filter(|m| seen.insert(m.uid))
+                    .collect();
+                v.sort_by_key(|m| m.uid);
+                v
+            }
         };
         if value.is_empty() {
             // No estimate anywhere yet; stay in the read phase and wait for
@@ -436,28 +498,36 @@ impl ConsensusState {
             return Actions::none();
         }
         let round = c.round;
-        c.phase = Phase::Proposing(value.clone());
-        c.acks.clear();
-        c.acks.insert(me);
+        self.start_write(inst, round, value)
+    }
+
+    /// Begin the write phase for `round` of `inst` (we are its coordinator):
+    /// adopt `value`, count our own ack and `Propose` it to the peers.
+    fn start_write(&mut self, inst: u64, round: u64, value: Vec<AbMsg>) -> Actions {
+        let me = self.site;
+        let peers = self.peers();
+        let Some(i) = self.insts.get_mut(&inst) else {
+            return Actions::none();
+        };
+        if i.max_round > round {
+            // Promised a later round since this one began: our own
+            // acceptance is part of that promise, so the round is dead.
+            return Actions::none();
+        }
+        i.coord = Some(CoordState {
+            round,
+            phase: Phase::Proposing(value.clone()),
+            ests: Vec::new(),
+            est_from: HashSet::new(),
+            acks: HashSet::from([me]),
+        });
         // Adopt our own proposal (est_round carries the +1 offset).
         i.est = value.clone();
         i.est_round = round + 1;
-        i.max_round = i.max_round.max(round);
+        i.max_round = round;
         let mut acts = Actions {
-            out: peers
-                .into_iter()
-                .map(|p| {
-                    (
-                        p,
-                        ConsMsg::Propose {
-                            inst,
-                            round,
-                            value: value.clone(),
-                        },
-                    )
-                })
-                .collect(),
-            decide: None,
+            out: proposals(peers, inst, round, &value),
+            decide: Vec::new(),
         };
         acts.merge(self.try_decide(inst));
         acts
@@ -475,9 +545,12 @@ impl ConsensusState {
         i.round = i.round.max(round);
         i.est = value;
         i.est_round = round + 1;
+        if self.view.coordinator(0) == Some(from) {
+            self.newcomer_coord = false;
+        }
         Actions {
             out: vec![(from, ConsMsg::Ack { inst, round })],
-            decide: None,
+            decide: Vec::new(),
         }
     }
 
@@ -520,9 +593,23 @@ impl ConsensusState {
         i.coord = None;
         Actions {
             out: Vec::new(),
-            decide: Some((inst, value)),
+            decide: vec![(inst, value)],
         }
     }
+}
+
+/// `Propose(inst, round, value)` addressed to each of `targets`.
+fn proposals(
+    targets: impl IntoIterator<Item = SiteId>,
+    inst: u64,
+    round: u64,
+    value: &[AbMsg],
+) -> Vec<(SiteId, ConsMsg)> {
+    let propose = |value| ConsMsg::Propose { inst, round, value };
+    targets
+        .into_iter()
+        .map(|t| (t, propose(value.to_vec())))
+        .collect()
 }
 
 /// Handler ids of the registered consensus microprotocol.
@@ -546,7 +633,7 @@ fn emit(ctx: &Ctx, ev: &Events, acts: Actions) -> Result<()> {
     for (target, msg) in acts.out {
         ctx.trigger(ev.send_out, EventData::new((Payload::Cons(msg), target)))?;
     }
-    if let Some((inst, batch)) = acts.decide {
+    for (inst, batch) in acts.decide {
         ctx.trigger(ev.bcast, EventData::new(CastData::Decide { inst, batch }))?;
     }
     Ok(())
@@ -651,6 +738,8 @@ mod tests {
     struct Bus {
         sites: Vec<ConsensusState>,
         decided: Vec<Option<(u64, Vec<AbMsg>)>>,
+        /// Every message handed to a live site, in delivery order.
+        log: Vec<ConsMsg>,
     }
 
     impl Bus {
@@ -661,13 +750,14 @@ mod tests {
                     .map(|i| ConsensusState::new(s(i), view.clone()))
                     .collect(),
                 decided: (0..n).map(|_| None).collect(),
+                log: Vec::new(),
             }
         }
 
         /// Apply actions originating at `from`, delivering messages
         /// immediately (depth-first), skipping sites in `down`.
         fn run(&mut self, from: usize, acts: Actions, down: &[usize]) {
-            if let Some(d) = acts.decide {
+            for d in acts.decide {
                 // Decide floods via RelCast: all live sites learn it.
                 for (i, slot) in self.decided.iter_mut().enumerate() {
                     if !down.contains(&i) && slot.is_none() {
@@ -675,16 +765,24 @@ mod tests {
                     }
                 }
             }
-            let _ = from;
             for (target, m) in acts.out {
                 let t = target.index();
                 if down.contains(&t) {
                     continue;
                 }
+                self.log.push(m.clone());
                 let reply = self.sites[t].on_msg(s(from as u16), m);
                 self.run(t, reply, down);
             }
         }
+    }
+
+    fn is_propose(m: &ConsMsg) -> bool {
+        matches!(m, ConsMsg::Propose { .. })
+    }
+
+    fn is_collect(m: &ConsMsg) -> bool {
+        matches!(m, ConsMsg::Collect { .. })
     }
 
     #[test]
@@ -700,36 +798,66 @@ mod tests {
     }
 
     #[test]
+    fn round0_coordinator_proposes_without_collect() {
+        let mut bus = Bus::new(3);
+        let v = vec![msg(0, 1)];
+        let acts = bus.sites[0].propose(0, v.clone());
+        assert_eq!(acts.out.len(), 2);
+        assert!(acts.out.iter().all(|(_, m)| is_propose(m)));
+        assert!(acts.decide.is_empty());
+        bus.run(0, acts, &[]);
+        for d in &bus.decided {
+            assert_eq!(d.as_ref().unwrap(), &(0, v.clone()));
+        }
+        // Propose and Ack only: no read phase, nobody kicked.
+        assert!(bus
+            .log
+            .iter()
+            .all(|m| matches!(m, ConsMsg::Propose { .. } | ConsMsg::Ack { .. })));
+    }
+
+    #[test]
     fn non_coordinator_kicks_coordinator() {
         let mut bus = Bus::new(3);
-        let v = vec![msg(1, 1)];
-        // Site 1 proposes; coordinator of round 0 is site 0.
-        let acts = bus.sites[1].propose(0, v.clone());
-        assert!(matches!(acts.out.as_slice(), [(t, ConsMsg::Kick { .. })] if *t == s(0)));
-        bus.run(1, acts, &[]);
-        assert_eq!(bus.decided[2].as_ref().unwrap(), &(0, v));
+        let v = vec![msg(2, 1)];
+        // Round 0: the coordinator (site 0) gets the request from RelCast,
+        // so site 2 keeps its estimate and sends nothing.
+        let acts = bus.sites[2].propose(0, v.clone());
+        assert_eq!(acts, Actions::none());
+        // Site 0 is suspected: round 1's coordinator (site 1) is kicked
+        // with the estimate site 2 kept.
+        let acts = bus.sites[2].on_suspect(s(0));
+        assert!(matches!(
+            acts.out.as_slice(),
+            [(t, ConsMsg::Kick { round: 1, est, est_round: 0, .. })] if *t == s(1) && *est == v
+        ));
+        bus.run(2, acts, &[0]);
+        assert_eq!(bus.decided[1].as_ref().unwrap(), &(0, v));
     }
 
     #[test]
     fn union_used_when_nothing_adopted() {
         let mut bus = Bus::new(3);
-        // Sites 1 and 2 both kick coordinator 0 with different estimates.
+        // Coordinator 0 is down; sites 1 and 2 hold different estimates and
+        // nothing was ever adopted, so round 1's read phase proposes the
+        // union.
         let a1 = bus.sites[1].propose(0, vec![msg(1, 1)]);
-        bus.run(1, a1, &[]);
-        // After the first kick the coordinator may already have decided
-        // (majority = 2 and it had the kicker's estimate). The decided
-        // value must contain site 1's message.
-        let d = bus.decided[0].clone().unwrap();
-        assert!(d.1.iter().any(|m| m.uid.origin == s(1)));
+        let a2 = bus.sites[2].propose(0, vec![msg(2, 1)]);
+        assert_eq!((a1, a2), (Actions::none(), Actions::none()));
+        let acts = bus.sites[1].on_suspect(s(0));
+        assert!(acts.out.iter().all(|(_, m)| is_collect(m)));
+        bus.run(1, acts, &[0]);
+        let d = bus.decided[2].clone().unwrap();
+        assert_eq!(d, (0, vec![msg(1, 1), msg(2, 1)]));
     }
 
     #[test]
     fn coordinator_crash_second_round_decides() {
         let mut bus = Bus::new(3);
         let v = vec![msg(1, 7)];
-        // Coordinator 0 is down; site 1 proposes into the void.
+        // Coordinator 0 is down; site 1 records its estimate and waits.
         let acts = bus.sites[1].propose(0, v.clone());
-        bus.run(1, acts, &[0]); // kick lost on crashed site
+        bus.run(1, acts, &[0]);
         assert!(bus.decided[1].is_none());
         // FD on sites 1 and 2 suspects site 0; round advances to 1 whose
         // coordinator is site 1.
@@ -745,8 +873,21 @@ mod tests {
         let mut c = ConsensusState::new(s(0), view);
         let v = vec![msg(0, 1)];
         let acts = c.propose(0, v.clone());
-        assert_eq!(acts.decide, Some((0, v)));
+        assert_eq!(acts.decide, vec![(0, v)]);
         assert!(acts.out.is_empty());
+    }
+
+    #[test]
+    fn view_shrink_decides_every_restarted_instance() {
+        // Site 1 holds estimates for two undecided instances when the view
+        // shrinks to itself: each restart decides on the spot, and both
+        // decisions must come out (a dropped one stalls abcast for good).
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let (v0, v1) = (vec![msg(1, 1)], vec![msg(1, 2)]);
+        assert_eq!(c.propose(0, v0.clone()), Actions::none());
+        assert_eq!(c.propose(1, v1.clone()), Actions::none());
+        let acts = c.set_view(GroupView::initial([s(1)]));
+        assert_eq!(acts.decide, vec![(0, v0), (1, v1)]);
     }
 
     #[test]
@@ -769,60 +910,188 @@ mod tests {
     }
 
     #[test]
-    fn adopted_value_survives_coordinator_change() {
-        // Site 0 (coordinator r0) gets majority acks from itself+site1 for
-        // value A but crashes before flooding the decision widely... here:
-        // before site 2 learns anything. Round 1's coordinator (site 1)
-        // must re-decide the SAME value A because site 1 adopted it.
-        let view = GroupView::of_first(3);
+    fn round0_value_survives_coordinator_crash() {
+        // Site 0 fast-proposes A in round 0, site 1 adopts and acks it, and
+        // site 0 dies before any Decide leaves (a majority — 0 and 1 — may
+        // have accepted A). Round 1's read phase must find A and decide it,
+        // not site 2's estimate.
+        let mut bus = Bus::new(3);
         let a_val = vec![msg(0, 1)];
-        let mut c1 = ConsensusState::new(s(1), view.clone());
-        let mut c2 = ConsensusState::new(s(2), view);
-        // Site 1 adopted A in round 0 (received Propose from site 0).
-        let acts = c1.on_msg(
+        let acts = bus.sites[0].propose(0, a_val.clone());
+        let to_1 = acts.out.into_iter().find(|(t, _)| *t == s(1)).unwrap().1;
+        assert!(is_propose(&to_1));
+        let ack = bus.sites[1].on_msg(s(0), to_1);
+        assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })])); // lost with site 0
+        let _ = bus.sites[2].propose(0, vec![msg(2, 9)]);
+        // Both survivors suspect site 0; round 1's coordinator is site 1.
+        let kick = bus.sites[2].on_suspect(s(0));
+        let collect = bus.sites[1].on_suspect(s(0));
+        bus.run(2, kick, &[0]);
+        bus.run(1, collect, &[0]);
+        assert_eq!(bus.decided[1].as_ref().unwrap(), &(0, a_val.clone()));
+        assert_eq!(bus.decided[2].as_ref().unwrap(), &(0, a_val));
+    }
+
+    #[test]
+    fn non_pristine_round0_takes_the_read_phase() {
+        let view = GroupView::of_first(3);
+        let v = vec![msg(0, 1)];
+        // Already adopted a round-0 Propose for the instance.
+        let mut c = ConsensusState::new(s(0), view.clone());
+        let _ = c.on_msg(
+            s(1),
+            ConsMsg::Propose {
+                inst: 0,
+                round: 0,
+                value: vec![msg(1, 1)],
+            },
+        );
+        let acts = c.propose(0, v.clone());
+        assert!(!acts.out.is_empty() && acts.out.iter().all(|(_, m)| is_collect(m)));
+        // Already promised a later round (3 is site 0's again).
+        let mut c = ConsensusState::new(s(0), view.clone());
+        let _ = c.on_msg(s(1), ConsMsg::Collect { inst: 0, round: 3 });
+        let acts = c.propose(0, v.clone());
+        assert!(!acts.out.is_empty() && acts.out.iter().all(|(_, m)| is_collect(m)));
+        // Already kicked with an estimate adopted elsewhere: the kick starts
+        // the read phase and the later proposal adds nothing to it.
+        let mut c = ConsensusState::new(s(0), view);
+        let acts = c.on_msg(
+            s(1),
+            ConsMsg::Kick {
+                inst: 0,
+                round: 0,
+                est: vec![msg(1, 1)],
+                est_round: 1,
+            },
+        );
+        assert!(acts.out.iter().any(|(_, m)| is_collect(m)));
+        assert!(!c.propose(0, v).out.iter().any(|(_, m)| is_propose(m)));
+    }
+
+    #[test]
+    fn restart_in_round0_takes_the_read_phase() {
+        // Site 1 holds an estimate for an undecided round-0 instance; site 0
+        // leaves and round 0 is now site 1's. Site 0 may already have
+        // proposed in it, so the restart collects first.
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        assert_eq!(c.propose(0, vec![msg(1, 1)]), Actions::none());
+        let acts = c.set_view(GroupView::initial([s(1), s(2)]));
+        assert!(matches!(
+            acts.out.as_slice(),
+            [(t, ConsMsg::Collect { inst: 0, round: 0 })] if *t == s(2)
+        ));
+    }
+
+    #[test]
+    fn followers_kick_a_newcomer_coordinator_until_it_is_heard() {
+        // Site 0 joins {1, 2, 3} and is round 0's coordinator at once. What
+        // it sent site 2 before site 2 installed the view is gone, so site 2
+        // kicks with every proposal until a `Propose` of site 0 gets through.
+        let old = GroupView::initial([s(1), s(2), s(3)]);
+        let new = old.apply(crate::view::ViewOp::Join, s(0));
+        let mut c = ConsensusState::new(s(2), old);
+        assert_eq!(c.propose(0, vec![msg(2, 1)]), Actions::none());
+        c.gc(1);
+        let _ = c.set_view(new);
+        for inst in [1, 2] {
+            let acts = c.propose(inst, vec![msg(2, inst)]);
+            assert!(matches!(
+                acts.out.as_slice(),
+                [(t, ConsMsg::Kick { round: 0, est_round: 0, .. })] if *t == s(0)
+            ));
+        }
+        let propose = ConsMsg::Propose {
+            inst: 2,
+            round: 0,
+            value: vec![msg(2, 2)],
+        };
+        let ack = c.on_msg(s(0), propose);
+        assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })]));
+        assert_eq!(c.propose(3, vec![msg(2, 3)]), Actions::none());
+    }
+
+    #[test]
+    fn a_kick_for_the_round_being_written_is_answered_with_its_propose() {
+        let mut c = ConsensusState::new(s(0), GroupView::of_first(3));
+        let v = vec![msg(0, 1)];
+        let _ = c.propose(0, v.clone());
+        let kick = ConsMsg::Kick {
+            inst: 0,
+            round: 0,
+            est: vec![msg(2, 1)],
+            est_round: 0,
+        };
+        let acts = c.on_msg(s(2), kick);
+        assert!(matches!(
+            acts.out.as_slice(),
+            [(t, ConsMsg::Propose { inst: 0, round: 0, value })] if *t == s(2) && *value == v
+        ));
+        assert!(acts.decide.is_empty());
+    }
+
+    #[test]
+    fn a_kick_is_a_promise() {
+        // Site 2 kicks round 1 with its (never adopted) estimate; site 1 will
+        // count that as site 2's reply to `Collect(1)`. A round-0 proposal
+        // that arrives afterwards must not be adopted behind its back.
+        let mut c = ConsensusState::new(s(2), GroupView::of_first(3));
+        let _ = c.propose(0, vec![msg(2, 1)]);
+        let kick = c.on_suspect(s(0));
+        assert!(matches!(
+            kick.out.as_slice(),
+            [(
+                _,
+                ConsMsg::Kick {
+                    round: 1,
+                    est_round: 0,
+                    ..
+                }
+            )]
+        ));
+        let late = c.on_msg(
             s(0),
             ConsMsg::Propose {
                 inst: 0,
                 round: 0,
-                value: a_val.clone(),
+                value: vec![msg(0, 1)],
             },
         );
-        assert_eq!(acts.out.len(), 1); // ack to site 0 (lost, site 0 dead)
-                                       // Site 2 has a different initial estimate.
-        let _ = c2.propose(0, vec![msg(2, 9)]);
-        // Both suspect site 0; round -> 1, coordinator site 1.
-        let kick2 = c2.on_suspect(s(0));
-        let start1 = c1.on_suspect(s(0));
-        // Site 1 starts collecting; feed it site 2's kick and its Estimate.
-        let mut pending = Vec::new();
-        pending.extend(start1.out);
-        for (t, m) in kick2.out {
-            assert_eq!(t, s(1));
-            let a = c1.on_msg(s(2), m);
-            pending.extend(a.out);
-        }
-        // Deliver Collect to site 2, Estimate back to 1, Propose to 2, Ack
-        // back to 1.
-        let mut decided = None;
-        let mut queue: Vec<(SiteId, SiteId, ConsMsg)> =
-            pending.into_iter().map(|(t, m)| (s(1), t, m)).collect();
-        while let Some((from, to, m)) = queue.pop() {
-            let acts = if to == s(1) {
-                c1.on_msg(from, m)
-            } else if to == s(2) {
-                c2.on_msg(from, m)
-            } else {
-                continue; // site 0 is dead
-            };
-            if let Some(d) = acts.decide {
-                decided = Some(d);
-            }
-            for (t, m) in acts.out {
-                queue.push((to, t, m));
-            }
-        }
-        // Safety: the decided value is A, not site 2's estimate.
-        assert_eq!(decided, Some((0, a_val)));
+        assert_eq!(late, Actions::none());
+    }
+
+    #[test]
+    fn coordinator_abandons_a_round_after_promising_a_later_one() {
+        // Site 1 is collecting for round 1 when round 2's `Collect` reaches
+        // it: it promises, reporting an estimate it never adopted. Completing
+        // round 1 afterwards — adopting and acking its own proposal — would
+        // let rounds 1 and 2 both reach a majority through it.
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let _ = c.propose(0, vec![msg(1, 1)]);
+        let collect = c.on_suspect(s(0));
+        assert!(collect.out.iter().all(|(_, m)| is_collect(m)));
+        let promise = c.on_msg(s(2), ConsMsg::Collect { inst: 0, round: 2 });
+        assert!(matches!(
+            promise.out.as_slice(),
+            [(
+                _,
+                ConsMsg::Estimate {
+                    round: 2,
+                    est_round: 0,
+                    ..
+                }
+            )]
+        ));
+        let acts = c.on_msg(
+            s(0),
+            ConsMsg::Estimate {
+                inst: 0,
+                round: 1,
+                est: Vec::new(),
+                est_round: 0,
+            },
+        );
+        assert_eq!(acts, Actions::none());
     }
 
     #[test]
@@ -837,6 +1106,6 @@ mod tests {
         assert!(a.out.is_empty());
         // New instances still work.
         let a = c.propose(1, vec![msg(0, 2)]);
-        assert!(!a.out.is_empty() || a.decide.is_some());
+        assert!(a.out.iter().all(|(_, m)| is_propose(m)) && a.out.len() == 2);
     }
 }

@@ -130,13 +130,19 @@ pub enum ConsMsg {
 /// Ordering-state snapshot sent to a freshly joined site so it can
 /// participate in atomic broadcast from the current instance onward
 /// (simplified view-synchronous state transfer: the joiner receives the
-/// *ordering* state, not the past message history).
+/// *ordering* state — where the order stands and what is waiting to enter
+/// it — not the past message history).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncMsg {
     /// The next undecided consensus instance.
     pub next_inst: u64,
     /// Uids already delivered (so re-flooded requests are not re-ordered).
     pub delivered: Vec<MsgUid>,
+    /// Requests the sender holds undelivered. They were cast before the
+    /// joiner was a member, so RelCast never sends them its way, and in
+    /// round 0 only the coordinator proposes — which the joiner is at once
+    /// if it sorts first in the view.
+    pub pending: Vec<AbMsg>,
     /// The sender's current view (the joiner installs it directly — it
     /// cannot learn it through ADeliver, whose prefix it missed).
     pub view_id: u64,
@@ -465,6 +471,7 @@ fn put_sync(out: &mut BytesMut, s: &SyncMsg) {
     for uid in &s.delivered {
         put_uid(out, *uid);
     }
+    put_batch(out, &s.pending);
 }
 
 fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
@@ -492,6 +499,7 @@ fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
     Ok(SyncMsg {
         next_inst,
         delivered,
+        pending: get_batch(buf)?,
         view_id,
         members,
     })

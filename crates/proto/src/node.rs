@@ -161,13 +161,11 @@ pub enum StackPolicy {
 /// processing FIFO, which the delivery-order assertions rely on.
 const INTRA_THREADS: usize = 1;
 
-/// Maximum in-flight external computations per node. Every computation
-/// runs on its own thread, so an unbounded arrival rate (real sockets
-/// deliver far faster than the simulator) can pile up thousands of
-/// admission-blocked threads until thread creation fails. The entry point
-/// (reader thread, timer, application) blocks while the node is at this
-/// limit — natural backpressure that TCP propagates to the sender. Not
-/// applied to hooked runtimes (the controller owns scheduling).
+/// Maximum in-flight external computations per node under the policies
+/// whose computations can overlap (see [`ExtGate::for_policy`]). Every
+/// computation runs on its own thread, so an unbounded arrival rate (real
+/// sockets deliver far faster than the simulator) can pile up thousands of
+/// admission-blocked threads until thread creation fails.
 const MAX_INFLIGHT_EXTERNAL: usize = 64;
 
 /// Node tunables.
@@ -283,16 +281,49 @@ struct RouteTable {
 }
 
 /// Counting gate bounding in-flight external computations (backpressure
-/// from the Network/Timer/Application modules into the runtime).
+/// from the Network/Timer/Application modules into the runtime). The entry
+/// point (delivery thread, TCP reader, timer, client) blocks while the node
+/// is at its limit, so what cannot run yet waits as bytes in the network —
+/// SimNet's heap, the socket buffer (TCP propagates that to the sender) —
+/// instead of as a thread. A computation never waits on an entry point
+/// (sends only enqueue), so a blocked one cannot stall the slot's holder.
+/// Not applied to hooked runtimes (the controller owns scheduling).
 struct ExtGate {
+    limit: usize,
     count: Mutex<usize>,
     cv: Condvar,
 }
 
 impl ExtGate {
+    /// The gate for a node running `policy`, sized to what can actually
+    /// run. Under `Serial`, `Basic` and `TwoPhase` a computation releases
+    /// its microprotocols only when it completes (Rule 3), and every
+    /// external kind but one declares RelComm (all atomic-broadcast, KV and
+    /// membership traffic declares the whole stack), so a second
+    /// computation could only spin, yield and park behind the first: one at
+    /// a time. The exception is `Beat`, which declares the failure detector
+    /// alone and under `Basic`/`TwoPhase` could run beside an `Ack`, a
+    /// `RetrTick` or plain-RelCast traffic; that overlap is given up on
+    /// purpose — a heartbeat now waits for the computation in flight, a
+    /// fraction of a millisecond against an `fd_timeout` of hundreds — rather
+    /// than give the gate a second rule. `Unsync`, `Bound` and `Route`
+    /// overlap for real (no isolation; early release) and keep the
+    /// thread-exhaustion bound.
+    fn for_policy(policy: StackPolicy) -> Arc<ExtGate> {
+        let limit = match policy {
+            StackPolicy::Serial | StackPolicy::Basic | StackPolicy::TwoPhase => 1,
+            StackPolicy::Unsync | StackPolicy::Bound | StackPolicy::Route => MAX_INFLIGHT_EXTERNAL,
+        };
+        Arc::new(ExtGate {
+            limit,
+            count: Mutex::new(0),
+            cv: Condvar::new(),
+        })
+    }
+
     fn acquire(self: &Arc<Self>) -> ExtSlot {
         let mut g = self.count.lock();
-        while *g >= MAX_INFLIGHT_EXTERNAL {
+        while *g >= self.limit {
             self.cv.wait(&mut g);
         }
         *g += 1;
@@ -581,12 +612,7 @@ impl Node {
             (None, Some(s)) => Runtime::with_trace(stack, rt_cfg, s),
             (None, None) => Runtime::with_config(stack, rt_cfg),
         };
-        let ext_gate = (!hooked).then(|| {
-            Arc::new(ExtGate {
-                count: Mutex::new(0),
-                cv: Condvar::new(),
-            })
-        });
+        let ext_gate = (!hooked).then(|| ExtGate::for_policy(cfg.policy));
 
         let node = Arc::new(Node {
             site,
@@ -1380,5 +1406,54 @@ impl std::fmt::Debug for TcpCluster {
             .field("sites", &self.nodes.len())
             .field("live", &self.nodes.iter().flatten().count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn gate_limit_follows_what_the_policy_lets_overlap() {
+        use StackPolicy::*;
+        for policy in [Serial, Basic, TwoPhase] {
+            assert_eq!(ExtGate::for_policy(policy).limit, 1, "{policy:?}");
+        }
+        for policy in [Unsync, Bound, Route] {
+            let gate = ExtGate::for_policy(policy);
+            assert_eq!(gate.limit, MAX_INFLIGHT_EXTERNAL, "{policy:?}");
+            // Every slot up to the limit is there for the taking.
+            let slots: Vec<ExtSlot> = (0..MAX_INFLIGHT_EXTERNAL).map(|_| gate.acquire()).collect();
+            assert_eq!(*gate.count.lock(), slots.len());
+        }
+    }
+
+    #[test]
+    fn second_acquire_waits_for_the_first_slot_to_drop() {
+        let gate = ExtGate::for_policy(StackPolicy::Basic);
+        let first = gate.acquire();
+        let released = Arc::new(AtomicBool::new(false));
+        let (at_gate, at_gate_rx) = mpsc::channel();
+        let (through, through_rx) = mpsc::channel();
+        let waiter = {
+            let (gate, released) = (Arc::clone(&gate), Arc::clone(&released));
+            std::thread::spawn(move || {
+                let _ = at_gate.send(());
+                let _second = gate.acquire();
+                let _ = through.send(released.load(Ordering::SeqCst));
+            })
+        };
+        assert_eq!(at_gate_rx.recv(), Ok(()), "waiter never started");
+        assert!(through_rx.try_recv().is_err(), "admitted past a full gate");
+        released.store(true, Ordering::SeqCst);
+        drop(first);
+        assert_eq!(
+            through_rx.recv(),
+            Ok(true),
+            "second acquire returned while the first slot was held"
+        );
+        assert!(waiter.join().is_ok());
+        assert_eq!(*gate.count.lock(), 0);
     }
 }

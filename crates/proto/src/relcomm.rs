@@ -92,7 +92,8 @@ const OWED_ACK_CAP: usize = 64;
 
 /// How many operations' hop counts [`HopTable`] remembers. A hop count is
 /// looked up only while its operation is in flight — a few round trips —
-/// so at any load the ext-gate admits (64 computations per site) what gets
+/// so at any load the ext-gate admits (at most 64 computations per site,
+/// one under the policies that hold everything to completion) what gets
 /// evicted has long finished.
 const CTX_HOPS_CAP: usize = 1024;
 

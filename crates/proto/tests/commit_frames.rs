@@ -1,0 +1,271 @@
+//! What one atomic broadcast puts on the wire, counted frame by frame.
+//!
+//! A commit in a healthy `n`-site cluster is a RelCast of the request, round
+//! 0 of consensus without its read phase, and a RelCast of the decision; a
+//! cast costs `(n−1)` frames from its origin plus at most `(n−2)` from each
+//! receiver, because a relay skips the origin and the site the first copy
+//! came from. For `n = 3` that is 4 + 2 + 2 + 4 = 12 data frames. The relay
+//! itself stays: an origin that crashes mid-broadcast still gets its request
+//! ordered.
+//!
+//! On the virtual-time rig and recording [`Transport`](samoa_net::Transport)
+//! of `common`, timers off: no tick fires, so no ack travels alone and every
+//! datagram is a data frame; the structure is asserted, never the wall clock.
+
+mod common;
+
+use std::collections::BTreeMap;
+
+use samoa_net::SiteId;
+use samoa_proto::{CastData, ConsMsg, MsgUid, Payload};
+
+use common::{Rig, Sent};
+
+/// Is `s` a RelCast copy sent on by a site other than the cast's origin?
+fn is_relay(s: &Sent) -> bool {
+    matches!(&s.payload, Some(Payload::Cast(c)) if c.uid.origin != s.from)
+}
+
+/// Deliver one datagram at a time, the frames `last` picks out after all
+/// others (oldest first within each class), until none is in flight.
+fn settle_with_last(rig: &Rig, last: fn(&Sent) -> bool) {
+    let h = rig.net.handle();
+    loop {
+        rig.quiesce();
+        let log = rig.rec.log();
+        let next = h
+            .pending_datagrams()
+            .into_iter()
+            .map(|dg| (last(&log[dg.seq as usize - 1]), dg.seq))
+            .min();
+        match next {
+            Some((_, seq)) => assert!(h.pump_seq(seq)),
+            None => return,
+        }
+    }
+}
+
+/// Every broadcaster's own frames before any relayed copy.
+fn settle_origin_first(rig: &Rig) {
+    settle_with_last(rig, is_relay)
+}
+
+/// What the frame carries: `"request"`, `"decide"`, or the consensus
+/// message name.
+fn kind(s: &Sent) -> &'static str {
+    match s
+        .payload
+        .as_ref()
+        .expect("no tick fired: every frame is data")
+    {
+        Payload::Cast(c) => match c.data {
+            CastData::AbRequest(_) => "request",
+            CastData::Decide { .. } => "decide",
+            CastData::User(_) => "user",
+        },
+        Payload::Cons(ConsMsg::Kick { .. }) => "kick",
+        Payload::Cons(ConsMsg::Collect { .. }) => "collect",
+        Payload::Cons(ConsMsg::Estimate { .. }) => "estimate",
+        Payload::Cons(ConsMsg::Propose { .. }) => "propose",
+        Payload::Cons(ConsMsg::Ack { .. }) => "ack",
+        Payload::Sync(_) => "sync",
+    }
+}
+
+/// Frames per [`kind`].
+fn census(log: &[Sent]) -> BTreeMap<&'static str, usize> {
+    let mut kinds = BTreeMap::new();
+    for s in log {
+        *kinds.entry(kind(s)).or_default() += 1;
+    }
+    kinds
+}
+
+/// RelCast frames per cast.
+fn frames_per_cast(log: &[Sent]) -> BTreeMap<MsgUid, usize> {
+    let mut casts = BTreeMap::new();
+    for s in log {
+        if let Some(Payload::Cast(c)) = &s.payload {
+            *casts.entry(c.uid).or_default() += 1;
+        }
+    }
+    casts
+}
+
+#[test]
+fn a_healthy_three_site_commit_is_twelve_frames() {
+    // Site 0 coordinates round 0; the origin is a follower, then the
+    // coordinator itself.
+    for origin in [1, 0] {
+        let rig = Rig::new(3, 41);
+        rig.nodes[origin].abcast("m");
+        settle_origin_first(&rig);
+        rig.assert_total_order(1);
+
+        let log = rig.rec.log();
+        let expected = BTreeMap::from([("request", 4), ("propose", 2), ("ack", 2), ("decide", 4)]);
+        assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
+        assert_eq!(log.len(), 12);
+
+        // Of the four request frames two leave the origin and one leaves
+        // each receiver; none goes back to the origin or to the forwarder.
+        let origin = SiteId(origin as u16);
+        let requests: Vec<(SiteId, SiteId)> = log
+            .iter()
+            .filter(|s| kind(s) == "request")
+            .map(|s| (s.from, s.to))
+            .collect();
+        assert_eq!(
+            requests.iter().filter(|(from, _)| *from == origin).count(),
+            2
+        );
+        for &(from, to) in requests.iter().filter(|(from, _)| *from != origin) {
+            assert_ne!(to, origin, "{from} relayed back to the origin");
+            assert_eq!(requests.iter().filter(|(f, _)| *f == from).count(), 1);
+        }
+        assert_eq!(rig.retransmissions(), 0);
+    }
+}
+
+#[test]
+fn a_cast_never_costs_more_than_its_bound_and_reaches_every_site() {
+    for sites in [3, 4, 5] {
+        let bound = (sites - 1) + (sites - 1) * (sites - 2);
+        // Different seeds, different delivery orders (`pump_one` follows the
+        // network's seeded delays): a site whose first copy came from a
+        // relayer skips that relayer too, so other orders only cost less.
+        for seed in 50..58 {
+            let rig = Rig::new(sites, seed);
+            rig.abcasts(sites);
+            rig.settle();
+            rig.assert_total_order(sites);
+            let log = rig.rec.log();
+            for (uid, frames) in frames_per_cast(&log) {
+                assert!(
+                    (sites - 1..=bound).contains(&frames),
+                    "{sites} sites, seed {seed}: cast {uid:?} cost {frames} frames, bound {bound}"
+                );
+            }
+            let kinds = census(&log);
+            for absent in ["collect", "estimate", "kick"] {
+                assert_eq!(
+                    kinds.get(absent),
+                    None,
+                    "{sites} sites, seed {seed}: {kinds:?}"
+                );
+            }
+        }
+        // Origin-first is the order that costs the bound exactly.
+        let rig = Rig::new(sites, 58);
+        rig.nodes[1].abcast("m");
+        settle_origin_first(&rig);
+        rig.assert_total_order(1);
+        let per_cast = frames_per_cast(&rig.rec.log());
+        assert_eq!(per_cast.len(), 2, "one request, one decision");
+        assert!(
+            per_cast.values().all(|&frames| frames == bound),
+            "{per_cast:?}"
+        );
+    }
+}
+
+#[test]
+fn a_request_whose_origin_crashed_mid_broadcast_is_still_ordered() {
+    // Site 1 reaches exactly one of the others and dies; that site's relay
+    // is all that is left of the request.
+    for reached in [0u16, 2] {
+        let rig = Rig::new(3, 61);
+        let h = rig.net.handle();
+        rig.nodes[1].abcast("orphan");
+        rig.quiesce();
+        let pending = h.pending_datagrams();
+        assert_eq!(pending.len(), 2, "{pending:?}");
+        for dg in pending {
+            if dg.to == SiteId(reached) {
+                assert!(h.pump_seq(dg.seq));
+            } else {
+                assert!(h.drop_seq(dg.seq));
+            }
+        }
+        h.crash(SiteId(1));
+        rig.settle();
+
+        let survivors: Vec<_> = [0usize, 2]
+            .iter()
+            .map(|&i| rig.nodes[i].ab_delivered())
+            .collect();
+        assert_eq!(survivors[0].len(), 1, "reached {reached}: {survivors:?}");
+        assert_eq!(survivors[0][0].0, SiteId(1));
+        assert_eq!(survivors[0], survivors[1]);
+    }
+}
+
+#[test]
+fn a_joining_coordinator_orders_what_was_cast_before_it_was_a_member() {
+    // Followers send nothing in round 0 because RelCast hands the
+    // coordinator the same requests — except when the coordinator joined
+    // after the cast. Views are sorted, so a joining lowest site is round
+    // 0's coordinator from the moment it is a member. `m` is cast under the
+    // old view and is not in the Join's batch. Held back, in turn:
+    // - the decisions: `m` is pending at every incumbent when it installs
+    //   the view, the state transfer is its only way to site 0, and what
+    //   site 0 then proposes reaches sites 2 and 3 before they know it;
+    // - the state transfer: site 0 hears the incumbents' kicks before it
+    //   is a member and ignores them.
+    let held_back: [fn(&Sent) -> bool; 2] = [|s| kind(s) == "decide", |s| kind(s) == "sync"];
+    for (last, rejoin) in [(0, false), (0, true), (1, false), (1, true)] {
+        let rig = if rejoin {
+            let rig = Rig::new(4, 71);
+            rig.nodes[1].request_leave(SiteId(0));
+            rig.settle();
+            rig
+        } else {
+            Rig::with_members(4, 71, Some(vec![SiteId(1), SiteId(2), SiteId(3)]))
+        };
+        rig.nodes[1].request_join(SiteId(0));
+        rig.quiesce(); // site 1 coordinates: the Join is proposed alone
+        rig.nodes[2].abcast("m");
+        settle_with_last(&rig, held_back[last]);
+
+        for node in &rig.nodes {
+            let got = node.ab_delivered();
+            let at = format!("held back {last}, rejoin {rejoin}, {:?}", node.site);
+            assert!(node.current_view().contains(SiteId(0)), "{at}");
+            assert_eq!(got, vec![(SiteId(2), "m".into())], "{at}");
+        }
+    }
+}
+
+#[test]
+fn a_join_of_the_lowest_site_mid_stream_leaves_nothing_unordered() {
+    // The same join under the network's own (seeded) delivery orders, with
+    // casts from every incumbent in flight around it.
+    for seed in 80..104 {
+        let rig = Rig::with_members(4, seed, Some(vec![SiteId(1), SiteId(2), SiteId(3)]));
+        let h = rig.net.handle();
+        for i in 0..3 {
+            rig.nodes[1 + i % 3].abcast(format!("a{i}"));
+        }
+        rig.nodes[2].request_join(SiteId(0));
+        for i in 0..6 {
+            rig.nodes[1 + i % 3].abcast(format!("b{i}"));
+            // Let the join get part of the way before the next cast.
+            for _ in 0..(seed % 7) {
+                rig.quiesce();
+                h.pump_one();
+            }
+        }
+        rig.settle();
+
+        let full = rig.nodes[1].ab_delivered();
+        assert_eq!(full.len(), 9, "seed {seed}: {full:?}");
+        for node in &rig.nodes {
+            assert_eq!(node.ab_pending(), 0, "seed {seed}, {:?}", node.site);
+        }
+        for node in &rig.nodes[2..] {
+            assert_eq!(node.ab_delivered(), full, "seed {seed}, {:?}", node.site);
+        }
+        let joiner = rig.nodes[0].ab_delivered();
+        assert_eq!(joiner, full[full.len() - joiner.len()..], "seed {seed}");
+    }
+}

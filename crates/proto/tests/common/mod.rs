@@ -1,0 +1,177 @@
+//! What the virtual-time wire tests share: a recording [`Transport`] and a
+//! cluster of full nodes behind it.
+//!
+//! Everything runs on a manual [`SimNet`] with a [`ProtoClock::manual`] and
+//! the timer thread off: one datagram is delivered at a time and every
+//! runtime is quiesced before the next, time moves only when a test says so,
+//! and nothing sleeps or reads the wall clock. The recorder keeps every
+//! datagram sent, decoded, so the tests assert on what crossed the wire
+//! rather than on protocol internals.
+//!
+//! Not every test binary uses every helper.
+#![allow(dead_code)]
+
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use bytes::Bytes;
+use samoa_net::sim::DeliveryFn;
+use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, Transport};
+use samoa_proto::{Node, NodeConfig, Payload, ProtoClock, Wire};
+
+pub const RTO: Duration = Duration::from_millis(25);
+
+/// One datagram as it left a site.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sent {
+    pub from: SiteId,
+    pub to: SiteId,
+    /// RelComm sequence number of the data frame, if the datagram has one.
+    pub data: Option<u64>,
+    /// What that data frame carries.
+    pub payload: Option<Payload>,
+    /// The acks behind it (or alone).
+    pub acks: Vec<u64>,
+}
+
+/// Forwards to the network and remembers what it forwarded. The lock is
+/// held across the forward, so entry `i` of the log is the datagram the
+/// network numbered `i + 1`.
+pub struct Recorder {
+    inner: NetHandle,
+    log: Mutex<Vec<Sent>>,
+}
+
+impl Recorder {
+    pub fn over(net: &SimNet) -> Arc<Recorder> {
+        Arc::new(Recorder {
+            inner: net.handle(),
+            log: Mutex::new(Vec::new()),
+        })
+    }
+
+    pub fn log(&self) -> Vec<Sent> {
+        self.log.lock().expect("recorder log").clone()
+    }
+}
+
+impl Transport for Recorder {
+    fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
+        let frames = Wire::decode_all(payload.clone()).expect("RelComm sent a malformed datagram");
+        let (data, carried) = match frames.first() {
+            Some(Wire::Data { seq, payload, .. }) => (Some(*seq), Some(payload.clone())),
+            _ => (None, None),
+        };
+        let acks = frames[usize::from(data.is_some())..]
+            .iter()
+            .map(|f| match f {
+                Wire::Ack { seq } => *seq,
+                other => panic!("{other:?} behind the first frame of a datagram"),
+            })
+            .collect();
+        let mut log = self.log.lock().expect("recorder log");
+        log.push(Sent {
+            from,
+            to,
+            data,
+            payload: carried,
+            acks,
+        });
+        self.inner.send(from, to, payload);
+    }
+
+    fn site_count(&self) -> usize {
+        self.inner.site_count()
+    }
+
+    fn register(&self, site: SiteId, callback: Arc<DeliveryFn>) {
+        Transport::register(&self.inner, site, callback)
+    }
+}
+
+/// Full nodes on virtual time behind one recorder.
+pub struct Rig {
+    pub net: SimNet,
+    pub rec: Arc<Recorder>,
+    pub nodes: Vec<Arc<Node>>,
+    pub clock: ProtoClock,
+}
+
+impl Rig {
+    pub fn new(sites: usize, seed: u64) -> Rig {
+        Rig::with_members(sites, seed, None)
+    }
+
+    /// `sites` nodes of which only `members` form the initial view (all of
+    /// them when `None`).
+    pub fn with_members(sites: usize, seed: u64, members: Option<Vec<SiteId>>) -> Rig {
+        let net = SimNet::new_manual(sites, NetConfig::fast(seed));
+        let rec = Recorder::over(&net);
+        let clock = ProtoClock::manual();
+        let cfg = NodeConfig {
+            enable_timers: false,
+            clock: clock.clone(),
+            rto: RTO,
+            initial_members: members,
+            ..NodeConfig::default()
+        };
+        let nodes = (0..sites as u16)
+            .map(|i| Node::new_on(rec.clone(), SiteId(i), cfg.clone()))
+            .collect();
+        Rig {
+            net,
+            rec,
+            nodes,
+            clock,
+        }
+    }
+
+    pub fn quiesce(&self) {
+        for n in &self.nodes {
+            n.runtime().quiesce();
+        }
+    }
+
+    /// Deliver one datagram at a time until none is in flight.
+    pub fn settle(&self) {
+        loop {
+            self.quiesce();
+            if !self.net.handle().pump_one() {
+                return;
+            }
+        }
+    }
+
+    /// One retransmission tick on every site, at the current virtual time.
+    pub fn tick_all(&self) {
+        for n in &self.nodes {
+            n.inject_retransmit_tick();
+        }
+        self.quiesce();
+    }
+
+    pub fn abcasts(&self, n: usize) {
+        for i in 0..n {
+            self.nodes[i % self.nodes.len()].abcast(format!("m{i}"));
+        }
+    }
+
+    pub fn pending(&self) -> Vec<usize> {
+        self.nodes.iter().map(|n| n.relcomm_pending()).collect()
+    }
+
+    pub fn retransmissions(&self) -> u64 {
+        self.nodes.iter().map(|n| n.retransmissions()).sum()
+    }
+
+    /// Every site delivered the same `n` distinct messages in the same order.
+    pub fn assert_total_order(&self, n: usize) {
+        let order = self.nodes[0].ab_delivered();
+        assert_eq!(order.len(), n, "site 0 delivered {order:?}");
+        assert_eq!(order.iter().collect::<BTreeSet<_>>().len(), n, "duplicates");
+        for node in &self.nodes[1..] {
+            assert_eq!(node.ab_delivered(), order, "{:?} diverged", node.site);
+        }
+    }
+}

@@ -1,10 +1,11 @@
 //! Property-based tests for the protocol substrate: wire-codec round-trips
-//! over arbitrary messages, group-view algebra, and atomic-broadcast
-//! delivery invariants.
+//! over arbitrary messages, group-view algebra, and consensus agreement and
+//! termination over random schedules of the pure state machine.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use samoa_net::SiteId;
+use samoa_proto::consensus::{Actions, ConsensusState};
 use samoa_proto::{
     AbMsg, AbPayload, CastData, CastMsg, ConsMsg, GroupView, MsgUid, Payload, SyncMsg, TraceCtx,
     ViewOp, Wire,
@@ -79,13 +80,17 @@ fn arb_sync() -> impl Strategy<Value = SyncMsg> {
         any::<u64>(),
         proptest::collection::vec(any::<u16>(), 0..6),
         proptest::collection::vec(arb_uid(), 0..12),
+        arb_batch(),
     )
-        .prop_map(|(next_inst, view_id, members, delivered)| SyncMsg {
-            next_inst,
-            view_id,
-            members: members.into_iter().map(SiteId).collect(),
-            delivered,
-        })
+        .prop_map(
+            |(next_inst, view_id, members, delivered, pending)| SyncMsg {
+                next_inst,
+                view_id,
+                members: members.into_iter().map(SiteId).collect(),
+                delivered,
+                pending,
+            },
+        )
 }
 
 fn arb_ctx() -> impl Strategy<Value = Option<TraceCtx>> {
@@ -298,5 +303,221 @@ proptest! {
             v
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+/// What is in flight between the [`ConsensusState`]s of [`ConsWorld`].
+#[derive(Debug, Clone)]
+enum InFlight {
+    Cons(ConsMsg),
+    /// The RelCast flood of a decision (relayed on first receipt).
+    Decide(Vec<AbMsg>),
+}
+
+/// `n` consensus state machines working on instance 0 over a network the
+/// test schedules by hand: the stand-in for RelComm (point-to-point), RelCast
+/// (the decide flood) and the failure detector (`suspect`).
+struct ConsWorld {
+    sites: Vec<ConsensusState>,
+    crashed: Vec<bool>,
+    proposed: Vec<bool>,
+    /// The decision each site learned from the flood (or made itself).
+    learned: Vec<Option<Vec<AbMsg>>>,
+    /// Every decision any site ever made.
+    decisions: Vec<Vec<AbMsg>>,
+    net: Vec<(usize, usize, InFlight)>,
+    /// What happened, for the failure message (the shim does not shrink).
+    trace: Vec<String>,
+}
+
+impl ConsWorld {
+    fn new(n: usize) -> ConsWorld {
+        let view = GroupView::of_first(n);
+        ConsWorld {
+            sites: (0..n)
+                .map(|i| ConsensusState::new(SiteId(i as u16), view.clone()))
+                .collect(),
+            crashed: vec![false; n],
+            proposed: vec![false; n],
+            learned: vec![None; n],
+            decisions: Vec::new(),
+            net: Vec::new(),
+            trace: Vec::new(),
+        }
+    }
+
+    fn estimate(site: usize) -> Vec<AbMsg> {
+        vec![AbMsg {
+            uid: MsgUid {
+                origin: SiteId(site as u16),
+                seq: 1,
+            },
+            payload: AbPayload::User(Bytes::from_static(b"v")),
+        }]
+    }
+
+    fn flood(&mut self, from: usize, value: &[AbMsg]) {
+        for to in (0..self.sites.len()).filter(|&to| to != from) {
+            self.net.push((from, to, InFlight::Decide(value.to_vec())));
+        }
+    }
+
+    fn learn(&mut self, site: usize, value: Vec<AbMsg>) {
+        if self.learned[site].is_none() {
+            self.flood(site, &value);
+            self.learned[site] = Some(value);
+            // What abcast does on delivery: `cons_gc(next_inst)`.
+            self.sites[site].gc(1);
+        }
+    }
+
+    fn apply(&mut self, site: usize, acts: Actions) {
+        self.trace.push(format!("  s{site} -> {acts:?}"));
+        for (to, m) in acts.out {
+            self.net.push((site, to.index(), InFlight::Cons(m)));
+        }
+        for (inst, value) in acts.decide {
+            assert_eq!(inst, 0);
+            self.decisions.push(value.clone());
+            self.learn(site, value);
+        }
+    }
+
+    fn propose(&mut self, site: usize) {
+        if !self.crashed[site] && self.learned[site].is_none() && !self.proposed[site] {
+            self.proposed[site] = true;
+            self.trace.push(format!("s{site} proposes"));
+            let acts = self.sites[site].propose(0, ConsWorld::estimate(site));
+            self.apply(site, acts);
+        }
+    }
+
+    fn suspect(&mut self, site: usize, whom: usize) {
+        if !self.crashed[site] {
+            self.trace.push(format!("s{site} suspects s{whom}"));
+            let acts = self.sites[site].on_suspect(SiteId(whom as u16));
+            self.apply(site, acts);
+        }
+    }
+
+    /// Hand one in-flight message to its destination (lost on a dead one).
+    fn receive(&mut self, (from, to, m): (usize, usize, InFlight)) {
+        if self.crashed[to] {
+            return;
+        }
+        self.trace.push(format!("s{from} => s{to}: {m:?}"));
+        match m {
+            InFlight::Cons(m) => {
+                let acts = self.sites[to].on_msg(SiteId(from as u16), m);
+                self.apply(to, acts);
+            }
+            InFlight::Decide(v) => self.learn(to, v),
+        }
+    }
+
+    /// A crash takes what the site had not yet got onto the wire with it.
+    fn crash(&mut self, site: usize) {
+        self.crashed[site] = true;
+        self.trace.push(format!("s{site} crashes"));
+        self.net.retain(|&(from, _, _)| from != site);
+    }
+
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.sites.len()).filter(|&i| !self.crashed[i])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Agreement under anything: whatever is delivered, lost, duplicated,
+    /// suspected (rightly or not) or crashed, no two decisions for one
+    /// instance differ — in particular not the one round 0's coordinator
+    /// reaches without a read phase and the one a later round reaches with
+    /// it. Termination under what consensus assumes: channels between live
+    /// sites lose nothing (RelComm), every live site gets to propose
+    /// (RelCast hands each the request), fewer than half crash and every
+    /// crashed site is eventually suspected by every live one.
+    #[test]
+    fn consensus_agrees_always_and_terminates_on_reliable_channels(
+        n in 3usize..6,
+        lossy in any::<bool>(),
+        ops in proptest::collection::vec((0u8..19, any::<u16>(), any::<u16>()), 0..120),
+    ) {
+        let mut w = ConsWorld::new(n);
+        let max_crashes = (n - 1) / 2;
+        for (kind, a, b) in ops {
+            let (a, b) = (a as usize, b as usize);
+            // The decide flood ends a run, so it is picked less often than
+            // the consensus traffic whose interleavings are the point.
+            let pick = |w: &ConsWorld, decide: bool| {
+                let of_kind: Vec<usize> = (0..w.net.len())
+                    .filter(|&i| matches!(w.net[i].2, InFlight::Decide(_)) == decide)
+                    .collect();
+                (!of_kind.is_empty()).then(|| of_kind[a % of_kind.len()])
+            };
+            match kind {
+                0..=6 => {
+                    if let Some(i) = pick(&w, false) {
+                        let m = w.net.remove(i);
+                        w.receive(m);
+                    }
+                }
+                7 => {
+                    if let Some(i) = pick(&w, true) {
+                        let m = w.net.remove(i);
+                        w.receive(m);
+                    }
+                }
+                8 if !w.net.is_empty() => {
+                    let m = w.net.remove(a % w.net.len());
+                    if !lossy {
+                        w.receive(m);
+                    }
+                }
+                9 if !w.net.is_empty() => {
+                    let m = w.net[a % w.net.len()].clone();
+                    w.receive(m);
+                }
+                10..=12 => w.propose(a % n),
+                // The detector never suspects its own site.
+                13..=17 if a % n != b % n => w.suspect(a % n, b % n),
+                18 if w.crashed.iter().filter(|c| **c).count() < max_crashes => w.crash(a % n),
+                _ => {}
+            }
+            prop_assert!(
+                w.decisions.windows(2).all(|d| d[0] == d[1]),
+                "two decisions differ:\n{}", w.trace.join("\n")
+            );
+        }
+        if lossy {
+            return Ok(());
+        }
+        // The fair suffix: everyone proposes, everything in flight arrives,
+        // and the failure detector keeps announcing the crashed sites.
+        for _ in 0..4 * n {
+            for site in 0..n {
+                w.propose(site);
+            }
+            while let Some(m) = w.net.pop() {
+                w.receive(m);
+            }
+            if w.live().all(|i| w.learned[i].is_some()) {
+                break;
+            }
+            for site in 0..n {
+                for dead in 0..n {
+                    if w.crashed[dead] {
+                        w.suspect(site, dead);
+                    }
+                }
+            }
+        }
+        prop_assert!(w.decisions.windows(2).all(|d| d[0] == d[1]));
+        let decided = w.decisions.first().cloned();
+        prop_assert!(decided.as_ref().is_some_and(|v| !v.is_empty()), "nobody decided");
+        for i in w.live() {
+            prop_assert_eq!(&w.learned[i], &decided, "live site {} never learned the decision", i);
+        }
     }
 }

@@ -3,172 +3,22 @@
 //! datagram costs exactly the resends it should, a one-way burst cannot grow
 //! the owed list without bound, and a departed peer leaves nothing queued.
 //!
-//! Everything runs on a manual [`SimNet`] with a [`ProtoClock::manual`] and
-//! the timer thread off: one datagram is delivered at a time and every
-//! runtime is quiesced before the next, time moves only when a test says so,
-//! and nothing sleeps or reads the wall clock. A recording [`Transport`]
-//! between the nodes and the network keeps every datagram sent, decoded, so
-//! the tests assert on what crossed the wire rather than on RelComm's
-//! internals.
+//! On the virtual-time rig and recording [`Transport`] of `common`: nothing
+//! sleeps or reads the wall clock, and the tests assert on what crossed the
+//! wire rather than on RelComm's internals.
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use samoa_core::prelude::*;
-use samoa_net::sim::DeliveryFn;
-use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, Transport};
+use samoa_net::{NetConfig, SimNet, SiteId};
 use samoa_proto::relcomm::{self, RcDataIn, RelCommState};
-use samoa_proto::{
-    CastData, CastMsg, Events, GroupView, MsgUid, Node, NodeConfig, Payload, ProtoClock, Wire,
-};
+use samoa_proto::{CastData, CastMsg, Events, GroupView, MsgUid, Payload, ProtoClock};
 
-const RTO: Duration = Duration::from_millis(25);
-
-/// One datagram as it left a site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Sent {
-    from: SiteId,
-    to: SiteId,
-    /// RelComm sequence number of the data frame, if the datagram has one.
-    data: Option<u64>,
-    /// The acks behind it (or alone).
-    acks: Vec<u64>,
-}
-
-/// Forwards to the network and remembers what it forwarded. The lock is
-/// held across the forward, so entry `i` of the log is the datagram the
-/// network numbered `i + 1`.
-struct Recorder {
-    inner: NetHandle,
-    log: Mutex<Vec<Sent>>,
-}
-
-impl Recorder {
-    fn over(net: &SimNet) -> Arc<Recorder> {
-        Arc::new(Recorder {
-            inner: net.handle(),
-            log: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn log(&self) -> Vec<Sent> {
-        self.log.lock().expect("recorder log").clone()
-    }
-}
-
-impl Transport for Recorder {
-    fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
-        let frames = Wire::decode_all(payload.clone()).expect("RelComm sent a malformed datagram");
-        let data = match frames.first() {
-            Some(Wire::Data { seq, .. }) => Some(*seq),
-            _ => None,
-        };
-        let acks = frames[usize::from(data.is_some())..]
-            .iter()
-            .map(|f| match f {
-                Wire::Ack { seq } => *seq,
-                other => panic!("{other:?} behind the first frame of a datagram"),
-            })
-            .collect();
-        let mut log = self.log.lock().expect("recorder log");
-        log.push(Sent {
-            from,
-            to,
-            data,
-            acks,
-        });
-        self.inner.send(from, to, payload);
-    }
-
-    fn site_count(&self) -> usize {
-        self.inner.site_count()
-    }
-
-    fn register(&self, site: SiteId, callback: Arc<DeliveryFn>) {
-        Transport::register(&self.inner, site, callback)
-    }
-}
-
-/// Three full nodes on virtual time behind one recorder.
-struct Rig {
-    net: SimNet,
-    rec: Arc<Recorder>,
-    nodes: Vec<Arc<Node>>,
-    clock: ProtoClock,
-}
-
-impl Rig {
-    fn new(seed: u64) -> Rig {
-        let net = SimNet::new_manual(3, NetConfig::fast(seed));
-        let rec = Recorder::over(&net);
-        let clock = ProtoClock::manual();
-        let cfg = NodeConfig {
-            enable_timers: false,
-            clock: clock.clone(),
-            rto: RTO,
-            ..NodeConfig::default()
-        };
-        let nodes = (0..3)
-            .map(|i| Node::new_on(rec.clone(), SiteId(i), cfg.clone()))
-            .collect();
-        Rig {
-            net,
-            rec,
-            nodes,
-            clock,
-        }
-    }
-
-    fn quiesce(&self) {
-        for n in &self.nodes {
-            n.runtime().quiesce();
-        }
-    }
-
-    /// Deliver one datagram at a time until none is in flight.
-    fn settle(&self) {
-        loop {
-            self.quiesce();
-            if !self.net.handle().pump_one() {
-                return;
-            }
-        }
-    }
-
-    /// One retransmission tick on every site, at the current virtual time.
-    fn tick_all(&self) {
-        for n in &self.nodes {
-            n.inject_retransmit_tick();
-        }
-        self.quiesce();
-    }
-
-    fn abcasts(&self, n: usize) {
-        for i in 0..n {
-            self.nodes[i % 3].abcast(format!("m{i}"));
-        }
-    }
-
-    fn pending(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.relcomm_pending()).collect()
-    }
-
-    fn retransmissions(&self) -> u64 {
-        self.nodes.iter().map(|n| n.retransmissions()).sum()
-    }
-
-    /// Every site delivered the same `n` distinct messages in the same order.
-    fn assert_total_order(&self, n: usize) {
-        let order = self.nodes[0].ab_delivered();
-        assert_eq!(order.len(), n, "site 0 delivered {order:?}");
-        assert_eq!(order.iter().collect::<BTreeSet<_>>().len(), n, "duplicates");
-        for node in &self.nodes[1..] {
-            assert_eq!(node.ab_delivered(), order, "{:?} diverged", node.site);
-        }
-    }
-}
+use common::{Recorder, Rig, Sent, RTO};
 
 /// `(ower, peer) -> seqs`: the acks `ower` still owes `peer` according to
 /// `log`, given that every datagram in it was delivered.
@@ -194,7 +44,7 @@ const ABCASTS: usize = 6;
 
 #[test]
 fn acks_ride_the_reverse_data() {
-    let rig = Rig::new(31);
+    let rig = Rig::new(3, 31);
     rig.abcasts(ABCASTS);
     rig.settle();
     rig.assert_total_order(ABCASTS);
@@ -215,7 +65,7 @@ fn acks_ride_the_reverse_data() {
 
 #[test]
 fn one_tick_flushes_one_datagram_per_owing_link() {
-    let rig = Rig::new(32);
+    let rig = Rig::new(3, 32);
     rig.abcasts(ABCASTS);
     rig.settle();
     let before = rig.rec.log();
@@ -249,7 +99,7 @@ fn one_tick_flushes_one_datagram_per_owing_link() {
 
 #[test]
 fn a_lost_datagram_costs_exactly_its_frame_and_its_acks() {
-    let rig = Rig::new(33);
+    let rig = Rig::new(3, 33);
     let h = rig.net.handle();
     rig.abcasts(ABCASTS);
     // Settle, but lose the first datagram that carries acks behind its data.
@@ -417,6 +267,7 @@ fn a_departed_peer_leaves_no_owed_acks_behind() {
         from: SiteId(0),
         to: SiteId(1),
         data: None,
+        payload: None,
         acks: vec![1],
     };
     assert_eq!(lone.rec.log(), vec![to_1.clone()], "site 2 was still owed");
@@ -429,6 +280,7 @@ fn a_departed_peer_leaves_no_owed_acks_behind() {
         from: SiteId(0),
         to: SiteId(2),
         data: None,
+        payload: None,
         acks: vec![3],
     };
     assert_eq!(lone.rec.log(), vec![to_1, to_2]);

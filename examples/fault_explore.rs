@@ -2,10 +2,12 @@
 //!
 //! Two gates, both release-mode and fully deterministic:
 //!
-//! 1. **Healthy sweep** — a bounded DPOR sweep of the hooked 3-site proto
-//!    cluster with a fault budget of one crash + one drop, run *twice*.
-//!    The runs must agree on schedule counts and failure signatures, and
-//!    the healthy stack must survive every explored schedule × fault mix.
+//! 1. **Healthy sweeps** — a bounded DPOR sweep of the hooked 3-site proto
+//!    cluster with a fault budget of one crash + one drop, and one with one
+//!    crash + one suspicion (the budget under which consensus leaves round
+//!    0), each run *twice*. The runs must agree on schedule counts and
+//!    failure signatures, and the healthy stack must survive every explored
+//!    schedule × fault mix.
 //! 2. **Positive control** — the injected arrival-order bug
 //!    ([`ClusterScenario::with_ab_order_bug`]) must yield a witness that
 //!    replays to the same failure; a checker that can no longer find a
@@ -51,29 +53,39 @@ fn main() -> ExitCode {
     let mut failed = false;
     let mut log = String::new();
 
-    // Gate 1: deterministic healthy sweep (crash + drop budget).
-    let scenario = || ClusterScenario::new(3, StackPolicy::Basic, 7, FaultBudget::crash_and_drop());
+    // Gate 1: deterministic healthy sweeps.
+    let scenario = |budget| ClusterScenario::new(3, StackPolicy::Basic, 7, budget);
+    let crash_and_suspicion = FaultBudget {
+        crashes: 1,
+        suspicions: 1,
+        ..FaultBudget::default()
+    };
     let cfg = ExplorerConfig::new(12, Strategy::Dpor);
-    let a = Explorer::sweep(&scenario(), &cfg);
-    let b = Explorer::sweep(&scenario(), &cfg);
-    println!(
-        "healthy sweep: {} schedules (run A) / {} (run B), {} failure(s)",
-        a.schedules_run,
-        b.schedules_run,
-        a.failures.len()
-    );
-    if a.schedules_run != b.schedules_run || signatures(&a) != signatures(&b) {
-        println!("FAIL: the bounded DPOR sweep is not deterministic");
-        failed = true;
-    }
-    if !a.failures.is_empty() {
-        println!("FAIL: the healthy stack failed under some schedule × fault mix");
-        let _ = write!(log, "{}", witness_log(&a));
-        failed = true;
+    for (label, budget) in [
+        ("crash + drop", FaultBudget::crash_and_drop()),
+        ("crash + suspicion", crash_and_suspicion),
+    ] {
+        let a = Explorer::sweep(&scenario(budget), &cfg);
+        let b = Explorer::sweep(&scenario(budget), &cfg);
+        println!(
+            "healthy sweep ({label}): {} schedules (run A) / {} (run B), {} failure(s)",
+            a.schedules_run,
+            b.schedules_run,
+            a.failures.len()
+        );
+        if a.schedules_run != b.schedules_run || signatures(&a) != signatures(&b) {
+            println!("FAIL: the bounded DPOR sweep is not deterministic");
+            failed = true;
+        }
+        if !a.failures.is_empty() {
+            println!("FAIL: the healthy stack failed under some schedule × fault mix");
+            let _ = write!(log, "{}", witness_log(&a));
+            failed = true;
+        }
     }
 
     // Gate 2: the planted ordering bug must still be caught and replay.
-    let buggy = scenario().with_ab_order_bug();
+    let buggy = scenario(FaultBudget::crash_and_drop()).with_ab_order_bug();
     let search = ExplorerConfig::new(192, Strategy::Random { seed: 3 });
     match Explorer::explore(&buggy, &search).violation {
         None => {
