@@ -2,7 +2,7 @@
 //! turn-taking and records every scheduling choice.
 //!
 //! A [`Controller`] is installed into one or more runtimes as their
-//! [`SchedHook`] ([`Runtime::with_hook`](samoa_core::Runtime::with_hook)).
+//! [`SchedHook`] ([`Runtime::with_parts`](samoa_core::Runtime::with_parts)).
 //! From then on exactly one controlled thread executes at a time:
 //!
 //! * At every [`SchedPoint`] the running thread offers its turn back; the
@@ -240,7 +240,7 @@ pub struct ScheduleTrace {
 }
 
 /// The cooperative turn-taking scheduler. Implements [`SchedHook`];
-/// install with `Runtime::with_hook(stack, cfg, ctrl.clone())`.
+/// install with `Runtime::with_parts(stack, cfg, Some(ctrl.clone()), None)`.
 pub struct Controller {
     st: Mutex<CtrlState>,
     cv: Condvar,

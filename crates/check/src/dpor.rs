@@ -15,7 +15,7 @@
 //!
 //! ## The dependence relation
 //!
-//! The unit of analysis is the [`SegEvent`]: one thread's contiguous
+//! The unit of analysis is the [`SegEvent`](crate::SegEvent): one thread's contiguous
 //! resource accesses within a segment (segments bundle the chosen thread's
 //! action with any *forced moves* that followed it, so a segment can carry
 //! several threads' events). Two events are **dependent** iff they belong

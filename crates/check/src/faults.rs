@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 use samoa_core::sched::{ExternalChoice, SchedResource};
 use samoa_core::{History, SchedHook};
 use samoa_net::{NetConfig, NetHandle, SimNet, SiteId};
-use samoa_proto::{Node, NodeConfig, ProtoClock, StackPolicy};
+use samoa_proto::{Cluster, Node, NodeConfig, Observe, ProtoClock, StackPolicy};
 
 use crate::scenarios::{RunReport, Scenario};
 
@@ -332,12 +332,13 @@ fn crosses_split(from: SiteId, to: SiteId) -> bool {
 }
 
 impl Scenario for ClusterScenario {
-    fn name(&self) -> &'static str {
+    fn name(&self) -> String {
         if self.ab_order_bug {
             "cluster/ab-order-bug"
         } else {
             "cluster/faults"
         }
+        .into()
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
@@ -349,9 +350,9 @@ impl Scenario for ClusterScenario {
         cfg.enable_fd = false;
         cfg.clock = clock.clone();
         cfg.ab_order_enabled = !self.ab_order_bug;
-        let nodes: Vec<Arc<Node>> = (0..n as u16)
-            .map(|i| Node::new_hooked(net.handle(), SiteId(i), cfg.clone(), Arc::clone(&hook)))
-            .collect();
+        let cluster =
+            Cluster::new_observed_on(net, cfg.clone(), Some(hook.clone()), Observe::default());
+        let nodes = cluster.nodes();
 
         // Workload: unique payloads, round-robined over the sites.
         for k in 0..self.abcasts {
@@ -365,7 +366,7 @@ impl Scenario for ClusterScenario {
             drop(nodes[site].kv_put(format!("key-{k}"), format!("val-{site}-{k}")));
         }
 
-        let h = net.handle();
+        let h = cluster.net();
         let mut crashed = vec![false; n];
         let mut budget = self.budget;
         let mut ticks_left = self.ticks;
@@ -379,7 +380,7 @@ impl Scenario for ClusterScenario {
             // Let the computations triggered by the previous move finish
             // (their interleaving is explored by the same controller), so
             // the next enumeration sees a settled network.
-            quiesce(&nodes);
+            quiesce(nodes);
             // Dead datagrams — to/from a crashed site, or across an active
             // partition — are discarded deterministically rather than
             // offered as no-op choices.
@@ -394,7 +395,7 @@ impl Scenario for ClusterScenario {
             if actions >= self.max_actions {
                 break;
             }
-            let alts = self.alternatives(&h, &crashed, &budget, ticks_left, partitioned, &nodes);
+            let alts = self.alternatives(&h, &crashed, &budget, ticks_left, partitioned, nodes);
             if alts.is_empty() {
                 break;
             }
@@ -426,16 +427,16 @@ impl Scenario for ClusterScenario {
                     // decision through the data datagrams that carry acks.
                     let before: HashSet<u64> =
                         h.pending_datagrams().iter().map(|dg| dg.seq).collect();
-                    tick_live(&nodes, &crashed);
-                    quiesce(&nodes);
+                    tick_live(nodes, &crashed);
+                    quiesce(nodes);
                     for dg in h.pending_datagrams() {
                         if !before.contains(&dg.seq) {
                             h.pump_seq(dg.seq);
                         }
                     }
-                    quiesce(&nodes);
+                    quiesce(nodes);
                     clock.advance(tick_advance);
-                    tick_live(&nodes, &crashed);
+                    tick_live(nodes, &crashed);
                     ticks_left -= 1;
                 }
                 id if (CRASH_BASE..CRASH_BASE + n as u32).contains(&id) => {

@@ -14,11 +14,12 @@
 //! reproduces deterministically.
 //!
 //! ```
-//! use samoa_check::{DiamondScenario, Explorer, ExplorerConfig, ScenarioPolicy, Strategy};
+//! use samoa_check::{DiamondScenario, Explorer, ExplorerConfig, Strategy};
+//! use samoa_core::Policy;
 //!
 //! // The unsynchronised diamond hides the paper's run r3; a short random
 //! // walk finds it and pins it down to a replayable trace.
-//! let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+//! let scenario = DiamondScenario::new(Policy::Unsync);
 //! let got = Explorer::explore(
 //!     &scenario,
 //!     &ExplorerConfig::new(500, Strategy::Random { seed: 1 }),
@@ -27,7 +28,7 @@
 //! assert_eq!(Explorer::replay(&scenario, &witness), Some(witness.failure.clone()));
 //!
 //! // The same workload under VCAbasic survives every schedule tried.
-//! let safe = DiamondScenario::new(ScenarioPolicy::VcaBasic);
+//! let safe = DiamondScenario::new(Policy::Basic);
 //! let got = Explorer::explore(&safe, &ExplorerConfig::new(100, Strategy::Random { seed: 1 }));
 //! assert!(got.violation.is_none());
 //! ```
@@ -51,7 +52,7 @@ pub use explorer::{Exploration, Explorer, ExplorerConfig, Failure, Strategy, Swe
 pub use faults::{ClusterProbe, ClusterScenario, FaultBudget};
 pub use independence::StaticIndependence;
 pub use scenarios::{
-    DiamondScenario, DisjointClustersScenario, OccScenario, RunReport, Scenario, ScenarioPolicy,
+    DiamondScenario, DisjointClustersScenario, OccScenario, RunReport, Scenario,
     TransportWindowScenario, ViewChangeScenario,
 };
 pub use strategy::{Decider, PctDecider, PrefixDecider, RandomDecider};

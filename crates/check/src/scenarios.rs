@@ -44,7 +44,7 @@ pub struct RunReport {
 /// A workload the explorer can run under many schedules.
 pub trait Scenario {
     /// Stable name, recorded in witnesses.
-    fn name(&self) -> &'static str;
+    fn name(&self) -> String;
 
     /// Run the workload once under `hook`'s schedule and report.
     ///
@@ -74,53 +74,36 @@ pub trait Scenario {
     }
 }
 
-/// Synchronisation policy a scenario runs its computations under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioPolicy {
-    /// Cactus-style, no isolation — the buggy baseline the explorer should
-    /// catch.
-    Unsync,
-    /// `isolated M e` (VCAbasic).
-    VcaBasic,
-    /// `isolated (M, bounds) e` (VCAbound) — bounds set to each
-    /// computation's true visit counts.
-    VcaBound,
-    /// `isolated pattern e` (VCAroute).
-    VcaRoute,
-    /// Appia-style serial execution.
-    Serial,
-    /// Conservative two-phase locking.
-    TwoPhase,
-}
-
-impl ScenarioPolicy {
-    /// All policies that guarantee isolation (everything except `Unsync`).
-    pub fn isolating() -> [ScenarioPolicy; 5] {
-        [
-            ScenarioPolicy::VcaBasic,
-            ScenarioPolicy::VcaBound,
-            ScenarioPolicy::VcaRoute,
-            ScenarioPolicy::Serial,
-            ScenarioPolicy::TwoPhase,
-        ]
-    }
+/// Spawn one computation that triggers `ev` under `policy`, declaring one
+/// visit to each of `protocols`, along `route`.
+fn spawn_once(
+    rt: &Runtime,
+    policy: Policy,
+    ev: EventType,
+    protocols: &[ProtocolId],
+    route: &RoutePattern,
+) -> CompHandle {
+    let bounds: Vec<(ProtocolId, u64)> = protocols.iter().map(|&p| (p, 1)).collect();
+    rt.spawn(policy.decl(protocols, &bounds, route), move |ctx| {
+        ctx.trigger(ev, EventData::empty())
+    })
 }
 
 /// The Figure 1 diamond: handlers P, Q, R, S; computation `ka` routes
 /// P → R → S, `kb` routes Q → R → S; R and S record writer order.
 ///
-/// Under [`ScenarioPolicy::Unsync`] the explorer can drive the execution
+/// Under [`Policy::Unsync`] the explorer can drive the execution
 /// into the paper's run `r3` (`ka` before `kb` on R, `kb` before `ka` on S)
 /// — a precedence cycle. Under any isolating policy no schedule produces a
 /// violation.
 pub struct DiamondScenario {
-    policy: ScenarioPolicy,
+    policy: Policy,
     width: usize,
 }
 
 impl DiamondScenario {
     /// The paper's two-computation diamond under `policy`.
-    pub fn new(policy: ScenarioPolicy) -> DiamondScenario {
+    pub fn new(policy: Policy) -> DiamondScenario {
         DiamondScenario::sized(policy, 2)
     }
 
@@ -129,7 +112,7 @@ impl DiamondScenario {
     /// exponentially in `width`, which is what makes it the reduction
     /// benchmark: at `width ≥ 3` exhaustive enumeration runs tens of
     /// thousands of schedules where DPOR needs a fraction of them.
-    pub fn sized(policy: ScenarioPolicy, width: usize) -> DiamondScenario {
+    pub fn sized(policy: Policy, width: usize) -> DiamondScenario {
         assert!(width >= 1, "diamond needs at least one computation");
         DiamondScenario { policy, width }
     }
@@ -156,15 +139,8 @@ impl DiamondScenario {
 }
 
 impl Scenario for DiamondScenario {
-    fn name(&self) -> &'static str {
-        match self.policy {
-            ScenarioPolicy::Unsync => "diamond/unsync",
-            ScenarioPolicy::VcaBasic => "diamond/vca-basic",
-            ScenarioPolicy::VcaBound => "diamond/vca-bound",
-            ScenarioPolicy::VcaRoute => "diamond/vca-route",
-            ScenarioPolicy::Serial => "diamond/serial",
-            ScenarioPolicy::TwoPhase => "diamond/two-phase",
-        }
+    fn name(&self) -> String {
+        format!("diamond/{}", self.policy)
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
@@ -201,32 +177,14 @@ impl Scenario for DiamondScenario {
             })
         };
 
-        let rt = Runtime::with_hook(b.build(), RuntimeConfig::recording(), hook);
-        let policy = self.policy;
-        let spawn_one = |ev: EventType, own: ProtocolId, root| {
-            let body = move |ctx: &Ctx| ctx.trigger(ev, EventData::empty());
-            match policy {
-                ScenarioPolicy::Unsync => rt.spawn(Decl::Unsync, body),
-                ScenarioPolicy::VcaBasic => rt.spawn(Decl::Basic(&[own, r, s]), body),
-                ScenarioPolicy::VcaBound => {
-                    rt.spawn(Decl::Bound(&[(own, 1), (r, 1), (s, 1)]), body)
-                }
-                ScenarioPolicy::VcaRoute => {
-                    let pat = RoutePattern::new()
-                        .root(root)
-                        .edge(root, h_r)
-                        .edge(h_r, h_s);
-                    rt.spawn(Decl::Route(&pat), body)
-                }
-                ScenarioPolicy::Serial => rt.spawn(Decl::Serial, body),
-                ScenarioPolicy::TwoPhase => rt.spawn(Decl::TwoPhase(&[own, r, s]), body),
-            }
-        };
+        let rt = Runtime::with_parts(b.build(), RuntimeConfig::recording(), Some(hook), None);
+        let a_pat = RoutePattern::new().root(h_p).edge(h_p, h_r).edge(h_r, h_s);
+        let b_pat = RoutePattern::new().root(h_q).edge(h_q, h_r).edge(h_r, h_s);
         for i in 0..self.width {
             if i % 2 == 0 {
-                spawn_one(a0, p, h_p);
+                spawn_once(&rt, self.policy, a0, &[p, r, s], &a_pat);
             } else {
-                spawn_one(b0, q, h_q);
+                spawn_once(&rt, self.policy, b0, &[q, r, s], &b_pat);
             }
         }
         rt.quiesce();
@@ -252,15 +210,15 @@ impl Scenario for DiamondScenario {
 /// [`StaticIndependence`] relation never seeds backtrack points that
 /// merely reorder `kc` against the diamond: the chain multiplies the
 /// exhaustive schedule space but (mostly) not the reduced one. Under
-/// [`ScenarioPolicy::Unsync`] the diamond still hides the paper's run
+/// [`Policy::Unsync`] the diamond still hides the paper's run
 /// `r3`; the chain itself is race-free under every policy.
 pub struct DisjointClustersScenario {
-    policy: ScenarioPolicy,
+    policy: Policy,
 }
 
 impl DisjointClustersScenario {
     /// The diamond-plus-chain workload under `policy`.
-    pub fn new(policy: ScenarioPolicy) -> DisjointClustersScenario {
+    pub fn new(policy: Policy) -> DisjointClustersScenario {
         DisjointClustersScenario { policy }
     }
 
@@ -291,15 +249,8 @@ impl DisjointClustersScenario {
 }
 
 impl Scenario for DisjointClustersScenario {
-    fn name(&self) -> &'static str {
-        match self.policy {
-            ScenarioPolicy::Unsync => "disjoint-clusters/unsync",
-            ScenarioPolicy::VcaBasic => "disjoint-clusters/vca-basic",
-            ScenarioPolicy::VcaBound => "disjoint-clusters/vca-bound",
-            ScenarioPolicy::VcaRoute => "disjoint-clusters/vca-route",
-            ScenarioPolicy::Serial => "disjoint-clusters/serial",
-            ScenarioPolicy::TwoPhase => "disjoint-clusters/two-phase",
-        }
+    fn name(&self) -> String {
+        format!("disjoint-clusters/{}", self.policy)
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
@@ -356,28 +307,13 @@ impl Scenario for DisjointClustersScenario {
             })
         };
 
-        let rt = Runtime::with_hook(b.build(), RuntimeConfig::recording(), hook);
-        let policy = self.policy;
-        let spawn_one = |ev: EventType, decl: &[ProtocolId], pat: &RoutePattern| {
-            let body = move |ctx: &Ctx| ctx.trigger(ev, EventData::empty());
-            match policy {
-                ScenarioPolicy::Unsync => rt.spawn(Decl::Unsync, body),
-                ScenarioPolicy::VcaBasic => rt.spawn(Decl::Basic(decl), body),
-                ScenarioPolicy::VcaBound => {
-                    let bounds: Vec<(ProtocolId, u64)> = decl.iter().map(|&pr| (pr, 1)).collect();
-                    rt.spawn(Decl::Bound(&bounds), body)
-                }
-                ScenarioPolicy::VcaRoute => rt.spawn(Decl::Route(pat), body),
-                ScenarioPolicy::Serial => rt.spawn(Decl::Serial, body),
-                ScenarioPolicy::TwoPhase => rt.spawn(Decl::TwoPhase(decl), body),
-            }
-        };
+        let rt = Runtime::with_parts(b.build(), RuntimeConfig::recording(), Some(hook), None);
         let a_pat = RoutePattern::new().root(h_p).edge(h_p, h_r).edge(h_r, h_s);
         let b_pat = RoutePattern::new().root(h_q).edge(h_q, h_r).edge(h_r, h_s);
         let c_pat = RoutePattern::new().root(h_x).edge(h_x, h_y);
-        spawn_one(a0, &[p, r, s], &a_pat);
-        spawn_one(b0, &[q, r, s], &b_pat);
-        spawn_one(x0, &[x, y], &c_pat);
+        spawn_once(&rt, self.policy, a0, &[p, r, s], &a_pat);
+        spawn_once(&rt, self.policy, b0, &[q, r, s], &b_pat);
+        spawn_once(&rt, self.policy, x0, &[x, y], &c_pat);
         rt.quiesce();
 
         let chain_ok = x_count.snapshot() == 1 && y_count.snapshot() == 1;
@@ -417,6 +353,7 @@ impl Scenario for DisjointClustersScenario {
 pub struct OccScenario {
     threads: usize,
     buggy: bool,
+    trace: Option<Arc<TraceBuffer>>,
 }
 
 impl OccScenario {
@@ -426,6 +363,7 @@ impl OccScenario {
         OccScenario {
             threads,
             buggy: true,
+            trace: None,
         }
     }
 
@@ -435,6 +373,17 @@ impl OccScenario {
         OccScenario {
             threads,
             buggy: false,
+            trace: None,
+        }
+    }
+
+    /// The same workload with every run's optimistic runtime also emitting
+    /// its validate/commit/abort events into a shared [`TraceBuffer`]
+    /// ([`Scenario::trace_buffer`]) — hook and sink together.
+    pub fn traced(self) -> OccScenario {
+        OccScenario {
+            trace: Some(TraceBuffer::new()),
+            ..self
         }
     }
 }
@@ -444,19 +393,21 @@ impl OccScenario {
 const OCC_JOIN: SchedResource = SchedResource::Done(u64::MAX);
 
 impl Scenario for OccScenario {
-    fn name(&self) -> &'static str {
+    fn name(&self) -> String {
         if self.buggy {
             "occ/lost-update"
         } else {
             "occ/serialised"
         }
+        .into()
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
         use samoa_core::optimistic::{OccCell, OccRuntime};
         use std::sync::atomic::{AtomicU64, Ordering};
 
-        let rt = OccRuntime::with_hook(hook.clone());
+        let sink = self.trace.clone().map(|t| t as Arc<dyn TraceSink>);
+        let rt = OccRuntime::with_parts(Some(hook.clone()), sink);
         let cell = OccCell::new(0u64);
         let finished = Arc::new(AtomicU64::new(0));
         let max_retries = Arc::new(AtomicU64::new(0));
@@ -525,6 +476,10 @@ impl Scenario for OccScenario {
             invariant_violation: bad,
         }
     }
+
+    fn trace_buffer(&self) -> Option<Arc<TraceBuffer>> {
+        self.trace.clone()
+    }
 }
 
 /// The §3 view-change race over a manual [`SimNet`]: a broadcast
@@ -539,7 +494,7 @@ impl Scenario for OccScenario {
 /// including what site 1 receives — is a pure function of the choice
 /// sequence and the network seed.
 pub struct ViewChangeScenario {
-    policy: ScenarioPolicy,
+    policy: Policy,
     net_seed: u64,
     trace: Option<Arc<TraceBuffer>>,
 }
@@ -547,7 +502,7 @@ pub struct ViewChangeScenario {
 impl ViewChangeScenario {
     /// A view-change race under `policy`, network delays drawn from
     /// `net_seed`.
-    pub fn new(policy: ScenarioPolicy, net_seed: u64) -> ViewChangeScenario {
+    pub fn new(policy: Policy, net_seed: u64) -> ViewChangeScenario {
         ViewChangeScenario {
             policy,
             net_seed,
@@ -555,15 +510,14 @@ impl ViewChangeScenario {
         }
     }
 
-    /// Like [`new`](ViewChangeScenario::new), but each run's runtime also
-    /// emits into a shared [`TraceBuffer`] — the feedback channel
+    /// The same workload with each run's runtime also emitting into a
+    /// shared [`TraceBuffer`] — the feedback channel
     /// [`Strategy::Guided`](crate::explorer::Strategy::Guided) drains to
     /// steer the next schedule.
-    pub fn traced(policy: ScenarioPolicy, net_seed: u64) -> ViewChangeScenario {
+    pub fn traced(self) -> ViewChangeScenario {
         ViewChangeScenario {
-            policy,
-            net_seed,
             trace: Some(TraceBuffer::new()),
+            ..self
         }
     }
 
@@ -586,15 +540,8 @@ impl ViewChangeScenario {
 }
 
 impl Scenario for ViewChangeScenario {
-    fn name(&self) -> &'static str {
-        match self.policy {
-            ScenarioPolicy::Unsync => "view-change/unsync",
-            ScenarioPolicy::VcaBasic => "view-change/vca-basic",
-            ScenarioPolicy::VcaBound => "view-change/vca-bound",
-            ScenarioPolicy::VcaRoute => "view-change/vca-route",
-            ScenarioPolicy::Serial => "view-change/serial",
-            ScenarioPolicy::TwoPhase => "view-change/two-phase",
-        }
+    fn name(&self) -> String {
+        format!("view-change/{}", self.policy)
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
@@ -661,34 +608,12 @@ impl Scenario for ViewChangeScenario {
             })
         };
 
-        let rt = match &self.trace {
-            Some(sink) => Runtime::with_hook_and_trace(
-                b.build(),
-                RuntimeConfig::recording(),
-                hook,
-                sink.clone(),
-            ),
-            None => Runtime::with_hook(b.build(), RuntimeConfig::recording(), hook),
-        };
-        let policy = self.policy;
-        let spawn_one = |ev: EventType, decl: &[ProtocolId], pat: &RoutePattern| {
-            let body = move |ctx: &Ctx| ctx.trigger(ev, EventData::empty());
-            match policy {
-                ScenarioPolicy::Unsync => rt.spawn(Decl::Unsync, body),
-                ScenarioPolicy::VcaBasic => rt.spawn(Decl::Basic(decl), body),
-                ScenarioPolicy::VcaBound => {
-                    let bounds: Vec<(ProtocolId, u64)> = decl.iter().map(|&p| (p, 1)).collect();
-                    rt.spawn(Decl::Bound(&bounds), body)
-                }
-                ScenarioPolicy::VcaRoute => rt.spawn(Decl::Route(pat), body),
-                ScenarioPolicy::Serial => rt.spawn(Decl::Serial, body),
-                ScenarioPolicy::TwoPhase => rt.spawn(Decl::TwoPhase(decl), body),
-            }
-        };
+        let sink = self.trace.clone().map(|t| t as Arc<dyn TraceSink>);
+        let rt = Runtime::with_parts(b.build(), RuntimeConfig::recording(), Some(hook), sink);
         let bcast_pat = RoutePattern::new().root(h_b).edge(h_b, h_s);
         let vc_pat = RoutePattern::new().root(h_v).edge(h_v, h_e);
-        let _kb = spawn_one(bcast, &[p_view, p_chan], &bcast_pat);
-        let _kv = spawn_one(vchange, &[p_view, p_chan], &vc_pat);
+        spawn_once(&rt, self.policy, bcast, &[p_view, p_chan], &bcast_pat);
+        spawn_once(&rt, self.policy, vchange, &[p_view, p_chan], &vc_pat);
         rt.quiesce();
         // Deliver on the controlled thread; callbacks only append to the
         // collector, so ordering beyond the seed does not matter here.
@@ -733,12 +658,13 @@ impl TransportWindowScenario {
 }
 
 impl Scenario for TransportWindowScenario {
-    fn name(&self) -> &'static str {
+    fn name(&self) -> String {
         match self.policy {
             TransportPolicy::Unsync => "transport-window/unsync",
             TransportPolicy::Serial => "transport-window/serial",
             TransportPolicy::Basic => "transport-window/basic",
         }
+        .into()
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
@@ -750,8 +676,14 @@ impl Scenario for TransportWindowScenario {
             enable_timers: false,
             ..TransportConfig::default()
         };
-        let e0 = Endpoint::new_hooked(net.handle(), SiteId(0), cfg.clone(), hook.clone(), true);
-        let e1 = Endpoint::new_hooked(net.handle(), SiteId(1), cfg, hook, false);
+        let e0 = Endpoint::with_parts(
+            net.handle(),
+            SiteId(0),
+            cfg.clone(),
+            Some(hook.clone()),
+            true,
+        );
+        let e1 = Endpoint::with_parts(net.handle(), SiteId(1), cfg, Some(hook), false);
 
         let msg_a: Vec<u8> = (0u8..40).collect();
         let msg_b: Vec<u8> = (100u8..140).collect();

@@ -7,7 +7,7 @@
 
 use samoa_check::{Controller, PrefixDecider};
 use samoa_core::{TraceBuffer, TraceKind};
-use samoa_net::NetConfig;
+use samoa_net::{NetConfig, SimNet};
 use samoa_proto::{Cluster, NodeConfig, Observe, StackPolicy};
 
 /// Project a cluster trace event to a timing-free descriptor (wait/service
@@ -52,9 +52,8 @@ fn traced_put_run() -> Vec<TraceKind> {
         enable_timers: false,
         ..NodeConfig::with_policy(StackPolicy::Basic)
     };
-    let cluster = Cluster::new_manual_observed(
-        3,
-        NetConfig::fast(11),
+    let cluster = Cluster::new_observed_on(
+        SimNet::new_manual(3, NetConfig::fast(11)),
         cfg,
         Some(ctrl.clone()),
         Observe::traced(sink.clone()),

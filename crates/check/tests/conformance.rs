@@ -8,8 +8,9 @@ use std::collections::BTreeSet;
 
 use samoa_check::{
     ClusterScenario, DiamondScenario, DisjointClustersScenario, Explorer, ExplorerConfig, Failure,
-    FaultBudget, OccScenario, Scenario, ScenarioPolicy, Strategy, Sweep, ViewChangeScenario,
+    FaultBudget, OccScenario, Scenario, Strategy, Sweep, ViewChangeScenario,
 };
+use samoa_core::Policy;
 
 fn signatures(sweep: &Sweep) -> BTreeSet<String> {
     sweep
@@ -67,28 +68,28 @@ const PR5_OCC_TWO_WRITERS: usize = 55;
 
 #[test]
 fn diamond_conformance_buggy_and_isolating() {
-    let (_, dp) = conforms(&DiamondScenario::new(ScenarioPolicy::Unsync), 1_000);
+    let (_, dp) = conforms(&DiamondScenario::new(Policy::Unsync), 1_000);
     assert!(
         dp <= PR5_DIAMOND_UNSYNC,
         "diamond/unsync DPOR count regressed past PR-5: {dp} > {PR5_DIAMOND_UNSYNC}"
     );
-    let (_, dp) = conforms(&DiamondScenario::new(ScenarioPolicy::VcaBasic), 1_000);
+    let (_, dp) = conforms(&DiamondScenario::new(Policy::Basic), 1_000);
     assert!(
         dp <= PR5_DIAMOND_VCA,
         "diamond/vca-basic DPOR count regressed past PR-5: {dp} > {PR5_DIAMOND_VCA}"
     );
-    let (_, _) = conforms(&DiamondScenario::new(ScenarioPolicy::Serial), 1_000);
-    let (_, _) = conforms(&DiamondScenario::new(ScenarioPolicy::TwoPhase), 1_000);
+    let (_, _) = conforms(&DiamondScenario::new(Policy::Serial), 1_000);
+    let (_, _) = conforms(&DiamondScenario::new(Policy::TwoPhase), 1_000);
 }
 
 #[test]
 fn view_change_conformance() {
-    let (_, dp) = conforms(&ViewChangeScenario::new(ScenarioPolicy::Unsync, 7), 1_000);
+    let (_, dp) = conforms(&ViewChangeScenario::new(Policy::Unsync, 7), 1_000);
     assert!(
         dp <= PR5_VIEW_CHANGE_UNSYNC,
         "view-change/unsync DPOR count regressed past PR-5: {dp} > {PR5_VIEW_CHANGE_UNSYNC}"
     );
-    let (_, _) = conforms(&ViewChangeScenario::new(ScenarioPolicy::Serial, 7), 1_000);
+    let (_, _) = conforms(&ViewChangeScenario::new(Policy::Serial, 7), 1_000);
 }
 
 #[test]
@@ -118,7 +119,7 @@ fn occ_conformance_two_writers() {
 /// demonstrably prunes statically independent threads.
 #[test]
 fn disjoint_clusters_static_pruning_conformance() {
-    let scenario = DisjointClustersScenario::new(ScenarioPolicy::VcaBasic);
+    let scenario = DisjointClustersScenario::new(Policy::Basic);
     let mut cfg = ExplorerConfig::new(40_000, Strategy::Exhaustive);
     cfg.minimise = false;
     let ex = Explorer::sweep(&scenario, &cfg);
@@ -154,7 +155,7 @@ fn disjoint_clusters_static_pruning_conformance() {
     // The buggy sibling: seeds are withheld for Unsync stacks (no admission
     // protocol to bound the future), so pruning must stay off — and the
     // isolation violation must still surface.
-    let buggy = DisjointClustersScenario::new(ScenarioPolicy::Unsync);
+    let buggy = DisjointClustersScenario::new(Policy::Unsync);
     cfg.schedules = 60_000;
     let dp = Explorer::sweep(&buggy, &cfg);
     assert!(dp.exhausted, "buggy sweep did not exhaust");
@@ -184,19 +185,19 @@ fn fast_path_failure_sets_byte_identical_to_pre_rewrite() {
     type Case<'a> = (Box<dyn Scenario>, usize, usize, &'a BTreeSet<String>);
     let cases: Vec<Case> = vec![
         (
-            Box::new(DiamondScenario::new(ScenarioPolicy::Unsync)),
+            Box::new(DiamondScenario::new(Policy::Unsync)),
             1_000,
             48,
             &iso12,
         ),
         (
-            Box::new(DiamondScenario::new(ScenarioPolicy::VcaBasic)),
+            Box::new(DiamondScenario::new(Policy::Basic)),
             1_000,
             35,
             &none,
         ),
         (
-            Box::new(ViewChangeScenario::new(ScenarioPolicy::Unsync, 7)),
+            Box::new(ViewChangeScenario::new(Policy::Unsync, 7)),
             1_000,
             23,
             &iso12,
@@ -204,13 +205,13 @@ fn fast_path_failure_sets_byte_identical_to_pre_rewrite() {
         (Box::new(OccScenario::lost_update(2)), 2_000, 55, &lost),
         (Box::new(OccScenario::serialised(2)), 2_000, 55, &none),
         (
-            Box::new(DisjointClustersScenario::new(ScenarioPolicy::VcaBasic)),
+            Box::new(DisjointClustersScenario::new(Policy::Basic)),
             40_000,
             331,
             &none,
         ),
         (
-            Box::new(DisjointClustersScenario::new(ScenarioPolicy::Unsync)),
+            Box::new(DisjointClustersScenario::new(Policy::Unsync)),
             60_000,
             847,
             &iso12,
@@ -248,7 +249,7 @@ fn fast_path_failure_sets_byte_identical_to_pre_rewrite() {
 #[test]
 #[ignore = "slow acceptance sweep; run in release via --include-ignored"]
 fn dpor_reduction_on_the_wide_diamond() {
-    let scenario = DiamondScenario::sized(ScenarioPolicy::Unsync, 3);
+    let scenario = DiamondScenario::sized(Policy::Unsync, 3);
     let (ex, dp) = conforms(&scenario, 150_000);
     assert!(
         ex >= 10_000,
@@ -303,7 +304,7 @@ fn cluster_zero_budget_conforms_to_view_change_family() {
     let cl = Explorer::sweep(&cluster, &cfg);
     assert!(cl.schedules_run > 0);
     let vc = Explorer::sweep(
-        &ViewChangeScenario::new(ScenarioPolicy::Serial, 7),
+        &ViewChangeScenario::new(Policy::Serial, 7),
         &ExplorerConfig::new(1_000, Strategy::Dpor),
     );
     assert_eq!(
@@ -315,13 +316,13 @@ fn cluster_zero_budget_conforms_to_view_change_family() {
 }
 
 /// The correct OCC variant's retry bound (the livelock probe) holds on
-/// every schedule: exhaustive search certifies it at 2 writers.
+/// every schedule: exhaustive search certifies it at 2 writers. The runs
+/// are traced as well as controlled — hook and sink compose on the
+/// optimistic runtime — so both commits of every schedule are on record.
 #[test]
 fn occ_serialised_never_livelocks() {
-    let got = Explorer::explore(
-        &OccScenario::serialised(2),
-        &ExplorerConfig::new(2_000, Strategy::Exhaustive),
-    );
+    let scenario = OccScenario::serialised(2).traced();
+    let got = Explorer::explore(&scenario, &ExplorerConfig::new(2_000, Strategy::Exhaustive));
     assert!(
         got.exhausted,
         "space not exhausted in {}",
@@ -332,6 +333,12 @@ fn occ_serialised_never_livelocks() {
         "unexpected failure: {}",
         got.violation.unwrap()
     );
+    let events = scenario.trace_buffer().expect("traced").drain();
+    let commits = events
+        .iter()
+        .filter(|e| matches!(e.kind, samoa_core::TraceKind::OccCommit { .. }))
+        .count();
+    assert_eq!(commits, 2 * got.schedules_run);
 }
 
 /// Witness minimisation memoises replays on the controller's effective
@@ -349,7 +356,7 @@ fn minimisation_replays_fewer_runs_than_candidates() {
         runs: Arc<AtomicUsize>,
     }
     impl<S: Scenario> Scenario for Counting<S> {
-        fn name(&self) -> &'static str {
+        fn name(&self) -> String {
             self.inner.name()
         }
         fn run(&self, hook: Arc<dyn samoa_core::SchedHook>) -> samoa_check::RunReport {
@@ -364,7 +371,7 @@ fn minimisation_replays_fewer_runs_than_candidates() {
     let raw_len = {
         let mut cfg = ExplorerConfig::new(500, Strategy::Random { seed: 3 });
         cfg.minimise = false;
-        Explorer::explore(&DiamondScenario::new(ScenarioPolicy::Unsync), &cfg)
+        Explorer::explore(&DiamondScenario::new(Policy::Unsync), &cfg)
             .violation
             .expect("unsync diamond must fail")
             .choices
@@ -373,7 +380,7 @@ fn minimisation_replays_fewer_runs_than_candidates() {
 
     let runs = Arc::new(AtomicUsize::new(0));
     let scenario = Counting {
-        inner: DiamondScenario::new(ScenarioPolicy::Unsync),
+        inner: DiamondScenario::new(Policy::Unsync),
         runs: Arc::clone(&runs),
     };
     // Same walk with minimisation on (the default).

@@ -4,14 +4,15 @@
 //! schedules.
 
 use samoa_check::{
-    DiamondScenario, Explorer, ExplorerConfig, Failure, ScenarioPolicy, Strategy,
-    TransportWindowScenario, ViewChangeScenario,
+    DiamondScenario, Explorer, ExplorerConfig, Failure, Strategy, TransportWindowScenario,
+    ViewChangeScenario,
 };
+use samoa_core::Policy;
 use samoa_transport::TransportPolicy;
 
 #[test]
 fn random_walk_finds_unsync_diamond_violation_within_500() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+    let scenario = DiamondScenario::new(Policy::Unsync);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(500, Strategy::Random { seed: 42 }),
@@ -32,7 +33,7 @@ fn random_walk_finds_unsync_diamond_violation_within_500() {
 
 #[test]
 fn pct_finds_unsync_diamond_violation() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+    let scenario = DiamondScenario::new(Policy::Unsync);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(500, Strategy::Pct { seed: 7, depth: 3 }),
@@ -45,7 +46,7 @@ fn pct_finds_unsync_diamond_violation() {
 
 #[test]
 fn exhaustive_search_finds_unsync_diamond_violation() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+    let scenario = DiamondScenario::new(Policy::Unsync);
     let got = Explorer::explore(&scenario, &ExplorerConfig::new(5_000, Strategy::Exhaustive));
     assert!(
         got.violation.is_some(),
@@ -56,7 +57,7 @@ fn exhaustive_search_finds_unsync_diamond_violation() {
 
 #[test]
 fn witness_replays_to_the_same_violation_deterministically() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+    let scenario = DiamondScenario::new(Policy::Unsync);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(500, Strategy::Random { seed: 42 }),
@@ -76,7 +77,7 @@ fn witness_replays_to_the_same_violation_deterministically() {
 /// re-recording (run the explorer with seed 42 and print the witness).
 #[test]
 fn pinned_witness_for_unsync_diamond_is_stable() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+    let scenario = DiamondScenario::new(Policy::Unsync);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(500, Strategy::Random { seed: 42 }),
@@ -106,7 +107,7 @@ fn pinned_witness_for_unsync_diamond_is_stable() {
 
 #[test]
 fn minimised_witness_still_replays() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::Unsync);
+    let scenario = DiamondScenario::new(Policy::Unsync);
     let cfg = ExplorerConfig::new(500, Strategy::Random { seed: 11 });
     let w = Explorer::explore(&scenario, &cfg)
         .violation
@@ -130,12 +131,7 @@ fn minimised_witness_still_replays() {
 /// zero violations. 500 random walks per policy × 4 policies.
 #[test]
 fn sweep_isolating_policies_find_no_violation() {
-    for policy in [
-        ScenarioPolicy::VcaBasic,
-        ScenarioPolicy::VcaBound,
-        ScenarioPolicy::VcaRoute,
-        ScenarioPolicy::Serial,
-    ] {
+    for policy in [Policy::Basic, Policy::Bound, Policy::Route, Policy::Serial] {
         let scenario = DiamondScenario::new(policy);
         let got = Explorer::explore(
             &scenario,
@@ -152,7 +148,7 @@ fn sweep_isolating_policies_find_no_violation() {
 
 #[test]
 fn two_phase_locking_survives_exploration() {
-    let scenario = DiamondScenario::new(ScenarioPolicy::TwoPhase);
+    let scenario = DiamondScenario::new(Policy::TwoPhase);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(200, Strategy::Random { seed: 3 }),
@@ -165,7 +161,7 @@ fn view_change_race_is_found_and_isolating_policy_fixes_it() {
     // Unsync: some schedule lets the broadcast observe view != epoch (the
     // §3 inconsistency) — caught either as a stale message on the wire or
     // as a precedence cycle.
-    let buggy = ViewChangeScenario::new(ScenarioPolicy::Unsync, 9);
+    let buggy = ViewChangeScenario::new(Policy::Unsync, 9);
     let got = Explorer::explore(
         &buggy,
         &ExplorerConfig::new(500, Strategy::Random { seed: 5 }),
@@ -177,7 +173,7 @@ fn view_change_race_is_found_and_isolating_policy_fixes_it() {
     );
 
     // VCAbasic: same workload, no schedule misbehaves.
-    let fixed = ViewChangeScenario::new(ScenarioPolicy::VcaBasic, 9);
+    let fixed = ViewChangeScenario::new(Policy::Basic, 9);
     let got = Explorer::explore(
         &fixed,
         &ExplorerConfig::new(500, Strategy::Random { seed: 5 }),
@@ -191,7 +187,7 @@ fn guided_pct_finds_view_change_race_with_replayable_witness() {
     // generator; the guided strategy must still find the §3 race and pin
     // it to a witness that replays — guidance may steer placement, but
     // witnesses stay pure functions of the choice sequence.
-    let scenario = ViewChangeScenario::traced(ScenarioPolicy::Unsync, 9);
+    let scenario = ViewChangeScenario::new(Policy::Unsync, 9).traced();
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(500, Strategy::Guided { seed: 5, depth: 2 }),
@@ -212,11 +208,11 @@ fn guided_pct_without_trace_buffer_matches_plain_pct() {
     // schedule count to first violation.
     let seed = 7;
     let plain = Explorer::explore(
-        &DiamondScenario::new(ScenarioPolicy::Unsync),
+        &DiamondScenario::new(Policy::Unsync),
         &ExplorerConfig::new(500, Strategy::Pct { seed, depth: 3 }),
     );
     let guided = Explorer::explore(
-        &DiamondScenario::new(ScenarioPolicy::Unsync),
+        &DiamondScenario::new(Policy::Unsync),
         &ExplorerConfig::new(500, Strategy::Guided { seed, depth: 3 }),
     );
     assert_eq!(plain.schedules_run, guided.schedules_run);
@@ -230,7 +226,7 @@ fn guided_pct_without_trace_buffer_matches_plain_pct() {
 fn view_change_exhaustive_certifies_serial() {
     // The serial policy's choice tree is small enough to exhaust: a real
     // (bounded) proof of isolation rather than a sample.
-    let scenario = ViewChangeScenario::new(ScenarioPolicy::Serial, 2);
+    let scenario = ViewChangeScenario::new(Policy::Serial, 2);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(20_000, Strategy::Exhaustive),
@@ -248,11 +244,12 @@ fn proto_node_runs_hooked_under_a_controlled_schedule() {
     // Full §3 protocol stack (RelComm/RelCast/...) under the controller: a
     // reliable broadcast between two hooked nodes over a manual network,
     // with the first-ready deterministic schedule. Exercises the hooked
-    // `Node` constructor end to end; full exploration of this stack is a
-    // ROADMAP item.
+    // general `Node` constructor end to end; full exploration of this stack
+    // is a ROADMAP item.
     use samoa_check::{Controller, PrefixDecider};
     use samoa_net::{NetConfig, SimNet, SiteId};
-    use samoa_proto::{Node, NodeConfig};
+    use samoa_proto::{Node, NodeConfig, Observe};
+    use std::sync::Arc;
 
     let ctrl = Controller::new(Box::new(PrefixDecider::new(Vec::new())), 500_000);
     ctrl.register_main();
@@ -262,8 +259,11 @@ fn proto_node_runs_hooked_under_a_controlled_schedule() {
         record_history: true,
         ..NodeConfig::default()
     };
-    let n0 = Node::new_hooked(net.handle(), SiteId(0), cfg.clone(), ctrl.clone());
-    let n1 = Node::new_hooked(net.handle(), SiteId(1), cfg, ctrl.clone());
+    let hooked = |site| {
+        let (transport, hook) = (Arc::new(net.handle()), Some(ctrl.clone() as _));
+        Node::new_observed_on(transport, site, cfg.clone(), hook, Observe::default())
+    };
+    let (n0, n1) = (hooked(SiteId(0)), hooked(SiteId(1)));
     n0.rbcast(b"hello".to_vec());
     loop {
         n0.runtime().quiesce();

@@ -8,9 +8,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use samoa_check::{
     dpor, Controller, DiamondScenario, HappensBefore, OccScenario, PrefixDecider, RandomDecider,
-    Scenario, ScenarioPolicy, ScheduleTrace, StepRecord, ViewChangeScenario,
+    Scenario, ScheduleTrace, StepRecord, ViewChangeScenario,
 };
 use samoa_core::sched::SchedResource;
+use samoa_core::Policy;
 
 /// Run `scenario` once under a fresh controller driven by `decider`.
 fn trace_of(scenario: &dyn Scenario, decider: Box<dyn samoa_check::Decider>) -> ScheduleTrace {
@@ -23,9 +24,9 @@ fn trace_of(scenario: &dyn Scenario, decider: Box<dyn samoa_check::Decider>) -> 
 
 fn scenario_for(pick: u8) -> Box<dyn Scenario> {
     match pick % 4 {
-        0 => Box::new(DiamondScenario::new(ScenarioPolicy::Unsync)),
-        1 => Box::new(DiamondScenario::new(ScenarioPolicy::Serial)),
-        2 => Box::new(ViewChangeScenario::new(ScenarioPolicy::Unsync, 7)),
+        0 => Box::new(DiamondScenario::new(Policy::Unsync)),
+        1 => Box::new(DiamondScenario::new(Policy::Serial)),
+        2 => Box::new(ViewChangeScenario::new(Policy::Unsync, 7)),
         _ => Box::new(OccScenario::lost_update(2)),
     }
 }

@@ -26,10 +26,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use samoa_check::{
-    Controller, DiamondScenario, DisjointClustersScenario, RandomDecider, Scenario, ScenarioPolicy,
-    ScheduleTrace, StaticIndependence, ViewChangeScenario,
+    Controller, DiamondScenario, DisjointClustersScenario, RandomDecider, Scenario, ScheduleTrace,
+    StaticIndependence, ViewChangeScenario,
 };
 use samoa_core::sched::SchedResource;
+use samoa_core::Policy;
 
 /// One controlled run of `scenario` under a seeded random walk.
 fn random_trace(scenario: &dyn Scenario, seed: u64) -> ScheduleTrace {
@@ -141,12 +142,12 @@ fn assert_sound(name: &str, trace: &ScheduleTrace, relation: &StaticIndependence
 
 fn scenario_under_test(kind: usize) -> Box<dyn Scenario> {
     match kind {
-        0 => Box::new(DiamondScenario::new(ScenarioPolicy::Unsync)),
-        1 => Box::new(DiamondScenario::new(ScenarioPolicy::VcaBasic)),
-        2 => Box::new(ViewChangeScenario::new(ScenarioPolicy::Unsync, 7)),
-        3 => Box::new(ViewChangeScenario::new(ScenarioPolicy::VcaBasic, 7)),
-        4 => Box::new(DisjointClustersScenario::new(ScenarioPolicy::VcaBasic)),
-        _ => Box::new(DisjointClustersScenario::new(ScenarioPolicy::TwoPhase)),
+        0 => Box::new(DiamondScenario::new(Policy::Unsync)),
+        1 => Box::new(DiamondScenario::new(Policy::Basic)),
+        2 => Box::new(ViewChangeScenario::new(Policy::Unsync, 7)),
+        3 => Box::new(ViewChangeScenario::new(Policy::Basic, 7)),
+        4 => Box::new(DisjointClustersScenario::new(Policy::Basic)),
+        _ => Box::new(DisjointClustersScenario::new(Policy::TwoPhase)),
     }
 }
 
@@ -167,7 +168,7 @@ proptest! {
             .expect("bundled scenarios ship a static relation");
         let trace = random_trace(scenario.as_ref(), seed);
         prop_assert!(!trace.runaway, "runaway schedule in soundness probe");
-        let seeded = assert_sound(scenario.name(), &trace, &relation);
+        let seeded = assert_sound(&scenario.name(), &trace, &relation);
         // Admission-based policies announce static seeds at spawn; a run
         // that never sees one would make the coverage property vacuous.
         if matches!(kind, 1 | 3 | 4 | 5) {

@@ -1,6 +1,7 @@
 //! Offline drop-in replacement for the subset of `proptest` used by this
-//! workspace: the `proptest!` macro, composable [`Strategy`] values
-//! (integer ranges, tuples, `collection::vec`, [`any`], [`Just`],
+//! workspace: the `proptest!` macro, composable
+//! [`Strategy`](strategy::Strategy) values (integer ranges, tuples,
+//! `collection::vec`, [`any`](strategy::any), [`Just`](strategy::Just),
 //! `prop_oneof!`, `prop_map`), and `prop_assert!`/`prop_assert_eq!`.
 //!
 //! The build environment has no access to crates.io, so the workspace

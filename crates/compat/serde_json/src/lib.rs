@@ -6,7 +6,7 @@
 //! [`from_str`] (a strict recursive-descent JSON parser), and serialisation
 //! via [`std::fmt::Display`] / [`to_string`]. There is no serde data model
 //! and no derive support; callers parse into `Value` and navigate with
-//! [`Value::get`] / [`Value::pointer`]-style helpers.
+//! [`Value::get`] / [`Value::idx`] and the `as_*` accessors.
 //!
 //! Parsing and re-serialising a document is lossless for everything the
 //! tooling emits (objects, arrays, strings, bools, null, and numbers that

@@ -2,7 +2,8 @@
 //!
 //! Two computations contend on a microprotocol's cell — the `(gv_p, lv_p)`
 //! version counters, or the 2PL lock slot, depending on the
-//! [`Policy`](crate::policy::Policy)'s [`CellKind`] — only if both declare
+//! [`Policy`](crate::policy::Policy)'s
+//! [`CellKind`](crate::policy::CellKind) — only if both declare
 //! it, and a well-declared computation declares exactly the footprint
 //! reachable from its root event ([`infer_m`](crate::analysis::infer_m)).
 //! So whether protocols `p` and `q` can *ever* meet is decidable from the
@@ -300,7 +301,7 @@ mod tests {
     fn policy_gates_contention() {
         let (s, [e1, _, _], [pp, pq, _, _]) = stack();
         let (m, _) = ConflictMatrix::analyze(&s, &[e1]);
-        assert!(m.may_contend_under(Policy::VcaBasic, pp, pq));
+        assert!(m.may_contend_under(Policy::Basic, pp, pq));
         assert!(m.may_contend_under(Policy::TwoPhase, pp, pq));
         assert!(!m.may_contend_under(Policy::Unsync, pp, pq));
     }

@@ -200,7 +200,8 @@
 //! | SA051 | info     | protocol never shares a footprint: conflict-free, isolation on it is wasted |
 //!
 //! [`RuntimeConfig::strict_analysis`] wires all of it into the runtime:
-//! [`Runtime::new_checked`] (and every strict constructor) runs the
+//! [`Runtime::new_checked`] (and, under the flag, every other constructor —
+//! they all go through [`Runtime::with_parts`]) runs the
 //! linter, the deadlock pass and the conflict pass, rejecting the stack on
 //! any error — a cyclic nested-spawn stack never runs, while the shipped
 //! group-communication stack of `samoa-proto` is certified clean by its
@@ -224,11 +225,12 @@
 //! serializability checker of §3:
 //!
 //! ```
-//! use samoa_check::{DiamondScenario, Explorer, ExplorerConfig, ScenarioPolicy, Strategy};
+//! use samoa_check::{DiamondScenario, Explorer, ExplorerConfig, Strategy};
+//! use samoa_core::Policy;
 //!
 //! // The Fig. 1 diamond without isolation hides run r3. A pinned-seed
 //! // random walk finds it...
-//! let buggy = DiamondScenario::new(ScenarioPolicy::Unsync);
+//! let buggy = DiamondScenario::new(Policy::Unsync);
 //! let cfg = ExplorerConfig::new(500, Strategy::Random { seed: 42 });
 //! let witness = Explorer::explore(&buggy, &cfg).violation.expect("finds r3");
 //!
@@ -237,7 +239,7 @@
 //! assert_eq!(Explorer::replay(&buggy, &witness), Some(witness.failure.clone()));
 //!
 //! // The same workload under VCAbasic survives every schedule tried.
-//! let fixed = DiamondScenario::new(ScenarioPolicy::VcaBasic);
+//! let fixed = DiamondScenario::new(Policy::Basic);
 //! assert!(Explorer::explore(&fixed, &cfg).violation.is_none());
 //! ```
 //!
@@ -370,7 +372,8 @@
 //! invariant of §6 of the paper — so
 //! [`WaitForGraph::has_cycle`](crate::WaitForGraph::has_cycle) returning
 //! `true` is itself a bug report. The OCC family traces too:
-//! `OccRuntime::with_trace` emits validate/commit/abort events into the
+//! `OccRuntime::with_parts` takes the same optional hook and sink as
+//! [`Runtime::with_parts`] and emits validate/commit/abort events into the
 //! same sink, and `cargo run --release --example samoa_trace` writes a
 //! comparative trace of the whole proto stack under each algorithm.
 //!
@@ -402,7 +405,8 @@
 //!
 //! Each datagram arrival, client request, and timer tick enters the stack
 //! as a detached computation ([`Runtime::spawn`]) whose declaration is the
-//! configured `StackPolicy` — the paper's
+//! configured `StackPolicy` (this very [`Policy`](crate::Policy), mapped by
+//! [`Policy::decl`](crate::Policy::decl)) — the paper's
 //! `isolated [relComm relCast ...] {trigger FromNet m}` — so the whole
 //! distributed service inherits serial-equivalence from the framework with
 //! no locks in protocol code. Two production lessons from making this
@@ -439,7 +443,7 @@
 //!   re-emitted into the receiving node's sink on arrival (`CtxSend` /
 //!   `CtxRecv`, plus `ClientSubmit`, `AbDeliver`, `KvApply`, `Retransmit`,
 //!   `ClusterViewChange` at the protocol layer). Build the cluster with one
-//!   shared sink and epoch (`Cluster::new_observed`, `Observe`) and a
+//!   shared sink and epoch (`Cluster::new_observed_on`, `Observe`) and a
 //!   single KV `put` renders in the Chrome/Perfetto exporter
 //!   ([`ChromeTrace`](crate::ChromeTrace)) as one causally-linked arrow
 //!   chain across all sites: client submit → wire hops → per-site abcast
@@ -569,6 +573,10 @@
 //! [`TraceBuffer`]: crate::trace::TraceBuffer
 //! [`Runtime::waiters`]: crate::runtime::Runtime::waiters
 //! [`Runtime::with_trace`]: crate::runtime::Runtime::with_trace
+//! [`Runtime::with_parts`]: crate::runtime::Runtime::with_parts
+//! [`Runtime::new_checked`]: crate::runtime::Runtime::new_checked
+//! [`StackBuilder::declare_nested_spawn`]: crate::stack::StackBuilder::declare_nested_spawn
+//! [`SchedResource`]: crate::sched::SchedResource
 //! [`SchedHook`]: crate::sched::SchedHook
 //! [`Runtime::new`]: crate::runtime::Runtime::new
 //! [`Runtime::isolated`]: crate::runtime::Runtime::isolated

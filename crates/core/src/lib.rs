@@ -80,7 +80,7 @@ pub use runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};
 pub use sched::{ExternalChoice, ReleaseReason, SchedHook, SchedPoint, SchedResource};
 pub use stack::{Stack, StackBuilder};
 pub use trace::{
-    chrome_trace, percentile_us, render_summary, Algo, ChromeTrace, ContentionProfile, TraceBuffer,
+    chrome_trace, percentile_us, render_summary, ChromeTrace, ContentionProfile, TraceBuffer,
     TraceEvent, TraceKind, TraceSink, WaitEdge, WaitForGraph,
 };
 

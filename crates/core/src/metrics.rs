@@ -20,7 +20,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 /// Process-global count of instrument mutations (`inc`/`add`/`set`/
 /// `observe`) since process start. With no registry installed nowhere holds
@@ -80,12 +82,12 @@ impl Histogram {
     /// Record one sample.
     pub fn observe(&self, v: u64) {
         TOUCHED.fetch_add(1, Ordering::Relaxed);
-        self.0.lock().unwrap().push(v);
+        self.0.lock().push(v);
     }
 
     /// Copy of the raw samples, in recording order.
     pub fn samples(&self) -> Vec<u64> {
-        self.0.lock().unwrap().clone()
+        self.0.lock().clone()
     }
 }
 
@@ -113,7 +115,7 @@ impl Registry {
     /// # Panics
     /// If `name` already names a gauge or histogram.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Instrument::Counter(Counter(Arc::new(AtomicU64::new(0)))))
@@ -128,7 +130,7 @@ impl Registry {
     /// # Panics
     /// If `name` already names a counter or histogram.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Instrument::Gauge(Gauge(Arc::new(AtomicU64::new(0)))))
@@ -143,7 +145,7 @@ impl Registry {
     /// # Panics
     /// If `name` already names a counter or gauge.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Instrument::Histogram(Histogram(Arc::new(Mutex::new(Vec::new())))))
@@ -155,7 +157,7 @@ impl Registry {
 
     /// Point-in-time copy of every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock();
         let mut counters = BTreeMap::new();
         let mut gauges = BTreeMap::new();
         let mut histograms = BTreeMap::new();
@@ -329,6 +331,30 @@ mod tests {
         let r = Registry::new();
         r.counter("x");
         r.gauge("x");
+    }
+
+    /// The locks do not poison: a caller that dies inside the instruments
+    /// takes nobody else's computation with it.
+    #[test]
+    fn a_panic_inside_an_instrument_leaves_it_usable() {
+        let r = Arc::new(Registry::new());
+        let h = r.histogram("h");
+        // One observer dies holding the histogram's lock...
+        let observer = h.clone();
+        let died = std::thread::spawn(move || {
+            let _samples = observer.0.lock();
+            panic!("observer died");
+        });
+        assert!(died.join().is_err());
+        h.observe(7);
+        assert_eq!(h.samples(), vec![7]);
+        // ...another holding the registry's (the kind check panics under it).
+        let registrant = Arc::clone(&r);
+        assert!(std::thread::spawn(move || registrant.counter("h"))
+            .join()
+            .is_err());
+        r.histogram("h").observe(8);
+        assert_eq!(r.snapshot().histograms["h"].count, 2);
     }
 
     #[test]

@@ -204,10 +204,10 @@ struct OccInner {
     /// Transaction ids for instrumentation; only assigned when a hook or
     /// sink is attached.
     tx_seq: AtomicU64,
-    /// Schedule-control hook ([`OccRuntime::with_hook`]); `None` in
+    /// Schedule-control hook ([`OccRuntime::with_parts`]); `None` in
     /// production, so each decision point costs one branch.
     hook: Option<Arc<dyn SchedHook>>,
-    /// Trace sink + timestamp epoch ([`OccRuntime::with_trace`]); `None`
+    /// Trace sink + timestamp epoch ([`OccRuntime::with_parts`]); `None`
     /// when untraced — one branch per instrumentation site, as in
     /// [`Runtime`](crate::Runtime).
     trace: Option<(Arc<dyn TraceSink>, Instant)>,
@@ -219,27 +219,20 @@ impl OccRuntime {
         OccRuntime::default()
     }
 
-    /// An optimistic runtime with a schedule-control hook: validation,
-    /// commit, and retry are reported as [`SchedPoint`]s, letting a
-    /// controller steer which transaction validates first.
-    pub fn with_hook(hook: Arc<dyn SchedHook>) -> Self {
-        OccRuntime {
-            inner: Arc::new(OccInner {
-                hook: Some(hook),
-                ..OccInner::default()
-            }),
-        }
-    }
-
-    /// An optimistic runtime with a [`TraceSink`] attached: every
-    /// validation, commit, and abort/retry is delivered as a structured
+    /// The general constructor, with the same two optional attachments as
+    /// [`Runtime::with_parts`](crate::Runtime::with_parts), in any
+    /// combination. With a `hook`, validation, commit, and retry are
+    /// reported as [`SchedPoint`]s, letting a controller steer which
+    /// transaction validates first; with a `sink`, every validation, commit,
+    /// and abort/retry is delivered as a structured
     /// [`TraceKind::OccValidate`]/[`TraceKind::OccCommit`]/
     /// [`TraceKind::OccAbort`] event, timestamped from this runtime's
     /// construction.
-    pub fn with_trace(sink: Arc<dyn TraceSink>) -> Self {
+    pub fn with_parts(hook: Option<Arc<dyn SchedHook>>, sink: Option<Arc<dyn TraceSink>>) -> Self {
         OccRuntime {
             inner: Arc::new(OccInner {
-                trace: Some((sink, Instant::now())),
+                hook,
+                trace: sink.map(|s| (s, Instant::now())),
                 ..OccInner::default()
             }),
         }
@@ -498,7 +491,7 @@ mod tests {
     fn traced_runtime_emits_validate_commit_abort() {
         use crate::trace::{TraceBuffer, TraceKind};
         let buf = TraceBuffer::new();
-        let rt = OccRuntime::with_trace(buf.clone());
+        let rt = OccRuntime::with_parts(None, Some(buf.clone()));
         let cell = OccCell::new(0u64);
         // Force at least one abort under contention.
         std::thread::scope(|scope| {

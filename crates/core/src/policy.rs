@@ -21,25 +21,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::graph::RouteState;
+use crate::graph::{RoutePattern, RouteState};
 use crate::protocol::ProtocolId;
+use crate::runtime::Decl;
 use crate::version::ParkSeam;
 
-/// The concurrency-control algorithm a computation runs under, as a value:
-/// what the static conflict analysis is parameterised by ([`Policy::cell`])
-/// and a label; the runtime picks the algorithm per `isolated*` call.
+/// The concurrency-control algorithm a computation runs under — the one
+/// word the paper puts at the `isolated` construct (§4), as a value. The
+/// only "which algorithm" enum in the workspace: [`Policy::decl`] turns it
+/// into the [`Decl`] a spawn takes, [`Decl::policy`] reads it back,
+/// [`TraceKind::Spawn`](crate::trace::TraceKind::Spawn) carries it, the
+/// static conflict analysis is parameterised by it ([`Policy::cell`]), and
+/// its `Display` is the label every report prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
-    /// Appia baseline: fully serial computations.
-    Serial,
     /// Cactus-without-locks baseline: no isolation at all.
     Unsync,
-    /// The basic version-counting algorithm (paper §5.1).
-    VcaBasic,
-    /// Version counting with least upper bounds (paper §5.2).
-    VcaBound,
-    /// Version counting with a routing pattern (paper §5.3).
-    VcaRoute,
+    /// Appia baseline: fully serial computations.
+    Serial,
+    /// The basic version-counting algorithm (`isolated M e`, paper §5.1).
+    Basic,
+    /// Version counting with least upper bounds (`isolated bound M e`, §5.2).
+    Bound,
+    /// Version counting with a routing pattern (`isolated route M e`, §5.3).
+    Route,
     /// Conservative two-phase locking comparator.
     TwoPhase,
 }
@@ -50,9 +55,9 @@ impl Policy {
         Policy::Unsync,
         Policy::Serial,
         Policy::TwoPhase,
-        Policy::VcaBasic,
-        Policy::VcaBound,
-        Policy::VcaRoute,
+        Policy::Basic,
+        Policy::Bound,
+        Policy::Route,
     ];
 
     /// Does this policy guarantee the isolation property?
@@ -67,10 +72,42 @@ impl Policy {
     pub fn cell(self) -> Option<CellKind> {
         match self {
             Policy::Unsync => None,
-            Policy::Serial | Policy::VcaBasic | Policy::VcaBound | Policy::VcaRoute => {
+            Policy::Serial | Policy::Basic | Policy::Bound | Policy::Route => {
                 Some(CellKind::Version)
             }
             Policy::TwoPhase => Some(CellKind::Lock),
+        }
+    }
+
+    /// The declaration this policy makes for a computation that may visit
+    /// `protocols`, at most `bounds` times each, along `route` — each
+    /// algorithm takes the one argument it understands (`Serial` and
+    /// `Unsync` none).
+    pub fn decl<'a>(
+        self,
+        protocols: &'a [ProtocolId],
+        bounds: &'a [(ProtocolId, u64)],
+        route: &'a RoutePattern,
+    ) -> Decl<'a> {
+        match self {
+            Policy::Unsync => Decl::Unsync,
+            Policy::Serial => Decl::Serial,
+            Policy::Basic => Decl::Basic(protocols),
+            Policy::Bound => Decl::Bound(bounds),
+            Policy::Route => Decl::Route(route),
+            Policy::TwoPhase => Decl::TwoPhase(protocols),
+        }
+    }
+
+    /// Short display label (`vca-basic`, `two-phase`, …).
+    pub fn label(self) -> &'static str {
+        match self {
+            Policy::Unsync => "unsync",
+            Policy::Serial => "serial",
+            Policy::Basic => "vca-basic",
+            Policy::Bound => "vca-bound",
+            Policy::Route => "vca-route",
+            Policy::TwoPhase => "two-phase",
         }
     }
 }
@@ -90,15 +127,7 @@ pub enum CellKind {
 
 impl fmt::Display for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Policy::Serial => "serial",
-            Policy::Unsync => "unsync",
-            Policy::VcaBasic => "vca-basic",
-            Policy::VcaBound => "vca-bound",
-            Policy::VcaRoute => "vca-route",
-            Policy::TwoPhase => "two-phase",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 
@@ -238,7 +267,7 @@ mod tests {
 
     #[test]
     fn policy_display_names() {
-        assert_eq!(Policy::VcaBasic.to_string(), "vca-basic");
+        assert_eq!(Policy::Basic.to_string(), "vca-basic");
         assert_eq!(Policy::Serial.to_string(), "serial");
         assert!(Policy::Serial.isolating());
         assert!(!Policy::Unsync.isolating());
@@ -249,14 +278,31 @@ mod tests {
     fn policy_cell_kinds() {
         assert_eq!(Policy::Unsync.cell(), None);
         assert_eq!(Policy::TwoPhase.cell(), Some(CellKind::Lock));
-        for p in [
-            Policy::Serial,
-            Policy::VcaBasic,
-            Policy::VcaBound,
-            Policy::VcaRoute,
-        ] {
+        for p in [Policy::Serial, Policy::Basic, Policy::Bound, Policy::Route] {
             assert_eq!(p.cell(), Some(CellKind::Version), "{p}");
         }
+    }
+
+    #[test]
+    fn decl_and_policy_are_inverse() {
+        let protocols = [ProtocolId(0), ProtocolId(1)];
+        let bounds = [(ProtocolId(0), 2), (ProtocolId(1), 1)];
+        let route = RoutePattern::new();
+        for p in Policy::ALL {
+            assert_eq!(p.decl(&protocols, &bounds, &route).policy(), p, "{p}");
+        }
+        // Each algorithm gets the argument it understands.
+        assert!(matches!(
+            Policy::TwoPhase.decl(&protocols, &bounds, &route),
+            Decl::TwoPhase(m) if m == protocols
+        ));
+        assert!(matches!(
+            Policy::Bound.decl(&protocols, &bounds, &route),
+            Decl::Bound(m) if m == bounds
+        ));
+        // Access modes refine `isolated M e`; the algorithm is still VCAbasic.
+        let rw = [(ProtocolId(0), AccessMode::Read)];
+        assert_eq!(Decl::ReadWrite(&rw).policy(), Policy::Basic);
     }
 
     #[test]

@@ -31,11 +31,11 @@ use crate::error::{CompId, Result, SamoaError};
 use crate::graph::{RoutePattern, RouteState};
 use crate::handler::HandlerId;
 use crate::history::{History, HistoryRecorder, IsolationViolation};
-use crate::policy::{AccessMode, CompMode, CompSpec, LockCell, PvEntry};
+use crate::policy::{AccessMode, CompMode, CompSpec, LockCell, Policy, PvEntry};
 use crate::protocol::ProtocolId;
 use crate::sched::{SchedHook, SchedPoint, SchedResource};
 use crate::stack::Stack;
-use crate::trace::{Algo, TraceCtl, TraceKind, TraceSink, WaitForGraph};
+use crate::trace::{TraceCtl, TraceKind, TraceSink, WaitForGraph};
 use crate::version::{CachePadded, ParkSeam, VersionCell};
 
 /// Tunables of a [`Runtime`].
@@ -112,6 +112,21 @@ pub enum Decl<'a> {
     /// Conservative two-phase locking over `M` (comparator; do not mix with
     /// versioning computations on overlapping microprotocols).
     TwoPhase(&'a [ProtocolId]),
+}
+
+impl Decl<'_> {
+    /// The algorithm this declaration runs under — the inverse of
+    /// [`Policy::decl`]; access modes ([`Decl::ReadWrite`]) are VCAbasic.
+    pub fn policy(&self) -> Policy {
+        match self {
+            Decl::Basic(_) | Decl::ReadWrite(_) => Policy::Basic,
+            Decl::Bound(_) => Policy::Bound,
+            Decl::Route(_) => Policy::Route,
+            Decl::Serial => Policy::Serial,
+            Decl::Unsync => Policy::Unsync,
+            Decl::TwoPhase(_) => Policy::TwoPhase,
+        }
+    }
 }
 
 /// Point-in-time runtime counters (see [`Runtime::stats`]).
@@ -208,7 +223,7 @@ pub(crate) struct RuntimeInner {
     pub(crate) history: HistoryRecorder,
     pub(crate) config: RuntimeConfig,
     pub(crate) stats: StatCounters,
-    /// Schedule-control hook ([`Runtime::with_hook`]); `None` in production,
+    /// Schedule-control hook ([`Runtime::with_parts`]); `None` in production,
     /// so the instrumented paths cost one branch.
     pub(crate) hook: Option<Arc<dyn SchedHook>>,
     /// Trace sink + wait-for registry ([`Runtime::with_trace`]); `None` when
@@ -431,114 +446,55 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// With [`RuntimeConfig::strict_analysis`] set, panics if the static
-    /// safety pass ([`Runtime::static_report`]: linting, admission-deadlock
-    /// and conflict analysis, every event treated as external) yields
-    /// Error-level diagnostics. Use [`Runtime::new_checked`] to get the
-    /// failure as a value.
+    /// As [`Runtime::with_parts`] under
+    /// [`RuntimeConfig::strict_analysis`]; use [`Runtime::new_checked`] to
+    /// get the failure as a value.
     pub fn with_config(stack: Stack, config: RuntimeConfig) -> Self {
-        if config.strict_analysis {
-            let report = Runtime::static_report(&stack);
-            if report.has_errors() {
-                panic!("strict_analysis rejected the stack:\n{}", report.render());
-            }
-        }
-        Runtime::build(stack, config, None, None)
+        Runtime::with_parts(stack, config, None, None)
     }
 
-    /// The full static safety report of a stack, as the strict constructors
-    /// and [`Runtime::new_checked`] compute it: structural lints
-    /// ([`lint_stack`](crate::analysis::lint_stack)), the admission-deadlock
-    /// cycle search ([`analyze_deadlocks`](crate::analysis::analyze_deadlocks),
-    /// `SA040`) and conflict reachability
-    /// ([`ConflictMatrix`](crate::analysis::ConflictMatrix), `SA05x`), with
-    /// every event treated as external.
-    pub fn static_report(stack: &Stack) -> crate::analysis::Report {
-        let all = stack.all_events();
-        let mut report = crate::analysis::lint_stack(stack, &all);
-        report.merge(crate::analysis::analyze_deadlocks(stack, &all));
-        let (_, conflicts) = crate::analysis::ConflictMatrix::analyze(stack, &all);
-        report.merge(conflicts);
-        report
-    }
-
-    /// Create a runtime with a [`TraceSink`] attached (see [`crate::trace`]):
-    /// every computation lifecycle point — spawn, Rule 2 admission waits
-    /// with the blocking computation's identity, handler enter/exit, Rule 4
-    /// early releases, Rule 3 completion — is delivered to `sink` as a
-    /// structured, timestamped event, and [`Runtime::waiters`] reports live
-    /// wait-for edges. `strict_analysis` linting is applied as in
-    /// [`Runtime::with_config`].
+    /// Create a runtime with a [`TraceSink`] attached (see
+    /// [`Runtime::with_parts`] and [`crate::trace`]).
     pub fn with_trace(stack: Stack, config: RuntimeConfig, sink: Arc<dyn TraceSink>) -> Self {
-        if config.strict_analysis {
-            let report = Runtime::static_report(&stack);
-            if report.has_errors() {
-                panic!("strict_analysis rejected the stack:\n{}", report.render());
-            }
-        }
-        Runtime::build(stack, config, None, Some(sink))
+        Runtime::with_parts(stack, config, None, Some(sink))
     }
 
-    /// Create a runtime with a schedule-control hook installed (see
-    /// [`crate::sched`]). Every scheduling decision point and blocking wait
-    /// in this runtime reports to — and is controlled by — `hook`; the
-    /// `samoa-check` crate uses this to explore thread interleavings
-    /// systematically. `strict_analysis` linting is applied as in
-    /// [`Runtime::with_config`].
-    pub fn with_hook(stack: Stack, config: RuntimeConfig, hook: Arc<dyn SchedHook>) -> Self {
-        if config.strict_analysis {
-            let report = Runtime::static_report(&stack);
-            if report.has_errors() {
-                panic!("strict_analysis rejected the stack:\n{}", report.render());
-            }
-        }
-        Runtime::build(stack, config, Some(hook), None)
-    }
-
-    /// Create a runtime with both a schedule-control hook and a
-    /// [`TraceSink`] installed — controlled exploration ([`Runtime::with_hook`])
-    /// that also records the structured trace ([`Runtime::with_trace`]).
-    /// `samoa-check`'s trace-guided search uses this to steer schedule
+    /// The general constructor: a configuration plus the two optional
+    /// attachments, in any combination.
+    ///
+    /// * `hook` — schedule control (see [`crate::sched`]): every scheduling
+    ///   decision point and blocking wait in this runtime reports to — and
+    ///   is controlled by — the hook; the `samoa-check` crate uses this to
+    ///   explore thread interleavings systematically.
+    /// * `sink` — structured tracing (see [`crate::trace`]): every
+    ///   computation lifecycle point — spawn, Rule 2 admission waits with
+    ///   the blocking computation's identity, handler enter/exit, Rule 4
+    ///   early releases, Rule 3 completion — is delivered to the sink as a
+    ///   timestamped event, and [`Runtime::waiters`] reports live wait-for
+    ///   edges.
+    ///
+    /// Both together give a controlled exploration that also records the
+    /// trace; `samoa-check`'s trace-guided search steers schedule
     /// perturbation toward the microprotocols where admission waits
-    /// concentrate. `strict_analysis` linting is applied as in
-    /// [`Runtime::with_config`].
-    pub fn with_hook_and_trace(
-        stack: Stack,
-        config: RuntimeConfig,
-        hook: Arc<dyn SchedHook>,
-        sink: Arc<dyn TraceSink>,
-    ) -> Self {
-        if config.strict_analysis {
-            let report = Runtime::static_report(&stack);
-            if report.has_errors() {
-                panic!("strict_analysis rejected the stack:\n{}", report.render());
-            }
-        }
-        Runtime::build(stack, config, Some(hook), Some(sink))
-    }
-
-    /// Create a runtime only if the stack passes the full static safety
-    /// pass ([`Runtime::static_report`]: linting, admission-deadlock and
-    /// conflict analysis, every event treated as external): Error-level
-    /// diagnostics — including `SA040` admission-deadlock cycles — become
-    /// [`SamoaError::AnalysisFailed`]. Analyzes unconditionally, whatever
-    /// `config.strict_analysis` says.
-    pub fn new_checked(stack: Stack, config: RuntimeConfig) -> Result<Runtime> {
-        let report = Runtime::static_report(&stack);
-        if report.has_errors() {
-            return Err(SamoaError::AnalysisFailed {
-                report: report.render(),
-            });
-        }
-        Ok(Runtime::build(stack, config, None, None))
-    }
-
-    fn build(
+    /// concentrate.
+    ///
+    /// # Panics
+    ///
+    /// With [`RuntimeConfig::strict_analysis`] set, panics if the static
+    /// safety pass ([`Runtime::static_report`]) yields Error-level
+    /// diagnostics.
+    pub fn with_parts(
         stack: Stack,
         config: RuntimeConfig,
         hook: Option<Arc<dyn SchedHook>>,
         sink: Option<Arc<dyn TraceSink>>,
     ) -> Self {
+        if config.strict_analysis {
+            let report = Runtime::static_report(&stack);
+            if report.has_errors() {
+                panic!("strict_analysis rejected the stack:\n{}", report.render());
+            }
+        }
         let n = stack.protocol_count();
         let stats = StatCounters::default();
         Runtime {
@@ -563,6 +519,39 @@ impl Runtime {
                 config,
             }),
         }
+    }
+
+    /// Create a runtime only if the stack passes the full static safety
+    /// pass ([`Runtime::static_report`]: linting, admission-deadlock and
+    /// conflict analysis, every event treated as external): Error-level
+    /// diagnostics — including `SA040` admission-deadlock cycles — become
+    /// [`SamoaError::AnalysisFailed`]. Analyzes unconditionally, whatever
+    /// `config.strict_analysis` says.
+    pub fn new_checked(stack: Stack, config: RuntimeConfig) -> Result<Runtime> {
+        let report = Runtime::static_report(&stack);
+        if report.has_errors() {
+            return Err(SamoaError::AnalysisFailed {
+                report: report.render(),
+            });
+        }
+        Ok(Runtime::with_parts(stack, config, None, None))
+    }
+
+    /// The full static safety report of a stack, as
+    /// [`RuntimeConfig::strict_analysis`] and [`Runtime::new_checked`]
+    /// compute it: structural lints
+    /// ([`lint_stack`](crate::analysis::lint_stack)), the admission-deadlock
+    /// cycle search ([`analyze_deadlocks`](crate::analysis::analyze_deadlocks),
+    /// `SA040`) and conflict reachability
+    /// ([`ConflictMatrix`](crate::analysis::ConflictMatrix), `SA05x`), with
+    /// every event treated as external.
+    pub fn static_report(stack: &Stack) -> crate::analysis::Report {
+        let all = stack.all_events();
+        let mut report = crate::analysis::lint_stack(stack, &all);
+        report.merge(crate::analysis::analyze_deadlocks(stack, &all));
+        let (_, conflicts) = crate::analysis::ConflictMatrix::analyze(stack, &all);
+        report.merge(conflicts);
+        report
     }
 
     /// The stack this runtime executes.
@@ -623,7 +612,7 @@ impl Runtime {
             );
             t.emit(TraceKind::Spawn {
                 comp: id,
-                algo: algo_of_decl(decl),
+                algo: decl.policy(),
             });
         }
         if spec.mode == CompMode::Locked {
@@ -1109,18 +1098,6 @@ fn root_execute(comp: &Arc<ComputationInner>, f: impl FnOnce(&Ctx) -> Result<()>
     comp.release_pending();
 }
 
-/// The trace-facing label of a declaration's algorithm.
-fn algo_of_decl(decl: &Decl<'_>) -> Algo {
-    match decl {
-        Decl::Basic(_) | Decl::ReadWrite(_) => Algo::Basic,
-        Decl::Bound(_) => Algo::Bound,
-        Decl::Route(_) => Algo::Route,
-        Decl::Serial => Algo::Serial,
-        Decl::Unsync => Algo::Unsync,
-        Decl::TwoPhase(_) => Algo::TwoPhase,
-    }
-}
-
 /// Deduplicate a declaration, keeping the maximum bound and the stronger
 /// access mode per protocol, sorted by protocol id (the order `PvEntry`
 /// lookup requires).
@@ -1220,7 +1197,7 @@ mod tests {
         b.bind(e, p, "h", |_, _| Ok(()));
         let script = Arc::new(Script::default());
         let hook = Arc::clone(&script) as Arc<dyn SchedHook>;
-        let rt = Runtime::with_hook(b.build(), RuntimeConfig::default(), hook);
+        let rt = Runtime::with_parts(b.build(), RuntimeConfig::default(), Some(hook), None);
         (script, rt)
     }
 

@@ -9,11 +9,12 @@
 //!
 //! * **external-event spawn** ([`TraceKind::Spawn`], with the algorithm the
 //!   computation runs under),
-//! * **Rule 2 admission waits** ([`TraceKind::WaitBegin`]/[`WaitEnd`]
-//!   (TraceKind::WaitEnd), carrying the identity of the *blocking*
-//!   computation and microprotocol),
-//! * **handler execution** ([`TraceKind::HandlerEnter`]/[`HandlerExit`]
-//!   (TraceKind::HandlerExit), with service time),
+//! * **Rule 2 admission waits**
+//!   ([`TraceKind::WaitBegin`]/[`WaitEnd`](TraceKind::WaitEnd), carrying the
+//!   identity of the *blocking* computation and microprotocol),
+//! * **handler execution**
+//!   ([`TraceKind::HandlerEnter`]/[`HandlerExit`](TraceKind::HandlerExit),
+//!   with service time),
 //! * **Rule 4 early releases** ([`TraceKind::EarlyRelease`], bound-visit vs.
 //!   route-unreachable),
 //! * **Rule 3 completion** ([`TraceKind::Complete`]), and
@@ -64,6 +65,7 @@ use parking_lot::Mutex;
 
 use crate::error::CompId;
 use crate::handler::HandlerId;
+use crate::policy::Policy;
 use crate::protocol::ProtocolId;
 use crate::sched::ReleaseReason;
 use crate::stack::Stack;
@@ -71,37 +73,6 @@ use crate::stack::Stack;
 // ---------------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------------
-
-/// The concurrency-control algorithm a computation was declared under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algo {
-    /// No admission control (Cactus-style baseline).
-    Unsync,
-    /// VCAbasic (`isolated M e`, including read/write-mode declarations).
-    Basic,
-    /// VCAbound (`isolated bound M e`).
-    Bound,
-    /// VCAroute (`isolated route M e`).
-    Route,
-    /// Appia-style serial (VCAbasic over every microprotocol).
-    Serial,
-    /// Conservative two-phase locking (comparator).
-    TwoPhase,
-}
-
-impl Algo {
-    /// Short display label (`vca-basic`, `vca-route`, …).
-    pub fn label(self) -> &'static str {
-        match self {
-            Algo::Unsync => "unsync",
-            Algo::Basic => "vca-basic",
-            Algo::Bound => "vca-bound",
-            Algo::Route => "vca-route",
-            Algo::Serial => "serial",
-            Algo::TwoPhase => "two-phase",
-        }
-    }
-}
 
 /// One structured trace event: a timestamp (nanoseconds since the runtime's
 /// construction) plus what happened.
@@ -122,7 +93,7 @@ pub enum TraceKind {
         /// The new computation.
         comp: CompId,
         /// The concurrency-control algorithm it was declared under.
-        algo: Algo,
+        algo: Policy,
     },
     /// Rule 2: `comp` found its admission predicate false for a handler of
     /// `protocol` and is about to block.
@@ -755,7 +726,7 @@ pub struct ProtocolProfile {
 #[derive(Debug, Clone)]
 pub struct AlgoProfile {
     /// The algorithm.
-    pub algo: Algo,
+    pub algo: Policy,
     /// Computations spawned under it.
     pub computations: u64,
     /// Admission waits its computations suffered.
@@ -790,10 +761,10 @@ impl ContentionProfile {
         let mut services: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut bound_rel = vec![0u64; n];
         let mut route_rel = vec![0u64; n];
-        let mut algo_of: HashMap<CompId, Algo> = HashMap::new();
-        let mut algo_waits: HashMap<Algo, Vec<u64>> = HashMap::new();
-        let mut algo_comps: HashMap<Algo, u64> = HashMap::new();
-        let mut algo_releases: HashMap<Algo, u64> = HashMap::new();
+        let mut algo_of: HashMap<CompId, Policy> = HashMap::new();
+        let mut algo_waits: HashMap<Policy, Vec<u64>> = HashMap::new();
+        let mut algo_comps: HashMap<Policy, u64> = HashMap::new();
+        let mut algo_releases: HashMap<Policy, u64> = HashMap::new();
 
         for ev in events {
             match ev.kind {
@@ -1424,14 +1395,14 @@ mod tests {
                 0,
                 TraceKind::Spawn {
                     comp: 1,
-                    algo: Algo::Basic,
+                    algo: Policy::Basic,
                 },
             ),
             ev(
                 1,
                 TraceKind::Spawn {
                     comp: 2,
-                    algo: Algo::Bound,
+                    algo: Policy::Bound,
                 },
             ),
             ev(
@@ -1482,10 +1453,10 @@ mod tests {
         assert_eq!(qq.waits, 1);
         assert_eq!(qq.wait_p50_us, 4.0);
         // Per-algo rollup: both waits belong to the Bound computation.
-        let bound = prof.algos.iter().find(|a| a.algo == Algo::Bound).unwrap();
+        let bound = prof.algos.iter().find(|a| a.algo == Policy::Bound).unwrap();
         assert_eq!(bound.waits, 2);
         assert_eq!(bound.early_releases, 1);
-        let basic = prof.algos.iter().find(|a| a.algo == Algo::Basic).unwrap();
+        let basic = prof.algos.iter().find(|a| a.algo == Policy::Basic).unwrap();
         assert_eq!(basic.waits, 0);
         // JSON contains the percentile fields.
         let j = prof.to_json();
@@ -1500,7 +1471,7 @@ mod tests {
                 0,
                 TraceKind::Spawn {
                     comp: 1,
-                    algo: Algo::Route,
+                    algo: Policy::Route,
                 },
             ),
             ev(
@@ -1599,7 +1570,7 @@ mod tests {
                 0,
                 TraceKind::Spawn {
                     comp: 1,
-                    algo: Algo::Basic,
+                    algo: Policy::Basic,
                 },
             ),
             ev(5, TraceKind::OccCommit { tx: 1, retries: 0 }),

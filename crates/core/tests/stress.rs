@@ -43,11 +43,11 @@ fn stress(seed: u64, policy: Policy, n_protocols: usize, n_comps: usize) {
             Ok(())
         };
         let h = match policy {
-            Policy::VcaBasic => {
+            Policy::Basic => {
                 // Basic admits any number of visits to declared protocols.
                 s.rt.spawn_isolated(&protocols, body)
             }
-            Policy::VcaBound => {
+            Policy::Bound => {
                 let decl: Vec<(ProtocolId, u64)> =
                     chosen.iter().map(|&i| (s.protocols[i], 2)).collect();
                 s.rt.spawn_isolated_bound(&decl, body)
@@ -55,7 +55,7 @@ fn stress(seed: u64, policy: Policy, n_protocols: usize, n_comps: usize) {
             Policy::Serial => s.rt.spawn_serial(body),
             Policy::TwoPhase => s.rt.spawn_two_phase(&protocols, body),
             Policy::Unsync => s.rt.spawn_unsync(body),
-            Policy::VcaRoute => unreachable!("route needs per-stack patterns"),
+            Policy::Route => unreachable!("route needs per-stack patterns"),
         };
         handles.push(h);
     }
@@ -76,14 +76,14 @@ fn stress(seed: u64, policy: Policy, n_protocols: usize, n_comps: usize) {
 #[test]
 fn stress_vca_basic() {
     for seed in 0..4 {
-        stress(seed, Policy::VcaBasic, 4, 24);
+        stress(seed, Policy::Basic, 4, 24);
     }
 }
 
 #[test]
 fn stress_vca_bound() {
     for seed in 10..14 {
-        stress(seed, Policy::VcaBound, 4, 24);
+        stress(seed, Policy::Bound, 4, 24);
     }
 }
 

@@ -11,8 +11,9 @@
 //!   localhost with reconnecting, bounded per-peer outbound queues
 //!   ([`TcpMesh`] bundles `n` endpoints for in-process cluster tests).
 //!
-//! Both stacks above them share the ARQ core ([`arq`]) and its injectable
-//! time source ([`ProtoClock`]).
+//! Both stacks above them share the ARQ core ([`arq`]), its injectable
+//! time source ([`ProtoClock`]) and the timer thread that feeds it ticks
+//! ([`Ticker`]).
 //!
 //! ```
 //! use samoa_net::{NetConfig, SimNet, SiteId};
@@ -43,7 +44,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use arq::{ArqReceiver, ArqSender};
-pub use clock::ProtoClock;
+pub use clock::{ProtoClock, Ticker};
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};
 pub use stats::SiteStats;

@@ -293,6 +293,31 @@ impl NetHandle {
         }
     }
 
+    /// Drain the network *and* the hosts attached to it to a fixed point:
+    /// no datagram in flight and — `quiesce_hosts` blocks until every
+    /// host's runtime is idle — no computation running anywhere, stable
+    /// across one full round.
+    ///
+    /// Only terminates for workloads that stop generating traffic (a
+    /// failure detector's heartbeats never stop; poll with a deadline
+    /// there instead).
+    pub fn settle(&self, quiesce_hosts: impl Fn()) {
+        loop {
+            let before = self.total_stats().sent;
+            self.quiesce();
+            quiesce_hosts();
+            self.quiesce();
+            if self.total_stats().sent == before {
+                // One more confirmation round: hosts idle and no new sends
+                // appeared while we checked.
+                quiesce_hosts();
+                if self.total_stats().sent == before {
+                    return;
+                }
+            }
+        }
+    }
+
     /// Is this a manual (pumped) network ([`SimNet::new_manual`])?
     pub fn is_manual(&self) -> bool {
         self.inner.manual

@@ -19,6 +19,25 @@ fn wait_until(deadline_ms: u64, mut pred: impl FnMut() -> bool) -> bool {
     pred()
 }
 
+/// An address with no listener that stays that way while the guard lives:
+/// the local end of an established connection. The port is bound, so no
+/// test running beside this one is handed it by `bind(:0)`, and nothing
+/// listens on it. (A listener that is bound and dropped frees its port for
+/// the next `bind(:0)` anywhere in the process.)
+struct Refusing {
+    addr: std::net::SocketAddr,
+    _held: (std::net::TcpListener, std::net::TcpStream),
+}
+
+fn refusing_addr() -> Refusing {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    Refusing {
+        addr: client.local_addr().unwrap(),
+        _held: (listener, client),
+    }
+}
+
 fn collect(net: &Arc<TcpNet>, site: SiteId) -> Arc<Mutex<Vec<(SiteId, Bytes)>>> {
     let got: Arc<Mutex<Vec<(SiteId, Bytes)>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
@@ -102,22 +121,23 @@ fn register_for_remote_site_panics() {
 fn full_queue_drops_oldest_and_counts() {
     // Point site 0 at an address with no listener: frames pile up in the
     // bounded queue while the writer retries connecting.
-    let dead = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
-        // listener dropped here — port is free, connects will be refused
-    };
+    let dead = refusing_addr();
     let cfg = TcpConfig {
         queue_capacity: 8,
         ..TcpConfig::default()
     };
     // Our own listener can be on any free port — nobody sends to site 0.
-    let addrs = vec!["127.0.0.1:0".parse().unwrap(), dead];
+    let addrs = vec!["127.0.0.1:0".parse().unwrap(), dead.addr];
     let net = TcpNet::bind_with(SiteId(0), addrs, cfg).unwrap();
     for i in 0..64u8 {
         net.send(SiteId(0), SiteId(1), Bytes::copy_from_slice(&[i]));
     }
-    assert!(wait_until(5000, || net.stats().dropped_backpressure >= 56));
+    // 64 frames into a queue of 8: everything is dropped but the 8 queued
+    // and the one the writer holds while it connects — if it took that one
+    // before the queue filled, it freed a place and one frame fewer was
+    // dropped. Which of the two is up to the scheduler.
+    assert!(wait_until(5000, || net.stats().dropped_backpressure >= 55));
+    assert!(net.stats().dropped_backpressure <= 56);
     assert!(
         wait_until(5000, || net.stats().reconnects > 0),
         "writer must be retrying connects"
@@ -167,11 +187,8 @@ fn crashed_peer_reconnects_after_rebind() {
 
 #[test]
 fn shutdown_is_idempotent_and_counts_queued_frames() {
-    let dead = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
-    };
-    let addrs = vec!["127.0.0.1:0".parse().unwrap(), dead];
+    let dead = refusing_addr();
+    let addrs = vec!["127.0.0.1:0".parse().unwrap(), dead.addr];
     let net = TcpNet::bind(SiteId(0), addrs).unwrap();
     for _ in 0..4 {
         net.send(SiteId(0), SiteId(1), Bytes::from_static(b"q"));

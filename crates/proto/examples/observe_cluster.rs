@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use samoa_core::{ChromeTrace, Registry, TraceBuffer};
-use samoa_net::NetConfig;
+use samoa_net::{NetConfig, SimNet};
 use samoa_proto::{Cluster, NodeConfig, Observe, StackPolicy};
 
 fn main() {
@@ -35,10 +35,10 @@ fn main() {
     // the spans land on a single comparable timeline.
     let sink = TraceBuffer::new();
     let registry = Arc::new(Registry::new());
-    let cluster = Cluster::new_observed(
-        3,
-        NetConfig::fast(7),
+    let cluster = Cluster::new_observed_on(
+        SimNet::new(3, NetConfig::fast(7)),
         NodeConfig::with_policy(StackPolicy::Basic),
+        None,
         Observe {
             sink: Some(sink.clone()),
             registry: Some(Arc::clone(&registry)),

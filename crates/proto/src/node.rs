@@ -6,7 +6,10 @@
 //! ## External events and their isolation declarations
 //!
 //! Every external event spawns a computation (paper §4). What the
-//! computation declares depends on the node's [`StackPolicy`]:
+//! computation declares depends on the node's [`StackPolicy`] — the core's
+//! [`Policy`], under the name this crate has always exported — through the
+//! one mapping [`Policy::decl`] over the kind's precomputed
+//! `(protocols, bounds, route)` triple:
 //!
 //! * [`StackPolicy::Basic`] — `isolated M e` with `M` = the microprotocols
 //!   the event's cascade can reach (e.g. an inbound ack only touches
@@ -24,8 +27,8 @@
 //! * [`StackPolicy::TwoPhase`] — conservative 2PL over the same sets as
 //!   `Basic`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -34,7 +37,7 @@ use parking_lot::{Condvar, Mutex};
 use samoa_core::analysis::infer_route;
 use samoa_core::metrics::Registry;
 use samoa_core::prelude::*;
-use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Transport};
+use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Ticker, Transport};
 
 use crate::abcast::{self, AbcastState};
 use crate::app::{self, AppState};
@@ -140,22 +143,9 @@ impl Transport for TracingTransport {
     }
 }
 
-/// Which isolation policy the node's external events run under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StackPolicy {
-    /// No isolation (Cactus-without-locks baseline).
-    Unsync,
-    /// Fully serial computations (Appia baseline).
-    Serial,
-    /// `isolated M e` — VCAbasic.
-    Basic,
-    /// `isolated bound M e` — VCAbound.
-    Bound,
-    /// `isolated route M e` — VCAroute.
-    Route,
-    /// Conservative two-phase locking.
-    TwoPhase,
-}
+/// Which isolation policy the node's external events run under: the
+/// core's [`Policy`], re-exported under this crate's historical name.
+pub use samoa_core::Policy as StackPolicy;
 
 /// Worker threads per computation: 1 keeps intra-computation event
 /// processing FIFO, which the delivery-order assertions rely on.
@@ -233,7 +223,8 @@ impl NodeConfig {
     }
 }
 
-/// The kind of external event (selects the isolation declaration).
+/// The kind of external event (selects the event type and the isolation
+/// declaration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExtKind {
     /// Inbound data datagram whose cascade may reach the whole stack.
@@ -256,28 +247,28 @@ enum ExtKind {
     FdTick,
 }
 
-/// Precomputed declarations for each external-event kind.
-struct DeclSets {
-    all: Vec<ProtocolId>,
-    relcomm_only: Vec<ProtocolId>,
-    fd_only: Vec<ProtocolId>,
-    user_cast: Vec<ProtocolId>,
-    bounds_all: Vec<(ProtocolId, u64)>,
-    bounds_relcomm: Vec<(ProtocolId, u64)>,
-    bounds_fd: Vec<(ProtocolId, u64)>,
-    bounds_user_cast: Vec<(ProtocolId, u64)>,
-    routes: RouteTable,
+impl ExtKind {
+    /// Every kind, in declaration order: `ALL[k as usize] == k`.
+    const ALL: [ExtKind; 9] = [
+        ExtKind::DataFull,
+        ExtKind::DataUser,
+        ExtKind::Ack,
+        ExtKind::Beat,
+        ExtKind::RbRequest,
+        ExtKind::AbRequest,
+        ExtKind::JoinLeave,
+        ExtKind::RetrTick,
+        ExtKind::FdTick,
+    ];
 }
 
-struct RouteTable {
-    data: RoutePattern,
-    ack: RoutePattern,
-    beat: RoutePattern,
-    rb: RoutePattern,
-    ab: RoutePattern,
-    joinleave: RoutePattern,
-    retr: RoutePattern,
-    fd_tick: RoutePattern,
+/// What one [`ExtKind`] triggers and declares, precomputed: the event, and
+/// the three arguments of [`Policy::decl`].
+struct ExtDecl {
+    event: EventType,
+    protocols: Vec<ProtocolId>,
+    bounds: Vec<(ProtocolId, u64)>,
+    route: RoutePattern,
 }
 
 /// Counting gate bounding in-flight external computations (backpressure
@@ -354,7 +345,8 @@ pub struct Node {
     transport: Arc<dyn Transport>,
     tracer: Option<ClusterTracer>,
     cfg: NodeConfig,
-    decls: DeclSets,
+    /// Indexed by `ExtKind as usize`.
+    decls: [ExtDecl; 9],
     app: ProtocolState<AppState>,
     membership: ProtocolState<MembershipState>,
     relcomm: ProtocolState<RelCommState>,
@@ -366,19 +358,14 @@ pub struct Node {
     kv_waiters: KvWaiters,
     kv_req: AtomicU64,
     ext_gate: Option<Arc<ExtGate>>,
-    stop: Arc<AtomicBool>,
-    timer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The Timer Module; set once, after the node it ticks exists.
+    timer: OnceLock<Ticker>,
 }
 
 impl Node {
-    /// Build the node, wire its stack, register it on the network, and (if
-    /// enabled) start its timers.
-    pub fn new(net: NetHandle, site: SiteId, cfg: NodeConfig) -> Arc<Node> {
-        Node::build(Arc::new(net), site, cfg, None, Observe::default())
-    }
-
-    /// [`Node::new`] over any [`Transport`] backend — the same stack runs
-    /// unchanged over `SimNet` (via [`Node::new`]) or a real-socket
+    /// Build the node, wire its stack, register it on `transport`, and (if
+    /// enabled) start its timers. The same stack runs unchanged over a
+    /// `SimNet` (`Arc::new(net.handle())`) or a real-socket
     /// [`TcpNet`](samoa_net::TcpNet):
     ///
     /// ```no_run
@@ -391,56 +378,26 @@ impl Node {
     /// let node = Node::new_on(t, SiteId(0), NodeConfig::default());
     /// ```
     pub fn new_on(transport: Arc<dyn Transport>, site: SiteId, cfg: NodeConfig) -> Arc<Node> {
-        Node::build(transport, site, cfg, None, Observe::default())
-    }
-
-    /// [`Node::new`] with a [`TraceSink`](samoa_core::TraceSink) attached to
-    /// the node's runtime: every computation spawn, admission wait (with the
-    /// blocking computation's identity), handler call, early release, and
-    /// completion in this node's stack is delivered to `sink` as a
-    /// structured event. Cheap enough to leave on in production; see
-    /// `samoa_core::trace`.
-    pub fn new_traced(
-        net: NetHandle,
-        site: SiteId,
-        cfg: NodeConfig,
-        sink: Arc<dyn samoa_core::TraceSink>,
-    ) -> Arc<Node> {
-        Node::build(Arc::new(net), site, cfg, None, Observe::traced(sink))
-    }
-
-    /// [`Node::new`] with a scheduling hook installed on the node's runtime,
-    /// for `samoa-check`-style controlled exploration of the full protocol
-    /// stack. Pair with a manual network
-    /// ([`SimNet::new_manual`](samoa_net::SimNet::new_manual)) and
-    /// `enable_timers: false` / `enable_fd: false` so every thread in the
-    /// system is under the controller.
-    pub fn new_hooked(
-        net: NetHandle,
-        site: SiteId,
-        cfg: NodeConfig,
-        hook: Arc<dyn samoa_core::SchedHook>,
-    ) -> Arc<Node> {
-        Node::build(Arc::new(net), site, cfg, Some(hook), Observe::default())
+        Node::new_observed_on(transport, site, cfg, None, Observe::default())
     }
 
     /// The general constructor: any [`Transport`], an optional scheduling
-    /// hook, and any combination of [`Observe`] attachments. Hook + trace
-    /// compose ([`Runtime::with_hook_and_trace`]): a controlled exploration
-    /// records the same structured trace a production run would — the
-    /// substrate for `samoa-check`'s trace-guided schedule search and the
-    /// cross-site causal-propagation tests.
+    /// hook, and any combination of [`Observe`] attachments.
+    ///
+    /// With a `hook` the node's runtime is under `samoa-check`-style
+    /// controlled exploration; pair it with a manual network
+    /// ([`SimNet::new_manual`](samoa_net::SimNet::new_manual)) and
+    /// `enable_timers: false` / `enable_fd: false` so every thread in the
+    /// system is under the controller. With [`Observe::sink`] every
+    /// computation spawn, admission wait (with the blocking computation's
+    /// identity), handler call, early release, and completion in this
+    /// node's stack is delivered as a structured event, cheap enough to
+    /// leave on in production (see `samoa_core::trace`). The two compose
+    /// ([`Runtime::with_parts`]): a controlled exploration records the same
+    /// structured trace a production run would — the substrate for
+    /// `samoa-check`'s trace-guided schedule search and the cross-site
+    /// causal-propagation tests.
     pub fn new_observed_on(
-        transport: Arc<dyn Transport>,
-        site: SiteId,
-        cfg: NodeConfig,
-        hook: Option<Arc<dyn samoa_core::SchedHook>>,
-        observe: Observe,
-    ) -> Arc<Node> {
-        Node::build(transport, site, cfg, hook, observe)
-    }
-
-    fn build(
         transport: Arc<dyn Transport>,
         site: SiteId,
         cfg: NodeConfig,
@@ -555,23 +512,7 @@ impl Node {
 
         let stack = b.build();
 
-        // `isolated route` patterns, one per external event, cut from the
-        // stack's static call graph (each handler declares the events it
-        // triggers; see `samoa_core::analysis`). This replaces a hand-kept
-        // edge list that had to mirror every handler body.
-        debug_assert!(stack.has_full_trigger_metadata());
-        let routes = RouteTable {
-            data: infer_route(&stack, ev.rc_data),
-            ack: infer_route(&stack, ev.rc_ack),
-            beat: infer_route(&stack, ev.fd_beat),
-            rb: infer_route(&stack, ev.bcast),
-            ab: infer_route(&stack, ev.abcast),
-            joinleave: infer_route(&stack, ev.join_leave),
-            retr: infer_route(&stack, ev.retransmit_tick),
-            fd_tick: infer_route(&stack, ev.fd_tick),
-        };
-
-        let all = vec![
+        let all = [
             p_relcomm,
             p_relcast,
             p_fd,
@@ -583,36 +524,41 @@ impl Node {
         ];
         // Plain user casts never reach Kv (it binds only ADeliver), so the
         // cast set stays tight — no needless Kv serialisation under Basic.
-        let user_cast = vec![p_relcomm, p_relcast, p_abcast, p_app];
+        let user_cast = [p_relcomm, p_relcast, p_abcast, p_app];
+        // `isolated bound` budgets: generous, derived from the view size.
         let generous = 8 * n_sites + 16;
-        let bounds = |pids: &[ProtocolId]| -> Vec<(ProtocolId, u64)> {
-            pids.iter().map(|&p| (p, generous)).collect()
-        };
-        let decls = DeclSets {
-            bounds_all: bounds(&all),
-            bounds_relcomm: bounds(&[p_relcomm]),
-            bounds_fd: bounds(&[p_fd]),
-            bounds_user_cast: bounds(&user_cast),
-            all,
-            relcomm_only: vec![p_relcomm],
-            fd_only: vec![p_fd],
-            user_cast,
-            routes,
-        };
+        // `isolated route` patterns are cut from the stack's static call
+        // graph, rooted at the kind's event (each handler declares the
+        // events it triggers; see `samoa_core::analysis`) — no hand-kept
+        // edge list that has to mirror every handler body.
+        debug_assert!(stack.has_full_trigger_metadata());
+        let decls = ExtKind::ALL.map(|kind| {
+            let (event, protocols): (EventType, &[ProtocolId]) = match kind {
+                ExtKind::DataFull => (ev.rc_data, &all),
+                ExtKind::DataUser => (ev.rc_data, &user_cast),
+                ExtKind::Ack => (ev.rc_ack, &[p_relcomm]),
+                ExtKind::Beat => (ev.fd_beat, &[p_fd]),
+                ExtKind::RbRequest => (ev.bcast, &user_cast),
+                ExtKind::AbRequest => (ev.abcast, &all),
+                ExtKind::JoinLeave => (ev.join_leave, &all),
+                ExtKind::RetrTick => (ev.retransmit_tick, &[p_relcomm]),
+                ExtKind::FdTick => (ev.fd_tick, &all),
+            };
+            ExtDecl {
+                event,
+                protocols: protocols.to_vec(),
+                bounds: protocols.iter().map(|&p| (p, generous)).collect(),
+                route: infer_route(&stack, event),
+            }
+        });
 
         let rt_cfg = RuntimeConfig {
             record_history: cfg.record_history,
             max_threads_per_computation: INTRA_THREADS,
             ..RuntimeConfig::default()
         };
-        let hooked = hook.is_some();
-        let rt = match (hook, observe.sink) {
-            (Some(h), Some(s)) => Runtime::with_hook_and_trace(stack, rt_cfg, h, s),
-            (Some(h), None) => Runtime::with_hook(stack, rt_cfg, h),
-            (None, Some(s)) => Runtime::with_trace(stack, rt_cfg, s),
-            (None, None) => Runtime::with_config(stack, rt_cfg),
-        };
-        let ext_gate = (!hooked).then(|| ExtGate::for_policy(cfg.policy));
+        let ext_gate = hook.is_none().then(|| ExtGate::for_policy(cfg.policy));
+        let rt = Runtime::with_parts(stack, rt_cfg, hook, observe.sink);
 
         let node = Arc::new(Node {
             site,
@@ -633,8 +579,7 @@ impl Node {
             kv_waiters,
             kv_req: AtomicU64::new(0),
             ext_gate,
-            stop: Arc::new(AtomicBool::new(false)),
-            timer: Mutex::new(None),
+            timer: OnceLock::new(),
         });
 
         // Network Module: decode, classify, spawn an isolated computation.
@@ -652,35 +597,19 @@ impl Node {
 
         // Timer Module.
         if node.cfg.enable_timers {
-            let weak: Weak<Node> = Arc::downgrade(&node);
-            let stop = Arc::clone(&node.stop);
-            let interval = node.cfg.tick_interval;
             let fd_enabled = node.cfg.enable_fd;
-            let t = std::thread::Builder::new()
-                .name(format!("node-{}-timer", site.0))
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(interval);
-                        let Some(node) = weak.upgrade() else { break };
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        node.spawn_external(
-                            ExtKind::RetrTick,
-                            node.ev.retransmit_tick,
-                            EventData::empty(),
-                        );
-                        if fd_enabled {
-                            node.spawn_external(
-                                ExtKind::FdTick,
-                                node.ev.fd_tick,
-                                EventData::empty(),
-                            );
-                        }
+            let ticker = Ticker::start(
+                format!("node-{}-timer", site.0),
+                node.cfg.tick_interval,
+                Arc::downgrade(&node),
+                move |node: &Node| {
+                    node.inject_retransmit_tick();
+                    if fd_enabled {
+                        node.inject_fd_tick();
                     }
-                })
-                .expect("spawn timer thread");
-            *node.timer.lock() = Some(t);
+                },
+            );
+            node.timer.set(ticker).expect("the node is new");
         }
 
         node
@@ -696,7 +625,7 @@ impl Node {
             return;
         };
         if frames == [Wire::Heartbeat] {
-            self.spawn_external(ExtKind::Beat, self.ev.fd_beat, EventData::new(from));
+            self.spawn_external(ExtKind::Beat, EventData::new(from));
             return;
         }
         let mut frames = frames.into_iter().peekable();
@@ -724,7 +653,6 @@ impl Node {
                 };
                 self.spawn_external(
                     kind,
-                    self.ev.rc_data,
                     EventData::new(RcDataIn {
                         sender: from,
                         seq,
@@ -737,7 +665,6 @@ impl Node {
             _ if !acks.is_empty() => {
                 self.spawn_external(
                     ExtKind::Ack,
-                    self.ev.rc_ack,
                     EventData::new(RcAckIn {
                         sender: from,
                         seqs: acks,
@@ -750,39 +677,19 @@ impl Node {
 
     /// Spawn the isolated computation for an external event, declaring
     /// according to the node's policy (see module docs).
-    fn spawn_external(&self, kind: ExtKind, event: EventType, data: EventData) {
-        let d = &self.decls;
-        let (basic, bound, route): (&[ProtocolId], &[(ProtocolId, u64)], &RoutePattern) = match kind
-        {
-            ExtKind::DataFull | ExtKind::AbRequest | ExtKind::JoinLeave => {
-                let route = match kind {
-                    ExtKind::DataFull => &d.routes.data,
-                    ExtKind::AbRequest => &d.routes.ab,
-                    _ => &d.routes.joinleave,
-                };
-                (&d.all, &d.bounds_all, route)
-            }
-            ExtKind::DataUser => (&d.user_cast, &d.bounds_user_cast, &d.routes.data),
-            ExtKind::RbRequest => (&d.user_cast, &d.bounds_user_cast, &d.routes.rb),
-            ExtKind::Ack => (&d.relcomm_only, &d.bounds_relcomm, &d.routes.ack),
-            ExtKind::RetrTick => (&d.relcomm_only, &d.bounds_relcomm, &d.routes.retr),
-            ExtKind::Beat => (&d.fd_only, &d.bounds_fd, &d.routes.beat),
-            ExtKind::FdTick => (&d.all, &d.bounds_all, &d.routes.fd_tick),
-        };
+    fn spawn_external(&self, kind: ExtKind, data: EventData) {
+        let d = &self.decls[kind as usize];
         // The slot rides the computation's root job (not just the body):
         // it is released only when the job ends, so the gate counts every
         // thread a computation still occupies — including ones blocked in
         // the post-body drain phase.
         let slot = self.ext_gate.as_ref().map(|g| g.acquire());
-        let body = move |ctx: &Ctx| ctx.trigger(event, data);
-        match self.cfg.policy {
-            StackPolicy::Unsync => self.rt.spawn_guarded(Decl::Unsync, slot, body),
-            StackPolicy::Serial => self.rt.spawn_guarded(Decl::Serial, slot, body),
-            StackPolicy::Basic => self.rt.spawn_guarded(Decl::Basic(basic), slot, body),
-            StackPolicy::Bound => self.rt.spawn_guarded(Decl::Bound(bound), slot, body),
-            StackPolicy::Route => self.rt.spawn_guarded(Decl::Route(route), slot, body),
-            StackPolicy::TwoPhase => self.rt.spawn_guarded(Decl::TwoPhase(basic), slot, body),
-        };
+        let event = d.event;
+        self.rt.spawn_guarded(
+            self.cfg.policy.decl(&d.protocols, &d.bounds, &d.route),
+            slot,
+            move |ctx| ctx.trigger(event, data),
+        );
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
@@ -790,18 +697,14 @@ impl Node {
     /// clock this is the *only* way RelComm retransmits — the seam that
     /// turns timeout behaviour into an explicit, explorable decision.
     pub fn inject_retransmit_tick(&self) {
-        self.spawn_external(
-            ExtKind::RetrTick,
-            self.ev.retransmit_tick,
-            EventData::empty(),
-        );
+        self.spawn_external(ExtKind::RetrTick, EventData::empty());
     }
 
     /// Inject one failure-detector tick (heartbeats + suspicion sweep),
     /// exactly as the timer thread would. Deterministic counterpart of
     /// `enable_fd` under a manual clock.
     pub fn inject_fd_tick(&self) {
-        self.spawn_external(ExtKind::FdTick, self.ev.fd_tick, EventData::empty());
+        self.spawn_external(ExtKind::FdTick, EventData::empty());
     }
 
     /// The time source this node's stack reads (see [`NodeConfig::clock`]).
@@ -813,7 +716,6 @@ impl Node {
     pub fn rbcast(&self, data: impl Into<Bytes>) {
         self.spawn_external(
             ExtKind::RbRequest,
-            self.ev.bcast,
             EventData::new(CastData::User(data.into())),
         );
     }
@@ -822,27 +724,18 @@ impl Node {
     pub fn abcast(&self, data: impl Into<Bytes>) {
         self.spawn_external(
             ExtKind::AbRequest,
-            self.ev.abcast,
             EventData::new(AbPayload::User(data.into())),
         );
     }
 
     /// Request that `site` join the group.
     pub fn request_join(&self, site: SiteId) {
-        self.spawn_external(
-            ExtKind::JoinLeave,
-            self.ev.join_leave,
-            EventData::new((ViewOp::Join, site)),
-        );
+        self.spawn_external(ExtKind::JoinLeave, EventData::new((ViewOp::Join, site)));
     }
 
     /// Request that `site` leave the group.
     pub fn request_leave(&self, site: SiteId) {
-        self.spawn_external(
-            ExtKind::JoinLeave,
-            self.ev.join_leave,
-            EventData::new((ViewOp::Leave, site)),
-        );
+        self.spawn_external(ExtKind::JoinLeave, EventData::new((ViewOp::Leave, site)));
     }
 
     fn kv_submit(&self, make: impl FnOnce(u64) -> KvCmd) -> KvPending {
@@ -853,7 +746,6 @@ impl Node {
         let cmd = make(req);
         self.spawn_external(
             ExtKind::AbRequest,
-            self.ev.abcast,
             EventData::new(AbPayload::User(cmd.encode())),
         );
         pending
@@ -984,22 +876,10 @@ impl Node {
         &self.transport
     }
 
-    /// Stop the timer thread. Idempotent.
+    /// Stop the timer thread (dropping the node does the same). Idempotent.
     pub fn stop_timers(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.timer.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The timer thread holds only a Weak reference and wakes every
-        // tick_interval, so it exits on its own; join if still present.
-        if let Some(t) = self.timer.lock().take() {
-            let _ = t.join();
+        if let Some(t) = self.timer.get() {
+            t.stop();
         }
     }
 }
@@ -1076,56 +956,38 @@ pub struct Cluster {
 impl Cluster {
     /// Build `n` nodes over a fresh network.
     pub fn new(n: usize, net_cfg: NetConfig, node_cfg: NodeConfig) -> Cluster {
-        let net = SimNet::new(n, net_cfg);
-        let nodes = (0..n as u16)
-            .map(|i| Node::new(net.handle(), SiteId(i), node_cfg.clone()))
-            .collect();
-        Cluster {
-            net,
-            nodes,
-            registry: None,
-        }
+        Cluster::new_observed_on(SimNet::new(n, net_cfg), node_cfg, None, Observe::default())
     }
 
-    /// Build `n` nodes with the given [`Observe`] attachments shared across
-    /// the cluster: one sink (merged cross-site causal trace), one registry
-    /// (aggregate via [`Cluster::metrics`]), one timestamp epoch.
-    pub fn new_observed(
-        n: usize,
-        net_cfg: NetConfig,
-        node_cfg: NodeConfig,
-        observe: Observe,
-    ) -> Cluster {
-        let observe = Observe {
-            epoch: Some(observe.epoch.unwrap_or_else(Instant::now)),
-            ..observe
-        };
-        let net = SimNet::new(n, net_cfg);
-        let nodes = (0..n as u16)
-            .map(|i| {
-                Node::new_observed_on(
-                    Arc::new(net.handle()),
-                    SiteId(i),
-                    node_cfg.clone(),
-                    None,
-                    observe.clone(),
-                )
-            })
-            .collect();
-        Cluster {
-            net,
-            nodes,
-            registry: observe.registry,
-        }
+    /// Build `n` nodes over a **manual** network
+    /// ([`SimNet::new_manual`]): no delivery thread — datagrams sit until
+    /// [`NetHandle::pump_one`]/[`NetHandle::pump_all`] (and [`Cluster::settle`],
+    /// which pumps) deliver them on the calling thread. Pair with
+    /// `enable_timers: false` and a shared [`ProtoClock::manual`] in
+    /// `node_cfg` for fully deterministic virtual-time tests: drive
+    /// retransmissions and failure detection with
+    /// [`Node::inject_retransmit_tick`]/[`Node::inject_fd_tick`] after
+    /// advancing the clock, instead of polling wall-clock deadlines.
+    pub fn new_manual(n: usize, net_cfg: NetConfig, node_cfg: NodeConfig) -> Cluster {
+        Cluster::new_observed_on(
+            SimNet::new_manual(n, net_cfg),
+            node_cfg,
+            None,
+            Observe::default(),
+        )
     }
 
-    /// [`Cluster::new_observed`] over a **manual** network
-    /// ([`Cluster::new_manual`] semantics), with an optional scheduling
-    /// hook on every node — the construction `samoa-check` uses for
-    /// deterministic, traced exploration of the full cluster.
-    pub fn new_manual_observed(
-        n: usize,
-        net_cfg: NetConfig,
+    /// The general constructor: one node per site of a network the caller
+    /// built (threaded or manual), each with the optional scheduling
+    /// `hook` and the [`Observe`] attachments, shared across the cluster —
+    /// one sink (merged cross-site causal trace), one registry (aggregate
+    /// via [`Cluster::metrics`]), one timestamp epoch. A manual network
+    /// plus a hook is the construction `samoa-check` uses for
+    /// deterministic, traced exploration of the full cluster. For a sink
+    /// *per site*, build the nodes directly ([`Node::new_observed_on`]) and
+    /// settle them with [`NetHandle::settle`].
+    pub fn new_observed_on(
+        net: SimNet,
         node_cfg: NodeConfig,
         hook: Option<Arc<dyn samoa_core::SchedHook>>,
         observe: Observe,
@@ -1134,12 +996,13 @@ impl Cluster {
             epoch: Some(observe.epoch.unwrap_or_else(Instant::now)),
             ..observe
         };
-        let net = SimNet::new_manual(n, net_cfg);
-        let nodes = (0..n as u16)
-            .map(|i| {
+        let nodes = net
+            .sites()
+            .into_iter()
+            .map(|site| {
                 Node::new_observed_on(
                     Arc::new(net.handle()),
-                    SiteId(i),
+                    site,
                     node_cfg.clone(),
                     hook.clone(),
                     observe.clone(),
@@ -1168,56 +1031,6 @@ impl Cluster {
         })
     }
 
-    /// Build `n` nodes over a **manual** network
-    /// ([`SimNet::new_manual`]): no delivery thread — datagrams sit until
-    /// [`NetHandle::pump_one`]/[`NetHandle::pump_all`] (and [`Cluster::settle`],
-    /// which pumps) deliver them on the calling thread. Pair with
-    /// `enable_timers: false` and a shared [`ProtoClock::manual`] in
-    /// `node_cfg` for fully deterministic virtual-time tests: drive
-    /// retransmissions and failure detection with
-    /// [`Node::inject_retransmit_tick`]/[`Node::inject_fd_tick`] after
-    /// advancing the clock, instead of polling wall-clock deadlines.
-    pub fn new_manual(n: usize, net_cfg: NetConfig, node_cfg: NodeConfig) -> Cluster {
-        let net = SimNet::new_manual(n, net_cfg);
-        let nodes = (0..n as u16)
-            .map(|i| Node::new(net.handle(), SiteId(i), node_cfg.clone()))
-            .collect();
-        Cluster {
-            net,
-            nodes,
-            registry: None,
-        }
-    }
-
-    /// [`Cluster::new`] with a [`TraceSink`](samoa_core::TraceSink) per
-    /// node: `make_sink` is called once per site and the returned sink is
-    /// attached to that node's runtime ([`Node::new_traced`]). Use one
-    /// shared buffer for a merged stream, or one buffer per site to export
-    /// each node as its own track group.
-    pub fn new_traced(
-        n: usize,
-        net_cfg: NetConfig,
-        node_cfg: NodeConfig,
-        make_sink: impl Fn(SiteId) -> Arc<dyn samoa_core::TraceSink>,
-    ) -> Cluster {
-        let net = SimNet::new(n, net_cfg);
-        let nodes = (0..n as u16)
-            .map(|i| {
-                Node::new_traced(
-                    net.handle(),
-                    SiteId(i),
-                    node_cfg.clone(),
-                    make_sink(SiteId(i)),
-                )
-            })
-            .collect();
-        Cluster {
-            net,
-            nodes,
-            registry: None,
-        }
-    }
-
     /// Node `i`.
     pub fn node(&self, i: usize) -> &Arc<Node> {
         &self.nodes[i]
@@ -1233,33 +1046,19 @@ impl Cluster {
         self.net.handle()
     }
 
-    /// Drain the whole system to a fixed point: no datagrams in flight and
-    /// no computation running anywhere, stable across one full round.
+    /// Drain the whole system to a fixed point ([`NetHandle::settle`]): no
+    /// datagrams in flight and no computation running anywhere, stable
+    /// across one full round.
     ///
     /// Only terminates for workloads that stop generating traffic (the
     /// failure detector's heartbeats never stop; use sleeps and polling for
     /// FD scenarios instead).
     pub fn settle(&self) {
-        loop {
-            let before = self.net.total_stats().sent;
-            self.net.quiesce();
+        self.net.settle(|| {
             for n in &self.nodes {
                 n.runtime().quiesce();
             }
-            self.net.quiesce();
-            let after = self.net.total_stats().sent;
-            if before == after {
-                // One more confirmation round: runtimes idle and no new
-                // sends appeared while we checked.
-                let confirm = self.net.total_stats().sent;
-                for n in &self.nodes {
-                    n.runtime().quiesce();
-                }
-                if self.net.total_stats().sent == confirm {
-                    return;
-                }
-            }
-        }
+        });
     }
 
     /// Stop all timers and shut the network down.
@@ -1304,7 +1103,7 @@ impl TcpCluster {
     }
 
     /// [`TcpCluster::new`] with shared [`Observe`] attachments — same
-    /// semantics as [`Cluster::new_observed`], real sockets underneath.
+    /// semantics as [`Cluster::new_observed_on`], real sockets underneath.
     pub fn new_observed(
         n: usize,
         node_cfg: NodeConfig,
@@ -1412,6 +1211,7 @@ impl std::fmt::Debug for TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
 
     #[test]

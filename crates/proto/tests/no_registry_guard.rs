@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use samoa_core::{instruments_touched, Registry};
-use samoa_net::NetConfig;
+use samoa_net::{NetConfig, SimNet};
 use samoa_proto::{Cluster, ClusterMetrics, NodeConfig, Observe};
 
 /// A 3-site cluster commits a handful of puts, gets and compare-and-swaps
@@ -24,7 +24,7 @@ use samoa_proto::{Cluster, ClusterMetrics, NodeConfig, Observe};
 fn kv_run(observe: Option<Observe>) -> (bool, Option<ClusterMetrics>) {
     let (net, cfg) = (NetConfig::fast(42), NodeConfig::default());
     let c = match observe {
-        Some(o) => Cluster::new_observed(3, net, cfg, o),
+        Some(o) => Cluster::new_observed_on(SimNet::new(3, net), cfg, None, o),
         None => Cluster::new(3, net, cfg),
     };
     let pending: Vec<_> = (0..9)

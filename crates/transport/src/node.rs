@@ -2,14 +2,12 @@
 //! Checksum over the simulated network, plus [`TransportNet`] bundling `n`
 //! endpoints.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use samoa_core::prelude::*;
-use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Transport};
+use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport};
 
 use crate::checksum::{self, ChecksumState};
 use crate::chunker::{self, ChunkerState};
@@ -28,6 +26,11 @@ pub enum TransportPolicy {
     Basic,
 }
 
+/// Period of the retransmission timer thread (when
+/// [`TransportConfig::enable_timers`] is set): well under the default
+/// `rto`, so a timeout is noticed within a fraction of itself.
+const TICK_INTERVAL: Duration = Duration::from_millis(8);
+
 /// Endpoint tunables.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
@@ -39,8 +42,6 @@ pub struct TransportConfig {
     pub window: usize,
     /// Retransmission timeout (the floor of the adaptive estimate).
     pub rto: Duration,
-    /// Timer period.
-    pub tick_interval: Duration,
     /// Run the retransmission timer.
     pub enable_timers: bool,
     /// The time source Window's timeouts read. Defaults to the wall clock;
@@ -56,7 +57,6 @@ impl Default for TransportConfig {
             mtu: 64,
             window: 8,
             rto: Duration::from_millis(20),
-            tick_interval: Duration::from_millis(8),
             enable_timers: true,
             clock: ProtoClock::wall(),
         }
@@ -78,33 +78,24 @@ pub struct Endpoint {
     window: ProtocolState<WindowState>,
     checksum: ProtocolState<ChecksumState>,
     delivered: ProtocolState<Vec<(SiteId, Bytes)>>,
-    stop: Arc<AtomicBool>,
-    timer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Set once, after the endpoint it ticks exists.
+    timer: OnceLock<Ticker>,
 }
 
 impl Endpoint {
     /// Build the endpoint, wire its stack, and register it on the network.
     pub fn new(net: NetHandle, site: SiteId, cfg: TransportConfig) -> Arc<Endpoint> {
-        Endpoint::build(net, site, cfg, None, false)
+        Endpoint::with_parts(net, site, cfg, None, false)
     }
 
-    /// [`Endpoint::new`] with a scheduling hook installed and (optionally)
-    /// history recording enabled — the constructor `samoa-check` scenarios
-    /// use to fold the endpoint's computations into an explored schedule.
-    /// Combine with [`SimNet::new_manual`](samoa_net::SimNet::new_manual)
-    /// and `enable_timers: false` so no free-running thread escapes the
+    /// The general constructor: [`Endpoint::new`] with an optional
+    /// scheduling hook installed and (optionally) history recording enabled
+    /// — what `samoa-check` scenarios use to fold the endpoint's
+    /// computations into an explored schedule. Combine a hook with
+    /// [`SimNet::new_manual`](samoa_net::SimNet::new_manual) and
+    /// `enable_timers: false` so no free-running thread escapes the
     /// controller.
-    pub fn new_hooked(
-        net: NetHandle,
-        site: SiteId,
-        cfg: TransportConfig,
-        hook: Arc<dyn samoa_core::SchedHook>,
-        record_history: bool,
-    ) -> Arc<Endpoint> {
-        Endpoint::build(net, site, cfg, Some(hook), record_history)
-    }
-
-    fn build(
+    pub fn with_parts(
         net: NetHandle,
         site: SiteId,
         cfg: TransportConfig,
@@ -153,10 +144,7 @@ impl Endpoint {
         } else {
             RuntimeConfig::default()
         };
-        let rt = match hook {
-            Some(h) => Runtime::with_hook(b.build(), rt_cfg, h),
-            None => Runtime::with_config(b.build(), rt_cfg),
-        };
+        let rt = Runtime::with_parts(b.build(), rt_cfg, hook, None);
         let node = Arc::new(Endpoint {
             site,
             rt,
@@ -170,8 +158,7 @@ impl Endpoint {
             window: window_st,
             checksum: checksum_st,
             delivered,
-            stop: Arc::new(AtomicBool::new(false)),
-            timer: Mutex::new(None),
+            timer: OnceLock::new(),
         });
 
         {
@@ -184,23 +171,13 @@ impl Endpoint {
         }
 
         if node.cfg.enable_timers {
-            let weak: Weak<Endpoint> = Arc::downgrade(&node);
-            let stop = Arc::clone(&node.stop);
-            let interval = node.cfg.tick_interval;
-            let t = std::thread::Builder::new()
-                .name(format!("tnode-{}-timer", site.0))
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(interval);
-                        let Some(node) = weak.upgrade() else { break };
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        node.inject_tick();
-                    }
-                })
-                .expect("spawn timer");
-            *node.timer.lock() = Some(t);
+            let ticker = Ticker::start(
+                format!("tnode-{}-timer", site.0),
+                TICK_INTERVAL,
+                Arc::downgrade(&node),
+                Endpoint::inject_tick,
+            );
+            node.timer.set(ticker).expect("the endpoint is new");
         }
         node
     }
@@ -273,20 +250,11 @@ impl Endpoint {
         &self.rt
     }
 
-    /// Stop the timer thread. Idempotent.
+    /// Stop the timer thread (dropping the endpoint does the same).
+    /// Idempotent.
     pub fn stop_timers(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.timer.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.timer.lock().take() {
-            let _ = t.join();
+        if let Some(t) = self.timer.get() {
+            t.stop();
         }
     }
 }
@@ -325,26 +293,14 @@ impl TransportNet {
         self.net.handle()
     }
 
-    /// Drain in-flight traffic and runtimes to a fixed point (see
-    /// `Cluster::settle` in `samoa-proto` for the caveats).
+    /// Drain in-flight traffic and runtimes to a fixed point
+    /// ([`NetHandle::settle`], with its caveats).
     pub fn settle(&self) {
-        loop {
-            let before = self.net.total_stats().sent;
-            self.net.quiesce();
+        self.net.settle(|| {
             for e in &self.endpoints {
                 e.runtime().quiesce();
             }
-            self.net.quiesce();
-            if self.net.total_stats().sent == before {
-                let confirm = self.net.total_stats().sent;
-                for e in &self.endpoints {
-                    e.runtime().quiesce();
-                }
-                if self.net.total_stats().sent == confirm {
-                    return;
-                }
-            }
-        }
+        });
     }
 
     /// Stop all timers and shut the network down.

@@ -20,7 +20,6 @@
 //!
 //! Per-microprotocol contention profiles and runtime stats print to stdout.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,6 +29,7 @@ mod common; // the staggered-pipeline fixture `tests/trace.rs` asserts on
 use common::{pipeline_stack, run_pipeline};
 use samoa::prelude::*;
 use samoa_core::ChromeTrace;
+use samoa_proto::Observe;
 
 const STAGES: usize = 4;
 const COMPS: usize = 6;
@@ -58,40 +58,38 @@ fn trace_pipeline(policy: Policy, pid: u32, chrome: &mut ChromeTrace) {
 
 fn trace_cluster(policy: StackPolicy, base_pid: u32, chrome: &mut ChromeTrace) {
     // One buffer per site: computation ids are per-runtime, so each node
-    // exports as its own trace process.
-    let bufs: RefCell<Vec<Arc<TraceBuffer>>> = RefCell::new(Vec::new());
-    let mut cluster = Cluster::new_traced(
-        SITES,
-        NetConfig::default(),
-        NodeConfig::with_policy(policy),
-        |_site| {
-            let b = TraceBuffer::new();
-            bufs.borrow_mut().push(b.clone());
-            b
-        },
-    );
+    // exports as its own trace process. (`Cluster` shares one sink across
+    // its sites; per-site sinks are the general `Node` constructor.)
+    let net = SimNet::new(SITES, NetConfig::default());
+    let sites: Vec<(Arc<Node>, Arc<TraceBuffer>)> = net
+        .sites()
+        .into_iter()
+        .map(|site| {
+            let buf = TraceBuffer::new();
+            let node = Node::new_observed_on(
+                Arc::new(net.handle()),
+                site,
+                NodeConfig::with_policy(policy),
+                None,
+                Observe::traced(buf.clone()),
+            );
+            (node, buf)
+        })
+        .collect();
     for i in 0..MSGS {
-        cluster.node(i % SITES).abcast(format!("m{i}"));
+        sites[i % SITES].0.abcast(format!("m{i}"));
     }
-    cluster.settle();
+    net.settle(|| sites.iter().for_each(|(node, _)| node.runtime().quiesce()));
 
-    let label = match policy {
-        StackPolicy::Unsync => "unsync",
-        StackPolicy::Serial => "serial",
-        StackPolicy::TwoPhase => "two-phase",
-        StackPolicy::Basic => "vca-basic",
-        StackPolicy::Bound => "vca-bound",
-        StackPolicy::Route => "vca-route",
-    };
-    println!("--- group-communication stack under {label} ---");
-    let stack = cluster.node(0).runtime().stack().clone();
+    println!("--- group-communication stack under {policy} ---");
+    let stack = sites[0].0.runtime().stack().clone();
     let mut merged = Vec::new();
-    for (site, buf) in bufs.into_inner().into_iter().enumerate() {
+    for (site, (node, buf)) in sites.iter().enumerate() {
         let events = buf.drain();
-        println!("site {site}: {}", cluster.node(site).runtime().stats());
+        println!("site {site}: {}", node.runtime().stats());
         chrome.add_process(
             base_pid + site as u32,
-            &format!("abcast/{label}/site{site}"),
+            &format!("abcast/{policy}/site{site}"),
             &events,
             &stack,
         );
@@ -105,7 +103,6 @@ fn trace_cluster(policy: StackPolicy, base_pid: u32, chrome: &mut ChromeTrace) {
         ContentionProfile::from_events(&merged, &stack).render()
     );
     println!();
-    cluster.shutdown();
 }
 
 fn main() {
@@ -118,9 +115,9 @@ fn main() {
         "{COMPS} computations through a {STAGES}-stage pipeline ({STAGE_WORK:?} per stage, \
          spawned every {STAGGER:?}), traced under each versioning algorithm\n"
     );
-    trace_pipeline(Policy::VcaBasic, 1, &mut chrome);
-    trace_pipeline(Policy::VcaBound, 2, &mut chrome);
-    trace_pipeline(Policy::VcaRoute, 3, &mut chrome);
+    trace_pipeline(Policy::Basic, 1, &mut chrome);
+    trace_pipeline(Policy::Bound, 2, &mut chrome);
+    trace_pipeline(Policy::Route, 3, &mut chrome);
 
     println!("{SITES}-site atomic broadcast, {MSGS} messages, traced per site under each policy\n");
     trace_cluster(StackPolicy::Basic, 10, &mut chrome);

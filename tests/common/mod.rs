@@ -22,25 +22,6 @@ fn io_work(work: Duration) {
     }
 }
 
-/// The declaration `policy` makes for a computation that visits each of
-/// `protocols` once (`bounds` says the same as `isolated bound` budgets),
-/// along `route` if the workload is a pipeline.
-fn decl_for<'a>(
-    policy: Policy,
-    protocols: &'a [ProtocolId],
-    bounds: &'a [(ProtocolId, u64)],
-    route: Option<&'a RoutePattern>,
-) -> Decl<'a> {
-    match policy {
-        Policy::Unsync => Decl::Unsync,
-        Policy::Serial => Decl::Serial,
-        Policy::TwoPhase => Decl::TwoPhase(protocols),
-        Policy::VcaBasic => Decl::Basic(protocols),
-        Policy::VcaBound => Decl::Bound(bounds),
-        Policy::VcaRoute => Decl::Route(route.expect("vca-route applies to pipeline workloads")),
-    }
-}
-
 /// Total visits across a stack's counters (workload sanity check).
 pub fn total_visits(counters: &[ProtocolState<u64>]) -> u64 {
     counters.iter().map(|c| c.read(|v| *v)).sum()
@@ -57,6 +38,8 @@ pub struct FlatStack {
     pub protocols: Vec<ProtocolId>,
     /// Event `i` triggers protocol `i`'s handler.
     pub events: Vec<EventType>,
+    /// Protocol `i`'s handler (the one-node routing pattern of a visit).
+    pub handlers: Vec<HandlerId>,
     /// Visit counters.
     pub counters: Vec<ProtocolState<u64>>,
 }
@@ -66,6 +49,7 @@ pub fn flat_stack(n: usize, work: Duration) -> FlatStack {
     let mut b = StackBuilder::new();
     let mut protocols = Vec::new();
     let mut events = Vec::new();
+    let mut handlers = Vec::new();
     let mut counters = Vec::new();
     for i in 0..n {
         let p = b.protocol(&format!("P{i}"));
@@ -73,11 +57,11 @@ pub fn flat_stack(n: usize, work: Duration) -> FlatStack {
         let c = ProtocolState::new(p, 0u64);
         {
             let c = c.clone();
-            b.bind(e, p, &format!("h{i}"), move |ctx, _| {
+            handlers.push(b.bind(e, p, &format!("h{i}"), move |ctx, _| {
                 io_work(work);
                 c.with(ctx, |v| *v += 1);
                 Ok(())
-            });
+            }));
         }
         protocols.push(p);
         events.push(e);
@@ -87,6 +71,7 @@ pub fn flat_stack(n: usize, work: Duration) -> FlatStack {
         rt: Runtime::new(b.build()),
         protocols,
         events,
+        handlers,
         counters,
     }
 }
@@ -111,10 +96,11 @@ pub fn run_flat(stack: &FlatStack, visits: &[usize], policy: Policy, injectors: 
                 for &slot in visits.iter().skip(first).step_by(injectors) {
                     let protocols = [stack.protocols[slot]];
                     let bounds = [(stack.protocols[slot], 1)];
+                    let route = RoutePattern::new().root(stack.handlers[slot]);
                     let event = stack.events[slot];
                     stack
                         .rt
-                        .spawn(decl_for(policy, &protocols, &bounds, None), move |ctx| {
+                        .spawn(policy.decl(&protocols, &bounds, &route), move |ctx| {
                             ctx.trigger(event, EventData::empty())
                         });
                 }
@@ -222,7 +208,7 @@ pub fn run_pipeline(
 ) {
     let bounds: Vec<(ProtocolId, u64)> = stack.protocols.iter().map(|&p| (p, 1)).collect();
     let pattern = stack.route_pattern();
-    let decl = decl_for(policy, &stack.protocols, &bounds, Some(&pattern));
+    let decl = policy.decl(&stack.protocols, &bounds, &pattern);
     let entry = stack.entry;
     std::thread::scope(|scope| {
         for i in 0..injectors {

@@ -67,14 +67,10 @@ fn paper_walkthrough_fig1_to_stack() {
 
 #[test]
 fn all_policies_run_the_stack() {
-    for policy in [
-        StackPolicy::Unsync,
-        StackPolicy::Serial,
-        StackPolicy::Basic,
-        StackPolicy::Bound,
-        StackPolicy::Route,
-        StackPolicy::TwoPhase,
-    ] {
+    // `StackPolicy` *is* the core's `Policy`: the core's list feeds the
+    // proto config, and either name spells the same value.
+    assert_eq!(StackPolicy::Basic, Policy::Basic);
+    for policy in Policy::ALL {
         let cluster = Cluster::new(3, NetConfig::fast(2), NodeConfig::with_policy(policy));
         cluster.node(0).rbcast("ping");
         cluster.settle();

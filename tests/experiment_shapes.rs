@@ -49,7 +49,7 @@ fn e2_shape_agreement_and_bounded_overhead() {
 #[test]
 fn e3_shape_versioning_beats_serial_on_coarse_grain() {
     let serial = flat_wall(8, 3, Policy::Serial);
-    let basic = flat_wall(8, 3, Policy::VcaBasic);
+    let basic = flat_wall(8, 3, Policy::Basic);
     assert!(
         basic.as_secs_f64() * 1.5 < serial.as_secs_f64(),
         "expected ≥1.5x: serial {serial:?}, basic {basic:?}"
@@ -71,10 +71,10 @@ fn e4_shape_bound_and_route_pipeline() {
         assert_eq!(total_visits(&stack.counters), 12 * stages as u64);
         (s.bound_releases, s.route_releases)
     };
-    assert_eq!(early_releases(Policy::VcaBasic), (0, 0));
-    let (bound, route) = early_releases(Policy::VcaBound);
+    assert_eq!(early_releases(Policy::Basic), (0, 0));
+    let (bound, route) = early_releases(Policy::Bound);
     assert!(bound > 0 && route == 0, "bound: {bound} / {route}");
-    let (bound, route) = early_releases(Policy::VcaRoute);
+    let (bound, route) = early_releases(Policy::Route);
     assert!(route > 0 && bound == 0, "route: {bound} / {route}");
 }
 
@@ -106,7 +106,7 @@ fn e5_shape_race_only_without_isolation() {
 #[test]
 fn e6_shape_versioning_approaches_unsync_without_conflicts() {
     let unsync = flat_wall(16, 9, Policy::Unsync);
-    let basic = flat_wall(16, 9, Policy::VcaBasic);
+    let basic = flat_wall(16, 9, Policy::Basic);
     let serial = flat_wall(16, 9, Policy::Serial);
     assert!(
         basic.as_secs_f64() < unsync.as_secs_f64() * 6.0 + 0.05,
@@ -128,7 +128,7 @@ fn e12_metrics_shape_metered_fleet_health_accounts_for_all_applies() {
     let run = |observe: Option<Observe>| {
         let (net, cfg) = (NetConfig::fast(42), NodeConfig::default());
         let c = match observe {
-            Some(o) => Cluster::new_observed(3, net, cfg, o),
+            Some(o) => Cluster::new_observed_on(SimNet::new(3, net), cfg, None, o),
             None => Cluster::new(3, net, cfg),
         };
         let puts: Vec<_> = (0..8)
@@ -176,20 +176,19 @@ fn e12_metrics_shape_metered_fleet_health_accounts_for_all_applies() {
 /// both find it within budget on every seed.
 #[test]
 fn e13_shape_guided_pct_never_loses_to_plain_pct() {
-    use samoa_check::{Explorer, ExplorerConfig, ScenarioPolicy, Strategy, ViewChangeScenario};
+    use samoa_check::{Explorer, ExplorerConfig, Strategy, ViewChangeScenario};
 
     let (mut pct_total, mut guided_total) = (0usize, 0usize);
     for seed in 1..=3 {
         let mut cfg = ExplorerConfig::new(500, Strategy::Pct { seed, depth: 2 });
         cfg.minimise = false;
-        let pct = Explorer::explore(&ViewChangeScenario::new(ScenarioPolicy::Unsync, 9), &cfg)
+        let pct = Explorer::explore(&ViewChangeScenario::new(Policy::Unsync, 9), &cfg)
             .violation
             .unwrap_or_else(|| panic!("plain PCT missed the race (seed {seed})"));
         cfg.strategy = Strategy::Guided { seed, depth: 2 };
-        let guided =
-            Explorer::explore(&ViewChangeScenario::traced(ScenarioPolicy::Unsync, 9), &cfg)
-                .violation
-                .unwrap_or_else(|| panic!("guided PCT missed the race (seed {seed})"));
+        let guided = Explorer::explore(&ViewChangeScenario::new(Policy::Unsync, 9).traced(), &cfg)
+            .violation
+            .unwrap_or_else(|| panic!("guided PCT missed the race (seed {seed})"));
         pct_total += pct.schedule_index + 1;
         guided_total += guided.schedule_index + 1;
     }

@@ -31,8 +31,8 @@ fn traced_run(policy: Policy) -> (Vec<TraceEvent>, Stack) {
 
 #[test]
 fn basic_blocks_where_route_releases_and_chrome_json_round_trips() {
-    let (basic_events, stack) = traced_run(Policy::VcaBasic);
-    let (route_events, _) = traced_run(Policy::VcaRoute);
+    let (basic_events, stack) = traced_run(Policy::Basic);
+    let (route_events, _) = traced_run(Policy::Route);
 
     let basic = ContentionProfile::from_events(&basic_events, &stack);
     let route = ContentionProfile::from_events(&route_events, &stack);
@@ -104,7 +104,7 @@ fn basic_blocks_where_route_releases_and_chrome_json_round_trips() {
 fn waiters_snapshot_is_empty_after_quiescence() {
     let sink = TraceBuffer::new();
     let stack = pipeline_stack(STAGES, Duration::ZERO, Some(sink));
-    run_pipeline(&stack, 4, Policy::VcaBasic, 1, Duration::ZERO);
+    run_pipeline(&stack, 4, Policy::Basic, 1, Duration::ZERO);
     let g = stack.rt.waiters();
     assert!(g.is_empty());
     assert!(!g.has_cycle());
