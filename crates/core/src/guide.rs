@@ -404,8 +404,8 @@
 //! ```
 //!
 //! Each datagram arrival, client request, and timer tick enters the stack
-//! as a detached computation ([`Runtime::spawn`]) whose declaration is the
-//! configured `StackPolicy` (this very [`Policy`](crate::Policy), mapped by
+//! as a computation whose declaration is the configured `StackPolicy` (this
+//! very [`Policy`](crate::Policy), mapped by
 //! [`Policy::decl`](crate::Policy::decl)) — the paper's
 //! `isolated [relComm relCast ...] {trigger FromNet m}` — so the whole
 //! distributed service inherits serial-equivalence from the framework with
@@ -413,12 +413,20 @@
 //! stack survive real sockets at load are baked into the runtime and
 //! RelComm and worth knowing about:
 //!
-//! * **Admission control.** Every external computation holds an OS thread
-//!   while it runs (§11), so an unbounded socket reader can exhaust
-//!   threads. Nodes gate external spawns (at most 64 in flight per
-//!   node, a constant of `samoa-proto`) with a slot that rides the
-//!   *whole* root job — body plus the asynchronous-trigger drain phase —
-//!   via `Runtime::spawn_guarded`.
+//! * **Admission control.** Every computation holds an OS thread while it
+//!   runs (§11), so an unbounded socket reader can exhaust threads. Where
+//!   the policy holds what it declares to completion
+//!   ([`Policy::overlaps`](crate::Policy::overlaps) is false: `Serial`,
+//!   `Basic`, `TwoPhase`) that thread is the one that brought the event:
+//!   the reader, timer or client runs the computation itself
+//!   ([`Runtime::run`](crate::Runtime::run)) and returns when it has
+//!   completed, so a node never has more computations than entry threads
+//!   and the backlog waits as bytes in the socket buffer. Where
+//!   computations do overlap (`Unsync`, `Bound`, `Route`) each is detached
+//!   ([`Runtime::spawn`]) and nodes gate them (at most 64 in flight per
+//!   node, a constant of `samoa-proto`) with a slot that rides the *whole*
+//!   root job — body plus the asynchronous-trigger drain phase — via
+//!   `Runtime::spawn_guarded`.
 //! * **Adaptive retransmission.** A fixed RTO below the loaded RTT turns
 //!   load into a retransmit storm (each duplicate costs the receiver a
 //!   serialized computation, raising the RTT further). RelComm tracks a
@@ -528,8 +536,13 @@
 //! deadlock-freedom argument (paper §6) needs exactly one thing from the
 //! threading layer: every computation holds a thread of its own from spawn
 //! to Rule 3, so that the oldest computation — which waits on nobody — is
-//! always running. It does not need that thread to be new. [`Runtime::spawn`]
-//! and the per-computation helper workers therefore take their threads from
+//! always running. It does not need that thread to be new, nor to be the
+//! runtime's: the blocking [`Runtime::run`](crate::Runtime::run) uses the
+//! caller's, which is how the hosted stacks run every external event that
+//! cannot overlap another (§9, "Admission control") — an entry thread
+//! waits only on older computations, which own theirs, and nothing inside a
+//! computation waits on an entry point. [`Runtime::spawn`]
+//! and the per-computation helper workers take their threads from
 //! one process-wide **cache with direct hand-off and no run queue**: a job
 //! goes to the most recently parked idle worker (one wake, on that worker's
 //! own slot), a new `samoa-worker` thread is created only when none is
@@ -544,7 +557,9 @@
 //! could sit in the queue behind them — a deadlock the versioning rules
 //! cannot see. It needs computations that give their thread back while
 //! they wait (continuations at the admission seam), plus a bound and an
-//! overload policy at ingress.
+//! overload policy at ingress. Running a computation that cannot overlap
+//! on its entry thread gets the bound without the queue: the thread that
+//! would have produced the next job is busy running this one.
 //!
 //! ## 12. Pitfalls
 //!

@@ -99,6 +99,19 @@ impl Policy {
         }
     }
 
+    /// Can a computation under this policy start on a microprotocol while
+    /// an older one that declared it is still running? `Serial`, `Basic` and
+    /// `TwoPhase` hold what they declare to completion (Rule 3), so two
+    /// computations that share a microprotocol run one after the other and
+    /// a thread given to the younger can only wait; `Bound` and `Route`
+    /// release early (Rule 4) and `Unsync` never waits. A host that has to
+    /// pick a thread for each external event reads this: what cannot
+    /// overlap may as well run to completion on the thread that brought it
+    /// ([`Runtime::run`](crate::Runtime::run)).
+    pub fn overlaps(self) -> bool {
+        matches!(self, Policy::Unsync | Policy::Bound | Policy::Route)
+    }
+
     /// Short display label (`vca-basic`, `two-phase`, …).
     pub fn label(self) -> &'static str {
         match self {
@@ -281,6 +294,12 @@ mod tests {
         for p in [Policy::Serial, Policy::Basic, Policy::Bound, Policy::Route] {
             assert_eq!(p.cell(), Some(CellKind::Version), "{p}");
         }
+    }
+
+    #[test]
+    fn only_early_release_and_no_isolation_overlap() {
+        let overlapping: Vec<Policy> = Policy::ALL.into_iter().filter(|p| p.overlaps()).collect();
+        assert_eq!(overlapping, [Policy::Unsync, Policy::Bound, Policy::Route]);
     }
 
     #[test]

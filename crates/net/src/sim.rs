@@ -5,7 +5,8 @@
 //! delivery thread pops due datagrams in timestamp order and invokes the
 //! destination site's registered callback — in the SAMOA stack that callback
 //! is the site's Network Module, which injects the message into the protocol
-//! by spawning an isolated computation.
+//! as an isolated computation (run right there, on the delivery thread, when
+//! the stack's policy lets no two computations overlap).
 //!
 //! The paper's evaluation ran "on distributed machines" (§7); this simulator
 //! is the substitute substrate (see DESIGN.md): it preserves the property
@@ -341,15 +342,20 @@ impl NetHandle {
         let Some(item) = st.heap.pop() else {
             return false;
         };
-        self.deliver_in_flight(st, item);
+        drop(self.deliver_in_flight(st, item));
         true
     }
 
-    /// Deliver one already-extracted in-flight datagram with the exact
-    /// semantics of [`NetHandle::pump_one`] (corruption, crash and partition
-    /// checks, counters, callback on the calling thread). Consumes the lock
-    /// guard — the callback must run unlocked.
-    fn deliver_in_flight<'a>(&'a self, mut st: MutexGuard<'a, NetState>, mut item: InFlight) {
+    /// Deliver one already-extracted in-flight datagram — the one copy of
+    /// it, for the delivery thread and every pump: corruption draw, crash
+    /// and partition checks, counters, callback on the calling thread. The
+    /// lock is released around the callback (it may send, and a host may run
+    /// a whole computation in it) and handed back retaken.
+    fn deliver_in_flight<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, NetState>,
+        mut item: InFlight,
+    ) -> MutexGuard<'a, NetState> {
         let inner = &self.inner;
         let (from, to) = (item.dg.from, item.dg.to);
         if st.corruption > 0.0 && !item.dg.payload.is_empty() {
@@ -365,11 +371,11 @@ impl NetHandle {
         }
         if st.crashed[to.index()] || st.crashed[from.index()] {
             inner.counters[to.index()].note_dropped_crash();
-            return;
+            return st;
         }
         if st.partition[from.index()] != st.partition[to.index()] {
             inner.counters[to.index()].note_dropped_partition();
-            return;
+            return st;
         }
         let cb = inner.callbacks.read()[to.index()].clone();
         if let Some(cb) = cb {
@@ -387,6 +393,7 @@ impl NetHandle {
             // the drop is visible in stats (Transport contract).
             inner.counters[to.index()].note_dropped_no_receiver();
         }
+        st
     }
 
     /// Pump until nothing is in flight (callbacks may send more; the whole
@@ -444,7 +451,7 @@ impl NetHandle {
         let Some(item) = Self::extract_seq(&mut st, seq) else {
             return false;
         };
-        self.deliver_in_flight(st, item);
+        drop(self.deliver_in_flight(st, item));
         true
     }
 
@@ -589,67 +596,36 @@ impl fmt::Debug for SimNet {
     }
 }
 
+/// What a timed wait cannot resolve: the kernel rounds a sleep up by its
+/// timer slack (50 us by default on Linux) and waking costs a few more, so a
+/// delay shorter than this is overslept several times over. The delivery
+/// thread yields through such a wait instead of sleeping through it.
+const TIMER_RESOLUTION: Duration = Duration::from_micros(60);
+
 fn delivery_loop(net: NetHandle) {
     let inner = &net.inner;
     let mut st = inner.state.lock();
-    loop {
-        if st.shutdown {
-            break;
-        }
+    while !st.shutdown {
         let now = Instant::now();
-        let due = match st.heap.peek() {
-            Some(top) if top.at <= now => true,
-            Some(top) => {
-                let at = top.at;
+        match st.heap.peek().map(|top| top.at) {
+            Some(at) if at <= now => {
+                let item = st.heap.pop().expect("peeked");
+                st = net.deliver_in_flight(st, item);
+            }
+            Some(at) if at - now <= TIMER_RESOLUTION => {
+                drop(st);
+                std::thread::yield_now();
+                st = inner.state.lock();
+            }
+            Some(at) => {
                 inner.cv.wait_until(&mut st, at);
-                continue;
             }
             None => {
                 if st.delivering == 0 {
                     inner.quiesce_cv.notify_all();
                 }
                 inner.cv.wait(&mut st);
-                continue;
             }
-        };
-        debug_assert!(due);
-        let mut item = st.heap.pop().expect("peeked");
-        let (from, to) = (item.dg.from, item.dg.to);
-        // Corruption: flip one bit of one byte in transit.
-        if st.corruption > 0.0 && !item.dg.payload.is_empty() {
-            let p = st.corruption;
-            if st.rng.gen_bool(p) {
-                let mut bytes = item.dg.payload.to_vec();
-                let idx = st.rng.gen_range(0..bytes.len());
-                let bit = st.rng.gen_range(0u8..8);
-                bytes[idx] ^= 1u8 << bit;
-                item.dg.payload = Bytes::from(bytes);
-                inner.counters[to.index()].note_corrupted();
-            }
-        }
-        if st.crashed[to.index()] || st.crashed[from.index()] {
-            inner.counters[to.index()].note_dropped_crash();
-            continue;
-        }
-        if st.partition[from.index()] != st.partition[to.index()] {
-            inner.counters[to.index()].note_dropped_partition();
-            continue;
-        }
-        let cb = inner.callbacks.read()[to.index()].clone();
-        if let Some(cb) = cb {
-            st.delivering += 1;
-            drop(st);
-            cb(item.dg);
-            inner.counters[to.index()].note_delivered();
-            st = inner.state.lock();
-            st.delivering -= 1;
-            if st.delivering == 0 && st.heap.is_empty() {
-                inner.quiesce_cv.notify_all();
-            }
-        } else {
-            // Unregistered destination: silently discarded, but counted
-            // (`SiteStats::dropped_no_receiver`) per the Transport contract.
-            inner.counters[to.index()].note_dropped_no_receiver();
         }
     }
 }

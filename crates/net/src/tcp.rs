@@ -33,6 +33,14 @@
 //!   drops are possible between delivered frames.
 //! * Frames arriving while no callback is registered are discarded and
 //!   counted ([`TcpStats::dropped_no_receiver`]), mirroring `SimNet`.
+//! * The callback is never running twice at once, as on `SimNet`'s one
+//!   delivery thread: the reader threads of an endpoint take turns on the
+//!   callback's lock. A host may run a whole computation in the callback
+//!   (`samoa-proto` does when computations cannot overlap), and two readers
+//!   of a backlogged site that met *there* would wait on each other by
+//!   spinning and yielding — on a busy CPU a yielding thread forfeits its
+//!   share, the site falls further behind, and its readers never sleep
+//!   again. A reader waiting its turn here sleeps.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -43,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use crate::sim::{Datagram, DeliveryFn, SiteId};
 use crate::transport::Transport;
@@ -136,7 +144,8 @@ struct TcpInner {
     /// that entry used port 0).
     listen_addr: SocketAddr,
     cfg: TcpConfig,
-    callback: RwLock<Option<Arc<DeliveryFn>>>,
+    /// Locked while the callback runs: one delivery at a time (module docs).
+    callback: Mutex<Option<Arc<DeliveryFn>>>,
     peers: Vec<Peer>,
     counters: TcpCounters,
     shutdown: AtomicBool,
@@ -187,7 +196,7 @@ impl TcpNet {
             addrs,
             listen_addr,
             cfg,
-            callback: RwLock::new(None),
+            callback: Mutex::new(None),
             peers: (0..n)
                 .map(|_| Peer {
                     state: Mutex::new(PeerState {
@@ -345,7 +354,7 @@ impl Transport for TcpNet {
             "TcpNet for {} cannot host a callback for {site}",
             self.inner.site
         );
-        *self.inner.callback.write() = Some(callback);
+        *self.inner.callback.lock() = Some(callback);
     }
 
     fn stats_named(&self, site: SiteId) -> Vec<(&'static str, u64)> {
@@ -419,8 +428,8 @@ fn reader_loop(inner: Arc<TcpInner>, mut stream: TcpStream) {
         }
         let from = SiteId(u16::from_le_bytes([body[0], body[1]]));
         let payload = Bytes::from(body).slice(2..);
-        let cb = inner.callback.read().clone();
-        match cb {
+        let slot = inner.callback.lock();
+        match &*slot {
             Some(cb) if !inner.shutdown.load(Ordering::SeqCst) => {
                 cb(Datagram {
                     from,

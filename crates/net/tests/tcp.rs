@@ -88,6 +88,44 @@ fn send_all_reaches_every_other_site() {
     assert_eq!(mesh.net(0).stats().frames_delivered, 0);
 }
 
+/// One reader thread per inbound connection, one callback at a time: a host
+/// may run a whole computation in it, and readers that met there would wait
+/// on each other by yielding (module docs of `tcp.rs`).
+#[test]
+fn readers_of_one_endpoint_take_turns_in_the_callback() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const FRAMES: usize = 500;
+    let mesh = TcpMesh::new(3).unwrap();
+    let inside = Arc::new(AtomicUsize::new(0));
+    let most = Arc::new(AtomicUsize::new(0));
+    let done = Arc::new(AtomicUsize::new(0));
+    let (i, m, d) = (Arc::clone(&inside), Arc::clone(&most), Arc::clone(&done));
+    mesh.net(2).register(
+        SiteId(2),
+        Arc::new(move |_| {
+            m.fetch_max(i.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            // Stay long enough for the other connection's reader to arrive.
+            for _ in 0..8 {
+                std::thread::yield_now();
+            }
+            i.fetch_sub(1, Ordering::SeqCst);
+            d.fetch_add(1, Ordering::SeqCst);
+        }),
+    );
+    for _ in 0..FRAMES {
+        for from in [0, 1] {
+            mesh.net(from)
+                .send(SiteId(from as u16), SiteId(2), Bytes::from_static(b"x"));
+        }
+    }
+    assert!(wait_until(20_000, || done.load(Ordering::SeqCst) == 2 * FRAMES));
+    assert_eq!(
+        most.load(Ordering::SeqCst),
+        1,
+        "two readers in the callback"
+    );
+}
+
 #[test]
 fn self_send_loops_back_through_the_socket() {
     let mesh = TcpMesh::new(2).unwrap();

@@ -26,6 +26,21 @@
 //!   isolation. The §3 "Problem" race is observable under this policy.
 //! * [`StackPolicy::TwoPhase`] — conservative 2PL over the same sets as
 //!   `Basic`.
+//!
+//! ## Ingress: which thread runs it
+//!
+//! The paper's `isolated M e` is evaluated by the thread that reaches it,
+//! and so it is here when computations cannot overlap
+//! ([`Policy::overlaps`] is false: `Serial`, `Basic`, `TwoPhase`): the
+//! entry thread — the network's delivery or reader thread, the timer, the
+//! client — runs the computation itself ([`Runtime::run`]) and returns once
+//! it has completed; Rule 2 orders the entry threads, in arrival order.
+//! `Unsync`, `Bound` and `Route` computations, and every computation under
+//! a [`SchedHook`](samoa_core::SchedHook), go to executor threads
+//! ([`Runtime::spawn_guarded`]). Deadlock freedom (§6) carries over: an
+//! entry thread waits only on strictly older computations, each of which
+//! owns a thread, and nothing inside a computation waits on an entry point
+//! (a `Transport::send` only enqueues; no handler calls a `Node`'s API).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -151,11 +166,7 @@ pub use samoa_core::Policy as StackPolicy;
 /// processing FIFO, which the delivery-order assertions rely on.
 const INTRA_THREADS: usize = 1;
 
-/// Maximum in-flight external computations per node under the policies
-/// whose computations can overlap (see [`ExtGate::for_policy`]). Every
-/// computation runs on its own thread, so an unbounded arrival rate (real
-/// sockets deliver far faster than the simulator) can pile up thousands of
-/// admission-blocked threads until thread creation fails.
+/// Most detached external computations in flight per node ([`ExtGate`]).
 const MAX_INFLIGHT_EXTERNAL: usize = 64;
 
 /// Node tunables.
@@ -271,50 +282,20 @@ struct ExtDecl {
     route: RoutePattern,
 }
 
-/// Counting gate bounding in-flight external computations (backpressure
-/// from the Network/Timer/Application modules into the runtime). The entry
-/// point (delivery thread, TCP reader, timer, client) blocks while the node
-/// is at its limit, so what cannot run yet waits as bytes in the network —
-/// SimNet's heap, the socket buffer (TCP propagates that to the sender) —
-/// instead of as a thread. A computation never waits on an entry point
-/// (sends only enqueue), so a blocked one cannot stall the slot's holder.
-/// Not applied to hooked runtimes (the controller owns scheduling).
+/// Counting gate holding detached external computations (unless a hook
+/// owns scheduling) to [`MAX_INFLIGHT_EXTERNAL`] threads: the entry point
+/// blocks at the limit, so what real sockets deliver faster than it can run
+/// waits as bytes in the network, not as threads until none can be created.
+#[derive(Default)]
 struct ExtGate {
-    limit: usize,
     count: Mutex<usize>,
     cv: Condvar,
 }
 
 impl ExtGate {
-    /// The gate for a node running `policy`, sized to what can actually
-    /// run. Under `Serial`, `Basic` and `TwoPhase` a computation releases
-    /// its microprotocols only when it completes (Rule 3), and every
-    /// external kind but one declares RelComm (all atomic-broadcast, KV and
-    /// membership traffic declares the whole stack), so a second
-    /// computation could only spin, yield and park behind the first: one at
-    /// a time. The exception is `Beat`, which declares the failure detector
-    /// alone and under `Basic`/`TwoPhase` could run beside an `Ack`, a
-    /// `RetrTick` or plain-RelCast traffic; that overlap is given up on
-    /// purpose — a heartbeat now waits for the computation in flight, a
-    /// fraction of a millisecond against an `fd_timeout` of hundreds — rather
-    /// than give the gate a second rule. `Unsync`, `Bound` and `Route`
-    /// overlap for real (no isolation; early release) and keep the
-    /// thread-exhaustion bound.
-    fn for_policy(policy: StackPolicy) -> Arc<ExtGate> {
-        let limit = match policy {
-            StackPolicy::Serial | StackPolicy::Basic | StackPolicy::TwoPhase => 1,
-            StackPolicy::Unsync | StackPolicy::Bound | StackPolicy::Route => MAX_INFLIGHT_EXTERNAL,
-        };
-        Arc::new(ExtGate {
-            limit,
-            count: Mutex::new(0),
-            cv: Condvar::new(),
-        })
-    }
-
     fn acquire(self: &Arc<Self>) -> ExtSlot {
         let mut g = self.count.lock();
-        while *g >= self.limit {
+        while *g >= MAX_INFLIGHT_EXTERNAL {
             self.cv.wait(&mut g);
         }
         *g += 1;
@@ -322,16 +303,12 @@ impl ExtGate {
     }
 }
 
-/// RAII slot in the gate. It rides the computation's whole root job
-/// (`Runtime::spawn_guarded`): released after the body, the asynchronous
-/// drain and Rule 3, as the job hands its thread back.
+/// RAII slot in the gate, held until the computation's root job has ended.
 struct ExtSlot(Arc<ExtGate>);
 
 impl Drop for ExtSlot {
     fn drop(&mut self) {
-        let mut g = self.0.count.lock();
-        *g -= 1;
-        drop(g);
+        *self.0.count.lock() -= 1;
         self.0.cv.notify_one();
     }
 }
@@ -357,7 +334,10 @@ pub struct Node {
     kv: ProtocolState<KvState>,
     kv_waiters: KvWaiters,
     kv_req: AtomicU64,
+    /// External computations run on their entry threads (module docs).
+    inline: bool,
     ext_gate: Option<Arc<ExtGate>>,
+    ext_errors: Arc<AtomicU64>,
     /// The Timer Module; set once, after the node it ticks exists.
     timer: OnceLock<Ticker>,
 }
@@ -524,7 +504,9 @@ impl Node {
         ];
         // Plain user casts never reach Kv (it binds only ADeliver), so the
         // cast set stays tight — no needless Kv serialisation under Basic.
+        // Inbound they pass Consensus, which also binds RelComm's FromRComm.
         let user_cast = [p_relcomm, p_relcast, p_abcast, p_app];
+        let user_data = [p_relcomm, p_relcast, p_consensus, p_abcast, p_app];
         // `isolated bound` budgets: generous, derived from the view size.
         let generous = 8 * n_sites + 16;
         // `isolated route` patterns are cut from the stack's static call
@@ -535,7 +517,7 @@ impl Node {
         let decls = ExtKind::ALL.map(|kind| {
             let (event, protocols): (EventType, &[ProtocolId]) = match kind {
                 ExtKind::DataFull => (ev.rc_data, &all),
-                ExtKind::DataUser => (ev.rc_data, &user_cast),
+                ExtKind::DataUser => (ev.rc_data, &user_data),
                 ExtKind::Ack => (ev.rc_ack, &[p_relcomm]),
                 ExtKind::Beat => (ev.fd_beat, &[p_fd]),
                 ExtKind::RbRequest => (ev.bcast, &user_cast),
@@ -557,7 +539,8 @@ impl Node {
             max_threads_per_computation: INTRA_THREADS,
             ..RuntimeConfig::default()
         };
-        let ext_gate = hook.is_none().then(|| ExtGate::for_policy(cfg.policy));
+        let inline = hook.is_none() && !cfg.policy.overlaps();
+        let ext_gate = (hook.is_none() && !inline).then(Arc::default);
         let rt = Runtime::with_parts(stack, rt_cfg, hook, observe.sink);
 
         let node = Arc::new(Node {
@@ -578,7 +561,9 @@ impl Node {
             kv: kv_st,
             kv_waiters,
             kv_req: AtomicU64::new(0),
+            inline,
             ext_gate,
+            ext_errors: Arc::default(),
             timer: OnceLock::new(),
         });
 
@@ -675,27 +660,32 @@ impl Node {
         }
     }
 
-    /// Spawn the isolated computation for an external event, declaring
+    /// Run the isolated computation for an external event, declaring
     /// according to the node's policy (see module docs).
     fn spawn_external(&self, kind: ExtKind, data: EventData) {
         let d = &self.decls[kind as usize];
-        // The slot rides the computation's root job (not just the body):
-        // it is released only when the job ends, so the gate counts every
-        // thread a computation still occupies — including ones blocked in
-        // the post-body drain phase.
-        let slot = self.ext_gate.as_ref().map(|g| g.acquire());
-        let event = d.event;
-        self.rt.spawn_guarded(
-            self.cfg.policy.decl(&d.protocols, &d.bounds, &d.route),
-            slot,
-            move |ctx| ctx.trigger(event, data),
-        );
+        let decl = self.cfg.policy.decl(&d.protocols, &d.bounds, &d.route);
+        let (event, errors) = (d.event, Arc::clone(&self.ext_errors));
+        let root = move |ctx: &Ctx| ctx.trigger(event, data);
+        let count = move |r: Result<()>| {
+            r.inspect_err(|_| {
+                errors.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        if self.inline {
+            drop(count(self.rt.run(decl, root)));
+        } else {
+            let slot = self.ext_gate.as_ref().map(ExtGate::acquire);
+            let root = move |ctx: &Ctx| count(root(ctx));
+            self.rt.spawn_guarded(decl, slot, root);
+        }
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
     /// would. With `enable_timers: false` and a [`ProtoClock::manual`]
     /// clock this is the *only* way RelComm retransmits — the seam that
     /// turns timeout behaviour into an explicit, explorable decision.
+    /// Returns as [`Node::rbcast`] does.
     pub fn inject_retransmit_tick(&self) {
         self.spawn_external(ExtKind::RetrTick, EventData::empty());
     }
@@ -712,7 +702,8 @@ impl Node {
         &self.cfg.clock
     }
 
-    /// Application request: reliable broadcast (RelCast).
+    /// Application request: reliable broadcast (RelCast). On an inline node
+    /// (module docs) the request's own computation is complete on return.
     pub fn rbcast(&self, data: impl Into<Bytes>) {
         self.spawn_external(
             ExtKind::RbRequest,
@@ -720,7 +711,7 @@ impl Node {
         );
     }
 
-    /// Application request: atomic broadcast.
+    /// Application request: atomic broadcast; returns as [`Node::rbcast`].
     pub fn abcast(&self, data: impl Into<Bytes>) {
         self.spawn_external(
             ExtKind::AbRequest,
@@ -728,12 +719,12 @@ impl Node {
         );
     }
 
-    /// Request that `site` join the group.
+    /// Request that `site` join the group; returns as [`Node::rbcast`].
     pub fn request_join(&self, site: SiteId) {
         self.spawn_external(ExtKind::JoinLeave, EventData::new((ViewOp::Join, site)));
     }
 
-    /// Request that `site` leave the group.
+    /// Request that `site` leave the group; returns as [`Node::rbcast`].
     pub fn request_leave(&self, site: SiteId) {
         self.spawn_external(ExtKind::JoinLeave, EventData::new((ViewOp::Leave, site)));
     }
@@ -753,7 +744,8 @@ impl Node {
 
     /// Replicated KV: set `key` to `value`, totally ordered by abcast.
     /// The returned handle resolves (with the previous value) once this
-    /// site applies the command; see [`KvPending::wait`].
+    /// site applies the command; see [`KvPending::wait`]. On an inline node
+    /// the command has been cast, on the caller's thread, by then.
     pub fn kv_put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> KvPending {
         let (key, value) = (key.into(), value.into());
         self.kv_submit(|req| KvCmd::Put { req, key, value })
@@ -839,6 +831,14 @@ impl Node {
     /// (the §3 race indicator under `Unsync`; see EXPERIMENTS.md E5).
     pub fn relcomm_discards(&self) -> u64 {
         self.relcomm.read(|s| s.discarded)
+    }
+
+    /// External computations that ended in an error (`BoundExhausted`, a
+    /// handler panic, ...): nobody joins them, so it is counted where it
+    /// surfaces — `run` returns any, a detached root sees its synchronous
+    /// cascade's — or lost. 0 on a healthy node (diagnostics).
+    pub fn external_errors(&self) -> u64 {
+        self.ext_errors.load(Ordering::Relaxed)
     }
 
     /// Distinct RelCast messages seen (diagnostics).
@@ -1215,24 +1215,18 @@ mod tests {
     use std::sync::mpsc;
 
     #[test]
-    fn gate_limit_follows_what_the_policy_lets_overlap() {
-        use StackPolicy::*;
-        for policy in [Serial, Basic, TwoPhase] {
-            assert_eq!(ExtGate::for_policy(policy).limit, 1, "{policy:?}");
-        }
-        for policy in [Unsync, Bound, Route] {
-            let gate = ExtGate::for_policy(policy);
-            assert_eq!(gate.limit, MAX_INFLIGHT_EXTERNAL, "{policy:?}");
-            // Every slot up to the limit is there for the taking.
-            let slots: Vec<ExtSlot> = (0..MAX_INFLIGHT_EXTERNAL).map(|_| gate.acquire()).collect();
-            assert_eq!(*gate.count.lock(), slots.len());
-        }
+    fn every_slot_up_to_the_limit_is_there_for_the_taking() {
+        let gate: Arc<ExtGate> = Arc::default();
+        let slots: Vec<ExtSlot> = (0..MAX_INFLIGHT_EXTERNAL).map(|_| gate.acquire()).collect();
+        assert_eq!(*gate.count.lock(), MAX_INFLIGHT_EXTERNAL);
+        drop(slots);
+        assert_eq!(*gate.count.lock(), 0);
     }
 
     #[test]
-    fn second_acquire_waits_for_the_first_slot_to_drop() {
-        let gate = ExtGate::for_policy(StackPolicy::Basic);
-        let first = gate.acquire();
+    fn acquire_at_the_limit_waits_for_a_slot_to_drop() {
+        let gate: Arc<ExtGate> = Arc::default();
+        let mut held: Vec<ExtSlot> = (0..MAX_INFLIGHT_EXTERNAL).map(|_| gate.acquire()).collect();
         let released = Arc::new(AtomicBool::new(false));
         let (at_gate, at_gate_rx) = mpsc::channel();
         let (through, through_rx) = mpsc::channel();
@@ -1240,20 +1234,21 @@ mod tests {
             let (gate, released) = (Arc::clone(&gate), Arc::clone(&released));
             std::thread::spawn(move || {
                 let _ = at_gate.send(());
-                let _second = gate.acquire();
+                let _over = gate.acquire();
                 let _ = through.send(released.load(Ordering::SeqCst));
             })
         };
         assert_eq!(at_gate_rx.recv(), Ok(()), "waiter never started");
         assert!(through_rx.try_recv().is_err(), "admitted past a full gate");
         released.store(true, Ordering::SeqCst);
-        drop(first);
+        held.pop();
         assert_eq!(
             through_rx.recv(),
             Ok(true),
-            "second acquire returned while the first slot was held"
+            "acquire returned while every slot was held"
         );
         assert!(waiter.join().is_ok());
+        drop(held);
         assert_eq!(*gate.count.lock(), 0);
     }
 }

@@ -19,6 +19,14 @@ fn rb_set(c: &Cluster, node: usize) -> BTreeSet<(SiteId, Bytes)> {
     c.node(node).rb_delivered().into_iter().collect()
 }
 
+/// Nobody joins an external computation; the node counts the ones that
+/// ended in an error (`BoundExhausted`, `NoRoute`, a handler panic).
+fn assert_no_external_errors(c: &Cluster, what: &str) {
+    for n in c.nodes() {
+        assert_eq!(n.external_errors(), 0, "{what}: site {}", n.site);
+    }
+}
+
 #[test]
 fn rbcast_reaches_every_site() {
     let c = Cluster::new(4, NetConfig::fast(1), NodeConfig::default());
@@ -73,6 +81,7 @@ fn abcast_agrees_under_every_policy() {
                 "{policy:?}: site {i} diverged"
             );
         }
+        assert_no_external_errors(&c, &format!("{policy:?}"));
     }
 }
 
@@ -157,6 +166,7 @@ fn broadcast_during_view_change_loses_nothing_with_isolation() {
         for i in 1..3 {
             assert_eq!(rb_set(&c, i), expected, "{policy:?}: site {i}");
         }
+        assert_no_external_errors(&c, &format!("{policy:?} during a join"));
     }
 }
 
@@ -261,6 +271,7 @@ fn unsync_policy_still_functions_in_light_traffic() {
     let order0 = c.node(0).ab_delivered();
     assert_eq!(order0.len(), 2);
     assert_eq!(c.node(2).ab_delivered(), order0);
+    assert_no_external_errors(&c, "unsync trickle");
 }
 
 #[test]
@@ -274,4 +285,5 @@ fn stack_diagnostics_expose_progress() {
     // Consensus state for decided instances is garbage collected.
     assert_eq!(c.node(0).consensus_instances(), 0);
     assert_eq!(c.node(0).observed_views().len(), 0, "no view ops occurred");
+    assert_no_external_errors(&c, "one abcast");
 }

@@ -165,13 +165,17 @@ impl Rig {
         self.nodes.iter().map(|n| n.retransmissions()).sum()
     }
 
-    /// Every site delivered the same `n` distinct messages in the same order.
+    /// Every site delivered the same `n` distinct messages in the same
+    /// order, and no external computation on the way ended in an error.
     pub fn assert_total_order(&self, n: usize) {
         let order = self.nodes[0].ab_delivered();
         assert_eq!(order.len(), n, "site 0 delivered {order:?}");
         assert_eq!(order.iter().collect::<BTreeSet<_>>().len(), n, "duplicates");
         for node in &self.nodes[1..] {
             assert_eq!(node.ab_delivered(), order, "{:?} diverged", node.site);
+        }
+        for node in &self.nodes {
+            assert_eq!(node.external_errors(), 0, "{:?}", node.site);
         }
     }
 }

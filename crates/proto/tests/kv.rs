@@ -85,6 +85,7 @@ fn put_get_cas_roundtrip_on_one_cluster() {
     c.settle();
     let d0 = c.node(0).kv_digest();
     assert!(c.nodes().iter().all(|n| n.kv_digest() == d0));
+    assert!(c.nodes().iter().all(|n| n.external_errors() == 0));
 }
 
 #[test]
@@ -113,6 +114,9 @@ fn concurrent_writers_converge_to_identical_state() {
         assert_prefix_agreement(&logs);
         for log in &logs {
             assert_legal_total_order(log);
+        }
+        for n in c.nodes() {
+            assert_eq!(n.external_errors(), 0, "{policy:?}: site {}", n.site);
         }
     }
 }
@@ -162,5 +166,6 @@ proptest! {
         for log in &logs {
             assert_legal_total_order(log);
         }
+        prop_assert!(c.nodes().iter().all(|n| n.external_errors() == 0));
     }
 }

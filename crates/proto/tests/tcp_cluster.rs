@@ -50,6 +50,7 @@ fn concurrent_kv_load_converges_over_tcp() {
             assert_eq!(&a[..common], &b[..common]);
         }
     }
+    assert!((0..3).all(|i| tcp.node(i).external_errors() == 0));
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! Checksum over the simulated network, plus [`TransportNet`] bundling `n`
 //! endpoints.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -78,6 +79,9 @@ pub struct Endpoint {
     window: ProtocolState<WindowState>,
     checksum: ProtocolState<ChecksumState>,
     delivered: ProtocolState<Vec<(SiteId, Bytes)>>,
+    /// A scheduling hook owns the runtime's threads (see [`Endpoint::spawn`]).
+    hooked: bool,
+    ext_errors: Arc<AtomicU64>,
     /// Set once, after the endpoint it ticks exists.
     timer: OnceLock<Ticker>,
 }
@@ -144,6 +148,7 @@ impl Endpoint {
         } else {
             RuntimeConfig::default()
         };
+        let hooked = hook.is_some();
         let rt = Runtime::with_parts(b.build(), rt_cfg, hook, None);
         let node = Arc::new(Endpoint {
             site,
@@ -158,6 +163,8 @@ impl Endpoint {
             window: window_st,
             checksum: checksum_st,
             delivered,
+            hooked,
+            ext_errors: Arc::default(),
             timer: OnceLock::new(),
         });
 
@@ -182,13 +189,34 @@ impl Endpoint {
         node
     }
 
-    fn spawn(&self, decl: &[ProtocolId], event: EventType, data: EventData) {
-        let body = move |ctx: &Ctx| ctx.trigger(event, data);
-        match self.cfg.policy {
-            TransportPolicy::Unsync => self.rt.spawn(Decl::Unsync, body),
-            TransportPolicy::Serial => self.rt.spawn(Decl::Serial, body),
-            TransportPolicy::Basic => self.rt.spawn(Decl::Basic(decl), body),
+    /// Run the isolated computation of one external event. A policy that
+    /// holds what it declares to completion ([`Policy::overlaps`] is false)
+    /// on a free-running runtime runs it on the calling thread — the
+    /// network's delivery thread, the timer, the sender — and returns once
+    /// it has completed: a second thread could only have waited, and a
+    /// burst of datagrams costs no thread at all. `Unsync`, and any runtime
+    /// under a hook, hands it to an executor thread. Deadlock freedom is
+    /// `samoa_core::exec`'s argument: the caller waits only on older
+    /// computations, which own their threads, and nothing inside a
+    /// computation waits on an entry point (network sends only enqueue).
+    fn spawn(&self, protocols: &[ProtocolId], event: EventType, data: EventData) {
+        let decl = match self.cfg.policy {
+            TransportPolicy::Unsync => Decl::Unsync,
+            TransportPolicy::Serial => Decl::Serial,
+            TransportPolicy::Basic => Decl::Basic(protocols),
         };
+        let errors = Arc::clone(&self.ext_errors);
+        let root = move |ctx: &Ctx| ctx.trigger(event, data);
+        let count = move |r: Result<()>| {
+            r.inspect_err(|_| {
+                errors.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        if !self.hooked && !decl.policy().overlaps() {
+            drop(count(self.rt.run(decl, root)));
+        } else {
+            self.rt.spawn(decl, move |ctx| count(root(ctx)));
+        }
     }
 
     fn on_datagram(&self, from: SiteId, payload: Bytes) {
@@ -201,7 +229,8 @@ impl Endpoint {
         self.spawn(decl, self.ev.csum_in, EventData::new((from, payload)));
     }
 
-    /// Send `data` reliably and in order to `peer`.
+    /// Send `data` reliably and in order to `peer`. Under `Serial` and
+    /// `Basic` the request's own computation is complete on return.
     pub fn send(&self, peer: SiteId, data: impl Into<Bytes>) {
         let decl = [self.p_chunker, self.p_window, self.p_checksum];
         self.spawn(&decl, self.ev.send_msg, EventData::new((peer, data.into())));
@@ -223,6 +252,14 @@ impl Endpoint {
     /// Frames in flight to `peer` (diagnostics).
     pub fn in_flight(&self, peer: SiteId) -> usize {
         self.window.read(|w| w.in_flight(peer))
+    }
+
+    /// External computations that ended in an error: nobody joins them, so
+    /// it is counted where it surfaces — `run` returns any, a detached root
+    /// sees its synchronous cascade's — or lost. 0 on a healthy endpoint
+    /// (diagnostics).
+    pub fn external_errors(&self) -> u64 {
+        self.ext_errors.load(Ordering::Relaxed)
     }
 
     /// Total retransmissions (diagnostics).

@@ -147,6 +147,8 @@ fn kitchen_sink_loss_dup_corruption_bidirectional() {
     assert_eq!(net.endpoint(1).delivered()[0].1, a);
     assert_eq!(net.endpoint(2).delivered()[0].1, b);
     assert_eq!(net.endpoint(0).delivered()[0].1, c);
+    // A corrupt frame is dropped and counted, not an error of its computation.
+    assert!((0..3).all(|i| net.endpoint(i).external_errors() == 0));
 }
 
 #[test]
@@ -159,6 +161,7 @@ fn serial_policy_also_works() {
     net.endpoint(0).send(SiteId(1), msg.clone());
     wait_delivered(&net, 1, 1, "serial policy");
     assert_eq!(net.endpoint(1).delivered()[0].1, msg);
+    assert!((0..2).all(|i| net.endpoint(i).external_errors() == 0));
 }
 
 #[test]
@@ -186,5 +189,6 @@ fn concurrent_streams_between_many_peers() {
             .collect();
         let want: std::collections::BTreeSet<Bytes> = expected[j].iter().cloned().collect();
         assert_eq!(got, want, "endpoint {j}");
+        assert_eq!(net.endpoint(j).external_errors(), 0, "endpoint {j}");
     }
 }

@@ -1,0 +1,109 @@
+//! Which thread runs an endpoint's computations (`Endpoint::spawn`): under
+//! `Serial` and `Basic` the one that brought the event, to completion;
+//! under `Unsync` a `samoa-worker`.
+//!
+//! An endpoint takes no trace sink, so the thread is read from outside: an
+//! entry point that returns with every computation complete and without a
+//! `samoa-worker` having existed ran it itself. The worker cache is
+//! process-wide, so the tests of this binary run one at a time (`SERIAL`).
+
+use std::sync::{Mutex, MutexGuard};
+
+use samoa_net::{NetConfig, SimNet, SiteId};
+use samoa_transport::{Endpoint, Frame, TransportConfig, TransportNet, TransportPolicy};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `samoa-worker` threads alive in this process.
+fn workers() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "samoa-worker")
+        .count()
+}
+
+fn config(policy: TransportPolicy) -> TransportConfig {
+    TransportConfig {
+        policy,
+        enable_timers: false,
+        ..TransportConfig::default()
+    }
+}
+
+fn idle(e: &Endpoint) -> bool {
+    let s = e.runtime().stats();
+    s.computations_completed == s.computations_spawned
+}
+
+#[test]
+fn ten_thousand_datagrams_back_to_back_cost_no_thread() {
+    let _serial = serial();
+    let net = TransportNet::new(2, NetConfig::fast(1), config(TransportPolicy::Basic));
+    // A data frame whose checksum fails: the whole declaration, one handler,
+    // one counter to read the end of the burst from.
+    let mut frame = Frame::Data {
+        msg_id: 1,
+        frag_idx: 0,
+        frag_total: 1,
+        seq: 0,
+        payload: vec![7u8; 32].into(),
+    }
+    .encode()
+    .to_vec();
+    *frame.last_mut().expect("non-empty") ^= 1;
+    let frame = bytes::Bytes::from(frame);
+
+    let before = workers();
+    let mut peak = before;
+    for i in 0..10_000 {
+        net.net().send(SiteId(1), SiteId(0), frame.clone());
+        if i % 64 == 0 {
+            peak = peak.max(workers());
+        }
+    }
+    // The delivery thread returns from each callback with the computation
+    // complete, so a drained network is a drained endpoint.
+    net.net().quiesce();
+    peak = peak.max(workers());
+    assert_eq!(net.endpoint(0).corrupt_dropped(), 10_000);
+    assert!(idle(net.endpoint(0)));
+    assert!(peak <= before, "{peak} workers, {before} before the burst");
+    assert_eq!(net.endpoint(0).external_errors(), 0);
+}
+
+#[test]
+fn send_and_pump_return_with_the_computation_complete() {
+    let _serial = serial();
+    for policy in [TransportPolicy::Serial, TransportPolicy::Basic] {
+        let net = SimNet::new_manual(2, NetConfig::fast(2));
+        let a = Endpoint::new(net.handle(), SiteId(0), config(policy));
+        let b = Endpoint::new(net.handle(), SiteId(1), config(policy));
+        let before = workers();
+        a.send(SiteId(1), "hello");
+        assert!(idle(&a), "{policy:?}: send returned mid-computation");
+        assert!(net.pending() > 0, "{policy:?}: nothing was sent");
+        while net.pump_one() {
+            assert!(idle(&a) && idle(&b), "{policy:?}: pump_one returned early");
+        }
+        assert_eq!(b.delivered().len(), 1, "{policy:?}");
+        assert!(workers() <= before, "{policy:?}: a worker ran it");
+        assert_eq!(a.external_errors() + b.external_errors(), 0);
+    }
+}
+
+#[test]
+fn unsync_hands_the_computation_to_a_worker() {
+    let _serial = serial();
+    let net = SimNet::new_manual(2, NetConfig::fast(3));
+    let a = Endpoint::new(net.handle(), SiteId(0), config(TransportPolicy::Unsync));
+    a.send(SiteId(1), "hello");
+    a.runtime().quiesce();
+    assert!(net.pending() > 0);
+    // The thread that ran it is parked in the executor's cache (for 250 ms).
+    assert!(workers() >= 1, "no samoa-worker after a detached spawn");
+}

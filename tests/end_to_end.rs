@@ -80,6 +80,11 @@ fn all_policies_run_the_stack() {
                 1,
                 "{policy:?}: site {i} missed the broadcast"
             );
+            assert_eq!(
+                cluster.node(i).external_errors(),
+                0,
+                "{policy:?}: an external computation at site {i} failed"
+            );
         }
     }
 }
