@@ -2,16 +2,55 @@
 //! workspace, implemented over `std::sync` primitives.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! resolves `parking_lot` to this path crate. Semantics match parking_lot's
-//! for the covered API: non-poisoning `Mutex`/`RwLock` (poison is swallowed:
-//! a panicking critical section does not poison the lock for later users),
-//! guards that borrow the lock, a `Condvar` that works with our guards, and
-//! a `ReentrantMutex` keyed on thread id.
+//! resolves `parking_lot` to this path crate. Semantics *and uncontended
+//! cost* match parking_lot's for the covered API: non-poisoning
+//! `Mutex`/`RwLock` (poison is swallowed: a panicking critical section does
+//! not poison the lock for later users), guards that borrow the lock, a
+//! `Condvar` that works with our guards, and a `ReentrantMutex` keyed on
+//! thread id. The cost: **a thread enters the kernel only to sleep or to
+//! wake a sleeper.** std's futex `Mutex`/`RwLock` already behave so; its
+//! `Condvar::notify_*` is a `FUTEX_WAKE` whether or not anyone sleeps, so
+//! [`Condvar`] and [`ReentrantMutex`] count their sleepers and skip the call
+//! at zero. The tests below pin that as counts.
+//!
+//! ## Audit: a skipped notify loses no wake-up
+//!
+//! A waiter raises [`Condvar`]'s count *while it still holds the guard*, so
+//! the skip is sound for a notifier that changes its condition under — or,
+//! having changed it, passes through — the mutex the waiter holds: a waiter
+//! not yet counted has not released that mutex, so it will see the change.
+//! All 15 `notify_*` sites of the workspace do one or the other:
+//!
+//! | sites | condition, and the mutex |
+//! |---|---|
+//! | `core/exec.rs` `execute` | `slot.job` filled, under `slot.job` |
+//! | `core/version.rs` `ParkSeam::wake` | an atomic; notifies under `guarded`, held by a parker from registration to `wait` |
+//! | `core/computation.rs` `enqueue`, `complete` | task pushed under `queue`; `done` set under `done` |
+//! | `core/computation.rs` `release_pending` | `pending` (atomic); passes through `queue` |
+//! | `net/sim.rs`, 8 sites on `cv` and `quiesce_cv` | heap, `delivering`, `shutdown`: all under `state` |
+//! | `net/tcp.rs` `send`; `shutdown` | frame queued under `peer.state`; `shutdown` (atomic) passes through it |
+//! | `proto/kv.rs` `complete`, `proto/node.rs` `ExtSlot::drop` | reply stored under `cell.slot`; `count` lowered under `count` |
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's entries into a lock's slow path.
+    static SLOW_PATHS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// This thread's calls that reached std's `notify_*` (a syscall each).
+    static OS_NOTIFIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bump one of the per-thread counters above; test builds only.
+macro_rules! count {
+    ($counter:ident) => {
+        #[cfg(test)]
+        $counter.with(|c| c.set(c.get() + 1));
+    };
+}
 
 // ---------------------------------------------------------------- Mutex ----
 
@@ -78,20 +117,30 @@ impl WaitTimeoutResult {
     }
 }
 
-/// Condition variable compatible with [`MutexGuard`].
+/// Condition variable compatible with [`MutexGuard`]. A notify with nobody
+/// waiting returns in user space (crate docs: cost and audit).
 #[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
+pub struct Condvar {
+    /// Threads inside `wait`/`wait_until`, counted while they hold the guard.
+    waiters: AtomicUsize,
+    cv: std::sync::Condvar,
+}
 
 impl Condvar {
     /// Create a condition variable.
     pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
+        Condvar {
+            waiters: AtomicUsize::new(0),
+            cv: std::sync::Condvar::new(),
+        }
     }
 
     /// Block until notified, releasing the guard while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard taken during wait");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        guard.0 = Some(self.cv.wait(inner).unwrap_or_else(|e| e.into_inner()));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Block until notified or `deadline` passes.
@@ -102,22 +151,30 @@ impl Condvar {
     ) -> WaitTimeoutResult {
         let timeout = deadline.saturating_duration_since(Instant::now());
         let inner = guard.0.take().expect("guard taken during wait");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, res) = self
-            .0
+            .cv
             .wait_timeout(inner, timeout)
             .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.0 = Some(inner);
         WaitTimeoutResult(res.timed_out())
     }
 
     /// Wake one waiter.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            count!(OS_NOTIFIES);
+            self.cv.notify_one();
+        }
     }
 
     /// Wake all waiters.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            count!(OS_NOTIFIES);
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -179,11 +236,21 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 /// Matches `parking_lot::ReentrantMutex`: the guard only grants shared
 /// access (`Deref`), so interior mutability (e.g. `RefCell`) supplies
 /// mutation, exactly as the real crate requires.
+///
+/// Uncontended, `lock` is one CAS on `owner` and unlock a store and a load;
+/// only a thread that finds the mutex owned takes `lock`, registers in
+/// `waiters` and sleeps on `cv`. No wake-up is lost, by the Dekker argument
+/// of `samoa-core`'s `ParkSeam`: in the `SeqCst` order the waiter registers
+/// (under `lock`) *before* re-trying `owner`, the unlocker clears `owner`
+/// *before* reading `waiters` — a re-try that missed the clear is seen, and
+/// is notified only once its `wait` has released `lock`.
 pub struct ReentrantMutex<T: ?Sized> {
     /// Thread id of the current owner (0 = unowned).
     owner: AtomicU64,
     /// Recursion depth of the owner.
     depth: AtomicUsize,
+    /// Threads inside `lock_slow`.
+    waiters: AtomicUsize,
     lock: std::sync::Mutex<()>,
     cv: std::sync::Condvar,
     data: UnsafeCell<T>,
@@ -215,6 +282,7 @@ impl<T> ReentrantMutex<T> {
         ReentrantMutex {
             owner: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
+            waiters: AtomicUsize::new(0),
             lock: std::sync::Mutex::new(()),
             cv: std::sync::Condvar::new(),
             data: UnsafeCell::new(t),
@@ -227,16 +295,35 @@ impl<T: ?Sized> ReentrantMutex<T> {
     pub fn lock(&self) -> ReentrantMutexGuard<'_, T> {
         let me = thread_id();
         if self.owner.load(Ordering::Acquire) == me {
-            self.depth.fetch_add(1, Ordering::Relaxed);
+            // Only the owner touches `depth`: plain load and store.
+            let d = self.depth.load(Ordering::Relaxed);
+            self.depth.store(d + 1, Ordering::Relaxed);
             return ReentrantMutexGuard { m: self };
         }
-        let mut g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while self.owner.load(Ordering::Acquire) != 0 {
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+        if self
+            .owner
+            .compare_exchange(0, me, Ordering::SeqCst, Ordering::Relaxed)
+            .is_err()
+        {
+            self.lock_slow(me);
         }
-        self.owner.store(me, Ordering::Release);
         self.depth.store(1, Ordering::Relaxed);
         ReentrantMutexGuard { m: self }
+    }
+
+    #[cold]
+    fn lock_slow(&self, me: u64) {
+        count!(SLOW_PATHS);
+        let mut g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        while self
+            .owner
+            .compare_exchange(0, me, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -250,10 +337,15 @@ impl<T: ?Sized> Deref for ReentrantMutexGuard<'_, T> {
 
 impl<T: ?Sized> Drop for ReentrantMutexGuard<'_, T> {
     fn drop(&mut self) {
-        if self.m.depth.fetch_sub(1, Ordering::Relaxed) == 1 {
-            let _g = self.m.lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.m.owner.store(0, Ordering::Release);
-            self.m.cv.notify_one();
+        let d = self.m.depth.load(Ordering::Relaxed) - 1;
+        self.m.depth.store(d, Ordering::Relaxed);
+        if d == 0 {
+            self.m.owner.store(0, Ordering::SeqCst);
+            if self.m.waiters.load(Ordering::SeqCst) > 0 {
+                count!(OS_NOTIFIES);
+                let _g = self.m.lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.m.cv.notify_one();
+            }
         }
     }
 }
@@ -261,8 +353,24 @@ impl<T: ?Sized> Drop for ReentrantMutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::Arc;
+    use std::thread::spawn;
     use std::time::Duration;
+
+    const SC: Ordering = Ordering::SeqCst;
+
+    /// This thread's `(slow-path entries, OS-level notifies)` so far.
+    fn counts() -> (u64, u64) {
+        (SLOW_PATHS.with(|c| c.get()), OS_NOTIFIES.with(|c| c.get()))
+    }
+
+    /// A latch on something the test can read: yield until it holds.
+    fn until(cond: impl Fn() -> bool) {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn mutex_roundtrip() {
@@ -270,32 +378,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        *pair.0.lock() = true;
-        pair.1.notify_all();
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_until_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(5));
-        assert!(r.timed_out());
     }
 
     #[test]
@@ -312,7 +394,7 @@ mod tests {
 
     #[test]
     fn reentrant_same_thread() {
-        let m = ReentrantMutex::new(std::cell::RefCell::new(0));
+        let m = ReentrantMutex::new(RefCell::new(0));
         let a = m.lock();
         let b = m.lock();
         *b.borrow_mut() += 1;
@@ -322,19 +404,137 @@ mod tests {
         assert_eq!(*m.lock().borrow(), 2);
     }
 
+    /// The cost model, as counts: with nobody asleep, no lock takes its slow
+    /// path and no notify reaches the OS.
     #[test]
-    fn reentrant_excludes_other_threads() {
-        let m = Arc::new(ReentrantMutex::new(std::cell::RefCell::new(0)));
+    fn nobody_asleep_no_slow_path_no_os_notify() {
+        let before = counts();
+        let m = ReentrantMutex::new(RefCell::new(0u64));
+        for _ in 0..10_000 {
+            let outer = m.lock();
+            let nested = m.lock();
+            *nested.borrow_mut() += 1;
+            drop(nested);
+            drop(outer);
+            *m.lock().borrow_mut() += 1;
+        }
+        let cv = Condvar::new();
+        for _ in 0..10_000 {
+            cv.notify_one();
+            cv.notify_all();
+        }
+        assert_eq!(counts(), before);
+        assert_eq!(*m.lock().borrow(), 20_000);
+    }
+
+    #[test]
+    fn condvar_notify_reaches_a_parked_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = spawn(move || {
+            let (m, cv) = &*p2;
+            let mut g = m.lock();
+            while !*g {
+                cv.wait(&mut g);
+            }
+        });
+        let (m, cv) = &*pair;
+        until(|| cv.waiters.load(SC) == 1);
+        let os_before = counts().1;
+        {
+            // Lockable only once the waiter's `wait` has released it; and
+            // while we hold it the waiter cannot leave `wait` uncounted.
+            let mut g = m.lock();
+            *g = true;
+            cv.notify_all();
+        }
+        assert_eq!(counts().1, os_before + 1, "the notify was skipped");
+        t.join().unwrap();
+        assert_eq!(cv.waiters.load(SC), 0);
+    }
+
+    #[test]
+    fn wait_until_times_out_and_uncounts_itself() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        let r = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(5));
+        assert!(r.timed_out());
+        assert_eq!(cv.waiters.load(SC), 0);
+    }
+
+    #[test]
+    fn reentrant_unlock_wakes_a_registered_waiter() {
+        let m = Arc::new(ReentrantMutex::new(RefCell::new(0)));
         let m2 = Arc::clone(&m);
         let g = m.lock();
-        let t = std::thread::spawn(move || {
+        let t = spawn(move || {
             let g = m2.lock();
             *g.borrow_mut() += 10;
+            counts().0
         });
-        std::thread::sleep(Duration::from_millis(10));
+        // Registered, and — once its inner mutex can be taken — parked:
+        // while we own `m` the waiter lets go of it only inside `cv.wait`.
+        until(|| m.waiters.load(SC) == 1);
+        drop(m.lock.lock().unwrap());
         *g.borrow_mut() += 1;
+        let os_before = counts().1;
         drop(g);
-        t.join().unwrap();
+        assert_eq!(counts().1, os_before + 1, "the unlock did not notify");
+        assert_eq!(t.join().unwrap(), 1, "the waiter's slow-path entries");
         assert_eq!(*m.lock().borrow(), 11);
+        assert_eq!(m.waiters.load(SC), 0);
+    }
+
+    #[test]
+    fn reentrant_two_threads_lose_no_increment() {
+        const N: u64 = 100_000;
+        let m = Arc::new(ReentrantMutex::new(RefCell::new(0u64)));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                spawn(move || {
+                    for _ in 0..N {
+                        *m.lock().borrow_mut() += 1;
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(*m.lock().borrow(), 2 * N);
+        assert_eq!(m.waiters.load(SC), 0);
+    }
+
+    /// Waits that end by time-out, by `notify_one` and by `notify_all`, all
+    /// racing: every increment lands and the waiter count is back at zero.
+    #[test]
+    fn timed_waits_racing_notifies_leave_nobody_counted() {
+        const N: u64 = 2_000;
+        let pair = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let pair = Arc::clone(&pair);
+                spawn(move || {
+                    let (m, cv) = &*pair;
+                    for _ in 0..N {
+                        let mut g = m.lock();
+                        cv.wait_until(&mut g, Instant::now() + Duration::from_micros(20));
+                        *g += 1;
+                    }
+                })
+            })
+            .collect();
+        let (m, cv) = &*pair;
+        until(|| {
+            cv.notify_one();
+            cv.notify_all();
+            *m.lock() == 2 * N
+        });
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(cv.waiters.load(SC), 0);
     }
 }

@@ -31,7 +31,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -40,7 +40,7 @@ use crate::error::{CompId, Result, SamoaError};
 use crate::event::{EventData, EventType};
 use crate::graph::RouteCheck;
 use crate::handler::HandlerId;
-use crate::policy::{AccessMode, CompMode, CompSpec};
+use crate::policy::{AccessMode, CompMode, CompSpec, PvEntry};
 use crate::protocol::ProtocolId;
 use crate::runtime::{RuntimeInner, Wait};
 use crate::sched::{ReleaseReason, SchedPoint, SchedResource};
@@ -66,16 +66,18 @@ pub(crate) enum Task {
     /// terminated").
     Closure {
         origin: Option<(HandlerId, ProtocolId)>,
-        exec: Option<Arc<ExecState>>,
+        exec: Arc<ExecState>,
         /// Inherited read-only restriction of the spawning handler.
         read_only: bool,
         f: TaskFn,
     },
 }
 
-/// Tracks one handler execution (or the closure body): the function itself
-/// plus any threads it spawned, transitively. The *post* action — Rule 4's
-/// per-call release — runs only when all of them have finished.
+/// Tracks one handler execution (or the closure body) that spawned threads:
+/// the function itself plus those threads, transitively. The *post* action
+/// — Rule 4's per-call release — runs only when all of them have finished.
+/// Created by the call's first [`Ctx::spawn`]; a call that never spawns has
+/// none and runs its post action when it returns.
 pub(crate) struct ExecState {
     /// `(fn_done, live_children)`.
     state: Mutex<(bool, usize)>,
@@ -191,7 +193,8 @@ impl ComputationInner {
         }
     }
 
-    pub(crate) fn take_error(&self) -> Option<SamoaError> {
+    /// The first error recorded so far (final once no task is pending).
+    pub(crate) fn first_error(&self) -> Option<SamoaError> {
         self.error.lock().clone()
     }
 
@@ -214,7 +217,7 @@ impl ComputationInner {
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, reserve)
                 .is_ok()
             {
-                self.start_worker((), |_| {});
+                self.start_worker(|_| {}, |_| {});
             }
             // Otherwise an existing (busy) worker will drain the queue; the
             // root worker stays alive until pending == 0, so progress is
@@ -225,12 +228,13 @@ impl ComputationInner {
     /// Give the computation one more thread of the executor: it runs
     /// `first` (the root job's closure body; nothing for a helper), drains
     /// tasks until the computation has none left, and takes part in
-    /// completion. `guard` is dropped when the job ends, before the thread
-    /// can serve anything else.
+    /// completion. `on_end` is handed the computation's first error — final
+    /// by then: no task is pending — when the job ends, before the thread
+    /// can serve anything else (and is dropped uncalled if the job panics).
     pub(crate) fn start_worker(
         self: &Arc<Self>,
-        guard: impl Send + 'static,
         first: impl FnOnce(&Arc<Self>) + Send + 'static,
+        on_end: impl FnOnce(Option<&SamoaError>) + Send + 'static,
     ) {
         let comp = Arc::clone(self);
         let hook = self.rt.hook.clone();
@@ -239,7 +243,6 @@ impl ComputationInner {
             None => h.on_thread_spawn(),
         });
         crate::exec::execute(move || {
-            let _guard = guard;
             if let (Some(h), Some(t)) = (&hook, token) {
                 h.on_thread_start(t);
             }
@@ -249,6 +252,7 @@ impl ComputationInner {
             if let Some(h) = &hook {
                 h.on_thread_exit();
             }
+            on_end(comp.error.lock().as_ref());
         });
     }
 
@@ -342,11 +346,12 @@ impl ComputationInner {
                 read_only,
                 f,
             } => {
-                let ctx = if read_only {
-                    Ctx::new_read_only(Arc::clone(self), origin, exec.clone())
-                } else {
-                    Ctx::new(Arc::clone(self), origin, exec.clone())
-                };
+                let ctx = Ctx::new(
+                    Arc::clone(self),
+                    origin,
+                    OnceLock::from(Arc::clone(&exec)),
+                    read_only,
+                );
                 let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                 match result {
                     Ok(Ok(())) => {}
@@ -356,43 +361,39 @@ impl ComputationInner {
                         message: panic_message(payload),
                     }),
                 }
-                if let Some(exec) = exec {
-                    if exec.finish_child() {
-                        self.run_post(exec.post);
-                    }
+                if exec.finish_child() {
+                    self.run_post(exec.post);
                 }
             }
         }
     }
 
-    /// Admission check at event-*issue* time: surface declaration errors in
-    /// the issuing thread, as the paper's exceptions do.
+    /// The computation's entry for `pid`, or the declaration error.
+    fn declared(&self, pid: ProtocolId) -> Result<&PvEntry> {
+        self.spec.entry(pid).ok_or(SamoaError::UndeclaredProtocol {
+            comp: self.id,
+            protocol: pid,
+        })
+    }
+
+    /// Admission check when an *asynchronous* event is issued: surface
+    /// declaration errors in the issuing thread, as the paper's exceptions
+    /// do. (A synchronous call makes the same check at the top of
+    /// `call_handler`, on the same thread.)
     pub(crate) fn check_issue(
         &self,
         issuer: Option<(HandlerId, ProtocolId)>,
         handler: HandlerId,
-        is_async: bool,
     ) -> Result<()> {
-        let pid = self.rt.stack.handler_protocol(handler);
         match self.spec.mode {
             CompMode::Unsync => Ok(()),
-            CompMode::Basic | CompMode::Bound | CompMode::Locked => {
-                if self.spec.entry(pid).is_none() {
-                    Err(SamoaError::UndeclaredProtocol {
-                        comp: self.id,
-                        protocol: pid,
-                    })
-                } else {
-                    Ok(())
-                }
-            }
+            CompMode::Basic | CompMode::Bound | CompMode::Locked => self
+                .declared(self.rt.stack.handler_protocol(handler))
+                .map(drop),
             CompMode::Route => {
-                // Synchronous calls are admitted (and marked active) inside
-                // `call_handler`; only asynchronous issues mark here, so the
-                // pending mark exists from issue to execution.
-                if !is_async {
-                    return Ok(());
-                }
+                // Marked pending here, so the mark exists from issue to
+                // execution; synchronous calls are admitted (and marked
+                // active) inside `call_handler`.
                 let rs = self.spec.route.as_ref().expect("route spec");
                 let check = rs.lock().admit(issuer.map(|(h, _)| h), handler, true);
                 self.route_check_to_result(check, issuer, handler)
@@ -431,7 +432,16 @@ impl ComputationInner {
         data: &EventData,
         from_async: bool,
     ) -> Result<()> {
-        let pid = self.rt.stack.handler_protocol(handler);
+        let target = self.rt.stack.entry(handler);
+        let pid = target.protocol;
+        // The one declaration lookup of the call. An undeclared target is
+        // an error before the admission decision point, raised in the
+        // calling thread (`Route` reports its own, from the pattern, below).
+        let declared = match self.spec.mode {
+            CompMode::Unsync => None,
+            CompMode::Route => self.spec.entry(pid),
+            CompMode::Basic | CompMode::Bound | CompMode::Locked => Some(self.declared(pid)?),
+        };
         if let Some(h) = &self.rt.hook {
             // Admission is a decision point even for Unsync (no wait, but
             // the handler-boundary interleaving is what exploration needs).
@@ -460,44 +470,29 @@ impl ComputationInner {
         // accounting lives inside `RuntimeInner::wait` and brackets only the
         // parked phase, so an admission that never deschedules reads no
         // clock at all.
-        let undeclared = || SamoaError::UndeclaredProtocol {
-            comp: self.id,
-            protocol: pid,
-        };
         let admit = |pv: u64, k: u64, epoch: u64| {
             let idx = pid.index();
             self.rt
                 .wait(Wait::Version { idx, pv, k, epoch }, Some(self.id));
         };
-        match self.spec.mode {
-            CompMode::Unsync => {}
-            CompMode::Locked => {
-                // Locks were acquired at spawn; only validate the declaration.
-                if self.spec.entry(pid).is_none() {
-                    return Err(undeclared());
-                }
-            }
-            CompMode::Basic => {
-                let e = self.spec.entry(pid).ok_or_else(undeclared)?;
-                match e.mode {
-                    AccessMode::Write => admit(e.pv, 1, e.pv),
-                    AccessMode::Read => {
-                        // Read-mode computations may only call read-only
-                        // handlers, and wait only for writers up to their
-                        // snapshot epoch.
-                        if !self.rt.stack.handler_read_only(handler) {
-                            return Err(SamoaError::ReadModeViolation {
-                                comp: self.id,
-                                protocol: pid,
-                                handler,
-                            });
-                        }
-                        admit(e.pv, 0, 0);
+        match (self.spec.mode, declared) {
+            (CompMode::Basic, Some(e)) => match e.mode {
+                AccessMode::Write => admit(e.pv, 1, e.pv),
+                AccessMode::Read => {
+                    // Read-mode computations may only call read-only
+                    // handlers, and wait only for writers up to their
+                    // snapshot epoch.
+                    if !target.read_only {
+                        return Err(SamoaError::ReadModeViolation {
+                            comp: self.id,
+                            protocol: pid,
+                            handler,
+                        });
                     }
+                    admit(e.pv, 0, 0);
                 }
-            }
-            CompMode::Bound => {
-                let e = self.spec.entry(pid).ok_or_else(undeclared)?;
+            },
+            (CompMode::Bound, Some(e)) => {
                 if !e.reserve() {
                     return Err(SamoaError::BoundExhausted {
                         comp: self.id,
@@ -507,7 +502,7 @@ impl ComputationInner {
                 }
                 admit(e.pv, e.bound, e.pv);
             }
-            CompMode::Route => {
+            (CompMode::Route, _) => {
                 let rs = self.spec.route.as_ref().expect("route spec");
                 if from_async {
                     rs.lock().activate_pending(handler);
@@ -515,29 +510,24 @@ impl ComputationInner {
                     let check = rs.lock().admit(caller.map(|(h, _)| h), handler, false);
                     self.route_check_to_result(check, caller, handler)?;
                 }
-                let e = self.spec.entry(pid).expect("pattern protocol declared");
+                let e = declared.expect("pattern protocol declared");
                 admit(e.pv, 1, e.pv);
             }
+            // Nothing to wait for: no admission control, or every declared
+            // lock was acquired at spawn.
+            (CompMode::Unsync | CompMode::Locked, _) | (_, None) => {}
         }
 
         // ---- execute ----
         self.rt.stats.note_handler_call();
         self.rt.history.record_call(self.id, event, handler);
-        let exec = Arc::new(ExecState::new(PostAction::Handler(handler, pid)));
-        let ctx = if self.rt.stack.handler_read_only(handler) {
-            Ctx::new_read_only(
-                Arc::clone(self),
-                Some((handler, pid)),
-                Some(Arc::clone(&exec)),
-            )
-        } else {
-            Ctx::new(
-                Arc::clone(self),
-                Some((handler, pid)),
-                Some(Arc::clone(&exec)),
-            )
-        };
-        let func = Arc::clone(&self.rt.stack.entry(handler).func);
+        let ctx = Ctx::new(
+            Arc::clone(self),
+            Some((handler, pid)),
+            OnceLock::new(),
+            target.read_only,
+        );
+        let func = &target.func;
         let enter_ns = self.rt.trace.as_ref().map(|t| {
             let t0 = t.now_ns();
             t.emit_at(
@@ -572,8 +562,8 @@ impl ComputationInner {
         };
 
         // ---- Rule 4: per-call release, deferred past spawned children ----
-        if exec.finish_fn() {
-            self.run_post(exec.post);
+        if ctx.body_returned() {
+            self.run_post(PostAction::Handler(handler, pid));
         }
         result
     }

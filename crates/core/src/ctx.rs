@@ -5,9 +5,9 @@
 //! `asyncTrigger` / `asyncTriggerAll` (§3), plus explicit thread creation
 //! within the computation (§4: "new threads can be created dynamically").
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::computation::{ComputationInner, ExecState, Task};
+use crate::computation::{ComputationInner, ExecState, PostAction, Task};
 use crate::error::{CompId, Result, SamoaError};
 use crate::event::{EventData, EventType};
 use crate::handler::HandlerId;
@@ -24,38 +24,37 @@ pub struct Ctx {
     /// The handler currently executing, and its microprotocol; `None` in the
     /// closure body.
     current: Option<(HandlerId, ProtocolId)>,
-    /// Execution-state of the current handler call (or closure body), used
-    /// to tie spawned threads to the call's completion (paper Rule 4).
-    exec: Option<Arc<ExecState>>,
+    /// Execution-state of the current handler call (or closure body), tying
+    /// spawned threads to the call's completion (paper Rule 4). Created by
+    /// the call's first [`Ctx::spawn`]: a call that spawns nothing — nearly
+    /// every call — allocates nothing and releases as soon as it returns.
+    exec: OnceLock<Arc<ExecState>>,
     /// True while executing a handler registered with `bind_read_only`.
     read_only: bool,
 }
 
 impl Ctx {
+    /// The context of a fresh call (`exec` empty) or of a closure spawned
+    /// by one (`exec` the spawning call's).
     pub(crate) fn new(
         comp: Arc<ComputationInner>,
         current: Option<(HandlerId, ProtocolId)>,
-        exec: Option<Arc<ExecState>>,
+        exec: OnceLock<Arc<ExecState>>,
+        read_only: bool,
     ) -> Self {
         Ctx {
             comp,
             current,
             exec,
-            read_only: false,
+            read_only,
         }
     }
 
-    pub(crate) fn new_read_only(
-        comp: Arc<ComputationInner>,
-        current: Option<(HandlerId, ProtocolId)>,
-        exec: Option<Arc<ExecState>>,
-    ) -> Self {
-        Ctx {
-            comp,
-            current,
-            exec,
-            read_only: true,
-        }
+    /// The call's own function returned: is its Rule-4 post action due now?
+    /// Yes if it never spawned, or if everything it spawned has finished;
+    /// otherwise the last spawned closure to finish runs it.
+    pub(crate) fn body_returned(&self) -> bool {
+        self.exec.get().is_none_or(|exec| exec.finish_fn())
     }
 
     /// Is the current handler declared read-only?
@@ -109,12 +108,9 @@ impl Ctx {
         let handlers = self.handlers_for(event);
         match handlers {
             [] => Err(SamoaError::NoHandler { event }),
-            [h] => {
-                let h = *h;
-                self.comp.check_issue(self.current, h, false)?;
-                self.comp
-                    .call_handler(self.current, event, h, &data.into(), false)
-            }
+            [h] => self
+                .comp
+                .call_handler(self.current, event, *h, &data.into(), false),
             many => Err(SamoaError::MultipleHandlers {
                 event,
                 count: many.len(),
@@ -127,9 +123,7 @@ impl Ctx {
     /// first failing handler.
     pub fn trigger_all(&self, event: EventType, data: impl Into<EventData>) -> Result<()> {
         let data = data.into();
-        let handlers: Vec<HandlerId> = self.handlers_for(event).to_vec();
-        for h in handlers {
-            self.comp.check_issue(self.current, h, false)?;
+        for &h in self.handlers_for(event) {
             self.comp
                 .call_handler(self.current, event, h, &data, false)?;
         }
@@ -145,11 +139,10 @@ impl Ctx {
         match handlers {
             [] => Err(SamoaError::NoHandler { event }),
             [h] => {
-                let h = *h;
-                self.comp.check_issue(self.current, h, true)?;
+                self.comp.check_issue(self.current, *h)?;
                 self.comp.enqueue(Task::Call {
                     event,
-                    handler: h,
+                    handler: *h,
                     data: data.into(),
                     issuer: self.current,
                 });
@@ -166,9 +159,8 @@ impl Ctx {
     /// `asyncTriggerAll`).
     pub fn async_trigger_all(&self, event: EventType, data: impl Into<EventData>) -> Result<()> {
         let data = data.into();
-        let handlers: Vec<HandlerId> = self.handlers_for(event).to_vec();
-        for h in handlers {
-            self.comp.check_issue(self.current, h, true)?;
+        for &h in self.handlers_for(event) {
+            self.comp.check_issue(self.current, h)?;
             self.comp.enqueue(Task::Call {
                 event,
                 handler: h,
@@ -187,12 +179,16 @@ impl Ctx {
     /// the closure finishes — the paper's "any threads spawned by the
     /// handler terminated".
     pub fn spawn(&self, f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static) {
-        if let Some(exec) = &self.exec {
-            exec.add_child();
-        }
+        let exec = self.exec.get_or_init(|| {
+            Arc::new(ExecState::new(match self.current {
+                Some((h, p)) => PostAction::Handler(h, p),
+                None => PostAction::Root,
+            }))
+        });
+        exec.add_child();
         self.comp.enqueue(Task::Closure {
             origin: self.current,
-            exec: self.exec.clone(),
+            exec: Arc::clone(exec),
             read_only: self.read_only,
             f: Box::new(f),
         });

@@ -426,7 +426,8 @@
 //!   ([`Runtime::spawn`]) and nodes gate them (at most 64 in flight per
 //!   node, a constant of `samoa-proto`) with a slot that rides the *whole*
 //!   root job — body plus the asynchronous-trigger drain phase — via
-//!   `Runtime::spawn_guarded`.
+//!   `Runtime::spawn_guarded`, whose `on_end` is also where a computation
+//!   nobody joins gets its error counted.
 //! * **Adaptive retransmission.** A fixed RTO below the loaded RTT turns
 //!   load into a retransmit storm (each duplicate costs the receiver a
 //!   serialized computation, raising the RTT further). RelComm tracks a

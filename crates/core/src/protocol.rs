@@ -17,6 +17,17 @@
 //!
 //! *Inter*-computation isolation is not this cell's job: that is provided by
 //! the versioning concurrency control (paper §5).
+//!
+//! ## What an access costs
+//!
+//! Every handler passes through this cell, so its uncontended path is kept
+//! to user space: the lock is a `parking_lot::ReentrantMutex` — one CAS to
+//! take, one store and one load to release, a sleeping waiter the only
+//! reason to enter the kernel (the in-tree shim pins that as counts in its
+//! own tests) — plus the `RefCell` flag and, when the runtime records a
+//! history, the access log. Under an isolating policy the lock is never
+//! contended *between* computations (Rule 2 already admitted this one
+//! alone); only threads of one computation can meet on it.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -21,11 +21,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::computation::{panic_message, ComputationInner, ExecState, PostAction};
+use crate::computation::{panic_message, ComputationInner, PostAction};
 use crate::ctx::Ctx;
 use crate::error::{CompId, Result, SamoaError};
 use crate::graph::{RoutePattern, RouteState};
@@ -779,7 +779,7 @@ impl Runtime {
         comp.worker_loop();
         comp.worker_exit();
         comp.wait_done();
-        match comp.take_error() {
+        match comp.first_error() {
             Some(e) => Err(e),
             None => Ok(out.expect("closure returned Ok")),
         }
@@ -802,28 +802,31 @@ impl Runtime {
         decl: Decl<'_>,
         f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
     ) -> CompHandle {
-        self.spawn_guarded(decl, (), f)
+        self.spawn_guarded(decl, |_| {}, f)
     }
 
-    /// [`Runtime::spawn`], holding `guard` until the computation's root
-    /// job ends — body, asynchronous drain, and Rule 3 release included —
-    /// and dropping it before the thread that ran the job can take another.
-    /// Callers use the guard's `Drop` as a completion signal for
-    /// backpressure: dropping it when the *body* returns would under-count,
-    /// because the job can still block in the drain phase long after (see
-    /// the worker loop), and unbounded spawn rates then exhaust OS threads
+    /// [`Runtime::spawn`], calling `on_end` with the computation's first
+    /// error (what [`CompHandle::join`] would report, an error raised in the
+    /// asynchronous drain included) when its root job ends — body, drain,
+    /// and Rule 3 release all done — before the thread that ran the job can
+    /// take another. Nobody need join such a computation: hosts count its
+    /// failure here, and use the call (or, should the job panic, the drop
+    /// of what `on_end` captured) as the completion signal for
+    /// backpressure. Signalling when the *body* returns would under-count:
+    /// the job can still block in the drain phase long after (see the
+    /// worker loop), and unbounded spawn rates then exhaust OS threads
     /// regardless of any body-scoped accounting.
     pub fn spawn_guarded(
         &self,
         decl: Decl<'_>,
-        guard: impl Send + 'static,
+        on_end: impl FnOnce(Option<&SamoaError>) + Send + 'static,
         f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
     ) -> CompHandle {
         if let Err(e) = self.debug_validate(&decl) {
             panic!("{e}");
         }
         let comp = self.spawn_comp(&decl);
-        comp.start_worker(guard, |comp| root_execute(comp, f));
+        comp.start_worker(|comp| root_execute(comp, f), on_end);
         CompHandle { comp }
     }
 
@@ -1065,7 +1068,7 @@ impl CompHandle {
     /// Block until the computation completes; report its first error.
     pub fn join(self) -> Result<()> {
         self.comp.wait_done();
-        match self.comp.take_error() {
+        match self.comp.first_error() {
             Some(e) => Err(e),
             None => Ok(()),
         }
@@ -1081,8 +1084,7 @@ impl std::fmt::Debug for CompHandle {
 /// Execute the computation's closure body on the current thread, tying
 /// route-root release to the body *and* the threads it spawned.
 fn root_execute(comp: &Arc<ComputationInner>, f: impl FnOnce(&Ctx) -> Result<()>) {
-    let exec = Arc::new(ExecState::new(PostAction::Root));
-    let ctx = Ctx::new(Arc::clone(comp), None, Some(Arc::clone(&exec)));
+    let ctx = Ctx::new(Arc::clone(comp), None, OnceLock::new(), false);
     let outcome = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
     match outcome {
         Ok(Ok(())) => {}
@@ -1092,7 +1094,7 @@ fn root_execute(comp: &Arc<ComputationInner>, f: impl FnOnce(&Ctx) -> Result<()>
             message: panic_message(payload),
         }),
     }
-    if exec.finish_fn() {
+    if ctx.body_returned() {
         comp.run_post(PostAction::Root);
     }
     comp.release_pending();

@@ -11,7 +11,9 @@
 //!
 //! `VersionCell` (crate-internal) is the `lv_p` side. `lv` is a plain
 //! [`AtomicU64`]: the uncontended Rule-2 admission check is a single atomic
-//! load and comparison — no mutex, no allocation, no syscall. Every
+//! load and comparison — no mutex, no allocation, no syscall (nor does the
+//! rest of an uncontended handler call make one: see "The parking seam"
+//! below and `protocol.rs`). Every
 //! admission condition in the tree has one shape, `lv + k >= pv` (`k` = 1
 //! for VCAbasic and VCAroute, the declared bound for VCAbound, 0 for the
 //! read mode), so an admission is *data* — `(pv, k, epoch)` — not a closure,
@@ -60,7 +62,14 @@
 //! Waits that guard mutex-protected data rather than an atomic word — a
 //! computation's task queue and `done` flag, the executor's timed slots —
 //! are plain condvar waits and do not go through the seam: they have no
-//! probe window and must not count into [`parks`].
+//! probe window and must not count into [`parks`]. They need no
+//! waiter-gated wake of their own either: `parking_lot`'s `Condvar` (the
+//! in-tree shim included, which counts the threads inside `wait`) returns
+//! from a notify nobody waits for without a syscall, so completing a
+//! computation that no one has joined yet, or queueing a task while every
+//! worker is busy, costs a load. The seam's own count stays because its
+//! word changes *outside* the mutex: it is what lets `wake` skip the lock,
+//! not only the notify.
 //!
 //! ## Reader sharing (paper §7 future work)
 //!

@@ -1,6 +1,7 @@
 //! The executor behind `Runtime::spawn`: threads are reused, jobs are never
-//! queued, panics do not cost a worker, the `spawn_guarded` guard ends with
-//! the job, and idle workers go away.
+//! queued, panics do not cost a worker, `spawn_guarded`'s `on_end` runs as
+//! the job ends and is told how the computation went, and idle workers go
+//! away.
 //!
 //! The executor is process-wide, so the tests in this file take one lock and
 //! run one at a time: what each observes (distinct thread ids, how many
@@ -173,17 +174,21 @@ fn the_guard_ends_with_the_root_job_before_the_worker_is_reused() {
             dropped: Arc::clone(&dropped),
         };
         let (last_guard, early_reuse) = (Arc::clone(&last_guard), Arc::clone(&early_reuse));
-        rt.spawn_guarded(Decl::Basic(&protocols), guard, move |ctx| {
-            let previous = last_guard
-                .lock()
-                .unwrap()
-                .insert(std::thread::current().id(), dropped);
-            if previous.is_some_and(|p| !p.load(Ordering::SeqCst)) {
-                early_reuse.fetch_add(1, Ordering::SeqCst);
-            }
-            // Asynchronous work keeps the root job going past the body.
-            ctx.async_trigger(e, EventData::empty())
-        })
+        rt.spawn_guarded(
+            Decl::Basic(&protocols),
+            move |_| drop(guard),
+            move |ctx| {
+                let previous = last_guard
+                    .lock()
+                    .unwrap()
+                    .insert(std::thread::current().id(), dropped);
+                if previous.is_some_and(|p| !p.load(Ordering::SeqCst)) {
+                    early_reuse.fetch_add(1, Ordering::SeqCst);
+                }
+                // Asynchronous work keeps the root job going past the body.
+                ctx.async_trigger(e, EventData::empty())
+            },
+        )
         .join()
         .unwrap();
     }
@@ -200,6 +205,34 @@ fn the_guard_ends_with_the_root_job_before_the_worker_is_reused() {
         assert!(Instant::now() < deadline, "guards outlived their jobs");
         std::thread::yield_now();
     }
+}
+
+#[test]
+fn on_end_is_told_of_an_error_raised_in_the_asynchronous_drain() {
+    let _one = exclusive();
+    let (rt, protocols, events) = flat_stack(1, || panic!("down in the drain"));
+    let e = events[0];
+    let (told, told_rx) = std::sync::mpsc::channel();
+    let handle = rt.spawn_guarded(
+        Decl::Basic(&protocols),
+        move |first_error| told.send(first_error.cloned()).expect("the test listens"),
+        // The body itself succeeds; the queued call fails after it returned.
+        move |ctx| ctx.async_trigger(e, EventData::empty()),
+    );
+    let first_error = told_rx.recv().expect("on_end ran");
+    assert!(
+        matches!(&first_error, Some(SamoaError::HandlerPanic { message, .. }) if message == "down in the drain"),
+        "{first_error:?}"
+    );
+    assert_eq!(handle.join().err(), first_error, "join reports the same");
+    // And a computation that ends well is reported as such.
+    let (told, told_rx) = std::sync::mpsc::channel();
+    rt.spawn_guarded(
+        Decl::Basic(&protocols),
+        move |first_error| told.send(first_error.cloned()).expect("the test listens"),
+        |_| Ok(()),
+    );
+    assert_eq!(told_rx.recv(), Ok(None));
 }
 
 /// Threads of this process named like the executor's workers.

@@ -663,21 +663,28 @@ impl Node {
     /// Run the isolated computation for an external event, declaring
     /// according to the node's policy (see module docs).
     fn spawn_external(&self, kind: ExtKind, data: EventData) {
-        let d = &self.decls[kind as usize];
+        self.run_external(&self.decls[kind as usize], data);
+    }
+
+    /// [`Self::spawn_external`] with the kind's declaration looked up.
+    fn run_external(&self, d: &ExtDecl, data: EventData) {
         let decl = self.cfg.policy.decl(&d.protocols, &d.bounds, &d.route);
         let (event, errors) = (d.event, Arc::clone(&self.ext_errors));
         let root = move |ctx: &Ctx| ctx.trigger(event, data);
-        let count = move |r: Result<()>| {
-            r.inspect_err(|_| {
+        let count = move |failed: bool| {
+            if failed {
                 errors.fetch_add(1, Ordering::Relaxed);
-            })
+            }
         };
         if self.inline {
-            drop(count(self.rt.run(decl, root)));
+            count(self.rt.run(decl, root).is_err());
         } else {
             let slot = self.ext_gate.as_ref().map(ExtGate::acquire);
-            let root = move |ctx: &Ctx| count(root(ctx));
-            self.rt.spawn_guarded(decl, slot, root);
+            let on_end = move |e: Option<&SamoaError>| {
+                count(e.is_some());
+                drop(slot);
+            };
+            self.rt.spawn_guarded(decl, on_end, root);
         }
     }
 
@@ -834,9 +841,10 @@ impl Node {
     }
 
     /// External computations that ended in an error (`BoundExhausted`, a
-    /// handler panic, ...): nobody joins them, so it is counted where it
-    /// surfaces — `run` returns any, a detached root sees its synchronous
-    /// cascade's — or lost. 0 on a healthy node (diagnostics).
+    /// handler panic, ...), wherever in the computation it was raised:
+    /// nobody joins them, so each is counted as it ends — from what `run`
+    /// returns, or by a detached root job's `on_end`
+    /// ([`Runtime::spawn_guarded`]). 0 on a healthy node (diagnostics).
     pub fn external_errors(&self) -> u64 {
         self.ext_errors.load(Ordering::Relaxed)
     }
@@ -1211,8 +1219,137 @@ impl std::fmt::Debug for TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msgs::{CastMsg, MsgUid};
+    use samoa_core::analysis::{infer_m, CallGraph};
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
+
+    fn manual_cluster(n: usize, policy: StackPolicy) -> Cluster {
+        let cfg = NodeConfig {
+            enable_timers: false,
+            ..NodeConfig::with_policy(policy)
+        };
+        Cluster::new_manual(n, NetConfig::fast(1), cfg)
+    }
+
+    /// Handlers that match on the payload first and return at once on a
+    /// plain user cast: they are entered — so their microprotocol must be
+    /// declared — but nothing they trigger is reached.
+    const STOP_AT_USER_CAST: [&str; 3] =
+        ["consensus.on_msg", "abcast.on_sync", "abcast.on_deliver"];
+
+    /// Microprotocols of the handlers `event` reaches in the static call
+    /// graph, not following the triggers of `stops`.
+    fn reached(stack: &Stack, event: EventType, stops: &[&str]) -> Vec<ProtocolId> {
+        let g = CallGraph::from_stack(stack);
+        let by_name = |n: &&str| stack.handler_by_name(n).expect("a handler of this stack");
+        let stops: Vec<HandlerId> = stops.iter().map(by_name).collect();
+        let mut seen = BTreeSet::new();
+        let mut todo = stack.bound_handlers(event).to_vec();
+        while let Some(h) = todo.pop() {
+            if seen.insert(h) && !stops.contains(&h) {
+                todo.extend(g.successors(h).iter().map(|&(t, _)| t));
+            }
+        }
+        let protocols: BTreeSet<ProtocolId> = seen
+            .into_iter()
+            .map(|h| stack.handler_protocol(h))
+            .collect();
+        protocols.into_iter().collect()
+    }
+
+    /// Declared ⊇ inferred, for every external kind: all of `infer_m` for
+    /// the kinds that declare by event, and for the two that classify on
+    /// the payload, all a user cast can enter. (`DataUser` without
+    /// Consensus — entered through `consensus.on_msg` by every data frame —
+    /// fails here; it took until `external_errors` existed to be seen.)
+    #[test]
+    fn every_external_kind_declares_what_its_event_can_reach() {
+        let c = manual_cluster(1, StackPolicy::Basic);
+        let stack = c.node(0).rt.stack();
+        for kind in ExtKind::ALL {
+            let d = &c.node(0).decls[kind as usize];
+            let inferred = match kind {
+                ExtKind::DataUser | ExtKind::RbRequest => {
+                    reached(stack, d.event, &STOP_AT_USER_CAST)
+                }
+                _ => infer_m(stack, d.event),
+            };
+            let missing: Vec<&str> = inferred
+                .into_iter()
+                .filter(|p| !d.protocols.contains(p))
+                .map(|p| stack.protocol_name(p))
+                .collect();
+            assert!(missing.is_empty(), "{kind:?} leaves out {missing:?}");
+        }
+        // With nothing to stop at, `reached` is `infer_m`.
+        let rc_data = c.node(0).ev.rc_data;
+        assert_eq!(reached(stack, rc_data, &[]), infer_m(stack, rc_data));
+    }
+
+    /// The `DataUser` bug again, one layer further up: an inbound user cast
+    /// declared without App, which only RelCast's *asynchronous* delivery
+    /// reaches — so the error is raised in the drain, not in the root's own
+    /// cascade. `external_errors` counts it whether the computation ran
+    /// inline (`Basic`) or detached (`Route`).
+    #[test]
+    fn an_error_raised_in_the_drain_is_counted_on_both_ingress_paths() {
+        for policy in [StackPolicy::Basic, StackPolicy::Route] {
+            let c = manual_cluster(2, policy);
+            let node = c.node(1);
+            assert_eq!(node.inline, policy == StackPolicy::Basic);
+            let (stack, app) = (node.rt.stack(), node.app.protocol());
+            let full = &node.decls[ExtKind::DataUser as usize];
+            let protocols: Vec<ProtocolId> = full
+                .protocols
+                .iter()
+                .copied()
+                .filter(|&p| p != app)
+                .collect();
+            let g = CallGraph::from_stack(stack);
+            let mut route = RoutePattern::new();
+            for &h in stack.bound_handlers(full.event) {
+                route = route.root(h);
+            }
+            for &h in &g.reachable_from_event(full.event) {
+                for &(t, _) in g.successors(h) {
+                    if stack.handler_protocol(t) != app {
+                        route = route.edge(h, t);
+                    }
+                }
+            }
+            let under_declared = ExtDecl {
+                event: full.event,
+                bounds: protocols.iter().map(|&p| (p, 64)).collect(),
+                protocols,
+                route,
+            };
+            let uid = MsgUid {
+                origin: SiteId(0),
+                seq: 1,
+            };
+            let data = CastData::User(Bytes::from_static(b"lost on the way up"));
+            node.run_external(
+                &under_declared,
+                EventData::new(RcDataIn {
+                    sender: SiteId(0),
+                    seq: 1,
+                    ctx: None,
+                    payload: Payload::Cast(CastMsg { uid, data }),
+                    acks: Vec::new(),
+                }),
+            );
+            // A detached root job counts on its way out, after Rule 3.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while node.external_errors() == 0 {
+                assert!(Instant::now() < deadline, "{policy}: the error was lost");
+                std::thread::yield_now();
+            }
+            assert_eq!(node.external_errors(), 1, "{policy}");
+            assert!(node.rb_delivered().is_empty(), "{policy}");
+        }
+    }
 
     #[test]
     fn every_slot_up_to_the_limit_is_there_for_the_taking() {

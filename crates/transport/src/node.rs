@@ -207,15 +207,16 @@ impl Endpoint {
         };
         let errors = Arc::clone(&self.ext_errors);
         let root = move |ctx: &Ctx| ctx.trigger(event, data);
-        let count = move |r: Result<()>| {
-            r.inspect_err(|_| {
+        let count = move |failed: bool| {
+            if failed {
                 errors.fetch_add(1, Ordering::Relaxed);
-            })
+            }
         };
         if !self.hooked && !decl.policy().overlaps() {
-            drop(count(self.rt.run(decl, root)));
+            count(self.rt.run(decl, root).is_err());
         } else {
-            self.rt.spawn(decl, move |ctx| count(root(ctx)));
+            self.rt
+                .spawn_guarded(decl, move |e| count(e.is_some()), root);
         }
     }
 
@@ -254,9 +255,10 @@ impl Endpoint {
         self.window.read(|w| w.in_flight(peer))
     }
 
-    /// External computations that ended in an error: nobody joins them, so
-    /// it is counted where it surfaces — `run` returns any, a detached root
-    /// sees its synchronous cascade's — or lost. 0 on a healthy endpoint
+    /// External computations that ended in an error, wherever in the
+    /// computation it was raised: nobody joins them, so each is counted as
+    /// it ends — from what `run` returns, or by a detached root job's
+    /// `on_end` ([`Runtime::spawn_guarded`]). 0 on a healthy endpoint
     /// (diagnostics).
     pub fn external_errors(&self) -> u64 {
         self.ext_errors.load(Ordering::Relaxed)
