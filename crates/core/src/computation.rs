@@ -14,7 +14,11 @@
 //! A computation *completes* when its closure body returned and every task —
 //! including threads spawned by handlers — has terminated; the completing
 //! worker then runs Rule 3 (upgrade local versions / release locks) exactly
-//! once.
+//! once, then the effects handlers queued with [`Ctx::after_completion`] —
+//! what the computation tells threads outside it — and only then lets
+//! joiners go. An effect therefore never wakes anyone into a computation
+//! that still holds versions: the paper's `isolated M e` is atomic to the
+//! outside up to Rule 3, and the outside hears of it after.
 //!
 //! ## Why a capped set of workers cannot deadlock here
 //!
@@ -48,6 +52,9 @@ use crate::trace::TraceKind;
 
 /// Boxed task body type (a closure run by a computation worker).
 pub(crate) type TaskFn = Box<dyn FnOnce(&Ctx) -> Result<()> + Send>;
+
+/// An effect queued by [`Ctx::after_completion`].
+pub(crate) type EffectFn = Box<dyn FnOnce() + Send>;
 
 /// A unit of queued work inside a computation.
 pub(crate) enum Task {
@@ -136,6 +143,10 @@ pub(crate) struct ComputationInner {
     idle: AtomicUsize,
     completion_claimed: AtomicBool,
     error: Mutex<Option<SamoaError>>,
+    /// What [`Ctx::after_completion`] queued, in push order; run by
+    /// `complete` once everything declared is released. Empty — and never
+    /// allocated — for a computation that queues nothing.
+    effects: Mutex<Vec<EffectFn>>,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
@@ -153,6 +164,7 @@ impl ComputationInner {
             idle: AtomicUsize::new(0),
             completion_claimed: AtomicBool::new(false),
             error: Mutex::new(None),
+            effects: Mutex::new(Vec::new()),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         })
@@ -193,9 +205,15 @@ impl ComputationInner {
         }
     }
 
-    /// The first error recorded so far (final once no task is pending).
+    /// The first error recorded so far (final once the computation is done).
     pub(crate) fn first_error(&self) -> Option<SamoaError> {
         self.error.lock().clone()
+    }
+
+    /// Queue `f` to run once the computation has released everything it
+    /// declared ([`Ctx::after_completion`]).
+    pub(crate) fn push_effect(&self, f: EffectFn) {
+        self.effects.lock().push(f);
     }
 
     /// Enqueue a task, waking or growing workers as needed.
@@ -651,7 +669,8 @@ impl ComputationInner {
 
     /// Rule 3: after the computation has completed, upgrade the local
     /// versions of every declared microprotocol (or release the 2PL locks),
-    /// then signal joiners.
+    /// run the effects it queued ([`Ctx::after_completion`]), then signal
+    /// joiners.
     fn complete(self: &Arc<Self>) {
         match self.spec.mode {
             CompMode::Unsync => {}
@@ -688,6 +707,19 @@ impl ComputationInner {
         if let Some(t) = &self.rt.trace {
             t.on_complete(self.id);
             t.emit(TraceKind::Complete { comp: self.id });
+        }
+        // Everything declared is released and no task is left to push: the
+        // queue is final. Whoever an effect wakes finds nothing of this
+        // computation in its way, and `run`/`join`/`quiesce` return only
+        // after the last effect has.
+        let effects = std::mem::take(&mut *self.effects.lock());
+        for f in effects {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+                self.set_error(SamoaError::HandlerPanic {
+                    handler: HandlerId(u32::MAX),
+                    message: panic_message(payload),
+                });
+            }
         }
         // Counter/active bookkeeping first, so that a joiner woken by the
         // done flag observes the completed count already updated.

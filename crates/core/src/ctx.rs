@@ -3,7 +3,10 @@
 //! [`Ctx`] carries the computation identity and exposes the paper's event
 //! primitives: synchronous `trigger` / `triggerAll` and asynchronous
 //! `asyncTrigger` / `asyncTriggerAll` (§3), plus explicit thread creation
-//! within the computation (§4: "new threads can be created dynamically").
+//! within the computation (§4: "new threads can be created dynamically")
+//! and the one way out of it: [`Ctx::after_completion`] queues an effect on
+//! the outside world — a reply, a wake-up — to run once the computation has
+//! let go of everything it declared.
 
 use std::sync::{Arc, OnceLock};
 
@@ -192,6 +195,31 @@ impl Ctx {
             read_only: self.read_only,
             f: Box::new(f),
         });
+    }
+
+    /// Run `f` after this computation has completed: once every
+    /// microprotocol it declared is released (Rule 3 — the version raises,
+    /// or the 2PL unlocks), and before [`Runtime::run`](crate::Runtime::run),
+    /// [`CompHandle::join`](crate::CompHandle::join) or
+    /// [`Runtime::quiesce`](crate::Runtime::quiesce) can return for it.
+    ///
+    /// This is where a handler puts what leaves the computation for a thread
+    /// outside it — completing a client's request, signalling a waiter. Done
+    /// inside the handler, the thread it wakes can be back with its next
+    /// request while this computation still holds what that request
+    /// declares, and waits; done here, it finds nothing of this computation
+    /// in its way. The computation is atomic to the outside either way;
+    /// *when* the outside is told is the framework's business, not the
+    /// handler's.
+    ///
+    /// Effects run exactly once, in the order they were queued, on the
+    /// thread that completes the computation, whether or not the computation
+    /// recorded an error (what the handler did to its state stands). `f` has
+    /// no [`Ctx`]: the computation is over. A panic in `f` is contained and
+    /// recorded like a handler panic. A computation that queues nothing
+    /// allocates nothing for this and pays one emptiness check.
+    pub fn after_completion(&self, f: impl FnOnce() + Send + 'static) {
+        self.comp.push_effect(Box::new(f));
     }
 }
 

@@ -562,6 +562,57 @@
 //! on its entry thread gets the bound without the queue: the thread that
 //! would have produced the next job is busy running this one.
 //!
+//! ### Effects that leave the computation
+//!
+//! A computation is atomic to the outside until Rule 3 — and a handler that
+//! tells a thread outside about it *from inside* breaks that in the one way
+//! the versioning rules cannot see. Wake a client in the handler that
+//! applied its command, and the client may be back with its next request
+//! while this computation still holds every version that request declares:
+//! Rule 1 hands it versions behind the computation that woke it, and it
+//! spins, yields and hands the processor back — two context switches per
+//! operation, every operation, with `admission_wait` reading zero because
+//! nobody ever parks. *When* the outside is told is the framework's
+//! business, so handlers queue what leaves:
+//!
+//! ```
+//! use samoa_core::prelude::*;
+//! use std::sync::mpsc;
+//!
+//! let mut b = StackBuilder::new();
+//! let store = b.protocol("Store");
+//! let put = b.event("Put");
+//! let (reply, replies) = mpsc::channel();
+//! let value = ProtocolState::new(store, 0u64);
+//! {
+//!     let value = value.clone();
+//!     b.bind(put, store, "apply", move |ctx, ev| {
+//!         let v = *ev.expect::<u64>(put)?;
+//!         let previous = value.with(ctx, |cur| std::mem::replace(cur, v));
+//!         // Not `reply.send(previous)` here: the computation still holds Store.
+//!         let reply = reply.clone();
+//!         ctx.after_completion(move || reply.send(previous).unwrap());
+//!         Ok(())
+//!     });
+//! }
+//! let rt = Runtime::new(b.build());
+//! let pending = rt.spawn_isolated(&[store], move |ctx| ctx.trigger(put, 7u64));
+//! // Whoever the reply wakes finds Store released (Rule 3 came first)...
+//! assert_eq!(replies.recv().unwrap(), 0);
+//! assert_eq!(rt.local_version(store), 1);
+//! // ...and `join`, `run` and `quiesce` return only after the reply is out.
+//! pending.join().unwrap();
+//! ```
+//!
+//! [`Ctx::after_completion`] effects run exactly once, in the order queued,
+//! on the thread that completes the computation: after the Rule-3 raises (or
+//! the 2PL unlocks), before anyone waiting for the computation is let go.
+//! They run whether or not the computation recorded an error — what the
+//! handler did to its state stands — and a panic in one is contained and
+//! reported like a handler panic. A computation that queues nothing
+//! allocates nothing and pays one emptiness check. The replicated KV's
+//! replies (§9) leave this way.
+//!
 //! ## 12. Pitfalls
 //!
 //! * **Don't trigger while holding state.** Keep
@@ -579,6 +630,11 @@
 //!   yourself if their order matters. Setting
 //!   [`RuntimeConfig::max_threads_per_computation`] to 1 keeps a
 //!   computation's asynchronous events FIFO.
+//! * **Don't wake the outside from inside a handler.** A reply, a
+//!   completed future, a condvar notify sent mid-computation invites the
+//!   woken thread to collide with the computation that woke it; queue it
+//!   with [`Ctx::after_completion`] (§11, "Effects that leave the
+//!   computation").
 //! * **Declarations are commitments.** Under-declare and you get a runtime
 //!   error; over-declare and you serialise more than necessary (experiment
 //!   E8 in EXPERIMENTS.md quantifies the cost). Declare what the event's
@@ -608,4 +664,5 @@
 //! [`RuntimeConfig::strict_analysis`]: crate::runtime::RuntimeConfig::strict_analysis
 //! [`ProtocolState::with`]: crate::protocol::ProtocolState::with
 //! [`Ctx::spawn`]: crate::ctx::Ctx::spawn
+//! [`Ctx::after_completion`]: crate::ctx::Ctx::after_completion
 //! [`AccessMode::Read`]: crate::policy::AccessMode::Read

@@ -769,8 +769,9 @@ impl Runtime {
     }
 
     /// Run a computation *blocking*: the calling thread executes the closure
-    /// body, helps drain the computation's asynchronous work, runs Rule 3,
-    /// and returns the closure's value once the computation has completed.
+    /// body, helps drain the computation's asynchronous work, runs Rule 3
+    /// and then the effects queued with [`Ctx::after_completion`], and
+    /// returns the closure's value once the computation has completed.
     pub fn run<R>(&self, decl: Decl<'_>, f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
         self.debug_validate(&decl)?;
         let comp = self.spawn_comp(&decl);
@@ -807,12 +808,16 @@ impl Runtime {
 
     /// [`Runtime::spawn`], calling `on_end` with the computation's first
     /// error (what [`CompHandle::join`] would report, an error raised in the
-    /// asynchronous drain included) when its root job ends — body, drain,
-    /// and Rule 3 release all done — before the thread that ran the job can
-    /// take another. Nobody need join such a computation: hosts count its
-    /// failure here, and use the call (or, should the job panic, the drop
-    /// of what `on_end` captured) as the completion signal for
-    /// backpressure. Signalling when the *body* returns would under-count:
+    /// asynchronous drain included) when its root job ends — body and drain
+    /// done, and with them Rule 3 and the [`Ctx::after_completion`] effects
+    /// wherever the root job is the worker that completes the computation
+    /// (always, in a single-threaded one; a helper worker that leaves first
+    /// completes it instead, and `join` is then what waits for it) — before
+    /// the thread that ran the job can take another. Nobody need join such a
+    /// computation: hosts count its failure here, and use the call (or,
+    /// should the job panic, the drop of what `on_end` captured) as the
+    /// completion signal for backpressure. Signalling when the *body*
+    /// returns would under-count:
     /// the job can still block in the drain phase long after (see the
     /// worker loop), and unbounded spawn rates then exhaust OS threads
     /// regardless of any body-scoped accounting.

@@ -290,3 +290,222 @@ fn idle_workers_are_reaped_after_the_keep_alive() {
     // And a drained cache still serves.
     rt.spawn(Decl::Basic(&[]), |_| Ok(())).join().unwrap();
 }
+
+// ---- effects that leave the computation (`Ctx::after_completion`) --------
+
+const PATIENCE: Duration = Duration::from_secs(60);
+
+/// What the effects stack's handler is asked to do besides queueing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Ask {
+    Nothing,
+    /// Return `Err` after queueing.
+    Fail,
+    /// `Ctx::spawn` a closure that is still running when the handler has
+    /// returned, and queues an effect of its own then.
+    OutlivingChild,
+}
+
+/// How the test waits for the computation.
+#[derive(Clone, Copy, Debug)]
+enum Wait {
+    Run,
+    Join,
+    Quiesce,
+}
+
+/// A log shared by the effects of one computation.
+type Log = Arc<Mutex<Vec<String>>>;
+
+/// One computation of a fresh two-microprotocol stack — `hp` on P calls `hq`
+/// on Q, then queues `first` and `last`; an outliving child queues `child`
+/// once `hp` has returned — declared under `policy`, waited for as `wait`.
+/// Every effect checks that all the computation declared is released;
+/// `first` also holds the computation at a latch until the test has seen
+/// that whoever waits for it is still waiting. Returns what ran, in order,
+/// what any effect found wrong, and how the computation ended.
+fn effects_case(policy: Policy, ask: Ask, wait: Wait) -> (Vec<String>, Vec<String>, Result<()>) {
+    let (ran, wrong) = (Log::default(), Log::default());
+    let rt_slot = Arc::new(std::sync::OnceLock::<Runtime>::new());
+    let (inside, inside_rx) = std::sync::mpsc::channel::<()>();
+    let (go, go_rx) = std::sync::mpsc::channel::<()>();
+    let go_rx = Arc::new(Mutex::new(go_rx));
+
+    let mut b = StackBuilder::new();
+    let (p, q) = (b.protocol("P"), b.protocol("Q"));
+    let (ep, eq) = (b.event("EP"), b.event("EQ"));
+    let hq = b.bind(eq, q, "hq", |_, _| Ok(()));
+    // Local versions once this — the runtime's first — computation has
+    // released: its `pv` under the versioning policies (the bound under
+    // `Bound`), untouched under `TwoPhase` and `Unsync`.
+    let released: [(ProtocolId, u64); 2] = match policy {
+        Policy::Basic | Policy::Route | Policy::Serial => [(p, 1), (q, 1)],
+        Policy::Bound => [(p, 2), (q, 1)],
+        Policy::TwoPhase | Policy::Unsync => [(p, 0), (q, 0)],
+    };
+    let effect = {
+        let (ran, wrong, rt_slot) = (Arc::clone(&ran), Arc::clone(&wrong), Arc::clone(&rt_slot));
+        move |name: &'static str| {
+            let (ran, wrong, rt_slot) =
+                (Arc::clone(&ran), Arc::clone(&wrong), Arc::clone(&rt_slot));
+            move || {
+                let rt = rt_slot.get().expect("the runtime exists").clone();
+                for (pid, want) in released {
+                    let lv = rt.local_version(pid);
+                    if lv != want {
+                        let line = format!("{name}: lv({pid:?}) = {lv}, released is {want}");
+                        wrong.lock().unwrap().push(line);
+                    }
+                }
+                if policy == Policy::TwoPhase {
+                    // The locks are free: a conflicting computation runs now.
+                    let (took, took_rx) = std::sync::mpsc::channel();
+                    std::thread::spawn(move || {
+                        let _ = took.send(rt.two_phase(&[p, q], |_| Ok(())).is_ok());
+                    });
+                    if took_rx.recv_timeout(PATIENCE) != Ok(true) {
+                        let line = format!("{name}: the 2PL locks were still held");
+                        wrong.lock().unwrap().push(line);
+                    }
+                }
+                ran.lock().unwrap().push(name.to_string());
+            }
+        }
+    };
+    let hp = {
+        let effect = effect.clone();
+        let go_rx = Arc::clone(&go_rx);
+        b.bind(ep, p, "hp", move |ctx, data| {
+            let (ask, returned): &(Ask, Arc<AtomicBool>) = data.expect(ep)?;
+            ctx.trigger(eq, EventData::empty())?;
+            let (first, inside, go_rx) = (effect("first"), inside.clone(), Arc::clone(&go_rx));
+            ctx.after_completion(move || {
+                first();
+                inside.send(()).expect("the test listens");
+                let _ = go_rx.lock().unwrap().recv_timeout(PATIENCE);
+            });
+            if *ask == Ask::OutlivingChild {
+                let (returned, child) = (Arc::clone(returned), effect("child"));
+                ctx.spawn(move |c| {
+                    while !returned.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    c.after_completion(child);
+                    Ok(())
+                });
+            }
+            ctx.after_completion(effect("last"));
+            match ask {
+                Ask::Fail => Err(SamoaError::protocol("asked to fail")),
+                _ => Ok(()),
+            }
+        })
+    };
+    let rt = Runtime::new(b.build());
+    rt_slot.set(rt.clone()).expect("set once");
+
+    let pattern = RoutePattern::new().root(hp).edge(hp, hq);
+    let (protocols, bounds) = ([p, q], [(p, 2), (q, 1)]);
+    let returned = Arc::new(AtomicBool::new(false));
+    let body = {
+        let returned = Arc::clone(&returned);
+        move |ctx: &Ctx| {
+            let outcome = ctx.trigger(ep, EventData::new((ask, Arc::clone(&returned))));
+            returned.store(true, Ordering::SeqCst);
+            outcome
+        }
+    };
+    let (done, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let decl = policy.decl(&protocols, &bounds, &pattern);
+            let outcome = match wait {
+                Wait::Run => rt.run(decl, body),
+                Wait::Join => rt.spawn(decl, body).join(),
+                Wait::Quiesce => {
+                    drop(rt.spawn(decl, body));
+                    rt.quiesce();
+                    Ok(())
+                }
+            };
+            done.send(outcome).expect("the test listens");
+        });
+        inside_rx
+            .recv_timeout(PATIENCE)
+            .expect("the first effect never ran");
+        // An effect is running, so the computation is not over for anyone
+        // outside it.
+        assert!(
+            done_rx.try_recv().is_err(),
+            "{policy}/{ask:?}: {wait:?} returned with an effect still running"
+        );
+        go.send(()).expect("the effect listens");
+    });
+    let outcome = done_rx.recv_timeout(PATIENCE).expect("the waiter returned");
+    // No effect may run after the waiter has returned: the logs are final.
+    let (ran, wrong) = (ran.lock().unwrap().clone(), wrong.lock().unwrap().clone());
+    (ran, wrong, outcome)
+}
+
+#[test]
+fn effects_run_once_in_push_order_after_release_and_before_anyone_is_told() {
+    let _one = exclusive();
+    let policies = [
+        Policy::Basic,
+        Policy::Bound,
+        Policy::Route,
+        Policy::TwoPhase,
+        Policy::Unsync,
+        Policy::Serial,
+    ];
+    for policy in policies {
+        for wait in [Wait::Run, Wait::Join, Wait::Quiesce] {
+            for ask in [Ask::Nothing, Ask::Fail, Ask::OutlivingChild] {
+                let what = format!("{policy}/{ask:?}/{wait:?}");
+                let (ran, wrong, outcome) = effects_case(policy, ask, wait);
+                assert_eq!(wrong, Vec::<String>::new(), "{what}");
+                let mut expected = vec!["first", "last"];
+                if ask == Ask::OutlivingChild {
+                    expected.push("child");
+                }
+                assert_eq!(ran, expected, "{what}");
+                match (ask, wait) {
+                    // The command was applied and its effects are out; the
+                    // error is still the computation's (`quiesce` has no
+                    // channel for it).
+                    (Ask::Fail, Wait::Run | Wait::Join) => assert_eq!(
+                        outcome,
+                        Err(SamoaError::protocol("asked to fail")),
+                        "{what}"
+                    ),
+                    _ => assert_eq!(outcome, Ok(()), "{what}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_panicking_effect_is_recorded_like_a_handler_panic_and_the_rest_still_run() {
+    let _one = exclusive();
+    let ran = Arc::new(AtomicUsize::new(0));
+    let (rt, protocols, _) = flat_stack(1, || {});
+    let outcome = rt.run(Decl::Basic(&protocols), |ctx| {
+        let ran = Arc::clone(&ran);
+        ctx.after_completion(|| panic!("effect down"));
+        ctx.after_completion(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        Ok(())
+    });
+    assert!(
+        matches!(&outcome, Err(SamoaError::HandlerPanic { message, .. }) if message == "effect down"),
+        "{outcome:?}"
+    );
+    assert_eq!(ran.load(Ordering::SeqCst), 1);
+    // The computation is over all the same: nothing is left held or active.
+    assert_eq!(rt.local_version(protocols[0]), 1);
+    rt.quiesce();
+    rt.run(Decl::Basic(&protocols), |_| Ok(()))
+        .expect("the next one");
+}

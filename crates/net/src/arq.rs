@@ -1,5 +1,7 @@
 //! One ARQ core: *when is an unacknowledged frame resent* ([`ArqSender`])
-//! and *has this sequence number been seen* ([`ArqReceiver`]).
+//! and *has this sequence number been seen* ([`ArqReceiver`], a
+//! [`RangeSet`] per peer — the same set `samoa-proto` keeps per origin for
+//! RelCast's and atomic broadcast's duplicate suppression).
 //!
 //! Plain data, no thread, no I/O, no clock: a call that needs the time is
 //! handed `now`, from the caller's [`ProtoClock`](crate::ProtoClock). RelComm
@@ -7,7 +9,7 @@
 //! differs: what a frame carries, when acks leave, flow control and in-order
 //! release. Sequence numbers are per peer and start at 1.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use crate::SiteId;
@@ -168,35 +170,102 @@ impl<P> ArqSender<P> {
     }
 }
 
-#[derive(Default)]
-struct Seen {
-    /// All sequence numbers `<= floor` have been seen.
-    floor: u64,
-    /// Seen sequence numbers above `floor`.
-    above: BTreeSet<u64>,
+/// A set of `u64`s kept as sorted, disjoint, non-adjacent inclusive ranges:
+/// the one answer in the tree to *which sequence numbers have I seen*. What
+/// arrives mostly in order costs one range however much arrives — a million
+/// consecutive numbers and a hole are two ranges — and the common insert,
+/// the number after the last one, touches only the last range. A set that
+/// starts high (a joiner that first sees 1000) is one range too, which a
+/// floor-plus-set would not give it.
+///
+/// Three users: [`ArqReceiver`] per peer (RelComm's and Window's duplicate
+/// filter), and — per origin — RelCast's seen set and atomic broadcast's
+/// delivered set in `samoa-proto`, whose join-time snapshot ships
+/// [`ranges`](RangeSet::ranges) instead of every uid.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RangeSet {
+    ranges: Vec<(u64, u64)>,
+}
+
+impl RangeSet {
+    /// Add `v`; true if it was not in the set.
+    pub fn insert(&mut self, v: u64) -> bool {
+        if let Some(last) = self.ranges.last_mut() {
+            if v > last.1 {
+                if v - 1 == last.1 {
+                    last.1 = v;
+                } else {
+                    self.ranges.push((v, v));
+                }
+                return true;
+            }
+        }
+        if self.contains(v) {
+            return false;
+        }
+        self.insert_range(v, v);
+        true
+    }
+
+    /// Add every value of `lo..=hi`, in time independent of how many that
+    /// is (an empty range when `lo > hi`).
+    pub fn insert_range(&mut self, lo: u64, hi: u64) {
+        if lo > hi {
+            return;
+        }
+        // Everything from the first range that reaches `lo - 1` to the last
+        // that starts by `hi + 1` overlaps or touches `lo..=hi`: one range
+        // replaces them all.
+        let start = self.ranges.partition_point(|r| r.1 < lo.saturating_sub(1));
+        let end = self.ranges.partition_point(|r| r.0 <= hi.saturating_add(1));
+        let merged = match self.ranges[start..end] {
+            [] => (lo, hi),
+            [first, ..] => (lo.min(first.0), hi.max(self.ranges[end - 1].1)),
+        };
+        self.ranges.splice(start..end, [merged]);
+    }
+
+    /// Is `v` in the set?
+    pub fn contains(&self, v: u64) -> bool {
+        let i = self.ranges.partition_point(|r| r.1 < v);
+        self.ranges.get(i).is_some_and(|r| r.0 <= v)
+    }
+
+    /// How many values are in the set (saturating).
+    pub fn len(&self) -> u64 {
+        self.ranges().fold(0, |n, (lo, hi)| {
+            n.saturating_add((hi - lo).saturating_add(1))
+        })
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// The set as `(lo, hi)` inclusive ranges, ascending, with at least one
+    /// absent value between any two.
+    pub fn ranges(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        self.ranges.iter().copied()
+    }
 }
 
 /// The receiver half: per-peer duplicate suppression.
 #[derive(Default)]
 pub struct ArqReceiver {
-    peers: HashMap<SiteId, Seen>,
+    peers: HashMap<SiteId, RangeSet>,
 }
 
 impl ArqReceiver {
-    /// Record `seq` from `peer`; true the first time it is seen.
+    /// Record `seq` from `peer`; true the first time it is seen. Numbering
+    /// starts at 1: 0 is never fresh.
     pub fn fresh(&mut self, peer: SiteId, seq: u64) -> bool {
-        let s = self.peers.entry(peer).or_default();
-        if seq <= s.floor || !s.above.insert(seq) {
-            return false;
-        }
-        while s.above.remove(&(s.floor + 1)) {
-            s.floor += 1;
-        }
-        true
+        seq > 0 && self.peers.entry(peer).or_default().insert(seq)
     }
 
     /// Every sequence number from `peer` up to this one has been seen.
     pub fn floor(&self, peer: SiteId) -> u64 {
-        self.peers.get(&peer).map_or(0, |s| s.floor)
+        let first = self.peers.get(&peer).and_then(|s| s.ranges().next());
+        first.filter(|r| r.0 == 1).map_or(0, |r| r.1)
     }
 }

@@ -43,7 +43,7 @@ pub mod stats;
 pub mod tcp;
 pub mod transport;
 
-pub use arq::{ArqReceiver, ArqSender};
+pub use arq::{ArqReceiver, ArqSender, RangeSet};
 pub use clock::{ProtoClock, Ticker};
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};

@@ -1,12 +1,13 @@
-//! The ARQ core on virtual time: the receiver's duplicate filter and the
-//! sender's retransmission policy, driven through their public methods with
-//! a [`ProtoClock::manual`] — nothing here sleeps or reads the wall clock.
+//! The ARQ core on virtual time: the receiver's duplicate filter — and the
+//! range set under it, against a `BTreeSet` model — and the sender's
+//! retransmission policy, driven through their public methods with a
+//! [`ProtoClock::manual`] — nothing here sleeps or reads the wall clock.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use samoa_net::{ArqReceiver, ArqSender, ProtoClock, SiteId};
+use samoa_net::{ArqReceiver, ArqSender, ProtoClock, RangeSet, SiteId};
 
 const FLOOR: Duration = Duration::from_millis(10);
 const A: SiteId = SiteId(1);
@@ -36,6 +37,85 @@ fn receiver_accepts_fresh_rejects_duplicates_and_compacts() {
 #[test]
 fn receiver_handles_large_gaps() {
     check_receiver(&[100, 1, 100, u64::MAX, 2]);
+}
+
+/// One step against the range set: a single value or a whole range.
+#[derive(Debug, Clone, Copy)]
+enum Put {
+    One(u64),
+    Range(u64, u64),
+}
+
+/// A few values around `base`: near enough to each other to collide, merge
+/// and fill holes.
+fn near(base: u64) -> impl Strategy<Value = Put> {
+    prop_oneof![
+        (0u64..40).prop_map(move |d| Put::One(base.saturating_add(d))),
+        (0u64..40, 0u64..6).prop_map(move |(d, len)| {
+            let lo = base.saturating_add(d);
+            Put::Range(lo, lo.saturating_add(len))
+        }),
+    ]
+}
+
+/// The set holds what a `BTreeSet` fed the same values holds, answers
+/// `insert` as it does, and keeps its ranges sorted, disjoint and never
+/// adjacent — so their number is the number of holes plus one.
+fn check_range_set(puts: &[Put]) {
+    let mut set = RangeSet::default();
+    let mut model = BTreeSet::new();
+    for &put in puts {
+        match put {
+            Put::One(v) => assert_eq!(set.insert(v), model.insert(v), "{put:?} of {puts:?}"),
+            Put::Range(lo, hi) => {
+                set.insert_range(lo, hi);
+                model.extend(lo..=hi);
+            }
+        }
+        let ranges: Vec<(u64, u64)> = set.ranges().collect();
+        let covered: Vec<u64> = ranges.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
+        assert_eq!(
+            covered,
+            model.iter().copied().collect::<Vec<_>>(),
+            "after {put:?} of {puts:?}"
+        );
+        for pair in ranges.windows(2) {
+            assert!(pair[0].1 + 1 < pair[1].0, "{ranges:?} not merged");
+        }
+        assert_eq!(set.len(), model.len() as u64);
+        assert_eq!(set.is_empty(), model.is_empty());
+    }
+    let probes = model
+        .iter()
+        .flat_map(|&v| [v.saturating_sub(1), v, v.saturating_add(1)]);
+    for v in probes.chain([0, u64::MAX]) {
+        assert_eq!(
+            set.contains(v),
+            model.contains(&v),
+            "contains({v}) of {puts:?}"
+        );
+    }
+}
+
+#[test]
+fn range_set_merges_fills_and_starts_anywhere() {
+    use Put::{One, Range};
+    // In order: one range however long.
+    check_range_set(&(1..=200).map(One).collect::<Vec<_>>());
+    // A high first value is one range, not a floor and a set.
+    check_range_set(&[One(1000), One(1001), One(999), One(1)]);
+    // Duplicates, a hole filled from either side, two ranges made one.
+    check_range_set(&[One(5), One(5), One(7), One(9), One(8), One(6), One(4)]);
+    // Ranges: empty (`lo > hi`), swallowing several, touching on each side.
+    check_range_set(&[Range(9, 3), Range(10, 12), Range(20, 22), Range(30, 30)]);
+    check_range_set(&[Range(10, 12), Range(20, 22), Range(30, 30), Range(11, 29)]);
+    check_range_set(&[Range(10, 12), Range(13, 19), Range(5, 9), Range(0, 4)]);
+    // The ends of the domain.
+    check_range_set(&[One(u64::MAX), One(0), One(u64::MAX - 1), One(u64::MAX)]);
+    let mut all = RangeSet::default();
+    all.insert_range(0, u64::MAX);
+    assert_eq!(all.len(), u64::MAX, "saturates");
+    assert!(all.contains(0) && all.contains(u64::MAX) && !all.insert(7));
 }
 
 /// Everything the sender says is due at the current time, re-arming it.
@@ -151,6 +231,18 @@ proptest! {
         arrivals in proptest::collection::vec(0u64..24, 0..80),
     ) {
         check_receiver(&arrivals);
+    }
+
+    /// Out of order, duplicates, a high first value, merges of adjacent
+    /// ranges, whole ranges — low in the domain and at its top.
+    #[test]
+    fn range_set_agrees_with_a_btreeset(
+        low in proptest::collection::vec(near(0), 0..60),
+        high in proptest::collection::vec(near(u64::MAX - 50), 0..20),
+        high_first in any::<bool>(),
+    ) {
+        let puts = if high_first { [high, low].concat() } else { [low, high].concat() };
+        check_range_set(&puts);
     }
 
     /// One frame, time advanced in arbitrary steps with a `due` call after

@@ -10,12 +10,13 @@
 //! same total order at every site.
 //!
 //! A joiner is sent the ordering state by every incumbent: the next
-//! instance, the delivered uids, and the incumbent's `pending` requests —
+//! instance, the delivered uids (as per-origin ranges: constant size however
+//! long the group has run), and the incumbent's `pending` requests —
 //! they were cast before the joiner was a member, RelCast will not bring
 //! them, and if the joiner sorts first in the view it is the one site that
 //! proposes in round 0 (see `consensus.rs`).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use samoa_core::prelude::*;
@@ -23,7 +24,7 @@ use samoa_core::TraceKind;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbMsg, AbPayload, CastData, CastMsg, MsgUid, Payload, SyncMsg};
+use crate::msgs::{AbMsg, AbPayload, CastData, CastMsg, MsgUid, Payload, SyncMsg, UidSet};
 use crate::observe::{AbcastInstruments, ClusterTracer};
 use crate::relcomm::RDeliver;
 use crate::view::GroupView;
@@ -35,8 +36,9 @@ pub struct AbcastState {
     next_seq: u64,
     /// Disseminated but not yet delivered requests.
     pending: BTreeMap<MsgUid, AbMsg>,
-    /// Uids already delivered (for duplicate suppression).
-    delivered: HashSet<MsgUid>,
+    /// Uids already delivered (for duplicate suppression): a range set per
+    /// origin, like RelCast's `seen`, shipped to a joiner as its ranges.
+    delivered: UidSet,
     /// Next undecided consensus instance.
     next_inst: u64,
     /// Out-of-order decisions buffered until their turn.
@@ -69,7 +71,7 @@ impl AbcastState {
             view,
             next_seq: 0,
             pending: BTreeMap::new(),
-            delivered: HashSet::new(),
+            delivered: UidSet::default(),
             next_inst: 0,
             decides: BTreeMap::new(),
             proposed_for: None,
@@ -89,6 +91,12 @@ impl AbcastState {
     /// Next undecided instance number.
     pub fn next_instance(&self) -> u64 {
         self.next_inst
+    }
+
+    /// The delivered set as `(origin, lo, hi)` ranges.
+    #[cfg(test)]
+    pub(crate) fn delivered_ranges(&self) -> Vec<(SiteId, u64, u64)> {
+        self.delivered.ranges()
     }
 
     /// Create a new request from this site. `(site, seq)` is the cluster
@@ -164,14 +172,9 @@ impl AbcastState {
 
     /// Build the state-transfer snapshot for a joiner.
     fn snapshot(&self) -> SyncMsg {
-        // Sorted so the encoded snapshot is a pure function of the state:
-        // the delivered set is hashed, and hooked exploration needs
-        // byte-identical wire traffic across replays.
-        let mut delivered: Vec<MsgUid> = self.delivered.iter().copied().collect();
-        delivered.sort_unstable();
         SyncMsg {
             next_inst: self.next_inst,
-            delivered,
+            delivered: self.delivered.ranges(),
             pending: self.pending.values().cloned().collect(),
             view_id: self.view.id,
             members: self.view.members().to_vec(),
@@ -186,7 +189,7 @@ impl AbcastState {
         let adopted = sync.next_inst > self.next_inst;
         if adopted {
             self.next_inst = sync.next_inst;
-            self.delivered.extend(sync.delivered.iter().copied());
+            self.delivered.extend(&sync.delivered);
             let lim = self.next_inst;
             self.decides.retain(|&k, _| k >= lim);
             let delivered = &self.delivered;

@@ -15,7 +15,10 @@
 //!
 //! The originating site completes the client's pending handle when *it*
 //! applies the command (origin-local completion): the reply reflects the
-//! state machine at the command's position in the total order.
+//! state machine at the command's position in the total order. The handle
+//! resolves once the applying computation has *completed* — the handler
+//! queues the reply with [`Ctx::after_completion`], so it leaves at Rule 3
+//! and the client's next request never meets the computation that woke it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -346,8 +349,9 @@ impl KvWaiters {
         }
     }
 
-    /// Deliver the reply for request `req` (called by the KV handler when
-    /// the origin site applies the command).
+    /// Deliver the reply for request `req` (queued by the KV handler when
+    /// the origin site applies the command, run when that computation has
+    /// completed).
     pub fn complete(&self, req: u64, reply: KvReply) {
         if let Some(o) = &self.observer {
             let mut o = o.lock();
@@ -387,9 +391,11 @@ impl KvPending {
         self.req
     }
 
-    /// Block until the origin site applies the command, or `timeout`
-    /// elapses (`None` on timeout — the command may still apply later; the
-    /// waiter is deregistered either way).
+    /// Block until the origin site has applied the command and the
+    /// computation that applied it has completed — nothing it declared is
+    /// still held when this returns — or `timeout` elapses (`None` on
+    /// timeout — the command may still apply later; the waiter is
+    /// deregistered either way).
     pub fn wait(self, timeout: Duration) -> Option<KvReply> {
         let deadline = Instant::now() + timeout;
         let mut slot = self.cell.slot.lock();
@@ -459,7 +465,11 @@ pub fn register(
             ins.applies.inc();
         }
         if uid.origin == site {
-            waiters.complete(req, reply);
+            // The reply leaves at Rule 3, not here: woken inside the
+            // handler, the client's next request would be handed versions
+            // behind this very computation and wait for it.
+            let waiters = waiters.clone();
+            ctx.after_completion(move || waiters.complete(req, reply));
         }
         Ok(())
     })

@@ -14,8 +14,10 @@
 //! * [`AbMsg`] — what atomic broadcast orders: user payloads or membership
 //!   view operations.
 
+use std::collections::BTreeMap;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use samoa_net::SiteId;
+use samoa_net::{RangeSet, SiteId};
 
 use crate::view::ViewOp;
 
@@ -27,6 +29,48 @@ pub struct MsgUid {
     pub origin: SiteId,
     /// The origin's sequence number.
     pub seq: u64,
+}
+
+/// Which uids have been seen: one [`RangeSet`] of sequence numbers per
+/// origin. An origin numbers its messages 1, 2, 3, … and every site sees
+/// nearly all of them nearly in order, so the set stays a range or two per
+/// origin however many messages pass — RelCast's `seen` and atomic
+/// broadcast's `delivered` are this, and a join-time [`SyncMsg`] ships its
+/// [`ranges`](UidSet::ranges). Ordered by origin, so that the snapshot is a
+/// pure function of the state.
+#[derive(Debug, Default)]
+pub(crate) struct UidSet(BTreeMap<SiteId, RangeSet>);
+
+impl UidSet {
+    /// Add `uid`; true if it was not in the set.
+    pub(crate) fn insert(&mut self, uid: MsgUid) -> bool {
+        self.0.entry(uid.origin).or_default().insert(uid.seq)
+    }
+
+    pub(crate) fn contains(&self, uid: &MsgUid) -> bool {
+        self.0.get(&uid.origin).is_some_and(|s| s.contains(uid.seq))
+    }
+
+    /// How many uids are in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.0.values().map(|s| s.len() as usize).sum()
+    }
+
+    /// The set as `(origin, lo, hi)` inclusive ranges, by origin, ascending.
+    pub(crate) fn ranges(&self) -> Vec<(SiteId, u64, u64)> {
+        self.0
+            .iter()
+            .flat_map(|(&o, s)| s.ranges().map(move |(lo, hi)| (o, lo, hi)))
+            .collect()
+    }
+
+    /// Add everything `ranges` (another set's [`ranges`](UidSet::ranges))
+    /// covers.
+    pub(crate) fn extend(&mut self, ranges: &[(SiteId, u64, u64)]) {
+        for &(origin, lo, hi) in ranges {
+            self.0.entry(origin).or_default().insert_range(lo, hi);
+        }
+    }
 }
 
 /// A payload ordered by atomic broadcast.
@@ -136,8 +180,11 @@ pub enum ConsMsg {
 pub struct SyncMsg {
     /// The next undecided consensus instance.
     pub next_inst: u64,
-    /// Uids already delivered (so re-flooded requests are not re-ordered).
-    pub delivered: Vec<MsgUid>,
+    /// Uids already delivered (so re-flooded requests are not re-ordered),
+    /// as `(origin, lo, hi)` inclusive ranges of sequence numbers: sorted by
+    /// origin then `lo`, disjoint within an origin. A range or two per
+    /// origin however long the group has run.
+    pub delivered: Vec<(SiteId, u64, u64)>,
     /// Requests the sender holds undelivered. They were cast before the
     /// joiner was a member, so RelCast never sends them its way, and in
     /// round 0 only the coordinator proposes — which the joiner is at once
@@ -187,7 +234,8 @@ impl Payload {
     }
 }
 
-/// Compact causal context carried on RelComm data frames: the identity of
+/// Compact causal context carried on a *traced* node's RelComm data frames
+/// (an untraced node sends none: `ctx: None`, one byte): the identity of
 /// the cluster operation this frame is causally downstream of, plus a hop
 /// counter. Derived deterministically from the payload's root uid at send
 /// time, re-derived hop-incremented on forward, and re-emitted into the
@@ -237,6 +285,9 @@ pub enum CodecError {
     Truncated,
     /// Unknown enum tag.
     BadTag(u8),
+    /// A `SyncMsg` delivered range with `lo > hi`, or one that overlaps or
+    /// precedes the range before it.
+    BadRange,
 }
 
 impl std::fmt::Display for CodecError {
@@ -244,6 +295,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "truncated message"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
+            CodecError::BadRange => write!(f, "delivered ranges out of order"),
         }
     }
 }
@@ -468,8 +520,10 @@ fn put_sync(out: &mut BytesMut, s: &SyncMsg) {
         out.put_u16_le(m.0);
     }
     out.put_u32_le(s.delivered.len() as u32);
-    for uid in &s.delivered {
-        put_uid(out, *uid);
+    for &(origin, lo, hi) in &s.delivered {
+        out.put_u16_le(origin.0);
+        out.put_u64_le(lo);
+        out.put_u64_le(hi);
     }
     put_batch(out, &s.pending);
 }
@@ -489,13 +543,21 @@ fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
         })
         .collect::<DecResult<Vec<_>>>()?;
     need(buf, 4)?;
-    let n_uids = buf.get_u32_le() as usize;
-    if n_uids > buf.remaining() / 10 + 1 {
+    let n_ranges = buf.get_u32_le() as usize;
+    if n_ranges > buf.remaining() / 18 {
         return Err(CodecError::Truncated);
     }
-    let delivered = (0..n_uids)
-        .map(|_| get_uid(buf))
-        .collect::<DecResult<Vec<_>>>()?;
+    let mut delivered: Vec<(SiteId, u64, u64)> = Vec::with_capacity(n_ranges);
+    for _ in 0..n_ranges {
+        let (origin, lo, hi) = (SiteId(buf.get_u16_le()), buf.get_u64_le(), buf.get_u64_le());
+        let after_last = delivered
+            .last()
+            .is_none_or(|&(o, _, last_hi)| (o, last_hi) < (origin, lo));
+        if lo > hi || !after_last {
+            return Err(CodecError::BadRange);
+        }
+        delivered.push((origin, lo, hi));
+    }
     Ok(SyncMsg {
         next_inst,
         delivered,
@@ -519,39 +581,49 @@ impl Wire {
     /// ([`decode_all`](Wire::decode_all) is the inverse).
     pub fn encode_into(&self, out: &mut BytesMut) {
         match self {
-            Wire::Data { seq, ctx, payload } => {
-                out.put_u8(0);
-                out.put_u64_le(*seq);
-                match ctx {
-                    Some(c) => {
-                        out.put_u8(1);
-                        out.put_u16_le(c.origin.0);
-                        out.put_u64_le(c.op);
-                        out.put_u8(c.hop);
-                    }
-                    None => out.put_u8(0),
-                }
-                match payload {
-                    Payload::Cast(c) => {
-                        out.put_u8(0);
-                        put_cast(out, c);
-                    }
-                    Payload::Cons(c) => {
-                        out.put_u8(1);
-                        put_cons(out, c);
-                    }
-                    Payload::Sync(s) => {
-                        out.put_u8(2);
-                        put_sync(out, s);
-                    }
-                }
-            }
+            Wire::Data { seq, ctx, payload } => Wire::encode_data_into(*seq, *ctx, payload, out),
             Wire::Ack { seq } => {
                 out.put_u8(1);
                 out.put_u64_le(*seq);
             }
             Wire::Heartbeat => {
                 out.put_u8(2);
+            }
+        }
+    }
+
+    /// Append a [`Wire::Data`] frame to `out` from its parts, the payload by
+    /// reference: RelComm holds the payload it sends (in its ARQ buffer, or
+    /// as the event's data) and need not clone it into a `Wire` to encode.
+    pub(crate) fn encode_data_into(
+        seq: u64,
+        ctx: Option<TraceCtx>,
+        payload: &Payload,
+        out: &mut BytesMut,
+    ) {
+        out.put_u8(0);
+        out.put_u64_le(seq);
+        match ctx {
+            Some(c) => {
+                out.put_u8(1);
+                out.put_u16_le(c.origin.0);
+                out.put_u64_le(c.op);
+                out.put_u8(c.hop);
+            }
+            None => out.put_u8(0),
+        }
+        match payload {
+            Payload::Cast(c) => {
+                out.put_u8(0);
+                put_cast(out, c);
+            }
+            Payload::Cons(c) => {
+                out.put_u8(1);
+                put_cons(out, c);
+            }
+            Payload::Sync(s) => {
+                out.put_u8(2);
+                put_sync(out, s);
             }
         }
     }
@@ -787,6 +859,96 @@ mod tests {
         out.put_u8(2); // CastData::Decide
         out.put_u64_le(0); // inst
         out.put_u32_le(u32::MAX); // absurd batch length
+        assert_eq!(Wire::decode(out.freeze()), Err(CodecError::Truncated));
+    }
+
+    fn sync(delivered: Vec<(SiteId, u64, u64)>) -> Wire {
+        Wire::Data {
+            seq: 3,
+            ctx: None,
+            payload: Payload::Sync(SyncMsg {
+                next_inst: 17,
+                delivered,
+                pending: vec![AbMsg {
+                    uid: uid(2, 41),
+                    payload: AbPayload::User(Bytes::from_static(b"p")),
+                }],
+                view_id: 4,
+                members: vec![SiteId(0), SiteId(2), SiteId(5)],
+            }),
+        }
+    }
+
+    #[test]
+    fn roundtrip_sync_with_no_one_and_several_ranges_per_origin() {
+        roundtrip(sync(Vec::new()));
+        roundtrip(sync(vec![(SiteId(2), 1, 40)]));
+        // Origin 1 absent, origin 2 with holes, adjacent ranges accepted,
+        // the whole domain.
+        roundtrip(sync(vec![
+            (SiteId(0), 1, 1_000_000),
+            (SiteId(2), 1, 40),
+            (SiteId(2), 42, 42),
+            (SiteId(2), 43, 50),
+            (SiteId(5), 0, u64::MAX),
+        ]));
+    }
+
+    #[test]
+    fn uid_set_ships_its_ranges_and_takes_them_back() {
+        let mut set = UidSet::default();
+        for (o, s) in [(2, 1), (0, 7), (2, 2), (2, 4), (0, 8), (2, 2)] {
+            set.insert(uid(o, s));
+        }
+        assert_eq!(set.len(), 5);
+        let ranges = set.ranges();
+        assert_eq!(
+            ranges,
+            [(SiteId(0), 7, 8), (SiteId(2), 1, 2), (SiteId(2), 4, 4)]
+        );
+        // What a joiner that first saw origin 2 at 1000 builds from them is
+        // the union, and what it sends on is as small.
+        let mut joiner = UidSet::default();
+        joiner.insert(uid(2, 1000));
+        joiner.extend(&ranges);
+        assert!(joiner.contains(&uid(2, 4)) && !joiner.contains(&uid(2, 3)));
+        assert_eq!(joiner.len(), 6);
+        roundtrip(sync(joiner.ranges()));
+    }
+
+    #[test]
+    fn decode_rejects_ranges_that_are_not_a_set() {
+        let bad = [
+            vec![(SiteId(1), 5, 4)],                    // lo > hi
+            vec![(SiteId(1), 1, 5), (SiteId(1), 5, 9)], // overlapping
+            vec![(SiteId(1), 1, 5), (SiteId(1), 3, 3)], // contained
+            vec![(SiteId(1), 7, 9), (SiteId(1), 1, 2)], // out of order
+            vec![(SiteId(2), 1, 2), (SiteId(1), 1, 2)], // origins out of order
+        ];
+        for delivered in bad {
+            let enc = sync(delivered.clone()).encode();
+            assert_eq!(
+                Wire::decode(enc),
+                Err(CodecError::BadRange),
+                "{delivered:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_oversized_range_count() {
+        // A sync frame claiming 2^32 - 1 delivered ranges and providing the
+        // bytes of one: refused on the count, before anything is reserved.
+        let mut out = BytesMut::new();
+        out.put_u8(0); // Wire::Data
+        out.put_u64_le(1); // seq
+        out.put_u8(0); // no TraceCtx
+        out.put_u8(2); // Payload::Sync
+        out.put_u64_le(0); // next_inst
+        out.put_u64_le(0); // view_id
+        out.put_u32_le(0); // no members
+        out.put_u32_le(u32::MAX); // absurd range count
+        out.put_slice(&[0; 18]);
         assert_eq!(Wire::decode(out.freeze()), Err(CodecError::Truncated));
     }
 

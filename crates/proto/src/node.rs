@@ -77,7 +77,12 @@ use crate::view::{GroupView, ViewOp};
 pub struct Observe {
     /// Trace sink receiving both the runtime's scheduling events and the
     /// stack's cluster-level causal spans (`ClientSubmit`, `CtxSend`,
-    /// `CtxRecv`, `AbDeliver`, `KvApply`, ...).
+    /// `CtxRecv`, `AbDeliver`, `KvApply`, ...). Only a node with a sink puts
+    /// a causal context ([`TraceCtx`](crate::msgs::TraceCtx)) on the frames
+    /// it sends and learns hop counts from those it receives; an untraced
+    /// node's frames are context-free, and a traced node that receives one
+    /// emits no `CtxRecv` for it (in a partly traced cluster a causal tree
+    /// is cut at the untraced sites).
     pub sink: Option<Arc<dyn samoa_core::TraceSink>>,
     /// Metrics registry the node's per-protocol instruments register into
     /// (names are `site{N}.<proto>.<metric>`).
@@ -1349,6 +1354,75 @@ mod tests {
             assert_eq!(node.external_errors(), 1, "{policy}");
             assert!(node.rb_delivered().is_empty(), "{policy}");
         }
+    }
+
+    /// ROADMAP item 3(a), for RelCast's `seen` and atomic broadcast's
+    /// `delivered`: their size follows origins and holes, not messages. Every
+    /// site casts, so every origin's numbering runs; `cast_seen` still
+    /// counts every message.
+    #[test]
+    fn a_hundred_thousand_abcasts_leave_a_range_or_two_per_origin() {
+        const ROUNDS: usize = 1000;
+        const PER_SITE: usize = 34;
+        let cfg = NodeConfig {
+            enable_timers: false,
+            clock: ProtoClock::manual(),
+            ..NodeConfig::default()
+        };
+        let c = Cluster::new_manual(3, NetConfig::fast(7), cfg);
+        for round in 0..ROUNDS {
+            for node in c.nodes() {
+                for i in 0..PER_SITE {
+                    node.abcast(format!("{round}.{i}"));
+                }
+            }
+            c.settle();
+        }
+        let total = ROUNDS * PER_SITE * 3;
+        assert!(total >= 100_000);
+        for node in c.nodes() {
+            assert_eq!(node.ab_delivered().len(), total, "{}", node.site);
+            assert_eq!(node.external_errors(), 0, "{}", node.site);
+            // Requests and decisions are both casts: at least `total` seen.
+            assert!(node.cast_seen() > total, "{}", node.site);
+            let seen = node.relcast.read(|s| s.seen_ranges());
+            let delivered = node.abcast.read(|s| s.delivered_ranges());
+            for (what, ranges) in [("seen", seen), ("delivered", delivered)] {
+                for origin in c.nodes().iter().map(|n| n.site) {
+                    let of_origin = ranges.iter().filter(|r| r.0 == origin).count();
+                    assert!(
+                        (1..=2).contains(&of_origin),
+                        "{}: {what} holds {of_origin} ranges of {origin}: {ranges:?}",
+                        node.site
+                    );
+                }
+            }
+        }
+    }
+
+    /// `Observe`'s promise, for causal tracing: an untraced cluster puts no
+    /// context on any frame it sends and learns no hop count from any it
+    /// receives; a traced one does both (so the zeros are not vacuous).
+    #[test]
+    fn an_untraced_cluster_learns_no_hops_a_traced_one_does() {
+        let cfg = NodeConfig {
+            enable_timers: false,
+            ..NodeConfig::default()
+        };
+        let run = |observe: Observe| {
+            let net = SimNet::new_manual(3, NetConfig::fast(1));
+            let c = Cluster::new_observed_on(net, cfg.clone(), None, observe);
+            for node in c.nodes() {
+                node.abcast("m");
+            }
+            c.settle();
+            let hops = |n: &Arc<Node>| n.relcomm.read(|s| s.hops_known());
+            assert!(c.nodes().iter().all(|n| n.ab_delivered().len() == 3));
+            c.nodes().iter().map(hops).collect::<Vec<_>>()
+        };
+        assert_eq!(run(Observe::default()), [0, 0, 0]);
+        let sink = samoa_core::TraceBuffer::new() as Arc<dyn samoa_core::TraceSink>;
+        assert!(run(Observe::traced(sink)).iter().all(|&known| known > 0));
     }
 
     #[test]

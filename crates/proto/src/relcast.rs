@@ -16,18 +16,19 @@ use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{CastData, CastMsg, MsgUid, Payload};
+use crate::msgs::{CastData, CastMsg, MsgUid, Payload, UidSet};
 use crate::relcomm::RDeliver;
 use crate::view::GroupView;
-
-use std::collections::HashSet;
 
 /// The local state of the RelCast microprotocol.
 pub struct RelCastState {
     site: SiteId,
     view: GroupView,
     next_seq: u64,
-    seen: HashSet<MsgUid>,
+    /// Every cast seen, ours included: a range set per origin
+    /// ([`samoa_net::RangeSet`], the set RelComm's duplicate filter is), so
+    /// its size follows the number of origins and holes, not of messages.
+    seen: UidSet,
 }
 
 impl RelCastState {
@@ -37,7 +38,7 @@ impl RelCastState {
             site,
             view,
             next_seq: 0,
-            seen: HashSet::new(),
+            seen: UidSet::default(),
         }
     }
 
@@ -49,6 +50,12 @@ impl RelCastState {
     /// The view RelCast currently believes in.
     pub fn view(&self) -> &GroupView {
         &self.view
+    }
+
+    /// The seen set as `(origin, lo, hi)` ranges.
+    #[cfg(test)]
+    pub(crate) fn seen_ranges(&self) -> Vec<(SiteId, u64, u64)> {
+        self.seen.ranges()
     }
 }
 

@@ -123,11 +123,12 @@ impl HopTable {
     }
 }
 
-/// One outbound datagram: the data frame, if any, then the owed acks.
-fn datagram(data: Option<Wire>, acks: &[u64]) -> Bytes {
+/// One outbound datagram: the data frame, if any — sequence number, causal
+/// context, payload, encoded from where they are held — then the owed acks.
+fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> Bytes {
     let mut out = BytesMut::with_capacity(64 + 9 * acks.len());
-    if let Some(frame) = data {
-        frame.encode_into(&mut out);
+    if let Some((seq, ctx, payload)) = data {
+        Wire::encode_data_into(seq, ctx, payload, &mut out);
     }
     for &seq in acks {
         Wire::Ack { seq }.encode_into(&mut out);
@@ -160,7 +161,7 @@ pub struct RelCommState {
     pub view_change_delay: Duration,
     /// Outbound frames serving an operation learned here carry `hop + 1`;
     /// frames serving a locally originated (or forgotten) operation carry
-    /// hop 0.
+    /// hop 0. Empty for good on an untraced node.
     ctx_hops: HopTable,
     /// Cluster tracer, when the node is traced (retransmit spans).
     pub tracer: Option<ClusterTracer>,
@@ -196,8 +197,11 @@ impl RelCommState {
 
     /// The causal context an outbound `payload` should carry: the payload's
     /// root operation, at the learned inbound hop count + 1 (0 when this
-    /// site originated the operation or never saw a context for it).
+    /// site originated the operation or never saw a context for it). None
+    /// on an untraced node: a context is 11 bytes on every frame and a table
+    /// insert on every receipt, spent for a trace nobody records.
     fn ctx_for(&self, payload: &Payload) -> Option<TraceCtx> {
+        self.tracer.as_ref()?;
         let uid = payload.root_uid()?;
         let hop = self
             .ctx_hops
@@ -210,6 +214,12 @@ impl RelCommState {
             op: uid.seq,
             hop,
         })
+    }
+
+    /// Operations whose hop count is remembered.
+    #[cfg(test)]
+    pub(crate) fn hops_known(&self) -> usize {
+        self.ctx_hops.hops.len()
     }
 
     /// Messages sent but not yet acknowledged.
@@ -284,12 +294,8 @@ pub fn register(
                 Some((s.site, seq, wire_ctx, acks))
             });
             if let Some((site, seq, wire_ctx, acks)) = frame {
-                let data = Wire::Data {
-                    seq,
-                    ctx: wire_ctx,
-                    payload: payload.clone(),
-                };
-                net.send(site, *target, datagram(Some(data), &acks));
+                let data = Some((seq, wire_ctx, payload));
+                net.send(site, *target, datagram(data, &acks));
             }
             Ok(())
         })
@@ -310,8 +316,10 @@ pub fn register(
                 let (me, deliver, overflow) = state.with(ctx, |s| {
                     s.apply_acks(m.sender, &m.acks);
                     // Learn the operation's hop distance so frames this site
-                    // forwards on the operation's behalf carry hop + 1.
-                    if let Some(c) = m.ctx {
+                    // forwards on the operation's behalf carry hop + 1 — if
+                    // it is traced: an untraced site attaches no context
+                    // (`ctx_for`), so it has nothing to learn one for.
+                    if let (Some(c), Some(_)) = (m.ctx, &s.tracer) {
                         let uid = MsgUid {
                             origin: c.origin,
                             seq: c.op,
@@ -383,14 +391,9 @@ pub fn register(
                             attempts,
                         });
                     }
-                    let data = Wire::Data {
-                        seq,
-                        ctx: *ctx,
-                        payload: payload.clone(),
-                    };
                     // The first resend to a target takes its owed acks.
                     let acks = s.owed.remove(&target).unwrap_or_default();
-                    out.push((target, datagram(Some(data), &acks)));
+                    out.push((target, datagram(Some((seq, *ctx, payload)), &acks)));
                 });
                 // Whatever no data datagram took along goes out on its own,
                 // one datagram per peer.
@@ -443,8 +446,12 @@ pub fn register(
 mod tests {
     use super::*;
 
-    #[test]
-    fn ctx_hops_stays_bounded_through_recv_data() {
+    /// A one-site RelComm stack over a manual network, traced (a tracer
+    /// installed in its state, as `Node` does) or not, fed `frames` inbound
+    /// data frames from site 1: one fresh operation per frame, each carrying
+    /// a causal context at hop 2 — what every site sees under load from
+    /// traced peers.
+    fn fed(traced: bool, frames: u64) -> ProtocolState<RelCommState> {
         use crate::msgs::{CastData, CastMsg};
         use samoa_net::{NetConfig, SimNet};
 
@@ -452,16 +459,16 @@ mod tests {
         let mut b = StackBuilder::new();
         let pid = b.protocol("RelComm");
         let ev = Events::declare(&mut b);
-        let state = ProtocolState::new(
-            pid,
-            RelCommState::new(SiteId(0), GroupView::of_first(2), Duration::from_millis(25)),
-        );
+        let mut st =
+            RelCommState::new(SiteId(0), GroupView::of_first(2), Duration::from_millis(25));
+        if traced {
+            let sink = samoa_core::TraceBuffer::new() as Arc<dyn samoa_core::TraceSink>;
+            st.tracer = Some(ClusterTracer::new(SiteId(0), sink, st.clock.now()));
+        }
+        let state = ProtocolState::new(pid, st);
         register(&mut b, pid, &ev, state.clone(), Arc::new(net.handle()));
         let rt = Runtime::new(b.build());
-
-        // One fresh operation per frame: what every site sees under load.
-        let ops = 10 * CTX_HOPS_CAP as u64;
-        for op in 1..=ops {
+        for op in 1..=frames {
             let uid = MsgUid {
                 origin: SiteId(1),
                 seq: op,
@@ -483,24 +490,44 @@ mod tests {
             rt.isolated(&[pid], |ctx| ctx.trigger(ev.rc_data, EventData::new(m)))
                 .expect("recv_data");
         }
-        let probe = |op| {
-            Payload::Cast(CastMsg {
-                uid: MsgUid {
-                    origin: SiteId(1),
-                    seq: op,
-                },
-                data: CastData::User(Bytes::new()),
-            })
-        };
-        state.read(|s| {
+        state
+    }
+
+    /// What a frame serving operation `op` of site 1 would carry.
+    fn ctx_of(s: &RelCommState, op: u64) -> Option<TraceCtx> {
+        use crate::msgs::{CastData, CastMsg};
+        s.ctx_for(&Payload::Cast(CastMsg {
+            uid: MsgUid {
+                origin: SiteId(1),
+                seq: op,
+            },
+            data: CastData::User(Bytes::new()),
+        }))
+    }
+
+    #[test]
+    fn ctx_hops_stays_bounded_through_recv_data() {
+        let ops = 10 * CTX_HOPS_CAP as u64;
+        fed(true, ops).read(|s| {
             assert_eq!(s.ctx_hops.hops.len(), CTX_HOPS_CAP);
             assert_eq!(s.ctx_hops.order.len(), CTX_HOPS_CAP);
             // The newest operation is remembered, an evicted one reads as
             // locally originated.
-            assert_eq!(s.ctx_for(&probe(ops)).map(|c| c.hop), Some(3));
-            assert_eq!(s.ctx_for(&probe(1)).map(|c| c.hop), Some(0));
+            assert_eq!(ctx_of(s, ops).map(|c| c.hop), Some(3));
+            assert_eq!(ctx_of(s, 1).map(|c| c.hop), Some(0));
             // The owed-ack list is bounded by its cap the same way.
             assert!(s.owed.values().all(|v| v.len() < OWED_ACK_CAP));
+        });
+    }
+
+    #[test]
+    fn an_untraced_site_learns_no_hops_and_attaches_no_context() {
+        // Even fed contexts by traced peers: nothing is learned, nothing is
+        // attached, and delivery is what it was.
+        fed(false, 100).read(|s| {
+            assert!(s.ctx_hops.hops.is_empty() && s.ctx_hops.order.is_empty());
+            assert_eq!(ctx_of(s, 100), None);
+            assert_eq!(s.rx.floor(SiteId(1)), 100);
         });
     }
 

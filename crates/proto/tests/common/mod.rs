@@ -18,7 +18,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use samoa_net::sim::DeliveryFn;
 use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, Transport};
-use samoa_proto::{Node, NodeConfig, Payload, ProtoClock, Wire};
+use samoa_proto::{Node, NodeConfig, Payload, ProtoClock, TraceCtx, Wire};
 
 pub const RTO: Duration = Duration::from_millis(25);
 
@@ -41,6 +41,8 @@ pub struct Sent {
 pub struct Recorder {
     inner: NetHandle,
     log: Mutex<Vec<Sent>>,
+    /// The causal context of every data frame that carried one.
+    contexts: Mutex<Vec<TraceCtx>>,
 }
 
 impl Recorder {
@@ -48,7 +50,12 @@ impl Recorder {
         Arc::new(Recorder {
             inner: net.handle(),
             log: Mutex::new(Vec::new()),
+            contexts: Mutex::new(Vec::new()),
         })
+    }
+
+    pub fn contexts(&self) -> Vec<TraceCtx> {
+        self.contexts.lock().expect("recorder contexts").clone()
     }
 
     pub fn log(&self) -> Vec<Sent> {
@@ -60,7 +67,11 @@ impl Transport for Recorder {
     fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
         let frames = Wire::decode_all(payload.clone()).expect("RelComm sent a malformed datagram");
         let (data, carried) = match frames.first() {
-            Some(Wire::Data { seq, payload, .. }) => (Some(*seq), Some(payload.clone())),
+            Some(Wire::Data { seq, ctx, payload }) => {
+                let mut contexts = self.contexts.lock().expect("recorder contexts");
+                contexts.extend(*ctx);
+                (Some(*seq), Some(payload.clone()))
+            }
             _ => (None, None),
         };
         let acks = frames[usize::from(data.is_some())..]

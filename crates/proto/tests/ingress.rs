@@ -20,12 +20,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use samoa_core::sched::NoopHook;
-use samoa_core::{SchedHook, TraceEvent, TraceKind, TraceSink};
+use samoa_core::{Registry, SchedHook, TraceEvent, TraceKind, TraceSink};
 use samoa_net::{NetConfig, SimNet};
 use samoa_proto::{Cluster, Node, NodeConfig, Observe, StackPolicy, TcpCluster};
 
@@ -314,5 +314,88 @@ fn every_entry_thread_at_once_converges_over_tcp_without_a_worker() {
             }
         };
         hammer(&format!("tcp, {policy}"), &nodes, &sink, converge);
+    }
+}
+
+/// Notes, at every exit of the Kv handler and on the thread that ran it,
+/// how many replies this site had handed to its clients by then
+/// (`KvWaiters::complete` is what fills `site0.kv.apply_latency_us`).
+struct ReplyProbe {
+    kv_handler: OnceLock<samoa_core::HandlerId>,
+    registry: Arc<Registry>,
+    at_exit: Mutex<Vec<(u64, String)>>,
+}
+
+impl ReplyProbe {
+    fn replies(&self) -> u64 {
+        let snap = self.registry.snapshot();
+        snap.histograms["site0.kv.apply_latency_us"].count
+    }
+}
+
+impl TraceSink for ReplyProbe {
+    fn event(&self, ev: TraceEvent) {
+        if let TraceKind::HandlerExit { handler, .. } = ev.kind {
+            if self.kv_handler.get() == Some(&handler) {
+                let name = thread::current().name().unwrap_or("").to_string();
+                self.at_exit.lock().unwrap().push((self.replies(), name));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_reply_leaves_after_rule_3_so_whoever_it_wakes_finds_nothing_held() {
+    let _serial = serial();
+    // One site commits on its own, in the computation `kv_put` brings: run
+    // by the caller under `Basic`, by a worker — which then has to wake the
+    // caller out of `KvPending::wait` — under `Route`.
+    for (policy, worker) in [
+        (StackPolicy::Basic, None),
+        (StackPolicy::Route, Some("samoa-worker")),
+    ] {
+        let probe = Arc::new(ReplyProbe {
+            kv_handler: OnceLock::new(),
+            registry: Arc::new(Registry::new()),
+            at_exit: Mutex::default(),
+        });
+        let cfg = NodeConfig {
+            policy,
+            enable_timers: false,
+            ..NodeConfig::default()
+        };
+        let observe = Observe {
+            sink: Some(Arc::clone(&probe) as Arc<dyn TraceSink>),
+            registry: Some(Arc::clone(&probe.registry)),
+            epoch: None,
+        };
+        let net = SimNet::new_manual(1, NetConfig::fast(1));
+        let c = Cluster::new_observed_on(net, cfg, None, observe);
+        let rt = c.node(0).runtime();
+        let kv = rt.stack().handler_by_name("kv.on_adeliver");
+        probe.kv_handler.set(kv.expect("the Kv handler")).unwrap();
+
+        let reply = c.node(0).kv_put("k", "v").wait(PATIENCE);
+        // Taken by the thread `wait` let go, before anything else runs.
+        let snapshot = rt.debug_snapshot();
+        assert!(reply.is_some(), "{policy}: no reply");
+        for line in snapshot.lines().skip(1) {
+            assert!(
+                line.contains(" pending=0 "),
+                "{policy}: woken into\n{snapshot}"
+            );
+        }
+        // And not by luck: when the handler that applied the command
+        // returned, on the thread that ran the computation, no reply had
+        // left yet; exactly one has now.
+        let me = thread::current();
+        let ran_on = worker.or(me.name()).expect("test threads are named");
+        assert_eq!(
+            *probe.at_exit.lock().unwrap(),
+            [(0, ran_on.to_string())],
+            "{policy}: replies out at the Kv handler's exit, and its thread"
+        );
+        assert_eq!(probe.replies(), 1, "{policy}");
+        assert_eq!(c.node(0).external_errors(), 0, "{policy}");
     }
 }

@@ -74,12 +74,34 @@ fn arb_cons() -> impl Strategy<Value = ConsMsg> {
     ]
 }
 
+/// Delivered ranges as a `SyncMsg` ships them: by origin, ascending and
+/// disjoint within one; no origin, one range and several all occur.
+fn arb_delivered() -> impl Strategy<Value = Vec<(SiteId, u64, u64)>> {
+    let steps = proptest::collection::vec((1..1000u64, 0..1000u64), 0..4);
+    proptest::collection::vec((any::<u16>(), any::<u32>(), steps), 0..5).prop_map(|origins| {
+        let by_origin: std::collections::BTreeMap<u16, _> = origins
+            .into_iter()
+            .map(|(origin, start, steps)| (origin, (start, steps)))
+            .collect();
+        let mut out = Vec::new();
+        for (origin, (start, steps)) in by_origin {
+            let mut next = u64::from(start);
+            for (gap, span) in steps {
+                let lo = next + gap;
+                out.push((SiteId(origin), lo, lo + span));
+                next = lo + span + 1;
+            }
+        }
+        out
+    })
+}
+
 fn arb_sync() -> impl Strategy<Value = SyncMsg> {
     (
         any::<u64>(),
         any::<u64>(),
         proptest::collection::vec(any::<u16>(), 0..6),
-        proptest::collection::vec(arb_uid(), 0..12),
+        arb_delivered(),
         arb_batch(),
     )
         .prop_map(
