@@ -446,7 +446,7 @@ impl Scenario for ClusterScenario {
                     budget.crashes -= 1;
                 }
                 id if (SUSPECT_BASE..SUSPECT_BASE + n as u32).contains(&id) => {
-                    clock.advance(cfg.fd_timeout + cfg.tick_interval);
+                    clock.advance(cfg.fd_timeout + samoa_proto::TICK_INTERVAL);
                     nodes[(id - SUSPECT_BASE) as usize].inject_fd_tick();
                     budget.suspicions -= 1;
                 }

@@ -17,7 +17,7 @@ use samoa_core::prelude::*;
 use samoa_core::sched::SchedResource;
 use samoa_core::{History, SchedHook};
 use samoa_net::{NetConfig, SimNet, SiteId};
-use samoa_transport::{Endpoint, TransportConfig, TransportPolicy};
+use samoa_transport::{Endpoint, TransportConfig};
 
 use crate::independence::StaticIndependence;
 
@@ -646,25 +646,20 @@ impl Scenario for ViewChangeScenario {
 /// endpoint histories stay serializable (checked by the explorer) and both
 /// messages are delivered intact.
 pub struct TransportWindowScenario {
-    policy: TransportPolicy,
+    policy: Policy,
     net_seed: u64,
 }
 
 impl TransportWindowScenario {
     /// A two-message window workload under `policy`.
-    pub fn new(policy: TransportPolicy, net_seed: u64) -> TransportWindowScenario {
+    pub fn new(policy: Policy, net_seed: u64) -> TransportWindowScenario {
         TransportWindowScenario { policy, net_seed }
     }
 }
 
 impl Scenario for TransportWindowScenario {
     fn name(&self) -> String {
-        match self.policy {
-            TransportPolicy::Unsync => "transport-window/unsync",
-            TransportPolicy::Serial => "transport-window/serial",
-            TransportPolicy::Basic => "transport-window/basic",
-        }
-        .into()
+        format!("transport-window/{}", self.policy)
     }
 
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {

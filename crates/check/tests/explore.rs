@@ -8,7 +8,6 @@ use samoa_check::{
     ViewChangeScenario,
 };
 use samoa_core::Policy;
-use samoa_transport::TransportPolicy;
 
 #[test]
 fn random_walk_finds_unsync_diamond_violation_within_500() {
@@ -289,7 +288,7 @@ fn transport_window_explores_clean_under_basic_policy() {
     // Exploration-only (the transport stack hashes internally, so pinned
     // replay is not asserted here): the sliding window must deliver both
     // messages and stay serializable on every schedule tried.
-    let scenario = TransportWindowScenario::new(TransportPolicy::Basic, 4);
+    let scenario = TransportWindowScenario::new(Policy::Basic, 4);
     let got = Explorer::explore(
         &scenario,
         &ExplorerConfig::new(50, Strategy::Random { seed: 8 }),

@@ -29,7 +29,7 @@
 //! | `core/computation.rs` `release_pending` | `pending` (atomic); passes through `queue` |
 //! | `net/sim.rs`, 8 sites on `cv` and `quiesce_cv` | heap, `delivering`, `shutdown`: all under `state` |
 //! | `net/tcp.rs` `send`; `shutdown` | frame queued under `peer.state`; `shutdown` (atomic) passes through it |
-//! | `proto/kv.rs` `complete`, `proto/node.rs` `ExtSlot::drop` | reply stored under `cell.slot`; `count` lowered under `count` |
+//! | `proto/kv.rs` `complete`, `core/external.rs` `ExtSlot::drop` | reply stored under `cell.slot`; `count` lowered under `count` |
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

@@ -1,7 +1,7 @@
 //! The executor: a process-wide cache of OS threads with direct hand-off.
 //!
 //! Every thread the runtime creates — a detached computation's root
-//! ([`Runtime::spawn_guarded`](crate::Runtime::spawn_guarded)) and the
+//! ([`Runtime::spawn`](crate::Runtime::spawn)) and the
 //! helper workers a computation grows for asynchronous work — comes from
 //! [`execute`]. A job is handed to the most recently parked idle worker
 //! (LIFO: the one whose stack and caches are warmest), and only when none is
@@ -18,19 +18,11 @@
 //! could sit queued behind workers blocked on it) and needs computations that
 //! can give their thread back while they wait.
 //!
-//! A computation's thread need not come from here at all. The blocking
-//! [`Runtime::run`](crate::Runtime::run) — the paper's `isolated M e`,
-//! evaluated by the thread that reached it — runs the root on the *caller*,
-//! and the hosted stacks use it for every external event whose policy cannot
-//! overlap another ([`Policy::overlaps`](crate::Policy::overlaps) is false):
-//! the network's delivery thread, the timer or the client runs the
-//! computation to completion itself. The argument is the same one: such an
-//! entry thread waits only on strictly older computations, each of which owns
-//! a thread — its own entry thread or a worker of this cache — and nothing
-//! inside a computation ever waits on an entry point (a network send only
-//! enqueues; no handler calls a host's external API), so no wait leads back
-//! to the waiter. What the caller gives up is its own progress, never
-//! someone else's thread.
+//! A computation's thread need not come from here at all: the blocking
+//! [`Runtime::run`](crate::Runtime::run) runs the root on the *caller*, and
+//! [`Runtime::external`](crate::Runtime::external) uses it for every
+//! external event whose policy cannot overlap another — the same argument,
+//! made there.
 //!
 //! Each worker parks on a slot of its own, so a hand-off wakes exactly one
 //! thread. This parking is private to the executor: it is not a Rule-2 wait

@@ -414,20 +414,16 @@
 //! RelComm and worth knowing about:
 //!
 //! * **Admission control.** Every computation holds an OS thread while it
-//!   runs (§11), so an unbounded socket reader can exhaust threads. Where
-//!   the policy holds what it declares to completion
-//!   ([`Policy::overlaps`](crate::Policy::overlaps) is false: `Serial`,
-//!   `Basic`, `TwoPhase`) that thread is the one that brought the event:
-//!   the reader, timer or client runs the computation itself
-//!   ([`Runtime::run`](crate::Runtime::run)) and returns when it has
-//!   completed, so a node never has more computations than entry threads
-//!   and the backlog waits as bytes in the socket buffer. Where
-//!   computations do overlap (`Unsync`, `Bound`, `Route`) each is detached
-//!   ([`Runtime::spawn`]) and nodes gate them (at most 64 in flight per
-//!   node, a constant of `samoa-proto`) with a slot that rides the *whole*
-//!   root job — body plus the asynchronous-trigger drain phase — via
-//!   `Runtime::spawn_guarded`, whose `on_end` is also where a computation
-//!   nobody joins gets its error counted.
+//!   runs (§11), so an unbounded socket reader can exhaust threads. A host
+//!   therefore starts no computation itself: it hands each external event
+//!   to [`Runtime::external`](crate::Runtime::external), which runs what
+//!   cannot overlap (`Serial`, `Basic`, `TwoPhase`) on the thread that
+//!   brought it — a node never has more computations than entry threads,
+//!   and the backlog waits as bytes in the socket buffer — detaches what
+//!   can (`Unsync`, `Bound`, `Route`) behind a gate of 64 slots, each held
+//!   for the *whole* root job, body plus the asynchronous-trigger drain
+//!   phase, and counts the computations nobody joins that ended in an error
+//!   ([`RuntimeStats::external_errors`](crate::RuntimeStats)).
 //! * **Adaptive retransmission.** A fixed RTO below the loaded RTT turns
 //!   load into a retransmit storm (each duplicate costs the receiver a
 //!   serialized computation, raising the RTT further). RelComm tracks a

@@ -50,6 +50,7 @@ pub mod ctx;
 pub mod error;
 pub mod event;
 mod exec;
+pub mod external;
 pub mod graph;
 pub mod guide;
 pub mod handler;
@@ -68,6 +69,7 @@ pub use analysis::{Diagnostic, Report, Severity};
 pub use ctx::Ctx;
 pub use error::{CompId, Result, SamoaError};
 pub use event::{EventData, EventType};
+pub use external::External;
 pub use graph::RoutePattern;
 pub use handler::HandlerId;
 pub use history::{check_serializable, Access, History, IsolationViolation, RunEntry};
@@ -89,6 +91,7 @@ pub mod prelude {
     pub use crate::ctx::Ctx;
     pub use crate::error::{Result, SamoaError};
     pub use crate::event::{EventData, EventType};
+    pub use crate::external::External;
     pub use crate::graph::RoutePattern;
     pub use crate::handler::HandlerId;
     pub use crate::policy::{AccessMode, Policy};

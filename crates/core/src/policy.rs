@@ -104,11 +104,10 @@ impl Policy {
     /// `TwoPhase` hold what they declare to completion (Rule 3), so two
     /// computations that share a microprotocol run one after the other and
     /// a thread given to the younger can only wait; `Bound` and `Route`
-    /// release early (Rule 4) and `Unsync` never waits. A host that has to
-    /// pick a thread for each external event reads this: what cannot
-    /// overlap may as well run to completion on the thread that brought it
-    /// ([`Runtime::run`](crate::Runtime::run)).
-    pub fn overlaps(self) -> bool {
+    /// release early (Rule 4) and `Unsync` never waits. Read in one place,
+    /// [`Runtime::external`](crate::Runtime::external): what cannot overlap
+    /// runs to completion on the thread that brought it.
+    pub(crate) fn overlaps(self) -> bool {
         matches!(self, Policy::Unsync | Policy::Bound | Policy::Route)
     }
 

@@ -18,6 +18,10 @@
 //! would wait for the outer's versions while the outer waits for the inner
 //! to finish. Use [`Runtime::spawn`] for causally dependent external events
 //! (the paper's computations *caused by* a computation, §2).
+//!
+//! A *host* — a node with sockets, timers and clients around a runtime —
+//! picks neither: it hands each external event to [`Runtime::external`],
+//! which holds the ingress rule (see [`crate::external`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +32,7 @@ use parking_lot::Mutex;
 use crate::computation::{panic_message, ComputationInner, PostAction};
 use crate::ctx::Ctx;
 use crate::error::{CompId, Result, SamoaError};
+use crate::external::ExtGate;
 use crate::graph::{RoutePattern, RouteState};
 use crate::handler::HandlerId;
 use crate::history::{History, HistoryRecorder, IsolationViolation};
@@ -156,6 +161,11 @@ pub struct RuntimeStats {
     /// Times a thread blocked on a version cell woke up and re-checked its
     /// admission/completion predicate — how "churny" the version waits are.
     pub version_wait_wakeups: u64,
+    /// External computations ([`Runtime::external`]) that ended in an error,
+    /// wherever in the computation it was raised. Nobody joins them, so this
+    /// count is the only place a host's swallowed error shows; 0 on a
+    /// healthy stack.
+    pub external_errors: u64,
 }
 
 impl std::fmt::Display for RuntimeStats {
@@ -164,7 +174,7 @@ impl std::fmt::Display for RuntimeStats {
             f,
             "{} computations ({} completed), {} handler calls, \
              admission wait {:.3}ms, {} bound / {} route early releases, \
-             {} version-wait wakeups",
+             {} version-wait wakeups, {} external errors",
             self.computations_spawned,
             self.computations_completed,
             self.handler_calls,
@@ -172,6 +182,7 @@ impl std::fmt::Display for RuntimeStats {
             self.bound_releases,
             self.route_releases,
             self.version_wait_wakeups,
+            self.external_errors,
         )
     }
 }
@@ -188,6 +199,7 @@ pub(crate) struct StatCounters {
     /// this same counter on waiter wake-ups), so the stats snapshot is a
     /// single load.
     version_wait_wakeups: Arc<AtomicU64>,
+    external_errors: AtomicU64,
 }
 
 impl StatCounters {
@@ -206,6 +218,10 @@ impl StatCounters {
 
     pub(crate) fn note_route_releases(&self, n: u64) {
         self.route_releases.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_external_error(&self) {
+        self.external_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -239,6 +255,8 @@ pub(crate) struct RuntimeInner {
     /// parks on the `quiesce` seam only while this is nonzero.
     active: AtomicU64,
     quiesce: ParkSeam,
+    /// Bounds the detached computations of [`Runtime::external`].
+    pub(crate) ext_gate: Arc<ExtGate>,
 }
 
 /// A condition a thread of this runtime can be descheduled on — as data,
@@ -433,7 +451,7 @@ impl RuntimeInner {
 /// The entry point of the framework. Cheap to clone (`Arc` inside).
 #[derive(Clone)]
 pub struct Runtime {
-    inner: Arc<RuntimeInner>,
+    pub(crate) inner: Arc<RuntimeInner>,
 }
 
 impl Runtime {
@@ -515,6 +533,7 @@ impl Runtime {
                 comp_seq: AtomicU64::new(0),
                 active: AtomicU64::new(0),
                 quiesce: ParkSeam::default(),
+                ext_gate: Arc::default(),
                 stack,
                 config,
             }),
@@ -813,15 +832,14 @@ impl Runtime {
     /// wherever the root job is the worker that completes the computation
     /// (always, in a single-threaded one; a helper worker that leaves first
     /// completes it instead, and `join` is then what waits for it) — before
-    /// the thread that ran the job can take another. Nobody need join such a
-    /// computation: hosts count its failure here, and use the call (or,
-    /// should the job panic, the drop of what `on_end` captured) as the
-    /// completion signal for backpressure. Signalling when the *body*
-    /// returns would under-count:
-    /// the job can still block in the drain phase long after (see the
-    /// worker loop), and unbounded spawn rates then exhaust OS threads
-    /// regardless of any body-scoped accounting.
-    pub fn spawn_guarded(
+    /// the thread that ran the job can take another. The detached arm of
+    /// [`Runtime::external`]: it counts the failure there and uses the call
+    /// (or, should the job panic, the drop of what `on_end` captured) as
+    /// the completion signal for backpressure. Signalling when the *body*
+    /// returns would under-count: the job can still block in the drain phase
+    /// long after (see the worker loop), and unbounded spawn rates then
+    /// exhaust OS threads regardless of any body-scoped accounting.
+    pub(crate) fn spawn_guarded(
         &self,
         decl: Decl<'_>,
         on_end: impl FnOnce(Option<&SamoaError>) + Send + 'static,
@@ -1015,6 +1033,7 @@ impl Runtime {
                 .stats
                 .version_wait_wakeups
                 .load(Ordering::Relaxed),
+            external_errors: self.inner.stats.external_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -1130,6 +1149,11 @@ fn dedup_max(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventData;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn dedup_max_merges() {
@@ -1285,6 +1309,107 @@ mod tests {
         assert_eq!(script.take_calls(), ["block Quiesce", "signal Quiesce"]);
         // Only version waits count as version-wait wake-ups.
         assert_eq!(rt.stats().version_wait_wakeups, 0);
+    }
+
+    /// One microprotocol whose handler (on the one event) runs `f`.
+    fn flat_stack(
+        f: impl Fn() + Send + Sync + 'static,
+    ) -> (Runtime, [ProtocolId; 1], crate::EventType) {
+        use crate::stack::StackBuilder;
+        let mut b = StackBuilder::new();
+        let p = b.protocol("P0");
+        let e = b.event("E0");
+        b.bind(e, p, "h0", move |_, _| {
+            f();
+            Ok(())
+        });
+        (Runtime::new(b.build()), [p], e)
+    }
+
+    /// A `spawn_guarded` guard that counts itself and remembers being dropped.
+    struct Slot {
+        live: Arc<AtomicUsize>,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl Drop for Slot {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn the_guard_ends_with_the_root_job_before_the_worker_is_reused() {
+        let (rt, protocols, e) = flat_stack(|| {});
+        let live = Arc::new(AtomicUsize::new(0));
+        // Per worker thread: the guard of the last job it ran.
+        let last_guard = Arc::new(Mutex::new(HashMap::<ThreadId, Arc<AtomicBool>>::new()));
+        let early_reuse = Arc::new(AtomicUsize::new(0));
+        for _ in 0..500 {
+            let dropped = Arc::new(AtomicBool::new(false));
+            live.fetch_add(1, Ordering::SeqCst);
+            let guard = Slot {
+                live: Arc::clone(&live),
+                dropped: Arc::clone(&dropped),
+            };
+            let (last_guard, early_reuse) = (Arc::clone(&last_guard), Arc::clone(&early_reuse));
+            rt.spawn_guarded(
+                Decl::Basic(&protocols),
+                move |_| drop(guard),
+                move |ctx| {
+                    let previous = last_guard
+                        .lock()
+                        .insert(std::thread::current().id(), dropped);
+                    if previous.is_some_and(|p| !p.load(Ordering::SeqCst)) {
+                        early_reuse.fetch_add(1, Ordering::SeqCst);
+                    }
+                    // Asynchronous work keeps the root job going past the body.
+                    ctx.async_trigger(e, EventData::empty())
+                },
+            )
+            .join()
+            .unwrap();
+        }
+        assert_eq!(
+            early_reuse.load(Ordering::SeqCst),
+            0,
+            "a worker took a new job while still holding the previous job's guard"
+        );
+        // `quiesce` (like `join`) returns at Rule 3; the root jobs drop their
+        // guards right after, on their way back into the cache.
+        rt.quiesce();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while live.load(Ordering::SeqCst) > 0 {
+            assert!(Instant::now() < deadline, "guards outlived their jobs");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn on_end_is_told_of_an_error_raised_in_the_asynchronous_drain() {
+        let (rt, protocols, e) = flat_stack(|| panic!("down in the drain"));
+        let (told, told_rx) = std::sync::mpsc::channel();
+        let handle = rt.spawn_guarded(
+            Decl::Basic(&protocols),
+            move |first_error| told.send(first_error.cloned()).expect("the test listens"),
+            // The body itself succeeds; the queued call fails after it returned.
+            move |ctx| ctx.async_trigger(e, EventData::empty()),
+        );
+        let first_error = told_rx.recv().expect("on_end ran");
+        assert!(
+            matches!(&first_error, Some(SamoaError::HandlerPanic { message, .. }) if message == "down in the drain"),
+            "{first_error:?}"
+        );
+        assert_eq!(handle.join().err(), first_error, "join reports the same");
+        // And a computation that ends well is reported as such.
+        let (told, told_rx) = std::sync::mpsc::channel();
+        rt.spawn_guarded(
+            Decl::Basic(&protocols),
+            move |first_error| told.send(first_error.cloned()).expect("the test listens"),
+            |_| Ok(()),
+        );
+        assert_eq!(told_rx.recv(), Ok(None));
     }
 
     /// Stack with a dangling trigger: "a" declares it triggers an event with

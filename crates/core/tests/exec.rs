@@ -1,13 +1,13 @@
 //! The executor behind `Runtime::spawn`: threads are reused, jobs are never
-//! queued, panics do not cost a worker, `spawn_guarded`'s `on_end` runs as
-//! the job ends and is told how the computation went, and idle workers go
-//! away.
+//! queued, panics do not cost a worker, and idle workers go away. (What a
+//! root job's `on_end` is told, and when, is pinned next to the crate-private
+//! `spawn_guarded`, in `runtime.rs`.)
 //!
 //! The executor is process-wide, so the tests in this file take one lock and
 //! run one at a time: what each observes (distinct thread ids, how many
 //! workers exist) would otherwise include its neighbours' computations.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread::ThreadId;
@@ -142,97 +142,6 @@ fn a_panic_surfaces_on_join_and_does_not_cost_the_worker() {
         "100 panicking computations ran on {distinct} threads"
     );
     rt.spawn(Decl::Basic(&[]), |_| Ok(())).join().unwrap();
-}
-
-/// A `spawn_guarded` guard that counts itself and remembers being dropped.
-struct Slot {
-    live: Arc<AtomicUsize>,
-    dropped: Arc<AtomicBool>,
-}
-
-impl Drop for Slot {
-    fn drop(&mut self) {
-        self.dropped.store(true, Ordering::SeqCst);
-        self.live.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-#[test]
-fn the_guard_ends_with_the_root_job_before_the_worker_is_reused() {
-    let _one = exclusive();
-    let (rt, protocols, events) = flat_stack(1, || {});
-    let e = events[0];
-    let live = Arc::new(AtomicUsize::new(0));
-    // Per worker thread: the guard of the last job it ran.
-    let last_guard = Arc::new(Mutex::new(HashMap::<ThreadId, Arc<AtomicBool>>::new()));
-    let early_reuse = Arc::new(AtomicUsize::new(0));
-    for _ in 0..500 {
-        let dropped = Arc::new(AtomicBool::new(false));
-        live.fetch_add(1, Ordering::SeqCst);
-        let guard = Slot {
-            live: Arc::clone(&live),
-            dropped: Arc::clone(&dropped),
-        };
-        let (last_guard, early_reuse) = (Arc::clone(&last_guard), Arc::clone(&early_reuse));
-        rt.spawn_guarded(
-            Decl::Basic(&protocols),
-            move |_| drop(guard),
-            move |ctx| {
-                let previous = last_guard
-                    .lock()
-                    .unwrap()
-                    .insert(std::thread::current().id(), dropped);
-                if previous.is_some_and(|p| !p.load(Ordering::SeqCst)) {
-                    early_reuse.fetch_add(1, Ordering::SeqCst);
-                }
-                // Asynchronous work keeps the root job going past the body.
-                ctx.async_trigger(e, EventData::empty())
-            },
-        )
-        .join()
-        .unwrap();
-    }
-    assert_eq!(
-        early_reuse.load(Ordering::SeqCst),
-        0,
-        "a worker took a new job while still holding the previous job's guard"
-    );
-    // `quiesce` (like `join`) returns at Rule 3; the root jobs drop their
-    // guards right after, on their way back into the cache.
-    rt.quiesce();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while live.load(Ordering::SeqCst) > 0 {
-        assert!(Instant::now() < deadline, "guards outlived their jobs");
-        std::thread::yield_now();
-    }
-}
-
-#[test]
-fn on_end_is_told_of_an_error_raised_in_the_asynchronous_drain() {
-    let _one = exclusive();
-    let (rt, protocols, events) = flat_stack(1, || panic!("down in the drain"));
-    let e = events[0];
-    let (told, told_rx) = std::sync::mpsc::channel();
-    let handle = rt.spawn_guarded(
-        Decl::Basic(&protocols),
-        move |first_error| told.send(first_error.cloned()).expect("the test listens"),
-        // The body itself succeeds; the queued call fails after it returned.
-        move |ctx| ctx.async_trigger(e, EventData::empty()),
-    );
-    let first_error = told_rx.recv().expect("on_end ran");
-    assert!(
-        matches!(&first_error, Some(SamoaError::HandlerPanic { message, .. }) if message == "down in the drain"),
-        "{first_error:?}"
-    );
-    assert_eq!(handle.join().err(), first_error, "join reports the same");
-    // And a computation that ends well is reported as such.
-    let (told, told_rx) = std::sync::mpsc::channel();
-    rt.spawn_guarded(
-        Decl::Basic(&protocols),
-        move |first_error| told.send(first_error.cloned()).expect("the test listens"),
-        |_| Ok(()),
-    );
-    assert_eq!(told_rx.recv(), Ok(None));
 }
 
 /// Threads of this process named like the executor's workers.

@@ -165,3 +165,53 @@ fn contended_admission_counts_wakeups() {
         "kb's blocked admission must have woken at least once"
     );
 }
+
+/// What the one handler of the `external_errors` test is asked to do.
+#[derive(Clone, Copy)]
+enum Ask {
+    Succeed,
+    Fail,
+    /// Queue a `Fail` for the asynchronous drain and return `Ok`.
+    FailLater,
+}
+
+#[test]
+fn external_errors_counts_each_failed_external_wherever_it_failed() {
+    let mut b = StackBuilder::new();
+    let p = b.protocol("P");
+    let e = b.event("e");
+    b.bind_with_triggers(e, p, "h", &[e], move |ctx, data| {
+        match *data.expect::<Ask>(e)? {
+            Ask::Succeed => Ok(()),
+            Ask::Fail => Err(SamoaError::protocol("asked to")),
+            Ask::FailLater => ctx.async_trigger(e, EventData::new(Ask::Fail)),
+        }
+    });
+    let stack = b.build();
+    let ext = External::new(&stack, e, &[p], 2);
+    let rt = Runtime::new(stack);
+    // `Basic` runs on this thread, `Bound` on a worker; the count is read
+    // once the runtime is idle *and* the detached root job has left.
+    let settled = |want: u64| {
+        rt.quiesce();
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while rt.stats().external_errors < want {
+            assert!(std::time::Instant::now() < deadline, "{want} never counted");
+            std::thread::yield_now();
+        }
+        rt.stats().external_errors
+    };
+    let mut want = 0;
+    for policy in [Policy::Basic, Policy::Bound] {
+        rt.external(policy, &ext, EventData::new(Ask::Succeed));
+        assert_eq!(settled(want), want, "{policy}: a success was counted");
+        for ask in [Ask::Fail, Ask::FailLater] {
+            rt.external(policy, &ext, EventData::new(ask));
+            want += 1;
+            assert_eq!(settled(want), want, "{policy}");
+        }
+    }
+    let s = rt.stats();
+    assert_eq!(s.computations_spawned, 6);
+    assert_eq!(s.computations_completed, 6);
+}

@@ -48,5 +48,5 @@ pub use clock::{ProtoClock, Ticker};
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};
 pub use stats::SiteStats;
-pub use tcp::{TcpConfig, TcpMesh, TcpNet, TcpStats};
+pub use tcp::{TcpMesh, TcpNet, TcpStats};
 pub use transport::{Transport, STAT_NAMES};

@@ -56,32 +56,17 @@ use parking_lot::{Condvar, Mutex};
 use crate::sim::{Datagram, DeliveryFn, SiteId};
 use crate::transport::Transport;
 
-/// Tunables of a [`TcpNet`] endpoint.
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Per-peer outbound queue capacity, in frames. On overflow the oldest
-    /// frame is dropped (and counted) — `send` never blocks.
-    pub queue_capacity: usize,
-    /// First reconnect backoff after a failed connect or a torn stream.
-    pub backoff_min: Duration,
-    /// Backoff ceiling (doubling from `backoff_min`).
-    pub backoff_max: Duration,
-    /// Largest accepted frame body (`from` tag + payload), in bytes;
-    /// oversized or undersized length prefixes tear the connection and
-    /// count as decode errors.
-    pub max_frame: usize,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            queue_capacity: 4096,
-            backoff_min: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(500),
-            max_frame: 16 << 20,
-        }
-    }
-}
+/// Per-peer outbound queue capacity, in frames. On overflow the oldest
+/// frame is dropped (and counted) — `send` never blocks.
+const QUEUE_CAPACITY: usize = 4096;
+/// First reconnect backoff after a failed connect or a torn stream.
+const BACKOFF_MIN: Duration = Duration::from_millis(5);
+/// Backoff ceiling (doubling from [`BACKOFF_MIN`]).
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+/// Largest accepted frame body (`from` tag + payload), in bytes; oversized
+/// or undersized length prefixes tear the connection and count as decode
+/// errors.
+const MAX_FRAME: usize = 16 << 20;
 
 #[derive(Debug, Default)]
 struct TcpCounters {
@@ -143,7 +128,6 @@ struct TcpInner {
     /// The listener's actual bound address (differs from `addrs[site]` when
     /// that entry used port 0).
     listen_addr: SocketAddr,
-    cfg: TcpConfig,
     /// Locked while the callback runs: one delivery at a time (module docs).
     callback: Mutex<Option<Arc<DeliveryFn>>>,
     peers: Vec<Peer>,
@@ -165,37 +149,22 @@ impl TcpNet {
     /// loop. Every endpoint of a cluster must be given the identical
     /// `addrs` table (index = site id).
     pub fn bind(site: SiteId, addrs: Vec<SocketAddr>) -> std::io::Result<TcpNet> {
-        TcpNet::bind_with(site, addrs, TcpConfig::default())
-    }
-
-    /// [`TcpNet::bind`] with explicit tunables.
-    pub fn bind_with(
-        site: SiteId,
-        addrs: Vec<SocketAddr>,
-        cfg: TcpConfig,
-    ) -> std::io::Result<TcpNet> {
         assert!(
             site.index() < addrs.len(),
             "site {site} outside the address table ({} entries)",
             addrs.len()
         );
         let listener = TcpListener::bind(addrs[site.index()])?;
-        Ok(TcpNet::with_listener(site, addrs, listener, cfg))
+        Ok(TcpNet::with_listener(site, addrs, listener))
     }
 
-    fn with_listener(
-        site: SiteId,
-        addrs: Vec<SocketAddr>,
-        listener: TcpListener,
-        cfg: TcpConfig,
-    ) -> TcpNet {
+    fn with_listener(site: SiteId, addrs: Vec<SocketAddr>, listener: TcpListener) -> TcpNet {
         let n = addrs.len();
         let listen_addr = listener.local_addr().expect("listener has a local addr");
         let inner = Arc::new(TcpInner {
             site,
             addrs,
             listen_addr,
-            cfg,
             callback: Mutex::new(None),
             peers: (0..n)
                 .map(|_| Peer {
@@ -321,7 +290,7 @@ impl Transport for TcpNet {
         let frame = encode_frame(from, &payload);
         let peer = &inner.peers[to.index()];
         let mut st = peer.state.lock();
-        if st.queue.len() >= inner.cfg.queue_capacity {
+        if st.queue.len() >= QUEUE_CAPACITY {
             st.queue.pop_front();
             inner
                 .counters
@@ -418,7 +387,7 @@ fn reader_loop(inner: Arc<TcpInner>, mut stream: TcpStream) {
             return;
         }
         let len = u32::from_le_bytes(len_buf) as usize;
-        if len < 2 || len > inner.cfg.max_frame {
+        if !(2..=MAX_FRAME).contains(&len) {
             inner.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
             return; // tear the connection; the peer will reconnect
         }
@@ -463,7 +432,7 @@ fn writer_loop(inner: Arc<TcpInner>, to: SiteId) {
     let peer = &inner.peers[to.index()];
     let addr = inner.addrs[to.index()];
     let mut stream: Option<TcpStream> = None;
-    let mut backoff = inner.cfg.backoff_min;
+    let mut backoff = BACKOFF_MIN;
     loop {
         // Pop the next frame, waiting if the queue is empty.
         let frame = {
@@ -499,12 +468,12 @@ fn writer_loop(inner: Arc<TcpInner>, to: SiteId) {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
                     stream = Some(s);
-                    backoff = inner.cfg.backoff_min;
+                    backoff = BACKOFF_MIN;
                 }
                 Err(_) => {
                     inner.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(inner.cfg.backoff_max);
+                    backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
             }
         }
@@ -524,7 +493,7 @@ fn writer_loop(inner: Arc<TcpInner>, to: SiteId) {
                 inner.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                 stream = None;
                 let mut st = peer.state.lock();
-                if st.queue.len() >= inner.cfg.queue_capacity {
+                if st.queue.len() >= QUEUE_CAPACITY {
                     st.queue.pop_back();
                     inner
                         .counters
@@ -534,7 +503,7 @@ fn writer_loop(inner: Arc<TcpInner>, to: SiteId) {
                 st.queue.push_front(frame);
                 drop(st);
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(inner.cfg.backoff_max);
+                backoff = (backoff * 2).min(BACKOFF_MAX);
             }
         }
     }
@@ -551,11 +520,6 @@ pub struct TcpMesh {
 impl TcpMesh {
     /// Bind `n` endpoints on `127.0.0.1:0` (the OS picks free ports).
     pub fn new(n: usize) -> std::io::Result<TcpMesh> {
-        TcpMesh::with_config(n, TcpConfig::default())
-    }
-
-    /// [`TcpMesh::new`] with explicit tunables (shared by every endpoint).
-    pub fn with_config(n: usize, cfg: TcpConfig) -> std::io::Result<TcpMesh> {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0"))
             .collect::<std::io::Result<_>>()?;
@@ -566,14 +530,7 @@ impl TcpMesh {
         let nets = listeners
             .into_iter()
             .enumerate()
-            .map(|(i, l)| {
-                Arc::new(TcpNet::with_listener(
-                    SiteId(i as u16),
-                    addrs.clone(),
-                    l,
-                    cfg.clone(),
-                ))
-            })
+            .map(|(i, l)| Arc::new(TcpNet::with_listener(SiteId(i as u16), addrs.clone(), l)))
             .collect();
         Ok(TcpMesh { nets })
     }

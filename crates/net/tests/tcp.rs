@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use samoa_net::{SiteId, TcpConfig, TcpMesh, TcpNet, Transport};
+use samoa_net::{SiteId, TcpMesh, TcpNet, Transport};
 
 fn wait_until(deadline_ms: u64, mut pred: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
@@ -160,22 +160,20 @@ fn full_queue_drops_oldest_and_counts() {
     // Point site 0 at an address with no listener: frames pile up in the
     // bounded queue while the writer retries connecting.
     let dead = refusing_addr();
-    let cfg = TcpConfig {
-        queue_capacity: 8,
-        ..TcpConfig::default()
-    };
     // Our own listener can be on any free port — nobody sends to site 0.
     let addrs = vec!["127.0.0.1:0".parse().unwrap(), dead.addr];
-    let net = TcpNet::bind_with(SiteId(0), addrs, cfg).unwrap();
-    for i in 0..64u8 {
-        net.send(SiteId(0), SiteId(1), Bytes::copy_from_slice(&[i]));
+    let net = TcpNet::bind(SiteId(0), addrs).unwrap();
+    // `tcp.rs`' per-peer `QUEUE_CAPACITY`.
+    const CAPACITY: u64 = 4096;
+    for i in 0..CAPACITY + 64 {
+        net.send(SiteId(0), SiteId(1), Bytes::copy_from_slice(&[i as u8]));
     }
-    // 64 frames into a queue of 8: everything is dropped but the 8 queued
-    // and the one the writer holds while it connects — if it took that one
-    // before the queue filled, it freed a place and one frame fewer was
-    // dropped. Which of the two is up to the scheduler.
-    assert!(wait_until(5000, || net.stats().dropped_backpressure >= 55));
-    assert!(net.stats().dropped_backpressure <= 56);
+    // 64 frames more than the queue holds: everything is dropped but the
+    // 4096 queued and the one the writer holds while it connects — if it
+    // took that one before the queue filled, it freed a place and one frame
+    // fewer was dropped. Which of the two is up to the scheduler.
+    assert!(wait_until(5000, || net.stats().dropped_backpressure >= 63));
+    assert!(net.stats().dropped_backpressure <= 64);
     assert!(
         wait_until(5000, || net.stats().reconnects > 0),
         "writer must be retrying connects"

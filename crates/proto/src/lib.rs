@@ -48,7 +48,9 @@ pub use kv::{KvApplied, KvCmd, KvPending, KvReply, KvState};
 pub use msgs::{
     AbMsg, AbPayload, CastData, CastMsg, ConsMsg, MsgUid, Payload, SyncMsg, TraceCtx, Wire,
 };
-pub use node::{Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster};
+pub use node::{
+    Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster, TICK_INTERVAL,
+};
 pub use observe::ClusterTracer;
 pub use samoa_net::clock::{self, ProtoClock};
 pub use view::{GroupView, ViewOp};

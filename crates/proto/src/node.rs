@@ -27,29 +27,15 @@
 //! * [`StackPolicy::TwoPhase`] — conservative 2PL over the same sets as
 //!   `Basic`.
 //!
-//! ## Ingress: which thread runs it
-//!
-//! The paper's `isolated M e` is evaluated by the thread that reaches it,
-//! and so it is here when computations cannot overlap
-//! ([`Policy::overlaps`] is false: `Serial`, `Basic`, `TwoPhase`): the
-//! entry thread — the network's delivery or reader thread, the timer, the
-//! client — runs the computation itself ([`Runtime::run`]) and returns once
-//! it has completed; Rule 2 orders the entry threads, in arrival order.
-//! `Unsync`, `Bound` and `Route` computations, and every computation under
-//! a [`SchedHook`](samoa_core::SchedHook), go to executor threads
-//! ([`Runtime::spawn_guarded`]). Deadlock freedom (§6) carries over: an
-//! entry thread waits only on strictly older computations, each of which
-//! owns a thread, and nothing inside a computation waits on an entry point
-//! (a `Transport::send` only enqueues; no handler calls a `Node`'s API).
+//! Which thread runs the computation, how many may be in flight and who
+//! counts the ones that fail is [`Runtime::external`]'s business, not this
+//! crate's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
-
-use samoa_core::analysis::infer_route;
 use samoa_core::metrics::Registry;
 use samoa_core::prelude::*;
 use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Ticker, Transport};
@@ -171,8 +157,9 @@ pub use samoa_core::Policy as StackPolicy;
 /// processing FIFO, which the delivery-order assertions rely on.
 const INTRA_THREADS: usize = 1;
 
-/// Most detached external computations in flight per node ([`ExtGate`]).
-const MAX_INFLIGHT_EXTERNAL: usize = 64;
+/// Timer period (retransmission + failure detection). RelComm's ack
+/// deferral relies on `rto ≥ 2 × TICK_INTERVAL` (see `relcomm.rs`).
+pub const TICK_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Node tunables.
 #[derive(Debug, Clone)]
@@ -181,8 +168,6 @@ pub struct NodeConfig {
     pub policy: StackPolicy,
     /// RelComm retransmission timeout.
     pub rto: Duration,
-    /// Timer period (retransmission + failure detection).
-    pub tick_interval: Duration,
     /// Failure-detector suspicion timeout.
     pub fd_timeout: Duration,
     /// Run the failure detector (off by default so fault-free workloads can
@@ -216,7 +201,6 @@ impl Default for NodeConfig {
         NodeConfig {
             policy: StackPolicy::Basic,
             rto: Duration::from_millis(25),
-            tick_interval: Duration::from_millis(10),
             fd_timeout: Duration::from_millis(200),
             enable_fd: false,
             enable_timers: true,
@@ -278,46 +262,6 @@ impl ExtKind {
     ];
 }
 
-/// What one [`ExtKind`] triggers and declares, precomputed: the event, and
-/// the three arguments of [`Policy::decl`].
-struct ExtDecl {
-    event: EventType,
-    protocols: Vec<ProtocolId>,
-    bounds: Vec<(ProtocolId, u64)>,
-    route: RoutePattern,
-}
-
-/// Counting gate holding detached external computations (unless a hook
-/// owns scheduling) to [`MAX_INFLIGHT_EXTERNAL`] threads: the entry point
-/// blocks at the limit, so what real sockets deliver faster than it can run
-/// waits as bytes in the network, not as threads until none can be created.
-#[derive(Default)]
-struct ExtGate {
-    count: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ExtGate {
-    fn acquire(self: &Arc<Self>) -> ExtSlot {
-        let mut g = self.count.lock();
-        while *g >= MAX_INFLIGHT_EXTERNAL {
-            self.cv.wait(&mut g);
-        }
-        *g += 1;
-        ExtSlot(Arc::clone(self))
-    }
-}
-
-/// RAII slot in the gate, held until the computation's root job has ended.
-struct ExtSlot(Arc<ExtGate>);
-
-impl Drop for ExtSlot {
-    fn drop(&mut self) {
-        *self.0.count.lock() -= 1;
-        self.0.cv.notify_one();
-    }
-}
-
 /// One site of the group-communication system.
 pub struct Node {
     /// This node's site id.
@@ -328,7 +272,7 @@ pub struct Node {
     tracer: Option<ClusterTracer>,
     cfg: NodeConfig,
     /// Indexed by `ExtKind as usize`.
-    decls: [ExtDecl; 9],
+    decls: [External; 9],
     app: ProtocolState<AppState>,
     membership: ProtocolState<MembershipState>,
     relcomm: ProtocolState<RelCommState>,
@@ -339,10 +283,6 @@ pub struct Node {
     kv: ProtocolState<KvState>,
     kv_waiters: KvWaiters,
     kv_req: AtomicU64,
-    /// External computations run on their entry threads (module docs).
-    inline: bool,
-    ext_gate: Option<Arc<ExtGate>>,
-    ext_errors: Arc<AtomicU64>,
     /// The Timer Module; set once, after the node it ticks exists.
     timer: OnceLock<Ticker>,
 }
@@ -514,11 +454,6 @@ impl Node {
         let user_data = [p_relcomm, p_relcast, p_consensus, p_abcast, p_app];
         // `isolated bound` budgets: generous, derived from the view size.
         let generous = 8 * n_sites + 16;
-        // `isolated route` patterns are cut from the stack's static call
-        // graph, rooted at the kind's event (each handler declares the
-        // events it triggers; see `samoa_core::analysis`) — no hand-kept
-        // edge list that has to mirror every handler body.
-        debug_assert!(stack.has_full_trigger_metadata());
         let decls = ExtKind::ALL.map(|kind| {
             let (event, protocols): (EventType, &[ProtocolId]) = match kind {
                 ExtKind::DataFull => (ev.rc_data, &all),
@@ -531,12 +466,7 @@ impl Node {
                 ExtKind::RetrTick => (ev.retransmit_tick, &[p_relcomm]),
                 ExtKind::FdTick => (ev.fd_tick, &all),
             };
-            ExtDecl {
-                event,
-                protocols: protocols.to_vec(),
-                bounds: protocols.iter().map(|&p| (p, generous)).collect(),
-                route: infer_route(&stack, event),
-            }
+            External::new(&stack, event, protocols, generous)
         });
 
         let rt_cfg = RuntimeConfig {
@@ -544,8 +474,6 @@ impl Node {
             max_threads_per_computation: INTRA_THREADS,
             ..RuntimeConfig::default()
         };
-        let inline = hook.is_none() && !cfg.policy.overlaps();
-        let ext_gate = (hook.is_none() && !inline).then(Arc::default);
         let rt = Runtime::with_parts(stack, rt_cfg, hook, observe.sink);
 
         let node = Arc::new(Node {
@@ -566,9 +494,6 @@ impl Node {
             kv: kv_st,
             kv_waiters,
             kv_req: AtomicU64::new(0),
-            inline,
-            ext_gate,
-            ext_errors: Arc::default(),
             timer: OnceLock::new(),
         });
 
@@ -590,7 +515,7 @@ impl Node {
             let fd_enabled = node.cfg.enable_fd;
             let ticker = Ticker::start(
                 format!("node-{}-timer", site.0),
-                node.cfg.tick_interval,
+                TICK_INTERVAL,
                 Arc::downgrade(&node),
                 move |node: &Node| {
                     node.inject_retransmit_tick();
@@ -665,32 +590,11 @@ impl Node {
         }
     }
 
-    /// Run the isolated computation for an external event, declaring
-    /// according to the node's policy (see module docs).
+    /// Hand an external event to the runtime, declared according to the
+    /// node's policy (see module docs).
     fn spawn_external(&self, kind: ExtKind, data: EventData) {
-        self.run_external(&self.decls[kind as usize], data);
-    }
-
-    /// [`Self::spawn_external`] with the kind's declaration looked up.
-    fn run_external(&self, d: &ExtDecl, data: EventData) {
-        let decl = self.cfg.policy.decl(&d.protocols, &d.bounds, &d.route);
-        let (event, errors) = (d.event, Arc::clone(&self.ext_errors));
-        let root = move |ctx: &Ctx| ctx.trigger(event, data);
-        let count = move |failed: bool| {
-            if failed {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        if self.inline {
-            count(self.rt.run(decl, root).is_err());
-        } else {
-            let slot = self.ext_gate.as_ref().map(ExtGate::acquire);
-            let on_end = move |e: Option<&SamoaError>| {
-                count(e.is_some());
-                drop(slot);
-            };
-            self.rt.spawn_guarded(decl, on_end, root);
-        }
+        self.rt
+            .external(self.cfg.policy, &self.decls[kind as usize], data);
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
@@ -714,8 +618,9 @@ impl Node {
         &self.cfg.clock
     }
 
-    /// Application request: reliable broadcast (RelCast). On an inline node
-    /// (module docs) the request's own computation is complete on return.
+    /// Application request: reliable broadcast (RelCast). Where
+    /// [`Runtime::external`] runs inline the request's own computation is
+    /// complete on return.
     pub fn rbcast(&self, data: impl Into<Bytes>) {
         self.spawn_external(
             ExtKind::RbRequest,
@@ -756,8 +661,9 @@ impl Node {
 
     /// Replicated KV: set `key` to `value`, totally ordered by abcast.
     /// The returned handle resolves (with the previous value) once this
-    /// site applies the command; see [`KvPending::wait`]. On an inline node
-    /// the command has been cast, on the caller's thread, by then.
+    /// site applies the command; see [`KvPending::wait`]. Where
+    /// [`Runtime::external`] runs inline the command has been cast, on the
+    /// caller's thread, by then.
     pub fn kv_put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> KvPending {
         let (key, value) = (key.into(), value.into());
         self.kv_submit(|req| KvCmd::Put { req, key, value })
@@ -845,13 +751,10 @@ impl Node {
         self.relcomm.read(|s| s.discarded)
     }
 
-    /// External computations that ended in an error (`BoundExhausted`, a
-    /// handler panic, ...), wherever in the computation it was raised:
-    /// nobody joins them, so each is counted as it ends — from what `run`
-    /// returns, or by a detached root job's `on_end`
-    /// ([`Runtime::spawn_guarded`]). 0 on a healthy node (diagnostics).
+    /// External computations that ended in an error
+    /// ([`RuntimeStats::external_errors`]); 0 on a healthy node.
     pub fn external_errors(&self) -> u64 {
-        self.ext_errors.load(Ordering::Relaxed)
+        self.rt.stats().external_errors
     }
 
     /// Distinct RelCast messages seen (diagnostics).
@@ -1227,8 +1130,6 @@ mod tests {
     use crate::msgs::{CastMsg, MsgUid};
     use samoa_core::analysis::{infer_m, CallGraph};
     use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::mpsc;
 
     fn manual_cluster(n: usize, policy: StackPolicy) -> Cluster {
         let cfg = NodeConfig {
@@ -1303,7 +1204,6 @@ mod tests {
         for policy in [StackPolicy::Basic, StackPolicy::Route] {
             let c = manual_cluster(2, policy);
             let node = c.node(1);
-            assert_eq!(node.inline, policy == StackPolicy::Basic);
             let (stack, app) = (node.rt.stack(), node.app.protocol());
             let full = &node.decls[ExtKind::DataUser as usize];
             let protocols: Vec<ProtocolId> = full
@@ -1324,7 +1224,7 @@ mod tests {
                     }
                 }
             }
-            let under_declared = ExtDecl {
+            let under_declared = External {
                 event: full.event,
                 bounds: protocols.iter().map(|&p| (p, 64)).collect(),
                 protocols,
@@ -1335,7 +1235,8 @@ mod tests {
                 seq: 1,
             };
             let data = CastData::User(Bytes::from_static(b"lost on the way up"));
-            node.run_external(
+            node.rt.external(
+                policy,
                 &under_declared,
                 EventData::new(RcDataIn {
                     sender: SiteId(0),
@@ -1423,43 +1324,5 @@ mod tests {
         assert_eq!(run(Observe::default()), [0, 0, 0]);
         let sink = samoa_core::TraceBuffer::new() as Arc<dyn samoa_core::TraceSink>;
         assert!(run(Observe::traced(sink)).iter().all(|&known| known > 0));
-    }
-
-    #[test]
-    fn every_slot_up_to_the_limit_is_there_for_the_taking() {
-        let gate: Arc<ExtGate> = Arc::default();
-        let slots: Vec<ExtSlot> = (0..MAX_INFLIGHT_EXTERNAL).map(|_| gate.acquire()).collect();
-        assert_eq!(*gate.count.lock(), MAX_INFLIGHT_EXTERNAL);
-        drop(slots);
-        assert_eq!(*gate.count.lock(), 0);
-    }
-
-    #[test]
-    fn acquire_at_the_limit_waits_for_a_slot_to_drop() {
-        let gate: Arc<ExtGate> = Arc::default();
-        let mut held: Vec<ExtSlot> = (0..MAX_INFLIGHT_EXTERNAL).map(|_| gate.acquire()).collect();
-        let released = Arc::new(AtomicBool::new(false));
-        let (at_gate, at_gate_rx) = mpsc::channel();
-        let (through, through_rx) = mpsc::channel();
-        let waiter = {
-            let (gate, released) = (Arc::clone(&gate), Arc::clone(&released));
-            std::thread::spawn(move || {
-                let _ = at_gate.send(());
-                let _over = gate.acquire();
-                let _ = through.send(released.load(Ordering::SeqCst));
-            })
-        };
-        assert_eq!(at_gate_rx.recv(), Ok(()), "waiter never started");
-        assert!(through_rx.try_recv().is_err(), "admitted past a full gate");
-        released.store(true, Ordering::SeqCst);
-        held.pop();
-        assert_eq!(
-            through_rx.recv(),
-            Ok(true),
-            "acquire returned while every slot was held"
-        );
-        assert!(waiter.join().is_ok());
-        drop(held);
-        assert_eq!(*gate.count.lock(), 0);
     }
 }

@@ -21,9 +21,10 @@
 //! as soon as `OWED_ACK_CAP` acks have piled up for one peer, whichever
 //! comes first — leaves as one ack-only datagram per peer.
 //!
-//! So an ack is at most one `tick_interval` late. The RTT estimator sees
-//! the deferral as part of the round trip and absorbs it; what must hold is
-//! `rto ≥ 2 × tick_interval` (25 ms vs 10 ms by default), so that a
+//! So an ack is at most one tick (`node::TICK_INTERVAL`) late. The RTT
+//! estimator sees the deferral as part of the round trip and absorbs it;
+//! what must hold is
+//! `rto ≥ 2 × TICK_INTERVAL` (25 ms by default vs 10 ms), so that a
 //! deferred ack is back before the sender's first timeout can fire. A
 //! smaller `rto` stays correct — dedup suppresses the spurious resends —
 //! it just wastes datagrams.

@@ -226,7 +226,6 @@ fn crashed_site_is_suspected_and_excluded() {
     let mut cfg = NodeConfig::default();
     cfg.enable_fd = true;
     cfg.fd_timeout = Duration::from_millis(120);
-    cfg.tick_interval = Duration::from_millis(20);
     let c = Cluster::new(3, NetConfig::fast(9), cfg);
     // Let heartbeats flow so nobody is falsely suspected.
     std::thread::sleep(Duration::from_millis(150));

@@ -47,7 +47,7 @@ pub fn register(
     let send = {
         let state = state.clone();
         let e = ev.csum_out;
-        b.bind(e, pid, "checksum.send", move |ctx, data| {
+        b.bind_with_triggers(e, pid, "checksum.send", &[], move |ctx, data| {
             let (peer, frame): &(SiteId, Frame) = data.expect(e)?;
             state.with(ctx, |s| s.sent += 1);
             net.send(me, *peer, frame.encode());
@@ -58,7 +58,7 @@ pub fn register(
     let recv = {
         let state = state.clone();
         let e = ev.csum_in;
-        b.bind(e, pid, "checksum.recv", move |ctx, data| {
+        b.bind_with_triggers(e, pid, "checksum.recv", &[ev.win_in], move |ctx, data| {
             let (from, bytes): &(SiteId, Bytes) = data.expect(e)?;
             match Frame::decode(bytes.clone()) {
                 Ok(frame) => {

@@ -125,7 +125,7 @@ pub fn register(
     let send = {
         let state = state.clone();
         let e = ev.send_msg;
-        b.bind(e, pid, "chunker.send", move |ctx, data| {
+        b.bind_with_triggers(e, pid, "chunker.send", &[ev.win_out], move |ctx, data| {
             let (peer, bytes): &(SiteId, Bytes) = data.expect(e)?;
             let frames = state.with(ctx, |s| s.split(bytes));
             for f in frames {
@@ -138,13 +138,19 @@ pub fn register(
     let recv = {
         let state = state.clone();
         let e = ev.chunk_in;
-        b.bind(e, pid, "chunker.recv", move |ctx, data| {
-            let (from, frame): &(SiteId, Frame) = data.expect(e)?;
-            if let Some(msg) = state.with(ctx, |s| s.accept(*from, frame)) {
-                ctx.trigger_all(events.msg_deliver, EventData::new((*from, msg)))?;
-            }
-            Ok(())
-        })
+        b.bind_with_triggers(
+            e,
+            pid,
+            "chunker.recv",
+            &[ev.msg_deliver],
+            move |ctx, data| {
+                let (from, frame): &(SiteId, Frame) = data.expect(e)?;
+                if let Some(msg) = state.with(ctx, |s| s.accept(*from, frame)) {
+                    ctx.trigger_all(events.msg_deliver, EventData::new((*from, msg)))?;
+                }
+                Ok(())
+            },
+        )
     };
 
     ChunkerHandlers { send, recv }

@@ -40,4 +40,4 @@ pub mod node;
 pub mod window;
 
 pub use frames::{Frame, FrameError, FrameKind};
-pub use node::{Endpoint, TransportConfig, TransportNet, TransportPolicy};
+pub use node::{Endpoint, TransportConfig, TransportNet};

@@ -1,12 +1,13 @@
 //! One transport endpoint: a SAMOA runtime running Chunker / Window /
 //! Checksum over the simulated network, plus [`TransportNet`] bundling `n`
-//! endpoints.
+//! endpoints. Every external event — a datagram, a `send`, a tick — goes to
+//! [`Runtime::external`], which decides the thread that runs it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
+use samoa_core::analysis::CYCLE_FALLBACK_BOUND;
 use samoa_core::prelude::*;
 use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport};
 
@@ -16,17 +17,6 @@ use crate::events::Events;
 use crate::frames::{Frame, FrameKind};
 use crate::window::{self, WindowState};
 
-/// Isolation policy of a transport endpoint's external events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportPolicy {
-    /// No isolation (demonstration/baseline only).
-    Unsync,
-    /// Fully serial computations.
-    Serial,
-    /// `isolated M e` with tight per-event declarations (default).
-    Basic,
-}
-
 /// Period of the retransmission timer thread (when
 /// [`TransportConfig::enable_timers`] is set): well under the default
 /// `rto`, so a timeout is noticed within a fraction of itself.
@@ -35,8 +25,8 @@ const TICK_INTERVAL: Duration = Duration::from_millis(8);
 /// Endpoint tunables.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
-    /// Isolation policy.
-    pub policy: TransportPolicy,
+    /// Isolation policy of the endpoint's external events.
+    pub policy: Policy,
     /// Fragment payload size.
     pub mtu: usize,
     /// Sliding-window size (frames in flight per peer).
@@ -54,7 +44,7 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            policy: TransportPolicy::Basic,
+            policy: Policy::Basic,
             mtu: 64,
             window: 8,
             rto: Duration::from_millis(20),
@@ -69,19 +59,17 @@ pub struct Endpoint {
     /// This endpoint's site id.
     pub site: SiteId,
     rt: Runtime,
-    ev: Events,
     cfg: TransportConfig,
-    p_chunker: ProtocolId,
-    p_window: ProtocolId,
-    p_checksum: ProtocolId,
-    p_app: ProtocolId,
+    /// What each kind of external event triggers and declares — tightly:
+    /// an ack never reaches the Chunker or the application.
+    ext_ack: External,
+    ext_data: External,
+    ext_send: External,
+    ext_tick: External,
     chunker: ProtocolState<ChunkerState>,
     window: ProtocolState<WindowState>,
     checksum: ProtocolState<ChecksumState>,
     delivered: ProtocolState<Vec<(SiteId, Bytes)>>,
-    /// A scheduling hook owns the runtime's threads (see [`Endpoint::spawn`]).
-    hooked: bool,
-    ext_errors: Arc<AtomicU64>,
     /// Set once, after the endpoint it ticks exists.
     timer: OnceLock<Ticker>,
 }
@@ -135,7 +123,7 @@ impl Endpoint {
         {
             let delivered = delivered.clone();
             let e = ev.msg_deliver;
-            b.bind(e, p_app, "tapp.deliver", move |ctx, data| {
+            b.bind_with_triggers(e, p_app, "tapp.deliver", &[], move |ctx, data| {
                 let (from, bytes): &(SiteId, Bytes) = data.expect(e)?;
                 let item = (*from, bytes.clone());
                 delivered.with(ctx, |d| d.push(item));
@@ -148,23 +136,30 @@ impl Endpoint {
         } else {
             RuntimeConfig::default()
         };
-        let hooked = hook.is_some();
-        let rt = Runtime::with_parts(b.build(), rt_cfg, hook, None);
+        let stack = b.build();
+        // `isolated bound` budgets: a `send` visits Window once per
+        // fragment, so no bound fits every message; the analysis' fallback
+        // for such cascades is far above any real one.
+        let ext = |event, protocols: &[ProtocolId]| {
+            External::new(&stack, event, protocols, CYCLE_FALLBACK_BOUND)
+        };
+        let ext_ack = ext(ev.csum_in, &[p_checksum, p_window]);
+        let ext_data = ext(ev.csum_in, &[p_checksum, p_window, p_chunker, p_app]);
+        let ext_send = ext(ev.send_msg, &[p_chunker, p_window, p_checksum]);
+        let ext_tick = ext(ev.tick, &[p_window, p_checksum]);
+        let rt = Runtime::with_parts(stack, rt_cfg, hook, None);
         let node = Arc::new(Endpoint {
             site,
             rt,
-            ev,
             cfg,
-            p_chunker,
-            p_window,
-            p_checksum,
-            p_app,
+            ext_ack,
+            ext_data,
+            ext_send,
+            ext_tick,
             chunker: chunker_st,
             window: window_st,
             checksum: checksum_st,
             delivered,
-            hooked,
-            ext_errors: Arc::default(),
             timer: OnceLock::new(),
         });
 
@@ -189,60 +184,30 @@ impl Endpoint {
         node
     }
 
-    /// Run the isolated computation of one external event. A policy that
-    /// holds what it declares to completion ([`Policy::overlaps`] is false)
-    /// on a free-running runtime runs it on the calling thread — the
-    /// network's delivery thread, the timer, the sender — and returns once
-    /// it has completed: a second thread could only have waited, and a
-    /// burst of datagrams costs no thread at all. `Unsync`, and any runtime
-    /// under a hook, hands it to an executor thread. Deadlock freedom is
-    /// `samoa_core::exec`'s argument: the caller waits only on older
-    /// computations, which own their threads, and nothing inside a
-    /// computation waits on an entry point (network sends only enqueue).
-    fn spawn(&self, protocols: &[ProtocolId], event: EventType, data: EventData) {
-        let decl = match self.cfg.policy {
-            TransportPolicy::Unsync => Decl::Unsync,
-            TransportPolicy::Serial => Decl::Serial,
-            TransportPolicy::Basic => Decl::Basic(protocols),
-        };
-        let errors = Arc::clone(&self.ext_errors);
-        let root = move |ctx: &Ctx| ctx.trigger(event, data);
-        let count = move |failed: bool| {
-            if failed {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        if !self.hooked && !decl.policy().overlaps() {
-            count(self.rt.run(decl, root).is_err());
-        } else {
-            self.rt
-                .spawn_guarded(decl, move |e| count(e.is_some()), root);
-        }
-    }
-
     fn on_datagram(&self, from: SiteId, payload: Bytes) {
-        // Classify on the header (like a real stack) to declare tightly:
-        // acks never reach the Chunker or the application.
-        let decl: &[ProtocolId] = match Frame::peek_kind(&payload) {
-            Some(FrameKind::Ack) => &[self.p_checksum, self.p_window],
-            _ => &[self.p_checksum, self.p_window, self.p_chunker, self.p_app],
+        // Classify on the header (like a real stack) to declare tightly.
+        let ext = match Frame::peek_kind(&payload) {
+            Some(FrameKind::Ack) => &self.ext_ack,
+            _ => &self.ext_data,
         };
-        self.spawn(decl, self.ev.csum_in, EventData::new((from, payload)));
+        self.rt
+            .external(self.cfg.policy, ext, EventData::new((from, payload)));
     }
 
-    /// Send `data` reliably and in order to `peer`. Under `Serial` and
-    /// `Basic` the request's own computation is complete on return.
+    /// Send `data` reliably and in order to `peer`. Where
+    /// [`Runtime::external`] runs inline the request's own computation is
+    /// complete on return.
     pub fn send(&self, peer: SiteId, data: impl Into<Bytes>) {
-        let decl = [self.p_chunker, self.p_window, self.p_checksum];
-        self.spawn(&decl, self.ev.send_msg, EventData::new((peer, data.into())));
+        let data = EventData::new((peer, data.into()));
+        self.rt.external(self.cfg.policy, &self.ext_send, data);
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
     /// would. With `enable_timers: false` this is the only way Window
     /// retransmits.
     pub fn inject_tick(&self) {
-        let decl = [self.p_window, self.p_checksum];
-        self.spawn(&decl, self.ev.tick, EventData::empty());
+        self.rt
+            .external(self.cfg.policy, &self.ext_tick, EventData::empty());
     }
 
     /// Messages delivered to the application, in arrival order.
@@ -255,13 +220,10 @@ impl Endpoint {
         self.window.read(|w| w.in_flight(peer))
     }
 
-    /// External computations that ended in an error, wherever in the
-    /// computation it was raised: nobody joins them, so each is counted as
-    /// it ends — from what `run` returns, or by a detached root job's
-    /// `on_end` ([`Runtime::spawn_guarded`]). 0 on a healthy endpoint
-    /// (diagnostics).
+    /// External computations that ended in an error
+    /// ([`RuntimeStats::external_errors`]); 0 on a healthy endpoint.
     pub fn external_errors(&self) -> u64 {
-        self.ext_errors.load(Ordering::Relaxed)
+        self.rt.stats().external_errors
     }
 
     /// Total retransmissions (diagnostics).

@@ -164,7 +164,7 @@ pub fn register(
     let send = {
         let state = state.clone();
         let e = ev.win_out;
-        b.bind(e, pid, "window.send", move |ctx, data| {
+        b.bind_with_triggers(e, pid, "window.send", &[ev.csum_out], move |ctx, data| {
             let (peer, frame): &(SiteId, Frame) = data.expect(e)?;
             let out = state.with(ctx, |s| s.enqueue(*peer, frame.clone()));
             for f in out {
@@ -177,45 +177,57 @@ pub fn register(
     let recv = {
         let state = state.clone();
         let e = ev.win_in;
-        b.bind(e, pid, "window.recv", move |ctx, data| {
-            let (from, frame): &(SiteId, Frame) = data.expect(e)?;
-            match frame {
-                Frame::Ack { seq } => {
-                    let out = state.with(ctx, |s| s.on_ack(*from, *seq));
-                    for f in out {
-                        ctx.trigger(events.csum_out, EventData::new((*from, f)))?;
+        b.bind_with_triggers(
+            e,
+            pid,
+            "window.recv",
+            &[ev.csum_out, ev.chunk_in],
+            move |ctx, data| {
+                let (from, frame): &(SiteId, Frame) = data.expect(e)?;
+                match frame {
+                    Frame::Ack { seq } => {
+                        let out = state.with(ctx, |s| s.on_ack(*from, *seq));
+                        for f in out {
+                            ctx.trigger(events.csum_out, EventData::new((*from, f)))?;
+                        }
+                    }
+                    Frame::Data { seq, .. } => {
+                        let released = state.with(ctx, |s| s.on_data(*from, frame.clone()));
+                        let Some(released) = released else {
+                            return Ok(());
+                        };
+                        // Ack duplicates too — the previous ack may have been
+                        // lost.
+                        ctx.trigger(
+                            events.csum_out,
+                            EventData::new((*from, Frame::Ack { seq: *seq })),
+                        )?;
+                        for f in released {
+                            ctx.trigger(events.chunk_in, EventData::new((*from, f)))?;
+                        }
                     }
                 }
-                Frame::Data { seq, .. } => {
-                    let released = state.with(ctx, |s| s.on_data(*from, frame.clone()));
-                    let Some(released) = released else {
-                        return Ok(());
-                    };
-                    // Ack duplicates too — the previous ack may have been
-                    // lost.
-                    ctx.trigger(
-                        events.csum_out,
-                        EventData::new((*from, Frame::Ack { seq: *seq })),
-                    )?;
-                    for f in released {
-                        ctx.trigger(events.chunk_in, EventData::new((*from, f)))?;
-                    }
-                }
-            }
-            Ok(())
-        })
+                Ok(())
+            },
+        )
     };
 
     let retransmit = {
         let state = state.clone();
         let e = ev.tick;
-        b.bind(e, pid, "window.retransmit", move |ctx, _| {
-            let overdue = state.with(ctx, |s| s.overdue());
-            for (peer, f) in overdue {
-                ctx.trigger(events.csum_out, EventData::new((peer, f)))?;
-            }
-            Ok(())
-        })
+        b.bind_with_triggers(
+            e,
+            pid,
+            "window.retransmit",
+            &[ev.csum_out],
+            move |ctx, _| {
+                let overdue = state.with(ctx, |s| s.overdue());
+                for (peer, f) in overdue {
+                    ctx.trigger(events.csum_out, EventData::new((peer, f)))?;
+                }
+                Ok(())
+            },
+        )
     };
 
     WindowHandlers {

@@ -5,8 +5,9 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use samoa_core::Policy;
 use samoa_net::{NetConfig, ProtoClock, SiteId};
-use samoa_transport::{TransportConfig, TransportNet, TransportPolicy};
+use samoa_transport::{TransportConfig, TransportNet};
 
 fn big_message(seed: u8, len: usize) -> Bytes {
     Bytes::from(
@@ -152,16 +153,24 @@ fn kitchen_sink_loss_dup_corruption_bidirectional() {
 }
 
 #[test]
-fn serial_policy_also_works() {
-    let mut cfg = TransportConfig::default();
-    cfg.policy = TransportPolicy::Serial;
-    cfg.mtu = 16;
-    let net = TransportNet::new(2, NetConfig::fast(8), cfg);
-    let msg = big_message(4, 500);
-    net.endpoint(0).send(SiteId(1), msg.clone());
-    wait_delivered(&net, 1, 1, "serial policy");
-    assert_eq!(net.endpoint(1).delivered()[0].1, msg);
-    assert!((0..2).all(|i| net.endpoint(i).external_errors() == 0));
+fn every_isolating_policy_delivers_byte_identically_over_a_lossy_net() {
+    for policy in Policy::ALL.into_iter().filter(|p| p.isolating()) {
+        let mut cfg = TransportConfig::default();
+        cfg.policy = policy;
+        cfg.mtu = 16;
+        cfg.rto = Duration::from_millis(12);
+        let net = TransportNet::new(2, NetConfig::fast(8).with_loss(0.1), cfg);
+        let msg = big_message(4, 2_000);
+        net.endpoint(0).send(SiteId(1), msg.clone());
+        wait_delivered(&net, 1, 1, policy.label());
+        assert_eq!(net.endpoint(1).delivered()[0].1, msg, "{policy}");
+        let lost = net.net().total_stats().dropped_loss;
+        assert!(lost > 0, "{policy}: no loss seen — vacuous");
+        assert!(
+            (0..2).all(|i| net.endpoint(i).external_errors() == 0),
+            "{policy}"
+        );
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Which thread runs an endpoint's computations (`Endpoint::spawn`): under
+//! Which thread runs an endpoint's computations (`Runtime::external`): under
 //! `Serial` and `Basic` the one that brought the event, to completion;
 //! under `Unsync` a `samoa-worker`.
 //!
@@ -9,8 +9,9 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use samoa_core::Policy;
 use samoa_net::{NetConfig, SimNet, SiteId};
-use samoa_transport::{Endpoint, Frame, TransportConfig, TransportNet, TransportPolicy};
+use samoa_transport::{Endpoint, Frame, TransportConfig, TransportNet};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -27,7 +28,7 @@ fn workers() -> usize {
         .count()
 }
 
-fn config(policy: TransportPolicy) -> TransportConfig {
+fn config(policy: Policy) -> TransportConfig {
     TransportConfig {
         policy,
         enable_timers: false,
@@ -43,7 +44,7 @@ fn idle(e: &Endpoint) -> bool {
 #[test]
 fn ten_thousand_datagrams_back_to_back_cost_no_thread() {
     let _serial = serial();
-    let net = TransportNet::new(2, NetConfig::fast(1), config(TransportPolicy::Basic));
+    let net = TransportNet::new(2, NetConfig::fast(1), config(Policy::Basic));
     // A data frame whose checksum fails: the whole declaration, one handler,
     // one counter to read the end of the burst from.
     let mut frame = Frame::Data {
@@ -79,7 +80,7 @@ fn ten_thousand_datagrams_back_to_back_cost_no_thread() {
 #[test]
 fn send_and_pump_return_with_the_computation_complete() {
     let _serial = serial();
-    for policy in [TransportPolicy::Serial, TransportPolicy::Basic] {
+    for policy in [Policy::Serial, Policy::Basic] {
         let net = SimNet::new_manual(2, NetConfig::fast(2));
         let a = Endpoint::new(net.handle(), SiteId(0), config(policy));
         let b = Endpoint::new(net.handle(), SiteId(1), config(policy));
@@ -100,7 +101,7 @@ fn send_and_pump_return_with_the_computation_complete() {
 fn unsync_hands_the_computation_to_a_worker() {
     let _serial = serial();
     let net = SimNet::new_manual(2, NetConfig::fast(3));
-    let a = Endpoint::new(net.handle(), SiteId(0), config(TransportPolicy::Unsync));
+    let a = Endpoint::new(net.handle(), SiteId(0), config(Policy::Unsync));
     a.send(SiteId(1), "hello");
     a.runtime().quiesce();
     assert!(net.pending() > 0);

@@ -54,11 +54,9 @@ pub use samoa_transport as transport;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use samoa_core::prelude::*;
-    pub use samoa_net::{
-        NetConfig, NetHandle, SimNet, SiteId, TcpConfig, TcpMesh, TcpNet, Transport,
-    };
+    pub use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, TcpMesh, TcpNet, Transport};
     pub use samoa_proto::{
         Cluster, GroupView, KvReply, Node, NodeConfig, StackPolicy, TcpCluster, ViewOp,
     };
-    pub use samoa_transport::{TransportConfig, TransportNet, TransportPolicy};
+    pub use samoa_transport::{TransportConfig, TransportNet};
 }
