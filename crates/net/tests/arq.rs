@@ -1,6 +1,7 @@
 //! The ARQ core on virtual time: the receiver's duplicate filter — and the
 //! range set under it, against a `BTreeSet` model — and the sender's
-//! retransmission policy, driven through their public methods with a
+//! retransmission policy — the timeout and the reading of acks as loss
+//! evidence — driven through their public methods with a
 //! [`ProtoClock::manual`] — nothing here sleeps or reads the wall clock.
 
 use std::collections::BTreeSet;
@@ -220,6 +221,216 @@ fn the_ack_of_a_retransmitted_frame_is_not_sampled() {
     clock.advance(FLOOR * 2);
     tx.ack(A, seq, clock.now());
     assert_eq!(tx.rto(A), FLOOR * 6);
+}
+
+/// `peer` acknowledged `seq`, read as evidence by a caller with nothing more
+/// to send: the frames it shows lost.
+fn detect<P>(tx: &mut ArqSender<P>, peer: SiteId, seq: u64, clock: &ProtoClock) -> Vec<(u64, u32)> {
+    detect_with(tx, peer, seq, false, clock)
+}
+
+fn detect_with<P>(
+    tx: &mut ArqSender<P>,
+    peer: SiteId,
+    seq: u64,
+    more_follows: bool,
+    clock: &ProtoClock,
+) -> Vec<(u64, u32)> {
+    let mut out = Vec::new();
+    tx.ack_detecting_loss(peer, seq, clock.now(), more_follows, |seq, attempts, _| {
+        out.push((seq, attempts))
+    });
+    out
+}
+
+/// A sender with frames `1..=n` in flight to `A`.
+fn sender_with(n: u64, clock: &ProtoClock) -> ArqSender<()> {
+    let mut tx = ArqSender::new(FLOOR, 0);
+    for _ in 0..n {
+        tx.send(A, (), clock.now());
+    }
+    tx
+}
+
+#[test]
+fn the_third_ack_ahead_of_a_frame_hands_it_back_and_rearms_it() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(8, &clock);
+    assert_eq!(detect(&mut tx, A, 1, &clock), [], "in order: no hole");
+    assert_eq!(detect(&mut tx, A, 3, &clock), []);
+    assert_eq!(detect(&mut tx, A, 4, &clock), []);
+    clock.advance(FLOOR / 2);
+    assert_eq!(detect(&mut tx, A, 5, &clock), [(2, 1)]);
+    assert_eq!(tx.in_flight(A), 4, "held until it is acknowledged");
+    // Re-armed as `due` re-arms: the timeout counts from the resend.
+    clock.advance(FLOOR / 2);
+    assert_eq!(seqs(&due(&mut tx, &clock), A), [6, 7, 8]);
+    clock.advance(FLOOR / 2);
+    assert_eq!(seqs(&due(&mut tx, &clock), A), [2]);
+}
+
+#[test]
+fn send_numbers_order_repeats_after_originals() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(8, &clock);
+    for seq in [2, 3] {
+        assert_eq!(detect(&mut tx, A, seq, &clock), []);
+    }
+    assert_eq!(detect(&mut tx, A, 4, &clock), [(1, 1)]);
+    // 5..=8 left before the repeat of 1 did: their acks say nothing of it.
+    for seq in 5..=8 {
+        assert_eq!(detect(&mut tx, A, seq, &clock), [], "ack {seq}");
+    }
+    // 9..=11 left after it: a lost repeat is found again the same way.
+    for _ in 9..=11 {
+        tx.send(A, (), clock.now());
+    }
+    assert_eq!(detect(&mut tx, A, 9, &clock), []);
+    assert_eq!(detect(&mut tx, A, 10, &clock), []);
+    assert_eq!(detect(&mut tx, A, 11, &clock), [(1, 2)]);
+}
+
+#[test]
+fn the_ack_of_a_retransmitted_frame_is_no_evidence() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(8, &clock);
+    for seq in [2, 3] {
+        assert_eq!(detect(&mut tx, A, seq, &clock), []);
+    }
+    assert_eq!(detect(&mut tx, A, 4, &clock), [(1, 1)]);
+    assert_eq!(detect(&mut tx, A, 7, &clock), []);
+    assert_eq!(detect(&mut tx, A, 8, &clock), []);
+    // 5 and 6 have two acks ahead of them; the repeat of 1 left after both
+    // and its ack is not a third.
+    assert_eq!(detect(&mut tx, A, 1, &clock), []);
+    assert_eq!(tx.in_flight(A), 2);
+}
+
+#[test]
+fn due_resets_the_count() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(6, &clock);
+    assert_eq!(detect(&mut tx, A, 2, &clock), []);
+    assert_eq!(detect(&mut tx, A, 3, &clock), []);
+    clock.advance(FLOOR);
+    assert_eq!(seqs(&due(&mut tx, &clock), A), [1, 4, 5, 6]);
+    tx.send(A, (), clock.now());
+    tx.send(A, (), clock.now());
+    // One more ack ahead of frame 1 — the third, had the timeout not reset it.
+    assert_eq!(detect(&mut tx, A, 7, &clock), []);
+    assert_eq!(tx.in_flight(A), 5);
+}
+
+#[test]
+fn a_draining_window_resends_what_can_no_longer_be_overtaken() {
+    let clock = ProtoClock::manual();
+    // Two left in flight after the ack, the younger still able to overtake.
+    let mut tx = sender_with(3, &clock);
+    assert_eq!(
+        detect(&mut tx, A, 3, &clock),
+        [(2, 1)],
+        "2 has no later frame, 1 has"
+    );
+    assert_eq!(
+        detect(&mut tx, A, 1, &clock),
+        [],
+        "2 left again after 1 did"
+    );
+    assert_eq!(detect(&mut tx, A, 2, &clock), []);
+    assert_eq!(tx.in_flight(A), 0);
+    // Three left: the count decides, nothing is early.
+    let mut tx = sender_with(4, &clock);
+    assert_eq!(detect(&mut tx, A, 4, &clock), []);
+    assert_eq!(tx.in_flight(A), 3);
+    // In order nothing is ever overtaken, however few are left.
+    let mut tx = sender_with(3, &clock);
+    for seq in 1..=3 {
+        assert_eq!(detect(&mut tx, A, seq, &clock), []);
+    }
+}
+
+/// A window of two with a backlog: one frame is left in flight after every
+/// ack, and the next leaves at once. That is not a draining window.
+#[test]
+fn a_caller_with_more_to_send_is_not_draining() {
+    let clock = ProtoClock::manual();
+    // The acks of 1 and 2 swapped on the way: 3 and 4 could still have
+    // overtaken 1, nothing is resent.
+    let mut tx = sender_with(2, &clock);
+    assert_eq!(detect_with(&mut tx, A, 2, true, &clock), []);
+    tx.send(A, (), clock.now());
+    assert_eq!(detect_with(&mut tx, A, 1, true, &clock), []);
+    assert_eq!(tx.in_flight(A), 1);
+    // 1 lost: the count finds it as in any window, by the acks of 2, 3, 4.
+    let mut tx = sender_with(2, &clock);
+    for seq in [2, 3] {
+        assert_eq!(detect_with(&mut tx, A, seq, true, &clock), [], "ack {seq}");
+        tx.send(A, (), clock.now());
+    }
+    assert_eq!(detect_with(&mut tx, A, 4, true, &clock), [(1, 1)]);
+    // The backlog empty, the same acks are all there will be.
+    let mut tx = sender_with(2, &clock);
+    assert_eq!(detect_with(&mut tx, A, 2, false, &clock), [(1, 1)]);
+}
+
+#[test]
+fn a_peer_never_acked_from_costs_nothing() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(8, &clock);
+    for _ in 0..8 {
+        tx.send(B, (), clock.now());
+    }
+    // Counts are per peer: A's acks, in the worst order, move nothing of B's.
+    for seq in (1..=8).rev() {
+        detect(&mut tx, A, seq, &clock);
+    }
+    assert_eq!((tx.in_flight(A), tx.in_flight(B)), (0, 8));
+    // B's frames are due when the parent's rule says, once each.
+    clock.advance(FLOOR - Duration::from_nanos(1));
+    assert_eq!(due(&mut tx, &clock), []);
+    clock.advance(Duration::from_nanos(1));
+    let resent = due(&mut tx, &clock);
+    assert_eq!(seqs(&resent, B), (1..=8).collect::<Vec<_>>());
+    assert!(resent.iter().all(|r| r.2 == 1));
+    // An ack from a peer nothing was sent to, or of a frame not in flight.
+    assert_eq!(detect(&mut tx, SiteId(9), 1, &clock), []);
+    assert_eq!(detect(&mut tx, A, 1, &clock), []);
+    assert_eq!(detect(&mut tx, B, 99, &clock), []);
+    assert_eq!(tx.in_flight(B), 8);
+}
+
+#[test]
+fn the_scan_stops_at_the_retransmit_window() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(WINDOW + 10, &clock);
+    // The three newest acknowledged first: every older frame is overtaken
+    // three times, the oldest `RETRANSMIT_WINDOW` are looked at.
+    let last = WINDOW + 10;
+    assert_eq!(detect(&mut tx, A, last, &clock), []);
+    assert_eq!(detect(&mut tx, A, last - 1, &clock), []);
+    let lost: Vec<u64> = detect(&mut tx, A, last - 2, &clock)
+        .iter()
+        .map(|r| r.0)
+        .collect();
+    assert_eq!(lost, (1..=WINDOW).collect::<Vec<_>>());
+}
+
+/// RelComm's entry: whatever the order of the acks, nothing is resent by
+/// them, before or after — only `due`, at its times.
+#[test]
+fn the_plain_ack_resends_nothing_whatever_the_order() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(8, &clock);
+    for seq in [8, 7, 6, 5] {
+        tx.ack(A, seq, clock.now());
+    }
+    assert_eq!(tx.in_flight(A), 4);
+    assert_eq!(due(&mut tx, &clock), [], "and nothing was re-armed");
+    clock.advance(FLOOR);
+    assert_eq!(
+        due(&mut tx, &clock),
+        [(A, 1, 1, ()), (A, 2, 1, ()), (A, 3, 1, ()), (A, 4, 1, ())]
+    );
 }
 
 proptest! {

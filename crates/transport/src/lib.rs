@@ -9,7 +9,8 @@
 //!
 //! * **Chunker** — fragmentation to MTU-sized fragments and reassembly,
 //! * **Window** — sliding-window ARQ: sequence numbers, acks, bounded
-//!   in-flight frames, retransmission on timeout, in-order release,
+//!   in-flight frames, retransmission when three later acks show a hole or
+//!   on timeout, in-order release,
 //! * **Checksum** — FNV-1a frame trailers; corrupted frames (the
 //!   bit-flip fault `samoa-net` injects) are detected and dropped, and the
 //!   window recovers them by retransmission.

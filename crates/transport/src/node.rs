@@ -17,11 +17,6 @@ use crate::events::Events;
 use crate::frames::{Frame, FrameKind};
 use crate::window::{self, WindowState};
 
-/// Period of the retransmission timer thread (when
-/// [`TransportConfig::enable_timers`] is set): well under the default
-/// `rto`, so a timeout is noticed within a fraction of itself.
-const TICK_INTERVAL: Duration = Duration::from_millis(8);
-
 /// Endpoint tunables.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
@@ -33,7 +28,8 @@ pub struct TransportConfig {
     pub window: usize,
     /// Retransmission timeout (the floor of the adaptive estimate).
     pub rto: Duration,
-    /// Run the retransmission timer.
+    /// Run the retransmission timer: a tick every quarter of `rto` (at
+    /// least 1 ms), so a timeout is noticed within a quarter of itself.
     pub enable_timers: bool,
     /// The time source Window's timeouts read. Defaults to the wall clock;
     /// with a [`ProtoClock::manual`] clock they are a function of explicit
@@ -175,7 +171,7 @@ impl Endpoint {
         if node.cfg.enable_timers {
             let ticker = Ticker::start(
                 format!("tnode-{}-timer", site.0),
-                TICK_INTERVAL,
+                (node.cfg.rto / 4).max(Duration::from_millis(1)),
                 Arc::downgrade(&node),
                 Endpoint::inject_tick,
             );
@@ -229,6 +225,12 @@ impl Endpoint {
     /// Total retransmissions (diagnostics).
     pub fn retransmissions(&self) -> u64 {
         self.window.read(|w| w.retransmissions)
+    }
+
+    /// Those of the retransmissions an ack showed to be lost, ahead of the
+    /// timer (diagnostics).
+    pub fn fast_retransmissions(&self) -> u64 {
+        self.window.read(|w| w.fast_retransmissions)
     }
 
     /// Duplicate frames suppressed (diagnostics).

@@ -1,11 +1,16 @@
 //! The Window microprotocol: sliding-window ARQ.
 //!
 //! Per peer: at most `window_size` frames are in flight (excess queues in a
-//! backlog) and unacknowledged frames are resent on the timer; the receiver
-//! acks every data frame at once, suppresses duplicates, and releases
-//! fragments strictly in order to the Chunker above. Sequence numbers, the
-//! timeout and the duplicate filter are [`samoa_net::arq`], without backoff:
-//! a window-limited sender cannot storm, so it resends at a fixed interval.
+//! backlog); the receiver acks every data frame at once, suppresses
+//! duplicates, and releases fragments strictly in order to the Chunker above.
+//! Because each ack leaves as its frame arrives, the order of the acks is the
+//! order of arrival, and the sender reads it: a frame that three later-sent
+//! ones were acknowledged ahead of is resent by the ack that shows it (`recv`,
+//! through [`ArqSender::ack_detecting_loss`]), so a hole is filled at the pace
+//! of the acks. The timer (`retransmit`) recovers what no later ack can vouch
+//! for: the last frames sent, a lost repeat at the tail. Sequence numbers,
+//! both rules and the duplicate filter are [`samoa_net::arq`], without
+//! backoff: a window-limited sender cannot storm.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -26,10 +31,11 @@ fn stamped(mut frame: Frame, seq: u64) -> Frame {
 
 /// How many windows ahead of its in-order floor the receiver holds frames.
 /// The sender bounds how many frames are unacknowledged, not how far apart
-/// they are: while a lost frame waits out its RTO the rest of the window
-/// turns over once per round trip. Further ahead than a hole plausibly lasts
-/// is stray or hostile, and holding it all would let outside input grow the
-/// buffer without bound: dropped unacknowledged, so a sender resends it.
+/// they are: until a lost frame is resent — three acks later, or an RTO later
+/// if it was among the last sent or its repeat is lost too — the rest of the
+/// window turns over once per round trip. Further ahead than a hole plausibly
+/// lasts is stray or hostile, and holding it all would let outside input grow
+/// the buffer without bound: dropped unacknowledged, so a sender resends it.
 const HELD_WINDOWS: u64 = 64;
 
 /// Local state of the Window microprotocol.
@@ -42,8 +48,10 @@ pub struct WindowState {
     rx: ArqReceiver,
     /// Received ahead of a gap, waiting for in-order release.
     held: HashMap<SiteId, BTreeMap<u64, Frame>>,
-    /// Frames retransmitted (diagnostics).
+    /// Frames retransmitted, by an ack or by the timer (diagnostics).
     pub retransmissions: u64,
+    /// Those of them an ack showed to be lost (diagnostics).
+    pub fast_retransmissions: u64,
     /// Duplicate data frames suppressed (diagnostics).
     pub duplicates: u64,
     /// Data frames dropped for lying too far ahead to hold (diagnostics).
@@ -62,6 +70,7 @@ impl WindowState {
             rx: ArqReceiver::default(),
             held: HashMap::new(),
             retransmissions: 0,
+            fast_retransmissions: 0,
             duplicates: 0,
             out_of_window: 0,
         }
@@ -99,11 +108,22 @@ impl WindowState {
         out
     }
 
-    /// Handle an ack from `peer`; returns newly transmittable frames.
+    /// Handle an ack from `peer`; returns the frames it shows to be lost,
+    /// then the newly transmittable ones.
     fn on_ack(&mut self, peer: SiteId, seq: u64) -> Vec<Frame> {
         let now = self.clock.now();
-        self.tx.ack(peer, seq, now);
-        self.drain(peer, now)
+        // What waits in the backlog leaves on this ack and can still overtake
+        // what is in flight.
+        let more_follows = self.backlog(peer) > 0;
+        let mut out = Vec::new();
+        self.tx
+            .ack_detecting_loss(peer, seq, now, more_follows, |seq, _, f| {
+                out.push(stamped(f.clone(), seq))
+            });
+        self.retransmissions += out.len() as u64;
+        self.fast_retransmissions += out.len() as u64;
+        out.extend(self.drain(peer, now));
+        out
     }
 
     /// Handle a data frame from `peer`; returns the frames released in

@@ -4,6 +4,12 @@
 //! next, time moves only when a test says so, and nothing sleeps or reads
 //! the wall clock. The transfer is one-directional, so a datagram from site
 //! 0 is a data frame and one from site 1 is an ack.
+//!
+//! Two things resend a frame. The timer, an RTO after it last left: the
+//! tests that advance the clock and tick. And the acks: a frame that three
+//! later-sent ones were acknowledged ahead of, or every one that still could
+//! be once fewer than three are in flight — the tests that never advance the
+//! clock and never tick.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,6 +77,23 @@ impl Rig {
         self.quiesce();
     }
 
+    /// Deliver data datagram `seq` and then the ack it is answered with
+    /// (no other ack may be in flight).
+    fn deliver_and_ack(&self, seq: u64) {
+        self.deliver(seq);
+        let acks = self.in_flight_from(RX);
+        assert_eq!(acks.len(), 1, "every frame is acknowledged at once");
+        self.deliver(acks[0]);
+    }
+
+    /// The datagrams in flight from the sender that `sent` does not list:
+    /// what was put on the wire since `sent` was read.
+    fn new_from_tx(&self, sent: &[u64]) -> Vec<u64> {
+        let mut now = self.in_flight_from(TX);
+        now.retain(|seq| !sent.contains(seq));
+        now
+    }
+
     /// Deliver one datagram at a time, in the order sent, until none is in
     /// flight.
     fn settle(&self) {
@@ -106,7 +129,8 @@ fn a_dropped_fragment_is_resent_once_by_the_first_tick_after_the_rto() {
     rig.send(&msg);
     let data = rig.in_flight_from(TX);
     assert_eq!(data.len(), 3);
-    assert!(rig.handle().drop_seq(data[1]));
+    // The last one: nothing is sent after it, so no ack can show the hole.
+    assert!(rig.handle().drop_seq(data[2]));
     rig.settle();
     assert_eq!(rig.tx.in_flight(RX), 1, "two of three acknowledged");
     assert!(rig.delivered().is_empty());
@@ -182,7 +206,229 @@ fn two_messages_stay_in_order_whatever_order_their_fragments_arrive_in() {
     }
     rig.settle();
     assert_eq!(rig.delivered(), [first, second]);
+    // The acks came back newest first, so the oldest frames looked lost:
+    // every resend was suppressed and acknowledged again.
+    assert_eq!(rig.tx.retransmissions(), rig.tx.fast_retransmissions());
+    assert_eq!(rig.rx.duplicates_suppressed(), rig.tx.retransmissions());
+    assert_eq!(rig.tx.in_flight(RX), 0);
+}
+
+#[test]
+fn a_middle_hole_is_resent_by_the_third_later_ack_and_not_by_the_second() {
+    let rig = Rig::new(8);
+    let msg = message(7, 8);
+    rig.send(&msg);
+    let data = rig.in_flight_from(TX);
+    assert_eq!(data.len(), 8, "a full window on the wire");
+    rig.deliver_and_ack(data[0]);
+    rig.deliver_and_ack(data[1]);
+    assert!(rig.handle().drop_seq(data[2]));
+    rig.deliver_and_ack(data[3]);
+    rig.deliver_and_ack(data[4]);
+    assert_eq!(rig.tx.retransmissions(), 0, "two acks are not yet a loss");
+    assert!(rig.new_from_tx(&data).is_empty());
+    rig.deliver_and_ack(data[5]);
+    assert_eq!(rig.tx.fast_retransmissions(), 1);
+    assert_eq!(rig.new_from_tx(&data).len(), 1, "on the wire again");
+
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.tx.retransmissions(), 1);
+    assert_eq!(rig.tx.in_flight(RX), 0);
     assert_eq!(rig.rx.duplicates_suppressed(), 0);
+}
+
+#[test]
+fn acks_delivered_two_out_of_order_resend_nothing() {
+    let rig = Rig::new(8);
+    let msg = message(8, 8);
+    rig.send(&msg);
+    for seq in rig.in_flight_from(TX) {
+        rig.deliver(seq);
+    }
+    let acks = rig.in_flight_from(RX);
+    assert_eq!(acks.len(), 8);
+    // The first frame's ack behind the next two.
+    for i in [1, 2, 0, 3, 4, 5, 6, 7] {
+        rig.deliver(acks[i]);
+    }
+    assert_eq!(rig.handle().pending(), 0);
+    assert_eq!(rig.handle().stats(TX).sent, 8, "each frame left once");
+    assert_eq!(rig.tx.retransmissions(), 0);
+    assert_eq!(rig.tx.in_flight(RX), 0);
+    assert_eq!(rig.delivered(), [msg]);
+}
+
+#[test]
+fn a_dropped_fast_resend_is_resent_again_by_three_further_acks() {
+    let rig = Rig::new(8);
+    let msg = message(9, 16);
+    rig.send(&msg);
+    let first = rig.in_flight_from(TX);
+    assert!(rig.handle().drop_seq(first[1]));
+    for i in [0, 2, 3, 4] {
+        rig.deliver_and_ack(first[i]);
+    }
+    assert_eq!(rig.tx.fast_retransmissions(), 1);
+    // Each ack let one more frame out; the third also resent the hole, and
+    // then let out the only frame sent after the repeat so far.
+    let second = rig.new_from_tx(&first);
+    assert_eq!(second.len(), 5);
+    assert!(rig.handle().drop_seq(second[3]), "the repeat is lost too");
+
+    // Frames sent before the repeat say nothing about it.
+    for &seq in first[5..].iter().chain(&second[..3]) {
+        rig.deliver_and_ack(seq);
+    }
+    assert_eq!(rig.tx.retransmissions(), 1);
+    // Three sent after it do.
+    let sent = [first, second].concat();
+    let third = rig.new_from_tx(&sent);
+    assert_eq!(third.len(), 4, "the rest of the message");
+    rig.deliver_and_ack(sent[sent.len() - 1]);
+    rig.deliver_and_ack(third[0]);
+    assert_eq!(rig.tx.retransmissions(), 1);
+    rig.deliver_and_ack(third[1]);
+    assert_eq!(rig.tx.fast_retransmissions(), 2);
+
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.tx.retransmissions(), 2);
+    assert_eq!(rig.tx.in_flight(RX), 0);
+    assert_eq!(rig.rx.duplicates_suppressed(), 0);
+}
+
+#[test]
+fn with_two_frames_left_in_flight_the_older_is_resent_on_the_youngers_ack() {
+    let rig = Rig::new(4);
+    let msg = message(10, 2);
+    rig.send(&msg);
+    let data = rig.in_flight_from(TX);
+    assert_eq!(data.len(), 2);
+    assert!(rig.handle().drop_seq(data[0]));
+    // No third ack will ever come: the one there is has to do.
+    rig.deliver_and_ack(data[1]);
+    assert_eq!(rig.tx.fast_retransmissions(), 1);
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.tx.retransmissions(), 1);
+    assert_eq!(rig.tx.in_flight(RX), 0);
+}
+
+/// One frame is left in flight after every ack, but the backlog sends the
+/// next at once and that one can still overtake: not a draining window.
+#[test]
+fn a_window_of_two_with_a_backlog_is_not_draining() {
+    // Two acks swapped on the way resend nothing.
+    let rig = Rig::new(2);
+    let msg = message(12, 6);
+    rig.send(&msg);
+    let data = rig.in_flight_from(TX);
+    assert_eq!(data.len(), 2);
+    rig.deliver(data[0]);
+    rig.deliver(data[1]);
+    let acks = rig.in_flight_from(RX);
+    rig.deliver(acks[1]);
+    assert_eq!(rig.new_from_tx(&data).len(), 1, "the next fragment, only");
+    rig.deliver(acks[0]);
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.handle().stats(TX).sent, 6, "each frame left once");
+    assert_eq!(rig.tx.retransmissions(), 0);
+
+    // A lost frame is found by the count, as in any window.
+    let rig = Rig::new(2);
+    let msg = message(13, 6);
+    rig.send(&msg);
+    let mut sent = rig.in_flight_from(TX);
+    assert!(rig.handle().drop_seq(sent[0]));
+    for acked in 2..=4 {
+        assert_eq!(rig.tx.retransmissions(), 0, "before the ack of {acked}");
+        let next = *sent.last().unwrap();
+        rig.deliver_and_ack(next);
+        sent.extend(rig.new_from_tx(&sent));
+    }
+    assert_eq!(rig.tx.fast_retransmissions(), 1);
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.tx.retransmissions(), 1);
+    assert_eq!(rig.rx.duplicates_suppressed(), 0);
+}
+
+/// Were the ack of a resent frame evidence, each resend's ack would vouch
+/// for the next resend: every frame sent twice over.
+#[test]
+fn the_ack_of_a_resent_frame_moves_no_count() {
+    let rig = Rig::new(12);
+    let msg = message(11, 12);
+    rig.send(&msg);
+    let data = rig.in_flight_from(TX);
+    // Frames 1 and 5 are late, not lost. Three acks ahead of frame 1...
+    for i in [1, 2, 3] {
+        rig.deliver_and_ack(data[i]);
+    }
+    assert_eq!(rig.tx.retransmissions(), 1);
+    let repeat = rig.new_from_tx(&data);
+    assert_eq!(repeat.len(), 1);
+    // ...and two ahead of frame 5.
+    rig.deliver_and_ack(data[5]);
+    rig.deliver_and_ack(data[6]);
+    // The repeat was sent after frame 5, and its ack is not a third.
+    rig.deliver_and_ack(repeat[0]);
+    assert_eq!(rig.tx.retransmissions(), 1);
+    // The ack of a frame that left once is.
+    rig.deliver_and_ack(data[7]);
+    assert_eq!(rig.tx.retransmissions(), 2);
+
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.tx.retransmissions(), 2, "each late frame resent once");
+    assert_eq!(rig.rx.duplicates_suppressed(), 2);
+    assert_eq!(rig.tx.in_flight(RX), 0);
+}
+
+/// The bound a storm would break, where the count is exact: one datagram in
+/// ten is lost and each delivery picks among the four oldest in flight, data
+/// and acks alike, so acks overtake one another up to three deep. 51 of 128
+/// are resent; with the ack of a resent frame counted as evidence, 189.
+#[test]
+fn a_lossy_reordering_schedule_resends_fewer_than_half_the_fragments() {
+    const FRAGS: usize = 128;
+    let rig = Rig::new(16);
+    let msg = message(14, FRAGS);
+    rig.send(&msg);
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut below = move |n: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % n
+    };
+    let mut dropped = 0;
+    while rig.tx.in_flight(RX) > 0 {
+        let pending = rig.handle().pending_datagrams();
+        if pending.is_empty() {
+            // Only the timer knows of what is left.
+            rig.clock.advance(RTO);
+            rig.tick();
+            continue;
+        }
+        let seq = pending[below(pending.len().min(4))].seq;
+        if below(10) == 0 {
+            assert!(rig.handle().drop_seq(seq));
+            dropped += 1;
+        } else {
+            rig.deliver(seq);
+        }
+    }
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    let (resent, fast) = (rig.tx.retransmissions(), rig.tx.fast_retransmissions());
+    assert!(
+        dropped > 0 && fast > 0,
+        "vacuous: {dropped} lost, {fast} shown"
+    );
+    assert!(2 * resent < FRAGS as u64, "{resent} resends of {FRAGS}");
 }
 
 /// What lies further ahead of the receiver's floor than any hole lasts

@@ -69,6 +69,10 @@ fn main() {
         net.endpoint(0).retransmissions()
     );
     println!(
+        "    shown lost by an ack: {}",
+        net.endpoint(0).fast_retransmissions()
+    );
+    println!(
         "  duplicates suppressed : {}",
         net.endpoint(1).duplicates_suppressed()
     );
