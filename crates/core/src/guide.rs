@@ -502,7 +502,8 @@
 //!   checks the waiter count after (`SeqCst` again). Whatever the
 //!   interleaving, one side sees the other: either the waiter's re-check
 //!   sees the new `lv`, or the completer sees the waiter and notifies. No
-//!   lost wakeups. The protocol — try, bounded spin → yield probe, park,
+//!   lost wakeups. The protocol — try, a probe of 64 spins and 32 yields
+//!   (counts, no clock: a holder still holding after them is asleep), park,
 //!   waiter-gated wake — is one private type in `version.rs`, whose module
 //!   docs carry the full argument; version cells, the 2PL lock slots and
 //!   the `quiesce` gate are three instances of it, and every wait on them
@@ -511,14 +512,14 @@
 //!   below. The seam's unit tests and
 //!   `crates/core/tests/version_proptest.rs` race it explicitly.
 //! * **Parking happens only on actual conflict.** An unsatisfied waiter
-//!   probes through a bounded spin window and a time-bounded yield window
-//!   before touching the park mutex. All blocked-time surfaces —
+//!   probes through 64 busy spins and then 32 yields before touching the
+//!   park mutex. All blocked-time surfaces —
 //!   [`RuntimeStats::admission_wait`](crate::runtime::RuntimeStats),
 //!   trace `WaitBegin`/`WaitEnd` spans, the [`Runtime::waiters`] wait-for
 //!   graph — share one *parked-only* definition: a probing waiter is
 //!   runnable, not descheduled, and records nothing. (Corollary: a waiter
-//!   headed for a real park appears in the wait-for graph at most one
-//!   probe window late; deadlock detection is delayed, never wrong.)
+//!   headed for a real park appears in the wait-for graph at most 64 spins
+//!   and 32 yields late; deadlock detection is delayed, never wrong.)
 //!
 //! Rule 4(b)'s route releases ride the same machinery: `VCAroute` patterns
 //! compile once into an immutable reachability closure (bitsets over the

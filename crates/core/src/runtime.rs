@@ -146,11 +146,19 @@ pub struct RuntimeStats {
     /// Total time computations spent *descheduled* in admission — parked
     /// on a version or lock cell (or cooperatively blocked under a
     /// `SchedHook`) in Rule 2 waits and 2PL lock acquisition. The direct
-    /// cost of isolation. The bounded spin/yield probe window that precedes
-    /// parking is the fast path and is not counted: a probing waiter is
-    /// still runnable, and at fine grain most conflicts resolve inside it
-    /// without the thread ever leaving the CPU. Summed across threads, so
-    /// under coarse-grain contention it can exceed wall-clock time.
+    /// cost of isolation. The bounded probe that precedes parking (64 busy
+    /// spins, then 32 yields) is the fast path and is not counted: a
+    /// probing waiter is still runnable, and at fine grain most conflicts
+    /// resolve inside it without the thread ever leaving the CPU. Summed
+    /// across threads, so under coarse-grain contention it can exceed
+    /// wall-clock time.
+    ///
+    /// Because only the parked phase counts, this (and the process-wide
+    /// `version::parks`) *rises* when waiters give the CPU up sooner: on
+    /// `rt-pipeline-io` the same ~400 µs waits behind a sleeping stage were
+    /// spent runnable, yielding, while the probe ran for up to 1 ms, and are
+    /// spent parked since it ends after 32 yields (PR 25) — a higher
+    /// count, a faster pipeline.
     pub admission_wait: std::time::Duration,
     /// Rule 4 early releases by VCAbound computations: one per handler call
     /// whose completion advanced `lv_p` before the computation finished.
@@ -344,10 +352,11 @@ impl RuntimeInner {
         }
     }
 
-    /// Wait until `w` holds. The probe — the bounded spin/yield window when
+    /// Wait until `w` holds. The probe — 64 spins and 32 yields when
     /// free-running, a single try under a hook (spinning would perturb the
     /// cooperative schedule) — resolves most waits without descheduling;
-    /// only a wait that outlives it blocks.
+    /// only a wait that outlives it blocks, which is every wait on a holder
+    /// that is off the CPU (asleep in a handler, blocked on a socket).
     ///
     /// `admitting` names the computation when the wait is an *admission*
     /// (Rule 2, 2PL growing phase; not Rule 3, not `quiesce`). Admissions
@@ -357,8 +366,9 @@ impl RuntimeInner {
     /// identity) bracket only the descheduled phase, and only then does the
     /// waiter appear in the wait-for graph of `Runtime::waiters`. A probing
     /// waiter is runnable, not blocked: an admission that resolves in the
-    /// window reads no clock, takes no lock and records nothing (a waiter
-    /// headed for a real block shows up at most one window late).
+    /// probe reads no clock, takes no lock and records nothing (a waiter
+    /// headed for a real block shows up at most 64 spins and 32 yields
+    /// late).
     pub(crate) fn wait(&self, w: Wait, admitting: Option<CompId>) {
         let passed = match &self.hook {
             None => crate::version::probe(|| self.attempt(w).then_some(())).is_some(),

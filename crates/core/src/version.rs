@@ -18,7 +18,7 @@
 //! for VCAbasic and VCAroute, the declared bound for VCAbound, 0 for the
 //! read mode), so an admission is *data* — `(pv, k, epoch)` — not a closure,
 //! and the cell has one admission primitive in three steps: `try_admit`
-//! (one check), the `probe` window, `park_admit`.
+//! (one check), the bounded `probe`, `park_admit`.
 //!
 //! All admission conditions are **monotone** (once true they stay true as
 //! `lv` grows), and all advances are monotone raises (`fetch_add`,
@@ -37,11 +37,13 @@
 //! version cell (`lv`), a 2PL lock slot (`held`), the runtime's quiesce
 //! gate (`active`) — waits through one type, `ParkSeam`, in the same three
 //! steps: a *try* of the condition (pure atomics), the bounded `probe`
-//! window (busy spins, then yields, for [`YIELD_WINDOW`]), and only then
-//! `ParkSeam::park` (mutex + condvar). The side that changes the word calls
-//! `ParkSeam::wake`, which takes the park mutex only when the waiter count
-//! says someone is parked: releases on an uncontended cell stay pure
-//! atomics.
+//! (64 busy spins, then 32 yields — counts, not a clock: see
+//! `YIELD_LIMIT`), and only then `ParkSeam::park` (mutex + condvar). A
+//! yield helps only a holder that is runnable; one that is still holding
+//! after 32 of them is asleep, and so the waiter sleeps too. The side that
+//! changes the word calls `ParkSeam::wake`, which takes the park mutex only
+//! when the waiter count says someone is parked: releases on an uncontended
+//! cell stay pure atomics.
 //!
 //! Parking is lost-wakeup-free by a Dekker-style argument over the `SeqCst`
 //! total order: a waiter increments `waiters` (under the park mutex)
@@ -62,7 +64,7 @@
 //! Waits that guard mutex-protected data rather than an atomic word — a
 //! computation's task queue and `done` flag, the executor's timed slots —
 //! are plain condvar waits and do not go through the seam: they have no
-//! probe window and must not count into [`parks`]. They need no
+//! probe and must not count into [`parks`]. They need no
 //! waiter-gated wake of their own either: `parking_lot`'s `Condvar` (the
 //! in-tree shim included, which counts the threads inside `wait`) returns
 //! from a notify nobody waits for without a syscall, so completing a
@@ -87,7 +89,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -152,29 +153,33 @@ pub(crate) fn note_gate_spin() {
 /// few hundred nanoseconds, cheaper than a park/unpark round trip.
 pub(crate) const SPIN_LIMIT: u32 = 64;
 
-/// Wall-clock budget for the yielding probe phase between the busy spin
-/// and parking. Version waits chain (comp `k`'s admission waits on comp
-/// `k-1`'s completion, which waits on `k-2`'s, …), so at fine grain each
-/// hop's latency multiplies down the chain: a parked hop costs a full
-/// park/unpark round trip plus a scheduler wakeup, while a yielding waiter
-/// re-probes within a slice of the release store and never deschedules.
-/// The window is sized to cover fine-grain conflict chains (handlers of
-/// ~µs, chains of dozens) and is a hard bound — a wait that outlives it is
-/// a coarse-grain conflict and parks, burning no further CPU. Yielding
-/// probes donate their timeslice, so the burn is bounded by the window
-/// even on a fully loaded machine.
-const YIELD_WINDOW: Duration = Duration::from_millis(1);
-
-/// Yields between wall-clock checks of [`YIELD_WINDOW`] (an `Instant`
-/// read per probe would double the probe cost for nothing).
-const YIELD_CHECK: u32 = 32;
+/// Yielding re-tries between the busy spin and parking — a count, not a
+/// time. A yield helps only while the holder is runnable but not running:
+/// on one CPU, that means this waiter preempted it, and `yield_now` hands
+/// it the CPU back (without the yields, spin-then-park, `kv-tcp3-closed`
+/// fell 4–6 % behind). 32 yields give every runnable thread its turn many
+/// times over; a holder that has still not released after them is on no
+/// run queue — asleep in a handler (§5.3's I/O-bound stage) or blocked on
+/// a socket — and yielding cannot help it, so the waiter parks. A count
+/// does not depend on how fast the box is and reads no clock.
+///
+/// Why not a time budget: a waiter that yields for as long as a clock
+/// allows stays runnable behind a holder that sleeps. With a 1 ms budget,
+/// four to seven waiters behind `rt-pipeline-io`'s 400 µs sleeping stages
+/// called `sched_yield` in a loop, every stage whose sleep ended had to win
+/// the CPU back from them, and the pipeline ran at half speed. DESIGN.md
+/// ("One thing Rule 2 alone did *not* carry") tells the same story over
+/// TCP: on a saturated CPU, readers that yield forfeit their share and
+/// never sleep.
+const YIELD_LIMIT: u32 = 32;
 
 /// The bounded non-parking prefix of every seam wait: one `attempt`, then
-/// `SPIN_LIMIT` busy re-tries, then yielding re-tries for `YIELD_WINDOW`.
-/// `None` means the condition still fails and the caller should
-/// [`ParkSeam::park`]. Kept apart from `park` so the runtime can bracket
-/// only the parked phase with its blocked-time accounting: a probing
-/// waiter is runnable, not descheduled.
+/// `SPIN_LIMIT` busy re-tries, then `YIELD_LIMIT` yielding re-tries — at
+/// most `1 + SPIN_LIMIT + YIELD_LIMIT` attempts. `None` means the
+/// condition still fails and the caller should [`ParkSeam::park`]. Kept
+/// apart from `park` so the runtime can bracket only the parked phase with
+/// its blocked-time accounting: a probing waiter is runnable, not
+/// descheduled.
 pub(crate) fn probe<R>(mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
     if let Some(r) = attempt() {
         return Some(r);
@@ -185,18 +190,13 @@ pub(crate) fn probe<R>(mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
             return Some(r);
         }
     }
-    let deadline = Instant::now() + YIELD_WINDOW;
-    loop {
-        for _ in 0..YIELD_CHECK {
-            std::thread::yield_now();
-            if let Some(r) = attempt() {
-                return Some(r);
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
+    for _ in 0..YIELD_LIMIT {
+        std::thread::yield_now();
+        if let Some(r) = attempt() {
+            return Some(r);
         }
     }
+    None
 }
 
 /// Where threads park until an atomic word changes, and how the side that
@@ -220,26 +220,21 @@ impl<T> ParkSeam<T> {
     /// Park until `attempt` succeeds: register, then re-try under the park
     /// mutex before every wait. `woke` runs after each wake-up.
     pub(crate) fn park<R>(&self, attempt: impl FnMut(&T) -> Option<R>, woke: impl Fn()) -> R {
-        self.park_deadline(None, attempt, woke)
-            .expect("a park without a deadline ends only in success")
+        self.park_with(attempt, woke, |cv, guard| {
+            cv.wait(guard);
+            true
+        })
+        .expect("a park whose every wait goes on ends only in success")
     }
 
-    /// [`Self::park`], giving up with `None` after `timeout` — so a test
-    /// hunting a lost wake-up fails instead of hanging.
-    #[cfg(test)]
-    pub(crate) fn park_timeout<R>(
+    /// The registration loop of [`Self::park`]. `wait` blocks once on the
+    /// condvar and says whether to go on; only the tests' timed park (the
+    /// seam itself reads no clock) ever says no.
+    fn park_with<R>(
         &self,
-        timeout: Duration,
-        attempt: impl FnMut(&T) -> Option<R>,
-    ) -> Option<R> {
-        self.park_deadline(Some(Instant::now() + timeout), attempt, || {})
-    }
-
-    fn park_deadline<R>(
-        &self,
-        deadline: Option<Instant>,
         mut attempt: impl FnMut(&T) -> Option<R>,
         woke: impl Fn(),
+        mut wait: impl FnMut(&Condvar, &mut MutexGuard<'_, T>) -> bool,
     ) -> Option<R> {
         let mut guard = self.guarded.lock();
         self.waiters.fetch_add(1, Ordering::SeqCst);
@@ -248,14 +243,7 @@ impl<T> ParkSeam<T> {
                 break Some(r);
             }
             PARKS.fetch_add(1, Ordering::Relaxed);
-            let timed_out = match deadline {
-                None => {
-                    self.cv.wait(&mut guard);
-                    false
-                }
-                Some(d) => self.cv.wait_until(&mut guard, d).timed_out(),
-            };
-            if timed_out {
+            if !wait(&self.cv, &mut guard) {
                 break None;
             }
             woke();
@@ -441,9 +429,27 @@ impl VersionCell {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    impl<T> ParkSeam<T> {
+        /// [`ParkSeam::park`], giving up with `None` after `timeout` — so a
+        /// test hunting a lost wake-up fails instead of hanging.
+        fn park_timeout<R>(
+            &self,
+            timeout: Duration,
+            attempt: impl FnMut(&T) -> Option<R>,
+        ) -> Option<R> {
+            let deadline = Instant::now() + timeout;
+            self.park_with(
+                attempt,
+                || {},
+                |cv, guard| !cv.wait_until(guard, deadline).timed_out(),
+            )
+        }
+    }
 
     impl VersionCell {
-        /// [`VersionCell::admit`] without the probe window, giving up after
+        /// [`VersionCell::admit`] without the probe, giving up after
         /// `timeout`.
         fn admit_timeout(&self, pv: u64, k: u64, timeout: Duration) -> Option<u64> {
             self.seam
@@ -466,10 +472,11 @@ mod tests {
         assert_eq!(tries, 1);
     }
 
+    /// The probe is bounded by a count of attempts, whatever the clock says
+    /// (this test reads none): one try, the spins, the yields, then `None`.
     #[test]
-    fn probe_gives_up_after_its_window() {
+    fn probe_gives_up_after_its_count() {
         let mut tries = 0u32;
-        let t0 = Instant::now();
         assert_eq!(
             probe(|| {
                 tries += 1;
@@ -477,12 +484,11 @@ mod tests {
             }),
             None
         );
-        assert!(t0.elapsed() >= YIELD_WINDOW);
-        assert!(tries > SPIN_LIMIT + YIELD_CHECK, "{tries} tries");
+        assert_eq!(tries, 1 + SPIN_LIMIT + YIELD_LIMIT);
     }
 
     #[test]
-    fn probe_sees_a_change_inside_its_window() {
+    fn probe_sees_a_change_among_its_yields() {
         let mut tries = 0;
         let got = probe(|| {
             tries += 1;
@@ -491,12 +497,13 @@ mod tests {
         assert_eq!(got, Some(SPIN_LIMIT + 3), "succeeded on the 2nd yield");
     }
 
-    /// Returns once a thread is inside `Condvar::wait` on `seam`: a waiter
-    /// holds the park mutex from its registration until the wait releases
-    /// it, so whoever sees it registered and then gets the mutex finds it
-    /// parked.
-    fn wait_until_parked<T>(seam: &ParkSeam<T>) {
-        while seam.waiters.load(Ordering::SeqCst) == 0 {
+    /// Returns once `n` threads are inside `Condvar::wait` on `seam`: a
+    /// waiter holds the park mutex from its registration until the wait
+    /// releases it, so whoever sees `n` registered and then gets the mutex
+    /// finds them all parked. A waiter gets there after a bounded number of
+    /// tries (`probe`), so the latch is reached promptly.
+    fn wait_until_parked<T>(seam: &ParkSeam<T>, n: u64) {
+        while seam.waiters.load(Ordering::SeqCst) < n {
             std::thread::yield_now();
         }
         drop(seam.lock());
@@ -523,7 +530,7 @@ mod tests {
             })
         };
         for round in 1..=ROUNDS {
-            wait_until_parked(&seam);
+            wait_until_parked(&seam, 1);
             word.store(round, Ordering::SeqCst);
             seam.wake();
             assert!(ack_rx.recv().unwrap(), "round {round}: wake-up lost");
@@ -568,7 +575,7 @@ mod tests {
                 )
             })
         };
-        wait_until_parked(&seam);
+        wait_until_parked(&seam, 1);
         assert_eq!(
             woke.load(Ordering::SeqCst),
             0,
@@ -616,7 +623,7 @@ mod tests {
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || c2.admit(3, 0, 0));
         for _ in 0..3 {
-            std::thread::sleep(Duration::from_millis(1));
+            wait_until_parked(&c.seam, 1);
             c.bump();
         }
         assert_eq!(t.join().unwrap(), 3);
@@ -639,7 +646,7 @@ mod tests {
             c2.raise_to(10);
             c2.get()
         });
-        std::thread::sleep(Duration::from_millis(2));
+        wait_until_parked(&c.seam, 1);
         c.bump();
         assert!(t.join().unwrap() >= 10);
         assert_eq!(c.get(), 10);
@@ -653,7 +660,7 @@ mod tests {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || c.admit(1, 0, 0)));
         }
-        std::thread::sleep(Duration::from_millis(5));
+        wait_until_parked(&c.seam, 8);
         c.bump();
         for h in handles {
             assert_eq!(h.join().unwrap(), 1);
@@ -682,7 +689,7 @@ mod tests {
         // Writer with pv = 1: lv condition (lv + 1 >= 1) holds, but the
         // epoch-0 reader blocks it.
         let t = std::thread::spawn(move || c2.admit(1, 1, 1));
-        std::thread::sleep(Duration::from_millis(10));
+        wait_until_parked(&c.seam, 1);
         assert!(!t.is_finished(), "writer ignored the reader hold");
         c.unregister_reader(0);
         assert_eq!(t.join().unwrap(), 0);
@@ -727,12 +734,14 @@ mod tests {
         assert_eq!(c.wakeups.load(Ordering::Relaxed), 0);
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || c2.admit(2, 0, 0));
-        std::thread::sleep(Duration::from_millis(2));
+        wait_until_parked(&c.seam, 1);
         c.bump();
-        std::thread::sleep(Duration::from_millis(2));
+        wait_until_parked(&c.seam, 1);
         c.bump();
         t.join().unwrap();
         assert!(c.get() >= 2);
+        // The first bump found the waiter parked, so it woke and re-tried.
+        assert!(c.wakeups.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
@@ -758,10 +767,9 @@ mod tests {
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || c2.admit(1, 0, 0));
-        // Give the waiter ample time to exhaust its probe window and park.
-        std::thread::sleep(Duration::from_millis(20));
+        wait_until_parked(&c.seam, 1);
         c.bump();
         assert_eq!(t.join().unwrap(), 1);
-        assert!(parks() > before, "a 20ms-blocked waiter should have parked");
+        assert!(parks() > before, "a waiter found parked has parked");
     }
 }

@@ -7,8 +7,8 @@
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use common::{join_within, wait_flag};
 use samoa_core::prelude::*;
@@ -22,6 +22,15 @@ struct Pipeline {
 }
 
 fn pipeline() -> Pipeline {
+    pipeline_with(None, || {})
+}
+
+/// [`pipeline`], traced into `sink` if there is one, with `stage0` run in
+/// h0 before it triggers stage 1.
+fn pipeline_with(
+    sink: Option<Arc<dyn TraceSink>>,
+    stage0: impl Fn() + Send + Sync + 'static,
+) -> Pipeline {
     let mut b = StackBuilder::new();
     let p0 = b.protocol("S0");
     let p1 = b.protocol("S1");
@@ -36,6 +45,7 @@ fn pipeline() -> Pipeline {
         let s = s0.clone();
         b.bind(e0, p0, "h0", move |ctx, _| {
             s.with(ctx, |v| *v += 1);
+            stage0();
             ctx.trigger(e1, EventData::empty())
         })
     };
@@ -53,8 +63,12 @@ fn pipeline() -> Pipeline {
             Ok(())
         })
     };
+    let stack = b.build();
     Pipeline {
-        rt: Runtime::new(b.build()),
+        rt: match sink {
+            Some(s) => Runtime::with_trace(stack, RuntimeConfig::default(), s),
+            None => Runtime::new(stack),
+        },
         e0,
         protocols: [p0, p1, p2],
         handlers: [h0, h1, h2],
@@ -163,6 +177,60 @@ fn contended_admission_counts_wakeups() {
     assert!(
         s.version_wait_wakeups >= 1,
         "kb's blocked admission must have woken at least once"
+    );
+}
+
+/// A holder off the CPU is waited for asleep. The older route
+/// computation's h0 blocks on a channel, on no run queue, so yielding cannot
+/// hand it the CPU: the younger one's probe (a count of spins and yields)
+/// runs out and it parks — and only a parked waiter is listed in
+/// `Runtime::waiters()`. The channel is released only once it is listed,
+/// and then the wait shows in this runtime's own counters. Nothing here
+/// sleeps or times anything.
+#[test]
+fn a_holder_off_the_cpu_is_waited_for_asleep() {
+    let (release, held) = mpsc::channel::<()>();
+    let held = Mutex::new(held);
+    let entered = Arc::new(AtomicBool::new(false));
+    let p = {
+        let entered = Arc::clone(&entered);
+        pipeline_with(Some(TraceBuffer::new()), move || {
+            if !entered.swap(true, Ordering::SeqCst) {
+                // Returns on the release, or when the test drops the sender.
+                let _ = held.lock().unwrap().recv();
+            }
+        })
+    };
+    let pat = RoutePattern::new()
+        .root(p.handlers[0])
+        .edge(p.handlers[0], p.handlers[1])
+        .edge(p.handlers[1], p.handlers[2]);
+    let e0 = p.e0;
+    let older =
+        p.rt.spawn_isolated_route(&pat, move |ctx| ctx.trigger(e0, EventData::empty()));
+    assert!(
+        wait_flag(&entered, Duration::from_secs(10)),
+        "the older computation never entered h0"
+    );
+    let younger =
+        p.rt.spawn_isolated_route(&pat, move |ctx| ctx.trigger(e0, EventData::empty()));
+    let id = younger.comp_id();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !p.rt.waiters().edges.iter().any(|e| e.waiter == id) {
+        assert!(Instant::now() < deadline, "the younger one never parked");
+        std::thread::yield_now();
+    }
+    release.send(()).unwrap();
+    join_within(older, Duration::from_secs(10)).unwrap();
+    join_within(younger, Duration::from_secs(10)).unwrap();
+    let s = p.rt.stats();
+    assert!(
+        s.admission_wait > Duration::ZERO,
+        "the parked phase is counted"
+    );
+    assert!(
+        s.version_wait_wakeups >= 1,
+        "the release woke the parked waiter"
     );
 }
 
