@@ -26,9 +26,12 @@
 //! what it sends next can still overtake). It is re-armed exactly as
 //! [`due`](ArqSender::due) re-arms it — sent now, one more attempt, a fresh
 //! send number, the count back at 0 — so a lost repeat is found again the
-//! same way, and what no later ack can vouch for (the last frame sent, a
-//! lost repeat at the tail) is left to the timeout. Nothing here reads a
-//! clock, and iteration is the ordered map's.
+//! same way. What no later ack can vouch for (the last frames sent, a lost
+//! repeat at the tail) is left to [`due`](ArqSender::due), which resends it,
+//! toward a peer the caller holds nothing more for, once more than two
+//! smoothed round trips have passed since it left, the wait doubled per
+//! resend and never beyond the RTO (RFC 8985's probe timeout, RFC 9002's
+//! backoff). Nothing here reads a clock, and iteration is the ordered map's.
 //!
 //! *Karn's rule applies to evidence as it does to round-trip samples*: the
 //! ack of a frame that was ever resent says nothing about order — it may
@@ -50,8 +53,9 @@
 //! later ack to wait for. Three is the standard and is not an option.
 //!
 //! RelComm does not call this entry: its acks are deferred up to a tick and
-//! batched, so their order says little, and it keeps the plain
-//! [`ack`](ArqSender::ack).
+//! batched, so their order says little and neither does a missing one two
+//! round trips on. It keeps the plain [`ack`](ArqSender::ack) and the RTO
+//! alone.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -137,6 +141,18 @@ impl<P> PeerTx<P> {
     fn rto(&self, floor: Duration) -> Duration {
         let adaptive = self.rtt.map_or(floor, |r| r.srtt + r.rttvar * 4);
         adaptive.clamp(floor, floor * 40)
+    }
+
+    /// The timeout of a frame resent `attempts` times toward a peer the
+    /// caller holds nothing more for, whose own timeout is `rto`: `2·srtt`
+    /// (RFC 8985 §7.2's probe timeout without its delayed-ack term — the
+    /// acks this is for leave as the frames arrive), doubled per resend
+    /// (RFC 9002 §6.2.1), never beyond `rto`, and `rto` before the first
+    /// sample. Only a frame *more* than this late is due, so on a clock
+    /// that has not moved (srtt 0) nothing is resent early.
+    fn tail_timeout(&self, attempts: u32, rto: Duration) -> Duration {
+        let Some(r) = self.rtt else { return rto };
+        (r.srtt * 2).saturating_mul(1 << attempts.min(31)).min(rto)
     }
 }
 
@@ -250,18 +266,37 @@ impl<P> ArqSender<P> {
     }
 
     /// Call `resend(peer, seq, attempts, payload)` for every frame whose
-    /// timeout has run out, in `(peer, seq)` order, and re-arm it.
-    pub fn due(&mut self, now: Instant, mut resend: impl FnMut(SiteId, u64, u32, &P)) {
+    /// timeout has run out, in `(peer, seq)` order, and re-arm it. The
+    /// timeout is the backed-off RTO, except toward a peer `draining` says
+    /// the caller holds nothing more for: no frame will leave after what is
+    /// in flight there, so no ack can show its tail lost, and once the
+    /// first round trip is sampled a frame is resent when more than its
+    /// tail timeout — `2·srtt`, doubled per resend, at most the RTO — has
+    /// passed since it last left. A caller whose acks leave late or batched
+    /// passes `|_| false`: a round trip is then no evidence of loss.
+    pub fn due(
+        &mut self,
+        now: Instant,
+        draining: impl Fn(SiteId) -> bool,
+        mut resend: impl FnMut(SiteId, u64, u32, &P),
+    ) {
         for (&peer, p) in self.peers.iter_mut() {
             let rto = p.rto(self.floor);
-            let PeerTx { unacked, sent, .. } = p;
+            let draining = draining(peer);
+            // Out of the peer while they are re-armed, so that the scan can
+            // read the peer's estimate.
+            let mut unacked = std::mem::take(&mut p.unacked);
             for (&seq, u) in unacked.iter_mut().take(Self::RETRANSMIT_WINDOW) {
-                if now.duration_since(u.last) < rto * (1u32 << u.attempts.min(self.backoff_cap)) {
+                let timeout = rto * (1u32 << u.attempts.min(self.backoff_cap));
+                let late = now.duration_since(u.last);
+                let tail_lost = draining && late > p.tail_timeout(u.attempts, timeout);
+                if late < timeout && !tail_lost {
                     continue;
                 }
-                u.rearm(now, sent);
+                u.rearm(now, &mut p.sent);
                 resend(peer, seq, u.attempts, &u.payload);
             }
+            p.unacked = unacked;
         }
     }
 

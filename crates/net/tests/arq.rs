@@ -4,7 +4,7 @@
 //! evidence — driven through their public methods with a
 //! [`ProtoClock::manual`] — nothing here sleeps or reads the wall clock.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -119,10 +119,21 @@ fn range_set_merges_fills_and_starts_anywhere() {
     assert!(all.contains(0) && all.contains(u64::MAX) && !all.insert(7));
 }
 
-/// Everything the sender says is due at the current time, re-arming it.
+/// Everything the sender says is due at the current time, re-arming it,
+/// for a caller with more to send to every peer: the RTO alone.
 fn due<P: Clone>(tx: &mut ArqSender<P>, clock: &ProtoClock) -> Vec<(SiteId, u64, u32, P)> {
+    due_draining(tx, |_| false, clock)
+}
+
+/// [`due`] for a caller that holds nothing more for the peers `draining`
+/// names.
+fn due_draining<P: Clone>(
+    tx: &mut ArqSender<P>,
+    draining: impl Fn(SiteId) -> bool,
+    clock: &ProtoClock,
+) -> Vec<(SiteId, u64, u32, P)> {
     let mut out = Vec::new();
-    tx.due(clock.now(), |peer, seq, attempts, p| {
+    tx.due(clock.now(), draining, |peer, seq, attempts, p| {
         out.push((peer, seq, attempts, p.clone()))
     });
     out
@@ -415,6 +426,82 @@ fn the_scan_stops_at_the_retransmit_window() {
     assert_eq!(lost, (1..=WINDOW).collect::<Vec<_>>());
 }
 
+/// A sender whose one round-trip sample toward `A` was `rtt`, with `n`
+/// frames sent to `A` since and the clock where they left.
+fn sampled(rtt: Duration, n: u64, clock: &ProtoClock) -> ArqSender<()> {
+    let mut tx = sender_with(1, clock);
+    clock.advance(rtt);
+    tx.ack(A, 1, clock.now());
+    for _ in 0..n {
+        tx.send(A, (), clock.now());
+    }
+    tx
+}
+
+/// `A` has nothing more coming: what is due toward it, by sequence number.
+fn tail_due(tx: &mut ArqSender<()>, clock: &ProtoClock) -> Vec<u64> {
+    seqs(&due_draining(tx, |peer| peer == A, clock), A)
+}
+
+#[test]
+fn without_a_sample_the_tail_timeout_is_the_rto() {
+    let clock = ProtoClock::manual();
+    let mut tx = sender_with(2, &clock);
+    clock.advance(FLOOR - Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), []);
+    clock.advance(Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), [1, 2]);
+}
+
+/// A sample of `FLOOR`: srtt `FLOOR`, RTO `3 · FLOOR`. The tail timeout is
+/// two round trips, then four — which the RTO caps at three.
+#[test]
+fn the_tail_timeout_doubles_per_resend_up_to_the_rto() {
+    let clock = ProtoClock::manual();
+    let mut tx = sampled(FLOOR, 1, &clock);
+    assert_eq!(tx.rto(A), FLOOR * 3);
+    clock.advance(FLOOR * 2);
+    assert_eq!(tail_due(&mut tx, &clock), [], "at two round trips exactly");
+    assert_eq!(due(&mut tx, &clock), [], "a caller with more to send");
+    clock.advance(Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), [2]);
+    clock.advance(FLOOR * 3 - Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), []);
+    clock.advance(Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), [2], "at the RTO, not at four");
+    clock.advance(FLOOR * 3);
+    assert_eq!(tail_due(&mut tx, &clock), [2], "and at the RTO again");
+}
+
+/// An extreme sample: srtt `1000 · FLOOR`, the RTO clamped at `40 · FLOOR`.
+#[test]
+fn the_tail_timeout_is_capped_by_the_rto_at_forty_floors() {
+    let clock = ProtoClock::manual();
+    let mut tx = sampled(FLOOR * 1000, 1, &clock);
+    assert_eq!(tx.rto(A), FLOOR * 40);
+    clock.advance(FLOOR * 40 - Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), []);
+    clock.advance(Duration::from_nanos(1));
+    assert_eq!(tail_due(&mut tx, &clock), [2]);
+}
+
+#[test]
+fn the_tail_scan_stops_at_the_retransmit_window() {
+    let clock = ProtoClock::manual();
+    let rtt = Duration::from_micros(100);
+    let mut tx = sampled(rtt, WINDOW + 10, &clock);
+    clock.advance(rtt * 3);
+    assert_eq!(
+        tail_due(&mut tx, &clock),
+        (2..=WINDOW + 1).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        due_draining(&mut tx, |peer| peer == B, &clock),
+        [],
+        "per peer"
+    );
+}
+
 /// RelComm's entry: whatever the order of the acks, nothing is resent by
 /// them, before or after — only `due`, at its times.
 #[test]
@@ -433,8 +520,123 @@ fn the_plain_ack_resends_nothing_whatever_the_order() {
     );
 }
 
+/// One step of a schedule against the sender and [`RtoModel`].
+#[derive(Debug, Clone)]
+enum Step {
+    /// `n` frames to the peer.
+    Send(u16, u8),
+    /// The ack of one of the peer's unacked frames, picked by index.
+    Ack(u16, usize),
+    Advance(Duration),
+    Due,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u16..3, 1u8..24).prop_map(|(peer, n)| Step::Send(peer, n)),
+        (0u16..3, any::<usize>()).prop_map(|(peer, i)| Step::Ack(peer, i)),
+        (0u64..30_000).prop_map(|us| Step::Advance(Duration::from_micros(us))),
+        Just(Step::Due),
+    ]
+}
+
+/// The RTO rule written out: an RFC 6298 estimate per peer, sampled only on
+/// the ack of a frame never resent; `srtt + 4·rttvar` within `[FLOOR, 40 ×
+/// FLOOR]`, doubled per resend up to `cap` times; the oldest
+/// `RETRANSMIT_WINDOW` unacked frames looked at, in `(peer, seq)` order.
+#[derive(Default)]
+struct RtoModel {
+    now: Duration,
+    peers: BTreeMap<SiteId, ModelPeer>,
+}
+
+#[derive(Default)]
+struct ModelPeer {
+    next_seq: u64,
+    /// `(srtt, rttvar)`.
+    rtt: Option<(Duration, Duration)>,
+    /// Sequence number → (when it last left, how often it was resent).
+    unacked: BTreeMap<u64, (Duration, u32)>,
+}
+
+impl RtoModel {
+    fn send(&mut self, peer: SiteId) -> u64 {
+        let p = self.peers.entry(peer).or_default();
+        p.next_seq += 1;
+        p.unacked.insert(p.next_seq, (self.now, 0));
+        p.next_seq
+    }
+
+    /// Acknowledge the `pick`-th unacked frame to `peer`, if there is one.
+    fn ack(&mut self, peer: SiteId, pick: usize) -> Option<u64> {
+        let p = self.peers.get_mut(&peer)?;
+        let seq = *p.unacked.keys().nth(pick % p.unacked.len().max(1))?;
+        let (last, attempts) = p.unacked.remove(&seq)?;
+        if attempts == 0 {
+            let r = self.now - last;
+            p.rtt = Some(match p.rtt {
+                None => (r, r / 2),
+                Some((srtt, rttvar)) => ((srtt * 7 + r) / 8, (rttvar * 3 + srtt.abs_diff(r)) / 4),
+            });
+        }
+        Some(seq)
+    }
+
+    fn due(&mut self, cap: u32) -> Vec<(SiteId, u64, u32, ())> {
+        let mut out = Vec::new();
+        for (&peer, p) in self.peers.iter_mut() {
+            let adaptive = p.rtt.map_or(FLOOR, |(srtt, rttvar)| srtt + rttvar * 4);
+            let rto = adaptive.clamp(FLOOR, FLOOR * 40);
+            for (&seq, (last, attempts)) in p.unacked.iter_mut().take(WINDOW as usize) {
+                if self.now - *last >= rto * 2u32.pow((*attempts).min(cap)) {
+                    *last = self.now;
+                    *attempts += 1;
+                    out.push((peer, seq, *attempts, ()));
+                }
+            }
+        }
+        out
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A caller that is never draining gets the RTO rule, exactly: over any
+    /// schedule of sends, acks, time and `due` calls, `due(now, |_| false,
+    /// …)` resends what [`RtoModel`] says, in its order, with its counts.
+    #[test]
+    fn never_draining_is_the_rto_rule(
+        cap in 0u32..5,
+        steps in proptest::collection::vec(step(), 1..120),
+    ) {
+        let clock = ProtoClock::manual();
+        let mut tx = ArqSender::new(FLOOR, cap);
+        let mut model = RtoModel::default();
+        for step in steps {
+            match step {
+                Step::Send(peer, n) => {
+                    for _ in 0..n {
+                        let seq = tx.send(SiteId(peer), (), clock.now());
+                        prop_assert_eq!(seq, model.send(SiteId(peer)));
+                    }
+                }
+                Step::Ack(peer, pick) => {
+                    if let Some(seq) = model.ack(SiteId(peer), pick) {
+                        tx.ack(SiteId(peer), seq, clock.now());
+                    }
+                }
+                Step::Advance(d) => {
+                    clock.advance(d);
+                    model.now += d;
+                }
+                Step::Due => prop_assert_eq!(due(&mut tx, &clock), model.due(cap)),
+            }
+            for (&peer, p) in &model.peers {
+                prop_assert_eq!(tx.in_flight(peer), p.unacked.len());
+            }
+        }
+    }
 
     /// Any arrival order, with duplicates.
     #[test]

@@ -380,22 +380,27 @@ pub fn register(
                 let view = &s.view;
                 s.tx.retain_peers(|target| view.contains(target));
                 let mut out = Vec::new();
-                s.tx.due(now, |target, seq, attempts, (payload, ctx)| {
-                    s.retransmissions += 1;
-                    if let Some(ins) = &s.instruments {
-                        ins.retransmits.inc();
-                    }
-                    if let Some(t) = &s.tracer {
-                        t.emit(samoa_core::TraceKind::Retransmit {
-                            site: t.site().0,
-                            to: target.0,
-                            attempts,
-                        });
-                    }
-                    // The first resend to a target takes its owed acks.
-                    let acks = s.owed.remove(&target).unwrap_or_default();
-                    out.push((target, datagram(Some((seq, *ctx, payload)), &acks)));
-                });
+                // Never draining: acks leave batched, up to a tick late.
+                s.tx.due(
+                    now,
+                    |_| false,
+                    |target, seq, attempts, (payload, ctx)| {
+                        s.retransmissions += 1;
+                        if let Some(ins) = &s.instruments {
+                            ins.retransmits.inc();
+                        }
+                        if let Some(t) = &s.tracer {
+                            t.emit(samoa_core::TraceKind::Retransmit {
+                                site: t.site().0,
+                                to: target.0,
+                                attempts,
+                            });
+                        }
+                        // The first resend to a target takes its owed acks.
+                        let acks = s.owed.remove(&target).unwrap_or_default();
+                        out.push((target, datagram(Some((seq, *ctx, payload)), &acks)));
+                    },
+                );
                 // Whatever no data datagram took along goes out on its own,
                 // one datagram per peer.
                 for (peer, acks) in std::mem::take(&mut s.owed) {

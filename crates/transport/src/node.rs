@@ -26,7 +26,9 @@ pub struct TransportConfig {
     pub mtu: usize,
     /// Sliding-window size (frames in flight per peer).
     pub window: usize,
-    /// Retransmission timeout (the floor of the adaptive estimate).
+    /// Retransmission timeout: the floor of the adaptive RTO. The tail of a
+    /// draining window — nothing more queued for the peer — is resent
+    /// sooner, more than two round trips after it left.
     pub rto: Duration,
     /// Run the retransmission timer: a tick every quarter of `rto` (at
     /// least 1 ms), so a timeout is noticed within a quarter of itself.

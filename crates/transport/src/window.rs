@@ -8,7 +8,10 @@
 //! ones were acknowledged ahead of is resent by the ack that shows it (`recv`,
 //! through [`ArqSender::ack_detecting_loss`]), so a hole is filled at the pace
 //! of the acks. The timer (`retransmit`) recovers what no later ack can vouch
-//! for: the last frames sent, a lost repeat at the tail. Sequence numbers,
+//! for — the last frames sent, a lost repeat at the tail — at its first tick
+//! more than two round trips after the frame left, once the backlog is empty
+//! (the wait doubles per resend up to the RTO), and at the RTO while frames
+//! still queue behind the window. Sequence numbers,
 //! both rules and the duplicate filter are [`samoa_net::arq`], without
 //! backoff: a window-limited sender cannot storm.
 
@@ -31,7 +34,7 @@ fn stamped(mut frame: Frame, seq: u64) -> Frame {
 
 /// How many windows ahead of its in-order floor the receiver holds frames.
 /// The sender bounds how many frames are unacknowledged, not how far apart
-/// they are: until a lost frame is resent — three acks later, or an RTO later
+/// they are: until a lost frame is resent — three acks later, or by the timer
 /// if it was among the last sent or its repeat is lost too — the rest of the
 /// window turns over once per round trip. Further ahead than a hole plausibly
 /// lasts is stray or hostile, and holding it all would let outside input grow
@@ -153,7 +156,10 @@ impl WindowState {
     /// Collect frames overdue for retransmission.
     fn overdue(&mut self) -> Vec<(SiteId, Frame)> {
         let mut out = Vec::new();
-        self.tx.due(self.clock.now(), |peer, seq, _, f| {
+        // With the backlog empty nothing will overtake the tail in flight.
+        let backlog = &self.backlog;
+        let draining = |peer| backlog.get(&peer).is_none_or(VecDeque::is_empty);
+        self.tx.due(self.clock.now(), draining, |peer, seq, _, f| {
             out.push((peer, stamped(f.clone(), seq)))
         });
         self.retransmissions += out.len() as u64;

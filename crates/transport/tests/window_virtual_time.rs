@@ -1,15 +1,19 @@
 //! The Window microprotocol on virtual time: two endpoints on a manual
 //! [`SimNet`] with a [`ProtoClock::manual`] and the timer thread off. One
 //! datagram is delivered at a time and both runtimes are quiesced before the
-//! next, time moves only when a test says so, and nothing sleeps or reads
-//! the wall clock. The transfer is one-directional, so a datagram from site
+//! next, time moves only when a test says so (or by a fixed hop per
+//! delivery), and nothing sleeps or reads the wall clock. The transfer is one-directional, so a datagram from site
 //! 0 is a data frame and one from site 1 is an ack.
 //!
-//! Two things resend a frame. The timer, an RTO after it last left: the
-//! tests that advance the clock and tick. And the acks: a frame that three
-//! later-sent ones were acknowledged ahead of, or every one that still could
-//! be once fewer than three are in flight — the tests that never advance the
-//! clock and never tick.
+//! Two things resend a frame. The timer: the tests that advance the clock
+//! and tick. It resends a frame more than two smoothed round trips after it
+//! last left once the sender has nothing more queued for the peer (the wait
+//! doubled per resend, never beyond the RTO), and an RTO after it otherwise
+//! or before a round trip was sampled; a rig with a [`HOP`] makes a round
+//! trip two hops long, so the estimate is known. And the acks: a frame
+//! that three later-sent ones were acknowledged ahead of, or every one that
+//! still could be once fewer than three are in flight — the tests that never
+//! advance the clock and never tick.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,16 +26,26 @@ const RTO: Duration = Duration::from_millis(20);
 const MTU: usize = 16;
 const TX: SiteId = SiteId(0);
 const RX: SiteId = SiteId(1);
+/// What one delivery takes on a rig [`Rig::with_hop`] builds: a data frame
+/// and its ack are a 100 µs round trip.
+const HOP: Duration = Duration::from_micros(50);
 
 struct Rig {
     net: SimNet,
     tx: Arc<Endpoint>,
     rx: Arc<Endpoint>,
     clock: ProtoClock,
+    /// The clock moves this much before each delivery.
+    hop: Duration,
 }
 
 impl Rig {
+    /// A rig whose clock moves only when a test advances it.
     fn new(window: usize) -> Rig {
+        Rig::with_hop(window, Duration::ZERO)
+    }
+
+    fn with_hop(window: usize, hop: Duration) -> Rig {
         let net = SimNet::new_manual(2, NetConfig::fast(1));
         let clock = ProtoClock::manual();
         let cfg = TransportConfig {
@@ -47,6 +61,7 @@ impl Rig {
             rx: Endpoint::new(net.handle(), RX, cfg),
             net,
             clock,
+            hop,
         }
     }
 
@@ -73,6 +88,7 @@ impl Rig {
     }
 
     fn deliver(&self, seq: u64) {
+        self.clock.advance(self.hop);
         assert!(self.handle().pump_seq(seq), "datagram {seq} not in flight");
         self.quiesce();
     }
@@ -122,33 +138,125 @@ fn message(seed: u8, frags: usize) -> Bytes {
     Bytes::from(bytes.collect::<Vec<u8>>())
 }
 
-#[test]
-fn a_dropped_fragment_is_resent_once_by_the_first_tick_after_the_rto() {
-    let rig = Rig::new(4);
-    let msg = message(1, 3);
-    rig.send(&msg);
+/// A rig with a [`HOP`] whose sender sent a message of two fragments, the
+/// second lost: the first one's ack was the one round-trip sample, so srtt
+/// is `2 · HOP` and the sender holds nothing more — the tail timeout is
+/// `4 · HOP`. One round trip has passed since the lost one left.
+fn lost_tail(window: usize, msg: &Bytes) -> Rig {
+    let rig = Rig::with_hop(window, HOP);
+    rig.send(msg);
     let data = rig.in_flight_from(TX);
-    assert_eq!(data.len(), 3);
+    assert_eq!(data.len(), 2);
     // The last one: nothing is sent after it, so no ack can show the hole.
-    assert!(rig.handle().drop_seq(data[2]));
+    assert!(rig.handle().drop_seq(data[1]));
     rig.settle();
-    assert_eq!(rig.tx.in_flight(RX), 1, "two of three acknowledged");
+    assert_eq!(rig.tx.in_flight(RX), 1, "one of two acknowledged");
     assert!(rig.delivered().is_empty());
+    rig
+}
 
-    rig.clock.advance(RTO - Duration::from_nanos(1));
+#[test]
+fn a_dropped_fragment_is_resent_once_by_the_first_tick_after_two_round_trips() {
+    let msg = message(1, 2);
+    let rig = lost_tail(4, &msg);
+
+    rig.clock.advance(HOP * 2);
     rig.tick();
-    assert_eq!(rig.handle().pending(), 0, "resent before the RTO");
+    assert_eq!(rig.handle().pending(), 0, "resent at two round trips");
     rig.clock.advance(Duration::from_nanos(1));
     rig.tick();
     assert_eq!(rig.in_flight_from(TX).len(), 1);
     rig.tick();
-    assert_eq!(rig.in_flight_from(TX).len(), 1, "resent twice in one RTO");
+    assert_eq!(rig.in_flight_from(TX).len(), 1, "resent twice by one tick");
     assert_eq!(rig.tx.retransmissions(), 1);
+    assert_eq!(rig.tx.fast_retransmissions(), 0, "no ack showed it");
 
     rig.settle();
     assert_eq!(rig.delivered(), [msg]);
     assert_eq!(rig.tx.in_flight(RX), 0);
     assert_eq!(rig.rx.duplicates_suppressed(), 0);
+}
+
+/// A peer gone silent after one round trip, ticked every quarter of the RTO
+/// for a second: the waits of 200, 400, 800, 1 600 and 3 200 µs are each
+/// met by the next tick, 6.4 ms by the second, 12.8 ms by the third, and
+/// every wait after that is the RTO's. The RTO alone resends 50 times in
+/// that second, one second over the RTO.
+#[test]
+fn a_lost_tail_resend_waits_twice_as_long_and_never_beyond_the_rto() {
+    let rig = lost_tail(4, &message(15, 2));
+    let mut resent_at = Vec::new();
+    for tick in 1..=200 {
+        rig.clock.advance(RTO / 4);
+        rig.tick();
+        for d in rig.handle().pending_datagrams() {
+            assert_eq!(d.from, TX, "nothing reaches the receiver to ack");
+            assert!(rig.handle().drop_seq(d.seq));
+            resent_at.push(tick);
+        }
+    }
+    assert_eq!(resent_at[..7], [1, 2, 3, 4, 5, 7, 10]);
+    let rto_apart = resent_at[6..].windows(2).all(|w| w[1] - w[0] == 4);
+    assert!(rto_apart, "{resent_at:?}");
+    assert_eq!(resent_at.len(), 54);
+    assert_eq!(rig.tx.retransmissions(), 54);
+}
+
+/// Window 2, a message of 4: while fragments queue behind the window, one
+/// sent later can still overtake a lost one and the count can find it, so
+/// the timer waits the RTO as it always did.
+#[test]
+fn a_peer_with_a_backlog_still_waits_the_rto() {
+    let rig = Rig::with_hop(2, HOP);
+    let msg = message(16, 4);
+    rig.send(&msg);
+    let first = rig.in_flight_from(TX);
+    assert_eq!(first.len(), 2, "a full window, two fragments queued");
+    assert!(rig.handle().drop_seq(first[0]));
+    // A round-trip sample, and the third fragment leaves; the fourth waits.
+    rig.deliver_and_ack(first[1]);
+    let sent = rig.in_flight_from(TX);
+    assert_eq!(sent.len(), 1);
+
+    // The lost one left an RTO ago, less a nanosecond: far more than two
+    // round trips.
+    rig.clock.advance(RTO - HOP * 2 - Duration::from_nanos(1));
+    rig.tick();
+    assert_eq!(rig.new_from_tx(&sent), [], "resent before the RTO");
+    rig.clock.advance(Duration::from_nanos(1));
+    rig.tick();
+    assert_eq!(rig.new_from_tx(&sent).len(), 1);
+    assert_eq!(rig.tx.retransmissions(), 1);
+
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
+    assert_eq!(rig.tx.retransmissions(), 1);
+    assert_eq!(rig.tx.in_flight(RX), 0);
+    assert_eq!(rig.rx.duplicates_suppressed(), 0);
+}
+
+/// Every round trip on a frozen clock is 0 long, and so is the tail
+/// timeout: only time *beyond* it counts, so ticks alone resend nothing.
+#[test]
+fn on_a_clock_that_has_not_moved_nothing_is_resent_early() {
+    let rig = Rig::new(4);
+    let msg = message(17, 2);
+    rig.send(&msg);
+    let data = rig.in_flight_from(TX);
+    assert!(rig.handle().drop_seq(data[1]));
+    rig.settle();
+    assert_eq!(rig.tx.in_flight(RX), 1, "a zero round trip was sampled");
+    for _ in 0..3 {
+        rig.tick();
+    }
+    assert_eq!(rig.handle().pending(), 0);
+    assert_eq!(rig.tx.retransmissions(), 0);
+    // Any time at all is more than two round trips of none.
+    rig.clock.advance(Duration::from_nanos(1));
+    rig.tick();
+    assert_eq!(rig.tx.retransmissions(), 1);
+    rig.settle();
+    assert_eq!(rig.delivered(), [msg]);
 }
 
 #[test]
