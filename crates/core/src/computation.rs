@@ -27,9 +27,11 @@
 //! hands out versions in spawn order: overlapping spawns are serialised by
 //! the per-cell gates of the `gv` sweep in `runtime.rs`), so the oldest
 //! computation always makes progress — and each computation keeps at least
-//! its root worker, on a thread of its own, until its own task count reaches
-//! zero. The executor never queues a job behind another, so "a thread of its
-//! own" holds however many computations are blocked. This is the
+//! its root job, on a thread of its own, until its own task count reaches
+//! zero: the worker the job was handed to, or a joiner that took the job
+//! back before that worker picked it up (`exec.rs`, "Why a reclaimed root
+//! keeps §6"). The executor never queues a job behind another, so "a thread
+//! of its own" holds however many computations are blocked. This is the
 //! deadlock-freedom argument of paper §6 made operational.
 
 use std::collections::VecDeque;
@@ -42,6 +44,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::ctx::Ctx;
 use crate::error::{CompId, Result, SamoaError};
 use crate::event::{EventData, EventType};
+use crate::exec::Handed;
 use crate::graph::RouteCheck;
 use crate::handler::HandlerId;
 use crate::policy::{AccessMode, CompMode, CompSpec, PvEntry};
@@ -235,7 +238,8 @@ impl ComputationInner {
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, reserve)
                 .is_ok()
             {
-                self.start_worker(|_| {}, |_| {});
+                // Nobody waits for a helper: its hand-off is never taken back.
+                drop(self.start_worker(|_| {}, |_| {}));
             }
             // Otherwise an existing (busy) worker will drain the queue; the
             // root worker stays alive until pending == 0, so progress is
@@ -249,11 +253,13 @@ impl ComputationInner {
     /// completion. `on_end` is handed the computation's first error — final
     /// by then: no task is pending — when the job ends, before the thread
     /// can serve anything else (and is dropped uncalled if the job panics).
+    /// Returns what [`execute`](crate::exec::execute) returned: the hand-off,
+    /// if the job went to a parked worker.
     pub(crate) fn start_worker(
         self: &Arc<Self>,
         first: impl FnOnce(&Arc<Self>) + Send + 'static,
         on_end: impl FnOnce(Option<&SamoaError>) + Send + 'static,
-    ) {
+    ) -> Option<Handed> {
         let comp = Arc::clone(self);
         let hook = self.rt.hook.clone();
         let token = hook.as_ref().map(|h| match self.static_seed() {
@@ -271,7 +277,7 @@ impl ComputationInner {
                 h.on_thread_exit();
             }
             on_end(comp.error.lock().as_ref());
-        });
+        })
     }
 
     fn next_task(&self) -> Option<Task> {

@@ -550,6 +550,15 @@
 //! sleeping handlers changes; only the ~20 µs of thread creation per
 //! computation is gone.
 //!
+//! A detached root runs on the worker it was handed to, or on the thread
+//! that calls [`CompHandle::join`](crate::CompHandle::join) if that gets
+//! there first: `join` takes back a hand-off no worker has picked up yet and
+//! runs the root itself — `isolated M e` evaluated by the thread that
+//! reaches it, as with `run`. The argument is unchanged (it is written once,
+//! in `exec.rs`): the joiner would have blocked until exactly this
+//! computation completed. Under a [`SchedHook`](crate::sched::SchedHook) the
+//! root always runs on its worker, the thread the hook was told of.
+//!
 //! A *bounded* pool with a queue would be a different design, not a tuning
 //! of this one: with every worker parked on computation `k`, `k`'s own job
 //! could sit in the queue behind them — a deadlock the versioning rules

@@ -9,9 +9,11 @@
 //! `isolated*` conveniences — the calling thread becomes the computation's
 //! root worker and the call returns after the computation has completed) or
 //! *detached* ([`Runtime::spawn`] — Rule 1 still executes synchronously in
-//! the caller, so spawn order determines version order, then the body runs as
-//! a root job on a thread of the executor — a cached worker, or a new thread
-//! if none is idle, never a queue — and the caller gets a [`CompHandle`]).
+//! the caller, so spawn order determines version order, then the body is
+//! handed as a root job to a thread of the executor — a cached worker, or a
+//! new thread if none is idle, never a queue — and the caller gets a
+//! [`CompHandle`], whose `join` runs the job itself if it gets there before
+//! the worker does).
 //!
 //! Never call a blocking `isolated*` from *inside* a handler when the new
 //! declaration overlaps the running computation's: the inner computation
@@ -32,6 +34,7 @@ use parking_lot::Mutex;
 use crate::computation::{panic_message, ComputationInner, PostAction};
 use crate::ctx::Ctx;
 use crate::error::{CompId, Result, SamoaError};
+use crate::exec::Handed;
 use crate::external::ExtGate;
 use crate::graph::{RoutePattern, RouteState};
 use crate::handler::HandlerId;
@@ -817,10 +820,12 @@ impl Runtime {
 
     /// Start a computation *detached* and return a handle. Rule 1 executes
     /// synchronously here, so the caller's spawn order fixes the version
-    /// (i.e. serialisation) order; the body runs as a root job on a thread
-    /// of its own, handed to an idle cached worker or, if there is none, to
-    /// a new thread. The job never queues, so the computation owns a thread
-    /// from here until Rule 3, however many other computations are blocked.
+    /// (i.e. serialisation) order; the body is a root job handed to an idle
+    /// cached worker, which is woken at once, or, if there is none, to a new
+    /// thread. It runs there, or on the thread that calls
+    /// [`CompHandle::join`] if that gets to the job before the woken worker
+    /// does. The job never queues, so the computation owns a thread from here
+    /// until Rule 3, however many other computations are blocked.
     ///
     /// # Panics
     ///
@@ -859,8 +864,11 @@ impl Runtime {
             panic!("{e}");
         }
         let comp = self.spawn_comp(&decl);
-        comp.start_worker(|comp| root_execute(comp, f), on_end);
-        CompHandle { comp }
+        let handed = comp.start_worker(|comp| root_execute(comp, f), on_end);
+        // A hook ties the job to the thread announced in `on_thread_spawn`:
+        // run anywhere else, it would start on the joiner.
+        let handed = handed.filter(|_| self.inner.hook.is_none());
+        CompHandle { comp, handed }
     }
 
     // ---- typed conveniences, matching the paper's constructs ----
@@ -1091,6 +1099,9 @@ impl std::fmt::Debug for Runtime {
 /// Handle to a detached computation.
 pub struct CompHandle {
     comp: Arc<ComputationInner>,
+    /// The root job's hand-off to a parked worker; `None` under a
+    /// [`SchedHook`] or when the job went to a new thread.
+    handed: Option<Handed>,
 }
 
 impl CompHandle {
@@ -1100,7 +1111,20 @@ impl CompHandle {
     }
 
     /// Block until the computation completes; report its first error.
+    ///
+    /// If the worker the root job was handed to has not picked it up yet,
+    /// the job is taken back and runs on the calling thread (the paper's
+    /// `isolated M e` is evaluated by the thread that reaches it). A joiner
+    /// that holds something the root needs then meets it itself: if it
+    /// holds a [`ProtocolState`](crate::ProtocolState) borrow the root
+    /// takes, the root fails with [`SamoaError::HandlerPanic`] from the
+    /// `RefCell`, where a worker running the root would block forever.
     pub fn join(self) -> Result<()> {
+        if let Some(job) = self.handed.and_then(Handed::reclaim) {
+            // As the worker runs it: a panic that escapes the job's own
+            // catching (a guard's `Drop`) is not the joiner's.
+            let _ = catch_unwind(AssertUnwindSafe(job));
+        }
         self.comp.wait_done();
         match self.comp.first_error() {
             Some(e) => Err(e),

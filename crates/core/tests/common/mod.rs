@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use samoa_core::prelude::*;
+use samoa_core::CompId;
 
 /// A stack of `n` independent microprotocols. Protocol `i` has one handler
 /// bound to event `i`; the handler performs a deliberately racy
@@ -101,6 +102,20 @@ pub fn wait_flag(flag: &AtomicBool, timeout: Duration) -> bool {
         std::thread::sleep(Duration::from_millis(1));
     }
     flag.load(Ordering::SeqCst)
+}
+
+/// Yield until `waiter` is listed in `rt.waiters()` — parked in admission,
+/// past the probe — or `timeout` elapses; returns whether it was listed.
+/// Only a traced runtime lists anyone.
+pub fn wait_parked(rt: &Runtime, waiter: CompId, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    while !rt.waiters().edges.iter().any(|e| e.waiter == waiter) {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
 }
 
 /// A fresh shared flag.

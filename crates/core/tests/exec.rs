@@ -1,5 +1,7 @@
 //! The executor behind `Runtime::spawn`: threads are reused, jobs are never
-//! queued, panics do not cost a worker, and idle workers go away. (What a
+//! queued, a root runs exactly once — on its worker, or on the joiner that
+//! took it back — and without a joiner too, panics do not cost a worker, and
+//! idle workers go away. (What a
 //! root job's `on_end` is told, and when, is pinned next to the crate-private
 //! `spawn_guarded`, in `runtime.rs`.)
 //!
@@ -14,6 +16,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use samoa_core::prelude::*;
+use samoa_core::sched::NoopHook;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -44,34 +47,96 @@ fn flat_stack(
     (Runtime::new(b.build()), protocols, events)
 }
 
-/// More than the few workers a sequential `spawn(..).join()` loop can ever
-/// hold (a new one is created only when every existing one is still between
+/// More than the few threads a sequential `spawn(..).join()` loop can ever
+/// run its roots on (the joiner, when it takes a job back, and the workers:
+/// a new one is created only when every existing one is still between
 /// signalling `join` and parking), far fewer than one per computation.
 const A_HANDFUL: usize = 32;
 
 #[test]
 fn sequential_computations_reuse_a_handful_of_threads() {
     let _one = exclusive();
+    const N: usize = 10_000;
     let seen = Arc::new(Mutex::new(HashSet::<ThreadId>::new()));
+    let visits = Arc::new(AtomicUsize::new(0));
     let (rt, protocols, events) = flat_stack(1, {
-        let seen = Arc::clone(&seen);
+        let (seen, visits) = (Arc::clone(&seen), Arc::clone(&visits));
         move || {
             seen.lock().unwrap().insert(std::thread::current().id());
+            visits.fetch_add(1, Ordering::SeqCst);
         }
     });
     let e = events[0];
-    for _ in 0..1000 {
-        rt.spawn(Decl::Basic(&protocols), move |ctx| {
-            ctx.trigger(e, EventData::empty())
-        })
-        .join()
-        .unwrap();
+    #[cfg(target_os = "linux")]
+    let before = worker_threads();
+    for _ in 0..N / 1000 {
+        for _ in 0..1000 {
+            rt.spawn(Decl::Basic(&protocols), move |ctx| {
+                ctx.trigger(e, EventData::empty())
+            })
+            .join()
+            .unwrap();
+        }
+        #[cfg(target_os = "linux")]
+        {
+            let now = worker_threads();
+            assert!(now <= before + A_HANDFUL, "{before} workers grew to {now}");
+        }
     }
+    // Each root ran once: neither lost between worker and joiner nor run by
+    // both.
+    assert_eq!(visits.load(Ordering::SeqCst), N);
     let distinct = seen.lock().unwrap().len();
     assert!(
         (1..=A_HANDFUL).contains(&distinct),
-        "1000 sequential computations ran on {distinct} threads"
+        "{N} sequential computations ran on {distinct} threads"
     );
+}
+
+#[test]
+fn a_computation_nobody_joins_still_runs() {
+    let _one = exclusive();
+    let (rt, protocols, _) = flat_stack(1, || {});
+    let (ran, ran_rx) = std::sync::mpsc::channel();
+    let handle = rt.spawn(Decl::Basic(&protocols), move |_| {
+        ran.send(()).expect("the test listens");
+        Ok(())
+    });
+    // The handle is alive and never joined: the woken worker runs the root
+    // anyway. The timeout only bounds a failing run.
+    ran_rx
+        .recv_timeout(PATIENCE)
+        .expect("an unjoined computation never ran");
+    drop(handle);
+    rt.quiesce();
+}
+
+#[test]
+fn under_a_hook_the_root_runs_on_its_worker_never_on_the_joiner() {
+    let _one = exclusive();
+    let mut b = StackBuilder::new();
+    let p = b.protocol("P");
+    let rt = Runtime::with_parts(
+        b.build(),
+        RuntimeConfig::default(),
+        Some(Arc::new(NoopHook)),
+        None,
+    );
+    let joiner = std::thread::current().id();
+    for _ in 0..200 {
+        let (ran_on, ran_on_rx) = std::sync::mpsc::channel();
+        rt.spawn(Decl::Basic(&[p]), move |_| {
+            let me = std::thread::current();
+            let name = me.name().map(String::from);
+            ran_on.send((me.id(), name)).expect("the test listens");
+            Ok(())
+        })
+        .join()
+        .unwrap();
+        let (id, name) = ran_on_rx.recv().expect("the root ran");
+        assert_ne!(id, joiner, "a hooked root ran on its joiner");
+        assert_eq!(name.as_deref(), Some("samoa-worker"));
+    }
 }
 
 #[test]

@@ -13,12 +13,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{join_within, wait_flag};
+use common::{join_within, wait_flag, wait_parked};
 use samoa_core::prelude::*;
 
 /// The diamond stack. Each handler appends its name + computation to the
 /// shared trace of its own protocol. S's handler can be made to stall on a
-/// gate for schedule control in the r3 test.
+/// gate for schedule control in the r3 test. The runtime is traced, so
+/// `Runtime::waiters()` shows who is parked in admission.
 struct Diamond {
     rt: Runtime,
     a0: EventType,
@@ -31,6 +32,8 @@ struct Diamond {
     s_trace: ProtocolState<Vec<u64>>,
     /// When set, computation 1's S handler waits for this gate.
     s_gate: Arc<AtomicBool>,
+    /// Set by computation 1's S handler when it reaches the armed gate.
+    at_gate: Arc<AtomicBool>,
     /// Whether the gate is armed at all.
     use_gate: Arc<AtomicBool>,
 }
@@ -48,6 +51,7 @@ fn diamond() -> Diamond {
     let r_trace = ProtocolState::new(r, Vec::new());
     let s_trace = ProtocolState::new(s, Vec::new());
     let s_gate = Arc::new(AtomicBool::new(false));
+    let at_gate = Arc::new(AtomicBool::new(false));
     let use_gate = Arc::new(AtomicBool::new(false));
 
     b.bind(a0, p, "P", move |ctx, ev| ctx.trigger(to_r, ev.clone()));
@@ -62,9 +66,11 @@ fn diamond() -> Diamond {
     {
         let ts = s_trace.clone();
         let gate = Arc::clone(&s_gate);
+        let at = Arc::clone(&at_gate);
         let armed = Arc::clone(&use_gate);
         b.bind(to_s, s, "S", move |ctx, _| {
             if armed.load(Ordering::SeqCst) && ctx.comp_id() == 1 {
+                at.store(true, Ordering::SeqCst);
                 assert!(
                     wait_flag(&gate, Duration::from_secs(10)),
                     "S gate never opened"
@@ -75,7 +81,7 @@ fn diamond() -> Diamond {
         });
     }
     Diamond {
-        rt: Runtime::with_config(b.build(), RuntimeConfig::recording()),
+        rt: Runtime::with_trace(b.build(), RuntimeConfig::recording(), TraceBuffer::new()),
         a0,
         b0,
         p,
@@ -85,6 +91,7 @@ fn diamond() -> Diamond {
         r_trace,
         s_trace,
         s_gate,
+        at_gate,
         use_gate,
     }
 }
@@ -118,8 +125,11 @@ fn unsync_can_produce_run_r3_and_checker_catches_it() {
         let e = d.a0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
-    // Give ka time to pass R and park at the gate.
-    std::thread::sleep(Duration::from_millis(30));
+    // ka has passed R once it is at the gate.
+    assert!(
+        wait_flag(&d.at_gate, Duration::from_secs(10)),
+        "ka never reached S"
+    );
     // kb (comp 2): P, R, S — overtakes ka at S.
     let kb = d.rt.spawn_unsync({
         let e = d.b0;
@@ -148,13 +158,19 @@ fn isolation_prevents_run_r3_under_same_schedule_pressure() {
         let e = d.a0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
-    std::thread::sleep(Duration::from_millis(30));
+    assert!(
+        wait_flag(&d.at_gate, Duration::from_secs(10)),
+        "ka never reached S"
+    );
     let kb = d.rt.spawn_isolated(&[d.q, d.r, d.s], {
         let e = d.b0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
     // kb is *blocked* at R; open ka's gate so the system drains.
-    std::thread::sleep(Duration::from_millis(30));
+    assert!(
+        wait_parked(&d.rt, kb.comp_id(), Duration::from_secs(10)),
+        "kb never parked behind ka"
+    );
     assert_eq!(d.s_trace.snapshot(), Vec::<u64>::new(), "kb overtook ka");
     d.s_gate.store(true, Ordering::SeqCst);
     join_within(ka, Duration::from_secs(10)).unwrap();
@@ -222,9 +238,12 @@ fn appia_style_serial_admits_only_serial_runs() {
     let ka = {
         let e = d.a0;
         let done = Arc::clone(&ka_done);
+        let rt = d.rt.clone();
         d.rt.spawn_serial(move |ctx| {
             ctx.trigger(e, EventData::empty())?;
-            std::thread::sleep(Duration::from_millis(40));
+            // ka stays in flight until kb (comp 2) is parked behind it; a kb
+            // that never parks ran past ka and finds `done` unset.
+            wait_parked(&rt, 2, Duration::from_secs(10));
             done.store(true, Ordering::SeqCst);
             Ok(())
         })

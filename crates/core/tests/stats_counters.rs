@@ -8,9 +8,9 @@ mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use common::{join_within, wait_flag};
+use common::{join_within, wait_flag, wait_parked};
 use samoa_core::prelude::*;
 
 /// A 3-stage pipeline: h0 → h1 → h2, one protocol per stage.
@@ -215,11 +215,10 @@ fn a_holder_off_the_cpu_is_waited_for_asleep() {
     let younger =
         p.rt.spawn_isolated_route(&pat, move |ctx| ctx.trigger(e0, EventData::empty()));
     let id = younger.comp_id();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !p.rt.waiters().edges.iter().any(|e| e.waiter == id) {
-        assert!(Instant::now() < deadline, "the younger one never parked");
-        std::thread::yield_now();
-    }
+    assert!(
+        wait_parked(&p.rt, id, Duration::from_secs(10)),
+        "the younger one never parked"
+    );
     release.send(()).unwrap();
     join_within(older, Duration::from_secs(10)).unwrap();
     join_within(younger, Duration::from_secs(10)).unwrap();
