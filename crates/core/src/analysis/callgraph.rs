@@ -4,7 +4,9 @@
 //! [`StackBuilder::declare_triggers`](crate::stack::StackBuilder::declare_triggers):
 //! a handler that declares it may trigger event `e` has a call edge to every
 //! handler bound to `e`, weighted by the declared per-invocation
-//! multiplicity. The graph over-approximates `trigger` (which calls exactly
+//! multiplicity — [`CYCLE_FALLBACK_BOUND`] for a fan-out
+//! ([`StackBuilder::declare_fan_out`](crate::stack::StackBuilder::declare_fan_out)).
+//! The graph over-approximates `trigger` (which calls exactly
 //! one handler) and is exact for `trigger_all`, so everything derived from
 //! it — reachability, visit counts, routing edges — is an upper bound on
 //! run-time behaviour, which is precisely what declarations must be.
@@ -15,6 +17,13 @@ use crate::event::EventType;
 use crate::handler::HandlerId;
 use crate::protocol::ProtocolId;
 use crate::stack::Stack;
+
+/// The visit bound of a microprotocol no finite count is known for: below a
+/// fan-out edge, or anywhere in a cyclic call graph. Deliberately far below
+/// `u64::MAX`: the runtime *adds* bounds to global version counters on every
+/// spawn, so the fallback must leave room for billions of spawns without
+/// overflowing. Visit counts saturate here.
+pub const CYCLE_FALLBACK_BOUND: u64 = 1 << 20;
 
 /// The static call graph of a [`Stack`], derived from trigger metadata.
 #[derive(Debug, Clone)]
@@ -46,6 +55,9 @@ impl CallGraph {
             let mut multiplicity: BTreeMap<EventType, u64> = BTreeMap::new();
             for &e in events {
                 *multiplicity.entry(e).or_insert(0) += 1;
+            }
+            for &e in stack.handler_fan_outs(h) {
+                multiplicity.insert(e, CYCLE_FALLBACK_BOUND);
             }
             for (e, k) in multiplicity {
                 let targets = stack.bound_handlers(e);
@@ -126,8 +138,8 @@ impl CallGraph {
     ///
     /// Path-counting dynamic programming over the reachable subgraph in
     /// topological order: each call of `h` contributes `multiplicity` calls
-    /// along every out-edge. Saturating arithmetic, so pathological fan-out
-    /// caps at `u64::MAX` instead of wrapping.
+    /// along every out-edge. Counts saturate at [`CYCLE_FALLBACK_BOUND`], so
+    /// every handler below a fan-out edge gets exactly that.
     ///
     /// # Errors
     ///
@@ -155,8 +167,9 @@ impl CallGraph {
         while let Some(h) = queue.pop_front() {
             processed.insert(h);
             for &(t, k) in self.successors(h) {
-                counts[t.index()] =
-                    counts[t.index()].saturating_add(counts[h.index()].saturating_mul(k));
+                counts[t.index()] = counts[t.index()]
+                    .saturating_add(counts[h.index()].saturating_mul(k))
+                    .min(CYCLE_FALLBACK_BOUND);
                 indeg[t.index()] -= 1;
                 if indeg[t.index()] == 0 {
                     queue.push_back(t);
@@ -187,7 +200,7 @@ impl CallGraph {
         let mut per_protocol = vec![0u64; self.stack.protocol_count()];
         for (i, &c) in per_handler.iter().enumerate() {
             let p = self.stack.handler_protocol(HandlerId(i as u32));
-            per_protocol[p.index()] = per_protocol[p.index()].saturating_add(c);
+            per_protocol[p.index()] = (per_protocol[p.index()] + c).min(CYCLE_FALLBACK_BOUND);
         }
         Ok(per_protocol)
     }
@@ -286,6 +299,37 @@ mod tests {
         let g = CallGraph::from_stack(&s);
         assert_eq!(g.missing_metadata(), &[b]);
         assert_eq!(g.dangling_triggers(), &[(a, ghost)]);
+    }
+
+    /// root -> a -(fan-out)-> b -> c, and a -> d once: only what lies below
+    /// the fan-out edge saturates.
+    #[test]
+    fn only_what_lies_below_a_fan_out_saturates() {
+        let mut bld = StackBuilder::new();
+        let (pa, pb, pc, pd) = (
+            bld.protocol("A"),
+            bld.protocol("B"),
+            bld.protocol("C"),
+            bld.protocol("D"),
+        );
+        let (root, eb, ec, ed) = (
+            bld.event("root"),
+            bld.event("eb"),
+            bld.event("ec"),
+            bld.event("ed"),
+        );
+        let a = bld.bind_with_triggers(root, pa, "a", &[ed], noop());
+        bld.declare_fan_out(a, &[eb]);
+        let b = bld.bind_with_triggers(eb, pb, "b", &[ec, ec], noop());
+        bld.declare_fan_out(b, &[ec]);
+        bld.bind_with_triggers(ec, pc, "c", &[], noop());
+        bld.bind_with_triggers(ed, pd, "d", &[], noop());
+        let g = CallGraph::from_stack(&bld.build());
+        let per_p = g.protocol_visit_counts(root).unwrap();
+        assert_eq!(per_p[pa.index()], 1);
+        assert_eq!(per_p[pb.index()], CYCLE_FALLBACK_BOUND);
+        assert_eq!(per_p[pc.index()], CYCLE_FALLBACK_BOUND);
+        assert_eq!(per_p[pd.index()], 1);
     }
 
     #[test]

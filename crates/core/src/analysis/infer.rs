@@ -9,18 +9,12 @@
 //! that triggers only `root` can never fail with `UndeclaredProtocol`,
 //! `BoundExhausted` or `NoRoute` under them.
 
-use crate::analysis::callgraph::CallGraph;
+use crate::analysis::callgraph::{CallGraph, CYCLE_FALLBACK_BOUND};
 use crate::analysis::diagnostics::{codes, Diagnostic, Report, Severity};
 use crate::event::EventType;
 use crate::graph::RoutePattern;
 use crate::protocol::ProtocolId;
 use crate::stack::Stack;
-
-/// Fallback visit bound used for cyclic call graphs, where no finite worst
-/// case exists. Deliberately far below `u64::MAX`: the runtime *adds*
-/// bounds to global version counters on every spawn, so the fallback must
-/// leave room for billions of spawns without overflowing.
-pub const CYCLE_FALLBACK_BOUND: u64 = 1 << 20;
 
 /// The minimal `M`-set for an `isolated M` computation rooted at `root`:
 /// the microprotocols of every reachable handler, in id order.
@@ -32,7 +26,8 @@ pub fn infer_m(stack: &Stack, root: EventType) -> Vec<ProtocolId> {
 }
 
 /// The minimal visit bounds for an `isolated bound` computation rooted at
-/// `root`: each reachable microprotocol with its worst-case visit count.
+/// `root`: each reachable microprotocol with its worst-case visit count —
+/// [`CYCLE_FALLBACK_BOUND`] for those below a fan-out edge.
 ///
 /// If the reachable call graph is cyclic, no finite worst case exists; the
 /// returned [`Report`] carries an `SA030` Warning and every reachable

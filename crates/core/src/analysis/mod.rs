@@ -10,7 +10,9 @@
 //! ([`StackBuilder::declare_triggers`](crate::stack::StackBuilder::declare_triggers)
 //! / [`bind_with_triggers`](crate::stack::StackBuilder::bind_with_triggers)):
 //! each handler lists the event types its body may trigger, with repetition
-//! encoding per-invocation multiplicity. From it, [`CallGraph`] derives a
+//! encoding per-invocation multiplicity and
+//! [`declare_fan_out`](crate::stack::StackBuilder::declare_fan_out) marking
+//! the ones triggered in a loop. From it, [`CallGraph`] derives a
 //! conservative handler-level call graph, over which three analyses run:
 //!
 //! * **Linting** ([`lint_stack`]): structural defects of the stack itself —
@@ -65,9 +67,9 @@ pub mod diagnostics;
 pub mod infer;
 pub mod lint;
 
-pub use callgraph::CallGraph;
+pub use callgraph::{CallGraph, CYCLE_FALLBACK_BOUND};
 pub use conflict::ConflictMatrix;
 pub use deadlock::analyze_deadlocks;
 pub use diagnostics::{codes, Diagnostic, Report, Severity};
-pub use infer::{infer_bounds, infer_m, infer_route, CYCLE_FALLBACK_BOUND};
+pub use infer::{infer_bounds, infer_m, infer_route};
 pub use lint::{lint_stack, validate_decl};

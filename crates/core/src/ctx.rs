@@ -34,6 +34,10 @@ pub struct Ctx {
     exec: OnceLock<Arc<ExecState>>,
     /// True while executing a handler registered with `bind_read_only`.
     read_only: bool,
+    /// Debug builds: the events this call has triggered so far, checked
+    /// against its handler's declaration ([`Ctx::check_declared`]).
+    #[cfg(debug_assertions)]
+    fired: parking_lot::Mutex<Vec<EventType>>,
 }
 
 impl Ctx {
@@ -50,7 +54,37 @@ impl Ctx {
             current,
             exec,
             read_only,
+            #[cfg(debug_assertions)]
+            fired: parking_lot::Mutex::new(Vec::new()),
         }
+    }
+
+    /// Debug builds: panic, naming both, if the current handler's
+    /// declaration does not allow it to trigger `event` once more — a
+    /// trigger the call graph does not show makes every derived declaration
+    /// unsound. The closure body and undeclared handlers are exempt.
+    #[cfg(debug_assertions)]
+    fn check_declared(&self, event: EventType) {
+        let Some(h) = self.current_handler() else {
+            return;
+        };
+        let stack = self.stack();
+        let Some(declared) = stack.handler_triggers(h) else {
+            return;
+        };
+        if stack.handler_fan_outs(h).contains(&event) {
+            return;
+        }
+        let mut fired = self.fired.lock();
+        fired.push(event);
+        let times = fired.iter().filter(|&&e| e == event).count();
+        let allowed = declared.iter().filter(|&&e| e == event).count();
+        assert!(
+            times <= allowed,
+            "handler \"{}\" triggered \"{}\" {times} time(s) in one invocation; it declares {allowed}",
+            stack.handler_name(h),
+            stack.event_name(event)
+        );
     }
 
     /// The call's own function returned: is its Rule-4 post action due now?
@@ -98,7 +132,10 @@ impl Ctx {
         }
     }
 
+    /// The handlers `event` calls — asked once by each trigger primitive.
     fn handlers_for(&self, event: EventType) -> &[HandlerId] {
+        #[cfg(debug_assertions)]
+        self.check_declared(event);
         self.comp.rt.stack.bound_handlers(event)
     }
 
@@ -229,5 +266,67 @@ impl std::fmt::Debug for Ctx {
             .field("comp", &self.comp.id)
             .field("current", &self.current)
             .finish()
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use crate::error::SamoaError;
+    use crate::event::EventData;
+    use crate::runtime::Runtime;
+    use crate::stack::StackBuilder;
+
+    /// How handler `h` declares the event `e` it triggers.
+    #[derive(Clone, Copy)]
+    enum Declared {
+        Nothing,
+        Never,
+        Once,
+        FanOut,
+    }
+
+    /// `h` triggers `e` `times` times; the panic message of the
+    /// computation, if it failed.
+    fn trigger_times(declared: Declared, times: usize) -> Option<String> {
+        let mut b = StackBuilder::new();
+        let p = b.protocol("P");
+        let (root, e) = (b.event("root"), b.event("e"));
+        b.bind_with_triggers(e, p, "sink", &[], |_, _| Ok(()));
+        let h = b.bind(root, p, "h", move |ctx, _| {
+            for _ in 0..times {
+                ctx.async_trigger_all(e, EventData::empty())?;
+            }
+            Ok(())
+        });
+        match declared {
+            Declared::Nothing => {}
+            Declared::Never => b.declare_triggers(h, &[]),
+            Declared::Once => b.declare_triggers(h, &[e]),
+            Declared::FanOut => b.declare_fan_out(h, &[e]),
+        }
+        let rt = Runtime::new(b.build());
+        match rt.isolated(&[p], |ctx| ctx.trigger(root, EventData::empty())) {
+            Ok(()) => None,
+            Err(SamoaError::HandlerPanic { message, .. }) => Some(message),
+            Err(other) => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_trigger_beyond_the_declared_multiplicity_trips_the_check() {
+        assert_eq!(trigger_times(Declared::Once, 1), None);
+        let message = trigger_times(Declared::Once, 2).expect("the second trigger passed");
+        assert_eq!(
+            message,
+            "handler \"h\" triggered \"e\" 2 time(s) in one invocation; it declares 1"
+        );
+        let message = trigger_times(Declared::Never, 1).expect("an undeclared trigger passed");
+        assert!(message.ends_with("it declares 0"), "{message}");
+    }
+
+    #[test]
+    fn a_fan_out_or_no_declaration_allows_any_count() {
+        assert_eq!(trigger_times(Declared::FanOut, 5), None);
+        assert_eq!(trigger_times(Declared::Nothing, 5), None);
     }
 }

@@ -4,8 +4,9 @@
 //! `isolated M e` (§4). A *host* (something with a socket, a timer or a
 //! client API around a [`Runtime`]: `samoa_proto::Node`,
 //! `samoa_transport::Endpoint`) resolves once, per kind of event it
-//! receives, what that kind triggers and declares — an [`External`] — and
-//! hands every arrival to [`Runtime::external`]. Which thread runs the
+//! receives, what that kind triggers and declares — an [`External`], derived
+//! from the stack's call graph and the kind's entry event alone — and hands
+//! every arrival to [`Runtime::external`]. Which thread runs the
 //! computation, how many may be in flight and who counts the ones that fail
 //! is decided there and nowhere else.
 
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::analysis::infer_route;
+use crate::analysis::{infer_bounds, infer_m, infer_route};
 use crate::ctx::Ctx;
 use crate::error::SamoaError;
 use crate::event::{EventData, EventType};
@@ -38,17 +39,19 @@ pub struct External {
 }
 
 impl External {
-    /// `event` entering `stack` with `protocols` declared, each visited at
-    /// most `bound` times, and the routing pattern cut from the stack's
-    /// static call graph at the event ([`infer_route`]: every handler
-    /// declares the events it triggers, so there is no hand-kept edge list
-    /// to mirror the handler bodies).
-    pub fn new(stack: &Stack, event: EventType, protocols: &[ProtocolId], bound: u64) -> External {
+    /// `event` entering `stack`, with all three declarations derived from
+    /// the stack's static call graph at the event: `M` is every reachable
+    /// microprotocol ([`infer_m`]), the bounds their worst-case visit counts
+    /// ([`infer_bounds`]: exact above a fan-out edge, the fallback below one
+    /// or on a cycle), the route every reachable call edge
+    /// ([`infer_route`]). A kind of traffic the host tells apart at the door
+    /// — so that it can declare less — is an entry event of its own.
+    pub fn new(stack: &Stack, event: EventType) -> External {
         debug_assert!(stack.has_full_trigger_metadata());
         External {
             event,
-            protocols: protocols.to_vec(),
-            bounds: protocols.iter().map(|&p| (p, bound)).collect(),
+            protocols: infer_m(stack, event),
+            bounds: infer_bounds(stack, event).0,
             route: infer_route(stack, event),
         }
     }
@@ -233,7 +236,7 @@ mod tests {
             Ok(())
         });
         let stack = b.build();
-        let ext = External::new(&stack, e, &[p], 1);
+        let ext = External::new(&stack, e);
         let rt = Runtime::with_parts(stack, RuntimeConfig::default(), hook, None);
         (rt, ext, entered)
     }
@@ -355,10 +358,12 @@ mod tests {
                 ctx.async_trigger(deliver, EventData::empty())
             });
             let stack = b.build();
-            let full = External::new(&stack, arrive, &[lower, upper, app], 64);
+            let full = External::new(&stack, arrive);
             let under_declared = External {
+                event: arrive,
+                protocols: vec![lower, upper],
+                bounds: vec![(lower, 1), (upper, 1)],
                 route: RoutePattern::new().root(h_low).edge(h_low, h_up),
-                ..External::new(&stack, arrive, &[lower, upper], 64)
             };
             let rt = Runtime::new(stack);
             rt.external(policy, &under_declared, EventData::empty());

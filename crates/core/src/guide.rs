@@ -126,9 +126,13 @@
 //! Declarations "could be inferred statically" (paper §4) — and with a
 //! little metadata, they are. Declare what each handler triggers (use
 //! [`StackBuilder::bind_with_triggers`], or [`StackBuilder::declare_triggers`]
-//! after binding) and [`crate::analysis`] can lint the stack, validate a
-//! declaration against the static call graph, and infer minimal
-//! declarations for all three isolation algorithms:
+//! after binding; an event triggered in a loop — once per peer, per
+//! fragment — with [`StackBuilder::declare_fan_out`]) and
+//! [`crate::analysis`] can lint the stack, validate a declaration against
+//! the static call graph, and infer minimal declarations for all three
+//! isolation algorithms. A host needs nothing more: [`External::new`] takes
+//! a stack and an entry event and derives all three. Debug builds check
+//! every trigger against the handler's declaration.
 //!
 //! ```
 //! use samoa_core::analysis::{infer_bounds, infer_m, infer_route, lint_stack, validate_decl};
@@ -642,9 +646,10 @@
 //!   with [`Ctx::after_completion`] (§11, "Effects that leave the
 //!   computation").
 //! * **Declarations are commitments.** Under-declare and you get a runtime
-//!   error; over-declare and you serialise more than necessary (experiment
-//!   E8 in EXPERIMENTS.md quantifies the cost). Declare what the event's
-//!   cascade can actually reach.
+//!   error; over-declare and you serialise more than necessary. Declare
+//!   what each handler triggers, and let [`External::new`] derive what an
+//!   event's cascade can reach; a class of traffic you can tell apart at the
+//!   door is an entry event of its own, so it declares less.
 //!
 //! [`SamoaError::UndeclaredProtocol`]: crate::error::SamoaError::UndeclaredProtocol
 //! [`TraceSink`]: crate::trace::TraceSink
@@ -667,6 +672,8 @@
 //! [`StackBuilder::bind_read_only`]: crate::stack::StackBuilder::bind_read_only
 //! [`StackBuilder::bind_with_triggers`]: crate::stack::StackBuilder::bind_with_triggers
 //! [`StackBuilder::declare_triggers`]: crate::stack::StackBuilder::declare_triggers
+//! [`StackBuilder::declare_fan_out`]: crate::stack::StackBuilder::declare_fan_out
+//! [`External::new`]: crate::external::External::new
 //! [`RuntimeConfig::strict_analysis`]: crate::runtime::RuntimeConfig::strict_analysis
 //! [`ProtocolState::with`]: crate::protocol::ProtocolState::with
 //! [`Ctx::spawn`]: crate::ctx::Ctx::spawn

@@ -31,6 +31,9 @@ pub struct StackBuilder {
     /// `triggers[handler] = events the handler's body may trigger`, if
     /// declared (see [`StackBuilder::declare_triggers`]).
     triggers: Vec<Option<Vec<EventType>>>,
+    /// `fan_outs[handler] = events the handler's body may trigger any number
+    /// of times per invocation` (see [`StackBuilder::declare_fan_out`]).
+    fan_outs: Vec<Vec<EventType>>,
     /// `nested_spawns[handler] = root events of the computations the
     /// handler's body may spawn` (see
     /// [`StackBuilder::declare_nested_spawn`]). Empty = spawns nothing.
@@ -116,6 +119,7 @@ impl StackBuilder {
             read_only,
         });
         self.triggers.push(None);
+        self.fan_outs.push(Vec::new());
         self.nested_spawns.push(Vec::new());
         self.bindings[event.index()].push(id);
         id
@@ -159,7 +163,9 @@ impl StackBuilder {
     /// occurrence in `events` stands for **at most one** trigger of that
     /// event per handler invocation; a handler that may trigger the same
     /// event up to `k` times per invocation lists it `k` times (this
-    /// multiplicity is what [`crate::analysis::infer_bounds`] counts).
+    /// multiplicity is what [`crate::analysis::infer_bounds`] counts); one
+    /// triggered in a loop is a [`StackBuilder::declare_fan_out`]. Debug
+    /// builds panic in a handler that triggers beyond its declaration.
     ///
     /// Calling this again for the same handler *appends* to the declaration.
     /// Handlers with no declaration at all are treated by the analyses as
@@ -179,6 +185,20 @@ impl StackBuilder {
         self.triggers[handler.index()]
             .get_or_insert_with(Vec::new)
             .extend_from_slice(events);
+    }
+
+    /// Declare that `handler`'s body may trigger each of `events` **any
+    /// number of times** per invocation (a send per peer, a fragment per
+    /// MTU), adding them to its [`StackBuilder::declare_triggers`]. The
+    /// microprotocols below such an edge get the bound
+    /// [`CYCLE_FALLBACK_BOUND`](crate::analysis::CYCLE_FALLBACK_BOUND).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handler` or any event is not registered on this builder.
+    pub fn declare_fan_out(&mut self, handler: HandlerId, events: &[EventType]) {
+        self.declare_triggers(handler, events);
+        self.fan_outs[handler.index()].extend_from_slice(events);
     }
 
     /// [`StackBuilder::bind`] plus [`StackBuilder::declare_triggers`] in one
@@ -226,6 +246,7 @@ impl StackBuilder {
                 handlers: self.handlers,
                 bindings: self.bindings,
                 triggers: self.triggers,
+                fan_outs: self.fan_outs,
                 nested_spawns: self.nested_spawns,
                 handlers_by_name: by_name,
             }),
@@ -239,6 +260,7 @@ pub(crate) struct StackInner {
     pub(crate) handlers: Vec<HandlerEntry>,
     pub(crate) bindings: Vec<Vec<HandlerId>>,
     pub(crate) triggers: Vec<Option<Vec<EventType>>>,
+    pub(crate) fan_outs: Vec<Vec<EventType>>,
     pub(crate) nested_spawns: Vec<Vec<EventType>>,
     pub(crate) handlers_by_name: HashMap<String, HandlerId>,
 }
@@ -318,6 +340,12 @@ impl Stack {
     /// no metadata. Repeated entries declare per-invocation multiplicity.
     pub fn handler_triggers(&self, h: HandlerId) -> Option<&[EventType]> {
         self.inner.triggers[h.index()].as_deref()
+    }
+
+    /// The events `h` declared it may trigger any number of times per
+    /// invocation ([`StackBuilder::declare_fan_out`]); empty when none.
+    pub fn handler_fan_outs(&self, h: HandlerId) -> &[EventType] {
+        &self.inner.fan_outs[h.index()]
     }
 
     /// Does *every* handler carry trigger metadata? Only then do the static
@@ -442,6 +470,19 @@ mod tests {
         let s = b.build();
         assert_eq!(s.handler_triggers(h), Some(&[e1, e2][..]));
         assert!(s.has_full_trigger_metadata());
+    }
+
+    #[test]
+    fn fan_out_joins_the_trigger_declaration() {
+        let mut b = StackBuilder::new();
+        let p = b.protocol("P");
+        let e1 = b.event("E1");
+        let e2 = b.event("E2");
+        let h = b.bind_with_triggers(e1, p, "h", &[e1], noop());
+        b.declare_fan_out(h, &[e2]);
+        let s = b.build();
+        assert_eq!(s.handler_triggers(h), Some(&[e1, e2][..]));
+        assert_eq!(s.handler_fan_outs(h), &[e2]);
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn external_errors_counts_each_failed_external_wherever_it_failed() {
         }
     });
     let stack = b.build();
-    let ext = External::new(&stack, e, &[p], 2);
+    let ext = External::new(&stack, e);
     let rt = Runtime::new(stack);
     // `Basic` runs on this thread, `Bound` on a worker; the count is read
     // once the runtime is idle *and* the detached root job has left.

@@ -241,29 +241,16 @@ impl AbcastState {
     }
 }
 
-/// Handler ids of the registered atomic-broadcast microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct AbcastHandlers {
-    /// `request` (bound to `ABcast`).
-    pub request: HandlerId,
-    /// `on_deliver` (bound to `DeliverOut`).
-    pub on_deliver: HandlerId,
-    /// `on_sync` (bound to `FromRComm`): join-time state transfer.
-    pub on_sync: HandlerId,
-    /// `view_change` (bound to `ViewChange`).
-    pub view_change: HandlerId,
-}
-
 /// Register the atomic-broadcast microprotocol on the builder.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<AbcastState>,
-) -> AbcastHandlers {
+) {
     let events = *ev;
 
-    let request = {
+    {
         let state = state.clone();
         let e = ev.abcast;
         b.bind_with_triggers(e, pid, "abcast.request", &[ev.bcast], move |ctx, data| {
@@ -271,19 +258,16 @@ pub fn register(
             let m = state.with(ctx, |s| s.new_request(payload.clone()));
             // Disseminate; our own copy comes back via local DeliverOut.
             ctx.trigger(events.bcast, EventData::new(CastData::AbRequest(m)))
-        })
-    };
+        });
+    }
 
-    let on_deliver = {
+    {
         let state = state.clone();
         let e = ev.deliver_out;
-        // A `Decide` can release a whole backlog of `ADeliver`s; the static
-        // declaration lists the event once (the count is payload-dependent).
-        let triggers = [ev.adeliver, ev.cons_gc, ev.cons_propose];
-        b.bind_with_triggers(e, pid, "abcast.on_deliver", &triggers, move |ctx, data| {
+        let triggers = [ev.cons_gc, ev.cons_propose];
+        let h = b.bind_with_triggers(e, pid, "abcast.on_deliver", &triggers, move |ctx, data| {
             let msg: &CastMsg = data.expect(e)?;
             match &msg.data {
-                CastData::User(_) => Ok(()), // plain reliable broadcast; not ours
                 CastData::AbRequest(m) => {
                     let proposal = state.with(ctx, |s| {
                         s.note_request(m);
@@ -300,9 +284,16 @@ pub fn register(
                         (out, s.next_inst, s.proposal())
                     });
                     // Deliver in total order — synchronously, so the order
-                    // is preserved end to end.
+                    // is preserved end to end — each on its class's event.
                     for m in deliverable {
-                        ctx.trigger_all(events.adeliver, EventData::new(m))?;
+                        match m.payload {
+                            AbPayload::User(bytes) => {
+                                ctx.trigger_all(events.adeliver, EventData::new((m.uid, bytes)))?
+                            }
+                            AbPayload::ViewOp(op, site) => {
+                                ctx.trigger_all(events.adeliver_view, EventData::new((op, site)))?
+                            }
+                        }
                     }
                     ctx.trigger(events.cons_gc, EventData::new(gc_below))?;
                     if let Some((inst, value)) = proposal {
@@ -310,19 +301,23 @@ pub fn register(
                     }
                     Ok(())
                 }
+                // RelCast delivers plain user casts on `DeliverUser`.
+                CastData::User(_) => Err(SamoaError::WrongPayloadType {
+                    event: e,
+                    expected: "CastData::AbRequest or CastData::Decide",
+                }),
             }
-        })
-    };
+        });
+        // A `Decide` can release a whole backlog of deliveries.
+        b.declare_fan_out(h, &[ev.adeliver, ev.adeliver_view]);
+    }
 
-    let on_sync = {
+    {
         let state = state.clone();
-        let e = ev.from_rcomm;
+        let e = ev.from_rcomm_sync;
         let triggers = [ev.view_sync, ev.cons_gc, ev.cons_propose];
         b.bind_with_triggers(e, pid, "abcast.on_sync", &triggers, move |ctx, data| {
-            let d: &RDeliver = data.expect(e)?;
-            let Payload::Sync(sync) = &d.payload else {
-                return Ok(()); // not state transfer; not ours
-            };
+            let sync = &data.expect::<RDeliver<SyncMsg>>(e)?.payload;
             let (adopted, proposal) = state.with(ctx, |s| {
                 let adopted = s.apply_sync(sync);
                 (adopted, s.proposal())
@@ -337,52 +332,41 @@ pub fn register(
                 ctx.trigger(events.cons_propose, EventData::new((inst, value)))?;
             }
             Ok(())
-        })
-    };
+        });
+    }
 
-    let view_change = {
+    {
         let state = state.clone();
         let e = ev.view_change;
-        b.bind_with_triggers(
-            e,
-            pid,
-            "abcast.view_change",
-            &[ev.send_out],
-            move |ctx, data| {
-                let v: &GroupView = data.expect(e)?;
-                // Detect joiners: members of the new view absent from the old.
-                let (me, joiners, snapshot) = state.with(ctx, |s| {
-                    let joiners: Vec<_> = v
-                        .members()
-                        .iter()
-                        .copied()
-                        .filter(|m| !s.view.contains(*m))
-                        .collect();
-                    s.view = v.clone();
-                    let snap = s.snapshot();
-                    (s.site, joiners, snap)
-                });
-                // Every incumbent sends the joiner the ordering state —
-                // redundant but loss-tolerant; adoption is idempotent, and
-                // the pending sets add up.
-                for j in joiners {
-                    if j != me {
-                        ctx.trigger(
-                            events.send_out,
-                            EventData::new((Payload::Sync(snapshot.clone()), j)),
-                        )?;
-                    }
+        let h = b.bind_with_triggers(e, pid, "abcast.view_change", &[], move |ctx, data| {
+            let v: &GroupView = data.expect(e)?;
+            // Detect joiners: members of the new view absent from the old.
+            let (me, joiners, snapshot) = state.with(ctx, |s| {
+                let joiners: Vec<_> = v
+                    .members()
+                    .iter()
+                    .copied()
+                    .filter(|m| !s.view.contains(*m))
+                    .collect();
+                s.view = v.clone();
+                let snap = s.snapshot();
+                (s.site, joiners, snap)
+            });
+            // Every incumbent sends the joiner the ordering state —
+            // redundant but loss-tolerant; adoption is idempotent, and the
+            // pending sets add up.
+            for j in joiners {
+                if j != me {
+                    ctx.trigger(
+                        events.send_out,
+                        EventData::new((Payload::Sync(snapshot.clone()), j)),
+                    )?;
                 }
-                Ok(())
-            },
-        )
-    };
-
-    AbcastHandlers {
-        request,
-        on_deliver,
-        on_sync,
-        view_change,
+            }
+            Ok(())
+        });
+        // One `SendOut` per joiner.
+        b.declare_fan_out(h, &[ev.send_out]);
     }
 }
 

@@ -8,7 +8,7 @@ use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbPayload, CastData, CastMsg};
+use crate::msgs::{CastData, CastMsg, MsgUid};
 use crate::view::GroupView;
 
 /// Everything the application observed, in arrival order.
@@ -24,65 +24,50 @@ pub struct AppState {
     pub views: Vec<GroupView>,
 }
 
-/// Handler ids of the registered application sink.
-#[derive(Debug, Clone, Copy)]
-pub struct AppHandlers {
-    /// `on_deliver` (bound to `DeliverOut`).
-    pub on_deliver: HandlerId,
-    /// `on_adeliver` (bound to `ADeliver`).
-    pub on_adeliver: HandlerId,
-    /// `on_view` (bound to `ViewChange`).
-    pub on_view: HandlerId,
-}
-
 /// Register the application sink on the builder.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<AppState>,
-) -> AppHandlers {
-    let on_deliver = {
+) {
+    {
         let state = state.clone();
-        let e = ev.deliver_out;
+        let e = ev.deliver_user;
         // The application is a pure sink: no handler triggers anything.
         b.bind_with_triggers(e, pid, "app.on_deliver", &[], move |ctx, data| {
             let msg: &CastMsg = data.expect(e)?;
-            if let CastData::User(bytes) = &msg.data {
-                let (origin, bytes) = (msg.uid.origin, bytes.clone());
-                state.with(ctx, |s| s.rb_delivered.push((origin, bytes)));
-            }
+            let CastData::User(bytes) = &msg.data else {
+                return Err(SamoaError::WrongPayloadType {
+                    event: e,
+                    expected: "CastData::User",
+                });
+            };
+            let (origin, bytes) = (msg.uid.origin, bytes.clone());
+            state.with(ctx, |s| s.rb_delivered.push((origin, bytes)));
             Ok(())
-        })
-    };
+        });
+    }
 
-    let on_adeliver = {
+    {
         let state = state.clone();
         let e = ev.adeliver;
         b.bind_with_triggers(e, pid, "app.on_adeliver", &[], move |ctx, data| {
-            let m: &crate::msgs::AbMsg = data.expect(e)?;
-            if let AbPayload::User(bytes) = &m.payload {
-                let (origin, bytes) = (m.uid.origin, bytes.clone());
-                state.with(ctx, |s| s.ab_delivered.push((origin, bytes)));
-            }
+            let (uid, bytes): &(MsgUid, Bytes) = data.expect(e)?;
+            let item = (uid.origin, bytes.clone());
+            state.with(ctx, |s| s.ab_delivered.push(item));
             Ok(())
-        })
-    };
+        });
+    }
 
-    let on_view = {
+    {
         let state = state.clone();
         let e = ev.view_change;
         b.bind_with_triggers(e, pid, "app.on_view", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
             state.with(ctx, |s| s.views.push(v.clone()));
             Ok(())
-        })
-    };
-
-    AppHandlers {
-        on_deliver,
-        on_adeliver,
-        on_view,
+        });
     }
 }
 

@@ -612,21 +612,6 @@ fn proposals(
         .collect()
 }
 
-/// Handler ids of the registered consensus microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct ConsensusHandlers {
-    /// `propose` (bound to `ConsPropose`).
-    pub propose: HandlerId,
-    /// `on_msg` (bound to `FromRComm`).
-    pub on_msg: HandlerId,
-    /// `on_suspect` (bound to `Suspect`).
-    pub on_suspect: HandlerId,
-    /// `gc` (bound to `ConsGc`).
-    pub gc: HandlerId,
-    /// `view_change` (bound to `ViewChange`).
-    pub view_change: HandlerId,
-}
-
 /// Emit a transition's actions as events: point-to-point sends via
 /// `SendOut`, decisions as a RelCast flood.
 fn emit(ctx: &Ctx, ev: &Events, acts: Actions) -> Result<()> {
@@ -645,16 +630,16 @@ pub fn register(
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<ConsensusState>,
-) -> ConsensusHandlers {
+) {
     let events = *ev;
     // Every consensus transition runs through [`emit`]: point-to-point
-    // sends (`SendOut`, up to one per peer) plus a `Bcast` decide flood.
-    let emits = [ev.send_out, ev.bcast];
+    // sends (`SendOut`, up to one per peer) plus a `Bcast` decide flood per
+    // decision — fan-outs, declared below for each handler that emits.
 
     let propose = {
         let state = state.clone();
         let e = ev.cons_propose;
-        b.bind_with_triggers(e, pid, "consensus.propose", &emits, move |ctx, data| {
+        b.bind_with_triggers(e, pid, "consensus.propose", &[], move |ctx, data| {
             let (inst, value): &(u64, Vec<AbMsg>) = data.expect(e)?;
             let acts = state.with(ctx, |s| s.propose(*inst, value.clone()));
             emit(ctx, &events, acts)
@@ -663,13 +648,10 @@ pub fn register(
 
     let on_msg = {
         let state = state.clone();
-        let e = ev.from_rcomm;
-        b.bind_with_triggers(e, pid, "consensus.on_msg", &emits, move |ctx, data| {
-            let d: &RDeliver = data.expect(e)?;
-            let Payload::Cons(msg) = &d.payload else {
-                return Ok(()); // RelCast traffic; not ours
-            };
-            let acts = state.with(ctx, |s| s.on_msg(d.sender, msg.clone()));
+        let e = ev.from_rcomm_cons;
+        b.bind_with_triggers(e, pid, "consensus.on_msg", &[], move |ctx, data| {
+            let d: &RDeliver<ConsMsg> = data.expect(e)?;
+            let acts = state.with(ctx, |s| s.on_msg(d.sender, d.payload.clone()));
             emit(ctx, &events, acts)
         })
     };
@@ -677,39 +659,35 @@ pub fn register(
     let on_suspect = {
         let state = state.clone();
         let e = ev.suspect;
-        b.bind_with_triggers(e, pid, "consensus.on_suspect", &emits, move |ctx, data| {
+        b.bind_with_triggers(e, pid, "consensus.on_suspect", &[], move |ctx, data| {
             let site: &SiteId = data.expect(e)?;
             let acts = state.with(ctx, |s| s.on_suspect(*site));
             emit(ctx, &events, acts)
         })
     };
 
-    let gc = {
+    {
         let state = state.clone();
         let e = ev.cons_gc;
         b.bind_with_triggers(e, pid, "consensus.gc", &[], move |ctx, data| {
             let below: &u64 = data.expect(e)?;
             state.with(ctx, |s| s.gc(*below));
             Ok(())
-        })
-    };
+        });
+    }
 
     let view_change = {
         let state = state.clone();
         let e = ev.view_change;
-        b.bind_with_triggers(e, pid, "consensus.view_change", &emits, move |ctx, data| {
+        b.bind_with_triggers(e, pid, "consensus.view_change", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
             let acts = state.with(ctx, |s| s.set_view(v.clone()));
             emit(ctx, &events, acts)
         })
     };
 
-    ConsensusHandlers {
-        propose,
-        on_msg,
-        on_suspect,
-        gc,
-        view_change,
+    for h in [propose, on_msg, on_suspect, view_change] {
+        b.declare_fan_out(h, &[ev.send_out, ev.bcast]);
     }
 }
 

@@ -3,28 +3,59 @@
 //! These mirror the paper's §3 event names (`SendOut`, `FromRComm`,
 //! `Bcast`, `DeliverOut`, `ABcast`, `ViewChange`, …) plus the external
 //! events injected by the Network Module and the timer module.
+//!
+//! A layer that demultiplexes triggers one event per class of traffic and
+//! each handler above binds only its own, so the static call graph sees
+//! what a payload can reach; a class the Network Module or the client API
+//! tells apart at the door enters on an event of its own
+//! ([`Events::entries`]).
 
 use samoa_core::prelude::*;
 
 /// All event types of one site's stack, declared once at startup.
 #[derive(Debug, Clone, Copy)]
 pub struct Events {
-    /// Raw RelComm data frame arrived from the network (external).
+    /// Raw RelComm data frame arrived from the network, carrying anything
+    /// but a plain user cast (external).
     pub rc_data: EventType,
+    /// Raw RelComm data frame carrying a plain user cast (external).
+    pub rc_data_user: EventType,
     /// Raw RelComm ack arrived from the network (external).
     pub rc_ack: EventType,
     /// Reliable point-to-point send request: `(Payload, target)`.
     pub send_out: EventType,
-    /// RelComm delivered a payload reliably: [`RDeliver`](crate::relcomm::RDeliver).
-    pub from_rcomm: EventType,
-    /// Reliable-broadcast request: payload [`CastData`](crate::msgs::CastData).
+    /// RelComm delivered a plain user cast:
+    /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
+    pub from_rcomm_user: EventType,
+    /// RelComm delivered any other cast:
+    /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
+    pub from_rcomm_cast: EventType,
+    /// RelComm delivered a consensus message:
+    /// [`RDeliver<ConsMsg>`](crate::relcomm::RDeliver).
+    pub from_rcomm_cons: EventType,
+    /// RelComm delivered a state transfer:
+    /// [`RDeliver<SyncMsg>`](crate::relcomm::RDeliver).
+    pub from_rcomm_sync: EventType,
+    /// Plain reliable-broadcast request: payload
+    /// [`CastData::User`](crate::msgs::CastData) (external).
+    pub bcast_user: EventType,
+    /// Reliable broadcast of atomic-broadcast traffic: payload
+    /// [`CastData::AbRequest`](crate::msgs::CastData) or `Decide`.
     pub bcast: EventType,
-    /// Reliable-broadcast delivery: payload [`CastMsg`](crate::msgs::CastMsg).
+    /// Reliable-broadcast delivery of a plain user cast: payload
+    /// [`CastMsg`](crate::msgs::CastMsg).
+    pub deliver_user: EventType,
+    /// Reliable-broadcast delivery of atomic-broadcast traffic: payload
+    /// [`CastMsg`](crate::msgs::CastMsg).
     pub deliver_out: EventType,
     /// Atomic-broadcast request: payload [`AbPayload`](crate::msgs::AbPayload).
     pub abcast: EventType,
-    /// Atomic-broadcast delivery (totally ordered): payload [`AbMsg`](crate::msgs::AbMsg).
+    /// Atomic-broadcast delivery (totally ordered) of a user payload:
+    /// `(MsgUid, Bytes)`.
     pub adeliver: EventType,
+    /// Atomic-broadcast delivery (in the same total order) of a view
+    /// operation: `(ViewOp, SiteId)`.
+    pub adeliver_view: EventType,
     /// A new view is installed: payload [`GroupView`](crate::view::GroupView).
     pub view_change: EventType,
     /// Join/leave request: payload `(ViewOp, SiteId)` (external).
@@ -51,13 +82,20 @@ impl Events {
     pub fn declare(b: &mut StackBuilder) -> Events {
         Events {
             rc_data: b.event("RcData"),
+            rc_data_user: b.event("RcDataUser"),
             rc_ack: b.event("RcAck"),
             send_out: b.event("SendOut"),
-            from_rcomm: b.event("FromRComm"),
+            from_rcomm_user: b.event("FromRCommUser"),
+            from_rcomm_cast: b.event("FromRCommCast"),
+            from_rcomm_cons: b.event("FromRCommCons"),
+            from_rcomm_sync: b.event("FromRCommSync"),
+            bcast_user: b.event("BcastUser"),
             bcast: b.event("Bcast"),
+            deliver_user: b.event("DeliverUser"),
             deliver_out: b.event("DeliverOut"),
             abcast: b.event("ABcast"),
             adeliver: b.event("ADeliver"),
+            adeliver_view: b.event("ADeliverView"),
             view_change: b.event("ViewChange"),
             join_leave: b.event("JoinLeave"),
             fd_tick: b.event("FdTick"),
@@ -68,6 +106,24 @@ impl Events {
             cons_gc: b.event("ConsGc"),
             view_sync: b.event("ViewSync"),
         }
+    }
+
+    /// The external events: one per kind of arrival a node tells apart — a
+    /// datagram by its first frame, a client request by its API call, a
+    /// tick by its timer. Each is the root of its own derived declaration
+    /// ([`External::new`]).
+    pub fn entries(&self) -> [EventType; 9] {
+        [
+            self.rc_data,
+            self.rc_data_user,
+            self.rc_ack,
+            self.fd_beat,
+            self.bcast_user,
+            self.abcast,
+            self.join_leave,
+            self.retransmit_tick,
+            self.fd_tick,
+        ]
     }
 }
 
@@ -80,7 +136,7 @@ mod tests {
         let mut b = StackBuilder::new();
         let ev = Events::declare(&mut b);
         let s = b.build();
-        assert_eq!(s.event_count(), 17);
+        assert_eq!(s.event_count(), 24);
         assert_eq!(s.event_name(ev.send_out), "SendOut");
         assert_eq!(s.event_name(ev.view_change), "ViewChange");
         assert_ne!(ev.rc_data, ev.rc_ack);

@@ -60,17 +60,6 @@ impl FdState {
     }
 }
 
-/// Handler ids of the registered failure detector.
-#[derive(Debug, Clone, Copy)]
-pub struct FdHandlers {
-    /// `tick` (bound to `FdTick`).
-    pub tick: HandlerId,
-    /// `beat` (bound to `FdBeat`).
-    pub beat: HandlerId,
-    /// `view_change` (bound to `ViewChange`).
-    pub view_change: HandlerId,
-}
-
 /// Register the failure detector on the builder.
 pub fn register(
     b: &mut StackBuilder,
@@ -78,15 +67,13 @@ pub fn register(
     ev: &Events,
     state: ProtocolState<FdState>,
     net: Arc<dyn Transport>,
-) -> FdHandlers {
-    let tick = {
+) {
+    {
         let state = state.clone();
         let net = Arc::clone(&net);
         let e = ev.fd_tick;
         let suspect_ev = ev.suspect;
-        // `tick` announces every standing suspicion (up to one `Suspect`
-        // per peer); the static declaration lists the event once.
-        b.bind_with_triggers(e, pid, "fd.tick", &[suspect_ev], move |ctx, _| {
+        let tick = b.bind_with_triggers(e, pid, "fd.tick", &[], move |ctx, _| {
             let (me, peers, suspects) = state.with(ctx, |s| {
                 let now = s.clock.now();
                 let peers: Vec<SiteId> = s
@@ -115,10 +102,12 @@ pub fn register(
                 ctx.trigger_all(suspect_ev, EventData::new(m))?;
             }
             Ok(())
-        })
-    };
+        });
+        // `tick` announces every standing suspicion: a `Suspect` per peer.
+        b.declare_fan_out(tick, &[suspect_ev]);
+    }
 
-    let beat = {
+    {
         let state = state.clone();
         let e = ev.fd_beat;
         b.bind_with_triggers(e, pid, "fd.beat", &[], move |ctx, data| {
@@ -129,10 +118,10 @@ pub fn register(
                 s.suspected.remove(sender);
             });
             Ok(())
-        })
-    };
+        });
+    }
 
-    let view_change = {
+    {
         let state = state.clone();
         let e = ev.view_change;
         b.bind_with_triggers(e, pid, "fd.view_change", &[], move |ctx, data| {
@@ -143,13 +132,7 @@ pub fn register(
                 s.suspected.retain(|m| view.contains(*m));
             });
             Ok(())
-        })
-    };
-
-    FdHandlers {
-        tick,
-        beat,
-        view_change,
+        });
     }
 }
 

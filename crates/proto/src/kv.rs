@@ -31,7 +31,7 @@ use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbPayload, MsgUid};
+use crate::msgs::MsgUid;
 use crate::observe::{ClusterTracer, KvInstruments};
 
 /// Magic prefix distinguishing KV commands from plain abcast user
@@ -426,8 +426,8 @@ pub struct KvObserve {
     pub instruments: Option<KvInstruments>,
 }
 
-/// Register the KV store on the builder: one handler bound to `ADeliver`,
-/// applying KV-framed payloads in delivery order. A pure sink within the
+/// Register the KV store on the builder: one handler bound to `ADeliver`
+/// (user payloads), applying the KV-framed ones in delivery order. A pure sink within the
 /// stack — it triggers nothing — so routing patterns stay unchanged.
 pub fn register(
     b: &mut StackBuilder,
@@ -444,14 +444,11 @@ pub fn register(
     } = observe;
     let e = ev.adeliver;
     b.bind_with_triggers(e, pid, "kv.on_adeliver", &[], move |ctx, data| {
-        let m: &crate::msgs::AbMsg = data.expect(e)?;
-        let AbPayload::User(bytes) = &m.payload else {
-            return Ok(());
-        };
+        let (uid, bytes): &(MsgUid, Bytes) = data.expect(e)?;
         let Some(cmd) = KvCmd::decode(bytes) else {
-            return Ok(());
+            return Ok(()); // plain atomic-broadcast data
         };
-        let uid = m.uid;
+        let uid = *uid;
         let req = cmd.req();
         let reply = state.with(ctx, |s| s.apply(uid, cmd));
         if let Some(t) = &tracer {

@@ -13,7 +13,7 @@ use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbMsg, AbPayload, SyncMsg};
+use crate::msgs::{AbPayload, SyncMsg};
 use crate::observe::{ClusterTracer, ConsensusInstruments};
 use crate::view::{GroupView, ViewOp};
 
@@ -66,29 +66,16 @@ impl MembershipState {
     }
 }
 
-/// Handler ids of the registered membership microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct MembershipHandlers {
-    /// `joinleave` (bound to `JoinLeave`).
-    pub joinleave: HandlerId,
-    /// `deliver_view` (bound to `ADeliver`).
-    pub deliver_view: HandlerId,
-    /// `on_suspect` (bound to `Suspect`).
-    pub on_suspect: HandlerId,
-    /// `adopt_view` (bound to `ViewSync`): install a state-transferred view.
-    pub adopt_view: HandlerId,
-}
-
 /// Register the membership microprotocol on the builder.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<MembershipState>,
-) -> MembershipHandlers {
+) {
     let events = *ev;
 
-    let joinleave = {
+    {
         let e = ev.join_leave;
         b.bind_with_triggers(
             e,
@@ -100,12 +87,12 @@ pub fn register(
                 // `trigger ABcast [op site]` — the paper's joinleave body.
                 ctx.trigger(events.abcast, EventData::new(AbPayload::ViewOp(*op, *site)))
             },
-        )
-    };
+        );
+    }
 
-    let deliver_view = {
+    {
         let state = state.clone();
-        let e = ev.adeliver;
+        let e = ev.adeliver_view;
         let triggers = [ev.view_change];
         b.bind_with_triggers(
             e,
@@ -113,10 +100,7 @@ pub fn register(
             "membership.deliver_view",
             &triggers,
             move |ctx, data| {
-                let m: &AbMsg = data.expect(e)?;
-                let AbPayload::ViewOp(op, site) = &m.payload else {
-                    return Ok(()); // user payload; not ours
-                };
+                let (op, site): &(ViewOp, SiteId) = data.expect(e)?;
                 let new_view = state.with(ctx, |s| {
                     s.view = s.view.apply(*op, *site);
                     s.history.push(s.view.clone());
@@ -130,10 +114,10 @@ pub fn register(
                 // `triggerAll ViewChange view` — synchronous propagation.
                 ctx.trigger_all(events.view_change, EventData::new(new_view))
             },
-        )
-    };
+        );
+    }
 
-    let on_suspect = {
+    {
         let state = state.clone();
         let e = ev.suspect;
         b.bind_with_triggers(
@@ -154,10 +138,10 @@ pub fn register(
                 }
                 Ok(())
             },
-        )
-    };
+        );
+    }
 
-    let adopt_view = {
+    {
         let state = state.clone();
         let e = ev.view_sync;
         let triggers = [ev.view_change];
@@ -183,14 +167,7 @@ pub fn register(
                 }
                 Ok(())
             },
-        )
-    };
-
-    MembershipHandlers {
-        joinleave,
-        deliver_view,
-        on_suspect,
-        adopt_view,
+        );
     }
 }
 

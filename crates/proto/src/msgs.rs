@@ -107,6 +107,14 @@ pub enum CastData {
     },
 }
 
+impl CastData {
+    /// A plain user cast — the class RelCast delivers on `DeliverUser` and
+    /// the Network Module hands in on `RcDataUser`.
+    pub fn is_user(&self) -> bool {
+        matches!(self, CastData::User(_))
+    }
+}
+
 /// One RelCast message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CastMsg {

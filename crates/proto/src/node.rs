@@ -5,21 +5,26 @@
 //!
 //! ## External events and their isolation declarations
 //!
-//! Every external event spawns a computation (paper §4). What the
-//! computation declares depends on the node's [`StackPolicy`] — the core's
-//! [`Policy`], under the name this crate has always exported — through the
-//! one mapping [`Policy::decl`] over the kind's precomputed
-//! `(protocols, bounds, route)` triple:
+//! Every external event spawns a computation (paper §4), rooted at the
+//! entry event of its kind ([`Events::entries`]): a datagram is classed by
+//! its first frame — a plain user cast enters on `RcDataUser`, any other
+//! data on `RcData` — a client request by its API call, a tick by its
+//! timer. What the computation declares is derived from the stack's call
+//! graph at that event, once ([`External::new`]), and the node's
+//! [`StackPolicy`] — the core's [`Policy`], under the name this crate has
+//! always exported — picks one of the three ([`Policy::decl`]):
 //!
 //! * [`StackPolicy::Basic`] — `isolated M e` with `M` = the microprotocols
 //!   the event's cascade can reach (e.g. an inbound ack only touches
 //!   RelComm; an inbound consensus message may reach everything). This is
 //!   exactly the paper's `isolated [relComm relCast ...] {trigger FromNet m}`.
-//! * [`StackPolicy::Bound`] — `isolated bound`, with generous visit bounds
-//!   derived from the view size (the paper notes that tight bounds are hard
-//!   to state for recursive protocols; ours are safe over-approximations).
+//! * [`StackPolicy::Bound`] — `isolated bound`, with each microprotocol's
+//!   worst-case visit count: exact above a fan-out (a send per peer, a
+//!   delivery per decided message), the analysis' fallback below one and
+//!   wherever the call graph is cyclic (the paper notes that tight bounds
+//!   are hard to state for recursive protocols).
 //! * [`StackPolicy::Route`] — `isolated route`, with the routing pattern cut
-//!   from the stack's static call graph, rooted at the event's handler.
+//!   from the same call graph, rooted at the event's handler.
 //! * [`StackPolicy::Serial`] — the Appia baseline: every computation
 //!   declares every microprotocol.
 //! * [`StackPolicy::Unsync`] — the Cactus-without-locks baseline: no
@@ -223,45 +228,6 @@ impl NodeConfig {
     }
 }
 
-/// The kind of external event (selects the event type and the isolation
-/// declaration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExtKind {
-    /// Inbound data datagram whose cascade may reach the whole stack.
-    DataFull,
-    /// Inbound data datagram carrying a plain user broadcast.
-    DataUser,
-    /// Inbound ack-only datagram.
-    Ack,
-    /// Inbound heartbeat.
-    Beat,
-    /// Application reliable-broadcast request.
-    RbRequest,
-    /// Application atomic-broadcast request.
-    AbRequest,
-    /// Join/leave request.
-    JoinLeave,
-    /// Retransmission tick.
-    RetrTick,
-    /// Failure-detector tick.
-    FdTick,
-}
-
-impl ExtKind {
-    /// Every kind, in declaration order: `ALL[k as usize] == k`.
-    const ALL: [ExtKind; 9] = [
-        ExtKind::DataFull,
-        ExtKind::DataUser,
-        ExtKind::Ack,
-        ExtKind::Beat,
-        ExtKind::RbRequest,
-        ExtKind::AbRequest,
-        ExtKind::JoinLeave,
-        ExtKind::RetrTick,
-        ExtKind::FdTick,
-    ];
-}
-
 /// One site of the group-communication system.
 pub struct Node {
     /// This node's site id.
@@ -271,8 +237,8 @@ pub struct Node {
     transport: Arc<dyn Transport>,
     tracer: Option<ClusterTracer>,
     cfg: NodeConfig,
-    /// Indexed by `ExtKind as usize`.
-    decls: [External; 9],
+    /// What each entry event ([`Events::entries`]) declares.
+    externals: [External; 9],
     app: ProtocolState<AppState>,
     membership: ProtocolState<MembershipState>,
     relcomm: ProtocolState<RelCommState>,
@@ -337,7 +303,6 @@ impl Node {
             Some(m) => GroupView::initial(m.iter().copied()),
             None => GroupView::initial(transport.sites()),
         };
-        let n_sites = transport.site_count() as u64;
 
         let mut b = StackBuilder::new();
         let p_relcomm = b.protocol("RelComm");
@@ -437,37 +402,7 @@ impl Node {
 
         let stack = b.build();
 
-        let all = [
-            p_relcomm,
-            p_relcast,
-            p_fd,
-            p_consensus,
-            p_abcast,
-            p_membership,
-            p_app,
-            p_kv,
-        ];
-        // Plain user casts never reach Kv (it binds only ADeliver), so the
-        // cast set stays tight — no needless Kv serialisation under Basic.
-        // Inbound they pass Consensus, which also binds RelComm's FromRComm.
-        let user_cast = [p_relcomm, p_relcast, p_abcast, p_app];
-        let user_data = [p_relcomm, p_relcast, p_consensus, p_abcast, p_app];
-        // `isolated bound` budgets: generous, derived from the view size.
-        let generous = 8 * n_sites + 16;
-        let decls = ExtKind::ALL.map(|kind| {
-            let (event, protocols): (EventType, &[ProtocolId]) = match kind {
-                ExtKind::DataFull => (ev.rc_data, &all),
-                ExtKind::DataUser => (ev.rc_data, &user_data),
-                ExtKind::Ack => (ev.rc_ack, &[p_relcomm]),
-                ExtKind::Beat => (ev.fd_beat, &[p_fd]),
-                ExtKind::RbRequest => (ev.bcast, &user_cast),
-                ExtKind::AbRequest => (ev.abcast, &all),
-                ExtKind::JoinLeave => (ev.join_leave, &all),
-                ExtKind::RetrTick => (ev.retransmit_tick, &[p_relcomm]),
-                ExtKind::FdTick => (ev.fd_tick, &all),
-            };
-            External::new(&stack, event, protocols, generous)
-        });
+        let externals = ev.entries().map(|e| External::new(&stack, e));
 
         let rt_cfg = RuntimeConfig {
             record_history: cfg.record_history,
@@ -483,7 +418,7 @@ impl Node {
             transport,
             tracer,
             cfg,
-            decls,
+            externals,
             app: app_st,
             membership: membership_st,
             relcomm: relcomm_st,
@@ -540,7 +475,7 @@ impl Node {
             return;
         };
         if frames == [Wire::Heartbeat] {
-            self.spawn_external(ExtKind::Beat, EventData::new(from));
+            self.spawn_external(self.ev.fd_beat, EventData::new(from));
             return;
         }
         let mut frames = frames.into_iter().peekable();
@@ -562,12 +497,12 @@ impl Node {
                         hop: c.hop,
                     });
                 }
-                let kind = match &payload {
-                    Payload::Cast(c) if matches!(c.data, CastData::User(_)) => ExtKind::DataUser,
-                    _ => ExtKind::DataFull,
+                let entry = match &payload {
+                    Payload::Cast(c) if c.data.is_user() => self.ev.rc_data_user,
+                    _ => self.ev.rc_data,
                 };
                 self.spawn_external(
-                    kind,
+                    entry,
                     EventData::new(RcDataIn {
                         sender: from,
                         seq,
@@ -579,7 +514,7 @@ impl Node {
             }
             _ if !acks.is_empty() => {
                 self.spawn_external(
-                    ExtKind::Ack,
+                    self.ev.rc_ack,
                     EventData::new(RcAckIn {
                         sender: from,
                         seqs: acks,
@@ -590,11 +525,12 @@ impl Node {
         }
     }
 
-    /// Hand an external event to the runtime, declared according to the
-    /// node's policy (see module docs).
-    fn spawn_external(&self, kind: ExtKind, data: EventData) {
-        self.rt
-            .external(self.cfg.policy, &self.decls[kind as usize], data);
+    /// Hand an external event to the runtime, rooted at `entry` and
+    /// declared according to the node's policy (see module docs).
+    fn spawn_external(&self, entry: EventType, data: EventData) {
+        let ext = self.externals.iter().find(|x| x.event == entry);
+        let ext = ext.expect("an entry event of this node");
+        self.rt.external(self.cfg.policy, ext, data);
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
@@ -603,14 +539,14 @@ impl Node {
     /// turns timeout behaviour into an explicit, explorable decision.
     /// Returns as [`Node::rbcast`] does.
     pub fn inject_retransmit_tick(&self) {
-        self.spawn_external(ExtKind::RetrTick, EventData::empty());
+        self.spawn_external(self.ev.retransmit_tick, EventData::empty());
     }
 
     /// Inject one failure-detector tick (heartbeats + suspicion sweep),
     /// exactly as the timer thread would. Deterministic counterpart of
     /// `enable_fd` under a manual clock.
     pub fn inject_fd_tick(&self) {
-        self.spawn_external(ExtKind::FdTick, EventData::empty());
+        self.spawn_external(self.ev.fd_tick, EventData::empty());
     }
 
     /// The time source this node's stack reads (see [`NodeConfig::clock`]).
@@ -623,27 +559,24 @@ impl Node {
     /// complete on return.
     pub fn rbcast(&self, data: impl Into<Bytes>) {
         self.spawn_external(
-            ExtKind::RbRequest,
+            self.ev.bcast_user,
             EventData::new(CastData::User(data.into())),
         );
     }
 
     /// Application request: atomic broadcast; returns as [`Node::rbcast`].
     pub fn abcast(&self, data: impl Into<Bytes>) {
-        self.spawn_external(
-            ExtKind::AbRequest,
-            EventData::new(AbPayload::User(data.into())),
-        );
+        self.spawn_external(self.ev.abcast, EventData::new(AbPayload::User(data.into())));
     }
 
     /// Request that `site` join the group; returns as [`Node::rbcast`].
     pub fn request_join(&self, site: SiteId) {
-        self.spawn_external(ExtKind::JoinLeave, EventData::new((ViewOp::Join, site)));
+        self.spawn_external(self.ev.join_leave, EventData::new((ViewOp::Join, site)));
     }
 
     /// Request that `site` leave the group; returns as [`Node::rbcast`].
     pub fn request_leave(&self, site: SiteId) {
-        self.spawn_external(ExtKind::JoinLeave, EventData::new((ViewOp::Leave, site)));
+        self.spawn_external(self.ev.join_leave, EventData::new((ViewOp::Leave, site)));
     }
 
     fn kv_submit(&self, make: impl FnOnce(u64) -> KvCmd) -> KvPending {
@@ -653,7 +586,7 @@ impl Node {
         let pending = self.kv_waiters.pending(req);
         let cmd = make(req);
         self.spawn_external(
-            ExtKind::AbRequest,
+            self.ev.abcast,
             EventData::new(AbPayload::User(cmd.encode())),
         );
         pending
@@ -1127,135 +1060,6 @@ impl std::fmt::Debug for TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msgs::{CastMsg, MsgUid};
-    use samoa_core::analysis::{infer_m, CallGraph};
-    use std::collections::BTreeSet;
-
-    fn manual_cluster(n: usize, policy: StackPolicy) -> Cluster {
-        let cfg = NodeConfig {
-            enable_timers: false,
-            ..NodeConfig::with_policy(policy)
-        };
-        Cluster::new_manual(n, NetConfig::fast(1), cfg)
-    }
-
-    /// Handlers that match on the payload first and return at once on a
-    /// plain user cast: they are entered — so their microprotocol must be
-    /// declared — but nothing they trigger is reached.
-    const STOP_AT_USER_CAST: [&str; 3] =
-        ["consensus.on_msg", "abcast.on_sync", "abcast.on_deliver"];
-
-    /// Microprotocols of the handlers `event` reaches in the static call
-    /// graph, not following the triggers of `stops`.
-    fn reached(stack: &Stack, event: EventType, stops: &[&str]) -> Vec<ProtocolId> {
-        let g = CallGraph::from_stack(stack);
-        let by_name = |n: &&str| stack.handler_by_name(n).expect("a handler of this stack");
-        let stops: Vec<HandlerId> = stops.iter().map(by_name).collect();
-        let mut seen = BTreeSet::new();
-        let mut todo = stack.bound_handlers(event).to_vec();
-        while let Some(h) = todo.pop() {
-            if seen.insert(h) && !stops.contains(&h) {
-                todo.extend(g.successors(h).iter().map(|&(t, _)| t));
-            }
-        }
-        let protocols: BTreeSet<ProtocolId> = seen
-            .into_iter()
-            .map(|h| stack.handler_protocol(h))
-            .collect();
-        protocols.into_iter().collect()
-    }
-
-    /// Declared ⊇ inferred, for every external kind: all of `infer_m` for
-    /// the kinds that declare by event, and for the two that classify on
-    /// the payload, all a user cast can enter. (`DataUser` without
-    /// Consensus — entered through `consensus.on_msg` by every data frame —
-    /// fails here; it took until `external_errors` existed to be seen.)
-    #[test]
-    fn every_external_kind_declares_what_its_event_can_reach() {
-        let c = manual_cluster(1, StackPolicy::Basic);
-        let stack = c.node(0).rt.stack();
-        for kind in ExtKind::ALL {
-            let d = &c.node(0).decls[kind as usize];
-            let inferred = match kind {
-                ExtKind::DataUser | ExtKind::RbRequest => {
-                    reached(stack, d.event, &STOP_AT_USER_CAST)
-                }
-                _ => infer_m(stack, d.event),
-            };
-            let missing: Vec<&str> = inferred
-                .into_iter()
-                .filter(|p| !d.protocols.contains(p))
-                .map(|p| stack.protocol_name(p))
-                .collect();
-            assert!(missing.is_empty(), "{kind:?} leaves out {missing:?}");
-        }
-        // With nothing to stop at, `reached` is `infer_m`.
-        let rc_data = c.node(0).ev.rc_data;
-        assert_eq!(reached(stack, rc_data, &[]), infer_m(stack, rc_data));
-    }
-
-    /// The `DataUser` bug again, one layer further up: an inbound user cast
-    /// declared without App, which only RelCast's *asynchronous* delivery
-    /// reaches — so the error is raised in the drain, not in the root's own
-    /// cascade. `external_errors` counts it whether the computation ran
-    /// inline (`Basic`) or detached (`Route`).
-    #[test]
-    fn an_error_raised_in_the_drain_is_counted_on_both_ingress_paths() {
-        for policy in [StackPolicy::Basic, StackPolicy::Route] {
-            let c = manual_cluster(2, policy);
-            let node = c.node(1);
-            let (stack, app) = (node.rt.stack(), node.app.protocol());
-            let full = &node.decls[ExtKind::DataUser as usize];
-            let protocols: Vec<ProtocolId> = full
-                .protocols
-                .iter()
-                .copied()
-                .filter(|&p| p != app)
-                .collect();
-            let g = CallGraph::from_stack(stack);
-            let mut route = RoutePattern::new();
-            for &h in stack.bound_handlers(full.event) {
-                route = route.root(h);
-            }
-            for &h in &g.reachable_from_event(full.event) {
-                for &(t, _) in g.successors(h) {
-                    if stack.handler_protocol(t) != app {
-                        route = route.edge(h, t);
-                    }
-                }
-            }
-            let under_declared = External {
-                event: full.event,
-                bounds: protocols.iter().map(|&p| (p, 64)).collect(),
-                protocols,
-                route,
-            };
-            let uid = MsgUid {
-                origin: SiteId(0),
-                seq: 1,
-            };
-            let data = CastData::User(Bytes::from_static(b"lost on the way up"));
-            node.rt.external(
-                policy,
-                &under_declared,
-                EventData::new(RcDataIn {
-                    sender: SiteId(0),
-                    seq: 1,
-                    ctx: None,
-                    payload: Payload::Cast(CastMsg { uid, data }),
-                    acks: Vec::new(),
-                }),
-            );
-            // A detached root job counts on its way out, after Rule 3.
-            let deadline = Instant::now() + Duration::from_secs(60);
-            while node.external_errors() == 0 {
-                assert!(Instant::now() < deadline, "{policy}: the error was lost");
-                std::thread::yield_now();
-            }
-            assert_eq!(node.external_errors(), 1, "{policy}");
-            assert!(node.rb_delivered().is_empty(), "{policy}");
-        }
-    }
 
     /// ROADMAP item 3(a), for RelCast's `seen` and atomic broadcast's
     /// `delivered`: their size follows origins and holes, not messages. Every

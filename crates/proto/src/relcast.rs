@@ -5,6 +5,11 @@
 //! delivering, so the message reaches all sites of the view even if the
 //! original sender crashes mid-broadcast.
 //!
+//! Plain user casts and atomic-broadcast traffic are two classes: each
+//! handler is registered once per class, from one body, and delivers on its
+//! class's event (`DeliverUser`, `DeliverOut`), so a user cast never reaches
+//! atomic broadcast, not even to be turned away.
+//!
 //! The rebroadcast skips two sites: the message's origin and the site the
 //! first copy came from. Both provably hold the message already — a site
 //! marks a message seen and delivers it in the computation that sends it on
@@ -59,17 +64,6 @@ impl RelCastState {
     }
 }
 
-/// Handler ids of the registered RelCast microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct RelCastHandlers {
-    /// `bcast` (bound to `Bcast`).
-    pub bcast: HandlerId,
-    /// `recv` (bound to `FromRComm`).
-    pub recv: HandlerId,
-    /// `view_change` (bound to `ViewChange`).
-    pub view_change: HandlerId,
-}
-
 /// Send `msg` through RelComm to every member of `view` except the sites
 /// in `holders`, which already have it (this site among them).
 fn fan_out(
@@ -90,23 +84,21 @@ fn fan_out(
     Ok(())
 }
 
-/// Register RelCast on the builder. Returns its handler ids.
+/// Register RelCast on the builder.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<RelCastState>,
-) -> RelCastHandlers {
+) {
     let events = *ev;
 
-    // Trigger metadata for the static analyzer: both `bcast` and `recv`
-    // fan `SendOut` out once per peer (a view-dependent count the static
-    // declaration approximates with one occurrence) and deliver locally.
-    let bcast = {
+    // Both `bcast` and `recv` fan `SendOut` out once per peer — a fan-out,
+    // the count is the view's — and deliver locally on `deliver`, their
+    // class's event.
+    let bcast = |b: &mut StackBuilder, e: EventType, name: &str, deliver: EventType| {
         let state = state.clone();
-        let e = ev.bcast;
-        let triggers = [ev.send_out, ev.deliver_out];
-        b.bind_with_triggers(e, pid, "relcast.bcast", &triggers, move |ctx, data| {
+        let h = b.bind_with_triggers(e, pid, name, &[deliver], move |ctx, data| {
             let cast_data: &CastData = data.expect(e)?;
             let (me, view, msg) = state.with(ctx, |s| {
                 s.next_seq += 1;
@@ -122,20 +114,18 @@ pub fn register(
             });
             fan_out(ctx, &events, &[me], &view, &msg)?;
             // Deliver locally too — the sender is part of the group.
-            ctx.async_trigger_all(events.deliver_out, EventData::new(msg))?;
-            Ok(())
-        })
+            ctx.async_trigger_all(deliver, EventData::new(msg))
+        });
+        b.declare_fan_out(h, &[events.send_out]);
     };
+    bcast(b, ev.bcast_user, "relcast.bcast_user", ev.deliver_user);
+    bcast(b, ev.bcast, "relcast.bcast", ev.deliver_out);
 
-    let recv = {
+    let recv = |b: &mut StackBuilder, e: EventType, name: &str, deliver: EventType| {
         let state = state.clone();
-        let e = ev.from_rcomm;
-        let triggers = [ev.send_out, ev.deliver_out];
-        b.bind_with_triggers(e, pid, "relcast.recv", &triggers, move |ctx, data| {
-            let d: &RDeliver = data.expect(e)?;
-            let Payload::Cast(msg) = &d.payload else {
-                return Ok(()); // consensus traffic; not ours
-            };
+        let h = b.bind_with_triggers(e, pid, name, &[deliver], move |ctx, data| {
+            let d: &RDeliver<CastMsg> = data.expect(e)?;
+            let msg = &d.payload;
             let rebroadcast = state.with(ctx, |s| {
                 if s.seen.insert(msg.uid) {
                     Some((s.site, s.view.clone()))
@@ -147,26 +137,23 @@ pub fn register(
                 // First receipt: rebroadcast to whoever may lack it, then
                 // deliver (paper's recv).
                 fan_out(ctx, &events, &[me, msg.uid.origin, d.sender], &view, msg)?;
-                ctx.async_trigger_all(events.deliver_out, EventData::new(msg.clone()))?;
+                ctx.async_trigger_all(deliver, EventData::new(msg.clone()))?;
             }
             Ok(())
-        })
+        });
+        b.declare_fan_out(h, &[events.send_out]);
     };
+    recv(b, ev.from_rcomm_user, "relcast.recv_user", ev.deliver_user);
+    recv(b, ev.from_rcomm_cast, "relcast.recv", ev.deliver_out);
 
-    let view_change = {
+    {
         let state = state.clone();
         let e = ev.view_change;
         b.bind_with_triggers(e, pid, "relcast.view_change", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
             state.with(ctx, |s| s.view = v.clone());
             Ok(())
-        })
-    };
-
-    RelCastHandlers {
-        bcast,
-        recv,
-        view_change,
+        });
     }
 }
 

@@ -2,7 +2,10 @@
 //!
 //! Sends datagrams with per-channel sequence numbers, acknowledges and
 //! deduplicates on receipt, and retransmits unacknowledged messages on the
-//! retransmission timer: that much is [`samoa_net::arq`]. Messages are only
+//! retransmission timer: that much is [`samoa_net::arq`]. What it delivers
+//! goes up on the event of its class — plain user casts, other casts,
+//! consensus messages, state transfers — so each upper handler binds only
+//! the traffic it owns. Messages are only
 //! sent to — and only delivered from — sites in the current view ("this
 //! requirement is necessary to implement finite buffers"); pending messages
 //! to sites that leave the view are discarded, and so are the acks owed to
@@ -48,18 +51,36 @@ use crate::msgs::{MsgUid, Payload, TraceCtx, Wire};
 use crate::observe::{ClusterTracer, RelCommInstruments};
 use crate::view::GroupView;
 
-/// A reliably delivered payload handed to upper microprotocols via the
-/// `FromRComm` event.
+/// A reliably delivered payload of one class —
+/// [`CastMsg`](crate::msgs::CastMsg), [`ConsMsg`](crate::msgs::ConsMsg) or
+/// [`SyncMsg`](crate::msgs::SyncMsg) — handed to upper microprotocols via that class's
+/// `FromRComm*` event.
 #[derive(Debug, Clone)]
-pub struct RDeliver {
+pub struct RDeliver<T> {
     /// The sending site.
     pub sender: SiteId,
     /// The delivered payload.
-    pub payload: Payload,
+    pub payload: T,
+}
+
+/// The event a payload from `sender` is delivered on, with its data.
+fn delivery(ev: &Events, sender: SiteId, payload: &Payload) -> (EventType, EventData) {
+    fn of<T: Clone + Send + Sync + 'static>(sender: SiteId, payload: &T) -> EventData {
+        EventData::new(RDeliver {
+            sender,
+            payload: payload.clone(),
+        })
+    }
+    match payload {
+        Payload::Cast(c) if c.data.is_user() => (ev.from_rcomm_user, of(sender, c)),
+        Payload::Cast(c) => (ev.from_rcomm_cast, of(sender, c)),
+        Payload::Cons(c) => (ev.from_rcomm_cons, of(sender, c)),
+        Payload::Sync(s) => (ev.from_rcomm_sync, of(sender, s)),
+    }
 }
 
 /// An inbound data datagram (the decoded `Wire::Data` and the acks that
-/// rode behind it), payload of `RcData`.
+/// rode behind it), payload of `RcData` and `RcDataUser`.
 #[derive(Debug, Clone)]
 pub struct RcDataIn {
     /// The sending site.
@@ -243,30 +264,15 @@ impl RelCommState {
     }
 }
 
-/// Handler ids of the registered RelComm microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct RelCommHandlers {
-    /// `send` (bound to `SendOut`).
-    pub send: HandlerId,
-    /// `recv_data` (bound to `RcData`).
-    pub recv_data: HandlerId,
-    /// `recv_ack` (bound to `RcAck`).
-    pub recv_ack: HandlerId,
-    /// `retransmit` (bound to `RetransmitTick`).
-    pub retransmit: HandlerId,
-    /// `view_change` (bound to `ViewChange`).
-    pub view_change: HandlerId,
-}
-
-/// Register RelComm on the builder. Returns its handler ids.
+/// Register RelComm on the builder.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<RelCommState>,
     net: Arc<dyn Transport>,
-) -> RelCommHandlers {
-    let send = {
+) {
+    {
         let state = state.clone();
         let net = Arc::clone(&net);
         let e = ev.send_out;
@@ -299,77 +305,74 @@ pub fn register(
                 net.send(site, *target, datagram(data, &acks));
             }
             Ok(())
-        })
-    };
+        });
+    }
 
-    let recv_data = {
+    // One body, registered per entry event with only its classes' triggers.
+    let recv_data = |b: &mut StackBuilder, e: EventType, name: &str, classes: &[EventType]| {
         let state = state.clone();
         let net = Arc::clone(&net);
-        let e = ev.rc_data;
-        let from_rcomm = ev.from_rcomm;
-        b.bind_with_triggers(
-            e,
-            pid,
-            "relcomm.recv_data",
-            &[from_rcomm],
-            move |ctx, data| {
-                let m: &RcDataIn = data.expect(e)?;
-                let (me, deliver, overflow) = state.with(ctx, |s| {
-                    s.apply_acks(m.sender, &m.acks);
-                    // Learn the operation's hop distance so frames this site
-                    // forwards on the operation's behalf carry hop + 1 — if
-                    // it is traced: an untraced site attaches no context
-                    // (`ctx_for`), so it has nothing to learn one for.
-                    if let (Some(c), Some(_)) = (m.ctx, &s.tracer) {
-                        let uid = MsgUid {
-                            origin: c.origin,
-                            seq: c.op,
-                        };
-                        s.ctx_hops.learn(uid, c.hop);
-                    }
-                    // The dedup filter is the exactly-once guarantee.
-                    let fresh = s.rx.fresh(m.sender, m.seq);
-                    // Always owe an ack — even for duplicates (the original
-                    // ack may be lost). It rides the next datagram to the
-                    // sender; only a full list leaves on its own.
-                    let owed = s.owed.entry(m.sender).or_default();
-                    owed.push(m.seq);
-                    let overflow = if owed.len() >= OWED_ACK_CAP {
-                        s.owed.remove(&m.sender)
-                    } else {
-                        None
+        let events = *ev;
+        b.bind_with_triggers(e, pid, name, classes, move |ctx, data| {
+            let m: &RcDataIn = data.expect(e)?;
+            let (me, deliver, overflow) = state.with(ctx, |s| {
+                s.apply_acks(m.sender, &m.acks);
+                // Learn the operation's hop distance so frames this site
+                // forwards on the operation's behalf carry hop + 1 — if it
+                // is traced: an untraced site attaches no context
+                // (`ctx_for`), so it has nothing to learn one for.
+                if let (Some(c), Some(_)) = (m.ctx, &s.tracer) {
+                    let uid = MsgUid {
+                        origin: c.origin,
+                        seq: c.op,
                     };
-                    // Deliver only from in-view senders (paper's recv).
-                    (s.site, fresh && s.view.contains(m.sender), overflow)
-                });
-                if let Some(acks) = overflow {
-                    net.send(me, m.sender, datagram(None, &acks));
+                    s.ctx_hops.learn(uid, c.hop);
                 }
-                if deliver {
-                    ctx.async_trigger_all(
-                        from_rcomm,
-                        EventData::new(RDeliver {
-                            sender: m.sender,
-                            payload: m.payload.clone(),
-                        }),
-                    )?;
-                }
-                Ok(())
-            },
-        )
+                // The dedup filter is the exactly-once guarantee.
+                let fresh = s.rx.fresh(m.sender, m.seq);
+                // Always owe an ack — even for duplicates (the original ack
+                // may be lost). It rides the next datagram to the sender;
+                // only a full list leaves on its own.
+                let owed = s.owed.entry(m.sender).or_default();
+                owed.push(m.seq);
+                let overflow = if owed.len() >= OWED_ACK_CAP {
+                    s.owed.remove(&m.sender)
+                } else {
+                    None
+                };
+                // Deliver only from in-view senders (paper's recv).
+                (s.site, fresh && s.view.contains(m.sender), overflow)
+            });
+            if let Some(acks) = overflow {
+                net.send(me, m.sender, datagram(None, &acks));
+            }
+            if deliver {
+                let (class, data) = delivery(&events, m.sender, &m.payload);
+                ctx.async_trigger_all(class, data)?;
+            }
+            Ok(())
+        });
     };
+    let classes = [ev.from_rcomm_cast, ev.from_rcomm_cons, ev.from_rcomm_sync];
+    recv_data(
+        b,
+        ev.rc_data_user,
+        "relcomm.recv_data_user",
+        &[ev.from_rcomm_user],
+    );
+    recv_data(b, ev.rc_data, "relcomm.recv_data", &classes);
 
-    let recv_ack = {
+    {
         let state = state.clone();
         let e = ev.rc_ack;
         b.bind_with_triggers(e, pid, "relcomm.recv_ack", &[], move |ctx, data| {
             let a: &RcAckIn = data.expect(e)?;
             state.with(ctx, |s| s.apply_acks(a.sender, &a.seqs));
             Ok(())
-        })
-    };
+        });
+    }
 
-    let retransmit = {
+    {
         let state = state.clone();
         let net = Arc::clone(&net);
         let e = ev.retransmit_tick;
@@ -412,10 +415,10 @@ pub fn register(
                 net.send(me, target, bytes);
             }
             Ok(())
-        })
-    };
+        });
+    }
 
-    let view_change = {
+    {
         let state = state.clone();
         let e = ev.view_change;
         b.bind_with_triggers(e, pid, "relcomm.view_change", &[], move |ctx, data| {
@@ -436,15 +439,7 @@ pub fn register(
                 s.owed.retain(|peer, _| view.contains(*peer));
             });
             Ok(())
-        })
-    };
-
-    RelCommHandlers {
-        send,
-        recv_data,
-        recv_ack,
-        retransmit,
-        view_change,
+        });
     }
 }
 
@@ -493,8 +488,10 @@ mod tests {
                 }),
                 acks: Vec::new(),
             };
-            rt.isolated(&[pid], |ctx| ctx.trigger(ev.rc_data, EventData::new(m)))
-                .expect("recv_data");
+            rt.isolated(&[pid], |ctx| {
+                ctx.trigger(ev.rc_data_user, EventData::new(m))
+            })
+            .expect("recv_data");
         }
         state
     }

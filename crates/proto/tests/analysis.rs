@@ -1,27 +1,186 @@
 //! The static declaration analyzer run over the real group-communication
 //! stack: the full abcast stack lints clean, the inferred declarations
-//! validate cleanly, and `isolated route` executes under them (the route
-//! table in `Node` *is* `infer_route`'s output).
+//! validate cleanly, and `isolated route` executes under them. What a
+//! `Node` declares for each kind of external event *is* what
+//! [`External::new`] derives at the kind's entry event; the table below
+//! pins it.
 
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
 use samoa_core::analysis::{
     analyze_deadlocks, codes, infer_bounds, infer_m, infer_route, lint_stack, validate_decl,
-    ConflictMatrix, Severity, CYCLE_FALLBACK_BOUND,
+    CallGraph, ConflictMatrix, Severity, CYCLE_FALLBACK_BOUND,
 };
 use samoa_core::prelude::*;
-use samoa_net::NetConfig;
-use samoa_proto::{Cluster, Events, NodeConfig, StackPolicy};
+use samoa_net::{NetConfig, SiteId};
+use samoa_proto::relcomm::RcDataIn;
+use samoa_proto::{CastData, CastMsg, Cluster, Events, MsgUid, NodeConfig, Payload, StackPolicy};
 
 fn externals(ev: &Events) -> Vec<EventType> {
-    vec![
-        ev.rc_data,
-        ev.rc_ack,
-        ev.fd_beat,
-        ev.bcast,
-        ev.abcast,
-        ev.join_leave,
-        ev.retransmit_tick,
-        ev.fd_tick,
-    ]
+    ev.entries().to_vec()
+}
+
+/// Every microprotocol of the stack, by name.
+const ALL: [&str; 8] = [
+    "RelComm",
+    "RelCast",
+    "FD",
+    "Consensus",
+    "ABcast",
+    "Membership",
+    "App",
+    "Kv",
+];
+
+/// The derived `M` of every entry event, by name: a kind whose cascade is
+/// cyclic reaches the whole stack; a plain user cast, in or out, never
+/// reaches atomic broadcast or consensus; acks, heartbeats and the
+/// retransmission tick stay in their own microprotocol, visited once.
+#[test]
+fn every_entry_event_declares_what_the_table_says() {
+    let c = Cluster::new_manual(3, NetConfig::fast(7), NodeConfig::default());
+    let node = c.node(0);
+    let (stack, ev) = (node.runtime().stack(), node.events());
+    let user = ["RelComm", "RelCast", "App"];
+    // (entry event, M, bounds — `None` where the cascade is cyclic)
+    type Row<'a> = (EventType, &'a [&'a str], Option<&'a [(&'a str, u64)]>);
+    let table: [Row; 9] = [
+        (ev.rc_data, &ALL, None),
+        (ev.abcast, &ALL, None),
+        (ev.join_leave, &ALL, None),
+        (ev.fd_tick, &ALL, None),
+        // RelComm's `send` is below RelCast's fan-out.
+        (
+            ev.rc_data_user,
+            &user,
+            Some(&[
+                ("RelComm", CYCLE_FALLBACK_BOUND),
+                ("RelCast", 1),
+                ("App", 1),
+            ]),
+        ),
+        (
+            ev.bcast_user,
+            &user,
+            Some(&[
+                ("RelComm", CYCLE_FALLBACK_BOUND),
+                ("RelCast", 1),
+                ("App", 1),
+            ]),
+        ),
+        (ev.rc_ack, &["RelComm"], Some(&[("RelComm", 1)])),
+        (ev.retransmit_tick, &["RelComm"], Some(&[("RelComm", 1)])),
+        (ev.fd_beat, &["FD"], Some(&[("FD", 1)])),
+    ];
+    let mut entries: Vec<EventType> = table.iter().map(|t| t.0).collect();
+    entries.sort();
+    let mut listed = externals(ev);
+    listed.sort();
+    assert_eq!(entries, listed, "the table covers every entry event");
+    for (event, m, bounds) in table {
+        let name = stack.event_name(event);
+        let ext = External::new(stack, event);
+        let derived: Vec<&str> = ext
+            .protocols
+            .iter()
+            .map(|&p| stack.protocol_name(p))
+            .collect();
+        assert_eq!(derived, m, "{name}: M");
+        let derived: Vec<(&str, u64)> = ext
+            .bounds
+            .iter()
+            .map(|&(p, b)| (stack.protocol_name(p), b))
+            .collect();
+        match bounds {
+            Some(bounds) => assert_eq!(derived, bounds, "{name}: bounds"),
+            // `Bound` ≡ `Basic` for a cyclic kind: everything saturates.
+            None => assert!(
+                derived.iter().all(|&(_, b)| b == CYCLE_FALLBACK_BOUND),
+                "{name}: {derived:?}"
+            ),
+        }
+    }
+}
+
+/// An inbound user cast declared without App, which only RelCast's
+/// *asynchronous* delivery reaches — so the error is raised in the drain,
+/// not in the root's own cascade. `external_errors` counts it whether the
+/// computation ran inline (`Basic`) or detached (`Route`); the derived
+/// declaration of the same entry event delivers it.
+#[test]
+fn an_error_raised_in_the_drain_is_counted_on_both_ingress_paths() {
+    for policy in [StackPolicy::Basic, StackPolicy::Route] {
+        let cfg = NodeConfig {
+            enable_timers: false,
+            ..NodeConfig::with_policy(policy)
+        };
+        let c = Cluster::new_manual(2, NetConfig::fast(1), cfg);
+        let node = c.node(1);
+        let stack = node.runtime().stack();
+        let full = External::new(stack, node.events().rc_data_user);
+        let mut all = stack.all_protocols().into_iter();
+        let app = all.find(|&p| stack.protocol_name(p) == "App").expect("App");
+        let g = CallGraph::from_stack(stack);
+        let mut route = RoutePattern::new();
+        for &h in stack.bound_handlers(full.event) {
+            route = route.root(h);
+        }
+        for &h in &g.reachable_from_event(full.event) {
+            for &(t, _) in g.successors(h) {
+                if stack.handler_protocol(t) != app {
+                    route = route.edge(h, t);
+                }
+            }
+        }
+        let under_declared = External {
+            event: full.event,
+            protocols: full
+                .protocols
+                .iter()
+                .copied()
+                .filter(|&p| p != app)
+                .collect(),
+            bounds: full
+                .bounds
+                .iter()
+                .copied()
+                .filter(|&(p, _)| p != app)
+                .collect(),
+            route,
+        };
+        let cast = |ext: &External, seq: u64| {
+            let uid = MsgUid {
+                origin: SiteId(0),
+                seq,
+            };
+            let data = CastData::User(Bytes::from_static(b"on the way up"));
+            node.runtime().external(
+                policy,
+                ext,
+                EventData::new(RcDataIn {
+                    sender: SiteId(0),
+                    seq,
+                    ctx: None,
+                    payload: Payload::Cast(CastMsg { uid, data }),
+                    acks: Vec::new(),
+                }),
+            );
+        };
+        cast(&under_declared, 1);
+        // A detached root job counts on its way out, after Rule 3.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while node.external_errors() == 0 {
+            assert!(Instant::now() < deadline, "{policy}: the error was lost");
+            std::thread::yield_now();
+        }
+        assert_eq!(node.external_errors(), 1, "{policy}");
+        assert!(node.rb_delivered().is_empty(), "{policy}");
+        cast(&full, 2);
+        node.runtime().quiesce();
+        assert_eq!(node.rb_delivered().len(), 1, "{policy}");
+        assert_eq!(node.external_errors(), 1, "{policy}");
+    }
 }
 
 #[test]

@@ -286,3 +286,40 @@ fn stack_diagnostics_expose_progress() {
     assert_eq!(c.node(0).observed_views().len(), 0, "no view ops occurred");
     assert_no_external_errors(&c, "one abcast");
 }
+
+/// `Bound` and `Route` run under the declarations derived at each entry
+/// event, and those are sound: every kind of external event — a user cast,
+/// an atomic broadcast, a KV put, a join with its state transfer — runs to
+/// the end on every site, at two group sizes. A user cast fans out once per
+/// peer, so without the fan-out mark on RelCast its RelComm bound would be
+/// 1 and `Bound` would fail here.
+#[test]
+fn bound_and_route_run_every_kind_of_external_event_without_an_error() {
+    for n in [3u16, 5] {
+        for policy in [StackPolicy::Bound, StackPolicy::Route] {
+            let mut cfg = NodeConfig::with_policy(policy);
+            cfg.initial_members = Some((0..n - 1).map(SiteId).collect());
+            let c = Cluster::new(n as usize, NetConfig::fast(u64::from(n)), cfg);
+            let what = format!("{policy} at n = {n}");
+            c.node(0).rbcast(msg(0));
+            c.node(1).abcast(msg(1));
+            let put = c.node(1).kv_put("k", "v");
+            c.node(0).request_join(SiteId(n - 1));
+            c.settle();
+            assert!(
+                put.wait(Duration::from_secs(60)).is_some(),
+                "{what}: no reply"
+            );
+            assert!(
+                c.nodes()
+                    .iter()
+                    .all(|s| s.current_view().contains(SiteId(n - 1))),
+                "{what}: the join was not installed everywhere"
+            );
+            for i in 0..n as usize - 1 {
+                assert_eq!(c.node(i).rb_delivered().len(), 1, "{what}: site {i}");
+            }
+            assert_no_external_errors(&c, &what);
+        }
+    }
+}

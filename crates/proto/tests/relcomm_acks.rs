@@ -221,7 +221,7 @@ impl Lone {
             }),
             acks: Vec::new(),
         };
-        self.fire(self.ev.rc_data, EventData::new(m));
+        self.fire(self.ev.rc_data_user, EventData::new(m));
     }
 
     fn tick(&self) {

@@ -2,7 +2,10 @@
 //!
 //! Outbound frames are encoded with an FNV-1a trailer and put on the wire;
 //! inbound bytes are validated and decoded, with corrupted frames counted
-//! and dropped (the Window layer's retransmission recovers them).
+//! and dropped (the Window layer's retransmission recovers them). A decoded
+//! frame goes up as the event of its class — `WinData` or `WinAck` — and the
+//! endpoint, which reads the class off the header, hands acks in on an entry
+//! event of their own, so the handler is registered once per class.
 
 use std::sync::Arc;
 
@@ -24,15 +27,6 @@ pub struct ChecksumState {
     pub sent: u64,
 }
 
-/// Handler ids of the registered Checksum microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct ChecksumHandlers {
-    /// `send` (bound to `CsumOut`).
-    pub send: HandlerId,
-    /// `recv` (bound to `CsumIn`).
-    pub recv: HandlerId,
-}
-
 /// Register the Checksum microprotocol.
 pub fn register(
     b: &mut StackBuilder,
@@ -41,10 +35,10 @@ pub fn register(
     state: ProtocolState<ChecksumState>,
     me: SiteId,
     net: Arc<dyn Transport>,
-) -> ChecksumHandlers {
+) {
     let events = *ev;
 
-    let send = {
+    {
         let state = state.clone();
         let e = ev.csum_out;
         b.bind_with_triggers(e, pid, "checksum.send", &[], move |ctx, data| {
@@ -52,17 +46,20 @@ pub fn register(
             state.with(ctx, |s| s.sent += 1);
             net.send(me, *peer, frame.encode());
             Ok(())
-        })
-    };
+        });
+    }
 
-    let recv = {
+    // One body, registered per entry event with only its class's trigger.
+    let recv = |b: &mut StackBuilder, e: EventType, name: &str, class: EventType| {
         let state = state.clone();
-        let e = ev.csum_in;
-        b.bind_with_triggers(e, pid, "checksum.recv", &[ev.win_in], move |ctx, data| {
+        b.bind_with_triggers(e, pid, name, &[class], move |ctx, data| {
             let (from, bytes): &(SiteId, Bytes) = data.expect(e)?;
             match Frame::decode(bytes.clone()) {
+                Ok(Frame::Ack { seq }) => {
+                    ctx.trigger(events.win_ack, EventData::new((*from, seq)))?;
+                }
                 Ok(frame) => {
-                    ctx.trigger(events.win_in, EventData::new((*from, frame)))?;
+                    ctx.trigger(events.win_data, EventData::new((*from, frame)))?;
                 }
                 Err(FrameError::Checksum) => {
                     state.with(ctx, |s| s.corrupt_dropped += 1);
@@ -72,8 +69,8 @@ pub fn register(
                 }
             }
             Ok(())
-        })
+        });
     };
-
-    ChecksumHandlers { send, recv }
+    recv(b, ev.csum_in, "checksum.recv_data", ev.win_data);
+    recv(b, ev.csum_ack_in, "checksum.recv_ack", ev.win_ack);
 }

@@ -104,38 +104,31 @@ impl ChunkerState {
     }
 }
 
-/// Handler ids of the registered Chunker.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkerHandlers {
-    /// `send` (bound to `TSend`).
-    pub send: HandlerId,
-    /// `recv` (bound to `ChunkIn`).
-    pub recv: HandlerId,
-}
-
 /// Register the Chunker on the builder.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<ChunkerState>,
-) -> ChunkerHandlers {
+) {
     let events = *ev;
 
-    let send = {
+    {
         let state = state.clone();
         let e = ev.send_msg;
-        b.bind_with_triggers(e, pid, "chunker.send", &[ev.win_out], move |ctx, data| {
+        let send = b.bind_with_triggers(e, pid, "chunker.send", &[], move |ctx, data| {
             let (peer, bytes): &(SiteId, Bytes) = data.expect(e)?;
             let frames = state.with(ctx, |s| s.split(bytes));
             for f in frames {
                 ctx.trigger(events.win_out, EventData::new((*peer, f)))?;
             }
             Ok(())
-        })
-    };
+        });
+        // One `WinOut` per fragment.
+        b.declare_fan_out(send, &[ev.win_out]);
+    }
 
-    let recv = {
+    {
         let state = state.clone();
         let e = ev.chunk_in;
         b.bind_with_triggers(
@@ -150,10 +143,8 @@ pub fn register(
                 }
                 Ok(())
             },
-        )
-    };
-
-    ChunkerHandlers { send, recv }
+        );
+    }
 }
 
 #[cfg(test)]

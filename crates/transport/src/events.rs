@@ -11,10 +11,17 @@ pub struct Events {
     pub win_out: EventType,
     /// A frame should be encoded and put on the wire: `(SiteId, Frame)`.
     pub csum_out: EventType,
-    /// Raw bytes arrived from the network: `(SiteId, Bytes)` (external).
+    /// Raw bytes of a data frame (or of nothing decodable) arrived from the
+    /// network: `(SiteId, Bytes)` (external).
     pub csum_in: EventType,
-    /// A verified frame for the window layer: `(SiteId, Frame)`.
-    pub win_in: EventType,
+    /// Raw bytes of an ack frame arrived from the network: `(SiteId, Bytes)`
+    /// (external).
+    pub csum_ack_in: EventType,
+    /// A verified data frame for the window layer: `(SiteId, Frame)`.
+    pub win_data: EventType,
+    /// A verified ack for the window layer: `(SiteId, u64)`, the acked
+    /// sequence number.
+    pub win_ack: EventType,
     /// An in-order data fragment for reassembly: `(SiteId, Frame)`.
     pub chunk_in: EventType,
     /// A complete message for the application: `(SiteId, Bytes)`.
@@ -31,7 +38,9 @@ impl Events {
             win_out: b.event("WinOut"),
             csum_out: b.event("CsumOut"),
             csum_in: b.event("CsumIn"),
-            win_in: b.event("WinIn"),
+            csum_ack_in: b.event("CsumAckIn"),
+            win_data: b.event("WinData"),
+            win_ack: b.event("WinAck"),
             chunk_in: b.event("ChunkIn"),
             msg_deliver: b.event("MsgDeliver"),
             tick: b.event("TTick"),
@@ -48,7 +57,7 @@ mod tests {
         let mut b = StackBuilder::new();
         let ev = Events::declare(&mut b);
         let s = b.build();
-        assert_eq!(s.event_count(), 8);
+        assert_eq!(s.event_count(), 10);
         assert_eq!(s.event_name(ev.send_msg), "TSend");
     }
 }

@@ -1,13 +1,13 @@
 //! One transport endpoint: a SAMOA runtime running Chunker / Window /
 //! Checksum over the simulated network, plus [`TransportNet`] bundling `n`
 //! endpoints. Every external event — a datagram, a `send`, a tick — goes to
-//! [`Runtime::external`], which decides the thread that runs it.
+//! [`Runtime::external`], which decides the thread that runs it, under the
+//! declaration [`External::new`] derives from its entry event.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
-use samoa_core::analysis::CYCLE_FALLBACK_BOUND;
 use samoa_core::prelude::*;
 use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport};
 
@@ -58,8 +58,8 @@ pub struct Endpoint {
     pub site: SiteId,
     rt: Runtime,
     cfg: TransportConfig,
-    /// What each kind of external event triggers and declares — tightly:
-    /// an ack never reaches the Chunker or the application.
+    /// What each kind of external event triggers and declares, derived from
+    /// its entry event: an ack never reaches the Chunker or the application.
     ext_ack: External,
     ext_data: External,
     ext_send: External,
@@ -135,16 +135,10 @@ impl Endpoint {
             RuntimeConfig::default()
         };
         let stack = b.build();
-        // `isolated bound` budgets: a `send` visits Window once per
-        // fragment, so no bound fits every message; the analysis' fallback
-        // for such cascades is far above any real one.
-        let ext = |event, protocols: &[ProtocolId]| {
-            External::new(&stack, event, protocols, CYCLE_FALLBACK_BOUND)
-        };
-        let ext_ack = ext(ev.csum_in, &[p_checksum, p_window]);
-        let ext_data = ext(ev.csum_in, &[p_checksum, p_window, p_chunker, p_app]);
-        let ext_send = ext(ev.send_msg, &[p_chunker, p_window, p_checksum]);
-        let ext_tick = ext(ev.tick, &[p_window, p_checksum]);
+        let ext_ack = External::new(&stack, ev.csum_ack_in);
+        let ext_data = External::new(&stack, ev.csum_in);
+        let ext_send = External::new(&stack, ev.send_msg);
+        let ext_tick = External::new(&stack, ev.tick);
         let rt = Runtime::with_parts(stack, rt_cfg, hook, None);
         let node = Arc::new(Endpoint {
             site,
@@ -183,7 +177,8 @@ impl Endpoint {
     }
 
     fn on_datagram(&self, from: SiteId, payload: Bytes) {
-        // Classify on the header (like a real stack) to declare tightly.
+        // Classify on the header (like a real stack): an ack is an entry
+        // event of its own, so that it declares less.
         let ext = match Frame::peek_kind(&payload) {
             Some(FrameKind::Ack) => &self.ext_ack,
             _ => &self.ext_data,

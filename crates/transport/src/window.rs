@@ -167,30 +167,22 @@ impl WindowState {
     }
 }
 
-/// Handler ids of the registered Window microprotocol.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowHandlers {
-    /// `send` (bound to `WinOut`).
-    pub send: HandlerId,
-    /// `recv` (bound to `WinIn`).
-    pub recv: HandlerId,
-    /// `retransmit` (bound to `TTick`).
-    pub retransmit: HandlerId,
-}
-
-/// Register the Window microprotocol.
+/// Register the Window microprotocol. How many frames a handler passes on is
+/// known only at run time — what the window admits, what an ack shows lost
+/// or lets through, what is overdue, the run a data frame releases in order
+/// — so those triggers are fan-outs; the one ack a data frame earns is not.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<WindowState>,
-) -> WindowHandlers {
+) {
     let events = *ev;
 
     let send = {
         let state = state.clone();
         let e = ev.win_out;
-        b.bind_with_triggers(e, pid, "window.send", &[ev.csum_out], move |ctx, data| {
+        b.bind_with_triggers(e, pid, "window.send", &[], move |ctx, data| {
             let (peer, frame): &(SiteId, Frame) = data.expect(e)?;
             let out = state.with(ctx, |s| s.enqueue(*peer, frame.clone()));
             for f in out {
@@ -199,68 +191,60 @@ pub fn register(
             Ok(())
         })
     };
+    b.declare_fan_out(send, &[ev.csum_out]);
 
-    let recv = {
+    let recv_ack = {
         let state = state.clone();
-        let e = ev.win_in;
+        let e = ev.win_ack;
+        b.bind_with_triggers(e, pid, "window.recv_ack", &[], move |ctx, data| {
+            let (from, seq): &(SiteId, u64) = data.expect(e)?;
+            let out = state.with(ctx, |s| s.on_ack(*from, *seq));
+            for f in out {
+                ctx.trigger(events.csum_out, EventData::new((*from, f)))?;
+            }
+            Ok(())
+        })
+    };
+    b.declare_fan_out(recv_ack, &[ev.csum_out]);
+
+    let recv_data = {
+        let state = state.clone();
+        let e = ev.win_data;
         b.bind_with_triggers(
             e,
             pid,
-            "window.recv",
-            &[ev.csum_out, ev.chunk_in],
+            "window.recv_data",
+            &[ev.csum_out],
             move |ctx, data| {
                 let (from, frame): &(SiteId, Frame) = data.expect(e)?;
-                match frame {
-                    Frame::Ack { seq } => {
-                        let out = state.with(ctx, |s| s.on_ack(*from, *seq));
-                        for f in out {
-                            ctx.trigger(events.csum_out, EventData::new((*from, f)))?;
-                        }
-                    }
-                    Frame::Data { seq, .. } => {
-                        let released = state.with(ctx, |s| s.on_data(*from, frame.clone()));
-                        let Some(released) = released else {
-                            return Ok(());
-                        };
-                        // Ack duplicates too — the previous ack may have been
-                        // lost.
-                        ctx.trigger(
-                            events.csum_out,
-                            EventData::new((*from, Frame::Ack { seq: *seq })),
-                        )?;
-                        for f in released {
-                            ctx.trigger(events.chunk_in, EventData::new((*from, f)))?;
-                        }
-                    }
+                let released = state.with(ctx, |s| s.on_data(*from, frame.clone()));
+                let Some(released) = released else {
+                    return Ok(());
+                };
+                // Ack duplicates too — the previous ack may have been lost.
+                let ack = Frame::Ack { seq: frame.seq() };
+                ctx.trigger(events.csum_out, EventData::new((*from, ack)))?;
+                for f in released {
+                    ctx.trigger(events.chunk_in, EventData::new((*from, f)))?;
                 }
                 Ok(())
             },
         )
     };
+    b.declare_fan_out(recv_data, &[ev.chunk_in]);
 
     let retransmit = {
         let state = state.clone();
         let e = ev.tick;
-        b.bind_with_triggers(
-            e,
-            pid,
-            "window.retransmit",
-            &[ev.csum_out],
-            move |ctx, _| {
-                let overdue = state.with(ctx, |s| s.overdue());
-                for (peer, f) in overdue {
-                    ctx.trigger(events.csum_out, EventData::new((peer, f)))?;
-                }
-                Ok(())
-            },
-        )
+        b.bind_with_triggers(e, pid, "window.retransmit", &[], move |ctx, _| {
+            let overdue = state.with(ctx, |s| s.overdue());
+            for (peer, f) in overdue {
+                ctx.trigger(events.csum_out, EventData::new((peer, f)))?;
+            }
+            Ok(())
+        })
     };
-
-    WindowHandlers {
-        send,
-        recv,
-        retransmit,
-    }
+    b.declare_fan_out(retransmit, &[ev.csum_out]);
 }
 
 #[cfg(test)]

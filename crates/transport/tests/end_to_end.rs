@@ -5,7 +5,8 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use samoa_core::Policy;
+use samoa_core::analysis::CYCLE_FALLBACK_BOUND;
+use samoa_core::{External, Policy};
 use samoa_net::{NetConfig, ProtoClock, SiteId};
 use samoa_transport::{TransportConfig, TransportNet};
 
@@ -208,5 +209,89 @@ fn concurrent_streams_between_many_peers() {
         let want: std::collections::BTreeSet<Bytes> = expected[j].iter().cloned().collect();
         assert_eq!(got, want, "endpoint {j}");
         assert_eq!(net.endpoint(j).external_errors(), 0, "endpoint {j}");
+    }
+}
+
+/// `Bound` runs under the bounds derived at each entry event, and they are
+/// sound: messages of many fragments cross a lossy net with no external
+/// error. A send visits Window once per fragment, so without the fan-out
+/// mark on `chunker.send` its Window bound would be 1 and this would fail.
+/// Where a bound is exact — an ack visits Window once, a send the Chunker
+/// once — the microprotocol is released before the computation ends; with
+/// the fallback bound everywhere nothing ever was.
+#[test]
+fn bound_is_sound_for_many_fragments_and_releases_an_ack_early() {
+    let mut cfg = TransportConfig::default();
+    cfg.policy = Policy::Bound;
+    cfg.mtu = 16;
+    cfg.rto = Duration::from_millis(12);
+    let net = TransportNet::new(2, NetConfig::fast(11).with_loss(0.1), cfg);
+    let msgs: Vec<Bytes> = (0..4).map(|i| big_message(i, 500)).collect();
+    for m in &msgs {
+        net.endpoint(0).send(SiteId(1), m.clone());
+    }
+    wait_delivered(&net, 1, msgs.len(), "bound");
+    let got: Vec<Bytes> = net
+        .endpoint(1)
+        .delivered()
+        .into_iter()
+        .map(|d| d.1)
+        .collect();
+    assert_eq!(got, msgs);
+    assert!(
+        net.net().total_stats().dropped_loss > 0,
+        "no loss seen — vacuous"
+    );
+    for i in 0..2 {
+        assert_eq!(net.endpoint(i).external_errors(), 0, "endpoint {i}");
+    }
+    let stats = net.endpoint(0).runtime().stats();
+    assert!(stats.bound_releases > 0, "{stats}");
+}
+
+/// What an endpoint declares for each kind of external event is derived at
+/// its entry event: an ack reaches Checksum and Window only and visits
+/// Window once; whatever a loop sends or releases is below a fan-out.
+#[test]
+fn every_entry_event_declares_what_the_table_says() {
+    const MANY: u64 = CYCLE_FALLBACK_BOUND;
+    let net = TransportNet::new(2, NetConfig::fast(1), TransportConfig::default());
+    let stack = net.endpoint(0).runtime().stack();
+    let event = |name: &str| {
+        let mut all = stack.all_events().into_iter();
+        all.find(|&e| stack.event_name(e) == name).expect(name)
+    };
+    let table: [(&str, &[(&str, u64)]); 4] = [
+        ("CsumAckIn", &[("Window", 1), ("Checksum", MANY)]),
+        (
+            "CsumIn",
+            &[
+                ("Chunker", MANY),
+                ("Window", 1),
+                ("Checksum", 2),
+                ("TApp", MANY),
+            ],
+        ),
+        (
+            "TSend",
+            &[("Chunker", 1), ("Window", MANY), ("Checksum", MANY)],
+        ),
+        ("TTick", &[("Window", 1), ("Checksum", MANY)]),
+    ];
+    for (name, bounds) in table {
+        let ext = External::new(stack, event(name));
+        let derived: Vec<(&str, u64)> = ext
+            .bounds
+            .iter()
+            .map(|&(p, b)| (stack.protocol_name(p), b))
+            .collect();
+        assert_eq!(derived, bounds, "{name}");
+        let m: Vec<&str> = bounds.iter().map(|b| b.0).collect();
+        let derived: Vec<&str> = ext
+            .protocols
+            .iter()
+            .map(|&p| stack.protocol_name(p))
+            .collect();
+        assert_eq!(derived, m, "{name}");
     }
 }

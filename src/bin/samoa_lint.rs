@@ -20,14 +20,16 @@
 //!   `event` anchors) — what CI archives as its lint artifact.
 //! * `--deny <level>` sets the exit threshold: any diagnostic at or above
 //!   the level makes the process exit 1 (default `error`).
-//! * `--infer` (text mode) additionally prints the minimal isolation
-//!   declaration the analyzer infers per external event.
+//! * `--infer` (text mode) additionally prints the declaration
+//!   `External::new` derives per entry event — what a host declares — and,
+//!   for each bound saturated at the fallback, its cause: a cycle (its
+//!   handlers named) or the fan-out edges above it.
 
 use std::process::ExitCode;
 
 use samoa::core::analysis::{
-    analyze_deadlocks, infer_bounds, infer_m, infer_route, lint_stack, ConflictMatrix, Report,
-    Severity,
+    analyze_deadlocks, infer_bounds, lint_stack, CallGraph, ConflictMatrix, Report, Severity,
+    CYCLE_FALLBACK_BOUND,
 };
 use samoa::prelude::*;
 
@@ -110,18 +112,8 @@ fn main() -> ExitCode {
             };
             let cluster = Cluster::new(3, NetConfig::fast(1), cfg);
             let node = cluster.node(0);
-            let ev = node.events();
-            let external = [
-                ("RcData", ev.rc_data),
-                ("RcAck", ev.rc_ack),
-                ("FdBeat", ev.fd_beat),
-                ("Bcast", ev.bcast),
-                ("ABcast", ev.abcast),
-                ("JoinLeave", ev.join_leave),
-                ("RetransmitTick", ev.retransmit_tick),
-                ("FdTick", ev.fd_tick),
-            ];
-            run("proto", node.runtime().stack(), &external, &opts)
+            let stack = node.runtime().stack();
+            run("proto", stack, &node.events().entries(), &opts)
         }
         StackChoice::Defective => {
             let mut b = StackBuilder::new();
@@ -131,18 +123,17 @@ fn main() -> ExitCode {
             let parsed = b.event("Parsed"); // SA001: never bound
             b.bind_with_triggers(ingest, parser, "parse", &[parsed], |_, _| Ok(()));
             let stack = b.build();
-            run("defective", &stack, &[("Ingest", ingest)], &opts)
+            run("defective", &stack, &[ingest], &opts)
         }
     }
 }
 
 /// Run the merged static pass over one stack and report. Returns the
 /// process exit code per the `--deny` threshold.
-fn run(name: &str, stack: &Stack, external: &[(&str, EventType)], opts: &Opts) -> ExitCode {
-    let events: Vec<EventType> = external.iter().map(|&(_, e)| e).collect();
-    let mut report = lint_stack(stack, &events);
-    report.merge(analyze_deadlocks(stack, &events));
-    let (_, conflicts) = ConflictMatrix::analyze(stack, &events);
+fn run(name: &str, stack: &Stack, entries: &[EventType], opts: &Opts) -> ExitCode {
+    let mut report = lint_stack(stack, entries);
+    report.merge(analyze_deadlocks(stack, entries));
+    let (_, conflicts) = ConflictMatrix::analyze(stack, entries);
     report.merge(conflicts);
 
     if opts.json {
@@ -158,7 +149,7 @@ fn run(name: &str, stack: &Stack, external: &[(&str, EventType)], opts: &Opts) -
         );
         println!("\n{report}");
         if opts.infer {
-            print_inferred(stack, external);
+            print_inferred(stack, entries);
         }
     }
 
@@ -170,29 +161,59 @@ fn run(name: &str, stack: &Stack, external: &[(&str, EventType)], opts: &Opts) -
     }
 }
 
-/// The minimal isolation declarations the analyzer infers per external
-/// event — the original `samoa_lint` example's summary, behind `--infer`.
-fn print_inferred(stack: &Stack, external: &[(&str, EventType)]) {
-    println!("\ninferred minimal declarations per external event:");
-    for &(name, e) in external {
-        let m = infer_m(stack, e);
-        let names: Vec<&str> = m.iter().map(|&p| stack.protocol_name(p)).collect();
-        let (bounds, rep) = infer_bounds(stack, e);
-        let bound_note = if rep.is_clean() {
-            let parts: Vec<String> = bounds
-                .iter()
-                .map(|&(p, b)| format!("{}\u{2264}{b}", stack.protocol_name(p)))
-                .collect();
-            format!("bounds {}", parts.join(" "))
-        } else {
-            "bounds: cyclic, fallback".to_string()
-        };
-        let route = infer_route(stack, e);
+/// The declaration `External::new` derives per entry event — what a host
+/// declares for that kind — behind `--infer`. A bound at the fallback says
+/// why: a cycle (the handlers on it, as `SA030` names them) or the fan-out
+/// edges it lies below.
+fn print_inferred(stack: &Stack, entries: &[EventType]) {
+    println!("\nderived declarations per entry event:");
+    let g = CallGraph::from_stack(stack);
+    for &e in entries {
+        let ext = External::new(stack, e);
+        let names: Vec<&str> = ext
+            .protocols
+            .iter()
+            .map(|&p| stack.protocol_name(p))
+            .collect();
+        let bounds: Vec<String> = ext
+            .bounds
+            .iter()
+            .map(|&(p, b)| match b {
+                CYCLE_FALLBACK_BOUND => format!("{}\u{2264}*", stack.protocol_name(p)),
+                b => format!("{}\u{2264}{b}", stack.protocol_name(p)),
+            })
+            .collect();
         println!(
-            "  {name:>14}: M = {{{}}}; {bound_note}; route touches {} handlers",
+            "  {:>14}: M = {{{}}}; bounds {}; route touches {} handlers",
+            stack.event_name(e),
             names.join(", "),
-            route.vertices().len()
+            bounds.join(" "),
+            ext.route.vertices().len()
         );
+        let (_, rep) = infer_bounds(stack, e);
+        if let Some(cycle) = rep.diagnostics().first() {
+            println!("  {:>14}  * cyclic: {}", "", cycle.message);
+            continue;
+        }
+        // Acyclic: each saturated microprotocol lies below a fan-out edge.
+        let reached = g.reachable_from_event(e);
+        for &(p, b) in &ext.bounds {
+            if b != CYCLE_FALLBACK_BOUND {
+                continue;
+            }
+            let edges: Vec<String> = reached
+                .iter()
+                .flat_map(|&h| stack.handler_fan_outs(h).iter().map(move |&f| (h, f)))
+                .filter(|&(_, f)| g.reachable_protocols(f).contains(&p))
+                .map(|(h, f)| format!("{} -> {}", stack.handler_name(h), stack.event_name(f)))
+                .collect();
+            println!(
+                "  {:>14}  * {} below fan-out {}",
+                "",
+                stack.protocol_name(p),
+                edges.join(", ")
+            );
+        }
     }
 }
 
