@@ -409,21 +409,16 @@ impl Controller {
     }
 }
 
-/// How a [`SchedPoint`]'s announced footprint relates to its yield: does it
-/// describe the action *just performed* (attribute to the current segment),
-/// the action the thread performs *when next granted* (announce as
-/// pending), or both sides of the yield?
-fn attribution(point: SchedPoint) -> (bool, bool) {
+/// How a [`SchedPoint`]'s announced footprint relates to its yield: `true`
+/// if it describes the action *just performed* (attribute to the current
+/// segment), `false` if it describes the action the thread performs *when
+/// next granted* (announce as pending).
+fn attribution(point: SchedPoint) -> bool {
     match point {
         // Yield precedes taking the spawn lock / running admission.
-        SchedPoint::Spawn | SchedPoint::Admission { .. } => (false, true),
-        // The queue pop / version bump / overlay commit already happened.
-        SchedPoint::TaskDequeue { .. }
-        | SchedPoint::EarlyRelease { .. }
-        | SchedPoint::OccCommit { .. } => (true, false),
-        // The attempt read its cells (before) and will validate or re-run
-        // against them (after).
-        SchedPoint::OccValidate { .. } | SchedPoint::OccRetry { .. } => (true, true),
+        SchedPoint::Spawn | SchedPoint::Admission { .. } => false,
+        // The queue pop / version bump already happened.
+        SchedPoint::TaskDequeue { .. } | SchedPoint::EarlyRelease { .. } => true,
     }
 }
 
@@ -476,11 +471,9 @@ impl SchedHook for Controller {
             Some(tid),
             "yield from a thread without the turn"
         );
-        let (now, pend) = attribution(point);
-        if now {
+        if attribution(point) {
             st.touch_all(tid, footprint);
-        }
-        if pend {
+        } else {
             st.pending[tid] = footprint.to_vec();
         }
         st.threads[tid] = ThState::Ready;

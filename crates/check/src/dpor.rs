@@ -23,8 +23,7 @@
 //! microprotocol version or lock ([`SchedResource::Version`]/
 //! [`SchedResource::Lock`], which also stand for the protocol's local
 //! state via [`SchedHook::note`](samoa_core::sched::SchedHook::note)),
-//! the same task queue, or an overlapping OCC validation set
-//! ([`SchedResource::OccCell`]). Threads whose next action is not yet
+//! or the same task queue. Threads whose next action is not yet
 //! announced (empty pending footprint) are conservatively treated as
 //! conflicting with everything — over-approximating dependence costs
 //! reduction, never soundness.

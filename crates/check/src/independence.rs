@@ -15,7 +15,7 @@
 //!   declared over those protocols, not just the next announced action,
 //!   which is what makes pruning at un-initiated races sound.
 //! * Any other pair is independent iff the resources are distinct (two
-//!   different task queues, completion flags, or OCC cells are genuinely
+//!   different task queues, completion flags, or sites are genuinely
 //!   separate pieces of state; a shared one is not).
 //!
 //! The DPOR consumer ([`DporSearch::with_independence`]) uses the relation

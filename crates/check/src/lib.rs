@@ -52,7 +52,7 @@ pub use explorer::{Exploration, Explorer, ExplorerConfig, Failure, Strategy, Swe
 pub use faults::{ClusterProbe, ClusterScenario, FaultBudget};
 pub use independence::StaticIndependence;
 pub use scenarios::{
-    DiamondScenario, DisjointClustersScenario, OccScenario, RunReport, Scenario,
-    TransportWindowScenario, ViewChangeScenario,
+    DiamondScenario, DisjointClustersScenario, RunReport, Scenario, TransportWindowScenario,
+    ViewChangeScenario,
 };
 pub use strategy::{Decider, PctDecider, PrefixDecider, RandomDecider};

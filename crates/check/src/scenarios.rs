@@ -14,7 +14,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use samoa_core::analysis::ConflictMatrix;
 use samoa_core::prelude::*;
-use samoa_core::sched::SchedResource;
 use samoa_core::{History, SchedHook};
 use samoa_net::{NetConfig, SimNet, SiteId};
 use samoa_transport::{Endpoint, TransportConfig};
@@ -24,7 +23,8 @@ use crate::independence::StaticIndependence;
 /// Build the [`StaticIndependence`] relation of a stack *shape*: run the
 /// conflict analysis with the given roots and export the matrix. Scenario
 /// shapes must register protocols in the same order as their `run` stacks,
-/// so the raw indices in [`SchedResource`] seeds line up.
+/// so the raw indices in [`SchedResource`](samoa_core::sched::SchedResource)
+/// seeds line up.
 fn relation_of(stack: &Stack, roots: &[EventType]) -> StaticIndependence {
     let (m, _) = ConflictMatrix::analyze(stack, roots);
     StaticIndependence::from_matrix(&m)
@@ -326,159 +326,6 @@ impl Scenario for DisjointClustersScenario {
     fn static_independence(&self) -> Option<StaticIndependence> {
         let (stack, roots) = DisjointClustersScenario::shape();
         Some(relation_of(&stack, &roots))
-    }
-}
-
-/// The OCC rollback search: `threads` computations each increment one
-/// shared [`OccCell`](samoa_core::optimistic::OccCell) through the
-/// optimistic runtime, with validation, commit, and retry exposed as
-/// controlled yield points — the explorer steers which transaction
-/// validates first, driving conflicting attempts down the abort/retry
-/// path.
-///
-/// Two variants:
-///
-/// * **buggy** (`OccScenario::lost_update`): the increment reads the
-///   committed value *outside* the transaction and writes `v + 1` inside
-///   it. A retry re-runs only the transaction body, so the stale read
-///   survives rollback and a schedule that aborts one writer loses its
-///   update — the final count comes up short. The invariant
-///   `final == threads` catches it.
-/// * **correct** (`OccScenario::serialised`): the read happens inside the
-///   transaction, so every retry re-reads. No schedule loses an update,
-///   and backward validation guarantees global progress: an attempt only
-///   aborts because some *other* transaction committed, so per-computation
-///   retries are bounded by `threads − 1`. The scenario checks that bound
-///   too — a livelock probe on the rollback path.
-pub struct OccScenario {
-    threads: usize,
-    buggy: bool,
-    trace: Option<Arc<TraceBuffer>>,
-}
-
-impl OccScenario {
-    /// The buggy variant: stale read outside the transaction.
-    pub fn lost_update(threads: usize) -> OccScenario {
-        assert!(threads >= 2, "a lost update needs at least two writers");
-        OccScenario {
-            threads,
-            buggy: true,
-            trace: None,
-        }
-    }
-
-    /// The correct variant: read inside the transaction, retries bounded.
-    pub fn serialised(threads: usize) -> OccScenario {
-        assert!(threads >= 2, "contention needs at least two writers");
-        OccScenario {
-            threads,
-            buggy: false,
-            trace: None,
-        }
-    }
-
-    /// The same workload with every run's optimistic runtime also emitting
-    /// its validate/commit/abort events into a shared [`TraceBuffer`]
-    /// ([`Scenario::trace_buffer`]) — hook and sink together.
-    pub fn traced(self) -> OccScenario {
-        OccScenario {
-            trace: Some(TraceBuffer::new()),
-            ..self
-        }
-    }
-}
-
-/// Resource the OCC workers signal completion on (disjoint from any real
-/// computation id).
-const OCC_JOIN: SchedResource = SchedResource::Done(u64::MAX);
-
-impl Scenario for OccScenario {
-    fn name(&self) -> String {
-        if self.buggy {
-            "occ/lost-update"
-        } else {
-            "occ/serialised"
-        }
-        .into()
-    }
-
-    fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport {
-        use samoa_core::optimistic::{OccCell, OccRuntime};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let sink = self.trace.clone().map(|t| t as Arc<dyn TraceSink>);
-        let rt = OccRuntime::with_parts(Some(hook.clone()), sink);
-        let cell = OccCell::new(0u64);
-        let finished = Arc::new(AtomicU64::new(0));
-        let max_retries = Arc::new(AtomicU64::new(0));
-
-        let mut handles = Vec::with_capacity(self.threads);
-        for _ in 0..self.threads {
-            let token = hook.on_thread_spawn();
-            let hook = Arc::clone(&hook);
-            let rt = rt.clone();
-            let cell = cell.clone();
-            let finished = Arc::clone(&finished);
-            let max_retries = Arc::clone(&max_retries);
-            let buggy = self.buggy;
-            handles.push(std::thread::spawn(move || {
-                hook.on_thread_start(token);
-                let (_, report) = if buggy {
-                    // Stale read: taken once, outside the transaction, so
-                    // a rollback re-runs the write against an old value.
-                    let v = cell.read_committed(|c| *c);
-                    rt.execute(|tx| {
-                        cell.write(tx, |c| *c = v + 1);
-                        Ok(())
-                    })
-                } else {
-                    rt.execute(|tx| {
-                        let v = cell.read(tx, |c| *c);
-                        cell.write(tx, |c| *c = v + 1);
-                        Ok(())
-                    })
-                }
-                .expect("occ increment cannot fail");
-                max_retries.fetch_max(report.retries, Ordering::Relaxed);
-                finished.fetch_add(1, Ordering::Relaxed);
-                // Wake the main thread; we still hold the turn, so the
-                // count is visible before anyone re-checks it.
-                hook.signal(OCC_JOIN);
-                hook.on_thread_exit();
-            }));
-        }
-        // Cooperative join: re-check then park. Workers only run while
-        // this thread is blocked, so check-then-block cannot lose a
-        // wake-up.
-        while finished.load(Ordering::Relaxed) < self.threads as u64 {
-            hook.block(OCC_JOIN);
-        }
-        for h in handles {
-            h.join().expect("occ worker panicked");
-        }
-
-        let total = cell.read_committed(|c| *c);
-        let mut bad = None;
-        if total != self.threads as u64 {
-            bad = Some(format!(
-                "lost update: {} increments committed {total}",
-                self.threads
-            ));
-        } else if max_retries.load(Ordering::Relaxed) >= self.threads as u64 {
-            bad = Some(format!(
-                "livelock: a transaction retried {} times with only {} writers",
-                max_retries.load(Ordering::Relaxed),
-                self.threads
-            ));
-        }
-        RunReport {
-            history: History::default(),
-            invariant_violation: bad,
-        }
-    }
-
-    fn trace_buffer(&self) -> Option<Arc<TraceBuffer>> {
-        self.trace.clone()
     }
 }
 

@@ -95,8 +95,8 @@ fn ab_order_bug_yields_minimised_replayable_witness() {
         "unexpected failure: {:?}",
         witness.failure
     );
-    // Pinned regression in the style of the OCC witness test: the same
-    // seed finds the same witness, and it replays byte-identically.
+    // Pinned regression: the same seed finds the same witness, and it
+    // replays byte-identically.
     let again = Explorer::explore(&s, &cfg)
         .violation
         .expect("the search is deterministic");

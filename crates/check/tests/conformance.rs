@@ -7,8 +7,8 @@
 use std::collections::BTreeSet;
 
 use samoa_check::{
-    ClusterScenario, DiamondScenario, DisjointClustersScenario, Explorer, ExplorerConfig, Failure,
-    FaultBudget, OccScenario, Scenario, Strategy, Sweep, ViewChangeScenario,
+    ClusterScenario, DiamondScenario, DisjointClustersScenario, Explorer, ExplorerConfig,
+    FaultBudget, Scenario, Strategy, Sweep, ViewChangeScenario,
 };
 use samoa_core::Policy;
 
@@ -64,7 +64,6 @@ fn conforms(scenario: &dyn Scenario, budget: usize) -> (usize, usize) {
 const PR5_DIAMOND_UNSYNC: usize = 48;
 const PR5_DIAMOND_VCA: usize = 35;
 const PR5_VIEW_CHANGE_UNSYNC: usize = 23;
-const PR5_OCC_TWO_WRITERS: usize = 55;
 
 #[test]
 fn diamond_conformance_buggy_and_isolating() {
@@ -90,25 +89,6 @@ fn view_change_conformance() {
         "view-change/unsync DPOR count regressed past PR-5: {dp} > {PR5_VIEW_CHANGE_UNSYNC}"
     );
     let (_, _) = conforms(&ViewChangeScenario::new(Policy::Serial, 7), 1_000);
-}
-
-#[test]
-fn occ_conformance_two_writers() {
-    // The buggy variant loses an update on some schedule; DPOR must find
-    // the same (single) invariant signature.
-    let (ex, dp) = conforms(&OccScenario::lost_update(2), 2_000);
-    assert!(ex > 0 && dp > 0);
-    assert!(
-        dp <= PR5_OCC_TWO_WRITERS,
-        "occ/lost-update DPOR count regressed past PR-5: {dp} > {PR5_OCC_TWO_WRITERS}"
-    );
-    // The correct variant survives every schedule — including every
-    // rollback/retry interleaving — under both searches.
-    let (_, dp) = conforms(&OccScenario::serialised(2), 2_000);
-    assert!(
-        dp <= PR5_OCC_TWO_WRITERS,
-        "occ/serialised DPOR count regressed past PR-5: {dp} > {PR5_OCC_TWO_WRITERS}"
-    );
 }
 
 /// The static-pruning invariant of the conflict-matrix → DPOR loop: on a
@@ -177,8 +157,6 @@ fn disjoint_clusters_static_pruning_conformance() {
 #[test]
 fn fast_path_failure_sets_byte_identical_to_pre_rewrite() {
     let iso12: BTreeSet<String> = ["isolation:[1, 2]".to_string()].into();
-    let lost: BTreeSet<String> =
-        ["invariant:lost update: 2 increments committed 1".to_string()].into();
     let none = BTreeSet::new();
 
     // (scenario, budget, pre-rewrite DPOR schedule count, pinned set)
@@ -202,8 +180,6 @@ fn fast_path_failure_sets_byte_identical_to_pre_rewrite() {
             23,
             &iso12,
         ),
-        (Box::new(OccScenario::lost_update(2)), 2_000, 55, &lost),
-        (Box::new(OccScenario::serialised(2)), 2_000, 55, &none),
         (
             Box::new(DisjointClustersScenario::new(Policy::Basic)),
             40_000,
@@ -261,36 +237,6 @@ fn dpor_reduction_on_the_wide_diamond() {
     );
 }
 
-/// OCC lost-update witness regression: the DPOR search deterministically
-/// pins the same minimised witness every time, and that witness replays
-/// to the same failure.
-#[test]
-fn occ_lost_update_witness_is_pinned() {
-    let scenario = OccScenario::lost_update(2);
-    let cfg = ExplorerConfig::new(2_000, Strategy::Dpor);
-    let first = Explorer::explore(&scenario, &cfg)
-        .violation
-        .expect("DPOR must find the lost update");
-    assert!(
-        matches!(first.failure, Failure::Invariant(_)),
-        "expected an invariant violation, got {}",
-        first.failure
-    );
-    // Deterministic search: a second exploration finds the identical
-    // minimised witness.
-    let second = Explorer::explore(&scenario, &cfg)
-        .violation
-        .expect("second search must also find it");
-    assert_eq!(first.choices, second.choices, "witness not deterministic");
-    assert_eq!(first.failure, second.failure);
-    assert_eq!(first.schedule_index, second.schedule_index);
-    // And it replays: twice, to the same failure.
-    let r1 = Explorer::replay(&scenario, &first).expect("witness must replay");
-    let r2 = Explorer::replay(&scenario, &first).expect("witness must replay again");
-    assert_eq!(r1, first.failure);
-    assert_eq!(r1, r2);
-}
-
 /// With a **zero fault budget** the cluster explorer degenerates to pure
 /// schedule exploration of a healthy stack — exactly the regime the
 /// [`ViewChangeScenario`] family already pins. A bounded DPOR sweep of the
@@ -313,32 +259,6 @@ fn cluster_zero_budget_conforms_to_view_change_family() {
         "zero-budget cluster sweep diverged from the view-change family"
     );
     assert_eq!(signatures(&cl), BTreeSet::new());
-}
-
-/// The correct OCC variant's retry bound (the livelock probe) holds on
-/// every schedule: exhaustive search certifies it at 2 writers. The runs
-/// are traced as well as controlled — hook and sink compose on the
-/// optimistic runtime — so both commits of every schedule are on record.
-#[test]
-fn occ_serialised_never_livelocks() {
-    let scenario = OccScenario::serialised(2).traced();
-    let got = Explorer::explore(&scenario, &ExplorerConfig::new(2_000, Strategy::Exhaustive));
-    assert!(
-        got.exhausted,
-        "space not exhausted in {}",
-        got.schedules_run
-    );
-    assert!(
-        got.violation.is_none(),
-        "unexpected failure: {}",
-        got.violation.unwrap()
-    );
-    let events = scenario.trace_buffer().expect("traced").drain();
-    let commits = events
-        .iter()
-        .filter(|e| matches!(e.kind, samoa_core::TraceKind::OccCommit { .. }))
-        .count();
-    assert_eq!(commits, 2 * got.schedules_run);
 }
 
 /// Witness minimisation memoises replays on the controller's effective

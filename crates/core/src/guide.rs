@@ -116,10 +116,6 @@
 //!   [`AccessMode::Read`]): readers of the same epoch share a
 //!   microprotocol; writers serialise against them. The paper's §7
 //!   "several levels of isolation", implemented.
-//! * **Optimistic rollback** ([`crate::optimistic`]): the paper's second
-//!   algorithm family. Different contract — bodies are `Fn` (re-runnable,
-//!   state-only); use it for read-heavy shared caches, never for protocol
-//!   code with network effects.
 //!
 //! ## 5. Static analysis
 //!
@@ -251,7 +247,7 @@
 //! *independent* steps. `Strategy::Dpor` prunes them with dynamic
 //! partial-order reduction: every yield point announces the
 //! [`SchedResource`]s it is about to touch (version cells, queues,
-//! locks, OCC cells — handler state reads surface as silent `Version`
+//! locks — handler state reads surface as silent `Version`
 //! touches), the controller records each decision's resource footprint,
 //! and after every run the search computes a happens-before relation
 //! over those footprints. Only *reversible races* — adjacent-in-causality
@@ -261,15 +257,6 @@
 //! this explores ~22× fewer schedules than exhaustive enumeration while
 //! provably finding the identical violation set (the conformance suite in
 //! `crates/check/tests/` pins this for every scenario).
-//!
-//! The same machinery searches the *optimistic* family's rollback path:
-//! `OccScenario` runs real OS threads performing `OccRuntime` transactions
-//! under the controller, with validate/commit/retry as controlled decision
-//! points. The buggy variant (read outside the transaction, write inside)
-//! loses an update only on particular validation interleavings — DPOR
-//! finds the schedule and pins a deterministically replaying witness; the
-//! corrected variant is certified clean over the whole space, including a
-//! bounded-retry (no-livelock) probe.
 //!
 //! The hook costs nothing in production: [`Runtime::new`] leaves it
 //! `None`, so every instrumentation site is a never-taken branch.
@@ -375,11 +362,9 @@
 //! computation to a strictly older one — that is the deadlock-freedom
 //! invariant of §6 of the paper — so
 //! [`WaitForGraph::has_cycle`](crate::WaitForGraph::has_cycle) returning
-//! `true` is itself a bug report. The OCC family traces too:
-//! `OccRuntime::with_parts` takes the same optional hook and sink as
-//! [`Runtime::with_parts`] and emits validate/commit/abort events into the
-//! same sink, and `cargo run --release --example samoa_trace` writes a
-//! comparative trace of the whole proto stack under each algorithm.
+//! `true` is itself a bug report. `cargo run --release --example
+//! samoa_trace` writes a comparative trace of the whole proto stack under
+//! each algorithm.
 //!
 //! ## 9. A replicated service end to end
 //!

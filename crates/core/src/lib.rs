@@ -56,7 +56,6 @@ pub mod guide;
 pub mod handler;
 pub mod history;
 pub mod metrics;
-pub mod optimistic;
 pub mod policy;
 pub mod protocol;
 pub mod runtime;

@@ -71,26 +71,6 @@ pub enum SchedPoint {
         /// Which rule triggered the release.
         reason: ReleaseReason,
     },
-    /// An optimistic transaction (`samoa_core::optimistic`) finished an
-    /// attempt and is about to validate its read set under the commit lock.
-    OccValidate {
-        /// The transaction (1-based, per `OccRuntime`).
-        tx: u64,
-    },
-    /// An optimistic transaction validated successfully and committed its
-    /// overlays.
-    OccCommit {
-        /// The transaction.
-        tx: u64,
-    },
-    /// An optimistic transaction failed validation; the attempt was rolled
-    /// back and will be re-run from scratch.
-    OccRetry {
-        /// The transaction.
-        tx: u64,
-        /// The 1-based number of the aborted attempt.
-        attempt: u64,
-    },
 }
 
 /// Why a microprotocol was released before its computation completed.
@@ -127,10 +107,6 @@ pub enum SchedResource {
     /// counters it allocates pre-versions from. Every pair of spawns
     /// conflicts (their order decides computation age).
     SpawnLock,
-    /// One shared [`OccCell`](crate::optimistic::OccCell), by cell id: the
-    /// members of an optimistic transaction's validation set. Two
-    /// transactions conflict iff their validation sets intersect.
-    OccCell(u64),
     /// The network fate of one site: its inbound/outbound channel state and
     /// its liveness. Sends to a site, deliveries at it, and the decision to
     /// crash or isolate it all name this resource, so they are mutually
@@ -304,8 +280,6 @@ mod tests {
             SchedResource::Done(1),
             SchedResource::Quiesce,
             SchedResource::SpawnLock,
-            SchedResource::OccCell(0),
-            SchedResource::OccCell(1),
             SchedResource::NetSite(0),
             SchedResource::NetSite(1),
             SchedResource::Msg(0),
@@ -315,7 +289,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(set.len(), 15);
+        assert_eq!(set.len(), 13);
     }
 
     #[test]

@@ -16,11 +16,8 @@
 //!   ([`TraceKind::HandlerEnter`]/[`HandlerExit`](TraceKind::HandlerExit),
 //!   with service time),
 //! * **Rule 4 early releases** ([`TraceKind::EarlyRelease`], bound-visit vs.
-//!   route-unreachable),
-//! * **Rule 3 completion** ([`TraceKind::Complete`]), and
-//! * the **OCC path** of [`crate::optimistic`]
-//!   ([`TraceKind::OccValidate`]/[`OccCommit`](TraceKind::OccCommit)/
-//!   [`OccAbort`](TraceKind::OccAbort)).
+//!   route-unreachable), and
+//! * **Rule 3 completion** ([`TraceKind::Complete`]).
 //!
 //! ## Cost model
 //!
@@ -153,29 +150,6 @@ pub enum TraceKind {
         /// The completed computation.
         comp: CompId,
     },
-    /// OCC: transaction `tx` finished an attempt and is validating its
-    /// read set (`cells` cells touched).
-    OccValidate {
-        /// The optimistic transaction (1-based, per `OccRuntime`).
-        tx: u64,
-        /// Distinct cells in the read/write set.
-        cells: u64,
-    },
-    /// OCC: transaction `tx` validated and committed.
-    OccCommit {
-        /// The optimistic transaction.
-        tx: u64,
-        /// Aborted attempts that preceded this commit.
-        retries: u64,
-    },
-    /// OCC: validation failed; attempt `attempt` was rolled back and the
-    /// transaction will retry.
-    OccAbort {
-        /// The optimistic transaction.
-        tx: u64,
-        /// The 1-based number of the aborted attempt.
-        attempt: u64,
-    },
     /// Cluster: a client operation — the root of a causal tree — was
     /// submitted at `site`. `(site, op)` is the operation's cluster-wide
     /// identity; every event below that shares the pair is causally
@@ -255,8 +229,8 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// The computation this event belongs to, if any (OCC events belong to
-    /// transactions instead).
+    /// The computation this event belongs to, if any (cluster events belong
+    /// to sites instead).
     pub fn comp(&self) -> Option<CompId> {
         match *self {
             TraceKind::Spawn { comp, .. }
@@ -266,10 +240,7 @@ impl TraceKind {
             | TraceKind::HandlerExit { comp, .. }
             | TraceKind::EarlyRelease { comp, .. }
             | TraceKind::Complete { comp } => Some(comp),
-            TraceKind::OccValidate { .. }
-            | TraceKind::OccCommit { .. }
-            | TraceKind::OccAbort { .. }
-            | TraceKind::ClientSubmit { .. }
+            TraceKind::ClientSubmit { .. }
             | TraceKind::CtxSend { .. }
             | TraceKind::CtxRecv { .. }
             | TraceKind::AbDeliver { .. }
@@ -1101,30 +1072,6 @@ impl ChromeTrace {
                          \"s\": \"t\", \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {comp}}}"
                     ));
                 }
-                TraceKind::OccValidate { tx, cells } => {
-                    self.entries.push(format!(
-                        "{{\"name\": {}, \"cat\": \"occ\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {}}}",
-                        json_str(&format!("validate ({cells} cells)")),
-                        occ_tid(tx)
-                    ));
-                }
-                TraceKind::OccCommit { tx, retries } => {
-                    self.entries.push(format!(
-                        "{{\"name\": {}, \"cat\": \"occ\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {}}}",
-                        json_str(&format!("commit (after {retries} retries)")),
-                        occ_tid(tx)
-                    ));
-                }
-                TraceKind::OccAbort { tx, attempt } => {
-                    self.entries.push(format!(
-                        "{{\"name\": {}, \"cat\": \"occ\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {}}}",
-                        json_str(&format!("abort attempt {attempt}")),
-                        occ_tid(tx)
-                    ));
-                }
                 TraceKind::ClientSubmit { site, op } => {
                     name_site(&mut self.entries, site);
                     self.cluster_instant(
@@ -1262,13 +1209,7 @@ impl ChromeTrace {
     }
 }
 
-/// OCC transactions get their own track block, clear of computation ids.
-fn occ_tid(tx: u64) -> u64 {
-    1_000_000 + tx
-}
-
-/// Cluster sites get their own track block, clear of computation and OCC
-/// ids.
+/// Cluster sites get their own track block, clear of computation ids.
 fn site_tid(site: u16) -> u64 {
     500_000 + site as u64
 }
@@ -1295,7 +1236,6 @@ pub fn render_summary(events: &[TraceEvent], stack: &Stack) -> String {
     let mut waits = 0u64;
     let mut calls = 0u64;
     let mut releases = 0u64;
-    let mut occ = 0u64;
     for ev in events {
         match ev.kind {
             TraceKind::Spawn { .. } => spawns += 1,
@@ -1303,22 +1243,15 @@ pub fn render_summary(events: &[TraceEvent], stack: &Stack) -> String {
             TraceKind::WaitEnd { .. } => waits += 1,
             TraceKind::HandlerExit { .. } => calls += 1,
             TraceKind::EarlyRelease { .. } => releases += 1,
-            TraceKind::OccValidate { .. }
-            | TraceKind::OccCommit { .. }
-            | TraceKind::OccAbort { .. } => occ += 1,
             _ => {}
         }
     }
     let span_ms = events.last().map_or(0.0, |e| e.t_ns as f64 / 1e6);
     let mut out = format!(
         "{} events over {span_ms:.2}ms: {spawns} spawns, {completes} completions, \
-         {calls} handler calls, {waits} admission waits, {releases} early releases",
+         {calls} handler calls, {waits} admission waits, {releases} early releases\n\n",
         events.len()
     );
-    if occ > 0 {
-        out.push_str(&format!(", {occ} occ events"));
-    }
-    out.push_str("\n\n");
     out.push_str(&ContentionProfile::from_events(events, stack).render());
     out
 }
@@ -1573,11 +1506,10 @@ mod tests {
                     algo: Policy::Basic,
                 },
             ),
-            ev(5, TraceKind::OccCommit { tx: 1, retries: 0 }),
             ev(9, TraceKind::Complete { comp: 1 }),
         ];
         let s = render_summary(&events, &stack);
         assert!(s.contains("1 spawns"), "{s}");
-        assert!(s.contains("1 occ events"), "{s}");
+        assert!(s.contains("1 completions"), "{s}");
     }
 }

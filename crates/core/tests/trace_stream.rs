@@ -76,12 +76,9 @@ fn check_well_nested(events: &[TraceEvent]) -> std::result::Result<(), String> {
                     }
                 },
                 TraceKind::EarlyRelease { .. } => {}
-                // Events with `comp() == None` (OCC, cluster-level spans)
-                // can never appear in a per-computation stream.
-                TraceKind::OccValidate { .. }
-                | TraceKind::OccCommit { .. }
-                | TraceKind::OccAbort { .. }
-                | TraceKind::ClientSubmit { .. }
+                // Events with `comp() == None` (cluster-level spans) can
+                // never appear in a per-computation stream.
+                TraceKind::ClientSubmit { .. }
                 | TraceKind::CtxSend { .. }
                 | TraceKind::CtxRecv { .. }
                 | TraceKind::AbDeliver { .. }
