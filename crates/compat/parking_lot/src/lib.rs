@@ -19,7 +19,7 @@
 //! the skip is sound for a notifier that changes its condition under — or,
 //! having changed it, passes through — the mutex the waiter holds: a waiter
 //! not yet counted has not released that mutex, so it will see the change.
-//! All 15 `notify_*` sites of the workspace do one or the other:
+//! All 17 `notify_*` sites of the workspace do one or the other:
 //!
 //! | sites | condition, and the mutex |
 //! |---|---|
@@ -29,6 +29,7 @@
 //! | `core/computation.rs` `release_pending` | `pending` (atomic); passes through `queue` |
 //! | `net/sim.rs`, 8 sites on `cv` and `quiesce_cv` | heap, `delivering`, `shutdown`: all under `state` |
 //! | `net/tcp.rs` `send`; `shutdown` | frame queued under `peer.state`; `shutdown` (atomic) passes through it |
+//! | `net/clock.rs` `Alarm::arm`, `Ticker::stop` | the deadline, `stopped` (atomics); pass through `lock`, under which the timer thread reads both before it waits |
 //! | `proto/kv.rs` `complete`, `core/external.rs` `ExtSlot::drop` | reply stored under `cell.slot`; `count` lowered under `count` |
 
 use std::cell::UnsafeCell;

@@ -31,7 +31,10 @@
 //! toward a peer the caller holds nothing more for, once more than two
 //! smoothed round trips have passed since it left, the wait doubled per
 //! resend and never beyond the RTO (RFC 8985's probe timeout, RFC 9002's
-//! backoff). Nothing here reads a clock, and iteration is the ordered map's.
+//! backoff). [`next_due`](ArqSender::next_due) is the earliest instant at
+//! which `due` would resend anything, so a caller may sleep until then
+//! instead of asking on a fixed period. Nothing here reads a clock, and
+//! iteration is the ordered map's.
 //!
 //! *Karn's rule applies to evidence as it does to round-trip samples*: the
 //! ack of a frame that was ever resent says nothing about order — it may
@@ -298,6 +301,36 @@ impl<P> ArqSender<P> {
             }
             p.unacked = unacked;
         }
+    }
+
+    /// The earliest instant at which [`due`](Self::due), passed the same
+    /// `draining`, resends something; `None` while nothing is unacked. It
+    /// reads what `due` reads — the oldest `RETRANSMIT_WINDOW` frames per
+    /// peer, the backed-off RTO, the tail timeout toward a draining peer —
+    /// and changes nothing. The tail test is strict, so a frame's tail
+    /// deadline is a nanosecond past its tail timeout.
+    pub fn next_due(&self, draining: impl Fn(SiteId) -> bool) -> Option<Instant> {
+        let per_peer = self.peers.iter().filter_map(|(&peer, p)| {
+            let (rto, draining) = (p.rto(self.floor), draining(peer));
+            let due_at = |last: Instant, attempts: u32| {
+                let timeout = rto * (1u32 << attempts.min(self.backoff_cap));
+                let at = last + timeout;
+                if !draining {
+                    return at;
+                }
+                at.min(last + p.tail_timeout(attempts, timeout) + Duration::from_nanos(1))
+            };
+            let oldest = || p.unacked.values().take(Self::RETRANSMIT_WINDOW);
+            // Frames never resent all wait alike: the first of them to leave
+            // is due first, and the timeout is worked out once, not per
+            // frame (a caller asks after every ack).
+            let fresh = oldest().filter(|u| u.attempts == 0).map(|u| u.last).min();
+            let fresh = fresh.map(|last| due_at(last, 0));
+            let resent = oldest().filter(|u| u.attempts > 0);
+            let resent = resent.map(|u| due_at(u.last, u.attempts));
+            fresh.into_iter().chain(resent).min()
+        });
+        per_peer.min()
     }
 
     /// Frames sent to `peer` and not yet acknowledged.

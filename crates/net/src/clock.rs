@@ -9,6 +9,11 @@
 //! handle that is either the wall clock or a shared monotone counter
 //! advanced explicitly by the test harness.
 //!
+//! A host's timer thread, [`Ticker`], sleeps until the instant its
+//! [`Alarm`] is armed for. That instant is on the wall clock: a manual
+//! clock's instants mean nothing to a thread that sleeps in real time, so a
+//! transport endpoint on one arms nothing and a rig on one ticks by hand.
+//!
 //! ```
 //! use std::time::Duration;
 //! use samoa_net::ProtoClock;
@@ -24,7 +29,7 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 enum ClockInner {
     /// Real time: `now()` is `Instant::now()`.
@@ -102,51 +107,156 @@ impl ProtoClock {
     }
 }
 
+/// No instant is armed.
+const UNARMED: u64 = u64::MAX;
+
+/// When a [`Ticker`] ticks next: one wall-clock instant or none. A clone
+/// is a handle on the same deadline, made before the ticker so that a
+/// host's handlers can hold one; one ticker waits on it.
+#[derive(Clone)]
+pub struct Alarm(Arc<AlarmInner>);
+
+struct AlarmInner {
+    /// The armed instant, in nanoseconds past `epoch` (an earlier one
+    /// counts as `epoch`: it has passed either way), or [`UNARMED`].
+    at_ns: AtomicU64,
+    epoch: Instant,
+    stopped: AtomicBool,
+    /// What the ticker sleeps under; `arm` and `stop` pass through it.
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Default for Alarm {
+    fn default() -> Self {
+        Alarm::new()
+    }
+}
+
+impl std::fmt::Debug for Alarm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Alarm").field(&self.deadline()).finish()
+    }
+}
+
+impl Alarm {
+    /// Nothing armed.
+    pub fn new() -> Alarm {
+        Alarm(Arc::new(AlarmInner {
+            at_ns: AtomicU64::new(UNARMED),
+            epoch: Instant::now(),
+            stopped: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }))
+    }
+
+    /// Tick at `at`, or earlier if an earlier instant is armed already: a
+    /// compare-and-min, so an instant armed stays until the tick it asked
+    /// for. The ticker is woken only when this moved its deadline, which
+    /// happens once per tick at most plus once per deadline that came
+    /// closer — never once per call.
+    pub fn arm(&self, at: Instant) {
+        if self.0.lower(at) {
+            // A ticker that read the old deadline under the lock is counted
+            // asleep by the time the lock is ours, so the notify reaches it.
+            drop(self.0.lock.lock());
+            self.0.cv.notify_one();
+        }
+    }
+
+    /// The armed instant, if any: the ticker ticks by then.
+    pub fn deadline(&self) -> Option<Instant> {
+        let ns = self.0.at_ns.load(Ordering::Acquire);
+        (ns != UNARMED).then(|| self.0.epoch + Duration::from_nanos(ns))
+    }
+}
+
+impl AlarmInner {
+    /// Move the deadline to `at` if that is earlier; true if it moved.
+    fn lower(&self, at: Instant) -> bool {
+        let ns = at.saturating_duration_since(self.epoch).as_nanos();
+        let ns = ns.min(u128::from(UNARMED - 1)) as u64;
+        // Mostly an instant at or before `at` is armed already: one load.
+        self.at_ns.load(Ordering::Acquire) > ns && self.at_ns.fetch_min(ns, Ordering::AcqRel) > ns
+    }
+
+    /// Sleep until the armed instant has passed and disarm it — the tick
+    /// that follows answers every instant armed up to now. False once
+    /// stopped.
+    fn wait_due(&self) -> bool {
+        let mut guard = self.lock.lock();
+        loop {
+            if self.stopped.load(Ordering::SeqCst) {
+                return false;
+            }
+            match self.at_ns.load(Ordering::Acquire) {
+                UNARMED => self.cv.wait(&mut guard),
+                ns => {
+                    let at = self.epoch + Duration::from_nanos(ns);
+                    if Instant::now() >= at {
+                        self.at_ns.store(UNARMED, Ordering::Release);
+                        return true;
+                    }
+                    self.cv.wait_until(&mut guard, at);
+                }
+            }
+        }
+    }
+}
+
 /// The timer thread of a stack host (a proto `Node`, a transport
-/// `Endpoint`): every `interval` of real time it calls `tick` on its
-/// target, until it is stopped or dropped, or the target is. It holds the
-/// target only weakly, so a host can own its ticker.
+/// `Endpoint`): it sleeps until its [`Alarm`]'s instant has passed, calls
+/// `tick` on its target, and arms the instant `tick` returns, until it is
+/// stopped or dropped, or the target is. `Node` returns a fixed period from
+/// now; `Endpoint` returns none, because its Window arms the alarm as
+/// frames go out. It holds the target only weakly, so a host can own its
+/// ticker.
 #[derive(Debug)]
 pub struct Ticker {
-    stop: Arc<AtomicBool>,
+    alarm: Alarm,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Ticker {
-    /// Start the thread, named `name`.
+    /// Start the thread, named `name`, waiting on `alarm`.
     pub fn start<T: Send + Sync + 'static>(
         name: String,
-        interval: Duration,
+        alarm: Alarm,
         target: Weak<T>,
-        tick: impl Fn(&T) + Send + 'static,
+        tick: impl Fn(&T) -> Option<Instant> + Send + 'static,
     ) -> Ticker {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stopped = Arc::clone(&stop);
+        let inner = Arc::clone(&alarm.0);
         let thread = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
-                while !stopped.load(Ordering::SeqCst) {
-                    std::thread::sleep(interval);
+                while inner.wait_due() {
                     let Some(target) = target.upgrade() else {
                         break;
                     };
-                    if stopped.load(Ordering::SeqCst) {
+                    if inner.stopped.load(Ordering::SeqCst) {
                         break;
                     }
-                    tick(&target);
+                    // This thread is awake: nobody to notify.
+                    if let Some(at) = tick(&target) {
+                        inner.lower(at);
+                    }
                 }
             })
             .expect("spawn timer thread");
         Ticker {
-            stop,
+            alarm,
             thread: Mutex::new(Some(thread)),
         }
     }
 
-    /// Stop ticking and join the thread (it notices within one
-    /// `interval`). Idempotent.
+    /// Stop ticking and join the thread, which is woken to notice, so this
+    /// returns once a tick in progress has. Idempotent.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        let alarm = &self.alarm.0;
+        alarm.stopped.store(true, Ordering::SeqCst);
+        drop(alarm.lock.lock());
+        alarm.cv.notify_all();
         if let Some(t) = self.thread.lock().take() {
             // A target that owns its ticker can lose its last strong
             // reference while a tick holds the upgraded one; the ticker is
@@ -208,15 +318,24 @@ mod tests {
 
     const TICK: Duration = Duration::from_millis(1);
     const PATIENCE: Duration = Duration::from_secs(10);
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    /// An alarm armed for now.
+    fn armed_now() -> Alarm {
+        let alarm = Alarm::new();
+        alarm.arm(Instant::now());
+        alarm
+    }
 
     #[test]
     fn ticker_ticks_until_stopped_and_stop_is_idempotent() {
         let (tx, rx) = std::sync::mpsc::channel();
         let target = Arc::new(Mutex::new(tx));
-        let ticker = Ticker::start("t".into(), TICK, Arc::downgrade(&target), |tx| {
+        let ticker = Ticker::start("t".into(), armed_now(), Arc::downgrade(&target), |tx| {
             let _ = tx
                 .lock()
                 .send(std::thread::current().name().map(String::from));
+            Some(Instant::now() + TICK)
         });
         assert_eq!(rx.recv_timeout(PATIENCE), Ok(Some("t".to_string())));
         assert!(rx.recv_timeout(PATIENCE).is_ok(), "it keeps ticking");
@@ -225,6 +344,48 @@ mod tests {
         // `stop` joined the thread: what it sent is all there will be.
         while rx.try_recv().is_ok() {}
         assert!(rx.try_recv().is_err());
+    }
+
+    /// A host whose next tick is an hour away: were `stop` to wait for it,
+    /// this test would hang.
+    #[test]
+    fn stop_wakes_a_ticker_armed_an_hour_ahead() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let target = Arc::new(Mutex::new(tx));
+        let ticker = Ticker::start("t".into(), armed_now(), Arc::downgrade(&target), |tx| {
+            let _ = tx.lock().send(());
+            Some(Instant::now() + HOUR)
+        });
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(()));
+        ticker.stop();
+        assert!(rx.try_recv().is_err(), "one tick, then an hour's wait");
+    }
+
+    /// `arm` only ever brings the deadline closer, and when it does the
+    /// sleeping ticker wakes for it: without the wake this would hang an
+    /// hour.
+    #[test]
+    fn arming_earlier_wakes_the_ticker_and_arming_later_moves_nothing() {
+        let alarm = Alarm::new();
+        assert_eq!(alarm.deadline(), None);
+        let later = Instant::now() + HOUR;
+        alarm.arm(later);
+        alarm.arm(later + HOUR);
+        assert_eq!(alarm.deadline(), Some(later));
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let target = Arc::new(Mutex::new(tx));
+        let handle = alarm.clone();
+        let _ticker = Ticker::start("t".into(), alarm, Arc::downgrade(&target), |tx| {
+            let _ = tx.lock().send(());
+            None
+        });
+        handle.arm(Instant::now());
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(()));
+        // The tick answered the hour-ahead instant too, and armed nothing.
+        assert_eq!(handle.deadline(), None);
+        handle.arm(Instant::now());
+        assert_eq!(rx.recv_timeout(PATIENCE), Ok(()), "armed again");
     }
 
     #[test]
@@ -256,10 +417,12 @@ mod tests {
             resume: Mutex::new(resume),
             _report: Report(Mutex::new(report)),
         });
-        let ticker = Ticker::start("t".into(), TICK, Arc::downgrade(&host), |host: &Host| {
+        let tick = |host: &Host| {
             let _ = host.in_tick.lock().send(());
             let _ = host.resume.lock().recv();
-        });
+            Some(Instant::now() + TICK)
+        };
+        let ticker = Ticker::start("t".into(), armed_now(), Arc::downgrade(&host), tick);
         assert!(host.ticker.set(ticker).is_ok());
         // While the first tick holds the upgraded reference, drop ours: the
         // host, ticker included, now dies on the ticker thread.

@@ -13,7 +13,7 @@
 //!
 //! Both stacks above them share the ARQ core ([`arq`]), its injectable
 //! time source ([`ProtoClock`]) and the timer thread that feeds it ticks
-//! ([`Ticker`]).
+//! ([`Ticker`]), which sleeps until the instant its [`Alarm`] is armed for.
 //!
 //! ```
 //! use samoa_net::{NetConfig, SimNet, SiteId};
@@ -44,7 +44,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use arq::{ArqReceiver, ArqSender, RangeSet};
-pub use clock::{ProtoClock, Ticker};
+pub use clock::{Alarm, ProtoClock, Ticker};
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};
 pub use stats::SiteStats;

@@ -1,11 +1,12 @@
 //! The ARQ core on virtual time: the receiver's duplicate filter — and the
 //! range set under it, against a `BTreeSet` model — and the sender's
-//! retransmission policy — the timeout and the reading of acks as loss
-//! evidence — driven through their public methods with a
+//! retransmission policy — the timeout, the reading of acks as loss
+//! evidence and the instant the next resend falls due — driven through
+//! their public methods with a
 //! [`ProtoClock::manual`] — nothing here sleeps or reads the wall clock.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use samoa_net::{ArqReceiver, ArqSender, ProtoClock, RangeSet, SiteId};
@@ -599,8 +600,122 @@ impl RtoModel {
     }
 }
 
+/// One step of a schedule against [`ArqSender::next_due`].
+#[derive(Debug, Clone)]
+enum Op {
+    /// `n` frames to the peer.
+    Send(u16, u8),
+    /// The plain ack of one of the peer's unacked frames, picked by index.
+    Ack(u16, usize),
+    /// The same ack read as evidence, with or without more to follow.
+    AckDetecting(u16, usize, bool),
+    Advance(Duration),
+    /// `due` now, for a caller draining toward the peers in the bitmask.
+    Due(u8),
+    /// The timer, for such a caller: `due` at `next_due`.
+    Fire(u8),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u16..3, 1u8..6).prop_map(|(peer, n)| Op::Send(peer, n)),
+        (0u16..3, any::<usize>()).prop_map(|(peer, i)| Op::Ack(peer, i)),
+        (0u16..3, any::<usize>(), any::<bool>())
+            .prop_map(|(peer, i, more)| Op::AckDetecting(peer, i, more)),
+        (0u64..15_000).prop_map(|us| Op::Advance(Duration::from_micros(us))),
+        (0u8..8).prop_map(Op::Due),
+        (0u8..8).prop_map(Op::Fire),
+    ]
+}
+
+/// The peers a bitmask names.
+fn in_mask(mask: u8) -> impl Fn(SiteId) -> bool {
+    move |peer| mask >> peer.0 & 1 == 1
+}
+
+/// How many frames `due` at `at` resends, re-arming them.
+fn resent_at(tx: &mut ArqSender<()>, at: Instant, mask: u8) -> usize {
+    let mut n = 0;
+    tx.due(at, in_mask(mask), |_, _, _, _| n += 1);
+    n
+}
+
+/// Run `ops` against a sender with backoff cap `cap`. After every step,
+/// under every draining mask, `next_due` is `None` exactly when nothing is
+/// unacked. `due` now resends something exactly when `next_due` has come;
+/// at `next_due` less a nanosecond it resends nothing, at `next_due` at
+/// least one frame.
+fn check_next_due(cap: u32, ops: &[Op]) {
+    let clock = ProtoClock::manual();
+    let mut tx = ArqSender::new(FLOOR, cap);
+    let mut unacked: BTreeMap<SiteId, BTreeSet<u64>> = BTreeMap::new();
+    let ns = Duration::from_nanos(1);
+    for op in ops {
+        match *op {
+            Op::Send(peer, n) => {
+                for _ in 0..n {
+                    let seq = tx.send(SiteId(peer), (), clock.now());
+                    unacked.entry(SiteId(peer)).or_default().insert(seq);
+                }
+            }
+            Op::Ack(peer, pick) | Op::AckDetecting(peer, pick, _) => {
+                let Some(set) = unacked.get_mut(&SiteId(peer)) else {
+                    continue;
+                };
+                let Some(&seq) = set.iter().nth(pick % set.len().max(1)) else {
+                    continue;
+                };
+                set.remove(&seq);
+                match *op {
+                    Op::AckDetecting(_, _, more) => {
+                        tx.ack_detecting_loss(SiteId(peer), seq, clock.now(), more, |_, _, _| {})
+                    }
+                    _ => tx.ack(SiteId(peer), seq, clock.now()),
+                }
+            }
+            Op::Advance(d) => clock.advance(d),
+            Op::Due(mask) => {
+                let come = tx
+                    .next_due(in_mask(mask))
+                    .is_some_and(|at| at <= clock.now());
+                let n = resent_at(&mut tx, clock.now(), mask);
+                assert_eq!(n > 0, come, "{n} resent, mask {mask:b}, {ops:?}");
+            }
+            Op::Fire(mask) => {
+                let Some(at) = tx.next_due(in_mask(mask)) else {
+                    continue;
+                };
+                if let Some(wait) = at.checked_duration_since(clock.now()) {
+                    clock.advance(wait);
+                }
+                let early = resent_at(&mut tx, at - ns, mask);
+                assert_eq!(early, 0, "resent early, mask {mask:b}, {ops:?}");
+                let n = resent_at(&mut tx, at, mask);
+                assert!(n > 0, "nothing due at next_due, mask {mask:b}, {ops:?}");
+            }
+        }
+        let nothing_unacked = unacked.values().all(BTreeSet::is_empty);
+        for mask in 0..8 {
+            let due = tx.next_due(in_mask(mask));
+            assert_eq!(due.is_none(), nothing_unacked, "mask {mask:b}, {ops:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `next_due` agrees with `due` over any schedule of sends, plain and
+    /// evidence-reading acks, time and timer firings, without backoff (as
+    /// Window calls it) and with (as RelComm does).
+    #[test]
+    fn next_due_is_the_first_instant_due_resends_at(
+        cap in 1u32..5,
+        ops in proptest::collection::vec(op(), 1..80),
+    ) {
+        check_next_due(0, &ops);
+        check_next_due(cap, &ops);
+    }
 
     /// A caller that is never draining gets the RTO rule, exactly: over any
     /// schedule of sends, acks, time and `due` calls, `due(now, |_| false,

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use samoa_core::metrics::Registry;
 use samoa_core::prelude::*;
-use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Ticker, Transport};
+use samoa_net::{Alarm, NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Ticker, Transport};
 
 use crate::abcast::{self, AbcastState};
 use crate::app::{self, AppState};
@@ -448,15 +448,18 @@ impl Node {
         // Timer Module.
         if node.cfg.enable_timers {
             let fd_enabled = node.cfg.enable_fd;
+            let alarm = Alarm::new();
+            alarm.arm(Instant::now() + TICK_INTERVAL);
             let ticker = Ticker::start(
                 format!("node-{}-timer", site.0),
-                TICK_INTERVAL,
+                alarm,
                 Arc::downgrade(&node),
                 move |node: &Node| {
                     node.inject_retransmit_tick();
                     if fd_enabled {
                         node.inject_fd_tick();
                     }
+                    Some(Instant::now() + TICK_INTERVAL)
                 },
             );
             node.timer.set(ticker).expect("the node is new");

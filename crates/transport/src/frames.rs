@@ -62,6 +62,14 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// A data frame's bytes before its payload: tag, msg id, fragment index and
+/// total, sequence number, payload length.
+const DATA_HEADER: usize = 1 + 8 + 4 + 4 + 8 + 4;
+/// An ack's body: tag and sequence number.
+const ACK_BODY: usize = 1 + 8;
+/// The checksum trailer.
+const TRAILER: usize = 4;
+
 fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -80,9 +88,13 @@ impl Frame {
         }
     }
 
-    /// Encode body + checksum trailer.
+    /// Encode body + checksum trailer, into a buffer of exactly that size.
     pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(32);
+        let body = match self {
+            Frame::Data { payload, .. } => DATA_HEADER + payload.len(),
+            Frame::Ack { .. } => ACK_BODY,
+        };
+        let mut out = BytesMut::with_capacity(body + TRAILER);
         match self {
             Frame::Data {
                 msg_id,
@@ -132,7 +144,7 @@ impl Frame {
         let tag = body.get_u8();
         match tag {
             0 => {
-                if body.remaining() < 8 + 4 + 4 + 8 + 4 {
+                if body.remaining() < DATA_HEADER - 1 {
                     return Err(FrameError::Truncated);
                 }
                 let msg_id = body.get_u64_le();
@@ -190,6 +202,23 @@ mod tests {
             let enc = f.encode();
             assert_eq!(Frame::decode(enc).unwrap(), f);
         }
+    }
+
+    /// The buffer `encode` sizes up front is the frame: nothing is appended
+    /// beyond it, so it never grows.
+    #[test]
+    fn encode_sizes_its_buffer_exactly() {
+        for len in [0, 1, 256, 1500] {
+            let f = Frame::Data {
+                msg_id: 1,
+                frag_idx: 2,
+                frag_total: 3,
+                seq: 4,
+                payload: Bytes::from(vec![7u8; len]),
+            };
+            assert_eq!(f.encode().len(), DATA_HEADER + len + TRAILER);
+        }
+        assert_eq!(Frame::Ack { seq: 9 }.encode().len(), ACK_BODY + TRAILER);
     }
 
     #[test]

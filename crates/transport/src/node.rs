@@ -5,11 +5,11 @@
 //! declaration [`External::new`] derives from its entry event.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use samoa_core::prelude::*;
-use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport};
+use samoa_net::{Alarm, NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport};
 
 use crate::checksum::{self, ChecksumState};
 use crate::chunker::{self, ChunkerState};
@@ -28,10 +28,14 @@ pub struct TransportConfig {
     pub window: usize,
     /// Retransmission timeout: the floor of the adaptive RTO. The tail of a
     /// draining window — nothing more queued for the peer — is resent
-    /// sooner, more than two round trips after it left.
+    /// sooner, more than two round trips after it left. The timer ticks at
+    /// the instant the first frame is due, whichever rule makes it due.
     pub rto: Duration,
-    /// Run the retransmission timer: a tick every quarter of `rto` (at
-    /// least 1 ms), so a timeout is noticed within a quarter of itself.
+    /// Run the retransmission timer: a thread that sleeps until Window's
+    /// next deadline, and with nothing in flight sleeps until there is
+    /// one. Not started on a [`ProtoClock::manual`] clock, whose instants
+    /// the thread could not wait for; there [`Endpoint::inject_tick`] is
+    /// the timer.
     pub enable_timers: bool,
     /// The time source Window's timeouts read. Defaults to the wall clock;
     /// with a [`ProtoClock::manual`] clock they are a function of explicit
@@ -106,9 +110,10 @@ impl Endpoint {
         );
         let checksum_st = ProtocolState::new(p_checksum, ChecksumState::default());
         let delivered = ProtocolState::new(p_app, Vec::new());
+        let alarm = (cfg.enable_timers && !cfg.clock.is_manual()).then(Alarm::new);
 
         chunker::register(&mut b, p_chunker, &ev, chunker_st.clone());
-        window::register(&mut b, p_window, &ev, window_st.clone());
+        window::register(&mut b, p_window, &ev, window_st.clone(), alarm.clone());
         let transport: Arc<dyn Transport> = Arc::new(net.clone());
         checksum::register(
             &mut b,
@@ -164,16 +169,26 @@ impl Endpoint {
             });
         }
 
-        if node.cfg.enable_timers {
+        if let Some(alarm) = alarm {
             let ticker = Ticker::start(
                 format!("tnode-{}-timer", site.0),
-                (node.cfg.rto / 4).max(Duration::from_millis(1)),
+                alarm,
                 Arc::downgrade(&node),
-                Endpoint::inject_tick,
+                Endpoint::on_alarm,
             );
             node.timer.set(ticker).expect("the endpoint is new");
         }
         node
+    }
+
+    /// The timer thread's tick: a tick computation, unless nothing is in
+    /// flight — an instant armed for frames since acknowledged. Window arms
+    /// the next instant itself, so this returns none.
+    fn on_alarm(&self) -> Option<Instant> {
+        if self.window.read(|w| w.unacked() > 0) {
+            self.inject_tick();
+        }
+        None
     }
 
     fn on_datagram(&self, from: SiteId, payload: Bytes) {
@@ -195,9 +210,9 @@ impl Endpoint {
         self.rt.external(self.cfg.policy, &self.ext_send, data);
     }
 
-    /// Inject one retransmission-timer tick, exactly as the timer thread
-    /// would. With `enable_timers: false` this is the only way Window
-    /// retransmits.
+    /// Inject one retransmission-timer tick, as the timer thread does at an
+    /// armed instant. With `enable_timers: false`, or on a manual clock,
+    /// this is the only way Window retransmits.
     pub fn inject_tick(&self) {
         self.rt
             .external(self.cfg.policy, &self.ext_tick, EventData::empty());
@@ -211,6 +226,13 @@ impl Endpoint {
     /// Frames in flight to `peer` (diagnostics).
     pub fn in_flight(&self, peer: SiteId) -> usize {
         self.window.read(|w| w.in_flight(peer))
+    }
+
+    /// The instant a tick would first resend something, on the endpoint's
+    /// clock: what Window arms the timer at (diagnostics). `None` while
+    /// nothing is in flight.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.window.read(|w| w.next_due())
     }
 
     /// External computations that ended in an error

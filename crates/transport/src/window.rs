@@ -8,18 +8,22 @@
 //! ones were acknowledged ahead of is resent by the ack that shows it (`recv`,
 //! through [`ArqSender::ack_detecting_loss`]), so a hole is filled at the pace
 //! of the acks. The timer (`retransmit`) recovers what no later ack can vouch
-//! for — the last frames sent, a lost repeat at the tail — at its first tick
-//! more than two round trips after the frame left, once the backlog is empty
-//! (the wait doubles per resend up to the RTO), and at the RTO while frames
-//! still queue behind the window. Sequence numbers,
-//! both rules and the duplicate filter are [`samoa_net::arq`], without
-//! backoff: a window-limited sender cannot storm.
+//! for — the last frames sent, a lost repeat at the tail — more than two
+//! round trips after the frame left, once the backlog is empty (the wait
+//! doubles per resend up to the RTO), and at the RTO while frames still
+//! queue behind the window. It ticks when that is: a computation whose
+//! handlers put a frame in flight or take one out (`send`, `recv_ack`,
+//! `retransmit`) arms the endpoint's [`Alarm`], as it completes, at the
+//! [`ArqSender::next_due`] of the state it leaves; `recv_data`, which only
+//! acks, arms nothing. Sequence numbers, both rules and the duplicate filter
+//! are [`samoa_net::arq`], without backoff: a window-limited sender cannot
+//! storm.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use samoa_core::prelude::*;
-use samoa_net::{ArqReceiver, ArqSender, ProtoClock, SiteId};
+use samoa_net::{Alarm, ArqReceiver, ArqSender, ProtoClock, SiteId};
 
 use crate::events::Events;
 use crate::frames::Frame;
@@ -59,6 +63,8 @@ pub struct WindowState {
     pub duplicates: u64,
     /// Data frames dropped for lying too far ahead to hold (diagnostics).
     pub out_of_window: u64,
+    /// The computation that arms the timer as it completes (0: none yet).
+    arming: u64,
 }
 
 impl WindowState {
@@ -76,12 +82,18 @@ impl WindowState {
             fast_retransmissions: 0,
             duplicates: 0,
             out_of_window: 0,
+            arming: 0,
         }
     }
 
     /// Frames currently in flight to `peer`.
     pub fn in_flight(&self, peer: SiteId) -> usize {
         self.tx.in_flight(peer)
+    }
+
+    /// Frames in flight, all peers.
+    pub(crate) fn unacked(&self) -> usize {
+        self.tx.unacked()
     }
 
     /// Frames queued behind the window to `peer`.
@@ -156,35 +168,84 @@ impl WindowState {
     /// Collect frames overdue for retransmission.
     fn overdue(&mut self) -> Vec<(SiteId, Frame)> {
         let mut out = Vec::new();
-        // With the backlog empty nothing will overtake the tail in flight.
-        let backlog = &self.backlog;
-        let draining = |peer| backlog.get(&peer).is_none_or(VecDeque::is_empty);
+        let draining = draining(&self.backlog);
         self.tx.due(self.clock.now(), draining, |peer, seq, _, f| {
             out.push((peer, stamped(f.clone(), seq)))
         });
         self.retransmissions += out.len() as u64;
         out
     }
+
+    /// When [`overdue`](Self::overdue) next returns anything, if it ever
+    /// will without another frame sent or acknowledged.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.tx.next_due(draining(&self.backlog))
+    }
+}
+
+/// With the backlog empty nothing will overtake the tail in flight.
+fn draining(backlog: &HashMap<SiteId, VecDeque<Frame>>) -> impl Fn(SiteId) -> bool + '_ {
+    |peer| backlog.get(&peer).is_none_or(VecDeque::is_empty)
+}
+
+/// After a handler changed `s`: once this computation has completed — a
+/// deadline leaves a computation the way a reply does, after Rule 3 — arm
+/// `alarm` at the instant the state the computation leaves has a frame due.
+/// The state it *leaves*, not `s`: the Chunker hands `send` a message one
+/// fragment at a time, and the first fragment finds the backlog empty — a
+/// tail two round trips away, which the later ones take back. So this
+/// queues once per computation, and not at all while an instant no later
+/// than `s`'s is armed: the tick that instant brings reads Window's state
+/// after this handler has (the endpoint's timer reads it before ticking)
+/// and arms for what it finds. A typical ack costs one scan and one load,
+/// and allocates nothing.
+fn arm_when_done(
+    ctx: &Ctx,
+    alarm: &Option<Alarm>,
+    state: &ProtocolState<WindowState>,
+    s: &mut WindowState,
+) {
+    let Some(alarm) = alarm else { return };
+    if s.arming == ctx.comp_id() {
+        return;
+    }
+    let Some(at) = s.next_due() else { return };
+    if alarm.deadline().is_some_and(|armed| armed <= at) {
+        return;
+    }
+    s.arming = ctx.comp_id();
+    let (alarm, state) = (alarm.clone(), state.clone());
+    ctx.after_completion(move || {
+        if let Some(at) = state.read(WindowState::next_due) {
+            alarm.arm(at);
+        }
+    });
 }
 
 /// Register the Window microprotocol. How many frames a handler passes on is
 /// known only at run time — what the window admits, what an ack shows lost
 /// or lets through, what is overdue, the run a data frame releases in order
 /// — so those triggers are fan-outs; the one ack a data frame earns is not.
+/// `alarm`: the endpoint's timer, if it runs on the wall clock.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<WindowState>,
+    alarm: Option<Alarm>,
 ) {
     let events = *ev;
 
     let send = {
-        let state = state.clone();
+        let (state, alarm) = (state.clone(), alarm.clone());
         let e = ev.win_out;
         b.bind_with_triggers(e, pid, "window.send", &[], move |ctx, data| {
             let (peer, frame): &(SiteId, Frame) = data.expect(e)?;
-            let out = state.with(ctx, |s| s.enqueue(*peer, frame.clone()));
+            let out = state.with(ctx, |s| {
+                let out = s.enqueue(*peer, frame.clone());
+                arm_when_done(ctx, &alarm, &state, s);
+                out
+            });
             for f in out {
                 ctx.trigger(events.csum_out, EventData::new((*peer, f)))?;
             }
@@ -194,11 +255,15 @@ pub fn register(
     b.declare_fan_out(send, &[ev.csum_out]);
 
     let recv_ack = {
-        let state = state.clone();
+        let (state, alarm) = (state.clone(), alarm.clone());
         let e = ev.win_ack;
         b.bind_with_triggers(e, pid, "window.recv_ack", &[], move |ctx, data| {
             let (from, seq): &(SiteId, u64) = data.expect(e)?;
-            let out = state.with(ctx, |s| s.on_ack(*from, *seq));
+            let out = state.with(ctx, |s| {
+                let out = s.on_ack(*from, *seq);
+                arm_when_done(ctx, &alarm, &state, s);
+                out
+            });
             for f in out {
                 ctx.trigger(events.csum_out, EventData::new((*from, f)))?;
             }
@@ -237,7 +302,11 @@ pub fn register(
         let state = state.clone();
         let e = ev.tick;
         b.bind_with_triggers(e, pid, "window.retransmit", &[], move |ctx, _| {
-            let overdue = state.with(ctx, |s| s.overdue());
+            let overdue = state.with(ctx, |s| {
+                let overdue = s.overdue();
+                arm_when_done(ctx, &alarm, &state, s);
+                overdue
+            });
             for (peer, f) in overdue {
                 ctx.trigger(events.csum_out, EventData::new((peer, f)))?;
             }

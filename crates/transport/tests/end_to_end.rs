@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use samoa_core::analysis::CYCLE_FALLBACK_BOUND;
 use samoa_core::{External, Policy};
-use samoa_net::{NetConfig, ProtoClock, SiteId};
-use samoa_transport::{TransportConfig, TransportNet};
+use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
+use samoa_transport::{Endpoint, TransportConfig, TransportNet};
 
 fn big_message(seed: u8, len: usize) -> Bytes {
     Bytes::from(
@@ -247,6 +247,54 @@ fn bound_is_sound_for_many_fragments_and_releases_an_ack_early() {
     }
     let stats = net.endpoint(0).runtime().stats();
     assert!(stats.bound_releases > 0, "{stats}");
+}
+
+/// The timer on its own thread and the wall clock: the last fragment of a
+/// message is lost, nobody ticks by hand, and the sender's timer resends it
+/// once it falls due — inline (`Basic`) and detached (`Route`), where the
+/// tick's computation arms the next instant after the timer thread has
+/// moved on. The receiver, which only acks, never ticks: it runs one
+/// computation per datagram it is handed.
+#[test]
+fn the_timer_alone_resends_a_lost_tail_and_the_receiver_never_ticks() {
+    for policy in [Policy::Basic, Policy::Route] {
+        let net = SimNet::new_manual(2, NetConfig::fast(12));
+        let cfg = TransportConfig {
+            policy,
+            mtu: 16,
+            ..TransportConfig::default()
+        };
+        let tx = Endpoint::new(net.handle(), SiteId(0), cfg.clone());
+        let rx = Endpoint::new(net.handle(), SiteId(1), cfg);
+        let msg = big_message(6, 32);
+        tx.send(SiteId(1), msg.clone());
+        tx.runtime().quiesce();
+        let h = net.handle();
+        let data: Vec<u64> = h.pending_datagrams().iter().map(|d| d.seq).collect();
+        assert_eq!(data.len(), 2, "{policy}");
+        assert!(h.drop_seq(data[1]));
+        let mut to_rx = 0;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while rx.delivered().is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "{policy}: the tail was never resent"
+            );
+            let Some(d) = h.pending_datagrams().first().cloned() else {
+                std::thread::yield_now();
+                continue;
+            };
+            to_rx += u64::from(d.to == SiteId(1));
+            assert!(h.pump_seq(d.seq));
+            tx.runtime().quiesce();
+            rx.runtime().quiesce();
+        }
+        assert_eq!(rx.delivered()[0].1, msg, "{policy}");
+        assert!(tx.retransmissions() >= 1, "{policy}");
+        assert_eq!(tx.fast_retransmissions(), 0, "{policy}: no ack showed it");
+        assert_eq!(rx.runtime().stats().computations_spawned, to_rx, "{policy}");
+        assert_eq!(rx.next_due(), None, "{policy}");
+    }
 }
 
 /// What an endpoint declares for each kind of external event is derived at

@@ -177,6 +177,36 @@ fn a_dropped_fragment_is_resent_once_by_the_first_tick_after_two_round_trips() {
     assert_eq!(rig.rx.duplicates_suppressed(), 0);
 }
 
+/// What the timer would be armed at: the instant the lost fragment left,
+/// plus its tail timeout, plus the nanosecond by which a frame must be
+/// *more* than that late. A tick a nanosecond sooner resends nothing, a
+/// tick then resends it, and the receiver, which only acks, arms nothing.
+#[test]
+fn the_timer_is_armed_for_the_instant_the_lost_tail_falls_due() {
+    let rig = lost_tail(4, &message(18, 2));
+    // One round trip has passed since it left.
+    let left = rig.clock.now() - HOP * 2;
+    let ns = Duration::from_nanos(1);
+    let due = left + HOP * 4 + ns;
+    assert_eq!(rig.tx.next_due(), Some(due));
+    assert_eq!(rig.rx.next_due(), None);
+
+    rig.clock.advance(due - ns - rig.clock.now());
+    rig.tick();
+    assert_eq!(rig.handle().pending(), 0, "resent a nanosecond early");
+    assert_eq!(rig.tx.next_due(), Some(due), "and re-armed nothing");
+    rig.clock.advance(ns);
+    rig.tick();
+    assert_eq!(rig.in_flight_from(TX).len(), 1);
+    // Resent once: the wait doubles.
+    let again = rig.clock.now() + HOP * 8 + ns;
+    assert_eq!(rig.tx.next_due(), Some(again));
+
+    rig.settle();
+    assert_eq!(rig.tx.next_due(), None, "nothing in flight");
+    assert_eq!(rig.rx.next_due(), None);
+}
+
 /// A peer gone silent after one round trip, ticked every quarter of the RTO
 /// for a second: the waits of 200, 400, 800, 1 600 and 3 200 µs are each
 /// met by the next tick, 6.4 ms by the second, 12.8 ms by the third, and
