@@ -155,12 +155,16 @@ impl TcpNet {
             addrs.len()
         );
         let listener = TcpListener::bind(addrs[site.index()])?;
-        Ok(TcpNet::with_listener(site, addrs, listener))
+        TcpNet::with_listener(site, addrs, listener)
     }
 
-    fn with_listener(site: SiteId, addrs: Vec<SocketAddr>, listener: TcpListener) -> TcpNet {
+    fn with_listener(
+        site: SiteId,
+        addrs: Vec<SocketAddr>,
+        listener: TcpListener,
+    ) -> std::io::Result<TcpNet> {
         let n = addrs.len();
-        let listen_addr = listener.local_addr().expect("listener has a local addr");
+        let listen_addr = listener.local_addr()?;
         let inner = Arc::new(TcpInner {
             site,
             addrs,
@@ -183,10 +187,9 @@ impl TcpNet {
         let accept_inner = Arc::clone(&inner);
         let t = std::thread::Builder::new()
             .name(format!("tcp-s{}-accept", site.0))
-            .spawn(move || accept_loop(accept_inner, listener))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(accept_inner, listener))?;
         inner.threads.lock().push(t);
-        TcpNet { inner }
+        Ok(TcpNet { inner })
     }
 
     /// The site this endpoint hosts.
@@ -530,8 +533,8 @@ impl TcpMesh {
         let nets = listeners
             .into_iter()
             .enumerate()
-            .map(|(i, l)| Arc::new(TcpNet::with_listener(SiteId(i as u16), addrs.clone(), l)))
-            .collect();
+            .map(|(i, l)| TcpNet::with_listener(SiteId(i as u16), addrs.clone(), l).map(Arc::new))
+            .collect::<std::io::Result<_>>()?;
         Ok(TcpMesh { nets })
     }
 

@@ -2,18 +2,32 @@
 //! message batches (the classic Chandra–Toueg reduction; this is the
 //! protocol the paper's §7 evaluation exercises).
 //!
-//! Requests are disseminated with RelCast; each site accumulates undelivered
-//! requests in `pending` and proposes the pending set for the next undecided
-//! consensus instance. Decisions arrive as RelCast floods
-//! (`CastData::Decide`), are buffered per instance, and are delivered in
-//! instance order — messages within a batch in `uid` order — yielding the
-//! same total order at every site.
+//! Each site accumulates undelivered requests in `pending` and proposes the
+//! pending set for the next undecided consensus instance. Decisions arrive
+//! as RelCast floods (`CastData::Decide`), are buffered per instance, and
+//! are delivered in instance order — messages within a batch in `uid`
+//! order — yielding the same total order at every site.
+//!
+//! Only round 0's coordinator proposes in round 0 (`consensus.rs`), so a
+//! request must reach `view.coordinator(0)`; it need not reach every site.
+//! Its origin sends it once to every other member ([`Payload::Request`]).
+//! A site that is not the coordinator forwards its first copy to the
+//! coordinator, unless the coordinator is the request's origin or the
+//! copy's sender: both hold it already. With `n` sites a request costs at
+//! most `2n − 3` frames, and an origin that crashes after reaching a single
+//! site still gets its request ordered.
+//!
+//! A request stays in `pending` until it is delivered, and that is what a
+//! change of coordinator falls back on. When a view change moves round 0's
+//! coordinator to a site that was already a member, every site sends it
+//! its pending requests: the one forward of a request may have gone to the
+//! coordinator that left.
 //!
 //! A joiner is sent the ordering state by every incumbent: the next
 //! instance, the delivered uids (as per-origin ranges: constant size however
 //! long the group has run), and the incumbent's `pending` requests —
-//! they were cast before the joiner was a member, RelCast will not bring
-//! them, and if the joiner sorts first in the view it is the one site that
+//! they were cast before the joiner was a member, no copy was sent its way,
+//! and if the joiner sorts first in the view it is the one site that
 //! proposes in round 0 (see `consensus.rs`).
 
 use std::collections::{BTreeMap, HashMap};
@@ -34,7 +48,7 @@ pub struct AbcastState {
     site: SiteId,
     view: GroupView,
     next_seq: u64,
-    /// Disseminated but not yet delivered requests.
+    /// Requests received (or made here) but not yet delivered.
     pending: BTreeMap<MsgUid, AbMsg>,
     /// Uids already delivered (for duplicate suppression): a range set per
     /// origin, like RelCast's `seen`, shipped to a joiner as its ranges.
@@ -151,8 +165,8 @@ impl AbcastState {
         }
     }
 
-    /// Record a disseminated request; returns true if it is new and
-    /// undelivered.
+    /// Record a request; returns true if it is new and undelivered — the
+    /// first receipt.
     fn note_request(&mut self, m: &AbMsg) -> bool {
         if self.delivered.contains(&m.uid) || self.pending.contains_key(&m.uid) {
             return false;
@@ -241,6 +255,14 @@ impl AbcastState {
     }
 }
 
+/// Ask consensus to propose, if [`AbcastState::proposal`] said so.
+fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Vec<AbMsg>)>) -> Result<()> {
+    match proposal {
+        Some(p) => ctx.trigger(ev.cons_propose, EventData::new(p)),
+        None => Ok(()),
+    }
+}
+
 /// Register the atomic-broadcast microprotocol on the builder.
 pub fn register(
     b: &mut StackBuilder,
@@ -253,11 +275,50 @@ pub fn register(
     {
         let state = state.clone();
         let e = ev.abcast;
-        b.bind_with_triggers(e, pid, "abcast.request", &[ev.bcast], move |ctx, data| {
+        let triggers = [ev.send_out, ev.cons_propose];
+        let h = b.bind_with_triggers(e, pid, "abcast.request", &triggers, move |ctx, data| {
             let payload: &AbPayload = data.expect(e)?;
-            let m = state.with(ctx, |s| s.new_request(payload.clone()));
-            // Disseminate; our own copy comes back via local DeliverOut.
-            ctx.trigger(events.bcast, EventData::new(CastData::AbRequest(m)))
+            let (me, view, m, proposal) = state.with(ctx, |s| {
+                let m = s.new_request(payload.clone());
+                s.note_request(&m);
+                (s.site, s.view.clone(), m, s.proposal())
+            });
+            // Once to every other member; our own copy is in `pending`.
+            for &target in view.members() {
+                if target != me {
+                    let out = (Payload::Request(m.clone()), target);
+                    ctx.trigger(events.send_out, EventData::new(out))?;
+                }
+            }
+            propose(ctx, &events, proposal)
+        });
+        // One `SendOut` per peer.
+        b.declare_fan_out(h, &[ev.send_out]);
+    }
+
+    {
+        let state = state.clone();
+        let e = ev.from_rcomm_request;
+        let triggers = [ev.send_out, ev.cons_propose];
+        b.bind_with_triggers(e, pid, "abcast.on_request", &triggers, move |ctx, data| {
+            let d: &RDeliver<AbMsg> = data.expect(e)?;
+            let m = &d.payload;
+            let (forward, proposal) = state.with(ctx, |s| {
+                // On a first receipt, on to round 0's coordinator — unless
+                // that is us, or it holds the request already.
+                let forward = if s.note_request(m) {
+                    let holders = [s.site, m.uid.origin, d.sender];
+                    s.view.coordinator(0).filter(|c| !holders.contains(c))
+                } else {
+                    None
+                };
+                (forward, s.proposal())
+            });
+            if let Some(coord) = forward {
+                let out = (Payload::Request(m.clone()), coord);
+                ctx.trigger(events.send_out, EventData::new(out))?;
+            }
+            propose(ctx, &events, proposal)
         });
     }
 
@@ -267,46 +328,32 @@ pub fn register(
         let triggers = [ev.cons_gc, ev.cons_propose];
         let h = b.bind_with_triggers(e, pid, "abcast.on_deliver", &triggers, move |ctx, data| {
             let msg: &CastMsg = data.expect(e)?;
-            match &msg.data {
-                CastData::AbRequest(m) => {
-                    let proposal = state.with(ctx, |s| {
-                        s.note_request(m);
-                        s.proposal()
-                    });
-                    if let Some((inst, value)) = proposal {
-                        ctx.trigger(events.cons_propose, EventData::new((inst, value)))?;
-                    }
-                    Ok(())
-                }
-                CastData::Decide { inst, batch } => {
-                    let (deliverable, gc_below, proposal) = state.with(ctx, |s| {
-                        let out = s.note_decide(*inst, batch.clone());
-                        (out, s.next_inst, s.proposal())
-                    });
-                    // Deliver in total order — synchronously, so the order
-                    // is preserved end to end — each on its class's event.
-                    for m in deliverable {
-                        match m.payload {
-                            AbPayload::User(bytes) => {
-                                ctx.trigger_all(events.adeliver, EventData::new((m.uid, bytes)))?
-                            }
-                            AbPayload::ViewOp(op, site) => {
-                                ctx.trigger_all(events.adeliver_view, EventData::new((op, site)))?
-                            }
-                        }
-                    }
-                    ctx.trigger(events.cons_gc, EventData::new(gc_below))?;
-                    if let Some((inst, value)) = proposal {
-                        ctx.trigger(events.cons_propose, EventData::new((inst, value)))?;
-                    }
-                    Ok(())
-                }
-                // RelCast delivers plain user casts on `DeliverUser`.
-                CastData::User(_) => Err(SamoaError::WrongPayloadType {
+            // RelCast delivers plain user casts on `DeliverUser`, and no
+            // request rides it.
+            let CastData::Decide { inst, batch } = &msg.data else {
+                return Err(SamoaError::WrongPayloadType {
                     event: e,
-                    expected: "CastData::AbRequest or CastData::Decide",
-                }),
+                    expected: "CastData::Decide",
+                });
+            };
+            let (deliverable, gc_below, proposal) = state.with(ctx, |s| {
+                let out = s.note_decide(*inst, batch.clone());
+                (out, s.next_inst, s.proposal())
+            });
+            // Deliver in total order — synchronously, so the order is
+            // preserved end to end — each on its class's event.
+            for m in deliverable {
+                match m.payload {
+                    AbPayload::User(bytes) => {
+                        ctx.trigger_all(events.adeliver, EventData::new((m.uid, bytes)))?
+                    }
+                    AbPayload::ViewOp(op, site) => {
+                        ctx.trigger_all(events.adeliver_view, EventData::new((op, site)))?
+                    }
+                }
             }
+            ctx.trigger(events.cons_gc, EventData::new(gc_below))?;
+            propose(ctx, &events, proposal)
         });
         // A `Decide` can release a whole backlog of deliveries.
         b.declare_fan_out(h, &[ev.adeliver, ev.adeliver_view]);
@@ -328,10 +375,7 @@ pub fn register(
                 ctx.trigger(events.view_sync, EventData::new(sync.clone()))?;
                 ctx.trigger(events.cons_gc, EventData::new(sync.next_inst))?;
             }
-            if let Some((inst, value)) = proposal {
-                ctx.trigger(events.cons_propose, EventData::new((inst, value)))?;
-            }
-            Ok(())
+            propose(ctx, &events, proposal)
         });
     }
 
@@ -341,16 +385,25 @@ pub fn register(
         let h = b.bind_with_triggers(e, pid, "abcast.view_change", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
             // Detect joiners: members of the new view absent from the old.
-            let (me, joiners, snapshot) = state.with(ctx, |s| {
+            let (me, joiners, snapshot, handover) = state.with(ctx, |s| {
                 let joiners: Vec<_> = v
                     .members()
                     .iter()
                     .copied()
                     .filter(|m| !s.view.contains(*m))
                     .collect();
+                // Round 0's coordinator moved to an incumbent: it gets what
+                // is pending here (module docs). A joiner gets it in the
+                // snapshot.
+                let coord = v.coordinator(0);
+                let handover = coord
+                    .filter(|&c| {
+                        c != s.site && coord != s.view.coordinator(0) && s.view.contains(c)
+                    })
+                    .map(|c| (c, s.pending.values().cloned().collect::<Vec<_>>()));
                 s.view = v.clone();
                 let snap = s.snapshot();
-                (s.site, joiners, snap)
+                (s.site, joiners, snap, handover)
             });
             // Every incumbent sends the joiner the ordering state —
             // redundant but loss-tolerant; adoption is idempotent, and the
@@ -363,9 +416,15 @@ pub fn register(
                     )?;
                 }
             }
+            if let Some((coord, pending)) = handover {
+                for m in pending {
+                    let out = (Payload::Request(m), coord);
+                    ctx.trigger(events.send_out, EventData::new(out))?;
+                }
+            }
             Ok(())
         });
-        // One `SendOut` per joiner.
+        // One `SendOut` per joiner, and per pending request handed over.
         b.declare_fan_out(h, &[ev.send_out]);
     }
 }

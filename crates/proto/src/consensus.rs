@@ -26,8 +26,9 @@
 //! same view and agrees on `view.coordinator(0)`. That site proposes its
 //! own estimate straight away, provided the instance is *pristine* — it has
 //! promised, adopted and coordinated nothing. The other sites record their
-//! estimate and send nothing (one exception, below): RelCast hands the
-//! coordinator the same requests, and it proposes by itself.
+//! estimate and send nothing (one exception, below): atomic broadcast sends
+//! every request to the coordinator — the origin's copy, and a forward of
+//! every other site's first copy (`abcast.rs`) — and it proposes by itself.
 //!
 //! Every other way a round starts keeps the read phase: `on_kick`, and
 //! `restart` after a suspicion or a view change — `view.coordinator(0)` is a
@@ -171,7 +172,7 @@ impl ConsensusState {
             return self.restart(inst);
         }
         if follower {
-            // RelCast hands the coordinator the same requests and it
+            // Atomic broadcast sends the coordinator every request and it
             // proposes by itself; the estimate stays so that `on_suspect`
             // or `set_view` can restart this instance in a later round.
             return Actions::none();
@@ -798,8 +799,8 @@ mod tests {
     fn non_coordinator_kicks_coordinator() {
         let mut bus = Bus::new(3);
         let v = vec![msg(2, 1)];
-        // Round 0: the coordinator (site 0) gets the request from RelCast,
-        // so site 2 keeps its estimate and sends nothing.
+        // Round 0: atomic broadcast sends the coordinator (site 0) the
+        // request, so site 2 keeps its estimate and sends nothing.
         let acts = bus.sites[2].propose(0, v.clone());
         assert_eq!(acts, Actions::none());
         // Site 0 is suspected: round 1's coordinator (site 1) is kicked

@@ -27,9 +27,12 @@ pub struct Events {
     /// RelComm delivered a plain user cast:
     /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_user: EventType,
-    /// RelComm delivered any other cast:
+    /// RelComm delivered any other cast (a consensus decision):
     /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_cast: EventType,
+    /// RelComm delivered an atomic-broadcast request:
+    /// [`RDeliver<AbMsg>`](crate::relcomm::RDeliver).
+    pub from_rcomm_request: EventType,
     /// RelComm delivered a consensus message:
     /// [`RDeliver<ConsMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_cons: EventType,
@@ -39,13 +42,13 @@ pub struct Events {
     /// Plain reliable-broadcast request: payload
     /// [`CastData::User`](crate::msgs::CastData) (external).
     pub bcast_user: EventType,
-    /// Reliable broadcast of atomic-broadcast traffic: payload
-    /// [`CastData::AbRequest`](crate::msgs::CastData) or `Decide`.
+    /// Reliable broadcast of a consensus decision: payload
+    /// [`CastData::Decide`](crate::msgs::CastData).
     pub bcast: EventType,
     /// Reliable-broadcast delivery of a plain user cast: payload
     /// [`CastMsg`](crate::msgs::CastMsg).
     pub deliver_user: EventType,
-    /// Reliable-broadcast delivery of atomic-broadcast traffic: payload
+    /// Reliable-broadcast delivery of a consensus decision: payload
     /// [`CastMsg`](crate::msgs::CastMsg).
     pub deliver_out: EventType,
     /// Atomic-broadcast request: payload [`AbPayload`](crate::msgs::AbPayload).
@@ -87,6 +90,7 @@ impl Events {
             send_out: b.event("SendOut"),
             from_rcomm_user: b.event("FromRCommUser"),
             from_rcomm_cast: b.event("FromRCommCast"),
+            from_rcomm_request: b.event("FromRCommRequest"),
             from_rcomm_cons: b.event("FromRCommCons"),
             from_rcomm_sync: b.event("FromRCommSync"),
             bcast_user: b.event("BcastUser"),
@@ -136,7 +140,7 @@ mod tests {
         let mut b = StackBuilder::new();
         let ev = Events::declare(&mut b);
         let s = b.build();
-        assert_eq!(s.event_count(), 24);
+        assert_eq!(s.event_count(), 25);
         assert_eq!(s.event_name(ev.send_out), "SendOut");
         assert_eq!(s.event_name(ev.view_change), "ViewChange");
         assert_ne!(ev.rc_data, ev.rc_ack);

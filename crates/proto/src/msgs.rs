@@ -7,10 +7,12 @@
 //!   acks, plus raw failure-detector heartbeats. A datagram is a sequence
 //!   of such frames (acks ride behind the data frame going the same way).
 //! * [`Payload`] — what RelComm delivers reliably: RelCast traffic
-//!   ([`CastMsg`]) or consensus point-to-point messages ([`ConsMsg`]).
-//! * [`CastMsg`] — what RelCast floods: user broadcasts, atomic-broadcast
-//!   requests, or consensus decisions (decisions ride RelCast so every site
-//!   learns them even if the coordinator crashes mid-broadcast).
+//!   ([`CastMsg`]), atomic-broadcast requests on their way to the site that
+//!   orders them ([`AbMsg`]), consensus point-to-point messages
+//!   ([`ConsMsg`]) or a join-time state transfer ([`SyncMsg`]).
+//! * [`CastMsg`] — what RelCast floods: user broadcasts or consensus
+//!   decisions (decisions ride RelCast so every site learns them even if
+//!   the coordinator crashes mid-broadcast).
 //! * [`AbMsg`] — what atomic broadcast orders: user payloads or membership
 //!   view operations.
 
@@ -96,7 +98,12 @@ pub struct AbMsg {
 pub enum CastData {
     /// Application-level reliable broadcast.
     User(Bytes),
-    /// Dissemination of an atomic-broadcast request.
+    /// An atomic-broadcast request as RelCast once flooded it. Nothing in
+    /// this stack sends one any more — a request travels as
+    /// [`Payload::Request`] — and atomic broadcast turns it away. It stays
+    /// in the codec, under its old tag, because the wire-codec probe of
+    /// `benchmark/src/probes.rs` still encodes one; it goes with the next
+    /// change to the benchmark.
     AbRequest(AbMsg),
     /// A consensus decision: instance number plus the decided batch.
     Decide {
@@ -194,7 +201,7 @@ pub struct SyncMsg {
     /// origin however long the group has run.
     pub delivered: Vec<(SiteId, u64, u64)>,
     /// Requests the sender holds undelivered. They were cast before the
-    /// joiner was a member, so RelCast never sends them its way, and in
+    /// joiner was a member, so no copy of them was sent its way, and in
     /// round 0 only the coordinator proposes — which the joiner is at once
     /// if it sorts first in the view.
     pub pending: Vec<AbMsg>,
@@ -210,6 +217,9 @@ pub struct SyncMsg {
 pub enum Payload {
     /// RelCast traffic.
     Cast(CastMsg),
+    /// An atomic-broadcast request: sent once by its origin to every member,
+    /// and by a first receiver on to round 0's coordinator (`abcast.rs`).
+    Request(AbMsg),
     /// Consensus point-to-point traffic.
     Cons(ConsMsg),
     /// Join-time state transfer.
@@ -218,7 +228,7 @@ pub enum Payload {
 
 impl Payload {
     /// The uid of the cluster operation this payload is causally downstream
-    /// of, when one is identifiable: the carried request for casts, the
+    /// of, when one is identifiable: the cast or the request itself, the
     /// first batch element for consensus values and decisions. `None` for
     /// pure control traffic (collect/ack/sync), which serves no single
     /// operation. Deterministic in the payload alone, so attaching contexts
@@ -230,6 +240,7 @@ impl Payload {
                 CastData::AbRequest(ab) => Some(ab.uid),
                 CastData::Decide { batch, .. } => batch.first().map(|m| m.uid).or(Some(c.uid)),
             },
+            Payload::Request(m) => Some(m.uid),
             Payload::Cons(m) => match m {
                 ConsMsg::Kick { est, .. } | ConsMsg::Estimate { est, .. } => {
                     est.first().map(|m| m.uid)
@@ -633,6 +644,10 @@ impl Wire {
                 out.put_u8(2);
                 put_sync(out, s);
             }
+            Payload::Request(m) => {
+                out.put_u8(3);
+                put_ab(out, m);
+            }
         }
     }
 
@@ -678,6 +693,7 @@ impl Wire {
                     0 => Payload::Cast(get_cast(buf)?),
                     1 => Payload::Cons(get_cons(buf)?),
                     2 => Payload::Sync(get_sync(buf)?),
+                    3 => Payload::Request(get_ab(buf)?),
                     t => return Err(CodecError::BadTag(t)),
                 };
                 Ok(Wire::Data { seq, ctx, payload })
@@ -763,14 +779,20 @@ mod tests {
         roundtrip(Wire::Data {
             seq: 1,
             ctx: None,
-            payload: Payload::Cast(CastMsg {
-                uid: uid(1, 2),
-                data: CastData::AbRequest(AbMsg {
-                    uid: uid(1, 5),
-                    payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(4)),
-                }),
+            payload: Payload::Request(AbMsg {
+                uid: uid(1, 5),
+                payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(4)),
             }),
         });
+        roundtrip(Wire::Data {
+            seq: 1,
+            ctx: None,
+            payload: Payload::Request(AbMsg {
+                uid: uid(1, 6),
+                payload: AbPayload::User(Bytes::from_static(b"x")),
+            }),
+        });
+        // The retired flooded form still decodes as itself.
         roundtrip(Wire::Data {
             seq: 1,
             ctx: None,
@@ -1011,10 +1033,7 @@ mod tests {
                 data,
             })
         };
-        assert_eq!(
-            cast(CastData::AbRequest(ab.clone())).root_uid(),
-            Some(uid(1, 7))
-        );
+        assert_eq!(Payload::Request(ab.clone()).root_uid(), Some(uid(1, 7)));
         assert_eq!(
             cast(CastData::User(Bytes::new())).root_uid(),
             Some(uid(3, 2))

@@ -5,10 +5,12 @@
 //! delivering, so the message reaches all sites of the view even if the
 //! original sender crashes mid-broadcast.
 //!
-//! Plain user casts and atomic-broadcast traffic are two classes: each
-//! handler is registered once per class, from one body, and delivers on its
-//! class's event (`DeliverUser`, `DeliverOut`), so a user cast never reaches
-//! atomic broadcast, not even to be turned away.
+//! Plain user casts and consensus decisions are two classes: each handler
+//! is registered once per class, from one body, and delivers on its class's
+//! event (`DeliverUser`, `DeliverOut`), so a user cast never reaches atomic
+//! broadcast, not even to be turned away. Atomic-broadcast requests do not
+//! ride RelCast: a request must reach the site that orders it, not every
+//! site, and atomic broadcast sends it there itself (`abcast.rs`).
 //!
 //! The rebroadcast skips two sites: the message's origin and the site the
 //! first copy came from. Both provably hold the message already — a site

@@ -4,8 +4,8 @@
 //! deduplicates on receipt, and retransmits unacknowledged messages on the
 //! retransmission timer: that much is [`samoa_net::arq`]. What it delivers
 //! goes up on the event of its class — plain user casts, other casts,
-//! consensus messages, state transfers — so each upper handler binds only
-//! the traffic it owns. Messages are only
+//! atomic-broadcast requests, consensus messages, state transfers — so each
+//! upper handler binds only the traffic it owns. Messages are only
 //! sent to — and only delivered from — sites in the current view ("this
 //! requirement is necessary to implement finite buffers"); pending messages
 //! to sites that leave the view are discarded, and so are the acks owed to
@@ -52,7 +52,8 @@ use crate::observe::{ClusterTracer, RelCommInstruments};
 use crate::view::GroupView;
 
 /// A reliably delivered payload of one class —
-/// [`CastMsg`](crate::msgs::CastMsg), [`ConsMsg`](crate::msgs::ConsMsg) or
+/// [`CastMsg`](crate::msgs::CastMsg), [`AbMsg`](crate::msgs::AbMsg),
+/// [`ConsMsg`](crate::msgs::ConsMsg) or
 /// [`SyncMsg`](crate::msgs::SyncMsg) — handed to upper microprotocols via that class's
 /// `FromRComm*` event.
 #[derive(Debug, Clone)]
@@ -74,6 +75,7 @@ fn delivery(ev: &Events, sender: SiteId, payload: &Payload) -> (EventType, Event
     match payload {
         Payload::Cast(c) if c.data.is_user() => (ev.from_rcomm_user, of(sender, c)),
         Payload::Cast(c) => (ev.from_rcomm_cast, of(sender, c)),
+        Payload::Request(m) => (ev.from_rcomm_request, of(sender, m)),
         Payload::Cons(c) => (ev.from_rcomm_cons, of(sender, c)),
         Payload::Sync(s) => (ev.from_rcomm_sync, of(sender, s)),
     }
@@ -353,7 +355,12 @@ pub fn register(
             Ok(())
         });
     };
-    let classes = [ev.from_rcomm_cast, ev.from_rcomm_cons, ev.from_rcomm_sync];
+    let classes = [
+        ev.from_rcomm_cast,
+        ev.from_rcomm_request,
+        ev.from_rcomm_cons,
+        ev.from_rcomm_sync,
+    ];
     recv_data(
         b,
         ev.rc_data_user,

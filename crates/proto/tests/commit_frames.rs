@@ -1,12 +1,18 @@
 //! What one atomic broadcast puts on the wire, counted frame by frame.
 //!
-//! A commit in a healthy `n`-site cluster is a RelCast of the request, round
-//! 0 of consensus without its read phase, and a RelCast of the decision; a
-//! cast costs `(n−1)` frames from its origin plus at most `(n−2)` from each
-//! receiver, because a relay skips the origin and the site the first copy
-//! came from. For `n = 3` that is 4 + 2 + 2 + 4 = 12 data frames. The relay
-//! itself stays: an origin that crashes mid-broadcast still gets its request
-//! ordered.
+//! A commit in a healthy `n`-site cluster is the request's way to round 0's
+//! coordinator, round 0 of consensus without its read phase, and a RelCast
+//! of the decision. The request leaves its origin once per peer, and every
+//! other site that is not the coordinator forwards its first copy to the
+//! coordinator: `(n−1) + (n−2) = 2n−3` frames from a follower, `n−1` from
+//! the coordinator itself. A cast costs `(n−1)` frames from its origin plus
+//! at most `(n−2)` from each receiver, because a relay skips the origin and
+//! the site the first copy came from. For `n = 3` that is 3 + 2 + 2 + 4 = 11
+//! data frames when a follower casts and 2 + 2 + 2 + 4 = 10 when the
+//! coordinator does. The forward stays: an origin that crashes
+//! mid-broadcast still gets its request ordered, and so does one whose
+//! forward went to a coordinator that then left — every site hands what is
+//! pending to the next one.
 //!
 //! On the virtual-time rig and recording [`Transport`](samoa_net::Transport)
 //! of `common`, timers off: no tick fires, so no ack travels alone and every
@@ -21,9 +27,14 @@ use samoa_proto::{CastData, ConsMsg, MsgUid, Payload};
 
 use common::{Rig, Sent};
 
-/// Is `s` a RelCast copy sent on by a site other than the cast's origin?
+/// Is `s` a copy of a request or a cast sent on by a site other than its
+/// origin?
 fn is_relay(s: &Sent) -> bool {
-    matches!(&s.payload, Some(Payload::Cast(c)) if c.uid.origin != s.from)
+    match &s.payload {
+        Some(Payload::Cast(c)) => c.uid.origin != s.from,
+        Some(Payload::Request(m)) => m.uid.origin != s.from,
+        _ => false,
+    }
 }
 
 /// Deliver one datagram at a time, the frames `last` picks out after all
@@ -58,8 +69,9 @@ fn kind(s: &Sent) -> &'static str {
         .as_ref()
         .expect("no tick fired: every frame is data")
     {
+        Payload::Request(_) => "request",
         Payload::Cast(c) => match c.data {
-            CastData::AbRequest(_) => "request",
+            CastData::AbRequest(_) => "flooded request",
             CastData::Decide { .. } => "decide",
             CastData::User(_) => "user",
         },
@@ -81,70 +93,85 @@ fn census(log: &[Sent]) -> BTreeMap<&'static str, usize> {
     kinds
 }
 
-/// RelCast frames per cast.
-fn frames_per_cast(log: &[Sent]) -> BTreeMap<MsgUid, usize> {
-    let mut casts = BTreeMap::new();
+/// Frames per request (by the request's uid) and per RelCast cast.
+fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, BTreeMap<MsgUid, usize>) {
+    let (mut requests, mut casts) = (BTreeMap::new(), BTreeMap::new());
     for s in log {
-        if let Some(Payload::Cast(c)) = &s.payload {
-            *casts.entry(c.uid).or_default() += 1;
+        match &s.payload {
+            Some(Payload::Request(m)) => *requests.entry(m.uid).or_default() += 1,
+            Some(Payload::Cast(c)) => *casts.entry(c.uid).or_default() += 1,
+            _ => {}
         }
     }
-    casts
+    (requests, casts)
 }
 
 #[test]
-fn a_healthy_three_site_commit_is_twelve_frames() {
+fn a_healthy_three_site_commit_is_eleven_frames_from_a_follower_and_ten_from_the_coordinator() {
     // Site 0 coordinates round 0; the origin is a follower, then the
     // coordinator itself.
-    for origin in [1, 0] {
+    for (origin, requests, frames) in [(1, 3, 11), (0, 2, 10)] {
         let rig = Rig::new(3, 41);
         rig.nodes[origin].abcast("m");
         settle_origin_first(&rig);
         rig.assert_total_order(1);
 
         let log = rig.rec.log();
-        let expected = BTreeMap::from([("request", 4), ("propose", 2), ("ack", 2), ("decide", 4)]);
+        let expected = BTreeMap::from([
+            ("request", requests),
+            ("propose", 2),
+            ("ack", 2),
+            ("decide", 4),
+        ]);
         assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
-        assert_eq!(log.len(), 12);
+        assert_eq!(log.len(), frames);
 
-        // Of the four request frames two leave the origin and one leaves
-        // each receiver; none goes back to the origin or to the forwarder.
+        // Two request frames leave the origin, one to each peer; a follower
+        // forwards its copy to the coordinator, the coordinator forwards
+        // nothing, and nothing goes back to the origin.
         let origin = SiteId(origin as u16);
-        let requests: Vec<(SiteId, SiteId)> = log
+        let sent: Vec<(SiteId, SiteId)> = log
             .iter()
             .filter(|s| kind(s) == "request")
             .map(|s| (s.from, s.to))
             .collect();
-        assert_eq!(
-            requests.iter().filter(|(from, _)| *from == origin).count(),
-            2
-        );
-        for &(from, to) in requests.iter().filter(|(from, _)| *from != origin) {
-            assert_ne!(to, origin, "{from} relayed back to the origin");
-            assert_eq!(requests.iter().filter(|(f, _)| *f == from).count(), 1);
+        assert_eq!(sent.iter().filter(|(from, _)| *from == origin).count(), 2);
+        for &(from, to) in sent.iter().filter(|(from, _)| *from != origin) {
+            assert_eq!(to, SiteId(0), "{from} forwarded past the coordinator");
+            assert_ne!(from, SiteId(0), "the coordinator forwarded");
         }
         assert_eq!(rig.retransmissions(), 0);
     }
 }
 
 #[test]
-fn a_cast_never_costs_more_than_its_bound_and_reaches_every_site() {
+fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_site() {
     for sites in [3, 4, 5] {
-        let bound = (sites - 1) + (sites - 1) * (sites - 2);
+        let request_bound = 2 * sites - 3;
+        let cast_bound = (sites - 1) + (sites - 1) * (sites - 2);
         // Different seeds, different delivery orders (`pump_one` follows the
         // network's seeded delays): a site whose first copy came from a
-        // relayer skips that relayer too, so other orders only cost less.
+        // relayer skips that relayer too, and a site that has delivered a
+        // request forwards nothing, so other orders only cost less.
         for seed in 50..58 {
             let rig = Rig::new(sites, seed);
             rig.abcasts(sites);
             rig.settle();
             rig.assert_total_order(sites);
             let log = rig.rec.log();
-            for (uid, frames) in frames_per_cast(&log) {
-                assert!(
-                    (sites - 1..=bound).contains(&frames),
-                    "{sites} sites, seed {seed}: cast {uid:?} cost {frames} frames, bound {bound}"
-                );
+            let (requests, casts) = frames_per_message(&log);
+            assert_eq!(requests.len(), sites, "seed {seed}: {requests:?}");
+            for (what, per, bound) in [
+                ("request", requests, request_bound),
+                ("decision", casts, cast_bound),
+            ] {
+                for (uid, frames) in per {
+                    assert!(
+                        (sites - 1..=bound).contains(&frames),
+                        "{sites} sites, seed {seed}: {what} {uid:?} cost {frames} frames, \
+                         bound {bound}"
+                    );
+                }
             }
             let kinds = census(&log);
             for absent in ["collect", "estimate", "kick"] {
@@ -155,17 +182,17 @@ fn a_cast_never_costs_more_than_its_bound_and_reaches_every_site() {
                 );
             }
         }
-        // Origin-first is the order that costs the bound exactly.
+        // Origin-first from a follower is the order that costs both bounds
+        // exactly.
         let rig = Rig::new(sites, 58);
         rig.nodes[1].abcast("m");
         settle_origin_first(&rig);
         rig.assert_total_order(1);
-        let per_cast = frames_per_cast(&rig.rec.log());
-        assert_eq!(per_cast.len(), 2, "one request, one decision");
-        assert!(
-            per_cast.values().all(|&frames| frames == bound),
-            "{per_cast:?}"
-        );
+        let (requests, casts) = frames_per_message(&rig.rec.log());
+        let requests: Vec<usize> = requests.into_values().collect();
+        let casts: Vec<usize> = casts.into_values().collect();
+        assert_eq!(requests, [request_bound], "one request");
+        assert_eq!(casts, [cast_bound], "one decision");
     }
 }
 
@@ -201,10 +228,50 @@ fn a_request_whose_origin_crashed_mid_broadcast_is_still_ordered() {
 }
 
 #[test]
+fn a_request_whose_forward_went_to_a_coordinator_that_left_is_handed_to_the_next() {
+    // Site 2 reaches only site 3 and dies; site 3's forward to round 0's
+    // coordinator, site 0, is lost, and site 0 leaves. Site 1 coordinates
+    // round 0 of the next view, and all it learns of `m` is what site 3
+    // hands it at the view change.
+    let rig = Rig::new(4, 91);
+    let h = rig.net.handle();
+    rig.nodes[2].abcast("m");
+    rig.quiesce();
+    let pending = h.pending_datagrams();
+    assert_eq!(pending.len(), 3, "{pending:?}");
+    for dg in pending {
+        if dg.to == SiteId(3) {
+            assert!(h.pump_seq(dg.seq));
+        } else {
+            assert!(h.drop_seq(dg.seq));
+        }
+    }
+    h.crash(SiteId(2));
+    rig.quiesce();
+    for dg in h.pending_datagrams() {
+        if dg.to == SiteId(0) {
+            assert!(h.drop_seq(dg.seq));
+        }
+    }
+    rig.nodes[1].request_leave(SiteId(0));
+    rig.settle();
+
+    for i in [1, 3] {
+        let node = &rig.nodes[i];
+        assert!(!node.current_view().contains(SiteId(0)), "{:?}", node.site);
+        assert_eq!(
+            node.ab_delivered(),
+            vec![(SiteId(2), "m".into())],
+            "{:?}",
+            node.site
+        );
+    }
+}
+
+#[test]
 fn a_joining_coordinator_orders_what_was_cast_before_it_was_a_member() {
-    // Followers send nothing in round 0 because RelCast hands the
-    // coordinator the same requests — except when the coordinator joined
-    // after the cast. Views are sorted, so a joining lowest site is round
+    // Followers send nothing in round 0 because every request is sent to the
+    // coordinator — except when the coordinator joined after the cast. Views are sorted, so a joining lowest site is round
     // 0's coordinator from the moment it is a member. `m` is cast under the
     // old view and is not in the Join's batch. Held back, in turn:
     // - the decisions: `m` is pending at every incumbent when it installs

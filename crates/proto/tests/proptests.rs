@@ -133,6 +133,11 @@ fn arb_data() -> impl Strategy<Value = Wire> {
             ctx,
             payload: Payload::Cast(c)
         }),
+        (any::<u64>(), arb_ctx(), arb_ab()).prop_map(|(seq, ctx, m)| Wire::Data {
+            seq,
+            ctx,
+            payload: Payload::Request(m)
+        }),
         (any::<u64>(), arb_ctx(), arb_cons()).prop_map(|(seq, ctx, c)| Wire::Data {
             seq,
             ctx,
@@ -458,7 +463,7 @@ proptest! {
     /// reaches without a read phase and the one a later round reaches with
     /// it. Termination under what consensus assumes: channels between live
     /// sites lose nothing (RelComm), every live site gets to propose
-    /// (RelCast hands each the request), fewer than half crash and every
+    /// (the origin sends each the request), fewer than half crash and every
     /// crashed site is eventually suspected by every live one.
     #[test]
     fn consensus_agrees_always_and_terminates_on_reliable_channels(
