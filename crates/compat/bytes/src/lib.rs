@@ -5,7 +5,8 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! resolves `bytes` to this path crate. `Bytes` shares one allocation across
-//! clones and slices (an `Arc<[u8]>` plus a window), like the real crate;
+//! clones and slices (an `Arc<Vec<u8>>` plus a window), like the real crate,
+//! and takes a `Vec<u8>` — a frozen [`BytesMut`] too — without copying it;
 //! only the API surface the workspace exercises is provided.
 
 use std::ops::{Deref, RangeBounds};
@@ -13,9 +14,13 @@ use std::sync::Arc;
 
 /// Cheaply cloneable immutable byte buffer: a shared allocation plus a
 /// `[start, end)` window.
+///
+/// The allocation is the `Vec<u8>` the buffer was made from, moved behind
+/// an `Arc` as it is — its bytes stay where they were written. `None` is the
+/// empty buffer, which owns nothing.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -28,8 +33,9 @@ impl Bytes {
 
     /// Borrow a `'static` slice without copying.
     pub fn from_static(s: &'static [u8]) -> Bytes {
-        // One copy into the Arc; the real crate avoids it, but behaviour is
-        // identical and the workspace only uses this for tiny literals.
+        // One copy into a fresh allocation; the real crate avoids it, but
+        // behaviour is identical and the workspace only uses this for tiny
+        // literals.
         Bytes::from(s.to_vec())
     }
 
@@ -68,7 +74,7 @@ impl Bytes {
         };
         assert!(lo <= hi && hi <= len, "slice {lo}..{hi} out of range {len}");
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -87,7 +93,7 @@ impl Bytes {
             self.len()
         );
         let head = Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start,
             end: self.start + at,
         };
@@ -104,7 +110,10 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(v) => &v[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -114,11 +123,12 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Takes the vector as it is: no copy, and its spare capacity stays with it.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -400,27 +410,65 @@ mod tests {
     #[test]
     fn slice_and_split_share_window() {
         let b = Bytes::from_static(b"hello world");
+        let base = b.as_ptr() as usize;
         let w = b.slice(6..);
         assert_eq!(&w[..], b"world");
+        assert_eq!(w.as_ptr() as usize, base + 6, "same allocation");
+        assert_eq!(b.slice(2..4).slice(1..).as_ptr() as usize, base + 3);
         let mut rest = b.clone();
         let head = rest.split_to(5);
         assert_eq!(&head[..], b"hello");
         assert_eq!(&rest[..], b" world");
+        assert_eq!(head.as_ptr() as usize, base);
+        assert_eq!(rest.as_ptr() as usize, base + 5);
         assert_eq!(b.len(), 11, "original untouched");
     }
 
     #[test]
     fn eq_and_ord_on_window_not_backing() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash(b: &Bytes) -> u64 {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        }
         let a = Bytes::from_static(b"xab");
         let b = Bytes::from_static(b"yab");
         assert_eq!(a.slice(1..), b.slice(1..));
+        assert_eq!(hash(&a.slice(1..)), hash(&b.slice(1..)));
+        assert_eq!(hash(&a.slice(1..)), hash(&Bytes::copy_from_slice(b"ab")));
         assert!(a < b);
+        // Bytes outside the window never decide an order.
+        let (lo, hi) = (Bytes::from_static(b"zka"), Bytes::from_static(b"akb"));
+        assert!(lo.slice(1..) < hi.slice(1..));
     }
 
     #[test]
     #[should_panic(expected = "split_to")]
     fn split_past_end_panics() {
         Bytes::from_static(b"ab").split_to(3);
+    }
+
+    #[test]
+    fn freeze_and_from_vec_keep_the_bytes_where_they_were_written() {
+        let mut out = BytesMut::with_capacity(8);
+        out.put_slice(b"frozen");
+        let at = out.as_ptr();
+        assert_eq!(out.freeze().as_ptr(), at);
+        let v = b"moved".to_vec();
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at);
+    }
+
+    #[test]
+    fn the_empty_buffer_owns_nothing() {
+        let e = Bytes::new();
+        assert!(e.data.is_none());
+        assert!(e.is_empty());
+        assert_eq!(&e[..], b"");
+        assert_eq!(e.slice(..), Bytes::copy_from_slice(b""));
+        assert_eq!(e.clone().split_to(0).len(), 0);
     }
 
     #[test]

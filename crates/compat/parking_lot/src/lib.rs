@@ -30,7 +30,7 @@
 //! | `net/sim.rs`, 8 sites on `cv` and `quiesce_cv` | heap, `delivering`, `shutdown`: all under `state` |
 //! | `net/tcp.rs` `send`; `shutdown` | frame queued under `peer.state`; `shutdown` (atomic) passes through it |
 //! | `net/clock.rs` `Alarm::arm`, `Ticker::stop` | the deadline, `stopped` (atomics); pass through `lock`, under which the timer thread reads both before it waits |
-//! | `proto/kv.rs` `complete`, `core/external.rs` `ExtSlot::drop` | reply stored under `cell.slot`; `count` lowered under `count` |
+//! | `proto/kv.rs` `complete_all`, `core/external.rs` `ExtSlot::drop` | each reply stored under its `cell.slot`, every one before the first notify; `count` lowered under `count` |
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

@@ -8,6 +8,13 @@
 //! are delivered in instance order — messages within a batch in `uid`
 //! order — yielding the same total order at every site.
 //!
+//! What a decision makes deliverable goes up as runs, not one message at a
+//! time: one `ADeliver` per maximal run of consecutive user messages (an
+//! [`ARun`]), and a view operation — which ends a run — on `ADeliverView`
+//! between the two runs it separates (`runs`). The total order of user
+//! messages and view changes is the same as message by message; a handler
+//! above applies a whole run in one call.
+//!
 //! Only round 0's coordinator proposes in round 0 (`consensus.rs`), so a
 //! request must reach `view.coordinator(0)`; it need not reach every site.
 //! Its origin sends it once to every other member ([`Payload::Request`]).
@@ -33,6 +40,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
+use bytes::Bytes;
 use samoa_core::prelude::*;
 use samoa_core::TraceKind;
 use samoa_net::SiteId;
@@ -41,7 +49,45 @@ use crate::events::Events;
 use crate::msgs::{AbMsg, AbPayload, CastData, CastMsg, MsgUid, Payload, SyncMsg, UidSet};
 use crate::observe::{AbcastInstruments, ClusterTracer};
 use crate::relcomm::RDeliver;
-use crate::view::GroupView;
+use crate::view::{GroupView, ViewOp};
+
+/// What one `ADeliver` carries: a run of consecutive user messages of the
+/// total order, each with its uid, in delivery order. No view operation
+/// falls between two of them.
+pub type ARun = Vec<(MsgUid, Bytes)>;
+
+/// One step of handing deliverable messages up, in total order.
+#[derive(Debug, PartialEq, Eq)]
+enum Delivery {
+    /// A maximal run of user messages, for `ADeliver`.
+    Run(ARun),
+    /// The view operation that ended a run, for `ADeliverView`.
+    View(ViewOp, SiteId),
+}
+
+/// Split a deliverable sequence into maximal runs of user messages, each
+/// view operation on its own between the runs it separates. The parts, in
+/// order, are the sequence in order.
+fn runs(msgs: Vec<AbMsg>) -> impl Iterator<Item = Delivery> {
+    let mut msgs = msgs
+        .into_iter()
+        .map(|m| match m.payload {
+            AbPayload::User(bytes) => Ok((m.uid, bytes)),
+            AbPayload::ViewOp(op, site) => Err((op, site)),
+        })
+        .peekable();
+    std::iter::from_fn(move || match msgs.next()? {
+        Err((op, site)) => Some(Delivery::View(op, site)),
+        Ok(first) => {
+            let mut run = Vec::with_capacity(1 + msgs.len());
+            run.push(first);
+            while let Some(Ok(m)) = msgs.next_if(|m| m.is_ok()) {
+                run.push(m);
+            }
+            Some(Delivery::Run(run))
+        }
+    })
+}
 
 /// The local state of the atomic-broadcast microprotocol.
 pub struct AbcastState {
@@ -341,13 +387,11 @@ pub fn register(
                 (out, s.next_inst, s.proposal())
             });
             // Deliver in total order — synchronously, so the order is
-            // preserved end to end — each on its class's event.
-            for m in deliverable {
-                match m.payload {
-                    AbPayload::User(bytes) => {
-                        ctx.trigger_all(events.adeliver, EventData::new((m.uid, bytes)))?
-                    }
-                    AbPayload::ViewOp(op, site) => {
+            // preserved end to end — each part on its class's event.
+            for part in runs(deliverable) {
+                match part {
+                    Delivery::Run(run) => ctx.trigger_all(events.adeliver, EventData::new(run))?,
+                    Delivery::View(op, site) => {
                         ctx.trigger_all(events.adeliver_view, EventData::new((op, site)))?
                     }
                 }
@@ -355,7 +399,8 @@ pub fn register(
             ctx.trigger(events.cons_gc, EventData::new(gc_below))?;
             propose(ctx, &events, proposal)
         });
-        // A `Decide` can release a whole backlog of deliveries.
+        // A `Decide` can release a whole backlog of deliveries, as runs
+        // split by view operations.
         b.declare_fan_out(h, &[ev.adeliver, ev.adeliver_view]);
     }
 
@@ -432,7 +477,6 @@ pub fn register(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn st() -> AbcastState {
         AbcastState::new(SiteId(0), GroupView::of_first(3))
@@ -538,6 +582,49 @@ mod tests {
         other.pending = vec![m(1, 1), m(2, 2)];
         assert!(!joiner.apply_sync(&other));
         assert_eq!(joiner.pending_count(), 2);
+    }
+
+    fn view(seq: u64) -> AbMsg {
+        AbMsg {
+            uid: MsgUid {
+                origin: SiteId(0),
+                seq,
+            },
+            payload: AbPayload::ViewOp(ViewOp::Join, SiteId(9)),
+        }
+    }
+
+    /// What `ADeliver` carries for `m(..)`.
+    fn user(m: &AbMsg) -> (MsgUid, Bytes) {
+        (m.uid, Bytes::from_static(b"x"))
+    }
+
+    #[test]
+    fn runs_are_split_at_view_ops_and_keep_the_order() {
+        let (u1, u2, u3) = (m(1, 1), m(2, 1), m(1, 2));
+        let parts: Vec<_> = runs(vec![u1.clone(), u2.clone(), view(1), u3.clone()]).collect();
+        assert_eq!(
+            parts,
+            [
+                Delivery::Run(vec![user(&u1), user(&u2)]),
+                Delivery::View(ViewOp::Join, SiteId(9)),
+                Delivery::Run(vec![user(&u3)]),
+            ]
+        );
+        assert_eq!(runs(Vec::new()).count(), 0);
+        assert_eq!(
+            runs(vec![view(1)]).collect::<Vec<_>>(),
+            [Delivery::View(ViewOp::Join, SiteId(9))]
+        );
+        // Two view ops in a row have no run between them.
+        assert_eq!(
+            runs(vec![view(1), view(2), u1.clone()]).collect::<Vec<_>>(),
+            [
+                Delivery::View(ViewOp::Join, SiteId(9)),
+                Delivery::View(ViewOp::Join, SiteId(9)),
+                Delivery::Run(vec![user(&u1)]),
+            ]
+        );
     }
 
     #[test]

@@ -7,8 +7,9 @@ use bytes::Bytes;
 use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
+use crate::abcast::ARun;
 use crate::events::Events;
-use crate::msgs::{CastData, CastMsg, MsgUid};
+use crate::msgs::{CastData, CastMsg};
 use crate::view::GroupView;
 
 /// Everything the application observed, in arrival order.
@@ -53,9 +54,9 @@ pub fn register(
         let state = state.clone();
         let e = ev.adeliver;
         b.bind_with_triggers(e, pid, "app.on_adeliver", &[], move |ctx, data| {
-            let (uid, bytes): &(MsgUid, Bytes) = data.expect(e)?;
-            let item = (uid.origin, bytes.clone());
-            state.with(ctx, |s| s.ab_delivered.push(item));
+            let run: &ARun = data.expect(e)?;
+            let items = run.iter().map(|(uid, bytes)| (uid.origin, bytes.clone()));
+            state.with(ctx, |s| s.ab_delivered.extend(items));
             Ok(())
         });
     }

@@ -53,8 +53,9 @@ pub struct Events {
     pub deliver_out: EventType,
     /// Atomic-broadcast request: payload [`AbPayload`](crate::msgs::AbPayload).
     pub abcast: EventType,
-    /// Atomic-broadcast delivery (totally ordered) of a user payload:
-    /// `(MsgUid, Bytes)`.
+    /// Atomic-broadcast delivery (totally ordered) of a run of consecutive
+    /// user payloads, no view operation between them:
+    /// [`ARun`](crate::abcast::ARun), `(MsgUid, Bytes)` each.
     pub adeliver: EventType,
     /// Atomic-broadcast delivery (in the same total order) of a view
     /// operation: `(ViewOp, SiteId)`.

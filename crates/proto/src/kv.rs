@@ -19,6 +19,12 @@
 //! resolves once the applying computation has *completed* — the handler
 //! queues the reply with [`Ctx::after_completion`], so it leaves at Rule 3
 //! and the client's next request never meets the computation that woke it.
+//!
+//! One `ADeliver` carries a run of consecutive commands of a decision
+//! ([`ARun`]), and the handler applies the whole run in one call. The
+//! replies leave once per applying computation, for the whole run:
+//! [`KvWaiters::complete_all`] puts every reply in its slot before it wakes
+//! anyone, so a client woken for the oldest finds the rest ready.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -30,6 +36,7 @@ use parking_lot::{Condvar, Mutex};
 use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
+use crate::abcast::ARun;
 use crate::events::Events;
 use crate::msgs::MsgUid;
 use crate::observe::{ClusterTracer, KvInstruments};
@@ -131,40 +138,37 @@ impl KvCmd {
     }
 
     /// Decode from an abcast user payload; `None` if it is not a KV frame.
+    /// The key and value are windows on `b`, not copies of it.
     pub fn decode(b: &Bytes) -> Option<KvCmd> {
-        struct Rd<'a>(&'a [u8]);
+        /// A cursor over `b`: `at` is the next unread byte.
+        struct Rd<'a> {
+            b: &'a Bytes,
+            at: usize,
+        }
         impl Rd<'_> {
+            fn take(&mut self, n: usize) -> Option<&[u8]> {
+                let end = self.at.checked_add(n).filter(|&e| e <= self.b.len())?;
+                let h = &self.b[self.at..end];
+                self.at = end;
+                Some(h)
+            }
             fn u8(&mut self) -> Option<u8> {
-                let (h, t) = self.0.split_first()?;
-                self.0 = t;
-                Some(*h)
+                Some(self.take(1)?[0])
             }
             fn u64(&mut self) -> Option<u64> {
-                if self.0.len() < 8 {
-                    return None;
-                }
-                let (h, t) = self.0.split_at(8);
-                self.0 = t;
-                Some(u64::from_le_bytes(h.try_into().ok()?))
+                Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
             }
             fn bytes(&mut self) -> Option<Bytes> {
-                if self.0.len() < 4 {
-                    return None;
-                }
-                let (h, t) = self.0.split_at(4);
-                let len = u32::from_le_bytes(h.try_into().ok()?) as usize;
-                if t.len() < len {
-                    return None;
-                }
-                let (b, rest) = t.split_at(len);
-                self.0 = rest;
-                Some(Bytes::copy_from_slice(b))
+                let len = u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize;
+                let start = self.at;
+                self.take(len)?;
+                Some(self.b.slice(start..self.at))
             }
         }
         if b.len() < 3 || b[..2] != MAGIC {
             return None;
         }
-        let mut r = Rd(&b[2..]);
+        let mut r = Rd { b, at: 2 };
         let cmd = match r.u8()? {
             0 => KvCmd::Put {
                 req: r.u64()?,
@@ -192,7 +196,7 @@ impl KvCmd {
             }
             _ => return None,
         };
-        if r.0.is_empty() {
+        if r.at == b.len() {
             Some(cmd)
         } else {
             None
@@ -303,7 +307,7 @@ struct WaitCell {
 
 /// Client-latency accounting attached to a waiter set when metric
 /// instruments are installed: maps in-flight request ids to their submit
-/// instant so `complete` can observe the submit-to-reply latency.
+/// instant so `complete_all` can observe the submit-to-reply latency.
 struct KvObserver {
     ins: KvInstruments,
     started: HashMap<u64, Instant>,
@@ -349,21 +353,34 @@ impl KvWaiters {
         }
     }
 
-    /// Deliver the reply for request `req` (queued by the KV handler when
-    /// the origin site applies the command, run when that computation has
-    /// completed).
-    pub fn complete(&self, req: u64, reply: KvReply) {
+    /// Deliver the replies `(req, reply)` of the commands one computation
+    /// applied here (queued by the KV handler, run when that computation
+    /// has completed). Every reply is in its slot before any client is
+    /// woken: one woken for the oldest finds the rest ready and does not
+    /// sleep again. A request whose waiter has timed out is skipped.
+    pub fn complete_all(&self, replies: Vec<(u64, KvReply)>) {
         if let Some(o) = &self.observer {
             let mut o = o.lock();
-            if let Some(t0) = o.started.remove(&req) {
-                o.ins
-                    .apply_latency_us
-                    .observe(t0.elapsed().as_micros() as u64);
+            for (req, _) in &replies {
+                if let Some(t0) = o.started.remove(req) {
+                    o.ins
+                        .apply_latency_us
+                        .observe(t0.elapsed().as_micros() as u64);
+                }
             }
         }
-        let cell = self.cells.lock().remove(&req);
-        if let Some(cell) = cell {
-            *cell.slot.lock() = Some(reply);
+        let filled: Vec<Arc<WaitCell>> = {
+            let mut cells = self.cells.lock();
+            replies
+                .into_iter()
+                .filter_map(|(req, reply)| {
+                    let cell = cells.remove(&req)?;
+                    *cell.slot.lock() = Some(reply);
+                    Some(cell)
+                })
+                .collect()
+        };
+        for cell in filled {
             cell.cv.notify_all();
         }
     }
@@ -427,8 +444,9 @@ pub struct KvObserve {
 }
 
 /// Register the KV store on the builder: one handler bound to `ADeliver`
-/// (user payloads), applying the KV-framed ones in delivery order. A pure sink within the
-/// stack — it triggers nothing — so routing patterns stay unchanged.
+/// (a run of user payloads), applying the KV-framed ones in delivery order.
+/// A pure sink within the stack — it triggers nothing — so routing patterns
+/// stay unchanged.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
@@ -444,29 +462,38 @@ pub fn register(
     } = observe;
     let e = ev.adeliver;
     b.bind_with_triggers(e, pid, "kv.on_adeliver", &[], move |ctx, data| {
-        let (uid, bytes): &(MsgUid, Bytes) = data.expect(e)?;
-        let Some(cmd) = KvCmd::decode(bytes) else {
-            return Ok(()); // plain atomic-broadcast data
-        };
-        let uid = *uid;
-        let req = cmd.req();
-        let reply = state.with(ctx, |s| s.apply(uid, cmd));
-        if let Some(t) = &tracer {
-            t.emit(samoa_core::TraceKind::KvApply {
-                site: site.0,
-                origin: uid.origin.0,
-                op: uid.seq,
-            });
-        }
-        if let Some(ins) = &instruments {
-            ins.applies.inc();
-        }
-        if uid.origin == site {
-            // The reply leaves at Rule 3, not here: woken inside the
-            // handler, the client's next request would be handed versions
+        let run: &ARun = data.expect(e)?;
+        // The replies owed to this site's clients, in apply order.
+        let replies = state.with(ctx, |s| {
+            let mut replies = Vec::new();
+            for (uid, bytes) in run {
+                let Some(cmd) = KvCmd::decode(bytes) else {
+                    continue; // plain atomic-broadcast data
+                };
+                let req = cmd.req();
+                let reply = s.apply(*uid, cmd);
+                if let Some(t) = &tracer {
+                    t.emit(samoa_core::TraceKind::KvApply {
+                        site: site.0,
+                        origin: uid.origin.0,
+                        op: uid.seq,
+                    });
+                }
+                if let Some(ins) = &instruments {
+                    ins.applies.inc();
+                }
+                if uid.origin == site {
+                    replies.push((req, reply));
+                }
+            }
+            replies
+        });
+        if !replies.is_empty() {
+            // The replies leave at Rule 3, not here: woken inside the
+            // handler, a client's next request would be handed versions
             // behind this very computation and wait for it.
             let waiters = waiters.clone();
-            ctx.after_completion(move || waiters.complete(req, reply));
+            ctx.after_completion(move || waiters.complete_all(replies));
         }
         Ok(())
     })
@@ -604,27 +631,100 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
     }
 
+    fn ok(v: &'static [u8]) -> KvReply {
+        KvReply {
+            ok: true,
+            value: Some(Bytes::from_static(v)),
+        }
+    }
+
     #[test]
     fn waiters_complete_and_timeout() {
         let w = KvWaiters::default();
         let p = w.pending(1);
-        w.complete(
-            1,
-            KvReply {
-                ok: true,
-                value: None,
-            },
-        );
-        assert!(p.wait(Duration::from_millis(10)).is_some());
+        w.complete_all(vec![(1, ok(b"1"))]);
+        assert_eq!(p.wait(Duration::from_millis(10)), Some(ok(b"1")));
         let p2 = w.pending(2);
         assert!(p2.wait(Duration::from_millis(10)).is_none());
         // Completing after timeout is a no-op, not a panic.
-        w.complete(
-            2,
-            KvReply {
-                ok: true,
-                value: None,
-            },
-        );
+        w.complete_all(vec![(2, ok(b"2"))]);
+    }
+
+    /// Is the thread of this process named `name` asleep (procfs state
+    /// `S`)?
+    fn asleep(name: &str) -> bool {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        tasks.filter_map(|task| task.ok()).any(|task| {
+            let read = |file| std::fs::read_to_string(task.path().join(file)).unwrap_or_default();
+            // `stat` is `pid (comm) state …`.
+            read("comm").trim_end() == name
+                && read("stat")
+                    .rsplit(") ")
+                    .next()
+                    .unwrap_or("")
+                    .starts_with('S')
+        })
+    }
+
+    #[test]
+    fn a_client_woken_for_the_oldest_reply_finds_the_rest_of_the_run_ready() {
+        const CLIENT: &str = "kv-run-client";
+        let w = KvWaiters::default();
+        let first = w.pending(1);
+        let rest: Vec<KvPending> = (2..=4).map(|req| w.pending(req)).collect();
+        let last = Arc::clone(&w.cells.lock()[&4]);
+        let (woke, woken) = std::sync::mpsc::channel();
+        let client = std::thread::Builder::new()
+            .name(CLIENT.into())
+            .spawn(move || {
+                let reply = first.wait(Duration::from_secs(60));
+                woke.send(()).ok();
+                // Woken for the first: every other reply of that call is
+                // already in its slot, so none of these waits.
+                let others: Vec<_> = rest.into_iter().map(|p| p.wait(Duration::ZERO)).collect();
+                (reply, others)
+            })
+            .expect("spawn the client");
+        // The client is blocked on the first slot before any reply lands…
+        while !asleep(CLIENT) {
+            std::thread::yield_now();
+        }
+        // …and the last cannot land until this guard goes: the first three
+        // may, but whoever wakes the client before the fourth is in place
+        // is caught here.
+        let held = last.slot.lock();
+        let completer = {
+            let w = w.clone();
+            std::thread::spawn(move || w.complete_all((1..=4).map(|r| (r, ok(b"v"))).collect()))
+        };
+        let early = woken.recv_timeout(Duration::from_millis(100));
+        assert!(early.is_err(), "woken with the fourth reply still out");
+        drop(held);
+        completer.join().expect("completer thread");
+        let (reply, others) = client.join().expect("client thread");
+        assert_eq!(reply, Some(ok(b"v")));
+        assert_eq!(others, vec![Some(ok(b"v")); 3]);
+    }
+
+    #[test]
+    fn decode_windows_the_frame_it_is_given() {
+        let frame = KvCmd::Cas {
+            req: 3,
+            key: Bytes::from_static(b"key"),
+            expect: Some(Bytes::from_static(b"old")),
+            value: Bytes::from_static(b"new"),
+        }
+        .encode();
+        let Some(KvCmd::Cas {
+            key, expect, value, ..
+        }) = KvCmd::decode(&frame)
+        else {
+            panic!("not a cas");
+        };
+        let within = |b: &Bytes| {
+            let (lo, at) = (frame.as_ptr() as usize, b.as_ptr() as usize);
+            lo <= at && at + b.len() <= lo + frame.len()
+        };
+        assert!(within(&key) && within(&value) && expect.as_ref().is_some_and(within));
     }
 }

@@ -227,6 +227,17 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// How many bytes the payload takes in a data frame, its tag included:
+    /// exact, so that a datagram's buffer is sized once and never grows.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Payload::Cast(c) => cast_len(c),
+            Payload::Request(m) => ab_len(m),
+            Payload::Cons(c) => cons_len(c),
+            Payload::Sync(s) => sync_len(s),
+        }
+    }
+
     /// The uid of the cluster operation this payload is causally downstream
     /// of, when one is identifiable: the cast or the request itself, the
     /// first batch element for consensus values and decisions. `None` for
@@ -331,9 +342,15 @@ fn need(buf: &impl Buf, n: usize) -> DecResult<()> {
     }
 }
 
+// Each `*_len` is the number of bytes the `put_*` above it writes.
+
 fn put_bytes(out: &mut BytesMut, b: &Bytes) {
     out.put_u32_le(b.len() as u32);
     out.put_slice(b);
+}
+
+fn bytes_len(b: &Bytes) -> usize {
+    4 + b.len()
 }
 
 fn get_bytes(buf: &mut Bytes) -> DecResult<Bytes> {
@@ -347,6 +364,8 @@ fn put_uid(out: &mut BytesMut, uid: MsgUid) {
     out.put_u16_le(uid.origin.0);
     out.put_u64_le(uid.seq);
 }
+
+const UID_LEN: usize = 10;
 
 fn get_uid(buf: &mut Bytes) -> DecResult<MsgUid> {
     need(buf, 10)?;
@@ -374,6 +393,15 @@ fn put_ab(out: &mut BytesMut, m: &AbMsg) {
     }
 }
 
+fn ab_len(m: &AbMsg) -> usize {
+    UID_LEN
+        + 1
+        + match &m.payload {
+            AbPayload::User(b) => bytes_len(b),
+            AbPayload::ViewOp(..) => 3,
+        }
+}
+
 fn get_ab(buf: &mut Bytes) -> DecResult<AbMsg> {
     let uid = get_uid(buf)?;
     need(buf, 1)?;
@@ -398,6 +426,10 @@ fn put_batch(out: &mut BytesMut, batch: &[AbMsg]) {
     for m in batch {
         put_ab(out, m);
     }
+}
+
+fn batch_len(batch: &[AbMsg]) -> usize {
+    4 + batch.iter().map(ab_len).sum::<usize>()
 }
 
 fn get_batch(buf: &mut Bytes) -> DecResult<Vec<AbMsg>> {
@@ -427,6 +459,16 @@ fn put_cast(out: &mut BytesMut, m: &CastMsg) {
             put_batch(out, batch);
         }
     }
+}
+
+fn cast_len(m: &CastMsg) -> usize {
+    UID_LEN
+        + 1
+        + match &m.data {
+            CastData::User(b) => bytes_len(b),
+            CastData::AbRequest(ab) => ab_len(ab),
+            CastData::Decide { batch, .. } => 8 + batch_len(batch),
+        }
 }
 
 fn get_cast(buf: &mut Bytes) -> DecResult<CastMsg> {
@@ -493,6 +535,14 @@ fn put_cons(out: &mut BytesMut, m: &ConsMsg) {
     }
 }
 
+fn cons_len(m: &ConsMsg) -> usize {
+    1 + match m {
+        ConsMsg::Kick { est, .. } | ConsMsg::Estimate { est, .. } => 24 + batch_len(est),
+        ConsMsg::Propose { value, .. } => 16 + batch_len(value),
+        ConsMsg::Collect { .. } | ConsMsg::Ack { .. } => 16,
+    }
+}
+
 fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
     need(buf, 1)?;
     let tag = buf.get_u8();
@@ -547,6 +597,10 @@ fn put_sync(out: &mut BytesMut, s: &SyncMsg) {
     put_batch(out, &s.pending);
 }
 
+fn sync_len(s: &SyncMsg) -> usize {
+    24 + 2 * s.members.len() + 18 * s.delivered.len() + batch_len(&s.pending)
+}
+
 fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
     need(buf, 20)?;
     let next_inst = buf.get_u64_le();
@@ -589,9 +643,28 @@ fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
 impl Wire {
     /// Serialise one frame to bytes (a one-frame datagram).
     pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(64);
+        let mut out = BytesMut::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out.freeze()
+    }
+
+    /// How many bytes [`encode_into`](Wire::encode_into) appends for this
+    /// frame.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Wire::Data { ctx, payload, .. } => Wire::data_len(*ctx, payload),
+            Wire::Ack { .. } => Wire::ACK_LEN,
+            Wire::Heartbeat => 1,
+        }
+    }
+
+    /// The length of a [`Wire::Ack`] frame.
+    pub(crate) const ACK_LEN: usize = 9;
+
+    /// The length of the [`Wire::Data`] frame
+    /// [`encode_data_into`](Wire::encode_data_into) writes from these parts.
+    pub(crate) fn data_len(ctx: Option<TraceCtx>, payload: &Payload) -> usize {
+        10 + ctx.map_or(0, |_| 11) + payload.encoded_len()
     }
 
     /// Append this frame to `out`. Frames are self-delimiting, so a

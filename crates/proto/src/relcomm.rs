@@ -150,13 +150,15 @@ impl HopTable {
 /// One outbound datagram: the data frame, if any — sequence number, causal
 /// context, payload, encoded from where they are held — then the owed acks.
 fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + 9 * acks.len());
+    let data_len = data.map_or(0, |(_, ctx, payload)| Wire::data_len(ctx, payload));
+    let mut out = BytesMut::with_capacity(data_len + Wire::ACK_LEN * acks.len());
     if let Some((seq, ctx, payload)) = data {
         Wire::encode_data_into(seq, ctx, payload, &mut out);
     }
     for &seq in acks {
         Wire::Ack { seq }.encode_into(&mut out);
     }
+    debug_assert_eq!(out.len(), data_len + Wire::ACK_LEN * acks.len());
     out.freeze()
 }
 

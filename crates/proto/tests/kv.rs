@@ -3,12 +3,15 @@
 //! total order (prefix agreement, per-origin FIFO, no duplicates).
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use samoa_net::NetConfig;
-use samoa_proto::{Cluster, KvApplied, NodeConfig, StackPolicy};
+use samoa_core::{HandlerId, TraceEvent, TraceKind, TraceSink};
+use samoa_net::{NetConfig, SimNet, SiteId};
+use samoa_proto::{Cluster, KvApplied, Node, NodeConfig, Observe, StackPolicy};
 
 fn kv_cluster(n: usize, seed: u64, policy: StackPolicy) -> Cluster {
     Cluster::new(n, NetConfig::fast(seed), NodeConfig::with_policy(policy))
@@ -135,6 +138,106 @@ fn kv_and_plain_abcast_traffic_coexist() {
     assert_eq!(c.node(0).ab_delivered().len(), 3, "App saw all three");
     let d0 = c.node(0).kv_digest();
     assert!(c.nodes().iter().all(|n| n.kv_digest() == d0));
+}
+
+/// Counts one site's calls of two handlers, found by name once the node
+/// exists.
+#[derive(Default)]
+struct Calls {
+    handlers: OnceLock<[HandlerId; 2]>,
+    counts: [AtomicUsize; 2],
+}
+
+impl Calls {
+    const NAMES: [&'static str; 2] = ["abcast.on_deliver", "kv.on_adeliver"];
+
+    fn watch(&self, node: &Node) {
+        let id = |name| node.runtime().stack().handler_by_name(name).expect(name);
+        self.handlers
+            .set(Self::NAMES.map(id))
+            .expect("watched once");
+    }
+
+    fn counts(&self) -> [usize; 2] {
+        [0, 1].map(|i| self.counts[i].load(Ordering::SeqCst))
+    }
+}
+
+impl TraceSink for Calls {
+    fn event(&self, ev: TraceEvent) {
+        if let TraceKind::HandlerEnter { handler, .. } = ev.kind {
+            let watched = self.handlers.get();
+            if let Some(i) = watched.and_then(|hs| hs.iter().position(|&h| h == handler)) {
+                self.counts[i].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_decided_batch_is_applied_in_one_kv_call_at_every_site() {
+    const K: usize = 5;
+    for policy in [StackPolicy::Basic, StackPolicy::Route] {
+        // A manual network: nothing moves until the test pumps it.
+        let net = SimNet::new_manual(3, NetConfig::fast(21));
+        let cfg = NodeConfig {
+            policy,
+            enable_timers: false,
+            ..NodeConfig::default()
+        };
+        let sites: Vec<(Arc<Node>, Arc<Calls>)> = net
+            .sites()
+            .into_iter()
+            .map(|site| {
+                let calls = Arc::new(Calls::default());
+                let sink = Arc::clone(&calls) as Arc<dyn TraceSink>;
+                let node = Node::new_observed_on(
+                    Arc::new(net.handle()),
+                    site,
+                    cfg.clone(),
+                    None,
+                    Observe::traced(sink),
+                );
+                calls.watch(&node);
+                (node, calls)
+            })
+            .collect();
+        let coordinator = &sites[0].0;
+        assert_eq!(coordinator.site, SiteId(0));
+        // The first put has instance 0 to itself; the next K wait in the
+        // coordinator's `pending` for instance 1, which orders all of them.
+        let mut handles = vec![coordinator.kv_put("k0", "v0")];
+        handles.extend((1..=K).map(|i| coordinator.kv_put(format!("k{i}"), format!("v{i}"))));
+        net.handle().settle(|| {
+            for (node, _) in &sites {
+                node.runtime().quiesce();
+            }
+        });
+
+        for (i, h) in handles.into_iter().enumerate() {
+            let reply = h.wait(Duration::ZERO).expect("settled, so replied");
+            assert!(reply.ok && reply.value.is_none(), "{policy}: put {i}");
+        }
+        let (log, delivered) = (coordinator.kv_log(), coordinator.ab_delivered());
+        assert_eq!(log.len(), 1 + K, "{policy}");
+        for (node, calls) in &sites {
+            // Two decisions reached the site, and KV ran once per run they
+            // released — once each, or once for both where the second
+            // overtook the first (a worker may take them out of order) —
+            // never once per command.
+            let [decisions, kv_calls] = calls.counts();
+            assert_eq!(decisions, 2, "{policy}: {:?}", node.site);
+            assert!(
+                (1..=2).contains(&kv_calls),
+                "{policy}: {:?} {kv_calls}",
+                node.site
+            );
+            assert_eq!(node.kv_log(), log, "{policy}: {:?}", node.site);
+            assert_eq!(node.ab_delivered(), delivered, "{policy}: {:?}", node.site);
+            assert_eq!(node.kv_digest(), coordinator.kv_digest(), "{policy}");
+            assert_eq!(node.external_errors(), 0, "{policy}: {:?}", node.site);
+        }
+    }
 }
 
 proptest! {

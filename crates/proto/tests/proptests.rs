@@ -189,10 +189,17 @@ fn encode_all(frames: &[Wire]) -> Bytes {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// encode ∘ decode = identity for every wire message.
+    /// encode ∘ decode = identity for every wire message, and every frame —
+    /// every payload of a data frame — is as long as its `encoded_len` says.
     #[test]
     fn codec_roundtrip(w in arb_wire()) {
         let encoded = w.encode();
+        prop_assert_eq!(encoded.len(), w.encoded_len());
+        if let Wire::Data { ctx, payload, .. } = &w {
+            // Tag, seq and context flag; the context itself when present.
+            let header = 10 + ctx.map_or(0, |_| 11);
+            prop_assert_eq!(encoded.len(), header + payload.encoded_len());
+        }
         let decoded = Wire::decode(encoded).expect("decode failed");
         prop_assert_eq!(decoded, w);
     }
@@ -224,7 +231,9 @@ proptest! {
     /// decode_all ∘ encode = identity on frame lists.
     #[test]
     fn datagram_roundtrip(frames in arb_datagram()) {
-        let decoded = Wire::decode_all(encode_all(&frames)).expect("decode_all failed");
+        let encoded = encode_all(&frames);
+        prop_assert_eq!(encoded.len(), frames.iter().map(Wire::encoded_len).sum::<usize>());
+        let decoded = Wire::decode_all(encoded).expect("decode_all failed");
         prop_assert_eq!(decoded, frames);
     }
 
