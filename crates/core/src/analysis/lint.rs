@@ -156,10 +156,6 @@ pub fn validate_decl(stack: &Stack, decl: &Decl<'_>, root: Option<EventType>) ->
             let declared: BTreeSet<ProtocolId> = pids.iter().copied().collect();
             validate_m_set(&g, &declared, root, &mut r);
         }
-        Decl::ReadWrite(entries) => {
-            let declared: BTreeSet<ProtocolId> = entries.iter().map(|&(p, _)| p).collect();
-            validate_m_set(&g, &declared, root, &mut r);
-        }
         Decl::TwoPhase(pids) => {
             let declared: BTreeSet<ProtocolId> = pids.iter().copied().collect();
             validate_m_set(&g, &declared, root, &mut r);
@@ -176,7 +172,7 @@ pub fn validate_decl(stack: &Stack, decl: &Decl<'_>, root: Option<EventType>) ->
     r
 }
 
-/// `M`-set checks shared by `Basic`, `ReadWrite`, `TwoPhase` and `Bound`.
+/// `M`-set checks shared by `Basic`, `TwoPhase` and `Bound`.
 fn validate_m_set(
     g: &CallGraph,
     declared: &BTreeSet<ProtocolId>,

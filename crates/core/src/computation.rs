@@ -47,7 +47,7 @@ use crate::event::{EventData, EventType};
 use crate::exec::Handed;
 use crate::graph::RouteCheck;
 use crate::handler::HandlerId;
-use crate::policy::{AccessMode, CompMode, CompSpec, PvEntry};
+use crate::policy::{CompMode, CompSpec, PvEntry};
 use crate::protocol::ProtocolId;
 use crate::runtime::{RuntimeInner, Wait};
 use crate::sched::{ReleaseReason, SchedPoint, SchedResource};
@@ -77,8 +77,6 @@ pub(crate) enum Task {
     Closure {
         origin: Option<(HandlerId, ProtocolId)>,
         exec: Arc<ExecState>,
-        /// Inherited read-only restriction of the spawning handler.
-        read_only: bool,
         f: TaskFn,
     },
 }
@@ -364,18 +362,8 @@ impl ComputationInner {
                     self.set_error(e);
                 }
             }
-            Task::Closure {
-                origin,
-                exec,
-                read_only,
-                f,
-            } => {
-                let ctx = Ctx::new(
-                    Arc::clone(self),
-                    origin,
-                    OnceLock::from(Arc::clone(&exec)),
-                    read_only,
-                );
+            Task::Closure { origin, exec, f } => {
+                let ctx = Ctx::new(Arc::clone(self), origin, OnceLock::from(Arc::clone(&exec)));
                 let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                 match result {
                     Ok(Ok(())) => {}
@@ -487,35 +475,16 @@ impl ComputationInner {
         }
 
         // ---- Rule 2: admission ----
-        // Every versioning wait is `lv + k >= pv`: `k` is 1 (basic, route),
-        // the declared bound, or 0 for a reader, which waits for the writer
-        // at its snapshot epoch itself. Writers also wait out readers of
-        // older epochs; readers mind no reader (epoch 0). Blocked-time
-        // accounting lives inside `RuntimeInner::wait` and brackets only the
-        // parked phase, so an admission that never deschedules reads no
-        // clock at all.
-        let admit = |pv: u64, k: u64, epoch: u64| {
+        // Every versioning wait is `lv + k >= pv`: `k` is 1 (basic, route)
+        // or the declared bound. Blocked-time accounting lives inside
+        // `RuntimeInner::wait` and brackets only the parked phase, so an
+        // admission that never deschedules reads no clock at all.
+        let admit = |pv: u64, k: u64| {
             let idx = pid.index();
-            self.rt
-                .wait(Wait::Version { idx, pv, k, epoch }, Some(self.id));
+            self.rt.wait(Wait::Version { idx, pv, k }, Some(self.id));
         };
         match (self.spec.mode, declared) {
-            (CompMode::Basic, Some(e)) => match e.mode {
-                AccessMode::Write => admit(e.pv, 1, e.pv),
-                AccessMode::Read => {
-                    // Read-mode computations may only call read-only
-                    // handlers, and wait only for writers up to their
-                    // snapshot epoch.
-                    if !target.read_only {
-                        return Err(SamoaError::ReadModeViolation {
-                            comp: self.id,
-                            protocol: pid,
-                            handler,
-                        });
-                    }
-                    admit(e.pv, 0, 0);
-                }
-            },
+            (CompMode::Basic, Some(e)) => admit(e.pv, 1),
             (CompMode::Bound, Some(e)) => {
                 if !e.reserve() {
                     return Err(SamoaError::BoundExhausted {
@@ -524,7 +493,7 @@ impl ComputationInner {
                         bound: e.bound,
                     });
                 }
-                admit(e.pv, e.bound, e.pv);
+                admit(e.pv, e.bound);
             }
             (CompMode::Route, _) => {
                 let rs = self.spec.route.as_ref().expect("route spec");
@@ -535,7 +504,7 @@ impl ComputationInner {
                     self.route_check_to_result(check, caller, handler)?;
                 }
                 let e = declared.expect("pattern protocol declared");
-                admit(e.pv, 1, e.pv);
+                admit(e.pv, 1);
             }
             // Nothing to wait for: no admission control, or every declared
             // lock was acquired at spawn.
@@ -545,12 +514,7 @@ impl ComputationInner {
         // ---- execute ----
         self.rt.stats.note_handler_call();
         self.rt.history.record_call(self.id, event, handler);
-        let ctx = Ctx::new(
-            Arc::clone(self),
-            Some((handler, pid)),
-            OnceLock::new(),
-            target.read_only,
-        );
+        let ctx = Ctx::new(Arc::clone(self), Some((handler, pid)), OnceLock::new());
         let func = &target.func;
         let enter_ns = self.rt.trace.as_ref().map(|t| {
             let t0 = t.now_ns();
@@ -687,12 +651,6 @@ impl ComputationInner {
             }
             CompMode::Basic | CompMode::Bound => {
                 for e in &self.spec.entries {
-                    if e.mode == AccessMode::Read {
-                        // Release the reader hold registered at spawn.
-                        self.rt.versions[e.pid.index()].unregister_reader(e.pv);
-                        self.rt.vsignal(e.pid.index());
-                        continue;
-                    }
                     self.rt.raise_when_admitted(e.pid.index(), e.pv, e.bound);
                 }
             }

@@ -32,8 +32,6 @@ pub struct Ctx {
     /// the call's first [`Ctx::spawn`]: a call that spawns nothing — nearly
     /// every call — allocates nothing and releases as soon as it returns.
     exec: OnceLock<Arc<ExecState>>,
-    /// True while executing a handler registered with `bind_read_only`.
-    read_only: bool,
     /// Debug builds: the events this call has triggered so far, checked
     /// against its handler's declaration ([`Ctx::check_declared`]).
     #[cfg(debug_assertions)]
@@ -47,13 +45,11 @@ impl Ctx {
         comp: Arc<ComputationInner>,
         current: Option<(HandlerId, ProtocolId)>,
         exec: OnceLock<Arc<ExecState>>,
-        read_only: bool,
     ) -> Self {
         Ctx {
             comp,
             current,
             exec,
-            read_only,
             #[cfg(debug_assertions)]
             fired: parking_lot::Mutex::new(Vec::new()),
         }
@@ -92,11 +88,6 @@ impl Ctx {
     /// otherwise the last spawned closure to finish runs it.
     pub(crate) fn body_returned(&self) -> bool {
         self.exec.get().is_none_or(|exec| exec.finish_fn())
-    }
-
-    /// Is the current handler declared read-only?
-    pub(crate) fn in_read_only_handler(&self) -> bool {
-        self.read_only
     }
 
     /// The id of the computation this context belongs to.
@@ -229,7 +220,6 @@ impl Ctx {
         self.comp.enqueue(Task::Closure {
             origin: self.current,
             exec: Arc::clone(exec),
-            read_only: self.read_only,
             f: Box::new(f),
         });
     }

@@ -55,16 +55,6 @@ pub enum SamoaError {
         /// The handler missing from the pattern.
         handler: HandlerId,
     },
-    /// A computation that declared a microprotocol read-only tried to call
-    /// one of its read-write handlers (paper §7 isolation levels).
-    ReadModeViolation {
-        /// The offending computation.
-        comp: CompId,
-        /// The microprotocol declared read-only.
-        protocol: ProtocolId,
-        /// The read-write handler that was called.
-        handler: HandlerId,
-    },
     /// `trigger` was used on an event type with no bound handler.
     NoHandler {
         /// The event type with no binding.
@@ -157,14 +147,6 @@ impl fmt::Display for SamoaError {
             SamoaError::NotInPattern { comp, handler } => write!(
                 f,
                 "computation {comp}: handler {handler:?} is not a vertex of the routing pattern"
-            ),
-            SamoaError::ReadModeViolation {
-                comp,
-                protocol,
-                handler,
-            } => write!(
-                f,
-                "computation {comp} declared {protocol:?} read-only but called read-write handler {handler:?}"
             ),
             SamoaError::NoHandler { event } => {
                 write!(f, "no handler bound to event type {event:?}")

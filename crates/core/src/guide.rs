@@ -111,11 +111,11 @@
 //!
 //! ## 4. Extensions beyond the paper's core
 //!
-//! * **Read-only handlers** ([`StackBuilder::bind_read_only`]) and
-//!   read-mode declarations ([`Runtime::isolated_rw`] with
-//!   [`AccessMode::Read`]): readers of the same epoch share a
-//!   microprotocol; writers serialise against them. The paper's §7
-//!   "several levels of isolation", implemented.
+//! Admission has one rule, `lv + k ≥ pv`, for every handler. The paper's §7
+//! lists read-only handlers and "several levels of isolation" as future
+//! work; the runtime does not implement them. What stays of reads is in the
+//! checker: [`ProtocolState::read_with`] records a read, and two reads never
+//! conflict in [`Runtime::check_isolation`].
 //!
 //! ## 5. Static analysis
 //!
@@ -479,7 +479,7 @@
 //!   else. Concurrent raises linearize trivially — `fetch_max` commutes.
 //! * **Admission predicates are monotone in `lv`.** Every Rule-2 check has
 //!   the shape `lv + k >= pv` (`k = 1` for VCAbasic/VCAroute, the bound
-//!   for VCAbound, `k = 0` for read-mode). A predicate that is true stays
+//!   for VCAbound). A predicate that is true stays
 //!   true forever: private versions `pv` were fixed at spawn by the gv CAS
 //!   sweep, and `lv` never decreases. So an unlocked load that observes
 //!   the predicate true *is* the admission — there is nothing to
@@ -648,13 +648,12 @@
 //! [`SchedHook`]: crate::sched::SchedHook
 //! [`Runtime::new`]: crate::runtime::Runtime::new
 //! [`Runtime::isolated`]: crate::runtime::Runtime::isolated
+//! [`Runtime::check_isolation`]: crate::runtime::Runtime::check_isolation
 //! [`Runtime::isolated_bound`]: crate::runtime::Runtime::isolated_bound
 //! [`Runtime::isolated_route`]: crate::runtime::Runtime::isolated_route
-//! [`Runtime::isolated_rw`]: crate::runtime::Runtime::isolated_rw
 //! [`Runtime::spawn`]: crate::runtime::Runtime::spawn
 //! [`Runtime::stats`]: crate::runtime::Runtime::stats
 //! [`RuntimeConfig::max_threads_per_computation`]: crate::runtime::RuntimeConfig::max_threads_per_computation
-//! [`StackBuilder::bind_read_only`]: crate::stack::StackBuilder::bind_read_only
 //! [`StackBuilder::bind_with_triggers`]: crate::stack::StackBuilder::bind_with_triggers
 //! [`StackBuilder::declare_triggers`]: crate::stack::StackBuilder::declare_triggers
 //! [`StackBuilder::declare_fan_out`]: crate::stack::StackBuilder::declare_fan_out
@@ -663,4 +662,4 @@
 //! [`ProtocolState::with`]: crate::protocol::ProtocolState::with
 //! [`Ctx::spawn`]: crate::ctx::Ctx::spawn
 //! [`Ctx::after_completion`]: crate::ctx::Ctx::after_completion
-//! [`AccessMode::Read`]: crate::policy::AccessMode::Read
+//! [`ProtocolState::read_with`]: crate::protocol::ProtocolState::read_with

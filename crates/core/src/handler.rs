@@ -44,11 +44,6 @@ pub(crate) struct HandlerEntry {
     pub(crate) name: String,
     pub(crate) protocol: ProtocolId,
     pub(crate) func: HandlerFn,
-    /// Declared read-only (paper §7 future work): the handler promises not
-    /// to mutate its microprotocol's state, so computations that declared
-    /// the microprotocol with [`AccessMode::Read`](crate::policy::AccessMode)
-    /// may call it and share the microprotocol with other readers.
-    pub(crate) read_only: bool,
 }
 
 impl fmt::Debug for HandlerEntry {

@@ -12,10 +12,10 @@
 //!
 //! Accesses carry a read/write flag: [`ProtocolState::with`] records a
 //! write, [`ProtocolState::read_with`] a read, and two reads never conflict.
-//! This implements the finer checking that the paper's §7 lists as future
-//! work ("different types of handlers (read-only, read-and-write)"); stacks
-//! that never use read-only handlers get exactly the conservative
-//! all-writes semantics of the original model.
+//! Reads come from `read_with` inside ordinary handlers, not from a
+//! read-only kind of handler (the paper's §7 future work, which the runtime
+//! does not implement); a stack that only calls `with` gets exactly the
+//! conservative all-writes semantics of the original model.
 //!
 //! [`ProtocolState::with`]: crate::protocol::ProtocolState::with
 //! [`ProtocolState::read_with`]: crate::protocol::ProtocolState::read_with

@@ -75,7 +75,7 @@ pub use history::{check_serializable, Access, History, IsolationViolation, RunEn
 pub use metrics::{
     instruments_touched, Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
 };
-pub use policy::{AccessMode, CellKind, Policy};
+pub use policy::{CellKind, Policy};
 pub use protocol::{ProtocolId, ProtocolState};
 pub use runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};
 pub use sched::{ExternalChoice, ReleaseReason, SchedHook, SchedPoint, SchedResource};
@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::external::External;
     pub use crate::graph::RoutePattern;
     pub use crate::handler::HandlerId;
-    pub use crate::policy::{AccessMode, Policy};
+    pub use crate::policy::Policy;
     pub use crate::protocol::{ProtocolId, ProtocolState};
     pub use crate::runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};
     pub use crate::stack::{Stack, StackBuilder};

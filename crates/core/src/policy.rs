@@ -153,36 +153,18 @@ pub(crate) enum CompMode {
     Locked,
 }
 
-/// How a computation may access a declared microprotocol (paper §7 future
-/// work: "different types of handlers (read-only, read-and-write) and
-/// several levels of isolation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccessMode {
-    /// Full access: the computation serialises with every other computation
-    /// on this microprotocol (the paper's original semantics).
-    #[default]
-    Write,
-    /// Read-only access: the computation may only call this microprotocol's
-    /// read-only handlers; read-only computations of the same epoch share
-    /// the microprotocol, serialising only against writers.
-    Read,
-}
-
 /// Private version bookkeeping for one declared microprotocol (`pv[p]_k`,
 /// `bound[p]_k`, and the number of visits consumed so far).
 #[derive(Debug)]
 pub(crate) struct PvEntry {
     pub(crate) pid: ProtocolId,
-    /// The private version this computation obtained in Rule 1 (for readers:
-    /// the snapshot epoch — `gv_p` at spawn, without incrementing).
+    /// The private version this computation obtained in Rule 1.
     pub(crate) pv: u64,
     /// Declared least upper bound on visits (1 for basic/route).
     pub(crate) bound: u64,
     /// Visits consumed; admission reserves before calling so that concurrent
     /// threads of the same computation cannot overrun the bound.
     pub(crate) used: AtomicU64,
-    /// Declared access mode.
-    pub(crate) mode: AccessMode,
 }
 
 /// The resolved specification of a computation: its mode plus the version
@@ -245,7 +227,7 @@ impl LockCell {
 
     /// The parking tail of an acquisition, for after a failed probe.
     pub(crate) fn park_acquire(&self) {
-        self.seam.park(|_| self.try_acquire().then_some(()), || {});
+        self.seam.park(|| self.try_acquire().then_some(()), || {});
     }
 
     /// Non-blocking acquire — one CAS.
@@ -318,9 +300,6 @@ mod tests {
             Policy::Bound.decl(&protocols, &bounds, &route),
             Decl::Bound(m) if m == bounds
         ));
-        // Access modes refine `isolated M e`; the algorithm is still VCAbasic.
-        let rw = [(ProtocolId(0), AccessMode::Read)];
-        assert_eq!(Decl::ReadWrite(&rw).policy(), Policy::Basic);
     }
 
     #[test]
@@ -330,7 +309,6 @@ mod tests {
             pv: 3,
             bound: 2,
             used: AtomicU64::new(0),
-            mode: AccessMode::Write,
         };
         assert!(e.reserve());
         assert!(e.reserve());
@@ -385,14 +363,12 @@ mod tests {
                     pv: 1,
                     bound: 1,
                     used: AtomicU64::new(0),
-                    mode: AccessMode::Write,
                 },
                 PvEntry {
                     pid: ProtocolId(4),
                     pv: 2,
                     bound: 1,
                     used: AtomicU64::new(0),
-                    mode: AccessMode::Write,
                 },
             ],
             route: None,

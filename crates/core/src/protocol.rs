@@ -123,12 +123,6 @@ impl<S> ProtocolState<S> {
     /// same thread panics on the inner `RefCell`.)
     pub fn with<R>(&self, ctx: &Ctx, f: impl FnOnce(&mut S) -> R) -> R {
         self.assert_ownership(ctx);
-        assert!(
-            !ctx.in_read_only_handler(),
-            "read-only handler mutated the state of {:?}; use read_with, or \
-             bind the handler without bind_read_only",
-            self.pid
-        );
         ctx.note_state_access(self.pid, true);
         let guard = self.inner.lock();
         let mut state = guard.borrow_mut();
@@ -136,9 +130,8 @@ impl<S> ProtocolState<S> {
     }
 
     /// Read-only access from inside a handler. Recorded as a *read* for the
-    /// isolation checker; the only state access allowed inside handlers
-    /// registered with
-    /// [`StackBuilder::bind_read_only`](crate::stack::StackBuilder::bind_read_only).
+    /// isolation checker ([`history`](crate::history)), which orders reads
+    /// only against writes.
     pub fn read_with<R>(&self, ctx: &Ctx, f: impl FnOnce(&S) -> R) -> R {
         self.assert_ownership(ctx);
         ctx.note_state_access(self.pid, false);

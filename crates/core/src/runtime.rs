@@ -39,7 +39,7 @@ use crate::external::ExtGate;
 use crate::graph::{RoutePattern, RouteState};
 use crate::handler::HandlerId;
 use crate::history::{History, HistoryRecorder, IsolationViolation};
-use crate::policy::{AccessMode, CompMode, CompSpec, LockCell, Policy, PvEntry};
+use crate::policy::{CompMode, CompSpec, LockCell, Policy, PvEntry};
 use crate::protocol::ProtocolId;
 use crate::sched::{SchedHook, SchedPoint, SchedResource};
 use crate::stack::Stack;
@@ -101,14 +101,12 @@ impl RuntimeConfig {
 /// under and what it declares a priori (paper §4).
 ///
 /// The uniform entry point for callers that choose the algorithm at run
-/// time; protocol code usually calls the typed conveniences ([`Runtime::isolated`], [`Runtime::isolated_bound`], …).
+/// time; hosts ([`Runtime::external`]) make one from a [`Policy`] with
+/// [`Policy::decl`].
 #[derive(Debug, Clone)]
 pub enum Decl<'a> {
     /// `isolated M e` — VCAbasic over the microprotocols in `M`.
     Basic(&'a [ProtocolId]),
-    /// `isolated M e` with per-microprotocol access modes (paper §7 future
-    /// work: read-only declarations let readers share a microprotocol).
-    ReadWrite(&'a [(ProtocolId, AccessMode)]),
     /// `isolated bound M e` — VCAbound with per-microprotocol visit bounds.
     Bound(&'a [(ProtocolId, u64)]),
     /// `isolated route M e` — VCAroute over a declared routing pattern.
@@ -124,10 +122,10 @@ pub enum Decl<'a> {
 
 impl Decl<'_> {
     /// The algorithm this declaration runs under — the inverse of
-    /// [`Policy::decl`]; access modes ([`Decl::ReadWrite`]) are VCAbasic.
+    /// [`Policy::decl`].
     pub fn policy(&self) -> Policy {
         match self {
-            Decl::Basic(_) | Decl::ReadWrite(_) => Policy::Basic,
+            Decl::Basic(_) => Policy::Basic,
             Decl::Bound(_) => Policy::Bound,
             Decl::Route(_) => Policy::Route,
             Decl::Serial => Policy::Serial,
@@ -275,14 +273,9 @@ pub(crate) struct RuntimeInner {
 /// [`SchedHook`] without a closure per call site.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Wait {
-    /// `lv + k >= pv` on version cell `idx`, with no reader hold below
-    /// `epoch` (the cell's admission triple, see [`VersionCell`]).
-    Version {
-        idx: usize,
-        pv: u64,
-        k: u64,
-        epoch: u64,
-    },
+    /// `lv + k >= pv` on version cell `idx` (the cell's admission pair,
+    /// see [`VersionCell`]).
+    Version { idx: usize, pv: u64, k: u64 },
     /// 2PL lock slot `idx`, taken by the waiter when the wait ends.
     Lock(usize),
     /// No computation is active.
@@ -327,9 +320,7 @@ impl RuntimeInner {
     /// One non-blocking try of `w`.
     fn attempt(&self, w: Wait) -> bool {
         match w {
-            Wait::Version { idx, pv, k, epoch } => {
-                self.versions[idx].try_admit(pv, k, epoch).is_some()
-            }
+            Wait::Version { idx, pv, k } => self.versions[idx].try_admit(pv, k).is_some(),
             Wait::Lock(idx) => self.locks[idx].try_acquire(),
             Wait::Quiesce => self.active_count() == 0,
         }
@@ -339,11 +330,11 @@ impl RuntimeInner {
     /// that knows whether the runtime is free-running or hooked.
     fn block(&self, w: Wait) {
         match (&self.hook, w) {
-            (None, Wait::Version { idx, pv, k, epoch }) => {
-                self.versions[idx].park_admit(pv, k, epoch);
+            (None, Wait::Version { idx, pv, k }) => {
+                self.versions[idx].park_admit(pv, k);
             }
             (None, Wait::Lock(idx)) => self.locks[idx].park_acquire(),
-            (None, Wait::Quiesce) => self.quiesce.park(|_| self.attempt(w).then_some(()), || {}),
+            (None, Wait::Quiesce) => self.quiesce.park(|| self.attempt(w).then_some(()), || {}),
             (Some(h), _) => {
                 while !self.attempt(w) {
                     h.block(w.resource());
@@ -387,8 +378,7 @@ impl RuntimeInner {
         let span = self.trace.as_ref().map(|t| {
             let (idx, blocker) = match w {
                 // The blocker is the oldest holder in `(lv, pv]` other than
-                // the waiter: a writer skips its own hold at `pv`, a reader
-                // has none and waits for the writer holding `pv` itself.
+                // the waiter, which skips its own hold at `pv`.
                 Wait::Version { idx, pv, .. } => {
                     let lv = self.versions[idx].get();
                     (idx, t.wait_begin(comp, idx, pv + 1, lv))
@@ -434,13 +424,7 @@ impl RuntimeInner {
     /// raise, so an unlocked check + `fetch_max` is linearizable against
     /// concurrent bumps (see `version.rs` module docs).
     pub(crate) fn raise_when_admitted(&self, idx: usize, pv: u64, k: u64) {
-        let admitted = Wait::Version {
-            idx,
-            pv,
-            k,
-            epoch: 0,
-        };
-        self.wait(admitted, None);
+        self.wait(Wait::Version { idx, pv, k }, None);
         self.versions[idx].raise_to(pv);
         self.vsignal(idx);
     }
@@ -596,14 +580,9 @@ impl Runtime {
         self.inner.versions[p.index()].get()
     }
 
-    /// Active reader holds on a microprotocol (diagnostics/tests).
-    pub fn reader_holds(&self, p: ProtocolId) -> usize {
-        self.inner.versions[p.index()].reader_holds()
-    }
-
     /// A human-readable snapshot of the runtime's version state — one line
-    /// per microprotocol with its global version (`gv`), local version
-    /// (`lv`) and reader holds, plus the number of active computations.
+    /// per microprotocol with its global version (`gv`) and local version
+    /// (`lv`), plus the number of active computations.
     /// For debugging stuck stacks: a protocol with `lv < gv` is held by
     /// `gv - lv` not-yet-released computations.
     pub fn debug_snapshot(&self) -> String {
@@ -614,9 +593,8 @@ impl Runtime {
         {
             let gv = self.inner.gv[i].load(Ordering::SeqCst) >> 1;
             let lv = self.inner.versions[i].get();
-            let holds = self.inner.versions[i].reader_holds();
             out.push_str(&format!(
-                "  {name:<16} gv={gv:<6} lv={lv:<6} pending={:<4} readers={holds}\n",
+                "  {name:<16} gv={gv:<6} lv={lv:<6} pending={}\n",
                 gv.saturating_sub(lv),
             ));
         }
@@ -633,15 +611,13 @@ impl Runtime {
         self.inner.stats.spawned.fetch_add(1, Ordering::Relaxed);
         let spec = self.make_spec(decl);
         if let Some(t) = &self.inner.trace {
-            // Register this computation's writer holds (the versions Rule 1
-            // just allocated) so later waiters can name it as their blocker.
-            t.on_spawn(
-                id,
-                spec.entries
-                    .iter()
-                    .filter(|e| spec.mode != CompMode::Locked && e.mode == AccessMode::Write)
-                    .map(|e| (e.pid.index(), e.pv)),
-            );
+            // Register this computation's holds (the versions Rule 1 just
+            // allocated) so later waiters can name it as their blocker.
+            let holds = match spec.mode {
+                CompMode::Locked => &[][..],
+                _ => &spec.entries[..],
+            };
+            t.on_spawn(id, holds.iter().map(|e| (e.pid.index(), e.pv)));
             t.emit(TraceKind::Spawn {
                 comp: id,
                 algo: decl.policy(),
@@ -662,26 +638,18 @@ impl Runtime {
 
     fn make_spec(&self, decl: &Decl<'_>) -> CompSpec {
         let all;
-        let w = AccessMode::Write;
-        let (mode, pairs): (CompMode, Vec<(ProtocolId, u64, AccessMode)>) = match decl {
+        let (mode, pairs): (CompMode, Vec<(ProtocolId, u64)>) = match decl {
             Decl::Unsync => (CompMode::Unsync, Vec::new()),
-            Decl::Basic(pids) => (CompMode::Basic, dedup_max(pids.iter().map(|&p| (p, 1, w)))),
-            Decl::ReadWrite(entries) => (
-                CompMode::Basic,
-                dedup_max(entries.iter().map(|&(p, m)| (p, 1, m))),
-            ),
+            Decl::Basic(pids) => (CompMode::Basic, dedup_max(pids.iter().map(|&p| (p, 1)))),
             Decl::Serial => {
                 all = self.inner.stack.all_protocols();
-                (CompMode::Basic, dedup_max(all.iter().map(|&p| (p, 1, w))))
+                (CompMode::Basic, dedup_max(all.iter().map(|&p| (p, 1))))
             }
-            Decl::Bound(entries) => (
-                CompMode::Bound,
-                dedup_max(entries.iter().map(|&(p, b)| (p, b, w))),
-            ),
-            Decl::TwoPhase(pids) => (CompMode::Locked, dedup_max(pids.iter().map(|&p| (p, 0, w)))),
+            Decl::Bound(entries) => (CompMode::Bound, dedup_max(entries.iter().copied())),
+            Decl::TwoPhase(pids) => (CompMode::Locked, dedup_max(pids.iter().map(|&p| (p, 0)))),
             Decl::Route(pattern) => {
                 let rs = RouteState::new(pattern, |h| self.inner.stack.handler_protocol(h));
-                let pairs = dedup_max(rs.protocols().iter().map(|&p| (p, 1, w)));
+                let pairs = dedup_max(rs.protocols().iter().map(|&p| (p, 1)));
                 let entries = self.allocate_versions(CompMode::Route, &pairs);
                 return CompSpec {
                     mode: CompMode::Route,
@@ -709,17 +677,10 @@ impl Runtime {
     /// argument (§6, younger always waits on strictly older) needs —
     /// while disjoint spawns proceed fully in parallel, one uncontended CAS
     /// plus one store per declared cell, zero allocation beyond the entry
-    /// vector. Read-mode declarations snapshot the epoch *without* bumping
-    /// and register a reader hold while the cell's gate is still held, so
-    /// any writer spawned later is guaranteed to observe the hold before
-    /// its own admission check.
-    fn allocate_versions(
-        &self,
-        mode: CompMode,
-        pairs: &[(ProtocolId, u64, AccessMode)],
-    ) -> Vec<PvEntry> {
+    /// vector.
+    fn allocate_versions(&self, mode: CompMode, pairs: &[(ProtocolId, u64)]) -> Vec<PvEntry> {
         // Phase 1: gate every declared cell, ascending.
-        for &(pid, _, _) in pairs {
+        for &(pid, _) in pairs {
             assert!(
                 pid.index() < self.inner.gv.len(),
                 "declared unknown protocol {pid:?}"
@@ -759,24 +720,16 @@ impl Runtime {
         // over, which is all 2PL serializability needs.
         pairs
             .iter()
-            .map(|&(pid, bound, access)| {
+            .map(|&(pid, bound)| {
                 let cell = &self.inner.gv[pid.index()];
-                let increment = if mode == CompMode::Locked || access == AccessMode::Read {
-                    0
-                } else {
-                    bound
-                };
+                let increment = if mode == CompMode::Locked { 0 } else { bound };
                 let pv = (cell.load(Ordering::Relaxed) >> 1) + increment;
-                if access == AccessMode::Read && mode != CompMode::Locked {
-                    self.inner.versions[pid.index()].register_reader(pv);
-                }
                 cell.store(pv << 1, Ordering::SeqCst);
                 PvEntry {
                     pid,
                     pv,
                     bound,
                     used: AtomicU64::new(0),
-                    mode: access,
                 }
             })
             .collect()
@@ -878,18 +831,6 @@ impl Runtime {
         self.run(Decl::Basic(m), f)
     }
 
-    /// `isolated M e` with per-microprotocol access modes, blocking:
-    /// read-only declarations let this computation share those
-    /// microprotocols with other readers of the same epoch (paper §7
-    /// "several levels of isolation", implemented).
-    pub fn isolated_rw<R>(
-        &self,
-        m: &[(ProtocolId, AccessMode)],
-        f: impl FnOnce(&Ctx) -> Result<R>,
-    ) -> Result<R> {
-        self.run(Decl::ReadWrite(m), f)
-    }
-
     /// `isolated bound M e` (VCAbound, §5.2), blocking: each microprotocol
     /// is declared with a least upper bound on visits, and is released to
     /// successors as soon as its budget is exhausted.
@@ -974,15 +915,6 @@ impl Runtime {
         f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
     ) -> CompHandle {
         self.spawn(Decl::Basic(m), f)
-    }
-
-    /// Detached `isolated M e` with access modes.
-    pub fn spawn_isolated_rw(
-        &self,
-        m: &[(ProtocolId, AccessMode)],
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
-    ) -> CompHandle {
-        self.spawn(Decl::ReadWrite(m), f)
     }
 
     /// Detached `isolated bound M e`.
@@ -1142,7 +1074,7 @@ impl std::fmt::Debug for CompHandle {
 /// Execute the computation's closure body on the current thread, tying
 /// route-root release to the body *and* the threads it spawned.
 fn root_execute(comp: &Arc<ComputationInner>, f: impl FnOnce(&Ctx) -> Result<()>) {
-    let ctx = Ctx::new(Arc::clone(comp), None, OnceLock::new(), false);
+    let ctx = Ctx::new(Arc::clone(comp), None, OnceLock::new());
     let outcome = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
     match outcome {
         Ok(Ok(())) => {}
@@ -1158,24 +1090,17 @@ fn root_execute(comp: &Arc<ComputationInner>, f: impl FnOnce(&Ctx) -> Result<()>
     comp.release_pending();
 }
 
-/// Deduplicate a declaration, keeping the maximum bound and the stronger
-/// access mode per protocol, sorted by protocol id (the order `PvEntry`
-/// lookup requires).
-fn dedup_max(
-    pairs: impl Iterator<Item = (ProtocolId, u64, AccessMode)>,
-) -> Vec<(ProtocolId, u64, AccessMode)> {
-    let mut v: Vec<(ProtocolId, u64, AccessMode)> = pairs.collect();
-    v.sort_by_key(|&(p, _, _)| p);
+/// Deduplicate a declaration, keeping the maximum bound per protocol,
+/// sorted by protocol id (the order `PvEntry` lookup requires).
+fn dedup_max(pairs: impl Iterator<Item = (ProtocolId, u64)>) -> Vec<(ProtocolId, u64)> {
+    let mut v: Vec<(ProtocolId, u64)> = pairs.collect();
+    v.sort_by_key(|&(p, _)| p);
     v.dedup_by(|later, earlier| {
-        if later.0 == earlier.0 {
+        let same = later.0 == earlier.0;
+        if same {
             earlier.1 = earlier.1.max(later.1);
-            if later.2 == AccessMode::Write {
-                earlier.2 = AccessMode::Write;
-            }
-            true
-        } else {
-            false
         }
+        same
     });
     v
 }
@@ -1191,24 +1116,19 @@ mod tests {
 
     #[test]
     fn dedup_max_merges() {
-        use AccessMode::{Read, Write};
         let v = dedup_max(
             [
-                (ProtocolId(2), 1, Read),
-                (ProtocolId(0), 3, Write),
-                (ProtocolId(2), 5, Write),
-                (ProtocolId(0), 1, Read),
-                (ProtocolId(7), 1, Read),
+                (ProtocolId(2), 1),
+                (ProtocolId(0), 3),
+                (ProtocolId(2), 5),
+                (ProtocolId(0), 1),
+                (ProtocolId(7), 1),
             ]
             .into_iter(),
         );
         assert_eq!(
             v,
-            vec![
-                (ProtocolId(0), 3, Write),
-                (ProtocolId(2), 5, Write),
-                (ProtocolId(7), 1, Read),
-            ]
+            vec![(ProtocolId(0), 3), (ProtocolId(2), 5), (ProtocolId(7), 1)]
         );
     }
 
@@ -1281,15 +1201,7 @@ mod tests {
         advance(&script);
         advance(&script);
         let (idx, pv, k) = (0, 3, 1);
-        rt.inner.wait(
-            Wait::Version {
-                idx,
-                pv,
-                k,
-                epoch: pv,
-            },
-            Some(7),
-        );
+        rt.inner.wait(Wait::Version { idx, pv, k }, Some(7));
         assert_eq!(
             script.take_calls(),
             [

@@ -75,48 +75,12 @@ impl StackBuilder {
             "unknown protocol {protocol:?}"
         );
         assert!(event.index() < self.events.len(), "unknown event {event:?}");
-        self.bind_inner(event, protocol, name, Arc::new(f) as HandlerFn, false)
-    }
-
-    /// Like [`StackBuilder::bind`], but declares the handler **read-only**:
-    /// it promises not to mutate its microprotocol's state (use
-    /// [`ProtocolState::read_with`](crate::protocol::ProtocolState::read_with)
-    /// inside). Computations that declared the microprotocol with
-    /// [`AccessMode::Read`](crate::policy::AccessMode::Read) may only call
-    /// read-only handlers.
-    pub fn bind_read_only<F>(
-        &mut self,
-        event: EventType,
-        protocol: ProtocolId,
-        name: &str,
-        f: F,
-    ) -> HandlerId
-    where
-        F: Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static,
-    {
-        self.bind_inner(event, protocol, name, Arc::new(f) as HandlerFn, true)
-    }
-
-    fn bind_inner(
-        &mut self,
-        event: EventType,
-        protocol: ProtocolId,
-        name: &str,
-        func: HandlerFn,
-        read_only: bool,
-    ) -> HandlerId {
-        assert!(
-            protocol.index() < self.protocols.len(),
-            "unknown protocol {protocol:?}"
-        );
-        assert!(event.index() < self.events.len(), "unknown event {event:?}");
         let id = HandlerId(self.handlers.len() as u32);
         self.handlers.push(HandlerEntry {
             id,
             name: name.to_string(),
             protocol,
-            func,
-            read_only,
+            func: Arc::new(f) as HandlerFn,
         });
         self.triggers.push(None);
         self.fan_outs.push(Vec::new());
@@ -305,11 +269,6 @@ impl Stack {
     /// The microprotocol a handler belongs to.
     pub fn handler_protocol(&self, h: HandlerId) -> ProtocolId {
         self.inner.handlers[h.index()].protocol
-    }
-
-    /// Was the handler declared read-only?
-    pub fn handler_read_only(&self, h: HandlerId) -> bool {
-        self.inner.handlers[h.index()].read_only
     }
 
     /// Handlers bound to an event type, in bind order.

@@ -554,7 +554,7 @@ impl TraceCtl {
         deliver_at(&self.sink, t_ns, kind);
     }
 
-    /// Rule 1 ran: register `comp`'s writer holds.
+    /// Rule 1 ran: register `comp`'s holds (the versions it was given).
     pub(crate) fn on_spawn(&self, comp: CompId, holds: impl Iterator<Item = (usize, u64)>) {
         let mut reg = self.reg.lock();
         let mut mine = Vec::new();

@@ -15,10 +15,10 @@
 //! rest of an uncontended handler call make one: see "The parking seam"
 //! below and `protocol.rs`). Every
 //! admission condition in the tree has one shape, `lv + k >= pv` (`k` = 1
-//! for VCAbasic and VCAroute, the declared bound for VCAbound, 0 for the
-//! read mode), so an admission is *data* — `(pv, k, epoch)` — not a closure,
-//! and the cell has one admission primitive in three steps: `try_admit`
-//! (one check), the bounded `probe`, `park_admit`.
+//! for VCAbasic and VCAroute, the declared bound for VCAbound), so an
+//! admission is *data* — `(pv, k)` — not a closure, and the cell has one
+//! admission primitive in three steps: `try_admit` (one check), the bounded
+//! `probe`, `park_admit`.
 //!
 //! All admission conditions are **monotone** (once true they stay true as
 //! `lv` grows), and all advances are monotone raises (`fetch_add`,
@@ -56,8 +56,8 @@
 //! if the waker sees `waiters == 0`, the waiter's increment came later, so
 //! the waiter's subsequent re-try observes the changed word and never
 //! parks. The argument needs two things of a user: the condition reads only
-//! `SeqCst` atomics (or data guarded by the park mutex), and every change
-//! that can make it true is followed by `wake`. The seam's unit tests and
+//! `SeqCst` atomics, and every change that can make it true is followed by
+//! `wake`. The seam's unit tests and
 //! `crates/core/tests/version_proptest.rs` exercise it under randomized
 //! interleavings.
 //!
@@ -72,21 +72,7 @@
 //! worker is busy, costs a load. The seam's own count stays because its
 //! word changes *outside* the mutex: it is what lets `wake` skip the lock,
 //! not only the notify.
-//!
-//! ## Reader sharing (paper §7 future work)
-//!
-//! The cell additionally tracks *reader holds*: a computation that declares
-//! `p` read-only registers a hold at its snapshot epoch (the value of `gv_p`
-//! at spawn) and releases it at completion. Readers of the same epoch share
-//! freely; a **write** admission must additionally wait until no reader
-//! holds an epoch *older than* the writer's private version — those readers
-//! serialise before the writer. Readers spawned later get a newer epoch and
-//! wait for the writer's release through the ordinary `lv` condition, so
-//! every wait still points from younger to older computations and the
-//! protocol remains deadlock-free. An atomic hold count gates the epoch-map
-//! check, so a writer admission with no readers anywhere never locks.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -201,25 +187,20 @@ pub(crate) fn probe<R>(mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
 
 /// Where threads park until an atomic word changes, and how the side that
 /// changes it wakes them — the one implementation of the protocol argued in
-/// the module docs. `T` is extra data the park mutex guards for its user
-/// (the version cell's reader-epoch map); conditions may read it.
+/// the module docs. The park mutex guards no data: it only orders a
+/// waiter's registration and re-try against the waker's notify.
 #[derive(Debug, Default)]
-pub(crate) struct ParkSeam<T = ()> {
-    /// Threads inside [`Self::park`] (registered under `guarded`).
+pub(crate) struct ParkSeam {
+    /// Threads inside [`Self::park`] (registered under `mutex`).
     waiters: AtomicU64,
-    guarded: Mutex<T>,
+    mutex: Mutex<()>,
     cv: Condvar,
 }
 
-impl<T> ParkSeam<T> {
-    /// The park mutex, for access to the data it guards.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
-        self.guarded.lock()
-    }
-
+impl ParkSeam {
     /// Park until `attempt` succeeds: register, then re-try under the park
     /// mutex before every wait. `woke` runs after each wake-up.
-    pub(crate) fn park<R>(&self, attempt: impl FnMut(&T) -> Option<R>, woke: impl Fn()) -> R {
+    pub(crate) fn park<R>(&self, attempt: impl FnMut() -> Option<R>, woke: impl Fn()) -> R {
         self.park_with(attempt, woke, |cv, guard| {
             cv.wait(guard);
             true
@@ -232,14 +213,14 @@ impl<T> ParkSeam<T> {
     /// seam itself reads no clock) ever says no.
     fn park_with<R>(
         &self,
-        mut attempt: impl FnMut(&T) -> Option<R>,
+        mut attempt: impl FnMut() -> Option<R>,
         woke: impl Fn(),
-        mut wait: impl FnMut(&Condvar, &mut MutexGuard<'_, T>) -> bool,
+        mut wait: impl FnMut(&Condvar, &mut MutexGuard<'_, ()>) -> bool,
     ) -> Option<R> {
-        let mut guard = self.guarded.lock();
+        let mut guard = self.mutex.lock();
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let out = loop {
-            if let Some(r) = attempt(&*guard) {
+            if let Some(r) = attempt() {
                 break Some(r);
             }
             PARKS.fetch_add(1, Ordering::Relaxed);
@@ -259,47 +240,35 @@ impl<T> ParkSeam<T> {
     pub(crate) fn wake(&self) {
         if self.waiters.load(Ordering::SeqCst) > 0 {
             PARK_NOTIFIES.fetch_add(1, Ordering::Relaxed);
-            let _guard = self.guarded.lock();
+            let _guard = self.mutex.lock();
             self.cv.notify_all();
         }
     }
 }
 
-/// A waitable, monotonically increasing local version counter (`lv_p`) with
-/// reader-hold tracking. Lock-free on the uncontended paths; see the module
-/// docs for the parking protocol.
+/// A waitable, monotonically increasing local version counter (`lv_p`).
+/// Lock-free on the uncontended paths; see the module docs for the parking
+/// protocol.
 ///
 /// The type (and its wait/advance surface) is `pub` so the concurrency
 /// test battery (`crates/core/tests/version_proptest.rs`) can drive it
 /// under adversarial interleavings from outside the crate; it is an
 /// internal primitive, not a stable API.
 ///
-/// An admission is the triple `(pv, k, epoch)`: it holds once
-/// `lv + k >= pv` **and** no reader holds an epoch older than `epoch`. A
-/// write admission passes `epoch = pv`; a read admission — and the Rule-3
-/// wait, which ignores readers — passes `epoch = 0`, below which no reader
-/// can be.
+/// An admission is the pair `(pv, k)`: it holds once `lv + k >= pv`. The
+/// Rule-3 wait before a raise is the same admission.
 #[derive(Debug, Default)]
 pub struct VersionCell {
     /// The local version. Advanced only by monotone raises.
     lv: AtomicU64,
-    /// Active reader holds, summed over epochs — gates the epoch map.
-    reader_count: AtomicU64,
-    /// Where admissions park. Its mutex also owns the reader epoch map
-    /// (readers are the rare case, and keeping the map under the park mutex
-    /// lets the parked re-try of "`lv + k >= pv` and no older readers" be
-    /// race-free).
-    seam: ParkSeam<BTreeMap<u64, usize>>,
+    /// Where admissions park.
+    seam: ParkSeam,
     /// Times a waiter woke up and re-tried its admission (both the parked
     /// path here and the cooperative path in `RuntimeInner`). Shared: the
     /// runtime hands every cell the *same* counter — the
     /// `version_wait_wakeups` member of its `StatCounters` — so
     /// `RuntimeStats` reads one atomic instead of summing per-cell values.
     wakeups: Arc<AtomicU64>,
-}
-
-fn readers_below(readers: &BTreeMap<u64, usize>, epoch: u64) -> bool {
-    readers.range(..epoch).any(|(_, &count)| count > 0)
 }
 
 impl VersionCell {
@@ -322,47 +291,24 @@ impl VersionCell {
         self.lv.load(Ordering::SeqCst)
     }
 
-    /// One non-blocking admission check: `Some(lv)` if `(pv, k, epoch)`
-    /// holds now. One atomic load — the Rule-2 fast path — unless the
-    /// admission minds readers (`epoch > 0`) and reader holds exist on the
-    /// cell, in which case the epoch map is consulted under the park mutex.
-    pub fn try_admit(&self, pv: u64, k: u64, epoch: u64) -> Option<u64> {
+    /// One non-blocking admission check: `Some(lv)` if `lv + k >= pv` holds
+    /// now. One atomic load — the Rule-2 fast path.
+    pub fn try_admit(&self, pv: u64, k: u64) -> Option<u64> {
         let v = self.lv.load(Ordering::SeqCst);
-        if v + k < pv {
-            return None;
-        }
-        if epoch == 0 || self.reader_count.load(Ordering::SeqCst) == 0 {
-            return Some(v);
-        }
-        self.admit_under(&self.seam.lock(), pv, k, epoch)
-    }
-
-    /// The admission check with the park mutex held: `lv` is re-read under
-    /// it so the map check and the version check see a consistent "now".
-    fn admit_under(
-        &self,
-        readers: &BTreeMap<u64, usize>,
-        pv: u64,
-        k: u64,
-        epoch: u64,
-    ) -> Option<u64> {
-        let v = self.lv.load(Ordering::SeqCst);
-        (v + k >= pv && !readers_below(readers, epoch)).then_some(v)
+        (v + k >= pv).then_some(v)
     }
 
     /// The parking tail of an admission, for after a failed [`probe`].
-    pub(crate) fn park_admit(&self, pv: u64, k: u64, epoch: u64) -> u64 {
-        self.seam.park(
-            |readers| self.admit_under(readers, pv, k, epoch),
-            || self.note_wakeup(),
-        )
+    pub(crate) fn park_admit(&self, pv: u64, k: u64) -> u64 {
+        self.seam
+            .park(|| self.try_admit(pv, k), || self.note_wakeup())
     }
 
-    /// Block until `(pv, k, epoch)` holds and return the `lv` that
-    /// satisfied it: probe, then park. The runtime runs the two halves
-    /// itself, to account for the parked one only.
-    pub fn admit(&self, pv: u64, k: u64, epoch: u64) -> u64 {
-        probe(|| self.try_admit(pv, k, epoch)).unwrap_or_else(|| self.park_admit(pv, k, epoch))
+    /// Block until `lv + k >= pv` holds and return the `lv` that satisfied
+    /// it: probe, then park. The runtime runs the two halves itself, to
+    /// account for the parked one only.
+    pub fn admit(&self, pv: u64, k: u64) -> u64 {
+        probe(|| self.try_admit(pv, k)).unwrap_or_else(|| self.park_admit(pv, k))
     }
 
     /// Count one waiter wake-up (admission re-try).
@@ -390,39 +336,6 @@ impl VersionCell {
             self.seam.wake();
         }
     }
-
-    /// Register a reader hold at `epoch`. Called while the runtime's Rule-1
-    /// sweep holds this cell's `gv` gate bit, so a writer spawned later —
-    /// which must acquire the same gate — is guaranteed to observe the hold
-    /// (the atomic count *and*, via the park mutex, the epoch entry) before
-    /// its own admission check.
-    pub fn register_reader(&self, epoch: u64) {
-        let mut readers = self.seam.lock();
-        *readers.entry(epoch).or_insert(0) += 1;
-        self.reader_count.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Release a reader hold registered at `epoch`, waking writers parked
-    /// on an older-reader condition.
-    pub fn unregister_reader(&self, epoch: u64) {
-        {
-            let mut readers = self.seam.lock();
-            match readers.get_mut(&epoch) {
-                Some(count) if *count > 1 => *count -= 1,
-                Some(_) => {
-                    readers.remove(&epoch);
-                }
-                None => debug_assert!(false, "unregistering a reader that is not held"),
-            }
-            self.reader_count.fetch_sub(1, Ordering::SeqCst);
-        }
-        self.seam.wake();
-    }
-
-    /// Number of active reader holds (diagnostics).
-    pub fn reader_holds(&self) -> usize {
-        self.reader_count.load(Ordering::SeqCst) as usize
-    }
 }
 
 #[cfg(test)]
@@ -431,13 +344,13 @@ mod tests {
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
-    impl<T> ParkSeam<T> {
+    impl ParkSeam {
         /// [`ParkSeam::park`], giving up with `None` after `timeout` — so a
         /// test hunting a lost wake-up fails instead of hanging.
         fn park_timeout<R>(
             &self,
             timeout: Duration,
-            attempt: impl FnMut(&T) -> Option<R>,
+            attempt: impl FnMut() -> Option<R>,
         ) -> Option<R> {
             let deadline = Instant::now() + timeout;
             self.park_with(
@@ -452,8 +365,7 @@ mod tests {
         /// [`VersionCell::admit`] without the probe, giving up after
         /// `timeout`.
         fn admit_timeout(&self, pv: u64, k: u64, timeout: Duration) -> Option<u64> {
-            self.seam
-                .park_timeout(timeout, |readers| self.admit_under(readers, pv, k, 0))
+            self.seam.park_timeout(timeout, || self.try_admit(pv, k))
         }
     }
 
@@ -502,11 +414,11 @@ mod tests {
     /// releases it, so whoever sees `n` registered and then gets the mutex
     /// finds them all parked. A waiter gets there after a bounded number of
     /// tries (`probe`), so the latch is reached promptly.
-    fn wait_until_parked<T>(seam: &ParkSeam<T>, n: u64) {
+    fn wait_until_parked(seam: &ParkSeam, n: u64) {
         while seam.waiters.load(Ordering::SeqCst) < n {
             std::thread::yield_now();
         }
-        drop(seam.lock());
+        drop(seam.mutex.lock());
     }
 
     /// The Dekker argument, forced: the word changes only *after* the
@@ -515,14 +427,14 @@ mod tests {
     #[test]
     fn waiter_registered_before_the_change_is_always_woken() {
         const ROUNDS: u64 = 1000;
-        let seam = Arc::new(ParkSeam::<()>::default());
+        let seam = Arc::new(ParkSeam::default());
         let word = Arc::new(AtomicU64::new(0));
         let (ack_tx, ack_rx) = mpsc::channel();
         let waiter = {
             let (seam, word) = (Arc::clone(&seam), Arc::clone(&word));
             std::thread::spawn(move || {
                 for round in 1..=ROUNDS {
-                    let woken = seam.park_timeout(Duration::from_secs(10), |_| {
+                    let woken = seam.park_timeout(Duration::from_secs(10), || {
                         (word.load(Ordering::SeqCst) >= round).then_some(())
                     });
                     ack_tx.send(woken.is_some()).unwrap();
@@ -546,11 +458,11 @@ mod tests {
     /// users: `crates/core/tests/fast_path_guard.rs`.)
     #[test]
     fn wake_without_a_waiter_takes_no_lock() {
-        let seam = Arc::new(ParkSeam::<()>::default());
+        let seam = Arc::new(ParkSeam::default());
         let (done_tx, done_rx) = mpsc::channel();
         let held = Arc::clone(&seam);
         std::thread::spawn(move || {
-            let _guard = held.lock();
+            let _guard = held.mutex.lock();
             held.wake();
             done_tx.send(()).unwrap();
         });
@@ -561,14 +473,14 @@ mod tests {
 
     #[test]
     fn park_reports_each_wakeup() {
-        let seam = Arc::new(ParkSeam::<()>::default());
+        let seam = Arc::new(ParkSeam::default());
         let word = Arc::new(AtomicU64::new(0));
         let woke = Arc::new(AtomicU64::new(0));
         let waiter = {
             let (seam, word, woke) = (Arc::clone(&seam), Arc::clone(&word), Arc::clone(&woke));
             std::thread::spawn(move || {
                 seam.park(
-                    |_| (word.load(Ordering::SeqCst) == 1).then_some(()),
+                    || (word.load(Ordering::SeqCst) == 1).then_some(()),
                     || {
                         woke.fetch_add(1, Ordering::SeqCst);
                     },
@@ -614,14 +526,14 @@ mod tests {
     #[test]
     fn admit_returns_immediately_when_satisfied() {
         let c = VersionCell::new();
-        assert_eq!(c.admit(0, 0, 0), 0);
+        assert_eq!(c.admit(0, 0), 0);
     }
 
     #[test]
     fn admit_wakes_on_bump() {
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.admit(3, 0, 0));
+        let t = std::thread::spawn(move || c2.admit(3, 0));
         for _ in 0..3 {
             wait_until_parked(&c.seam, 1);
             c.bump();
@@ -642,7 +554,7 @@ mod tests {
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || {
-            c2.admit(1, 0, 0);
+            c2.admit(1, 0);
             c2.raise_to(10);
             c2.get()
         });
@@ -658,7 +570,7 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || c.admit(1, 0, 0)));
+            handles.push(std::thread::spawn(move || c.admit(1, 0)));
         }
         wait_until_parked(&c.seam, 8);
         c.bump();
@@ -668,63 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn reader_holds_register_and_release() {
-        let c = VersionCell::new();
-        c.register_reader(0);
-        c.register_reader(0);
-        c.register_reader(2);
-        assert_eq!(c.reader_holds(), 3);
-        c.unregister_reader(0);
-        assert_eq!(c.reader_holds(), 2);
-        c.unregister_reader(0);
-        c.unregister_reader(2);
-        assert_eq!(c.reader_holds(), 0);
-    }
-
-    #[test]
-    fn write_admission_blocks_on_older_reader() {
-        let c = Arc::new(VersionCell::new());
-        c.register_reader(0); // reader at epoch 0
-        let c2 = Arc::clone(&c);
-        // Writer with pv = 1: lv condition (lv + 1 >= 1) holds, but the
-        // epoch-0 reader blocks it.
-        let t = std::thread::spawn(move || c2.admit(1, 1, 1));
-        wait_until_parked(&c.seam, 1);
-        assert!(!t.is_finished(), "writer ignored the reader hold");
-        c.unregister_reader(0);
-        assert_eq!(t.join().unwrap(), 0);
-    }
-
-    #[test]
-    fn write_admission_ignores_newer_readers() {
-        let c = VersionCell::new();
-        c.register_reader(5); // reader spawned after the writer
-                              // Writer with pv = 1 must not wait for it.
-        assert_eq!(c.admit(1, 1, 1), 0);
-    }
-
-    #[test]
-    fn read_admission_is_a_write_admission_at_epoch_zero() {
-        let c = VersionCell::new();
-        c.register_reader(0);
-        c.register_reader(3);
-        // No reader is below epoch 0, whatever holds exist.
-        assert_eq!(c.try_admit(0, 0, 0), Some(0));
-        assert_eq!(c.try_admit(1, 0, 0), None, "still waits for lv");
-        assert_eq!(c.try_admit(0, 0, 1), None, "epoch 1 minds the epoch-0 hold");
-    }
-
-    #[test]
     fn try_admit_does_not_block() {
         let c = VersionCell::new();
-        assert_eq!(c.try_admit(1, 0, 0), None);
+        assert_eq!(c.try_admit(1, 0), None);
         c.bump();
-        assert_eq!(c.try_admit(1, 0, 0), Some(1));
-        c.register_reader(0);
-        assert_eq!(c.try_admit(1, 0, 2), None, "older reader blocks");
-        c.unregister_reader(0);
-        assert_eq!(c.try_admit(1, 0, 2), Some(1));
-        assert_eq!(c.try_admit(5, 0, 0), None);
+        assert_eq!(c.try_admit(1, 0), Some(1));
+        assert_eq!(c.try_admit(5, 0), None);
         assert_eq!(c.get(), 1, "a failed admission must not move lv");
     }
 
@@ -733,7 +594,7 @@ mod tests {
         let c = Arc::new(VersionCell::new());
         assert_eq!(c.wakeups.load(Ordering::Relaxed), 0);
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.admit(2, 0, 0));
+        let t = std::thread::spawn(move || c2.admit(2, 0));
         wait_until_parked(&c.seam, 1);
         c.bump();
         wait_until_parked(&c.seam, 1);
@@ -742,18 +603,6 @@ mod tests {
         assert!(c.get() >= 2);
         // The first bump found the waiter parked, so it woke and re-tried.
         assert!(c.wakeups.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn readers_of_same_epoch_share() {
-        let c = VersionCell::new();
-        c.register_reader(3);
-        c.register_reader(3);
-        // A writer at pv=3 is not blocked by epoch-3 readers (they are
-        // "after" it in serial order)...
-        assert_eq!(c.admit(1, 1, 3), 0);
-        // ...but a writer at pv=4 is.
-        assert!(readers_below(&c.seam.lock(), 4));
     }
 
     // The "uncontended traffic never parks" claim is pinned by
@@ -766,7 +615,7 @@ mod tests {
         let before = parks();
         let c = Arc::new(VersionCell::new());
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.admit(1, 0, 0));
+        let t = std::thread::spawn(move || c2.admit(1, 0));
         wait_until_parked(&c.seam, 1);
         c.bump();
         assert_eq!(t.join().unwrap(), 1);

@@ -9,8 +9,7 @@
 //! (`samoa_core::version` module docs) and the monotone-raise
 //! linearizability argument claim; the interleavings are randomized with
 //! per-operation delay jitter so the schedules actually differ run to run
-//! within each case. An admission is the triple `(pv, k, epoch)`:
-//! `lv + k >= pv` with no reader hold below `epoch`.
+//! within each case. An admission is the pair `(pv, k)`: `lv + k >= pv`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -83,7 +82,7 @@ proptest! {
             let cell = Arc::clone(&cell);
             let slot = Arc::clone(slot);
             handles.push(std::thread::spawn(move || {
-                let v = cell.admit(target, 0, 0);
+                let v = cell.admit(target, 0);
                 slot.store(v, Ordering::SeqCst);
             }));
         }
@@ -161,7 +160,7 @@ proptest! {
             let pv = k + 1;
             handles.push(std::thread::spawn(move || {
                 jitter(j);
-                cell.admit(pv, 1, 0);
+                cell.admit(pv, 1);
                 cell.raise_to(pv);
             }));
         }
@@ -219,52 +218,4 @@ proptest! {
         prop_assert_eq!(violations.load(Ordering::Relaxed), 0, "lv moved backwards");
     }
 
-    /// Reader holds gate writers exactly up to their epoch: a writer at
-    /// `pv` blocks while any reader holds an epoch `< pv` and proceeds the
-    /// moment the last such hold is released — under a random population
-    /// of reader epochs.
-    #[test]
-    fn writers_wait_for_older_readers_only(
-        epochs in proptest::collection::vec(0u64..6, 1..6),
-        pv in 1u64..8,
-    ) {
-        let cell = Arc::new(VersionCell::new());
-        for &e in &epochs {
-            cell.register_reader(e);
-        }
-        let older: Vec<u64> = epochs.iter().copied().filter(|&e| e < pv).collect();
-        // `k = pv` makes the version condition vacuous (`lv + pv >= pv`):
-        // only the reader holds decide.
-        let blocked = cell.try_admit(pv, pv, pv).is_none();
-        prop_assert_eq!(
-            blocked,
-            !older.is_empty(),
-            "try_admit blocked={} with older readers {:?} (pv {})",
-            blocked, older, pv
-        );
-
-        // Release all holds from another thread while a writer waits.
-        let writer = {
-            let cell = Arc::clone(&cell);
-            std::thread::spawn(move || {
-                cell.admit(pv, pv, pv);
-            })
-        };
-        let releaser = {
-            let cell = Arc::clone(&cell);
-            let epochs = epochs.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_micros(200));
-                for e in epochs {
-                    cell.unregister_reader(e);
-                }
-            })
-        };
-        join_all_within(
-            vec![writer, releaser],
-            Duration::from_secs(20),
-            "writer vs readers",
-        );
-        prop_assert_eq!(cell.reader_holds(), 0);
-    }
 }

@@ -319,7 +319,7 @@ fn every_entry_thread_at_once_converges_over_tcp_without_a_worker() {
 
 /// Notes, at every exit of the Kv handler and on the thread that ran it,
 /// how many replies this site had handed to its clients by then
-/// (`KvWaiters::complete` is what fills `site0.kv.apply_latency_us`).
+/// (`KvWaiters::complete_all` is what fills `site0.kv.apply_latency_us`).
 struct ReplyProbe {
     kv_handler: OnceLock<samoa_core::HandlerId>,
     registry: Arc<Registry>,
@@ -381,7 +381,7 @@ fn a_reply_leaves_after_rule_3_so_whoever_it_wakes_finds_nothing_held() {
         assert!(reply.is_some(), "{policy}: no reply");
         for line in snapshot.lines().skip(1) {
             assert!(
-                line.contains(" pending=0 "),
+                line.ends_with(" pending=0"),
                 "{policy}: woken into\n{snapshot}"
             );
         }
