@@ -57,8 +57,8 @@ impl ConflictMatrix {
     /// Analyze `stack` with computations rooted at `externals`, returning
     /// the matrix and the `SA05x` report. Pass
     /// [`Stack::all_events`](crate::stack::Stack::all_events) when every
-    /// event may arrive externally (the conservative default the strict
-    /// runtime uses).
+    /// event may arrive externally (the conservative default `samoa-lint`
+    /// uses).
     pub fn analyze(stack: &Stack, externals: &[EventType]) -> (ConflictMatrix, Report) {
         let g = CallGraph::from_stack(stack);
         let n = stack.protocol_count();

@@ -4,9 +4,8 @@
 //! [`codes`]), a [`Severity`], a human-readable message, and optional
 //! anchors into the stack (handler / microprotocol / event). Analyses
 //! collect diagnostics into a [`Report`], which renders compiler-style
-//! (`error[SA010]: …`) and is what
-//! [`RuntimeConfig::strict_analysis`](crate::runtime::RuntimeConfig::strict_analysis)
-//! gates on.
+//! (`error[SA010]: …`); `samoa-lint --deny` turns its worst severity into an
+//! exit code.
 
 use std::fmt;
 
@@ -17,10 +16,8 @@ use crate::protocol::ProtocolId;
 /// Stable diagnostic codes. `SA00x` come from the stack linter
 /// ([`lint_stack`](crate::analysis::lint_stack)), `SA01x` are Error-level
 /// declaration defects, `SA02x`/`SA03x` Warning-level slack and
-/// imprecision (see [`validate_decl`](crate::analysis::validate_decl)),
-/// `SA04x` are admission-deadlock findings
-/// ([`analyze_deadlocks`](crate::analysis::analyze_deadlocks)) and `SA05x`
-/// conflict-reachability findings
+/// imprecision (see [`validate_decl`](crate::analysis::validate_decl)) and
+/// `SA05x` conflict-reachability findings
 /// ([`ConflictMatrix`](crate::analysis::ConflictMatrix)).
 pub mod codes {
     /// An event type has no bound handler; triggering it fails at run time.
@@ -50,10 +47,6 @@ pub mod codes {
     pub const DEAD_ROUTE_VERTEX: &str = "SA022";
     /// A cycle in the call graph prevents precise visit-bound analysis.
     pub const CYCLE_BOUND_UNKNOWN: &str = "SA030";
-    /// The static wait-can-precede graph has a cycle: a schedule exists in
-    /// which Rule-2 admission waits can deadlock. The message carries the
-    /// witness cycle (microprotocols and the nested-spawn sites closing it).
-    pub const ADMISSION_DEADLOCK: &str = "SA040";
     /// A microprotocol has handlers, but no analyzed root event reaches it:
     /// a bound/lock on it can be declared, yet no schedule can contend there.
     pub const UNREACHABLE_CONFLICT: &str = "SA050";
@@ -172,8 +165,7 @@ impl Report {
         self.diagnostics.is_empty()
     }
 
-    /// True when at least one finding is Error-level — the condition
-    /// strict runtimes reject on.
+    /// True when at least one finding is Error-level.
     pub fn has_errors(&self) -> bool {
         self.count(Severity::Error) > 0
     }

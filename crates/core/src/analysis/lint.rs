@@ -138,8 +138,8 @@ pub fn lint_stack(stack: &Stack, external: &[EventType]) -> Report {
 /// missing microprotocols / too-small bounds / missing routes are Errors
 /// (`SA010`–`SA012`), superfluous ones Warnings (`SA020`–`SA022`).
 ///
-/// With `root = None` (what the runtime's strict mode uses, since a closure
-/// body may trigger anything) only *closure* is checked: everything the
+/// With `root = None` (for a closure body, which may trigger anything)
+/// only *closure* is checked: everything the
 /// declared resources can transitively call must itself be declared. This
 /// is conservative — a declaration tailored to a subset of a
 /// microprotocol's handlers may be flagged although the computation never

@@ -13,7 +13,7 @@
 //! encoding per-invocation multiplicity and
 //! [`declare_fan_out`](crate::stack::StackBuilder::declare_fan_out) marking
 //! the ones triggered in a loop. From it, [`CallGraph`] derives a
-//! conservative handler-level call graph, over which three analyses run:
+//! conservative handler-level call graph, over which four analyses run:
 //!
 //! * **Linting** ([`lint_stack`]): structural defects of the stack itself —
 //!   unbound events, unreachable handlers, empty microprotocols, duplicate
@@ -30,14 +30,11 @@
 //!   events — unreachable or conflict-free microprotocols are reported
 //!   (`SA050`/`SA051`), and the matrix feeds the dynamic checker's static
 //!   independence relation (DPOR pruning in crate `samoa-check`).
-//! * **Deadlock analysis** ([`analyze_deadlocks`]): a cycle search over the
-//!   static wait-can-precede graph induced by declared nested computation
-//!   spawns; potential Rule-2 admission deadlocks are Errors with the
-//!   witness cycle in the message (`SA040`).
 //!
-//! Findings are [`Diagnostic`]s collected in a [`Report`];
-//! [`RuntimeConfig::strict_analysis`](crate::runtime::RuntimeConfig::strict_analysis)
-//! makes the runtime reject Error-level reports.
+//! Findings are [`Diagnostic`]s collected in a [`Report`]. The runtime does
+//! not run these analyses: hosts derive their declarations with them
+//! ([`External::new`](crate::External::new)), and the `samoa-lint` binary
+//! runs them over a whole stack.
 //!
 //! ```
 //! use samoa_core::analysis::{infer_bounds, infer_m, lint_stack};
@@ -62,14 +59,12 @@
 
 pub mod callgraph;
 pub mod conflict;
-pub mod deadlock;
 pub mod diagnostics;
 pub mod infer;
 pub mod lint;
 
 pub use callgraph::{CallGraph, CYCLE_FALLBACK_BOUND};
 pub use conflict::ConflictMatrix;
-pub use deadlock::analyze_deadlocks;
 pub use diagnostics::{codes, Diagnostic, Report, Severity};
 pub use infer::{infer_bounds, infer_m, infer_route};
 pub use lint::{lint_stack, validate_decl};

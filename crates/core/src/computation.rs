@@ -177,11 +177,11 @@ impl ComputationInner {
     /// ([`SchedHook::on_thread_spawn_with`](crate::sched::SchedHook::on_thread_spawn_with)).
     ///
     /// `None` when no sound bound exists: `Unsync` computations declare
-    /// nothing, and a stack with declared nested spawns can grow a
-    /// computation's footprint beyond its own declaration. Callers must
-    /// fall back to the unseeded announcement then.
+    /// nothing. Callers must fall back to the unseeded announcement then.
+    /// (No computation starts another while it runs — see [`crate::ctx`] —
+    /// so nothing grows a footprint beyond its declaration.)
     pub(crate) fn static_seed(&self) -> Option<Vec<SchedResource>> {
-        if self.spec.mode == CompMode::Unsync || self.rt.stack.has_nested_spawns() {
+        if self.spec.mode == CompMode::Unsync {
             return None;
         }
         let mut seed = vec![

@@ -7,7 +7,14 @@
 //! and the one way out of it: [`Ctx::after_completion`] queues an effect on
 //! the outside world — a reply, a wake-up — to run once the computation has
 //! let go of everything it declared.
+//!
+//! The code a `Ctx` is handed to cannot start a computation (§4: a
+//! computation starts at an external event): while a `Ctx` is live on a
+//! thread, every way in refuses there with [`SamoaError::NestedSpawn`],
+//! before it starts anything. [`Ctx::after_completion`] effects run with
+//! none live, so a computation that another causes (§2) starts from there.
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 use crate::computation::{ComputationInner, ExecState, PostAction, Task};
@@ -16,6 +23,21 @@ use crate::event::{EventData, EventType};
 use crate::handler::HandlerId;
 use crate::protocol::ProtocolId;
 use crate::stack::Stack;
+
+thread_local! {
+    /// How many [`Ctx`]s are live on this thread: non-zero exactly while a
+    /// closure body, a handler or a [`Ctx::spawn`] closure runs here.
+    static LIVE: Cell<u32> = const { Cell::new(0) };
+}
+
+/// [`SamoaError::NestedSpawn`] while the code of a computation runs on this
+/// thread (see the [module docs](crate::ctx)).
+pub(crate) fn outside_computation() -> Result<()> {
+    match LIVE.with(Cell::get) {
+        0 => Ok(()),
+        _ => Err(SamoaError::NestedSpawn),
+    }
+}
 
 /// Execution context of a handler (or of the `isolated` closure body).
 ///
@@ -46,6 +68,7 @@ impl Ctx {
         current: Option<(HandlerId, ProtocolId)>,
         exec: OnceLock<Arc<ExecState>>,
     ) -> Self {
+        LIVE.with(|n| n.set(n.get() + 1));
         Ctx {
             comp,
             current,
@@ -242,11 +265,18 @@ impl Ctx {
     /// Effects run exactly once, in the order they were queued, on the
     /// thread that completes the computation, whether or not the computation
     /// recorded an error (what the handler did to its state stands). `f` has
-    /// no [`Ctx`]: the computation is over. A panic in `f` is contained and
+    /// no [`Ctx`]: the computation is over, and `f` may start the
+    /// computations it caused. A panic in `f` is contained and
     /// recorded like a handler panic. A computation that queues nothing
     /// allocates nothing for this and pays one emptiness check.
     pub fn after_completion(&self, f: impl FnOnce() + Send + 'static) {
         self.comp.push_effect(Box::new(f));
+    }
+}
+
+impl Drop for Ctx {
+    fn drop(&mut self) {
+        LIVE.with(|n| n.set(n.get() - 1));
     }
 }
 

@@ -96,13 +96,12 @@ pub enum SamoaError {
         /// The name that failed to resolve.
         name: String,
     },
-    /// Static analysis ([`crate::analysis`]) found Error-level diagnostics
-    /// and the runtime was asked to reject them
-    /// ([`RuntimeConfig::strict_analysis`](crate::runtime::RuntimeConfig::strict_analysis)).
-    AnalysisFailed {
-        /// The rendered diagnostic report.
-        report: String,
-    },
+    /// A computation was started by code of a running one — a closure
+    /// body, a handler or a [`Ctx::spawn`](crate::Ctx::spawn) closure. A
+    /// computation starts only at an external event (paper §4); one that
+    /// another causes (§2) is started after its cause has completed, from
+    /// [`Ctx::after_completion`](crate::Ctx::after_completion).
+    NestedSpawn,
     /// An error raised explicitly by user protocol code.
     Protocol {
         /// Human-readable description supplied by the protocol.
@@ -168,9 +167,11 @@ impl fmt::Display for SamoaError {
             SamoaError::UnknownHandlerName { name } => {
                 write!(f, "no handler named {name:?} in the stack")
             }
-            SamoaError::AnalysisFailed { report } => {
-                write!(f, "static analysis rejected the program:\n{report}")
-            }
+            SamoaError::NestedSpawn => write!(
+                f,
+                "a computation cannot start another while it runs; \
+                 start it from Ctx::after_completion"
+            ),
             SamoaError::Protocol { message } => write!(f, "protocol error: {message}"),
         }
     }

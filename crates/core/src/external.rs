@@ -120,15 +120,23 @@ impl Runtime {
     ///   was raised, the asynchronous drain included — is counted as it
     ///   ends, in [`RuntimeStats::external_errors`](crate::RuntimeStats):
     ///   from what `run` returns, or by the detached root job on its way out.
+    ///   A call made by the code of a running computation is one too
+    ///   ([`SamoaError::NestedSpawn`]): it starts nothing, takes no slot and
+    ///   never waits.
     ///
     /// Deadlock freedom (§6) carries over to the inline path: an entry
     /// thread waits only on strictly older computations, each of which owns
     /// a thread — its own entry thread or a worker of the executor, which
     /// never queues — and nothing inside a computation waits on an entry
-    /// point (a network send only enqueues; no handler calls a host's
-    /// external API), so no wait leads back to the waiter. What the caller
-    /// gives up is its own progress, never someone else's thread.
+    /// point: a network send only enqueues, and a computation's own code
+    /// cannot enter here (the rule in [`crate::ctx`]), so no wait leads back
+    /// to the waiter. What the caller gives up is its own progress, never
+    /// someone else's thread.
     pub fn external(&self, policy: Policy, ext: &External, data: EventData) {
+        if crate::ctx::outside_computation().is_err() {
+            self.inner.stats.note_external_error();
+            return;
+        }
         let decl = policy.decl(&ext.protocols, &ext.bounds, &ext.route);
         let event = ext.event;
         let root = move |ctx: &Ctx| ctx.trigger(event, data);

@@ -165,52 +165,29 @@
 //! rt.isolated_route(&route, |ctx| ctx.trigger(ingest, EventData::empty())).unwrap();
 //! ```
 //!
-//! Beyond per-declaration checks, two *whole-stack* passes certify the
-//! stack itself:
-//!
-//! * [`ConflictMatrix`](crate::analysis::ConflictMatrix) computes the
-//!   symmetric may-conflict relation over microprotocols from the
-//!   footprints of the analyzed root events. Protocols no root reaches
-//!   (`SA050`) or that never share a footprint with another (`SA051`) are
-//!   provably-unreachable conflicts: isolation spent there buys nothing.
-//!   The same matrix exports to `samoa-check` as a `StaticIndependence`
-//!   relation, where it prunes DPOR backtrack points (§6).
-//! * [`analyze_deadlocks`](crate::analysis::analyze_deadlocks) searches
-//!   the static *wait-can-precede* graph for cycles. A handler that
-//!   blocks on a nested `isolated` spawn (declare it with
-//!   [`StackBuilder::declare_nested_spawn`]) holds its Rule-2 admission
-//!   while waiting for another admission; if the declared spawns close a
-//!   cycle of overlapping footprints, a schedule exists in which every
-//!   computation in the cycle waits on the next — a Rule-2 admission
-//!   deadlock, flagged as an `SA040` error whose message carries the
-//!   witness cycle:
-//!
-//! ```text
-//! error[SA040]: admission deadlock: "P" -> "Q" (handler "a" spawns a
-//!   nested computation rooted at "e2") -> "P" (handler "c" spawns a
-//!   nested computation rooted at "e1")
-//! ```
-//!
-//! The deadlock-analysis table, for quick reference:
+//! Beyond per-declaration checks, a *whole-stack* pass certifies the stack
+//! itself:
+//! [`ConflictMatrix`](crate::analysis::ConflictMatrix) computes the
+//! symmetric may-conflict relation over microprotocols from the footprints
+//! of the analyzed root events. Protocols no root reaches (`SA050`) or that
+//! never share a footprint with another (`SA051`) are provably-unreachable
+//! conflicts: isolation spent there buys nothing. The same matrix exports to
+//! `samoa-check` as a `StaticIndependence` relation, where it prunes DPOR
+//! backtrack points (§6).
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
-//! | SA040 | error    | static wait-can-precede cycle: Rule-2 admission deadlock reachable on some schedule |
 //! | SA050 | warning  | protocol has handlers but no analyzed root reaches it — declared conflicts unreachable |
 //! | SA051 | info     | protocol never shares a footprint: conflict-free, isolation on it is wasted |
 //!
-//! [`RuntimeConfig::strict_analysis`] wires all of it into the runtime:
-//! [`Runtime::new_checked`] (and, under the flag, every other constructor —
-//! they all go through [`Runtime::with_parts`]) runs the
-//! linter, the deadlock pass and the conflict pass, rejecting the stack on
-//! any error — a cyclic nested-spawn stack never runs, while the shipped
+//! The runtime runs none of these passes. A host derives each declaration
+//! it runs with them ([`External::new`](crate::External::new)), the shipped
 //! group-communication stack of `samoa-proto` is certified clean by its
-//! test suite. In debug builds every computation's declaration is also
-//! checked for closure before it runs. The `samoa-lint` binary
-//! (`cargo run --bin samoa-lint -- --help`) runs the same merged pass from
-//! the command line, with `--format json` for machine-readable output and
-//! `--deny warn` to fail CI on warnings; README's "Static analysis"
-//! section lists every SA code.
+//! test suite, and the `samoa-lint` binary
+//! (`cargo run --bin samoa-lint -- --help`) runs the linter and the
+//! conflict pass over a whole stack from the command line, with
+//! `--format json` for machine-readable output and `--deny warn` to fail CI
+//! on warnings; README's "Static analysis" section lists every SA code.
 //!
 //! ## 6. Schedule exploration
 //!
@@ -528,15 +505,16 @@
 //! caller's, which is how the hosted stacks run every external event that
 //! cannot overlap another (§9, "Admission control") — an entry thread
 //! waits only on older computations, which own theirs, and nothing inside a
-//! computation waits on an entry point. [`Runtime::spawn`]
+//! computation waits on an entry point (its code cannot start a
+//! computation: [`crate::ctx`]). [`Runtime::spawn`]
 //! and the per-computation helper workers take their threads from
 //! one process-wide **cache with direct hand-off and no run queue**: a job
 //! goes to the most recently parked idle worker (one wake, on that worker's
 //! own slot), a new `samoa-worker` thread is created only when none is
 //! idle, a finished worker parks itself in the cache, and idle workers exit
 //! after a fraction of a second. A job therefore starts no later than it
-//! would on a fresh thread, and nothing about parking, nested spawns or
-//! sleeping handlers changes; only the ~20 µs of thread creation per
+//! would on a fresh thread, and nothing about parking or sleeping
+//! handlers changes; only the ~20 µs of thread creation per
 //! computation is gone.
 //!
 //! A detached root runs on the worker it was handed to, or on the thread
@@ -614,11 +592,14 @@
 //!   [`ProtocolState::with`] closures short; compute what to send, end the
 //!   closure, then trigger. (Re-entrant `with` on the same protocol from
 //!   the same thread panics on the inner borrow.)
-//! * **Don't call a blocking `isolated` from inside a handler** with an
-//!   overlapping declaration — the inner computation waits for the outer's
-//!   versions while the outer waits for the call to return. Use
-//!   [`Runtime::spawn`]: causally dependent external events are *detached*
-//!   computations that serialise after their cause.
+//! * **A computation cannot start another while it runs.** `isolated`,
+//!   [`Runtime::spawn`] or a host's external API called from a handler (or
+//!   a closure body, or a [`Ctx::spawn`] closure) fails with
+//!   [`SamoaError::NestedSpawn`] and starts nothing — run blocking, the
+//!   inner computation would wait for the outer's versions while the outer
+//!   waits for it. A computation one causes starts from
+//!   [`Ctx::after_completion`], once its cause has completed, and so
+//!   serialises after it.
 //! * **Isolation is inter-computation.** Threads of one computation
 //!   ([`Ctx::spawn`], async triggers with `max_threads_per_computation > 1`)
 //!   synchronise only through per-microprotocol state atomicity; order them
@@ -641,9 +622,7 @@
 //! [`TraceBuffer`]: crate::trace::TraceBuffer
 //! [`Runtime::waiters`]: crate::runtime::Runtime::waiters
 //! [`Runtime::with_trace`]: crate::runtime::Runtime::with_trace
-//! [`Runtime::with_parts`]: crate::runtime::Runtime::with_parts
-//! [`Runtime::new_checked`]: crate::runtime::Runtime::new_checked
-//! [`StackBuilder::declare_nested_spawn`]: crate::stack::StackBuilder::declare_nested_spawn
+//! [`SamoaError::NestedSpawn`]: crate::error::SamoaError::NestedSpawn
 //! [`SchedResource`]: crate::sched::SchedResource
 //! [`SchedHook`]: crate::sched::SchedHook
 //! [`Runtime::new`]: crate::runtime::Runtime::new
@@ -658,7 +637,6 @@
 //! [`StackBuilder::declare_triggers`]: crate::stack::StackBuilder::declare_triggers
 //! [`StackBuilder::declare_fan_out`]: crate::stack::StackBuilder::declare_fan_out
 //! [`External::new`]: crate::external::External::new
-//! [`RuntimeConfig::strict_analysis`]: crate::runtime::RuntimeConfig::strict_analysis
 //! [`ProtocolState::with`]: crate::protocol::ProtocolState::with
 //! [`Ctx::spawn`]: crate::ctx::Ctx::spawn
 //! [`Ctx::after_completion`]: crate::ctx::Ctx::after_completion

@@ -15,11 +15,11 @@
 //! [`CompHandle`], whose `join` runs the job itself if it gets there before
 //! the worker does).
 //!
-//! Never call a blocking `isolated*` from *inside* a handler when the new
-//! declaration overlaps the running computation's: the inner computation
-//! would wait for the outer's versions while the outer waits for the inner
-//! to finish. Use [`Runtime::spawn`] for causally dependent external events
-//! (the paper's computations *caused by* a computation, §2).
+//! A computation starts only at an external event (§4): called by the code
+//! of a running computation — its closure body, a handler, a [`Ctx::spawn`]
+//! closure — both refuse with [`SamoaError::NestedSpawn`] (`spawn` by
+//! panicking). A computation another one *causes* (§2) is started after its
+//! cause has completed, from an effect queued with [`Ctx::after_completion`].
 //!
 //! A *host* — a node with sockets, timers and clients around a runtime —
 //! picks neither: it hands each external event to [`Runtime::external`],
@@ -57,15 +57,6 @@ pub struct RuntimeConfig {
     /// always exists; extra workers are spawned on demand for asynchronous
     /// events and `Ctx::spawn` closures.
     pub max_threads_per_computation: usize,
-    /// Reject programs the static analyzer ([`crate::analysis`]) finds
-    /// defective. With this set, [`Runtime::with_config`] panics if linting
-    /// the stack yields Error-level diagnostics, and — in debug builds —
-    /// every [`Runtime::run`]/[`Runtime::spawn`] validates its declaration
-    /// (closure check, [`validate_decl`](crate::analysis::validate_decl)
-    /// with no root) and fails with [`SamoaError::AnalysisFailed`]. Off by
-    /// default: the closure check is conservative and may reject tight
-    /// declarations that are correct for a particular entry event.
-    pub strict_analysis: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -73,7 +64,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             record_history: false,
             max_threads_per_computation: 4,
-            strict_analysis: false,
         }
     }
 }
@@ -84,14 +74,6 @@ impl RuntimeConfig {
     pub fn recording() -> Self {
         RuntimeConfig {
             record_history: true,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// A config with [`RuntimeConfig::strict_analysis`] enabled.
-    pub fn strict() -> Self {
-        RuntimeConfig {
-            strict_analysis: true,
             ..RuntimeConfig::default()
         }
     }
@@ -458,12 +440,6 @@ impl Runtime {
     }
 
     /// Create a runtime with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// As [`Runtime::with_parts`] under
-    /// [`RuntimeConfig::strict_analysis`]; use [`Runtime::new_checked`] to
-    /// get the failure as a value.
     pub fn with_config(stack: Stack, config: RuntimeConfig) -> Self {
         Runtime::with_parts(stack, config, None, None)
     }
@@ -492,24 +468,12 @@ impl Runtime {
     /// trace; `samoa-check`'s trace-guided search steers schedule
     /// perturbation toward the microprotocols where admission waits
     /// concentrate.
-    ///
-    /// # Panics
-    ///
-    /// With [`RuntimeConfig::strict_analysis`] set, panics if the static
-    /// safety pass ([`Runtime::static_report`]) yields Error-level
-    /// diagnostics.
     pub fn with_parts(
         stack: Stack,
         config: RuntimeConfig,
         hook: Option<Arc<dyn SchedHook>>,
         sink: Option<Arc<dyn TraceSink>>,
     ) -> Self {
-        if config.strict_analysis {
-            let report = Runtime::static_report(&stack);
-            if report.has_errors() {
-                panic!("strict_analysis rejected the stack:\n{}", report.render());
-            }
-        }
         let n = stack.protocol_count();
         let stats = StatCounters::default();
         Runtime {
@@ -535,39 +499,6 @@ impl Runtime {
                 config,
             }),
         }
-    }
-
-    /// Create a runtime only if the stack passes the full static safety
-    /// pass ([`Runtime::static_report`]: linting, admission-deadlock and
-    /// conflict analysis, every event treated as external): Error-level
-    /// diagnostics — including `SA040` admission-deadlock cycles — become
-    /// [`SamoaError::AnalysisFailed`]. Analyzes unconditionally, whatever
-    /// `config.strict_analysis` says.
-    pub fn new_checked(stack: Stack, config: RuntimeConfig) -> Result<Runtime> {
-        let report = Runtime::static_report(&stack);
-        if report.has_errors() {
-            return Err(SamoaError::AnalysisFailed {
-                report: report.render(),
-            });
-        }
-        Ok(Runtime::with_parts(stack, config, None, None))
-    }
-
-    /// The full static safety report of a stack, as
-    /// [`RuntimeConfig::strict_analysis`] and [`Runtime::new_checked`]
-    /// compute it: structural lints
-    /// ([`lint_stack`](crate::analysis::lint_stack)), the admission-deadlock
-    /// cycle search ([`analyze_deadlocks`](crate::analysis::analyze_deadlocks),
-    /// `SA040`) and conflict reachability
-    /// ([`ConflictMatrix`](crate::analysis::ConflictMatrix), `SA05x`), with
-    /// every event treated as external.
-    pub fn static_report(stack: &Stack) -> crate::analysis::Report {
-        let all = stack.all_events();
-        let mut report = crate::analysis::lint_stack(stack, &all);
-        report.merge(crate::analysis::analyze_deadlocks(stack, &all));
-        let (_, conflicts) = crate::analysis::ConflictMatrix::analyze(stack, &all);
-        report.merge(conflicts);
-        report
     }
 
     /// The stack this runtime executes.
@@ -737,28 +668,15 @@ impl Runtime {
 
     // ---- running computations ----
 
-    /// Under [`RuntimeConfig::strict_analysis`], debug builds validate every
-    /// declaration (closure check — no root event is known here) before
-    /// spawning. Release builds skip the check: it walks the whole call
-    /// graph per computation.
-    fn debug_validate(&self, decl: &Decl<'_>) -> Result<()> {
-        if cfg!(debug_assertions) && self.inner.config.strict_analysis {
-            let report = crate::analysis::validate_decl(&self.inner.stack, decl, None);
-            if report.has_errors() {
-                return Err(SamoaError::AnalysisFailed {
-                    report: report.render(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Run a computation *blocking*: the calling thread executes the closure
     /// body, helps drain the computation's asynchronous work, runs Rule 3
     /// and then the effects queued with [`Ctx::after_completion`], and
     /// returns the closure's value once the computation has completed.
+    ///
+    /// Fails with [`SamoaError::NestedSpawn`], starting nothing, when called
+    /// by the code of a running computation (see the [module docs](crate::runtime)).
     pub fn run<R>(&self, decl: Decl<'_>, f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
-        self.debug_validate(&decl)?;
+        crate::ctx::outside_computation()?;
         let comp = self.spawn_comp(&decl);
         let mut out: Option<R> = None;
         root_execute(&comp, |ctx| f(ctx).map(|r| out = Some(r)));
@@ -782,9 +700,9 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// In debug builds under [`RuntimeConfig::strict_analysis`], panics if
-    /// the declaration fails validation (there is no error channel before
-    /// the handle exists).
+    /// With [`SamoaError::NestedSpawn`], starting nothing, when called by the
+    /// code of a running computation (there is no error channel before the
+    /// handle exists); the running computation fails with that panic.
     pub fn spawn(
         &self,
         decl: Decl<'_>,
@@ -813,7 +731,7 @@ impl Runtime {
         on_end: impl FnOnce(Option<&SamoaError>) + Send + 'static,
         f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
     ) -> CompHandle {
-        if let Err(e) = self.debug_validate(&decl) {
+        if let Err(e) = crate::ctx::outside_computation() {
             panic!("{e}");
         }
         let comp = self.spawn_comp(&decl);
@@ -1137,9 +1055,7 @@ mod tests {
         let c = RuntimeConfig::default();
         assert!(!c.record_history);
         assert!(c.max_threads_per_computation >= 1);
-        assert!(!c.strict_analysis);
         assert!(RuntimeConfig::recording().record_history);
-        assert!(RuntimeConfig::strict().strict_analysis);
     }
 
     /// A `SchedHook` that records every `block`/`signal` and, on `block`,
@@ -1356,121 +1272,5 @@ mod tests {
             |_| Ok(()),
         );
         assert_eq!(told_rx.recv(), Ok(None));
-    }
-
-    /// Stack with a dangling trigger: "a" declares it triggers an event with
-    /// no bound handler (SA005, Error).
-    fn defective_stack() -> Stack {
-        use crate::stack::StackBuilder;
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let root = b.event("root");
-        let ghost = b.event("ghost");
-        b.bind_with_triggers(root, p, "a", &[ghost], |_, _| Ok(()));
-        b.build()
-    }
-
-    #[test]
-    fn new_checked_rejects_defective_stack() {
-        let err = Runtime::new_checked(defective_stack(), RuntimeConfig::default()).unwrap_err();
-        match err {
-            SamoaError::AnalysisFailed { report } => {
-                assert!(report.contains("SA005"), "{report}");
-            }
-            other => panic!("expected AnalysisFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn new_checked_accepts_clean_stack() {
-        use crate::stack::StackBuilder;
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let root = b.event("root");
-        b.bind_with_triggers(root, p, "a", &[], |_, _| Ok(()));
-        assert!(Runtime::new_checked(b.build(), RuntimeConfig::default()).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "SA005")]
-    fn strict_with_config_panics_on_defective_stack() {
-        let _ = Runtime::with_config(defective_stack(), RuntimeConfig::strict());
-    }
-
-    /// Stack whose declared nested spawns form a wait cycle: a handler of P
-    /// spawns a computation rooted back at its own root event, so the inner
-    /// admission would wait on the outer's version forever.
-    fn cyclic_nested_spawn_stack() -> Stack {
-        use crate::stack::StackBuilder;
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let root = b.event("root");
-        let h = b.bind_with_triggers(root, p, "reenter", &[], |_, _| Ok(()));
-        b.declare_nested_spawn(h, root);
-        b.build()
-    }
-
-    #[test]
-    fn new_checked_rejects_admission_deadlock_cycle() {
-        let err =
-            Runtime::new_checked(cyclic_nested_spawn_stack(), RuntimeConfig::strict()).unwrap_err();
-        match err {
-            SamoaError::AnalysisFailed { report } => {
-                assert!(report.contains("SA040"), "{report}");
-                assert!(report.contains("\"P\" -> \"P\""), "witness cycle: {report}");
-            }
-            other => panic!("expected AnalysisFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "SA040")]
-    fn strict_with_config_panics_on_admission_deadlock() {
-        let _ = Runtime::with_config(cyclic_nested_spawn_stack(), RuntimeConfig::strict());
-    }
-
-    #[test]
-    fn acyclic_nested_spawn_passes_checked() {
-        use crate::stack::StackBuilder;
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let q = b.protocol("Q");
-        let e1 = b.event("e1");
-        let e2 = b.event("e2");
-        let h = b.bind_with_triggers(e1, p, "a", &[], |_, _| Ok(()));
-        b.bind_with_triggers(e2, q, "b", &[], |_, _| Ok(()));
-        b.declare_nested_spawn(h, e2);
-        assert!(Runtime::new_checked(b.build(), RuntimeConfig::strict()).is_ok());
-    }
-
-    #[test]
-    fn lenient_with_config_accepts_defective_stack() {
-        let _ = Runtime::with_config(defective_stack(), RuntimeConfig::default());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn strict_run_rejects_unclosed_declaration() {
-        use crate::stack::StackBuilder;
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let q = b.protocol("Q");
-        let root = b.event("root");
-        let eq = b.event("eq");
-        b.bind_with_triggers(eq, q, "b", &[], |_, _| Ok(()));
-        b.bind_with_triggers(root, p, "a", &[eq], |_, _| Ok(()));
-        let rt = Runtime::with_config(b.build(), RuntimeConfig::strict());
-        // {P} is not closed: "a" may call into Q.
-        let err = rt.isolated(&[p], |_| Ok(())).unwrap_err();
-        match err {
-            SamoaError::AnalysisFailed { report } => {
-                assert!(report.contains("SA010"), "{report}");
-            }
-            other => panic!("expected AnalysisFailed, got {other:?}"),
-        }
-        // The closed set is accepted and runs.
-        rt.isolated(&[p, q], |_| Ok(())).unwrap();
-        // Serial declarations are always clean.
-        rt.serial(|_| Ok(())).unwrap();
     }
 }

@@ -169,8 +169,12 @@ pub trait SchedHook: Send + Sync {
     /// touch. The runtime derives the seed from the computation's resolved
     /// declaration (its version/lock entries plus its queue, completion and
     /// quiesce resources) and only announces one when it is sound — never
-    /// for `Unsync` computations, and never on stacks with declared nested
-    /// spawns. A dependence-aware controller can treat the seed as the
+    /// for `Unsync` computations, which declare nothing. (A computation's
+    /// code cannot start another, so its declaration is the bound; see
+    /// [`crate::ctx`]. A computation started by one of its
+    /// [`after_completion`](crate::Ctx::after_completion) effects is not
+    /// inside that bound, and no hooked scenario starts one that way.) A
+    /// dependence-aware controller can treat the seed as the
     /// thread's pending footprint before its first real announcement, which
     /// lets DPOR prove steps of statically disjoint computations
     /// independent without exploring both orders. The default discards the

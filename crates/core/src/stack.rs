@@ -34,10 +34,6 @@ pub struct StackBuilder {
     /// `fan_outs[handler] = events the handler's body may trigger any number
     /// of times per invocation` (see [`StackBuilder::declare_fan_out`]).
     fan_outs: Vec<Vec<EventType>>,
-    /// `nested_spawns[handler] = root events of the computations the
-    /// handler's body may spawn` (see
-    /// [`StackBuilder::declare_nested_spawn`]). Empty = spawns nothing.
-    nested_spawns: Vec<Vec<EventType>>,
 }
 
 impl StackBuilder {
@@ -84,38 +80,8 @@ impl StackBuilder {
         });
         self.triggers.push(None);
         self.fan_outs.push(Vec::new());
-        self.nested_spawns.push(Vec::new());
         self.bindings[event.index()].push(id);
         id
-    }
-
-    /// Declare that `handler`'s body may spawn a *new computation* rooted at
-    /// `root_event` (via [`Runtime::run`](crate::runtime::Runtime::run),
-    /// [`Runtime::spawn`](crate::runtime::Runtime::spawn) or an `isolated*`
-    /// convenience) — distinct from [`StackBuilder::declare_triggers`],
-    /// which covers same-computation `trigger`s.
-    ///
-    /// Like trigger metadata, the declaration is an upper bound on
-    /// behaviour: a handler may spawn fewer computations than declared, but
-    /// spawning an undeclared one makes the admission-deadlock analysis
-    /// ([`crate::analysis::analyze_deadlocks`]) and the static independence
-    /// relation derived from the conflict matrix unreliable. A *blocking*
-    /// nested spawn whose declaration overlaps the running computation's is
-    /// exactly the Rule-2 admission deadlock the analysis flags (`SA040`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handler` or `root_event` is not registered.
-    pub fn declare_nested_spawn(&mut self, handler: HandlerId, root_event: EventType) {
-        assert!(
-            handler.index() < self.handlers.len(),
-            "unknown handler {handler:?}"
-        );
-        assert!(
-            root_event.index() < self.events.len(),
-            "unknown event {root_event:?}"
-        );
-        self.nested_spawns[handler.index()].push(root_event);
     }
 
     /// Declare the event types `handler`'s body may trigger — the static
@@ -211,7 +177,6 @@ impl StackBuilder {
                 bindings: self.bindings,
                 triggers: self.triggers,
                 fan_outs: self.fan_outs,
-                nested_spawns: self.nested_spawns,
                 handlers_by_name: by_name,
             }),
         }
@@ -225,7 +190,6 @@ pub(crate) struct StackInner {
     pub(crate) bindings: Vec<Vec<HandlerId>>,
     pub(crate) triggers: Vec<Option<Vec<EventType>>>,
     pub(crate) fan_outs: Vec<Vec<EventType>>,
-    pub(crate) nested_spawns: Vec<Vec<EventType>>,
     pub(crate) handlers_by_name: HashMap<String, HandlerId>,
 }
 
@@ -311,19 +275,6 @@ impl Stack {
     /// analyses see the full call graph.
     pub fn has_full_trigger_metadata(&self) -> bool {
         self.inner.triggers.iter().all(|t| t.is_some())
-    }
-
-    /// Root events of the computations `h` declared it may spawn
-    /// ([`StackBuilder::declare_nested_spawn`]); empty when it spawns none.
-    pub fn handler_nested_spawns(&self, h: HandlerId) -> &[EventType] {
-        &self.inner.nested_spawns[h.index()]
-    }
-
-    /// Does *any* handler declare a nested computation spawn? When true,
-    /// dynamic analyses that assume a computation's footprint is closed
-    /// (e.g. static DPOR seeding) must stand down.
-    pub fn has_nested_spawns(&self) -> bool {
-        self.inner.nested_spawns.iter().any(|s| !s.is_empty())
     }
 
     pub(crate) fn entry(&self, h: HandlerId) -> &HandlerEntry {
@@ -452,41 +403,6 @@ mod tests {
         let e = b.event("E");
         let h = b.bind(e, p, "h", noop());
         b.declare_triggers(h, &[EventType(9)]);
-    }
-
-    #[test]
-    fn nested_spawn_metadata_roundtrip() {
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let e1 = b.event("E1");
-        let e2 = b.event("E2");
-        let h1 = b.bind(e1, p, "h1", noop());
-        let h2 = b.bind(e2, p, "h2", noop());
-        b.declare_nested_spawn(h1, e2);
-        let s = b.build();
-        assert_eq!(s.handler_nested_spawns(h1), &[e2]);
-        assert!(s.handler_nested_spawns(h2).is_empty());
-        assert!(s.has_nested_spawns());
-    }
-
-    #[test]
-    fn no_nested_spawns_by_default() {
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let e = b.event("E");
-        b.bind(e, p, "h", noop());
-        let s = b.build();
-        assert!(!s.has_nested_spawns());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown event")]
-    fn declare_nested_spawn_unknown_event_panics() {
-        let mut b = StackBuilder::new();
-        let p = b.protocol("P");
-        let e = b.event("E");
-        let h = b.bind(e, p, "h", noop());
-        b.declare_nested_spawn(h, EventType(9));
     }
 
     #[test]

@@ -75,7 +75,6 @@ fn intra_computation_parallelism_uses_extra_workers() {
         RuntimeConfig {
             record_history: false,
             max_threads_per_computation: 4,
-            ..RuntimeConfig::default()
         },
     );
     let start = Instant::now();
@@ -114,7 +113,6 @@ fn single_worker_config_still_completes_async_storms() {
         RuntimeConfig {
             record_history: false,
             max_threads_per_computation: 1,
-            ..RuntimeConfig::default()
         },
     );
     rt.isolated(&[p], |ctx| {

@@ -1,11 +1,13 @@
 //! Liveness properties: the deadlock-freedom argument of paper §6 under a
 //! mixed-policy torture workload, and computations *caused by* other
-//! computations (paper §2: external events issued from within handlers).
+//! computations (paper §2), which start only once their cause has completed
+//! — the code of a running computation cannot start one (§4: a computation
+//! starts at an external event).
 
 mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use common::conflict_stack;
@@ -14,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use samoa_core::prelude::*;
 
 /// The §6 claim, operationalised: whatever mixture of basic / bound /
-/// read-write / serial computations runs, everything completes (versions
+/// serial computations runs, everything completes (versions
 /// impose a total order on call requests, so waits never cycle).
 #[test]
 fn mixed_policy_torture_run_completes() {
@@ -58,40 +60,113 @@ fn mixed_policy_torture_run_completes() {
     assert!(s.no_lost_updates());
 }
 
-/// A handler can spawn a *caused* computation (the paper's causally
-/// dependent external events): it must not deadlock even when the caused
-/// computation overlaps the causing one's declaration, because the spawn is
-/// detached — the caused computation simply serialises after.
+/// A computation *causes* another (the paper's causally dependent external
+/// events) by starting it from [`Ctx::after_completion`]: the caused one
+/// overlaps the cause's declaration, and serialises after it. Started from
+/// the cause's own code — its body or a [`Ctx::spawn`] closure — it is
+/// refused, and the refusal takes no computation id.
 #[test]
 fn caused_computations_serialize_after_their_cause() {
     let s = conflict_stack(1);
     let e = s.events[0];
     let rt = s.rt.clone();
     let p = s.protocols[0];
-    let caused_done = Arc::new(AtomicUsize::new(0));
-    let cd = Arc::clone(&caused_done);
-    let log = s.logs[0].clone();
+    let caused = Arc::new(OnceLock::new());
+    let slot = Arc::clone(&caused);
     s.rt.isolated(&[p], move |ctx| {
         ctx.trigger(e, 0u64)?;
-        // Issue a causally dependent external event: a NEW computation that
-        // also touches P. It can only run after we complete.
-        let cd = Arc::clone(&cd);
-        rt.spawn_isolated(&[p], move |ctx2| {
-            ctx2.trigger(e, 0u64)?;
-            cd.fetch_add(1, Ordering::SeqCst);
+        // Run blocking, this would wait for our own version of P.
+        assert_eq!(
+            rt.isolated(&[p], |ctx2| ctx2.trigger(e, 0u64)),
+            Err(SamoaError::NestedSpawn)
+        );
+        let inner = rt.clone();
+        ctx.spawn(move |_| {
+            assert_eq!(inner.unsync(|_| Ok(())), Err(SamoaError::NestedSpawn));
             Ok(())
         });
-        // Our computation is still running; the caused one must not have
-        // touched P yet (it holds version pv+1).
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(log.read(|l| l.len()), 1, "caused computation overtook");
+        let rt = rt.clone();
+        ctx.after_completion(move || {
+            let handle = rt.spawn_isolated(&[p], move |ctx2| ctx2.trigger(e, 0u64));
+            let _ = slot.set(handle);
+        });
         Ok(())
     })
     .unwrap();
-    s.rt.quiesce();
-    assert_eq!(caused_done.load(Ordering::SeqCst), 1);
+    let handle = Arc::try_unwrap(caused)
+        .ok()
+        .and_then(OnceLock::into_inner)
+        .expect("the effect started the caused computation");
+    assert_eq!(handle.comp_id(), 2, "a refused start took an id");
+    handle.join().unwrap();
+    assert_eq!(s.rt.stats().computations_spawned, 2);
     assert_eq!(s.visit_order(0), vec![1, 2]);
     s.rt.check_isolation().unwrap();
+}
+
+/// In a handler, [`Runtime::run`] is refused and [`Runtime::spawn`] panics
+/// with the refusal, and so fails its own computation; nothing else is
+/// started.
+#[test]
+fn a_handler_cannot_spawn_a_computation() {
+    let rt_slot: Arc<OnceLock<Runtime>> = Arc::new(OnceLock::new());
+    let mut b = StackBuilder::new();
+    let p = b.protocol("P");
+    let e = b.event("e");
+    let slot = Arc::clone(&rt_slot);
+    b.bind(e, p, "h", move |_, _| {
+        let rt = slot.get().expect("runtime set");
+        assert_eq!(rt.unsync(|_| Ok(())), Err(SamoaError::NestedSpawn));
+        drop(rt.spawn_isolated(&[p], |_| Ok(())));
+        Ok(())
+    });
+    let rt = Runtime::new(b.build());
+    assert!(rt_slot.set(rt.clone()).is_ok());
+    let err = rt
+        .isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+        .unwrap_err();
+    assert!(
+        matches!(&err, SamoaError::HandlerPanic { message, .. }
+            if *message == SamoaError::NestedSpawn.to_string()),
+        "{err:?}"
+    );
+    assert_eq!(rt.stats().computations_spawned, 1);
+}
+
+/// A handler that hands an event to its own runtime's external API starts
+/// nothing and is counted as a failed external event, whichever thread the
+/// policy would have run it on. Under `Basic` the call would run inline and
+/// wait forever for the version its caller holds.
+#[test]
+fn an_external_event_from_a_handler_starts_nothing() {
+    for policy in [Policy::Basic, Policy::Route] {
+        let slot: Arc<OnceLock<(Runtime, External)>> = Arc::new(OnceLock::new());
+        let mut b = StackBuilder::new();
+        let p = b.protocol("P");
+        let (outer, inner) = (b.event("outer"), b.event("inner"));
+        let entered = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&entered);
+        b.bind_with_triggers(inner, p, "inner", &[], move |_, _| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        let reentry = Arc::clone(&slot);
+        b.bind_with_triggers(outer, p, "outer", &[], move |_, _| {
+            let (rt, ext) = reentry.get().expect("runtime set");
+            rt.external(policy, ext, EventData::empty());
+            Ok(())
+        });
+        let stack = b.build();
+        let (outer_ext, inner_ext) = (External::new(&stack, outer), External::new(&stack, inner));
+        let rt = Runtime::new(stack);
+        assert!(slot.set((rt.clone(), inner_ext)).is_ok());
+        rt.external(policy, &outer_ext, EventData::empty());
+        rt.quiesce();
+        let stats = rt.stats();
+        assert_eq!(stats.computations_spawned, 1, "{policy}");
+        assert_eq!(stats.external_errors, 1, "{policy}");
+        assert_eq!(entered.load(Ordering::SeqCst), 0, "{policy}");
+    }
 }
 
 /// debug_snapshot reflects held and released versions.

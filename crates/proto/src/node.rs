@@ -407,7 +407,6 @@ impl Node {
         let rt_cfg = RuntimeConfig {
             record_history: cfg.record_history,
             max_threads_per_computation: INTRA_THREADS,
-            ..RuntimeConfig::default()
         };
         let rt = Runtime::with_parts(stack, rt_cfg, hook, observe.sink);
 

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use samoa_core::analysis::{
-    analyze_deadlocks, codes, infer_bounds, infer_m, infer_route, lint_stack, validate_decl,
-    CallGraph, ConflictMatrix, Severity, CYCLE_FALLBACK_BOUND,
+    codes, infer_bounds, infer_m, infer_route, lint_stack, validate_decl, CallGraph,
+    ConflictMatrix, Severity, CYCLE_FALLBACK_BOUND,
 };
 use samoa_core::prelude::*;
 use samoa_net::{NetConfig, SiteId};
@@ -183,14 +183,31 @@ fn an_error_raised_in_the_drain_is_counted_on_both_ingress_paths() {
     }
 }
 
+/// The shipped stack, under every bundled policy: full trigger metadata, a
+/// clean lint from its entry events, and no Error-level finding from the
+/// whole-stack pass (`lint_stack` and `ConflictMatrix::analyze`, what
+/// `samoa-lint` runs) with every event treated as external.
 #[test]
 fn stack_has_full_metadata_and_lints_clean() {
-    let c = Cluster::new(3, NetConfig::fast(7), NodeConfig::default());
-    let node = c.node(0);
-    let stack = node.runtime().stack();
-    assert!(stack.has_full_trigger_metadata());
-    let report = lint_stack(stack, &externals(node.events()));
-    assert!(report.is_clean(), "expected clean stack:\n{report}");
+    for policy in StackPolicy::ALL {
+        let c = Cluster::new(3, NetConfig::fast(7), NodeConfig::with_policy(policy));
+        let node = c.node(0);
+        let stack = node.runtime().stack();
+        assert!(stack.has_full_trigger_metadata(), "{policy:?}");
+        let report = lint_stack(stack, &externals(node.events()));
+        assert!(
+            report.is_clean(),
+            "{policy:?}: expected clean stack:\n{report}"
+        );
+
+        let all = stack.all_events();
+        let mut report = lint_stack(stack, &all);
+        report.merge(ConflictMatrix::analyze(stack, &all).1);
+        assert!(
+            !report.has_errors(),
+            "{policy:?}: whole-stack report has errors:\n{report}"
+        );
+    }
 }
 
 #[test]
@@ -249,45 +266,6 @@ fn abcast_bounds_fall_back_on_the_consensus_cycle() {
     // The fallback declaration is error-free (the same cycle warning).
     let report = validate_decl(stack, &Decl::Bound(&bounds), Some(ev.abcast));
     assert!(!report.has_errors(), "{report}");
-}
-
-/// The deadlock certification of the shipped stack: under every bundled
-/// policy, the abcast/consensus/membership/fd stack declares no blocking
-/// nested spawns, so the Rule-2 wait-can-precede analysis finds no cycle —
-/// not a single SA040 — and the whole-stack static report
-/// ([`Runtime::static_report`], what `Runtime::new_checked` gates on) is
-/// error-free. A deliberately cyclic stack is rejected by the same gate
-/// (`new_checked_rejects_admission_deadlock_cycle` in `samoa-core`).
-#[test]
-fn shipped_stack_is_certified_admission_deadlock_free() {
-    for policy in [
-        StackPolicy::Unsync,
-        StackPolicy::Serial,
-        StackPolicy::Basic,
-        StackPolicy::Bound,
-        StackPolicy::Route,
-        StackPolicy::TwoPhase,
-    ] {
-        let c = Cluster::new(3, NetConfig::fast(7), NodeConfig::with_policy(policy));
-        let node = c.node(0);
-        let stack = node.runtime().stack();
-
-        let deadlocks = analyze_deadlocks(stack, &externals(node.events()));
-        assert!(
-            deadlocks.is_clean(),
-            "{policy:?}: admission-deadlock analysis not clean:\n{deadlocks}"
-        );
-
-        let report = Runtime::static_report(stack);
-        assert!(
-            !report.has_errors(),
-            "{policy:?}: static report has errors:\n{report}"
-        );
-        assert!(
-            !report.render().contains(codes::ADMISSION_DEADLOCK),
-            "{policy:?}: unexpected SA040:\n{report}"
-        );
-    }
 }
 
 /// The conflict matrix of the shipped stack: an abcast cascade can reach

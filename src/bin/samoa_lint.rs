@@ -5,11 +5,9 @@
 //!            [--deny error|warn|info] [--infer]
 //! ```
 //!
-//! Runs every static analysis the runtime's strict constructors gate on —
-//! the stack linter (`SA00x`), the Rule-2 admission-deadlock pass
-//! (`SA040`, with its witness cycle in the message), and the conflict
-//! matrix reachability pass (`SA05x`) — over a stack and reports the
-//! merged diagnostics.
+//! Runs the whole-stack static analyses — the stack linter (`SA00x`) and
+//! the conflict matrix reachability pass (`SA05x`) — over a stack and
+//! reports the merged diagnostics.
 //!
 //! * `--stack proto` (default) lints the paper's §3 group-communication
 //!   stack from `samoa-proto`; `--stack defective` lints a small stack
@@ -28,8 +26,7 @@
 use std::process::ExitCode;
 
 use samoa::core::analysis::{
-    analyze_deadlocks, infer_bounds, lint_stack, CallGraph, ConflictMatrix, Report, Severity,
-    CYCLE_FALLBACK_BOUND,
+    infer_bounds, lint_stack, CallGraph, ConflictMatrix, Report, Severity, CYCLE_FALLBACK_BOUND,
 };
 use samoa::prelude::*;
 
@@ -132,7 +129,6 @@ fn main() -> ExitCode {
 /// process exit code per the `--deny` threshold.
 fn run(name: &str, stack: &Stack, entries: &[EventType], opts: &Opts) -> ExitCode {
     let mut report = lint_stack(stack, entries);
-    report.merge(analyze_deadlocks(stack, entries));
     let (_, conflicts) = ConflictMatrix::analyze(stack, entries);
     report.merge(conflicts);
 
