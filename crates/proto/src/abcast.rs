@@ -17,18 +17,32 @@
 //!
 //! Only round 0's coordinator proposes in round 0 (`consensus.rs`), so a
 //! request must reach `view.coordinator(0)`; it need not reach every site.
-//! Its origin sends it once to every other member ([`Payload::Request`]).
-//! A site that is not the coordinator forwards its first copy to the
-//! coordinator, unless the coordinator is the request's origin or the
-//! copy's sender: both hold it already. With `n` sites a request costs at
-//! most `2n − 3` frames, and an origin that crashes after reaching a single
-//! site still gets its request ordered.
+//! Its origin sends it to every other member in a [`Payload::Request`]. A
+//! site that is not the coordinator forwards the requests it receives first
+//! to the coordinator, in one `Request`, unless the coordinator is their
+//! origin or the copy's sender: both hold them already. With `n` sites a
+//! `Request` costs at most `2n − 3` frames however many requests it packs,
+//! and an origin that crashes after reaching a single site still gets its
+//! requests ordered.
+//!
+//! An origin packs the requests it makes while one of its own is in
+//! flight. A new request is sent at once unless a request this site sent
+//! earlier is still undelivered here; then it is *held*. A held request is
+//! in `pending` from the start, so a coordinator origin proposes it, and a
+//! handover or a joiner's snapshot carries it. Each decision delivered here
+//! sends everything still held and undelivered as one `Request` per peer.
+//! A view operation is never held and takes what is held with it: a Leave
+//! of a coordinator must not wait behind a request stuck at that
+//! coordinator. The trigger is the request in flight, so no timer bounds
+//! the hold and no size caps the pack: a held request waits for the
+//! decision that was coming anyway, and with one request at a time
+//! nothing is ever held.
 //!
 //! A request stays in `pending` until it is delivered, and that is what a
 //! change of coordinator falls back on. When a view change moves round 0's
 //! coordinator to a site that was already a member, every site sends it
-//! its pending requests: the one forward of a request may have gone to the
-//! coordinator that left.
+//! its pending requests, in one `Request`: the one forward of a request may
+//! have gone to the coordinator that left.
 //!
 //! A joiner is sent the ordering state by every incumbent: the next
 //! instance, the delivered uids (as per-origin ranges: constant size however
@@ -38,6 +52,7 @@
 //! proposes in round 0 (see `consensus.rs`).
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -89,6 +104,12 @@ fn runs(msgs: Vec<AbMsg>) -> impl Iterator<Item = Delivery> {
     })
 }
 
+/// What installing a view sends: the joiners, the snapshot each of them
+/// gets, and — when round 0's coordinator moved to an incumbent — that
+/// coordinator with what is pending here (module docs). A joiner gets the
+/// pending requests in the snapshot.
+type Install = (Vec<SiteId>, SyncMsg, Option<(SiteId, Vec<AbMsg>)>);
+
 /// The local state of the atomic-broadcast microprotocol.
 pub struct AbcastState {
     site: SiteId,
@@ -96,6 +117,9 @@ pub struct AbcastState {
     next_seq: u64,
     /// Requests received (or made here) but not yet delivered.
     pending: BTreeMap<MsgUid, AbMsg>,
+    /// Requests made here up to this sequence number have been sent; those
+    /// after it are held (module docs).
+    sent_through: u64,
     /// Uids already delivered (for duplicate suppression): a range set per
     /// origin, like RelCast's `seen`, shipped to a joiner as its ranges.
     delivered: UidSet,
@@ -131,6 +155,7 @@ impl AbcastState {
             view,
             next_seq: 0,
             pending: BTreeMap::new(),
+            sent_through: 0,
             delivered: UidSet::default(),
             next_inst: 0,
             decides: BTreeMap::new(),
@@ -230,6 +255,51 @@ impl AbcastState {
         Some((self.next_inst, self.pending.values().cloned().collect()))
     }
 
+    /// Make a request here and say what to send now, and to whom: the new
+    /// request with whatever is held, to every peer — or nothing, when a
+    /// user request is held behind one of ours still in flight.
+    fn request(&mut self, payload: AbPayload) -> (Vec<AbMsg>, Vec<SiteId>) {
+        let hold = matches!(payload, AbPayload::User(_)) && self.in_flight();
+        let m = self.new_request(payload);
+        self.note_request(&m);
+        if hold {
+            (Vec::new(), Vec::new())
+        } else {
+            self.flush()
+        }
+    }
+
+    /// This site's undelivered requests numbered within `seqs`.
+    fn own(&self, seqs: RangeInclusive<u64>) -> impl Iterator<Item = &AbMsg> {
+        let uid = |seq| MsgUid {
+            origin: self.site,
+            seq,
+        };
+        let uids = uid(*seqs.start())..=uid(*seqs.end());
+        self.pending.range(uids).map(|(_, m)| m)
+    }
+
+    /// Is a request this site sent still undelivered here?
+    fn in_flight(&self) -> bool {
+        self.own(0..=self.sent_through).next().is_some()
+    }
+
+    /// Take what is held for sending: every request made here since the
+    /// last send that is still undelivered, and the peers it goes to. Both
+    /// empty when nothing is held.
+    fn flush(&mut self) -> (Vec<AbMsg>, Vec<SiteId>) {
+        let held: Vec<AbMsg> = self
+            .own(self.sent_through + 1..=u64::MAX)
+            .cloned()
+            .collect();
+        self.sent_through = self.next_seq;
+        if held.is_empty() {
+            return (held, Vec::new());
+        }
+        let peers = self.view.members().iter().copied();
+        (held, peers.filter(|&p| p != self.site).collect())
+    }
+
     /// Build the state-transfer snapshot for a joiner.
     fn snapshot(&self) -> SyncMsg {
         SyncMsg {
@@ -260,6 +330,22 @@ impl AbcastState {
             self.note_request(m);
         }
         adopted
+    }
+
+    /// Install the next view and say what that sends ([`Install`]).
+    fn install(&mut self, v: &GroupView) -> Install {
+        let joiners = v.members().iter().copied();
+        let joiners = joiners
+            .filter(|&m| m != self.site && !self.view.contains(m))
+            .collect();
+        let coord = v.coordinator(0);
+        let handover = coord
+            .filter(|&c| {
+                c != self.site && coord != self.view.coordinator(0) && self.view.contains(c)
+            })
+            .map(|c| (c, self.pending.values().cloned().collect()));
+        self.view = v.clone();
+        (joiners, self.snapshot(), handover)
     }
 
     /// Buffer a decision; returns batches now deliverable, in order.
@@ -309,6 +395,24 @@ fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Vec<AbMsg>)>) -> Resul
     }
 }
 
+/// Send `batch` to each of `to` as one packed [`Payload::Request`]: the one
+/// place a request is put on its way. Nothing when `batch` is empty.
+fn send_requests(
+    ctx: &Ctx,
+    ev: &Events,
+    batch: Vec<AbMsg>,
+    to: impl IntoIterator<Item = SiteId>,
+) -> Result<()> {
+    if batch.is_empty() {
+        return Ok(());
+    }
+    let request = Payload::Request(batch);
+    for target in to {
+        ctx.trigger(ev.send_out, EventData::new((request.clone(), target)))?;
+    }
+    Ok(())
+}
+
 /// Register the atomic-broadcast microprotocol on the builder.
 pub fn register(
     b: &mut StackBuilder,
@@ -324,18 +428,13 @@ pub fn register(
         let triggers = [ev.send_out, ev.cons_propose];
         let h = b.bind_with_triggers(e, pid, "abcast.request", &triggers, move |ctx, data| {
             let payload: &AbPayload = data.expect(e)?;
-            let (me, view, m, proposal) = state.with(ctx, |s| {
-                let m = s.new_request(payload.clone());
-                s.note_request(&m);
-                (s.site, s.view.clone(), m, s.proposal())
+            let ((batch, peers), proposal) = state.with(ctx, |s| {
+                let send = s.request(payload.clone());
+                (send, s.proposal())
             });
-            // Once to every other member; our own copy is in `pending`.
-            for &target in view.members() {
-                if target != me {
-                    let out = (Payload::Request(m.clone()), target);
-                    ctx.trigger(events.send_out, EventData::new(out))?;
-                }
-            }
+            // To every other member unless held; our own copy is in
+            // `pending`.
+            send_requests(ctx, &events, batch, peers)?;
             propose(ctx, &events, proposal)
         });
         // One `SendOut` per peer.
@@ -347,23 +446,23 @@ pub fn register(
         let e = ev.from_rcomm_request;
         let triggers = [ev.send_out, ev.cons_propose];
         b.bind_with_triggers(e, pid, "abcast.on_request", &triggers, move |ctx, data| {
-            let d: &RDeliver<AbMsg> = data.expect(e)?;
-            let m = &d.payload;
-            let (forward, proposal) = state.with(ctx, |s| {
-                // On a first receipt, on to round 0's coordinator — unless
-                // that is us, or it holds the request already.
-                let forward = if s.note_request(m) {
-                    let holders = [s.site, m.uid.origin, d.sender];
-                    s.view.coordinator(0).filter(|c| !holders.contains(c))
-                } else {
-                    None
-                };
-                (forward, s.proposal())
+            let d: &RDeliver<Vec<AbMsg>> = data.expect(e)?;
+            let (coord, forward, proposal) = state.with(ctx, |s| {
+                // First receipts go on to round 0's coordinator — unless
+                // that is us, or it holds them already.
+                let coord = s
+                    .view
+                    .coordinator(0)
+                    .filter(|&c| c != s.site && c != d.sender);
+                let mut forward = Vec::new();
+                for m in &d.payload {
+                    if s.note_request(m) && coord.is_some_and(|c| c != m.uid.origin) {
+                        forward.push(m.clone());
+                    }
+                }
+                (coord, forward, s.proposal())
             });
-            if let Some(coord) = forward {
-                let out = (Payload::Request(m.clone()), coord);
-                ctx.trigger(events.send_out, EventData::new(out))?;
-            }
+            send_requests(ctx, &events, forward, coord)?;
             propose(ctx, &events, proposal)
         });
     }
@@ -371,7 +470,7 @@ pub fn register(
     {
         let state = state.clone();
         let e = ev.deliver_out;
-        let triggers = [ev.cons_gc, ev.cons_propose];
+        let triggers = [ev.cons_gc, ev.cons_propose, ev.send_out];
         let h = b.bind_with_triggers(e, pid, "abcast.on_deliver", &triggers, move |ctx, data| {
             let msg: &CastMsg = data.expect(e)?;
             // RelCast delivers plain user casts on `DeliverUser`, and no
@@ -386,6 +485,7 @@ pub fn register(
                 let out = s.note_decide(*inst, batch.clone());
                 (out, s.next_inst, s.proposal())
             });
+            let decided = !deliverable.is_empty();
             // Deliver in total order — synchronously, so the order is
             // preserved end to end — each part on its class's event.
             for part in runs(deliverable) {
@@ -396,12 +496,18 @@ pub fn register(
                     }
                 }
             }
+            if decided {
+                // What is held here goes now, to the view the decision left
+                // installed.
+                let (held, peers) = state.with(ctx, |s| s.flush());
+                send_requests(ctx, &events, held, peers)?;
+            }
             ctx.trigger(events.cons_gc, EventData::new(gc_below))?;
             propose(ctx, &events, proposal)
         });
         // A `Decide` can release a whole backlog of deliveries, as runs
-        // split by view operations.
-        b.declare_fan_out(h, &[ev.adeliver, ev.adeliver_view]);
+        // split by view operations, and what is held goes to every peer.
+        b.declare_fan_out(h, &[ev.adeliver, ev.adeliver_view, ev.send_out]);
     }
 
     {
@@ -429,47 +535,22 @@ pub fn register(
         let e = ev.view_change;
         let h = b.bind_with_triggers(e, pid, "abcast.view_change", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
-            // Detect joiners: members of the new view absent from the old.
-            let (me, joiners, snapshot, handover) = state.with(ctx, |s| {
-                let joiners: Vec<_> = v
-                    .members()
-                    .iter()
-                    .copied()
-                    .filter(|m| !s.view.contains(*m))
-                    .collect();
-                // Round 0's coordinator moved to an incumbent: it gets what
-                // is pending here (module docs). A joiner gets it in the
-                // snapshot.
-                let coord = v.coordinator(0);
-                let handover = coord
-                    .filter(|&c| {
-                        c != s.site && coord != s.view.coordinator(0) && s.view.contains(c)
-                    })
-                    .map(|c| (c, s.pending.values().cloned().collect::<Vec<_>>()));
-                s.view = v.clone();
-                let snap = s.snapshot();
-                (s.site, joiners, snap, handover)
-            });
+            let (joiners, snapshot, handover) = state.with(ctx, |s| s.install(v));
             // Every incumbent sends the joiner the ordering state —
             // redundant but loss-tolerant; adoption is idempotent, and the
             // pending sets add up.
             for j in joiners {
-                if j != me {
-                    ctx.trigger(
-                        events.send_out,
-                        EventData::new((Payload::Sync(snapshot.clone()), j)),
-                    )?;
-                }
+                ctx.trigger(
+                    events.send_out,
+                    EventData::new((Payload::Sync(snapshot.clone()), j)),
+                )?;
             }
             if let Some((coord, pending)) = handover {
-                for m in pending {
-                    let out = (Payload::Request(m), coord);
-                    ctx.trigger(events.send_out, EventData::new(out))?;
-                }
+                send_requests(ctx, &events, pending, [coord])?;
             }
             Ok(())
         });
-        // One `SendOut` per joiner, and per pending request handed over.
+        // One `SendOut` per joiner, and one to a new coordinator.
         b.declare_fan_out(h, &[ev.send_out]);
     }
 }
@@ -625,6 +706,84 @@ mod tests {
                 Delivery::Run(vec![user(&u1)]),
             ]
         );
+    }
+
+    /// A user request made at `s`, with the payload `m(..)` carries.
+    fn make(s: &mut AbcastState) -> (Vec<AbMsg>, Vec<SiteId>) {
+        s.request(AbPayload::User(Bytes::from_static(b"x")))
+    }
+
+    const NOTHING: (Vec<AbMsg>, Vec<SiteId>) = (Vec::new(), Vec::new());
+
+    #[test]
+    fn nothing_is_held_when_the_previous_request_was_delivered() {
+        let mut s = st();
+        for seq in 1..=3 {
+            let (batch, to) = make(&mut s);
+            assert_eq!(batch, [m(0, seq)]);
+            assert_eq!(to, [SiteId(1), SiteId(2)]);
+            assert_eq!(s.note_decide(seq - 1, batch).len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_flush_sends_what_is_held_and_still_undelivered() {
+        let mut s = st();
+        assert_eq!(make(&mut s).0, [m(0, 1)]);
+        // Held behind the first, but pending: a coordinator proposes them.
+        for _ in 0..3 {
+            assert_eq!(make(&mut s), NOTHING);
+        }
+        assert_eq!(s.proposal().map(|(_, v)| v.len()), Some(4));
+        // A decision orders the first and one held: the flush sends the
+        // other two, and then nothing is held.
+        let _ = s.note_decide(0, vec![m(0, 1), m(0, 2)]);
+        assert_eq!(
+            s.flush(),
+            (vec![m(0, 3), m(0, 4)], vec![SiteId(1), SiteId(2)])
+        );
+        assert_eq!(s.flush(), NOTHING);
+        // Held and delivered before the next decision: nothing to send.
+        assert_eq!(make(&mut s), NOTHING);
+        let _ = s.note_decide(1, vec![m(0, 3), m(0, 4), m(0, 5)]);
+        assert_eq!(s.flush(), NOTHING);
+        assert_eq!(make(&mut s).0, [m(0, 6)]);
+    }
+
+    #[test]
+    fn a_view_op_is_never_held_and_takes_the_held_requests_with_it() {
+        let mut s = st();
+        let _ = make(&mut s);
+        assert_eq!(make(&mut s), NOTHING);
+        let (batch, to) = s.request(AbPayload::ViewOp(ViewOp::Leave, SiteId(2)));
+        let leave = AbMsg {
+            uid: m(0, 3).uid,
+            payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(2)),
+        };
+        assert_eq!(batch, [m(0, 2), leave]);
+        assert_eq!(to, [SiteId(1), SiteId(2)]);
+        // In flight as well: the next user request is held behind them.
+        assert_eq!(make(&mut s), NOTHING);
+    }
+
+    #[test]
+    fn the_joiner_snapshot_and_the_handover_carry_held_requests() {
+        // Site 2 of {0, 1, 2}, one request in flight and one held.
+        let mut s = AbcastState::new(SiteId(2), GroupView::of_first(3));
+        let _ = make(&mut s);
+        assert_eq!(make(&mut s), NOTHING);
+        let ours = vec![m(2, 1), m(2, 2)];
+        // Site 3 joins and gets both; the coordinator stays.
+        let joined = s.view.apply(ViewOp::Join, SiteId(3));
+        let (joiners, snapshot, handover) = s.install(&joined);
+        assert_eq!(joiners, [SiteId(3)]);
+        assert_eq!(snapshot.pending, ours);
+        assert_eq!(handover, None);
+        // Site 0 leaves: site 1 coordinates round 0 and is handed both.
+        let left = joined.apply(ViewOp::Leave, SiteId(0));
+        let (joiners, _, handover) = s.install(&left);
+        assert!(joiners.is_empty());
+        assert_eq!(handover, Some((SiteId(1), ours)));
     }
 
     #[test]

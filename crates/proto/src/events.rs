@@ -30,8 +30,8 @@ pub struct Events {
     /// RelComm delivered any other cast (a consensus decision):
     /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_cast: EventType,
-    /// RelComm delivered an atomic-broadcast request:
-    /// [`RDeliver<AbMsg>`](crate::relcomm::RDeliver).
+    /// RelComm delivered packed atomic-broadcast requests:
+    /// [`RDeliver<Vec<AbMsg>>`](crate::relcomm::RDeliver).
     pub from_rcomm_request: EventType,
     /// RelComm delivered a consensus message:
     /// [`RDeliver<ConsMsg>`](crate::relcomm::RDeliver).

@@ -217,9 +217,11 @@ pub struct SyncMsg {
 pub enum Payload {
     /// RelCast traffic.
     Cast(CastMsg),
-    /// An atomic-broadcast request: sent once by its origin to every member,
-    /// and by a first receiver on to round 0's coordinator (`abcast.rs`).
-    Request(AbMsg),
+    /// Atomic-broadcast requests, packed: sent by their origin to every
+    /// member, by a first receiver on to round 0's coordinator, and by every
+    /// site to a new coordinator at a view change (`abcast.rs`). Never
+    /// empty; [`Wire::decode`] refuses an empty one.
+    Request(Vec<AbMsg>),
     /// Consensus point-to-point traffic.
     Cons(ConsMsg),
     /// Join-time state transfer.
@@ -232,15 +234,15 @@ impl Payload {
     pub fn encoded_len(&self) -> usize {
         1 + match self {
             Payload::Cast(c) => cast_len(c),
-            Payload::Request(m) => ab_len(m),
+            Payload::Request(batch) => batch_len(batch),
             Payload::Cons(c) => cons_len(c),
             Payload::Sync(s) => sync_len(s),
         }
     }
 
     /// The uid of the cluster operation this payload is causally downstream
-    /// of, when one is identifiable: the cast or the request itself, the
-    /// first batch element for consensus values and decisions. `None` for
+    /// of, when one is identifiable: the cast itself, the first element of a
+    /// packed request, of a consensus value or of a decision. `None` for
     /// pure control traffic (collect/ack/sync), which serves no single
     /// operation. Deterministic in the payload alone, so attaching contexts
     /// derived from it preserves schedule purity.
@@ -251,7 +253,7 @@ impl Payload {
                 CastData::AbRequest(ab) => Some(ab.uid),
                 CastData::Decide { batch, .. } => batch.first().map(|m| m.uid).or(Some(c.uid)),
             },
-            Payload::Request(m) => Some(m.uid),
+            Payload::Request(batch) => batch.first().map(|m| m.uid),
             Payload::Cons(m) => match m {
                 ConsMsg::Kick { est, .. } | ConsMsg::Estimate { est, .. } => {
                     est.first().map(|m| m.uid)
@@ -318,6 +320,8 @@ pub enum CodecError {
     /// A `SyncMsg` delivered range with `lo > hi`, or one that overlaps or
     /// precedes the range before it.
     BadRange,
+    /// A [`Payload::Request`] that packs no request.
+    EmptyRequest,
 }
 
 impl std::fmt::Display for CodecError {
@@ -326,6 +330,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated message"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
             CodecError::BadRange => write!(f, "delivered ranges out of order"),
+            CodecError::EmptyRequest => write!(f, "empty request"),
         }
     }
 }
@@ -717,9 +722,9 @@ impl Wire {
                 out.put_u8(2);
                 put_sync(out, s);
             }
-            Payload::Request(m) => {
+            Payload::Request(batch) => {
                 out.put_u8(3);
-                put_ab(out, m);
+                put_batch(out, batch);
             }
         }
     }
@@ -766,7 +771,10 @@ impl Wire {
                     0 => Payload::Cast(get_cast(buf)?),
                     1 => Payload::Cons(get_cons(buf)?),
                     2 => Payload::Sync(get_sync(buf)?),
-                    3 => Payload::Request(get_ab(buf)?),
+                    3 => match get_batch(buf)? {
+                        batch if batch.is_empty() => return Err(CodecError::EmptyRequest),
+                        batch => Payload::Request(batch),
+                    },
                     t => return Err(CodecError::BadTag(t)),
                 };
                 Ok(Wire::Data { seq, ctx, payload })
@@ -847,24 +855,36 @@ mod tests {
         });
     }
 
+    /// `n` requests from origin 1, a view operation among them.
+    fn requests(n: u64) -> Vec<AbMsg> {
+        (1..=n)
+            .map(|seq| AbMsg {
+                uid: uid(1, seq),
+                payload: if seq == 2 {
+                    AbPayload::ViewOp(ViewOp::Leave, SiteId(4))
+                } else {
+                    AbPayload::User(Bytes::from(vec![b'x'; seq as usize]))
+                },
+            })
+            .collect()
+    }
+
     #[test]
     fn roundtrip_ab_request_and_view_op() {
-        roundtrip(Wire::Data {
-            seq: 1,
-            ctx: None,
-            payload: Payload::Request(AbMsg {
-                uid: uid(1, 5),
-                payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(4)),
-            }),
-        });
-        roundtrip(Wire::Data {
-            seq: 1,
-            ctx: None,
-            payload: Payload::Request(AbMsg {
-                uid: uid(1, 6),
-                payload: AbPayload::User(Bytes::from_static(b"x")),
-            }),
-        });
+        for n in [1, 8] {
+            let payload = Payload::Request(requests(n));
+            let len = payload.encoded_len();
+            let w = Wire::Data {
+                seq: 1,
+                ctx: None,
+                payload,
+            };
+            // Exactly as long as `encoded_len` says: a 10-byte header, then
+            // the payload.
+            assert_eq!(w.encode().len(), w.encoded_len(), "{n} requests");
+            assert_eq!(w.encoded_len(), 10 + len, "{n} requests");
+            roundtrip(w);
+        }
         // The retired flooded form still decodes as itself.
         roundtrip(Wire::Data {
             seq: 1,
@@ -877,6 +897,16 @@ mod tests {
                 }),
             }),
         });
+    }
+
+    #[test]
+    fn decode_refuses_an_empty_request() {
+        let w = Wire::Data {
+            seq: 1,
+            ctx: None,
+            payload: Payload::Request(Vec::new()),
+        };
+        assert_eq!(Wire::decode(w.encode()), Err(CodecError::EmptyRequest));
     }
 
     #[test]
@@ -1106,7 +1136,12 @@ mod tests {
                 data,
             })
         };
-        assert_eq!(Payload::Request(ab.clone()).root_uid(), Some(uid(1, 7)));
+        assert_eq!(
+            Payload::Request(vec![ab.clone()]).root_uid(),
+            Some(uid(1, 7))
+        );
+        // A packed request's operation is its first.
+        assert_eq!(Payload::Request(requests(8)).root_uid(), Some(uid(1, 1)));
         assert_eq!(
             cast(CastData::User(Bytes::new())).root_uid(),
             Some(uid(3, 2))

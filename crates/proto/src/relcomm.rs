@@ -52,7 +52,7 @@ use crate::observe::{ClusterTracer, RelCommInstruments};
 use crate::view::GroupView;
 
 /// A reliably delivered payload of one class —
-/// [`CastMsg`](crate::msgs::CastMsg), [`AbMsg`](crate::msgs::AbMsg),
+/// [`CastMsg`](crate::msgs::CastMsg), packed [`AbMsg`](crate::msgs::AbMsg)s,
 /// [`ConsMsg`](crate::msgs::ConsMsg) or
 /// [`SyncMsg`](crate::msgs::SyncMsg) — handed to upper microprotocols via that class's
 /// `FromRComm*` event.
@@ -75,7 +75,7 @@ fn delivery(ev: &Events, sender: SiteId, payload: &Payload) -> (EventType, Event
     match payload {
         Payload::Cast(c) if c.data.is_user() => (ev.from_rcomm_user, of(sender, c)),
         Payload::Cast(c) => (ev.from_rcomm_cast, of(sender, c)),
-        Payload::Request(m) => (ev.from_rcomm_request, of(sender, m)),
+        Payload::Request(batch) => (ev.from_rcomm_request, of(sender, batch)),
         Payload::Cons(c) => (ev.from_rcomm_cons, of(sender, c)),
         Payload::Sync(s) => (ev.from_rcomm_sync, of(sender, s)),
     }

@@ -14,16 +14,23 @@
 //! forward went to a coordinator that then left — every site hands what is
 //! pending to the next one.
 //!
+//! A [`Payload::Request`] costs those frames however many requests it
+//! packs. An origin holds what it casts while one of its own requests is in
+//! flight and sends it packed when the next decision is delivered there,
+//! so eight casts back to back are two `Request`s and two consensus
+//! instances: 3 + 3 request frames from a follower (24 one at a time),
+//! 2 + 2 from the coordinator.
+//!
 //! On the virtual-time rig and recording [`Transport`](samoa_net::Transport)
 //! of `common`, timers off: no tick fires, so no ack travels alone and every
 //! datagram is a data frame; the structure is asserted, never the wall clock.
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use samoa_net::SiteId;
-use samoa_proto::{CastData, ConsMsg, MsgUid, Payload};
+use samoa_proto::{CastData, CastMsg, ConsMsg, MsgUid, Payload};
 
 use common::{Rig, Sent};
 
@@ -32,7 +39,7 @@ use common::{Rig, Sent};
 fn is_relay(s: &Sent) -> bool {
     match &s.payload {
         Some(Payload::Cast(c)) => c.uid.origin != s.from,
-        Some(Payload::Request(m)) => m.uid.origin != s.from,
+        Some(Payload::Request(batch)) => batch.iter().any(|m| m.uid.origin != s.from),
         _ => false,
     }
 }
@@ -98,7 +105,11 @@ fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, BTreeMap<MsgUid
     let (mut requests, mut casts) = (BTreeMap::new(), BTreeMap::new());
     for s in log {
         match &s.payload {
-            Some(Payload::Request(m)) => *requests.entry(m.uid).or_default() += 1,
+            Some(Payload::Request(batch)) => {
+                for m in batch {
+                    *requests.entry(m.uid).or_default() += 1;
+                }
+            }
             Some(Payload::Cast(c)) => *casts.entry(c.uid).or_default() += 1,
             _ => {}
         }
@@ -141,6 +152,130 @@ fn a_healthy_three_site_commit_is_eleven_frames_from_a_follower_and_ten_from_the
             assert_ne!(from, SiteId(0), "the coordinator forwarded");
         }
         assert_eq!(rig.retransmissions(), 0);
+    }
+}
+
+/// The request frames of `log`: sender, receiver and how many requests
+/// each packs.
+fn request_frames(log: &[Sent]) -> Vec<(SiteId, SiteId, usize)> {
+    log.iter()
+        .filter_map(|s| match &s.payload {
+            Some(Payload::Request(batch)) => Some((s.from, s.to, batch.len())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The consensus instances whose decision went out.
+fn decided(log: &[Sent]) -> BTreeSet<u64> {
+    log.iter()
+        .filter_map(|s| match &s.payload {
+            Some(Payload::Cast(CastMsg {
+                data: CastData::Decide { inst, .. },
+                ..
+            })) => Some(*inst),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_burst_of_eight_costs_two_requests_and_two_instances() {
+    // Eight casts back to back: the first leaves at once, the other seven
+    // are held behind it and leave packed when its decision is delivered at
+    // the origin. From a follower each of the two `Request`s is two frames
+    // from the origin and one forward (3 + 3; 24 frames one request at a
+    // time); from the coordinator it is two frames and no forward (2 + 2).
+    for (origin, frames) in [(1u16, 6), (0, 4)] {
+        let rig = Rig::new(3, 43);
+        for i in 0..8 {
+            rig.nodes[origin as usize].abcast(format!("m{i}"));
+        }
+        settle_origin_first(&rig);
+        rig.assert_total_order(8);
+        let order: Vec<_> = rig.nodes[0].ab_delivered();
+        let casts: Vec<_> = (0..8)
+            .map(|i| (SiteId(origin), format!("m{i}").into()))
+            .collect();
+        assert_eq!(order, casts, "origin {origin}: delivered in origin order");
+
+        let log = rig.rec.log();
+        let sent = request_frames(&log);
+        assert_eq!(sent.len(), frames, "origin {origin}: {sent:?}");
+        let from_origin: Vec<usize> = sent
+            .iter()
+            .filter(|(from, ..)| *from == SiteId(origin))
+            .map(|&(.., n)| n)
+            .collect();
+        assert_eq!(from_origin, [1, 1, 7, 7], "origin {origin}: {sent:?}");
+        assert_eq!(decided(&log).len(), 2, "origin {origin}: {log:#?}");
+        assert_eq!(rig.retransmissions(), 0);
+    }
+}
+
+#[test]
+fn requests_held_behind_one_stuck_at_a_coordinator_that_left_are_delivered() {
+    // Site 2 casts four times: the first leaves at once, three are held.
+    // Only site 3 gets the first, and its forward to round 0's coordinator,
+    // site 0, is lost; then site 0 leaves. Site 1 coordinates round 0 of
+    // the next view; the decision of the Leave sends what site 2 holds, and
+    // every site hands site 1 what it has pending. Delivered in the order
+    // they were sent, the four keep their origin's order. Under the
+    // network's own orders the held ones can overtake the first — it was
+    // still in flight when they were made — but each is delivered once, in
+    // one order at every survivor.
+    for (seed, in_send_order) in [(91, true), (91, false), (92, false), (93, false)] {
+        let rig = Rig::new(4, seed);
+        let h = rig.net.handle();
+        for i in 0..4 {
+            rig.nodes[2].abcast(format!("m{i}"));
+        }
+        rig.quiesce();
+        let sent = request_frames(&rig.rec.log());
+        assert_eq!(
+            sent,
+            [SiteId(0), SiteId(1), SiteId(3)].map(|to| (SiteId(2), to, 1)),
+            "one request out, three held"
+        );
+        for dg in h.pending_datagrams() {
+            if dg.to == SiteId(3) {
+                assert!(h.pump_seq(dg.seq));
+            } else {
+                assert!(h.drop_seq(dg.seq));
+            }
+        }
+        rig.quiesce();
+        for dg in h.pending_datagrams() {
+            if dg.to == SiteId(0) {
+                assert!(h.drop_seq(dg.seq));
+            }
+        }
+        rig.nodes[1].request_leave(SiteId(0));
+        if in_send_order {
+            settle_with_last(&rig, |_| false);
+        } else {
+            rig.settle();
+        }
+
+        let at = |i: usize| format!("seed {seed}, in send order {in_send_order}, site {i}");
+        let order = rig.nodes[1].ab_delivered();
+        let casts: Vec<_> = (0..4)
+            .map(|i| (SiteId(2), format!("m{i}").into()))
+            .collect();
+        if in_send_order {
+            assert_eq!(order, casts, "{}", at(1));
+        } else {
+            let mut once = order.clone();
+            once.sort();
+            assert_eq!(once, casts, "{}", at(1));
+        }
+        for i in [1, 2, 3] {
+            let node = &rig.nodes[i];
+            assert!(!node.current_view().contains(SiteId(0)), "{}", at(i));
+            assert_eq!(node.ab_delivered(), order, "{}", at(i));
+            assert_eq!(node.ab_pending(), 0, "{}", at(i));
+            assert_eq!(node.external_errors(), 0, "{}", at(i));
+        }
     }
 }
 

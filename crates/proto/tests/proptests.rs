@@ -133,11 +133,16 @@ fn arb_data() -> impl Strategy<Value = Wire> {
             ctx,
             payload: Payload::Cast(c)
         }),
-        (any::<u64>(), arb_ctx(), arb_ab()).prop_map(|(seq, ctx, m)| Wire::Data {
-            seq,
-            ctx,
-            payload: Payload::Request(m)
-        }),
+        (
+            any::<u64>(),
+            arb_ctx(),
+            proptest::collection::vec(arb_ab(), 1..9)
+        )
+            .prop_map(|(seq, ctx, batch)| Wire::Data {
+                seq,
+                ctx,
+                payload: Payload::Request(batch)
+            }),
         (any::<u64>(), arb_ctx(), arb_cons()).prop_map(|(seq, ctx, c)| Wire::Data {
             seq,
             ctx,
