@@ -404,10 +404,11 @@
 //! ## 10. Cluster observability
 //!
 //! §8's sink observes one runtime; a replicated service needs the *cross-
-//! site* picture. `samoa-proto` adds three pieces, all following the same
-//! pay-nothing-when-off discipline (with neither a sink nor a registry
-//! installed, every instrumentation site is a single `Option` branch —
-//! pinned by the `no_sink_guard` and `no_registry_guard` test binaries):
+//! site* picture. `samoa-proto` adds three pieces. Tracing follows §8's
+//! pay-nothing-when-off discipline (with no sink installed, every trace site
+//! is a single `Option` branch — pinned by the `no_sink_guard` and
+//! `no_tracer_guard` test binaries); counts are always kept, at a relaxed
+//! atomic add each:
 //!
 //! * **Causal trace propagation.** Every wire message carries a compact
 //!   causal context — originating site, per-site operation id, hop count —
@@ -421,16 +422,16 @@
 //!   delivery → per-site apply, with `cat: "causal"` flow events stitching
 //!   the site tracks together.
 //! * **A metrics registry.** [`Registry`](crate::Registry) hands out
-//!   shared-on-clone counters, gauges, and histograms by name; each node
-//!   registers per-site instruments (`site{N}.relcomm.retransmits`,
-//!   `site{N}.consensus.rounds`, `site{N}.abcast.lag_us`,
-//!   `site{N}.kv.apply_latency_us`, ...). `Cluster::metrics()` /
-//!   `TcpCluster::metrics()` snapshot the registry together with the
-//!   canonical per-site transport counters (`Transport::stats_named`, the
-//!   *same names over `SimNet` and `TcpNet`*) into a `ClusterMetrics`
-//!   health report with JSON and text renderings. `instruments_touched()`
-//!   is the process-global proof hook that the unmetered path never bumps
-//!   an instrument.
+//!   shared-on-clone counters, gauges, and fixed-size log-bucketed
+//!   histograms by name. Each node keeps its per-site instruments whether
+//!   or not one is installed; with one, they are named in it
+//!   (`site{N}.relcomm.retransmits`, `site{N}.consensus.rounds`,
+//!   `site{N}.abcast.lag_us`, `site{N}.kv.apply_latency_us`, ...).
+//!   `Cluster::metrics()` / `TcpCluster::metrics()` snapshot the registry
+//!   together with the canonical per-site transport counters
+//!   (`Transport::stats_named`, the *same names over `SimNet` and
+//!   `TcpNet`*) into a `ClusterMetrics` health report with JSON and text
+//!   renderings.
 //! * **Trace-guided schedule search.** `samoa-check`'s `Strategy::Guided`
 //!   drains a scenario's trace buffer between exploration iterations and
 //!   re-aims PCT's priority-demotion points at the scheduling steps whose

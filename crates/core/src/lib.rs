@@ -72,9 +72,7 @@ pub use external::External;
 pub use graph::RoutePattern;
 pub use handler::HandlerId;
 pub use history::{check_serializable, Access, History, IsolationViolation, RunEntry};
-pub use metrics::{
-    instruments_touched, Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use policy::{CellKind, Policy};
 pub use protocol::{ProtocolId, ProtocolState};
 pub use runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};

@@ -1,26 +1,17 @@
-//! Acceptance guard for the observability cost model: with no sink (trace)
-//! or registry (metrics) installed the hot path is a single `Option`
-//! branch — no event is constructed, no timestamp read, no counter bumped.
-//! `samoa_core::trace::events_emitted()` counts every event delivered to
-//! any sink process-wide, and `samoa_core::instruments_touched()` counts
-//! every instrument update process-wide, so zero deltas across full
-//! workloads prove the uninstrumented paths never reach delivery.
+//! Acceptance guard for the tracing cost model: with no sink installed the
+//! hot path is a single `Option` branch — no event is constructed, no
+//! timestamp read. `samoa_core::trace::events_emitted()` counts every event
+//! delivered to any sink process-wide, so a zero delta across a full
+//! workload proves the untraced path never reaches delivery.
 //!
-//! All checks live in one `#[test]` because the counters are
-//! process-global; a parallel instrumented test would perturb the
-//! uninstrumented delta. This file watches `events_emitted` over a runtime
-//! workload and shows the `instruments_touched` discipline on a bare
-//! registry handle; the cluster leg of `instruments_touched` (a whole
-//! replicated-KV run with and without a registry) is its own test binary,
-//! `crates/proto/tests/no_registry_guard.rs`.
+//! All checks live in one `#[test]` because the counter is process-global;
+//! a parallel traced test would perturb the untraced delta.
 
 mod common;
 
-use std::sync::Arc;
-
 use common::{chain_stack, ChainStack};
 use samoa_core::trace::events_emitted;
-use samoa_core::{instruments_touched, Ctx, Decl, EventData, Registry, TraceBuffer};
+use samoa_core::{Ctx, Decl, EventData, TraceBuffer};
 
 /// Six computations through the chain under `decl`, from two spawner
 /// threads, run to quiescence.
@@ -72,10 +63,4 @@ fn untraced_runtime_emits_nothing_traced_runtime_emits() {
     let delta = events_emitted() - before;
     assert!(delta > 0, "traced runtime emitted no events");
     assert_eq!(sink.drain().len() as u64, delta);
-
-    // And a bare registry handle shows the same discipline directly.
-    let reg = Arc::new(Registry::new());
-    let before = instruments_touched();
-    reg.counter("guard.probe").add(1);
-    assert_eq!(instruments_touched() - before, 1);
 }

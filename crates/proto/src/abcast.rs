@@ -129,8 +129,6 @@ pub struct AbcastState {
     decides: BTreeMap<u64, Vec<AbMsg>>,
     /// The instance we have already proposed for (avoid re-proposing).
     proposed_for: Option<u64>,
-    /// Total messages delivered (diagnostics).
-    pub delivered_count: u64,
     /// When false, [`note_decide`](AbcastState::note_decide) skips the
     /// instance-order buffering and delivers every arriving decision
     /// immediately — an **injected bug** for the fault explorer
@@ -138,13 +136,12 @@ pub struct AbcastState {
     /// delivery prefixes across sites. Leave true everywhere else.
     pub order_enabled: bool,
     /// Submit times of locally originated requests, for delivery-lag
-    /// accounting (populated only when a tracer or instruments are
-    /// installed).
+    /// accounting.
     submit_at: HashMap<u64, Instant>,
     /// Cluster tracer, when the node is traced (submit/deliver spans).
     pub tracer: Option<ClusterTracer>,
-    /// Metric instruments, when a registry is installed.
-    pub instruments: Option<AbcastInstruments>,
+    /// Messages delivered, and the delivery lag of those made here.
+    pub instruments: AbcastInstruments,
 }
 
 impl AbcastState {
@@ -160,11 +157,10 @@ impl AbcastState {
             next_inst: 0,
             decides: BTreeMap::new(),
             proposed_for: None,
-            delivered_count: 0,
             order_enabled: true,
             submit_at: HashMap::new(),
             tracer: None,
-            instruments: None,
+            instruments: AbcastInstruments::default(),
         }
     }
 
@@ -188,9 +184,7 @@ impl AbcastState {
     /// operation id every downstream causal-context event refers back to.
     fn new_request(&mut self, payload: AbPayload) -> AbMsg {
         self.next_seq += 1;
-        if self.tracer.is_some() || self.instruments.is_some() {
-            self.submit_at.insert(self.next_seq, Instant::now());
-        }
+        self.submit_at.insert(self.next_seq, Instant::now());
         if let Some(t) = &self.tracer {
             t.emit(TraceKind::ClientSubmit {
                 site: self.site.0,
@@ -207,15 +201,17 @@ impl AbcastState {
     }
 
     /// Emission-only accounting for a batch of just-delivered messages:
-    /// AbDeliver trace spans and delivered/lag instruments. A no-op (two
-    /// never-taken branches) when nothing is installed.
+    /// delivered/lag instruments, and AbDeliver spans on a traced node.
     fn observe_delivered(&mut self, out: &[AbMsg]) {
-        if self.tracer.is_none() && self.instruments.is_none() {
-            return;
-        }
+        self.instruments.delivered.add(out.len() as u64);
+        // Read once per batch, and only by the site that made a request in it.
+        let mut now = None;
         for m in out {
             let lag = if m.uid.origin == self.site {
-                self.submit_at.remove(&m.uid.seq).map(|t0| t0.elapsed())
+                let now = *now.get_or_insert_with(Instant::now);
+                self.submit_at
+                    .remove(&m.uid.seq)
+                    .map(|t0| now.saturating_duration_since(t0))
             } else {
                 None
             };
@@ -227,11 +223,8 @@ impl AbcastState {
                     lag_ns: lag.map_or(0, |d| d.as_nanos() as u64),
                 });
             }
-            if let Some(ins) = &self.instruments {
-                ins.delivered.inc();
-                if let Some(d) = lag {
-                    ins.lag_us.observe(d.as_micros() as u64);
-                }
+            if let Some(d) = lag {
+                self.instruments.lag_us.observe(d.as_micros() as u64);
             }
         }
     }
@@ -359,7 +352,6 @@ impl AbcastState {
             for m in batch {
                 if self.delivered.insert(m.uid) {
                     self.pending.remove(&m.uid);
-                    self.delivered_count += 1;
                     out.push(m);
                 }
             }
@@ -377,7 +369,6 @@ impl AbcastState {
             for m in batch {
                 if self.delivered.insert(m.uid) {
                     self.pending.remove(&m.uid);
-                    self.delivered_count += 1;
                     out.push(m);
                 }
             }
@@ -618,7 +609,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         let out = s.note_decide(0, vec![m(1, 1)]);
         assert!(out.is_empty());
-        assert_eq!(s.delivered_count, 1);
+        assert_eq!(s.instruments.delivered.get(), 1);
     }
 
     #[test]

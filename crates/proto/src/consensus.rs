@@ -65,6 +65,7 @@ use samoa_net::SiteId;
 
 use crate::events::Events;
 use crate::msgs::{AbMsg, CastData, ConsMsg, MsgUid, Payload};
+use crate::observe::ConsensusInstruments;
 use crate::relcomm::RDeliver;
 use crate::view::GroupView;
 
@@ -131,8 +132,8 @@ pub struct ConsensusState {
     /// of its has been accepted here since (module docs, "A coordinator
     /// that has just joined").
     newcomer_coord: bool,
-    /// Metric instruments, when a registry is installed.
-    pub instruments: Option<crate::observe::ConsensusInstruments>,
+    /// Rounds started (`view_changes` is membership's).
+    pub instruments: ConsensusInstruments,
 }
 
 impl ConsensusState {
@@ -144,7 +145,7 @@ impl ConsensusState {
             gc_below: 0,
             insts: HashMap::new(),
             newcomer_coord: false,
-            instruments: None,
+            instruments: ConsensusInstruments::default(),
         }
     }
 
@@ -182,9 +183,7 @@ impl ConsensusState {
         }
         // Round 0 has one proposer and no earlier round (module docs): go
         // straight to the write phase with our own estimate.
-        if let Some(ins) = &self.instruments {
-            ins.rounds.inc();
-        }
+        self.instruments.rounds.inc();
         let value = i.est.clone();
         self.start_write(inst, 0, value)
     }
@@ -323,9 +322,7 @@ impl ConsensusState {
                 return Actions::none(); // already coordinating this round
             }
         }
-        if let Some(ins) = &self.instruments {
-            ins.rounds.inc();
-        }
+        self.instruments.rounds.inc();
         i.max_round = i.max_round.max(round);
         i.round = i.round.max(round);
         let mut est_from = HashSet::new();

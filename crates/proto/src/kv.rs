@@ -33,13 +33,14 @@ use std::time::{Duration, Instant};
 use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 
+use samoa_core::metrics::{Counter, Histogram};
 use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::abcast::ARun;
 use crate::events::Events;
 use crate::msgs::MsgUid;
-use crate::observe::{ClusterTracer, KvInstruments};
+use crate::observe::ClusterTracer;
 
 /// Magic prefix distinguishing KV commands from plain abcast user
 /// payloads (which the store ignores).
@@ -303,35 +304,27 @@ impl KvState {
 struct WaitCell {
     slot: Mutex<Option<KvReply>>,
     cv: Condvar,
-}
-
-/// Client-latency accounting attached to a waiter set when metric
-/// instruments are installed: maps in-flight request ids to their submit
-/// instant so `complete_all` can observe the submit-to-reply latency.
-struct KvObserver {
-    ins: KvInstruments,
-    started: HashMap<u64, Instant>,
+    /// When the client made the request: its reply is timed from here.
+    submitted: Instant,
 }
 
 /// Routes replies from the state machine back to blocked clients on the
-/// originating site. Cloneable handle; shared between the KV handler and
+/// originating site, and times each reply into `kv.apply_latency_us`.
+/// Cloneable handle; shared between the KV handler and
 /// [`Node::kv_put`](crate::node::Node::kv_put)-style entry points.
 #[derive(Clone, Default)]
 pub struct KvWaiters {
     cells: Arc<Mutex<HashMap<u64, Arc<WaitCell>>>>,
-    observer: Option<Arc<Mutex<KvObserver>>>,
+    apply_latency_us: Histogram,
 }
 
 impl KvWaiters {
-    /// A waiter set that additionally records client-observed apply latency
-    /// into `ins` (uninstrumented waiters pay one never-taken branch).
-    pub fn with_instruments(ins: KvInstruments) -> KvWaiters {
+    /// A waiter set that records the submit-to-reply latency of each
+    /// request it answers into `apply_latency_us`, in microseconds.
+    pub fn new(apply_latency_us: Histogram) -> KvWaiters {
         KvWaiters {
             cells: Arc::default(),
-            observer: Some(Arc::new(Mutex::new(KvObserver {
-                ins,
-                started: HashMap::new(),
-            }))),
+            apply_latency_us,
         }
     }
 
@@ -341,11 +334,9 @@ impl KvWaiters {
         let cell = Arc::new(WaitCell {
             slot: Mutex::new(None),
             cv: Condvar::new(),
+            submitted: Instant::now(),
         });
         self.cells.lock().insert(req, Arc::clone(&cell));
-        if let Some(o) = &self.observer {
-            o.lock().started.insert(req, Instant::now());
-        }
         KvPending {
             req,
             cell,
@@ -357,18 +348,11 @@ impl KvWaiters {
     /// applied here (queued by the KV handler, run when that computation
     /// has completed). Every reply is in its slot before any client is
     /// woken: one woken for the oldest finds the rest ready and does not
-    /// sleep again. A request whose waiter has timed out is skipped.
+    /// sleep again. A request whose waiter has timed out is skipped. Each
+    /// reply is timed before anyone is woken, so a woken client finds its
+    /// reply counted.
     pub fn complete_all(&self, replies: Vec<(u64, KvReply)>) {
-        if let Some(o) = &self.observer {
-            let mut o = o.lock();
-            for (req, _) in &replies {
-                if let Some(t0) = o.started.remove(req) {
-                    o.ins
-                        .apply_latency_us
-                        .observe(t0.elapsed().as_micros() as u64);
-                }
-            }
-        }
+        let now = Instant::now();
         let filled: Vec<Arc<WaitCell>> = {
             let mut cells = self.cells.lock();
             replies
@@ -376,6 +360,8 @@ impl KvWaiters {
                 .filter_map(|(req, reply)| {
                     let cell = cells.remove(&req)?;
                     *cell.slot.lock() = Some(reply);
+                    let waited = now.saturating_duration_since(cell.submitted);
+                    self.apply_latency_us.observe(waited.as_micros() as u64);
                     Some(cell)
                 })
                 .collect()
@@ -423,9 +409,6 @@ impl KvPending {
             if Instant::now() >= deadline {
                 drop(slot);
                 self.waiters.cells.lock().remove(&self.req);
-                if let Some(o) = &self.waiters.observer {
-                    o.lock().started.remove(&self.req);
-                }
                 return None;
             }
             self.cell.cv.wait_until(&mut slot, deadline);
@@ -433,14 +416,14 @@ impl KvPending {
     }
 }
 
-/// Observability handles for the KV sink, both optional: absent fields cost
-/// one never-taken branch per apply.
+/// Observability handles for the KV sink.
 #[derive(Default)]
 pub struct KvObserve {
-    /// Re-emits each apply as a causal `KvApply` trace event.
+    /// Re-emits each apply as a causal `KvApply` trace event, when the node
+    /// is traced.
     pub tracer: Option<ClusterTracer>,
-    /// Counts applies into the node's metrics registry.
-    pub instruments: Option<KvInstruments>,
+    /// Counts applies.
+    pub applies: Counter,
 }
 
 /// Register the KV store on the builder: one handler bound to `ADeliver`
@@ -456,10 +439,7 @@ pub fn register(
     site: SiteId,
     observe: KvObserve,
 ) -> HandlerId {
-    let KvObserve {
-        tracer,
-        instruments,
-    } = observe;
+    let KvObserve { tracer, applies } = observe;
     let e = ev.adeliver;
     b.bind_with_triggers(e, pid, "kv.on_adeliver", &[], move |ctx, data| {
         let run: &ARun = data.expect(e)?;
@@ -479,9 +459,7 @@ pub fn register(
                         op: uid.seq,
                     });
                 }
-                if let Some(ins) = &instruments {
-                    ins.applies.inc();
-                }
+                applies.inc();
                 if uid.origin == site {
                     replies.push((req, reply));
                 }

@@ -28,10 +28,9 @@ pub struct MembershipState {
     leave_requested: std::collections::HashSet<SiteId>,
     /// Cluster tracer, when the node is traced (view-change spans).
     pub tracer: Option<ClusterTracer>,
-    /// Metric instruments, when a registry is installed (shares the
-    /// `site{N}.consensus.view_changes` counter with the consensus state —
-    /// the registry is name-addressed, so both hold the same instrument).
-    pub instruments: Option<ConsensusInstruments>,
+    /// Views installed: the `view_changes` of the bundle the consensus
+    /// state holds too.
+    pub instruments: ConsensusInstruments,
 }
 
 impl MembershipState {
@@ -42,7 +41,7 @@ impl MembershipState {
             view,
             leave_requested: std::collections::HashSet::new(),
             tracer: None,
-            instruments: None,
+            instruments: ConsensusInstruments::default(),
         }
     }
 
@@ -60,9 +59,7 @@ impl MembershipState {
                 members: self.view.len() as u32,
             });
         }
-        if let Some(ins) = &self.instruments {
-            ins.view_changes.inc();
-        }
+        self.instruments.view_changes.inc();
     }
 }
 

@@ -61,9 +61,10 @@ use crate::relcast::{self, RelCastState};
 use crate::relcomm::{self, RcAckIn, RcDataIn, RelCommState};
 use crate::view::{GroupView, ViewOp};
 
-/// Observability attachments for a node or cluster — all optional, all
-/// following the one-branch zero-cost-when-uninstalled discipline: a
-/// default `Observe` adds nothing to any hot path.
+/// Observability attachments for a node or cluster, all optional. A
+/// default `Observe` adds no trace work to any hot path (every trace site is
+/// one never-taken branch). Counts are always kept: every node holds its
+/// per-protocol instruments, and a registry only names them.
 #[derive(Clone, Default)]
 pub struct Observe {
     /// Trace sink receiving both the runtime's scheduling events and the
@@ -75,8 +76,8 @@ pub struct Observe {
     /// emits no `CtxRecv` for it (in a partly traced cluster a causal tree
     /// is cut at the untraced sites).
     pub sink: Option<Arc<dyn samoa_core::TraceSink>>,
-    /// Metrics registry the node's per-protocol instruments register into
-    /// (names are `site{N}.<proto>.<metric>`).
+    /// Metrics registry that names the node's per-protocol instruments
+    /// (`site{N}.<proto>.<metric>`), so a snapshot of it reads them.
     pub registry: Option<Arc<Registry>>,
     /// Timestamp epoch. Share one across a cluster so every site's spans
     /// land on a single comparable timeline; defaults to "now" per node.
@@ -329,22 +330,27 @@ impl Node {
         let membership_st = ProtocolState::new(p_membership, MembershipState::new(view));
         let app_st = ProtocolState::new(p_app, AppState::default());
         let kv_st = ProtocolState::new(p_kv, KvState::default());
-        let kv_waiters = match &observe.registry {
-            Some(reg) => KvWaiters::with_instruments(KvInstruments::new(reg, site)),
-            None => KvWaiters::default(),
-        };
 
         if let Some(t) = &tracer {
             relcomm_st.write(|s| s.tracer = Some(t.clone()));
             abcast_st.write(|s| s.tracer = Some(t.clone()));
             membership_st.write(|s| s.tracer = Some(t.clone()));
         }
-        if let Some(reg) = &observe.registry {
-            relcomm_st.write(|s| s.instruments = Some(RelCommInstruments::new(reg, site)));
-            abcast_st.write(|s| s.instruments = Some(AbcastInstruments::new(reg, site)));
-            consensus_st.write(|s| s.instruments = Some(ConsensusInstruments::new(reg, site)));
-            membership_st.write(|s| s.instruments = Some(ConsensusInstruments::new(reg, site)));
-        }
+        // Counts are kept either way; a registry only names them.
+        let (relcomm_ins, abcast_ins, consensus_ins, kv_ins) = match &observe.registry {
+            Some(reg) => (
+                RelCommInstruments::new(reg, site),
+                AbcastInstruments::new(reg, site),
+                ConsensusInstruments::new(reg, site),
+                KvInstruments::new(reg, site),
+            ),
+            None => Default::default(),
+        };
+        relcomm_st.write(|s| s.instruments = relcomm_ins);
+        abcast_st.write(|s| s.instruments = abcast_ins);
+        consensus_st.write(|s| s.instruments = consensus_ins.clone());
+        membership_st.write(|s| s.instruments = consensus_ins);
+        let kv_waiters = KvWaiters::new(kv_ins.apply_latency_us);
 
         if !cfg.view_change_delay.is_zero() {
             relcomm_st.write(|s| s.view_change_delay = cfg.view_change_delay);
@@ -393,10 +399,7 @@ impl Node {
             site,
             kv::KvObserve {
                 tracer: tracer.clone(),
-                instruments: observe
-                    .registry
-                    .as_ref()
-                    .map(|r| KvInstruments::new(r, site)),
+                applies: kv_ins.applies,
             },
         );
 
@@ -672,7 +675,7 @@ impl Node {
 
     /// RelComm retransmission count (diagnostics).
     pub fn retransmissions(&self) -> u64 {
-        self.relcomm.read(|s| s.retransmissions)
+        self.relcomm.read(|s| s.instruments.retransmits.get())
     }
 
     /// RelComm messages sent but not yet acknowledged (diagnostics).
@@ -683,7 +686,7 @@ impl Node {
     /// Sends RelComm discarded because the target was outside its view
     /// (the §3 race indicator under `Unsync`; see EXPERIMENTS.md E5).
     pub fn relcomm_discards(&self) -> u64 {
-        self.relcomm.read(|s| s.discarded)
+        self.relcomm.read(|s| s.instruments.discards.get())
     }
 
     /// External computations that ended in an error

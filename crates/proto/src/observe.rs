@@ -1,12 +1,15 @@
-//! Cluster-side observability: the causal tracer and per-protocol metric
-//! instrument bundles a node installs when tracing/metrics are requested.
+//! Cluster-side observability: the causal tracer a node installs when
+//! tracing is requested, and the per-protocol metric instrument bundles
+//! every node keeps.
 //!
-//! Both follow the core one-branch discipline: protocol states hold these as
-//! `Option<...>`; with nothing installed the hot path pays a single
-//! never-taken branch, pinned by `crates/core/tests/no_sink_guard.rs`
-//! (via [`samoa_core::trace::events_emitted`]) and
-//! `crates/proto/tests/no_registry_guard.rs` (via
-//! [`samoa_core::metrics::instruments_touched`]).
+//! Tracing is opt-in: protocol states hold the tracer as an `Option`, and
+//! with no sink the hot path pays a never-taken branch, pinned by
+//! `crates/core/tests/no_sink_guard.rs` (via
+//! [`samoa_core::trace::events_emitted`]) and
+//! `crates/proto/tests/no_tracer_guard.rs`. Counts are always kept: a
+//! bundle's `Default` is detached instruments that no registry holds, and a
+//! registry in [`Observe`](crate::Observe) only names them
+//! (`site{N}.{protocol}.{metric}`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,7 +54,7 @@ impl ClusterTracer {
 
 /// RelComm instruments: retransmission and send counters plus the current
 /// adaptive RTO.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct RelCommInstruments {
     /// Frames sent (first transmissions).
     pub sends: Counter,
@@ -77,7 +80,7 @@ impl RelCommInstruments {
 }
 
 /// Consensus instruments: rounds started and views installed.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ConsensusInstruments {
     /// Consensus rounds started (coordinator collect phases).
     pub rounds: Counter,
@@ -97,7 +100,7 @@ impl ConsensusInstruments {
 }
 
 /// Abcast instruments: deliveries and submit-to-delivery lag.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct AbcastInstruments {
     /// Messages delivered in total order.
     pub delivered: Counter,
@@ -117,7 +120,7 @@ impl AbcastInstruments {
 }
 
 /// KV instruments: applies and client-observed apply latency.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct KvInstruments {
     /// Commands applied to the replicated state machine.
     pub applies: Counter,

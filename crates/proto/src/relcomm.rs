@@ -174,13 +174,6 @@ pub struct RelCommState {
     /// so that flush order is a pure function of the state, like resends.
     owed: BTreeMap<SiteId, Vec<u64>>,
     clock: ProtoClock,
-    /// Retransmissions performed (observable for tests/benches).
-    pub retransmissions: u64,
-    /// Sends discarded because the target was not in RelComm's view. Under
-    /// an isolating policy this only happens for genuinely departed sites;
-    /// under `Unsync` it also counts the paper's §3 race (an upper layer
-    /// fanned out using a view RelComm has not installed yet).
-    pub discarded: u64,
     /// Artificial processing delay at the start of `view_change`, used by
     /// experiment E5 to widen the §3 race window (simulating the "time
     /// consuming" view installation work the paper's motivation cites).
@@ -191,8 +184,11 @@ pub struct RelCommState {
     ctx_hops: HopTable,
     /// Cluster tracer, when the node is traced (retransmit spans).
     pub tracer: Option<ClusterTracer>,
-    /// Metric instruments, when a registry is installed.
-    pub instruments: Option<RelCommInstruments>,
+    /// Sends, retransmissions, discards and the RTO. A discard is a send to
+    /// a target outside RelComm's view: under an isolating policy only a
+    /// genuinely departed site, under `Unsync` also the paper's §3 race (an
+    /// upper layer fanned out using a view RelComm has not installed yet).
+    pub instruments: RelCommInstruments,
 }
 
 impl RelCommState {
@@ -212,12 +208,10 @@ impl RelCommState {
             rx: ArqReceiver::default(),
             owed: BTreeMap::new(),
             clock,
-            retransmissions: 0,
-            discarded: 0,
             view_change_delay: Duration::ZERO,
             ctx_hops: HopTable::default(),
             tracer: None,
-            instruments: None,
+            instruments: RelCommInstruments::default(),
         }
     }
 
@@ -286,20 +280,17 @@ pub fn register(
             let frame = state.with(ctx, |s| {
                 if !s.view.contains(*target) || *target == s.site {
                     if *target != s.site {
-                        s.discarded += 1;
-                        if let Some(ins) = &s.instruments {
-                            ins.discards.inc();
-                        }
+                        s.instruments.discards.inc();
                     }
                     return None; // discard, as the paper prescribes
                 }
                 let wire_ctx = s.ctx_for(payload);
                 let now = s.clock.now();
                 let seq = s.tx.send(*target, (payload.clone(), wire_ctx), now);
-                if let Some(ins) = &s.instruments {
-                    ins.sends.inc();
-                    ins.rto_us.set(s.tx.rto(*target).as_micros() as u64);
-                }
+                s.instruments.sends.inc();
+                s.instruments
+                    .rto_us
+                    .set(s.tx.rto(*target).as_micros() as u64);
                 // The acks owed to the target ride along.
                 let acks = s.owed.remove(target).unwrap_or_default();
                 Some((s.site, seq, wire_ctx, acks))
@@ -397,10 +388,7 @@ pub fn register(
                     now,
                     |_| false,
                     |target, seq, attempts, (payload, ctx)| {
-                        s.retransmissions += 1;
-                        if let Some(ins) = &s.instruments {
-                            ins.retransmits.inc();
-                        }
+                        s.instruments.retransmits.inc();
                         if let Some(t) = &s.tracer {
                             t.emit(samoa_core::TraceKind::Retransmit {
                                 site: t.site().0,
@@ -547,7 +535,7 @@ mod tests {
     fn state_counters_start_clean() {
         let s = RelCommState::new(SiteId(0), GroupView::of_first(3), Duration::from_millis(20));
         assert_eq!(s.pending_count(), 0);
-        assert_eq!(s.retransmissions, 0);
+        assert_eq!(s.instruments.retransmits.get(), 0);
         assert_eq!(s.view().len(), 3);
     }
 }

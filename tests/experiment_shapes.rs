@@ -120,7 +120,8 @@ fn e6_shape_versioning_approaches_unsync_without_conflicts() {
 
 /// E12-metrics shape: a metered cluster commits the same workload as an
 /// unmetered one, snapshots a health report accounting for every apply,
-/// and the unmetered run reports no health at all.
+/// every reply and every delivery lag once, and the unmetered run reports
+/// no health at all.
 #[test]
 fn e12_metrics_shape_metered_fleet_health_accounts_for_all_applies() {
     use samoa_proto::Observe;
@@ -164,6 +165,14 @@ fn e12_metrics_shape_metered_fleet_health_accounts_for_all_applies() {
             .counters
             .get(&format!("site{site}.abcast.delivered"));
         assert!(delivered.is_some_and(|&d| d > 0), "site {site}: {health:?}");
+        // One observation per reply and per delivered request of its own:
+        // site i submitted puts i, i + 3, i + 6 < 8.
+        let submitted = [3, 3, 2][site];
+        for h in ["kv.apply_latency_us", "abcast.lag_us"] {
+            let count = health.metrics.histograms[&format!("site{site}.{h}")].count;
+            assert_eq!(count, submitted, "site {site}: {h}");
+        }
+        assert!(health.metrics.counters[&format!("site{site}.relcomm.sends")] > 0);
     }
     // Transport counters ride along under the canonical names, in both
     // renderings.
