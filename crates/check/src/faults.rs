@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 use samoa_core::sched::{ExternalChoice, SchedResource};
 use samoa_core::{History, SchedHook};
 use samoa_net::{NetConfig, NetHandle, SimNet, SiteId};
-use samoa_proto::{Cluster, Node, NodeConfig, Observe, ProtoClock, StackPolicy};
+use samoa_proto::{Cluster, Node, NodeConfig, Observe, ProtoClock, StackPolicy, RTO};
 
 use crate::scenarios::{RunReport, Scenario};
 
@@ -346,7 +346,6 @@ impl Scenario for ClusterScenario {
         let net = SimNet::new_manual(n, NetConfig::fast(self.net_seed));
         let clock = ProtoClock::manual();
         let mut cfg = NodeConfig::with_policy(self.policy);
-        cfg.enable_timers = false;
         cfg.enable_fd = false;
         cfg.clock = clock.clone();
         cfg.ab_order_enabled = !self.ab_order_bug;
@@ -374,7 +373,7 @@ impl Scenario for ClusterScenario {
         let mut actions = 0u32;
         // Each tick must clear RelComm's exponential backoff (rto << attempts,
         // capped at 16x) so a retransmission actually fires.
-        let tick_advance = cfg.rto * 32;
+        let tick_advance = RTO * 32;
 
         loop {
             // Let the computations triggered by the previous move finish

@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use samoa_core::analysis::ConflictMatrix;
 use samoa_core::prelude::*;
 use samoa_core::{History, SchedHook};
-use samoa_net::{NetConfig, SimNet, SiteId};
+use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
 use samoa_transport::{Endpoint, TransportConfig};
 
 use crate::independence::StaticIndependence;
@@ -515,7 +515,7 @@ impl Scenario for TransportWindowScenario {
             policy: self.policy,
             mtu: 16,
             window: 4,
-            enable_timers: false,
+            clock: ProtoClock::manual(),
             ..TransportConfig::default()
         };
         let e0 = Endpoint::with_parts(

@@ -7,7 +7,7 @@
 
 use samoa_check::{Controller, PrefixDecider};
 use samoa_core::{TraceBuffer, TraceKind};
-use samoa_net::{NetConfig, SimNet};
+use samoa_net::{NetConfig, ProtoClock, SimNet};
 use samoa_proto::{Cluster, NodeConfig, Observe, StackPolicy};
 
 /// Project a cluster trace event to a timing-free descriptor (wait/service
@@ -49,7 +49,7 @@ fn traced_put_run() -> Vec<TraceKind> {
     ctrl.register_main();
     let sink = TraceBuffer::new();
     let cfg = NodeConfig {
-        enable_timers: false,
+        clock: ProtoClock::manual(),
         ..NodeConfig::with_policy(StackPolicy::Basic)
     };
     let cluster = Cluster::new_observed_on(

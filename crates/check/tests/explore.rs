@@ -246,7 +246,7 @@ fn proto_node_runs_hooked_under_a_controlled_schedule() {
     // general `Node` constructor end to end; full exploration of this stack
     // is a ROADMAP item.
     use samoa_check::{Controller, PrefixDecider};
-    use samoa_net::{NetConfig, SimNet, SiteId};
+    use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
     use samoa_proto::{Node, NodeConfig, Observe};
     use std::sync::Arc;
 
@@ -254,7 +254,7 @@ fn proto_node_runs_hooked_under_a_controlled_schedule() {
     ctrl.register_main();
     let net = SimNet::new_manual(2, NetConfig::fast(3));
     let cfg = NodeConfig {
-        enable_timers: false,
+        clock: ProtoClock::manual(),
         record_history: true,
         ..NodeConfig::default()
     };

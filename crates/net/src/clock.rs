@@ -9,10 +9,14 @@
 //! handle that is either the wall clock or a shared monotone counter
 //! advanced explicitly by the test harness.
 //!
-//! A host's timer thread, [`Ticker`], sleeps until the instant its
-//! [`Alarm`] is armed for. That instant is on the wall clock: a manual
-//! clock's instants mean nothing to a thread that sleeps in real time, so a
-//! transport endpoint on one arms nothing and a rig on one ticks by hand.
+//! A stack host (a proto `Node`, a transport `Endpoint`) is a [`Host`]:
+//! [`Ticker::attach`] hands it the datagrams of its site and the ticks of
+//! its timer thread, which sleeps until the instant its [`Alarm`] is armed
+//! for. That instant is on the wall clock: a manual clock's instants mean
+//! nothing to a thread that sleeps in real time. So the host's clock alone
+//! decides whether a timer runs ([`Alarm::on`]): on the wall clock one
+//! does, on a manual clock none does, and whoever advances the clock
+//! injects the ticks.
 //!
 //! ```
 //! use std::time::Duration;
@@ -30,6 +34,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+
+use crate::sim::{Datagram, SiteId};
+use crate::transport::Transport;
 
 enum ClockInner {
     /// Real time: `now()` is `Instant::now()`.
@@ -127,12 +134,6 @@ struct AlarmInner {
     cv: Condvar,
 }
 
-impl Default for Alarm {
-    fn default() -> Self {
-        Alarm::new()
-    }
-}
-
 impl std::fmt::Debug for Alarm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("Alarm").field(&self.deadline()).finish()
@@ -141,7 +142,7 @@ impl std::fmt::Debug for Alarm {
 
 impl Alarm {
     /// Nothing armed.
-    pub fn new() -> Alarm {
+    fn new() -> Alarm {
         Alarm(Arc::new(AlarmInner {
             at_ns: AtomicU64::new(UNARMED),
             epoch: Instant::now(),
@@ -149,6 +150,14 @@ impl Alarm {
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }))
+    }
+
+    /// The alarm of a host on `clock`, with nothing armed: one on the wall
+    /// clock, none on a manual clock, whose ticks are injected by whoever
+    /// advances it. A host starts its timer thread if and only if it gets
+    /// one; this is the only way to get one.
+    pub fn on(clock: &ProtoClock) -> Option<Alarm> {
+        (!clock.is_manual()).then(Alarm::new)
     }
 
     /// Tick at `at`, or earlier if an earlier instant is armed already: a
@@ -205,13 +214,25 @@ impl AlarmInner {
     }
 }
 
+/// A stack host: a site's datagrams and its timer's ticks are the external
+/// events (paper §4) it turns into computations. Which thread delivers
+/// them is [`Ticker::attach`]'s business, not the host's.
+pub trait Host: Send + Sync + 'static {
+    /// One datagram addressed to the host's site.
+    fn on_datagram(&self, dg: Datagram);
+
+    /// The armed instant has passed: tick, and return the next instant to
+    /// tick at, if the host keeps one. A host that arms its alarm as work
+    /// goes out returns none.
+    fn on_alarm(&self) -> Option<Instant>;
+}
+
 /// The timer thread of a stack host (a proto `Node`, a transport
 /// `Endpoint`): it sleeps until its [`Alarm`]'s instant has passed, calls
 /// `tick` on its target, and arms the instant `tick` returns, until it is
-/// stopped or dropped, or the target is. `Node` returns a fixed period from
-/// now; `Endpoint` returns none, because its Window arms the alarm as
-/// frames go out. It holds the target only weakly, so a host can own its
-/// ticker.
+/// stopped or dropped, or the target is. A [`Host`] gets one from
+/// [`Ticker::attach`], which calls [`Host::on_alarm`]. It holds the target
+/// only weakly, so a host can own its ticker.
 #[derive(Debug)]
 pub struct Ticker {
     alarm: Alarm,
@@ -248,6 +269,30 @@ impl Ticker {
             alarm,
             thread: Mutex::new(Some(thread)),
         }
+    }
+
+    /// Attach `host` to its site on `net` and to its timer: datagrams for
+    /// `site` go to [`Host::on_datagram`], and with an `alarm` (see
+    /// [`Alarm::on`]) a thread named `name` calls [`Host::on_alarm`] when it
+    /// rings. Both hold the host weakly. The ticker, if one started, is the
+    /// host's to keep.
+    pub fn attach<H: Host>(
+        host: &Arc<H>,
+        site: SiteId,
+        net: &dyn Transport,
+        alarm: Option<Alarm>,
+        name: String,
+    ) -> Option<Ticker> {
+        let weak = Arc::downgrade(host);
+        net.register(
+            site,
+            Arc::new(move |dg| {
+                if let Some(host) = weak.upgrade() {
+                    host.on_datagram(dg);
+                }
+            }),
+        );
+        alarm.map(|alarm| Ticker::start(name, alarm, Arc::downgrade(host), H::on_alarm))
     }
 
     /// Stop ticking and join the thread, which is woken to notice, so this

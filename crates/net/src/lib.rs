@@ -12,8 +12,12 @@
 //!   ([`TcpMesh`] bundles `n` endpoints for in-process cluster tests).
 //!
 //! Both stacks above them share the ARQ core ([`arq`]), its injectable
-//! time source ([`ProtoClock`]) and the timer thread that feeds it ticks
-//! ([`Ticker`]), which sleeps until the instant its [`Alarm`] is armed for.
+//! time source ([`ProtoClock`]) and one way to host a stack: a [`Host`]
+//! takes its site's datagrams and its timer's ticks, and
+//! [`Ticker::attach`] wires both. The timer thread sleeps until the
+//! instant its [`Alarm`] is armed for, and runs only on the wall clock
+//! ([`Alarm::on`]); on a manual clock whoever advances it injects the
+//! ticks.
 //!
 //! ```
 //! use samoa_net::{NetConfig, SimNet, SiteId};
@@ -44,7 +48,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use arq::{ArqReceiver, ArqSender, RangeSet};
-pub use clock::{Alarm, ProtoClock, Ticker};
+pub use clock::{Alarm, Host, ProtoClock, Ticker};
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};
 pub use stats::SiteStats;

@@ -52,5 +52,6 @@ pub use node::{
     Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster, TICK_INTERVAL,
 };
 pub use observe::ClusterTracer;
+pub use relcomm::RTO;
 pub use samoa_net::clock::{self, ProtoClock};
 pub use view::{GroupView, ViewOp};

@@ -43,7 +43,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use samoa_core::metrics::Registry;
 use samoa_core::prelude::*;
-use samoa_net::{Alarm, NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Ticker, Transport};
+use samoa_net::{
+    Alarm, Datagram, Host, NetConfig, NetHandle, SimNet, SiteId, TcpMesh, Ticker, Transport,
+};
 
 use crate::abcast::{self, AbcastState};
 use crate::app::{self, AppState};
@@ -111,50 +113,6 @@ impl std::fmt::Debug for Observe {
     }
 }
 
-/// Transport decorator that emits a `CtxSend` flow event for every
-/// outbound data frame carrying a trace context. Header-only
-/// ([`Wire::peek_ctx`]) — the payload is never re-decoded, and frames
-/// without a context (acks, heartbeats, un-traced data) cost one length
-/// check.
-struct TracingTransport {
-    inner: Arc<dyn Transport>,
-    tracer: ClusterTracer,
-}
-
-impl Transport for TracingTransport {
-    fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
-        if let Some(c) = Wire::peek_ctx(&payload) {
-            self.tracer.emit(samoa_core::TraceKind::CtxSend {
-                from: from.0,
-                to: to.0,
-                origin: c.origin.0,
-                op: c.op,
-                hop: c.hop,
-            });
-        }
-        self.inner.send(from, to, payload);
-    }
-
-    // The default `send_all` fans out through `self.send`, emitting one
-    // flow event per destination — exactly what the exporter needs.
-
-    fn site_count(&self) -> usize {
-        self.inner.site_count()
-    }
-
-    fn sites(&self) -> Vec<SiteId> {
-        self.inner.sites()
-    }
-
-    fn register(&self, site: SiteId, callback: Arc<samoa_net::sim::DeliveryFn>) {
-        self.inner.register(site, callback)
-    }
-
-    fn stats_named(&self, site: SiteId) -> Vec<(&'static str, u64)> {
-        self.inner.stats_named(site)
-    }
-}
-
 /// Which isolation policy the node's external events run under: the
 /// core's [`Policy`], re-exported under this crate's historical name.
 pub use samoa_core::Policy as StackPolicy;
@@ -164,7 +122,8 @@ pub use samoa_core::Policy as StackPolicy;
 const INTRA_THREADS: usize = 1;
 
 /// Timer period (retransmission + failure detection). RelComm's ack
-/// deferral relies on `rto ≥ 2 × TICK_INTERVAL` (see `relcomm.rs`).
+/// deferral relies on [`RTO`](crate::relcomm::RTO) ≥ 2 × `TICK_INTERVAL`,
+/// checked where `RTO` is defined.
 pub const TICK_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Node tunables.
@@ -172,15 +131,11 @@ pub const TICK_INTERVAL: Duration = Duration::from_millis(10);
 pub struct NodeConfig {
     /// Isolation policy for external events.
     pub policy: StackPolicy,
-    /// RelComm retransmission timeout.
-    pub rto: Duration,
     /// Failure-detector suspicion timeout.
     pub fd_timeout: Duration,
     /// Run the failure detector (off by default so fault-free workloads can
     /// fully quiesce).
     pub enable_fd: bool,
-    /// Run the retransmission timer (on by default).
-    pub enable_timers: bool,
     /// Initial group view (defaults to all sites of the network).
     pub initial_members: Option<Vec<SiteId>>,
     /// Record history for the isolation checker.
@@ -189,10 +144,15 @@ pub struct NodeConfig {
     /// race-window widener; zero in normal operation).
     pub view_change_delay: Duration,
     /// The time source the stack's timeout logic (failure detector,
-    /// RelComm retransmission) reads. Defaults to the wall clock; a
-    /// [`ProtoClock::manual`] clock shared across a cluster makes every
-    /// timeout a function of explicit [`ProtoClock::advance`] calls —
-    /// the substrate for deterministic fault exploration.
+    /// RelComm retransmission) reads, and what decides whether the timer
+    /// runs ([`Alarm::on`]). On the wall clock (the default) a thread,
+    /// `node-N-timer`, injects a retransmission tick — and a failure
+    /// detector tick with `enable_fd` — every [`TICK_INTERVAL`]. On a
+    /// [`ProtoClock::manual`] clock no thread starts: whoever advances the
+    /// clock injects the ticks ([`Node::inject_retransmit_tick`],
+    /// [`Node::inject_fd_tick`]). Shared across a cluster, a manual clock
+    /// makes every timeout a function of explicit [`ProtoClock::advance`]
+    /// calls — the substrate for deterministic fault exploration.
     pub clock: ProtoClock,
     /// When false, abcast delivers decisions in *arrival* order instead of
     /// instance order — an **injected bug** the fault explorer uses to
@@ -206,10 +166,8 @@ impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
             policy: StackPolicy::Basic,
-            rto: Duration::from_millis(25),
             fd_timeout: Duration::from_millis(200),
             enable_fd: false,
-            enable_timers: true,
             initial_members: None,
             record_history: false,
             view_change_delay: Duration::ZERO,
@@ -250,13 +208,14 @@ pub struct Node {
     kv: ProtocolState<KvState>,
     kv_waiters: KvWaiters,
     kv_req: AtomicU64,
-    /// The Timer Module; set once, after the node it ticks exists.
-    timer: OnceLock<Ticker>,
+    /// The Timer Module; set once, after the node it ticks exists, and
+    /// none on a manual clock.
+    timer: OnceLock<Option<Ticker>>,
 }
 
 impl Node {
-    /// Build the node, wire its stack, register it on `transport`, and (if
-    /// enabled) start its timers. The same stack runs unchanged over a
+    /// Build the node, wire its stack, register it on `transport`, and (on
+    /// the wall clock) start its timer. The same stack runs unchanged over a
     /// `SimNet` (`Arc::new(net.handle())`) or a real-socket
     /// [`TcpNet`](samoa_net::TcpNet):
     ///
@@ -278,9 +237,9 @@ impl Node {
     ///
     /// With a `hook` the node's runtime is under `samoa-check`-style
     /// controlled exploration; pair it with a manual network
-    /// ([`SimNet::new_manual`](samoa_net::SimNet::new_manual)) and
-    /// `enable_timers: false` / `enable_fd: false` so every thread in the
-    /// system is under the controller. With [`Observe::sink`] every
+    /// ([`SimNet::new_manual`](samoa_net::SimNet::new_manual)) and a
+    /// [`ProtoClock::manual`] clock so every thread in the system is under
+    /// the controller. With [`Observe::sink`] every
     /// computation spawn, admission wait (with the blocking computation's
     /// identity), handler call, early release, and completion in this
     /// node's stack is delivered as a structured event, cheap enough to
@@ -318,7 +277,7 @@ impl Node {
 
         let relcomm_st = ProtocolState::new(
             p_relcomm,
-            RelCommState::with_clock(site, view.clone(), cfg.rto, cfg.clock.clone()),
+            RelCommState::with_clock(site, view.clone(), cfg.clock.clone()),
         );
         let relcast_st = ProtocolState::new(p_relcast, RelCastState::new(site, view.clone()));
         let fd_st = ProtocolState::new(
@@ -362,30 +321,10 @@ impl Node {
         // RelCast registers before RelComm so that `triggerAll ViewChange`
         // updates the upper layer first — the §3 race window: RelCast fans
         // out using the new view while RelComm still holds the old one.
-        // When traced, protocol sends go through a decorator that emits one
-        // `CtxSend` flow event per outbound context-carrying frame.
-        let send_transport: Arc<dyn Transport> = match &tracer {
-            Some(t) => Arc::new(TracingTransport {
-                inner: Arc::clone(&transport),
-                tracer: t.clone(),
-            }),
-            None => Arc::clone(&transport),
-        };
         relcast::register(&mut b, p_relcast, &ev, relcast_st.clone());
-        relcomm::register(
-            &mut b,
-            p_relcomm,
-            &ev,
-            relcomm_st.clone(),
-            Arc::clone(&send_transport),
-        );
-        fd::register(
-            &mut b,
-            p_fd,
-            &ev,
-            fd_st.clone(),
-            Arc::clone(&send_transport),
-        );
+        let net = Arc::clone(&transport);
+        relcomm::register(&mut b, p_relcomm, &ev, relcomm_st.clone(), net);
+        fd::register(&mut b, p_fd, &ev, fd_st.clone(), Arc::clone(&transport));
         consensus::register(&mut b, p_consensus, &ev, consensus_st.clone());
         abcast::register(&mut b, p_abcast, &ev, abcast_st.clone());
         membership::register(&mut b, p_membership, &ev, membership_st.clone());
@@ -434,100 +373,13 @@ impl Node {
             timer: OnceLock::new(),
         });
 
-        // Network Module: decode, classify, spawn an isolated computation.
-        {
-            let weak = Arc::downgrade(&node);
-            node.transport.register(
-                site,
-                Arc::new(move |dg| {
-                    if let Some(node) = weak.upgrade() {
-                        node.on_datagram(dg.from, dg.payload);
-                    }
-                }),
-            );
-        }
-
-        // Timer Module.
-        if node.cfg.enable_timers {
-            let fd_enabled = node.cfg.enable_fd;
-            let alarm = Alarm::new();
-            alarm.arm(Instant::now() + TICK_INTERVAL);
-            let ticker = Ticker::start(
-                format!("node-{}-timer", site.0),
-                alarm,
-                Arc::downgrade(&node),
-                move |node: &Node| {
-                    node.inject_retransmit_tick();
-                    if fd_enabled {
-                        node.inject_fd_tick();
-                    }
-                    Some(Instant::now() + TICK_INTERVAL)
-                },
-            );
-            node.timer.set(ticker).expect("the node is new");
-        }
-
+        // The Network Module and the Timer Module.
+        let alarm = Alarm::on(&node.cfg.clock).inspect(|a| a.arm(Instant::now() + TICK_INTERVAL));
+        node.timer.get_or_init(|| {
+            let name = format!("node-{}-timer", site.0);
+            Ticker::attach(&node, site, &*node.transport, alarm, name)
+        });
         node
-    }
-
-    /// Handle one inbound datagram (the Network Module): decode all its
-    /// frames and spawn **one** computation for it. A datagram is a data
-    /// frame followed by the acks going the same way, acks alone, or a lone
-    /// heartbeat; anything else is malformed and dropped, like a real UDP
-    /// stack would.
-    fn on_datagram(&self, from: SiteId, payload: Bytes) {
-        let Ok(frames) = Wire::decode_all(payload) else {
-            return;
-        };
-        if frames == [Wire::Heartbeat] {
-            self.spawn_external(self.ev.fd_beat, EventData::new(from));
-            return;
-        }
-        let mut frames = frames.into_iter().peekable();
-        let data = frames.next_if(|f| matches!(f, Wire::Data { .. }));
-        let acks: Option<Vec<u64>> = frames
-            .map(|f| match f {
-                Wire::Ack { seq } => Some(seq),
-                _ => None,
-            })
-            .collect();
-        let Some(acks) = acks else { return };
-        match data {
-            Some(Wire::Data { seq, ctx, payload }) => {
-                if let (Some(t), Some(c)) = (&self.tracer, ctx) {
-                    t.emit(samoa_core::TraceKind::CtxRecv {
-                        site: t.site().0,
-                        origin: c.origin.0,
-                        op: c.op,
-                        hop: c.hop,
-                    });
-                }
-                let entry = match &payload {
-                    Payload::Cast(c) if c.data.is_user() => self.ev.rc_data_user,
-                    _ => self.ev.rc_data,
-                };
-                self.spawn_external(
-                    entry,
-                    EventData::new(RcDataIn {
-                        sender: from,
-                        seq,
-                        ctx,
-                        payload,
-                        acks,
-                    }),
-                );
-            }
-            _ if !acks.is_empty() => {
-                self.spawn_external(
-                    self.ev.rc_ack,
-                    EventData::new(RcAckIn {
-                        sender: from,
-                        seqs: acks,
-                    }),
-                );
-            }
-            _ => {}
-        }
     }
 
     /// Hand an external event to the runtime, rooted at `entry` and
@@ -539,9 +391,9 @@ impl Node {
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
-    /// would. With `enable_timers: false` and a [`ProtoClock::manual`]
-    /// clock this is the *only* way RelComm retransmits — the seam that
-    /// turns timeout behaviour into an explicit, explorable decision.
+    /// would. On a [`ProtoClock::manual`] clock this is the *only* way
+    /// RelComm retransmits — the seam that turns timeout behaviour into an
+    /// explicit, explorable decision.
     /// Returns as [`Node::rbcast`] does.
     pub fn inject_retransmit_tick(&self) {
         self.spawn_external(self.ev.retransmit_tick, EventData::empty());
@@ -552,11 +404,6 @@ impl Node {
     /// `enable_fd` under a manual clock.
     pub fn inject_fd_tick(&self) {
         self.spawn_external(self.ev.fd_tick, EventData::empty());
-    }
-
-    /// The time source this node's stack reads (see [`NodeConfig::clock`]).
-    pub fn clock(&self) -> &ProtoClock {
-        &self.cfg.clock
     }
 
     /// Application request: reliable broadcast (RelCast). Where
@@ -732,9 +579,81 @@ impl Node {
 
     /// Stop the timer thread (dropping the node does the same). Idempotent.
     pub fn stop_timers(&self) {
-        if let Some(t) = self.timer.get() {
+        if let Some(Some(t)) = self.timer.get() {
             t.stop();
         }
+    }
+}
+
+impl Host for Node {
+    /// The Network Module: decode all the datagram's frames and spawn
+    /// **one** computation for it. A datagram is a data frame followed by
+    /// the acks going the same way, acks alone, or a lone heartbeat;
+    /// anything else is malformed and dropped, like a real UDP stack would.
+    fn on_datagram(&self, dg: Datagram) {
+        let from = dg.from;
+        let Ok(frames) = Wire::decode_all(dg.payload) else {
+            return;
+        };
+        if frames == [Wire::Heartbeat] {
+            self.spawn_external(self.ev.fd_beat, EventData::new(from));
+            return;
+        }
+        let mut frames = frames.into_iter().peekable();
+        let data = frames.next_if(|f| matches!(f, Wire::Data { .. }));
+        let acks: Option<Vec<u64>> = frames
+            .map(|f| match f {
+                Wire::Ack { seq } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        let Some(acks) = acks else { return };
+        match data {
+            Some(Wire::Data { seq, ctx, payload }) => {
+                if let (Some(t), Some(c)) = (&self.tracer, ctx) {
+                    t.emit(samoa_core::TraceKind::CtxRecv {
+                        site: t.site().0,
+                        origin: c.origin.0,
+                        op: c.op,
+                        hop: c.hop,
+                    });
+                }
+                let entry = match &payload {
+                    Payload::Cast(c) if c.data.is_user() => self.ev.rc_data_user,
+                    _ => self.ev.rc_data,
+                };
+                self.spawn_external(
+                    entry,
+                    EventData::new(RcDataIn {
+                        sender: from,
+                        seq,
+                        ctx,
+                        payload,
+                        acks,
+                    }),
+                );
+            }
+            _ if !acks.is_empty() => {
+                self.spawn_external(
+                    self.ev.rc_ack,
+                    EventData::new(RcAckIn {
+                        sender: from,
+                        seqs: acks,
+                    }),
+                );
+            }
+            _ => {}
+        }
+    }
+
+    /// The Timer Module: a retransmission tick, a failure-detector tick
+    /// when `enable_fd` is set, and the next one a [`TICK_INTERVAL`] on.
+    fn on_alarm(&self) -> Option<Instant> {
+        self.inject_retransmit_tick();
+        if self.cfg.enable_fd {
+            self.inject_fd_tick();
+        }
+        Some(Instant::now() + TICK_INTERVAL)
     }
 }
 
@@ -816,9 +735,9 @@ impl Cluster {
     /// Build `n` nodes over a **manual** network
     /// ([`SimNet::new_manual`]): no delivery thread — datagrams sit until
     /// [`NetHandle::pump_one`]/[`NetHandle::pump_all`] (and [`Cluster::settle`],
-    /// which pumps) deliver them on the calling thread. Pair with
-    /// `enable_timers: false` and a shared [`ProtoClock::manual`] in
-    /// `node_cfg` for fully deterministic virtual-time tests: drive
+    /// which pumps) deliver them on the calling thread. Pair with a shared
+    /// [`ProtoClock::manual`] in `node_cfg` (which starts no timer thread)
+    /// for fully deterministic virtual-time tests: drive
     /// retransmissions and failure detection with
     /// [`Node::inject_retransmit_tick`]/[`Node::inject_fd_tick`] after
     /// advancing the clock, instead of polling wall-clock deadlines.
@@ -1077,7 +996,6 @@ mod tests {
         const ROUNDS: usize = 1000;
         const PER_SITE: usize = 34;
         let cfg = NodeConfig {
-            enable_timers: false,
             clock: ProtoClock::manual(),
             ..NodeConfig::default()
         };
@@ -1123,7 +1041,7 @@ mod tests {
     #[test]
     fn an_untraced_cluster_learns_no_hops_a_traced_one_does() {
         let cfg = NodeConfig {
-            enable_timers: false,
+            clock: ProtoClock::manual(),
             ..NodeConfig::default()
         };
         let run = |observe: Observe| {

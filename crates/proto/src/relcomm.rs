@@ -26,11 +26,11 @@
 //!
 //! So an ack is at most one tick (`node::TICK_INTERVAL`) late. The RTT
 //! estimator sees the deferral as part of the round trip and absorbs it;
-//! what must hold is
-//! `rto ≥ 2 × TICK_INTERVAL` (25 ms by default vs 10 ms), so that a
-//! deferred ack is back before the sender's first timeout can fire. A
-//! smaller `rto` stays correct — dedup suppresses the spurious resends —
-//! it just wastes datagrams.
+//! what must hold is [`RTO`] ≥ 2 × `TICK_INTERVAL` (25 ms vs 10 ms), so
+//! that a deferred ack is back before the sender's first timeout can fire.
+//! That relation is a compile-time check beside [`RTO`]. A smaller RTO
+//! would stay correct — dedup suppresses the spurious resends — it would
+//! just waste datagrams.
 //!
 //! Acks stay per sequence number and selective. A cumulative ack ("all up
 //! to n") would be smaller still, but a single lost frame would pin the
@@ -48,8 +48,16 @@ use samoa_net::{ArqReceiver, ArqSender, SiteId, Transport};
 use crate::clock::ProtoClock;
 use crate::events::Events;
 use crate::msgs::{MsgUid, Payload, TraceCtx, Wire};
+use crate::node::TICK_INTERVAL;
 use crate::observe::{ClusterTracer, RelCommInstruments};
 use crate::view::GroupView;
+
+/// RelComm's retransmission timeout: the floor of the adaptive RTO a
+/// message is first resent after.
+pub const RTO: Duration = Duration::from_millis(25);
+
+// A deferred ack is back before the sender's first timeout (module docs).
+const _: () = assert!(RTO.as_nanos() >= 2 * TICK_INTERVAL.as_nanos());
 
 /// A reliably delivered payload of one class —
 /// [`CastMsg`](crate::msgs::CastMsg), packed [`AbMsg`](crate::msgs::AbMsg)s,
@@ -162,6 +170,21 @@ fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> By
     out.freeze()
 }
 
+/// On a traced node, the `CtxSend` flow event of a datagram from `from` to
+/// `to` whose data frame carries `ctx`: emitted right before the send, the
+/// receiver's `CtxRecv` its other end.
+fn ctx_send(tracer: &Option<ClusterTracer>, from: SiteId, to: SiteId, ctx: Option<TraceCtx>) {
+    if let (Some(t), Some(c)) = (tracer, ctx) {
+        t.emit(samoa_core::TraceKind::CtxSend {
+            from: from.0,
+            to: to.0,
+            origin: c.origin.0,
+            op: c.op,
+            hop: c.hop,
+        });
+    }
+}
+
 /// The local state of the RelComm microprotocol.
 pub struct RelCommState {
     site: SiteId,
@@ -182,7 +205,9 @@ pub struct RelCommState {
     /// frames serving a locally originated (or forgotten) operation carry
     /// hop 0. Empty for good on an untraced node.
     ctx_hops: HopTable,
-    /// Cluster tracer, when the node is traced (retransmit spans).
+    /// Cluster tracer, when the node is traced (retransmit spans, and the
+    /// `CtxSend` of every frame carrying a context). Install it before
+    /// [`register`], which reads it once.
     pub tracer: Option<ClusterTracer>,
     /// Sends, retransmissions, discards and the RTO. A discard is a send to
     /// a target outside RelComm's view: under an isolating policy only a
@@ -192,19 +217,19 @@ pub struct RelCommState {
 }
 
 impl RelCommState {
-    /// Fresh state for `site` with the given initial view and
-    /// retransmission timeout, on the wall clock.
-    pub fn new(site: SiteId, view: GroupView, rto: Duration) -> Self {
-        RelCommState::with_clock(site, view, rto, ProtoClock::wall())
+    /// Fresh state for `site` with the given initial view, on the wall
+    /// clock.
+    pub fn new(site: SiteId, view: GroupView) -> Self {
+        RelCommState::with_clock(site, view, ProtoClock::wall())
     }
 
     /// Fresh state reading time from `clock` (a manual clock makes
     /// retransmission timing deterministic under the checker).
-    pub fn with_clock(site: SiteId, view: GroupView, rto: Duration, clock: ProtoClock) -> Self {
+    pub fn with_clock(site: SiteId, view: GroupView, clock: ProtoClock) -> Self {
         RelCommState {
             site,
             view,
-            tx: ArqSender::new(rto, BACKOFF_CAP),
+            tx: ArqSender::new(RTO, BACKOFF_CAP),
             rx: ArqReceiver::default(),
             owed: BTreeMap::new(),
             clock,
@@ -270,9 +295,11 @@ pub fn register(
     state: ProtocolState<RelCommState>,
     net: Arc<dyn Transport>,
 ) {
+    let tracer = state.read(|s| s.tracer.clone());
     {
         let state = state.clone();
         let net = Arc::clone(&net);
+        let tracer = tracer.clone();
         let e = ev.send_out;
         // `send` talks to the Transport directly — no stack-internal triggers.
         b.bind_with_triggers(e, pid, "relcomm.send", &[], move |ctx, data| {
@@ -297,6 +324,7 @@ pub fn register(
             });
             if let Some((site, seq, wire_ctx, acks)) = frame {
                 let data = Some((seq, wire_ctx, payload));
+                ctx_send(&tracer, site, *target, wire_ctx);
                 net.send(site, *target, datagram(data, &acks));
             }
             Ok(())
@@ -398,17 +426,19 @@ pub fn register(
                         }
                         // The first resend to a target takes its owed acks.
                         let acks = s.owed.remove(&target).unwrap_or_default();
-                        out.push((target, datagram(Some((seq, *ctx, payload)), &acks)));
+                        let bytes = datagram(Some((seq, *ctx, payload)), &acks);
+                        out.push((target, *ctx, bytes));
                     },
                 );
                 // Whatever no data datagram took along goes out on its own,
                 // one datagram per peer.
                 for (peer, acks) in std::mem::take(&mut s.owed) {
-                    out.push((peer, datagram(None, &acks)));
+                    out.push((peer, None, datagram(None, &acks)));
                 }
                 (s.site, out)
             });
-            for (target, bytes) in out {
+            for (target, wire_ctx, bytes) in out {
+                ctx_send(&tracer, me, target, wire_ctx);
                 net.send(me, target, bytes);
             }
             Ok(())
@@ -444,65 +474,94 @@ pub fn register(
 mod tests {
     use super::*;
 
-    /// A one-site RelComm stack over a manual network, traced (a tracer
-    /// installed in its state, as `Node` does) or not, fed `frames` inbound
-    /// data frames from site 1: one fresh operation per frame, each carrying
-    /// a causal context at hop 2 — what every site sees under load from
-    /// traced peers.
-    fn fed(traced: bool, frames: u64) -> ProtocolState<RelCommState> {
-        use crate::msgs::{CastData, CastMsg};
-        use samoa_net::{NetConfig, SimNet};
+    /// Site 0's RelComm alone, over a manual two-site network and clock,
+    /// traced into `trace` or not (a tracer installed in its state before
+    /// `register`, as `Node` does).
+    struct Lone {
+        rt: Runtime,
+        pid: ProtocolId,
+        ev: Events,
+        state: ProtocolState<RelCommState>,
+        trace: Arc<samoa_core::TraceBuffer>,
+        clock: ProtoClock,
+        net: samoa_net::SimNet,
+    }
 
-        let net = SimNet::new_manual(2, NetConfig::fast(1));
-        let mut b = StackBuilder::new();
-        let pid = b.protocol("RelComm");
-        let ev = Events::declare(&mut b);
-        let mut st =
-            RelCommState::new(SiteId(0), GroupView::of_first(2), Duration::from_millis(25));
-        if traced {
-            let sink = samoa_core::TraceBuffer::new() as Arc<dyn samoa_core::TraceSink>;
-            st.tracer = Some(ClusterTracer::new(SiteId(0), sink, st.clock.now()));
+    impl Lone {
+        fn new(traced: bool) -> Lone {
+            let net = samoa_net::SimNet::new_manual(2, samoa_net::NetConfig::fast(1));
+            let mut b = StackBuilder::new();
+            let pid = b.protocol("RelComm");
+            let ev = Events::declare(&mut b);
+            let clock = ProtoClock::manual();
+            let mut st = RelCommState::with_clock(SiteId(0), GroupView::of_first(2), clock.clone());
+            let trace = samoa_core::TraceBuffer::new();
+            let sink = Arc::clone(&trace) as Arc<dyn samoa_core::TraceSink>;
+            st.tracer = traced.then(|| ClusterTracer::new(SiteId(0), sink, clock.now()));
+            let state = ProtocolState::new(pid, st);
+            register(&mut b, pid, &ev, state.clone(), Arc::new(net.handle()));
+            let rt = Runtime::new(b.build());
+            Lone {
+                rt,
+                pid,
+                ev,
+                state,
+                trace,
+                clock,
+                net,
+            }
         }
-        let state = ProtocolState::new(pid, st);
-        register(&mut b, pid, &ev, state.clone(), Arc::new(net.handle()));
-        let rt = Runtime::new(b.build());
-        for op in 1..=frames {
-            let uid = MsgUid {
-                origin: SiteId(1),
-                seq: op,
-            };
+
+        fn trigger(&self, event: EventType, data: EventData) {
+            self.rt
+                .isolated(&[self.pid], |ctx| ctx.trigger(event, data))
+                .expect("relcomm");
+        }
+
+        /// An inbound data frame from site 1, serving its operation `op`.
+        fn recv(&self, op: u64, ctx: Option<TraceCtx>) {
             let m = RcDataIn {
                 sender: SiteId(1),
                 seq: op,
-                ctx: Some(TraceCtx {
-                    origin: uid.origin,
-                    op,
-                    hop: 2,
-                }),
-                payload: Payload::Cast(CastMsg {
-                    uid,
-                    data: CastData::User(Bytes::new()),
-                }),
+                ctx,
+                payload: cast(SiteId(1), op),
                 acks: Vec::new(),
             };
-            rt.isolated(&[pid], |ctx| {
-                ctx.trigger(ev.rc_data_user, EventData::new(m))
-            })
-            .expect("recv_data");
+            self.trigger(self.ev.rc_data_user, EventData::new(m));
         }
-        state
+
+        /// `CtxSend` events emitted since the last call.
+        fn ctx_sends(&self) -> usize {
+            self.trace
+                .drain()
+                .iter()
+                .filter(|e| matches!(e.kind, samoa_core::TraceKind::CtxSend { .. }))
+                .count()
+        }
+    }
+
+    /// A user cast, operation `op` of `origin`.
+    fn cast(origin: SiteId, op: u64) -> Payload {
+        let data = crate::msgs::CastData::User(Bytes::new());
+        let uid = MsgUid { origin, seq: op };
+        Payload::Cast(crate::msgs::CastMsg { uid, data })
+    }
+
+    /// Site 0's RelComm fed `frames` inbound data frames from site 1: one
+    /// fresh operation per frame, each carrying a causal context at hop 2 —
+    /// what every site sees under load from traced peers.
+    fn fed(traced: bool, frames: u64) -> ProtocolState<RelCommState> {
+        let lone = Lone::new(traced);
+        for op in 1..=frames {
+            let origin = SiteId(1);
+            lone.recv(op, Some(TraceCtx { origin, op, hop: 2 }));
+        }
+        lone.state
     }
 
     /// What a frame serving operation `op` of site 1 would carry.
     fn ctx_of(s: &RelCommState, op: u64) -> Option<TraceCtx> {
-        use crate::msgs::{CastData, CastMsg};
-        s.ctx_for(&Payload::Cast(CastMsg {
-            uid: MsgUid {
-                origin: SiteId(1),
-                seq: op,
-            },
-            data: CastData::User(Bytes::new()),
-        }))
+        s.ctx_for(&cast(SiteId(1), op))
     }
 
     #[test]
@@ -531,9 +590,31 @@ mod tests {
         });
     }
 
+    /// A traced site emits one `CtxSend` per datagram whose data frame
+    /// carries a context, first sends and resends alike, right before the
+    /// send; a datagram of acks alone emits none.
+    #[test]
+    fn ctx_send_is_emitted_once_per_context_carrying_datagram() {
+        let lone = Lone::new(true);
+        let to_site_1 = EventData::new((cast(SiteId(0), 1), SiteId(1)));
+        lone.trigger(lone.ev.send_out, to_site_1);
+        assert_eq!((lone.net.pending(), lone.ctx_sends()), (1, 1), "send");
+
+        lone.clock.advance(RTO * 2);
+        lone.trigger(lone.ev.retransmit_tick, EventData::empty());
+        assert_eq!((lone.net.pending(), lone.ctx_sends()), (2, 1), "resend");
+
+        // A frame from site 1 leaves an ack owed; the next tick, before the
+        // resent frame is due again, sends it on its own.
+        lone.recv(1, None);
+        lone.trigger(lone.ev.retransmit_tick, EventData::empty());
+        assert_eq!(lone.state.read(|s| s.instruments.retransmits.get()), 1);
+        assert_eq!((lone.net.pending(), lone.ctx_sends()), (3, 0), "ack");
+    }
+
     #[test]
     fn state_counters_start_clean() {
-        let s = RelCommState::new(SiteId(0), GroupView::of_first(3), Duration::from_millis(20));
+        let s = RelCommState::new(SiteId(0), GroupView::of_first(3));
         assert_eq!(s.pending_count(), 0);
         assert_eq!(s.instruments.retransmits.get(), 0);
         assert_eq!(s.view().len(), 3);

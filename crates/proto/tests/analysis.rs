@@ -13,7 +13,7 @@ use samoa_core::analysis::{
     ConflictMatrix, Severity, CYCLE_FALLBACK_BOUND,
 };
 use samoa_core::prelude::*;
-use samoa_net::{NetConfig, SiteId};
+use samoa_net::{NetConfig, ProtoClock, SiteId};
 use samoa_proto::relcomm::RcDataIn;
 use samoa_proto::{CastData, CastMsg, Cluster, Events, MsgUid, NodeConfig, Payload, StackPolicy};
 
@@ -112,7 +112,7 @@ fn every_entry_event_declares_what_the_table_says() {
 fn an_error_raised_in_the_drain_is_counted_on_both_ingress_paths() {
     for policy in [StackPolicy::Basic, StackPolicy::Route] {
         let cfg = NodeConfig {
-            enable_timers: false,
+            clock: ProtoClock::manual(),
             ..NodeConfig::with_policy(policy)
         };
         let c = Cluster::new_manual(2, NetConfig::fast(1), cfg);

@@ -174,9 +174,7 @@ fn broadcast_during_view_change_loses_nothing_with_isolation() {
 fn message_loss_is_masked_by_retransmission() {
     let mut net_cfg = NetConfig::fast(8);
     net_cfg.loss_probability = 0.10;
-    let mut cfg = NodeConfig::default();
-    cfg.rto = Duration::from_millis(15);
-    let c = Cluster::new(3, net_cfg, cfg);
+    let c = Cluster::new(3, net_cfg, NodeConfig::default());
     for i in 0..6 {
         c.node(i % 3).abcast(msg(i));
     }

@@ -13,14 +13,11 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use bytes::Bytes;
 use samoa_net::sim::DeliveryFn;
 use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, Transport};
 use samoa_proto::{Node, NodeConfig, Payload, ProtoClock, TraceCtx, Wire};
-
-pub const RTO: Duration = Duration::from_millis(25);
 
 /// One datagram as it left a site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,9 +118,7 @@ impl Rig {
         let rec = Recorder::over(&net);
         let clock = ProtoClock::manual();
         let cfg = NodeConfig {
-            enable_timers: false,
             clock: clock.clone(),
-            rto: RTO,
             initial_members: members,
             ..NodeConfig::default()
         };

@@ -14,24 +14,23 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use samoa_net::{NetConfig, SiteId};
-use samoa_proto::{Cluster, NodeConfig, ProtoClock};
+use samoa_proto::{Cluster, NodeConfig, ProtoClock, RTO};
 
-const RTO: Duration = Duration::from_millis(20);
 const MAX_TICKS: usize = 200;
 
 fn msg(i: usize) -> Bytes {
     Bytes::from(format!("m{i}"))
 }
 
-/// A node config on virtual time: timer threads off, shared manual clock.
-/// `Cluster::new_manual` clones the config per site; the clock is
+/// A node config on virtual time: a shared manual clock, so no timer
+/// thread. `Cluster::new_manual` clones the config per site; the clock is
 /// `Arc`-backed, so every site reads the same virtual now.
 fn manual_cfg() -> (NodeConfig, ProtoClock) {
     let clock = ProtoClock::manual();
-    let mut cfg = NodeConfig::default();
-    cfg.enable_timers = false;
-    cfg.clock = clock.clone();
-    cfg.rto = RTO;
+    let cfg = NodeConfig {
+        clock: clock.clone(),
+        ..NodeConfig::default()
+    };
     (cfg, clock)
 }
 

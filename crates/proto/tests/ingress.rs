@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use samoa_core::sched::NoopHook;
 use samoa_core::{Registry, SchedHook, TraceEvent, TraceKind, TraceSink};
-use samoa_net::{NetConfig, SimNet};
+use samoa_net::{NetConfig, ProtoClock, SimNet};
 use samoa_proto::{Cluster, Node, NodeConfig, Observe, StackPolicy, TcpCluster};
 
 const INLINE: [StackPolicy; 3] = [
@@ -83,8 +83,8 @@ fn observed(sink: &Arc<Threads>) -> Observe {
     Observe::traced(Arc::clone(sink) as Arc<dyn TraceSink>)
 }
 
-/// A two-site cluster on a manual network, no timer threads: every
-/// computation is one this test's own calls bring.
+/// A two-site cluster on a manual network and a manual clock, so no timer
+/// threads: every computation is one this test's own calls bring.
 fn manual_pair(
     policy: StackPolicy,
     hook: Option<Arc<dyn SchedHook>>,
@@ -92,7 +92,7 @@ fn manual_pair(
 ) -> Cluster {
     let cfg = NodeConfig {
         policy,
-        enable_timers: false,
+        clock: ProtoClock::manual(),
         ..NodeConfig::default()
     };
     let net = SimNet::new_manual(2, NetConfig::fast(1));
@@ -105,13 +105,18 @@ fn idle(node: &Node) -> bool {
     s.computations_completed == s.computations_spawned
 }
 
-/// `samoa-worker` threads alive in this process.
-fn workers() -> usize {
+/// Threads called `name` alive in this process.
+fn threads(name: &str) -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("procfs")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == "samoa-worker")
+        .filter(|comm| comm.trim_end() == name)
         .count()
+}
+
+/// `samoa-worker` threads alive in this process.
+fn workers() -> usize {
+    threads("samoa-worker")
 }
 
 #[test]
@@ -155,7 +160,9 @@ fn an_inline_policy_runs_the_computation_on_the_thread_that_brought_it() {
             "{policy}: pump_one returned mid-computation"
         );
 
-        // A tick: whoever injects it (the timer thread's turn is below).
+        // A tick: whoever injects it. On a manual clock that is all there
+        // is (`Alarm::on`); the timer thread's turn is below.
+        assert_eq!(threads("node-0-timer"), 0, "{policy}: a manual timer");
         c.node(1).inject_retransmit_tick();
         assert_eq!(
             sink.take().into_keys().collect::<Vec<_>>(),
@@ -185,6 +192,7 @@ fn the_timer_and_the_delivery_thread_are_entry_threads_too() {
         let cfg = NodeConfig::with_policy(policy);
         let c = Cluster::new_observed_on(net, cfg, None, observed(&sink));
         sink.wait_for("node-0-timer");
+        assert_eq!(threads("node-0-timer"), 1, "{policy}: one timer per node");
         c.node(0).rbcast("ping");
         sink.wait_for("simnet-delivery");
         c.settle();
@@ -361,7 +369,7 @@ fn a_reply_leaves_after_rule_3_so_whoever_it_wakes_finds_nothing_held() {
         });
         let cfg = NodeConfig {
             policy,
-            enable_timers: false,
+            clock: ProtoClock::manual(),
             ..NodeConfig::default()
         };
         let observe = Observe {

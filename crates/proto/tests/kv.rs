@@ -10,7 +10,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 use samoa_core::{HandlerId, TraceEvent, TraceKind, TraceSink};
-use samoa_net::{NetConfig, SimNet, SiteId};
+use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
 use samoa_proto::{Cluster, KvApplied, Node, NodeConfig, Observe, StackPolicy};
 
 fn kv_cluster(n: usize, seed: u64, policy: StackPolicy) -> Cluster {
@@ -182,7 +182,7 @@ fn a_decided_batch_is_applied_in_one_kv_call_at_every_site() {
         let net = SimNet::new_manual(3, NetConfig::fast(21));
         let cfg = NodeConfig {
             policy,
-            enable_timers: false,
+            clock: ProtoClock::manual(),
             ..NodeConfig::default()
         };
         let sites: Vec<(Arc<Node>, Arc<Calls>)> = net

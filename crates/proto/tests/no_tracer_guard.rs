@@ -29,7 +29,7 @@ fn an_unobserved_cluster_puts_no_causal_context_on_the_wire() {
     rig.nodes[0].request_join(SiteId(3));
     rig.settle();
     cast(9..13);
-    rig.clock.advance(common::RTO * 2);
+    rig.clock.advance(samoa_proto::RTO * 2);
     rig.tick_all();
     rig.settle();
 

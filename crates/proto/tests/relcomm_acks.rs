@@ -16,9 +16,9 @@ use bytes::Bytes;
 use samoa_core::prelude::*;
 use samoa_net::{NetConfig, SimNet, SiteId};
 use samoa_proto::relcomm::{self, RcDataIn, RelCommState};
-use samoa_proto::{CastData, CastMsg, Events, GroupView, MsgUid, Payload, ProtoClock};
+use samoa_proto::{CastData, CastMsg, Events, GroupView, MsgUid, Payload, ProtoClock, RTO};
 
-use common::{Recorder, Rig, Sent, RTO};
+use common::{Recorder, Rig, Sent};
 
 /// `(ower, peer) -> seqs`: the acks `ower` still owes `peer` according to
 /// `log`, given that every datagram in it was delivered.
@@ -183,12 +183,7 @@ impl Lone {
         let ev = Events::declare(&mut b);
         let state = ProtocolState::new(
             pid,
-            RelCommState::with_clock(
-                SiteId(0),
-                GroupView::of_first(sites),
-                RTO,
-                ProtoClock::manual(),
-            ),
+            RelCommState::with_clock(SiteId(0), GroupView::of_first(sites), ProtoClock::manual()),
         );
         relcomm::register(&mut b, pid, &ev, state, rec.clone());
         Lone {

@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use samoa_core::prelude::*;
-use samoa_net::{Alarm, NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport};
+use samoa_net::{
+    Alarm, Datagram, Host, NetConfig, NetHandle, ProtoClock, SimNet, SiteId, Ticker, Transport,
+};
 
 use crate::checksum::{self, ChecksumState};
 use crate::chunker::{self, ChunkerState};
@@ -31,15 +33,13 @@ pub struct TransportConfig {
     /// sooner, more than two round trips after it left. The timer ticks at
     /// the instant the first frame is due, whichever rule makes it due.
     pub rto: Duration,
-    /// Run the retransmission timer: a thread that sleeps until Window's
-    /// next deadline, and with nothing in flight sleeps until there is
-    /// one. Not started on a [`ProtoClock::manual`] clock, whose instants
-    /// the thread could not wait for; there [`Endpoint::inject_tick`] is
-    /// the timer.
-    pub enable_timers: bool,
-    /// The time source Window's timeouts read. Defaults to the wall clock;
-    /// with a [`ProtoClock::manual`] clock they are a function of explicit
-    /// [`ProtoClock::advance`] calls.
+    /// The time source Window's timeouts read, and what decides whether the
+    /// retransmission timer runs ([`Alarm::on`]). On the wall clock (the
+    /// default) a thread, `tnode-N-timer`, sleeps until Window's next
+    /// deadline, and with nothing in flight until there is one. On a
+    /// [`ProtoClock::manual`] clock the timeouts are a function of explicit
+    /// [`ProtoClock::advance`] calls, no thread starts, and
+    /// [`Endpoint::inject_tick`] is the timer.
     pub clock: ProtoClock,
 }
 
@@ -50,7 +50,6 @@ impl Default for TransportConfig {
             mtu: 64,
             window: 8,
             rto: Duration::from_millis(20),
-            enable_timers: true,
             clock: ProtoClock::wall(),
         }
     }
@@ -72,8 +71,9 @@ pub struct Endpoint {
     window: ProtocolState<WindowState>,
     checksum: ProtocolState<ChecksumState>,
     delivered: ProtocolState<Vec<(SiteId, Bytes)>>,
-    /// Set once, after the endpoint it ticks exists.
-    timer: OnceLock<Ticker>,
+    /// Set once, after the endpoint it ticks exists; none on a manual
+    /// clock.
+    timer: OnceLock<Option<Ticker>>,
 }
 
 impl Endpoint {
@@ -86,8 +86,8 @@ impl Endpoint {
     /// scheduling hook installed and (optionally) history recording enabled
     /// — what `samoa-check` scenarios use to fold the endpoint's
     /// computations into an explored schedule. Combine a hook with
-    /// [`SimNet::new_manual`](samoa_net::SimNet::new_manual) and
-    /// `enable_timers: false` so no free-running thread escapes the
+    /// [`SimNet::new_manual`](samoa_net::SimNet::new_manual) and a
+    /// [`ProtoClock::manual`] clock so no free-running thread escapes the
     /// controller.
     pub fn with_parts(
         net: NetHandle,
@@ -110,7 +110,7 @@ impl Endpoint {
         );
         let checksum_st = ProtocolState::new(p_checksum, ChecksumState::default());
         let delivered = ProtocolState::new(p_app, Vec::new());
-        let alarm = (cfg.enable_timers && !cfg.clock.is_manual()).then(Alarm::new);
+        let alarm = Alarm::on(&cfg.clock);
 
         chunker::register(&mut b, p_chunker, &ev, chunker_st.clone());
         window::register(&mut b, p_window, &ev, window_st.clone(), alarm.clone());
@@ -160,46 +160,11 @@ impl Endpoint {
             timer: OnceLock::new(),
         });
 
-        {
-            let weak = Arc::downgrade(&node);
-            net.register(site, move |dg| {
-                if let Some(node) = weak.upgrade() {
-                    node.on_datagram(dg.from, dg.payload);
-                }
-            });
-        }
-
-        if let Some(alarm) = alarm {
-            let ticker = Ticker::start(
-                format!("tnode-{}-timer", site.0),
-                alarm,
-                Arc::downgrade(&node),
-                Endpoint::on_alarm,
-            );
-            node.timer.set(ticker).expect("the endpoint is new");
-        }
+        node.timer.get_or_init(|| {
+            let name = format!("tnode-{}-timer", site.0);
+            Ticker::attach(&node, site, &net, alarm, name)
+        });
         node
-    }
-
-    /// The timer thread's tick: a tick computation, unless nothing is in
-    /// flight — an instant armed for frames since acknowledged. Window arms
-    /// the next instant itself, so this returns none.
-    fn on_alarm(&self) -> Option<Instant> {
-        if self.window.read(|w| w.unacked() > 0) {
-            self.inject_tick();
-        }
-        None
-    }
-
-    fn on_datagram(&self, from: SiteId, payload: Bytes) {
-        // Classify on the header (like a real stack): an ack is an entry
-        // event of its own, so that it declares less.
-        let ext = match Frame::peek_kind(&payload) {
-            Some(FrameKind::Ack) => &self.ext_ack,
-            _ => &self.ext_data,
-        };
-        self.rt
-            .external(self.cfg.policy, ext, EventData::new((from, payload)));
     }
 
     /// Send `data` reliably and in order to `peer`. Where
@@ -211,8 +176,8 @@ impl Endpoint {
     }
 
     /// Inject one retransmission-timer tick, as the timer thread does at an
-    /// armed instant. With `enable_timers: false`, or on a manual clock,
-    /// this is the only way Window retransmits.
+    /// armed instant. On a manual clock this is the only way Window
+    /// retransmits.
     pub fn inject_tick(&self) {
         self.rt
             .external(self.cfg.policy, &self.ext_tick, EventData::empty());
@@ -275,9 +240,32 @@ impl Endpoint {
     /// Stop the timer thread (dropping the endpoint does the same).
     /// Idempotent.
     pub fn stop_timers(&self) {
-        if let Some(t) = self.timer.get() {
+        if let Some(Some(t)) = self.timer.get() {
             t.stop();
         }
+    }
+}
+
+impl Host for Endpoint {
+    fn on_datagram(&self, dg: Datagram) {
+        // Classify on the header (like a real stack): an ack is an entry
+        // event of its own, so that it declares less.
+        let ext = match Frame::peek_kind(&dg.payload) {
+            Some(FrameKind::Ack) => &self.ext_ack,
+            _ => &self.ext_data,
+        };
+        let data = EventData::new((dg.from, dg.payload));
+        self.rt.external(self.cfg.policy, ext, data);
+    }
+
+    /// A tick computation, unless nothing is in flight — an instant armed
+    /// for frames since acknowledged. Window arms the next instant itself,
+    /// so this returns none.
+    fn on_alarm(&self) -> Option<Instant> {
+        if self.window.read(|w| w.unacked() > 0) {
+            self.inject_tick();
+        }
+        None
     }
 }
 

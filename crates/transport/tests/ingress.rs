@@ -8,9 +8,10 @@
 //! process-wide, so the tests of this binary run one at a time (`SERIAL`).
 
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use samoa_core::Policy;
-use samoa_net::{NetConfig, SimNet, SiteId};
+use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
 use samoa_transport::{Endpoint, Frame, TransportConfig, TransportNet};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -19,19 +20,24 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `samoa-worker` threads alive in this process.
-fn workers() -> usize {
+/// Threads called `name` alive in this process.
+fn threads(name: &str) -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("procfs")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == "samoa-worker")
+        .filter(|comm| comm.trim_end() == name)
         .count()
+}
+
+/// `samoa-worker` threads alive in this process.
+fn workers() -> usize {
+    threads("samoa-worker")
 }
 
 fn config(policy: Policy) -> TransportConfig {
     TransportConfig {
         policy,
-        enable_timers: false,
+        clock: ProtoClock::manual(),
         ..TransportConfig::default()
     }
 }
@@ -39,6 +45,26 @@ fn config(policy: Policy) -> TransportConfig {
 fn idle(e: &Endpoint) -> bool {
     let s = e.runtime().stats();
     s.computations_completed == s.computations_spawned
+}
+
+/// The clock alone decides whether an endpoint's timer runs (`Alarm::on`):
+/// on a manual clock no `tnode-N-timer` thread starts — `inject_tick` is
+/// the timer — and on the wall clock one does, named once it has started.
+#[test]
+fn an_endpoint_starts_its_timer_thread_on_the_wall_clock_only() {
+    let _serial = serial();
+    let manual = TransportNet::new(2, NetConfig::fast(1), config(Policy::Basic));
+    assert_eq!(threads("tnode-0-timer"), 0, "a timer on a manual clock");
+    drop(manual);
+
+    let wall = TransportNet::new(2, NetConfig::fast(1), TransportConfig::default());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while threads("tnode-0-timer") == 0 {
+        assert!(Instant::now() < deadline, "no timer on the wall clock");
+        std::thread::yield_now();
+    }
+    assert_eq!(threads("tnode-0-timer"), 1);
+    drop(wall);
 }
 
 #[test]

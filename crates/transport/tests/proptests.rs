@@ -61,7 +61,6 @@ fn run_schedule(frags: &[usize], schedule: &[(proptest::sample::Index, Fate)]) {
         mtu: MTU,
         window: 4,
         rto: RTO,
-        enable_timers: false,
         clock: clock.clone(),
         ..TransportConfig::default()
     };

@@ -52,7 +52,6 @@ impl Rig {
             mtu: MTU,
             window,
             rto: RTO,
-            enable_timers: false,
             clock: clock.clone(),
             ..TransportConfig::default()
         };

@@ -28,6 +28,7 @@ use std::process::ExitCode;
 use samoa::core::analysis::{
     infer_bounds, lint_stack, CallGraph, ConflictMatrix, Report, Severity, CYCLE_FALLBACK_BOUND,
 };
+use samoa::net::ProtoClock;
 use samoa::prelude::*;
 
 /// Parsed command line.
@@ -101,10 +102,10 @@ fn main() -> ExitCode {
     let opts = parse_args();
     match opts.stack {
         StackChoice::Proto => {
-            // Timers stay off: the lint pass only needs the stack shape,
-            // not a running cluster.
+            // A manual clock starts no timer: the lint pass only needs the
+            // stack shape, not a running cluster.
             let cfg = NodeConfig {
-                enable_timers: false,
+                clock: ProtoClock::manual(),
                 ..NodeConfig::default()
             };
             let cluster = Cluster::new(3, NetConfig::fast(1), cfg);
