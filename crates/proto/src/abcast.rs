@@ -50,6 +50,16 @@
 //! they were cast before the joiner was a member, no copy was sent its way,
 //! and if the joiner sorts first in the view it is the one site that
 //! proposes in round 0 (see `consensus.rs`).
+//!
+//! Requests and decisions travel as a [`Batch`], allocated once where it is
+//! made and shared after that. A site makes one when it sends what it holds
+//! (`flush`), forwards first receipts, hands its `pending` over, snapshots
+//! it for a joiner, or proposes it; every target of the `Request` and the
+//! `ConsPropose` event share that body. A decision arrives as the batch its
+//! `Decide` was decoded into (or, at the site that decided, the batch
+//! consensus proposed). `decides` buffers that same body, and `note_decide`
+//! reads it in place, in `uid` order: every batch this stack builds is
+//! sorted, so only one that is not is sorted, in a copy.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeInclusive;
@@ -61,7 +71,7 @@ use samoa_core::TraceKind;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbMsg, AbPayload, CastData, CastMsg, MsgUid, Payload, SyncMsg, UidSet};
+use crate::msgs::{AbMsg, AbPayload, Batch, CastData, CastMsg, MsgUid, Payload, SyncMsg, UidSet};
 use crate::observe::{AbcastInstruments, ClusterTracer};
 use crate::relcomm::RDeliver;
 use crate::view::{GroupView, ViewOp};
@@ -108,7 +118,7 @@ fn runs(msgs: Vec<AbMsg>) -> impl Iterator<Item = Delivery> {
 /// gets, and — when round 0's coordinator moved to an incumbent — that
 /// coordinator with what is pending here (module docs). A joiner gets the
 /// pending requests in the snapshot.
-type Install = (Vec<SiteId>, SyncMsg, Option<(SiteId, Vec<AbMsg>)>);
+type Install = (Vec<SiteId>, SyncMsg, Option<(SiteId, Batch)>);
 
 /// The local state of the atomic-broadcast microprotocol.
 pub struct AbcastState {
@@ -125,8 +135,9 @@ pub struct AbcastState {
     delivered: UidSet,
     /// Next undecided consensus instance.
     next_inst: u64,
-    /// Out-of-order decisions buffered until their turn.
-    decides: BTreeMap<u64, Vec<AbMsg>>,
+    /// Out-of-order decisions buffered until their turn: the decided
+    /// batches themselves, shared with the `Decide` that carried them.
+    decides: BTreeMap<u64, Batch>,
     /// The instance we have already proposed for (avoid re-proposing).
     proposed_for: Option<u64>,
     /// When false, [`note_decide`](AbcastState::note_decide) skips the
@@ -240,7 +251,7 @@ impl AbcastState {
     }
 
     /// Should we propose now? Returns the instance and value if so.
-    fn proposal(&mut self) -> Option<(u64, Vec<AbMsg>)> {
+    fn proposal(&mut self) -> Option<(u64, Batch)> {
         if self.pending.is_empty() || self.proposed_for == Some(self.next_inst) {
             return None;
         }
@@ -251,12 +262,12 @@ impl AbcastState {
     /// Make a request here and say what to send now, and to whom: the new
     /// request with whatever is held, to every peer — or nothing, when a
     /// user request is held behind one of ours still in flight.
-    fn request(&mut self, payload: AbPayload) -> (Vec<AbMsg>, Vec<SiteId>) {
+    fn request(&mut self, payload: AbPayload) -> (Batch, Vec<SiteId>) {
         let hold = matches!(payload, AbPayload::User(_)) && self.in_flight();
         let m = self.new_request(payload);
         self.note_request(&m);
         if hold {
-            (Vec::new(), Vec::new())
+            (Batch::default(), Vec::new())
         } else {
             self.flush()
         }
@@ -280,8 +291,8 @@ impl AbcastState {
     /// Take what is held for sending: every request made here since the
     /// last send that is still undelivered, and the peers it goes to. Both
     /// empty when nothing is held.
-    fn flush(&mut self) -> (Vec<AbMsg>, Vec<SiteId>) {
-        let held: Vec<AbMsg> = self
+    fn flush(&mut self) -> (Batch, Vec<SiteId>) {
+        let held: Batch = self
             .own(self.sent_through + 1..=u64::MAX)
             .cloned()
             .collect();
@@ -341,45 +352,51 @@ impl AbcastState {
         (joiners, self.snapshot(), handover)
     }
 
-    /// Buffer a decision; returns batches now deliverable, in order.
-    fn note_decide(&mut self, inst: u64, batch: Vec<AbMsg>) -> Vec<AbMsg> {
+    /// Buffer a decision; returns the messages now deliverable, in order.
+    fn note_decide(&mut self, inst: u64, batch: Batch) -> Vec<AbMsg> {
+        let mut out = Vec::new();
         if !self.order_enabled {
             // Injected bug (see `order_enabled`): deliver in arrival order.
             self.next_inst = self.next_inst.max(inst + 1);
-            let mut batch = batch;
-            batch.sort_by_key(|m| m.uid);
-            let mut out = Vec::new();
-            for m in batch {
-                if self.delivered.insert(m.uid) {
-                    self.pending.remove(&m.uid);
-                    out.push(m);
-                }
+            self.deliver(&batch, &mut out);
+        } else {
+            if inst >= self.next_inst {
+                self.decides.entry(inst).or_insert(batch);
             }
-            self.observe_delivered(&out);
-            return out;
-        }
-        if inst >= self.next_inst {
-            self.decides.entry(inst).or_insert(batch);
-        }
-        let mut out = Vec::new();
-        while let Some(batch) = self.decides.remove(&self.next_inst) {
-            self.next_inst += 1;
-            let mut batch = batch;
-            batch.sort_by_key(|m| m.uid);
-            for m in batch {
-                if self.delivered.insert(m.uid) {
-                    self.pending.remove(&m.uid);
-                    out.push(m);
-                }
+            while let Some(batch) = self.decides.remove(&self.next_inst) {
+                self.next_inst += 1;
+                self.deliver(&batch, &mut out);
             }
         }
         self.observe_delivered(&out);
         out
     }
+
+    /// Mark delivered what of `batch` is not yet, and append it to `out` in
+    /// `uid` order. The batch is read where it is, shared with whoever else
+    /// holds it; only one out of `uid` order, which no site of this stack
+    /// builds, is sorted, in a copy.
+    fn deliver(&mut self, batch: &Batch, out: &mut Vec<AbMsg>) {
+        let mut sorted;
+        let msgs: &[AbMsg] = if batch.is_sorted_by_key(|m| m.uid) {
+            batch
+        } else {
+            sorted = batch.to_vec();
+            sorted.sort_by_key(|m| m.uid);
+            &sorted
+        };
+        out.reserve(msgs.len());
+        for m in msgs {
+            if self.delivered.insert(m.uid) {
+                self.pending.remove(&m.uid);
+                out.push(m.clone());
+            }
+        }
+    }
 }
 
 /// Ask consensus to propose, if [`AbcastState::proposal`] said so.
-fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Vec<AbMsg>)>) -> Result<()> {
+fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Batch)>) -> Result<()> {
     match proposal {
         Some(p) => ctx.trigger(ev.cons_propose, EventData::new(p)),
         None => Ok(()),
@@ -387,11 +404,12 @@ fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Vec<AbMsg>)>) -> Resul
 }
 
 /// Send `batch` to each of `to` as one packed [`Payload::Request`]: the one
-/// place a request is put on its way. Nothing when `batch` is empty.
+/// place a request is put on its way. Every target's payload shares the
+/// batch. Nothing when `batch` is empty.
 fn send_requests(
     ctx: &Ctx,
     ev: &Events,
-    batch: Vec<AbMsg>,
+    batch: Batch,
     to: impl IntoIterator<Item = SiteId>,
 ) -> Result<()> {
     if batch.is_empty() {
@@ -437,7 +455,7 @@ pub fn register(
         let e = ev.from_rcomm_request;
         let triggers = [ev.send_out, ev.cons_propose];
         b.bind_with_triggers(e, pid, "abcast.on_request", &triggers, move |ctx, data| {
-            let d: &RDeliver<Vec<AbMsg>> = data.expect(e)?;
+            let d: &RDeliver<Batch> = data.expect(e)?;
             let (coord, forward, proposal) = state.with(ctx, |s| {
                 // First receipts go on to round 0's coordinator — unless
                 // that is us, or it holds them already.
@@ -451,7 +469,7 @@ pub fn register(
                         forward.push(m.clone());
                     }
                 }
-                (coord, forward, s.proposal())
+                (coord, Batch::from(forward), s.proposal())
             });
             send_requests(ctx, &events, forward, coord)?;
             propose(ctx, &events, proposal)
@@ -581,7 +599,7 @@ mod tests {
         let mut s = st();
         s.note_request(&m(2, 1));
         s.note_request(&m(1, 1));
-        let out = s.note_decide(0, vec![m(2, 1), m(1, 1)]);
+        let out = s.note_decide(0, Batch::from(vec![m(2, 1), m(1, 1)]));
         assert_eq!(
             out.iter().map(|x| x.uid).collect::<Vec<_>>(),
             vec![m(1, 1).uid, m(2, 1).uid]
@@ -593,9 +611,9 @@ mod tests {
     #[test]
     fn out_of_order_decides_buffered() {
         let mut s = st();
-        let out = s.note_decide(1, vec![m(1, 2)]);
+        let out = s.note_decide(1, Batch::from(vec![m(1, 2)]));
         assert!(out.is_empty(), "delivered instance 1 before 0");
-        let out = s.note_decide(0, vec![m(1, 1)]);
+        let out = s.note_decide(0, Batch::from(vec![m(1, 1)]));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].uid, m(1, 1).uid);
         assert_eq!(out[1].uid, m(1, 2).uid);
@@ -605,9 +623,9 @@ mod tests {
     #[test]
     fn duplicate_decide_ignored() {
         let mut s = st();
-        let out = s.note_decide(0, vec![m(1, 1)]);
+        let out = s.note_decide(0, Batch::from(vec![m(1, 1)]));
         assert_eq!(out.len(), 1);
-        let out = s.note_decide(0, vec![m(1, 1)]);
+        let out = s.note_decide(0, Batch::from(vec![m(1, 1)]));
         assert!(out.is_empty());
         assert_eq!(s.instruments.delivered.get(), 1);
     }
@@ -615,9 +633,9 @@ mod tests {
     #[test]
     fn message_in_two_batches_delivered_once() {
         let mut s = st();
-        let out = s.note_decide(0, vec![m(1, 1), m(2, 1)]);
+        let out = s.note_decide(0, Batch::from(vec![m(1, 1), m(2, 1)]));
         assert_eq!(out.len(), 2);
-        let out = s.note_decide(1, vec![m(1, 1), m(3, 1)]);
+        let out = s.note_decide(1, Batch::from(vec![m(1, 1), m(3, 1)]));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].uid.origin, SiteId(3));
     }
@@ -629,7 +647,7 @@ mod tests {
         s.note_request(&m(2, 1));
         let _ = s.proposal().unwrap();
         // Only m(1,1) got ordered in instance 0.
-        let _ = s.note_decide(0, vec![m(1, 1)]);
+        let _ = s.note_decide(0, Batch::from(vec![m(1, 1)]));
         let (inst, v) = s.proposal().unwrap();
         assert_eq!(inst, 1);
         assert_eq!(v.len(), 1);
@@ -641,17 +659,17 @@ mod tests {
         let mut incumbent = st();
         incumbent.note_request(&m(1, 1));
         incumbent.note_request(&m(2, 1));
-        let _ = incumbent.note_decide(0, vec![m(1, 1)]);
+        let _ = incumbent.note_decide(0, Batch::from(vec![m(1, 1)]));
         let snap = incumbent.snapshot();
-        assert_eq!(snap.pending, vec![m(2, 1)]);
+        assert_eq!(snap.pending, Batch::from(vec![m(2, 1)]));
 
         let mut joiner = AbcastState::new(SiteId(3), GroupView::of_first(3));
         assert!(joiner.apply_sync(&snap));
-        assert_eq!(joiner.proposal(), Some((1, vec![m(2, 1)])));
+        assert_eq!(joiner.proposal(), Some((1, Batch::from(vec![m(2, 1)]))));
         // A second incumbent's snapshot is not ahead, but what it alone has
         // pending is taken; what the joiner knows as delivered is not.
         let mut other = snap.clone();
-        other.pending = vec![m(1, 1), m(2, 2)];
+        other.pending = Batch::from(vec![m(1, 1), m(2, 2)]);
         assert!(!joiner.apply_sync(&other));
         assert_eq!(joiner.pending_count(), 2);
     }
@@ -700,18 +718,20 @@ mod tests {
     }
 
     /// A user request made at `s`, with the payload `m(..)` carries.
-    fn make(s: &mut AbcastState) -> (Vec<AbMsg>, Vec<SiteId>) {
+    fn make(s: &mut AbcastState) -> (Batch, Vec<SiteId>) {
         s.request(AbPayload::User(Bytes::from_static(b"x")))
     }
 
-    const NOTHING: (Vec<AbMsg>, Vec<SiteId>) = (Vec::new(), Vec::new());
+    fn nothing() -> (Batch, Vec<SiteId>) {
+        (Batch::default(), Vec::new())
+    }
 
     #[test]
     fn nothing_is_held_when_the_previous_request_was_delivered() {
         let mut s = st();
         for seq in 1..=3 {
             let (batch, to) = make(&mut s);
-            assert_eq!(batch, [m(0, seq)]);
+            assert_eq!(*batch, [m(0, seq)]);
             assert_eq!(to, [SiteId(1), SiteId(2)]);
             assert_eq!(s.note_decide(seq - 1, batch).len(), 1);
         }
@@ -720,41 +740,44 @@ mod tests {
     #[test]
     fn a_flush_sends_what_is_held_and_still_undelivered() {
         let mut s = st();
-        assert_eq!(make(&mut s).0, [m(0, 1)]);
+        assert_eq!(*make(&mut s).0, [m(0, 1)]);
         // Held behind the first, but pending: a coordinator proposes them.
         for _ in 0..3 {
-            assert_eq!(make(&mut s), NOTHING);
+            assert_eq!(make(&mut s), nothing());
         }
         assert_eq!(s.proposal().map(|(_, v)| v.len()), Some(4));
         // A decision orders the first and one held: the flush sends the
         // other two, and then nothing is held.
-        let _ = s.note_decide(0, vec![m(0, 1), m(0, 2)]);
+        let _ = s.note_decide(0, Batch::from(vec![m(0, 1), m(0, 2)]));
         assert_eq!(
             s.flush(),
-            (vec![m(0, 3), m(0, 4)], vec![SiteId(1), SiteId(2)])
+            (
+                Batch::from(vec![m(0, 3), m(0, 4)]),
+                vec![SiteId(1), SiteId(2)]
+            )
         );
-        assert_eq!(s.flush(), NOTHING);
+        assert_eq!(s.flush(), nothing());
         // Held and delivered before the next decision: nothing to send.
-        assert_eq!(make(&mut s), NOTHING);
-        let _ = s.note_decide(1, vec![m(0, 3), m(0, 4), m(0, 5)]);
-        assert_eq!(s.flush(), NOTHING);
-        assert_eq!(make(&mut s).0, [m(0, 6)]);
+        assert_eq!(make(&mut s), nothing());
+        let _ = s.note_decide(1, Batch::from(vec![m(0, 3), m(0, 4), m(0, 5)]));
+        assert_eq!(s.flush(), nothing());
+        assert_eq!(*make(&mut s).0, [m(0, 6)]);
     }
 
     #[test]
     fn a_view_op_is_never_held_and_takes_the_held_requests_with_it() {
         let mut s = st();
         let _ = make(&mut s);
-        assert_eq!(make(&mut s), NOTHING);
+        assert_eq!(make(&mut s), nothing());
         let (batch, to) = s.request(AbPayload::ViewOp(ViewOp::Leave, SiteId(2)));
         let leave = AbMsg {
             uid: m(0, 3).uid,
             payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(2)),
         };
-        assert_eq!(batch, [m(0, 2), leave]);
+        assert_eq!(*batch, [m(0, 2), leave]);
         assert_eq!(to, [SiteId(1), SiteId(2)]);
         // In flight as well: the next user request is held behind them.
-        assert_eq!(make(&mut s), NOTHING);
+        assert_eq!(make(&mut s), nothing());
     }
 
     #[test]
@@ -762,8 +785,8 @@ mod tests {
         // Site 2 of {0, 1, 2}, one request in flight and one held.
         let mut s = AbcastState::new(SiteId(2), GroupView::of_first(3));
         let _ = make(&mut s);
-        assert_eq!(make(&mut s), NOTHING);
-        let ours = vec![m(2, 1), m(2, 2)];
+        assert_eq!(make(&mut s), nothing());
+        let ours = Batch::from(vec![m(2, 1), m(2, 2)]);
         // Site 3 joins and gets both; the coordinator stays.
         let joined = s.view.apply(ViewOp::Join, SiteId(3));
         let (joiners, snapshot, handover) = s.install(&joined);

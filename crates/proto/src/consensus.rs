@@ -54,6 +54,12 @@
 //! the round; the new coordinator is kicked into action with the kicker's
 //! estimate riding along.
 //!
+//! Values are [`Batch`]es, shared, never copied to be owned: the proposal
+//! atomic broadcast collected (or the batch a `Kick`, `Estimate` or
+//! `Propose` was decoded into) becomes this site's estimate, the value of
+//! every `Propose` it sends, and the decision it floods, all one body. Only
+//! the union of collected estimates builds a new batch.
+//!
 //! The core logic is a pure state machine ([`ConsensusState`]) that maps
 //! inputs to [`Actions`], so it is unit-testable without the runtime; the
 //! SAMOA handlers are a thin shell around it.
@@ -64,7 +70,7 @@ use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbMsg, CastData, ConsMsg, MsgUid, Payload};
+use crate::msgs::{AbMsg, Batch, CastData, ConsMsg, MsgUid, Payload};
 use crate::observe::ConsensusInstruments;
 use crate::relcomm::RDeliver;
 use crate::view::GroupView;
@@ -77,7 +83,7 @@ pub struct Actions {
     /// Decisions to flood via RelCast, in instance order. More than one
     /// when a suspicion or a view change restarts several instances that
     /// each decide on the spot (single-member view).
-    pub decide: Vec<(u64, Vec<AbMsg>)>,
+    pub decide: Vec<(u64, Batch)>,
 }
 
 impl Actions {
@@ -94,7 +100,7 @@ impl Actions {
 #[derive(Debug)]
 enum Phase {
     Collecting,
-    Proposing(Vec<AbMsg>),
+    Proposing(Batch),
 }
 
 #[derive(Debug)]
@@ -102,14 +108,14 @@ struct CoordState {
     round: u64,
     phase: Phase,
     /// Collected (estimate, est_round) pairs, including our own.
-    ests: Vec<(Vec<AbMsg>, u64)>,
+    ests: Vec<(Batch, u64)>,
     est_from: HashSet<SiteId>,
     acks: HashSet<SiteId>,
 }
 
 #[derive(Debug, Default)]
 struct Inst {
-    est: Vec<AbMsg>,
+    est: Batch,
     /// Adoption marker: 0 = the estimate is initial (never adopted via a
     /// `Propose`); `r + 1` = adopted in round `r`. The +1 offset keeps
     /// round-0 adoptions distinguishable from "never adopted".
@@ -156,7 +162,7 @@ impl ConsensusState {
 
     /// Propose `value` for instance `inst` (idempotent; the first proposal
     /// fixes this site's initial estimate).
-    pub fn propose(&mut self, inst: u64, value: Vec<AbMsg>) -> Actions {
+    pub fn propose(&mut self, inst: u64, value: Batch) -> Actions {
         if inst < self.gc_below {
             return Actions::none();
         }
@@ -351,7 +357,7 @@ impl ConsensusState {
         from: SiteId,
         inst: u64,
         round: u64,
-        est: Vec<AbMsg>,
+        est: Batch,
         est_round: u64,
     ) -> Actions {
         if inst < self.gc_below {
@@ -418,7 +424,7 @@ impl ConsensusState {
         from: SiteId,
         inst: u64,
         round: u64,
-        est: Vec<AbMsg>,
+        est: Batch,
         est_round: u64,
     ) -> Actions {
         if inst < self.gc_below {
@@ -432,7 +438,7 @@ impl ConsensusState {
         from: SiteId,
         inst: u64,
         round: u64,
-        est: Vec<AbMsg>,
+        est: Batch,
         est_round: u64,
     ) -> Actions {
         let Some(i) = self.insts.get_mut(&inst) else {
@@ -474,7 +480,7 @@ impl ConsensusState {
             .iter()
             .filter(|&&(_, r)| r > 0)
             .max_by_key(|&&(_, r)| r);
-        let value: Vec<AbMsg> = match adopted {
+        let value: Batch = match adopted {
             Some((v, _)) => v.clone(),
             None => {
                 // Nothing adopted anywhere: any proposal is safe; take the
@@ -487,7 +493,7 @@ impl ConsensusState {
                     .filter(|m| seen.insert(m.uid))
                     .collect();
                 v.sort_by_key(|m| m.uid);
-                v
+                v.into()
             }
         };
         if value.is_empty() {
@@ -501,7 +507,7 @@ impl ConsensusState {
 
     /// Begin the write phase for `round` of `inst` (we are its coordinator):
     /// adopt `value`, count our own ack and `Propose` it to the peers.
-    fn start_write(&mut self, inst: u64, round: u64, value: Vec<AbMsg>) -> Actions {
+    fn start_write(&mut self, inst: u64, round: u64, value: Batch) -> Actions {
         let me = self.site;
         let peers = self.peers();
         let Some(i) = self.insts.get_mut(&inst) else {
@@ -531,7 +537,7 @@ impl ConsensusState {
         acts
     }
 
-    fn on_propose(&mut self, from: SiteId, inst: u64, round: u64, value: Vec<AbMsg>) -> Actions {
+    fn on_propose(&mut self, from: SiteId, inst: u64, round: u64, value: Batch) -> Actions {
         if inst < self.gc_below {
             return Actions::none();
         }
@@ -596,17 +602,18 @@ impl ConsensusState {
     }
 }
 
-/// `Propose(inst, round, value)` addressed to each of `targets`.
+/// `Propose(inst, round, value)` addressed to each of `targets`, each
+/// sharing `value`.
 fn proposals(
     targets: impl IntoIterator<Item = SiteId>,
     inst: u64,
     round: u64,
-    value: &[AbMsg],
+    value: &Batch,
 ) -> Vec<(SiteId, ConsMsg)> {
     let propose = |value| ConsMsg::Propose { inst, round, value };
     targets
         .into_iter()
-        .map(|t| (t, propose(value.to_vec())))
+        .map(|t| (t, propose(value.clone())))
         .collect()
 }
 
@@ -638,7 +645,7 @@ pub fn register(
         let state = state.clone();
         let e = ev.cons_propose;
         b.bind_with_triggers(e, pid, "consensus.propose", &[], move |ctx, data| {
-            let (inst, value): &(u64, Vec<AbMsg>) = data.expect(e)?;
+            let (inst, value): &(u64, Batch) = data.expect(e)?;
             let acts = state.with(ctx, |s| s.propose(*inst, value.clone()));
             emit(ctx, &events, acts)
         })
@@ -713,7 +720,7 @@ mod tests {
     /// completion — pure state-machine testing without the runtime.
     struct Bus {
         sites: Vec<ConsensusState>,
-        decided: Vec<Option<(u64, Vec<AbMsg>)>>,
+        decided: Vec<Option<(u64, Batch)>>,
         /// Every message handed to a live site, in delivery order.
         log: Vec<ConsMsg>,
     }
@@ -764,7 +771,7 @@ mod tests {
     #[test]
     fn three_sites_decide_proposers_value() {
         let mut bus = Bus::new(3);
-        let v = vec![msg(0, 1)];
+        let v = Batch::from(vec![msg(0, 1)]);
         // Site 0 is coordinator of round 0 and proposes.
         let acts = bus.sites[0].propose(0, v.clone());
         bus.run(0, acts, &[]);
@@ -776,7 +783,7 @@ mod tests {
     #[test]
     fn round0_coordinator_proposes_without_collect() {
         let mut bus = Bus::new(3);
-        let v = vec![msg(0, 1)];
+        let v = Batch::from(vec![msg(0, 1)]);
         let acts = bus.sites[0].propose(0, v.clone());
         assert_eq!(acts.out.len(), 2);
         assert!(acts.out.iter().all(|(_, m)| is_propose(m)));
@@ -795,7 +802,7 @@ mod tests {
     #[test]
     fn non_coordinator_kicks_coordinator() {
         let mut bus = Bus::new(3);
-        let v = vec![msg(2, 1)];
+        let v = Batch::from(vec![msg(2, 1)]);
         // Round 0: atomic broadcast sends the coordinator (site 0) the
         // request, so site 2 keeps its estimate and sends nothing.
         let acts = bus.sites[2].propose(0, v.clone());
@@ -817,20 +824,20 @@ mod tests {
         // Coordinator 0 is down; sites 1 and 2 hold different estimates and
         // nothing was ever adopted, so round 1's read phase proposes the
         // union.
-        let a1 = bus.sites[1].propose(0, vec![msg(1, 1)]);
-        let a2 = bus.sites[2].propose(0, vec![msg(2, 1)]);
+        let a1 = bus.sites[1].propose(0, Batch::from(vec![msg(1, 1)]));
+        let a2 = bus.sites[2].propose(0, Batch::from(vec![msg(2, 1)]));
         assert_eq!((a1, a2), (Actions::none(), Actions::none()));
         let acts = bus.sites[1].on_suspect(s(0));
         assert!(acts.out.iter().all(|(_, m)| is_collect(m)));
         bus.run(1, acts, &[0]);
         let d = bus.decided[2].clone().unwrap();
-        assert_eq!(d, (0, vec![msg(1, 1), msg(2, 1)]));
+        assert_eq!(d, (0, Batch::from(vec![msg(1, 1), msg(2, 1)])));
     }
 
     #[test]
     fn coordinator_crash_second_round_decides() {
         let mut bus = Bus::new(3);
-        let v = vec![msg(1, 7)];
+        let v = Batch::from(vec![msg(1, 7)]);
         // Coordinator 0 is down; site 1 records its estimate and waits.
         let acts = bus.sites[1].propose(0, v.clone());
         bus.run(1, acts, &[0]);
@@ -847,7 +854,7 @@ mod tests {
     fn single_member_view_decides_alone() {
         let view = GroupView::of_first(1);
         let mut c = ConsensusState::new(s(0), view);
-        let v = vec![msg(0, 1)];
+        let v = Batch::from(vec![msg(0, 1)]);
         let acts = c.propose(0, v.clone());
         assert_eq!(acts.decide, vec![(0, v)]);
         assert!(acts.out.is_empty());
@@ -859,7 +866,7 @@ mod tests {
         // shrinks to itself: each restart decides on the spot, and both
         // decisions must come out (a dropped one stalls abcast for good).
         let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
-        let (v0, v1) = (vec![msg(1, 1)], vec![msg(1, 2)]);
+        let (v0, v1) = (Batch::from(vec![msg(1, 1)]), Batch::from(vec![msg(1, 2)]));
         assert_eq!(c.propose(0, v0.clone()), Actions::none());
         assert_eq!(c.propose(1, v1.clone()), Actions::none());
         let acts = c.set_view(GroupView::initial([s(1)]));
@@ -879,7 +886,7 @@ mod tests {
             ConsMsg::Propose {
                 inst: 0,
                 round: 3,
-                value: vec![msg(0, 1)],
+                value: Batch::from(vec![msg(0, 1)]),
             },
         );
         assert!(a.out.is_empty());
@@ -892,13 +899,13 @@ mod tests {
         // have accepted A). Round 1's read phase must find A and decide it,
         // not site 2's estimate.
         let mut bus = Bus::new(3);
-        let a_val = vec![msg(0, 1)];
+        let a_val = Batch::from(vec![msg(0, 1)]);
         let acts = bus.sites[0].propose(0, a_val.clone());
         let to_1 = acts.out.into_iter().find(|(t, _)| *t == s(1)).unwrap().1;
         assert!(is_propose(&to_1));
         let ack = bus.sites[1].on_msg(s(0), to_1);
         assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })])); // lost with site 0
-        let _ = bus.sites[2].propose(0, vec![msg(2, 9)]);
+        let _ = bus.sites[2].propose(0, Batch::from(vec![msg(2, 9)]));
         // Both survivors suspect site 0; round 1's coordinator is site 1.
         let kick = bus.sites[2].on_suspect(s(0));
         let collect = bus.sites[1].on_suspect(s(0));
@@ -911,7 +918,7 @@ mod tests {
     #[test]
     fn non_pristine_round0_takes_the_read_phase() {
         let view = GroupView::of_first(3);
-        let v = vec![msg(0, 1)];
+        let v = Batch::from(vec![msg(0, 1)]);
         // Already adopted a round-0 Propose for the instance.
         let mut c = ConsensusState::new(s(0), view.clone());
         let _ = c.on_msg(
@@ -919,7 +926,7 @@ mod tests {
             ConsMsg::Propose {
                 inst: 0,
                 round: 0,
-                value: vec![msg(1, 1)],
+                value: Batch::from(vec![msg(1, 1)]),
             },
         );
         let acts = c.propose(0, v.clone());
@@ -937,7 +944,7 @@ mod tests {
             ConsMsg::Kick {
                 inst: 0,
                 round: 0,
-                est: vec![msg(1, 1)],
+                est: Batch::from(vec![msg(1, 1)]),
                 est_round: 1,
             },
         );
@@ -951,7 +958,7 @@ mod tests {
         // leaves and round 0 is now site 1's. Site 0 may already have
         // proposed in it, so the restart collects first.
         let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
-        assert_eq!(c.propose(0, vec![msg(1, 1)]), Actions::none());
+        assert_eq!(c.propose(0, Batch::from(vec![msg(1, 1)])), Actions::none());
         let acts = c.set_view(GroupView::initial([s(1), s(2)]));
         assert!(matches!(
             acts.out.as_slice(),
@@ -967,11 +974,11 @@ mod tests {
         let old = GroupView::initial([s(1), s(2), s(3)]);
         let new = old.apply(crate::view::ViewOp::Join, s(0));
         let mut c = ConsensusState::new(s(2), old);
-        assert_eq!(c.propose(0, vec![msg(2, 1)]), Actions::none());
+        assert_eq!(c.propose(0, Batch::from(vec![msg(2, 1)])), Actions::none());
         c.gc(1);
         let _ = c.set_view(new);
         for inst in [1, 2] {
-            let acts = c.propose(inst, vec![msg(2, inst)]);
+            let acts = c.propose(inst, Batch::from(vec![msg(2, inst)]));
             assert!(matches!(
                 acts.out.as_slice(),
                 [(t, ConsMsg::Kick { round: 0, est_round: 0, .. })] if *t == s(0)
@@ -980,22 +987,22 @@ mod tests {
         let propose = ConsMsg::Propose {
             inst: 2,
             round: 0,
-            value: vec![msg(2, 2)],
+            value: Batch::from(vec![msg(2, 2)]),
         };
         let ack = c.on_msg(s(0), propose);
         assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })]));
-        assert_eq!(c.propose(3, vec![msg(2, 3)]), Actions::none());
+        assert_eq!(c.propose(3, Batch::from(vec![msg(2, 3)])), Actions::none());
     }
 
     #[test]
     fn a_kick_for_the_round_being_written_is_answered_with_its_propose() {
         let mut c = ConsensusState::new(s(0), GroupView::of_first(3));
-        let v = vec![msg(0, 1)];
+        let v = Batch::from(vec![msg(0, 1)]);
         let _ = c.propose(0, v.clone());
         let kick = ConsMsg::Kick {
             inst: 0,
             round: 0,
-            est: vec![msg(2, 1)],
+            est: Batch::from(vec![msg(2, 1)]),
             est_round: 0,
         };
         let acts = c.on_msg(s(2), kick);
@@ -1012,7 +1019,7 @@ mod tests {
         // count that as site 2's reply to `Collect(1)`. A round-0 proposal
         // that arrives afterwards must not be adopted behind its back.
         let mut c = ConsensusState::new(s(2), GroupView::of_first(3));
-        let _ = c.propose(0, vec![msg(2, 1)]);
+        let _ = c.propose(0, Batch::from(vec![msg(2, 1)]));
         let kick = c.on_suspect(s(0));
         assert!(matches!(
             kick.out.as_slice(),
@@ -1030,7 +1037,7 @@ mod tests {
             ConsMsg::Propose {
                 inst: 0,
                 round: 0,
-                value: vec![msg(0, 1)],
+                value: Batch::from(vec![msg(0, 1)]),
             },
         );
         assert_eq!(late, Actions::none());
@@ -1043,7 +1050,7 @@ mod tests {
         // round 1 afterwards — adopting and acking its own proposal — would
         // let rounds 1 and 2 both reach a majority through it.
         let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
-        let _ = c.propose(0, vec![msg(1, 1)]);
+        let _ = c.propose(0, Batch::from(vec![msg(1, 1)]));
         let collect = c.on_suspect(s(0));
         assert!(collect.out.iter().all(|(_, m)| is_collect(m)));
         let promise = c.on_msg(s(2), ConsMsg::Collect { inst: 0, round: 2 });
@@ -1063,7 +1070,7 @@ mod tests {
             ConsMsg::Estimate {
                 inst: 0,
                 round: 1,
-                est: Vec::new(),
+                est: Batch::default(),
                 est_round: 0,
             },
         );
@@ -1074,14 +1081,14 @@ mod tests {
     fn gc_drops_instances_and_ignores_stale_messages() {
         let view = GroupView::of_first(3);
         let mut c = ConsensusState::new(s(0), view);
-        let _ = c.propose(0, vec![msg(0, 1)]);
+        let _ = c.propose(0, Batch::from(vec![msg(0, 1)]));
         assert_eq!(c.live_instances(), 1);
         c.gc(1);
         assert_eq!(c.live_instances(), 0);
         let a = c.on_msg(s(1), ConsMsg::Collect { inst: 0, round: 9 });
         assert!(a.out.is_empty());
         // New instances still work.
-        let a = c.propose(1, vec![msg(0, 2)]);
+        let a = c.propose(1, Batch::from(vec![msg(0, 2)]));
         assert!(a.out.iter().all(|(_, m)| is_propose(m)) && a.out.len() == 2);
     }
 }

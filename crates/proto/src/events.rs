@@ -31,7 +31,8 @@ pub struct Events {
     /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_cast: EventType,
     /// RelComm delivered packed atomic-broadcast requests:
-    /// [`RDeliver<Vec<AbMsg>>`](crate::relcomm::RDeliver).
+    /// [`RDeliver<Batch>`](crate::relcomm::RDeliver), the
+    /// [`Batch`](crate::msgs::Batch) the datagram was decoded into.
     pub from_rcomm_request: EventType,
     /// RelComm delivered a consensus message:
     /// [`RDeliver<ConsMsg>`](crate::relcomm::RDeliver).
@@ -72,7 +73,9 @@ pub struct Events {
     pub retransmit_tick: EventType,
     /// The failure detector suspects a site: payload `SiteId`.
     pub suspect: EventType,
-    /// Ask consensus to propose: payload `(u64 instance, Vec<AbMsg>)`.
+    /// Ask consensus to propose: payload `(u64 instance, Batch)`, the
+    /// [`Batch`](crate::msgs::Batch) atomic broadcast collected from what
+    /// it has pending.
     pub cons_propose: EventType,
     /// Instances below the payload `u64` are decided; consensus may GC.
     pub cons_gc: EventType,

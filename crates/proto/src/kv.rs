@@ -96,13 +96,30 @@ impl KvCmd {
         }
     }
 
+    /// How many bytes [`encode`](KvCmd::encode) writes: exact, so that the
+    /// buffer is sized once and never grows.
+    fn encoded_len(&self) -> usize {
+        // A length-prefixed byte string.
+        let bytes = |b: &Bytes| 4 + b.len();
+        MAGIC.len()
+            + 1
+            + 8
+            + match self {
+                KvCmd::Put { key, value, .. } => bytes(key) + bytes(value),
+                KvCmd::Get { key, .. } => bytes(key),
+                KvCmd::Cas {
+                    key, expect, value, ..
+                } => bytes(key) + 1 + expect.as_ref().map_or(0, bytes) + bytes(value),
+            }
+    }
+
     /// Encode into an abcast user payload.
     pub fn encode(&self) -> Bytes {
         fn put_bytes(out: &mut BytesMut, b: &Bytes) {
             out.put_u32_le(b.len() as u32);
             out.put_slice(b);
         }
-        let mut out = BytesMut::new();
+        let mut out = BytesMut::with_capacity(self.encoded_len());
         out.put_slice(&MAGIC);
         match self {
             KvCmd::Put { req, key, value } => {
@@ -135,6 +152,7 @@ impl KvCmd {
                 put_bytes(&mut out, value);
             }
         }
+        debug_assert_eq!(out.len(), self.encoded_len());
         out.freeze()
     }
 
@@ -514,7 +532,9 @@ mod tests {
             },
         ];
         for c in cmds {
-            assert_eq!(KvCmd::decode(&c.encode()), Some(c));
+            let encoded = c.encode();
+            assert_eq!(encoded.len(), c.encoded_len(), "{c:?}");
+            assert_eq!(KvCmd::decode(&encoded), Some(c));
         }
     }
 

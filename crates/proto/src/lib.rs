@@ -46,7 +46,8 @@ pub mod view;
 pub use events::Events;
 pub use kv::{KvApplied, KvCmd, KvPending, KvReply, KvState};
 pub use msgs::{
-    AbMsg, AbPayload, CastData, CastMsg, ConsMsg, MsgUid, Payload, SyncMsg, TraceCtx, Wire,
+    AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, Frames, MsgUid, Payload, SyncMsg,
+    TraceCtx, Wire,
 };
 pub use node::{
     Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster, TICK_INTERVAL,

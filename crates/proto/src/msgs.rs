@@ -14,9 +14,30 @@
 //!   decisions (decisions ride RelCast so every site learns them even if
 //!   the coordinator crashes mid-broadcast).
 //! * [`AbMsg`] — what atomic broadcast orders: user payloads or membership
-//!   view operations.
+//!   view operations. Several travel together as a [`Batch`].
+//!
+//! ## Where a batch is allocated
+//!
+//! A [`Batch`] is allocated once, where it is born, and shared from then on:
+//! a clone is a pointer copy. It is born in one of two places. Decoding a
+//! datagram builds it in one allocation sized from its count prefix
+//! (`get_batch`). Atomic broadcast and consensus collect it from what a site
+//! holds: its pending requests, the requests it forwards or hands over,
+//! the union of collected estimates. Every holder after that shares the
+//! body: each fan-out target's `Payload`, RelComm's retransmission buffer,
+//! the `FromRComm*` delivery event, consensus's estimate, proposal and
+//! decision, and atomic broadcast's buffer of decisions waiting for their
+//! turn. Nothing down the path copies a batch to own it.
+//!
+//! A datagram is decoded frame by frame ([`Frames`]) under the one rule of
+//! what it may hold: a lone heartbeat, a data frame followed by acks, or
+//! acks alone. The Network Module moves each frame straight into the event
+//! of the computation it starts; [`Wire::decode_all`] only collects the
+//! frames.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use samoa_net::{RangeSet, SiteId};
@@ -93,6 +114,46 @@ pub struct AbMsg {
     pub payload: AbPayload,
 }
 
+/// A batch of atomic-broadcast messages: one allocation, shared by every
+/// holder (module docs, "Where a batch is allocated"). It reads as the
+/// slice of messages it holds, and its clone is a pointer copy.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Batch(Arc<[AbMsg]>);
+
+impl Deref for Batch {
+    type Target = [AbMsg];
+
+    fn deref(&self) -> &[AbMsg] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Batch {
+    type Item = &'a AbMsg;
+    type IntoIter = std::slice::Iter<'a, AbMsg>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<AbMsg>> for Batch {
+    fn from(msgs: Vec<AbMsg>) -> Batch {
+        // An empty `Arc<[_]>` made by `default` allocates nothing.
+        if msgs.is_empty() {
+            Batch::default()
+        } else {
+            Batch(msgs.into())
+        }
+    }
+}
+
+impl FromIterator<AbMsg> for Batch {
+    fn from_iter<I: IntoIterator<Item = AbMsg>>(msgs: I) -> Batch {
+        Vec::from_iter(msgs).into()
+    }
+}
+
 /// The payload of a RelCast message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CastData {
@@ -110,7 +171,7 @@ pub enum CastData {
         /// Consensus instance.
         inst: u64,
         /// The decided batch of messages, to deliver in `uid` order.
-        batch: Vec<AbMsg>,
+        batch: Batch,
     },
 }
 
@@ -145,7 +206,7 @@ pub enum ConsMsg {
         /// Round to start.
         round: u64,
         /// The kicker's current estimate.
-        est: Vec<AbMsg>,
+        est: Batch,
         /// Round in which `est` was adopted (0 = never).
         est_round: u64,
     },
@@ -164,7 +225,7 @@ pub enum ConsMsg {
         /// Round being replied to.
         round: u64,
         /// The participant's estimate.
-        est: Vec<AbMsg>,
+        est: Batch,
         /// Round in which `est` was adopted.
         est_round: u64,
     },
@@ -175,7 +236,7 @@ pub enum ConsMsg {
         /// Round of the proposal.
         round: u64,
         /// Proposed value.
-        value: Vec<AbMsg>,
+        value: Batch,
     },
     /// Participant's acknowledgement of a proposal.
     Ack {
@@ -204,7 +265,7 @@ pub struct SyncMsg {
     /// joiner was a member, so no copy of them was sent its way, and in
     /// round 0 only the coordinator proposes — which the joiner is at once
     /// if it sorts first in the view.
-    pub pending: Vec<AbMsg>,
+    pub pending: Batch,
     /// The sender's current view (the joiner installs it directly — it
     /// cannot learn it through ADeliver, whose prefix it missed).
     pub view_id: u64,
@@ -221,7 +282,7 @@ pub enum Payload {
     /// member, by a first receiver on to round 0's coordinator, and by every
     /// site to a new coordinator at a view change (`abcast.rs`). Never
     /// empty; [`Wire::decode`] refuses an empty one.
-    Request(Vec<AbMsg>),
+    Request(Batch),
     /// Consensus point-to-point traffic.
     Cons(ConsMsg),
     /// Join-time state transfer.
@@ -317,6 +378,9 @@ pub enum CodecError {
     Truncated,
     /// Unknown enum tag.
     BadTag(u8),
+    /// A frame where a datagram may not hold it: anything after a
+    /// heartbeat, or anything but an ack after the first frame.
+    Misplaced,
     /// A `SyncMsg` delivered range with `lo > hi`, or one that overlaps or
     /// precedes the range before it.
     BadRange,
@@ -329,6 +393,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "truncated message"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
+            CodecError::Misplaced => write!(f, "frame out of place in its datagram"),
             CodecError::BadRange => write!(f, "delivered ranges out of order"),
             CodecError::EmptyRequest => write!(f, "empty request"),
         }
@@ -437,14 +502,40 @@ fn batch_len(batch: &[AbMsg]) -> usize {
     4 + batch.iter().map(ab_len).sum::<usize>()
 }
 
-fn get_batch(buf: &mut Bytes) -> DecResult<Vec<AbMsg>> {
+/// Decode a batch into one allocation of the size its count prefix claims,
+/// once the bytes left could hold that many messages (each takes at least
+/// 11). `Arc<[_]>` collected from a `(0..n).map(..)` is allocated once at
+/// its final size, so decoding writes each message in place: after a
+/// malformed one the remaining slots get an empty filler, and the error is
+/// returned instead of the batch.
+fn get_batch(buf: &mut Bytes) -> DecResult<Batch> {
     need(buf, 4)?;
     let n = buf.get_u32_le() as usize;
-    // Sanity bound: each AbMsg is at least 11 bytes.
     if n > buf.remaining() / 11 + 1 {
         return Err(CodecError::Truncated);
     }
-    (0..n).map(|_| get_ab(buf)).collect()
+    let mut failed = None;
+    let msgs = (0..n)
+        .map(|_| {
+            if failed.is_none() {
+                match get_ab(buf) {
+                    Ok(m) => return m,
+                    Err(e) => failed = Some(e),
+                }
+            }
+            AbMsg {
+                uid: MsgUid {
+                    origin: SiteId(0),
+                    seq: 0,
+                },
+                payload: AbPayload::User(Bytes::new()),
+            }
+        })
+        .collect();
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(Batch(msgs)),
+    }
 }
 
 fn put_cast(out: &mut BytesMut, m: &CastMsg) {
@@ -735,16 +826,12 @@ impl Wire {
         Wire::decode_frame(&mut buf)
     }
 
-    /// Deserialise every frame of a datagram, in order. Fails if any frame
-    /// is malformed or the bytes end inside one. Nothing is allocated from
-    /// a length the input merely claims: every decoded frame consumed the
-    /// bytes that encode it.
-    pub fn decode_all(mut buf: Bytes) -> DecResult<Vec<Wire>> {
-        let mut frames = Vec::new();
-        while !buf.is_empty() {
-            frames.push(Wire::decode_frame(&mut buf)?);
-        }
-        Ok(frames)
+    /// Deserialise every frame of a datagram, in order: what [`Frames`]
+    /// yields, collected. Fails if any frame is malformed, out of place or
+    /// cut short. Nothing is allocated beyond what the input's length could
+    /// hold: a count prefix is believed only up to that.
+    pub fn decode_all(buf: Bytes) -> DecResult<Vec<Wire>> {
+        Frames::new(buf).collect()
     }
 
     /// Deserialise one frame off the front of `buf`.
@@ -807,6 +894,59 @@ impl Wire {
     }
 }
 
+/// One datagram, decoded frame by frame under the rule of what a datagram
+/// may hold: a lone heartbeat, a data frame followed by acks, or acks alone
+/// (an empty datagram yields nothing). Each frame is decoded only when it
+/// is asked for. A frame that is malformed, cut short or out of place is
+/// yielded as an `Err`, and nothing follows it.
+#[derive(Debug)]
+pub struct Frames {
+    buf: Bytes,
+    /// No frame has been decoded yet.
+    first: bool,
+}
+
+impl Frames {
+    /// The frames of the datagram `buf`.
+    pub fn new(buf: Bytes) -> Frames {
+        Frames { buf, first: true }
+    }
+
+    /// How many acks the rest of the datagram holds if it is well formed:
+    /// after the first frame the rule allows only acks, and they have a
+    /// fixed length. A reader sizes the list it collects them into by this.
+    pub fn acks_left(&self) -> usize {
+        self.buf.len() / Wire::ACK_LEN
+    }
+}
+
+impl Iterator for Frames {
+    type Item = DecResult<Wire>;
+
+    fn next(&mut self) -> Option<DecResult<Wire>> {
+        if self.buf.is_empty() {
+            return None;
+        }
+        let first = std::mem::replace(&mut self.first, false);
+        let frame = Wire::decode_frame(&mut self.buf).and_then(|frame| {
+            let in_place = match frame {
+                Wire::Ack { .. } => true,
+                Wire::Data { .. } => first,
+                Wire::Heartbeat => first && self.buf.is_empty(),
+            };
+            if in_place {
+                Ok(frame)
+            } else {
+                Err(CodecError::Misplaced)
+            }
+        });
+        if frame.is_err() {
+            self.buf = Bytes::new();
+        }
+        Some(frame)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,7 +996,7 @@ mod tests {
     }
 
     /// `n` requests from origin 1, a view operation among them.
-    fn requests(n: u64) -> Vec<AbMsg> {
+    fn requests(n: u64) -> Batch {
         (1..=n)
             .map(|seq| AbMsg {
                 uid: uid(1, seq),
@@ -904,14 +1044,14 @@ mod tests {
         let w = Wire::Data {
             seq: 1,
             ctx: None,
-            payload: Payload::Request(Vec::new()),
+            payload: Payload::Request(Batch::default()),
         };
         assert_eq!(Wire::decode(w.encode()), Err(CodecError::EmptyRequest));
     }
 
     #[test]
     fn roundtrip_decide_with_batch() {
-        let batch = vec![
+        let batch = Batch::from(vec![
             AbMsg {
                 uid: uid(0, 1),
                 payload: AbPayload::User(Bytes::from_static(b"a")),
@@ -920,7 +1060,7 @@ mod tests {
                 uid: uid(2, 1),
                 payload: AbPayload::ViewOp(ViewOp::Join, SiteId(9)),
             },
-        ];
+        ]);
         roundtrip(Wire::Data {
             seq: 2,
             ctx: None,
@@ -933,10 +1073,10 @@ mod tests {
 
     #[test]
     fn roundtrip_all_consensus_messages() {
-        let batch = vec![AbMsg {
+        let batch = Batch::from(vec![AbMsg {
             uid: uid(1, 1),
             payload: AbPayload::User(Bytes::from_static(b"v")),
-        }];
+        }]);
         for m in [
             ConsMsg::Kick {
                 inst: 1,
@@ -1002,10 +1142,10 @@ mod tests {
             payload: Payload::Sync(SyncMsg {
                 next_inst: 17,
                 delivered,
-                pending: vec![AbMsg {
+                pending: Batch::from(vec![AbMsg {
                     uid: uid(2, 41),
                     payload: AbPayload::User(Bytes::from_static(b"p")),
-                }],
+                }]),
                 view_id: 4,
                 members: vec![SiteId(0), SiteId(2), SiteId(5)],
             }),
@@ -1137,7 +1277,7 @@ mod tests {
             })
         };
         assert_eq!(
-            Payload::Request(vec![ab.clone()]).root_uid(),
+            Payload::Request(Batch::from(vec![ab.clone()])).root_uid(),
             Some(uid(1, 7))
         );
         // A packed request's operation is its first.
@@ -1149,7 +1289,7 @@ mod tests {
         assert_eq!(
             cast(CastData::Decide {
                 inst: 1,
-                batch: vec![ab.clone()],
+                batch: Batch::from(vec![ab.clone()]),
             })
             .root_uid(),
             Some(uid(1, 7))
@@ -1158,7 +1298,7 @@ mod tests {
             Payload::Cons(ConsMsg::Propose {
                 inst: 0,
                 round: 1,
-                value: vec![ab],
+                value: Batch::from(vec![ab]),
             })
             .root_uid(),
             Some(uid(1, 7))

@@ -55,7 +55,7 @@ use crate::events::Events;
 use crate::fd::{self, FdState};
 use crate::kv::{self, KvApplied, KvCmd, KvPending, KvState, KvWaiters};
 use crate::membership::{self, MembershipState};
-use crate::msgs::{AbPayload, CastData, Payload, Wire};
+use crate::msgs::{AbPayload, CastData, Frames, Payload, Wire};
 use crate::observe::{
     AbcastInstruments, ClusterTracer, ConsensusInstruments, KvInstruments, RelCommInstruments,
 };
@@ -586,30 +586,41 @@ impl Node {
 }
 
 impl Host for Node {
-    /// The Network Module: decode all the datagram's frames and spawn
-    /// **one** computation for it. A datagram is a data frame followed by
-    /// the acks going the same way, acks alone, or a lone heartbeat;
-    /// anything else is malformed and dropped, like a real UDP stack would.
+    /// The Network Module: decode the datagram frame by frame, straight
+    /// into the event of the **one** computation it starts. A datagram is
+    /// a lone heartbeat, a data frame followed by the acks going the same
+    /// way, or acks alone ([`Frames`] holds that rule); anything else is
+    /// malformed and dropped, like a real UDP stack would.
     fn on_datagram(&self, dg: Datagram) {
         let from = dg.from;
-        let Ok(frames) = Wire::decode_all(dg.payload) else {
+        let mut frames = Frames::new(dg.payload);
+        let Some(Ok(first)) = frames.next() else {
             return;
         };
-        if frames == [Wire::Heartbeat] {
-            self.spawn_external(self.ev.fd_beat, EventData::new(from));
-            return;
+        let (data, mut acks) = match first {
+            // The rule admits a heartbeat only alone.
+            Wire::Heartbeat => {
+                self.spawn_external(self.ev.fd_beat, EventData::new(from));
+                return;
+            }
+            Wire::Data { seq, ctx, payload } => (
+                Some((seq, ctx, payload)),
+                Vec::with_capacity(frames.acks_left()),
+            ),
+            Wire::Ack { seq } => {
+                let mut acks = Vec::with_capacity(1 + frames.acks_left());
+                acks.push(seq);
+                (None, acks)
+            }
+        };
+        for frame in frames {
+            match frame {
+                Ok(Wire::Ack { seq }) => acks.push(seq),
+                _ => return,
+            }
         }
-        let mut frames = frames.into_iter().peekable();
-        let data = frames.next_if(|f| matches!(f, Wire::Data { .. }));
-        let acks: Option<Vec<u64>> = frames
-            .map(|f| match f {
-                Wire::Ack { seq } => Some(seq),
-                _ => None,
-            })
-            .collect();
-        let Some(acks) = acks else { return };
         match data {
-            Some(Wire::Data { seq, ctx, payload }) => {
+            Some((seq, ctx, payload)) => {
                 if let (Some(t), Some(c)) = (&self.tracer, ctx) {
                     t.emit(samoa_core::TraceKind::CtxRecv {
                         site: t.site().0,
@@ -633,7 +644,7 @@ impl Host for Node {
                     }),
                 );
             }
-            _ if !acks.is_empty() => {
+            None => {
                 self.spawn_external(
                     self.ev.rc_ack,
                     EventData::new(RcAckIn {
@@ -642,7 +653,6 @@ impl Host for Node {
                     }),
                 );
             }
-            _ => {}
         }
     }
 
@@ -1058,5 +1068,81 @@ mod tests {
         assert_eq!(run(Observe::default()), [0, 0, 0]);
         let sink = samoa_core::TraceBuffer::new() as Arc<dyn samoa_core::TraceSink>;
         assert!(run(Observe::traced(sink)).iter().all(|&known| known > 0));
+    }
+
+    /// The Network Module's rule for a datagram: a lone heartbeat, a data
+    /// frame followed by acks, or acks alone. Anything else is dropped
+    /// before a computation starts.
+    #[test]
+    fn a_datagram_outside_the_rule_starts_no_computation() {
+        let cfg = NodeConfig {
+            clock: ProtoClock::manual(),
+            ..NodeConfig::default()
+        };
+        let trace = samoa_core::TraceBuffer::new();
+        let observe = Observe::traced(Arc::clone(&trace) as Arc<dyn samoa_core::TraceSink>);
+        let c = Cluster::new_observed_on(
+            SimNet::new_manual(2, NetConfig::fast(1)),
+            cfg,
+            None,
+            observe,
+        );
+        let node = c.node(0);
+        // The handlers site 0 enters for `frames`, sent by site 1.
+        let deliver = |frames: &[&[u8]]| {
+            trace.drain();
+            let before = node.runtime().stats().computations_spawned;
+            c.net()
+                .send(SiteId(1), SiteId(0), Bytes::from(frames.concat()));
+            assert!(c.net().pump_one());
+            node.runtime().quiesce();
+            let spawned = node.runtime().stats().computations_spawned - before;
+            let entered: Vec<String> = trace
+                .drain()
+                .into_iter()
+                .filter_map(|e| match e.kind {
+                    samoa_core::TraceKind::HandlerEnter { handler, .. } => {
+                        Some(node.runtime().stack().handler_name(handler).to_string())
+                    }
+                    _ => None,
+                })
+                .collect();
+            (spawned, entered)
+        };
+        let data = |seq| {
+            let payload = Payload::Cast(crate::msgs::CastMsg {
+                uid: crate::msgs::MsgUid {
+                    origin: SiteId(1),
+                    seq,
+                },
+                data: CastData::User(Bytes::from_static(b"x")),
+            });
+            Wire::Data {
+                seq,
+                ctx: None,
+                payload,
+            }
+            .encode()
+        };
+        let (beat, ack, d1, d2) = (
+            Wire::Heartbeat.encode(),
+            Wire::Ack { seq: 1 }.encode(),
+            data(1),
+            data(2),
+        );
+        let nothing = (0, Vec::new());
+        for (what, frames) in [
+            ("a heartbeat and an ack", vec![&beat[..], &ack[..]]),
+            ("an ack and a data frame", vec![&ack[..], &d1[..]]),
+            ("two data frames", vec![&d1[..], &d2[..]]),
+            ("a truncated trailing ack", vec![&d1[..], &ack[..4]]),
+            ("an empty datagram", vec![]),
+        ] {
+            assert_eq!(deliver(&frames), nothing, "{what}");
+        }
+        assert_eq!(deliver(&[&beat[..]]), (1, vec!["fd.beat".to_string()]));
+        let acks = deliver(&[&ack[..], &Wire::Ack { seq: 2 }.encode()[..]]);
+        assert_eq!(acks, (1, vec!["relcomm.recv_ack".to_string()]));
+        assert_eq!(node.external_errors(), 0);
     }
 }

@@ -11,6 +11,13 @@
 //! to sites that leave the view are discarded, and so are the acks owed to
 //! them.
 //!
+//! RelComm copies no batch. The retransmission buffer keeps a clone of the
+//! payload it sent, and the delivery event gets a clone of the payload that
+//! arrived; a payload's [`Batch`](crate::msgs::Batch), where it has one, is
+//! shared by both clones, so neither copies a message. The acks owed to a
+//! peer wait in a list that the next datagram to that peer clears, not
+//! drops, so the list keeps its buffer.
+//!
 //! ## Deferred acks
 //!
 //! Every data frame is acknowledged — duplicates too, the first ack may
@@ -170,6 +177,24 @@ fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> By
     out.freeze()
 }
 
+/// One outbound datagram to `peer` that takes along every ack `owed` to
+/// it: those are owed no more. The list is cleared, not dropped, so the
+/// next acks owed to `peer` reuse its buffer.
+fn datagram_to(
+    owed: &mut BTreeMap<SiteId, Vec<u64>>,
+    peer: SiteId,
+    data: Option<(u64, Option<TraceCtx>, &Payload)>,
+) -> Bytes {
+    match owed.get_mut(&peer) {
+        Some(acks) => {
+            let bytes = datagram(data, acks);
+            acks.clear();
+            bytes
+        }
+        None => datagram(data, &[]),
+    }
+}
+
 /// On a traced node, the `CtxSend` flow event of a datagram from `from` to
 /// `to` whose data frame carries `ctx`: emitted right before the send, the
 /// receiver's `CtxRecv` its other end.
@@ -195,6 +220,8 @@ pub struct RelCommState {
     rx: ArqReceiver,
     /// Acks owed per peer, in arrival order (see the module docs). Ordered,
     /// so that flush order is a pure function of the state, like resends.
+    /// A peer's list is kept from one datagram to the next: sending what it
+    /// holds clears it, and only a view change that drops the peer drops it.
     owed: BTreeMap<SiteId, Vec<u64>>,
     clock: ProtoClock,
     /// Artificial processing delay at the start of `view_change`, used by
@@ -319,13 +346,12 @@ pub fn register(
                     .rto_us
                     .set(s.tx.rto(*target).as_micros() as u64);
                 // The acks owed to the target ride along.
-                let acks = s.owed.remove(target).unwrap_or_default();
-                Some((s.site, seq, wire_ctx, acks))
+                let bytes = datagram_to(&mut s.owed, *target, Some((seq, wire_ctx, payload)));
+                Some((s.site, wire_ctx, bytes))
             });
-            if let Some((site, seq, wire_ctx, acks)) = frame {
-                let data = Some((seq, wire_ctx, payload));
+            if let Some((site, wire_ctx, bytes)) = frame {
                 ctx_send(&tracer, site, *target, wire_ctx);
-                net.send(site, *target, datagram(data, &acks));
+                net.send(site, *target, bytes);
             }
             Ok(())
         });
@@ -358,16 +384,13 @@ pub fn register(
                 // only a full list leaves on its own.
                 let owed = s.owed.entry(m.sender).or_default();
                 owed.push(m.seq);
-                let overflow = if owed.len() >= OWED_ACK_CAP {
-                    s.owed.remove(&m.sender)
-                } else {
-                    None
-                };
+                let overflow =
+                    (owed.len() >= OWED_ACK_CAP).then(|| datagram_to(&mut s.owed, m.sender, None));
                 // Deliver only from in-view senders (paper's recv).
                 (s.site, fresh && s.view.contains(m.sender), overflow)
             });
-            if let Some(acks) = overflow {
-                net.send(me, m.sender, datagram(None, &acks));
+            if let Some(bytes) = overflow {
+                net.send(me, m.sender, bytes);
             }
             if deliver {
                 let (class, data) = delivery(&events, m.sender, &m.payload);
@@ -425,15 +448,17 @@ pub fn register(
                             });
                         }
                         // The first resend to a target takes its owed acks.
-                        let acks = s.owed.remove(&target).unwrap_or_default();
-                        let bytes = datagram(Some((seq, *ctx, payload)), &acks);
+                        let bytes = datagram_to(&mut s.owed, target, Some((seq, *ctx, payload)));
                         out.push((target, *ctx, bytes));
                     },
                 );
                 // Whatever no data datagram took along goes out on its own,
                 // one datagram per peer.
-                for (peer, acks) in std::mem::take(&mut s.owed) {
-                    out.push((peer, None, datagram(None, &acks)));
+                for (&peer, acks) in &mut s.owed {
+                    if !acks.is_empty() {
+                        out.push((peer, None, datagram(None, acks)));
+                        acks.clear();
+                    }
                 }
                 (s.site, out)
             });

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use samoa_net::SiteId;
 use samoa_proto::consensus::{Actions, ConsensusState};
 use samoa_proto::{
-    AbMsg, AbPayload, CastData, CastMsg, ConsMsg, GroupView, MsgUid, Payload, SyncMsg, TraceCtx,
-    ViewOp, Wire,
+    AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, Frames, GroupView, MsgUid, Payload,
+    SyncMsg, TraceCtx, ViewOp, Wire,
 };
 
 fn arb_uid() -> impl Strategy<Value = MsgUid> {
@@ -32,8 +32,8 @@ fn arb_ab() -> impl Strategy<Value = AbMsg> {
     (arb_uid(), arb_ab_payload()).prop_map(|(uid, payload)| AbMsg { uid, payload })
 }
 
-fn arb_batch() -> impl Strategy<Value = Vec<AbMsg>> {
-    proptest::collection::vec(arb_ab(), 0..8)
+fn arb_batch() -> impl Strategy<Value = Batch> {
+    proptest::collection::vec(arb_ab(), 0..8).prop_map(Batch::from)
 }
 
 fn arb_cast() -> impl Strategy<Value = CastMsg> {
@@ -141,7 +141,7 @@ fn arb_data() -> impl Strategy<Value = Wire> {
             .prop_map(|(seq, ctx, batch)| Wire::Data {
                 seq,
                 ctx,
-                payload: Payload::Request(batch)
+                payload: Payload::Request(batch.into())
             }),
         (any::<u64>(), arb_ctx(), arb_cons()).prop_map(|(seq, ctx, c)| Wire::Data {
             seq,
@@ -168,19 +168,30 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
     prop_oneof![arb_data(), arb_tail_frame()]
 }
 
-/// A datagram's frame list: at most one data frame, leading. RelComm emits
-/// `Data Ack*` and `Ack+`; the codec takes any such list.
+/// A datagram's frame list under the rule of what one may hold: a lone
+/// heartbeat, `Data Ack*` or `Ack+` (or nothing at all). RelComm emits the
+/// second and third, the failure detector the first.
 fn arb_datagram() -> impl Strategy<Value = Vec<Wire>> {
-    (
-        any::<bool>(),
-        arb_data(),
-        proptest::collection::vec(arb_tail_frame(), 0..80),
-    )
-        .prop_map(|(with_data, data, tail)| {
-            let mut frames = if with_data { vec![data] } else { Vec::new() };
-            frames.extend(tail);
+    let acks = |n| proptest::collection::vec(any::<u64>().prop_map(|seq| Wire::Ack { seq }), n);
+    prop_oneof![
+        Just(vec![Wire::Heartbeat]),
+        (arb_data(), acks(0..80)).prop_map(|(data, acks)| {
+            let mut frames = vec![data];
+            frames.extend(acks);
             frames
-        })
+        }),
+        acks(0..80),
+    ]
+}
+
+/// Does the frame list keep the rule of what a datagram may hold?
+fn in_rule(frames: &[Wire]) -> bool {
+    let acks = |rest: &[Wire]| rest.iter().all(|f| matches!(f, Wire::Ack { .. }));
+    match frames {
+        [Wire::Heartbeat] | [] => true,
+        [Wire::Data { .. }, rest @ ..] | [Wire::Ack { .. }, rest @ ..] => acks(rest),
+        _ => false,
+    }
 }
 
 fn encode_all(frames: &[Wire]) -> Bytes {
@@ -274,6 +285,52 @@ proptest! {
         }
     }
 
+    /// A datagram decodes if and only if it keeps the rule: any list of
+    /// well-formed frames is refused when a heartbeat has company or a
+    /// frame other than an ack follows the first.
+    #[test]
+    fn decode_all_accepts_exactly_the_rule(
+        frames in proptest::collection::vec(arb_wire(), 0..5),
+    ) {
+        let decoded = Wire::decode_all(encode_all(&frames));
+        prop_assert_eq!(decoded.is_ok(), in_rule(&frames), "{:?}", frames);
+        if let Ok(decoded) = decoded {
+            prop_assert_eq!(decoded, frames);
+        }
+    }
+
+    /// The frame decoder itself, read as the Network Module reads it, is
+    /// total on arbitrary bytes: it yields at most one frame per input
+    /// byte, nothing after its first error, and, for every frame after the
+    /// first, an ack that `acks_left` counted in advance.
+    #[test]
+    fn frames_are_total_and_stop_at_the_first_error(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let input = Bytes::from(bytes);
+        let mut frames = Frames::new(input.clone());
+        let mut yielded = 0;
+        let mut acks_left = None;
+        while let Some(frame) = frames.next() {
+            yielded += 1;
+            let failed = frame.is_err();
+            if yielded > 1 {
+                prop_assert!(failed || matches!(frame, Ok(Wire::Ack { .. })));
+            }
+            if failed {
+                prop_assert!(frames.next().is_none(), "a frame after an error");
+                break;
+            }
+            if yielded == 1 {
+                acks_left = Some(frames.acks_left());
+            }
+        }
+        prop_assert!(yielded <= input.len());
+        if let (Ok(all), Some(n)) = (Wire::decode_all(input), acks_left) {
+            prop_assert_eq!(all.len() - 1, n);
+        }
+    }
+
     /// The same on near-valid input, where the decoder gets past the first
     /// tag: a valid datagram with one byte overwritten, then cut short.
     #[test]
@@ -352,7 +409,7 @@ proptest! {
 enum InFlight {
     Cons(ConsMsg),
     /// The RelCast flood of a decision (relayed on first receipt).
-    Decide(Vec<AbMsg>),
+    Decide(Batch),
 }
 
 /// `n` consensus state machines working on instance 0 over a network the
@@ -363,9 +420,9 @@ struct ConsWorld {
     crashed: Vec<bool>,
     proposed: Vec<bool>,
     /// The decision each site learned from the flood (or made itself).
-    learned: Vec<Option<Vec<AbMsg>>>,
+    learned: Vec<Option<Batch>>,
     /// Every decision any site ever made.
-    decisions: Vec<Vec<AbMsg>>,
+    decisions: Vec<Batch>,
     net: Vec<(usize, usize, InFlight)>,
     /// What happened, for the failure message (the shim does not shrink).
     trace: Vec<String>,
@@ -387,23 +444,23 @@ impl ConsWorld {
         }
     }
 
-    fn estimate(site: usize) -> Vec<AbMsg> {
-        vec![AbMsg {
+    fn estimate(site: usize) -> Batch {
+        Batch::from(vec![AbMsg {
             uid: MsgUid {
                 origin: SiteId(site as u16),
                 seq: 1,
             },
             payload: AbPayload::User(Bytes::from_static(b"v")),
-        }]
+        }])
     }
 
-    fn flood(&mut self, from: usize, value: &[AbMsg]) {
+    fn flood(&mut self, from: usize, value: &Batch) {
         for to in (0..self.sites.len()).filter(|&to| to != from) {
-            self.net.push((from, to, InFlight::Decide(value.to_vec())));
+            self.net.push((from, to, InFlight::Decide(value.clone())));
         }
     }
 
-    fn learn(&mut self, site: usize, value: Vec<AbMsg>) {
+    fn learn(&mut self, site: usize, value: Batch) {
         if self.learned[site].is_none() {
             self.flood(site, &value);
             self.learned[site] = Some(value);
