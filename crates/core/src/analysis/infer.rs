@@ -186,13 +186,17 @@ mod tests {
         let s = bld.build();
         let rt = Runtime::new(s.clone());
         let m = infer_m(&s, root);
-        rt.isolated(&m, |ctx| ctx.trigger(root, EventData::empty()))
+        rt.run(Decl::Basic(&m), |ctx| ctx.trigger(root, EventData::empty()))
             .unwrap();
         let (bounds, _) = infer_bounds(&s, root);
-        rt.isolated_bound(&bounds, |ctx| ctx.trigger(root, EventData::empty()))
-            .unwrap();
+        rt.run(Decl::Bound(&bounds), |ctx| {
+            ctx.trigger(root, EventData::empty())
+        })
+        .unwrap();
         let pat = infer_route(&s, root);
-        rt.isolated_route(&pat, |ctx| ctx.trigger(root, EventData::empty()))
-            .unwrap();
+        rt.run(Decl::Route(&pat), |ctx| {
+            ctx.trigger(root, EventData::empty())
+        })
+        .unwrap();
     }
 }

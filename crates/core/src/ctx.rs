@@ -293,7 +293,7 @@ impl std::fmt::Debug for Ctx {
 mod tests {
     use crate::error::SamoaError;
     use crate::event::EventData;
-    use crate::runtime::Runtime;
+    use crate::runtime::{Decl, Runtime};
     use crate::stack::StackBuilder;
 
     /// How handler `h` declares the event `e` it triggers.
@@ -325,7 +325,9 @@ mod tests {
             Declared::FanOut => b.declare_fan_out(h, &[e]),
         }
         let rt = Runtime::new(b.build());
-        match rt.isolated(&[p], |ctx| ctx.trigger(root, EventData::empty())) {
+        match rt.run(Decl::Basic(&[p]), |ctx| {
+            ctx.trigger(root, EventData::empty())
+        }) {
             Ok(()) => None,
             Err(SamoaError::HandlerPanic { message, .. }) => Some(message),
             Err(other) => panic!("unexpected error {other:?}"),

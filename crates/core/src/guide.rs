@@ -40,7 +40,7 @@
 //!     });
 //! }
 //! let rt = Runtime::new(b.build());
-//! # rt.isolated(&[parser, store], |ctx| ctx.trigger(ingest, EventData::new("a b".to_string()))).unwrap();
+//! # rt.run(Decl::Basic(&[parser, store]), |ctx| ctx.trigger(ingest, EventData::new("a b".to_string()))).unwrap();
 //! # assert_eq!(words.snapshot(), vec![2]);
 //! ```
 //!
@@ -61,7 +61,7 @@
 //! # let ingest = b.event("Ingest");
 //! # b.bind(ingest, parser, "parse", |_, _| Ok(()));
 //! # let rt = Runtime::new(b.build());
-//! rt.isolated(&[parser, store], |ctx| {
+//! rt.run(Decl::Basic(&[parser, store]), |ctx| {
 //!     ctx.trigger(ingest, EventData::new("hello".to_string()))
 //! })?;
 //! # samoa_core::Result::Ok(())
@@ -74,17 +74,18 @@
 //!
 //! Three algorithm variants trade declaration effort for parallelism:
 //!
-//! | call | you declare | released |
+//! | declaration | you declare | released |
 //! |---|---|---|
-//! | [`Runtime::isolated`] | the set `M` | at completion |
-//! | [`Runtime::isolated_bound`] | `M` + visit bounds | when a bound is exhausted |
-//! | [`Runtime::isolated_route`] | a handler-call graph | when unreachable from active handlers |
+//! | [`Decl::Basic`] | the set `M` | at completion |
+//! | [`Decl::Bound`] | `M` + visit bounds | when a bound is exhausted |
+//! | [`Decl::Route`] | a handler-call graph | when unreachable from active handlers |
 //!
-//! Use `isolated` by default. Reach for `bound`/`route` when profiling
-//! shows computations queueing behind microprotocols their predecessors
-//! have finished with — classically, pipelines with asynchronous hand-off
-//! (see `examples/pipeline.rs`: bound/route pipeline computations for a
-//! ~stages× speedup at identical isolation).
+//! Each is handed to [`Runtime::run`] (blocking) or [`Runtime::spawn`]
+//! (detached). Use `Basic` by default. Reach for `Bound`/`Route` when
+//! profiling shows computations queueing behind microprotocols their
+//! predecessors have finished with — classically, pipelines with
+//! asynchronous hand-off (see `examples/pipeline.rs`: bound/route pipeline
+//! computations for a ~stages× speedup at identical isolation).
 //!
 //! ## 3. Verifying isolation
 //!
@@ -99,7 +100,7 @@
 //! # let s = ProtocolState::new(p, 0u64);
 //! # { let s = s.clone(); b.bind(e, p, "h", move |ctx, _| { s.with(ctx, |v| *v += 1); Ok(()) }); }
 //! let rt = Runtime::with_config(b.build(), RuntimeConfig::recording());
-//! # rt.isolated(&[p], |ctx| ctx.trigger(e, EventData::empty())).unwrap();
+//! # rt.run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty())).unwrap();
 //! match rt.check_isolation() {
 //!     Ok(order) => println!("equivalent serial order: {order:?}"),
 //!     Err(violation) => panic!("{violation}"), // names the precedence cycle
@@ -162,7 +163,7 @@
 //!
 //! // And the inferred declarations run.
 //! let rt = Runtime::new(stack);
-//! rt.isolated_route(&route, |ctx| ctx.trigger(ingest, EventData::empty())).unwrap();
+//! rt.run(Decl::Route(&route), |ctx| ctx.trigger(ingest, EventData::empty())).unwrap();
 //! ```
 //!
 //! Beyond per-declaration checks, a *whole-stack* pass certifies the stack
@@ -312,7 +313,7 @@
 //! let buf = TraceBuffer::new();
 //! let rt = Runtime::with_trace(stack, RuntimeConfig::default(), buf.clone());
 //! for _ in 0..3 {
-//!     rt.isolated(&[p], |ctx| ctx.trigger(e, EventData::empty())).unwrap();
+//!     rt.run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty())).unwrap();
 //! }
 //! rt.quiesce();
 //!
@@ -570,7 +571,7 @@
 //!     });
 //! }
 //! let rt = Runtime::new(b.build());
-//! let pending = rt.spawn_isolated(&[store], move |ctx| ctx.trigger(put, 7u64));
+//! let pending = rt.spawn(Decl::Basic(&[store]), move |ctx| ctx.trigger(put, 7u64));
 //! // Whoever the reply wakes finds Store released (Rule 3 came first)...
 //! assert_eq!(replies.recv().unwrap(), 0);
 //! assert_eq!(rt.local_version(store), 1);
@@ -593,7 +594,7 @@
 //!   [`ProtocolState::with`] closures short; compute what to send, end the
 //!   closure, then trigger. (Re-entrant `with` on the same protocol from
 //!   the same thread panics on the inner borrow.)
-//! * **A computation cannot start another while it runs.** `isolated`,
+//! * **A computation cannot start another while it runs.** [`Runtime::run`],
 //!   [`Runtime::spawn`] or a host's external API called from a handler (or
 //!   a closure body, or a [`Ctx::spawn`] closure) fails with
 //!   [`SamoaError::NestedSpawn`] and starts nothing — run blocking, the
@@ -627,10 +628,11 @@
 //! [`SchedResource`]: crate::sched::SchedResource
 //! [`SchedHook`]: crate::sched::SchedHook
 //! [`Runtime::new`]: crate::runtime::Runtime::new
-//! [`Runtime::isolated`]: crate::runtime::Runtime::isolated
+//! [`Runtime::run`]: crate::runtime::Runtime::run
 //! [`Runtime::check_isolation`]: crate::runtime::Runtime::check_isolation
-//! [`Runtime::isolated_bound`]: crate::runtime::Runtime::isolated_bound
-//! [`Runtime::isolated_route`]: crate::runtime::Runtime::isolated_route
+//! [`Decl::Basic`]: crate::runtime::Decl::Basic
+//! [`Decl::Bound`]: crate::runtime::Decl::Bound
+//! [`Decl::Route`]: crate::runtime::Decl::Route
 //! [`Runtime::spawn`]: crate::runtime::Runtime::spawn
 //! [`Runtime::stats`]: crate::runtime::Runtime::stats
 //! [`RuntimeConfig::max_threads_per_computation`]: crate::runtime::RuntimeConfig::max_threads_per_computation

@@ -29,17 +29,18 @@
 //! let rt = Runtime::new(b.build());
 //!
 //! // Each external event runs isolated, declaring what it may touch.
-//! rt.isolated(&[logger], |ctx| ctx.trigger(log_ev, "hello".to_string()))
+//! rt.run(Decl::Basic(&[logger]), |ctx| ctx.trigger(log_ev, "hello".to_string()))
 //!     .unwrap();
 //! assert_eq!(lines.snapshot(), vec!["hello".to_string()]);
 //! ```
 //!
-//! The three algorithms of the paper are selected per computation:
-//! [`Runtime::isolated`] (VCAbasic), [`Runtime::isolated_bound`] (VCAbound),
-//! and [`Runtime::isolated_route`] (VCAroute); [`Runtime::serial`] and
-//! [`Runtime::unsync`] provide the Appia-style and Cactus-style baselines
-//! the paper compares against, and [`Runtime::two_phase`] a classical
-//! two-phase-locking comparator.
+//! A computation starts blocking with [`Runtime::run`] or detached with
+//! [`Runtime::spawn`], each taking a [`Decl`] that selects its algorithm:
+//! [`Decl::Basic`] (VCAbasic), [`Decl::Bound`] (VCAbound) and
+//! [`Decl::Route`] (VCAroute) are the paper's three `isolated` forms;
+//! [`Decl::Serial`] and [`Decl::Unsync`] are the Appia-style and
+//! Cactus-style baselines the paper compares against, and
+//! [`Decl::TwoPhase`] a classical two-phase-locking comparator.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

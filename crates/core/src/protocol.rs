@@ -73,7 +73,7 @@ impl fmt::Debug for ProtocolId {
 ///     });
 /// }
 /// let rt = Runtime::new(b.build());
-/// rt.isolated(&[counter_p], |ctx| ctx.trigger(tick, EventData::empty()))
+/// rt.run(Decl::Basic(&[counter_p]), |ctx| ctx.trigger(tick, EventData::empty()))
 ///     .unwrap();
 /// assert_eq!(count.read(|c| *c), 1);
 /// ```

@@ -5,8 +5,8 @@
 //! so Rule 1 is atomic), the 2PL lock table for the comparator policy, and
 //! the optional history recorder.
 //!
-//! A computation is started either *blocking* ([`Runtime::run`] and the
-//! `isolated*` conveniences — the calling thread becomes the computation's
+//! A computation is started, under the [`Decl`] it is given, either
+//! *blocking* ([`Runtime::run`] — the calling thread becomes the computation's
 //! root worker and the call returns after the computation has completed) or
 //! *detached* ([`Runtime::spawn`] — Rule 1 still executes synchronously in
 //! the caller, so spawn order determines version order, then the body is
@@ -82,23 +82,63 @@ impl RuntimeConfig {
 /// Declaration of a computation: which concurrency-control algorithm it runs
 /// under and what it declares a priori (paper §4).
 ///
-/// The uniform entry point for callers that choose the algorithm at run
-/// time; hosts ([`Runtime::external`]) make one from a [`Policy`] with
-/// [`Policy::decl`].
+/// What [`Runtime::run`] and [`Runtime::spawn`] take, the one way to start
+/// a computation in the process; hosts ([`Runtime::external`]) make one from
+/// a [`Policy`] with [`Policy::decl`].
 #[derive(Debug, Clone)]
 pub enum Decl<'a> {
-    /// `isolated M e` — VCAbasic over the microprotocols in `M`.
+    /// `isolated M e` (§5.1) — VCAbasic over the microprotocols in `M`,
+    /// each released when the computation completes.
     Basic(&'a [ProtocolId]),
-    /// `isolated bound M e` — VCAbound with per-microprotocol visit bounds.
+    /// `isolated bound M e` (§5.2) — VCAbound: each microprotocol is declared
+    /// with a least upper bound on visits and released to successors as soon
+    /// as its budget is exhausted.
+    ///
+    /// ```
+    /// # use samoa_core::prelude::*;
+    /// let mut b = StackBuilder::new();
+    /// let p = b.protocol("P");
+    /// let e = b.event("E");
+    /// b.bind(e, p, "h", |_, _| Ok(()));
+    /// let rt = Runtime::new(b.build());
+    /// let twice = |ctx: &Ctx| {
+    ///     ctx.trigger(e, EventData::empty())?;
+    ///     ctx.trigger(e, EventData::empty())
+    /// };
+    /// // Two visits declared, two performed: fine.
+    /// rt.run(Decl::Bound(&[(p, 2)]), twice).unwrap();
+    /// // A visit beyond the bound is a BoundExhausted error:
+    /// let err = rt.run(Decl::Bound(&[(p, 1)]), twice).unwrap_err();
+    /// assert!(matches!(err, SamoaError::BoundExhausted { .. }));
+    /// ```
     Bound(&'a [(ProtocolId, u64)]),
-    /// `isolated route M e` — VCAroute over a declared routing pattern.
+    /// `isolated route M e` (§5.3) — VCAroute over a routing pattern: which
+    /// handlers the closure body may call (roots) and which handler may call
+    /// which (edges). A microprotocol is released as soon as none of its
+    /// handlers is active or reachable from an active handler.
+    ///
+    /// ```
+    /// # use samoa_core::prelude::*;
+    /// let mut b = StackBuilder::new();
+    /// let (p, q) = (b.protocol("P"), b.protocol("Q"));
+    /// let (e1, e2) = (b.event("E1"), b.event("E2"));
+    /// let h2 = b.bind(e2, q, "h2", |_, _| Ok(()));
+    /// let h1 = b.bind(e1, p, "h1", move |ctx, _| ctx.trigger(e2, EventData::empty()));
+    /// let rt = Runtime::new(b.build());
+    /// let pattern = RoutePattern::new().root(h1).edge(h1, h2);
+    /// rt.run(Decl::Route(&pattern), |ctx| ctx.trigger(e1, EventData::empty()))
+    ///     .unwrap();
+    /// ```
     Route(&'a RoutePattern),
-    /// Appia-style baseline: `M` = every microprotocol in the stack.
+    /// The paper's Appia baseline: purely serial handling of external
+    /// events, `M` = every microprotocol in the stack.
     Serial,
-    /// Cactus-without-locks baseline: no admission control.
+    /// The paper's Cactus baseline without programmer-supplied locks: no
+    /// admission control, so isolation can be violated.
     Unsync,
-    /// Conservative two-phase locking over `M` (comparator; do not mix with
-    /// versioning computations on overlapping microprotocols).
+    /// Conservative two-phase locking over `M`, the classical blocking
+    /// comparator of §6 (do not mix with versioning computations on
+    /// overlapping microprotocols).
     TwoPhase(&'a [ProtocolId]),
 }
 
@@ -696,7 +736,9 @@ impl Runtime {
     /// thread. It runs there, or on the thread that calls
     /// [`CompHandle::join`] if that gets to the job before the woken worker
     /// does. The job never queues, so the computation owns a thread from here
-    /// until Rule 3, however many other computations are blocked.
+    /// until Rule 3, however many other computations are blocked. Under
+    /// [`Decl::TwoPhase`] the 2PL growing phase runs in the caller too, so
+    /// this blocks until every declared lock is acquired.
     ///
     /// # Panics
     ///
@@ -740,139 +782,6 @@ impl Runtime {
         // run anywhere else, it would start on the joiner.
         let handed = handed.filter(|_| self.inner.hook.is_none());
         CompHandle { comp, handed }
-    }
-
-    // ---- typed conveniences, matching the paper's constructs ----
-
-    /// `isolated M e` (VCAbasic, §5.1), blocking.
-    pub fn isolated<R>(&self, m: &[ProtocolId], f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
-        self.run(Decl::Basic(m), f)
-    }
-
-    /// `isolated bound M e` (VCAbound, §5.2), blocking: each microprotocol
-    /// is declared with a least upper bound on visits, and is released to
-    /// successors as soon as its budget is exhausted.
-    ///
-    /// ```
-    /// # use samoa_core::prelude::*;
-    /// let mut b = StackBuilder::new();
-    /// let p = b.protocol("P");
-    /// let e = b.event("E");
-    /// b.bind(e, p, "h", |_, _| Ok(()));
-    /// let rt = Runtime::new(b.build());
-    /// // Two visits declared, two performed: fine.
-    /// rt.isolated_bound(&[(p, 2)], |ctx| {
-    ///     ctx.trigger(e, EventData::empty())?;
-    ///     ctx.trigger(e, EventData::empty())
-    /// })
-    /// .unwrap();
-    /// // A third visit would be a BoundExhausted error:
-    /// let err = rt
-    ///     .isolated_bound(&[(p, 1)], |ctx| {
-    ///         ctx.trigger(e, EventData::empty())?;
-    ///         ctx.trigger(e, EventData::empty())
-    ///     })
-    ///     .unwrap_err();
-    /// assert!(matches!(err, SamoaError::BoundExhausted { .. }));
-    /// ```
-    pub fn isolated_bound<R>(
-        &self,
-        m: &[(ProtocolId, u64)],
-        f: impl FnOnce(&Ctx) -> Result<R>,
-    ) -> Result<R> {
-        self.run(Decl::Bound(m), f)
-    }
-
-    /// `isolated route M e` (VCAroute, §5.3), blocking: the declaration is a
-    /// routing pattern — which handlers the closure body may call (roots)
-    /// and which handler may call which (edges). A microprotocol is
-    /// released as soon as none of its handlers is active or reachable from
-    /// an active handler.
-    ///
-    /// ```
-    /// # use samoa_core::prelude::*;
-    /// let mut b = StackBuilder::new();
-    /// let p = b.protocol("P");
-    /// let q = b.protocol("Q");
-    /// let e1 = b.event("E1");
-    /// let e2 = b.event("E2");
-    /// let h2 = b.bind(e2, q, "h2", |_, _| Ok(()));
-    /// let h1 = b.bind(e1, p, "h1", move |ctx, _| ctx.trigger(e2, EventData::empty()));
-    /// let rt = Runtime::new(b.build());
-    /// let pattern = RoutePattern::new().root(h1).edge(h1, h2);
-    /// rt.isolated_route(&pattern, |ctx| ctx.trigger(e1, EventData::empty()))
-    ///     .unwrap();
-    /// ```
-    pub fn isolated_route<R>(
-        &self,
-        pattern: &RoutePattern,
-        f: impl FnOnce(&Ctx) -> Result<R>,
-    ) -> Result<R> {
-        self.run(Decl::Route(pattern), f)
-    }
-
-    /// Appia-style serial computation (declares every microprotocol).
-    pub fn serial<R>(&self, f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
-        self.run(Decl::Serial, f)
-    }
-
-    /// Cactus-style unsynchronised computation (no isolation!).
-    pub fn unsync<R>(&self, f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
-        self.run(Decl::Unsync, f)
-    }
-
-    /// Conservative two-phase-locking computation (comparator).
-    pub fn two_phase<R>(&self, m: &[ProtocolId], f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
-        self.run(Decl::TwoPhase(m), f)
-    }
-
-    /// Detached `isolated M e`.
-    pub fn spawn_isolated(
-        &self,
-        m: &[ProtocolId],
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
-    ) -> CompHandle {
-        self.spawn(Decl::Basic(m), f)
-    }
-
-    /// Detached `isolated bound M e`.
-    pub fn spawn_isolated_bound(
-        &self,
-        m: &[(ProtocolId, u64)],
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
-    ) -> CompHandle {
-        self.spawn(Decl::Bound(m), f)
-    }
-
-    /// Detached `isolated route M e`.
-    pub fn spawn_isolated_route(
-        &self,
-        pattern: &RoutePattern,
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
-    ) -> CompHandle {
-        self.spawn(Decl::Route(pattern), f)
-    }
-
-    /// Detached serial computation.
-    pub fn spawn_serial(&self, f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static) -> CompHandle {
-        self.spawn(Decl::Serial, f)
-    }
-
-    /// Detached unsynchronised computation.
-    pub fn spawn_unsync(&self, f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static) -> CompHandle {
-        self.spawn(Decl::Unsync, f)
-    }
-
-    /// Detached two-phase-locking computation.
-    ///
-    /// Note: the 2PL growing phase runs in the *caller*, so this blocks
-    /// until all declared locks are acquired.
-    pub fn spawn_two_phase(
-        &self,
-        m: &[ProtocolId],
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
-    ) -> CompHandle {
-        self.spawn(Decl::TwoPhase(m), f)
     }
 
     // ---- observation ----

@@ -69,20 +69,20 @@ proptest! {
         // M-set: every reachable protocol declared, none missing.
         let m = infer_m(&stack, entry);
         prop_assert!(validate_decl(&stack, &Decl::Basic(&m), Some(entry)).is_clean());
-        rt.isolated(&m, |ctx| ctx.trigger(entry, EventData::empty()))
+        rt.run(Decl::Basic(&m), |ctx| ctx.trigger(entry, EventData::empty()))
             .expect("inferred M-set was insufficient");
 
         // Bounds: the DAG is acyclic, so path counting is exact.
         let (bounds, rep) = infer_bounds(&stack, entry);
         prop_assert!(rep.is_clean(), "unexpected diagnostics:\n{}", rep);
         prop_assert!(validate_decl(&stack, &Decl::Bound(&bounds), Some(entry)).is_clean());
-        rt.isolated_bound(&bounds, |ctx| ctx.trigger(entry, EventData::empty()))
+        rt.run(Decl::Bound(&bounds), |ctx| ctx.trigger(entry, EventData::empty()))
             .expect("inferred bounds were insufficient");
 
         // Route: every traversed edge is in the pattern.
         let route = infer_route(&stack, entry);
         prop_assert!(validate_decl(&stack, &Decl::Route(&route), Some(entry)).is_clean());
-        rt.isolated_route(&route, |ctx| ctx.trigger(entry, EventData::empty()))
+        rt.run(Decl::Route(&route), |ctx| ctx.trigger(entry, EventData::empty()))
             .expect("inferred route was insufficient");
 
         // And the three runs together remain serializable.

@@ -14,7 +14,7 @@ fn empty_declaration_is_a_valid_noop_computation() {
     let mut b = StackBuilder::new();
     let _p = b.protocol("P");
     let rt = Runtime::new(b.build());
-    let out = rt.isolated(&[], |_| Ok(7)).unwrap();
+    let out = rt.run(Decl::Basic(&[]), |_| Ok(7)).unwrap();
     assert_eq!(out, 7);
     rt.quiesce();
 }
@@ -23,8 +23,8 @@ fn empty_declaration_is_a_valid_noop_computation() {
 fn stack_with_no_protocols_runs_serial_computations() {
     let b = StackBuilder::new();
     let rt = Runtime::new(b.build());
-    assert_eq!(rt.serial(|_| Ok(1)).unwrap(), 1);
-    assert_eq!(rt.unsync(|_| Ok(2)).unwrap(), 2);
+    assert_eq!(rt.run(Decl::Serial, |_| Ok(1)).unwrap(), 1);
+    assert_eq!(rt.run(Decl::Unsync, |_| Ok(2)).unwrap(), 2);
 }
 
 #[test]
@@ -41,8 +41,10 @@ fn duplicate_protocol_declaration_is_harmless() {
         });
     }
     let rt = Runtime::new(b.build());
-    rt.isolated(&[p, p, p], |ctx| ctx.trigger(e, EventData::empty()))
-        .unwrap();
+    rt.run(Decl::Basic(&[p, p, p]), |ctx| {
+        ctx.trigger(e, EventData::empty())
+    })
+    .unwrap();
     assert_eq!(s.snapshot(), 1);
     // gv bumped once, not three times.
     assert_eq!(rt.local_version(p), 1);
@@ -56,11 +58,13 @@ fn bound_zero_is_immediately_exhausted() {
     b.bind(e, p, "h", |_, _| Ok(()));
     let rt = Runtime::new(b.build());
     let err = rt
-        .isolated_bound(&[(p, 0)], |ctx| ctx.trigger(e, EventData::empty()))
+        .run(Decl::Bound(&[(p, 0)]), |ctx| {
+            ctx.trigger(e, EventData::empty())
+        })
         .unwrap_err();
     assert!(matches!(err, SamoaError::BoundExhausted { bound: 0, .. }));
     // And the runtime recovers.
-    rt.isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+    rt.run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap();
 }
 
@@ -78,7 +82,7 @@ fn intra_computation_parallelism_uses_extra_workers() {
         },
     );
     let start = Instant::now();
-    rt.serial(|ctx| {
+    rt.run(Decl::Serial, |ctx| {
         for _ in 0..4 {
             ctx.spawn(|_| {
                 std::thread::sleep(Duration::from_millis(30));
@@ -115,7 +119,7 @@ fn single_worker_config_still_completes_async_storms() {
             max_threads_per_computation: 1,
         },
     );
-    rt.isolated(&[p], |ctx| {
+    rt.run(Decl::Basic(&[p]), |ctx| {
         for _ in 0..50 {
             ctx.async_trigger(e, EventData::empty())?;
         }
@@ -160,7 +164,7 @@ fn worker_cap_holds_under_concurrent_async_triggers() {
         },
     );
     for _ in 0..40 {
-        rt.isolated(&protocols, |ctx| {
+        rt.run(Decl::Basic(&protocols), |ctx| {
             // The handlers touch disjoint microprotocols, so nothing but
             // the cap limits their overlap; the barrier lines the issuers
             // up on the reservation.
@@ -198,7 +202,7 @@ fn payload_type_mismatch_is_reported() {
     });
     let rt = Runtime::new(b.build());
     let err = rt
-        .isolated(&[p], |ctx| ctx.trigger(e, "not a u64"))
+        .run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, "not a u64"))
         .unwrap_err();
     assert!(matches!(err, SamoaError::WrongPayloadType { .. }));
 }
@@ -221,7 +225,7 @@ fn handler_bound_to_two_events_sees_both() {
     };
     b.bind_existing(e2, h);
     let rt = Runtime::new(b.build());
-    rt.isolated(&[p], |ctx| {
+    rt.run(Decl::Basic(&[p]), |ctx| {
         ctx.trigger(e1, 1u32)?;
         ctx.trigger(e2, 2u32)
     })
@@ -254,8 +258,10 @@ fn trigger_all_calls_handlers_in_bind_order() {
         });
     }
     let rt = Runtime::new(b.build());
-    rt.isolated(&[p, q], |ctx| ctx.trigger_all(e, EventData::empty()))
-        .unwrap();
+    rt.run(Decl::Basic(&[p, q]), |ctx| {
+        ctx.trigger_all(e, EventData::empty())
+    })
+    .unwrap();
     assert_eq!(order.snapshot(), vec![1]);
     assert_eq!(q_first.load(Ordering::SeqCst), 2);
 }
@@ -266,9 +272,9 @@ fn comp_ids_are_monotonic_across_policies() {
     let p = b.protocol("P");
     let rt = Runtime::new(b.build());
     let ids = vec![
-        rt.spawn_unsync(|_| Ok(())).comp_id(),
-        rt.spawn_isolated(&[p], |_| Ok(())).comp_id(),
-        rt.spawn_serial(|_| Ok(())).comp_id(),
+        rt.spawn(Decl::Unsync, |_| Ok(())).comp_id(),
+        rt.spawn(Decl::Basic(&[p]), |_| Ok(())).comp_id(),
+        rt.spawn(Decl::Serial, |_| Ok(())).comp_id(),
     ];
     rt.quiesce();
     assert_eq!(ids, vec![1, 2, 3]);
@@ -283,7 +289,7 @@ fn route_pattern_with_no_edges_or_roots_rejects_everything() {
     let rt = Runtime::new(b.build());
     let pat = RoutePattern::new();
     let err = rt
-        .isolated_route(&pat, |ctx| ctx.trigger(e, EventData::empty()))
+        .run(Decl::Route(&pat), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap_err();
     assert!(matches!(err, SamoaError::NotInPattern { .. }));
 }
@@ -299,8 +305,12 @@ fn runtime_stats_count_work_and_waits() {
     });
     let rt = Runtime::new(b.build());
     // Two conflicting computations: the second must wait ~10ms in admission.
-    let h1 = rt.spawn_isolated(&[p], move |ctx| ctx.trigger(e, EventData::empty()));
-    let h2 = rt.spawn_isolated(&[p], move |ctx| ctx.trigger(e, EventData::empty()));
+    let h1 = rt.spawn(Decl::Basic(&[p]), move |ctx| {
+        ctx.trigger(e, EventData::empty())
+    });
+    let h2 = rt.spawn(Decl::Basic(&[p]), move |ctx| {
+        ctx.trigger(e, EventData::empty())
+    });
     h1.join().unwrap();
     h2.join().unwrap();
     let s = rt.stats();
@@ -321,7 +331,7 @@ fn runtime_stats_count_work_and_waits() {
         let _ = p;
         Runtime::new(b.build())
     };
-    rt2.unsync(|_| Ok(())).unwrap();
+    rt2.run(Decl::Unsync, |_| Ok(())).unwrap();
     assert_eq!(rt2.stats().admission_wait, Duration::ZERO);
 }
 
@@ -339,12 +349,12 @@ fn history_reset_clears_between_rounds() {
         });
     }
     let rt = Runtime::with_config(b.build(), RuntimeConfig::recording());
-    rt.isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+    rt.run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap();
     assert_eq!(rt.history().run.len(), 1);
     rt.reset_history();
     assert!(rt.history().run.is_empty());
-    rt.isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+    rt.run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap();
     assert_eq!(rt.history().run.len(), 1);
     assert_eq!(rt.history().computations(), vec![2]);

@@ -335,7 +335,7 @@ fn effects_case(policy: Policy, ask: Ask, wait: Wait) -> (Vec<String>, Vec<Strin
                     // The locks are free: a conflicting computation runs now.
                     let (took, took_rx) = std::sync::mpsc::channel();
                     std::thread::spawn(move || {
-                        let _ = took.send(rt.two_phase(&[p, q], |_| Ok(())).is_ok());
+                        let _ = took.send(rt.run(Decl::TwoPhase(&[p, q]), |_| Ok(())).is_ok());
                     });
                     if took_rx.recv_timeout(PATIENCE) != Ok(true) {
                         let line = format!("{name}: the 2PL locks were still held");

@@ -99,11 +99,11 @@ fn diamond() -> Diamond {
 #[test]
 fn isolated_diamond_always_serializable() {
     let d = diamond();
-    let ka = d.rt.spawn_isolated(&[d.p, d.r, d.s], {
+    let ka = d.rt.spawn(Decl::Basic(&[d.p, d.r, d.s]), {
         let e = d.a0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
-    let kb = d.rt.spawn_isolated(&[d.q, d.r, d.s], {
+    let kb = d.rt.spawn(Decl::Basic(&[d.q, d.r, d.s]), {
         let e = d.b0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
@@ -121,7 +121,7 @@ fn unsync_can_produce_run_r3_and_checker_catches_it() {
     let d = diamond();
     d.use_gate.store(true, Ordering::SeqCst);
     // ka (comp 1): P, R, then stalls before S on the gate.
-    let ka = d.rt.spawn_unsync({
+    let ka = d.rt.spawn(Decl::Unsync, {
         let e = d.a0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
@@ -131,7 +131,7 @@ fn unsync_can_produce_run_r3_and_checker_catches_it() {
         "ka never reached S"
     );
     // kb (comp 2): P, R, S — overtakes ka at S.
-    let kb = d.rt.spawn_unsync({
+    let kb = d.rt.spawn(Decl::Unsync, {
         let e = d.b0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
@@ -154,7 +154,7 @@ fn isolation_prevents_run_r3_under_same_schedule_pressure() {
     // cannot overtake at S, because kb's R/S versions sit behind ka's.
     let d = diamond();
     d.use_gate.store(true, Ordering::SeqCst);
-    let ka = d.rt.spawn_isolated(&[d.p, d.r, d.s], {
+    let ka = d.rt.spawn(Decl::Basic(&[d.p, d.r, d.s]), {
         let e = d.a0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
@@ -162,7 +162,7 @@ fn isolation_prevents_run_r3_under_same_schedule_pressure() {
         wait_flag(&d.at_gate, Duration::from_secs(10)),
         "ka never reached S"
     );
-    let kb = d.rt.spawn_isolated(&[d.q, d.r, d.s], {
+    let kb = d.rt.spawn(Decl::Basic(&[d.q, d.r, d.s]), {
         let e = d.b0;
         move |ctx| ctx.trigger(e, EventData::empty())
     });
@@ -219,8 +219,12 @@ fn run_r2_interleaving_is_possible_under_isolation() {
         });
     }
     let rt = Runtime::with_config(b.build(), RuntimeConfig::recording());
-    let ka = rt.spawn_isolated(&[p, r], move |ctx| ctx.trigger(a0, EventData::empty()));
-    let kb = rt.spawn_isolated(&[q, r], move |ctx| ctx.trigger(b0, EventData::empty()));
+    let ka = rt.spawn(Decl::Basic(&[p, r]), move |ctx| {
+        ctx.trigger(a0, EventData::empty())
+    });
+    let kb = rt.spawn(Decl::Basic(&[q, r]), move |ctx| {
+        ctx.trigger(b0, EventData::empty())
+    });
     join_within(ka, Duration::from_secs(10)).unwrap();
     join_within(kb, Duration::from_secs(10)).unwrap();
     // ka spawned first, so it still visits R first; but Q ran concurrently
@@ -239,7 +243,7 @@ fn appia_style_serial_admits_only_serial_runs() {
         let e = d.a0;
         let done = Arc::clone(&ka_done);
         let rt = d.rt.clone();
-        d.rt.spawn_serial(move |ctx| {
+        d.rt.spawn(Decl::Serial, move |ctx| {
             ctx.trigger(e, EventData::empty())?;
             // ka stays in flight until kb (comp 2) is parked behind it; a kb
             // that never parks ran past ka and finds `done` unset.
@@ -251,7 +255,7 @@ fn appia_style_serial_admits_only_serial_runs() {
     let kb = {
         let e = d.b0;
         let done = Arc::clone(&ka_done);
-        d.rt.spawn_serial(move |ctx| {
+        d.rt.spawn(Decl::Serial, move |ctx| {
             ctx.trigger(e, EventData::empty())?;
             assert!(done.load(Ordering::SeqCst), "serial policy interleaved");
             Ok(())
@@ -271,9 +275,13 @@ fn two_phase_locking_also_isolates_the_diamond() {
         let decl_b = [d.q, d.r, d.s];
         let (ea, eb) = (d.a0, d.b0);
         handles.push(if i % 2 == 0 {
-            d.rt.spawn_two_phase(&decl_a, move |ctx| ctx.trigger(ea, EventData::empty()))
+            d.rt.spawn(Decl::TwoPhase(&decl_a), move |ctx| {
+                ctx.trigger(ea, EventData::empty())
+            })
         } else {
-            d.rt.spawn_two_phase(&decl_b, move |ctx| ctx.trigger(eb, EventData::empty()))
+            d.rt.spawn(Decl::TwoPhase(&decl_b), move |ctx| {
+                ctx.trigger(eb, EventData::empty())
+            })
         });
     }
     for h in handles {

@@ -73,21 +73,24 @@ fn caused_computations_serialize_after_their_cause() {
     let p = s.protocols[0];
     let caused = Arc::new(OnceLock::new());
     let slot = Arc::clone(&caused);
-    s.rt.isolated(&[p], move |ctx| {
+    s.rt.run(Decl::Basic(&[p]), move |ctx| {
         ctx.trigger(e, 0u64)?;
         // Run blocking, this would wait for our own version of P.
         assert_eq!(
-            rt.isolated(&[p], |ctx2| ctx2.trigger(e, 0u64)),
+            rt.run(Decl::Basic(&[p]), |ctx2| ctx2.trigger(e, 0u64)),
             Err(SamoaError::NestedSpawn)
         );
         let inner = rt.clone();
         ctx.spawn(move |_| {
-            assert_eq!(inner.unsync(|_| Ok(())), Err(SamoaError::NestedSpawn));
+            assert_eq!(
+                inner.run(Decl::Unsync, |_| Ok(())),
+                Err(SamoaError::NestedSpawn)
+            );
             Ok(())
         });
         let rt = rt.clone();
         ctx.after_completion(move || {
-            let handle = rt.spawn_isolated(&[p], move |ctx2| ctx2.trigger(e, 0u64));
+            let handle = rt.spawn(Decl::Basic(&[p]), move |ctx2| ctx2.trigger(e, 0u64));
             let _ = slot.set(handle);
         });
         Ok(())
@@ -116,14 +119,17 @@ fn a_handler_cannot_spawn_a_computation() {
     let slot = Arc::clone(&rt_slot);
     b.bind(e, p, "h", move |_, _| {
         let rt = slot.get().expect("runtime set");
-        assert_eq!(rt.unsync(|_| Ok(())), Err(SamoaError::NestedSpawn));
-        drop(rt.spawn_isolated(&[p], |_| Ok(())));
+        assert_eq!(
+            rt.run(Decl::Unsync, |_| Ok(())),
+            Err(SamoaError::NestedSpawn)
+        );
+        drop(rt.spawn(Decl::Basic(&[p]), |_| Ok(())));
         Ok(())
     });
     let rt = Runtime::new(b.build());
     assert!(rt_slot.set(rt.clone()).is_ok());
     let err = rt
-        .isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+        .run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap_err();
     assert!(
         matches!(&err, SamoaError::HandlerPanic { message, .. }
@@ -176,8 +182,10 @@ fn debug_snapshot_shows_version_state() {
     let snap = s.rt.debug_snapshot();
     assert!(snap.contains("P0"), "{snap}");
     assert!(snap.contains("gv=0"), "{snap}");
-    s.rt.isolated(&[s.protocols[0]], |ctx| ctx.trigger(s.events[0], 0u64))
-        .unwrap();
+    s.rt.run(Decl::Basic(&[s.protocols[0]]), |ctx| {
+        ctx.trigger(s.events[0], 0u64)
+    })
+    .unwrap();
     let snap = s.rt.debug_snapshot();
     assert!(snap.contains("gv=1"), "{snap}");
     assert!(snap.contains("pending=0"), "{snap}");

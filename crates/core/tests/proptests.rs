@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use samoa_core::graph::RoutePattern;
-use samoa_core::{check_serializable, Access};
+use samoa_core::{check_serializable, Access, Decl};
 
 mod common;
 use common::conflict_stack;
@@ -136,7 +136,7 @@ proptest! {
             let (ei, ej) = (s.events[i], s.events[j]);
             let decl = [s.protocols[i], s.protocols[j]];
             let sleep = rng.gen_range(0..=1u64);
-            handles.push(s.rt.spawn_isolated(&decl, move |ctx| {
+            handles.push(s.rt.spawn(Decl::Basic(&decl), move |ctx| {
                 ctx.trigger(ei, sleep)?;
                 ctx.trigger(ej, 0u64)
             }));

@@ -149,7 +149,9 @@ fn from_names_builds_equivalent_patterns() {
     let dag = build_dag(3, &[(0, 1), (1, 2)]);
     let by_name = RoutePattern::from_names(dag.rt.stack(), &["h0"], &[("h0", "h1"), ("h1", "h2")]);
     dag.rt
-        .isolated_route(&by_name, |ctx| ctx.trigger(dag.entry, EventData::empty()))
+        .run(Decl::Route(&by_name), |ctx| {
+            ctx.trigger(dag.entry, EventData::empty())
+        })
         .unwrap();
     assert_eq!(dag.counters[2].read(|v| *v), 1);
 }

@@ -133,7 +133,7 @@ fn run_serial(wl: &Workload, order: &[u64]) -> Vec<Vec<(u64, usize)>> {
             .collect();
         built
             .rt
-            .isolated(&decl, |ctx| {
+            .run(Decl::Basic(&decl), |ctx| {
                 for &(e, tag) in &evs {
                     ctx.trigger(e, tag)?;
                 }
@@ -168,7 +168,7 @@ fn assert_equivalent(
 fn vca_basic_is_equivalent_to_a_serial_execution() {
     for seed in 0..5 {
         assert_equivalent(seed, "vca-basic", |b, decl, evs| {
-            b.rt.spawn_isolated(decl, move |ctx| {
+            b.rt.spawn(Decl::Basic(decl), move |ctx| {
                 for &(e, tag) in &evs {
                     ctx.trigger(e, tag)?;
                 }
@@ -191,7 +191,7 @@ fn vca_bound_is_equivalent_to_a_serial_execution() {
                 let slot = bounds.iter_mut().find(|(p, _)| *p == pid).unwrap();
                 slot.1 += 1;
             }
-            b.rt.spawn_isolated_bound(&bounds, move |ctx| {
+            b.rt.spawn(Decl::Bound(&bounds), move |ctx| {
                 for &(e, tag) in &evs {
                     ctx.trigger(e, tag)?;
                 }
@@ -205,7 +205,7 @@ fn vca_bound_is_equivalent_to_a_serial_execution() {
 fn two_phase_is_equivalent_to_a_serial_execution() {
     for seed in 20..23 {
         assert_equivalent(seed, "two-phase", |b, decl, evs| {
-            b.rt.spawn_two_phase(decl, move |ctx| {
+            b.rt.spawn(Decl::TwoPhase(decl), move |ctx| {
                 for &(e, tag) in &evs {
                     ctx.trigger(e, tag)?;
                 }
@@ -230,7 +230,7 @@ fn unsync_violations_produce_non_serial_states() {
                 .iter()
                 .map(|&(i, tag)| (built.events[i], tag))
                 .collect();
-            handles.push(built.rt.spawn_unsync(move |ctx| {
+            handles.push(built.rt.spawn(Decl::Unsync, move |ctx| {
                 for &(e, tag) in &evs {
                     ctx.trigger(e, tag)?;
                 }

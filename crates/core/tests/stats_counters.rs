@@ -88,9 +88,11 @@ fn counters_start_at_zero() {
 fn basic_and_serial_computations_release_nothing_early() {
     let p = pipeline();
     let decl = p.protocols;
-    p.rt.isolated(&decl, |ctx| ctx.trigger(p.e0, EventData::empty()))
-        .unwrap();
-    p.rt.serial(|ctx| ctx.trigger(p.e0, EventData::empty()))
+    p.rt.run(Decl::Basic(&decl), |ctx| {
+        ctx.trigger(p.e0, EventData::empty())
+    })
+    .unwrap();
+    p.rt.run(Decl::Serial, |ctx| ctx.trigger(p.e0, EventData::empty()))
         .unwrap();
     let s = p.rt.stats();
     // Rule 4 never fires for VCAbasic or Serial; nothing contended, so no
@@ -106,11 +108,15 @@ fn bound_pipeline_releases_once_per_handler_call() {
     let p = pipeline();
     let bounds: Vec<(ProtocolId, u64)> = p.protocols.iter().map(|&pr| (pr, 1)).collect();
     // Each of the 3 handler completions bumps its protocol: 3 per run.
-    p.rt.isolated_bound(&bounds, |ctx| ctx.trigger(p.e0, EventData::empty()))
-        .unwrap();
+    p.rt.run(Decl::Bound(&bounds), |ctx| {
+        ctx.trigger(p.e0, EventData::empty())
+    })
+    .unwrap();
     assert_eq!(p.rt.stats().bound_releases, 3);
-    p.rt.isolated_bound(&bounds, |ctx| ctx.trigger(p.e0, EventData::empty()))
-        .unwrap();
+    p.rt.run(Decl::Bound(&bounds), |ctx| {
+        ctx.trigger(p.e0, EventData::empty())
+    })
+    .unwrap();
     let s = p.rt.stats();
     assert_eq!(s.bound_releases, 6);
     assert_eq!(s.route_releases, 0, "bound releases are not route releases");
@@ -126,11 +132,15 @@ fn route_pipeline_releases_every_protocol_via_the_scan() {
     // The chain runs synchronously: every stage stays reachable until the
     // root closure returns, then the final scan frees all 3 protocols —
     // through the Rule 4(b) release path, so all 3 are counted.
-    p.rt.isolated_route(&pat, |ctx| ctx.trigger(p.e0, EventData::empty()))
-        .unwrap();
+    p.rt.run(Decl::Route(&pat), |ctx| {
+        ctx.trigger(p.e0, EventData::empty())
+    })
+    .unwrap();
     assert_eq!(p.rt.stats().route_releases, 3);
-    p.rt.isolated_route(&pat, |ctx| ctx.trigger(p.e0, EventData::empty()))
-        .unwrap();
+    p.rt.run(Decl::Route(&pat), |ctx| {
+        ctx.trigger(p.e0, EventData::empty())
+    })
+    .unwrap();
     let s = p.rt.stats();
     assert_eq!(s.route_releases, 6);
     assert_eq!(s.bound_releases, 0, "route releases are not bound releases");
@@ -163,12 +173,16 @@ fn contended_admission_counts_wakeups() {
     }
     let rt = Runtime::new(b.build());
     assert_eq!(rt.stats().version_wait_wakeups, 0);
-    let ka = rt.spawn_isolated(&[p0], move |ctx| ctx.trigger(e0, EventData::empty()));
+    let ka = rt.spawn(Decl::Basic(&[p0]), move |ctx| {
+        ctx.trigger(e0, EventData::empty())
+    });
     // Wait until ka is inside the handler, so kb's admission *must* block.
     while !entered.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let kb = rt.spawn_isolated(&[p0], move |ctx| ctx.trigger(e0, EventData::empty()));
+    let kb = rt.spawn(Decl::Basic(&[p0]), move |ctx| {
+        ctx.trigger(e0, EventData::empty())
+    });
     std::thread::sleep(Duration::from_millis(20));
     gate.store(true, Ordering::SeqCst);
     join_within(ka, Duration::from_secs(10)).unwrap();
@@ -206,14 +220,16 @@ fn a_holder_off_the_cpu_is_waited_for_asleep() {
         .edge(p.handlers[0], p.handlers[1])
         .edge(p.handlers[1], p.handlers[2]);
     let e0 = p.e0;
-    let older =
-        p.rt.spawn_isolated_route(&pat, move |ctx| ctx.trigger(e0, EventData::empty()));
+    let older = p.rt.spawn(Decl::Route(&pat), move |ctx| {
+        ctx.trigger(e0, EventData::empty())
+    });
     assert!(
         wait_flag(&entered, Duration::from_secs(10)),
         "the older computation never entered h0"
     );
-    let younger =
-        p.rt.spawn_isolated_route(&pat, move |ctx| ctx.trigger(e0, EventData::empty()));
+    let younger = p.rt.spawn(Decl::Route(&pat), move |ctx| {
+        ctx.trigger(e0, EventData::empty())
+    });
     let id = younger.comp_id();
     assert!(
         wait_parked(&p.rt, id, Duration::from_secs(10)),

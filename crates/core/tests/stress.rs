@@ -45,16 +45,16 @@ fn stress(seed: u64, policy: Policy, n_protocols: usize, n_comps: usize) {
         let h = match policy {
             Policy::Basic => {
                 // Basic admits any number of visits to declared protocols.
-                s.rt.spawn_isolated(&protocols, body)
+                s.rt.spawn(Decl::Basic(&protocols), body)
             }
             Policy::Bound => {
                 let decl: Vec<(ProtocolId, u64)> =
                     chosen.iter().map(|&i| (s.protocols[i], 2)).collect();
-                s.rt.spawn_isolated_bound(&decl, body)
+                s.rt.spawn(Decl::Bound(&decl), body)
             }
-            Policy::Serial => s.rt.spawn_serial(body),
-            Policy::TwoPhase => s.rt.spawn_two_phase(&protocols, body),
-            Policy::Unsync => s.rt.spawn_unsync(body),
+            Policy::Serial => s.rt.spawn(Decl::Serial, body),
+            Policy::TwoPhase => s.rt.spawn(Decl::TwoPhase(&protocols), body),
+            Policy::Unsync => s.rt.spawn(Decl::Unsync, body),
             Policy::Route => unreachable!("route needs per-stack patterns"),
         };
         handles.push(h);
@@ -145,7 +145,7 @@ fn stress_ten_k_contention_digest_matches_serial() {
             decl.sort_unstable();
             decl.dedup();
             let (ei, ej) = (s.events[i], s.events[j]);
-            let h = s.rt.spawn_isolated(&decl, move |ctx| {
+            let h = s.rt.spawn(Decl::Basic(&decl), move |ctx| {
                 ctx.trigger(ei, 0u64)?;
                 if ej != ei {
                     ctx.trigger(ej, 0u64)?;
@@ -195,9 +195,9 @@ fn stress_mixed_versioning_policies() {
         let p = s.protocols[i];
         let sleep = rng.gen_range(0..=1u64);
         handles.push(if j % 2 == 0 {
-            s.rt.spawn_isolated(&[p], move |ctx| ctx.trigger(e, sleep))
+            s.rt.spawn(Decl::Basic(&[p]), move |ctx| ctx.trigger(e, sleep))
         } else {
-            s.rt.spawn_isolated_bound(&[(p, 1)], move |ctx| ctx.trigger(e, sleep))
+            s.rt.spawn(Decl::Bound(&[(p, 1)]), move |ctx| ctx.trigger(e, sleep))
         });
     }
     for h in handles {
@@ -219,7 +219,7 @@ fn unsync_with_heavy_conflicts_violates_isolation() {
         for _ in 0..8 {
             let e = s.events[0];
             let sleep = 5 + seed % 3;
-            handles.push(s.rt.spawn_unsync(move |ctx| ctx.trigger(e, sleep)));
+            handles.push(s.rt.spawn(Decl::Unsync, move |ctx| ctx.trigger(e, sleep)));
         }
         for h in handles {
             join_within(h, Duration::from_secs(60)).unwrap();
@@ -242,7 +242,7 @@ fn high_fanout_async_storm_stays_isolated() {
     for _ in 0..10 {
         let (e0, e1) = (s.events[0], s.events[1]);
         let decl = [s.protocols[0], s.protocols[1]];
-        handles.push(s.rt.spawn_isolated(&decl, move |ctx| {
+        handles.push(s.rt.spawn(Decl::Basic(&decl), move |ctx| {
             for _ in 0..5 {
                 ctx.async_trigger(e0, 0u64)?;
                 ctx.async_trigger(e1, 1u64)?;

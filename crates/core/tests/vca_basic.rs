@@ -12,8 +12,10 @@ use samoa_core::prelude::*;
 #[test]
 fn single_computation_runs_and_upgrades_versions() {
     let s = conflict_stack(2);
-    s.rt.isolated(&[s.protocols[0]], |ctx| ctx.trigger(s.events[0], 0u64))
-        .unwrap();
+    s.rt.run(Decl::Basic(&[s.protocols[0]]), |ctx| {
+        ctx.trigger(s.events[0], 0u64)
+    })
+    .unwrap();
     assert_eq!(s.visit_order(0), vec![1]);
     // Rule 3 upgraded the local version to the computation's private version.
     assert_eq!(s.rt.local_version(s.protocols[0]), 1);
@@ -24,8 +26,10 @@ fn single_computation_runs_and_upgrades_versions() {
 fn undeclared_protocol_is_an_error() {
     let s = conflict_stack(2);
     let err =
-        s.rt.isolated(&[s.protocols[0]], |ctx| ctx.trigger(s.events[1], 0u64))
-            .unwrap_err();
+        s.rt.run(Decl::Basic(&[s.protocols[0]]), |ctx| {
+            ctx.trigger(s.events[1], 0u64)
+        })
+        .unwrap_err();
     match err {
         SamoaError::UndeclaredProtocol { protocol, .. } => {
             assert_eq!(protocol, s.protocols[1]);
@@ -37,11 +41,12 @@ fn undeclared_protocol_is_an_error() {
 #[test]
 fn undeclared_protocol_error_does_not_wedge_later_computations() {
     let s = conflict_stack(2);
-    let _ =
-        s.rt.isolated(&[s.protocols[0]], |ctx| ctx.trigger(s.events[1], 0u64));
+    let _ = s.rt.run(Decl::Basic(&[s.protocols[0]]), |ctx| {
+        ctx.trigger(s.events[1], 0u64)
+    });
     // The failed computation still released P0 at completion.
     join_within(
-        s.rt.spawn_isolated(&[s.protocols[0]], {
+        s.rt.spawn(Decl::Basic(&[s.protocols[0]]), {
             let e = s.events[0];
             move |ctx| ctx.trigger(e, 0u64)
         }),
@@ -57,7 +62,9 @@ fn conflicting_computations_serialize_in_spawn_order() {
     let e = s.events[0];
     let mut handles = Vec::new();
     for _ in 0..8 {
-        handles.push(s.rt.spawn_isolated(&[s.protocols[0]], move |ctx| ctx.trigger(e, 3u64)));
+        handles.push(s.rt.spawn(Decl::Basic(&[s.protocols[0]]), move |ctx| {
+            ctx.trigger(e, 3u64)
+        }));
     }
     for h in handles {
         join_within(h, Duration::from_secs(20)).unwrap();
@@ -77,7 +84,7 @@ fn disjoint_computations_overlap_in_time() {
     let h1 = {
         let e = s.events[0];
         let k2_ran = Arc::clone(&k2_ran);
-        s.rt.spawn_isolated(&[s.protocols[0]], move |ctx| {
+        s.rt.spawn(Decl::Basic(&[s.protocols[0]]), move |ctx| {
             assert!(
                 wait_flag(&k2_ran, Duration::from_secs(10)),
                 "k2 never ran concurrently with k1"
@@ -88,7 +95,7 @@ fn disjoint_computations_overlap_in_time() {
     let h2 = {
         let e = s.events[1];
         let k2_ran = Arc::clone(&k2_ran);
-        s.rt.spawn_isolated(&[s.protocols[1]], move |ctx| {
+        s.rt.spawn(Decl::Basic(&[s.protocols[1]]), move |ctx| {
             ctx.trigger(e, 0u64)?;
             k2_ran.store(true, Ordering::SeqCst);
             Ok(())
@@ -108,7 +115,7 @@ fn overlapping_computation_waits_for_predecessor_completion() {
     let h1 = {
         let (e0, e1) = (s.events[0], s.events[1]);
         let k1_done = Arc::clone(&k1_done);
-        s.rt.spawn_isolated(&[s.protocols[0], s.protocols[1]], move |ctx| {
+        s.rt.spawn(Decl::Basic(&[s.protocols[0], s.protocols[1]]), move |ctx| {
             ctx.trigger(e0, 0u64)?; // visit shared P0 once, quickly
             ctx.trigger(e1, 100u64)?; // then be slow elsewhere
             k1_done.store(true, Ordering::SeqCst);
@@ -118,7 +125,7 @@ fn overlapping_computation_waits_for_predecessor_completion() {
     let h2 = {
         let e0 = s.events[0];
         let k1_done = Arc::clone(&k1_done);
-        s.rt.spawn_isolated(&[s.protocols[0]], move |ctx| {
+        s.rt.spawn(Decl::Basic(&[s.protocols[0]]), move |ctx| {
             ctx.trigger(e0, 0u64)?;
             // By the time our visit of P0 was admitted, k1 must have fully
             // completed (basic releases at completion only).
@@ -135,7 +142,7 @@ fn overlapping_computation_waits_for_predecessor_completion() {
 fn async_triggers_run_within_the_computation() {
     let s = conflict_stack(3);
     let (e0, e1, e2) = (s.events[0], s.events[1], s.events[2]);
-    s.rt.isolated(&s.protocols.clone(), |ctx| {
+    s.rt.run(Decl::Basic(&s.protocols.clone()), |ctx| {
         ctx.async_trigger(e0, 5u64)?;
         ctx.async_trigger(e1, 5u64)?;
         ctx.trigger(e2, 0u64)
@@ -152,7 +159,7 @@ fn async_error_reported_on_join() {
     let s = conflict_stack(2);
     let e1 = s.events[1];
     let err =
-        s.rt.isolated(&[s.protocols[0]], |ctx| {
+        s.rt.run(Decl::Basic(&[s.protocols[0]]), |ctx| {
             // Declared at issue time: undeclared protocol error surfaces in
             // the issuing thread.
             ctx.async_trigger(e1, 0u64)
@@ -169,7 +176,7 @@ fn handler_panic_is_caught_and_reported() {
     b.bind(e, p, "boom", |_, _| panic!("intentional"));
     let rt = Runtime::new(b.build());
     let err = rt
-        .isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+        .run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap_err();
     match err {
         SamoaError::HandlerPanic { message, .. } => assert!(message.contains("intentional")),
@@ -177,7 +184,7 @@ fn handler_panic_is_caught_and_reported() {
     }
     // The runtime is still usable; versions were released.
     let mut called = false;
-    let _ = rt.isolated(&[p], |_| {
+    let _ = rt.run(Decl::Basic(&[p]), |_| {
         called = true;
         Ok(())
     });
@@ -212,8 +219,10 @@ fn nested_sync_triggers_chain_across_protocols() {
         });
     }
     let rt = Runtime::new(b.build());
-    rt.isolated(&ps, |ctx| ctx.trigger(es[0], EventData::empty()))
-        .unwrap();
+    rt.run(Decl::Basic(&ps), |ctx| {
+        ctx.trigger(es[0], EventData::empty())
+    })
+    .unwrap();
     assert_eq!(trace.snapshot(), vec![2]);
 }
 
@@ -222,7 +231,9 @@ fn quiesce_waits_for_all_spawned_computations() {
     let s = conflict_stack(1);
     let e = s.events[0];
     for _ in 0..4 {
-        s.rt.spawn_isolated(&[s.protocols[0]], move |ctx| ctx.trigger(e, 10u64));
+        s.rt.spawn(Decl::Basic(&[s.protocols[0]]), move |ctx| {
+            ctx.trigger(e, 10u64)
+        });
     }
     s.rt.quiesce();
     assert_eq!(s.visit_order(0).len(), 4);
@@ -238,15 +249,19 @@ fn trigger_errors_for_unbound_and_ambiguous_events() {
     b.bind(multi, p, "m2", |_, _| Ok(()));
     let rt = Runtime::new(b.build());
     let err = rt
-        .isolated(&[p], |ctx| ctx.trigger(unbound, EventData::empty()))
+        .run(Decl::Basic(&[p]), |ctx| {
+            ctx.trigger(unbound, EventData::empty())
+        })
         .unwrap_err();
     assert!(matches!(err, SamoaError::NoHandler { .. }));
     let err = rt
-        .isolated(&[p], |ctx| ctx.trigger(multi, EventData::empty()))
+        .run(Decl::Basic(&[p]), |ctx| {
+            ctx.trigger(multi, EventData::empty())
+        })
         .unwrap_err();
     assert!(matches!(err, SamoaError::MultipleHandlers { count: 2, .. }));
     // trigger_all handles both fine.
-    rt.isolated(&[p], |ctx| {
+    rt.run(Decl::Basic(&[p]), |ctx| {
         ctx.trigger_all(unbound, EventData::empty())?;
         ctx.trigger_all(multi, EventData::empty())
     })
@@ -257,7 +272,7 @@ fn trigger_errors_for_unbound_and_ambiguous_events() {
 fn ctx_spawn_runs_in_same_computation_and_blocks_completion() {
     let s = conflict_stack(1);
     let e = s.events[0];
-    s.rt.isolated(&[s.protocols[0]], |ctx| {
+    s.rt.run(Decl::Basic(&[s.protocols[0]]), |ctx| {
         ctx.spawn(move |ctx2| {
             std::thread::sleep(Duration::from_millis(30));
             ctx2.trigger(e, 0u64)
@@ -272,7 +287,9 @@ fn ctx_spawn_runs_in_same_computation_and_blocks_completion() {
 #[test]
 fn run_returns_closure_value() {
     let s = conflict_stack(1);
-    let v = s.rt.isolated(&[s.protocols[0]], |_| Ok(41 + 1)).unwrap();
+    let v =
+        s.rt.run(Decl::Basic(&[s.protocols[0]]), |_| Ok(41 + 1))
+            .unwrap();
     assert_eq!(v, 42);
 }
 
@@ -280,10 +297,12 @@ fn run_returns_closure_value() {
 fn mixed_declared_but_unvisited_protocols_release_cleanly() {
     let s = conflict_stack(3);
     // k1 declares everything, visits nothing; k2 then proceeds normally.
-    let h1 = s.rt.spawn_isolated(&s.protocols.clone(), |_| Ok(()));
+    let h1 = s.rt.spawn(Decl::Basic(&s.protocols.clone()), |_| Ok(()));
     let h2 = {
         let e = s.events[1];
-        s.rt.spawn_isolated(&[s.protocols[1]], move |ctx| ctx.trigger(e, 0u64))
+        s.rt.spawn(Decl::Basic(&[s.protocols[1]]), move |ctx| {
+            ctx.trigger(e, 0u64)
+        })
     };
     join_within(h1, Duration::from_secs(5)).unwrap();
     join_within(h2, Duration::from_secs(5)).unwrap();

@@ -13,7 +13,7 @@ use samoa_core::prelude::*;
 fn bound_allows_declared_number_of_visits() {
     let s = conflict_stack(1);
     let e = s.events[0];
-    s.rt.isolated_bound(&[(s.protocols[0], 3)], |ctx| {
+    s.rt.run(Decl::Bound(&[(s.protocols[0], 3)]), |ctx| {
         for _ in 0..3 {
             ctx.trigger(e, 0u64)?;
         }
@@ -28,7 +28,7 @@ fn exceeding_bound_is_an_error() {
     let s = conflict_stack(1);
     let e = s.events[0];
     let err =
-        s.rt.isolated_bound(&[(s.protocols[0], 2)], |ctx| {
+        s.rt.run(Decl::Bound(&[(s.protocols[0], 2)]), |ctx| {
             for _ in 0..3 {
                 ctx.trigger(e, 0u64)?;
             }
@@ -61,23 +61,26 @@ fn exhausted_bound_releases_protocol_early() {
         let (e0, e1) = (s.events[0], s.events[1]);
         let k1_done = Arc::clone(&k1_done);
         let k2_entered_p0 = Arc::clone(&k2_entered_p0);
-        s.rt.spawn_isolated_bound(&[(s.protocols[0], 1), (s.protocols[1], 1)], move |ctx| {
-            ctx.trigger(e0, 0u64)?; // single visit of P0: budget exhausted
-                                    // Stay alive on P1 until k2 demonstrates it got into P0.
-            assert!(
-                wait_flag(&k2_entered_p0, Duration::from_secs(10)),
-                "k2 was not admitted to P0 while k1 was still running"
-            );
-            ctx.trigger(e1, 0u64)?;
-            k1_done.store(true, Ordering::SeqCst);
-            Ok(())
-        })
+        s.rt.spawn(
+            Decl::Bound(&[(s.protocols[0], 1), (s.protocols[1], 1)]),
+            move |ctx| {
+                ctx.trigger(e0, 0u64)?; // single visit of P0: budget exhausted
+                                        // Stay alive on P1 until k2 demonstrates it got into P0.
+                assert!(
+                    wait_flag(&k2_entered_p0, Duration::from_secs(10)),
+                    "k2 was not admitted to P0 while k1 was still running"
+                );
+                ctx.trigger(e1, 0u64)?;
+                k1_done.store(true, Ordering::SeqCst);
+                Ok(())
+            },
+        )
     };
     let h2 = {
         let e0 = s.events[0];
         let k1_done = Arc::clone(&k1_done);
         let k2_entered_p0 = Arc::clone(&k2_entered_p0);
-        s.rt.spawn_isolated_bound(&[(s.protocols[0], 1)], move |ctx| {
+        s.rt.spawn(Decl::Bound(&[(s.protocols[0], 1)]), move |ctx| {
             ctx.trigger(e0, 0u64)?;
             assert!(
                 !k1_done.load(Ordering::SeqCst),
@@ -99,20 +102,23 @@ fn fewer_visits_than_declared_is_fine() {
     let s = conflict_stack(1);
     let e = s.events[0];
     // Declares 5, uses 1; Rule 3 upgrades the remainder at completion.
-    s.rt.isolated_bound(&[(s.protocols[0], 5)], |ctx| ctx.trigger(e, 0u64))
-        .unwrap();
+    s.rt.run(Decl::Bound(&[(s.protocols[0], 5)]), |ctx| {
+        ctx.trigger(e, 0u64)
+    })
+    .unwrap();
     assert_eq!(s.rt.local_version(s.protocols[0]), 5);
     // A successor is admitted normally afterwards.
-    s.rt.isolated_bound(&[(s.protocols[0], 1)], |ctx| ctx.trigger(e, 0u64))
-        .unwrap();
+    s.rt.run(Decl::Bound(&[(s.protocols[0], 1)]), |ctx| {
+        ctx.trigger(e, 0u64)
+    })
+    .unwrap();
     assert_eq!(s.visit_order(0), vec![1, 2]);
 }
 
 #[test]
 fn unvisited_bound_protocol_released_at_completion() {
     let s = conflict_stack(2);
-    let h1 =
-        s.rt.spawn_isolated_bound(&[(s.protocols[0], 4)], |_| Ok(()));
+    let h1 = s.rt.spawn(Decl::Bound(&[(s.protocols[0], 4)]), |_| Ok(()));
     join_within(h1, Duration::from_secs(5)).unwrap();
     assert_eq!(s.rt.local_version(s.protocols[0]), 4);
 }
@@ -124,7 +130,7 @@ fn bound_computations_interleave_without_lost_updates() {
     for i in 0..10 {
         let (e0, e1) = (s.events[0], s.events[1]);
         let decl = [(s.protocols[0], 2), (s.protocols[1], 2)];
-        handles.push(s.rt.spawn_isolated_bound(&decl, move |ctx| {
+        handles.push(s.rt.spawn(Decl::Bound(&decl), move |ctx| {
             ctx.trigger(e0, (i % 3) as u64)?;
             ctx.trigger(e1, ((i + 1) % 3) as u64)?;
             ctx.trigger(e0, 0u64)?;
@@ -152,7 +158,7 @@ fn concurrent_threads_of_one_computation_respect_shared_budget() {
     let s = conflict_stack(1);
     let e = s.events[0];
     let err =
-        s.rt.isolated_bound(&[(s.protocols[0], 2)], |ctx| {
+        s.rt.run(Decl::Bound(&[(s.protocols[0], 2)]), |ctx| {
             ctx.async_trigger(e, 1u64)?;
             ctx.async_trigger(e, 1u64)?;
             ctx.trigger(e, 1u64)
@@ -177,9 +183,9 @@ fn basic_and_bound_computations_mix_soundly() {
         let decl_b = [(s.protocols[0], 1)];
         let p = [s.protocols[0]];
         handles.push(if i % 2 == 0 {
-            s.rt.spawn_isolated(&p, move |ctx| ctx.trigger(e, 2u64))
+            s.rt.spawn(Decl::Basic(&p), move |ctx| ctx.trigger(e, 2u64))
         } else {
-            s.rt.spawn_isolated_bound(&decl_b, move |ctx| ctx.trigger(e, 2u64))
+            s.rt.spawn(Decl::Bound(&decl_b), move |ctx| ctx.trigger(e, 2u64))
         });
     }
     for h in handles {

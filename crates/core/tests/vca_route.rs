@@ -72,7 +72,7 @@ fn chain_pattern(p: &Pipeline) -> RoutePattern {
 fn declared_route_admits_the_chain() {
     let p = pipeline(3);
     let pat = chain_pattern(&p);
-    p.rt.isolated_route(&pat, |ctx| {
+    p.rt.run(Decl::Route(&pat), |ctx| {
         ctx.trigger(
             p.events[0],
             EventData::new(Step {
@@ -95,7 +95,7 @@ fn call_outside_pattern_is_rejected() {
         .root(p.handlers[0])
         .edge(p.handlers[0], p.handlers[1]);
     let err =
-        p.rt.isolated_route(&pat, |ctx| {
+        p.rt.run(Decl::Route(&pat), |ctx| {
             ctx.trigger(
                 p.events[0],
                 EventData::new(Step {
@@ -120,7 +120,7 @@ fn undeclared_edge_is_rejected() {
         .root(p.handlers[2])
         .edge(p.handlers[0], p.handlers[1]);
     let err =
-        p.rt.isolated_route(&pat, |ctx| {
+        p.rt.run(Decl::Route(&pat), |ctx| {
             ctx.trigger(
                 p.events[0],
                 EventData::new(Step {
@@ -146,7 +146,7 @@ fn root_may_only_call_declared_roots() {
         .root(p.handlers[0])
         .edge(p.handlers[0], p.handlers[1]);
     let err =
-        p.rt.isolated_route(&pat, |ctx| {
+        p.rt.run(Decl::Route(&pat), |ctx| {
             // Direct call of stage1 from the closure body: not a root.
             ctx.trigger(
                 p.events[1],
@@ -167,7 +167,7 @@ fn root_keeps_roots_reachable_until_body_returns() {
     // call of the chain from the body must succeed.
     let p = pipeline(2);
     let pat = chain_pattern(&p);
-    p.rt.isolated_route(&pat, |ctx| {
+    p.rt.run(Decl::Route(&pat), |ctx| {
         for _ in 0..2 {
             ctx.trigger(
                 p.events[0],
@@ -222,12 +222,14 @@ fn route_releases_head_for_concurrent_successor() {
     };
     let rt = Runtime::with_config(b.build(), RuntimeConfig::recording());
     let pat1 = RoutePattern::new().root(ha).edge(ha, hb);
-    let h1 = rt.spawn_isolated_route(&pat1, move |ctx| ctx.trigger(ea, EventData::new(true)));
+    let h1 = rt.spawn(Decl::Route(&pat1), move |ctx| {
+        ctx.trigger(ea, EventData::new(true))
+    });
 
     // k2 only visits `a`.
     let pat2 = RoutePattern::new().root(ha);
     let gate2 = Arc::clone(&gate);
-    let h2 = rt.spawn_isolated_route(&pat2, move |ctx| {
+    let h2 = rt.spawn(Decl::Route(&pat2), move |ctx| {
         ctx.trigger(ea, EventData::new(false))?;
         // We got in while k1's `b` is still blocked on the gate.
         gate2.store(true, Ordering::SeqCst);
@@ -258,7 +260,7 @@ fn without_early_release_successor_would_wait() {
     let k1_done = flag();
     let h1 = {
         let done = Arc::clone(&k1_done);
-        rt.spawn_isolated(&[pa, pb], move |ctx| {
+        rt.spawn(Decl::Basic(&[pa, pb]), move |ctx| {
             ctx.trigger(ea, EventData::empty())?;
             ctx.trigger(eb, EventData::empty())?;
             done.store(true, Ordering::SeqCst);
@@ -267,7 +269,7 @@ fn without_early_release_successor_would_wait() {
     };
     let h2 = {
         let done = Arc::clone(&k1_done);
-        rt.spawn_isolated(&[pa], move |ctx| {
+        rt.spawn(Decl::Basic(&[pa]), move |ctx| {
             ctx.trigger(ea, EventData::empty())?;
             assert!(done.load(Ordering::SeqCst), "VCAbasic admitted k2 early");
             Ok(())
@@ -286,7 +288,7 @@ fn async_route_admission_checked_at_issue() {
         .root(p.handlers[0])
         .edge(p.handlers[1], p.handlers[0]);
     let err =
-        p.rt.isolated_route(&pat, |ctx| {
+        p.rt.run(Decl::Route(&pat), |ctx| {
             ctx.async_trigger(
                 p.events[1],
                 EventData::new(Step {
@@ -305,7 +307,7 @@ fn pending_async_keeps_protocol_for_the_computation() {
     // un-released until it executes (see DESIGN.md refinement note).
     let p = pipeline(1);
     let pat = RoutePattern::new().root(p.handlers[0]);
-    p.rt.isolated_route(&pat, |ctx| {
+    p.rt.run(Decl::Route(&pat), |ctx| {
         ctx.async_trigger(
             p.events[0],
             EventData::new(Step {
@@ -326,7 +328,7 @@ fn route_computations_isolate_on_shared_stages() {
     let mut handles = Vec::new();
     for _ in 0..6 {
         let ev = p.events[0];
-        handles.push(p.rt.spawn_isolated_route(&pat, move |ctx| {
+        handles.push(p.rt.spawn(Decl::Route(&pat), move |ctx| {
             ctx.trigger(
                 ev,
                 EventData::new(Step {

@@ -539,7 +539,7 @@ mod tests {
 
         fn trigger(&self, event: EventType, data: EventData) {
             self.rt
-                .isolated(&[self.pid], |ctx| ctx.trigger(event, data))
+                .run(Decl::Basic(&[self.pid]), |ctx| ctx.trigger(event, data))
                 .expect("relcomm");
         }
 

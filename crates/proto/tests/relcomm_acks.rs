@@ -197,7 +197,7 @@ impl Lone {
 
     fn fire(&self, event: EventType, data: EventData) {
         self.rt
-            .isolated(&[self.pid], |ctx| ctx.trigger(event, data))
+            .run(Decl::Basic(&[self.pid]), |ctx| ctx.trigger(event, data))
             .expect("RelComm handler failed");
     }
 

@@ -76,7 +76,9 @@ fn main() {
     drive("vca-basic", |p| {
         for _ in 0..COMPS {
             let e = p.entry;
-            p.rt.spawn_isolated(&p.protocols, move |ctx| ctx.trigger(e, EventData::empty()));
+            p.rt.spawn(Decl::Basic(&p.protocols), move |ctx| {
+                ctx.trigger(e, EventData::empty())
+            });
         }
     });
 
@@ -84,7 +86,9 @@ fn main() {
         let decl: Vec<(ProtocolId, u64)> = p.protocols.iter().map(|&pr| (pr, 1)).collect();
         for _ in 0..COMPS {
             let e = p.entry;
-            p.rt.spawn_isolated_bound(&decl, move |ctx| ctx.trigger(e, EventData::empty()));
+            p.rt.spawn(Decl::Bound(&decl), move |ctx| {
+                ctx.trigger(e, EventData::empty())
+            });
         }
     });
 
@@ -95,14 +99,16 @@ fn main() {
         }
         for _ in 0..COMPS {
             let e = p.entry;
-            p.rt.spawn_isolated_route(&pat, move |ctx| ctx.trigger(e, EventData::empty()));
+            p.rt.spawn(Decl::Route(&pat), move |ctx| {
+                ctx.trigger(e, EventData::empty())
+            });
         }
     });
 
     drive("serial", |p| {
         for _ in 0..COMPS {
             let e = p.entry;
-            p.rt.spawn_serial(move |ctx| ctx.trigger(e, EventData::empty()));
+            p.rt.spawn(Decl::Serial, move |ctx| ctx.trigger(e, EventData::empty()));
         }
     });
 

@@ -51,7 +51,7 @@ fn main() -> Result<()> {
         .iter()
         .map(|&line| {
             let line = line.to_string();
-            rt.spawn_isolated(&[parser, store], move |ctx| {
+            rt.spawn(Decl::Basic(&[parser, store]), move |ctx| {
                 ctx.trigger(ingest, EventData::new(line))
             })
         })
@@ -71,7 +71,7 @@ fn main() -> Result<()> {
     // 4. Declarations are enforced: forgetting `store` in M is an error the
     //    moment the computation tries to call its handler.
     let err = rt
-        .isolated(&[parser], |ctx| {
+        .run(Decl::Basic(&[parser]), |ctx| {
             ctx.trigger(ingest, EventData::new("oops".to_string()))
         })
         .unwrap_err();

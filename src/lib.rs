@@ -37,8 +37,9 @@
 //!     });
 //! }
 //! let rt = Runtime::new(b.build());
+//! let m = [counter];
 //! let handles: Vec<_> = (0..8)
-//!     .map(|_| rt.spawn_isolated(&[counter], move |ctx| ctx.trigger(bump, EventData::empty())))
+//!     .map(|_| rt.spawn(Decl::Basic(&m), move |ctx| ctx.trigger(bump, EventData::empty())))
 //!     .collect();
 //! for h in handles {
 //!     h.join().unwrap();

@@ -19,7 +19,7 @@ fn prelude_exposes_the_whole_surface() {
         });
     }
     let rt = Runtime::new(b.build());
-    rt.isolated(&[p], |ctx| ctx.trigger(e, EventData::empty()))
+    rt.run(Decl::Basic(&[p]), |ctx| ctx.trigger(e, EventData::empty()))
         .unwrap();
     assert_eq!(state.snapshot(), 1);
 
@@ -50,8 +50,10 @@ fn paper_walkthrough_fig1_to_stack() {
         });
     }
     let rt = Runtime::with_config(b.build(), RuntimeConfig::recording());
-    rt.isolated(&[p, r], |ctx| ctx.trigger(a0, EventData::empty()))
-        .unwrap();
+    rt.run(Decl::Basic(&[p, r]), |ctx| {
+        ctx.trigger(a0, EventData::empty())
+    })
+    .unwrap();
     assert_eq!(hits.snapshot(), 1);
     rt.check_isolation().unwrap();
 
