@@ -90,7 +90,7 @@ pub struct StepRecord {
     /// Id of the thread that ran.
     pub chosen: u32,
     /// 0-based index of this decision on the scheduling-*step* clock (the
-    /// [`Decider::note_step`](crate::strategy::Decider::note_step) clock —
+    /// [`Decider::note_step`] clock —
     /// every yield point, forced moves included). Recorded decisions are a
     /// subsequence of that clock; this field is the exact position, which is
     /// what lets trace-guided PCT aim change points at specific decisions.

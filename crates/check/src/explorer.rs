@@ -200,19 +200,6 @@ pub struct Sweep {
     pub backtrack_pruned: usize,
 }
 
-impl Sweep {
-    /// Fraction of fallback backtrack candidates the static relation
-    /// suppressed (`0.0` when the fallback never fired or no relation was
-    /// installed).
-    pub fn pruned_ratio(&self) -> f64 {
-        if self.backtrack_candidates == 0 {
-            0.0
-        } else {
-            self.backtrack_pruned as f64 / self.backtrack_candidates as f64
-        }
-    }
-}
-
 /// The per-strategy schedule source shared by [`Explorer::explore`] and
 /// [`Explorer::sweep`]: hands out a decider per run, folds each finished
 /// trace back in, and knows when the space is exhausted.

@@ -5,7 +5,7 @@
 //! a **manual** [`SimNet`] with a shared [`ProtoClock::manual`] and all
 //! wall-clock timers off, then promotes every environment move to a
 //! controller decision point via
-//! [`SchedHook::choose_external`](samoa_core::SchedHook::choose_external):
+//! [`SchedHook::choose_external`]:
 //!
 //! * **deliver** one in-flight datagram (any of them — delivery *order* is
 //!   the schedule dimension),
@@ -148,19 +148,24 @@ pub struct ClusterScenario {
     policy: StackPolicy,
     net_seed: u64,
     budget: FaultBudget,
-    ticks: u32,
-    abcasts: usize,
-    kv_puts: usize,
     ab_order_bug: bool,
-    max_actions: u32,
     probe: Mutex<ClusterProbe>,
 }
 
+/// The workload of every cluster scenario: atomic broadcasts and KV puts,
+/// round-robined over the sites.
+const ABCASTS: usize = 2;
+const KV_PUTS: usize = 1;
+/// Virtual-time ticks a run may inject.
+const TICKS: u32 = 2;
+/// Cap on environment moves per run (backstop against pathological decider
+/// loops; well above what the workload needs).
+const MAX_ACTIONS: u32 = 600;
+
 impl ClusterScenario {
     /// A `sites`-node cluster under `policy`, manual-network delays drawn
-    /// from `net_seed`, faults limited by `budget`. Default workload: two
-    /// abcasts (from sites 0 and 1) plus one KV put; two virtual-time
-    /// ticks.
+    /// from `net_seed`, faults limited by `budget`. Workload: two abcasts
+    /// (from sites 0 and 1) plus one KV put; two virtual-time ticks.
     pub fn new(
         sites: usize,
         policy: StackPolicy,
@@ -173,29 +178,9 @@ impl ClusterScenario {
             policy,
             net_seed,
             budget,
-            ticks: 2,
-            abcasts: 2,
-            kv_puts: 1,
             ab_order_bug: false,
-            max_actions: 600,
             probe: Mutex::new(ClusterProbe::default()),
         }
-    }
-
-    /// Override the workload: `abcasts` atomic broadcasts and `kv_puts`
-    /// KV writes, round-robined over the sites.
-    pub fn with_workload(mut self, abcasts: usize, kv_puts: usize) -> ClusterScenario {
-        self.abcasts = abcasts;
-        self.kv_puts = kv_puts;
-        self
-    }
-
-    /// Override the virtual-time tick allowance (each tick lets the deferred
-    /// acks land, advances the shared clock past the retransmission backoff
-    /// cap and injects a retransmit tick into every live node).
-    pub fn with_ticks(mut self, ticks: u32) -> ClusterScenario {
-        self.ticks = ticks;
-        self
     }
 
     /// Enable the injected **ordering bug**
@@ -204,13 +189,6 @@ impl ClusterScenario {
     /// prefix agreement.
     pub fn with_ab_order_bug(mut self) -> ClusterScenario {
         self.ab_order_bug = true;
-        self
-    }
-
-    /// Cap on environment moves per run (backstop against pathological
-    /// decider loops; well above what the default workload needs).
-    pub fn with_max_actions(mut self, max_actions: u32) -> ClusterScenario {
-        self.max_actions = max_actions;
         self
     }
 
@@ -354,11 +332,11 @@ impl Scenario for ClusterScenario {
         let nodes = cluster.nodes();
 
         // Workload: unique payloads, round-robined over the sites.
-        for k in 0..self.abcasts {
+        for k in 0..ABCASTS {
             let site = k % n;
             nodes[site].abcast(format!("ab-{site}-{k}"));
         }
-        for k in 0..self.kv_puts {
+        for k in 0..KV_PUTS {
             let site = k % n;
             // Fire-and-forget: the pending handle would deadlock the
             // controlled thread if the command's decide gets dropped.
@@ -368,7 +346,7 @@ impl Scenario for ClusterScenario {
         let h = cluster.net();
         let mut crashed = vec![false; n];
         let mut budget = self.budget;
-        let mut ticks_left = self.ticks;
+        let mut ticks_left = TICKS;
         let mut partitioned = false;
         let mut actions = 0u32;
         // Each tick must clear RelComm's exponential backoff (rto << attempts,
@@ -391,7 +369,7 @@ impl Scenario for ClusterScenario {
                     h.drop_seq(dg.seq);
                 }
             }
-            if actions >= self.max_actions {
+            if actions >= MAX_ACTIONS {
                 break;
             }
             let alts = self.alternatives(&h, &crashed, &budget, ticks_left, partitioned, nodes);

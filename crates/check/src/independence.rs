@@ -1,7 +1,7 @@
 //! The static independence relation: the bridge from `samoa_core`'s
 //! whole-stack conflict analysis to the dynamic checker's DPOR search.
 //!
-//! [`ConflictMatrix`](samoa_core::analysis::ConflictMatrix) decides, from
+//! [`ConflictMatrix`] decides, from
 //! trigger metadata alone, which microprotocol *pairs* can ever contend:
 //! two protocols conflict only if two analyzed roots have overlapping
 //! footprints covering them. [`StaticIndependence`] re-expresses the

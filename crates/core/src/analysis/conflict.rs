@@ -2,7 +2,7 @@
 //!
 //! Two computations contend on a microprotocol's cell — the `(gv_p, lv_p)`
 //! version counters, or the 2PL lock slot, depending on the
-//! [`Policy`](crate::policy::Policy)'s
+//! [`Policy`]'s
 //! [`CellKind`](crate::policy::CellKind) — only if both declare
 //! it, and a well-declared computation declares exactly the footprint
 //! reachable from its root event ([`infer_m`](crate::analysis::infer_m)).

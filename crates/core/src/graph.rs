@@ -13,7 +13,7 @@
 //! active handler can be released before the computation completes, which is
 //! where `VCAroute` gets its extra parallelism.
 //!
-//! The pattern compiles once into an immutable [`RouteGraph`] — sorted
+//! The pattern compiles once into an immutable `RouteGraph` — sorted
 //! vertex table, adjacency, and a precomputed reachability closure stored as
 //! bitsets — cached on the pattern and shared (`Arc`) by every computation
 //! spawned from it. Per-spawn setup is then a handful of zeroed vectors, the

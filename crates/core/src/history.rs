@@ -28,7 +28,6 @@ use crate::error::CompId;
 use crate::event::EventType;
 use crate::handler::HandlerId;
 use crate::protocol::ProtocolId;
-use crate::stack::Stack;
 
 /// One recorded state access: computation `comp` touched the local state of
 /// `protocol`.
@@ -93,21 +92,6 @@ impl History {
     /// [`check_serializable`].
     pub fn check_isolation(&self) -> Result<Vec<CompId>, IsolationViolation> {
         check_serializable(&self.accesses)
-    }
-
-    /// Render the run with human-readable names, one `(event, handler)` pair
-    /// per line, for experiment E1's output.
-    pub fn format_run(&self, stack: &Stack) -> String {
-        let mut out = String::new();
-        for e in &self.run {
-            out.push_str(&format!(
-                "k{}: ({}, {})\n",
-                e.comp,
-                stack.event_name(e.event),
-                stack.handler_name(e.handler)
-            ));
-        }
-        out
     }
 
     /// The distinct computations that appear in the recorded run/accesses.

@@ -80,8 +80,8 @@ pub use runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};
 pub use sched::{ExternalChoice, ReleaseReason, SchedHook, SchedPoint, SchedResource};
 pub use stack::{Stack, StackBuilder};
 pub use trace::{
-    chrome_trace, percentile_us, render_summary, ChromeTrace, ContentionProfile, TraceBuffer,
-    TraceEvent, TraceKind, TraceSink, WaitEdge, WaitForGraph,
+    chrome_trace, percentile_us, ChromeTrace, ContentionProfile, TraceBuffer, TraceEvent,
+    TraceKind, TraceSink, WaitEdge, WaitForGraph,
 };
 
 /// Everything most programs need.

@@ -49,7 +49,6 @@
 //! * [`chrome_trace`] / [`ChromeTrace`] — Chrome `trace_event` JSON,
 //!   loadable in `chrome://tracing` or <https://ui.perfetto.dev>, one
 //!   track per computation.
-//! * [`render_summary`] — a human-readable text digest.
 //!
 //! See guide §8 ("Observing a stack") for a worked example.
 
@@ -1228,34 +1227,6 @@ pub fn chrome_trace(events: &[TraceEvent], stack: &Stack) -> String {
     b.render()
 }
 
-/// Human-readable digest of a drained stream: event counts and the full
-/// contention profile.
-pub fn render_summary(events: &[TraceEvent], stack: &Stack) -> String {
-    let mut spawns = 0u64;
-    let mut completes = 0u64;
-    let mut waits = 0u64;
-    let mut calls = 0u64;
-    let mut releases = 0u64;
-    for ev in events {
-        match ev.kind {
-            TraceKind::Spawn { .. } => spawns += 1,
-            TraceKind::Complete { .. } => completes += 1,
-            TraceKind::WaitEnd { .. } => waits += 1,
-            TraceKind::HandlerExit { .. } => calls += 1,
-            TraceKind::EarlyRelease { .. } => releases += 1,
-            _ => {}
-        }
-    }
-    let span_ms = events.last().map_or(0.0, |e| e.t_ns as f64 / 1e6);
-    let mut out = format!(
-        "{} events over {span_ms:.2}ms: {spawns} spawns, {completes} completions, \
-         {calls} handler calls, {waits} admission waits, {releases} early releases\n\n",
-        events.len()
-    );
-    out.push_str(&ContentionProfile::from_events(events, stack).render());
-    out
-}
-
 /// Quote and escape a JSON string.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -1493,23 +1464,5 @@ mod tests {
         assert_eq!(ctl.wait_begin(3, 0, 3, 1), None);
         ctl.wait_end(3, 0);
         assert!(ctl.snapshot_waits().is_empty());
-    }
-
-    #[test]
-    fn summary_counts_events() {
-        let stack = two_proto_stack();
-        let events = vec![
-            ev(
-                0,
-                TraceKind::Spawn {
-                    comp: 1,
-                    algo: Policy::Basic,
-                },
-            ),
-            ev(9, TraceKind::Complete { comp: 1 }),
-        ];
-        let s = render_summary(&events, &stack);
-        assert!(s.contains("1 spawns"), "{s}");
-        assert!(s.contains("1 completions"), "{s}");
     }
 }

@@ -17,7 +17,9 @@
 //! [`Ticker::attach`] wires both. The timer thread sleeps until the
 //! instant its [`Alarm`] is armed for, and runs only on the wall clock
 //! ([`Alarm::on`]); on a manual clock whoever advances it injects the
-//! ticks.
+//! ticks. Both stacks write their wire formats with one [`codec`]: a
+//! length is its writer run against a counting sink, and a decoder reads
+//! through checked readers.
 //!
 //! ```
 //! use samoa_net::{NetConfig, SimNet, SiteId};
@@ -41,6 +43,7 @@
 
 pub mod arq;
 pub mod clock;
+pub mod codec;
 pub mod config;
 pub mod sim;
 pub mod stats;

@@ -3,7 +3,7 @@
 //! [`TcpNet`] is one site's endpoint: it owns a listening socket, an accept
 //! loop, one reader thread per inbound connection, and one lazily-spawned
 //! writer thread per peer. It implements the exact same
-//! [`Transport`](crate::transport::Transport) seam as the simulator, so the
+//! [`Transport`] seam as the simulator, so the
 //! `samoa-proto` stack runs over real sockets unchanged — [`TcpMesh`]
 //! bundles `n` endpoints on ephemeral localhost ports for in-process
 //! cluster tests, and the same endpoint works across processes when every
@@ -192,11 +192,6 @@ impl TcpNet {
         Ok(TcpNet { inner })
     }
 
-    /// The site this endpoint hosts.
-    pub fn local_site(&self) -> SiteId {
-        self.inner.site
-    }
-
     /// The address table (index = site id).
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.inner.addrs
@@ -216,11 +211,6 @@ impl TcpNet {
             reconnects: c.reconnects.load(Ordering::Relaxed),
             decode_errors: c.decode_errors.load(Ordering::Relaxed),
         }
-    }
-
-    /// Has [`TcpNet::shutdown`] been called (or the endpoint dropped)?
-    pub fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
     }
 
     /// Tear the endpoint down: stop accepting, tear every connection, wake

@@ -140,7 +140,7 @@ pub struct AbcastState {
     decides: BTreeMap<u64, Batch>,
     /// The instance we have already proposed for (avoid re-proposing).
     proposed_for: Option<u64>,
-    /// When false, [`note_decide`](AbcastState::note_decide) skips the
+    /// When false, `note_decide` skips the
     /// instance-order buffering and delivers every arriving decision
     /// immediately — an **injected bug** for the fault explorer
     /// (`samoa-check`): a reordered `Decide` flood then produces divergent

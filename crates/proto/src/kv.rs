@@ -35,6 +35,7 @@ use parking_lot::{Condvar, Mutex};
 
 use samoa_core::metrics::{Counter, Histogram};
 use samoa_core::prelude::*;
+use samoa_net::codec::{counted, put_bytes, Reader, Truncated};
 use samoa_net::SiteId;
 
 use crate::abcast::ARun;
@@ -96,42 +97,32 @@ impl KvCmd {
         }
     }
 
-    /// How many bytes [`encode`](KvCmd::encode) writes: exact, so that the
-    /// buffer is sized once and never grows.
-    fn encoded_len(&self) -> usize {
-        // A length-prefixed byte string.
-        let bytes = |b: &Bytes| 4 + b.len();
-        MAGIC.len()
-            + 1
-            + 8
-            + match self {
-                KvCmd::Put { key, value, .. } => bytes(key) + bytes(value),
-                KvCmd::Get { key, .. } => bytes(key),
-                KvCmd::Cas {
-                    key, expect, value, ..
-                } => bytes(key) + 1 + expect.as_ref().map_or(0, bytes) + bytes(value),
-            }
+    /// How many bytes [`encode`](KvCmd::encode) writes: the writer run
+    /// against a counting sink.
+    pub fn encoded_len(&self) -> usize {
+        counted(|out| self.put(out))
     }
 
     /// Encode into an abcast user payload.
     pub fn encode(&self) -> Bytes {
-        fn put_bytes(out: &mut BytesMut, b: &Bytes) {
-            out.put_u32_le(b.len() as u32);
-            out.put_slice(b);
-        }
         let mut out = BytesMut::with_capacity(self.encoded_len());
+        self.put(&mut out);
+        out.freeze()
+    }
+
+    fn put(&self, out: &mut impl BufMut) {
         out.put_slice(&MAGIC);
         match self {
             KvCmd::Put { req, key, value } => {
                 out.put_u8(0);
                 out.put_u64_le(*req);
-                put_bytes(&mut out, key);
-                put_bytes(&mut out, value);
+                put_bytes(out, key);
+                put_bytes(out, value);
             }
             KvCmd::Get { req, key } => {
                 out.put_u8(1);
                 out.put_u64_le(*req);
-                put_bytes(&mut out, key);
+                put_bytes(out, key);
             }
             KvCmd::Cas {
                 req,
@@ -141,54 +132,33 @@ impl KvCmd {
             } => {
                 out.put_u8(2);
                 out.put_u64_le(*req);
-                put_bytes(&mut out, key);
+                put_bytes(out, key);
                 match expect {
                     None => out.put_u8(0),
                     Some(e) => {
                         out.put_u8(1);
-                        put_bytes(&mut out, e);
+                        put_bytes(out, e);
                     }
                 }
-                put_bytes(&mut out, value);
+                put_bytes(out, value);
             }
         }
-        debug_assert_eq!(out.len(), self.encoded_len());
-        out.freeze()
     }
 
     /// Decode from an abcast user payload; `None` if it is not a KV frame.
     /// The key and value are windows on `b`, not copies of it.
     pub fn decode(b: &Bytes) -> Option<KvCmd> {
-        /// A cursor over `b`: `at` is the next unread byte.
-        struct Rd<'a> {
-            b: &'a Bytes,
-            at: usize,
-        }
-        impl Rd<'_> {
-            fn take(&mut self, n: usize) -> Option<&[u8]> {
-                let end = self.at.checked_add(n).filter(|&e| e <= self.b.len())?;
-                let h = &self.b[self.at..end];
-                self.at = end;
-                Some(h)
-            }
-            fn u8(&mut self) -> Option<u8> {
-                Some(self.take(1)?[0])
-            }
-            fn u64(&mut self) -> Option<u64> {
-                Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-            }
-            fn bytes(&mut self) -> Option<Bytes> {
-                let len = u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize;
-                let start = self.at;
-                self.take(len)?;
-                Some(self.b.slice(start..self.at))
-            }
-        }
-        if b.len() < 3 || b[..2] != MAGIC {
+        let mut r = b.clone();
+        if r.u16().ok()? != u16::from_le_bytes(MAGIC) {
             return None;
         }
-        let mut r = Rd { b, at: 2 };
-        let cmd = match r.u8()? {
+        let cmd = KvCmd::read(&mut r).ok()??;
+        r.is_empty().then_some(cmd)
+    }
+
+    /// The command after the magic prefix; `Ok(None)` on an unknown tag.
+    fn read(r: &mut Bytes) -> std::result::Result<Option<KvCmd>, Truncated> {
+        Ok(Some(match r.u8()? {
             0 => KvCmd::Put {
                 req: r.u64()?,
                 key: r.bytes()?,
@@ -198,28 +168,18 @@ impl KvCmd {
                 req: r.u64()?,
                 key: r.bytes()?,
             },
-            2 => {
-                let req = r.u64()?;
-                let key = r.bytes()?;
-                let expect = match r.u8()? {
+            2 => KvCmd::Cas {
+                req: r.u64()?,
+                key: r.bytes()?,
+                expect: match r.u8()? {
                     0 => None,
                     1 => Some(r.bytes()?),
-                    _ => return None,
-                };
-                KvCmd::Cas {
-                    req,
-                    key,
-                    expect,
-                    value: r.bytes()?,
-                }
-            }
-            _ => return None,
-        };
-        if r.at == b.len() {
-            Some(cmd)
-        } else {
-            None
-        }
+                    _ => return Ok(None),
+                },
+                value: r.bytes()?,
+            },
+            _ => return Ok(None),
+        }))
     }
 }
 

@@ -39,7 +39,8 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use samoa_net::codec::{counted, put_bytes, Reader, Truncated};
 use samoa_net::{RangeSet, SiteId};
 
 use crate::view::ViewOp;
@@ -291,13 +292,30 @@ pub enum Payload {
 
 impl Payload {
     /// How many bytes the payload takes in a data frame, its tag included:
-    /// exact, so that a datagram's buffer is sized once and never grows.
+    /// its writer run against a counting sink.
     pub fn encoded_len(&self) -> usize {
-        1 + match self {
-            Payload::Cast(c) => cast_len(c),
-            Payload::Request(batch) => batch_len(batch),
-            Payload::Cons(c) => cons_len(c),
-            Payload::Sync(s) => sync_len(s),
+        counted(|out| self.put(out))
+    }
+
+    /// Write the payload, its tag first.
+    fn put(&self, out: &mut impl BufMut) {
+        match self {
+            Payload::Cast(c) => {
+                out.put_u8(0);
+                put_cast(out, c);
+            }
+            Payload::Cons(c) => {
+                out.put_u8(1);
+                put_cons(out, c);
+            }
+            Payload::Sync(s) => {
+                out.put_u8(2);
+                put_sync(out, s);
+            }
+            Payload::Request(batch) => {
+                out.put_u8(3);
+                put_batch(out, batch);
+            }
         }
     }
 
@@ -402,50 +420,39 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-type DecResult<T> = Result<T, CodecError>;
-
-fn need(buf: &impl Buf, n: usize) -> DecResult<()> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated)
-    } else {
-        Ok(())
+impl From<Truncated> for CodecError {
+    fn from(_: Truncated) -> CodecError {
+        CodecError::Truncated
     }
 }
 
-// Each `*_len` is the number of bytes the `put_*` above it writes.
+type DecResult<T> = Result<T, CodecError>;
 
-fn put_bytes(out: &mut BytesMut, b: &Bytes) {
-    out.put_u32_le(b.len() as u32);
-    out.put_slice(b);
+// Each message is written by its `put_*` and read by its `get_*`, and
+// nothing else describes it: a length is the writer run against
+// `codec::counted`, and a read goes through `codec::Reader`.
+
+fn get_ctx(buf: &mut Bytes) -> DecResult<TraceCtx> {
+    Ok(TraceCtx {
+        origin: SiteId(buf.u16()?),
+        op: buf.u64()?,
+        hop: buf.u8()?,
+    })
 }
 
-fn bytes_len(b: &Bytes) -> usize {
-    4 + b.len()
-}
-
-fn get_bytes(buf: &mut Bytes) -> DecResult<Bytes> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len)?;
-    Ok(buf.split_to(len))
-}
-
-fn put_uid(out: &mut BytesMut, uid: MsgUid) {
+fn put_uid(out: &mut impl BufMut, uid: MsgUid) {
     out.put_u16_le(uid.origin.0);
     out.put_u64_le(uid.seq);
 }
 
-const UID_LEN: usize = 10;
-
 fn get_uid(buf: &mut Bytes) -> DecResult<MsgUid> {
-    need(buf, 10)?;
     Ok(MsgUid {
-        origin: SiteId(buf.get_u16_le()),
-        seq: buf.get_u64_le(),
+        origin: SiteId(buf.u16()?),
+        seq: buf.u64()?,
     })
 }
 
-fn put_ab(out: &mut BytesMut, m: &AbMsg) {
+fn put_ab(out: &mut impl BufMut, m: &AbMsg) {
     put_uid(out, m.uid);
     match &m.payload {
         AbPayload::User(b) => {
@@ -463,57 +470,42 @@ fn put_ab(out: &mut BytesMut, m: &AbMsg) {
     }
 }
 
-fn ab_len(m: &AbMsg) -> usize {
-    UID_LEN
-        + 1
-        + match &m.payload {
-            AbPayload::User(b) => bytes_len(b),
-            AbPayload::ViewOp(..) => 3,
-        }
-}
+/// The fewest bytes [`put_ab`] writes: a uid, a tag, and a view operation's
+/// three bytes (a user payload takes at least its four-byte length).
+const AB_LEAST: usize = 10 + 1 + 3;
 
 fn get_ab(buf: &mut Bytes) -> DecResult<AbMsg> {
     let uid = get_uid(buf)?;
-    need(buf, 1)?;
-    let payload = match buf.get_u8() {
-        0 => AbPayload::User(get_bytes(buf)?),
+    let payload = match buf.u8()? {
+        0 => AbPayload::User(buf.bytes()?),
         1 => {
-            need(buf, 3)?;
-            let op = match buf.get_u8() {
+            let (op, site) = (buf.u8()?, SiteId(buf.u16()?));
+            let op = match op {
                 0 => ViewOp::Join,
                 1 => ViewOp::Leave,
                 t => return Err(CodecError::BadTag(t)),
             };
-            AbPayload::ViewOp(op, SiteId(buf.get_u16_le()))
+            AbPayload::ViewOp(op, site)
         }
         t => return Err(CodecError::BadTag(t)),
     };
     Ok(AbMsg { uid, payload })
 }
 
-fn put_batch(out: &mut BytesMut, batch: &[AbMsg]) {
+fn put_batch(out: &mut impl BufMut, batch: &[AbMsg]) {
     out.put_u32_le(batch.len() as u32);
     for m in batch {
         put_ab(out, m);
     }
 }
 
-fn batch_len(batch: &[AbMsg]) -> usize {
-    4 + batch.iter().map(ab_len).sum::<usize>()
-}
-
 /// Decode a batch into one allocation of the size its count prefix claims,
-/// once the bytes left could hold that many messages (each takes at least
-/// 11). `Arc<[_]>` collected from a `(0..n).map(..)` is allocated once at
-/// its final size, so decoding writes each message in place: after a
-/// malformed one the remaining slots get an empty filler, and the error is
-/// returned instead of the batch.
+/// once the bytes left could hold that many messages. `Arc<[_]>` collected
+/// from a `(0..n).map(..)` is allocated once at its final size, so decoding
+/// writes each message in place: after a malformed one the remaining slots
+/// get an empty filler, and the error is returned instead of the batch.
 fn get_batch(buf: &mut Bytes) -> DecResult<Batch> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    if n > buf.remaining() / 11 + 1 {
-        return Err(CodecError::Truncated);
-    }
+    let n = buf.count(AB_LEAST)?;
     let mut failed = None;
     let msgs = (0..n)
         .map(|_| {
@@ -538,7 +530,7 @@ fn get_batch(buf: &mut Bytes) -> DecResult<Batch> {
     }
 }
 
-fn put_cast(out: &mut BytesMut, m: &CastMsg) {
+fn put_cast(out: &mut impl BufMut, m: &CastMsg) {
     put_uid(out, m.uid);
     match &m.data {
         CastData::User(b) => {
@@ -557,36 +549,21 @@ fn put_cast(out: &mut BytesMut, m: &CastMsg) {
     }
 }
 
-fn cast_len(m: &CastMsg) -> usize {
-    UID_LEN
-        + 1
-        + match &m.data {
-            CastData::User(b) => bytes_len(b),
-            CastData::AbRequest(ab) => ab_len(ab),
-            CastData::Decide { batch, .. } => 8 + batch_len(batch),
-        }
-}
-
 fn get_cast(buf: &mut Bytes) -> DecResult<CastMsg> {
     let uid = get_uid(buf)?;
-    need(buf, 1)?;
-    let data = match buf.get_u8() {
-        0 => CastData::User(get_bytes(buf)?),
+    let data = match buf.u8()? {
+        0 => CastData::User(buf.bytes()?),
         1 => CastData::AbRequest(get_ab(buf)?),
-        2 => {
-            need(buf, 8)?;
-            let inst = buf.get_u64_le();
-            CastData::Decide {
-                inst,
-                batch: get_batch(buf)?,
-            }
-        }
+        2 => CastData::Decide {
+            inst: buf.u64()?,
+            batch: get_batch(buf)?,
+        },
         t => return Err(CodecError::BadTag(t)),
     };
     Ok(CastMsg { uid, data })
 }
 
-fn put_cons(out: &mut BytesMut, m: &ConsMsg) {
+fn put_cons(out: &mut impl BufMut, m: &ConsMsg) {
     match m {
         ConsMsg::Kick {
             inst,
@@ -631,24 +608,11 @@ fn put_cons(out: &mut BytesMut, m: &ConsMsg) {
     }
 }
 
-fn cons_len(m: &ConsMsg) -> usize {
-    1 + match m {
-        ConsMsg::Kick { est, .. } | ConsMsg::Estimate { est, .. } => 24 + batch_len(est),
-        ConsMsg::Propose { value, .. } => 16 + batch_len(value),
-        ConsMsg::Collect { .. } | ConsMsg::Ack { .. } => 16,
-    }
-}
-
 fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    need(buf, 16)?;
-    let inst = buf.get_u64_le();
-    let round = buf.get_u64_le();
+    let (tag, inst, round) = (buf.u8()?, buf.u64()?, buf.u64()?);
     Ok(match tag {
         0 => {
-            need(buf, 8)?;
-            let est_round = buf.get_u64_le();
+            let est_round = buf.u64()?;
             ConsMsg::Kick {
                 inst,
                 round,
@@ -658,8 +622,7 @@ fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
         }
         1 => ConsMsg::Collect { inst, round },
         2 => {
-            need(buf, 8)?;
-            let est_round = buf.get_u64_le();
+            let est_round = buf.u64()?;
             ConsMsg::Estimate {
                 inst,
                 round,
@@ -677,7 +640,7 @@ fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
     })
 }
 
-fn put_sync(out: &mut BytesMut, s: &SyncMsg) {
+fn put_sync(out: &mut impl BufMut, s: &SyncMsg) {
     out.put_u64_le(s.next_inst);
     out.put_u64_le(s.view_id);
     out.put_u32_le(s.members.len() as u32);
@@ -693,32 +656,15 @@ fn put_sync(out: &mut BytesMut, s: &SyncMsg) {
     put_batch(out, &s.pending);
 }
 
-fn sync_len(s: &SyncMsg) -> usize {
-    24 + 2 * s.members.len() + 18 * s.delivered.len() + batch_len(&s.pending)
-}
-
 fn get_sync(buf: &mut Bytes) -> DecResult<SyncMsg> {
-    need(buf, 20)?;
-    let next_inst = buf.get_u64_le();
-    let view_id = buf.get_u64_le();
-    let n_members = buf.get_u32_le() as usize;
-    if n_members > buf.remaining() / 2 + 1 {
-        return Err(CodecError::Truncated);
-    }
-    let members = (0..n_members)
-        .map(|_| {
-            need(buf, 2)?;
-            Ok(SiteId(buf.get_u16_le()))
-        })
+    let (next_inst, view_id) = (buf.u64()?, buf.u64()?);
+    let members = (0..buf.count(2)?)
+        .map(|_| Ok(SiteId(buf.u16()?)))
         .collect::<DecResult<Vec<_>>>()?;
-    need(buf, 4)?;
-    let n_ranges = buf.get_u32_le() as usize;
-    if n_ranges > buf.remaining() / 18 {
-        return Err(CodecError::Truncated);
-    }
+    let n_ranges = buf.count(18)?;
     let mut delivered: Vec<(SiteId, u64, u64)> = Vec::with_capacity(n_ranges);
     for _ in 0..n_ranges {
-        let (origin, lo, hi) = (SiteId(buf.get_u16_le()), buf.get_u64_le(), buf.get_u64_le());
+        let (origin, lo, hi) = (SiteId(buf.u16()?), buf.u64()?, buf.u64()?);
         let after_last = delivered
             .last()
             .is_none_or(|&(o, _, last_hi)| (o, last_hi) < (origin, lo));
@@ -745,29 +691,19 @@ impl Wire {
     }
 
     /// How many bytes [`encode_into`](Wire::encode_into) appends for this
-    /// frame.
+    /// frame: the writer run against a counting sink.
     pub fn encoded_len(&self) -> usize {
-        match self {
-            Wire::Data { ctx, payload, .. } => Wire::data_len(*ctx, payload),
-            Wire::Ack { .. } => Wire::ACK_LEN,
-            Wire::Heartbeat => 1,
-        }
+        counted(|out| self.encode_into(out))
     }
 
     /// The length of a [`Wire::Ack`] frame.
     pub(crate) const ACK_LEN: usize = 9;
 
-    /// The length of the [`Wire::Data`] frame
-    /// [`encode_data_into`](Wire::encode_data_into) writes from these parts.
-    pub(crate) fn data_len(ctx: Option<TraceCtx>, payload: &Payload) -> usize {
-        10 + ctx.map_or(0, |_| 11) + payload.encoded_len()
-    }
-
     /// Append this frame to `out`. Frames are self-delimiting, so a
     /// datagram is simply their concatenation; RelComm uses this to put the
     /// acks it owes a peer behind the data frame it is sending there anyway
     /// ([`decode_all`](Wire::decode_all) is the inverse).
-    pub fn encode_into(&self, out: &mut BytesMut) {
+    pub fn encode_into(&self, out: &mut impl BufMut) {
         match self {
             Wire::Data { seq, ctx, payload } => Wire::encode_data_into(*seq, *ctx, payload, out),
             Wire::Ack { seq } => {
@@ -787,7 +723,7 @@ impl Wire {
         seq: u64,
         ctx: Option<TraceCtx>,
         payload: &Payload,
-        out: &mut BytesMut,
+        out: &mut impl BufMut,
     ) {
         out.put_u8(0);
         out.put_u64_le(seq);
@@ -800,24 +736,7 @@ impl Wire {
             }
             None => out.put_u8(0),
         }
-        match payload {
-            Payload::Cast(c) => {
-                out.put_u8(0);
-                put_cast(out, c);
-            }
-            Payload::Cons(c) => {
-                out.put_u8(1);
-                put_cons(out, c);
-            }
-            Payload::Sync(s) => {
-                out.put_u8(2);
-                put_sync(out, s);
-            }
-            Payload::Request(batch) => {
-                out.put_u8(3);
-                put_batch(out, batch);
-            }
-        }
+        payload.put(out);
     }
 
     /// Deserialise the first frame of a datagram; whatever follows it is
@@ -836,25 +755,15 @@ impl Wire {
 
     /// Deserialise one frame off the front of `buf`.
     fn decode_frame(buf: &mut Bytes) -> DecResult<Wire> {
-        need(buf, 1)?;
-        match buf.get_u8() {
+        match buf.u8()? {
             0 => {
-                need(buf, 9)?;
-                let seq = buf.get_u64_le();
-                let ctx = match buf.get_u8() {
+                let seq = buf.u64()?;
+                let ctx = match buf.u8()? {
                     0 => None,
-                    1 => {
-                        need(buf, 11)?;
-                        Some(TraceCtx {
-                            origin: SiteId(buf.get_u16_le()),
-                            op: buf.get_u64_le(),
-                            hop: buf.get_u8(),
-                        })
-                    }
+                    1 => Some(get_ctx(buf)?),
                     t => return Err(CodecError::BadTag(t)),
                 };
-                need(buf, 1)?;
-                let payload = match buf.get_u8() {
+                let payload = match buf.u8()? {
                     0 => Payload::Cast(get_cast(buf)?),
                     1 => Payload::Cons(get_cons(buf)?),
                     2 => Payload::Sync(get_sync(buf)?),
@@ -866,12 +775,7 @@ impl Wire {
                 };
                 Ok(Wire::Data { seq, ctx, payload })
             }
-            1 => {
-                need(buf, 8)?;
-                Ok(Wire::Ack {
-                    seq: buf.get_u64_le(),
-                })
-            }
+            1 => Ok(Wire::Ack { seq: buf.u64()? }),
             2 => Ok(Wire::Heartbeat),
             t => Err(CodecError::BadTag(t)),
         }
@@ -882,15 +786,11 @@ impl Wire {
     /// non-data frames, frames without a context, or anything malformed (full
     /// [`decode`](Wire::decode) is the arbiter of validity).
     pub fn peek_ctx(buf: &Bytes) -> Option<TraceCtx> {
-        let b: &[u8] = buf.as_ref();
-        if b.len() < 21 || b[0] != 0 || b[9] != 1 {
-            return None;
+        let mut b = buf.clone();
+        match (b.u8(), b.u64(), b.u8()) {
+            (Ok(0), Ok(_), Ok(1)) => get_ctx(&mut b).ok(),
+            _ => None,
         }
-        Some(TraceCtx {
-            origin: SiteId(u16::from_le_bytes([b[10], b[11]])),
-            op: u64::from_le_bytes([b[12], b[13], b[14], b[15], b[16], b[17], b[18], b[19]]),
-            hop: b[20],
-        })
     }
 }
 

@@ -946,11 +946,6 @@ impl TcpCluster {
             .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
     }
 
-    /// Is site `i` still up?
-    pub fn is_live(&self, i: usize) -> bool {
-        self.nodes[i].is_some()
-    }
-
     /// The underlying mesh (for stats and addresses).
     pub fn mesh(&self) -> &TcpMesh {
         &self.mesh

@@ -48,8 +48,9 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use samoa_core::prelude::*;
+use samoa_net::codec::counted;
 use samoa_net::{ArqReceiver, ArqSender, SiteId, Transport};
 
 use crate::clock::ProtoClock;
@@ -164,16 +165,18 @@ impl HopTable {
 
 /// One outbound datagram: the data frame, if any — sequence number, causal
 /// context, payload, encoded from where they are held — then the owed acks.
+/// Its buffer is sized once, by the writer run against a counting sink.
 fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> Bytes {
-    let data_len = data.map_or(0, |(_, ctx, payload)| Wire::data_len(ctx, payload));
-    let mut out = BytesMut::with_capacity(data_len + Wire::ACK_LEN * acks.len());
-    if let Some((seq, ctx, payload)) = data {
-        Wire::encode_data_into(seq, ctx, payload, &mut out);
+    fn write(out: &mut impl BufMut, data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) {
+        if let Some((seq, ctx, payload)) = data {
+            Wire::encode_data_into(seq, ctx, payload, out);
+        }
+        for &seq in acks {
+            Wire::Ack { seq }.encode_into(out);
+        }
     }
-    for &seq in acks {
-        Wire::Ack { seq }.encode_into(&mut out);
-    }
-    debug_assert_eq!(out.len(), data_len + Wire::ACK_LEN * acks.len());
+    let mut out = BytesMut::with_capacity(counted(|sink| write(sink, data, acks)));
+    write(&mut out, data, acks);
     out.freeze()
 }
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use samoa_net::SiteId;
 use samoa_proto::consensus::{Actions, ConsensusState};
 use samoa_proto::{
-    AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, Frames, GroupView, MsgUid, Payload,
+    AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, Frames, GroupView, KvCmd, MsgUid, Payload,
     SyncMsg, TraceCtx, ViewOp, Wire,
 };
 
@@ -237,6 +237,72 @@ proptest! {
         if cut < enc.len() {
             let truncated = enc.slice(0..enc.len() - 1 - cut % enc.len().max(1));
             let _ = Wire::decode(truncated);
+        }
+    }
+}
+
+/// Byte strings for KV keys and values, the empty one included.
+fn arb_kv_bytes() -> impl Strategy<Value = Bytes> {
+    proptest::collection::vec(any::<u8>(), 0..24).prop_map(Bytes::from)
+}
+
+fn arb_kv_cmd() -> impl Strategy<Value = KvCmd> {
+    prop_oneof![
+        (any::<u64>(), arb_kv_bytes(), arb_kv_bytes()).prop_map(|(req, key, value)| KvCmd::Put {
+            req,
+            key,
+            value
+        }),
+        (any::<u64>(), arb_kv_bytes()).prop_map(|(req, key)| KvCmd::Get { req, key }),
+        (
+            any::<u64>(),
+            arb_kv_bytes(),
+            any::<bool>(),
+            arb_kv_bytes(),
+            arb_kv_bytes()
+        )
+            .prop_map(|(req, key, has_expect, expect, value)| KvCmd::Cas {
+                req,
+                key,
+                expect: has_expect.then_some(expect),
+                value
+            }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// decode ∘ encode = identity for every KV command, and the encoding is
+    /// as long as the length derived from its writer.
+    #[test]
+    fn kv_codec_roundtrip(c in arb_kv_cmd()) {
+        let encoded = c.encode();
+        prop_assert_eq!(encoded.len(), c.encoded_len());
+        prop_assert_eq!(KvCmd::decode(&encoded), Some(c));
+    }
+
+    /// The KV decoder never panics on arbitrary bytes, with or without the
+    /// KV magic in front, and what it accepts re-encodes to those bytes.
+    #[test]
+    fn kv_decoder_total_on_garbage(
+        magic in any::<bool>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut bytes = if magic { vec![0xB5, 0x4B] } else { Vec::new() };
+        bytes.extend(tail);
+        let bytes = Bytes::from(bytes);
+        if let Some(c) = KvCmd::decode(&bytes) {
+            prop_assert_eq!(c.encode(), bytes);
+        }
+    }
+
+    /// Every strict prefix of a valid encoding is refused, without a panic.
+    #[test]
+    fn kv_decoder_refuses_every_truncation(c in arb_kv_cmd()) {
+        let encoded = c.encode();
+        for len in 0..encoded.len() {
+            prop_assert_eq!(KvCmd::decode(&encoded.slice(..len)), None);
         }
     }
 }

@@ -4,7 +4,8 @@
 //! One flipped bit anywhere (the fault `samoa-net` injects) changes the
 //! digest, which is what the Checksum microprotocol detects.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use samoa_net::codec::{counted, put_bytes, Reader, Truncated};
 
 /// A transport frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,11 +63,12 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// A data frame's bytes before its payload: tag, msg id, fragment index and
-/// total, sequence number, payload length.
-const DATA_HEADER: usize = 1 + 8 + 4 + 4 + 8 + 4;
-/// An ack's body: tag and sequence number.
-const ACK_BODY: usize = 1 + 8;
+impl From<Truncated> for FrameError {
+    fn from(_: Truncated) -> FrameError {
+        FrameError::Truncated
+    }
+}
+
 /// The checksum trailer.
 const TRAILER: usize = 4;
 
@@ -88,13 +90,17 @@ impl Frame {
         }
     }
 
-    /// Encode body + checksum trailer, into a buffer of exactly that size.
+    /// Encode body + checksum trailer, into a buffer of exactly that size:
+    /// the body's writer run against a counting sink, plus the trailer.
     pub fn encode(&self) -> Bytes {
-        let body = match self {
-            Frame::Data { payload, .. } => DATA_HEADER + payload.len(),
-            Frame::Ack { .. } => ACK_BODY,
-        };
-        let mut out = BytesMut::with_capacity(body + TRAILER);
+        let mut out = BytesMut::with_capacity(counted(|sink| self.put_body(sink)) + TRAILER);
+        self.put_body(&mut out);
+        let digest = fnv1a(&out);
+        out.put_u32_le(digest);
+        out.freeze()
+    }
+
+    fn put_body(&self, out: &mut impl BufMut) {
         match self {
             Frame::Data {
                 msg_id,
@@ -108,17 +114,13 @@ impl Frame {
                 out.put_u32_le(*frag_idx);
                 out.put_u32_le(*frag_total);
                 out.put_u64_le(*seq);
-                out.put_u32_le(payload.len() as u32);
-                out.put_slice(payload);
+                put_bytes(out, payload);
             }
             Frame::Ack { seq } => {
                 out.put_u8(1);
                 out.put_u64_le(*seq);
             }
         }
-        let digest = fnv1a(&out);
-        out.put_u32_le(digest);
-        out.freeze()
     }
 
     /// Peek the frame kind without checksum validation.
@@ -132,45 +134,22 @@ impl Frame {
 
     /// Validate the checksum and decode.
     pub fn decode(mut buf: Bytes) -> Result<Frame, FrameError> {
-        if buf.len() < 5 {
+        if buf.len() <= TRAILER {
             return Err(FrameError::Truncated);
         }
-        let body = buf.split_to(buf.len() - 4);
-        let digest = buf.get_u32_le();
-        if fnv1a(&body) != digest {
+        let mut body = buf.split_to(buf.len() - TRAILER);
+        if fnv1a(&body) != buf.u32()? {
             return Err(FrameError::Checksum);
         }
-        let mut body = body;
-        let tag = body.get_u8();
-        match tag {
-            0 => {
-                if body.remaining() < DATA_HEADER - 1 {
-                    return Err(FrameError::Truncated);
-                }
-                let msg_id = body.get_u64_le();
-                let frag_idx = body.get_u32_le();
-                let frag_total = body.get_u32_le();
-                let seq = body.get_u64_le();
-                let len = body.get_u32_le() as usize;
-                if body.remaining() < len {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(Frame::Data {
-                    msg_id,
-                    frag_idx,
-                    frag_total,
-                    seq,
-                    payload: body.split_to(len),
-                })
-            }
-            1 => {
-                if body.remaining() < 8 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(Frame::Ack {
-                    seq: body.get_u64_le(),
-                })
-            }
+        match body.u8()? {
+            0 => Ok(Frame::Data {
+                msg_id: body.u64()?,
+                frag_idx: body.u32()?,
+                frag_total: body.u32()?,
+                seq: body.u64()?,
+                payload: body.bytes()?,
+            }),
+            1 => Ok(Frame::Ack { seq: body.u64()? }),
             t => Err(FrameError::BadTag(t)),
         }
     }
@@ -179,6 +158,14 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A data frame's bytes before its payload: tag, msg id, fragment index
+    /// and total, sequence number, payload length. An oracle for the writer,
+    /// which the codec itself never consults: it counts what `put_body`
+    /// writes.
+    const DATA_HEADER: usize = 1 + 8 + 4 + 4 + 8 + 4;
+    /// An ack's body: tag and sequence number.
+    const ACK_BODY: usize = 1 + 8;
 
     #[test]
     fn roundtrip_data_and_ack() {
