@@ -3,12 +3,15 @@
 //! The paper has a single construct for it — an external event is handled in
 //! `isolated M e` (§4). A *host* (something with a socket, a timer or a
 //! client API around a [`Runtime`]: `samoa_proto::Node`,
-//! `samoa_transport::Endpoint`) resolves once, per kind of event it
-//! receives, what that kind triggers and declares — an [`External`], derived
-//! from the stack's call graph and the kind's entry event alone — and hands
-//! every arrival to [`Runtime::external`]. Which thread runs the
-//! computation, how many may be in flight and who counts the ones that fail
-//! is decided there and nowhere else.
+//! `samoa_transport::Endpoint`) names its stack's entry events once
+//! ([`StackBuilder::entry_events`](crate::StackBuilder::entry_events)) and
+//! hands every arrival to [`Runtime::enter`] with the entry event it starts
+//! at. What a kind of event triggers and declares — an [`External`], derived
+//! from the stack's call graph and the entry event alone — is derived by the
+//! runtime when it is built and kept there, so no host holds a table of
+//! them. Which thread runs the computation, how many may be in flight and
+//! who counts the ones that fail is decided in [`Runtime::external`] and
+//! nowhere else.
 
 use std::sync::Arc;
 
@@ -92,6 +95,18 @@ impl Drop for ExtSlot {
 }
 
 impl Runtime {
+    /// Handle one external event entering the stack at `event`, one of its
+    /// entry events: [`Runtime::external`] under the declaration
+    /// [`External::new`] derived at `event` when the runtime was built. At
+    /// an event that is not an entry event nothing starts, and it counts as
+    /// a failed external computation.
+    pub fn enter(&self, policy: Policy, event: EventType, data: EventData) {
+        match self.inner.entries.iter().find(|ext| ext.event == event) {
+            Some(ext) => self.external(policy, ext, data),
+            None => self.inner.stats.note_external_error(),
+        }
+    }
+
     /// Handle one external event: run the computation `isolated M e` that
     /// triggers `ext.event` with `data`, declaring `ext` as `policy`
     /// understands it ([`Policy::decl`]). The ingress rule, in full:
@@ -247,6 +262,29 @@ mod tests {
         let ext = External::new(&stack, e);
         let rt = Runtime::with_parts(stack, RuntimeConfig::default(), hook, None);
         (rt, ext, entered)
+    }
+
+    #[test]
+    fn enter_starts_a_computation_only_at_an_entry_event() {
+        let mut b = StackBuilder::new();
+        let p = b.protocol("P");
+        let (entry, inner) = (b.event("entry"), b.event("inner"));
+        let ran = Arc::new(AtomicUsize::new(0));
+        for (e, name) in [(entry, "at entry"), (inner, "at inner")] {
+            let ran = Arc::clone(&ran);
+            b.bind_with_triggers(e, p, name, &[], move |_, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+        }
+        b.entry_events(&[entry]);
+        let rt = Runtime::new(b.build());
+        rt.enter(Policy::Basic, entry, EventData::empty());
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(rt.stats().external_errors, 0);
+        rt.enter(Policy::Basic, inner, EventData::empty());
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "ran at a non-entry event");
+        assert_eq!(rt.stats().external_errors, 1);
     }
 
     fn eventually(what: &str, cond: impl Fn() -> bool) {

@@ -127,9 +127,11 @@
 //! fragment — with [`StackBuilder::declare_fan_out`]) and
 //! [`crate::analysis`] can lint the stack, validate a declaration against
 //! the static call graph, and infer minimal declarations for all three
-//! isolation algorithms. A host needs nothing more: [`External::new`] takes
-//! a stack and an entry event and derives all three. Debug builds check
-//! every trigger against the handler's declaration.
+//! isolation algorithms. A host needs nothing more: it names its stack's
+//! entry events ([`StackBuilder::entry_events`]), the runtime derives all
+//! three for each ([`External::new`] takes a stack and an entry event), and
+//! [`Runtime::enter`] runs an arrival under them. Debug builds check every
+//! trigger against the handler's declaration.
 //!
 //! ```
 //! use samoa_core::analysis::{infer_bounds, infer_m, infer_route, lint_stack, validate_decl};
@@ -181,8 +183,9 @@
 //! | SA050 | warning  | protocol has handlers but no analyzed root reaches it — declared conflicts unreachable |
 //! | SA051 | info     | protocol never shares a footprint: conflict-free, isolation on it is wasted |
 //!
-//! The runtime runs none of these passes. A host derives each declaration
-//! it runs with them ([`External::new`](crate::External::new)), the shipped
+//! The runtime runs none of these passes but the derivation of each entry
+//! event's declaration, once, when it is built
+//! ([`External::new`](crate::External::new)); the shipped
 //! group-communication stack of `samoa-proto` is certified clean by its
 //! test suite, and the `samoa-lint` binary
 //! (`cargo run --bin samoa-lint -- --help`) runs the linter and the
@@ -615,9 +618,10 @@
 //!   computation").
 //! * **Declarations are commitments.** Under-declare and you get a runtime
 //!   error; over-declare and you serialise more than necessary. Declare
-//!   what each handler triggers, and let [`External::new`] derive what an
-//!   event's cascade can reach; a class of traffic you can tell apart at the
-//!   door is an entry event of its own, so it declares less.
+//!   what each handler triggers, name the entry events, and let
+//!   [`External::new`] derive what an event's cascade can reach; a class of
+//!   traffic you can tell apart at the door is an entry event of its own, so
+//!   it declares less.
 //!
 //! [`SamoaError::UndeclaredProtocol`]: crate::error::SamoaError::UndeclaredProtocol
 //! [`TraceSink`]: crate::trace::TraceSink
@@ -639,6 +643,8 @@
 //! [`StackBuilder::bind_with_triggers`]: crate::stack::StackBuilder::bind_with_triggers
 //! [`StackBuilder::declare_triggers`]: crate::stack::StackBuilder::declare_triggers
 //! [`StackBuilder::declare_fan_out`]: crate::stack::StackBuilder::declare_fan_out
+//! [`StackBuilder::entry_events`]: crate::stack::StackBuilder::entry_events
+//! [`Runtime::enter`]: crate::runtime::Runtime::enter
 //! [`External::new`]: crate::external::External::new
 //! [`ProtocolState::with`]: crate::protocol::ProtocolState::with
 //! [`Ctx::spawn`]: crate::ctx::Ctx::spawn

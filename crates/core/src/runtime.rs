@@ -35,7 +35,7 @@ use crate::computation::{panic_message, ComputationInner, PostAction};
 use crate::ctx::Ctx;
 use crate::error::{CompId, Result, SamoaError};
 use crate::exec::Handed;
-use crate::external::ExtGate;
+use crate::external::{ExtGate, External};
 use crate::graph::{RoutePattern, RouteState};
 use crate::handler::HandlerId;
 use crate::history::{History, HistoryRecorder, IsolationViolation};
@@ -288,6 +288,9 @@ pub(crate) struct RuntimeInner {
     quiesce: ParkSeam,
     /// Bounds the detached computations of [`Runtime::external`].
     pub(crate) ext_gate: Arc<ExtGate>,
+    /// What each entry event of the stack declares ([`Runtime::enter`]),
+    /// derived when the runtime is built.
+    pub(crate) entries: Vec<External>,
 }
 
 /// A condition a thread of this runtime can be descheduled on — as data,
@@ -515,6 +518,8 @@ impl Runtime {
         sink: Option<Arc<dyn TraceSink>>,
     ) -> Self {
         let n = stack.protocol_count();
+        let entries = stack.inner.entries.iter();
+        let entries = entries.map(|&e| External::new(&stack, e)).collect();
         let stats = StatCounters::default();
         Runtime {
             inner: Arc::new(RuntimeInner {
@@ -535,6 +540,7 @@ impl Runtime {
                 active: AtomicU64::new(0),
                 quiesce: ParkSeam::default(),
                 ext_gate: Arc::default(),
+                entries,
                 stack,
                 config,
             }),

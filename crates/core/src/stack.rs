@@ -34,6 +34,8 @@ pub struct StackBuilder {
     /// `fan_outs[handler] = events the handler's body may trigger any number
     /// of times per invocation` (see [`StackBuilder::declare_fan_out`]).
     fan_outs: Vec<Vec<EventType>>,
+    /// Events that enter from outside (see [`StackBuilder::entry_events`]).
+    entries: Vec<EventType>,
 }
 
 impl StackBuilder {
@@ -163,6 +165,15 @@ impl StackBuilder {
         self.bindings[event.index()].push(handler);
     }
 
+    /// Name the events that enter the stack from outside (paper §4): a
+    /// host's datagrams, ticks and client calls, one event per kind of
+    /// arrival it tells apart. A runtime derives what each declares when it
+    /// is built, and [`Runtime::enter`](crate::Runtime::enter) starts a
+    /// computation at one.
+    pub fn entry_events(&mut self, events: &[EventType]) {
+        self.entries.extend_from_slice(events);
+    }
+
     /// Freeze the registry into an immutable [`Stack`].
     pub fn build(self) -> Stack {
         let mut by_name = HashMap::new();
@@ -177,6 +188,7 @@ impl StackBuilder {
                 bindings: self.bindings,
                 triggers: self.triggers,
                 fan_outs: self.fan_outs,
+                entries: self.entries,
                 handlers_by_name: by_name,
             }),
         }
@@ -190,6 +202,7 @@ pub(crate) struct StackInner {
     pub(crate) bindings: Vec<Vec<HandlerId>>,
     pub(crate) triggers: Vec<Option<Vec<EventType>>>,
     pub(crate) fan_outs: Vec<Vec<EventType>>,
+    pub(crate) entries: Vec<EventType>,
     pub(crate) handlers_by_name: HashMap<String, HandlerId>,
 }
 

@@ -10,13 +10,15 @@
 //! advanced explicitly by the test harness.
 //!
 //! A stack host (a proto `Node`, a transport `Endpoint`) is a [`Host`]:
-//! [`Ticker::attach`] hands it the datagrams of its site and the ticks of
-//! its timer thread, which sleeps until the instant its [`Alarm`] is armed
-//! for. That instant is on the wall clock: a manual clock's instants mean
-//! nothing to a thread that sleeps in real time. So the host's clock alone
-//! decides whether a timer runs ([`Alarm::on`]): on the wall clock one
-//! does, on a manual clock none does, and whoever advances the clock
-//! injects the ticks.
+//! [`Ticker::attach`] builds it around its [`Ticker`] and hands it the
+//! datagrams of its site and the ticks of its timer thread, which sleeps
+//! until the instant its [`Alarm`] is armed for. That instant is on the
+//! wall clock: a manual clock's instants mean nothing to a thread that
+//! sleeps in real time. So the host's clock alone decides whether a timer
+//! runs ([`Alarm::on`]): on the wall clock one does, on a manual clock none
+//! does, and whoever advances the clock injects the ticks. The thread
+//! starts once the host exists, so an instant armed before that is rung
+//! for, not lost, and [`Ticker::stop`] is the one way to end it.
 //!
 //! ```
 //! use std::time::Duration;
@@ -132,6 +134,8 @@ struct AlarmInner {
     /// What the ticker sleeps under; `arm` and `stop` pass through it.
     lock: Mutex<()>,
     cv: Condvar,
+    /// The thread waiting on this alarm, once one has started.
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Alarm {
@@ -149,6 +153,7 @@ impl Alarm {
             stopped: AtomicBool::new(false),
             lock: Mutex::new(()),
             cv: Condvar::new(),
+            thread: Mutex::new(None),
         }))
     }
 
@@ -178,6 +183,36 @@ impl Alarm {
     pub fn deadline(&self) -> Option<Instant> {
         let ns = self.0.at_ns.load(Ordering::Acquire);
         (ns != UNARMED).then(|| self.0.epoch + Duration::from_nanos(ns))
+    }
+
+    /// Start the thread, named `name`, that waits on this alarm, calls
+    /// `tick` on `target` when it rings and arms the instant `tick` returns
+    /// — until the alarm is stopped, or the target is gone.
+    fn spawn<T: Send + Sync + 'static>(
+        &self,
+        name: String,
+        target: Weak<T>,
+        tick: impl Fn(&T) -> Option<Instant> + Send + 'static,
+    ) {
+        let inner = Arc::clone(&self.0);
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                while inner.wait_due() {
+                    let Some(target) = target.upgrade() else {
+                        break;
+                    };
+                    if inner.stopped.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // This thread is awake: nobody to notify.
+                    if let Some(at) = tick(&target) {
+                        inner.lower(at);
+                    }
+                }
+            })
+            .expect("spawn timer thread");
+        *self.0.thread.lock() = Some(thread);
     }
 }
 
@@ -227,63 +262,31 @@ pub trait Host: Send + Sync + 'static {
     fn on_alarm(&self) -> Option<Instant>;
 }
 
-/// The timer thread of a stack host (a proto `Node`, a transport
-/// `Endpoint`): it sleeps until its [`Alarm`]'s instant has passed, calls
-/// `tick` on its target, and arms the instant `tick` returns, until it is
-/// stopped or dropped, or the target is. A [`Host`] gets one from
-/// [`Ticker::attach`], which calls [`Host::on_alarm`]. It holds the target
-/// only weakly, so a host can own its ticker.
+/// The timer of a stack host (a proto `Node`, a transport `Endpoint`): a
+/// thread that sleeps until its [`Alarm`]'s instant has passed, calls `tick`
+/// on its target, and arms the instant `tick` returns, until it is stopped
+/// or dropped, or the target is — or, on a manual clock, nothing. A
+/// [`Host`] is built around one by [`Ticker::attach`], whose thread calls
+/// [`Host::on_alarm`]. The thread holds the target only weakly, so a host
+/// can own its ticker.
 #[derive(Debug)]
-pub struct Ticker {
-    alarm: Alarm,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
+pub struct Ticker(Option<Alarm>);
 
 impl Ticker {
-    /// Start the thread, named `name`, waiting on `alarm`.
-    pub fn start<T: Send + Sync + 'static>(
-        name: String,
-        alarm: Alarm,
-        target: Weak<T>,
-        tick: impl Fn(&T) -> Option<Instant> + Send + 'static,
-    ) -> Ticker {
-        let inner = Arc::clone(&alarm.0);
-        let thread = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                while inner.wait_due() {
-                    let Some(target) = target.upgrade() else {
-                        break;
-                    };
-                    if inner.stopped.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // This thread is awake: nobody to notify.
-                    if let Some(at) = tick(&target) {
-                        inner.lower(at);
-                    }
-                }
-            })
-            .expect("spawn timer thread");
-        Ticker {
-            alarm,
-            thread: Mutex::new(Some(thread)),
-        }
-    }
-
-    /// Attach `host` to its site on `net` and to its timer: datagrams for
-    /// `site` go to [`Host::on_datagram`], and with an `alarm` (see
-    /// [`Alarm::on`]) a thread named `name` calls [`Host::on_alarm`] when it
-    /// rings. Both hold the host weakly. The ticker, if one started, is the
-    /// host's to keep.
+    /// Build a host around its ticker and attach it to its site on `net`
+    /// and to its timer: `host` is given the ticker, datagrams for `site` go
+    /// to [`Host::on_datagram`], and with an `alarm` (see [`Alarm::on`]) a
+    /// thread named `name` starts, once the host exists, and calls
+    /// [`Host::on_alarm`] when it rings. Both hold the host weakly.
     pub fn attach<H: Host>(
-        host: &Arc<H>,
         site: SiteId,
         net: &dyn Transport,
         alarm: Option<Alarm>,
         name: String,
-    ) -> Option<Ticker> {
-        let weak = Arc::downgrade(host);
+        host: impl FnOnce(Ticker) -> H,
+    ) -> Arc<H> {
+        let host = Arc::new(host(Ticker(alarm.clone())));
+        let weak = Arc::downgrade(&host);
         net.register(
             site,
             Arc::new(move |dg| {
@@ -292,17 +295,24 @@ impl Ticker {
                 }
             }),
         );
-        alarm.map(|alarm| Ticker::start(name, alarm, Arc::downgrade(host), H::on_alarm))
+        if let Some(alarm) = alarm {
+            alarm.spawn(name, Arc::downgrade(&host), H::on_alarm);
+        }
+        host
     }
 
     /// Stop ticking and join the thread, which is woken to notice, so this
-    /// returns once a tick in progress has. Idempotent.
+    /// returns once a tick in progress has. Idempotent; nothing to do on a
+    /// manual clock.
     pub fn stop(&self) {
-        let alarm = &self.alarm.0;
+        let Some(Alarm(alarm)) = &self.0 else {
+            return;
+        };
         alarm.stopped.store(true, Ordering::SeqCst);
         drop(alarm.lock.lock());
         alarm.cv.notify_all();
-        if let Some(t) = self.thread.lock().take() {
+        let thread = alarm.thread.lock().take();
+        if let Some(t) = thread {
             // A target that owns its ticker can lose its last strong
             // reference while a tick holds the upgraded one; the ticker is
             // then dropped on its own thread, which cannot join itself and
@@ -365,6 +375,16 @@ mod tests {
     const PATIENCE: Duration = Duration::from_secs(10);
     const HOUR: Duration = Duration::from_secs(3600);
 
+    /// A ticker whose thread, `t`, waits on `alarm` and ticks `target`.
+    fn start<T: Send + Sync + 'static>(
+        alarm: Alarm,
+        target: Weak<T>,
+        tick: impl Fn(&T) -> Option<Instant> + Send + 'static,
+    ) -> Ticker {
+        alarm.spawn("t".into(), target, tick);
+        Ticker(Some(alarm))
+    }
+
     /// An alarm armed for now.
     fn armed_now() -> Alarm {
         let alarm = Alarm::new();
@@ -376,7 +396,7 @@ mod tests {
     fn ticker_ticks_until_stopped_and_stop_is_idempotent() {
         let (tx, rx) = std::sync::mpsc::channel();
         let target = Arc::new(Mutex::new(tx));
-        let ticker = Ticker::start("t".into(), armed_now(), Arc::downgrade(&target), |tx| {
+        let ticker = start(armed_now(), Arc::downgrade(&target), |tx| {
             let _ = tx
                 .lock()
                 .send(std::thread::current().name().map(String::from));
@@ -397,7 +417,7 @@ mod tests {
     fn stop_wakes_a_ticker_armed_an_hour_ahead() {
         let (tx, rx) = std::sync::mpsc::channel();
         let target = Arc::new(Mutex::new(tx));
-        let ticker = Ticker::start("t".into(), armed_now(), Arc::downgrade(&target), |tx| {
+        let ticker = start(armed_now(), Arc::downgrade(&target), |tx| {
             let _ = tx.lock().send(());
             Some(Instant::now() + HOUR)
         });
@@ -421,7 +441,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let target = Arc::new(Mutex::new(tx));
         let handle = alarm.clone();
-        let _ticker = Ticker::start("t".into(), alarm, Arc::downgrade(&target), |tx| {
+        let _ticker = start(alarm, Arc::downgrade(&target), |tx| {
             let _ = tx.lock().send(());
             None
         });
@@ -467,7 +487,7 @@ mod tests {
             let _ = host.resume.lock().recv();
             Some(Instant::now() + TICK)
         };
-        let ticker = Ticker::start("t".into(), armed_now(), Arc::downgrade(&host), tick);
+        let ticker = start(armed_now(), Arc::downgrade(&host), tick);
         assert!(host.ticker.set(ticker).is_ok());
         // While the first tick holds the upgraded reference, drop ours: the
         // host, ticker included, now dies on the ticker thread.

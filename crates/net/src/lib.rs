@@ -14,7 +14,8 @@
 //! Both stacks above them share the ARQ core ([`arq`]), its injectable
 //! time source ([`ProtoClock`]) and one way to host a stack: a [`Host`]
 //! takes its site's datagrams and its timer's ticks, and
-//! [`Ticker::attach`] wires both. The timer thread sleeps until the
+//! [`Ticker::attach`] builds it around its [`Ticker`] and wires both. The
+//! timer thread sleeps until the
 //! instant its [`Alarm`] is armed for, and runs only on the wall clock
 //! ([`Alarm::on`]); on a manual clock whoever advances it injects the
 //! ticks. Both stacks write their wire formats with one [`codec`]: a

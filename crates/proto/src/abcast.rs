@@ -9,11 +9,12 @@
 //! order — yielding the same total order at every site.
 //!
 //! What a decision makes deliverable goes up as runs, not one message at a
-//! time: one `ADeliver` per maximal run of consecutive user messages (an
-//! [`ARun`]), and a view operation — which ends a run — on `ADeliverView`
-//! between the two runs it separates (`runs`). The total order of user
-//! messages and view changes is the same as message by message; a handler
-//! above applies a whole run in one call.
+//! time: one `ADeliver` per maximal run of consecutive user messages of a
+//! decided batch (an [`ARun`], a range of the batch that shares its body),
+//! and a view operation — which ends a run — on `ADeliverView` between the
+//! two runs it separates (`deliver`). The total order of user messages and
+//! view changes is the same as message by message; a handler above applies
+//! a whole run in one call.
 //!
 //! Only round 0's coordinator proposes in round 0 (`consensus.rs`), so a
 //! request must reach `view.coordinator(0)`; it need not reach every site.
@@ -58,11 +59,13 @@
 //! `ConsPropose` event share that body. A decision arrives as the batch its
 //! `Decide` was decoded into (or, at the site that decided, the batch
 //! consensus proposed). `decides` buffers that same body, and `note_decide`
-//! reads it in place, in `uid` order: every batch this stack builds is
-//! sorted, so only one that is not is sorted, in a copy.
+//! reads it in place, in `uid` order, and cuts its runs from it: every batch
+//! this stack builds is sorted, so only one that is not is sorted, in a
+//! copy. A batch collected from `pending` is written straight into its one
+//! allocation (`Batch::filled`), not built in a `Vec` and copied.
 
 use std::collections::{BTreeMap, HashMap};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -77,9 +80,25 @@ use crate::relcomm::RDeliver;
 use crate::view::{GroupView, ViewOp};
 
 /// What one `ADeliver` carries: a run of consecutive user messages of the
-/// total order, each with its uid, in delivery order. No view operation
-/// falls between two of them.
-pub type ARun = Vec<(MsgUid, Bytes)>;
+/// total order, in delivery order, with no view operation between two of
+/// them. It is cut from the decided batch that holds it: a range of the
+/// batch, sharing its body, not a copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ARun {
+    batch: Batch,
+    range: Range<usize>,
+}
+
+impl ARun {
+    /// The run's messages, each with its uid, in delivery order.
+    pub fn iter(&self) -> impl Iterator<Item = (MsgUid, &Bytes)> {
+        let msgs = self.batch.get(self.range.clone()).unwrap_or_default();
+        msgs.iter().filter_map(|m| match &m.payload {
+            AbPayload::User(bytes) => Some((m.uid, bytes)),
+            AbPayload::ViewOp(..) => None,
+        })
+    }
+}
 
 /// One step of handing deliverable messages up, in total order.
 #[derive(Debug, PartialEq, Eq)]
@@ -88,30 +107,6 @@ enum Delivery {
     Run(ARun),
     /// The view operation that ended a run, for `ADeliverView`.
     View(ViewOp, SiteId),
-}
-
-/// Split a deliverable sequence into maximal runs of user messages, each
-/// view operation on its own between the runs it separates. The parts, in
-/// order, are the sequence in order.
-fn runs(msgs: Vec<AbMsg>) -> impl Iterator<Item = Delivery> {
-    let mut msgs = msgs
-        .into_iter()
-        .map(|m| match m.payload {
-            AbPayload::User(bytes) => Ok((m.uid, bytes)),
-            AbPayload::ViewOp(op, site) => Err((op, site)),
-        })
-        .peekable();
-    std::iter::from_fn(move || match msgs.next()? {
-        Err((op, site)) => Some(Delivery::View(op, site)),
-        Ok(first) => {
-            let mut run = Vec::with_capacity(1 + msgs.len());
-            run.push(first);
-            while let Some(Ok(m)) = msgs.next_if(|m| m.is_ok()) {
-                run.push(m);
-            }
-            Some(Delivery::Run(run))
-        }
-    })
 }
 
 /// What installing a view sends: the joiners, the snapshot each of them
@@ -211,32 +206,30 @@ impl AbcastState {
         }
     }
 
-    /// Emission-only accounting for a batch of just-delivered messages:
-    /// delivered/lag instruments, and AbDeliver spans on a traced node.
-    fn observe_delivered(&mut self, out: &[AbMsg]) {
-        self.instruments.delivered.add(out.len() as u64);
-        // Read once per batch, and only by the site that made a request in it.
-        let mut now = None;
-        for m in out {
-            let lag = if m.uid.origin == self.site {
-                let now = *now.get_or_insert_with(Instant::now);
-                self.submit_at
-                    .remove(&m.uid.seq)
-                    .map(|t0| now.saturating_duration_since(t0))
-            } else {
-                None
-            };
-            if let Some(t) = &self.tracer {
-                t.emit(TraceKind::AbDeliver {
-                    site: self.site.0,
-                    origin: m.uid.origin.0,
-                    op: m.uid.seq,
-                    lag_ns: lag.map_or(0, |d| d.as_nanos() as u64),
-                });
-            }
-            if let Some(d) = lag {
-                self.instruments.lag_us.observe(d.as_micros() as u64);
-            }
+    /// Emission-only accounting for a just-delivered message: the delivered
+    /// and lag instruments, and an AbDeliver span on a traced node. `now`
+    /// is read once per batch, and only by the site that made a request in
+    /// it.
+    fn observe_delivered(&mut self, m: &AbMsg, now: &mut Option<Instant>) {
+        self.instruments.delivered.inc();
+        let lag = if m.uid.origin == self.site {
+            let now = *now.get_or_insert_with(Instant::now);
+            self.submit_at
+                .remove(&m.uid.seq)
+                .map(|t0| now.saturating_duration_since(t0))
+        } else {
+            None
+        };
+        if let Some(t) = &self.tracer {
+            t.emit(TraceKind::AbDeliver {
+                site: self.site.0,
+                origin: m.uid.origin.0,
+                op: m.uid.seq,
+                lag_ns: lag.map_or(0, |d| d.as_nanos() as u64),
+            });
+        }
+        if let Some(d) = lag {
+            self.instruments.lag_us.observe(d.as_micros() as u64);
         }
     }
 
@@ -256,7 +249,13 @@ impl AbcastState {
             return None;
         }
         self.proposed_for = Some(self.next_inst);
-        Some((self.next_inst, self.pending.values().cloned().collect()))
+        Some((self.next_inst, self.pending_batch()))
+    }
+
+    /// Every request pending here, in one batch.
+    fn pending_batch(&self) -> Batch {
+        let mut pending = self.pending.values();
+        Batch::filled(self.pending.len(), || pending.next().cloned())
     }
 
     /// Make a request here and say what to send now, and to whom: the new
@@ -292,11 +291,9 @@ impl AbcastState {
     /// last send that is still undelivered, and the peers it goes to. Both
     /// empty when nothing is held.
     fn flush(&mut self) -> (Batch, Vec<SiteId>) {
-        let held: Batch = self
-            .own(self.sent_through + 1..=u64::MAX)
-            .cloned()
-            .collect();
-        self.sent_through = self.next_seq;
+        let seqs = std::mem::replace(&mut self.sent_through, self.next_seq) + 1..=u64::MAX;
+        let mut held = self.own(seqs.clone());
+        let held = Batch::filled(self.own(seqs).count(), || held.next().cloned());
         if held.is_empty() {
             return (held, Vec::new());
         }
@@ -309,7 +306,7 @@ impl AbcastState {
         SyncMsg {
             next_inst: self.next_inst,
             delivered: self.delivered.ranges(),
-            pending: self.pending.values().cloned().collect(),
+            pending: self.pending_batch(),
             view_id: self.view.id,
             members: self.view.members().to_vec(),
         }
@@ -347,49 +344,61 @@ impl AbcastState {
             .filter(|&c| {
                 c != self.site && coord != self.view.coordinator(0) && self.view.contains(c)
             })
-            .map(|c| (c, self.pending.values().cloned().collect()));
+            .map(|c| (c, self.pending_batch()));
         self.view = v.clone();
         (joiners, self.snapshot(), handover)
     }
 
-    /// Buffer a decision; returns the messages now deliverable, in order.
-    fn note_decide(&mut self, inst: u64, batch: Batch) -> Vec<AbMsg> {
+    /// Buffer a decision; returns what is now deliverable, in order.
+    fn note_decide(&mut self, inst: u64, batch: Batch) -> Vec<Delivery> {
         let mut out = Vec::new();
         if !self.order_enabled {
             // Injected bug (see `order_enabled`): deliver in arrival order.
             self.next_inst = self.next_inst.max(inst + 1);
-            self.deliver(&batch, &mut out);
+            self.deliver(batch, &mut out);
         } else {
             if inst >= self.next_inst {
                 self.decides.entry(inst).or_insert(batch);
             }
             while let Some(batch) = self.decides.remove(&self.next_inst) {
                 self.next_inst += 1;
-                self.deliver(&batch, &mut out);
+                self.deliver(batch, &mut out);
             }
         }
-        self.observe_delivered(&out);
         out
     }
 
     /// Mark delivered what of `batch` is not yet, and append it to `out` in
-    /// `uid` order. The batch is read where it is, shared with whoever else
-    /// holds it; only one out of `uid` order, which no site of this stack
-    /// builds, is sorted, in a copy.
-    fn deliver(&mut self, batch: &Batch, out: &mut Vec<AbMsg>) {
-        let mut sorted;
-        let msgs: &[AbMsg] = if batch.is_sorted_by_key(|m| m.uid) {
+    /// `uid` order: each maximal run of user messages delivered here as one
+    /// [`ARun`] on the batch, each view operation as a step of its own. The
+    /// batch is read where it is, shared with whoever else holds it; only
+    /// one out of `uid` order, which no site of this stack builds, is
+    /// sorted, in a copy.
+    fn deliver(&mut self, batch: Batch, out: &mut Vec<Delivery>) {
+        let batch = if batch.is_sorted_by_key(|m| m.uid) {
             batch
         } else {
-            sorted = batch.to_vec();
+            let mut sorted = batch.to_vec();
             sorted.sort_by_key(|m| m.uid);
-            &sorted
+            Batch::from(sorted)
         };
-        out.reserve(msgs.len());
-        for m in msgs {
-            if self.delivered.insert(m.uid) {
-                self.pending.remove(&m.uid);
-                out.push(m.clone());
+        // Steps before `from` are earlier batches': no run continues one.
+        let (mut now, from) = (None, out.len());
+        for (i, m) in batch.iter().enumerate() {
+            if !self.delivered.insert(m.uid) {
+                continue;
+            }
+            self.pending.remove(&m.uid);
+            self.observe_delivered(m, &mut now);
+            match (&m.payload, out.get_mut(from..).and_then(<[_]>::last_mut)) {
+                (AbPayload::ViewOp(op, site), _) => out.push(Delivery::View(*op, *site)),
+                (AbPayload::User(_), Some(Delivery::Run(run))) if run.range.end == i => {
+                    run.range.end += 1;
+                }
+                (AbPayload::User(_), _) => out.push(Delivery::Run(ARun {
+                    batch: batch.clone(),
+                    range: i..i + 1,
+                })),
             }
         }
     }
@@ -497,7 +506,7 @@ pub fn register(
             let decided = !deliverable.is_empty();
             // Deliver in total order — synchronously, so the order is
             // preserved end to end — each part on its class's event.
-            for part in runs(deliverable) {
+            for part in deliverable {
                 match part {
                     Delivery::Run(run) => ctx.trigger_all(events.adeliver, EventData::new(run))?,
                     Delivery::View(op, site) => {
@@ -600,10 +609,7 @@ mod tests {
         s.note_request(&m(2, 1));
         s.note_request(&m(1, 1));
         let out = s.note_decide(0, Batch::from(vec![m(2, 1), m(1, 1)]));
-        assert_eq!(
-            out.iter().map(|x| x.uid).collect::<Vec<_>>(),
-            vec![m(1, 1).uid, m(2, 1).uid]
-        );
+        assert_eq!(uids(&out), [m(1, 1).uid, m(2, 1).uid]);
         assert_eq!(s.pending_count(), 0);
         assert_eq!(s.next_instance(), 1);
     }
@@ -614,9 +620,7 @@ mod tests {
         let out = s.note_decide(1, Batch::from(vec![m(1, 2)]));
         assert!(out.is_empty(), "delivered instance 1 before 0");
         let out = s.note_decide(0, Batch::from(vec![m(1, 1)]));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].uid, m(1, 1).uid);
-        assert_eq!(out[1].uid, m(1, 2).uid);
+        assert_eq!(uids(&out), [m(1, 1).uid, m(1, 2).uid]);
         assert_eq!(s.next_instance(), 2);
     }
 
@@ -634,10 +638,9 @@ mod tests {
     fn message_in_two_batches_delivered_once() {
         let mut s = st();
         let out = s.note_decide(0, Batch::from(vec![m(1, 1), m(2, 1)]));
-        assert_eq!(out.len(), 2);
+        assert_eq!(uids(&out).len(), 2);
         let out = s.note_decide(1, Batch::from(vec![m(1, 1), m(3, 1)]));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].uid.origin, SiteId(3));
+        assert_eq!(uids(&out), [m(3, 1).uid]);
     }
 
     #[test]
@@ -674,47 +677,59 @@ mod tests {
         assert_eq!(joiner.pending_count(), 2);
     }
 
-    fn view(seq: u64) -> AbMsg {
-        AbMsg {
-            uid: MsgUid {
-                origin: SiteId(0),
-                seq,
-            },
-            payload: AbPayload::ViewOp(ViewOp::Join, SiteId(9)),
-        }
-    }
-
-    /// What `ADeliver` carries for `m(..)`.
-    fn user(m: &AbMsg) -> (MsgUid, Bytes) {
-        (m.uid, Bytes::from_static(b"x"))
+    /// The uids of the user messages `out` delivers, in order.
+    fn uids(out: &[Delivery]) -> Vec<MsgUid> {
+        let runs = out.iter().filter_map(|d| match d {
+            Delivery::Run(run) => Some(run.iter().map(|(uid, _)| uid)),
+            Delivery::View(..) => None,
+        });
+        runs.flatten().collect()
     }
 
     #[test]
-    fn runs_are_split_at_view_ops_and_keep_the_order() {
-        let (u1, u2, u3) = (m(1, 1), m(2, 1), m(1, 2));
-        let parts: Vec<_> = runs(vec![u1.clone(), u2.clone(), view(1), u3.clone()]).collect();
-        assert_eq!(
-            parts,
-            [
-                Delivery::Run(vec![user(&u1), user(&u2)]),
-                Delivery::View(ViewOp::Join, SiteId(9)),
-                Delivery::Run(vec![user(&u3)]),
-            ]
-        );
-        assert_eq!(runs(Vec::new()).count(), 0);
-        assert_eq!(
-            runs(vec![view(1)]).collect::<Vec<_>>(),
-            [Delivery::View(ViewOp::Join, SiteId(9))]
-        );
+    fn runs_are_cut_from_the_batch_at_view_ops_and_duplicates() {
+        let mut s = st();
+        let join = |seq| AbMsg {
+            uid: MsgUid {
+                origin: SiteId(1),
+                seq,
+            },
+            payload: AbPayload::ViewOp(ViewOp::Join, SiteId(9)),
+        };
+        // Delivered before: it cuts the run it falls in.
+        let _ = s.note_decide(0, Batch::from(vec![m(2, 2)]));
+        let batch = Batch::from(vec![
+            m(1, 1),
+            m(1, 2),
+            join(3),
+            join(4),
+            m(1, 5),
+            m(2, 1),
+            m(2, 2),
+            m(2, 3),
+        ]);
+        let out = s.note_decide(1, batch.clone());
+        let run = |range| {
+            Delivery::Run(ARun {
+                batch: batch.clone(),
+                range,
+            })
+        };
+        let view = || Delivery::View(ViewOp::Join, SiteId(9));
         // Two view ops in a row have no run between them.
-        assert_eq!(
-            runs(vec![view(1), view(2), u1.clone()]).collect::<Vec<_>>(),
-            [
-                Delivery::View(ViewOp::Join, SiteId(9)),
-                Delivery::View(ViewOp::Join, SiteId(9)),
-                Delivery::Run(vec![user(&u1)]),
-            ]
-        );
+        assert_eq!(out, [run(0..2), view(), view(), run(4..6), run(7..8)]);
+        // A run reads the decided batch's own bytes: shared, not copied.
+        let Delivery::Run(first) = &out[0] else {
+            unreachable!()
+        };
+        let AbPayload::User(bytes) = &batch[0].payload else {
+            unreachable!()
+        };
+        assert!(first
+            .iter()
+            .next()
+            .is_some_and(|(_, b)| std::ptr::eq(b, bytes)));
+        assert!(s.note_decide(2, Batch::default()).is_empty());
     }
 
     /// A user request made at `s`, with the payload `m(..)` carries.

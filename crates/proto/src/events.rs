@@ -85,9 +85,10 @@ pub struct Events {
 }
 
 impl Events {
-    /// Declare every event type on the builder.
+    /// Declare every event type on the builder, and which of them enter
+    /// from outside ([`Events::entries`]).
     pub fn declare(b: &mut StackBuilder) -> Events {
-        Events {
+        let ev = Events {
             rc_data: b.event("RcData"),
             rc_data_user: b.event("RcDataUser"),
             rc_ack: b.event("RcAck"),
@@ -113,7 +114,9 @@ impl Events {
             cons_propose: b.event("ConsPropose"),
             cons_gc: b.event("ConsGc"),
             view_sync: b.event("ViewSync"),
-        }
+        };
+        b.entry_events(&ev.entries());
+        ev
     }
 
     /// The external events: one per kind of arrival a node tells apart — a

@@ -424,12 +424,12 @@ pub fn register(
         // The replies owed to this site's clients, in apply order.
         let replies = state.with(ctx, |s| {
             let mut replies = Vec::new();
-            for (uid, bytes) in run {
+            for (uid, bytes) in run.iter() {
                 let Some(cmd) = KvCmd::decode(bytes) else {
                     continue; // plain atomic-broadcast data
                 };
                 let req = cmd.req();
-                let reply = s.apply(*uid, cmd);
+                let reply = s.apply(uid, cmd);
                 if let Some(t) = &tracer {
                     t.emit(samoa_core::TraceKind::KvApply {
                         site: site.0,

@@ -149,9 +149,25 @@ impl From<Vec<AbMsg>> for Batch {
     }
 }
 
-impl FromIterator<AbMsg> for Batch {
-    fn from_iter<I: IntoIterator<Item = AbMsg>>(msgs: I) -> Batch {
-        Vec::from_iter(msgs).into()
+impl Batch {
+    /// `len` messages, each the next one `msgs` returns, in one allocation
+    /// at the batch's final size: `Arc<[_]>` collected from a
+    /// `(0..len).map(..)` is allocated once and written in place, where one
+    /// collected from an iterator of unknown length is built in a `Vec` and
+    /// copied. A slot `msgs` has no message for gets an empty filler; an
+    /// empty batch allocates nothing.
+    pub(crate) fn filled(len: usize, mut msgs: impl FnMut() -> Option<AbMsg>) -> Batch {
+        if len == 0 {
+            return Batch::default();
+        }
+        let filler = || AbMsg {
+            uid: MsgUid {
+                origin: SiteId(0),
+                seq: 0,
+            },
+            payload: AbPayload::User(Bytes::new()),
+        };
+        Batch((0..len).map(|_| msgs().unwrap_or_else(filler)).collect())
     }
 }
 
@@ -291,12 +307,6 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// How many bytes the payload takes in a data frame, its tag included:
-    /// its writer run against a counting sink.
-    pub fn encoded_len(&self) -> usize {
-        counted(|out| self.put(out))
-    }
-
     /// Write the payload, its tag first.
     fn put(&self, out: &mut impl BufMut) {
         match self {
@@ -500,33 +510,19 @@ fn put_batch(out: &mut impl BufMut, batch: &[AbMsg]) {
 }
 
 /// Decode a batch into one allocation of the size its count prefix claims,
-/// once the bytes left could hold that many messages. `Arc<[_]>` collected
-/// from a `(0..n).map(..)` is allocated once at its final size, so decoding
-/// writes each message in place: after a malformed one the remaining slots
-/// get an empty filler, and the error is returned instead of the batch.
+/// once the bytes left could hold that many messages ([`Batch::filled`]):
+/// each message is decoded in place, and after a malformed one the error is
+/// returned instead of the batch.
 fn get_batch(buf: &mut Bytes) -> DecResult<Batch> {
     let n = buf.count(AB_LEAST)?;
     let mut failed = None;
-    let msgs = (0..n)
-        .map(|_| {
-            if failed.is_none() {
-                match get_ab(buf) {
-                    Ok(m) => return m,
-                    Err(e) => failed = Some(e),
-                }
-            }
-            AbMsg {
-                uid: MsgUid {
-                    origin: SiteId(0),
-                    seq: 0,
-                },
-                payload: AbPayload::User(Bytes::new()),
-            }
-        })
-        .collect();
+    let batch = Batch::filled(n, || match failed {
+        Some(_) => None,
+        None => get_ab(buf).map_err(|e| failed = Some(e)).ok(),
+    });
     match failed {
         Some(e) => Err(e),
-        None => Ok(Batch(msgs)),
+        None => Ok(batch),
     }
 }
 
@@ -897,32 +893,27 @@ mod tests {
 
     /// `n` requests from origin 1, a view operation among them.
     fn requests(n: u64) -> Batch {
-        (1..=n)
-            .map(|seq| AbMsg {
-                uid: uid(1, seq),
-                payload: if seq == 2 {
-                    AbPayload::ViewOp(ViewOp::Leave, SiteId(4))
-                } else {
-                    AbPayload::User(Bytes::from(vec![b'x'; seq as usize]))
-                },
-            })
-            .collect()
+        let requests = (1..=n).map(|seq| AbMsg {
+            uid: uid(1, seq),
+            payload: if seq == 2 {
+                AbPayload::ViewOp(ViewOp::Leave, SiteId(4))
+            } else {
+                AbPayload::User(Bytes::from(vec![b'x'; seq as usize]))
+            },
+        });
+        Batch::from(requests.collect::<Vec<_>>())
     }
 
     #[test]
     fn roundtrip_ab_request_and_view_op() {
         for n in [1, 8] {
-            let payload = Payload::Request(requests(n));
-            let len = payload.encoded_len();
             let w = Wire::Data {
                 seq: 1,
                 ctx: None,
-                payload,
+                payload: Payload::Request(requests(n)),
             };
-            // Exactly as long as `encoded_len` says: a 10-byte header, then
-            // the payload.
+            // Exactly as long as `encoded_len` says.
             assert_eq!(w.encode().len(), w.encoded_len(), "{n} requests");
-            assert_eq!(w.encoded_len(), 10 + len, "{n} requests");
             roundtrip(w);
         }
         // The retired flooded form still decodes as itself.

@@ -9,10 +9,12 @@
 //! entry event of its kind ([`Events::entries`]): a datagram is classed by
 //! its first frame — a plain user cast enters on `RcDataUser`, any other
 //! data on `RcData` — a client request by its API call, a tick by its
-//! timer. What the computation declares is derived from the stack's call
-//! graph at that event, once ([`External::new`]), and the node's
-//! [`StackPolicy`] — the core's [`Policy`], under the name this crate has
-//! always exported — picks one of the three ([`Policy::decl`]):
+//! timer. The node hands each arrival to [`Runtime::enter`] with that event
+//! and keeps no declaration of its own: what the computation declares is
+//! derived from the stack's call graph at the event, once, when the runtime
+//! is built ([`External::new`]), and the node's [`StackPolicy`] — the
+//! core's [`Policy`], under the name this crate has always exported — picks
+//! one of the three ([`Policy::decl`]):
 //!
 //! * [`StackPolicy::Basic`] — `isolated M e` with `M` = the microprotocols
 //!   the event's cascade can reach (e.g. an inbound ack only touches
@@ -34,10 +36,11 @@
 //!
 //! Which thread runs the computation, how many may be in flight and who
 //! counts the ones that fail is [`Runtime::external`]'s business, not this
-//! crate's.
+//! crate's; so is the timer thread [`Ticker::attach`]'s, which builds the
+//! node around it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -196,8 +199,6 @@ pub struct Node {
     transport: Arc<dyn Transport>,
     tracer: Option<ClusterTracer>,
     cfg: NodeConfig,
-    /// What each entry event ([`Events::entries`]) declares.
-    externals: [External; 9],
     app: ProtocolState<AppState>,
     membership: ProtocolState<MembershipState>,
     relcomm: ProtocolState<RelCommState>,
@@ -208,9 +209,8 @@ pub struct Node {
     kv: ProtocolState<KvState>,
     kv_waiters: KvWaiters,
     kv_req: AtomicU64,
-    /// The Timer Module; set once, after the node it ticks exists, and
-    /// none on a manual clock.
-    timer: OnceLock<Option<Ticker>>,
+    /// The Timer Module; no thread on a manual clock.
+    timer: Ticker,
 }
 
 impl Node {
@@ -343,23 +343,23 @@ impl Node {
         );
 
         let stack = b.build();
-
-        let externals = ev.entries().map(|e| External::new(&stack, e));
-
         let rt_cfg = RuntimeConfig {
             record_history: cfg.record_history,
             max_threads_per_computation: INTRA_THREADS,
         };
         let rt = Runtime::with_parts(stack, rt_cfg, hook, observe.sink);
 
-        let node = Arc::new(Node {
+        // The Network Module and the Timer Module.
+        let alarm = Alarm::on(&cfg.clock).inspect(|a| a.arm(Instant::now() + TICK_INTERVAL));
+        let name = format!("node-{}-timer", site.0);
+        let net = Arc::clone(&transport);
+        Ticker::attach(site, &*net, alarm, name, |timer| Node {
             site,
             rt,
             ev,
             transport,
             tracer,
             cfg,
-            externals,
             app: app_st,
             membership: membership_st,
             relcomm: relcomm_st,
@@ -370,24 +370,14 @@ impl Node {
             kv: kv_st,
             kv_waiters,
             kv_req: AtomicU64::new(0),
-            timer: OnceLock::new(),
-        });
-
-        // The Network Module and the Timer Module.
-        let alarm = Alarm::on(&node.cfg.clock).inspect(|a| a.arm(Instant::now() + TICK_INTERVAL));
-        node.timer.get_or_init(|| {
-            let name = format!("node-{}-timer", site.0);
-            Ticker::attach(&node, site, &*node.transport, alarm, name)
-        });
-        node
+            timer,
+        })
     }
 
     /// Hand an external event to the runtime, rooted at `entry` and
     /// declared according to the node's policy (see module docs).
     fn spawn_external(&self, entry: EventType, data: EventData) {
-        let ext = self.externals.iter().find(|x| x.event == entry);
-        let ext = ext.expect("an entry event of this node");
-        self.rt.external(self.cfg.policy, ext, data);
+        self.rt.enter(self.cfg.policy, entry, data);
     }
 
     /// Inject one retransmission-timer tick, exactly as the timer thread
@@ -579,9 +569,7 @@ impl Node {
 
     /// Stop the timer thread (dropping the node does the same). Idempotent.
     pub fn stop_timers(&self) {
-        if let Some(Some(t)) = self.timer.get() {
-            t.stop();
-        }
+        self.timer.stop();
     }
 }
 

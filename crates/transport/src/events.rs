@@ -31,9 +31,12 @@ pub struct Events {
 }
 
 impl Events {
-    /// Declare all event types on the builder.
+    /// Declare all event types on the builder, and which of them enter from
+    /// outside: a send, a data frame, an ack (an entry of its own, so that
+    /// it declares less: it never reaches the Chunker or the application)
+    /// and a tick.
     pub fn declare(b: &mut StackBuilder) -> Events {
-        Events {
+        let ev = Events {
             send_msg: b.event("TSend"),
             win_out: b.event("WinOut"),
             csum_out: b.event("CsumOut"),
@@ -44,7 +47,9 @@ impl Events {
             chunk_in: b.event("ChunkIn"),
             msg_deliver: b.event("MsgDeliver"),
             tick: b.event("TTick"),
-        }
+        };
+        b.entry_events(&[ev.send_msg, ev.csum_in, ev.csum_ack_in, ev.tick]);
+        ev
     }
 }
 

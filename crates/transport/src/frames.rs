@@ -49,6 +49,8 @@ pub enum FrameError {
     BadTag(u8),
     /// Checksum mismatch — the frame was corrupted in transit.
     Checksum,
+    /// Bytes after the frame's last field.
+    Trailing,
 }
 
 impl std::fmt::Display for FrameError {
@@ -57,6 +59,7 @@ impl std::fmt::Display for FrameError {
             FrameError::Truncated => write!(f, "truncated frame"),
             FrameError::BadTag(t) => write!(f, "unknown frame tag {t}"),
             FrameError::Checksum => write!(f, "checksum mismatch"),
+            FrameError::Trailing => write!(f, "bytes after the frame's last field"),
         }
     }
 }
@@ -132,7 +135,8 @@ impl Frame {
         }
     }
 
-    /// Validate the checksum and decode.
+    /// Validate the checksum and decode: the body must be one frame, its
+    /// last field where the body ends.
     pub fn decode(mut buf: Bytes) -> Result<Frame, FrameError> {
         if buf.len() <= TRAILER {
             return Err(FrameError::Truncated);
@@ -141,17 +145,18 @@ impl Frame {
         if fnv1a(&body) != buf.u32()? {
             return Err(FrameError::Checksum);
         }
-        match body.u8()? {
-            0 => Ok(Frame::Data {
+        let frame = match body.u8()? {
+            0 => Frame::Data {
                 msg_id: body.u64()?,
                 frag_idx: body.u32()?,
                 frag_total: body.u32()?,
                 seq: body.u64()?,
                 payload: body.bytes()?,
-            }),
-            1 => Ok(Frame::Ack { seq: body.u64()? }),
-            t => Err(FrameError::BadTag(t)),
-        }
+            },
+            1 => Frame::Ack { seq: body.u64()? },
+            t => return Err(FrameError::BadTag(t)),
+        };
+        body.is_empty().then_some(frame).ok_or(FrameError::Trailing)
     }
 }
 
@@ -246,6 +251,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A frame is exactly what its writer wrote: an ack body with one byte
+    /// more, under a checksum that covers it, is refused.
+    #[test]
+    fn bytes_after_the_last_field_are_refused() {
+        let mut body = vec![1];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.push(0xAA);
+        let digest = fnv1a(&body);
+        body.extend_from_slice(&digest.to_le_bytes());
+        assert_eq!(Frame::decode(Bytes::from(body)), Err(FrameError::Trailing));
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! One transport endpoint: a SAMOA runtime running Chunker / Window /
 //! Checksum over the simulated network, plus [`TransportNet`] bundling `n`
-//! endpoints. Every external event — a datagram, a `send`, a tick — goes to
-//! [`Runtime::external`], which decides the thread that runs it, under the
-//! declaration [`External::new`] derives from its entry event.
+//! endpoints. Every external event — a datagram, a `send`, a tick — enters
+//! the runtime at its entry event ([`Runtime::enter`]), which runs it under
+//! the declaration the runtime derived for that event when it was built and
+//! decides the thread that runs it; an ack is an entry event of its own, so
+//! that it declares less. The endpoint keeps no declaration and no timer
+//! slot of its own: [`Ticker::attach`] builds it around its timer.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -61,19 +64,13 @@ pub struct Endpoint {
     pub site: SiteId,
     rt: Runtime,
     cfg: TransportConfig,
-    /// What each kind of external event triggers and declares, derived from
-    /// its entry event: an ack never reaches the Chunker or the application.
-    ext_ack: External,
-    ext_data: External,
-    ext_send: External,
-    ext_tick: External,
+    ev: Events,
     chunker: ProtocolState<ChunkerState>,
     window: ProtocolState<WindowState>,
     checksum: ProtocolState<ChecksumState>,
     delivered: ProtocolState<Vec<(SiteId, Bytes)>>,
-    /// Set once, after the endpoint it ticks exists; none on a manual
-    /// clock.
-    timer: OnceLock<Option<Ticker>>,
+    /// No thread on a manual clock.
+    timer: Ticker,
 }
 
 impl Endpoint {
@@ -139,32 +136,19 @@ impl Endpoint {
         } else {
             RuntimeConfig::default()
         };
-        let stack = b.build();
-        let ext_ack = External::new(&stack, ev.csum_ack_in);
-        let ext_data = External::new(&stack, ev.csum_in);
-        let ext_send = External::new(&stack, ev.send_msg);
-        let ext_tick = External::new(&stack, ev.tick);
-        let rt = Runtime::with_parts(stack, rt_cfg, hook, None);
-        let node = Arc::new(Endpoint {
+        let rt = Runtime::with_parts(b.build(), rt_cfg, hook, None);
+        let name = format!("tnode-{}-timer", site.0);
+        Ticker::attach(site, &net, alarm, name, |timer| Endpoint {
             site,
             rt,
             cfg,
-            ext_ack,
-            ext_data,
-            ext_send,
-            ext_tick,
+            ev,
             chunker: chunker_st,
             window: window_st,
             checksum: checksum_st,
             delivered,
-            timer: OnceLock::new(),
-        });
-
-        node.timer.get_or_init(|| {
-            let name = format!("tnode-{}-timer", site.0);
-            Ticker::attach(&node, site, &net, alarm, name)
-        });
-        node
+            timer,
+        })
     }
 
     /// Send `data` reliably and in order to `peer`. Where
@@ -172,7 +156,7 @@ impl Endpoint {
     /// complete on return.
     pub fn send(&self, peer: SiteId, data: impl Into<Bytes>) {
         let data = EventData::new((peer, data.into()));
-        self.rt.external(self.cfg.policy, &self.ext_send, data);
+        self.rt.enter(self.cfg.policy, self.ev.send_msg, data);
     }
 
     /// Inject one retransmission-timer tick, as the timer thread does at an
@@ -180,7 +164,7 @@ impl Endpoint {
     /// retransmits.
     pub fn inject_tick(&self) {
         self.rt
-            .external(self.cfg.policy, &self.ext_tick, EventData::empty());
+            .enter(self.cfg.policy, self.ev.tick, EventData::empty());
     }
 
     /// Messages delivered to the application, in arrival order.
@@ -236,26 +220,18 @@ impl Endpoint {
     pub fn runtime(&self) -> &Runtime {
         &self.rt
     }
-
-    /// Stop the timer thread (dropping the endpoint does the same).
-    /// Idempotent.
-    pub fn stop_timers(&self) {
-        if let Some(Some(t)) = self.timer.get() {
-            t.stop();
-        }
-    }
 }
 
 impl Host for Endpoint {
     fn on_datagram(&self, dg: Datagram) {
         // Classify on the header (like a real stack): an ack is an entry
         // event of its own, so that it declares less.
-        let ext = match Frame::peek_kind(&dg.payload) {
-            Some(FrameKind::Ack) => &self.ext_ack,
-            _ => &self.ext_data,
+        let entry = match Frame::peek_kind(&dg.payload) {
+            Some(FrameKind::Ack) => self.ev.csum_ack_in,
+            _ => self.ev.csum_in,
         };
         let data = EventData::new((dg.from, dg.payload));
-        self.rt.external(self.cfg.policy, ext, data);
+        self.rt.enter(self.cfg.policy, entry, data);
     }
 
     /// A tick computation, unless nothing is in flight — an instant armed
@@ -316,7 +292,7 @@ impl TransportNet {
     /// Stop all timers and shut the network down.
     pub fn shutdown(&mut self) {
         for e in &self.endpoints {
-            e.stop_timers();
+            e.timer.stop();
         }
         self.net.shutdown();
     }
