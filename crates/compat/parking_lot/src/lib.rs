@@ -23,10 +23,10 @@
 //!
 //! | sites | condition, and the mutex |
 //! |---|---|
-//! | `core/exec.rs` `execute` | `slot.job` filled, under `slot.job` |
+//! | `core/exec.rs` `execute` | `slot.job` filled, under `slot.job`; not sent while the slot's `woken` bit, under the same lock, says the last notify is unanswered (the worker looks again, and clears it, under that lock) |
 //! | `core/version.rs` `ParkSeam::wake` | an atomic; notifies under `guarded`, held by a parker from registration to `wait` |
-//! | `core/computation.rs` `enqueue`, `complete` | task pushed under `queue`; `done` set under `done` |
-//! | `core/computation.rs` `release_pending` | `pending` (atomic); passes through `queue` |
+//! | `core/computation.rs` `enqueue`, `complete` | task pushed under `queue`; `done` (atomic) passes through `done_lock` |
+//! | `core/computation.rs` `release_pending` | `pending` (atomic); passes through `queue` — lock and notify skipped when the computation has no worker but the caller |
 //! | `net/sim.rs`, 8 sites on `cv` and `quiesce_cv` | heap, `delivering`, `shutdown`: all under `state` |
 //! | `net/tcp.rs` `send`; `shutdown` | frame queued under `peer.state`; `shutdown` (atomic) passes through it |
 //! | `net/clock.rs` `Alarm::arm`, `Ticker::stop` | the deadline, `stopped` (atomics); pass through `lock`, under which the timer thread reads both before it waits |

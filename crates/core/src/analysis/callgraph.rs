@@ -214,7 +214,7 @@ mod tests {
     use crate::event::EventData;
     use crate::stack::StackBuilder;
 
-    fn noop() -> impl Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static {
+    fn noop() -> impl Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static {
         |_, _| Ok(())
     }
 

@@ -96,7 +96,7 @@ mod tests {
     use crate::runtime::Decl;
     use crate::stack::StackBuilder;
 
-    fn noop() -> impl Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static {
+    fn noop() -> impl Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static {
         |_, _| Ok(())
     }
 

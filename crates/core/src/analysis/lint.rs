@@ -396,7 +396,7 @@ mod tests {
     use crate::graph::RoutePattern;
     use crate::stack::StackBuilder;
 
-    fn noop() -> impl Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static {
+    fn noop() -> impl Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static {
         |_, _| Ok(())
     }
 

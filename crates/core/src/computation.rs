@@ -54,7 +54,7 @@ use crate::sched::{ReleaseReason, SchedPoint, SchedResource};
 use crate::trace::TraceKind;
 
 /// Boxed task body type (a closure run by a computation worker).
-pub(crate) type TaskFn = Box<dyn FnOnce(&Ctx) -> Result<()> + Send>;
+pub(crate) type TaskFn = Box<dyn FnOnce(&Ctx<'_>) -> Result<()> + Send>;
 
 /// An effect queued by [`Ctx::after_completion`].
 pub(crate) type EffectFn = Box<dyn FnOnce() + Send>;
@@ -143,12 +143,21 @@ pub(crate) struct ComputationInner {
     workers: AtomicUsize,
     idle: AtomicUsize,
     completion_claimed: AtomicBool,
-    error: Mutex<Option<SamoaError>>,
+    /// The first error; set once, read without a lock.
+    error: OnceLock<SamoaError>,
     /// What [`Ctx::after_completion`] queued, in push order; run by
     /// `complete` once everything declared is released. Empty — and never
     /// allocated — for a computation that queues nothing.
     effects: Mutex<Vec<EffectFn>>,
-    done: Mutex<bool>,
+    /// Rule 3 and the effects are done: what a joiner reads, with no lock
+    /// once it is set. Stored with `Release` in `complete` and loaded with
+    /// `Acquire` in `wait_done`, so a joiner that reads it set also sees the
+    /// error slot and the counts written before it. Set before `done_cv` is
+    /// notified, passing through `done_lock`: a joiner that read it clear
+    /// still holds that lock, so the notify comes after its wait, never
+    /// into the gap; one that takes the lock later reads it set.
+    done: AtomicBool,
+    done_lock: Mutex<()>,
     done_cv: Condvar,
 }
 
@@ -164,9 +173,10 @@ impl ComputationInner {
             workers: AtomicUsize::new(1), // the root worker
             idle: AtomicUsize::new(0),
             completion_claimed: AtomicBool::new(false),
-            error: Mutex::new(None),
+            error: OnceLock::new(),
             effects: Mutex::new(Vec::new()),
-            done: Mutex::new(false),
+            done: AtomicBool::new(false),
+            done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
         })
     }
@@ -200,15 +210,12 @@ impl ComputationInner {
 
     /// Record the first error of the computation; later ones are dropped.
     pub(crate) fn set_error(&self, e: SamoaError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
+        let _ = self.error.set(e);
     }
 
     /// The first error recorded so far (final once the computation is done).
     pub(crate) fn first_error(&self) -> Option<SamoaError> {
-        self.error.lock().clone()
+        self.error.get().cloned()
     }
 
     /// Queue `f` to run once the computation has released everything it
@@ -274,11 +281,16 @@ impl ComputationInner {
             if let Some(h) = &hook {
                 h.on_thread_exit();
             }
-            on_end(comp.error.lock().as_ref());
+            on_end(comp.error.get());
         })
     }
 
     fn next_task(&self) -> Option<Task> {
+        // No task is queued or can be once `pending` is 0: a task counts
+        // itself there before it is queued, and is done before it leaves.
+        if self.pending.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
         match &self.rt.hook {
             None => {
                 let mut q = self.queue.lock();
@@ -315,11 +327,17 @@ impl ComputationInner {
     /// they can exit.
     pub(crate) fn release_pending(&self) {
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // A worker that has read `pending != 0` and not yet parked still
-            // holds the queue lock; passing through it puts the notify
-            // after that worker's wait instead of into the gap.
-            drop(self.queue.lock());
-            self.queue_cv.notify_all();
+            // Every caller is a worker of this computation. With no other
+            // worker, nobody sleeps on the queue: one that did would have
+            // read `pending != 0` before the decrement above, after its
+            // reservation, so `workers` counts it until it leaves.
+            if self.workers.load(Ordering::SeqCst) > 1 {
+                // A worker that has read `pending != 0` and not yet parked
+                // still holds the queue lock; passing through it puts the
+                // notify after that worker's wait instead of into the gap.
+                drop(self.queue.lock());
+                self.queue_cv.notify_all();
+            }
             if let Some(h) = &self.rt.hook {
                 h.signal(SchedResource::Queue(self.id));
             }
@@ -363,7 +381,7 @@ impl ComputationInner {
                 }
             }
             Task::Closure { origin, exec, f } => {
-                let ctx = Ctx::new(Arc::clone(self), origin, OnceLock::from(Arc::clone(&exec)));
+                let ctx = Ctx::new(self, origin, OnceLock::from(Arc::clone(&exec)));
                 let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                 match result {
                     Ok(Ok(())) => {}
@@ -514,7 +532,7 @@ impl ComputationInner {
         // ---- execute ----
         self.rt.stats.note_handler_call();
         self.rt.history.record_call(self.id, event, handler);
-        let ctx = Ctx::new(Arc::clone(self), Some((handler, pid)), OnceLock::new());
+        let ctx = Ctx::new(self, Some((handler, pid)), OnceLock::new());
         let func = &target.func;
         let enter_ns = self.rt.trace.as_ref().map(|t| {
             let t0 = t.now_ns();
@@ -688,10 +706,8 @@ impl ComputationInner {
         // Counter/active bookkeeping first, so that a joiner woken by the
         // done flag observes the completed count already updated.
         self.rt.computation_finished();
-        {
-            let mut d = self.done.lock();
-            *d = true;
-        }
+        self.done.store(true, Ordering::Release);
+        drop(self.done_lock.lock());
         self.done_cv.notify_all();
         if let Some(h) = &self.rt.hook {
             h.signal(SchedResource::Done(self.id));
@@ -700,19 +716,20 @@ impl ComputationInner {
 
     /// Block until the computation has fully completed (Rule 3 done).
     pub(crate) fn wait_done(&self) {
+        let done = || self.done.load(Ordering::Acquire);
         match &self.rt.hook {
+            None if done() => {}
             None => {
-                let mut d = self.done.lock();
-                while !*d {
-                    self.done_cv.wait(&mut d);
+                let mut lock = self.done_lock.lock();
+                while !done() {
+                    self.done_cv.wait(&mut lock);
                 }
             }
-            Some(h) => loop {
-                if *self.done.lock() {
-                    return;
+            Some(h) => {
+                while !done() {
+                    h.block(SchedResource::Done(self.id));
                 }
-                h.block(SchedResource::Done(self.id));
-            },
+            }
         }
     }
 }

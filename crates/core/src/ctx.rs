@@ -44,8 +44,10 @@ pub(crate) fn outside_computation() -> Result<()> {
 /// A `Ctx` is bound to one computation and one call site; nested handler
 /// calls get fresh contexts. It is not `Clone` — pass `&Ctx` down, or use
 /// [`Ctx::spawn`] to move work to another thread of the same computation.
-pub struct Ctx {
-    comp: Arc<ComputationInner>,
+/// It borrows the computation for as long as the call runs (`'a`), so a
+/// handler call takes no reference count of its own.
+pub struct Ctx<'a> {
+    comp: &'a Arc<ComputationInner>,
     /// The handler currently executing, and its microprotocol; `None` in the
     /// closure body.
     current: Option<(HandlerId, ProtocolId)>,
@@ -60,11 +62,11 @@ pub struct Ctx {
     fired: parking_lot::Mutex<Vec<EventType>>,
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     /// The context of a fresh call (`exec` empty) or of a closure spawned
     /// by one (`exec` the spawning call's).
     pub(crate) fn new(
-        comp: Arc<ComputationInner>,
+        comp: &'a Arc<ComputationInner>,
         current: Option<(HandlerId, ProtocolId)>,
         exec: OnceLock<Arc<ExecState>>,
     ) -> Self {
@@ -232,7 +234,7 @@ impl Ctx {
     /// call is not considered complete (for Rule 4 release purposes) until
     /// the closure finishes — the paper's "any threads spawned by the
     /// handler terminated".
-    pub fn spawn(&self, f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static) {
+    pub fn spawn(&self, f: impl FnOnce(&Ctx<'_>) -> Result<()> + Send + 'static) {
         let exec = self.exec.get_or_init(|| {
             Arc::new(ExecState::new(match self.current {
                 Some((h, p)) => PostAction::Handler(h, p),
@@ -274,13 +276,13 @@ impl Ctx {
     }
 }
 
-impl Drop for Ctx {
+impl Drop for Ctx<'_> {
     fn drop(&mut self) {
         LIVE.with(|n| n.set(n.get() - 1));
     }
 }
 
-impl std::fmt::Debug for Ctx {
+impl std::fmt::Debug for Ctx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("comp", &self.comp.id)

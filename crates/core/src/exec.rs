@@ -38,9 +38,14 @@
 //! external event whose policy cannot overlap another — the same argument,
 //! made there.
 //!
-//! Each worker parks on a slot of its own, so a hand-off wakes exactly one
-//! thread. This parking is private to the executor: it is not a Rule-2 wait
-//! and touches none of the `version::{parks, park_notifies, gate_spins}`
+//! Each worker parks on a slot of its own, so a hand-off wakes at most one
+//! thread — and none when the worker still has a wake coming: a hand-off
+//! sets the slot's `woken` bit and notifies only if it was clear, and the
+//! worker clears it each time it looks at the slot. A job the joiner took
+//! back before the worker looked leaves the bit set, so spawn → join →
+//! spawn costs one wake, however many spawns the worker sleeps through.
+//! This parking is private to the executor: it is not a Rule-2 wait and
+//! touches none of the `version::{parks, park_notifies, gate_spins}`
 //! counters.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,6 +75,12 @@ struct Hand {
     /// Hand-offs to this slot so far. A [`Handed`] remembers the count of
     /// its own, so it can never take a later job handed to the same worker.
     handed: u64,
+    /// A hand-off has notified the worker, and the worker has not looked at
+    /// the slot since: it will, so a further hand-off need not notify.
+    woken: bool,
+    /// Notifies sent to this slot.
+    #[cfg(test)]
+    notifies: u64,
 }
 
 /// A set of parked workers.
@@ -107,13 +118,20 @@ impl Cache {
         let idle = self.idle.lock().pop();
         match idle {
             Some(slot) => {
-                let handed = {
+                let (handed, wake) = {
                     let mut hand = slot.hand.lock();
                     hand.handed += 1;
                     hand.job = Some(job);
-                    hand.handed
+                    let wake = !std::mem::replace(&mut hand.woken, true);
+                    #[cfg(test)]
+                    {
+                        hand.notifies += u64::from(wake);
+                    }
+                    (hand.handed, wake)
                 };
-                slot.wake.notify_one();
+                if wake {
+                    slot.wake.notify_one();
+                }
                 Some(Handed {
                     cache: self,
                     slot,
@@ -140,8 +158,10 @@ impl Cache {
             let mut deadline = Instant::now() + KEEP_ALIVE;
             let mut next = slot.hand.lock();
             job = loop {
-                // A wake-up can find the slot empty: the job was taken back,
-                // and the worker, listed again, parks on.
+                // Looking answers every notify sent so far. A wake-up can
+                // find the slot empty: the job was taken back, and the
+                // worker, listed again, parks on.
+                next.woken = false;
                 if let Some(job) = next.job.take() {
                     break job;
                 }
@@ -204,9 +224,16 @@ mod tests {
         })
     }
 
-    /// What the worker does when it wakes: take the job in its slot.
+    /// What the worker does when it wakes: look at its slot and take the
+    /// job in it.
     fn worker_takes(slot: &Slot) -> Option<Job> {
-        slot.hand.lock().job.take()
+        let mut hand = slot.hand.lock();
+        hand.woken = false;
+        hand.job.take()
+    }
+
+    fn notifies(slot: &Slot) -> u64 {
+        slot.hand.lock().notifies
     }
 
     #[test]
@@ -272,5 +299,32 @@ mod tests {
         assert!(cache.idle.lock().is_empty());
         worker_takes(&slot).expect("the second job")();
         assert_eq!(ran.load(Ordering::SeqCst), 2);
+    }
+    #[test]
+    fn a_hand_off_before_the_worker_looked_sends_no_second_notify() {
+        let (cache, slot) = parked();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let first = cache.execute(counting(&ran)).expect("handed to the slot");
+        assert_eq!(notifies(&slot), 1);
+        first.reclaim().expect("nobody took it")();
+        // Handed again before the worker looked: the first notify still
+        // stands, and the worker finds the second job when it answers it.
+        let second = cache.execute(counting(&ran)).expect("the listed worker");
+        assert_eq!(notifies(&slot), 1, "notified twice for one look");
+        worker_takes(&slot).expect("the second job")();
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
+        assert!(second.reclaim().is_none());
+        // The worker looked: the next hand-off notifies again.
+        cache.idle.lock().push(Arc::clone(&slot));
+        let third = cache.execute(counting(&ran)).expect("handed to the slot");
+        assert_eq!(notifies(&slot), 2);
+        // Taken back, and the worker looks and finds nothing: a look all the
+        // same, so the hand-off after it notifies.
+        third.reclaim().expect("nobody took it")();
+        assert!(worker_takes(&slot).is_none());
+        cache.execute(counting(&ran)).expect("the listed worker");
+        assert_eq!(notifies(&slot), 3);
+        worker_takes(&slot).expect("the fourth job")();
+        assert_eq!(ran.load(Ordering::SeqCst), 4);
     }
 }

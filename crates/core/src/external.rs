@@ -154,7 +154,7 @@ impl Runtime {
         }
         let decl = policy.decl(&ext.protocols, &ext.bounds, &ext.route);
         let event = ext.event;
-        let root = move |ctx: &Ctx| ctx.trigger(event, data);
+        let root = move |ctx: &Ctx<'_>| ctx.trigger(event, data);
         let hooked = self.inner.hook.is_some();
         if !hooked && !policy.overlaps() {
             if self.run(decl, root).is_err() {

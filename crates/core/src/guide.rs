@@ -514,8 +514,9 @@
 //! computation: [`crate::ctx`]). [`Runtime::spawn`]
 //! and the per-computation helper workers take their threads from
 //! one process-wide **cache with direct hand-off and no run queue**: a job
-//! goes to the most recently parked idle worker (one wake, on that worker's
-//! own slot), a new `samoa-worker` thread is created only when none is
+//! goes to the most recently parked idle worker (at most one wake, on that
+//! worker's own slot, and none while the worker has a wake coming that it
+//! has not answered), a new `samoa-worker` thread is created only when none is
 //! idle, a finished worker parks itself in the cache, and idle workers exit
 //! after a fraction of a second. A job therefore starts no later than it
 //! would on a fresh thread, and nothing about parking or sleeping

@@ -35,7 +35,7 @@ impl fmt::Debug for HandlerId {
 /// The body receives the computation context (for triggering further events)
 /// and the payload of the event that triggered it, and may fail with a
 /// [`SamoaError`](crate::error::SamoaError).
-pub type HandlerFn = Arc<dyn Fn(&Ctx, &EventData) -> Result<()> + Send + Sync>;
+pub type HandlerFn = Arc<dyn Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync>;
 
 /// A registered handler: its identity, owning microprotocol, and body.
 #[derive(Clone)]

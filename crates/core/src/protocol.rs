@@ -121,7 +121,7 @@ impl<S> ProtocolState<S> {
     /// Do not call [`Ctx::trigger`] while inside the closure — keep state
     /// accesses short and trigger events outside. (Re-entrant `with` on the
     /// same thread panics on the inner `RefCell`.)
-    pub fn with<R>(&self, ctx: &Ctx, f: impl FnOnce(&mut S) -> R) -> R {
+    pub fn with<R>(&self, ctx: &Ctx<'_>, f: impl FnOnce(&mut S) -> R) -> R {
         self.assert_ownership(ctx);
         ctx.note_state_access(self.pid, true);
         let guard = self.inner.lock();
@@ -132,7 +132,7 @@ impl<S> ProtocolState<S> {
     /// Read-only access from inside a handler. Recorded as a *read* for the
     /// isolation checker ([`history`](crate::history)), which orders reads
     /// only against writes.
-    pub fn read_with<R>(&self, ctx: &Ctx, f: impl FnOnce(&S) -> R) -> R {
+    pub fn read_with<R>(&self, ctx: &Ctx<'_>, f: impl FnOnce(&S) -> R) -> R {
         self.assert_ownership(ctx);
         ctx.note_state_access(self.pid, false);
         let guard = self.inner.lock();
@@ -140,7 +140,7 @@ impl<S> ProtocolState<S> {
         f(&state)
     }
 
-    fn assert_ownership(&self, ctx: &Ctx) {
+    fn assert_ownership(&self, ctx: &Ctx<'_>) {
         if let Some(current) = ctx.current_protocol() {
             assert!(
                 current == self.pid,

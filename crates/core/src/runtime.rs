@@ -220,7 +220,6 @@ impl std::fmt::Display for RuntimeStats {
 
 #[derive(Default)]
 pub(crate) struct StatCounters {
-    spawned: AtomicU64,
     completed: AtomicU64,
     handler_calls: AtomicU64,
     admission_wait_ns: AtomicU64,
@@ -281,6 +280,7 @@ pub(crate) struct RuntimeInner {
     /// gates every *declared* cell (ascending pid, strict two-phase) instead
     /// of one global mutex, so disjoint spawns never serialise.
     gv: Vec<CachePadded<AtomicU64>>,
+    /// Computations spawned so far: the last id handed out.
     comp_seq: AtomicU64,
     /// Computations spawned but not yet completed. Plain atomic; `quiesce`
     /// parks on the `quiesce` seam only while this is nonzero.
@@ -585,7 +585,6 @@ impl Runtime {
             h.yield_point_with(SchedPoint::Spawn, &[SchedResource::SpawnLock]);
         }
         let id = self.inner.comp_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inner.stats.spawned.fetch_add(1, Ordering::Relaxed);
         let spec = self.make_spec(decl);
         if let Some(t) = &self.inner.trace {
             // Register this computation's holds (the versions Rule 1 just
@@ -614,55 +613,63 @@ impl Runtime {
     }
 
     fn make_spec(&self, decl: &Decl<'_>) -> CompSpec {
-        let all;
-        let (mode, pairs): (CompMode, Vec<(ProtocolId, u64)>) = match decl {
+        let mut route = None;
+        let (mode, mut entries) = match decl {
             Decl::Unsync => (CompMode::Unsync, Vec::new()),
-            Decl::Basic(pids) => (CompMode::Basic, dedup_max(pids.iter().map(|&p| (p, 1)))),
+            Decl::Basic(pids) => (CompMode::Basic, declared(pids.iter().map(|&p| (p, 1)))),
             Decl::Serial => {
-                all = self.inner.stack.all_protocols();
-                (CompMode::Basic, dedup_max(all.iter().map(|&p| (p, 1))))
+                let all = (0..self.inner.gv.len() as u32).map(|i| (ProtocolId(i), 1));
+                (CompMode::Basic, declared(all))
             }
-            Decl::Bound(entries) => (CompMode::Bound, dedup_max(entries.iter().copied())),
-            Decl::TwoPhase(pids) => (CompMode::Locked, dedup_max(pids.iter().map(|&p| (p, 0)))),
+            Decl::Bound(entries) => (CompMode::Bound, declared(entries.iter().copied())),
+            Decl::TwoPhase(pids) => (CompMode::Locked, declared(pids.iter().map(|&p| (p, 0)))),
             Decl::Route(pattern) => {
                 let rs = RouteState::new(pattern, |h| self.inner.stack.handler_protocol(h));
-                let pairs = dedup_max(rs.protocols().iter().map(|&p| (p, 1)));
-                let entries = self.allocate_versions(CompMode::Route, &pairs);
-                return CompSpec {
-                    mode: CompMode::Route,
-                    entries,
-                    route: Some(Mutex::new(rs)),
-                };
+                let entries = declared(rs.protocols().iter().map(|&p| (p, 1)));
+                route = Some(Mutex::new(rs));
+                (CompMode::Route, entries)
             }
         };
-        let entries = self.allocate_versions(mode, &pairs);
+        self.allocate_versions(mode, &mut entries);
         CompSpec {
             mode,
             entries,
-            route: None,
+            route,
         }
     }
 
     /// Rule 1: atomically bump `gv_p` for each declared microprotocol and
-    /// snapshot the private versions, as one **ordered two-phase CAS
-    /// sweep** instead of a global spawn mutex. Phase 1 CAS-acquires the
-    /// gate bit of every *declared* cell in ascending pid order (`pairs` is
-    /// sorted by `dedup_max`); phase 2 bumps, snapshots and releases. This
-    /// is strict 2PL over the declared cells, so overlapping spawns are
-    /// conflict-serialised — the per-cell `pv` orders stay consistent with
-    /// one total spawn order, which is what the paper's deadlock-freedom
-    /// argument (§6, younger always waits on strictly older) needs —
-    /// while disjoint spawns proceed fully in parallel, one uncontended CAS
-    /// plus one store per declared cell, zero allocation beyond the entry
-    /// vector.
-    fn allocate_versions(&self, mode: CompMode, pairs: &[(ProtocolId, u64)]) -> Vec<PvEntry> {
+    /// snapshot the private versions into `entries`, as one **ordered
+    /// two-phase CAS sweep** instead of a global spawn mutex. Phase 1
+    /// CAS-acquires the gate bit of every *declared* cell in ascending pid
+    /// order (`entries` is sorted, see [`declared`]); phase 2 bumps,
+    /// snapshots and releases. This is strict 2PL over the declared cells,
+    /// so overlapping spawns are conflict-serialised — the per-cell `pv`
+    /// orders stay consistent with one total spawn order, which is what the
+    /// paper's deadlock-freedom argument (§6, younger always waits on
+    /// strictly older) needs — while disjoint spawns proceed fully in
+    /// parallel, one uncontended CAS plus one store per declared cell and
+    /// no allocation.
+    ///
+    /// A gate is a spin lock and is ordered as one: taken with an `Acquire`
+    /// CAS, let go with a `Release` store. That is all 2PL needs: a sweep
+    /// whose CAS reads another sweep's release sees the bump stored with it
+    /// and everything that sweep did before — it had taken all its gates
+    /// by then — so on every later cell the two share it finds the gate
+    /// still held or the bump made, and the two are ordered alike on every
+    /// cell. Nothing else reads `gv` but `debug_snapshot`, and no thread
+    /// waits on it: Rule 2 waits on `lv`, whose Dekker-style handshake with
+    /// the parking seam (`version.rs`) is `SeqCst` and does not involve
+    /// `gv`.
+    fn allocate_versions(&self, mode: CompMode, entries: &mut [PvEntry]) {
         // Phase 1: gate every declared cell, ascending.
-        for &(pid, _) in pairs {
+        for e in entries.iter() {
             assert!(
-                pid.index() < self.inner.gv.len(),
-                "declared unknown protocol {pid:?}"
+                e.pid.index() < self.inner.gv.len(),
+                "declared unknown protocol {:?}",
+                e.pid
             );
-            let cell = &self.inner.gv[pid.index()];
+            let cell = &self.inner.gv[e.pid.index()];
             let mut spins = 0u32;
             loop {
                 let cur = cell.load(Ordering::Relaxed);
@@ -671,7 +678,7 @@ impl Runtime {
                         .compare_exchange_weak(
                             cur,
                             cur | GV_GATE,
-                            Ordering::SeqCst,
+                            Ordering::Acquire,
                             Ordering::Relaxed,
                         )
                         .is_ok()
@@ -695,21 +702,12 @@ impl Runtime {
         // Phase 2: bump + snapshot + release, in the same order. Releasing
         // cell i before computing cell j is safe — the growing phase is
         // over, which is all 2PL serializability needs.
-        pairs
-            .iter()
-            .map(|&(pid, bound)| {
-                let cell = &self.inner.gv[pid.index()];
-                let increment = if mode == CompMode::Locked { 0 } else { bound };
-                let pv = (cell.load(Ordering::Relaxed) >> 1) + increment;
-                cell.store(pv << 1, Ordering::SeqCst);
-                PvEntry {
-                    pid,
-                    pv,
-                    bound,
-                    used: AtomicU64::new(0),
-                }
-            })
-            .collect()
+        for e in entries {
+            let cell = &self.inner.gv[e.pid.index()];
+            let increment = if mode == CompMode::Locked { 0 } else { e.bound };
+            e.pv = (cell.load(Ordering::Relaxed) >> 1) + increment;
+            cell.store(e.pv << 1, Ordering::Release);
+        }
     }
 
     // ---- running computations ----
@@ -721,18 +719,16 @@ impl Runtime {
     ///
     /// Fails with [`SamoaError::NestedSpawn`], starting nothing, when called
     /// by the code of a running computation (see the [module docs](crate::runtime)).
-    pub fn run<R>(&self, decl: Decl<'_>, f: impl FnOnce(&Ctx) -> Result<R>) -> Result<R> {
+    pub fn run<R>(&self, decl: Decl<'_>, f: impl FnOnce(&Ctx<'_>) -> Result<R>) -> Result<R> {
         crate::ctx::outside_computation()?;
         let comp = self.spawn_comp(&decl);
-        let mut out: Option<R> = None;
-        root_execute(&comp, |ctx| f(ctx).map(|r| out = Some(r)));
+        let out = root_execute(&comp, f);
         comp.worker_loop();
         comp.worker_exit();
         comp.wait_done();
-        match comp.first_error() {
-            Some(e) => Err(e),
-            None => Ok(out.expect("closure returned Ok")),
-        }
+        // The first error, wherever raised, wins over the body's value (a
+        // body that failed raised it).
+        comp.first_error().map_or(out, Err)
     }
 
     /// Start a computation *detached* and return a handle. Rule 1 executes
@@ -754,7 +750,7 @@ impl Runtime {
     pub fn spawn(
         &self,
         decl: Decl<'_>,
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
+        f: impl FnOnce(&Ctx<'_>) -> Result<()> + Send + 'static,
     ) -> CompHandle {
         self.spawn_guarded(decl, |_| {}, f)
     }
@@ -777,13 +773,13 @@ impl Runtime {
         &self,
         decl: Decl<'_>,
         on_end: impl FnOnce(Option<&SamoaError>) + Send + 'static,
-        f: impl FnOnce(&Ctx) -> Result<()> + Send + 'static,
+        f: impl FnOnce(&Ctx<'_>) -> Result<()> + Send + 'static,
     ) -> CompHandle {
         if let Err(e) = crate::ctx::outside_computation() {
             panic!("{e}");
         }
         let comp = self.spawn_comp(&decl);
-        let handed = comp.start_worker(|comp| root_execute(comp, f), on_end);
+        let handed = comp.start_worker(|comp| drop(root_execute(comp, f)), on_end);
         // A hook ties the job to the thread announced in `on_thread_spawn`:
         // run anywhere else, it would start on the joiner.
         let handed = handed.filter(|_| self.inner.hook.is_none());
@@ -803,7 +799,7 @@ impl Runtime {
     /// of the isolation machinery.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
-            computations_spawned: self.inner.stats.spawned.load(Ordering::Relaxed),
+            computations_spawned: self.inner.comp_seq.load(Ordering::Relaxed),
             computations_completed: self.inner.stats.completed.load(Ordering::Relaxed),
             handler_calls: self.inner.stats.handler_calls.load(Ordering::Relaxed),
             admission_wait: std::time::Duration::from_nanos(
@@ -905,36 +901,54 @@ impl std::fmt::Debug for CompHandle {
 }
 
 /// Execute the computation's closure body on the current thread, tying
-/// route-root release to the body *and* the threads it spawned.
-fn root_execute(comp: &Arc<ComputationInner>, f: impl FnOnce(&Ctx) -> Result<()>) {
-    let ctx = Ctx::new(Arc::clone(comp), None, OnceLock::new());
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => comp.set_error(e),
-        Err(payload) => comp.set_error(SamoaError::HandlerPanic {
+/// route-root release to the body *and* the threads it spawned, and return
+/// what the body returned. A body that fails (or panics) records its error
+/// as the computation's.
+fn root_execute<R>(
+    comp: &Arc<ComputationInner>,
+    f: impl FnOnce(&Ctx<'_>) -> Result<R>,
+) -> Result<R> {
+    let ctx = Ctx::new(comp, None, OnceLock::new());
+    let out = catch_unwind(AssertUnwindSafe(|| f(&ctx))).unwrap_or_else(|payload| {
+        Err(SamoaError::HandlerPanic {
             handler: HandlerId(u32::MAX),
             message: panic_message(payload),
-        }),
+        })
+    });
+    if let Err(e) = &out {
+        comp.set_error(e.clone());
     }
     if ctx.body_returned() {
         comp.run_post(PostAction::Root);
     }
     comp.release_pending();
+    out
 }
 
-/// Deduplicate a declaration, keeping the maximum bound per protocol,
-/// sorted by protocol id (the order `PvEntry` lookup requires).
-fn dedup_max(pairs: impl Iterator<Item = (ProtocolId, u64)>) -> Vec<(ProtocolId, u64)> {
-    let mut v: Vec<(ProtocolId, u64)> = pairs.collect();
-    v.sort_by_key(|&(p, _)| p);
-    v.dedup_by(|later, earlier| {
-        let same = later.0 == earlier.0;
-        if same {
-            earlier.1 = earlier.1.max(later.1);
-        }
-        same
-    });
+/// A declaration's entries, `pv` not yet allocated: sorted by protocol id
+/// (the order of Rule 1's sweep and of `PvEntry` lookup), one per protocol
+/// with the largest bound declared for it. One allocation, the entry vector
+/// itself; a declaration already sorted and free of duplicates (every
+/// [`External`]'s) is taken as it stands, with no sort.
+fn declared(pairs: impl Iterator<Item = (ProtocolId, u64)>) -> Vec<PvEntry> {
+    let mut v: Vec<PvEntry> = pairs
+        .map(|(pid, bound)| PvEntry {
+            pid,
+            pv: 0,
+            bound,
+            used: AtomicU64::new(0),
+        })
+        .collect();
+    if !v.is_sorted_by(|a, b| a.pid < b.pid) {
+        v.sort_unstable_by_key(|e| e.pid);
+        v.dedup_by(|later, earlier| {
+            let same = later.pid == earlier.pid;
+            if same {
+                earlier.bound = earlier.bound.max(later.bound);
+            }
+            same
+        });
+    }
     v
 }
 
@@ -948,21 +962,20 @@ mod tests {
     use std::time::{Duration, Instant};
 
     #[test]
-    fn dedup_max_merges() {
-        let v = dedup_max(
-            [
-                (ProtocolId(2), 1),
-                (ProtocolId(0), 3),
-                (ProtocolId(2), 5),
-                (ProtocolId(0), 1),
-                (ProtocolId(7), 1),
-            ]
-            .into_iter(),
+    fn a_declaration_is_sorted_and_merged_keeping_the_largest_bound() {
+        let pairs = |v: Vec<PvEntry>| v.iter().map(|e| (e.pid.0, e.bound)).collect::<Vec<_>>();
+        let v = declared(
+            [(2, 1), (0, 3), (2, 5), (0, 1), (7, 1)]
+                .map(|(p, b)| (ProtocolId(p), b))
+                .into_iter(),
         );
-        assert_eq!(
-            v,
-            vec![(ProtocolId(0), 3), (ProtocolId(2), 5), (ProtocolId(7), 1)]
+        assert_eq!(pairs(v), [(0, 3), (2, 5), (7, 1)]);
+        let v = declared(
+            [(0, 1), (3, 2), (5, 1)]
+                .map(|(p, b)| (ProtocolId(p), b))
+                .into_iter(),
         );
+        assert_eq!(pairs(v), [(0, 1), (3, 2), (5, 1)], "taken as it stands");
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl StackBuilder {
     /// ([`RoutePattern`](crate::graph::RoutePattern)).
     pub fn bind<F>(&mut self, event: EventType, protocol: ProtocolId, name: &str, f: F) -> HandlerId
     where
-        F: Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static,
+        F: Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static,
     {
         assert!(
             protocol.index() < self.protocols.len(),
@@ -145,7 +145,7 @@ impl StackBuilder {
         f: F,
     ) -> HandlerId
     where
-        F: Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static,
+        F: Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static,
     {
         let id = self.bind(event, protocol, name, f);
         self.declare_triggers(id, triggers);
@@ -309,7 +309,7 @@ impl fmt::Debug for Stack {
 mod tests {
     use super::*;
 
-    fn noop() -> impl Fn(&Ctx, &EventData) -> Result<()> + Send + Sync + 'static {
+    fn noop() -> impl Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static {
         |_, _| Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! The threaded simulator delivers the delay it states. `NetConfig::fast`
 //! injects 0–20 us, less than a timed sleep can resolve (the kernel rounds
 //! one up by its timer slack and waking costs more), so the delivery thread
-//! yields through a wait that short instead of sleeping through it
+//! spins through a wait that short instead of sleeping through it
 //! (`sim.rs::TIMER_RESOLUTION`): before it did, a "0–20 us" hop took ~80 us.
 //! And it never delivers *early*: a delay is honoured, not skipped.
 //!

@@ -405,7 +405,7 @@ impl AbcastState {
 }
 
 /// Ask consensus to propose, if [`AbcastState::proposal`] said so.
-fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Batch)>) -> Result<()> {
+fn propose(ctx: &Ctx<'_>, ev: &Events, proposal: Option<(u64, Batch)>) -> Result<()> {
     match proposal {
         Some(p) => ctx.trigger(ev.cons_propose, EventData::new(p)),
         None => Ok(()),
@@ -416,7 +416,7 @@ fn propose(ctx: &Ctx, ev: &Events, proposal: Option<(u64, Batch)>) -> Result<()>
 /// place a request is put on its way. Every target's payload shares the
 /// batch. Nothing when `batch` is empty.
 fn send_requests(
-    ctx: &Ctx,
+    ctx: &Ctx<'_>,
     ev: &Events,
     batch: Batch,
     to: impl IntoIterator<Item = SiteId>,

@@ -619,7 +619,7 @@ fn proposals(
 
 /// Emit a transition's actions as events: point-to-point sends via
 /// `SendOut`, decisions as a RelCast flood.
-fn emit(ctx: &Ctx, ev: &Events, acts: Actions) -> Result<()> {
+fn emit(ctx: &Ctx<'_>, ev: &Events, acts: Actions) -> Result<()> {
     for (target, msg) in acts.out {
         ctx.trigger(ev.send_out, EventData::new((Payload::Cons(msg), target)))?;
     }

@@ -69,7 +69,7 @@ impl RelCastState {
 /// Send `msg` through RelComm to every member of `view` except the sites
 /// in `holders`, which already have it (this site among them).
 fn fan_out(
-    ctx: &Ctx,
+    ctx: &Ctx<'_>,
     ev: &Events,
     holders: &[SiteId],
     view: &GroupView,

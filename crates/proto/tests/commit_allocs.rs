@@ -172,18 +172,20 @@ fn allocs(debug: u64, release: u64) -> u64 {
 // Site 0 coordinates round 0. A batch collected from what a site holds is
 // written into its one allocation, an empty one allocates nothing, and a
 // decision's `ADeliver` runs are ranges of the decided batch, not copies.
+// A computation's Rule 1 allocates its entry vector and nothing else; the
+// three rows run 12, 11 and 30 computations.
 
 #[test]
 fn one_commit_from_a_follower() {
-    assert_eq!(warm_commit(1, 1, 41), (allocs(223, 203), 11));
+    assert_eq!(warm_commit(1, 1, 41), (allocs(211, 191), 11));
 }
 
 #[test]
 fn one_commit_from_the_coordinator() {
-    assert_eq!(warm_commit(0, 1, 41), (allocs(208, 189), 10));
+    assert_eq!(warm_commit(0, 1, 41), (allocs(197, 178), 10));
 }
 
 #[test]
 fn a_burst_of_eight_casts_from_a_follower() {
-    assert_eq!(warm_commit(1, 8, 43), (allocs(432, 393), 22));
+    assert_eq!(warm_commit(1, 8, 43), (allocs(402, 363), 22));
 }

@@ -200,7 +200,7 @@ fn draining(backlog: &HashMap<SiteId, VecDeque<Frame>>) -> impl Fn(SiteId) -> bo
 /// and arms for what it finds. A typical ack costs one scan and one load,
 /// and allocates nothing.
 fn arm_when_done(
-    ctx: &Ctx,
+    ctx: &Ctx<'_>,
     alarm: &Option<Alarm>,
     state: &ProtocolState<WindowState>,
     s: &mut WindowState,
