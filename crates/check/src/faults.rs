@@ -40,6 +40,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -352,6 +353,10 @@ impl Scenario for ClusterScenario {
         // Each tick must clear RelComm's exponential backoff (rto << attempts,
         // capped at 16x) so a retransmission actually fires.
         let tick_advance = RTO * 32;
+        // A suspicion needs a silence *longer* than `fd_timeout`: the clock
+        // moves a little past it, as far as a running detector's heartbeat
+        // lets a silence run on before its next sweep notices it.
+        let silence = cfg.fd_timeout + Duration::from_millis(10);
 
         loop {
             // Let the computations triggered by the previous move finish
@@ -392,9 +397,10 @@ impl Scenario for ClusterScenario {
                     partitioned = false;
                 }
                 TICK_ID => {
-                    // RelComm defers its acks to the retransmission tick, and
-                    // the real tick fires several times per RTO. Model that
-                    // before time passes the RTO: one tick at the current
+                    // RelComm defers an ack for at most its ack delay, well
+                    // under one RTO, and a real node's timer then sends what
+                    // is still owed. Model that before time passes the RTO:
+                    // one tick at the current
                     // time makes every site flush the acks it owes, and what
                     // that tick put on the network is delivered as part of
                     // this move. The tick after the advance then resends only
@@ -423,7 +429,7 @@ impl Scenario for ClusterScenario {
                     budget.crashes -= 1;
                 }
                 id if (SUSPECT_BASE..SUSPECT_BASE + n as u32).contains(&id) => {
-                    clock.advance(cfg.fd_timeout + samoa_proto::TICK_INTERVAL);
+                    clock.advance(silence);
                     nodes[(id - SUSPECT_BASE) as usize].inject_fd_tick();
                     budget.suspicions -= 1;
                 }

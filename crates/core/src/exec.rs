@@ -56,10 +56,10 @@ use parking_lot::{Condvar, Mutex};
 
 pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
-/// How long an idle worker stays cached. Well above the protocol stack's
-/// 10 ms timer tick, so the threads serving periodic computations survive
-/// from one tick to the next; short enough that a burst's threads are gone
-/// soon after it.
+/// How long an idle worker stays cached. Well above the failure detector's
+/// 10 ms heartbeat, so the threads serving periodic computations survive
+/// from one heartbeat to the next; short enough that a burst's threads are
+/// gone soon after it.
 const KEEP_ALIVE: Duration = Duration::from_millis(250);
 
 /// Where one parked worker receives its next job.

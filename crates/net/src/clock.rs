@@ -12,7 +12,9 @@
 //! A stack host (a proto `Node`, a transport `Endpoint`) is a [`Host`]:
 //! [`Ticker::attach`] builds it around its [`Ticker`] and hands it the
 //! datagrams of its site and the ticks of its timer thread, which sleeps
-//! until the instant its [`Alarm`] is armed for. That instant is on the
+//! until the instant its [`Alarm`] is armed for. There is no period: what
+//! puts a deadline in the host's state arms the alarm for it, and a tick
+//! arms again only what is still to come. The armed instant is on the
 //! wall clock: a manual clock's instants mean nothing to a thread that
 //! sleeps in real time. So the host's clock alone decides whether a timer
 //! runs ([`Alarm::on`]): on the wall clock one does, on a manual clock none
@@ -185,14 +187,15 @@ impl Alarm {
         (ns != UNARMED).then(|| self.0.epoch + Duration::from_nanos(ns))
     }
 
-    /// Start the thread, named `name`, that waits on this alarm, calls
-    /// `tick` on `target` when it rings and arms the instant `tick` returns
-    /// — until the alarm is stopped, or the target is gone.
+    /// Start the thread, named `name`, that waits on this alarm and calls
+    /// `tick` on `target` when it rings — until the alarm is stopped, or the
+    /// target is gone. The alarm is disarmed before `tick` runs: whatever
+    /// `tick` and the target arm from then on is rung for.
     fn spawn<T: Send + Sync + 'static>(
         &self,
         name: String,
         target: Weak<T>,
-        tick: impl Fn(&T) -> Option<Instant> + Send + 'static,
+        tick: impl Fn(&T) + Send + 'static,
     ) {
         let inner = Arc::clone(&self.0);
         let thread = std::thread::Builder::new()
@@ -205,10 +208,7 @@ impl Alarm {
                     if inner.stopped.load(Ordering::SeqCst) {
                         break;
                     }
-                    // This thread is awake: nobody to notify.
-                    if let Some(at) = tick(&target) {
-                        inner.lower(at);
-                    }
+                    tick(&target);
                 }
             })
             .expect("spawn timer thread");
@@ -256,16 +256,17 @@ pub trait Host: Send + Sync + 'static {
     /// One datagram addressed to the host's site.
     fn on_datagram(&self, dg: Datagram);
 
-    /// The armed instant has passed: tick, and return the next instant to
-    /// tick at, if the host keeps one. A host that arms its alarm as work
-    /// goes out returns none.
-    fn on_alarm(&self) -> Option<Instant>;
+    /// The armed instant has passed: tick what is due, and arm the alarm
+    /// again for each deadline of the host's that is still to come (the
+    /// alarm holds one instant, the earliest, and ringing disarms it).
+    fn on_alarm(&self);
 }
 
 /// The timer of a stack host (a proto `Node`, a transport `Endpoint`): a
-/// thread that sleeps until its [`Alarm`]'s instant has passed, calls `tick`
-/// on its target, and arms the instant `tick` returns, until it is stopped
-/// or dropped, or the target is — or, on a manual clock, nothing. A
+/// thread that sleeps until its [`Alarm`]'s instant has passed and calls
+/// `tick` on its target, until it is stopped or dropped, or the target is —
+/// or, on a manual clock, nothing. It keeps no period: the host arms the
+/// alarm for each deadline its state holds. A
 /// [`Host`] is built around one by [`Ticker::attach`], whose thread calls
 /// [`Host::on_alarm`]. The thread holds the target only weakly, so a host
 /// can own its ticker.
@@ -299,6 +300,11 @@ impl Ticker {
             alarm.spawn(name, Arc::downgrade(&host), H::on_alarm);
         }
         host
+    }
+
+    /// The alarm this ticker waits on; none on a manual clock.
+    pub fn alarm(&self) -> Option<&Alarm> {
+        self.0.as_ref()
     }
 
     /// Stop ticking and join the thread, which is woken to notice, so this
@@ -375,13 +381,19 @@ mod tests {
     const PATIENCE: Duration = Duration::from_secs(10);
     const HOUR: Duration = Duration::from_secs(3600);
 
-    /// A ticker whose thread, `t`, waits on `alarm` and ticks `target`.
+    /// A ticker whose thread, `t`, waits on `alarm`, ticks `target` and
+    /// arms the instant the tick returns, if any.
     fn start<T: Send + Sync + 'static>(
         alarm: Alarm,
         target: Weak<T>,
         tick: impl Fn(&T) -> Option<Instant> + Send + 'static,
     ) -> Ticker {
-        alarm.spawn("t".into(), target, tick);
+        let handle = alarm.clone();
+        alarm.spawn("t".into(), target, move |t| {
+            if let Some(at) = tick(t) {
+                handle.arm(at);
+            }
+        });
         Ticker(Some(alarm))
     }
 

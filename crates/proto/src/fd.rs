@@ -6,18 +6,28 @@
 //! announced once per site via the `Suspect` event; a heartbeat from a
 //! suspected site rescinds the suspicion (eventual accuracy under the
 //! simulator's fault model).
+//!
+//! The detector's one deadline is its next heartbeat, `HEARTBEAT` (10 ms)
+//! after the last (`FdState::next_beat`). With `enable_fd` a node hands the
+//! detector its timer and each tick arms it for the next; on a manual clock
+//! whoever advances the clock injects the ticks, and a tick heartbeats and
+//! sweeps however long ago the last one was.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use samoa_core::prelude::*;
-use samoa_net::{SiteId, Transport};
+use samoa_net::{Alarm, SiteId, Transport};
 
 use crate::clock::ProtoClock;
 use crate::events::Events;
 use crate::msgs::Wire;
 use crate::view::GroupView;
+
+/// How often a running detector heartbeats and sweeps: the granularity of
+/// its suspicions, which come at the first tick after `timeout` of silence.
+const HEARTBEAT: Duration = Duration::from_millis(10);
 
 /// The local state of the failure-detector microprotocol.
 pub struct FdState {
@@ -27,29 +37,37 @@ pub struct FdState {
     suspected: HashSet<SiteId>,
     timeout: Duration,
     started: Instant,
+    /// When the last tick heartbeated (`started` before the first).
+    beat: Instant,
     clock: ProtoClock,
+    /// The node's timer, when the detector runs on the wall clock: each
+    /// tick arms it for the next.
+    pub(crate) alarm: Option<Alarm>,
 }
 
 impl FdState {
-    /// Fresh state on the wall clock; every member gets a grace period of
-    /// `timeout` from now.
-    pub fn new(site: SiteId, view: GroupView, timeout: Duration) -> Self {
-        FdState::with_clock(site, view, timeout, ProtoClock::wall())
-    }
-
     /// Fresh state reading time from `clock` (a manual clock makes the
     /// detector fully deterministic: suspicion depends only on explicit
-    /// `advance` calls, never on host scheduling).
+    /// `advance` calls, never on host scheduling); every member gets a
+    /// grace period of `timeout` from now.
     pub fn with_clock(site: SiteId, view: GroupView, timeout: Duration, clock: ProtoClock) -> Self {
+        let started = clock.now();
         FdState {
             site,
             view,
             last_heard: HashMap::new(),
             suspected: HashSet::new(),
             timeout,
-            started: clock.now(),
+            started,
+            beat: started,
             clock,
+            alarm: None,
         }
+    }
+
+    /// When the next heartbeat is due: `HEARTBEAT` after the last.
+    pub(crate) fn next_beat(&self) -> Instant {
+        self.beat + HEARTBEAT
     }
 
     /// Currently suspected sites.
@@ -76,6 +94,10 @@ pub fn register(
         let tick = b.bind_with_triggers(e, pid, "fd.tick", &[], move |ctx, _| {
             let (me, peers, suspects) = state.with(ctx, |s| {
                 let now = s.clock.now();
+                s.beat = now;
+                if let Some(alarm) = &s.alarm {
+                    alarm.arm(s.next_beat());
+                }
                 let peers: Vec<SiteId> = s
                     .view
                     .members()
@@ -142,20 +164,22 @@ mod tests {
 
     #[test]
     fn fresh_state_suspects_nobody() {
-        let s = FdState::new(
+        let s = FdState::with_clock(
             SiteId(0),
             GroupView::of_first(3),
             Duration::from_millis(100),
+            ProtoClock::wall(),
         );
         assert!(s.suspects().is_empty());
     }
 
     #[test]
     fn suspects_sorted() {
-        let mut s = FdState::new(
+        let mut s = FdState::with_clock(
             SiteId(0),
             GroupView::of_first(4),
             Duration::from_millis(100),
+            ProtoClock::wall(),
         );
         s.suspected.insert(SiteId(3));
         s.suspected.insert(SiteId(1));

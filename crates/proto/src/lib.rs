@@ -49,9 +49,7 @@ pub use msgs::{
     AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, Frames, MsgUid, Payload, SyncMsg,
     TraceCtx, Wire,
 };
-pub use node::{
-    Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster, TICK_INTERVAL,
-};
+pub use node::{Cluster, ClusterMetrics, Node, NodeConfig, Observe, StackPolicy, TcpCluster};
 pub use observe::ClusterTracer;
 pub use relcomm::RTO;
 pub use samoa_net::clock::{self, ProtoClock};

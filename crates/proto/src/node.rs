@@ -124,11 +124,6 @@ pub use samoa_core::Policy as StackPolicy;
 /// processing FIFO, which the delivery-order assertions rely on.
 const INTRA_THREADS: usize = 1;
 
-/// Timer period (retransmission + failure detection). RelComm's ack
-/// deferral relies on [`RTO`](crate::relcomm::RTO) ≥ 2 × `TICK_INTERVAL`,
-/// checked where `RTO` is defined.
-pub const TICK_INTERVAL: Duration = Duration::from_millis(10);
-
 /// Node tunables.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -149,8 +144,10 @@ pub struct NodeConfig {
     /// The time source the stack's timeout logic (failure detector,
     /// RelComm retransmission) reads, and what decides whether the timer
     /// runs ([`Alarm::on`]). On the wall clock (the default) a thread,
-    /// `node-N-timer`, injects a retransmission tick — and a failure
-    /// detector tick with `enable_fd` — every [`TICK_INTERVAL`]. On a
+    /// `node-N-timer`, sleeps until a deadline has passed — a frame due for
+    /// a resend, an ack that has waited long enough for a ride, the failure
+    /// detector's next heartbeat with `enable_fd` — and injects the tick it
+    /// is for; while none is armed it sleeps. On a
     /// [`ProtoClock::manual`] clock no thread starts: whoever advances the
     /// clock injects the ticks ([`Node::inject_retransmit_tick`],
     /// [`Node::inject_fd_tick`]). Shared across a cluster, a manual clock
@@ -314,6 +311,16 @@ impl Node {
         if !cfg.view_change_delay.is_zero() {
             relcomm_st.write(|s| s.view_change_delay = cfg.view_change_delay);
         }
+        // The Timer Module: RelComm arms it for what it sends and owes, and
+        // a running failure detector for its heartbeats, from the first on.
+        let alarm = Alarm::on(&cfg.clock);
+        relcomm_st.write(|s| s.alarm = alarm.clone());
+        if let Some(alarm) = alarm.as_ref().filter(|_| cfg.enable_fd) {
+            fd_st.write(|s| {
+                s.alarm = Some(alarm.clone());
+                alarm.arm(s.next_beat());
+            });
+        }
         if !cfg.ab_order_enabled {
             abcast_st.write(|s| s.order_enabled = false);
         }
@@ -350,7 +357,6 @@ impl Node {
         let rt = Runtime::with_parts(stack, rt_cfg, hook, observe.sink);
 
         // The Network Module and the Timer Module.
-        let alarm = Alarm::on(&cfg.clock).inspect(|a| a.arm(Instant::now() + TICK_INTERVAL));
         let name = format!("node-{}-timer", site.0);
         let net = Arc::clone(&transport);
         Ticker::attach(site, &*net, alarm, name, |timer| Node {
@@ -644,14 +650,24 @@ impl Host for Node {
         }
     }
 
-    /// The Timer Module: a retransmission tick, a failure-detector tick
-    /// when `enable_fd` is set, and the next one a [`TICK_INTERVAL`] on.
-    fn on_alarm(&self) -> Option<Instant> {
-        self.inject_retransmit_tick();
-        if self.cfg.enable_fd {
-            self.inject_fd_tick();
+    /// The Timer Module: a retransmission tick if RelComm has a deadline
+    /// that has passed, a failure-detector tick if `enable_fd` is set and a
+    /// heartbeat is due. Each tick arms the alarm for what it leaves; a
+    /// deadline still to come is armed again here.
+    fn on_alarm(&self) {
+        let Some(alarm) = self.timer.alarm() else {
+            return;
+        };
+        let now = self.cfg.clock.now();
+        let relcomm = self.relcomm.read(RelCommState::next_due);
+        let fd = self.cfg.enable_fd.then(|| self.fd.read(FdState::next_beat));
+        for (due, tick) in [(relcomm, self.ev.retransmit_tick), (fd, self.ev.fd_tick)] {
+            match due {
+                Some(at) if at <= now => self.spawn_external(tick, EventData::empty()),
+                Some(at) => alarm.arm(at),
+                None => {}
+            }
         }
-        Some(Instant::now() + TICK_INTERVAL)
     }
 }
 
@@ -1025,6 +1041,35 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// With the failure detector off a node keeps no period: once a
+    /// broadcast's frames are acknowledged and its acks have left — RelComm
+    /// then has no deadline — the timer has no instant armed, and for the
+    /// next 100 ms no node starts a single computation.
+    #[test]
+    fn an_idle_node_arms_nothing_and_spawns_nothing() {
+        let c = Cluster::new(3, NetConfig::fast(3), NodeConfig::default());
+        c.node(0).rbcast("ping");
+        let armed = |n: &Arc<Node>| n.timer.alarm().and_then(Alarm::deadline);
+        let idle = |n: &Arc<Node>| n.relcomm.read(RelCommState::next_due).is_none();
+        let patience = Instant::now() + Duration::from_secs(10);
+        while !c.nodes().iter().all(|n| idle(n) && armed(n).is_none()) {
+            assert!(Instant::now() < patience, "RelComm never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(c.nodes().iter().all(|n| n.rb_delivered().len() == 1));
+        let spawned = |c: &Cluster| {
+            let stats = c.nodes().iter().map(|n| n.runtime().stats());
+            stats.map(|s| s.computations_spawned).collect::<Vec<_>>()
+        };
+        let before = spawned(&c);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(spawned(&c), before, "an idle node started a computation");
+        for n in c.nodes() {
+            assert_eq!(armed(n), None, "{}: an idle node armed its timer", n.site);
+            assert_eq!(n.external_errors(), 0, "{}", n.site);
         }
     }
 

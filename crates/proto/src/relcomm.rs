@@ -23,21 +23,35 @@
 //! Every data frame is acknowledged — duplicates too, the first ack may
 //! have been lost — but an ack never costs a datagram of its own while
 //! there is traffic the other way. `recv_data` only *records* the ack it
-//! owes the sender (per peer, in arrival order). Every data datagram built
-//! for that peer (`send`, `retransmit`) takes the owed list along: the
-//! `Wire::Ack` frames follow the `Wire::Data` frame in the same datagram,
-//! and the receiver's Network Module hands the whole datagram to one
-//! computation. What is still owed when the retransmission tick fires — or
-//! as soon as `OWED_ACK_CAP` acks have piled up for one peer, whichever
-//! comes first — leaves as one ack-only datagram per peer.
+//! owes the sender (per peer, in arrival order, with the instant the first
+//! of them was recorded). Every data datagram built for that peer (`send`,
+//! `retransmit`) takes the owed list along: the `Wire::Ack` frames follow
+//! the `Wire::Data` frame in the same datagram, and the receiver's Network
+//! Module hands the whole datagram to one computation. An ack waits for a
+//! ride for at most `ACK_DELAY` (10 ms): that is its own deadline, and at
+//! the tick it brings whatever is still owed leaves as one ack-only
+//! datagram per peer — as does a peer's list as soon as `OWED_ACK_CAP`
+//! acks have piled up in it, whichever comes first.
 //!
-//! So an ack is at most one tick (`node::TICK_INTERVAL`) late. The RTT
-//! estimator sees the deferral as part of the round trip and absorbs it;
-//! what must hold is [`RTO`] ≥ 2 × `TICK_INTERVAL` (25 ms vs 10 ms), so
-//! that a deferred ack is back before the sender's first timeout can fire.
-//! That relation is a compile-time check beside [`RTO`]. A smaller RTO
-//! would stay correct — dedup suppresses the spurious resends — it would
-//! just waste datagrams.
+//! So an ack is at most `ACK_DELAY` late. The RTT estimator sees the
+//! deferral as part of the round trip and absorbs it; what must hold is
+//! [`RTO`] ≥ 2 × `ACK_DELAY` (25 ms vs 10 ms), so that a deferred ack is
+//! back before the sender's first timeout can fire. That relation is a
+//! compile-time check beside [`RTO`]. A smaller RTO would stay correct —
+//! dedup suppresses the spurious resends — it would just waste datagrams.
+//!
+//! ## Deadlines
+//!
+//! RelComm keeps no period. Its tick (`retransmit`) has something to do at
+//! the earliest resend ([`ArqSender::next_due`]) or when the first ack
+//! still owed has waited `ACK_DELAY`, whichever is first; that instant is a
+//! pure function of the state (`RelCommState::next_due`). A handler that
+//! adds a deadline arms the node's [`Alarm`] for it directly — `send` for
+//! the frame it put in flight, `recv_data` when a peer's owed list was
+//! empty, `retransmit` for what it leaves — and [`Alarm::arm`] keeps the
+//! earlier instant, one load when one is armed already. A node whose
+//! RelComm holds nothing unacknowledged and owes nothing has no deadline,
+//! and its timer wakes nobody.
 //!
 //! Acks stay per sequence number and selective. A cumulative ack ("all up
 //! to n") would be smaller still, but a single lost frame would pin the
@@ -46,17 +60,16 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use samoa_core::prelude::*;
 use samoa_net::codec::counted;
-use samoa_net::{ArqReceiver, ArqSender, SiteId, Transport};
+use samoa_net::{Alarm, ArqReceiver, ArqSender, SiteId, Transport};
 
 use crate::clock::ProtoClock;
 use crate::events::Events;
 use crate::msgs::{MsgUid, Payload, TraceCtx, Wire};
-use crate::node::TICK_INTERVAL;
 use crate::observe::{ClusterTracer, RelCommInstruments};
 use crate::view::GroupView;
 
@@ -64,8 +77,12 @@ use crate::view::GroupView;
 /// message is first resent after.
 pub const RTO: Duration = Duration::from_millis(25);
 
+/// How long an owed ack waits for a data datagram to ride on before it
+/// leaves on its own (module docs).
+const ACK_DELAY: Duration = Duration::from_millis(10);
+
 // A deferred ack is back before the sender's first timeout (module docs).
-const _: () = assert!(RTO.as_nanos() >= 2 * TICK_INTERVAL.as_nanos());
+const _: () = assert!(RTO.as_nanos() >= 2 * ACK_DELAY.as_nanos());
 
 /// A reliably delivered payload of one class —
 /// [`CastMsg`](crate::msgs::CastMsg), packed [`AbMsg`](crate::msgs::AbMsg)s,
@@ -126,9 +143,22 @@ pub struct RcAckIn {
 const BACKOFF_CAP: u32 = 4;
 
 /// How many acks may be owed to one peer before they leave as a datagram of
-/// their own without waiting for the tick: bounds the owed list (and the
+/// their own without waiting for `ACK_DELAY`: bounds the owed list (and the
 /// datagram) under a one-directional burst.
 const OWED_ACK_CAP: usize = 64;
+
+/// The acks owed to one peer, in arrival order, and when the first of them
+/// was recorded: they leave by `since + ACK_DELAY`.
+struct Owed {
+    seqs: Vec<u64>,
+    since: Instant,
+}
+
+impl Owed {
+    fn len(&self) -> usize {
+        self.seqs.len()
+    }
+}
 
 /// How many operations' hop counts [`HopTable`] remembers. A hop count is
 /// looked up only while its operation is in flight — a few round trips —
@@ -184,14 +214,14 @@ fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> By
 /// it: those are owed no more. The list is cleared, not dropped, so the
 /// next acks owed to `peer` reuse its buffer.
 fn datagram_to(
-    owed: &mut BTreeMap<SiteId, Vec<u64>>,
+    owed: &mut BTreeMap<SiteId, Owed>,
     peer: SiteId,
     data: Option<(u64, Option<TraceCtx>, &Payload)>,
 ) -> Bytes {
     match owed.get_mut(&peer) {
         Some(acks) => {
-            let bytes = datagram(data, acks);
-            acks.clear();
+            let bytes = datagram(data, &acks.seqs);
+            acks.seqs.clear();
             bytes
         }
         None => datagram(data, &[]),
@@ -225,8 +255,11 @@ pub struct RelCommState {
     /// so that flush order is a pure function of the state, like resends.
     /// A peer's list is kept from one datagram to the next: sending what it
     /// holds clears it, and only a view change that drops the peer drops it.
-    owed: BTreeMap<SiteId, Vec<u64>>,
+    owed: BTreeMap<SiteId, Owed>,
     clock: ProtoClock,
+    /// The node's timer, when it runs on the wall clock: a handler that adds
+    /// a deadline arms it (module docs, "Deadlines").
+    pub(crate) alarm: Option<Alarm>,
     /// Artificial processing delay at the start of `view_change`, used by
     /// experiment E5 to widen the §3 race window (simulating the "time
     /// consuming" view installation work the paper's motivation cites).
@@ -247,14 +280,9 @@ pub struct RelCommState {
 }
 
 impl RelCommState {
-    /// Fresh state for `site` with the given initial view, on the wall
-    /// clock.
-    pub fn new(site: SiteId, view: GroupView) -> Self {
-        RelCommState::with_clock(site, view, ProtoClock::wall())
-    }
-
-    /// Fresh state reading time from `clock` (a manual clock makes
-    /// retransmission timing deterministic under the checker).
+    /// Fresh state for `site` with the given initial view, reading time from
+    /// `clock` (a manual clock makes retransmission timing deterministic
+    /// under the checker).
     pub fn with_clock(site: SiteId, view: GroupView, clock: ProtoClock) -> Self {
         RelCommState {
             site,
@@ -263,6 +291,7 @@ impl RelCommState {
             rx: ArqReceiver::default(),
             owed: BTreeMap::new(),
             clock,
+            alarm: None,
             view_change_delay: Duration::ZERO,
             ctx_hops: HopTable::default(),
             tracer: None,
@@ -307,6 +336,22 @@ impl RelCommState {
         &self.view
     }
 
+    /// When the tick next has something to do, if ever without another
+    /// frame sent or received: the earliest resend (never draining, as in
+    /// `retransmit`) or the first ack still owed plus `ACK_DELAY`.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        let owed = self.owed.values().filter(|o| !o.seqs.is_empty());
+        let acks = owed.map(|o| o.since + ACK_DELAY).min();
+        self.tx.next_due(|_| false).into_iter().chain(acks).min()
+    }
+
+    /// Arm the node's timer, if it has one, for `at`.
+    fn arm(&self, at: Instant) {
+        if let Some(alarm) = &self.alarm {
+            alarm.arm(at);
+        }
+    }
+
     /// `from` acknowledges `seqs`: both the ack-only datagram (`recv_ack`)
     /// and the acks riding a data datagram (`recv_data`) end up here.
     fn apply_acks(&mut self, from: SiteId, seqs: &[u64]) {
@@ -344,10 +389,11 @@ pub fn register(
                 let wire_ctx = s.ctx_for(payload);
                 let now = s.clock.now();
                 let seq = s.tx.send(*target, (payload.clone(), wire_ctx), now);
+                let rto = s.tx.rto(*target);
                 s.instruments.sends.inc();
-                s.instruments
-                    .rto_us
-                    .set(s.tx.rto(*target).as_micros() as u64);
+                s.instruments.rto_us.set(rto.as_micros() as u64);
+                // The frame just sent is due for a resend one RTO on.
+                s.arm(now + rto);
                 // The acks owed to the target ride along.
                 let bytes = datagram_to(&mut s.owed, *target, Some((seq, wire_ctx, payload)));
                 Some((s.site, wire_ctx, bytes))
@@ -383,10 +429,20 @@ pub fn register(
                 // The dedup filter is the exactly-once guarantee.
                 let fresh = s.rx.fresh(m.sender, m.seq);
                 // Always owe an ack — even for duplicates (the original ack
-                // may be lost). It rides the next datagram to the sender;
-                // only a full list leaves on its own.
-                let owed = s.owed.entry(m.sender).or_default();
-                owed.push(m.seq);
+                // may be lost). It rides the next datagram to the sender, or
+                // leaves on its own by its deadline or with a full list.
+                let now = s.clock.now();
+                let owed = s.owed.entry(m.sender).or_insert_with(|| Owed {
+                    seqs: Vec::new(),
+                    since: now,
+                });
+                if owed.seqs.is_empty() {
+                    owed.since = now;
+                    if let Some(alarm) = &s.alarm {
+                        alarm.arm(now + ACK_DELAY);
+                    }
+                }
+                owed.seqs.push(m.seq);
                 let overflow =
                     (owed.len() >= OWED_ACK_CAP).then(|| datagram_to(&mut s.owed, m.sender, None));
                 // Deliver only from in-view senders (paper's recv).
@@ -437,7 +493,7 @@ pub fn register(
                 let view = &s.view;
                 s.tx.retain_peers(|target| view.contains(target));
                 let mut out = Vec::new();
-                // Never draining: acks leave batched, up to a tick late.
+                // Never draining: acks leave batched, up to ACK_DELAY late.
                 s.tx.due(
                     now,
                     |_| false,
@@ -458,10 +514,14 @@ pub fn register(
                 // Whatever no data datagram took along goes out on its own,
                 // one datagram per peer.
                 for (&peer, acks) in &mut s.owed {
-                    if !acks.is_empty() {
-                        out.push((peer, None, datagram(None, acks)));
-                        acks.clear();
+                    if !acks.seqs.is_empty() {
+                        out.push((peer, None, datagram(None, &acks.seqs)));
+                        acks.seqs.clear();
                     }
+                }
+                // What is still unacknowledged is due again later.
+                if let Some(at) = s.next_due() {
+                    s.arm(at);
                 }
                 (s.site, out)
             });
@@ -640,9 +700,46 @@ mod tests {
         assert_eq!((lone.net.pending(), lone.ctx_sends()), (3, 0), "ack");
     }
 
+    /// RelComm's deadline on a manual clock: a frame sent at `t` is due for
+    /// a resend at `t + RTO`, an ack owed since `t` leaves by
+    /// `t + ACK_DELAY`, and once a tick has sent the owed acks and
+    /// everything sent is acknowledged there is no deadline at all.
+    #[test]
+    fn next_due_is_the_earliest_resend_or_owed_ack() {
+        let lone = Lone::new(false);
+        let due = || lone.state.read(RelCommState::next_due);
+        assert_eq!(due(), None, "nothing sent, nothing owed");
+
+        let t = lone.clock.now();
+        let to_site_1 = EventData::new((cast(SiteId(0), 1), SiteId(1)));
+        lone.trigger(lone.ev.send_out, to_site_1);
+        assert_eq!(due(), Some(t + RTO), "a send");
+
+        lone.clock.advance(ACK_DELAY / 2);
+        let t = lone.clock.now();
+        lone.recv(1, None);
+        assert_eq!(due(), Some(t + ACK_DELAY), "an owed ack");
+        // A second ack owed to the same peer waits with the first.
+        lone.clock.advance(ACK_DELAY / 2);
+        lone.recv(2, None);
+        assert_eq!(due(), Some(t + ACK_DELAY), "the first owed ack");
+
+        let acked = RcAckIn {
+            sender: SiteId(1),
+            seqs: vec![1],
+        };
+        lone.trigger(lone.ev.rc_ack, EventData::new(acked));
+        assert_eq!(due(), Some(t + ACK_DELAY), "the send is acknowledged");
+
+        lone.clock.advance(ACK_DELAY);
+        lone.trigger(lone.ev.retransmit_tick, EventData::empty());
+        assert_eq!(lone.net.pending(), 2, "the send, then the owed acks");
+        assert_eq!(due(), None, "all acknowledged, nothing owed");
+    }
+
     #[test]
     fn state_counters_start_clean() {
-        let s = RelCommState::new(SiteId(0), GroupView::of_first(3));
+        let s = RelCommState::with_clock(SiteId(0), GroupView::of_first(3), ProtoClock::wall());
         assert_eq!(s.pending_count(), 0);
         assert_eq!(s.instruments.retransmits.get(), 0);
         assert_eq!(s.view().len(), 3);

@@ -191,10 +191,12 @@ fn the_timer_and_the_delivery_thread_are_entry_threads_too() {
         let net = SimNet::new(2, NetConfig::fast(2));
         let cfg = NodeConfig::with_policy(policy);
         let c = Cluster::new_observed_on(net, cfg, None, observed(&sink));
-        sink.wait_for("node-0-timer");
-        assert_eq!(threads("node-0-timer"), 1, "{policy}: one timer per node");
         c.node(0).rbcast("ping");
         sink.wait_for("simnet-delivery");
+        // Site 1 has nothing to send back that its ack could ride on: its
+        // timer sends the ack once it has waited long enough.
+        sink.wait_for("node-1-timer");
+        assert_eq!(threads("node-1-timer"), 1, "{policy}: one timer per node");
         c.settle();
         let me = thread::current();
         let entry = [

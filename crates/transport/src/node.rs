@@ -235,13 +235,11 @@ impl Host for Endpoint {
     }
 
     /// A tick computation, unless nothing is in flight — an instant armed
-    /// for frames since acknowledged. Window arms the next instant itself,
-    /// so this returns none.
-    fn on_alarm(&self) -> Option<Instant> {
+    /// for frames since acknowledged. Window arms the next instant itself.
+    fn on_alarm(&self) {
         if self.window.read(|w| w.unacked() > 0) {
             self.inject_tick();
         }
-        None
     }
 }
 
