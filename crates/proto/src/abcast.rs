@@ -18,21 +18,31 @@
 //!
 //! Only round 0's coordinator proposes in round 0 (`consensus.rs`), so a
 //! request must reach `view.coordinator(0)`; it need not reach every site.
-//! Its origin sends it to every other member in a [`Payload::Request`]. A
-//! site that is not the coordinator forwards the requests it receives first
-//! to the coordinator, in one `Request`, unless the coordinator is their
-//! origin or the copy's sender: both hold them already. With `n` sites a
-//! `Request` costs at most `2n − 3` frames however many requests it packs,
-//! and an origin that crashes after reaching a single site still gets its
-//! requests ordered.
+//! The coordinator's own requests are in its `pending` from the start, and
+//! its next `Propose` carries them to every follower: it sends no
+//! [`Payload::Request`]. Any other origin sends its requests to every other
+//! member in a `Request`. A site that is not the coordinator forwards the
+//! requests it receives first to the coordinator, in one `Request`, unless
+//! the coordinator is their origin or the copy's sender: both hold them
+//! already. With `n` sites a `Request` costs at most `2n − 3` frames however
+//! many requests it packs, and the coordinator's own requests cost none.
+//!
+//! A follower takes the requests a `Propose` carries into `pending` on first
+//! receipt (`abcast.on_propose`), as a `Request` would have: it forwards
+//! nothing, since the sender is the coordinator, and proposes nothing. So an
+//! origin that crashes after reaching a single site — with its `Request`,
+//! or, the coordinator, with its `Propose` — still gets its requests
+//! ordered, and what a handover or a joiner's snapshot carries is the same
+//! as when every origin sent a `Request`.
 //!
 //! An origin packs the requests it makes while one of its own is in
 //! flight. A new request is sent at once unless a request this site sent
 //! earlier is still undelivered here; then it is *held*. A held request is
 //! in `pending` from the start, so a coordinator origin proposes it, and a
 //! handover or a joiner's snapshot carries it. Each decision delivered here
-//! sends everything still held and undelivered as one `Request` per peer.
-//! A view operation is never held and takes what is held with it: a Leave
+//! sends everything still held and undelivered as one `Request` per peer —
+//! from a follower: round 0's coordinator sends nothing (`flush`). A view
+//! operation is never held and takes what is held with it: a Leave
 //! of a coordinator must not wait behind a request stuck at that
 //! coordinator. The trigger is the request in flight, so no timer bounds
 //! the hold and no size caps the pack: a held request waits for the
@@ -43,7 +53,10 @@
 //! change of coordinator falls back on. When a view change moves round 0's
 //! coordinator to a site that was already a member, every site sends it
 //! its pending requests, in one `Request`: the one forward of a request may
-//! have gone to the coordinator that left.
+//! have gone to the coordinator that left. A coordinator that steps down
+//! while a request of its own is pending hands it on the same way — to a
+//! successor that was a member, or in the snapshot to a joiner that sorts
+//! first — since no `Request` ever carried it.
 //!
 //! A joiner is sent the ordering state by every incumbent: the next
 //! instance, the delivered uids (as per-origin ranges: constant size however
@@ -74,7 +87,9 @@ use samoa_core::TraceKind;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbMsg, AbPayload, Batch, CastData, CastMsg, MsgUid, Payload, SyncMsg, UidSet};
+use crate::msgs::{
+    AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, MsgUid, Payload, SyncMsg, UidSet,
+};
 use crate::observe::{AbcastInstruments, ClusterTracer};
 use crate::relcomm::RDeliver;
 use crate::view::{GroupView, ViewOp};
@@ -243,6 +258,14 @@ impl AbcastState {
         true
     }
 
+    /// Take the requests a `Propose` carries into `pending`, as if a
+    /// `Request` had brought them (module docs).
+    fn adopt(&mut self, value: &Batch) {
+        for m in value {
+            self.note_request(m);
+        }
+    }
+
     /// Should we propose now? Returns the instance and value if so.
     fn proposal(&mut self) -> Option<(u64, Batch)> {
         if self.pending.is_empty() || self.proposed_for == Some(self.next_inst) {
@@ -289,9 +312,13 @@ impl AbcastState {
 
     /// Take what is held for sending: every request made here since the
     /// last send that is still undelivered, and the peers it goes to. Both
-    /// empty when nothing is held.
+    /// empty when nothing is held, and at round 0's coordinator.
     fn flush(&mut self) -> (Batch, Vec<SiteId>) {
         let seqs = std::mem::replace(&mut self.sent_through, self.next_seq) + 1..=u64::MAX;
+        if self.view.coordinator(0) == Some(self.site) {
+            // Its next `Propose` carries them to every peer (module docs).
+            return (Batch::default(), Vec::new());
+        }
         let mut held = self.own(seqs.clone());
         let held = Batch::filled(self.own(seqs).count(), || held.next().cloned());
         if held.is_empty() {
@@ -482,6 +509,19 @@ pub fn register(
             });
             send_requests(ctx, &events, forward, coord)?;
             propose(ctx, &events, proposal)
+        });
+    }
+
+    {
+        let state = state.clone();
+        let e = ev.from_rcomm_cons;
+        b.bind_with_triggers(e, pid, "abcast.on_propose", &[], move |ctx, data| {
+            let d: &RDeliver<ConsMsg> = data.expect(e)?;
+            // Round 0's coordinator sent its own requests in nothing else.
+            if let ConsMsg::Propose { value, .. } = &d.payload {
+                state.with(ctx, |s| s.adopt(value));
+            }
+            Ok(())
         });
     }
 
@@ -741,58 +781,102 @@ mod tests {
         (Batch::default(), Vec::new())
     }
 
+    /// Site 1 of {0, 1, 2}: a follower, whose peers are sites 0 and 2.
+    fn follower() -> AbcastState {
+        AbcastState::new(SiteId(1), GroupView::of_first(3))
+    }
+
     #[test]
     fn nothing_is_held_when_the_previous_request_was_delivered() {
-        let mut s = st();
+        let mut s = follower();
         for seq in 1..=3 {
             let (batch, to) = make(&mut s);
-            assert_eq!(*batch, [m(0, seq)]);
-            assert_eq!(to, [SiteId(1), SiteId(2)]);
+            assert_eq!(*batch, [m(1, seq)]);
+            assert_eq!(to, [SiteId(0), SiteId(2)]);
             assert_eq!(s.note_decide(seq - 1, batch).len(), 1);
         }
     }
 
     #[test]
     fn a_flush_sends_what_is_held_and_still_undelivered() {
-        let mut s = st();
-        assert_eq!(*make(&mut s).0, [m(0, 1)]);
-        // Held behind the first, but pending: a coordinator proposes them.
+        let mut s = follower();
+        assert_eq!(*make(&mut s).0, [m(1, 1)]);
+        // Held behind the first, but pending: a handover or a snapshot
+        // carries them.
         for _ in 0..3 {
             assert_eq!(make(&mut s), nothing());
         }
         assert_eq!(s.proposal().map(|(_, v)| v.len()), Some(4));
         // A decision orders the first and one held: the flush sends the
         // other two, and then nothing is held.
-        let _ = s.note_decide(0, Batch::from(vec![m(0, 1), m(0, 2)]));
+        let _ = s.note_decide(0, Batch::from(vec![m(1, 1), m(1, 2)]));
         assert_eq!(
             s.flush(),
             (
-                Batch::from(vec![m(0, 3), m(0, 4)]),
-                vec![SiteId(1), SiteId(2)]
+                Batch::from(vec![m(1, 3), m(1, 4)]),
+                vec![SiteId(0), SiteId(2)]
             )
         );
         assert_eq!(s.flush(), nothing());
         // Held and delivered before the next decision: nothing to send.
         assert_eq!(make(&mut s), nothing());
-        let _ = s.note_decide(1, Batch::from(vec![m(0, 3), m(0, 4), m(0, 5)]));
+        let _ = s.note_decide(1, Batch::from(vec![m(1, 3), m(1, 4), m(1, 5)]));
         assert_eq!(s.flush(), nothing());
-        assert_eq!(*make(&mut s).0, [m(0, 6)]);
+        assert_eq!(*make(&mut s).0, [m(1, 6)]);
     }
 
     #[test]
     fn a_view_op_is_never_held_and_takes_the_held_requests_with_it() {
-        let mut s = st();
+        let mut s = follower();
         let _ = make(&mut s);
         assert_eq!(make(&mut s), nothing());
         let (batch, to) = s.request(AbPayload::ViewOp(ViewOp::Leave, SiteId(2)));
         let leave = AbMsg {
+            uid: m(1, 3).uid,
+            payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(2)),
+        };
+        assert_eq!(*batch, [m(1, 2), leave]);
+        assert_eq!(to, [SiteId(0), SiteId(2)]);
+        // In flight as well: the next user request is held behind them.
+        assert_eq!(make(&mut s), nothing());
+    }
+
+    #[test]
+    fn the_coordinator_sends_no_request_and_proposes_its_own() {
+        let mut s = st();
+        // Neither a first request, nor a held one, nor a view operation
+        // leaves in a `Request`: each is in the next proposal.
+        assert_eq!(make(&mut s), nothing());
+        assert_eq!(s.proposal(), Some((0, Batch::from(vec![m(0, 1)]))));
+        assert_eq!(make(&mut s), nothing());
+        let leave = AbMsg {
             uid: m(0, 3).uid,
             payload: AbPayload::ViewOp(ViewOp::Leave, SiteId(2)),
         };
-        assert_eq!(*batch, [m(0, 2), leave]);
-        assert_eq!(to, [SiteId(1), SiteId(2)]);
-        // In flight as well: the next user request is held behind them.
-        assert_eq!(make(&mut s), nothing());
+        let (batch, to) = s.request(leave.payload.clone());
+        assert_eq!((batch, to), nothing());
+        let _ = s.note_decide(0, Batch::from(vec![m(0, 1)]));
+        assert_eq!(s.flush(), nothing());
+        assert_eq!(s.proposal(), Some((1, Batch::from(vec![m(0, 2), leave]))));
+    }
+
+    #[test]
+    fn a_follower_adopts_what_a_propose_carries_once() {
+        let mut s = AbcastState::new(SiteId(2), GroupView::of_first(3));
+        s.note_request(&m(1, 1));
+        // The coordinator's own request and one already pending here.
+        s.adopt(&Batch::from(vec![m(0, 1), m(1, 1)]));
+        assert_eq!(s.pending_batch(), Batch::from(vec![m(0, 1), m(1, 1)]));
+        // Delivered, it is not adopted again from a late `Propose`.
+        let _ = s.note_decide(0, Batch::from(vec![m(0, 1), m(1, 1)]));
+        s.adopt(&Batch::from(vec![m(0, 1)]));
+        assert_eq!(s.pending_count(), 0);
+        // What it adopted goes in a joiner's snapshot, and to a successor.
+        s.adopt(&Batch::from(vec![m(0, 2)]));
+        assert_eq!(s.snapshot().pending, Batch::from(vec![m(0, 2)]));
+        let left = s.view.apply(ViewOp::Leave, SiteId(0));
+        let (_, _, handover) = s.install(&left);
+        assert_eq!(handover, Some((SiteId(1), Batch::from(vec![m(0, 2)]))));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! same view and agrees on `view.coordinator(0)`. That site proposes its
 //! own estimate straight away, provided the instance is *pristine* — it has
 //! promised, adopted and coordinated nothing. The other sites record their
-//! estimate and send nothing (one exception, below): atomic broadcast sends
-//! every request to the coordinator — the origin's copy, and a forward of
-//! every other site's first copy (`abcast.rs`) — and it proposes by itself.
+//! estimate and send nothing (one exception, below): every request reaches
+//! the coordinator — its own are pending there from the start, anyone
+//! else's come as the origin's copy and a forward of every other site's
+//! first copy (`abcast.rs`) — and it proposes by itself.
 //!
 //! Every other way a round starts keeps the read phase: `on_kick`, and
 //! `restart` after a suspicion or a view change — `view.coordinator(0)` is a

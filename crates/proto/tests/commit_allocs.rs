@@ -4,8 +4,9 @@
 //! The rig is `commit_frames.rs`'s: three full nodes on a manual
 //! [`SimNet`] and a manual clock, policy `Basic`, each broadcaster's own
 //! datagrams delivered before any relayed copy. So the rows are the
-//! commits that file pins as 11 and 10 frames and the burst it pins as two
-//! packed requests. Nothing runs on another thread: a datagram is
+//! commits that file pins as 11 and 8 frames (the coordinator's request
+//! travels only inside its `Propose`) and the burst it pins as two packed
+//! requests. Nothing runs on another thread: a datagram is
 //! delivered by the `pump_seq` the test thread calls, and its computation
 //! runs inline there. A thread-local count of the global allocator's calls
 //! therefore sees exactly what the stack and the network allocated for the
@@ -173,7 +174,7 @@ fn allocs(debug: u64, release: u64) -> u64 {
 // written into its one allocation, an empty one allocates nothing, and a
 // decision's `ADeliver` runs are ranges of the decided batch, not copies.
 // A computation's Rule 1 allocates its entry vector and nothing else; the
-// three rows run 12, 11 and 30 computations.
+// three rows run 12, 9 and 30 computations.
 
 #[test]
 fn one_commit_from_a_follower() {
@@ -182,7 +183,7 @@ fn one_commit_from_a_follower() {
 
 #[test]
 fn one_commit_from_the_coordinator() {
-    assert_eq!(warm_commit(0, 1, 41), (allocs(197, 178), 10));
+    assert_eq!(warm_commit(0, 1, 41), (allocs(169, 154), 8));
 }
 
 #[test]

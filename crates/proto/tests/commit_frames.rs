@@ -2,28 +2,32 @@
 //!
 //! A commit in a healthy `n`-site cluster is the request's way to round 0's
 //! coordinator, round 0 of consensus without its read phase, and a RelCast
-//! of the decision. The request leaves its origin once per peer, and every
-//! other site that is not the coordinator forwards its first copy to the
-//! coordinator: `(n−1) + (n−2) = 2n−3` frames from a follower, `n−1` from
-//! the coordinator itself. A cast costs `(n−1)` frames from its origin plus
-//! at most `(n−2)` from each receiver, because a relay skips the origin and
-//! the site the first copy came from. For `n = 3` that is 3 + 2 + 2 + 4 = 11
-//! data frames when a follower casts and 2 + 2 + 2 + 4 = 10 when the
-//! coordinator does. The forward stays: an origin that crashes
-//! mid-broadcast still gets its request ordered, and so does one whose
-//! forward went to a coordinator that then left — every site hands what is
-//! pending to the next one.
+//! of the decision. A follower's request leaves its origin once per peer,
+//! and every other site that is not the coordinator forwards its first copy
+//! to the coordinator: `(n−1) + (n−2) = 2n−3` frames. The coordinator's own
+//! request is in its next `Propose` and nothing else: no frame of its own.
+//! A cast costs `(n−1)` frames from its origin plus at most `(n−2)` from
+//! each receiver, because a relay skips the origin and the site the first
+//! copy came from. For `n = 3` that is 3 + 2 + 2 + 4 = 11 data frames when
+//! a follower casts and 0 + 2 + 2 + 4 = 8 when the coordinator does. The
+//! forward stays: an origin that crashes mid-broadcast still gets its
+//! request ordered, and so does one whose forward went to a coordinator
+//! that then left — every site hands what is pending to the next one. A
+//! follower takes what a `Propose` carries into its pending requests, so a
+//! coordinator that crashes after its `Propose` reached one follower still
+//! gets its request ordered too.
 //!
 //! A [`Payload::Request`] costs those frames however many requests it
 //! packs. An origin holds what it casts while one of its own requests is in
 //! flight and sends it packed when the next decision is delivered there,
 //! so eight casts back to back are two `Request`s and two consensus
-//! instances: 3 + 3 request frames from a follower (24 one at a time),
-//! 2 + 2 from the coordinator.
+//! instances: 3 + 3 request frames from a follower (24 one at a time), and
+//! none from the coordinator, whose two proposals carry all eight.
 //!
 //! On the virtual-time rig and recording [`Transport`](samoa_net::Transport)
 //! of `common`, timers off: no tick fires, so no ack travels alone and every
 //! datagram is a data frame; the structure is asserted, never the wall clock.
+//! The crash test alone drives the failure detector, by hand.
 
 mod common;
 
@@ -118,35 +122,35 @@ fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, BTreeMap<MsgUid
 }
 
 #[test]
-fn a_healthy_three_site_commit_is_eleven_frames_from_a_follower_and_ten_from_the_coordinator() {
+fn a_healthy_three_site_commit_is_eleven_frames_from_a_follower_and_eight_from_the_coordinator() {
     // Site 0 coordinates round 0; the origin is a follower, then the
     // coordinator itself.
-    for (origin, requests, frames) in [(1, 3, 11), (0, 2, 10)] {
+    for (origin, requests, frames) in [(1, 3, 11), (0, 0, 8)] {
         let rig = Rig::new(3, 41);
         rig.nodes[origin].abcast("m");
         settle_origin_first(&rig);
         rig.assert_total_order(1);
 
         let log = rig.rec.log();
-        let expected = BTreeMap::from([
-            ("request", requests),
-            ("propose", 2),
-            ("ack", 2),
-            ("decide", 4),
-        ]);
+        let mut expected = BTreeMap::from([("propose", 2), ("ack", 2), ("decide", 4)]);
+        if requests > 0 {
+            expected.insert("request", requests);
+        }
         assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
         assert_eq!(log.len(), frames);
 
-        // Two request frames leave the origin, one to each peer; a follower
-        // forwards its copy to the coordinator, the coordinator forwards
-        // nothing, and nothing goes back to the origin.
+        // A follower sends two request frames, one to each peer, and the
+        // other follower forwards its copy to the coordinator; the
+        // coordinator sends and forwards none — its `Propose` carries the
+        // request — and nothing goes back to the origin.
         let origin = SiteId(origin as u16);
         let sent: Vec<(SiteId, SiteId)> = log
             .iter()
             .filter(|s| kind(s) == "request")
             .map(|s| (s.from, s.to))
             .collect();
-        assert_eq!(sent.iter().filter(|(from, _)| *from == origin).count(), 2);
+        let from_origin = sent.iter().filter(|(from, _)| *from == origin).count();
+        assert_eq!(from_origin, if origin == SiteId(0) { 0 } else { 2 });
         for &(from, to) in sent.iter().filter(|(from, _)| *from != origin) {
             assert_eq!(to, SiteId(0), "{from} forwarded past the coordinator");
             assert_ne!(from, SiteId(0), "the coordinator forwarded");
@@ -185,8 +189,9 @@ fn a_burst_of_eight_costs_two_requests_and_two_instances() {
     // are held behind it and leave packed when its decision is delivered at
     // the origin. From a follower each of the two `Request`s is two frames
     // from the origin and one forward (3 + 3; 24 frames one request at a
-    // time); from the coordinator it is two frames and no forward (2 + 2).
-    for (origin, frames) in [(1u16, 6), (0, 4)] {
+    // time). The coordinator sends none: its first proposal carries the
+    // first cast, its second the seven it made meanwhile.
+    for (origin, frames, packs) in [(1u16, 6, &[1, 1, 7, 7][..]), (0, 0, &[])] {
         let rig = Rig::new(3, 43);
         for i in 0..8 {
             rig.nodes[origin as usize].abcast(format!("m{i}"));
@@ -207,7 +212,7 @@ fn a_burst_of_eight_costs_two_requests_and_two_instances() {
             .filter(|(from, ..)| *from == SiteId(origin))
             .map(|&(.., n)| n)
             .collect();
-        assert_eq!(from_origin, [1, 1, 7, 7], "origin {origin}: {sent:?}");
+        assert_eq!(from_origin, packs, "origin {origin}: {sent:?}");
         assert_eq!(decided(&log).len(), 2, "origin {origin}: {log:#?}");
         assert_eq!(rig.retransmissions(), 0);
     }
@@ -295,7 +300,10 @@ fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_si
             rig.assert_total_order(sites);
             let log = rig.rec.log();
             let (requests, casts) = frames_per_message(&log);
-            assert_eq!(requests.len(), sites, "seed {seed}: {requests:?}");
+            // Site 0 coordinates round 0: its request is in no `Request`.
+            let followers: BTreeSet<SiteId> = requests.keys().map(|uid| uid.origin).collect();
+            assert_eq!(followers.len(), sites - 1, "seed {seed}: {requests:?}");
+            assert!(!followers.contains(&SiteId(0)), "seed {seed}: {requests:?}");
             for (what, per, bound) in [
                 ("request", requests, request_bound),
                 ("decision", casts, cast_bound),
@@ -359,6 +367,76 @@ fn a_request_whose_origin_crashed_mid_broadcast_is_still_ordered() {
         assert_eq!(survivors[0].len(), 1, "reached {reached}: {survivors:?}");
         assert_eq!(survivors[0][0].0, SiteId(1));
         assert_eq!(survivors[0], survivors[1]);
+    }
+}
+
+#[test]
+fn a_request_whose_coordinator_origin_crashed_after_one_propose_is_still_ordered() {
+    // Site 0 coordinates round 0 and casts: its `Propose` is the one copy
+    // of the request that leaves it. It reaches exactly one follower, which
+    // takes the request into its pending set, and site 0 dies. The failure
+    // detector, driven by hand on virtual time, lets the survivors exclude
+    // it; the other follower casts meanwhile.
+    for reached in [1u16, 2] {
+        let rig = Rig::new(3, 62);
+        let h = rig.net.handle();
+        for node in &rig.nodes {
+            node.inject_fd_tick();
+        }
+        rig.settle();
+        rig.nodes[0].abcast("orphan");
+        rig.quiesce();
+        let pending = h.pending_datagrams();
+        let log = rig.rec.log();
+        assert_eq!(pending.len(), 2, "{pending:?}");
+        for dg in pending {
+            assert_eq!(kind(&log[dg.seq as usize - 1]), "propose");
+            if dg.to == SiteId(reached) {
+                assert!(h.pump_seq(dg.seq));
+            } else {
+                assert!(h.drop_seq(dg.seq));
+            }
+        }
+        rig.quiesce();
+        let other = 3 - reached as usize;
+        assert_eq!(rig.nodes[reached as usize].ab_pending(), 1);
+        assert_eq!(rig.nodes[other].ab_pending(), 0);
+        h.crash(SiteId(0));
+        rig.nodes[other].abcast("after");
+
+        let survivors = || [1usize, 2].map(|i| rig.nodes[i].ab_delivered());
+        let done = || {
+            survivors().iter().all(|d| d.len() == 2)
+                && [1usize, 2]
+                    .iter()
+                    .all(|&i| !rig.nodes[i].current_view().contains(SiteId(0)))
+        };
+        for _ in 0..200 {
+            if done() {
+                break;
+            }
+            rig.clock.advance(std::time::Duration::from_millis(60));
+            for i in [1, 2] {
+                rig.nodes[i].inject_fd_tick();
+                rig.nodes[i].inject_retransmit_tick();
+            }
+            rig.settle();
+        }
+        let [a, b] = survivors();
+        assert!(done(), "reached {reached}: stalled at {a:?} and {b:?}");
+        assert_eq!(a, b, "reached {reached}");
+        assert!(
+            a.contains(&(SiteId(0), "orphan".into())),
+            "reached {reached}: {a:?}"
+        );
+        for i in [1, 2] {
+            assert_eq!(rig.nodes[i].ab_pending(), 0, "reached {reached}, site {i}");
+            assert_eq!(
+                rig.nodes[i].external_errors(),
+                0,
+                "reached {reached}, site {i}"
+            );
+        }
     }
 }
 

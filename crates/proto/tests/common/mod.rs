@@ -71,7 +71,9 @@ impl Transport for Recorder {
             }
             _ => (None, None),
         };
-        let acks = frames[usize::from(data.is_some())..]
+        // A failure-detector heartbeat travels alone: no data, no acks.
+        let first = usize::from(data.is_some() || frames.first() == Some(&Wire::Heartbeat));
+        let acks = frames[first..]
             .iter()
             .map(|f| match f {
                 Wire::Ack { seq } => *seq,

@@ -92,7 +92,8 @@ impl ChunkerState {
         entry.parts.push(payload.clone());
         if entry.parts.len() as u32 == entry.total {
             let entry = self.partial.remove(&(from, *msg_id)).expect("present");
-            let mut out = BytesMut::new();
+            let len = entry.parts.iter().map(Bytes::len).sum();
+            let mut out = BytesMut::with_capacity(len);
             for p in entry.parts {
                 out.extend_from_slice(&p);
             }
