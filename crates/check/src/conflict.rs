@@ -1,16 +1,14 @@
-//! The static per-pair conflict matrix over microprotocols.
+//! The static per-pair conflict matrix over microprotocols, and the
+//! independence relation DPOR prunes with.
 //!
 //! Two computations contend on a microprotocol's cell — the `(gv_p, lv_p)`
-//! version counters, or the 2PL lock slot, depending on the
-//! [`Policy`]'s
-//! [`CellKind`](crate::policy::CellKind) — only if both declare
-//! it, and a well-declared computation declares exactly the footprint
-//! reachable from its root event ([`infer_m`](crate::analysis::infer_m)).
-//! So whether protocols `p` and `q` can *ever* meet is decidable from the
-//! analyzed root events alone: it requires roots `e1`, `e2` whose
-//! footprints contain `p` resp. `q` **and overlap** (disjoint footprints
-//! admit no Rule-2 wait between the two computations, hence no contention
-//! ordering either).
+//! version counters, or the 2PL lock slot — only if both declare it, and a
+//! well-declared computation declares exactly the footprint reachable from
+//! its root event ([`infer_m`](samoa_core::analysis::infer_m)). So whether
+//! protocols `p` and `q` can *ever* meet is decidable from the analyzed
+//! root events alone: it requires roots `e1`, `e2` whose footprints contain
+//! `p` resp. `q` **and overlap** (disjoint footprints admit no Rule-2 wait
+//! between the two computations, hence no contention ordering either).
 //!
 //! [`ConflictMatrix::analyze`] computes that relation and reports
 //!
@@ -21,20 +19,35 @@
 //!   other — it can only ever conflict with a second computation on
 //!   *itself*, so isolating it against the rest of the stack buys nothing.
 //!
-//! The complement of the matrix is exported to the dynamic checker as a
-//! `StaticIndependence` relation (crate `samoa-check`): resource pairs
-//! whose protocols can never conflict need never seed DPOR backtrack
-//! points.
+//! The complement of the relation, over [`SchedResource`]s, is what the
+//! DPOR search ([`DporSearch::with_independence`]) prunes with
+//! ([`ConflictMatrix::resources_independent`]):
+//!
+//! * `Version(p)`/`Lock(p)` resources map to protocol `p`; two protocol
+//!   resources are independent iff `p` and `q` can never conflict. This is
+//!   *coarser* than plain resource disjointness on purpose — it holds for
+//!   the **entire future** of any computation declared over those
+//!   protocols, not just the next announced action, which is what makes
+//!   pruning at un-initiated races sound.
+//! * Any other pair is independent iff the resources are distinct (two
+//!   different task queues, completion flags, or sites are genuinely
+//!   separate pieces of state; a shared one is not).
+//!
+//! The search uses it where the classic algorithm is at its most
+//! conservative: when a race has no ready initiator, instead of scheduling
+//! backtracks for *every* ready thread it skips threads whose static seed
+//! footprint (announced at spawn, an upper bound on everything the thread
+//! will ever touch) is independent of the whole race window — such a
+//! thread commutes with the window and can neither flip the race nor
+//! enable its initiator.
+//!
+//! [`DporSearch::with_independence`]: crate::dpor::DporSearch::with_independence
 
 use std::collections::BTreeSet;
 
-use crate::analysis::callgraph::CallGraph;
-use crate::analysis::diagnostics::{codes, Diagnostic, Report, Severity};
-use crate::event::EventType;
-use crate::handler::HandlerId;
-use crate::policy::Policy;
-use crate::protocol::ProtocolId;
-use crate::stack::Stack;
+use samoa_core::analysis::{codes, CallGraph, Diagnostic, Report, Severity};
+use samoa_core::sched::SchedResource;
+use samoa_core::{EventType, ProtocolId, Stack};
 
 /// The symmetric may-conflict relation over a stack's microprotocols,
 /// derived from the footprints of the analyzed root events.
@@ -45,8 +58,6 @@ pub struct ConflictMatrix {
     /// computations rooted at analyzed events can contend with one touching
     /// `p` and the other touching `q`.
     conflict: Vec<bool>,
-    /// `coupled[p * n + q]` = one single root's footprint contains both.
-    coupled: Vec<bool>,
     /// `reached[p]` = at least one analyzed root reaches `p`.
     reached: Vec<bool>,
     /// Per analyzed root: its statically inferred footprint.
@@ -56,9 +67,8 @@ pub struct ConflictMatrix {
 impl ConflictMatrix {
     /// Analyze `stack` with computations rooted at `externals`, returning
     /// the matrix and the `SA05x` report. Pass
-    /// [`Stack::all_events`](crate::stack::Stack::all_events) when every
-    /// event may arrive externally (the conservative default `samoa-lint`
-    /// uses).
+    /// [`Stack::all_events`] when every event may arrive externally (the
+    /// conservative default `samoa-lint` uses).
     pub fn analyze(stack: &Stack, externals: &[EventType]) -> (ConflictMatrix, Report) {
         let g = CallGraph::from_stack(stack);
         let n = stack.protocol_count();
@@ -73,7 +83,6 @@ impl ConflictMatrix {
         let mut m = ConflictMatrix {
             n,
             conflict: vec![false; n * n],
-            coupled: vec![false; n * n],
             reached: vec![false; n],
             footprints,
         };
@@ -92,22 +101,15 @@ impl ConflictMatrix {
                     for &q in fj {
                         m.conflict[p.index() * n + q.index()] = true;
                         m.conflict[q.index() * n + p.index()] = true;
-                        if i == j {
-                            m.coupled[p.index() * n + q.index()] = true;
-                            m.coupled[q.index() * n + p.index()] = true;
-                        }
                     }
                 }
             }
         }
 
         let mut r = Report::new();
-        for pi in 0..n as u32 {
-            let p = ProtocolId(pi);
-            let has_handlers = (0..stack.handler_count() as u32)
-                .map(HandlerId)
-                .any(|h| stack.handler_protocol(h) == p);
-            if !has_handlers {
+        let handlers = stack.all_handlers();
+        for p in stack.all_protocols() {
+            if !handlers.iter().any(|&h| stack.handler_protocol(h) == p) {
                 continue; // SA003's territory.
             }
             if !m.reached[p.index()] {
@@ -155,37 +157,19 @@ impl ConflictMatrix {
     /// `may_conflict(p, p)` is true iff any root reaches `p` (two spawns of
     /// the same root always contend on their shared footprint).
     pub fn may_conflict(&self, p: ProtocolId, q: ProtocolId) -> bool {
-        self.conflict[p.index() * self.n + q.index()]
+        self.conflict_at(p.index(), q.index())
     }
 
-    /// [`ConflictMatrix::may_conflict`] by raw protocol index — the form
-    /// the dynamic checker consumes (its
-    /// [`SchedResource::Version`](crate::sched::SchedResource)/`Lock`
-    /// resources carry raw indices). Out-of-range indices conservatively
+    /// [`ConflictMatrix::may_conflict`] by raw protocol index, the form a
+    /// [`SchedResource`] carries. Out-of-range indices conservatively
     /// conflict with everything.
-    pub fn may_conflict_indices(&self, p: usize, q: usize) -> bool {
-        if p >= self.n || q >= self.n {
-            return true;
-        }
-        self.conflict[p * self.n + q]
-    }
-
-    /// Do `p` and `q` appear together in one single root's footprint (one
-    /// computation can hold both at once)?
-    pub fn coupled(&self, p: ProtocolId, q: ProtocolId) -> bool {
-        self.coupled[p.index() * self.n + q.index()]
+    fn conflict_at(&self, p: usize, q: usize) -> bool {
+        p >= self.n || q >= self.n || self.conflict[p * self.n + q]
     }
 
     /// Is `p` reachable from at least one analyzed root?
     pub fn contended(&self, p: ProtocolId) -> bool {
         self.reached[p.index()]
-    }
-
-    /// [`ConflictMatrix::may_conflict`] refined by policy: under a policy
-    /// with no admission cell ([`Policy::cell`] = `None`, i.e. `Unsync`)
-    /// nothing contends statically — the computations race instead.
-    pub fn may_contend_under(&self, policy: Policy, p: ProtocolId, q: ProtocolId) -> bool {
-        policy.cell().is_some() && self.may_conflict(p, q)
     }
 
     /// The statically inferred footprint of an analyzed root, if `root` was
@@ -197,19 +181,33 @@ impl ConflictMatrix {
             .map(|(_, f)| f)
     }
 
-    /// All analyzed `(root, footprint)` pairs, in analysis order.
-    pub fn footprints(&self) -> &[(EventType, BTreeSet<ProtocolId>)] {
-        &self.footprints
+    /// Are two resources *statically* independent — no execution can make
+    /// their access order matter? Protocol cells defer to the matrix
+    /// (`Version(p)` vs `Lock(q)` included: both stand for their protocol's
+    /// whole admission state); everything else is independent iff distinct.
+    pub fn resources_independent(&self, a: SchedResource, b: SchedResource) -> bool {
+        match (a, b) {
+            (
+                SchedResource::Version(p) | SchedResource::Lock(p),
+                SchedResource::Version(q) | SchedResource::Lock(q),
+            ) => !self.conflict_at(p as usize, q as usize),
+            _ => a != b,
+        }
+    }
+
+    /// Is every pair across the two resource sets statically independent?
+    /// Empty sets are vacuously independent — callers must treat *unknown*
+    /// footprints (no seed announced) as dependent before asking.
+    pub fn sets_independent(&self, a: &[SchedResource], b: &[SchedResource]) -> bool {
+        a.iter()
+            .all(|&ra| b.iter().all(|&rb| self.resources_independent(ra, rb)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
-    use crate::error::Result;
-    use crate::event::EventData;
-    use crate::stack::StackBuilder;
+    use samoa_core::prelude::*;
 
     fn noop() -> impl Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static {
         |_, _| Ok(())
@@ -238,11 +236,9 @@ mod tests {
     fn coupled_protocols_conflict() {
         let (s, [e1, e2, _], [pp, pq, pr, _]) = stack();
         let (m, _) = ConflictMatrix::analyze(&s, &[e1, e2]);
-        assert!(m.coupled(pp, pq));
         assert!(m.may_conflict(pp, pq));
         assert!(m.may_conflict(pp, pp), "same root spawned twice contends");
         assert!(!m.may_conflict(pp, pr), "disjoint footprints never meet");
-        assert!(!m.coupled(pp, pr));
         assert!(m.contended(pr));
     }
 
@@ -264,7 +260,7 @@ mod tests {
         let s = bld.build();
         let (m, _) = ConflictMatrix::analyze(&s, &[e1, e2]);
         assert!(m.may_conflict(pp, pr));
-        assert!(!m.coupled(pp, pr));
+        assert!(!m.footprint(e1).unwrap().contains(&pr));
     }
 
     #[test]
@@ -298,21 +294,60 @@ mod tests {
     }
 
     #[test]
-    fn policy_gates_contention() {
-        let (s, [e1, _, _], [pp, pq, _, _]) = stack();
-        let (m, _) = ConflictMatrix::analyze(&s, &[e1]);
-        assert!(m.may_contend_under(Policy::Basic, pp, pq));
-        assert!(m.may_contend_under(Policy::TwoPhase, pp, pq));
-        assert!(!m.may_contend_under(Policy::Unsync, pp, pq));
-    }
-
-    #[test]
     fn footprints_are_exposed() {
-        let (s, [e1, e2, _], [pp, pq, _, _]) = stack();
+        let (s, [e1, e2, ei], [pp, pq, _, _]) = stack();
         let (m, _) = ConflictMatrix::analyze(&s, &[e1, e2]);
         let f = m.footprint(e1).unwrap();
         assert_eq!(f.iter().copied().collect::<Vec<_>>(), vec![pp, pq]);
-        assert_eq!(m.footprints().len(), 2);
-        assert!(m.footprint(EventType(9)).is_none());
+        assert!(m.footprint(ei).is_none());
+    }
+
+    const VP: SchedResource = SchedResource::Version(0);
+    const VQ: SchedResource = SchedResource::Version(1);
+    const VR: SchedResource = SchedResource::Version(2);
+
+    /// The matrix of [`stack`] with the island left out: P and Q coupled
+    /// in one root, R alone in the other.
+    fn clusters() -> ConflictMatrix {
+        let (s, [e1, e2, _], _) = stack();
+        ConflictMatrix::analyze(&s, &[e1, e2]).0
+    }
+
+    #[test]
+    fn protocol_resources_follow_the_matrix() {
+        let m = clusters();
+        assert!(!m.resources_independent(VP, VQ), "coupled in one root");
+        assert!(
+            !m.resources_independent(VP, VP),
+            "a cell conflicts with itself"
+        );
+        assert!(m.resources_independent(VP, VR), "disjoint clusters");
+        assert!(
+            m.resources_independent(SchedResource::Lock(0), VR),
+            "lock and version map to the same protocols"
+        );
+        assert!(
+            !m.resources_independent(SchedResource::Version(99), VR),
+            "out-of-range protocol indices conservatively conflict"
+        );
+    }
+
+    #[test]
+    fn non_protocol_resources_need_identity() {
+        let m = clusters();
+        let q1 = SchedResource::Queue(1);
+        let q2 = SchedResource::Queue(2);
+        assert!(m.resources_independent(q1, q2), "distinct queues commute");
+        assert!(!m.resources_independent(q1, q1), "a shared queue does not");
+        assert!(!m.resources_independent(SchedResource::Quiesce, SchedResource::Quiesce));
+    }
+
+    #[test]
+    fn set_independence_is_pairwise() {
+        let m = clusters();
+        let seed = [SchedResource::Queue(3), SchedResource::Done(3), VR];
+        assert!(m.sets_independent(&seed, &[VP, VQ, SchedResource::Queue(1)]));
+        assert!(!m.sets_independent(&seed, &[VP, VR]), "VR meets VR");
+        assert!(m.sets_independent(&[], &[VP]), "empty sets are vacuous");
     }
 }

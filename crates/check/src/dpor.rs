@@ -41,8 +41,8 @@ use std::collections::BTreeSet;
 
 use samoa_core::sched::SchedResource;
 
+use crate::conflict::ConflictMatrix;
 use crate::controller::{ScheduleTrace, StepRecord};
-use crate::independence::StaticIndependence;
 
 /// One unit of the happens-before analysis: a thread and the resources
 /// one of its access runs touched.
@@ -176,9 +176,9 @@ pub struct DporSearch {
     next: Vec<u32>,
     schedules_run: usize,
     exhausted: bool,
-    /// Statically-known independence from the stack's conflict matrix;
-    /// `None` disables static pruning (classic DPOR).
-    independence: Option<StaticIndependence>,
+    /// The stack's conflict matrix, whose complement is the statically
+    /// known independence; `None` disables static pruning (classic DPOR).
+    independence: Option<ConflictMatrix>,
     /// Ready threads considered by the no-initiator fallback, total.
     fallback_candidates: usize,
     /// Of those, threads statically proven independent of their race
@@ -198,12 +198,12 @@ impl DporSearch {
         DporSearch::with_independence(None)
     }
 
-    /// A search that prunes with a [`StaticIndependence`] relation: in the
+    /// A search that prunes with a stack's [`ConflictMatrix`]: in the
     /// no-ready-initiator fallback of the race analysis, ready threads
     /// whose spawn-time static seed is independent of
     /// the entire race window never seed backtrack points. `None` is
     /// exactly [`DporSearch::new`].
-    pub fn with_independence(independence: Option<StaticIndependence>) -> DporSearch {
+    pub fn with_independence(independence: Option<ConflictMatrix>) -> DporSearch {
         DporSearch {
             stack: Vec::new(),
             next: Vec::new(),
@@ -514,7 +514,7 @@ mod tests {
 
     /// Two clusters that never meet: e1 -> a(P), e2 -> c(R). Protocol
     /// indices: P = 0, R = 1.
-    fn disjoint_relation() -> StaticIndependence {
+    fn disjoint_relation() -> ConflictMatrix {
         let mut bld = samoa_core::StackBuilder::new();
         let pp = bld.protocol("P");
         let pr = bld.protocol("R");
@@ -523,8 +523,7 @@ mod tests {
         bld.bind_with_triggers(e1, pp, "a", &[], |_, _| Ok(()));
         bld.bind_with_triggers(e2, pr, "c", &[], |_, _| Ok(()));
         let s = bld.build();
-        let (m, _) = samoa_core::analysis::ConflictMatrix::analyze(&s, &[e1, e2]);
-        StaticIndependence::from_matrix(&m)
+        ConflictMatrix::analyze(&s, &[e1, e2]).0
     }
 
     #[test]

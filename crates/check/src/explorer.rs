@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use samoa_core::IsolationViolation;
 
+use crate::conflict::ConflictMatrix;
 use crate::controller::{Controller, ScheduleTrace};
 use crate::dpor::DporSearch;
-use crate::independence::StaticIndependence;
 use crate::scenarios::{RunReport, Scenario};
 use crate::strategy::{Decider, PctDecider, PrefixDecider, RandomDecider};
 
@@ -32,7 +32,7 @@ pub enum Strategy {
     /// between schedules the generator drains the scenario's
     /// [`trace_buffer`](crate::scenarios::Scenario::trace_buffer),
     /// aggregates per-microprotocol contention the way
-    /// [`ContentionProfile`](samoa_core::ContentionProfile) does (admission
+    /// [`ContentionProfile`](crate::ContentionProfile) does (admission
     /// wait time, falling back to handler service time when no schedule has
     /// waited yet), and places the next run's priority-change points on
     /// scheduling steps whose recorded footprint touches the hottest
@@ -195,7 +195,7 @@ pub struct Sweep {
     /// no-initiator fallback considered across all runs (0 otherwise).
     pub backtrack_candidates: usize,
     /// Under [`Strategy::Dpor`]: of those, threads suppressed by the
-    /// scenario's [`StaticIndependence`] relation. The quotient is the
+    /// scenario's [`ConflictMatrix`]. The quotient is the
     /// *pruned ratio* `tests/conformance.rs` bounds.
     pub backtrack_pruned: usize,
 }
@@ -234,7 +234,7 @@ enum Gen {
 impl Gen {
     fn new(
         strategy: Strategy,
-        independence: Option<StaticIndependence>,
+        independence: Option<ConflictMatrix>,
         buffer: Option<Arc<samoa_core::TraceBuffer>>,
     ) -> Gen {
         match strategy {
@@ -335,7 +335,7 @@ impl Gen {
 ///
 /// The hottest microprotocol is the one where admission-wait time
 /// concentrates (the same per-protocol aggregation
-/// [`ContentionProfile`](samoa_core::ContentionProfile) reports); when no
+/// [`ContentionProfile`](crate::ContentionProfile) reports); when no
 /// schedule has produced a wait yet — e.g. `Unsync` workloads, which never
 /// block on admission — handler service time stands in, so the guidance
 /// still points at the protocol doing the contended work. Steps qualify

@@ -8,27 +8,20 @@
 
 use std::collections::BTreeSet;
 
-use crate::analysis::callgraph::CallGraph;
-use crate::analysis::diagnostics::{codes, Diagnostic, Report, Severity};
-use crate::event::EventType;
-use crate::handler::HandlerId;
-use crate::protocol::ProtocolId;
-use crate::runtime::Decl;
-use crate::stack::Stack;
+use samoa_core::analysis::{codes, CallGraph, Diagnostic, Report, Severity};
+use samoa_core::{Decl, EventType, HandlerId, ProtocolId, RoutePattern, Stack};
 
 /// Lint a stack: structural checks over protocols, bindings and trigger
 /// metadata. `external` lists the event types that can arrive from outside
-/// (used for reachability, `SA002`); pass
-/// [`Stack::all_events`](crate::stack::Stack::all_events) when every event
-/// may be external.
+/// (used for reachability, `SA002`); pass [`Stack::all_events`] when every
+/// event may be external.
 pub fn lint_stack(stack: &Stack, external: &[EventType]) -> Report {
     let g = CallGraph::from_stack(stack);
     let mut r = Report::new();
 
+    let handlers = stack.all_handlers();
     for p in stack.all_protocols() {
-        let empty = (0..stack.handler_count() as u32)
-            .map(HandlerId)
-            .all(|h| stack.handler_protocol(h) != p);
+        let empty = handlers.iter().all(|&h| stack.handler_protocol(h) != p);
         if empty {
             r.push(
                 Diagnostic::new(
@@ -97,8 +90,7 @@ pub fn lint_stack(stack: &Stack, external: &[EventType]) -> Report {
     }
 
     let reachable = g.reachable_from_events(external);
-    for i in 0..stack.handler_count() as u32 {
-        let h = HandlerId(i);
+    for h in handlers {
         if !reachable.contains(&h) {
             r.push(
                 Diagnostic::new(
@@ -217,8 +209,7 @@ fn validate_m_set(
         None => {
             // Closure check: a handler of a declared microprotocol must only
             // call handlers of declared microprotocols.
-            for i in 0..stack.handler_count() as u32 {
-                let h = HandlerId(i);
+            for h in stack.all_handlers() {
                 if !declared.contains(&stack.handler_protocol(h)) {
                     continue;
                 }
@@ -272,10 +263,9 @@ fn validate_bounds(g: &CallGraph, entries: &[(ProtocolId, u64)], root: EventType
         let slot = &mut declared[p.index()];
         *slot = Some(slot.map_or(b, |old| old.max(b)));
     }
-    for (i, slot) in declared.iter().enumerate() {
+    for (p, slot) in stack.all_protocols().into_iter().zip(&declared) {
         let Some(bound) = *slot else { continue };
-        let p = ProtocolId(i as u32);
-        let need = needed[i];
+        let need = needed[p.index()];
         if bound < need {
             r.push(
                 Diagnostic::new(
@@ -311,16 +301,12 @@ fn validate_bounds(g: &CallGraph, entries: &[(ProtocolId, u64)], root: EventType
 }
 
 /// Routing-pattern checks for `Decl::Route`.
-fn validate_route(
-    g: &CallGraph,
-    pattern: &crate::graph::RoutePattern,
-    root: Option<EventType>,
-    r: &mut Report,
-) {
+fn validate_route(g: &CallGraph, pattern: &RoutePattern, root: Option<EventType>, r: &mut Report) {
     let stack = g.stack();
     let vertices = pattern.vertices();
-    let declared_edges: BTreeSet<(HandlerId, HandlerId)> = pattern.edges.iter().copied().collect();
-    let declared_roots: BTreeSet<HandlerId> = pattern.roots.iter().copied().collect();
+    let declared_edges: BTreeSet<(HandlerId, HandlerId)> =
+        pattern.edges().iter().copied().collect();
+    let declared_roots: BTreeSet<HandlerId> = pattern.roots().iter().copied().collect();
 
     let relevant: BTreeSet<HandlerId> = match root {
         Some(e) => {
@@ -390,11 +376,7 @@ fn validate_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
-    use crate::error::Result;
-    use crate::event::EventData;
-    use crate::graph::RoutePattern;
-    use crate::stack::StackBuilder;
+    use samoa_core::prelude::*;
 
     fn noop() -> impl Fn(&Ctx<'_>, &EventData) -> Result<()> + Send + Sync + 'static {
         |_, _| Ok(())
@@ -502,6 +484,18 @@ mod tests {
         assert!(validate_decl(&s, &Decl::Basic(&[pp, pq, pr]), Some(root)).is_clean());
         let bounds = [(pp, 1), (pq, 2), (pr, 2)];
         assert!(validate_decl(&s, &Decl::Bound(&bounds), Some(root)).is_clean());
+    }
+
+    #[test]
+    fn inferred_declarations_validate_clean() {
+        use samoa_core::analysis::{infer_bounds, infer_m, infer_route};
+        let (s, root, _, _) = chain();
+        let m = infer_m(&s, root);
+        assert!(validate_decl(&s, &Decl::Basic(&m), Some(root)).is_clean());
+        let (bounds, _) = infer_bounds(&s, root);
+        assert!(validate_decl(&s, &Decl::Bound(&bounds), Some(root)).is_clean());
+        let pat = infer_route(&s, root);
+        assert!(validate_decl(&s, &Decl::Route(&pat), Some(root)).is_clean());
     }
 
     #[test]

@@ -12,23 +12,12 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use samoa_core::analysis::ConflictMatrix;
 use samoa_core::prelude::*;
 use samoa_core::{History, SchedHook};
 use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
 use samoa_transport::{Endpoint, TransportConfig};
 
-use crate::independence::StaticIndependence;
-
-/// Build the [`StaticIndependence`] relation of a stack *shape*: run the
-/// conflict analysis with the given roots and export the matrix. Scenario
-/// shapes must register protocols in the same order as their `run` stacks,
-/// so the raw indices in [`SchedResource`](samoa_core::sched::SchedResource)
-/// seeds line up.
-fn relation_of(stack: &Stack, roots: &[EventType]) -> StaticIndependence {
-    let (m, _) = ConflictMatrix::analyze(stack, roots);
-    StaticIndependence::from_matrix(&m)
-}
+use crate::conflict::ConflictMatrix;
 
 /// What one controlled run of a scenario produced.
 #[derive(Debug, Clone, Default)]
@@ -52,15 +41,15 @@ pub trait Scenario {
     /// turn); must quiesce all spawned computations before returning.
     fn run(&self, hook: Arc<dyn SchedHook>) -> RunReport;
 
-    /// The scenario stack's [`StaticIndependence`] relation, derived from
-    /// its conflict matrix, for DPOR pruning
+    /// The scenario stack's [`ConflictMatrix`], for DPOR pruning
     /// ([`DporSearch::with_independence`]). `None` (the default) runs
-    /// classic DPOR. Implementations must keep the analyzed stack's
-    /// protocol order identical to the stack `run` builds, so raw protocol
-    /// indices agree.
+    /// classic DPOR. Implementations analyze a stack *shape* that registers
+    /// its protocols in the same order as the stack `run` builds, so the
+    /// raw protocol indices of
+    /// [`SchedResource`](samoa_core::sched::SchedResource) seeds agree.
     ///
     /// [`DporSearch::with_independence`]: crate::dpor::DporSearch::with_independence
-    fn static_independence(&self) -> Option<StaticIndependence> {
+    fn static_independence(&self) -> Option<ConflictMatrix> {
         None
     }
 
@@ -195,9 +184,9 @@ impl Scenario for DiamondScenario {
         }
     }
 
-    fn static_independence(&self) -> Option<StaticIndependence> {
+    fn static_independence(&self) -> Option<ConflictMatrix> {
         let (stack, roots) = DiamondScenario::shape();
-        Some(relation_of(&stack, &roots))
+        Some(ConflictMatrix::analyze(&stack, &roots).0)
     }
 }
 
@@ -207,7 +196,7 @@ impl Scenario for DiamondScenario {
 ///
 /// The conflict matrix proves every diamond protocol independent of the
 /// chain, so a DPOR search armed with the scenario's
-/// [`StaticIndependence`] relation never seeds backtrack points that
+/// [`ConflictMatrix`] never seeds backtrack points that
 /// merely reorder `kc` against the diamond: the chain multiplies the
 /// exhaustive schedule space but (mostly) not the reduced one. Under
 /// [`Policy::Unsync`] the diamond still hides the paper's run
@@ -323,9 +312,9 @@ impl Scenario for DisjointClustersScenario {
         }
     }
 
-    fn static_independence(&self) -> Option<StaticIndependence> {
+    fn static_independence(&self) -> Option<ConflictMatrix> {
         let (stack, roots) = DisjointClustersScenario::shape();
-        Some(relation_of(&stack, &roots))
+        Some(ConflictMatrix::analyze(&stack, &roots).0)
     }
 }
 
@@ -477,9 +466,9 @@ impl Scenario for ViewChangeScenario {
         }
     }
 
-    fn static_independence(&self) -> Option<StaticIndependence> {
+    fn static_independence(&self) -> Option<ConflictMatrix> {
         let (stack, roots) = ViewChangeScenario::shape();
-        Some(relation_of(&stack, &roots))
+        Some(ConflictMatrix::analyze(&stack, &roots).0)
     }
 
     fn trace_buffer(&self) -> Option<Arc<TraceBuffer>> {

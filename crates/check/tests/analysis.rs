@@ -8,9 +8,9 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use samoa_check::{lint_stack, validate_decl, ConflictMatrix};
 use samoa_core::analysis::{
-    codes, infer_bounds, infer_m, infer_route, lint_stack, validate_decl, CallGraph,
-    ConflictMatrix, Severity, CYCLE_FALLBACK_BOUND,
+    codes, infer_bounds, infer_m, infer_route, CallGraph, Severity, CYCLE_FALLBACK_BOUND,
 };
 use samoa_core::prelude::*;
 use samoa_net::{NetConfig, ProtoClock, SiteId};

@@ -5,10 +5,9 @@
 //! `NotInPattern`, each inferred declaration validates cleanly against the
 //! stack, and the runs stay serializable.
 
-mod common;
-
 use proptest::prelude::*;
-use samoa_core::analysis::{infer_bounds, infer_m, infer_route, validate_decl};
+use samoa_check::validate_decl;
+use samoa_core::analysis::{infer_bounds, infer_m, infer_route};
 use samoa_core::prelude::*;
 
 /// A random DAG stack whose metadata is exact: handler `a` triggers event

@@ -94,7 +94,7 @@ fn view_change_conformance() {
 /// The static-pruning invariant of the conflict-matrix → DPOR loop: on a
 /// workload with two statically disjoint clusters (a VCAbasic diamond next
 /// to an unrelated two-protocol chain), DPOR armed with the stack's
-/// [`StaticIndependence`](samoa_check::StaticIndependence) relation finds
+/// [`ConflictMatrix`](samoa_check::ConflictMatrix) finds
 /// exactly the exhaustive failure set while the no-initiator fallback
 /// demonstrably prunes statically independent threads.
 #[test]

@@ -10,15 +10,15 @@
 //!    pruning the thread from no-initiator backtrack fallbacks.
 //! 2. **Dynamic conflicts stay dependent** — any resource two distinct
 //!    threads both touch is never declared self-independent by the
-//!    [`StaticIndependence`] relation (the conflict-matrix diagonal
-//!    over-approximates observed contention).
+//!    scenario's [`ConflictMatrix`] (its diagonal over-approximates
+//!    observed contention).
 //! 3. **Footprint coupling** — when two seeded threads dynamically share
 //!    a protocol, *every* cross pair of the protocols they touched is
 //!    matrix-dependent: the static footprints that contain the shared
 //!    protocol couple everything else those threads do.
 //!
 //! [`Controller`]: samoa_check::Controller
-//! [`StaticIndependence`]: samoa_check::StaticIndependence
+//! [`ConflictMatrix`]: samoa_check::ConflictMatrix
 //! [`SchedHook::on_thread_spawn_with`]: samoa_core::SchedHook::on_thread_spawn_with
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use samoa_check::{
-    Controller, DiamondScenario, DisjointClustersScenario, RandomDecider, Scenario, ScheduleTrace,
-    StaticIndependence, ViewChangeScenario,
+    ConflictMatrix, Controller, DiamondScenario, DisjointClustersScenario, RandomDecider, Scenario,
+    ScheduleTrace, ViewChangeScenario,
 };
 use samoa_core::sched::SchedResource;
 use samoa_core::Policy;
@@ -75,7 +75,7 @@ fn protocols_of(touched: &BTreeSet<SchedResource>) -> BTreeSet<u32> {
 
 /// The three soundness properties on one trace. Returns the number of
 /// seeded threads observed so callers can reject vacuous runs.
-fn assert_sound(name: &str, trace: &ScheduleTrace, relation: &StaticIndependence) -> usize {
+fn assert_sound(name: &str, trace: &ScheduleTrace, relation: &ConflictMatrix) -> usize {
     let threads = per_thread(trace);
 
     // 1. Seed coverage: the seed over-approximates everything the thread

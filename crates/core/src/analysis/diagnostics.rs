@@ -14,11 +14,10 @@ use crate::handler::HandlerId;
 use crate::protocol::ProtocolId;
 
 /// Stable diagnostic codes. `SA00x` come from the stack linter
-/// ([`lint_stack`](crate::analysis::lint_stack)), `SA01x` are Error-level
-/// declaration defects, `SA02x`/`SA03x` Warning-level slack and
-/// imprecision (see [`validate_decl`](crate::analysis::validate_decl)) and
-/// `SA05x` conflict-reachability findings
-/// ([`ConflictMatrix`](crate::analysis::ConflictMatrix)).
+/// (`samoa_check::lint_stack`), `SA01x` are Error-level declaration
+/// defects, `SA02x`/`SA03x` Warning-level slack and imprecision (see
+/// `samoa_check::validate_decl`) and `SA05x` conflict-reachability findings
+/// (`samoa_check::ConflictMatrix`). Inference here reports `SA030`.
 pub mod codes {
     /// An event type has no bound handler; triggering it fails at run time.
     pub const EVENT_NO_HANDLER: &str = "SA001";

@@ -89,6 +89,16 @@ impl RoutePattern {
         self
     }
 
+    /// The declared roots, in declaration order.
+    pub fn roots(&self) -> &[HandlerId] {
+        &self.roots
+    }
+
+    /// The declared `(from, to)` edges, in declaration order.
+    pub fn edges(&self) -> &[(HandlerId, HandlerId)] {
+        &self.edges
+    }
+
     /// Build a pattern from handler *names* registered on a stack — the
     /// ergonomic form for hand-written declarations.
     ///

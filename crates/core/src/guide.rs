@@ -125,16 +125,15 @@
 //! [`StackBuilder::bind_with_triggers`], or [`StackBuilder::declare_triggers`]
 //! after binding; an event triggered in a loop — once per peer, per
 //! fragment — with [`StackBuilder::declare_fan_out`]) and
-//! [`crate::analysis`] can lint the stack, validate a declaration against
-//! the static call graph, and infer minimal declarations for all three
-//! isolation algorithms. A host needs nothing more: it names its stack's
-//! entry events ([`StackBuilder::entry_events`]), the runtime derives all
-//! three for each ([`External::new`] takes a stack and an entry event), and
-//! [`Runtime::enter`] runs an arrival under them. Debug builds check every
-//! trigger against the handler's declaration.
+//! [`crate::analysis`] infers minimal declarations for all three isolation
+//! algorithms from the static call graph. A host needs nothing more: it
+//! names its stack's entry events ([`StackBuilder::entry_events`]), the
+//! runtime derives all three for each ([`External::new`] takes a stack and
+//! an entry event), and [`Runtime::enter`] runs an arrival under them.
+//! Debug builds check every trigger against the handler's declaration.
 //!
 //! ```
-//! use samoa_core::analysis::{infer_bounds, infer_m, infer_route, lint_stack, validate_decl};
+//! use samoa_core::analysis::{infer_bounds, infer_m, infer_route};
 //! use samoa_core::prelude::*;
 //!
 //! let mut b = StackBuilder::new();
@@ -148,35 +147,32 @@
 //! b.bind_with_triggers(put, store, "keep", &[], |_, _| Ok(()));
 //! let stack = b.build();
 //!
-//! // Lint: structural mistakes become SA0xx diagnostics.
-//! assert!(lint_stack(&stack, &[ingest]).is_clean());
-//!
 //! // Infer: the minimal declarations for an Ingest computation.
 //! let m = infer_m(&stack, ingest);
+//! assert_eq!(m, vec![parser, store]);
 //! let (bounds, report) = infer_bounds(&stack, ingest);
 //! assert!(report.is_clean()); // acyclic: bounds are exact
 //! assert_eq!(bounds, vec![(parser, 1), (store, 1)]);
 //! let route = infer_route(&stack, ingest);
 //!
-//! // Validate: under-declaring is an error, over-declaring a warning.
-//! assert!(validate_decl(&stack, &Decl::Basic(&m), Some(ingest)).is_clean());
-//! let under = validate_decl(&stack, &Decl::Basic(&[parser]), Some(ingest));
-//! assert!(under.has_errors()); // SA010: Store reachable but undeclared
-//!
 //! // And the inferred declarations run.
 //! let rt = Runtime::new(stack);
+//! rt.run(Decl::Basic(&m), |ctx| ctx.trigger(ingest, EventData::empty())).unwrap();
 //! rt.run(Decl::Route(&route), |ctx| ctx.trigger(ingest, EventData::empty())).unwrap();
 //! ```
 //!
-//! Beyond per-declaration checks, a *whole-stack* pass certifies the stack
-//! itself:
-//! [`ConflictMatrix`](crate::analysis::ConflictMatrix) computes the
-//! symmetric may-conflict relation over microprotocols from the footprints
-//! of the analyzed root events. Protocols no root reaches (`SA050`) or that
-//! never share a footprint with another (`SA051`) are provably-unreachable
-//! conflicts: isolation spent there buys nothing. The same matrix exports to
-//! `samoa-check` as a `StaticIndependence` relation, where it prunes DPOR
-//! backtrack points (§6).
+//! *Checking* a stack is not the runtime's business, and the passes that do
+//! it live in crate `samoa-check`, whose
+//! [crate documentation](../../samoa_check/index.html#static-analysis) runs
+//! each as an example. The linter (`lint_stack`) turns structural mistakes
+//! into `SA00x` diagnostics; `validate_decl` checks one declaration against
+//! the call graph (under-declaring is an error, over-declaring a warning);
+//! and `ConflictMatrix` computes the symmetric may-conflict relation over
+//! microprotocols from the footprints of the analyzed root events.
+//! Protocols no root reaches (`SA050`) or that never share a footprint
+//! with another (`SA051`) are provably-unreachable conflicts: isolation
+//! spent there buys nothing. The same matrix prunes DPOR backtrack points
+//! (§6).
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
@@ -186,8 +182,8 @@
 //! The runtime runs none of these passes but the derivation of each entry
 //! event's declaration, once, when it is built
 //! ([`External::new`](crate::External::new)); the shipped
-//! group-communication stack of `samoa-proto` is certified clean by its
-//! test suite, and the `samoa-lint` binary
+//! group-communication stack of `samoa-proto` is certified clean by
+//! samoa-check's test suite, and the `samoa-lint` binary
 //! (`cargo run --bin samoa-lint -- --help`) runs the linter and the
 //! conflict pass over a whole stack from the command line, with
 //! `--format json` for machine-readable output and `--deny warn` to fail CI
@@ -203,26 +199,11 @@
 //! `Explorer` drives a scenario through thousands of distinct
 //! interleavings — seeded random walks, PCT priority schedules, or
 //! exhaustive bounded enumeration — checking each run with the
-//! serializability checker of §3:
-//!
-//! ```
-//! use samoa_check::{DiamondScenario, Explorer, ExplorerConfig, Strategy};
-//! use samoa_core::Policy;
-//!
-//! // The Fig. 1 diamond without isolation hides run r3. A pinned-seed
-//! // random walk finds it...
-//! let buggy = DiamondScenario::new(Policy::Unsync);
-//! let cfg = ExplorerConfig::new(500, Strategy::Random { seed: 42 });
-//! let witness = Explorer::explore(&buggy, &cfg).violation.expect("finds r3");
-//!
-//! // ...and the witness (a minimised schedule-choice trace) replays to
-//! // the exact same precedence cycle, deterministically.
-//! assert_eq!(Explorer::replay(&buggy, &witness), Some(witness.failure.clone()));
-//!
-//! // The same workload under VCAbasic survives every schedule tried.
-//! let fixed = DiamondScenario::new(Policy::Basic);
-//! assert!(Explorer::explore(&fixed, &cfg).violation.is_none());
-//! ```
+//! serializability checker of §3. The
+//! [crate documentation](../../samoa_check/index.html) runs the Fig. 1
+//! diamond without isolation until a seeded random walk finds run r3,
+//! replays the minimised witness to the same precedence cycle, and shows
+//! the same workload under VCAbasic surviving every schedule tried.
 //!
 //! Exhaustive enumeration drowns in interleavings that only permute
 //! *independent* steps. `Strategy::Dpor` prunes them with dynamic
@@ -302,9 +283,7 @@
 //! per instrumentation site:
 //!
 //! ```
-//! use std::sync::Arc;
 //! use samoa_core::prelude::*;
-//! use samoa_core::{chrome_trace, ContentionProfile};
 //!
 //! let mut b = StackBuilder::new();
 //! let p = b.protocol("Parser");
@@ -320,24 +299,26 @@
 //! }
 //! rt.quiesce();
 //!
-//! // Drain the stream and aggregate it: per-microprotocol admission-wait
-//! // percentiles, handler service times, early-release counts.
+//! // Drain the stream: one Spawn, HandlerEnter/Exit and Complete per run.
 //! let events = buf.drain();
-//! let profile = ContentionProfile::from_events(&events, rt.stack());
-//! let parser = profile.protocol("Parser").unwrap();
-//! assert_eq!(parser.handler_calls, 3);
-//! assert_eq!(parser.waits, 0); // sequential spawns never block
+//! let calls = events
+//!     .iter()
+//!     .filter(|ev| matches!(ev.kind, TraceKind::HandlerExit { .. }))
+//!     .count();
+//! assert_eq!(calls, 3);
 //!
 //! // While computations are blocked, `waiters()` names who waits on whom
 //! // (`k4 waits on Parser held by k2`); here everything has completed.
 //! assert!(rt.waiters().is_empty());
-//!
-//! // For a timeline, export Chrome trace_event JSON and load it in
-//! // chrome://tracing or https://ui.perfetto.dev — one track per
-//! // computation, admission waits and handler calls as spans.
-//! let json = chrome_trace(&events, rt.stack());
-//! assert!(json.contains("traceEvents"));
 //! ```
+//!
+//! A drained stream is read outside the runtime, by crate `samoa-check`
+//! ([its crate documentation](../../samoa_check/index.html#reading-a-trace)
+//! runs both): `ContentionProfile` aggregates per-microprotocol
+//! admission-wait percentiles, handler service times and early-release
+//! counts, and `ChromeTrace` / `chrome_trace` export Chrome `trace_event`
+//! JSON for `chrome://tracing` or <https://ui.perfetto.dev> — one track per
+//! computation, admission waits and handler calls as spans.
 //!
 //! A wait edge in [`Runtime::waiters`] always points from a younger
 //! computation to a strictly older one — that is the deadlock-freedom
@@ -421,7 +402,7 @@
 //!   `ClusterViewChange` at the protocol layer). Build the cluster with one
 //!   shared sink and epoch (`Cluster::new_observed_on`, `Observe`) and a
 //!   single KV `put` renders in the Chrome/Perfetto exporter
-//!   ([`ChromeTrace`](crate::ChromeTrace)) as one causally-linked arrow
+//!   (`samoa_check::ChromeTrace`) as one causally-linked arrow
 //!   chain across all sites: client submit → wire hops → per-site abcast
 //!   delivery → per-site apply, with `cat: "causal"` flow events stitching
 //!   the site tracks together.
@@ -446,7 +427,7 @@
 //!   uniform placement) and `crates/check/tests/causal_trace.rs` pins
 //!   cross-site causal integrity under a controlled schedule.
 //!
-//! `cargo run -p samoa-proto --example observe_cluster` runs a 3-site
+//! `cargo run --example observe_cluster` runs a 3-site
 //! observed cluster, writes the Perfetto trace and the health JSON, and
 //! self-validates both (CI runs it as the `observe-smoke` job).
 //!

@@ -74,14 +74,13 @@ pub use graph::RoutePattern;
 pub use handler::HandlerId;
 pub use history::{check_serializable, Access, History, IsolationViolation, RunEntry};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use policy::{CellKind, Policy};
+pub use policy::Policy;
 pub use protocol::{ProtocolId, ProtocolState};
 pub use runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};
 pub use sched::{ExternalChoice, ReleaseReason, SchedHook, SchedPoint, SchedResource};
 pub use stack::{Stack, StackBuilder};
 pub use trace::{
-    chrome_trace, percentile_us, ChromeTrace, ContentionProfile, TraceBuffer, TraceEvent,
-    TraceKind, TraceSink, WaitEdge, WaitForGraph,
+    percentile_us, TraceBuffer, TraceEvent, TraceKind, TraceSink, WaitEdge, WaitForGraph,
 };
 
 /// Everything most programs need.
@@ -96,7 +95,7 @@ pub mod prelude {
     pub use crate::protocol::{ProtocolId, ProtocolState};
     pub use crate::runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};
     pub use crate::stack::{Stack, StackBuilder};
-    pub use crate::trace::{ContentionProfile, TraceBuffer, TraceEvent, TraceKind, TraceSink};
+    pub use crate::trace::{TraceBuffer, TraceEvent, TraceKind, TraceSink};
 }
 
 /// Construct a raw [`HandlerId`] — for doctests and examples that build

@@ -30,8 +30,7 @@ use crate::version::ParkSeam;
 /// word the paper puts at the `isolated` construct (§4), as a value. The
 /// only "which algorithm" enum in the workspace: [`Policy::decl`] turns it
 /// into the [`Decl`] a spawn takes, [`Decl::policy`] reads it back,
-/// [`TraceKind::Spawn`](crate::trace::TraceKind::Spawn) carries it, the
-/// static conflict analysis is parameterised by it ([`Policy::cell`]), and
+/// [`TraceKind::Spawn`](crate::trace::TraceKind::Spawn) carries it, and
 /// its `Display` is the label every report prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
@@ -63,20 +62,6 @@ impl Policy {
     /// Does this policy guarantee the isolation property?
     pub fn isolating(self) -> bool {
         !matches!(self, Policy::Unsync)
-    }
-
-    /// The kind of per-microprotocol cell this policy contends on, if any
-    /// — what the static conflict analysis
-    /// ([`ConflictMatrix`](crate::analysis::ConflictMatrix)) uses to decide
-    /// which handler pairs can meet on the same cell.
-    pub fn cell(self) -> Option<CellKind> {
-        match self {
-            Policy::Unsync => None,
-            Policy::Serial | Policy::Basic | Policy::Bound | Policy::Route => {
-                Some(CellKind::Version)
-            }
-            Policy::TwoPhase => Some(CellKind::Lock),
-        }
     }
 
     /// The declaration this policy makes for a computation that may visit
@@ -122,19 +107,6 @@ impl Policy {
             Policy::TwoPhase => "two-phase",
         }
     }
-}
-
-/// The kind of per-microprotocol synchronisation cell a [`Policy`]'s
-/// admission control waits on. Versioning policies share one `(gv, lv)`
-/// counter pair per microprotocol; the two-phase comparator uses a separate
-/// lock table (and the two must not be mixed on overlapping
-/// microprotocols).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CellKind {
-    /// A `(gv_p, lv_p)` version-counter pair (Rules 1–4).
-    Version,
-    /// A slot of the two-phase-locking lock table.
-    Lock,
 }
 
 impl fmt::Display for Policy {
@@ -266,15 +238,6 @@ mod tests {
         assert!(Policy::Serial.isolating());
         assert!(!Policy::Unsync.isolating());
         assert_eq!(Policy::ALL.len(), 6);
-    }
-
-    #[test]
-    fn policy_cell_kinds() {
-        assert_eq!(Policy::Unsync.cell(), None);
-        assert_eq!(Policy::TwoPhase.cell(), Some(CellKind::Lock));
-        for p in [Policy::Serial, Policy::Basic, Policy::Bound, Policy::Route] {
-            assert_eq!(p.cell(), Some(CellKind::Version), "{p}");
-        }
     }
 
     #[test]

@@ -271,6 +271,13 @@ impl Stack {
         (0..self.inner.events.len() as u32).map(EventType).collect()
     }
 
+    /// All handler ids, in registration order.
+    pub fn all_handlers(&self) -> Vec<HandlerId> {
+        (0..self.inner.handlers.len() as u32)
+            .map(HandlerId)
+            .collect()
+    }
+
     /// The events `h` declared it may trigger
     /// ([`StackBuilder::declare_triggers`]); `None` if the handler carries
     /// no metadata. Repeated entries declare per-invocation multiplicity.

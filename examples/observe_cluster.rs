@@ -16,13 +16,14 @@
 //! files on failure.
 //!
 //! ```text
-//! cargo run -p samoa-proto --example observe_cluster [trace.json [metrics.json]]
+//! cargo run --example observe_cluster [trace.json [metrics.json]]
 //! ```
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use samoa_core::{ChromeTrace, Registry, TraceBuffer};
+use samoa_check::ChromeTrace;
+use samoa_core::{Registry, TraceBuffer};
 use samoa_net::{NetConfig, SimNet};
 use samoa_proto::{Cluster, NodeConfig, Observe, StackPolicy};
 

@@ -28,7 +28,7 @@ mod common; // the staggered-pipeline fixture `tests/trace.rs` asserts on
 
 use common::{pipeline_stack, run_pipeline};
 use samoa::prelude::*;
-use samoa_core::ChromeTrace;
+use samoa_check::{ChromeTrace, ContentionProfile};
 use samoa_proto::Observe;
 
 const STAGES: usize = 4;

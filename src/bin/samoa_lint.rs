@@ -25,11 +25,10 @@
 
 use std::process::ExitCode;
 
-use samoa::core::analysis::{
-    infer_bounds, lint_stack, CallGraph, ConflictMatrix, Report, Severity, CYCLE_FALLBACK_BOUND,
-};
+use samoa::core::analysis::{infer_bounds, CallGraph, Report, Severity, CYCLE_FALLBACK_BOUND};
 use samoa::net::ProtoClock;
 use samoa::prelude::*;
+use samoa_check::{lint_stack, ConflictMatrix};
 
 /// Parsed command line.
 struct Opts {

@@ -133,8 +133,8 @@ pub struct PipelineStack {
 
 /// Build a pipeline of `stages` stages sleeping `work` per stage. With a
 /// `sink`, every run through the returned stack records admission waits,
-/// handler service times and early releases for [`ContentionProfile`]
-/// aggregation.
+/// handler service times and early releases for
+/// `samoa_check::ContentionProfile` aggregation.
 pub fn pipeline_stack(
     stages: usize,
     work: Duration,

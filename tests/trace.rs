@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use common::{pipeline_stack, run_pipeline};
 use samoa::prelude::*;
-use samoa_core::ChromeTrace;
+use samoa_check::{ChromeTrace, ContentionProfile};
 
 const STAGES: usize = 4;
 const COMPS: usize = 6;
