@@ -186,7 +186,7 @@ impl ClusterScenario {
 
     /// Enable the injected **ordering bug**
     /// ([`NodeConfig::ab_order_enabled`] = false): abcast delivers
-    /// decisions in arrival order, so a reordered `Decide` flood violates
+    /// decisions in arrival order, so two reordered `Decide`s violate
     /// prefix agreement.
     pub fn with_ab_order_bug(mut self) -> ClusterScenario {
         self.ab_order_bug = true;

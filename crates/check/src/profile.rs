@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use samoa_core::trace::{percentile_us, TraceEvent, TraceKind};
-use samoa_core::{CompId, Policy, ProtocolId, ReleaseReason, Stack};
+use samoa_core::{json_string, CompId, Policy, ProtocolId, ReleaseReason, Stack};
 
 /// Per-microprotocol contention statistics aggregated from a trace stream.
 #[derive(Debug, Clone)]
@@ -266,7 +266,7 @@ impl ChromeTrace {
         self.entries.push(format!(
             "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
              \"args\": {{\"name\": {}}}}}",
-            json_str(name)
+            json_string(name)
         ));
         let mut named: HashMap<CompId, ()> = HashMap::new();
         let mut site_named: HashMap<u16, ()> = HashMap::new();
@@ -276,7 +276,7 @@ impl ChromeTrace {
                     "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \
                      \"tid\": {}, \"args\": {{\"name\": {}}}}}",
                     site_tid(site),
-                    json_str(&format!("site{site}"))
+                    json_string(&format!("site{site}"))
                 ));
             });
         };
@@ -288,13 +288,13 @@ impl ChromeTrace {
                         self.entries.push(format!(
                             "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \
                              \"tid\": {comp}, \"args\": {{\"name\": {}}}}}",
-                            json_str(&format!("k{comp} ({})", algo.label()))
+                            json_string(&format!("k{comp} ({})", algo.label()))
                         ));
                     });
                     self.entries.push(format!(
                         "{{\"name\": {}, \"cat\": \"spawn\", \"ph\": \"i\", \"s\": \"t\", \
                          \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {comp}}}",
-                        json_str(&format!("spawn ({})", algo.label()))
+                        json_string(&format!("spawn ({})", algo.label()))
                     ));
                 }
                 TraceKind::WaitEnd {
@@ -317,7 +317,7 @@ impl ChromeTrace {
                         "{{\"name\": {}, \"cat\": \"admission-wait\", \"ph\": \"X\", \
                          \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {comp}, \
                          \"args\": {args}}}",
-                        json_str(&name),
+                        json_string(&name),
                         (ev.t_ns.saturating_sub(wait_ns)) as f64 / 1e3,
                         wait_ns as f64 / 1e3,
                     ));
@@ -331,7 +331,7 @@ impl ChromeTrace {
                     self.entries.push(format!(
                         "{{\"name\": {}, \"cat\": \"handler\", \"ph\": \"X\", \
                          \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {comp}}}",
-                        json_str(&format!(
+                        json_string(&format!(
                             "{}.{}",
                             stack.protocol_name(protocol),
                             stack.handler_name(handler)
@@ -352,7 +352,7 @@ impl ChromeTrace {
                     self.entries.push(format!(
                         "{{\"name\": {}, \"cat\": \"early-release\", \"ph\": \"i\", \
                          \"s\": \"t\", \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {comp}}}",
-                        json_str(&format!(
+                        json_string(&format!(
                             "release {} ({why})",
                             stack.protocol_name(protocol)
                         ))
@@ -474,7 +474,7 @@ impl ChromeTrace {
         self.entries.push(format!(
             "{{\"name\": {}, \"cat\": \"{cat}\", \"ph\": \"i\", \"s\": \"t\", \
              \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {}}}",
-            json_str(name),
+            json_string(name),
             site_tid(site)
         ));
     }
@@ -486,7 +486,7 @@ impl ChromeTrace {
         self.entries.push(format!(
             "{{\"name\": {}, \"cat\": \"causal\", \"ph\": \"{ph}\", \"id\": {}, \
              \"ts\": {us:.3}, \"pid\": {pid}, \"tid\": {}{bp}}}",
-            json_str(&format!("op {op}@s{origin}")),
+            json_string(&format!("op {op}@s{origin}")),
             flow_id(origin, op),
             site_tid(site)
         ));
@@ -518,25 +518,6 @@ pub fn chrome_trace(events: &[TraceEvent], stack: &Stack) -> String {
     let mut b = ChromeTrace::new();
     b.add_process(1, "samoa", events, stack);
     b.render()
-}
-
-/// Quote and escape a JSON string.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -249,7 +249,7 @@ fn inferred_m_for_abcast_reaches_whole_stack_and_validates() {
 
 #[test]
 fn abcast_bounds_fall_back_on_the_consensus_cycle() {
-    // abcast.on_deliver -> consensus.propose -> relcast.bcast ->
+    // abcast.on_deliver -> consensus.propose -> ConsDecide ->
     // abcast.on_deliver is a static cycle, so path counting cannot bound
     // visits: inference warns (SA030) and falls back to a safe bound.
     let c = Cluster::new(3, NetConfig::fast(7), NodeConfig::default());

@@ -73,7 +73,9 @@ pub use external::External;
 pub use graph::RoutePattern;
 pub use handler::HandlerId;
 pub use history::{check_serializable, Access, History, IsolationViolation, RunEntry};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
+pub use metrics::{
+    json_string, Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
+};
 pub use policy::Policy;
 pub use protocol::{ProtocolId, ProtocolState};
 pub use runtime::{CompHandle, Decl, Runtime, RuntimeConfig, RuntimeStats};

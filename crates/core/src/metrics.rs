@@ -294,7 +294,7 @@ impl MetricsSnapshot {
             }
             out.push_str(&format!(
                 "{}:{{\"count\":{},\"min\":{},\"max\":{},\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1}}}",
-                json_name(name),
+                json_string(name),
                 h.count,
                 h.min,
                 h.max,
@@ -331,17 +331,25 @@ fn push_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{}:{}", json_name(name), v));
+        out.push_str(&format!("{}:{}", json_string(name), v));
     }
 }
 
-fn json_name(s: &str) -> String {
+/// `s` as a quoted JSON string: `"` and `\` escaped, `\n`, `\r` and `\t`
+/// by name, every other control character as `\u00XX`, anything else —
+/// non-ASCII text included — as it is. The one escaper of the workspace:
+/// the metrics snapshot, `samoa-check`'s trace exports and `samoa-lint
+/// --format json` all write their strings through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -353,6 +361,24 @@ fn json_name(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_every_control_character() {
+        assert_eq!(json_string(r#"a"b\c"#), r#""a\"b\\c""#);
+        for (c, escaped) in [('\n', "\\n"), ('\r', "\\r"), ('\t', "\\t")] {
+            assert_eq!(json_string(&c.to_string()), format!("\"{escaped}\""));
+        }
+        for c in (0u8..0x20)
+            .map(char::from)
+            .filter(|c| !"\n\r\t".contains(*c))
+        {
+            let want = format!("\"\\u{:04x}\"", c as u32);
+            assert_eq!(json_string(&c.to_string()), want);
+        }
+        // Everything else passes through: DEL, non-ASCII text, emoji.
+        assert_eq!(json_string("\u{7f}é€ü日本🦀"), "\"\u{7f}é€ü日本🦀\"");
+        assert_eq!(json_string(""), "\"\"");
+    }
 
     #[test]
     fn get_or_create_shares_state() {

@@ -3,10 +3,12 @@
 //! protocol the paper's §7 evaluation exercises).
 //!
 //! Each site accumulates undelivered requests in `pending` and proposes the
-//! pending set for the next undecided consensus instance. Decisions arrive
-//! as RelCast floods (`CastData::Decide`), are buffered per instance, and
-//! are delivered in instance order — messages within a batch in `uid`
-//! order — yielding the same total order at every site.
+//! pending set for the next undecided consensus instance. Decisions come
+//! from consensus on `ConsDecide` — at the coordinator in the computation
+//! that decided, elsewhere in the one that received its `Decide` — are
+//! buffered per instance, and are delivered in instance order — messages
+//! within a batch in `uid` order — yielding the same total order at every
+//! site.
 //!
 //! What a decision makes deliverable goes up as runs, not one message at a
 //! time: one `ADeliver` per maximal run of consecutive user messages of a
@@ -63,19 +65,23 @@
 //! long the group has run), and the incumbent's `pending` requests —
 //! they were cast before the joiner was a member, no copy was sent its way,
 //! and if the joiner sorts first in the view it is the one site that
-//! proposes in round 0 (see `consensus.rs`).
+//! proposes in round 0 (see `consensus.rs`). The snapshot is cut when the
+//! delivery that installed the view ends (`installed`), not at each view
+//! operation: a batch may join two sites, and both must get the view the
+//! whole batch leaves installed, not the one between its two operations.
 //!
 //! Requests and decisions travel as a [`Batch`], allocated once where it is
 //! made and shared after that. A site makes one when it sends what it holds
 //! (`flush`), forwards first receipts, hands its `pending` over, snapshots
 //! it for a joiner, or proposes it; every target of the `Request` and the
-//! `ConsPropose` event share that body. A decision arrives as the batch its
-//! `Decide` was decoded into (or, at the site that decided, the batch
-//! consensus proposed). `decides` buffers that same body, and `note_decide`
-//! reads it in place, in `uid` order, and cuts its runs from it: every batch
-//! this stack builds is sorted, so only one that is not is sorted, in a
-//! copy. A batch collected from `pending` is written straight into its one
-//! allocation (`Batch::filled`), not built in a `Vec` and copied.
+//! `ConsPropose` event share that body. A decision arrives as the batch
+//! consensus holds: the one a `Propose` or `Decide` was decoded into, or, at
+//! the site that decided, the one it proposed. `decides` buffers that same
+//! body, and `note_decide` reads it in place, in `uid` order, and cuts its
+//! runs from it: every batch this stack builds is sorted, so only one that
+//! is not is sorted, in a copy. A batch collected from `pending` is written
+//! straight into its one allocation (`Batch::filled`), not built in a `Vec`
+//! and copied.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Range, RangeInclusive};
@@ -87,9 +93,7 @@ use samoa_core::TraceKind;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{
-    AbMsg, AbPayload, Batch, CastData, CastMsg, ConsMsg, MsgUid, Payload, SyncMsg, UidSet,
-};
+use crate::msgs::{AbMsg, AbPayload, Batch, ConsMsg, MsgUid, Payload, SyncMsg, UidSet};
 use crate::observe::{AbcastInstruments, ClusterTracer};
 use crate::relcomm::RDeliver;
 use crate::view::{GroupView, ViewOp};
@@ -124,7 +128,7 @@ enum Delivery {
     View(ViewOp, SiteId),
 }
 
-/// What installing a view sends: the joiners, the snapshot each of them
+/// What installing views sends: the joiners, the snapshot each of them
 /// gets, and — when round 0's coordinator moved to an incumbent — that
 /// coordinator with what is pending here (module docs). A joiner gets the
 /// pending requests in the snapshot.
@@ -150,11 +154,17 @@ pub struct AbcastState {
     decides: BTreeMap<u64, Batch>,
     /// The instance we have already proposed for (avoid re-proposing).
     proposed_for: Option<u64>,
+    /// Joiners of the views installed by the delivery under way, owed a
+    /// snapshot at its end ([`AbcastState::installed`]).
+    joiners: Vec<SiteId>,
+    /// An incumbent that became round 0's coordinator in one of those
+    /// views, owed what is pending here.
+    new_coord: Option<SiteId>,
     /// When false, `note_decide` skips the
     /// instance-order buffering and delivers every arriving decision
     /// immediately — an **injected bug** for the fault explorer
-    /// (`samoa-check`): a reordered `Decide` flood then produces divergent
-    /// delivery prefixes across sites. Leave true everywhere else.
+    /// (`samoa-check`): reordered `Decide`s then produce divergent delivery
+    /// prefixes across sites. Leave true everywhere else.
     pub order_enabled: bool,
     /// Submit times of locally originated requests, for delivery-lag
     /// accounting.
@@ -178,6 +188,8 @@ impl AbcastState {
             next_inst: 0,
             decides: BTreeMap::new(),
             proposed_for: None,
+            joiners: Vec::new(),
+            new_coord: None,
             order_enabled: true,
             submit_at: HashMap::new(),
             tracer: None,
@@ -360,20 +372,34 @@ impl AbcastState {
         adopted
     }
 
-    /// Install the next view and say what that sends ([`Install`]).
-    fn install(&mut self, v: &GroupView) -> Install {
+    /// Install the next view. What that sends waits for the end of the
+    /// delivery that installed it ([`AbcastState::installed`]): one batch
+    /// may hold several view operations, and a joiner's snapshot is cut at
+    /// the batch's end, with the view the whole batch leaves installed.
+    fn install(&mut self, v: &GroupView) {
         let joiners = v.members().iter().copied();
-        let joiners = joiners
-            .filter(|&m| m != self.site && !self.view.contains(m))
-            .collect();
+        let joiners = joiners.filter(|&m| m != self.site && !self.view.contains(m));
+        self.joiners.extend(joiners);
         let coord = v.coordinator(0);
-        let handover = coord
-            .filter(|&c| {
-                c != self.site && coord != self.view.coordinator(0) && self.view.contains(c)
-            })
-            .map(|c| (c, self.pending_batch()));
+        if coord != self.view.coordinator(0) {
+            self.new_coord = coord.filter(|&c| c != self.site && self.view.contains(c));
+        }
         self.view = v.clone();
-        (joiners, self.snapshot(), handover)
+    }
+
+    /// What the views installed since the last call send ([`Install`]), if
+    /// they send anything: to each joiner still a member, and to an
+    /// incumbent still round 0's coordinator.
+    fn installed(&mut self) -> Option<Install> {
+        if self.joiners.is_empty() && self.new_coord.is_none() {
+            return None;
+        }
+        let mut joiners = std::mem::take(&mut self.joiners);
+        joiners.retain(|&j| self.view.contains(j));
+        let coord = self.view.coordinator(0);
+        let handover = self.new_coord.take().filter(|&c| coord == Some(c));
+        let handover = handover.map(|c| (c, self.pending_batch()));
+        Some((joiners, self.snapshot(), handover))
     }
 
     /// Buffer a decision; returns what is now deliverable, in order.
@@ -458,6 +484,24 @@ fn send_requests(
     Ok(())
 }
 
+/// Send what installing views owes ([`Install`]): each joiner the snapshot
+/// — every incumbent sends one, redundant but loss-tolerant: adoption is
+/// idempotent, and the pending sets add up — and a new coordinator what is
+/// pending here.
+fn send_installed(ctx: &Ctx<'_>, ev: &Events, install: Option<Install>) -> Result<()> {
+    let Some((joiners, snapshot, handover)) = install else {
+        return Ok(());
+    };
+    for j in joiners {
+        let sync = Payload::Sync(snapshot.clone());
+        ctx.trigger(ev.send_out, EventData::new((sync, j)))?;
+    }
+    if let Some((coord, pending)) = handover {
+        send_requests(ctx, ev, pending, [coord])?;
+    }
+    Ok(())
+}
+
 /// Register the atomic-broadcast microprotocol on the builder.
 pub fn register(
     b: &mut StackBuilder,
@@ -514,7 +558,7 @@ pub fn register(
 
     {
         let state = state.clone();
-        let e = ev.from_rcomm_cons;
+        let e = ev.from_rcomm_propose;
         b.bind_with_triggers(e, pid, "abcast.on_propose", &[], move |ctx, data| {
             let d: &RDeliver<ConsMsg> = data.expect(e)?;
             // Round 0's coordinator sent its own requests in nothing else.
@@ -527,18 +571,10 @@ pub fn register(
 
     {
         let state = state.clone();
-        let e = ev.deliver_out;
+        let e = ev.cons_decide;
         let triggers = [ev.cons_gc, ev.cons_propose, ev.send_out];
         let h = b.bind_with_triggers(e, pid, "abcast.on_deliver", &triggers, move |ctx, data| {
-            let msg: &CastMsg = data.expect(e)?;
-            // RelCast delivers plain user casts on `DeliverUser`, and no
-            // request rides it.
-            let CastData::Decide { inst, batch } = &msg.data else {
-                return Err(SamoaError::WrongPayloadType {
-                    event: e,
-                    expected: "CastData::Decide",
-                });
-            };
+            let (inst, batch): &(u64, Batch) = data.expect(e)?;
             let (deliverable, gc_below, proposal) = state.with(ctx, |s| {
                 let out = s.note_decide(*inst, batch.clone());
                 (out, s.next_inst, s.proposal())
@@ -555,61 +591,57 @@ pub fn register(
                 }
             }
             if decided {
-                // What is held here goes now, to the view the decision left
-                // installed.
-                let (held, peers) = state.with(ctx, |s| s.flush());
+                // What the views the decision installed owe goes now, and
+                // then what is held here, to the view it left installed.
+                let (install, (held, peers)) = state.with(ctx, |s| (s.installed(), s.flush()));
+                send_installed(ctx, &events, install)?;
                 send_requests(ctx, &events, held, peers)?;
             }
             ctx.trigger(events.cons_gc, EventData::new(gc_below))?;
             propose(ctx, &events, proposal)
         });
         // A `Decide` can release a whole backlog of deliveries, as runs
-        // split by view operations, and what is held goes to every peer.
+        // split by view operations; what is held goes to every peer, and a
+        // snapshot to every joiner.
         b.declare_fan_out(h, &[ev.adeliver, ev.adeliver_view, ev.send_out]);
     }
 
     {
         let state = state.clone();
         let e = ev.from_rcomm_sync;
-        let triggers = [ev.view_sync, ev.cons_gc, ev.cons_propose];
-        b.bind_with_triggers(e, pid, "abcast.on_sync", &triggers, move |ctx, data| {
+        let triggers = [ev.view_sync, ev.send_out, ev.cons_gc, ev.cons_propose];
+        let h = b.bind_with_triggers(e, pid, "abcast.on_sync", &triggers, move |ctx, data| {
             let sync = &data.expect::<RDeliver<SyncMsg>>(e)?.payload;
             let (adopted, proposal) = state.with(ctx, |s| {
                 let adopted = s.apply_sync(sync);
                 (adopted, s.proposal())
             });
             if adopted {
+                // Consensus first drops what it held below the snapshot,
+                // so the view change restarts none of it.
+                ctx.trigger(events.cons_gc, EventData::new(sync.next_inst))?;
                 // The joiner cannot learn the view through ADeliver (it
                 // missed the prefix); membership installs it directly.
                 ctx.trigger(events.view_sync, EventData::new(sync.clone()))?;
-                ctx.trigger(events.cons_gc, EventData::new(sync.next_inst))?;
+                let install = state.with(ctx, |s| s.installed());
+                send_installed(ctx, &events, install)?;
             }
             propose(ctx, &events, proposal)
         });
+        // The view it installs may owe a snapshot to each other joiner.
+        b.declare_fan_out(h, &[ev.send_out]);
     }
 
     {
         let state = state.clone();
         let e = ev.view_change;
-        let h = b.bind_with_triggers(e, pid, "abcast.view_change", &[], move |ctx, data| {
+        b.bind_with_triggers(e, pid, "abcast.view_change", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
-            let (joiners, snapshot, handover) = state.with(ctx, |s| s.install(v));
-            // Every incumbent sends the joiner the ordering state —
-            // redundant but loss-tolerant; adoption is idempotent, and the
-            // pending sets add up.
-            for j in joiners {
-                ctx.trigger(
-                    events.send_out,
-                    EventData::new((Payload::Sync(snapshot.clone()), j)),
-                )?;
-            }
-            if let Some((coord, pending)) = handover {
-                send_requests(ctx, &events, pending, [coord])?;
-            }
+            // What it sends waits for the delivery or state transfer that
+            // installed it to end.
+            state.with(ctx, |s| s.install(v));
             Ok(())
         });
-        // One `SendOut` per joiner, and one to a new coordinator.
-        b.declare_fan_out(h, &[ev.send_out]);
     }
 }
 
@@ -875,7 +907,8 @@ mod tests {
         s.adopt(&Batch::from(vec![m(0, 2)]));
         assert_eq!(s.snapshot().pending, Batch::from(vec![m(0, 2)]));
         let left = s.view.apply(ViewOp::Leave, SiteId(0));
-        let (_, _, handover) = s.install(&left);
+        s.install(&left);
+        let (_, _, handover) = s.installed().unwrap();
         assert_eq!(handover, Some((SiteId(1), Batch::from(vec![m(0, 2)]))));
     }
 
@@ -888,15 +921,45 @@ mod tests {
         let ours = Batch::from(vec![m(2, 1), m(2, 2)]);
         // Site 3 joins and gets both; the coordinator stays.
         let joined = s.view.apply(ViewOp::Join, SiteId(3));
-        let (joiners, snapshot, handover) = s.install(&joined);
+        s.install(&joined);
+        let (joiners, snapshot, handover) = s.installed().unwrap();
         assert_eq!(joiners, [SiteId(3)]);
         assert_eq!(snapshot.pending, ours);
         assert_eq!(handover, None);
         // Site 0 leaves: site 1 coordinates round 0 and is handed both.
         let left = joined.apply(ViewOp::Leave, SiteId(0));
-        let (joiners, _, handover) = s.install(&left);
+        s.install(&left);
+        let (joiners, _, handover) = s.installed().unwrap();
         assert!(joiners.is_empty());
         assert_eq!(handover, Some((SiteId(1), ours)));
+        assert_eq!(s.installed(), None, "nothing installed since");
+    }
+
+    #[test]
+    fn a_batch_of_view_operations_owes_its_joiners_the_view_at_its_end() {
+        // Sites 3 and 4 join in one batch, and site 0 leaves: both joiners
+        // get a snapshot of the last view, and site 1, round 0's
+        // coordinator once site 0 is gone, what is pending here.
+        let mut s = AbcastState::new(SiteId(2), GroupView::of_first(3));
+        s.note_request(&m(2, 1));
+        let mut view = s.view.clone();
+        for (op, site) in [(ViewOp::Join, 3), (ViewOp::Join, 4), (ViewOp::Leave, 0)] {
+            view = view.apply(op, SiteId(site));
+            s.install(&view);
+        }
+        let (joiners, snapshot, handover) = s.installed().unwrap();
+        assert_eq!(joiners, [SiteId(3), SiteId(4)]);
+        assert_eq!(
+            (snapshot.view_id, snapshot.members),
+            (view.id, view.members().to_vec())
+        );
+        assert_eq!(handover, Some((SiteId(1), Batch::from(vec![m(2, 1)]))));
+        // A joiner that leaves in the same batch is owed nothing.
+        let mut s = AbcastState::new(SiteId(2), GroupView::of_first(3));
+        let joined = s.view.apply(ViewOp::Join, SiteId(3));
+        s.install(&joined);
+        s.install(&joined.apply(ViewOp::Leave, SiteId(3)));
+        assert!(s.installed().unwrap().0.is_empty());
     }
 
     #[test]

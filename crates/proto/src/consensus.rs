@@ -12,9 +12,36 @@
 //!    adopted in the highest round (or, if none was ever adopted, the
 //!    deduplicated union of all collected initial estimates) and broadcasts
 //!    `Propose(r, v)`.
-//! 4. Participants adopt and `Ack`; a majority of acks decides, and the
-//!    decision is flooded via RelCast (`CastData::Decide`) so every site
-//!    learns it even if the coordinator crashes mid-broadcast.
+//! 4. Participants adopt and `Ack`; a majority of acks decides. The
+//!    coordinator delivers its decision in the computation that reaches it,
+//!    and sends `Decide` to every other member, point to point: without the
+//!    value to a site whose `Ack` of the round it counted — that site
+//!    adopted the value and holds it — and with it to the others.
+//!
+//! **A decided site answers for its decision.** A coordinator may crash
+//! after its `Decide` reached some members, or none. What the survivors do
+//! next — suspect it, kick the next round's coordinator, or collect as that
+//! coordinator — reaches a site that may have decided, and a site answers
+//! any `Kick`, `Collect`, `Estimate` or `Propose` for an instance it has
+//! decided with its `Decide`, value included. So no decision needs a
+//! reliable broadcast (Chandra–Toueg flood the decision for exactly this
+//! crash; Raft's leader catches up the follower that missed it instead): a
+//! member that never heard of a decision suspects the coordinator and
+//! restarts the instance in a later round, and that round's `Kick` or
+//! `Collect` reaches a member that decided, or its read phase finds the
+//! value a majority accepted. A site that learns a decision while it
+//! coordinates a round of the instance passes it on, since members may be
+//! waiting on that round.
+//!
+//! For that a site keeps a decided value until every member of the view has
+//! delivered past it. Each `Ack` carries its sender's delivery point, the
+//! coordinator takes the minimum over its view, and each `Propose` carries
+//! that stable point to the followers, as Raft's commit index rides
+//! `AppendEntries`. [`ConsensusState::gc`] learns this site's own delivery
+//! point: below it an undecided instance is dropped, and a decision only
+//! below the stable point. A member that has not delivered an instance can
+//! still ask for it, and a crashed member's frozen delivery point holds
+//! every later decision until the view change that excludes it.
 //!
 //! **Round 0 of a pristine instance runs steps 3–4 only; everything else
 //! runs 1–4.** The read phase exists to find a value an earlier round may
@@ -43,23 +70,27 @@
 //! before it was a member were never sent its way: atomic broadcast's state
 //! transfer carries them (`SyncMsg::pending`). And RelComm delivers nothing
 //! from a site outside the receiver's view, so a `Propose` of the newcomer
-//! that reaches a site before that site installs the view is acknowledged,
-//! discarded and never resent. So when a view change makes a site that was
-//! not in the previous view round 0's coordinator, a follower `Kick`s with
-//! each proposal, as it would in a later round, until it has accepted one
-//! `Propose` from that coordinator; and a coordinator kicked for a round it
-//! is already writing answers with that round's `Propose` — a plain
-//! retransmission, one proposer and one value per round.
+//! or `Decide` of the newcomer that reaches a site before that site installs
+//! the view is acknowledged, discarded and never resent. So when a view
+//! change makes a site that was not in the previous view round 0's
+//! coordinator, a follower `Kick`s with each proposal, as it would in a
+//! later round, until it has accepted a `Propose` from that coordinator for
+//! the instance it waits on — every decision below it delivered, so none is
+//! lost; and a coordinator kicked for a round it is already writing answers
+//! with that round's `Propose` — a plain retransmission, one proposer and
+//! one value per round — or, for an instance it has decided, with its
+//! `Decide`.
 //!
 //! Suspicion of the current coordinator (from the failure detector) bumps
 //! the round; the new coordinator is kicked into action with the kicker's
 //! estimate riding along.
 //!
 //! Values are [`Batch`]es, shared, never copied to be owned: the proposal
-//! atomic broadcast collected (or the batch a `Kick`, `Estimate` or
-//! `Propose` was decoded into) becomes this site's estimate, the value of
-//! every `Propose` it sends, and the decision it floods, all one body. Only
-//! the union of collected estimates builds a new batch.
+//! atomic broadcast collected (or the batch a `Kick`, `Estimate`, `Propose`
+//! or `Decide` was decoded into) becomes this site's estimate, the value of
+//! every `Propose` and `Decide` it sends, and the decision it hands to
+//! atomic broadcast and keeps, all one body. Only the union of collected
+//! estimates builds a new batch.
 //!
 //! The core logic is a pure state machine ([`ConsensusState`]) that maps
 //! inputs to [`Actions`], so it is unit-testable without the runtime; the
@@ -71,7 +102,7 @@ use samoa_core::prelude::*;
 use samoa_net::SiteId;
 
 use crate::events::Events;
-use crate::msgs::{AbMsg, Batch, CastData, ConsMsg, MsgUid, Payload};
+use crate::msgs::{AbMsg, Batch, ConsMsg, MsgUid, Payload};
 use crate::observe::ConsensusInstruments;
 use crate::relcomm::RDeliver;
 use crate::view::GroupView;
@@ -81,9 +112,9 @@ use crate::view::GroupView;
 pub struct Actions {
     /// Point-to-point consensus messages to send via RelComm.
     pub out: Vec<(SiteId, ConsMsg)>,
-    /// Decisions to flood via RelCast, in instance order. More than one
-    /// when a suspicion or a view change restarts several instances that
-    /// each decide on the spot (single-member view).
+    /// Decisions reached here, for atomic broadcast, in instance order.
+    /// More than one when a suspicion or a view change restarts several
+    /// instances that each decide on the spot (single-member view).
     pub decide: Vec<(u64, Batch)>,
 }
 
@@ -116,6 +147,7 @@ struct CoordState {
 
 #[derive(Debug, Default)]
 struct Inst {
+    /// The estimate; once decided, the decision.
     est: Batch,
     /// Adoption marker: 0 = the estimate is initial (never adopted via a
     /// `Propose`); `r + 1` = adopted in round `r`. The +1 offset keeps
@@ -123,17 +155,38 @@ struct Inst {
     est_round: u64,
     /// Highest round promised (Paxos promise).
     max_round: u64,
-    /// Round this site currently believes in.
+    /// Round this site currently believes in; once decided, the round of
+    /// the decision.
     round: u64,
     coord: Option<CoordState>,
     decided: bool,
+}
+
+impl Inst {
+    /// Decided on `value` in `round`: kept to answer for until every member
+    /// has delivered past it (module docs).
+    fn decide(&mut self, round: u64, value: Batch) {
+        self.decided = true;
+        self.coord = None;
+        self.round = round;
+        self.est = value;
+    }
 }
 
 /// The local state of the consensus microprotocol.
 pub struct ConsensusState {
     site: SiteId,
     view: GroupView,
-    gc_below: u64,
+    /// This site's delivery point: atomic broadcast has delivered every
+    /// instance below it ([`ConsensusState::gc`]). Below it only decisions
+    /// are kept, and a message for any other instance is ignored.
+    delivered: u64,
+    /// The delivery point each peer last reported in an `Ack`.
+    peer_delivered: HashMap<SiteId, u64>,
+    /// Every member of the view has delivered every instance below it, as
+    /// far as this site knows: from the acks it counted as a coordinator,
+    /// or from a coordinator's `Propose`.
+    stable: u64,
     insts: HashMap<u64, Inst>,
     /// Round 0's coordinator joined with the current view and no `Propose`
     /// of its has been accepted here since (module docs, "A coordinator
@@ -149,7 +202,9 @@ impl ConsensusState {
         ConsensusState {
             site,
             view,
-            gc_below: 0,
+            delivered: 0,
+            peer_delivered: HashMap::new(),
+            stable: 0,
             insts: HashMap::new(),
             newcomer_coord: false,
             instruments: ConsensusInstruments::default(),
@@ -161,10 +216,16 @@ impl ConsensusState {
         self.insts.len()
     }
 
+    /// Number of decided instances kept to answer for.
+    #[cfg(test)]
+    fn retained_decisions(&self) -> usize {
+        self.insts.values().filter(|i| i.decided).count()
+    }
+
     /// Propose `value` for instance `inst` (idempotent; the first proposal
     /// fixes this site's initial estimate).
     pub fn propose(&mut self, inst: u64, value: Batch) -> Actions {
-        if inst < self.gc_below {
+        if inst < self.delivered {
             return Actions::none();
         }
         let i = self.insts.entry(inst).or_default();
@@ -211,8 +272,18 @@ impl ConsensusState {
                 est,
                 est_round,
             } => self.on_estimate(from, inst, round, est, est_round),
-            ConsMsg::Propose { inst, round, value } => self.on_propose(from, inst, round, value),
-            ConsMsg::Ack { inst, round } => self.on_ack(from, inst, round),
+            ConsMsg::Propose {
+                inst,
+                round,
+                value,
+                stable,
+            } => self.on_propose(from, inst, round, value, stable),
+            ConsMsg::Ack {
+                inst,
+                round,
+                delivered,
+            } => self.on_ack(from, inst, round, delivered),
+            ConsMsg::Decide { inst, round, value } => self.on_decide(from, inst, round, value),
         }
     }
 
@@ -248,6 +319,9 @@ impl ConsensusState {
         if coord != self.view.coordinator(0) {
             self.newcomer_coord = coord.is_some_and(|c| !self.view.contains(c));
         }
+        // A site that left reports nothing more; one that rejoins starts
+        // from nothing again.
+        self.peer_delivered.retain(|&m, _| view.contains(m));
         self.view = view;
         let mut insts: Vec<u64> = self
             .insts
@@ -263,15 +337,46 @@ impl ConsensusState {
         acts
     }
 
-    /// Drop the state of instances below `below`. The bound is this site's
-    /// *own* delivery point (`cons_gc` carries abcast's local `next_inst`),
-    /// not a cluster-wide one: a lagging peer learns those decisions from
-    /// the RelCast `Decide` flood, never from consensus, so messages for a
-    /// collected instance are ignored rather than answered.
-    pub fn gc(&mut self, below: u64) {
-        self.gc_below = self.gc_below.max(below);
-        let lim = self.gc_below;
-        self.insts.retain(|&k, _| k >= lim);
+    /// This site has delivered every instance below `delivered` (`cons_gc`
+    /// carries atomic broadcast's `next_inst`). Below it, drop what is
+    /// undecided here, and the decisions every member has delivered past
+    /// too: those below the stable point (module docs).
+    pub fn gc(&mut self, delivered: u64) {
+        self.delivered = self.delivered.max(delivered);
+        self.raise_stable(self.view_delivered());
+    }
+
+    /// The least delivery point over the view: this site's own, and what
+    /// each peer last reported (nothing yet counts as 0).
+    fn view_delivered(&self) -> u64 {
+        let point = |m| match m {
+            m if m == self.site => self.delivered,
+            m => self.peer_delivered.get(&m).copied().unwrap_or(0),
+        };
+        self.view
+            .members()
+            .iter()
+            .map(|&m| point(m))
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Learn that every member has delivered below `stable`, and collect.
+    fn raise_stable(&mut self, stable: u64) {
+        self.stable = self.stable.max(stable);
+        let (delivered, stable) = (self.delivered, self.stable);
+        self.insts
+            .retain(|&k, i| k >= delivered || (i.decided && k >= stable));
+    }
+
+    /// A decided instance answers for itself: its `Decide`, value included,
+    /// to `to`. `None` if `inst` is undecided here.
+    fn answer(&self, to: SiteId, inst: u64) -> Option<Actions> {
+        let i = self.insts.get(&inst).filter(|i| i.decided)?;
+        Some(Actions {
+            out: decides([to], inst, i.round, |_| Some(i.est.clone())),
+            decide: Vec::new(),
+        })
     }
 
     /// Start (or restart) coordination for the instance's current round —
@@ -361,7 +466,10 @@ impl ConsensusState {
         est: Batch,
         est_round: u64,
     ) -> Actions {
-        if inst < self.gc_below {
+        if let Some(decided) = self.answer(from, inst) {
+            return decided;
+        }
+        if inst < self.delivered {
             return Actions::none();
         }
         let me = self.site;
@@ -370,15 +478,12 @@ impl ConsensusState {
         }
         {
             let i = self.insts.entry(inst).or_default();
-            if i.decided {
-                return Actions::none();
-            }
             if let Some(c) = &i.coord {
                 if let (true, Phase::Proposing(v)) = (c.round == round, &c.phase) {
                     // The kicker has nothing from us for a round we are
                     // already writing: say it again.
                     return Actions {
-                        out: proposals([from], inst, round, v),
+                        out: proposals([from], inst, round, v, self.stable),
                         decide: Vec::new(),
                     };
                 }
@@ -397,11 +502,14 @@ impl ConsensusState {
     }
 
     fn on_collect(&mut self, from: SiteId, inst: u64, round: u64) -> Actions {
-        if inst < self.gc_below {
+        if let Some(decided) = self.answer(from, inst) {
+            return decided;
+        }
+        if inst < self.delivered {
             return Actions::none();
         }
         let i = self.insts.entry(inst).or_default();
-        if i.decided || round < i.max_round {
+        if round < i.max_round {
             return Actions::none();
         }
         i.max_round = round;
@@ -428,7 +536,10 @@ impl ConsensusState {
         est: Batch,
         est_round: u64,
     ) -> Actions {
-        if inst < self.gc_below {
+        if let Some(decided) = self.answer(from, inst) {
+            return decided;
+        }
+        if inst < self.delivered {
             return Actions::none();
         }
         self.record_estimate(from, inst, round, est, est_round)
@@ -531,36 +642,59 @@ impl ConsensusState {
         i.est_round = round + 1;
         i.max_round = round;
         let mut acts = Actions {
-            out: proposals(peers, inst, round, &value),
+            out: proposals(peers, inst, round, &value, self.stable),
             decide: Vec::new(),
         };
         acts.merge(self.try_decide(inst));
         acts
     }
 
-    fn on_propose(&mut self, from: SiteId, inst: u64, round: u64, value: Batch) -> Actions {
-        if inst < self.gc_below {
+    fn on_propose(
+        &mut self,
+        from: SiteId,
+        inst: u64,
+        round: u64,
+        value: Batch,
+        stable: u64,
+    ) -> Actions {
+        self.raise_stable(stable);
+        if let Some(decided) = self.answer(from, inst) {
+            return decided;
+        }
+        if inst < self.delivered {
             return Actions::none();
         }
         let i = self.insts.entry(inst).or_default();
-        if i.decided || round < i.max_round {
+        if round < i.max_round {
             return Actions::none();
         }
         i.max_round = round;
         i.round = i.round.max(round);
         i.est = value;
         i.est_round = round + 1;
-        if self.view.coordinator(0) == Some(from) {
+        if self.view.coordinator(0) == Some(from) && inst <= self.delivered {
             self.newcomer_coord = false;
         }
+        let ack = ConsMsg::Ack {
+            inst,
+            round,
+            delivered: self.delivered,
+        };
         Actions {
-            out: vec![(from, ConsMsg::Ack { inst, round })],
+            out: vec![(from, ack)],
             decide: Vec::new(),
         }
     }
 
-    fn on_ack(&mut self, from: SiteId, inst: u64, round: u64) -> Actions {
-        if inst < self.gc_below {
+    /// `from` acknowledged `round` of `inst`, having delivered every
+    /// instance below `delivered`.
+    fn on_ack(&mut self, from: SiteId, inst: u64, round: u64, delivered: u64) -> Actions {
+        let reported = self.peer_delivered.entry(from).or_default();
+        if delivered > *reported {
+            *reported = delivered;
+            self.raise_stable(self.view_delivered());
+        }
+        if inst < self.delivered {
             return Actions::none();
         }
         let Some(i) = self.insts.get_mut(&inst) else {
@@ -576,6 +710,9 @@ impl ConsensusState {
         self.try_decide(inst)
     }
 
+    /// With a majority of acks, decide: keep the value, hand it up, and
+    /// send every other member its `Decide` — the value only to those whose
+    /// ack was not counted.
     fn try_decide(&mut self, inst: u64) -> Actions {
         let majority = self.view.majority();
         let Some(i) = self.insts.get_mut(&inst) else {
@@ -587,45 +724,106 @@ impl ConsensusState {
         let Some(c) = &i.coord else {
             return Actions::none();
         };
-        let Phase::Proposing(v) = &c.phase else {
+        let Phase::Proposing(value) = &c.phase else {
             return Actions::none();
         };
         if c.acks.len() < majority {
             return Actions::none();
         }
-        let value = v.clone();
-        i.decided = true;
-        i.coord = None;
+        let (me, round, value) = (self.site, c.round, value.clone());
+        let peers = self.view.members().iter().copied().filter(|&p| p != me);
+        let out = decides(peers, inst, round, |p| {
+            (!c.acks.contains(&p)).then(|| value.clone())
+        });
+        i.decide(round, value.clone());
         Actions {
-            out: Vec::new(),
+            out,
+            decide: vec![(inst, value)],
+        }
+    }
+
+    /// A `Decide` for `inst` arrived from `from`. Without a value it comes
+    /// from the coordinator that counted this site's ack of `round`, and the
+    /// value is the one adopted then (or in a later round: from the round a
+    /// majority accepted it on, every round proposes that one value).
+    ///
+    /// A site that was coordinating a round of `inst` passes the decision
+    /// on to the other members: whoever kicked it or acked its proposal is
+    /// waiting on that round, and would otherwise wait for good.
+    fn on_decide(&mut self, from: SiteId, inst: u64, round: u64, value: Option<Batch>) -> Actions {
+        if inst < self.delivered {
+            return Actions::none();
+        }
+        let i = self.insts.entry(inst).or_default();
+        if i.decided {
+            return Actions::none();
+        }
+        let adopted = || (i.est_round > round).then(|| i.est.clone());
+        let Some(value) = value.or_else(adopted) else {
+            return Actions::none();
+        };
+        let me = self.site;
+        let others = self.view.members().iter().copied();
+        let others = others.filter(|&p| p != me && p != from);
+        let out = match i.coord {
+            Some(_) => decides(others, inst, round, |_| Some(value.clone())),
+            None => Vec::new(),
+        };
+        i.decide(round, value.clone());
+        Actions {
+            out,
             decide: vec![(inst, value)],
         }
     }
 }
 
-/// `Propose(inst, round, value)` addressed to each of `targets`, each
-/// sharing `value`.
+/// `Propose(inst, round, value, stable)` addressed to each of `targets`,
+/// each sharing `value`.
 fn proposals(
     targets: impl IntoIterator<Item = SiteId>,
     inst: u64,
     round: u64,
     value: &Batch,
+    stable: u64,
 ) -> Vec<(SiteId, ConsMsg)> {
-    let propose = |value| ConsMsg::Propose { inst, round, value };
+    let propose = |value| ConsMsg::Propose {
+        inst,
+        round,
+        value,
+        stable,
+    };
     targets
         .into_iter()
         .map(|t| (t, propose(value.clone())))
         .collect()
 }
 
+/// `Decide(inst, round)` addressed to each of `targets`, with the value
+/// `value_for` gives that target.
+fn decides(
+    targets: impl IntoIterator<Item = SiteId>,
+    inst: u64,
+    round: u64,
+    value_for: impl Fn(SiteId) -> Option<Batch>,
+) -> Vec<(SiteId, ConsMsg)> {
+    targets
+        .into_iter()
+        .map(|t| {
+            let value = value_for(t);
+            (t, ConsMsg::Decide { inst, round, value })
+        })
+        .collect()
+}
+
 /// Emit a transition's actions as events: point-to-point sends via
-/// `SendOut`, decisions as a RelCast flood.
+/// `SendOut`, each decision to atomic broadcast on `ConsDecide`, in this
+/// computation.
 fn emit(ctx: &Ctx<'_>, ev: &Events, acts: Actions) -> Result<()> {
     for (target, msg) in acts.out {
         ctx.trigger(ev.send_out, EventData::new((Payload::Cons(msg), target)))?;
     }
-    for (inst, batch) in acts.decide {
-        ctx.trigger(ev.bcast, EventData::new(CastData::Decide { inst, batch }))?;
+    for decision in acts.decide {
+        ctx.async_trigger(ev.cons_decide, EventData::new(decision))?;
     }
     Ok(())
 }
@@ -639,7 +837,7 @@ pub fn register(
 ) {
     let events = *ev;
     // Every consensus transition runs through [`emit`]: point-to-point
-    // sends (`SendOut`, up to one per peer) plus a `Bcast` decide flood per
+    // sends (`SendOut`, up to one per peer) plus a `ConsDecide` per
     // decision — fan-outs, declared below for each handler that emits.
 
     let propose = {
@@ -652,15 +850,17 @@ pub fn register(
         })
     };
 
-    let on_msg = {
+    // One body per class of consensus message RelComm tells apart.
+    let on_msg = |b: &mut StackBuilder, e: EventType, name: &str| {
         let state = state.clone();
-        let e = ev.from_rcomm_cons;
-        b.bind_with_triggers(e, pid, "consensus.on_msg", &[], move |ctx, data| {
+        b.bind_with_triggers(e, pid, name, &[], move |ctx, data| {
             let d: &RDeliver<ConsMsg> = data.expect(e)?;
             let acts = state.with(ctx, |s| s.on_msg(d.sender, d.payload.clone()));
             emit(ctx, &events, acts)
         })
     };
+    let on_propose = on_msg(b, ev.from_rcomm_propose, "consensus.on_propose");
+    let on_msg = on_msg(b, ev.from_rcomm_cons, "consensus.on_msg");
 
     let on_suspect = {
         let state = state.clone();
@@ -692,8 +892,8 @@ pub fn register(
         })
     };
 
-    for h in [propose, on_msg, on_suspect, view_change] {
-        b.declare_fan_out(h, &[ev.send_out, ev.bcast]);
+    for h in [propose, on_propose, on_msg, on_suspect, view_change] {
+        b.declare_fan_out(h, &[ev.send_out, ev.cons_decide]);
     }
 }
 
@@ -702,6 +902,7 @@ mod tests {
     use super::*;
     use crate::msgs::AbPayload;
     use bytes::Bytes;
+    use std::collections::VecDeque;
 
     fn s(i: u16) -> SiteId {
         SiteId(i)
@@ -719,8 +920,11 @@ mod tests {
 
     /// A tiny message bus driving several ConsensusState instances to
     /// completion — pure state-machine testing without the runtime.
+    /// Messages, `Decide`s among them, are delivered in the order they were
+    /// sent.
     struct Bus {
         sites: Vec<ConsensusState>,
+        /// The first decision each site reached.
         decided: Vec<Option<(u64, Batch)>>,
         /// Every message handed to a live site, in delivery order.
         log: Vec<ConsMsg>,
@@ -738,26 +942,35 @@ mod tests {
             }
         }
 
-        /// Apply actions originating at `from`, delivering messages
-        /// immediately (depth-first), skipping sites in `down`.
+        /// Apply actions originating at `from`, then deliver every message
+        /// they lead to in send order, skipping sites in `down`.
         fn run(&mut self, from: usize, acts: Actions, down: &[usize]) {
-            for d in acts.decide {
-                // Decide floods via RelCast: all live sites learn it.
-                for (i, slot) in self.decided.iter_mut().enumerate() {
-                    if !down.contains(&i) && slot.is_none() {
-                        *slot = Some(d.clone());
-                    }
-                }
-            }
-            for (target, m) in acts.out {
-                let t = target.index();
-                if down.contains(&t) {
+            let mut queue = VecDeque::new();
+            self.take(from, acts, &mut queue);
+            while let Some((from, to, m)) = queue.pop_front() {
+                if down.contains(&to) {
                     continue;
                 }
                 self.log.push(m.clone());
-                let reply = self.sites[t].on_msg(s(from as u16), m);
-                self.run(t, reply, down);
+                let reply = self.sites[to].on_msg(s(from as u16), m);
+                self.take(to, reply, &mut queue);
             }
+        }
+
+        /// Record the decisions `at` reached — delivered in instance order,
+        /// as atomic broadcast would, and reported to `gc` — and queue its
+        /// messages.
+        fn take(
+            &mut self,
+            at: usize,
+            acts: Actions,
+            queue: &mut VecDeque<(usize, usize, ConsMsg)>,
+        ) {
+            for (inst, value) in acts.decide {
+                self.sites[at].gc(inst + 1);
+                self.decided[at].get_or_insert((inst, value));
+            }
+            queue.extend(acts.out.into_iter().map(|(to, m)| (at, to.index(), m)));
         }
     }
 
@@ -793,11 +1006,11 @@ mod tests {
         for d in &bus.decided {
             assert_eq!(d.as_ref().unwrap(), &(0, v.clone()));
         }
-        // Propose and Ack only: no read phase, nobody kicked.
-        assert!(bus
-            .log
-            .iter()
-            .all(|m| matches!(m, ConsMsg::Propose { .. } | ConsMsg::Ack { .. })));
+        // Propose, Ack and Decide only: no read phase, nobody kicked.
+        assert!(bus.log.iter().all(|m| matches!(
+            m,
+            ConsMsg::Propose { .. } | ConsMsg::Ack { .. } | ConsMsg::Decide { .. }
+        )));
     }
 
     #[test]
@@ -888,6 +1101,7 @@ mod tests {
                 inst: 0,
                 round: 3,
                 value: Batch::from(vec![msg(0, 1)]),
+                stable: 0,
             },
         );
         assert!(a.out.is_empty());
@@ -928,6 +1142,7 @@ mod tests {
                 inst: 0,
                 round: 0,
                 value: Batch::from(vec![msg(1, 1)]),
+                stable: 0,
             },
         );
         let acts = c.propose(0, v.clone());
@@ -971,27 +1186,39 @@ mod tests {
     fn followers_kick_a_newcomer_coordinator_until_it_is_heard() {
         // Site 0 joins {1, 2, 3} and is round 0's coordinator at once. What
         // it sent site 2 before site 2 installed the view is gone, so site 2
-        // kicks with every proposal until a `Propose` of site 0 gets through.
+        // kicks with every proposal until a `Propose` of site 0 for the
+        // instance it waits on gets through. Atomic broadcast proposes for
+        // instance `k` once it has delivered every instance below it.
         let old = GroupView::initial([s(1), s(2), s(3)]);
         let new = old.apply(crate::view::ViewOp::Join, s(0));
         let mut c = ConsensusState::new(s(2), old);
         assert_eq!(c.propose(0, Batch::from(vec![msg(2, 1)])), Actions::none());
         c.gc(1);
         let _ = c.set_view(new);
-        for inst in [1, 2] {
-            let acts = c.propose(inst, Batch::from(vec![msg(2, inst)]));
-            assert!(matches!(
+        let propose = |inst| ConsMsg::Propose {
+            inst,
+            round: 0,
+            value: Batch::from(vec![msg(2, inst)]),
+            stable: 0,
+        };
+        let kicks = |acts: Actions| {
+            matches!(
                 acts.out.as_slice(),
                 [(t, ConsMsg::Kick { round: 0, est_round: 0, .. })] if *t == s(0)
-            ));
-        }
-        let propose = ConsMsg::Propose {
-            inst: 2,
-            round: 0,
-            value: Batch::from(vec![msg(2, 2)]),
+            )
         };
-        let ack = c.on_msg(s(0), propose);
+        for inst in [1, 2] {
+            c.gc(inst);
+            assert!(kicks(c.propose(inst, Batch::from(vec![msg(2, inst)]))));
+        }
+        // A `Propose` for a later instance is heard, but the decisions in
+        // between may be what was lost: still kicking.
+        let ack = c.on_msg(s(0), propose(3));
         assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })]));
+        assert!(kicks(c.propose(2, Batch::from(vec![msg(2, 2)]))));
+        let ack = c.on_msg(s(0), propose(2));
+        assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })]));
+        c.gc(3);
         assert_eq!(c.propose(3, Batch::from(vec![msg(2, 3)])), Actions::none());
     }
 
@@ -1009,7 +1236,7 @@ mod tests {
         let acts = c.on_msg(s(2), kick);
         assert!(matches!(
             acts.out.as_slice(),
-            [(t, ConsMsg::Propose { inst: 0, round: 0, value })] if *t == s(2) && *value == v
+            [(t, ConsMsg::Propose { inst: 0, round: 0, value, .. })] if *t == s(2) && *value == v
         ));
         assert!(acts.decide.is_empty());
     }
@@ -1039,6 +1266,7 @@ mod tests {
                 inst: 0,
                 round: 0,
                 value: Batch::from(vec![msg(0, 1)]),
+                stable: 0,
             },
         );
         assert_eq!(late, Actions::none());
@@ -1091,5 +1319,160 @@ mod tests {
         // New instances still work.
         let a = c.propose(1, Batch::from(vec![msg(0, 2)]));
         assert!(a.out.iter().all(|(_, m)| is_propose(m)) && a.out.len() == 2);
+        // A decision goes once the whole view has delivered past it: in a
+        // single-member view, as soon as this site has.
+        let mut c = ConsensusState::new(s(0), GroupView::of_first(1));
+        let a = c.propose(0, Batch::from(vec![msg(0, 1)]));
+        assert_eq!(a.decide.len(), 1);
+        assert_eq!(c.retained_decisions(), 1);
+        c.gc(1);
+        assert_eq!(c.live_instances(), 0);
+    }
+
+    #[test]
+    fn the_value_rides_only_to_a_site_whose_ack_was_not_counted() {
+        let mut c = ConsensusState::new(s(0), GroupView::of_first(3));
+        let v = Batch::from(vec![msg(0, 1)]);
+        let _ = c.propose(0, v.clone());
+        let ack = ConsMsg::Ack {
+            inst: 0,
+            round: 0,
+            delivered: 0,
+        };
+        let acts = c.on_msg(s(1), ack);
+        // Decided on the first ack, and delivered here at once.
+        assert_eq!(acts.decide, vec![(0, v.clone())]);
+        let decide = |value| ConsMsg::Decide {
+            inst: 0,
+            round: 0,
+            value,
+        };
+        assert_eq!(
+            acts.out,
+            vec![(s(1), decide(None)), (s(2), decide(Some(v)))]
+        );
+    }
+
+    #[test]
+    fn a_decide_without_the_value_decides_what_was_adopted() {
+        let v = Batch::from(vec![msg(0, 1)]);
+        let decide = ConsMsg::Decide {
+            inst: 0,
+            round: 0,
+            value: None,
+        };
+        // Adopted in round 0 and acked: the value is here.
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let propose = ConsMsg::Propose {
+            inst: 0,
+            round: 0,
+            value: v.clone(),
+            stable: 0,
+        };
+        let _ = c.on_msg(s(0), propose);
+        assert_eq!(c.on_msg(s(0), decide.clone()).decide, vec![(0, v)]);
+        // Nothing adopted: nothing to decide on.
+        let mut c = ConsensusState::new(s(2), GroupView::of_first(3));
+        assert_eq!(c.propose(0, Batch::from(vec![msg(2, 1)])), Actions::none());
+        assert_eq!(c.on_msg(s(0), decide), Actions::none());
+    }
+
+    #[test]
+    fn a_decided_site_answers_for_its_decision() {
+        // Site 1 learned the decision; site 2 did not, and whatever it sends
+        // for the instance is answered with the decision, value included.
+        let v = Batch::from(vec![msg(0, 1)]);
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let decide = |value| ConsMsg::Decide {
+            inst: 0,
+            round: 0,
+            value,
+        };
+        assert_eq!(c.on_msg(s(0), decide(Some(v.clone()))).decide.len(), 1);
+        let est = Batch::from(vec![msg(2, 1)]);
+        for m in [
+            ConsMsg::Kick {
+                inst: 0,
+                round: 1,
+                est: est.clone(),
+                est_round: 0,
+            },
+            ConsMsg::Collect { inst: 0, round: 2 },
+            ConsMsg::Estimate {
+                inst: 0,
+                round: 1,
+                est,
+                est_round: 0,
+            },
+            ConsMsg::Propose {
+                inst: 0,
+                round: 2,
+                value: Batch::from(vec![msg(2, 1)]),
+                stable: 0,
+            },
+        ] {
+            let acts = c.on_msg(s(2), m.clone());
+            assert_eq!(acts.out, vec![(s(2), decide(Some(v.clone())))], "{m:?}");
+            assert!(acts.decide.is_empty());
+        }
+        // An undecided site answers as before.
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let acts = c.on_msg(s(2), ConsMsg::Collect { inst: 0, round: 2 });
+        assert!(matches!(
+            acts.out.as_slice(),
+            [(_, ConsMsg::Estimate { .. })]
+        ));
+    }
+
+    #[test]
+    fn decisions_are_kept_until_every_member_has_reported_delivering_past_them() {
+        // Site 0 coordinates instance after instance; both followers ack
+        // each proposal, learn the decision and deliver it. An `Ack` of
+        // instance `k` reports its sender's delivery point, `k`.
+        let mut bus = Bus::new(3);
+        for inst in 0..6 {
+            let acts = bus.sites[0].propose(inst, Batch::from(vec![msg(0, inst + 1)]));
+            bus.run(0, acts, &[]);
+            let retained = bus.sites.iter().map(ConsensusState::retained_decisions);
+            // Every member reported delivering past the instances below
+            // `inst`: the coordinator keeps none of them, and a follower
+            // keeps the one the next `Propose` will report as stable.
+            assert_eq!(
+                retained.collect::<Vec<_>>(),
+                [1, 2, 2].map(|n| n.min(inst as usize + 1))
+            );
+        }
+        // A quiet cluster: once the acks of a later instance report every
+        // member past them, no decision below it is kept anywhere.
+        let ack = |inst| ConsMsg::Ack {
+            inst,
+            round: 0,
+            delivered: 6,
+        };
+        let v = Batch::from(vec![msg(0, 7)]);
+        let proposes = bus.sites[0].propose(6, v).out;
+        for (to, propose) in proposes {
+            let _ = bus.sites[to.index()].on_msg(s(0), propose);
+        }
+        for from in [1, 2] {
+            let _ = bus.sites[0].on_msg(s(from), ack(6));
+        }
+        assert_eq!(bus.sites[0].retained_decisions(), 1, "instance 6 alone");
+        assert!(bus.sites[0].insts.keys().all(|&k| k == 6));
+        // A member that leaves the view is forgotten with its report.
+        let _ = bus.sites[0].set_view(GroupView::of_first(2));
+        let reporters: Vec<SiteId> = bus.sites[0].peer_delivered.keys().copied().collect();
+        assert_eq!(reporters, [s(1)]);
+        // A member that stops reporting holds every later decision here
+        // until a view without it is installed.
+        let mut bus = Bus::new(3);
+        for inst in 0..4 {
+            let acts = bus.sites[0].propose(inst, Batch::from(vec![msg(0, inst + 1)]));
+            bus.run(0, acts, &[2]);
+        }
+        assert_eq!(bus.sites[0].retained_decisions(), 4);
+        let _ = bus.sites[0].set_view(GroupView::of_first(2));
+        bus.sites[0].gc(4);
+        assert_eq!(bus.sites[0].retained_decisions(), 1);
     }
 }

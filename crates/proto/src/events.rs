@@ -1,8 +1,11 @@
 //! The event types shared by the group-communication stack.
 //!
 //! These mirror the paper's §3 event names (`SendOut`, `FromRComm`,
-//! `Bcast`, `DeliverOut`, `ABcast`, `ViewChange`, …) plus the external
-//! events injected by the Network Module and the timer module.
+//! `ABcast`, `ViewChange`, …) plus the external events injected by the
+//! Network Module and the timer module. RelCast carries plain user casts
+//! only (`BcastUser`, `DeliverUser`): a consensus decision goes point to
+//! point (`ConsMsg::Decide`), and consensus hands it to atomic broadcast on
+//! `ConsDecide`.
 //!
 //! A layer that demultiplexes triggers one event per class of traffic and
 //! each handler above binds only its own, so the static call graph sees
@@ -27,14 +30,16 @@ pub struct Events {
     /// RelComm delivered a plain user cast:
     /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_user: EventType,
-    /// RelComm delivered any other cast (a consensus decision):
-    /// [`RDeliver<CastMsg>`](crate::relcomm::RDeliver).
-    pub from_rcomm_cast: EventType,
     /// RelComm delivered packed atomic-broadcast requests:
     /// [`RDeliver<Batch>`](crate::relcomm::RDeliver), the
     /// [`Batch`](crate::msgs::Batch) the datagram was decoded into.
     pub from_rcomm_request: EventType,
-    /// RelComm delivered a consensus message:
+    /// RelComm delivered a consensus `Propose`:
+    /// [`RDeliver<ConsMsg>`](crate::relcomm::RDeliver). Atomic broadcast
+    /// adopts the requests it carries; consensus handles it as any other
+    /// consensus message.
+    pub from_rcomm_propose: EventType,
+    /// RelComm delivered any other consensus message:
     /// [`RDeliver<ConsMsg>`](crate::relcomm::RDeliver).
     pub from_rcomm_cons: EventType,
     /// RelComm delivered a state transfer:
@@ -43,15 +48,9 @@ pub struct Events {
     /// Plain reliable-broadcast request: payload
     /// [`CastData::User`](crate::msgs::CastData) (external).
     pub bcast_user: EventType,
-    /// Reliable broadcast of a consensus decision: payload
-    /// [`CastData::Decide`](crate::msgs::CastData).
-    pub bcast: EventType,
     /// Reliable-broadcast delivery of a plain user cast: payload
     /// [`CastMsg`](crate::msgs::CastMsg).
     pub deliver_user: EventType,
-    /// Reliable-broadcast delivery of a consensus decision: payload
-    /// [`CastMsg`](crate::msgs::CastMsg).
-    pub deliver_out: EventType,
     /// Atomic-broadcast request: payload [`AbPayload`](crate::msgs::AbPayload).
     pub abcast: EventType,
     /// Atomic-broadcast delivery (totally ordered) of a run of consecutive
@@ -77,7 +76,13 @@ pub struct Events {
     /// [`Batch`](crate::msgs::Batch) atomic broadcast collected from what
     /// it has pending.
     pub cons_propose: EventType,
-    /// Instances below the payload `u64` are decided; consensus may GC.
+    /// Consensus decided an instance here: payload `(u64 instance, Batch)`,
+    /// the decided [`Batch`](crate::msgs::Batch), for atomic broadcast to
+    /// deliver in instance order.
+    pub cons_decide: EventType,
+    /// This site has delivered every instance below the payload `u64`;
+    /// consensus reports it in its next `Ack` and collects what every
+    /// member has delivered.
     pub cons_gc: EventType,
     /// Join-time state transfer carried a view: payload
     /// [`SyncMsg`](crate::msgs::SyncMsg); membership installs it directly.
@@ -94,14 +99,12 @@ impl Events {
             rc_ack: b.event("RcAck"),
             send_out: b.event("SendOut"),
             from_rcomm_user: b.event("FromRCommUser"),
-            from_rcomm_cast: b.event("FromRCommCast"),
             from_rcomm_request: b.event("FromRCommRequest"),
+            from_rcomm_propose: b.event("FromRCommPropose"),
             from_rcomm_cons: b.event("FromRCommCons"),
             from_rcomm_sync: b.event("FromRCommSync"),
             bcast_user: b.event("BcastUser"),
-            bcast: b.event("Bcast"),
             deliver_user: b.event("DeliverUser"),
-            deliver_out: b.event("DeliverOut"),
             abcast: b.event("ABcast"),
             adeliver: b.event("ADeliver"),
             adeliver_view: b.event("ADeliverView"),
@@ -112,6 +115,7 @@ impl Events {
             retransmit_tick: b.event("RetransmitTick"),
             suspect: b.event("Suspect"),
             cons_propose: b.event("ConsPropose"),
+            cons_decide: b.event("ConsDecide"),
             cons_gc: b.event("ConsGc"),
             view_sync: b.event("ViewSync"),
         };
@@ -147,7 +151,7 @@ mod tests {
         let mut b = StackBuilder::new();
         let ev = Events::declare(&mut b);
         let s = b.build();
-        assert_eq!(s.event_count(), 25);
+        assert_eq!(s.event_count(), 24);
         assert_eq!(s.event_name(ev.send_out), "SendOut");
         assert_eq!(s.event_name(ev.view_change), "ViewChange");
         assert_ne!(ev.rc_data, ev.rc_ack);

@@ -9,10 +9,9 @@
 //! * [`Payload`] — what RelComm delivers reliably: RelCast traffic
 //!   ([`CastMsg`]), atomic-broadcast requests on their way to the site that
 //!   orders them ([`AbMsg`]), consensus point-to-point messages
-//!   ([`ConsMsg`]) or a join-time state transfer ([`SyncMsg`]).
-//! * [`CastMsg`] — what RelCast floods: user broadcasts or consensus
-//!   decisions (decisions ride RelCast so every site learns them even if
-//!   the coordinator crashes mid-broadcast).
+//!   ([`ConsMsg`]), decisions among them, or a join-time state transfer
+//!   ([`SyncMsg`]).
+//! * [`CastMsg`] — what RelCast floods: user broadcasts.
 //! * [`AbMsg`] — what atomic broadcast orders: user payloads or membership
 //!   view operations. Several travel together as a [`Batch`].
 //!
@@ -26,8 +25,8 @@
 //! the union of collected estimates. Every holder after that shares the
 //! body: each fan-out target's `Payload`, RelComm's retransmission buffer,
 //! the `FromRComm*` delivery event, consensus's estimate, proposal and
-//! decision, and atomic broadcast's buffer of decisions waiting for their
-//! turn. Nothing down the path copies a batch to own it.
+//! retained decision, and atomic broadcast's buffer of decisions waiting
+//! for their turn. Nothing down the path copies a batch to own it.
 //!
 //! A datagram is decoded frame by frame ([`Frames`]) under the one rule of
 //! what it may hold: a lone heartbeat, a data frame followed by acks, or
@@ -183,7 +182,12 @@ pub enum CastData {
     /// `benchmark/src/probes.rs` still encodes one; it goes with the next
     /// change to the benchmark.
     AbRequest(AbMsg),
-    /// A consensus decision: instance number plus the decided batch.
+    /// A consensus decision as RelCast once flooded it. Nothing in this
+    /// stack builds one any more — a decision travels as
+    /// [`ConsMsg::Decide`] — and nothing receives one: RelComm hands a
+    /// non-user cast to no one. It stays in the codec, under its old tag,
+    /// because `benchmark/src/kv.rs` still counts decided instances by it;
+    /// it goes with the next change to the benchmark.
     Decide {
         /// Consensus instance.
         inst: u64,
@@ -254,6 +258,10 @@ pub enum ConsMsg {
         round: u64,
         /// Proposed value.
         value: Batch,
+        /// The coordinator's stable point: every member of its view has
+        /// reported delivering every instance below it, so no member can
+        /// need one of those decisions again.
+        stable: u64,
     },
     /// Participant's acknowledgement of a proposal.
     Ack {
@@ -261,6 +269,22 @@ pub enum ConsMsg {
         inst: u64,
         /// Acknowledged round.
         round: u64,
+        /// The sender's delivery point: it has delivered every instance
+        /// below it.
+        delivered: u64,
+    },
+    /// The decision of `inst`: sent by the coordinator that reached it to
+    /// every other member, and by any site that has decided `inst` in
+    /// answer to a `Kick`, `Collect`, `Estimate` or `Propose` for it.
+    Decide {
+        /// Consensus instance.
+        inst: u64,
+        /// Round the decision was reached in.
+        round: u64,
+        /// The decided value. `None` only from the deciding coordinator to
+        /// a site whose `Ack` of `round` it counted: that site adopted the
+        /// value in `round` and holds it.
+        value: Option<Batch>,
     },
 }
 
@@ -347,8 +371,11 @@ impl Payload {
                 ConsMsg::Kick { est, .. } | ConsMsg::Estimate { est, .. } => {
                     est.first().map(|m| m.uid)
                 }
-                ConsMsg::Propose { value, .. } => value.first().map(|m| m.uid),
-                ConsMsg::Collect { .. } | ConsMsg::Ack { .. } => None,
+                ConsMsg::Propose { value, .. }
+                | ConsMsg::Decide {
+                    value: Some(value), ..
+                } => value.first().map(|m| m.uid),
+                ConsMsg::Collect { .. } | ConsMsg::Ack { .. } | ConsMsg::Decide { .. } => None,
             },
             Payload::Sync(_) => None,
         }
@@ -590,16 +617,36 @@ fn put_cons(out: &mut impl BufMut, m: &ConsMsg) {
             out.put_u64_le(*est_round);
             put_batch(out, est);
         }
-        ConsMsg::Propose { inst, round, value } => {
+        ConsMsg::Propose {
+            inst,
+            round,
+            value,
+            stable,
+        } => {
             out.put_u8(3);
             out.put_u64_le(*inst);
             out.put_u64_le(*round);
+            out.put_u64_le(*stable);
             put_batch(out, value);
         }
-        ConsMsg::Ack { inst, round } => {
+        ConsMsg::Ack {
+            inst,
+            round,
+            delivered,
+        } => {
             out.put_u8(4);
             out.put_u64_le(*inst);
             out.put_u64_le(*round);
+            out.put_u64_le(*delivered);
+        }
+        ConsMsg::Decide { inst, round, value } => {
+            out.put_u8(5);
+            out.put_u64_le(*inst);
+            out.put_u64_le(*round);
+            out.put_u8(u8::from(value.is_some()));
+            if let Some(value) = value {
+                put_batch(out, value);
+            }
         }
     }
 }
@@ -626,12 +673,29 @@ fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
                 est_round,
             }
         }
-        3 => ConsMsg::Propose {
+        3 => {
+            let stable = buf.u64()?;
+            ConsMsg::Propose {
+                inst,
+                round,
+                value: get_batch(buf)?,
+                stable,
+            }
+        }
+        4 => ConsMsg::Ack {
             inst,
             round,
-            value: get_batch(buf)?,
+            delivered: buf.u64()?,
         },
-        4 => ConsMsg::Ack { inst, round },
+        5 => ConsMsg::Decide {
+            inst,
+            round,
+            value: match buf.u8()? {
+                0 => None,
+                1 => Some(get_batch(buf)?),
+                t => return Err(CodecError::BadTag(t)),
+            },
+        },
         t => return Err(CodecError::BadTag(t)),
     })
 }
@@ -941,7 +1005,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_decide_with_batch() {
+    fn roundtrip_retired_cast_decide_with_batch() {
         let batch = Batch::from(vec![
             AbMsg {
                 uid: uid(0, 1),
@@ -983,11 +1047,26 @@ mod tests {
                 est_round: 1,
             },
             ConsMsg::Propose {
-                inst: 1,
+                inst: 6,
                 round: 2,
                 value: batch.clone(),
+                stable: 5,
             },
-            ConsMsg::Ack { inst: 3, round: 4 },
+            ConsMsg::Ack {
+                inst: 8,
+                round: 4,
+                delivered: 7,
+            },
+            ConsMsg::Decide {
+                inst: 3,
+                round: 4,
+                value: Some(batch.clone()),
+            },
+            ConsMsg::Decide {
+                inst: 3,
+                round: 4,
+                value: None,
+            },
         ] {
             roundtrip(Wire::Data {
                 seq: 5,
@@ -1189,11 +1268,26 @@ mod tests {
             Payload::Cons(ConsMsg::Propose {
                 inst: 0,
                 round: 1,
-                value: Batch::from(vec![ab]),
+                value: Batch::from(vec![ab.clone()]),
+                stable: 0,
             })
             .root_uid(),
             Some(uid(1, 7))
         );
+        // A decision with its body serves the body's first operation; one
+        // without serves none.
+        let decide = |value| {
+            Payload::Cons(ConsMsg::Decide {
+                inst: 0,
+                round: 1,
+                value,
+            })
+        };
+        assert_eq!(
+            decide(Some(Batch::from(vec![ab]))).root_uid(),
+            Some(uid(1, 7))
+        );
+        assert_eq!(decide(None).root_uid(), None);
         assert_eq!(
             Payload::Cons(ConsMsg::Collect { inst: 0, round: 1 }).root_uid(),
             None

@@ -5,12 +5,9 @@
 //! delivering, so the message reaches all sites of the view even if the
 //! original sender crashes mid-broadcast.
 //!
-//! Plain user casts and consensus decisions are two classes: each handler
-//! is registered once per class, from one body, and delivers on its class's
-//! event (`DeliverUser`, `DeliverOut`), so a user cast never reaches atomic
-//! broadcast, not even to be turned away. Atomic-broadcast requests do not
-//! ride RelCast: a request must reach the site that orders it, not every
-//! site, and atomic broadcast sends it there itself (`abcast.rs`).
+//! RelCast carries plain user casts only (`DeliverUser`): a request goes
+//! to the site that orders it (`abcast.rs`), and a decision point to point
+//! from the site that reached it (`consensus.rs`).
 //!
 //! The rebroadcast skips two sites: the message's origin and the site the
 //! first copy came from. Both provably hold the message already — a site
@@ -93,70 +90,59 @@ pub fn register(
     ev: &Events,
     state: ProtocolState<RelCastState>,
 ) {
-    let events = *ev;
+    let (events, deliver) = (*ev, ev.deliver_user);
 
-    // Both `bcast` and `recv` fan `SendOut` out once per peer — a fan-out,
-    // the count is the view's — and deliver locally on `deliver`, their
-    // class's event.
-    let bcast = |b: &mut StackBuilder, e: EventType, name: &str, deliver: EventType| {
-        let state = state.clone();
-        let h = b.bind_with_triggers(e, pid, name, &[deliver], move |ctx, data| {
-            let cast_data: &CastData = data.expect(e)?;
-            let (me, view, msg) = state.with(ctx, |s| {
-                s.next_seq += 1;
-                let msg = CastMsg {
-                    uid: MsgUid {
-                        origin: s.site,
-                        seq: s.next_seq,
-                    },
-                    data: cast_data.clone(),
-                };
-                s.seen.insert(msg.uid);
-                (s.site, s.view.clone(), msg)
-            });
-            fan_out(ctx, &events, &[me], &view, &msg)?;
-            // Deliver locally too — the sender is part of the group.
-            ctx.async_trigger_all(deliver, EventData::new(msg))
+    // Both `bcast_user` and `recv_user` fan `SendOut` out once per peer — a
+    // fan-out, the count is the view's — and deliver locally.
+    let (st, e, name) = (state.clone(), ev.bcast_user, "relcast.bcast_user");
+    let bcast = b.bind_with_triggers(e, pid, name, &[deliver], move |ctx, data| {
+        let cast_data: &CastData = data.expect(e)?;
+        let (me, view, msg) = st.with(ctx, |s| {
+            s.next_seq += 1;
+            let msg = CastMsg {
+                uid: MsgUid {
+                    origin: s.site,
+                    seq: s.next_seq,
+                },
+                data: cast_data.clone(),
+            };
+            s.seen.insert(msg.uid);
+            (s.site, s.view.clone(), msg)
         });
-        b.declare_fan_out(h, &[events.send_out]);
-    };
-    bcast(b, ev.bcast_user, "relcast.bcast_user", ev.deliver_user);
-    bcast(b, ev.bcast, "relcast.bcast", ev.deliver_out);
+        fan_out(ctx, &events, &[me], &view, &msg)?;
+        // Deliver locally too — the sender is part of the group.
+        ctx.async_trigger_all(deliver, EventData::new(msg))
+    });
 
-    let recv = |b: &mut StackBuilder, e: EventType, name: &str, deliver: EventType| {
-        let state = state.clone();
-        let h = b.bind_with_triggers(e, pid, name, &[deliver], move |ctx, data| {
-            let d: &RDeliver<CastMsg> = data.expect(e)?;
-            let msg = &d.payload;
-            let rebroadcast = state.with(ctx, |s| {
-                if s.seen.insert(msg.uid) {
-                    Some((s.site, s.view.clone()))
-                } else {
-                    None
-                }
-            });
-            if let Some((me, view)) = rebroadcast {
-                // First receipt: rebroadcast to whoever may lack it, then
-                // deliver (paper's recv).
-                fan_out(ctx, &events, &[me, msg.uid.origin, d.sender], &view, msg)?;
-                ctx.async_trigger_all(deliver, EventData::new(msg.clone()))?;
+    let (st, e, name) = (state.clone(), ev.from_rcomm_user, "relcast.recv_user");
+    let recv = b.bind_with_triggers(e, pid, name, &[deliver], move |ctx, data| {
+        let d: &RDeliver<CastMsg> = data.expect(e)?;
+        let msg = &d.payload;
+        let rebroadcast = st.with(ctx, |s| {
+            if s.seen.insert(msg.uid) {
+                Some((s.site, s.view.clone()))
+            } else {
+                None
             }
-            Ok(())
         });
-        b.declare_fan_out(h, &[events.send_out]);
-    };
-    recv(b, ev.from_rcomm_user, "relcast.recv_user", ev.deliver_user);
-    recv(b, ev.from_rcomm_cast, "relcast.recv", ev.deliver_out);
-
-    {
-        let state = state.clone();
-        let e = ev.view_change;
-        b.bind_with_triggers(e, pid, "relcast.view_change", &[], move |ctx, data| {
-            let v: &GroupView = data.expect(e)?;
-            state.with(ctx, |s| s.view = v.clone());
-            Ok(())
-        });
+        if let Some((me, view)) = rebroadcast {
+            // First receipt: rebroadcast to whoever may lack it, then
+            // deliver (paper's recv).
+            fan_out(ctx, &events, &[me, msg.uid.origin, d.sender], &view, msg)?;
+            ctx.async_trigger_all(deliver, EventData::new(msg.clone()))?;
+        }
+        Ok(())
+    });
+    for h in [bcast, recv] {
+        b.declare_fan_out(h, &[ev.send_out]);
     }
+
+    let e = ev.view_change;
+    b.bind_with_triggers(e, pid, "relcast.view_change", &[], move |ctx, data| {
+        let v: &GroupView = data.expect(e)?;
+        state.with(ctx, |s| s.view = v.clone());
+        Ok(())
+    });
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! Sends datagrams with per-channel sequence numbers, acknowledges and
 //! deduplicates on receipt, and retransmits unacknowledged messages on the
 //! retransmission timer: that much is [`samoa_net::arq`]. What it delivers
-//! goes up on the event of its class — plain user casts, other casts,
-//! atomic-broadcast requests, consensus messages, state transfers — so each
-//! upper handler binds only the traffic it owns. Messages are only
+//! goes up on the event of its class — plain user casts, atomic-broadcast
+//! requests, consensus proposals, other consensus messages, state
+//! transfers — so each upper handler binds only the traffic it owns. A cast
+//! of a retired class (the flooded request or decision the codec still
+//! reads) is acknowledged and goes up to no one. Messages are only
 //! sent to — and only delivered from — sites in the current view ("this
 //! requirement is necessary to implement finite buffers"); pending messages
 //! to sites that leave the view are discarded, and so are the acks owed to
@@ -69,7 +71,7 @@ use samoa_net::{Alarm, ArqReceiver, ArqSender, SiteId, Transport};
 
 use crate::clock::ProtoClock;
 use crate::events::Events;
-use crate::msgs::{MsgUid, Payload, TraceCtx, Wire};
+use crate::msgs::{ConsMsg, MsgUid, Payload, TraceCtx, Wire};
 use crate::observe::{ClusterTracer, RelCommInstruments};
 use crate::view::GroupView;
 
@@ -86,7 +88,7 @@ const _: () = assert!(RTO.as_nanos() >= 2 * ACK_DELAY.as_nanos());
 
 /// A reliably delivered payload of one class —
 /// [`CastMsg`](crate::msgs::CastMsg), packed [`AbMsg`](crate::msgs::AbMsg)s,
-/// [`ConsMsg`](crate::msgs::ConsMsg) or
+/// [`ConsMsg`] or
 /// [`SyncMsg`](crate::msgs::SyncMsg) — handed to upper microprotocols via that class's
 /// `FromRComm*` event.
 #[derive(Debug, Clone)]
@@ -97,21 +99,23 @@ pub struct RDeliver<T> {
     pub payload: T,
 }
 
-/// The event a payload from `sender` is delivered on, with its data.
-fn delivery(ev: &Events, sender: SiteId, payload: &Payload) -> (EventType, EventData) {
+/// The event a payload from `sender` is delivered on, with its data; none
+/// for a cast of a retired class.
+fn delivery(ev: &Events, sender: SiteId, payload: &Payload) -> Option<(EventType, EventData)> {
     fn of<T: Clone + Send + Sync + 'static>(sender: SiteId, payload: &T) -> EventData {
         EventData::new(RDeliver {
             sender,
             payload: payload.clone(),
         })
     }
-    match payload {
+    Some(match payload {
         Payload::Cast(c) if c.data.is_user() => (ev.from_rcomm_user, of(sender, c)),
-        Payload::Cast(c) => (ev.from_rcomm_cast, of(sender, c)),
+        Payload::Cast(_) => return None,
         Payload::Request(batch) => (ev.from_rcomm_request, of(sender, batch)),
+        Payload::Cons(c @ ConsMsg::Propose { .. }) => (ev.from_rcomm_propose, of(sender, c)),
         Payload::Cons(c) => (ev.from_rcomm_cons, of(sender, c)),
         Payload::Sync(s) => (ev.from_rcomm_sync, of(sender, s)),
-    }
+    })
 }
 
 /// An inbound data datagram (the decoded `Wire::Data` and the acks that
@@ -451,16 +455,20 @@ pub fn register(
             if let Some(bytes) = overflow {
                 net.send(me, m.sender, bytes);
             }
-            if deliver {
-                let (class, data) = delivery(&events, m.sender, &m.payload);
+            let up = if deliver {
+                delivery(&events, m.sender, &m.payload)
+            } else {
+                None
+            };
+            if let Some((class, data)) = up {
                 ctx.async_trigger_all(class, data)?;
             }
             Ok(())
         });
     };
     let classes = [
-        ev.from_rcomm_cast,
         ev.from_rcomm_request,
+        ev.from_rcomm_propose,
         ev.from_rcomm_cons,
         ev.from_rcomm_sync,
     ];

@@ -3,15 +3,16 @@
 //!
 //! The rig is `commit_frames.rs`'s: three full nodes on a manual
 //! [`SimNet`] and a manual clock, policy `Basic`, each broadcaster's own
-//! datagrams delivered before any relayed copy. So the rows are the
-//! commits that file pins as 11 and 8 frames (the coordinator's request
-//! travels only inside its `Propose`) and the burst it pins as two packed
-//! requests. Nothing runs on another thread: a datagram is
+//! datagrams delivered before any forwarded copy. So the rows are the
+//! commits that file pins as 9 and 6 frames (the coordinator's request
+//! travels only inside its `Propose`, and its decision point to point) and
+//! the burst it pins as two packed requests. Nothing runs on another
+//! thread: a datagram is
 //! delivered by the `pump_seq` the test thread calls, and its computation
 //! runs inline there. A thread-local count of the global allocator's calls
 //! therefore sees exactly what the stack and the network allocated for the
 //! commit, and nothing a sibling test did. The rig's own bookkeeping —
-//! telling a relayed copy from an original, listing what is in flight —
+//! telling a forwarded copy from an original, listing what is in flight —
 //! runs with the count paused. Reallocations count as allocations (the
 //! counter wraps `alloc` only, and the default `realloc` goes through it).
 //!
@@ -72,7 +73,7 @@ fn uncounted<T>(f: impl FnOnce() -> T) -> T {
 // ---- the rig -------------------------------------------------------------
 
 /// Forwards to the network and notes, per datagram in send order, whether
-/// it carries a request or a cast sent on by a site other than its origin.
+/// it carries a request sent on by a site other than its origin.
 struct Relays {
     inner: NetHandle,
     relay: Mutex<Vec<bool>>,
@@ -82,10 +83,6 @@ impl Transport for Relays {
     fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
         uncounted(|| {
             let relay = match Wire::decode(payload.clone()) {
-                Ok(Wire::Data {
-                    payload: Payload::Cast(c),
-                    ..
-                }) => c.uid.origin != from,
                 Ok(Wire::Data {
                     payload: Payload::Request(batch),
                     ..
@@ -174,19 +171,19 @@ fn allocs(debug: u64, release: u64) -> u64 {
 // written into its one allocation, an empty one allocates nothing, and a
 // decision's `ADeliver` runs are ranges of the decided batch, not copies.
 // A computation's Rule 1 allocates its entry vector and nothing else; the
-// three rows run 12, 9 and 30 computations.
+// three rows run 10, 7 and 26 computations.
 
 #[test]
 fn one_commit_from_a_follower() {
-    assert_eq!(warm_commit(1, 1, 41), (allocs(211, 191), 11));
+    assert_eq!(warm_commit(1, 1, 41), (allocs(177, 162), 9));
 }
 
 #[test]
 fn one_commit_from_the_coordinator() {
-    assert_eq!(warm_commit(0, 1, 41), (allocs(169, 154), 8));
+    assert_eq!(warm_commit(0, 1, 41), (allocs(133, 123), 6));
 }
 
 #[test]
 fn a_burst_of_eight_casts_from_a_follower() {
-    assert_eq!(warm_commit(1, 8, 43), (allocs(402, 363), 22));
+    assert_eq!(warm_commit(1, 8, 43), (allocs(342, 313), 18));
 }

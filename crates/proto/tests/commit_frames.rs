@@ -1,21 +1,22 @@
 //! What one atomic broadcast puts on the wire, counted frame by frame.
 //!
 //! A commit in a healthy `n`-site cluster is the request's way to round 0's
-//! coordinator, round 0 of consensus without its read phase, and a RelCast
-//! of the decision. A follower's request leaves its origin once per peer,
-//! and every other site that is not the coordinator forwards its first copy
-//! to the coordinator: `(n−1) + (n−2) = 2n−3` frames. The coordinator's own
-//! request is in its next `Propose` and nothing else: no frame of its own.
-//! A cast costs `(n−1)` frames from its origin plus at most `(n−2)` from
-//! each receiver, because a relay skips the origin and the site the first
-//! copy came from. For `n = 3` that is 3 + 2 + 2 + 4 = 11 data frames when
-//! a follower casts and 0 + 2 + 2 + 4 = 8 when the coordinator does. The
-//! forward stays: an origin that crashes mid-broadcast still gets its
-//! request ordered, and so does one whose forward went to a coordinator
-//! that then left — every site hands what is pending to the next one. A
-//! follower takes what a `Propose` carries into its pending requests, so a
-//! coordinator that crashes after its `Propose` reached one follower still
-//! gets its request ordered too.
+//! coordinator, round 0 of consensus without its read phase, and the
+//! decision sent point to point. A follower's request leaves its origin
+//! once per peer, and every other site that is not the coordinator forwards
+//! its first copy to the coordinator: `(n−1) + (n−2) = 2n−3` frames. The
+//! coordinator's own request is in its next `Propose` and nothing else: no
+//! frame of its own. The coordinator sends each follower one `Propose` and
+//! one `Decide`, each follower one `Ack`: `3(n−1)` frames. For `n = 3` that
+//! is 3 + 2 + 2 + 2 = 9 data frames when a follower casts and 0 + 2 + 2 + 2
+//! = 6 when the coordinator does. The forward stays: an origin that crashes
+//! mid-broadcast still gets its request ordered, and so does one whose
+//! forward went to a coordinator that then left — every site hands what is
+//! pending to the next one. A follower takes what a `Propose` carries into
+//! its pending requests, so a coordinator that crashes after its `Propose`
+//! reached one follower still gets its request ordered too. And a decided
+//! site answers for its decision, so a coordinator that crashes after its
+//! `Decide` reached one follower, or none, leaves no survivor behind.
 //!
 //! A [`Payload::Request`] costs those frames however many requests it
 //! packs. An origin holds what it casts while one of its own requests is in
@@ -27,22 +28,21 @@
 //! On the virtual-time rig and recording [`Transport`](samoa_net::Transport)
 //! of `common`, timers off: no tick fires, so no ack travels alone and every
 //! datagram is a data frame; the structure is asserted, never the wall clock.
-//! The crash test alone drives the failure detector, by hand.
+//! The crash tests alone drive the failure detector, by hand.
 
 mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use bytes::Bytes;
 use samoa_net::SiteId;
-use samoa_proto::{CastData, CastMsg, ConsMsg, MsgUid, Payload};
+use samoa_proto::{ConsMsg, MsgUid, Node, Payload};
 
 use common::{Rig, Sent};
 
-/// Is `s` a copy of a request or a cast sent on by a site other than its
-/// origin?
-fn is_relay(s: &Sent) -> bool {
+/// Is `s` a copy of a request sent on by a site other than its origin?
+fn is_forward(s: &Sent) -> bool {
     match &s.payload {
-        Some(Payload::Cast(c)) => c.uid.origin != s.from,
         Some(Payload::Request(batch)) => batch.iter().any(|m| m.uid.origin != s.from),
         _ => false,
     }
@@ -67,13 +67,13 @@ fn settle_with_last(rig: &Rig, last: fn(&Sent) -> bool) {
     }
 }
 
-/// Every broadcaster's own frames before any relayed copy.
+/// Every broadcaster's own frames before any forwarded copy.
 fn settle_origin_first(rig: &Rig) {
-    settle_with_last(rig, is_relay)
+    settle_with_last(rig, is_forward)
 }
 
-/// What the frame carries: `"request"`, `"decide"`, or the consensus
-/// message name.
+/// What the frame carries: `"request"`, `"user"` (a RelCast cast), or the
+/// consensus message name.
 fn kind(s: &Sent) -> &'static str {
     match s
         .payload
@@ -81,16 +81,14 @@ fn kind(s: &Sent) -> &'static str {
         .expect("no tick fired: every frame is data")
     {
         Payload::Request(_) => "request",
-        Payload::Cast(c) => match c.data {
-            CastData::AbRequest(_) => "flooded request",
-            CastData::Decide { .. } => "decide",
-            CastData::User(_) => "user",
-        },
+        Payload::Cast(c) if c.data.is_user() => "user",
+        Payload::Cast(_) => "retired cast",
         Payload::Cons(ConsMsg::Kick { .. }) => "kick",
         Payload::Cons(ConsMsg::Collect { .. }) => "collect",
         Payload::Cons(ConsMsg::Estimate { .. }) => "estimate",
         Payload::Cons(ConsMsg::Propose { .. }) => "propose",
         Payload::Cons(ConsMsg::Ack { .. }) => "ack",
+        Payload::Cons(ConsMsg::Decide { .. }) => "decide",
         Payload::Sync(_) => "sync",
     }
 }
@@ -104,9 +102,11 @@ fn census(log: &[Sent]) -> BTreeMap<&'static str, usize> {
     kinds
 }
 
-/// Frames per request (by the request's uid) and per RelCast cast.
-fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, BTreeMap<MsgUid, usize>) {
-    let (mut requests, mut casts) = (BTreeMap::new(), BTreeMap::new());
+/// Frames per request (by the request's uid), and the sender and receiver
+/// of each `Decide` per decided instance.
+type Decides = BTreeMap<u64, Vec<(SiteId, SiteId)>>;
+fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, Decides) {
+    let (mut requests, mut decisions) = (BTreeMap::new(), Decides::new());
     for s in log {
         match &s.payload {
             Some(Payload::Request(batch)) => {
@@ -114,30 +114,43 @@ fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, BTreeMap<MsgUid
                     *requests.entry(m.uid).or_default() += 1;
                 }
             }
-            Some(Payload::Cast(c)) => *casts.entry(c.uid).or_default() += 1,
+            Some(Payload::Cons(ConsMsg::Decide { inst, .. })) => {
+                decisions.entry(*inst).or_default().push((s.from, s.to))
+            }
             _ => {}
         }
     }
-    (requests, casts)
+    (requests, decisions)
 }
 
 #[test]
-fn a_healthy_three_site_commit_is_eleven_frames_from_a_follower_and_eight_from_the_coordinator() {
+fn a_healthy_three_site_commit_is_nine_frames_from_a_follower_and_six_from_the_coordinator() {
     // Site 0 coordinates round 0; the origin is a follower, then the
     // coordinator itself.
-    for (origin, requests, frames) in [(1, 3, 11), (0, 0, 8)] {
+    for (origin, requests, frames) in [(1, 3, 9), (0, 0, 6)] {
         let rig = Rig::new(3, 41);
         rig.nodes[origin].abcast("m");
         settle_origin_first(&rig);
         rig.assert_total_order(1);
 
         let log = rig.rec.log();
-        let mut expected = BTreeMap::from([("propose", 2), ("ack", 2), ("decide", 4)]);
+        let mut expected = BTreeMap::from([("propose", 2), ("ack", 2), ("decide", 2)]);
         if requests > 0 {
             expected.insert("request", requests);
         }
         assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
         assert_eq!(log.len(), frames);
+
+        // The decision fires on the first ack: the follower that sent it
+        // gets a `Decide` without the value, the other one with it.
+        let decides: Vec<bool> = log
+            .iter()
+            .filter_map(|s| match &s.payload {
+                Some(Payload::Cons(ConsMsg::Decide { value, .. })) => Some(value.is_some()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decides, [false, true], "origin {origin}: {log:#?}");
 
         // A follower sends two request frames, one to each peer, and the
         // other follower forwards its copy to the coordinator; the
@@ -172,15 +185,7 @@ fn request_frames(log: &[Sent]) -> Vec<(SiteId, SiteId, usize)> {
 
 /// The consensus instances whose decision went out.
 fn decided(log: &[Sent]) -> BTreeSet<u64> {
-    log.iter()
-        .filter_map(|s| match &s.payload {
-            Some(Payload::Cast(CastMsg {
-                data: CastData::Decide { inst, .. },
-                ..
-            })) => Some(*inst),
-            _ => None,
-        })
-        .collect()
+    frames_per_message(log).1.into_keys().collect()
 }
 
 #[test]
@@ -288,33 +293,42 @@ fn requests_held_behind_one_stuck_at_a_coordinator_that_left_are_delivered() {
 fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_site() {
     for sites in [3, 4, 5] {
         let request_bound = 2 * sites - 3;
-        let cast_bound = (sites - 1) + (sites - 1) * (sites - 2);
+        let decision_frames = sites - 1;
         // Different seeds, different delivery orders (`pump_one` follows the
-        // network's seeded delays): a site whose first copy came from a
-        // relayer skips that relayer too, and a site that has delivered a
-        // request forwards nothing, so other orders only cost less.
+        // network's seeded delays): a site that has delivered a request
+        // forwards nothing, so other orders only cost less; a decision goes
+        // from the coordinator to each other member once. A `Decide` may
+        // overtake the coordinator's `Propose` to a follower, which then
+        // answers that late `Propose` with its decision: at most one frame
+        // per follower, back to the coordinator.
         for seed in 50..58 {
             let rig = Rig::new(sites, seed);
             rig.abcasts(sites);
             rig.settle();
             rig.assert_total_order(sites);
             let log = rig.rec.log();
-            let (requests, casts) = frames_per_message(&log);
+            let (requests, decisions) = frames_per_message(&log);
             // Site 0 coordinates round 0: its request is in no `Request`.
             let followers: BTreeSet<SiteId> = requests.keys().map(|uid| uid.origin).collect();
             assert_eq!(followers.len(), sites - 1, "seed {seed}: {requests:?}");
             assert!(!followers.contains(&SiteId(0)), "seed {seed}: {requests:?}");
-            for (what, per, bound) in [
-                ("request", requests, request_bound),
-                ("decision", casts, cast_bound),
-            ] {
-                for (uid, frames) in per {
-                    assert!(
-                        (sites - 1..=bound).contains(&frames),
-                        "{sites} sites, seed {seed}: {what} {uid:?} cost {frames} frames, \
-                         bound {bound}"
-                    );
-                }
+            let at = format!("{sites} sites, seed {seed}");
+            for (uid, frames) in requests {
+                assert!(
+                    (sites - 1..=request_bound).contains(&frames),
+                    "{at}: request {uid:?} cost {frames} frames, bound {request_bound}"
+                );
+            }
+            for (inst, sends) in decisions {
+                let (told, answers): (Vec<_>, Vec<_>) =
+                    sends.iter().partition(|(from, _)| *from == SiteId(0));
+                assert_eq!(told.len(), decision_frames, "{at}: decision {inst}");
+                let answerers: BTreeSet<SiteId> = answers.iter().map(|(from, _)| *from).collect();
+                assert!(
+                    answers.iter().all(|(_, to)| *to == SiteId(0))
+                        && answerers.len() == answers.len(),
+                    "{at}: decision {inst} sent {sends:?}"
+                );
             }
             let kinds = census(&log);
             for absent in ["collect", "estimate", "kick"] {
@@ -331,11 +345,11 @@ fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_si
         rig.nodes[1].abcast("m");
         settle_origin_first(&rig);
         rig.assert_total_order(1);
-        let (requests, casts) = frames_per_message(&rig.rec.log());
+        let (requests, decisions) = frames_per_message(&rig.rec.log());
         let requests: Vec<usize> = requests.into_values().collect();
-        let casts: Vec<usize> = casts.into_values().collect();
+        let decisions: Vec<usize> = decisions.into_values().map(|d| d.len()).collect();
         assert_eq!(requests, [request_bound], "one request");
-        assert_eq!(casts, [cast_bound], "one decision");
+        assert_eq!(decisions, [decision_frames], "one decision");
     }
 }
 
@@ -436,6 +450,138 @@ fn a_request_whose_coordinator_origin_crashed_after_one_propose_is_still_ordered
                 0,
                 "reached {reached}, site {i}"
             );
+        }
+    }
+}
+
+/// Site 0 coordinates round 0 and submits `first` through `cast`. Both
+/// followers adopt its `Propose` and ack it; the first ack decides, and site
+/// 0 delivers its decision at once. Its two `Decide`s then reach `reached`
+/// only, or no one; `before_crash` runs, and site 0 crashes. The failure
+/// detector, driven by hand on virtual time, lets the survivors exclude it;
+/// site 2 submits `second` meanwhile. Returns the rig once both survivors
+/// have delivered two operations and left site 0 out of their views.
+fn decide_then_crash(
+    reached: Option<u16>,
+    cast: impl Fn(&Node, &'static str),
+    before_crash: impl FnOnce(),
+) -> Rig {
+    let rig = Rig::new(3, 64);
+    let h = rig.net.handle();
+    for node in &rig.nodes {
+        node.inject_fd_tick();
+    }
+    rig.settle();
+    cast(&rig.nodes[0], "first");
+    // Everything but the decision goes through.
+    loop {
+        rig.quiesce();
+        let log = rig.rec.log();
+        let pending = h.pending_datagrams();
+        match pending
+            .iter()
+            .find(|dg| kind(&log[dg.seq as usize - 1]) != "decide")
+        {
+            Some(dg) => assert!(h.pump_seq(dg.seq)),
+            None => break,
+        }
+    }
+    let pending = h.pending_datagrams();
+    assert_eq!(pending.len(), 2, "{pending:?}");
+    assert_eq!(rig.nodes[0].ab_delivered().len(), 1, "site 0 decided");
+    for dg in pending {
+        if Some(dg.to) == reached.map(SiteId) {
+            assert!(h.pump_seq(dg.seq));
+        } else {
+            assert!(h.drop_seq(dg.seq));
+        }
+    }
+    rig.quiesce();
+    before_crash();
+    h.crash(SiteId(0));
+    cast(&rig.nodes[2], "second");
+
+    let done = || {
+        [1usize, 2].iter().all(|&i| {
+            rig.nodes[i].ab_delivered().len() == 2
+                && !rig.nodes[i].current_view().contains(SiteId(0))
+        })
+    };
+    for _ in 0..200 {
+        if done() {
+            break;
+        }
+        rig.clock.advance(std::time::Duration::from_millis(60));
+        for i in [1, 2] {
+            rig.nodes[i].inject_fd_tick();
+            rig.nodes[i].inject_retransmit_tick();
+        }
+        rig.settle();
+    }
+    let [a, b] = [1usize, 2].map(|i| rig.nodes[i].ab_delivered());
+    assert!(done(), "reached {reached:?}: stalled at {a:?} and {b:?}");
+    rig
+}
+
+#[test]
+fn a_decision_whose_coordinator_crashed_after_one_decide_or_none_is_delivered_by_both_survivors() {
+    // A decided site answers for its decision: the follower that got the
+    // `Decide` answers the other's kick, or its collect as round 1's
+    // coordinator. With no `Decide` out, round 1's read phase finds the
+    // value the acks accepted.
+    for reached in [Some(1), Some(2), None] {
+        let rig = decide_then_crash(reached, |node, m| node.abcast(m), || {});
+        let at = |i: usize| format!("reached {reached:?}, site {i}");
+        let order = rig.nodes[1].ab_delivered();
+        assert_eq!(order[0], (SiteId(0), "first".into()), "{}", at(1));
+        for i in [1, 2] {
+            let node = &rig.nodes[i];
+            assert_eq!(node.ab_delivered(), order, "{}", at(i));
+            assert_eq!(node.ab_pending(), 0, "{}", at(i));
+            assert_eq!(node.external_errors(), 0, "{}", at(i));
+        }
+    }
+}
+
+#[test]
+fn a_reply_the_crashed_coordinator_sent_is_in_both_survivors_logs() {
+    // The same schedule with KV clients: site 0 applied its put and its
+    // client got the reply before site 0 crashed.
+    for reached in [Some(1), Some(2), None] {
+        let clients = std::sync::Mutex::new(Vec::new());
+        let mut replied = Vec::new();
+        let cast = |node: &Node, m| {
+            let pending = node.kv_put(m, m);
+            if node.site == SiteId(0) {
+                clients
+                    .lock()
+                    .expect("clients")
+                    .push((Bytes::from(m), pending));
+            }
+        };
+        let before_crash = || {
+            for (key, pending) in clients.lock().expect("clients").drain(..) {
+                if pending.wait(std::time::Duration::ZERO).is_some() {
+                    replied.push(key);
+                }
+            }
+        };
+        let rig = decide_then_crash(reached, cast, before_crash);
+        assert_eq!(
+            replied.len(),
+            1,
+            "reached {reached:?}: no reply before the crash"
+        );
+        for i in [1, 2] {
+            let log = rig.nodes[i].kv_log();
+            for key in &replied {
+                assert!(
+                    log.iter()
+                        .any(|a| a.uid.origin == SiteId(0) && a.cmd.key() == key),
+                    "reached {reached:?}, site {i}: {key:?} replied but not in {log:?}"
+                );
+            }
+            assert_eq!(log, rig.nodes[1].kv_log(), "reached {reached:?}, site {i}");
         }
     }
 }
@@ -547,5 +693,32 @@ fn a_join_of_the_lowest_site_mid_stream_leaves_nothing_unordered() {
         }
         let joiner = rig.nodes[0].ab_delivered();
         assert_eq!(joiner, full[full.len() - joiner.len()..], "seed {seed}");
+    }
+}
+
+#[test]
+fn two_joins_in_one_batch_leave_both_joiners_on_the_last_view() {
+    // Sites 3 and 4 ask to join {0, 1, 2}. Site 0's proposal of a cast is
+    // held back until both `Join`s are pending there, so the next instance
+    // orders the two together: every incumbent installs {0..3}, then
+    // {0..4}, in one delivery.
+    let rig = Rig::with_members(5, 73, Some(vec![SiteId(0), SiteId(1), SiteId(2)]));
+    rig.nodes[0].abcast("m");
+    rig.quiesce();
+    rig.nodes[1].request_join(SiteId(3));
+    rig.nodes[2].request_join(SiteId(4));
+    settle_with_last(&rig, |s| kind(s) == "propose");
+    rig.nodes[3].abcast("after");
+    rig.settle();
+
+    let last = rig.nodes[0].current_view();
+    assert_eq!(last.members(), (0..5).map(SiteId).collect::<Vec<_>>());
+    for node in &rig.nodes {
+        assert_eq!(node.current_view(), last, "{:?}", node.site);
+        assert_eq!(node.ab_pending(), 0, "{:?}", node.site);
+    }
+    let after = (SiteId(3), "after".into());
+    for node in &rig.nodes {
+        assert_eq!(node.ab_delivered().last(), Some(&after), "{:?}", node.site);
     }
 }

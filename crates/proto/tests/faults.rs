@@ -73,7 +73,7 @@ fn partition_stalls_minority_and_heals() {
     assert_eq!(c.node(0).ab_delivered(), c.node(1).ab_delivered());
     // The minority saw nothing.
     assert!(c.node(2).ab_delivered().is_empty());
-    // Heal: retransmissions (and the decide flood) catch site 2 up.
+    // Heal: retransmissions (and the coordinator's `Decide`s) catch site 2 up.
     c.net().heal();
     tick_until(&c, &clock, &[0, 1, 2], "minority catch-up", || {
         c.node(2).ab_delivered().len() == 2

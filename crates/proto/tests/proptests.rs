@@ -68,9 +68,28 @@ fn arb_cons() -> impl Strategy<Value = ConsMsg> {
                 est_round
             }
         ),
-        (any::<u64>(), any::<u64>(), arb_batch())
-            .prop_map(|(inst, round, value)| ConsMsg::Propose { inst, round, value }),
-        (any::<u64>(), any::<u64>()).prop_map(|(inst, round)| ConsMsg::Ack { inst, round }),
+        (any::<u64>(), any::<u64>(), arb_batch(), any::<u64>()).prop_map(
+            |(inst, round, value, stable)| ConsMsg::Propose {
+                inst,
+                round,
+                value,
+                stable,
+            }
+        ),
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(inst, round, delivered)| {
+            ConsMsg::Ack {
+                inst,
+                round,
+                delivered,
+            }
+        }),
+        (any::<u64>(), any::<u64>(), any::<bool>(), arb_batch()).prop_map(
+            |(inst, round, with_value, value)| ConsMsg::Decide {
+                inst,
+                round,
+                value: with_value.then_some(value),
+            }
+        ),
     ]
 }
 
@@ -465,26 +484,18 @@ proptest! {
     }
 }
 
-/// What is in flight between the [`ConsensusState`]s of [`ConsWorld`].
-#[derive(Debug, Clone)]
-enum InFlight {
-    Cons(ConsMsg),
-    /// The RelCast flood of a decision (relayed on first receipt).
-    Decide(Batch),
-}
-
 /// `n` consensus state machines working on instance 0 over a network the
-/// test schedules by hand: the stand-in for RelComm (point-to-point), RelCast
-/// (the decide flood) and the failure detector (`suspect`).
+/// test schedules by hand: the stand-in for RelComm (point-to-point, the
+/// `Decide`s among it) and the failure detector (`suspect`).
 struct ConsWorld {
     sites: Vec<ConsensusState>,
     crashed: Vec<bool>,
     proposed: Vec<bool>,
-    /// The decision each site learned from the flood (or made itself).
+    /// The decision each site reached, from a `Decide` or by itself.
     learned: Vec<Option<Batch>>,
-    /// Every decision any site ever made.
+    /// Every decision any site ever reached.
     decisions: Vec<Batch>,
-    net: Vec<(usize, usize, InFlight)>,
+    net: Vec<(usize, usize, ConsMsg)>,
     /// What happened, for the failure message (the shim does not shrink).
     trace: Vec<String>,
 }
@@ -515,30 +526,18 @@ impl ConsWorld {
         }])
     }
 
-    fn flood(&mut self, from: usize, value: &Batch) {
-        for to in (0..self.sites.len()).filter(|&to| to != from) {
-            self.net.push((from, to, InFlight::Decide(value.clone())));
-        }
-    }
-
-    fn learn(&mut self, site: usize, value: Batch) {
-        if self.learned[site].is_none() {
-            self.flood(site, &value);
-            self.learned[site] = Some(value);
-            // What abcast does on delivery: `cons_gc(next_inst)`.
-            self.sites[site].gc(1);
-        }
-    }
-
     fn apply(&mut self, site: usize, acts: Actions) {
         self.trace.push(format!("  s{site} -> {acts:?}"));
         for (to, m) in acts.out {
-            self.net.push((site, to.index(), InFlight::Cons(m)));
+            self.net.push((site, to.index(), m));
         }
         for (inst, value) in acts.decide {
             assert_eq!(inst, 0);
+            assert!(self.learned[site].is_none(), "s{site} decided twice");
             self.decisions.push(value.clone());
-            self.learn(site, value);
+            self.learned[site] = Some(value);
+            // What abcast does on delivery: `cons_gc(next_inst)`.
+            self.sites[site].gc(1);
         }
     }
 
@@ -560,18 +559,13 @@ impl ConsWorld {
     }
 
     /// Hand one in-flight message to its destination (lost on a dead one).
-    fn receive(&mut self, (from, to, m): (usize, usize, InFlight)) {
+    fn receive(&mut self, (from, to, m): (usize, usize, ConsMsg)) {
         if self.crashed[to] {
             return;
         }
         self.trace.push(format!("s{from} => s{to}: {m:?}"));
-        match m {
-            InFlight::Cons(m) => {
-                let acts = self.sites[to].on_msg(SiteId(from as u16), m);
-                self.apply(to, acts);
-            }
-            InFlight::Decide(v) => self.learn(to, v),
-        }
+        let acts = self.sites[to].on_msg(SiteId(from as u16), m);
+        self.apply(to, acts);
     }
 
     /// A crash takes what the site had not yet got onto the wire with it.
@@ -607,11 +601,11 @@ proptest! {
         let max_crashes = (n - 1) / 2;
         for (kind, a, b) in ops {
             let (a, b) = (a as usize, b as usize);
-            // The decide flood ends a run, so it is picked less often than
-            // the consensus traffic whose interleavings are the point.
+            // A `Decide` ends a run, so it is picked less often than the
+            // consensus traffic whose interleavings are the point.
             let pick = |w: &ConsWorld, decide: bool| {
                 let of_kind: Vec<usize> = (0..w.net.len())
-                    .filter(|&i| matches!(w.net[i].2, InFlight::Decide(_)) == decide)
+                    .filter(|&i| matches!(w.net[i].2, ConsMsg::Decide { .. }) == decide)
                     .collect();
                 (!of_kind.is_empty()).then(|| of_kind[a % of_kind.len()])
             };

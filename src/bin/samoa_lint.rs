@@ -26,6 +26,7 @@
 use std::process::ExitCode;
 
 use samoa::core::analysis::{infer_bounds, CallGraph, Report, Severity, CYCLE_FALLBACK_BOUND};
+use samoa::core::json_string;
 use samoa::net::ProtoClock;
 use samoa::prelude::*;
 use samoa_check::{lint_stack, ConflictMatrix};
@@ -213,21 +214,6 @@ fn print_inferred(stack: &Stack, entries: &[EventType]) {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The machine-readable form CI archives: everything the text report
 /// carries, with anchors resolved to names.
 fn to_json(name: &str, stack: &Stack, report: &Report) -> String {
@@ -236,33 +222,30 @@ fn to_json(name: &str, stack: &Stack, report: &Report) -> String {
         let mut fields = vec![
             format!("\"code\":\"{}\"", d.code),
             format!("\"severity\":\"{}\"", d.severity),
-            format!("\"message\":\"{}\"", json_escape(&d.message)),
+            format!("\"message\":{}", json_string(&d.message)),
         ];
         if let Some(h) = d.handler {
             fields.push(format!(
-                "\"handler\":\"{}\"",
-                json_escape(stack.handler_name(h))
+                "\"handler\":{}",
+                json_string(stack.handler_name(h))
             ));
         }
         if let Some(p) = d.protocol {
             fields.push(format!(
-                "\"protocol\":\"{}\"",
-                json_escape(stack.protocol_name(p))
+                "\"protocol\":{}",
+                json_string(stack.protocol_name(p))
             ));
         }
         if let Some(e) = d.event {
-            fields.push(format!(
-                "\"event\":\"{}\"",
-                json_escape(stack.event_name(e))
-            ));
+            fields.push(format!("\"event\":{}", json_string(stack.event_name(e))));
         }
         diags.push(format!("{{{}}}", fields.join(",")));
     }
     format!(
-        "{{\"stack\":\"{}\",\"protocols\":{},\"events\":{},\"handlers\":{},\
+        "{{\"stack\":{},\"protocols\":{},\"events\":{},\"handlers\":{},\
          \"clean\":{},\"counts\":{{\"error\":{},\"warning\":{},\"info\":{}}},\
          \"diagnostics\":[{}]}}",
-        json_escape(name),
+        json_string(name),
         stack.protocol_count(),
         stack.event_count(),
         stack.handler_count(),
