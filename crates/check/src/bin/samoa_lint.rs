@@ -25,11 +25,12 @@
 
 use std::process::ExitCode;
 
-use samoa::core::analysis::{infer_bounds, CallGraph, Report, Severity, CYCLE_FALLBACK_BOUND};
-use samoa::core::json_string;
-use samoa::net::ProtoClock;
-use samoa::prelude::*;
 use samoa_check::{lint_stack, ConflictMatrix};
+use samoa_core::analysis::{infer_bounds, CallGraph, Report, Severity, CYCLE_FALLBACK_BOUND};
+use samoa_core::json_string;
+use samoa_core::prelude::*;
+use samoa_net::{NetConfig, ProtoClock};
+use samoa_proto::{Cluster, NodeConfig};
 
 /// Parsed command line.
 struct Opts {

@@ -3,9 +3,7 @@
 //! Not every test binary uses every helper.
 #![allow(dead_code)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use samoa_core::prelude::*;
@@ -92,16 +90,37 @@ pub fn join_within(handle: CompHandle, timeout: Duration) -> Result<()> {
         .unwrap_or_else(|_| panic!("computation did not complete within {timeout:?}"))
 }
 
-/// Spin until `flag` is set or `timeout` elapses; returns whether it was set.
-pub fn wait_flag(flag: &AtomicBool, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if flag.load(Ordering::SeqCst) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
+/// A one-way gate between threads: opened once, waited for with a
+/// deadline. A waiter blocks on a condition variable, off the CPU, until
+/// the gate opens.
+#[derive(Debug, Default)]
+pub struct Latch {
+    open: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    /// Open the gate and wake every waiter.
+    pub fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.cv.notify_all();
     }
-    flag.load(Ordering::SeqCst)
+
+    /// Whether the gate is open.
+    pub fn is_open(&self) -> bool {
+        *self.open.lock().unwrap()
+    }
+
+    /// Block until the gate is open or `timeout` elapses; returns whether
+    /// it opened.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let open = self.open.lock().unwrap();
+        let (open, _) = self
+            .cv
+            .wait_timeout_while(open, timeout, |open| !*open)
+            .unwrap();
+        *open
+    }
 }
 
 /// Yield until `waiter` is listed in `rt.waiters()` — parked in admission,
@@ -118,9 +137,9 @@ pub fn wait_parked(rt: &Runtime, waiter: CompId, timeout: Duration) -> bool {
     true
 }
 
-/// A fresh shared flag.
-pub fn flag() -> Arc<AtomicBool> {
-    Arc::new(AtomicBool::new(false))
+/// A fresh shared latch, closed.
+pub fn latch() -> Arc<Latch> {
+    Arc::new(Latch::default())
 }
 
 /// A chain of no-op stages, one microprotocol each: stage `i`'s handler

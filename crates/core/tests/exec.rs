@@ -9,11 +9,12 @@
 //! run one at a time: what each observes (distinct thread ids, how many
 //! workers exist) would otherwise include its neighbours' computations.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard};
 use std::thread::ThreadId;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use samoa_core::prelude::*;
 use samoa_core::sched::NoopHook;
@@ -227,9 +228,24 @@ fn idle_workers_are_reaped_after_the_keep_alive() {
     // Both barriers include this thread.
     let all_inside = Arc::new(Barrier::new(N + 1));
     let release = Arc::new(Barrier::new(N + 1));
+    // Each worker that runs a handler reports its own exit on `exited`: a
+    // thread-local it holds is dropped as the thread ends.
+    struct OnExit(mpsc::Sender<()>);
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+    thread_local! {
+        static ON_EXIT: RefCell<Option<OnExit>> = const { RefCell::new(None) };
+    }
+    let (exit_tx, exited) = mpsc::channel();
+    let exit_tx = Mutex::new(exit_tx);
     let (rt, protocols, events) = flat_stack(N, {
         let (all_inside, release) = (Arc::clone(&all_inside), Arc::clone(&release));
         move || {
+            let tx = exit_tx.lock().unwrap().clone();
+            ON_EXIT.with(|slot| *slot.borrow_mut() = Some(OnExit(tx)));
             all_inside.wait();
             release.wait();
         }
@@ -249,17 +265,12 @@ fn idle_workers_are_reaped_after_the_keep_alive() {
     for h in handles {
         h.join().unwrap();
     }
-    // Nothing else is submitted: the cache must drain on its own. The
-    // keep-alive is a fraction of a second; the deadline only bounds a
-    // failing run.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while worker_threads() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "{} idle workers never exited",
-            worker_threads()
-        );
-        std::thread::sleep(Duration::from_millis(20));
+    // Nothing else is submitted: the cache must drain on its own, every one
+    // of the N workers ending. The keep-alive is a fraction of a second;
+    // the patience only bounds a failing run.
+    for i in 0..N {
+        let reaped = exited.recv_timeout(Duration::from_secs(60));
+        assert!(reaped.is_ok(), "{} of {N} idle workers never exited", N - i);
     }
     // And a drained cache still serves.
     rt.spawn(Decl::Basic(&[]), |_| Ok(())).join().unwrap();

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{join_within, wait_flag, wait_parked};
+use common::{join_within, latch, wait_parked, Latch};
 use samoa_core::prelude::*;
 
 /// The diamond stack. Each handler appends its name + computation to the
@@ -31,9 +31,9 @@ struct Diamond {
     r_trace: ProtocolState<Vec<u64>>,
     s_trace: ProtocolState<Vec<u64>>,
     /// When set, computation 1's S handler waits for this gate.
-    s_gate: Arc<AtomicBool>,
+    s_gate: Arc<Latch>,
     /// Set by computation 1's S handler when it reaches the armed gate.
-    at_gate: Arc<AtomicBool>,
+    at_gate: Arc<Latch>,
     /// Whether the gate is armed at all.
     use_gate: Arc<AtomicBool>,
 }
@@ -50,8 +50,8 @@ fn diamond() -> Diamond {
     let to_s = b.event("s");
     let r_trace = ProtocolState::new(r, Vec::new());
     let s_trace = ProtocolState::new(s, Vec::new());
-    let s_gate = Arc::new(AtomicBool::new(false));
-    let at_gate = Arc::new(AtomicBool::new(false));
+    let s_gate = latch();
+    let at_gate = latch();
     let use_gate = Arc::new(AtomicBool::new(false));
 
     b.bind(a0, p, "P", move |ctx, ev| ctx.trigger(to_r, ev.clone()));
@@ -70,11 +70,8 @@ fn diamond() -> Diamond {
         let armed = Arc::clone(&use_gate);
         b.bind(to_s, s, "S", move |ctx, _| {
             if armed.load(Ordering::SeqCst) && ctx.comp_id() == 1 {
-                at.store(true, Ordering::SeqCst);
-                assert!(
-                    wait_flag(&gate, Duration::from_secs(10)),
-                    "S gate never opened"
-                );
+                at.open();
+                assert!(gate.wait(Duration::from_secs(10)), "S gate never opened");
             }
             ts.with(ctx, |t| t.push(ctx.comp_id()));
             Ok(())
@@ -127,7 +124,7 @@ fn unsync_can_produce_run_r3_and_checker_catches_it() {
     });
     // ka has passed R once it is at the gate.
     assert!(
-        wait_flag(&d.at_gate, Duration::from_secs(10)),
+        d.at_gate.wait(Duration::from_secs(10)),
         "ka never reached S"
     );
     // kb (comp 2): P, R, S — overtakes ka at S.
@@ -136,7 +133,7 @@ fn unsync_can_produce_run_r3_and_checker_catches_it() {
         move |ctx| ctx.trigger(e, EventData::empty())
     });
     join_within(kb, Duration::from_secs(10)).unwrap();
-    d.s_gate.store(true, Ordering::SeqCst);
+    d.s_gate.open();
     join_within(ka, Duration::from_secs(10)).unwrap();
 
     // This is exactly run r3: ka before kb on R, kb before ka on S.
@@ -159,7 +156,7 @@ fn isolation_prevents_run_r3_under_same_schedule_pressure() {
         move |ctx| ctx.trigger(e, EventData::empty())
     });
     assert!(
-        wait_flag(&d.at_gate, Duration::from_secs(10)),
+        d.at_gate.wait(Duration::from_secs(10)),
         "ka never reached S"
     );
     let kb = d.rt.spawn(Decl::Basic(&[d.q, d.r, d.s]), {
@@ -172,7 +169,7 @@ fn isolation_prevents_run_r3_under_same_schedule_pressure() {
         "kb never parked behind ka"
     );
     assert_eq!(d.s_trace.snapshot(), Vec::<u64>::new(), "kb overtook ka");
-    d.s_gate.store(true, Ordering::SeqCst);
+    d.s_gate.open();
     join_within(ka, Duration::from_secs(10)).unwrap();
     join_within(kb, Duration::from_secs(10)).unwrap();
     assert_eq!(d.r_trace.snapshot(), vec![1, 2]);
@@ -192,12 +189,12 @@ fn run_r2_interleaving_is_possible_under_isolation() {
     let a0 = b.event("a0");
     let b0 = b.event("b0");
     let to_r = b.event("r");
-    let q_ran = Arc::new(AtomicBool::new(false));
+    let q_ran = latch();
     {
         let q_ran = Arc::clone(&q_ran);
         b.bind(a0, p, "P", move |ctx, _| {
             assert!(
-                wait_flag(&q_ran, Duration::from_secs(10)),
+                q_ran.wait(Duration::from_secs(10)),
                 "Q never ran while P was active — no interleaving"
             );
             ctx.trigger(to_r, EventData::empty())
@@ -206,7 +203,7 @@ fn run_r2_interleaving_is_possible_under_isolation() {
     {
         let q_ran = Arc::clone(&q_ran);
         b.bind(b0, q, "Q", move |ctx, _| {
-            q_ran.store(true, Ordering::SeqCst);
+            q_ran.open();
             ctx.trigger(to_r, EventData::empty())
         });
     }

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use common::{join_within, wait_flag, wait_parked};
+use common::{join_within, latch, wait_parked};
 use samoa_core::prelude::*;
 
 /// A 3-stage pipeline: h0 → h1 → h2, one protocol per stage.
@@ -154,37 +154,36 @@ fn contended_admission_counts_wakeups() {
     let mut b = StackBuilder::new();
     let p0 = b.protocol("S0");
     let e0 = b.event("e0");
-    let gate = Arc::new(AtomicBool::new(false));
-    let entered = Arc::new(AtomicBool::new(false));
+    let (gate, entered) = (latch(), latch());
+    let first = Arc::new(AtomicBool::new(false));
     {
-        let gate = Arc::clone(&gate);
-        let entered = Arc::clone(&entered);
+        let (gate, entered) = (Arc::clone(&gate), Arc::clone(&entered));
         let st = ProtocolState::new(p0, 0u64);
         b.bind(e0, p0, "h0", move |ctx, _| {
             st.with(ctx, |v| *v += 1);
-            if !entered.swap(true, Ordering::SeqCst) {
-                assert!(
-                    wait_flag(&gate, Duration::from_secs(10)),
-                    "gate never opened"
-                );
+            if !first.swap(true, Ordering::SeqCst) {
+                entered.open();
+                assert!(gate.wait(Duration::from_secs(10)), "gate never opened");
             }
             Ok(())
         });
     }
-    let rt = Runtime::new(b.build());
+    // Traced, so that a parked waiter is listed.
+    let rt = Runtime::with_trace(b.build(), RuntimeConfig::default(), TraceBuffer::new());
     assert_eq!(rt.stats().version_wait_wakeups, 0);
     let ka = rt.spawn(Decl::Basic(&[p0]), move |ctx| {
         ctx.trigger(e0, EventData::empty())
     });
-    // Wait until ka is inside the handler, so kb's admission *must* block.
-    while !entered.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // Once ka is inside the handler, kb's admission *must* block.
+    assert!(entered.wait(Duration::from_secs(10)), "ka never entered h0");
     let kb = rt.spawn(Decl::Basic(&[p0]), move |ctx| {
         ctx.trigger(e0, EventData::empty())
     });
-    std::thread::sleep(Duration::from_millis(20));
-    gate.store(true, Ordering::SeqCst);
+    assert!(
+        wait_parked(&rt, kb.comp_id(), Duration::from_secs(10)),
+        "kb never parked"
+    );
+    gate.open();
     join_within(ka, Duration::from_secs(10)).unwrap();
     join_within(kb, Duration::from_secs(10)).unwrap();
     let s = rt.stats();
@@ -205,11 +204,13 @@ fn contended_admission_counts_wakeups() {
 fn a_holder_off_the_cpu_is_waited_for_asleep() {
     let (release, held) = mpsc::channel::<()>();
     let held = Mutex::new(held);
-    let entered = Arc::new(AtomicBool::new(false));
+    let entered = latch();
+    let first = AtomicBool::new(false);
     let p = {
         let entered = Arc::clone(&entered);
         pipeline_with(Some(TraceBuffer::new()), move || {
-            if !entered.swap(true, Ordering::SeqCst) {
+            if !first.swap(true, Ordering::SeqCst) {
+                entered.open();
                 // Returns on the release, or when the test drops the sender.
                 let _ = held.lock().unwrap().recv();
             }
@@ -224,7 +225,7 @@ fn a_holder_off_the_cpu_is_waited_for_asleep() {
         ctx.trigger(e0, EventData::empty())
     });
     assert!(
-        wait_flag(&entered, Duration::from_secs(10)),
+        entered.wait(Duration::from_secs(10)),
         "the older computation never entered h0"
     );
     let younger = p.rt.spawn(Decl::Route(&pat), move |ctx| {

@@ -7,8 +7,10 @@
 //! wait a `WaitBegin`/`WaitEnd` pair with nothing from the same computation
 //! in between, and timestamps monotone.
 
+mod common;
+
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,6 +18,8 @@ use proptest::prelude::*;
 use samoa_core::graph::RoutePattern;
 use samoa_core::prelude::*;
 use samoa_core::CompId;
+
+use common::{latch, wait_parked};
 
 /// Per-computation well-nestedness check over a time-sorted stream.
 fn check_well_nested(events: &[TraceEvent]) -> std::result::Result<(), String> {
@@ -226,16 +230,15 @@ fn fig1_diamond_schedule_and_blocker_identity() {
             ctx.trigger(to_s, ev.clone())
         });
     }
-    let gate = Arc::new(AtomicBool::new(false));
+    let (gate, at_gate) = (latch(), latch());
     let sst = ProtocolState::new(s, 0u64);
     {
-        let gate = Arc::clone(&gate);
+        let (gate, at_gate) = (Arc::clone(&gate), Arc::clone(&at_gate));
         let sst = sst.clone();
         b.bind(to_s, s, "S", move |ctx, _| {
             if ctx.comp_id() == 1 {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                at_gate.open();
+                assert!(gate.wait(Duration::from_secs(10)), "gate never opened");
             }
             sst.with(ctx, |v| *v += 1);
             Ok(())
@@ -248,28 +251,20 @@ fn fig1_diamond_schedule_and_blocker_identity() {
     let ka = rt.spawn(Decl::Basic(&[p, r, s]), move |ctx| {
         ctx.trigger(a0, EventData::empty())
     });
-    while sst.read(|&v| v) == 0 && rst.read(|&v| v) == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(at_gate.wait(Duration::from_secs(10)), "ka never reached S");
     // kb (id 2) runs Q freely, then blocks at R until ka completes.
     let kb = rt.spawn(Decl::Basic(&[q, r, s]), move |ctx| {
         ctx.trigger(b0, EventData::empty())
     });
 
     // The live wait-for graph names the edge while kb is blocked.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let edge = loop {
-        let g = rt.waiters();
-        if let Some(e) = g.edges.first() {
-            assert!(!g.has_cycle(), "a single wait edge cannot be a cycle");
-            break *e;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "kb never showed up in the wait-for graph"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    };
+    assert!(
+        wait_parked(&rt, kb.comp_id(), Duration::from_secs(10)),
+        "kb never showed up in the wait-for graph"
+    );
+    let g = rt.waiters();
+    assert!(!g.has_cycle(), "a single wait edge cannot be a cycle");
+    let edge = g.edges[0];
     assert_eq!(edge.waiter, 2, "kb is the waiter");
     assert_eq!(rt.stack().protocol_name(edge.protocol), "R");
     assert_eq!(edge.blocker, Some(1), "ka holds R");
@@ -279,7 +274,7 @@ fn fig1_diamond_schedule_and_blocker_identity() {
         "render names the protocol: {rendered}"
     );
 
-    gate.store(true, Ordering::SeqCst);
+    gate.open();
     ka.join().unwrap();
     kb.join().unwrap();
     rt.quiesce();

@@ -2,11 +2,10 @@
 
 mod common;
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{conflict_stack, flag, join_within, wait_flag};
+use common::{conflict_stack, join_within, latch};
 use samoa_core::prelude::*;
 
 #[test]
@@ -79,14 +78,14 @@ fn conflicting_computations_serialize_in_spawn_order() {
 #[test]
 fn disjoint_computations_overlap_in_time() {
     let s = conflict_stack(2);
-    let k2_ran = flag();
+    let k2_ran = latch();
     // k1 occupies P0 and blocks until k2 (on P1) has demonstrably run.
     let h1 = {
         let e = s.events[0];
         let k2_ran = Arc::clone(&k2_ran);
         s.rt.spawn(Decl::Basic(&[s.protocols[0]]), move |ctx| {
             assert!(
-                wait_flag(&k2_ran, Duration::from_secs(10)),
+                k2_ran.wait(Duration::from_secs(10)),
                 "k2 never ran concurrently with k1"
             );
             ctx.trigger(e, 0u64)
@@ -97,7 +96,7 @@ fn disjoint_computations_overlap_in_time() {
         let k2_ran = Arc::clone(&k2_ran);
         s.rt.spawn(Decl::Basic(&[s.protocols[1]]), move |ctx| {
             ctx.trigger(e, 0u64)?;
-            k2_ran.store(true, Ordering::SeqCst);
+            k2_ran.open();
             Ok(())
         })
     };
@@ -111,14 +110,14 @@ fn overlapping_computation_waits_for_predecessor_completion() {
     // Even if k1 has *finished visiting* the shared protocol, VCAbasic
     // releases it only at completion — k2 must wait for all of k1.
     let s = conflict_stack(2);
-    let k1_done = flag();
+    let k1_done = latch();
     let h1 = {
         let (e0, e1) = (s.events[0], s.events[1]);
         let k1_done = Arc::clone(&k1_done);
         s.rt.spawn(Decl::Basic(&[s.protocols[0], s.protocols[1]]), move |ctx| {
             ctx.trigger(e0, 0u64)?; // visit shared P0 once, quickly
             ctx.trigger(e1, 100u64)?; // then be slow elsewhere
-            k1_done.store(true, Ordering::SeqCst);
+            k1_done.open();
             Ok(())
         })
     };
@@ -129,7 +128,7 @@ fn overlapping_computation_waits_for_predecessor_completion() {
             ctx.trigger(e0, 0u64)?;
             // By the time our visit of P0 was admitted, k1 must have fully
             // completed (basic releases at completion only).
-            assert!(k1_done.load(Ordering::SeqCst), "VCAbasic released early");
+            assert!(k1_done.is_open(), "VCAbasic released early");
             Ok(())
         })
     };

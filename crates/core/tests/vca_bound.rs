@@ -2,11 +2,10 @@
 
 mod common;
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{conflict_stack, flag, join_within, wait_flag};
+use common::{conflict_stack, join_within, latch};
 use samoa_core::prelude::*;
 
 #[test]
@@ -55,8 +54,8 @@ fn exhausted_bound_releases_protocol_early() {
     // than VCAbasic, which `overlapping_computation_waits_for_predecessor_
     // completion` (vca_basic.rs) shows would block until k1 completes.
     let s = conflict_stack(2);
-    let k1_done = flag();
-    let k2_entered_p0 = flag();
+    let k1_done = latch();
+    let k2_entered_p0 = latch();
     let h1 = {
         let (e0, e1) = (s.events[0], s.events[1]);
         let k1_done = Arc::clone(&k1_done);
@@ -67,11 +66,11 @@ fn exhausted_bound_releases_protocol_early() {
                 ctx.trigger(e0, 0u64)?; // single visit of P0: budget exhausted
                                         // Stay alive on P1 until k2 demonstrates it got into P0.
                 assert!(
-                    wait_flag(&k2_entered_p0, Duration::from_secs(10)),
+                    k2_entered_p0.wait(Duration::from_secs(10)),
                     "k2 was not admitted to P0 while k1 was still running"
                 );
                 ctx.trigger(e1, 0u64)?;
-                k1_done.store(true, Ordering::SeqCst);
+                k1_done.open();
                 Ok(())
             },
         )
@@ -83,10 +82,10 @@ fn exhausted_bound_releases_protocol_early() {
         s.rt.spawn(Decl::Bound(&[(s.protocols[0], 1)]), move |ctx| {
             ctx.trigger(e0, 0u64)?;
             assert!(
-                !k1_done.load(Ordering::SeqCst),
+                !k1_done.is_open(),
                 "k1 already finished; early release not demonstrated"
             );
-            k2_entered_p0.store(true, Ordering::SeqCst);
+            k2_entered_p0.open();
             Ok(())
         })
     };

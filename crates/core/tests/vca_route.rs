@@ -2,11 +2,10 @@
 
 mod common;
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{flag, join_within, wait_flag};
+use common::{join_within, latch};
 use samoa_core::prelude::*;
 
 /// A three-stage pipeline: handler `stage0` of protocol `P0` may call
@@ -197,7 +196,7 @@ fn route_releases_head_for_concurrent_successor() {
     let ea = b.event("A");
     let eb = b.event("B");
     let a_log = ProtocolState::new(pa, Vec::<u64>::new());
-    let gate = flag();
+    let gate = latch();
     let ha = {
         let log = a_log.clone();
         b.bind(ea, pa, "a", move |ctx, ev| {
@@ -213,10 +212,7 @@ fn route_releases_head_for_concurrent_successor() {
     let hb = {
         let gate = Arc::clone(&gate);
         b.bind(eb, pb, "b", move |_, _| {
-            assert!(
-                wait_flag(&gate, Duration::from_secs(10)),
-                "gate never opened"
-            );
+            assert!(gate.wait(Duration::from_secs(10)), "gate never opened");
             Ok(())
         })
     };
@@ -232,7 +228,7 @@ fn route_releases_head_for_concurrent_successor() {
     let h2 = rt.spawn(Decl::Route(&pat2), move |ctx| {
         ctx.trigger(ea, EventData::new(false))?;
         // We got in while k1's `b` is still blocked on the gate.
-        gate2.store(true, Ordering::SeqCst);
+        gate2.open();
         Ok(())
     });
     join_within(h2, Duration::from_secs(10)).unwrap();
@@ -257,13 +253,13 @@ fn without_early_release_successor_would_wait() {
         Ok(())
     });
     let rt = Runtime::new(b.build());
-    let k1_done = flag();
+    let k1_done = latch();
     let h1 = {
         let done = Arc::clone(&k1_done);
         rt.spawn(Decl::Basic(&[pa, pb]), move |ctx| {
             ctx.trigger(ea, EventData::empty())?;
             ctx.trigger(eb, EventData::empty())?;
-            done.store(true, Ordering::SeqCst);
+            done.open();
             Ok(())
         })
     };
@@ -271,7 +267,7 @@ fn without_early_release_successor_would_wait() {
         let done = Arc::clone(&k1_done);
         rt.spawn(Decl::Basic(&[pa]), move |ctx| {
             ctx.trigger(ea, EventData::empty())?;
-            assert!(done.load(Ordering::SeqCst), "VCAbasic admitted k2 early");
+            assert!(done.is_open(), "VCAbasic admitted k2 early");
             Ok(())
         })
     };

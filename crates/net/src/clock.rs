@@ -11,16 +11,17 @@
 //!
 //! A stack host (a proto `Node`, a transport `Endpoint`) is a [`Host`]:
 //! [`Ticker::attach`] builds it around its [`Ticker`] and hands it the
-//! datagrams of its site and the ticks of its timer thread, which sleeps
-//! until the instant its [`Alarm`] is armed for. There is no period: what
-//! puts a deadline in the host's state arms the alarm for it, and a tick
-//! arms again only what is still to come. The armed instant is on the
-//! wall clock: a manual clock's instants mean nothing to a thread that
-//! sleeps in real time. So the host's clock alone decides whether a timer
-//! runs ([`Alarm::on`]): on the wall clock one does, on a manual clock none
-//! does, and whoever advances the clock injects the ticks. The thread
-//! starts once the host exists, so an instant armed before that is rung
-//! for, not lost, and [`Ticker::stop`] is the one way to end it.
+//! datagrams of its site and the rings of its [`Alarm`] — the Timer Module,
+//! one per host, on either clock. There is no period: what puts a deadline
+//! in the host's state arms the alarm for it, on the host's clock, and a
+//! ring arms again only what is still to come. The alarm is armed the same
+//! way on both clocks; what differs is who rings it. On the wall clock a
+//! thread does: it starts once the host exists, so an instant armed before
+//! that is rung for, not lost, sleeps until the armed instant has passed,
+//! and [`Ticker::stop`] is the one way to end it. On a manual clock no
+//! thread starts: whoever advances the clock rings the alarms that are due
+//! — [`NetHandle::run_until`](crate::NetHandle::run_until) moves a manual
+//! network and its hosts from one armed instant to the next.
 //!
 //! ```
 //! use std::time::Duration;
@@ -121,9 +122,9 @@ impl ProtoClock {
 /// No instant is armed.
 const UNARMED: u64 = u64::MAX;
 
-/// When a [`Ticker`] ticks next: one wall-clock instant or none. A clone
-/// is a handle on the same deadline, made before the ticker so that a
-/// host's handlers can hold one; one ticker waits on it.
+/// When a host's timer rings next: one instant on the host's clock, or
+/// none. A clone is a handle on the same deadline, made before the ticker
+/// so that a host's handlers can hold one; one ticker waits on it.
 #[derive(Clone)]
 pub struct Alarm(Arc<AlarmInner>);
 
@@ -131,6 +132,9 @@ struct AlarmInner {
     /// The armed instant, in nanoseconds past `epoch` (an earlier one
     /// counts as `epoch`: it has passed either way), or [`UNARMED`].
     at_ns: AtomicU64,
+    /// The clock the instants are on, and its `now` when the alarm was
+    /// made.
+    clock: ProtoClock,
     epoch: Instant,
     stopped: AtomicBool,
     /// What the ticker sleeps under; `arm` and `stop` pass through it.
@@ -147,24 +151,19 @@ impl std::fmt::Debug for Alarm {
 }
 
 impl Alarm {
-    /// Nothing armed.
-    fn new() -> Alarm {
+    /// The alarm of a host on `clock`, with nothing armed. A thread rings
+    /// it on the wall clock ([`Ticker::attach`]); on a manual clock
+    /// whoever advances the clock does.
+    pub fn new(clock: &ProtoClock) -> Alarm {
         Alarm(Arc::new(AlarmInner {
             at_ns: AtomicU64::new(UNARMED),
-            epoch: Instant::now(),
+            clock: clock.clone(),
+            epoch: clock.now(),
             stopped: AtomicBool::new(false),
             lock: Mutex::new(()),
             cv: Condvar::new(),
             thread: Mutex::new(None),
         }))
-    }
-
-    /// The alarm of a host on `clock`, with nothing armed: one on the wall
-    /// clock, none on a manual clock, whose ticks are injected by whoever
-    /// advances it. A host starts its timer thread if and only if it gets
-    /// one; this is the only way to get one.
-    pub fn on(clock: &ProtoClock) -> Option<Alarm> {
-        (!clock.is_manual()).then(Alarm::new)
     }
 
     /// Tick at `at`, or earlier if an earlier instant is armed already: a
@@ -181,7 +180,12 @@ impl Alarm {
         }
     }
 
-    /// The armed instant, if any: the ticker ticks by then.
+    /// The clock the alarm's instants are on: its host's.
+    pub(crate) fn clock(&self) -> &ProtoClock {
+        &self.0.clock
+    }
+
+    /// The armed instant, if any: the alarm rings by then.
     pub fn deadline(&self) -> Option<Instant> {
         let ns = self.0.at_ns.load(Ordering::Acquire);
         (ns != UNARMED).then(|| self.0.epoch + Duration::from_nanos(ns))
@@ -217,6 +221,20 @@ impl Alarm {
 }
 
 impl AlarmInner {
+    /// If the armed instant has passed on the alarm's clock, disarm it and
+    /// return true: the ring that follows answers every instant armed up
+    /// to now, and whatever it arms from then on is rung for.
+    fn take_due(&self) -> bool {
+        match self.at_ns.load(Ordering::Acquire) {
+            UNARMED => false,
+            ns if self.clock.now() < self.epoch + Duration::from_nanos(ns) => false,
+            _ => {
+                self.at_ns.store(UNARMED, Ordering::Release);
+                true
+            }
+        }
+    }
+
     /// Move the deadline to `at` if that is earlier; true if it moved.
     fn lower(&self, at: Instant) -> bool {
         let ns = at.saturating_duration_since(self.epoch).as_nanos();
@@ -234,15 +252,14 @@ impl AlarmInner {
             if self.stopped.load(Ordering::SeqCst) {
                 return false;
             }
+            if self.take_due() {
+                return true;
+            }
             match self.at_ns.load(Ordering::Acquire) {
                 UNARMED => self.cv.wait(&mut guard),
                 ns => {
-                    let at = self.epoch + Duration::from_nanos(ns);
-                    if Instant::now() >= at {
-                        self.at_ns.store(UNARMED, Ordering::Release);
-                        return true;
-                    }
-                    self.cv.wait_until(&mut guard, at);
+                    self.cv
+                        .wait_until(&mut guard, self.epoch + Duration::from_nanos(ns));
                 }
             }
         }
@@ -251,7 +268,9 @@ impl AlarmInner {
 
 /// A stack host: a site's datagrams and its timer's ticks are the external
 /// events (paper §4) it turns into computations. Which thread delivers
-/// them is [`Ticker::attach`]'s business, not the host's.
+/// them is [`Ticker::attach`]'s business, or on a manual clock the
+/// driver's ([`NetHandle::run_until`](crate::NetHandle::run_until)), not
+/// the host's.
 pub trait Host: Send + Sync + 'static {
     /// One datagram addressed to the host's site.
     fn on_datagram(&self, dg: Datagram);
@@ -260,29 +279,62 @@ pub trait Host: Send + Sync + 'static {
     /// again for each deadline of the host's that is still to come (the
     /// alarm holds one instant, the earliest, and ringing disarms it).
     fn on_alarm(&self);
+
+    /// The host's timer: the alarm its [`Ticker`] waits on.
+    fn alarm(&self) -> &Alarm;
+
+    /// Block until every computation the host started has completed.
+    fn quiesce(&self);
 }
 
-/// The timer of a stack host (a proto `Node`, a transport `Endpoint`): a
-/// thread that sleeps until its [`Alarm`]'s instant has passed and calls
-/// `tick` on its target, until it is stopped or dropped, or the target is —
-/// or, on a manual clock, nothing. It keeps no period: the host arms the
-/// alarm for each deadline its state holds. A
-/// [`Host`] is built around one by [`Ticker::attach`], whose thread calls
-/// [`Host::on_alarm`]. The thread holds the target only weakly, so a host
-/// can own its ticker.
+/// Ring each of `hosts` whose alarm is due on its clock: disarm it and call
+/// [`Host::on_alarm`], as the timer thread does. On a manual clock this is
+/// the Timer Module at the current virtual instant.
+pub fn ring_due<H: Host>(hosts: &[Arc<H>]) {
+    for h in hosts {
+        if h.alarm().0.take_due() {
+            h.on_alarm();
+        }
+    }
+}
+
+/// Advance the clock of `hosts`, which they share, to the earliest instant
+/// any of them has armed, if it is still to come, and [`ring_due`]: one step
+/// of [`NetHandle::run_until`](crate::NetHandle::run_until). Returns that
+/// instant; `None`, and nothing moves, when no alarm is armed.
+pub(crate) fn ring_next<H: Host>(hosts: &[Arc<H>]) -> Option<Instant> {
+    let next = next_alarm(hosts)?;
+    let clock = hosts[0].alarm().clock();
+    clock.advance(next.saturating_duration_since(clock.now()));
+    ring_due(hosts);
+    Some(next)
+}
+
+/// The earliest instant any of `hosts` has armed.
+pub(crate) fn next_alarm<H: Host>(hosts: &[Arc<H>]) -> Option<Instant> {
+    hosts.iter().filter_map(|h| h.alarm().deadline()).min()
+}
+
+/// The timer of a stack host (a proto `Node`, a transport `Endpoint`): its
+/// [`Alarm`], and on the wall clock a thread that sleeps until the alarm's
+/// instant has passed and calls `tick` on its target, until it is stopped
+/// or dropped, or the target is. It keeps no period: the host arms the
+/// alarm for each deadline its state holds. A [`Host`] is built around one
+/// by [`Ticker::attach`], whose thread calls [`Host::on_alarm`]. The thread
+/// holds the target only weakly, so a host can own its ticker.
 #[derive(Debug)]
-pub struct Ticker(Option<Alarm>);
+pub struct Ticker(Alarm);
 
 impl Ticker {
     /// Build a host around its ticker and attach it to its site on `net`
     /// and to its timer: `host` is given the ticker, datagrams for `site` go
-    /// to [`Host::on_datagram`], and with an `alarm` (see [`Alarm::on`]) a
+    /// to [`Host::on_datagram`], and if `alarm` is on the wall clock a
     /// thread named `name` starts, once the host exists, and calls
     /// [`Host::on_alarm`] when it rings. Both hold the host weakly.
     pub fn attach<H: Host>(
         site: SiteId,
         net: &dyn Transport,
-        alarm: Option<Alarm>,
+        alarm: Alarm,
         name: String,
         host: impl FnOnce(Ticker) -> H,
     ) -> Arc<H> {
@@ -296,24 +348,21 @@ impl Ticker {
                 }
             }),
         );
-        if let Some(alarm) = alarm {
+        if !alarm.0.clock.is_manual() {
             alarm.spawn(name, Arc::downgrade(&host), H::on_alarm);
         }
         host
     }
 
-    /// The alarm this ticker waits on; none on a manual clock.
-    pub fn alarm(&self) -> Option<&Alarm> {
-        self.0.as_ref()
+    /// The alarm this ticker waits on.
+    pub fn alarm(&self) -> &Alarm {
+        &self.0
     }
 
-    /// Stop ticking and join the thread, which is woken to notice, so this
-    /// returns once a tick in progress has. Idempotent; nothing to do on a
-    /// manual clock.
+    /// Stop ticking and join the thread, if one runs, which is woken to
+    /// notice, so this returns once a tick in progress has. Idempotent.
     pub fn stop(&self) {
-        let Some(Alarm(alarm)) = &self.0 else {
-            return;
-        };
+        let Alarm(alarm) = &self.0;
         alarm.stopped.store(true, Ordering::SeqCst);
         drop(alarm.lock.lock());
         alarm.cv.notify_all();
@@ -394,12 +443,12 @@ mod tests {
                 handle.arm(at);
             }
         });
-        Ticker(Some(alarm))
+        Ticker(alarm)
     }
 
     /// An alarm armed for now.
     fn armed_now() -> Alarm {
-        let alarm = Alarm::new();
+        let alarm = Alarm::new(&ProtoClock::wall());
         alarm.arm(Instant::now());
         alarm
     }
@@ -443,7 +492,7 @@ mod tests {
     /// hour.
     #[test]
     fn arming_earlier_wakes_the_ticker_and_arming_later_moves_nothing() {
-        let alarm = Alarm::new();
+        let alarm = Alarm::new(&ProtoClock::wall());
         assert_eq!(alarm.deadline(), None);
         let later = Instant::now() + HOUR;
         alarm.arm(later);

@@ -14,11 +14,11 @@
 //! Both stacks above them share the ARQ core ([`arq`]), its injectable
 //! time source ([`ProtoClock`]) and one way to host a stack: a [`Host`]
 //! takes its site's datagrams and its timer's ticks, and
-//! [`Ticker::attach`] builds it around its [`Ticker`] and wires both. The
-//! timer thread sleeps until the
-//! instant its [`Alarm`] is armed for, and runs only on the wall clock
-//! ([`Alarm::on`]); on a manual clock whoever advances it injects the
-//! ticks. Both stacks write their wire formats with one [`codec`]: a
+//! [`Ticker::attach`] builds it around its [`Ticker`] and wires both. Its
+//! [`Alarm`] is armed the same way on either clock: on the wall clock a
+//! timer thread sleeps until the armed instant and rings it, on a manual
+//! clock [`NetHandle::run_until`] advances the clock to the earliest armed
+//! instant and rings the hosts that are due. Both stacks write their wire formats with one [`codec`]: a
 //! length is its writer run against a counting sink, and a decoder reads
 //! through checked readers.
 //!
@@ -52,7 +52,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use arq::{ArqReceiver, ArqSender, RangeSet};
-pub use clock::{Alarm, Host, ProtoClock, Ticker};
+pub use clock::{ring_due, Alarm, Host, ProtoClock, Ticker};
 pub use config::NetConfig;
 pub use sim::{Datagram, NetHandle, PendingDg, SimNet, SiteId};
 pub use stats::SiteStats;

@@ -29,6 +29,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::clock::{next_alarm, ring_next, Host};
 use crate::config::NetConfig;
 use crate::stats::{SiteCounters, SiteStats};
 
@@ -133,6 +134,8 @@ struct NetInner {
     manual: bool,
     /// Fixed origin for virtual timestamps in manual mode.
     epoch: Instant,
+    /// The seed of the delay, loss and fault draws ([`NetConfig::seed`]).
+    seed: u64,
 }
 
 /// A cheap, cloneable handle to the network: send datagrams, inject faults,
@@ -319,6 +322,61 @@ impl NetHandle {
                     return;
                 }
             }
+        }
+    }
+
+    /// Drive a manual network and the `hosts` on it on the virtual time of
+    /// their shared manual clock until `done` holds, and return how much
+    /// virtual time that took. Two steps, repeated: settle
+    /// ([`NetHandle::settle`]: deliver every datagram in flight and quiesce
+    /// every host), then advance the clock to the earliest instant a host's
+    /// [`Alarm`](crate::Alarm) is armed for and ring each host that is due
+    /// ([`ring_due`](crate::ring_due)) through [`Host::on_alarm`] — the code
+    /// a wall-clock timer thread runs. A delivery takes no virtual time;
+    /// only alarms move the clock.
+    ///
+    /// Under a policy that runs an external event inline on the entry
+    /// thread (`Serial`, `Basic`, `TwoPhase`) everything runs on the
+    /// caller's thread, and a run is a function of the net's seed: the same
+    /// seed delivers the same datagrams in the same order and ends at the
+    /// same virtual time. Under an overlapping policy the order in which
+    /// worker threads interleave is not, and exploring it is `samoa-check`'s
+    /// job.
+    ///
+    /// # Panics
+    ///
+    /// When the network is not manual, or `hosts` is empty or not on a
+    /// manual clock. And when `done` does not hold, nothing is in flight,
+    /// and no alarm is armed within `within` of the start: a stall, or a
+    /// run past its bound. The message names the net's seed and the virtual
+    /// time, which replay the run.
+    pub fn run_until<H: Host>(
+        &self,
+        hosts: &[Arc<H>],
+        within: Duration,
+        mut done: impl FnMut() -> bool,
+    ) -> Duration {
+        assert!(
+            self.is_manual() && hosts.first().is_some_and(|h| h.alarm().clock().is_manual()),
+            "run_until drives hosts on a manual network and a manual clock"
+        );
+        let clock = hosts[0].alarm().clock();
+        let start = clock.now();
+        loop {
+            self.settle(|| hosts.iter().for_each(|h| h.quiesce()));
+            let now = clock.now() - start;
+            if done() {
+                return now;
+            }
+            // Nothing in flight: only an alarm within the bound moves on.
+            let next = next_alarm(hosts);
+            assert!(
+                next.is_some_and(|at| at <= start + within),
+                "seed {}: not done at virtual time {now:?} (bound {within:?}), next alarm at {:?}",
+                self.inner.seed,
+                next.map(|at| at - start),
+            );
+            ring_next(hosts);
         }
     }
 
@@ -560,6 +618,7 @@ impl SimNet {
                 max_delay: config.max_delay.max(config.min_delay),
                 manual,
                 epoch: Instant::now(),
+                seed: config.seed,
             }),
         }
     }

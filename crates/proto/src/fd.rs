@@ -9,8 +9,8 @@
 //!
 //! The detector's one deadline is its next heartbeat, `HEARTBEAT` (10 ms)
 //! after the last (`FdState::next_beat`). With `enable_fd` a node hands the
-//! detector its timer and each tick arms it for the next; on a manual clock
-//! whoever advances the clock injects the ticks, and a tick heartbeats and
+//! detector its timer and each tick arms it for the next, on either clock
+//! (on a manual one the driver or a test rings it); a tick heartbeats and
 //! sweeps however long ago the last one was.
 
 use std::collections::{HashMap, HashSet};
@@ -40,9 +40,9 @@ pub struct FdState {
     /// When the last tick heartbeated (`started` before the first).
     beat: Instant,
     clock: ProtoClock,
-    /// The node's timer, when the detector runs on the wall clock: each
-    /// tick arms it for the next.
-    pub(crate) alarm: Option<Alarm>,
+    /// The node's timer, with `enable_fd`: each tick arms it for the next.
+    /// Otherwise one nobody rings.
+    pub(crate) alarm: Alarm,
 }
 
 impl FdState {
@@ -60,8 +60,8 @@ impl FdState {
             timeout,
             started,
             beat: started,
+            alarm: Alarm::new(&clock),
             clock,
-            alarm: None,
         }
     }
 
@@ -95,9 +95,7 @@ pub fn register(
             let (me, peers, suspects) = state.with(ctx, |s| {
                 let now = s.clock.now();
                 s.beat = now;
-                if let Some(alarm) = &s.alarm {
-                    alarm.arm(s.next_beat());
-                }
+                s.alarm.arm(s.next_beat());
                 let peers: Vec<SiteId> = s
                     .view
                     .members()

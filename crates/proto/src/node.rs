@@ -138,21 +138,19 @@ pub struct NodeConfig {
     pub initial_members: Option<Vec<SiteId>>,
     /// Record history for the isolation checker.
     pub record_history: bool,
-    /// Artificial delay in RelComm's `view_change` handler (experiment E5's
-    /// race-window widener; zero in normal operation).
-    pub view_change_delay: Duration,
     /// The time source the stack's timeout logic (failure detector,
-    /// RelComm retransmission) reads, and what decides whether the timer
-    /// runs ([`Alarm::on`]). On the wall clock (the default) a thread,
-    /// `node-N-timer`, sleeps until a deadline has passed — a frame due for
-    /// a resend, an ack that has waited long enough for a ride, the failure
-    /// detector's next heartbeat with `enable_fd` — and injects the tick it
-    /// is for; while none is armed it sleeps. On a
-    /// [`ProtoClock::manual`] clock no thread starts: whoever advances the
-    /// clock injects the ticks ([`Node::inject_retransmit_tick`],
-    /// [`Node::inject_fd_tick`]). Shared across a cluster, a manual clock
-    /// makes every timeout a function of explicit [`ProtoClock::advance`]
-    /// calls — the substrate for deterministic fault exploration.
+    /// RelComm retransmission) reads. The node's one [`Alarm`] is armed on
+    /// it for each deadline — a frame due for a resend, an ack that has
+    /// waited long enough for a ride, the failure detector's next heartbeat
+    /// with `enable_fd` — and when it rings the node injects the tick it is
+    /// for. On the wall clock (the default) a thread, `node-N-timer`, rings
+    /// it, and sleeps while none is armed. On a [`ProtoClock::manual`]
+    /// clock no thread starts: the driver ([`NetHandle::run_until`]) rings
+    /// it, or a test or explorer injects ticks of its own choosing
+    /// ([`Node::inject_retransmit_tick`], [`Node::inject_fd_tick`]).
+    /// Shared across a cluster, a manual clock makes every timeout a
+    /// function of explicit [`ProtoClock::advance`] calls — the substrate
+    /// for deterministic tests and fault exploration.
     pub clock: ProtoClock,
     /// When false, abcast delivers decisions in *arrival* order instead of
     /// instance order — an **injected bug** the fault explorer uses to
@@ -170,7 +168,6 @@ impl Default for NodeConfig {
             enable_fd: false,
             initial_members: None,
             record_history: false,
-            view_change_delay: Duration::ZERO,
             clock: ProtoClock::wall(),
             ab_order_enabled: true,
         }
@@ -206,7 +203,8 @@ pub struct Node {
     kv: ProtocolState<KvState>,
     kv_waiters: KvWaiters,
     kv_req: AtomicU64,
-    /// The Timer Module; no thread on a manual clock.
+    /// The Timer Module; rung by its thread on the wall clock, by the
+    /// driver on a manual one.
     timer: Ticker,
 }
 
@@ -308,16 +306,13 @@ impl Node {
         membership_st.write(|s| s.instruments = consensus_ins);
         let kv_waiters = KvWaiters::new(kv_ins.apply_latency_us);
 
-        if !cfg.view_change_delay.is_zero() {
-            relcomm_st.write(|s| s.view_change_delay = cfg.view_change_delay);
-        }
         // The Timer Module: RelComm arms it for what it sends and owes, and
         // a running failure detector for its heartbeats, from the first on.
-        let alarm = Alarm::on(&cfg.clock);
+        let alarm = Alarm::new(&cfg.clock);
         relcomm_st.write(|s| s.alarm = alarm.clone());
-        if let Some(alarm) = alarm.as_ref().filter(|_| cfg.enable_fd) {
+        if cfg.enable_fd {
             fd_st.write(|s| {
-                s.alarm = Some(alarm.clone());
+                s.alarm = alarm.clone();
                 alarm.arm(s.next_beat());
             });
         }
@@ -655,9 +650,7 @@ impl Host for Node {
     /// heartbeat is due. Each tick arms the alarm for what it leaves; a
     /// deadline still to come is armed again here.
     fn on_alarm(&self) {
-        let Some(alarm) = self.timer.alarm() else {
-            return;
-        };
+        let alarm = self.timer.alarm();
         let now = self.cfg.clock.now();
         let relcomm = self.relcomm.read(RelCommState::next_due);
         let fd = self.cfg.enable_fd.then(|| self.fd.read(FdState::next_beat));
@@ -668,6 +661,14 @@ impl Host for Node {
                 None => {}
             }
         }
+    }
+
+    fn alarm(&self) -> &Alarm {
+        self.timer.alarm()
+    }
+
+    fn quiesce(&self) {
+        self.rt.quiesce();
     }
 }
 
@@ -751,10 +752,10 @@ impl Cluster {
     /// [`NetHandle::pump_one`]/[`NetHandle::pump_all`] (and [`Cluster::settle`],
     /// which pumps) deliver them on the calling thread. Pair with a shared
     /// [`ProtoClock::manual`] in `node_cfg` (which starts no timer thread)
-    /// for fully deterministic virtual-time tests: drive
-    /// retransmissions and failure detection with
-    /// [`Node::inject_retransmit_tick`]/[`Node::inject_fd_tick`] after
-    /// advancing the clock, instead of polling wall-clock deadlines.
+    /// for fully deterministic virtual-time tests: [`NetHandle::run_until`]
+    /// over [`Cluster::nodes`] rings each node's alarm when the clock
+    /// reaches it — retransmission and, with `enable_fd`, failure detection
+    /// — instead of polling wall-clock deadlines.
     pub fn new_manual(n: usize, net_cfg: NetConfig, node_cfg: NodeConfig) -> Cluster {
         Cluster::new_observed_on(
             SimNet::new_manual(n, net_cfg),
@@ -837,9 +838,10 @@ impl Cluster {
     /// datagrams in flight and no computation running anywhere, stable
     /// across one full round.
     ///
-    /// Only terminates for workloads that stop generating traffic (the
-    /// failure detector's heartbeats never stop; use sleeps and polling for
-    /// FD scenarios instead).
+    /// Only terminates for workloads that stop generating traffic. On the
+    /// wall clock the failure detector's heartbeats never stop; on a manual
+    /// clock nothing is rung while settling, and [`NetHandle::run_until`]
+    /// moves time on.
     pub fn settle(&self) {
         self.net.settle(|| {
             for n in &self.nodes {
@@ -1053,7 +1055,7 @@ mod tests {
     fn an_idle_node_arms_nothing_and_spawns_nothing() {
         let c = Cluster::new(3, NetConfig::fast(3), NodeConfig::default());
         c.node(0).rbcast("ping");
-        let armed = |n: &Arc<Node>| n.timer.alarm().and_then(Alarm::deadline);
+        let armed = |n: &Arc<Node>| n.timer.alarm().deadline();
         let idle = |n: &Arc<Node>| n.relcomm.read(RelCommState::next_due).is_none();
         let patience = Instant::now() + Duration::from_secs(10);
         while !c.nodes().iter().all(|n| idle(n) && armed(n).is_none()) {
@@ -1071,6 +1073,44 @@ mod tests {
         for n in c.nodes() {
             assert_eq!(armed(n), None, "{}: an idle node armed its timer", n.site);
             assert_eq!(n.external_errors(), 0, "{}", n.site);
+        }
+    }
+
+    /// The Timer Module is the same on both clocks: on a manual clock a
+    /// node's one alarm is armed for RelComm's next deadline
+    /// ([`RelCommState::next_due`]) and, with `enable_fd`, the detector's
+    /// next heartbeat ([`FdState::next_beat`]), whichever is first; and each
+    /// ring, as the driver gives it, arms it again for what is left. The
+    /// frame site 0 sends is never delivered, so it is resent again and
+    /// again.
+    #[test]
+    fn a_manual_clock_alarm_is_armed_for_the_nodes_next_deadline() {
+        for enable_fd in [false, true] {
+            let clock = ProtoClock::manual();
+            let cfg = NodeConfig {
+                clock: clock.clone(),
+                enable_fd,
+                ..NodeConfig::default()
+            };
+            let c = Cluster::new_manual(2, NetConfig::fast(1), cfg);
+            let node = c.node(0);
+            let due = || {
+                let relcomm = node.relcomm.read(RelCommState::next_due);
+                let fd = enable_fd.then(|| node.fd.read(FdState::next_beat));
+                relcomm.into_iter().chain(fd).min()
+            };
+            let armed = || node.timer.alarm().deadline();
+            assert_eq!((armed(), armed().is_some()), (due(), enable_fd));
+            node.rbcast("m");
+            for ring in 0..12 {
+                assert_eq!(armed(), due(), "fd {enable_fd}, ring {ring}");
+                let at = armed().expect("something is always due");
+                clock.advance(at.saturating_duration_since(clock.now()));
+                samoa_net::ring_due(std::slice::from_ref(node));
+                node.runtime().quiesce();
+            }
+            assert!(node.retransmissions() >= 2, "fd {enable_fd}");
+            assert_eq!(node.external_errors(), 0);
         }
     }
 

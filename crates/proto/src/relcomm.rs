@@ -261,13 +261,10 @@ pub struct RelCommState {
     /// holds clears it, and only a view change that drops the peer drops it.
     owed: BTreeMap<SiteId, Owed>,
     clock: ProtoClock,
-    /// The node's timer, when it runs on the wall clock: a handler that adds
-    /// a deadline arms it (module docs, "Deadlines").
-    pub(crate) alarm: Option<Alarm>,
-    /// Artificial processing delay at the start of `view_change`, used by
-    /// experiment E5 to widen the §3 race window (simulating the "time
-    /// consuming" view installation work the paper's motivation cites).
-    pub view_change_delay: Duration,
+    /// The node's timer: a handler that adds a deadline arms it (module
+    /// docs, "Deadlines"). A node hands RelComm its own; until then it is
+    /// one nobody rings.
+    pub(crate) alarm: Alarm,
     /// Outbound frames serving an operation learned here carry `hop + 1`;
     /// frames serving a locally originated (or forgotten) operation carry
     /// hop 0. Empty for good on an untraced node.
@@ -294,9 +291,8 @@ impl RelCommState {
             tx: ArqSender::new(RTO, BACKOFF_CAP),
             rx: ArqReceiver::default(),
             owed: BTreeMap::new(),
+            alarm: Alarm::new(&clock),
             clock,
-            alarm: None,
-            view_change_delay: Duration::ZERO,
             ctx_hops: HopTable::default(),
             tracer: None,
             instruments: RelCommInstruments::default(),
@@ -349,11 +345,9 @@ impl RelCommState {
         self.tx.next_due(|_| false).into_iter().chain(acks).min()
     }
 
-    /// Arm the node's timer, if it has one, for `at`.
+    /// Arm the node's timer for `at`.
     fn arm(&self, at: Instant) {
-        if let Some(alarm) = &self.alarm {
-            alarm.arm(at);
-        }
+        self.alarm.arm(at);
     }
 
     /// `from` acknowledges `seqs`: both the ack-only datagram (`recv_ack`)
@@ -442,9 +436,7 @@ pub fn register(
                 });
                 if owed.seqs.is_empty() {
                     owed.since = now;
-                    if let Some(alarm) = &s.alarm {
-                        alarm.arm(now + ACK_DELAY);
-                    }
+                    s.alarm.arm(now + ACK_DELAY);
                 }
                 owed.seqs.push(m.seq);
                 let overflow =
@@ -546,12 +538,6 @@ pub fn register(
         let e = ev.view_change;
         b.bind_with_triggers(e, pid, "relcomm.view_change", &[], move |ctx, data| {
             let v: &GroupView = data.expect(e)?;
-            let delay = state.with(ctx, |s| s.view_change_delay);
-            if !delay.is_zero() {
-                // E5's race-window widener: RelComm is still on the old
-                // view while upper layers already installed the new one.
-                std::thread::sleep(delay);
-            }
             state.with(ctx, |s| {
                 s.view = v.clone();
                 // Finite buffers: nothing stays queued for a departed site,

@@ -1,10 +1,10 @@
 //! What the virtual-time wire tests share: a recording [`Transport`] and a
 //! cluster of full nodes behind it.
 //!
-//! Everything runs on a manual [`SimNet`] with a [`ProtoClock::manual`] and
-//! the timer thread off: one datagram is delivered at a time and every
-//! runtime is quiesced before the next, time moves only when a test says so,
-//! and nothing sleeps or reads the wall clock. The recorder keeps every
+//! Everything runs on a manual [`SimNet`] with a [`ProtoClock::manual`], so
+//! no timer thread: the rig settles and rings alarms the way
+//! [`NetHandle::run_until`] does, time moves only when a test or an alarm
+//! says so, and nothing sleeps or reads the wall clock. The recorder keeps every
 //! datagram sent, decoded, so the tests assert on what crossed the wire
 //! rather than on protocol internals.
 //!
@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use samoa_net::sim::DeliveryFn;
-use samoa_net::{NetConfig, NetHandle, SimNet, SiteId, Transport};
-use samoa_proto::{Node, NodeConfig, Payload, ProtoClock, TraceCtx, Wire};
+use samoa_net::{ring_due, Host, NetConfig, NetHandle, SimNet, SiteId, Transport};
+use samoa_proto::{Cluster, Node, NodeConfig, Payload, ProtoClock, TraceCtx, Wire};
 
 /// One datagram as it left a site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +100,13 @@ impl Transport for Recorder {
     }
 }
 
+/// `n` nodes configured by `cfg` on a manual network and one shared manual
+/// clock, for [`Cluster::settle`] and [`NetHandle::run_until`] to drive.
+pub fn manual_cluster(n: usize, net: NetConfig, cfg: NodeConfig) -> Cluster {
+    let clock = ProtoClock::manual();
+    Cluster::new_manual(n, net, NodeConfig { clock, ..cfg })
+}
+
 /// Full nodes on virtual time behind one recorder.
 pub struct Rig {
     pub net: SimNet,
@@ -141,21 +148,22 @@ impl Rig {
         }
     }
 
-    /// Deliver one datagram at a time until none is in flight.
+    /// Deliver every datagram in flight and quiesce every node, until
+    /// nothing is left ([`NetHandle::settle`]).
     pub fn settle(&self) {
-        loop {
-            self.quiesce();
-            if !self.net.handle().pump_one() {
-                return;
-            }
-        }
+        self.net.settle(|| self.quiesce());
     }
 
-    /// One retransmission tick on every site, at the current virtual time.
+    /// The Timer Module: advance the clock to the earliest instant a node
+    /// armed, if it is still to come, and ring every node that is due then
+    /// ([`ring_due`]) — one step of [`NetHandle::run_until`].
     pub fn tick_all(&self) {
-        for n in &self.nodes {
-            n.inject_retransmit_tick();
+        let next = self.nodes.iter().filter_map(|n| n.alarm().deadline()).min();
+        if let Some(at) = next {
+            self.clock
+                .advance(at.saturating_duration_since(self.clock.now()));
         }
+        ring_due(&self.nodes);
         self.quiesce();
     }
 

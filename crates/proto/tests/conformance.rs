@@ -2,13 +2,22 @@
 //! over `TcpNet` produces identical delivered sequences on every site —
 //! pinning the `Transport` seam contract (the stack cannot tell the
 //! backends apart).
+//!
+//! The `SimNet` side runs on a manual network and a manual clock, driven on
+//! virtual time ([`NetHandle::run_until`](samoa_net::NetHandle::run_until));
+//! real sockets have no quiescence oracle, so the `TcpNet` side polls what
+//! it waits for with a deadline.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use samoa_net::NetConfig;
-use samoa_proto::{Cluster, Node, NodeConfig, StackPolicy, TcpCluster};
+use samoa_proto::{Node, NodeConfig, StackPolicy, TcpCluster};
+
+use common::manual_cluster;
 
 const SITES: usize = 3;
 const MSGS: usize = 12;
@@ -27,14 +36,12 @@ fn wait_until(deadline_ms: u64, mut pred: impl FnMut() -> bool) -> bool {
 /// Drive the scenario: `MSGS` abcasts submitted round-robin across sites,
 /// each submitted only after every site delivered the previous one — the
 /// total order is then forced to equal submission order, making the
-/// delivered sequence comparable across backends.
-fn drive(nodes: &[Arc<Node>]) -> Vec<Vec<(u16, Bytes)>> {
+/// delivered sequence comparable across backends. `wait` returns once the
+/// condition it is handed holds, and panics if it never does.
+fn drive(nodes: &[Arc<Node>], wait: impl Fn(&dyn Fn() -> bool)) -> Vec<Vec<(u16, Bytes)>> {
     for i in 0..MSGS {
         nodes[i % nodes.len()].abcast(format!("msg-{i}"));
-        assert!(
-            wait_until(20_000, || nodes.iter().all(|n| n.ab_delivered().len() > i)),
-            "message {i} did not reach every site"
-        );
+        wait(&|| nodes.iter().all(|n| n.ab_delivered().len() > i));
     }
     nodes
         .iter()
@@ -57,12 +64,20 @@ fn expected() -> Vec<(u16, Bytes)> {
 fn simnet_and_tcpnet_deliver_identical_sequences() {
     let cfg = NodeConfig::with_policy(StackPolicy::Basic);
 
-    let sim = Cluster::new(SITES, NetConfig::fast(42), cfg.clone());
-    let sim_seqs = drive(sim.nodes());
+    let sim = manual_cluster(SITES, NetConfig::fast(42), cfg.clone());
+    let sim_seqs = drive(sim.nodes(), |done| {
+        sim.net()
+            .run_until(sim.nodes(), Duration::from_secs(20), done);
+    });
 
     let tcp = TcpCluster::new(SITES, cfg).expect("bind localhost mesh");
     let tcp_nodes: Vec<Arc<Node>> = (0..SITES).map(|i| Arc::clone(tcp.node(i))).collect();
-    let tcp_seqs = drive(&tcp_nodes);
+    let tcp_seqs = drive(&tcp_nodes, |done| {
+        assert!(
+            wait_until(20_000, done),
+            "a message did not reach every site"
+        );
+    });
 
     let want = expected();
     for (i, s) in sim_seqs.iter().enumerate() {
@@ -91,11 +106,12 @@ fn kv_state_machines_agree_across_backends() {
         (1, "a", "5"),
     ];
 
-    let sim = Cluster::new(SITES, NetConfig::fast(7), cfg.clone());
+    let sim = manual_cluster(SITES, NetConfig::fast(7), cfg.clone());
     for (site, k, v) in &script {
-        assert!(sim.node(*site).kv_put(*k, *v).wait(t).is_some());
+        let put = sim.node(*site).kv_put(*k, *v);
+        sim.settle();
+        assert!(put.wait(Duration::ZERO).is_some());
     }
-    sim.settle();
 
     let tcp = TcpCluster::new(SITES, cfg).expect("bind localhost mesh");
     for (site, k, v) in &script {

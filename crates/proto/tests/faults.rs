@@ -4,70 +4,39 @@
 //! All tests run on the manual-pump substrate ([`Cluster::new_manual`]) with
 //! a shared [`ProtoClock::manual`]: no delivery threads, no timer threads,
 //! no wall-clock deadlines. Timeout-driven behaviour (retransmission,
-//! failure detection) is driven by advancing the virtual clock and
-//! injecting ticks, so every run is deterministic and a "wait" is a bounded
-//! tick loop rather than a polling sleep.
+//! failure detection) is driven on virtual time by
+//! [`NetHandle::run_until`](samoa_net::NetHandle::run_until), which rings
+//! each node's alarm when the clock reaches it, so every run is
+//! deterministic and a "wait" is bounded in virtual time rather than a
+//! polling sleep.
 
 #![allow(clippy::field_reassign_with_default)]
+mod common;
+
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use bytes::Bytes;
 use samoa_net::{NetConfig, SiteId};
-use samoa_proto::{Cluster, NodeConfig, ProtoClock, RTO};
+use samoa_proto::NodeConfig;
 
-const MAX_TICKS: usize = 200;
+use common::manual_cluster;
+
+/// The virtual time a driven run may take before it counts as stalled.
+const WITHIN: Duration = Duration::from_secs(30);
 
 fn msg(i: usize) -> Bytes {
     Bytes::from(format!("m{i}"))
 }
 
-/// A node config on virtual time: a shared manual clock, so no timer
-/// thread. `Cluster::new_manual` clones the config per site; the clock is
-/// `Arc`-backed, so every site reads the same virtual now.
-fn manual_cfg() -> (NodeConfig, ProtoClock) {
-    let clock = ProtoClock::manual();
-    let cfg = NodeConfig {
-        clock: clock.clone(),
-        ..NodeConfig::default()
-    };
-    (cfg, clock)
-}
-
-/// Deterministic replacement for deadline polling: pump to a fixed point,
-/// then repeatedly advance virtual time past the RTO and fire one
-/// retransmission tick per live site until `cond` holds. Panics after
-/// `MAX_TICKS` rounds — a stall here is a bug, not a slow machine.
-fn tick_until(
-    c: &Cluster,
-    clock: &ProtoClock,
-    live: &[usize],
-    what: &str,
-    mut cond: impl FnMut() -> bool,
-) {
-    c.settle();
-    for _ in 0..MAX_TICKS {
-        if cond() {
-            return;
-        }
-        clock.advance(RTO * 2);
-        for &i in live {
-            c.node(i).inject_retransmit_tick();
-        }
-        c.settle();
-    }
-    assert!(cond(), "stalled after {MAX_TICKS} ticks: {what}");
-}
-
 #[test]
 fn partition_stalls_minority_and_heals() {
-    let (cfg, clock) = manual_cfg();
-    let c = Cluster::new_manual(3, NetConfig::fast(21), cfg);
+    let c = manual_cluster(3, NetConfig::fast(21), NodeConfig::default());
     // Partition site 2 away; the majority {0, 1} keeps ordering.
     c.net().partition(&[&[SiteId(0), SiteId(1)], &[SiteId(2)]]);
     c.node(0).abcast(msg(0));
     c.node(1).abcast(msg(1));
-    tick_until(&c, &clock, &[0, 1], "majority ordering", || {
+    c.net().run_until(c.nodes(), WITHIN, || {
         c.node(0).ab_delivered().len() == 2 && c.node(1).ab_delivered().len() == 2
     });
     assert_eq!(c.node(0).ab_delivered(), c.node(1).ab_delivered());
@@ -75,16 +44,18 @@ fn partition_stalls_minority_and_heals() {
     assert!(c.node(2).ab_delivered().is_empty());
     // Heal: retransmissions (and the coordinator's `Decide`s) catch site 2 up.
     c.net().heal();
-    tick_until(&c, &clock, &[0, 1, 2], "minority catch-up", || {
-        c.node(2).ab_delivered().len() == 2
-    });
+    c.net()
+        .run_until(c.nodes(), WITHIN, || c.node(2).ab_delivered().len() == 2);
     assert_eq!(c.node(2).ab_delivered(), c.node(0).ab_delivered());
 }
 
 #[test]
 fn duplication_is_masked_by_relcomm_dedup() {
-    let (cfg, _clock) = manual_cfg();
-    let c = Cluster::new_manual(3, NetConfig::fast(22).with_duplicates(0.5), cfg);
+    let c = manual_cluster(
+        3,
+        NetConfig::fast(22).with_duplicates(0.5),
+        NodeConfig::default(),
+    );
     for i in 0..8 {
         c.node(i % 3).abcast(msg(i));
     }
@@ -109,8 +80,7 @@ fn duplication_is_masked_by_relcomm_dedup() {
 
 #[test]
 fn membership_churn_keeps_views_consistent() {
-    let (cfg, _clock) = manual_cfg();
-    let c = Cluster::new_manual(5, NetConfig::fast(23), cfg);
+    let c = manual_cluster(5, NetConfig::fast(23), NodeConfig::default());
     // Interleaved joins/leaves from different sites, racing each other.
     c.node(0).request_leave(SiteId(4));
     c.node(1).request_leave(SiteId(3));
@@ -138,14 +108,12 @@ fn coordinator_crash_mid_stream_recovers() {
     // Site 0 coordinates instance 0/round 0. Crash it while a stream of
     // abcasts is in flight; the failure detector excludes it and the
     // survivors re-coordinate and keep ordering.
-    let (mut cfg, clock) = manual_cfg();
-    cfg.fd_timeout = Duration::from_millis(150);
-    let c = Cluster::new_manual(3, NetConfig::fast(24), cfg);
-    // One heartbeat round so every FD has heard every peer.
-    for i in 0..3 {
-        c.node(i).inject_fd_tick();
-    }
-    c.settle();
+    let cfg = NodeConfig {
+        enable_fd: true,
+        fd_timeout: Duration::from_millis(150),
+        ..NodeConfig::default()
+    };
+    let c = manual_cluster(3, NetConfig::fast(24), cfg);
 
     for i in 0..4 {
         c.node(1).abcast(msg(i));
@@ -155,33 +123,16 @@ fn coordinator_crash_mid_stream_recovers() {
     for i in 4..8 {
         c.node(2).abcast(msg(i));
     }
-    c.settle();
 
-    // Drive virtual time in sub-timeout steps: each round the survivors
-    // heartbeat each other (staying fresh) while site 0 goes stale, gets
-    // suspected, and is voted out; retransmission ticks re-deliver anything
-    // that raced the crash.
-    let excluded_and_delivered = || {
+    // On virtual time the survivors heartbeat each other as their alarms
+    // fall due (staying fresh) while site 0 goes stale, gets suspected, and
+    // is voted out; resends re-deliver anything that raced the crash.
+    c.net().run_until(c.nodes(), WITHIN, || {
         !c.node(1).current_view().contains(SiteId(0))
             && !c.node(2).current_view().contains(SiteId(0))
             && c.node(1).ab_delivered().len() >= 8
             && c.node(2).ab_delivered().len() >= 8
-    };
-    for _ in 0..MAX_TICKS {
-        if excluded_and_delivered() {
-            break;
-        }
-        clock.advance(Duration::from_millis(60));
-        for i in [1, 2] {
-            c.node(i).inject_fd_tick();
-            c.node(i).inject_retransmit_tick();
-        }
-        c.settle();
-    }
-    assert!(
-        excluded_and_delivered(),
-        "stalled: exclusion of crashed site + survivor delivery"
-    );
+    });
     assert_eq!(c.node(1).ab_delivered(), c.node(2).ab_delivered());
     // Exactly the 8 messages, no duplicates.
     let set: BTreeSet<_> = c.node(1).ab_delivered().into_iter().collect();
@@ -193,23 +144,16 @@ fn loss_duplication_and_churn_combined() {
     // The kitchen sink: loss + duplication + a leave, under VCAbasic.
     let mut net_cfg = NetConfig::fast(25).with_duplicates(0.2);
     net_cfg.loss_probability = 0.05;
-    let (cfg, clock) = manual_cfg();
-    let c = Cluster::new_manual(4, net_cfg, cfg);
+    let c = manual_cluster(4, net_cfg, NodeConfig::default());
     for i in 0..6 {
         c.node(i % 4).abcast(msg(i));
     }
     c.node(0).request_leave(SiteId(3));
-    tick_until(
-        &c,
-        &clock,
-        &[0, 1, 2, 3],
-        "all ordered + view installed",
-        || {
-            (0..3).all(|i| {
-                c.node(i).ab_delivered().len() == 6 && !c.node(i).current_view().contains(SiteId(3))
-            })
-        },
-    );
+    c.net().run_until(c.nodes(), WITHIN, || {
+        (0..3).all(|i| {
+            c.node(i).ab_delivered().len() == 6 && !c.node(i).current_view().contains(SiteId(3))
+        })
+    });
     let order0 = c.node(0).ab_delivered();
     for i in 1..3 {
         assert_eq!(c.node(i).ab_delivered(), order0, "site {i} diverged");

@@ -3,13 +3,21 @@
 //! and participates in atomic broadcast from then on. Without the transfer,
 //! a fresh joiner would buffer every future decision behind instances it
 //! can never receive.
+//!
+//! Every cluster runs on a manual network and a shared manual clock, driven
+//! on virtual time by [`NetHandle::run_until`](samoa_net::NetHandle::run_until)
+//! where a resend is waited for.
+
+mod common;
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use samoa_net::{NetConfig, SiteId};
 use samoa_proto::{Cluster, NodeConfig, StackPolicy};
+
+use common::manual_cluster;
 
 fn msg(i: usize) -> Bytes {
     Bytes::from(format!("m{i}"))
@@ -18,7 +26,7 @@ fn msg(i: usize) -> Bytes {
 fn cluster_with_outsider(seed: u64, policy: StackPolicy) -> Cluster {
     let mut cfg = NodeConfig::with_policy(policy);
     cfg.initial_members = Some(vec![SiteId(0), SiteId(1), SiteId(2)]);
-    Cluster::new(4, NetConfig::fast(seed), cfg)
+    manual_cluster(4, NetConfig::fast(seed), cfg)
 }
 
 #[test]
@@ -112,7 +120,7 @@ fn state_transfer_works_under_route_policy() {
 fn rejoin_after_leave_resyncs() {
     // A member leaves, the group moves on, then it rejoins: its stale
     // next_inst must be fast-forwarded by the transfer.
-    let c = Cluster::new(3, NetConfig::fast(44), NodeConfig::default());
+    let c = manual_cluster(3, NetConfig::fast(44), NodeConfig::default());
     c.node(0).abcast(msg(0));
     c.settle();
     c.node(0).request_leave(SiteId(2));
@@ -126,19 +134,9 @@ fn rejoin_after_leave_resyncs() {
     c.node(1).request_join(SiteId(2));
     c.settle();
     c.node(0).abcast(msg(9));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        c.settle();
-        let back = c.node(2).ab_delivered();
-        if back.iter().any(|(_, b)| b == &msg(9)) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "rejoined site never caught up: {back:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    c.net().run_until(c.nodes(), Duration::from_secs(30), || {
+        c.node(2).ab_delivered().iter().any(|(_, b)| b == &msg(9))
+    });
     // No duplicate deliveries at the rejoined site.
     let back = c.node(2).ab_delivered();
     let set: BTreeSet<_> = back.iter().collect();

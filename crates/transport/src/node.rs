@@ -36,13 +36,13 @@ pub struct TransportConfig {
     /// sooner, more than two round trips after it left. The timer ticks at
     /// the instant the first frame is due, whichever rule makes it due.
     pub rto: Duration,
-    /// The time source Window's timeouts read, and what decides whether the
-    /// retransmission timer runs ([`Alarm::on`]). On the wall clock (the
-    /// default) a thread, `tnode-N-timer`, sleeps until Window's next
-    /// deadline, and with nothing in flight until there is one. On a
-    /// [`ProtoClock::manual`] clock the timeouts are a function of explicit
-    /// [`ProtoClock::advance`] calls, no thread starts, and
-    /// [`Endpoint::inject_tick`] is the timer.
+    /// The time source Window's timeouts read. The endpoint's one
+    /// [`Alarm`] is armed on it for Window's next deadline. On the wall
+    /// clock (the default) a thread, `tnode-N-timer`, rings it, and sleeps
+    /// while nothing is in flight. On a [`ProtoClock::manual`] clock the
+    /// timeouts are a function of explicit [`ProtoClock::advance`] calls, no
+    /// thread starts, and the driver ([`NetHandle::run_until`]) rings it, or
+    /// a test injects ticks of its own choosing ([`Endpoint::inject_tick`]).
     pub clock: ProtoClock,
 }
 
@@ -69,7 +69,7 @@ pub struct Endpoint {
     window: ProtocolState<WindowState>,
     checksum: ProtocolState<ChecksumState>,
     delivered: ProtocolState<Vec<(SiteId, Bytes)>>,
-    /// No thread on a manual clock.
+    /// Rung by its thread on the wall clock, by the driver on a manual one.
     timer: Ticker,
 }
 
@@ -107,7 +107,7 @@ impl Endpoint {
         );
         let checksum_st = ProtocolState::new(p_checksum, ChecksumState::default());
         let delivered = ProtocolState::new(p_app, Vec::new());
-        let alarm = Alarm::on(&cfg.clock);
+        let alarm = Alarm::new(&cfg.clock);
 
         chunker::register(&mut b, p_chunker, &ev, chunker_st.clone());
         window::register(&mut b, p_window, &ev, window_st.clone(), alarm.clone());
@@ -241,6 +241,14 @@ impl Host for Endpoint {
             self.inject_tick();
         }
     }
+
+    fn alarm(&self) -> &Alarm {
+        self.timer.alarm()
+    }
+
+    fn quiesce(&self) {
+        self.rt.quiesce();
+    }
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -260,7 +268,19 @@ pub struct TransportNet {
 impl TransportNet {
     /// Build `n` endpoints over a fresh network.
     pub fn new(n: usize, net_cfg: NetConfig, cfg: TransportConfig) -> TransportNet {
-        let net = SimNet::new(n, net_cfg);
+        TransportNet::on(SimNet::new(n, net_cfg), cfg)
+    }
+
+    /// Build `n` endpoints over a **manual** network
+    /// ([`SimNet::new_manual`]); with a [`ProtoClock::manual`] in `cfg`,
+    /// [`NetHandle::run_until`] over [`TransportNet::endpoints`] drives
+    /// them on virtual time.
+    pub fn new_manual(n: usize, net_cfg: NetConfig, cfg: TransportConfig) -> TransportNet {
+        TransportNet::on(SimNet::new_manual(n, net_cfg), cfg)
+    }
+
+    fn on(net: SimNet, cfg: TransportConfig) -> TransportNet {
+        let n = net.site_count();
         let endpoints = (0..n as u16)
             .map(|i| Endpoint::new(net.handle(), SiteId(i), cfg.clone()))
             .collect();
@@ -270,6 +290,11 @@ impl TransportNet {
     /// Endpoint `i`.
     pub fn endpoint(&self, i: usize) -> &Arc<Endpoint> {
         &self.endpoints[i]
+    }
+
+    /// Every endpoint, in site order.
+    pub fn endpoints(&self) -> &[Arc<Endpoint>] {
+        &self.endpoints
     }
 
     /// The network handle (fault injection, stats).

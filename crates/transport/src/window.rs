@@ -201,11 +201,10 @@ fn draining(backlog: &HashMap<SiteId, VecDeque<Frame>>) -> impl Fn(SiteId) -> bo
 /// and allocates nothing.
 fn arm_when_done(
     ctx: &Ctx<'_>,
-    alarm: &Option<Alarm>,
+    alarm: &Alarm,
     state: &ProtocolState<WindowState>,
     s: &mut WindowState,
 ) {
-    let Some(alarm) = alarm else { return };
     if s.arming == ctx.comp_id() {
         return;
     }
@@ -226,13 +225,13 @@ fn arm_when_done(
 /// known only at run time — what the window admits, what an ack shows lost
 /// or lets through, what is overdue, the run a data frame releases in order
 /// — so those triggers are fan-outs; the one ack a data frame earns is not.
-/// `alarm`: the endpoint's timer, if it runs on the wall clock.
+/// `alarm`: the endpoint's timer.
 pub fn register(
     b: &mut StackBuilder,
     pid: ProtocolId,
     ev: &Events,
     state: ProtocolState<WindowState>,
-    alarm: Option<Alarm>,
+    alarm: Alarm,
 ) {
     let events = *ev;
 

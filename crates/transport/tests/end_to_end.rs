@@ -1,5 +1,13 @@
 //! End-to-end transport tests: integrity and ordering under loss,
 //! duplication, corruption, and their combination.
+//!
+//! Almost every endpoint runs on a manual network and a manual clock,
+//! driven on virtual time by
+//! [`NetHandle::run_until`](samoa_net::NetHandle::run_until): a resend
+//! happens when the driver rings the sender's alarm. Two tests pin the wall
+//! clock instead, and wait for what they check with a deadline: the timer
+//! thread, and the storm bound under every isolating policy on the threaded
+//! net, whose jitter reorders datagrams as a real network does.
 
 #![allow(clippy::field_reassign_with_default, clippy::needless_range_loop)]
 use std::time::{Duration, Instant};
@@ -7,8 +15,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use samoa_core::analysis::CYCLE_FALLBACK_BOUND;
 use samoa_core::{External, Policy};
-use samoa_net::{NetConfig, ProtoClock, SimNet, SiteId};
-use samoa_transport::{Endpoint, TransportConfig, TransportNet};
+use samoa_net::{NetConfig, ProtoClock, SiteId};
+use samoa_transport::{TransportConfig, TransportNet};
 
 fn big_message(seed: u8, len: usize) -> Bytes {
     Bytes::from(
@@ -18,23 +26,38 @@ fn big_message(seed: u8, len: usize) -> Bytes {
     )
 }
 
-fn wait_delivered(net: &TransportNet, endpoint: usize, count: usize, what: &str) {
+/// `n` endpoints configured by `cfg` on a manual network and a manual
+/// clock.
+fn transport_net(n: usize, net_cfg: NetConfig, cfg: TransportConfig) -> TransportNet {
+    let cfg = TransportConfig {
+        clock: ProtoClock::manual(),
+        ..cfg
+    };
+    TransportNet::new_manual(n, net_cfg, cfg)
+}
+
+/// Drive `net` on virtual time until `endpoint` has delivered `count`
+/// messages.
+fn wait_delivered(net: &TransportNet, endpoint: usize, count: usize) {
+    let done = || net.endpoint(endpoint).delivered().len() >= count;
+    net.net()
+        .run_until(net.endpoints(), Duration::from_secs(60), done);
+}
+
+/// Wait on the wall clock, for a minute at most, until `done` holds.
+fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(60);
-    while net.endpoint(endpoint).delivered().len() < count {
-        assert!(
-            Instant::now() < deadline,
-            "timed out: {what} ({}/{count} delivered)",
-            net.endpoint(endpoint).delivered().len()
-        );
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out: {what}");
         std::thread::sleep(Duration::from_millis(5));
     }
 }
 
 #[test]
 fn single_message_roundtrip() {
-    let net = TransportNet::new(2, NetConfig::fast(1), TransportConfig::default());
+    let net = transport_net(2, NetConfig::fast(1), TransportConfig::default());
     net.endpoint(0).send(SiteId(1), "hello transport");
-    wait_delivered(&net, 1, 1, "single message");
+    wait_delivered(&net, 1, 1);
     let got = net.endpoint(1).delivered();
     assert_eq!(got[0], (SiteId(0), Bytes::from_static(b"hello transport")));
 }
@@ -43,15 +66,15 @@ fn single_message_roundtrip() {
 fn large_message_is_fragmented_and_reassembled() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 16;
-    // The network loses nothing but reorders (0-20 us of jitter per
-    // datagram), and on a clock that never advances nothing can time out:
-    // every resend is one three later acks asked for, of a frame that had
-    // arrived, and the receiver suppresses it.
-    cfg.clock = ProtoClock::manual();
-    let net = TransportNet::new(2, NetConfig::fast(2), cfg);
+    // The network loses nothing but reorders what is in flight together,
+    // and the clock never advances — every datagram is delivered before an
+    // alarm is due — so nothing can time out: every resend is one three
+    // later acks asked for, of a frame that had arrived, and the receiver
+    // suppresses it.
+    let net = transport_net(2, NetConfig::fast(2), cfg);
     let msg = big_message(7, 10_000); // 625 fragments
     net.endpoint(0).send(SiteId(1), msg.clone());
-    wait_delivered(&net, 1, 1, "large message");
+    wait_delivered(&net, 1, 1);
     assert_eq!(net.endpoint(1).delivered()[0].1, msg);
     assert_eq!(net.endpoint(1).reassembled(), 1);
     net.settle();
@@ -65,12 +88,12 @@ fn large_message_is_fragmented_and_reassembled() {
 fn messages_arrive_in_order_per_peer() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 8;
-    let net = TransportNet::new(2, NetConfig::lan(3), cfg);
+    let net = transport_net(2, NetConfig::lan(3), cfg);
     let msgs: Vec<Bytes> = (0..20).map(|i| big_message(i as u8, 50 + i * 13)).collect();
     for m in &msgs {
         net.endpoint(0).send(SiteId(1), m.clone());
     }
-    wait_delivered(&net, 1, msgs.len(), "ordered stream");
+    wait_delivered(&net, 1, msgs.len());
     let got: Vec<Bytes> = net
         .endpoint(1)
         .delivered()
@@ -85,10 +108,10 @@ fn loss_is_recovered_by_retransmission() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 32;
     cfg.rto = Duration::from_millis(15);
-    let net = TransportNet::new(2, NetConfig::fast(4).with_loss(0.15), cfg);
+    let net = transport_net(2, NetConfig::fast(4).with_loss(0.15), cfg);
     let msg = big_message(9, 4_000);
     net.endpoint(0).send(SiteId(1), msg.clone());
-    wait_delivered(&net, 1, 1, "lossy transfer");
+    wait_delivered(&net, 1, 1);
     assert_eq!(net.endpoint(1).delivered()[0].1, msg);
     assert!(
         net.endpoint(0).retransmissions() > 0,
@@ -100,10 +123,10 @@ fn loss_is_recovered_by_retransmission() {
 fn duplicates_are_suppressed() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 32;
-    let net = TransportNet::new(2, NetConfig::fast(5).with_duplicates(0.5), cfg);
+    let net = transport_net(2, NetConfig::fast(5).with_duplicates(0.5), cfg);
     let msg = big_message(3, 2_000);
     net.endpoint(0).send(SiteId(1), msg.clone());
-    wait_delivered(&net, 1, 1, "duplicated transfer");
+    wait_delivered(&net, 1, 1);
     let got = net.endpoint(1).delivered();
     assert_eq!(got.len(), 1, "duplicate delivery");
     assert_eq!(got[0].1, msg);
@@ -118,10 +141,10 @@ fn corruption_is_detected_and_recovered() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 32;
     cfg.rto = Duration::from_millis(15);
-    let net = TransportNet::new(2, NetConfig::fast(6).with_corruption(0.10), cfg);
+    let net = transport_net(2, NetConfig::fast(6).with_corruption(0.10), cfg);
     let msg = big_message(5, 4_000);
     net.endpoint(0).send(SiteId(1), msg.clone());
-    wait_delivered(&net, 1, 1, "corrupted transfer");
+    wait_delivered(&net, 1, 1);
     assert_eq!(
         net.endpoint(1).delivered()[0].1,
         msg,
@@ -140,16 +163,16 @@ fn kitchen_sink_loss_dup_corruption_bidirectional() {
         .with_loss(0.08)
         .with_duplicates(0.08)
         .with_corruption(0.05);
-    let net = TransportNet::new(3, net_cfg, cfg);
+    let net = transport_net(3, net_cfg, cfg);
     let a = big_message(1, 3_000);
     let b = big_message(2, 2_000);
     let c = big_message(3, 1_000);
     net.endpoint(0).send(SiteId(1), a.clone());
     net.endpoint(1).send(SiteId(2), b.clone());
     net.endpoint(2).send(SiteId(0), c.clone());
-    wait_delivered(&net, 1, 1, "0->1");
-    wait_delivered(&net, 2, 1, "1->2");
-    wait_delivered(&net, 0, 1, "2->0");
+    wait_delivered(&net, 1, 1);
+    wait_delivered(&net, 2, 1);
+    wait_delivered(&net, 0, 1);
     assert_eq!(net.endpoint(1).delivered()[0].1, a);
     assert_eq!(net.endpoint(2).delivered()[0].1, b);
     assert_eq!(net.endpoint(0).delivered()[0].1, c);
@@ -164,10 +187,13 @@ fn every_isolating_policy_delivers_byte_identically_over_a_lossy_net() {
         cfg.policy = policy;
         cfg.mtu = 16;
         cfg.rto = Duration::from_millis(12);
+        // The threaded net and the timer thread: a manual net delivers
+        // what is in flight together in the order of its delay draws, not
+        // of its sends, so it reorders far more than this jitter does.
         let net = TransportNet::new(2, NetConfig::fast(8).with_loss(0.1), cfg);
         let msg = big_message(4, 2_000);
         net.endpoint(0).send(SiteId(1), msg.clone());
-        wait_delivered(&net, 1, 1, policy.label());
+        poll_until(policy.label(), || !net.endpoint(1).delivered().is_empty());
         assert_eq!(net.endpoint(1).delivered()[0].1, msg, "{policy}");
         let lost = net.net().total_stats().dropped_loss;
         assert!(lost > 0, "{policy}: no loss seen — vacuous");
@@ -187,7 +213,7 @@ fn every_isolating_policy_delivers_byte_identically_over_a_lossy_net() {
 fn concurrent_streams_between_many_peers() {
     let mut cfg = TransportConfig::default();
     cfg.mtu = 32;
-    let net = TransportNet::new(4, NetConfig::lan(9), cfg);
+    let net = transport_net(4, NetConfig::lan(9), cfg);
     let mut expected = vec![Vec::new(); 4];
     for i in 0..4usize {
         for j in 0..4usize {
@@ -199,7 +225,7 @@ fn concurrent_streams_between_many_peers() {
         }
     }
     for j in 0..4 {
-        wait_delivered(&net, j, 3, "full mesh");
+        wait_delivered(&net, j, 3);
         let got: std::collections::BTreeSet<Bytes> = net
             .endpoint(j)
             .delivered()
@@ -225,12 +251,12 @@ fn bound_is_sound_for_many_fragments_and_releases_an_ack_early() {
     cfg.policy = Policy::Bound;
     cfg.mtu = 16;
     cfg.rto = Duration::from_millis(12);
-    let net = TransportNet::new(2, NetConfig::fast(11).with_loss(0.1), cfg);
+    let net = transport_net(2, NetConfig::fast(11).with_loss(0.1), cfg);
     let msgs: Vec<Bytes> = (0..4).map(|i| big_message(i, 500)).collect();
     for m in &msgs {
         net.endpoint(0).send(SiteId(1), m.clone());
     }
-    wait_delivered(&net, 1, msgs.len(), "bound");
+    wait_delivered(&net, 1, msgs.len());
     let got: Vec<Bytes> = net
         .endpoint(1)
         .delivered()
@@ -249,52 +275,69 @@ fn bound_is_sound_for_many_fragments_and_releases_an_ack_early() {
     assert!(stats.bound_releases > 0, "{stats}");
 }
 
-/// The timer on its own thread and the wall clock: the last fragment of a
-/// message is lost, nobody ticks by hand, and the sender's timer resends it
-/// once it falls due — inline (`Basic`) and detached (`Route`), where the
-/// tick's computation arms the next instant after the timer thread has
-/// moved on. The receiver, which only acks, never ticks: it runs one
-/// computation per datagram it is handed.
-#[test]
-fn the_timer_alone_resends_a_lost_tail_and_the_receiver_never_ticks() {
+/// The timer alone: the last fragment of a message is lost, nobody ticks
+/// by hand, and the sender's alarm resends it once it falls due — inline
+/// (`Basic`) and detached (`Route`), where the tick's computation arms the
+/// next instant after the ring has returned. On a manual clock the driver
+/// rings the alarm; on the wall clock the timer thread does, while the test
+/// delivers what is in flight one datagram at a time. The receiver, which
+/// only acks, never ticks: it runs one computation per datagram it is
+/// handed.
+fn the_timer_alone_resends_a_lost_tail(clock: ProtoClock) {
     for policy in [Policy::Basic, Policy::Route] {
-        let net = SimNet::new_manual(2, NetConfig::fast(12));
         let cfg = TransportConfig {
             policy,
             mtu: 16,
+            clock: clock.clone(),
             ..TransportConfig::default()
         };
-        let tx = Endpoint::new(net.handle(), SiteId(0), cfg.clone());
-        let rx = Endpoint::new(net.handle(), SiteId(1), cfg);
+        let net = TransportNet::new_manual(2, NetConfig::fast(12), cfg);
+        let (tx, rx) = (net.endpoint(0), net.endpoint(1));
         let msg = big_message(6, 32);
         tx.send(SiteId(1), msg.clone());
         tx.runtime().quiesce();
-        let h = net.handle();
+        let h = net.net();
         let data: Vec<u64> = h.pending_datagrams().iter().map(|d| d.seq).collect();
         assert_eq!(data.len(), 2, "{policy}");
         assert!(h.drop_seq(data[1]));
-        let mut to_rx = 0;
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while rx.delivered().is_empty() {
+        if clock.is_manual() {
+            let delivered = || !rx.delivered().is_empty();
+            let took = h.run_until(net.endpoints(), Duration::from_secs(60), delivered);
             assert!(
-                Instant::now() < deadline,
-                "{policy}: the tail was never resent"
+                took > Duration::ZERO,
+                "{policy}: delivered before any resend"
             );
-            let Some(d) = h.pending_datagrams().first().cloned() else {
-                std::thread::yield_now();
-                continue;
-            };
-            to_rx += u64::from(d.to == SiteId(1));
-            assert!(h.pump_seq(d.seq));
-            tx.runtime().quiesce();
-            rx.runtime().quiesce();
+        } else {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while rx.delivered().is_empty() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{policy}: the tail was never resent"
+                );
+                if !h.pump_one() {
+                    std::thread::yield_now();
+                }
+                tx.runtime().quiesce();
+                rx.runtime().quiesce();
+            }
         }
         assert_eq!(rx.delivered()[0].1, msg, "{policy}");
         assert!(tx.retransmissions() >= 1, "{policy}");
         assert_eq!(tx.fast_retransmissions(), 0, "{policy}: no ack showed it");
+        let to_rx = h.stats(SiteId(1)).delivered;
         assert_eq!(rx.runtime().stats().computations_spawned, to_rx, "{policy}");
         assert_eq!(rx.next_due(), None, "{policy}");
     }
+}
+
+#[test]
+fn the_timer_alone_resends_a_lost_tail_and_the_receiver_never_ticks() {
+    the_timer_alone_resends_a_lost_tail(ProtoClock::manual());
+}
+
+#[test]
+fn the_timer_thread_alone_resends_a_lost_tail_on_the_wall_clock() {
+    the_timer_alone_resends_a_lost_tail(ProtoClock::wall());
 }
 
 /// What an endpoint declares for each kind of external event is derived at
@@ -303,7 +346,7 @@ fn the_timer_alone_resends_a_lost_tail_and_the_receiver_never_ticks() {
 #[test]
 fn every_entry_event_declares_what_the_table_says() {
     const MANY: u64 = CYCLE_FALLBACK_BOUND;
-    let net = TransportNet::new(2, NetConfig::fast(1), TransportConfig::default());
+    let net = transport_net(2, NetConfig::fast(1), TransportConfig::default());
     let stack = net.endpoint(0).runtime().stack();
     let event = |name: &str| {
         let mut all = stack.all_events().into_iter();

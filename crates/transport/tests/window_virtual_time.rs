@@ -1,12 +1,17 @@
 //! The Window microprotocol on virtual time: two endpoints on a manual
-//! [`SimNet`] with a [`ProtoClock::manual`] and the timer thread off. One
+//! [`SimNet`] with a [`ProtoClock::manual`], so no timer thread. One
 //! datagram is delivered at a time and both runtimes are quiesced before the
 //! next, time moves only when a test says so (or by a fixed hop per
-//! delivery), and nothing sleeps or reads the wall clock. The transfer is one-directional, so a datagram from site
-//! 0 is a data frame and one from site 1 is an ack.
+//! delivery), the endpoints' alarms are rung as the driver rings them
+//! ([`ring_due`]), and nothing sleeps or reads the wall clock. The transfer
+//! is one-directional, so a datagram from site 0 is a data frame and one
+//! from site 1 is an ack.
 //!
 //! Two things resend a frame. The timer: the tests that advance the clock
-//! and tick. It resends a frame more than two smoothed round trips after it
+//! and ring the alarms; where a tick comes before a frame is due, a tick is
+//! injected too, as the fault explorer may inject one at any instant, so
+//! Window's own refusal to resend early is pinned beside the alarm's
+//! instant. It resends a frame more than two smoothed round trips after it
 //! last left once the sender has nothing more queued for the peer (the wait
 //! doubled per resend, never beyond the RTO), and an RTO after it otherwise
 //! or before a round trip was sampled; a rig with a [`HOP`] makes a round
@@ -19,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use samoa_net::{NetConfig, NetHandle, ProtoClock, SimNet, SiteId};
+use samoa_net::{ring_due, NetConfig, NetHandle, ProtoClock, SimNet, SiteId};
 use samoa_transport::{Endpoint, Frame, TransportConfig};
 
 const RTO: Duration = Duration::from_millis(20);
@@ -110,7 +115,8 @@ impl Rig {
     }
 
     /// Deliver one datagram at a time, in the order sent, until none is in
-    /// flight.
+    /// flight. Not [`NetHandle::settle`]: a delivery here moves the clock by
+    /// the rig's hop, so round trips have a length.
     fn settle(&self) {
         self.quiesce();
         while let Some(first) = self.handle().pending_datagrams().first() {
@@ -118,8 +124,18 @@ impl Rig {
         }
     }
 
-    /// One timer tick on both endpoints, at the current virtual time.
+    /// The Timer Module at the current virtual time: ring each endpoint
+    /// whose alarm is due ([`ring_due`]).
     fn tick(&self) {
+        ring_due(&[Arc::clone(&self.tx), Arc::clone(&self.rx)]);
+        self.quiesce();
+    }
+
+    /// A tick at an instant that is not yet due: the alarm rings nothing
+    /// ([`Rig::tick`]), and a tick injected on both endpoints, as the fault
+    /// explorer injects one whenever it chooses, finds nothing due either.
+    fn tick_early(&self) {
+        self.tick();
         self.tx.inject_tick();
         self.rx.inject_tick();
         self.quiesce();
@@ -160,12 +176,12 @@ fn a_dropped_fragment_is_resent_once_by_the_first_tick_after_two_round_trips() {
     let rig = lost_tail(4, &msg);
 
     rig.clock.advance(HOP * 2);
-    rig.tick();
+    rig.tick_early();
     assert_eq!(rig.handle().pending(), 0, "resent at two round trips");
     rig.clock.advance(Duration::from_nanos(1));
     rig.tick();
     assert_eq!(rig.in_flight_from(TX).len(), 1);
-    rig.tick();
+    rig.tick_early();
     assert_eq!(rig.in_flight_from(TX).len(), 1, "resent twice by one tick");
     assert_eq!(rig.tx.retransmissions(), 1);
     assert_eq!(rig.tx.fast_retransmissions(), 0, "no ack showed it");
@@ -191,7 +207,7 @@ fn the_timer_is_armed_for_the_instant_the_lost_tail_falls_due() {
     assert_eq!(rig.rx.next_due(), None);
 
     rig.clock.advance(due - ns - rig.clock.now());
-    rig.tick();
+    rig.tick_early();
     assert_eq!(rig.handle().pending(), 0, "resent a nanosecond early");
     assert_eq!(rig.tx.next_due(), Some(due), "and re-armed nothing");
     rig.clock.advance(ns);
@@ -250,7 +266,7 @@ fn a_peer_with_a_backlog_still_waits_the_rto() {
     // The lost one left an RTO ago, less a nanosecond: far more than two
     // round trips.
     rig.clock.advance(RTO - HOP * 2 - Duration::from_nanos(1));
-    rig.tick();
+    rig.tick_early();
     assert_eq!(rig.new_from_tx(&sent), [], "resent before the RTO");
     rig.clock.advance(Duration::from_nanos(1));
     rig.tick();
@@ -276,7 +292,7 @@ fn on_a_clock_that_has_not_moved_nothing_is_resent_early() {
     rig.settle();
     assert_eq!(rig.tx.in_flight(RX), 1, "a zero round trip was sampled");
     for _ in 0..3 {
-        rig.tick();
+        rig.tick_early();
     }
     assert_eq!(rig.handle().pending(), 0);
     assert_eq!(rig.tx.retransmissions(), 0);

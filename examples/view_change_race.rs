@@ -11,17 +11,24 @@
 //! cargo run --example view_change_race
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "../tests/common/mod.rs"]
+mod common; // `SlowViewChange`, the race-window widener `tests/` pins E5 with
+
+use common::SlowViewChange;
 use samoa::prelude::*;
+use samoa::proto::Observe;
 
 fn run_once(policy: StackPolicy, seed: u64) -> (u64, usize) {
     let mut cfg = NodeConfig::with_policy(policy);
     cfg.initial_members = Some(vec![SiteId(0), SiteId(1), SiteId(2)]);
-    // Widen the race window: view installation takes a while in RelComm
-    // (the paper's motivation: slow, I/O-like processing steps).
-    cfg.view_change_delay = Duration::from_millis(2);
-    let cluster = Cluster::new(4, NetConfig::fast(seed), cfg);
+    let slow = Arc::new(SlowViewChange::default());
+    let observe = Observe::traced(Arc::clone(&slow) as Arc<dyn TraceSink>);
+    let net = SimNet::new(4, NetConfig::fast(seed));
+    let cluster = Cluster::new_observed_on(net, cfg, None, observe);
+    slow.watch(&cluster);
 
     cluster.node(0).request_join(SiteId(3));
     for round in 0..6 {

@@ -6,13 +6,14 @@
 //! Not every user calls every fixture.
 #![allow(dead_code)]
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use samoa::prelude::*;
+use samoa::proto::Observe;
 
 /// I/O-style handler work: sleep for `work` (models the paper's "slow I/O
 /// operations in background", motivation #1).
@@ -264,8 +265,37 @@ pub fn abcast_run(sites: usize, msgs: usize, policy: StackPolicy, seed: u64) -> 
     }
 }
 
+/// E5's race-window widener: a trace sink that holds RelComm's
+/// `view_change` handler for 2 ms as it enters, so that RelComm is still on
+/// the old view while the layers above have installed the new one — the
+/// slow view installation of the paper's motivation. The handler's id is
+/// set once the stack is built.
+#[derive(Default)]
+pub struct SlowViewChange(OnceLock<HandlerId>);
+
+impl SlowViewChange {
+    /// Hold `relcomm.view_change` of the cluster's stack from now on.
+    pub fn watch(&self, c: &Cluster) {
+        let stack = c.node(0).runtime().stack();
+        let handler = stack.handler_by_name("relcomm.view_change");
+        let _ = self
+            .0
+            .set(handler.expect("RelComm has a view_change handler"));
+    }
+}
+
+impl TraceSink for SlowViewChange {
+    fn event(&self, ev: TraceEvent) {
+        if let TraceKind::HandlerEnter { handler, .. } = ev.kind {
+            if self.0.get() == Some(&handler) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    }
+}
+
 /// E5: a site joins while `bursts` rounds of broadcasts stream from the
-/// three original members; `view_change_delay` widens the race window
+/// three original members; a [`SlowViewChange`] widens the race window
 /// exactly as the paper's motivation (slow view installation) describes.
 /// Returns the cluster's *stale discards*: RelComm sends dropped because
 /// the target was outside its view — 0 under an isolating policy; under
@@ -273,8 +303,10 @@ pub fn abcast_run(sites: usize, msgs: usize, policy: StackPolicy, seed: u64) -> 
 pub fn view_race_run(policy: StackPolicy, seed: u64, bursts: usize) -> u64 {
     let mut cfg = NodeConfig::with_policy(policy);
     cfg.initial_members = Some(vec![SiteId(0), SiteId(1), SiteId(2)]);
-    cfg.view_change_delay = Duration::from_millis(2);
-    let c = Cluster::new(4, NetConfig::fast(seed), cfg);
+    let slow = Arc::new(SlowViewChange::default());
+    let observe = Observe::traced(Arc::clone(&slow) as Arc<dyn TraceSink>);
+    let c = Cluster::new_observed_on(SimNet::new(4, NetConfig::fast(seed)), cfg, None, observe);
+    slow.watch(&c);
 
     // The join churns through atomic broadcast while user broadcasts
     // stream from all three original members.
