@@ -5,7 +5,8 @@
 //! Each site accumulates undelivered requests in `pending` and proposes the
 //! pending set for the next undecided consensus instance. Decisions come
 //! from consensus on `ConsDecide` — at the coordinator in the computation
-//! that decided, elsewhere in the one that received its `Decide` — are
+//! that decided, at a follower in the one that accepted its `Propose` (a
+//! quorum of 2) or received its `Decide` — are
 //! buffered per instance, and are delivered in instance order — messages
 //! within a batch in `uid` order — yielding the same total order at every
 //! site.
@@ -150,7 +151,8 @@ pub struct AbcastState {
     /// Next undecided consensus instance.
     next_inst: u64,
     /// Out-of-order decisions buffered until their turn: the decided
-    /// batches themselves, shared with the `Decide` that carried them.
+    /// batches themselves, shared with the `Propose` or `Decide` that
+    /// carried them.
     decides: BTreeMap<u64, Batch>,
     /// The instance we have already proposed for (avoid re-proposing).
     proposed_for: Option<u64>,

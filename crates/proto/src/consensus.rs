@@ -11,27 +11,44 @@
 //! 3. With a majority of estimates, the coordinator picks the estimate
 //!    adopted in the highest round (or, if none was ever adopted, the
 //!    deduplicated union of all collected initial estimates) and broadcasts
-//!    `Propose(r, v)`.
-//! 4. Participants adopt and `Ack`; a majority of acks decides. The
-//!    coordinator delivers its decision in the computation that reaches it,
-//!    and sends `Decide` to every other member, point to point: without the
-//!    value to a site whose `Ack` of the round it counted — that site
-//!    adopted the value and holds it — and with it to the others.
+//!    `Propose(r, v, quorum)`, `quorum` being its view's majority: the acks
+//!    that decide the round, its own included.
+//! 4. Participants adopt and `Ack`; a quorum of acks decides. The
+//!    coordinator adopted `v` before it proposed, so at a quorum of 2 (a
+//!    view of 2 or 3) a participant's vote completes it: the participant
+//!    decides as it accepts, in that computation, and still acks, and the
+//!    coordinator decides on the first `Ack` and sends no `Decide` — a
+//!    follower's decision waits two message delays, not four. Above 2 the
+//!    coordinator delivers its decision in the computation that reaches
+//!    it, and sends `Decide` to every other member, point to point: without
+//!    the value to a site whose `Ack` of the round it counted — that site
+//!    adopted the value and holds it — and with it to the others. The
+//!    quorum a participant decides on is the one the `Propose` carries, not
+//!    its own view's majority: its view may lag the coordinator's by a
+//!    batch of two joins.
 //!
 //! **A decided site answers for its decision.** A coordinator may crash
-//! after its `Decide` reached some members, or none. What the survivors do
-//! next — suspect it, kick the next round's coordinator, or collect as that
-//! coordinator — reaches a site that may have decided, and a site answers
-//! any `Kick`, `Collect`, `Estimate` or `Propose` for an instance it has
-//! decided with its `Decide`, value included. So no decision needs a
-//! reliable broadcast (Chandra–Toueg flood the decision for exactly this
-//! crash; Raft's leader catches up the follower that missed it instead): a
-//! member that never heard of a decision suspects the coordinator and
-//! restarts the instance in a later round, and that round's `Kick` or
-//! `Collect` reaches a member that decided, or its read phase finds the
-//! value a majority accepted. A site that learns a decision while it
-//! coordinates a round of the instance passes it on, since members may be
-//! waiting on that round.
+//! after its `Decide` reached some members, or none, or after the first
+//! `Ack` decided it. What the survivors do next — suspect it, kick the next
+//! round's coordinator, or collect as that coordinator — reaches a site
+//! that may have decided, and a site answers any `Kick`, `Collect`,
+//! `Estimate` or `Propose` for an instance it has decided with its
+//! `Decide`, value included. So no decision needs a reliable broadcast
+//! (Chandra–Toueg flood the decision for exactly this crash; Raft's leader
+//! catches up the follower that missed it instead): a member that never
+//! heard of a decision suspects the coordinator and restarts the instance
+//! in a later round, and that round's `Kick` or `Collect` reaches a member
+//! that decided, or its read phase finds the value a majority accepted.
+//!
+//! A site only waits on a round's coordinator, so one that others may be
+//! waiting on passes a decision it learned on to the other members: a site
+//! coordinating a round of the instance, and round 0's coordinator, which
+//! a follower of round 0 waits on without a word. **A site that refuses a
+//! `Collect` or `Propose`** — it has promised a later round — remembers the
+//! sender, which may go on waiting on its own round, and sends it its
+//! `Decide` when it decides, by any path: a site decided as it accepted
+//! drives no further round, so the stale coordinator would hear of the
+//! decision from no one else.
 //!
 //! For that a site keeps a decided value until every member of the view has
 //! delivered past it. Each `Ack` carries its sender's delivery point, the
@@ -77,9 +94,9 @@
 //! later round, until it has accepted a `Propose` from that coordinator for
 //! the instance it waits on — every decision below it delivered, so none is
 //! lost; and a coordinator kicked for a round it is already writing answers
-//! with that round's `Propose` — a plain retransmission, one proposer and
-//! one value per round — or, for an instance it has decided, with its
-//! `Decide`.
+//! with that round's `Propose` — a plain retransmission, one proposer, one
+//! value and one quorum per round — or, for an instance it has decided,
+//! with its `Decide`.
 //!
 //! Suspicion of the current coordinator (from the failure detector) bumps
 //! the round; the new coordinator is kicked into action with the kicker's
@@ -132,7 +149,12 @@ impl Actions {
 #[derive(Debug)]
 enum Phase {
     Collecting,
-    Proposing(Batch),
+    /// Writing `value`. `quorum` is what its `Propose`s told the followers:
+    /// whether they decide as they accept, or are owed a `Decide`.
+    Proposing {
+        value: Batch,
+        quorum: u64,
+    },
 }
 
 #[derive(Debug)]
@@ -160,6 +182,9 @@ struct Inst {
     round: u64,
     coord: Option<CoordState>,
     decided: bool,
+    /// Sites whose `Collect` or `Propose` was refused here, in the order
+    /// they were: each is owed the decision (module docs).
+    refused: Vec<SiteId>,
 }
 
 impl Inst {
@@ -171,6 +196,22 @@ impl Inst {
         self.round = round;
         self.est = value;
     }
+
+    /// Refuse `from`'s `Collect` or `Propose`: a later round was promised
+    /// here, and `from` may wait on its own round for good.
+    fn refuse(&mut self, from: SiteId) {
+        if !self.refused.contains(&from) {
+            self.refused.push(from);
+        }
+    }
+}
+
+/// Does a follower that accepts a `Propose` carrying `quorum` decide then?
+/// The coordinator adopted the value before it proposed, so the follower's
+/// vote is the second: when two make the quorum, the value is chosen. The
+/// coordinator asks the same of its own quorum, and sends no `Decide` then.
+fn decided_on_accept(quorum: u64) -> bool {
+    quorum <= 2
 }
 
 /// The local state of the consensus microprotocol.
@@ -277,7 +318,8 @@ impl ConsensusState {
                 round,
                 value,
                 stable,
-            } => self.on_propose(from, inst, round, value, stable),
+                quorum,
+            } => self.on_propose(from, inst, round, value, stable, quorum),
             ConsMsg::Ack {
                 inst,
                 round,
@@ -479,11 +521,11 @@ impl ConsensusState {
         {
             let i = self.insts.entry(inst).or_default();
             if let Some(c) = &i.coord {
-                if let (true, Phase::Proposing(v)) = (c.round == round, &c.phase) {
+                if let (true, Phase::Proposing { value, quorum }) = (c.round == round, &c.phase) {
                     // The kicker has nothing from us for a round we are
                     // already writing: say it again.
                     return Actions {
-                        out: proposals([from], inst, round, v, self.stable),
+                        out: proposals([from], inst, round, value, self.stable, *quorum),
                         decide: Vec::new(),
                     };
                 }
@@ -510,6 +552,7 @@ impl ConsensusState {
         }
         let i = self.insts.entry(inst).or_default();
         if round < i.max_round {
+            i.refuse(from);
             return Actions::none();
         }
         i.max_round = round;
@@ -618,10 +661,12 @@ impl ConsensusState {
     }
 
     /// Begin the write phase for `round` of `inst` (we are its coordinator):
-    /// adopt `value`, count our own ack and `Propose` it to the peers.
+    /// adopt `value`, count our own ack and `Propose` it to the peers, with
+    /// the view's majority as the round's quorum.
     fn start_write(&mut self, inst: u64, round: u64, value: Batch) -> Actions {
         let me = self.site;
         let peers = self.peers();
+        let quorum = self.view.majority() as u64;
         let Some(i) = self.insts.get_mut(&inst) else {
             return Actions::none();
         };
@@ -632,7 +677,10 @@ impl ConsensusState {
         }
         i.coord = Some(CoordState {
             round,
-            phase: Phase::Proposing(value.clone()),
+            phase: Phase::Proposing {
+                value: value.clone(),
+                quorum,
+            },
             ests: Vec::new(),
             est_from: HashSet::new(),
             acks: HashSet::from([me]),
@@ -642,13 +690,18 @@ impl ConsensusState {
         i.est_round = round + 1;
         i.max_round = round;
         let mut acts = Actions {
-            out: proposals(peers, inst, round, &value, self.stable),
+            out: proposals(peers, inst, round, &value, self.stable, quorum),
             decide: Vec::new(),
         };
         acts.merge(self.try_decide(inst));
         acts
     }
 
+    /// Accept `value` for `round` of `inst` from its coordinator, `from`, and
+    /// `Ack` it; decide it too if this vote completes `quorum`
+    /// ([`decided_on_accept`]). The quorum is the coordinator's, not this
+    /// view's majority: this site may not yet have installed every view the
+    /// coordinator has, a batch of two joins among them.
     fn on_propose(
         &mut self,
         from: SiteId,
@@ -656,6 +709,7 @@ impl ConsensusState {
         round: u64,
         value: Batch,
         stable: u64,
+        quorum: u64,
     ) -> Actions {
         self.raise_stable(stable);
         if let Some(decided) = self.answer(from, inst) {
@@ -666,11 +720,12 @@ impl ConsensusState {
         }
         let i = self.insts.entry(inst).or_default();
         if round < i.max_round {
+            i.refuse(from);
             return Actions::none();
         }
         i.max_round = round;
         i.round = i.round.max(round);
-        i.est = value;
+        i.est = value.clone();
         i.est_round = round + 1;
         if self.view.coordinator(0) == Some(from) && inst <= self.delivered {
             self.newcomer_coord = false;
@@ -680,10 +735,12 @@ impl ConsensusState {
             round,
             delivered: self.delivered,
         };
-        Actions {
-            out: vec![(from, ack)],
-            decide: Vec::new(),
-        }
+        let mut acts = match decided_on_accept(quorum) {
+            true => self.learn(from, inst, round, value),
+            false => Actions::none(),
+        };
+        acts.out.insert(0, (from, ack));
+        acts
     }
 
     /// `from` acknowledged `round` of `inst`, having delivered every
@@ -703,18 +760,20 @@ impl ConsensusState {
         let Some(c) = &mut i.coord else {
             return Actions::none();
         };
-        if c.round != round || !matches!(c.phase, Phase::Proposing(_)) {
+        if c.round != round || !matches!(c.phase, Phase::Proposing { .. }) {
             return Actions::none();
         }
         c.acks.insert(from);
         self.try_decide(inst)
     }
 
-    /// With a majority of acks, decide: keep the value, hand it up, and
-    /// send every other member its `Decide` — the value only to those whose
-    /// ack was not counted.
+    /// With a majority of acks, decide: keep the value and hand it up. If
+    /// the `Propose` carried a quorum above 2, send every other member its
+    /// `Decide` — the value only to those whose ack was not counted; at 2
+    /// or fewer every follower that accepts it decides by itself, and only
+    /// the sites refused here are owed one.
     fn try_decide(&mut self, inst: u64) -> Actions {
-        let majority = self.view.majority();
+        let (me, majority) = (self.site, self.view.majority());
         let Some(i) = self.insts.get_mut(&inst) else {
             return Actions::none();
         };
@@ -724,15 +783,19 @@ impl ConsensusState {
         let Some(c) = &i.coord else {
             return Actions::none();
         };
-        let Phase::Proposing(value) = &c.phase else {
+        let Phase::Proposing { value, quorum } = &c.phase else {
             return Actions::none();
         };
         if c.acks.len() < majority {
             return Actions::none();
         }
-        let (me, round, value) = (self.site, c.round, value.clone());
-        let peers = self.view.members().iter().copied().filter(|&p| p != me);
-        let out = decides(peers, inst, round, |p| {
+        let (round, value) = (c.round, value.clone());
+        let told: Vec<SiteId> = match decided_on_accept(*quorum) {
+            true => std::mem::take(&mut i.refused),
+            false => self.view.members().to_vec(),
+        };
+        let told = told.into_iter().filter(|&p| p != me);
+        let out = decides(told, inst, round, |p| {
             (!c.acks.contains(&p)).then(|| value.clone())
         });
         i.decide(round, value.clone());
@@ -746,10 +809,6 @@ impl ConsensusState {
     /// from the coordinator that counted this site's ack of `round`, and the
     /// value is the one adopted then (or in a later round: from the round a
     /// majority accepted it on, every round proposes that one value).
-    ///
-    /// A site that was coordinating a round of `inst` passes the decision
-    /// on to the other members: whoever kicked it or acked its proposal is
-    /// waiting on that round, and would otherwise wait for good.
     fn on_decide(&mut self, from: SiteId, inst: u64, round: u64, value: Option<Batch>) -> Actions {
         if inst < self.delivered {
             return Actions::none();
@@ -762,13 +821,29 @@ impl ConsensusState {
         let Some(value) = value.or_else(adopted) else {
             return Actions::none();
         };
+        self.learn(from, inst, round, value)
+    }
+
+    /// `inst` was decided on `value` in `round`, which this site learned from
+    /// `from`: its `Decide`, or its `Propose` that this site's vote chose.
+    ///
+    /// A site others may be waiting on passes the decision on to the other
+    /// members, or they would wait for good: one coordinating a round of
+    /// `inst` — whoever kicked it or acked its proposal waits on that round
+    /// — and round 0's coordinator, which a follower of round 0 waits on
+    /// without a word. Any other site tells those it refused.
+    fn learn(&mut self, from: SiteId, inst: u64, round: u64, value: Batch) -> Actions {
         let me = self.site;
-        let others = self.view.members().iter().copied();
-        let others = others.filter(|&p| p != me && p != from);
-        let out = match i.coord {
-            Some(_) => decides(others, inst, round, |_| Some(value.clone())),
-            None => Vec::new(),
+        let waited_on = self.view.coordinator(0) == Some(me);
+        let Some(i) = self.insts.get_mut(&inst) else {
+            return Actions::none();
         };
+        let told: Vec<SiteId> = match waited_on || i.coord.is_some() {
+            true => self.view.members().to_vec(),
+            false => std::mem::take(&mut i.refused),
+        };
+        let told = told.into_iter().filter(|&p| p != me && p != from);
+        let out = decides(told, inst, round, |_| Some(value.clone()));
         i.decide(round, value.clone());
         Actions {
             out,
@@ -777,20 +852,22 @@ impl ConsensusState {
     }
 }
 
-/// `Propose(inst, round, value, stable)` addressed to each of `targets`,
-/// each sharing `value`.
+/// `Propose(inst, round, value, stable, quorum)` addressed to each of
+/// `targets`, each sharing `value`.
 fn proposals(
     targets: impl IntoIterator<Item = SiteId>,
     inst: u64,
     round: u64,
     value: &Batch,
     stable: u64,
+    quorum: u64,
 ) -> Vec<(SiteId, ConsMsg)> {
     let propose = |value| ConsMsg::Propose {
         inst,
         round,
         value,
         stable,
+        quorum,
     };
     targets
         .into_iter()
@@ -1006,11 +1083,12 @@ mod tests {
         for d in &bus.decided {
             assert_eq!(d.as_ref().unwrap(), &(0, v.clone()));
         }
-        // Propose, Ack and Decide only: no read phase, nobody kicked.
-        assert!(bus.log.iter().all(|m| matches!(
-            m,
-            ConsMsg::Propose { .. } | ConsMsg::Ack { .. } | ConsMsg::Decide { .. }
-        )));
+        // Propose and Ack only: no read phase, nobody kicked, and at a
+        // quorum of 2 each follower decides as it accepts — no `Decide`.
+        assert!(bus
+            .log
+            .iter()
+            .all(|m| matches!(m, ConsMsg::Propose { .. } | ConsMsg::Ack { .. })));
     }
 
     #[test]
@@ -1102,6 +1180,7 @@ mod tests {
                 round: 3,
                 value: Batch::from(vec![msg(0, 1)]),
                 stable: 0,
+                quorum: 2,
             },
         );
         assert!(a.out.is_empty());
@@ -1109,44 +1188,58 @@ mod tests {
 
     #[test]
     fn round0_value_survives_coordinator_crash() {
-        // Site 0 fast-proposes A in round 0, site 1 adopts and acks it, and
-        // site 0 dies before any Decide leaves (a majority — 0 and 1 — may
-        // have accepted A). Round 1's read phase must find A and decide it,
-        // not site 2's estimate.
-        let mut bus = Bus::new(3);
+        // Five sites, a quorum of 3. Site 0 fast-proposes A in round 0,
+        // sites 1 and 2 adopt and ack it, and site 0 dies before any Decide
+        // leaves (a quorum — 0, 1 and 2 — may have accepted A). Round 1's
+        // read phase must find A and decide it, not the estimate of site 3
+        // or 4.
+        let mut bus = Bus::new(5);
         let a_val = Batch::from(vec![msg(0, 1)]);
         let acts = bus.sites[0].propose(0, a_val.clone());
-        let to_1 = acts.out.into_iter().find(|(t, _)| *t == s(1)).unwrap().1;
-        assert!(is_propose(&to_1));
-        let ack = bus.sites[1].on_msg(s(0), to_1);
-        assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })])); // lost with site 0
-        let _ = bus.sites[2].propose(0, Batch::from(vec![msg(2, 9)]));
-        // Both survivors suspect site 0; round 1's coordinator is site 1.
-        let kick = bus.sites[2].on_suspect(s(0));
+        for (to, m) in acts.out.into_iter().filter(|(t, _)| t.index() <= 2) {
+            assert!(is_propose(&m));
+            let ack = bus.sites[to.index()].on_msg(s(0), m);
+            assert!(ack.decide.is_empty());
+            assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })])); // lost with site 0
+        }
+        for i in [3, 4] {
+            let _ = bus.sites[i].propose(0, Batch::from(vec![msg(i as u16, 9)]));
+        }
+        // Every survivor suspects site 0; round 1's coordinator is site 1.
         let collect = bus.sites[1].on_suspect(s(0));
-        bus.run(2, kick, &[0]);
+        for i in [2, 3, 4] {
+            let kick = bus.sites[i].on_suspect(s(0));
+            bus.run(i, kick, &[0]);
+        }
         bus.run(1, collect, &[0]);
-        assert_eq!(bus.decided[1].as_ref().unwrap(), &(0, a_val.clone()));
-        assert_eq!(bus.decided[2].as_ref().unwrap(), &(0, a_val));
+        for i in 1..5 {
+            assert_eq!(bus.decided[i].as_ref().unwrap(), &(0, a_val.clone()));
+        }
     }
 
     #[test]
     fn non_pristine_round0_takes_the_read_phase() {
         let view = GroupView::of_first(3);
         let v = Batch::from(vec![msg(0, 1)]);
-        // Already adopted a round-0 Propose for the instance.
-        let mut c = ConsensusState::new(s(0), view.clone());
+        // Already adopted round 1's Propose, from round 1's coordinator in a
+        // view of 4 (a quorum of 3: not decided here). The proposal joins
+        // round 1's read phase: the kick carries the adopted estimate.
+        let mut c = ConsensusState::new(s(0), GroupView::of_first(4));
         let _ = c.on_msg(
             s(1),
             ConsMsg::Propose {
                 inst: 0,
-                round: 0,
+                round: 1,
                 value: Batch::from(vec![msg(1, 1)]),
                 stable: 0,
+                quorum: 3,
             },
         );
         let acts = c.propose(0, v.clone());
-        assert!(!acts.out.is_empty() && acts.out.iter().all(|(_, m)| is_collect(m)));
+        assert!(matches!(
+            acts.out.as_slice(),
+            [(t, ConsMsg::Kick { round: 1, est_round: 2, .. })] if *t == s(1)
+        ));
         // Already promised a later round (3 is site 0's again).
         let mut c = ConsensusState::new(s(0), view.clone());
         let _ = c.on_msg(s(1), ConsMsg::Collect { inst: 0, round: 3 });
@@ -1200,6 +1293,7 @@ mod tests {
             round: 0,
             value: Batch::from(vec![msg(2, inst)]),
             stable: 0,
+            quorum: 3,
         };
         let kicks = |acts: Actions| {
             matches!(
@@ -1267,6 +1361,7 @@ mod tests {
                 round: 0,
                 value: Batch::from(vec![msg(0, 1)]),
                 stable: 0,
+                quorum: 2,
             },
         );
         assert_eq!(late, Actions::none());
@@ -1331,16 +1426,21 @@ mod tests {
 
     #[test]
     fn the_value_rides_only_to_a_site_whose_ack_was_not_counted() {
-        let mut c = ConsensusState::new(s(0), GroupView::of_first(3));
+        // Five sites, a quorum of 3: the followers wait for the `Decide`.
+        let mut c = ConsensusState::new(s(0), GroupView::of_first(5));
         let v = Batch::from(vec![msg(0, 1)]);
-        let _ = c.propose(0, v.clone());
+        let proposes = c.propose(0, v.clone()).out;
+        assert!(proposes
+            .iter()
+            .all(|(_, m)| matches!(m, ConsMsg::Propose { quorum: 3, .. })));
         let ack = ConsMsg::Ack {
             inst: 0,
             round: 0,
             delivered: 0,
         };
-        let acts = c.on_msg(s(1), ack);
-        // Decided on the first ack, and delivered here at once.
+        assert_eq!(c.on_msg(s(1), ack.clone()), Actions::none());
+        let acts = c.on_msg(s(2), ack);
+        // Decided on the second ack, and delivered here at once.
         assert_eq!(acts.decide, vec![(0, v.clone())]);
         let decide = |value| ConsMsg::Decide {
             inst: 0,
@@ -1349,7 +1449,12 @@ mod tests {
         };
         assert_eq!(
             acts.out,
-            vec![(s(1), decide(None)), (s(2), decide(Some(v)))]
+            vec![
+                (s(1), decide(None)),
+                (s(2), decide(None)),
+                (s(3), decide(Some(v.clone()))),
+                (s(4), decide(Some(v)))
+            ]
         );
     }
 
@@ -1362,19 +1467,106 @@ mod tests {
             value: None,
         };
         // Adopted in round 0 and acked: the value is here.
-        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(5));
         let propose = ConsMsg::Propose {
             inst: 0,
             round: 0,
             value: v.clone(),
             stable: 0,
+            quorum: 3,
         };
-        let _ = c.on_msg(s(0), propose);
+        assert!(c.on_msg(s(0), propose).decide.is_empty());
         assert_eq!(c.on_msg(s(0), decide.clone()).decide, vec![(0, v)]);
         // Nothing adopted: nothing to decide on.
-        let mut c = ConsensusState::new(s(2), GroupView::of_first(3));
+        let mut c = ConsensusState::new(s(2), GroupView::of_first(5));
         assert_eq!(c.propose(0, Batch::from(vec![msg(2, 1)])), Actions::none());
         assert_eq!(c.on_msg(s(0), decide), Actions::none());
+    }
+
+    #[test]
+    fn a_follower_decides_as_it_accepts_on_the_coordinators_quorum() {
+        // Site 1's view has 3 members. A coordinator whose view holds two
+        // more — a batch of two joins site 1 has not delivered yet — sends
+        // a quorum of 3: site 1's vote and the coordinator's are not enough,
+        // and it only acks. A quorum of 2 is: it decides and still acks,
+        // its delivery point riding along.
+        let v = Batch::from(vec![msg(0, 1)]);
+        let propose = |quorum| ConsMsg::Propose {
+            inst: 0,
+            round: 0,
+            value: v.clone(),
+            stable: 0,
+            quorum,
+        };
+        let acked = |acts: &Actions| {
+            matches!(
+                acts.out.as_slice(),
+                [(t, ConsMsg::Ack { inst: 0, round: 0, delivered: 0 })] if *t == s(0)
+            )
+        };
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let acts = c.on_msg(s(0), propose(3));
+        assert!(acked(&acts) && acts.decide.is_empty(), "{acts:?}");
+        let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
+        let acts = c.on_msg(s(0), propose(2));
+        assert!(acked(&acts), "{acts:?}");
+        assert_eq!(acts.decide, vec![(0, v)]);
+    }
+
+    #[test]
+    fn a_coordinator_a_decided_site_refused_learns_the_decision() {
+        // The consensus proptest's case 1925 (n in 3..6, seed
+        // 0xa379f92e5d2a0605), as a plain schedule. Sites 1 and 2 hold
+        // estimates; site 2 suspects site 0 and kicks site 1 for round 1,
+        // promising it. Site 0 proposes in round 0, and site 2 refuses it.
+        // Site 1 counts the kick as site 2's estimate and proposes the union;
+        // site 2 accepts and decides, and site 1 crashes with its `Propose`
+        // to site 0 and site 2's `Ack` undelivered. Site 0 suspects nobody it
+        // waits on — it coordinates round 0 — so what tells it is site 2,
+        // which owes its decision to the site it refused.
+        let mut bus = Bus::new(3);
+        let to_2 = |acts: Actions| {
+            let propose = acts
+                .out
+                .into_iter()
+                .find(|(t, m)| *t == s(2) && is_propose(m));
+            propose.unwrap().1
+        };
+        for i in [2, 1] {
+            let est = Batch::from(vec![msg(i as u16, 1)]);
+            assert_eq!(bus.sites[i].propose(0, est), Actions::none());
+        }
+        let kick = bus.sites[2].on_suspect(s(0)).out.remove(0).1;
+        let refused = to_2(bus.sites[0].propose(0, Batch::from(vec![msg(0, 1)])));
+        assert_eq!(bus.sites[2].on_msg(s(0), refused), Actions::none());
+        let accepted = to_2(bus.sites[1].on_msg(s(2), kick));
+        let acts = bus.sites[2].on_msg(s(1), accepted);
+        let v = Batch::from(vec![msg(1, 1), msg(2, 1)]);
+        assert_eq!(acts.decide, vec![(0, v.clone())]);
+        bus.run(2, acts, &[1]);
+        assert_eq!(bus.decided[0], Some((0, v)));
+    }
+
+    #[test]
+    fn a_round0_coordinator_that_learns_the_decision_passes_it_on() {
+        // Site 1 suspects site 0 and runs round 1: site 0, which has
+        // proposed nothing, answers its collect and accepts its proposal,
+        // which decides. Site 1 crashes before anything reaches site 2, a
+        // follower of round 0 that waits on site 0 without a word: site 0
+        // tells it.
+        let mut bus = Bus::new(3);
+        let v = Batch::from(vec![msg(1, 1)]);
+        assert_eq!(bus.sites[1].propose(0, v.clone()), Actions::none());
+        let w = Batch::from(vec![msg(2, 1)]);
+        assert_eq!(bus.sites[2].propose(0, w), Actions::none());
+        let to_0 = |acts: Actions| acts.out.into_iter().find(|(t, _)| *t == s(0)).unwrap().1;
+        let collect = to_0(bus.sites[1].on_suspect(s(0)));
+        let estimate = bus.sites[0].on_msg(s(1), collect).out.remove(0).1;
+        let propose = to_0(bus.sites[1].on_msg(s(0), estimate));
+        let acts = bus.sites[0].on_msg(s(1), propose);
+        assert_eq!(acts.decide, vec![(0, v.clone())]);
+        bus.run(0, acts, &[1]);
+        assert_eq!(bus.decided[2], Some((0, v)));
     }
 
     #[test]
@@ -1409,6 +1601,7 @@ mod tests {
                 round: 2,
                 value: Batch::from(vec![msg(2, 1)]),
                 stable: 0,
+                quorum: 2,
             },
         ] {
             let acts = c.on_msg(s(2), m.clone());

@@ -4,8 +4,9 @@
 //! `ABcast`, `ViewChange`, …) plus the external events injected by the
 //! Network Module and the timer module. RelCast carries plain user casts
 //! only (`BcastUser`, `DeliverUser`): a consensus decision goes point to
-//! point (`ConsMsg::Decide`), and consensus hands it to atomic broadcast on
-//! `ConsDecide`.
+//! point (`ConsMsg::Decide`) when it travels at all — at a quorum of 2 a
+//! follower reaches it as it accepts the `Propose` — and consensus hands it
+//! to atomic broadcast on `ConsDecide`.
 //!
 //! A layer that demultiplexes triggers one event per class of traffic and
 //! each handler above binds only its own, so the static call graph sees

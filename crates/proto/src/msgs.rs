@@ -262,6 +262,11 @@ pub enum ConsMsg {
         /// reported delivering every instance below it, so no member can
         /// need one of those decisions again.
         stable: u64,
+        /// The acks the coordinator counts as this round's decision, its own
+        /// included: its view's majority. At 2 or fewer a follower's vote
+        /// and the coordinator's make it, so a follower that accepts the
+        /// proposal decides then, and the coordinator sends no `Decide`.
+        quorum: u64,
     },
     /// Participant's acknowledgement of a proposal.
     Ack {
@@ -274,8 +279,10 @@ pub enum ConsMsg {
         delivered: u64,
     },
     /// The decision of `inst`: sent by the coordinator that reached it to
-    /// every other member, and by any site that has decided `inst` in
-    /// answer to a `Kick`, `Collect`, `Estimate` or `Propose` for it.
+    /// every other member when its quorum is above 2, by any site that has
+    /// decided `inst` in answer to a `Kick`, `Collect`, `Estimate` or
+    /// `Propose` for it, and by a deciding site to each site whose `Collect`
+    /// or `Propose` for it was refused there.
     Decide {
         /// Consensus instance.
         inst: u64,
@@ -622,11 +629,13 @@ fn put_cons(out: &mut impl BufMut, m: &ConsMsg) {
             round,
             value,
             stable,
+            quorum,
         } => {
             out.put_u8(3);
             out.put_u64_le(*inst);
             out.put_u64_le(*round);
             out.put_u64_le(*stable);
+            out.put_u64_le(*quorum);
             put_batch(out, value);
         }
         ConsMsg::Ack {
@@ -674,12 +683,13 @@ fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
             }
         }
         3 => {
-            let stable = buf.u64()?;
+            let (stable, quorum) = (buf.u64()?, buf.u64()?);
             ConsMsg::Propose {
                 inst,
                 round,
                 value: get_batch(buf)?,
                 stable,
+                quorum,
             }
         }
         4 => ConsMsg::Ack {
@@ -1051,6 +1061,7 @@ mod tests {
                 round: 2,
                 value: batch.clone(),
                 stable: 5,
+                quorum: 3,
             },
             ConsMsg::Ack {
                 inst: 8,
@@ -1270,6 +1281,7 @@ mod tests {
                 round: 1,
                 value: Batch::from(vec![ab.clone()]),
                 stable: 0,
+                quorum: 2,
             })
             .root_uid(),
             Some(uid(1, 7))

@@ -4,10 +4,10 @@
 //! The rig is `commit_frames.rs`'s: three full nodes on a manual
 //! [`SimNet`] and a manual clock, policy `Basic`, each broadcaster's own
 //! datagrams delivered before any forwarded copy. So the rows are the
-//! commits that file pins as 9 and 6 frames (the coordinator's request
-//! travels only inside its `Propose`, and its decision point to point) and
-//! the burst it pins as two packed requests. Nothing runs on another
-//! thread: a datagram is
+//! commits that file pins as 7 and 4 frames (the coordinator's request
+//! travels only inside its `Propose`, and each follower decides as it
+//! accepts it) and the burst it pins as two packed requests. Nothing runs
+//! on another thread: a datagram is
 //! delivered by the `pump_seq` the test thread calls, and its computation
 //! runs inline there. A thread-local count of the global allocator's calls
 //! therefore sees exactly what the stack and the network allocated for the
@@ -171,19 +171,21 @@ fn allocs(debug: u64, release: u64) -> u64 {
 // written into its one allocation, an empty one allocates nothing, and a
 // decision's `ADeliver` runs are ranges of the decided batch, not copies.
 // A computation's Rule 1 allocates its entry vector and nothing else; the
-// three rows run 10, 7 and 26 computations.
+// three rows run 8, 5 and 22 computations. A follower decides as it accepts
+// a `Propose` and no `Decide` is sent: two frames and two computations
+// fewer per instance.
 
 #[test]
 fn one_commit_from_a_follower() {
-    assert_eq!(warm_commit(1, 1, 41), (allocs(177, 162), 9));
+    assert_eq!(warm_commit(1, 1, 41), (allocs(156, 143), 7));
 }
 
 #[test]
 fn one_commit_from_the_coordinator() {
-    assert_eq!(warm_commit(0, 1, 41), (allocs(133, 123), 6));
+    assert_eq!(warm_commit(0, 1, 41), (allocs(112, 104), 4));
 }
 
 #[test]
 fn a_burst_of_eight_casts_from_a_follower() {
-    assert_eq!(warm_commit(1, 8, 43), (allocs(342, 313), 18));
+    assert_eq!(warm_commit(1, 8, 43), (allocs(297, 272), 14));
 }

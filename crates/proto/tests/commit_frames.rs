@@ -1,22 +1,26 @@
 //! What one atomic broadcast puts on the wire, counted frame by frame.
 //!
 //! A commit in a healthy `n`-site cluster is the request's way to round 0's
-//! coordinator, round 0 of consensus without its read phase, and the
-//! decision sent point to point. A follower's request leaves its origin
-//! once per peer, and every other site that is not the coordinator forwards
-//! its first copy to the coordinator: `(n−1) + (n−2) = 2n−3` frames. The
-//! coordinator's own request is in its next `Propose` and nothing else: no
-//! frame of its own. The coordinator sends each follower one `Propose` and
-//! one `Decide`, each follower one `Ack`: `3(n−1)` frames. For `n = 3` that
-//! is 3 + 2 + 2 + 2 = 9 data frames when a follower casts and 0 + 2 + 2 + 2
-//! = 6 when the coordinator does. The forward stays: an origin that crashes
-//! mid-broadcast still gets its request ordered, and so does one whose
-//! forward went to a coordinator that then left — every site hands what is
-//! pending to the next one. A follower takes what a `Propose` carries into
-//! its pending requests, so a coordinator that crashes after its `Propose`
-//! reached one follower still gets its request ordered too. And a decided
-//! site answers for its decision, so a coordinator that crashes after its
-//! `Decide` reached one follower, or none, leaves no survivor behind.
+//! coordinator and round 0 of consensus without its read phase. A
+//! follower's request leaves its origin once per peer, and every other site
+//! that is not the coordinator forwards its first copy to the coordinator:
+//! `(n−1) + (n−2) = 2n−3` frames. The coordinator's own request is in its
+//! next `Propose` and nothing else: no frame of its own. The coordinator
+//! sends each follower one `Propose`, each follower one `Ack`: `2(n−1)`
+//! frames. Each `Propose` carries the coordinator's quorum; at 2 (`n ≤ 3`)
+//! a follower's vote and the coordinator's make it, so a follower decides
+//! as it accepts and no `Decide` is sent. Above 2 (`n ≥ 4`) the decision
+//! goes point to point, one `Decide` per follower: `3(n−1)` frames. For
+//! `n = 3` that is 3 + 2 + 2 = 7 data frames when a follower casts and
+//! 0 + 2 + 2 = 4 when the coordinator does; for `n = 4`, 5 + 3 + 3 + 3 =
+//! 14 and 9. The forward stays: an origin that crashes mid-broadcast still
+//! gets its request ordered, and so does one whose forward went to a
+//! coordinator that then left — every site hands what is pending to the
+//! next one. A follower takes what a `Propose` carries into its pending
+//! requests, and at `n = 3` decides it, so a coordinator that crashes after
+//! its `Propose` reached one follower still gets its request ordered too.
+//! And a decided site answers for its decision, so a coordinator that
+//! crashes after the first `Ack` decided it leaves no survivor behind.
 //!
 //! A [`Payload::Request`] costs those frames however many requests it
 //! packs. An origin holds what it casts while one of its own requests is in
@@ -124,33 +128,24 @@ fn frames_per_message(log: &[Sent]) -> (BTreeMap<MsgUid, usize>, Decides) {
 }
 
 #[test]
-fn a_healthy_three_site_commit_is_nine_frames_from_a_follower_and_six_from_the_coordinator() {
+fn a_healthy_three_site_commit_is_seven_frames_from_a_follower_and_four_from_the_coordinator() {
     // Site 0 coordinates round 0; the origin is a follower, then the
     // coordinator itself.
-    for (origin, requests, frames) in [(1, 3, 9), (0, 0, 6)] {
+    for (origin, requests, frames) in [(1, 3, 7), (0, 0, 4)] {
         let rig = Rig::new(3, 41);
         rig.nodes[origin].abcast("m");
         settle_origin_first(&rig);
         rig.assert_total_order(1);
 
+        // Each follower decides as it accepts the `Propose`, and the first
+        // `Ack` decides the coordinator: no `Decide` is sent.
         let log = rig.rec.log();
-        let mut expected = BTreeMap::from([("propose", 2), ("ack", 2), ("decide", 2)]);
+        let mut expected = BTreeMap::from([("propose", 2), ("ack", 2)]);
         if requests > 0 {
             expected.insert("request", requests);
         }
         assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
         assert_eq!(log.len(), frames);
-
-        // The decision fires on the first ack: the follower that sent it
-        // gets a `Decide` without the value, the other one with it.
-        let decides: Vec<bool> = log
-            .iter()
-            .filter_map(|s| match &s.payload {
-                Some(Payload::Cons(ConsMsg::Decide { value, .. })) => Some(value.is_some()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(decides, [false, true], "origin {origin}: {log:#?}");
 
         // A follower sends two request frames, one to each peer, and the
         // other follower forwards its copy to the coordinator; the
@@ -172,6 +167,37 @@ fn a_healthy_three_site_commit_is_nine_frames_from_a_follower_and_six_from_the_c
     }
 }
 
+#[test]
+fn a_healthy_four_site_commit_still_sends_its_decides() {
+    // A quorum of 3: a follower's vote and the coordinator's are not
+    // enough, so the followers wait for the coordinator's `Decide`s. The
+    // decision fires on the second ack: the two followers whose acks were
+    // counted get a `Decide` without the value, the third with it.
+    for (origin, requests, frames) in [(1, 5, 14), (0, 0, 9)] {
+        let rig = Rig::new(4, 41);
+        rig.nodes[origin].abcast("m");
+        settle_origin_first(&rig);
+        rig.assert_total_order(1);
+
+        let log = rig.rec.log();
+        let mut expected = BTreeMap::from([("propose", 3), ("ack", 3), ("decide", 3)]);
+        if requests > 0 {
+            expected.insert("request", requests);
+        }
+        assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
+        assert_eq!(log.len(), frames);
+        let decides: Vec<bool> = log
+            .iter()
+            .filter_map(|s| match &s.payload {
+                Some(Payload::Cons(ConsMsg::Decide { value, .. })) => Some(value.is_some()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decides, [false, false, true], "origin {origin}: {log:#?}");
+        assert_eq!(rig.retransmissions(), 0);
+    }
+}
+
 /// The request frames of `log`: sender, receiver and how many requests
 /// each packs.
 fn request_frames(log: &[Sent]) -> Vec<(SiteId, SiteId, usize)> {
@@ -183,9 +209,14 @@ fn request_frames(log: &[Sent]) -> Vec<(SiteId, SiteId, usize)> {
         .collect()
 }
 
-/// The consensus instances whose decision went out.
-fn decided(log: &[Sent]) -> BTreeSet<u64> {
-    frames_per_message(log).1.into_keys().collect()
+/// The consensus instances proposed.
+fn proposed(log: &[Sent]) -> BTreeSet<u64> {
+    log.iter()
+        .filter_map(|s| match &s.payload {
+            Some(Payload::Cons(ConsMsg::Propose { inst, .. })) => Some(*inst),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -218,7 +249,7 @@ fn a_burst_of_eight_costs_two_requests_and_two_instances() {
             .map(|&(.., n)| n)
             .collect();
         assert_eq!(from_origin, packs, "origin {origin}: {sent:?}");
-        assert_eq!(decided(&log).len(), 2, "origin {origin}: {log:#?}");
+        assert_eq!(proposed(&log).len(), 2, "origin {origin}: {log:#?}");
         assert_eq!(rig.retransmissions(), 0);
     }
 }
@@ -293,7 +324,9 @@ fn requests_held_behind_one_stuck_at_a_coordinator_that_left_are_delivered() {
 fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_site() {
     for sites in [3, 4, 5] {
         let request_bound = 2 * sites - 3;
-        let decision_frames = sites - 1;
+        // At a quorum of 2 every follower decides as it accepts: no
+        // `Decide` at all.
+        let decision_frames = if sites > 3 { sites - 1 } else { 0 };
         // Different seeds, different delivery orders (`pump_one` follows the
         // network's seeded delays): a site that has delivered a request
         // forwards nothing, so other orders only cost less; a decision goes
@@ -313,6 +346,7 @@ fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_si
             assert_eq!(followers.len(), sites - 1, "seed {seed}: {requests:?}");
             assert!(!followers.contains(&SiteId(0)), "seed {seed}: {requests:?}");
             let at = format!("{sites} sites, seed {seed}");
+            assert_eq!(decisions.is_empty(), decision_frames == 0, "{at}");
             for (uid, frames) in requests {
                 assert!(
                     (sites - 1..=request_bound).contains(&frames),
@@ -347,9 +381,9 @@ fn a_request_and_a_decision_never_cost_more_than_their_bounds_and_reach_every_si
         rig.assert_total_order(1);
         let (requests, decisions) = frames_per_message(&rig.rec.log());
         let requests: Vec<usize> = requests.into_values().collect();
-        let decisions: Vec<usize> = decisions.into_values().map(|d| d.len()).collect();
+        let decisions: usize = decisions.into_values().map(|d| d.len()).sum();
         assert_eq!(requests, [request_bound], "one request");
-        assert_eq!(decisions, [decision_frames], "one decision");
+        assert_eq!(decisions, decision_frames, "one decision");
     }
 }
 
@@ -388,9 +422,10 @@ fn a_request_whose_origin_crashed_mid_broadcast_is_still_ordered() {
 fn a_request_whose_coordinator_origin_crashed_after_one_propose_is_still_ordered() {
     // Site 0 coordinates round 0 and casts: its `Propose` is the one copy
     // of the request that leaves it. It reaches exactly one follower, which
-    // takes the request into its pending set, and site 0 dies. The failure
-    // detector, driven by hand on virtual time, lets the survivors exclude
-    // it; the other follower casts meanwhile.
+    // takes the request into its pending set and, its vote and site 0's
+    // making the quorum, decides and delivers it; then site 0 dies. The
+    // failure detector, driven by hand on virtual time, lets the survivors
+    // exclude it; the other follower casts meanwhile.
     for reached in [1u16, 2] {
         let rig = Rig::new(3, 62);
         let h = rig.net.handle();
@@ -413,7 +448,10 @@ fn a_request_whose_coordinator_origin_crashed_after_one_propose_is_still_ordered
         }
         rig.quiesce();
         let other = 3 - reached as usize;
-        assert_eq!(rig.nodes[reached as usize].ab_pending(), 1);
+        let orphan = vec![(SiteId(0), "orphan".into())];
+        assert_eq!(rig.nodes[reached as usize].ab_delivered(), orphan);
+        assert_eq!(rig.nodes[reached as usize].ab_pending(), 0);
+        assert_eq!(rig.nodes[other].ab_delivered(), []);
         assert_eq!(rig.nodes[other].ab_pending(), 0);
         h.crash(SiteId(0));
         rig.nodes[other].abcast("after");
@@ -454,15 +492,16 @@ fn a_request_whose_coordinator_origin_crashed_after_one_propose_is_still_ordered
     }
 }
 
-/// Site 0 coordinates round 0 and submits `first` through `cast`. Both
-/// followers adopt its `Propose` and ack it; the first ack decides, and site
-/// 0 delivers its decision at once. Its two `Decide`s then reach `reached`
-/// only, or no one; `before_crash` runs, and site 0 crashes. The failure
+/// Site 0 coordinates round 0 and submits `first` through `cast`. Its
+/// `Propose` reaches site 1, which decides as it accepts, and site 1's `Ack`
+/// decides site 0, which delivers its decision at once. Its `Propose` to
+/// site 2 is delivered too when `second_propose` says so, and lost
+/// otherwise; `before_crash` runs, and site 0 crashes. The failure
 /// detector, driven by hand on virtual time, lets the survivors exclude it;
 /// site 2 submits `second` meanwhile. Returns the rig once both survivors
 /// have delivered two operations and left site 0 out of their views.
 fn decide_then_crash(
-    reached: Option<u16>,
+    second_propose: bool,
     cast: impl Fn(&Node, &'static str),
     before_crash: impl FnOnce(),
 ) -> Rig {
@@ -473,28 +512,28 @@ fn decide_then_crash(
     }
     rig.settle();
     cast(&rig.nodes[0], "first");
-    // Everything but the decision goes through.
+    // Everything between sites 0 and 1 goes through.
     loop {
         rig.quiesce();
-        let log = rig.rec.log();
         let pending = h.pending_datagrams();
-        match pending
-            .iter()
-            .find(|dg| kind(&log[dg.seq as usize - 1]) != "decide")
-        {
+        match pending.iter().find(|dg| dg.to != SiteId(2)) {
             Some(dg) => assert!(h.pump_seq(dg.seq)),
             None => break,
         }
     }
+    for i in [0, 1] {
+        assert_eq!(rig.nodes[i].ab_delivered().len(), 1, "site {i} decided");
+    }
+    let log = rig.rec.log();
     let pending = h.pending_datagrams();
-    assert_eq!(pending.len(), 2, "{pending:?}");
-    assert_eq!(rig.nodes[0].ab_delivered().len(), 1, "site 0 decided");
-    for dg in pending {
-        if Some(dg.to) == reached.map(SiteId) {
-            assert!(h.pump_seq(dg.seq));
-        } else {
-            assert!(h.drop_seq(dg.seq));
-        }
+    let [dg] = pending.as_slice() else {
+        panic!("one frame left in flight: {pending:?}");
+    };
+    assert_eq!(kind(&log[dg.seq as usize - 1]), "propose");
+    if second_propose {
+        assert!(h.pump_seq(dg.seq));
+    } else {
+        assert!(h.drop_seq(dg.seq));
     }
     rig.quiesce();
     before_crash();
@@ -519,19 +558,21 @@ fn decide_then_crash(
         rig.settle();
     }
     let [a, b] = [1usize, 2].map(|i| rig.nodes[i].ab_delivered());
-    assert!(done(), "reached {reached:?}: stalled at {a:?} and {b:?}");
+    assert!(
+        done(),
+        "second propose {second_propose}: stalled at {a:?} and {b:?}"
+    );
     rig
 }
 
 #[test]
-fn a_decision_whose_coordinator_crashed_after_one_decide_or_none_is_delivered_by_both_survivors() {
-    // A decided site answers for its decision: the follower that got the
-    // `Decide` answers the other's kick, or its collect as round 1's
-    // coordinator. With no `Decide` out, round 1's read phase finds the
-    // value the acks accepted.
-    for reached in [Some(1), Some(2), None] {
-        let rig = decide_then_crash(reached, |node, m| node.abcast(m), || {});
-        let at = |i: usize| format!("reached {reached:?}, site {i}");
+fn a_decision_whose_coordinator_crashed_after_its_first_ack_is_delivered_by_both_survivors() {
+    // A decided site answers for its decision: site 1 decided as it
+    // accepted, and answers site 2's kick, or its collect as round 1's
+    // coordinator. Site 2 decided too if the second `Propose` reached it.
+    for second_propose in [true, false] {
+        let rig = decide_then_crash(second_propose, |node, m| node.abcast(m), || {});
+        let at = |i: usize| format!("second propose {second_propose}, site {i}");
         let order = rig.nodes[1].ab_delivered();
         assert_eq!(order[0], (SiteId(0), "first".into()), "{}", at(1));
         for i in [1, 2] {
@@ -547,7 +588,7 @@ fn a_decision_whose_coordinator_crashed_after_one_decide_or_none_is_delivered_by
 fn a_reply_the_crashed_coordinator_sent_is_in_both_survivors_logs() {
     // The same schedule with KV clients: site 0 applied its put and its
     // client got the reply before site 0 crashed.
-    for reached in [Some(1), Some(2), None] {
+    for second_propose in [true, false] {
         let clients = std::sync::Mutex::new(Vec::new());
         let mut replied = Vec::new();
         let cast = |node: &Node, m| {
@@ -566,11 +607,11 @@ fn a_reply_the_crashed_coordinator_sent_is_in_both_survivors_logs() {
                 }
             }
         };
-        let rig = decide_then_crash(reached, cast, before_crash);
+        let rig = decide_then_crash(second_propose, cast, before_crash);
         assert_eq!(
             replied.len(),
             1,
-            "reached {reached:?}: no reply before the crash"
+            "second propose {second_propose}: no reply before the crash"
         );
         for i in [1, 2] {
             let log = rig.nodes[i].kv_log();
@@ -578,10 +619,14 @@ fn a_reply_the_crashed_coordinator_sent_is_in_both_survivors_logs() {
                 assert!(
                     log.iter()
                         .any(|a| a.uid.origin == SiteId(0) && a.cmd.key() == key),
-                    "reached {reached:?}, site {i}: {key:?} replied but not in {log:?}"
+                    "second propose {second_propose}, site {i}: {key:?} replied but not in {log:?}"
                 );
             }
-            assert_eq!(log, rig.nodes[1].kv_log(), "reached {reached:?}, site {i}");
+            assert_eq!(
+                log,
+                rig.nodes[1].kv_log(),
+                "second propose {second_propose}, site {i}"
+            );
         }
     }
 }

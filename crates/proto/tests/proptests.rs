@@ -68,14 +68,20 @@ fn arb_cons() -> impl Strategy<Value = ConsMsg> {
                 est_round
             }
         ),
-        (any::<u64>(), any::<u64>(), arb_batch(), any::<u64>()).prop_map(
-            |(inst, round, value, stable)| ConsMsg::Propose {
+        (
+            any::<u64>(),
+            any::<u64>(),
+            arb_batch(),
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(|(inst, round, value, stable, quorum)| ConsMsg::Propose {
                 inst,
                 round,
                 value,
                 stable,
-            }
-        ),
+                quorum,
+            }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(inst, round, delivered)| {
             ConsMsg::Ack {
                 inst,
@@ -593,7 +599,7 @@ proptest! {
     /// crashed site is eventually suspected by every live one.
     #[test]
     fn consensus_agrees_always_and_terminates_on_reliable_channels(
-        n in 3usize..6,
+        n in 2usize..6,
         lossy in any::<bool>(),
         ops in proptest::collection::vec((0u8..19, any::<u16>(), any::<u16>()), 0..120),
     ) {
@@ -670,7 +676,10 @@ proptest! {
         let decided = w.decisions.first().cloned();
         prop_assert!(decided.as_ref().is_some_and(|v| !v.is_empty()), "nobody decided");
         for i in w.live() {
-            prop_assert_eq!(&w.learned[i], &decided, "live site {} never learned the decision", i);
+            prop_assert_eq!(
+                &w.learned[i], &decided,
+                "live site {} never learned the decision:\n{}", i, w.trace.join("\n")
+            );
         }
     }
 }
