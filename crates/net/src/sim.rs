@@ -118,6 +118,9 @@ struct NetState {
     shutdown: bool,
     seq: u64,
     delivering: usize,
+    /// A manual network's virtual now: the `at` of the latest datagram it
+    /// delivered. Each send is stamped this plus its delay.
+    vnow: Instant,
 }
 
 struct NetInner {
@@ -130,10 +133,9 @@ struct NetInner {
     max_delay: Duration,
     /// Manual (pumped) delivery: no delivery thread; in-flight datagrams sit
     /// in the heap until [`NetHandle::pump_one`]. Timestamps are virtual
-    /// (`epoch` + drawn delay) so ordering is a pure function of the seed.
+    /// (`NetState::vnow` + drawn delay) so ordering is a pure function of
+    /// the seed and the delivery history.
     manual: bool,
-    /// Fixed origin for virtual timestamps in manual mode.
-    epoch: Instant,
     /// The seed of the delay, loss and fault draws ([`NetConfig::seed`]).
     seed: u64,
 }
@@ -182,11 +184,13 @@ impl NetHandle {
             self.inner.counters[to.index()].note_dropped_loss();
             return;
         }
-        // Manual mode uses the fixed epoch: a datagram's slot in the heap
-        // depends only on the seeded delay draw, never on wall-clock time,
-        // so a replayed schedule sees the identical delivery order.
+        // Manual mode stamps virtual time: the `at` of the latest delivery
+        // plus the seeded delay draw, never wall-clock time, so a replayed
+        // schedule sees the identical delivery order, and a reply sent from
+        // a delivery follows what was sent before it, as on the threaded
+        // net.
         let now = if self.inner.manual {
-            self.inner.epoch
+            st.vnow
         } else {
             Instant::now()
         };
@@ -419,6 +423,7 @@ impl NetHandle {
     ) -> MutexGuard<'a, NetState> {
         let inner = &self.inner;
         let (from, to) = (item.dg.from, item.dg.to);
+        st.vnow = st.vnow.max(item.at);
         if st.corruption > 0.0 && !item.dg.payload.is_empty() {
             let p = st.corruption;
             if st.rng.gen_bool(p) {
@@ -582,12 +587,13 @@ impl SimNet {
 
     /// Create a *manual* network: no delivery thread. Datagrams stay queued
     /// until someone calls [`NetHandle::pump_one`]/[`NetHandle::pump_all`],
-    /// which runs the delivery callback on the pumping thread. Delivery
-    /// order is determined by the seeded delay draws alone (virtual
-    /// timestamps — wall-clock time never enters), so a manual network is
-    /// fully deterministic under a controlled thread schedule. This is the
-    /// substrate `samoa-check` scenarios use to fold message delivery into
-    /// the explored schedule.
+    /// which runs the delivery callback on the pumping thread. A datagram is
+    /// stamped the virtual time of the latest delivery plus its seeded delay
+    /// draw — wall-clock time never enters — so a reply sent from a delivery
+    /// arrives after what was sent before it, as on the threaded network,
+    /// and a manual network is fully deterministic under a controlled thread
+    /// schedule. This is the substrate `samoa-check` scenarios use to fold
+    /// message delivery into the explored schedule.
     pub fn new_manual(n_sites: usize, config: NetConfig) -> SimNet {
         SimNet {
             handle: SimNet::make_handle(n_sites, config, true),
@@ -609,6 +615,7 @@ impl SimNet {
                     shutdown: false,
                     seq: 0,
                     delivering: 0,
+                    vnow: Instant::now(),
                 }),
                 cv: Condvar::new(),
                 quiesce_cv: Condvar::new(),
@@ -617,7 +624,6 @@ impl SimNet {
                 min_delay: config.min_delay,
                 max_delay: config.max_delay.max(config.min_delay),
                 manual,
-                epoch: Instant::now(),
                 seed: config.seed,
             }),
         }
@@ -705,7 +711,7 @@ fn delivery_loop(net: NetHandle) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn payload(b: u8) -> Bytes {
         Bytes::copy_from_slice(&[b])
@@ -1035,6 +1041,52 @@ mod tests {
         assert_eq!(run(9), run(9), "same seed, same delivery order");
         // Random delays actually reorder (otherwise virtual time is moot).
         assert_ne!(run(9), (0..16).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn a_manual_net_stamps_a_reply_after_the_delivery_that_sent_it() {
+        // Site 0 sends `x` together with `ping 0`; site 1 answers each ping
+        // with a pong, site 0 each pong with the next ping. Each hop waits
+        // its own 5–20 µs, so a chain of hops only overtakes `x` while its
+        // delays add up to less than `x`'s one: at most two pings.
+        const X: u8 = 0;
+        const PING: u8 = 1;
+        const PONG: u8 = 2;
+        for seed in 1..=50 {
+            let cfg = NetConfig {
+                min_delay: Duration::from_micros(5),
+                max_delay: Duration::from_micros(20),
+                ..NetConfig::fast(seed)
+            };
+            let net = SimNet::new_manual(2, cfg);
+            let (pings, x_in) = (
+                Arc::new(AtomicUsize::new(0)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            {
+                let (h, pings, x_in) = (net.handle(), Arc::clone(&pings), Arc::clone(&x_in));
+                net.register(SiteId(1), move |dg| match dg.payload[0] {
+                    X => x_in.store(true, Ordering::SeqCst),
+                    _ => {
+                        if !x_in.load(Ordering::SeqCst) {
+                            pings.fetch_add(1, Ordering::SeqCst);
+                        }
+                        h.send(SiteId(1), SiteId(0), payload(PONG));
+                    }
+                });
+            }
+            let h = net.handle();
+            net.register(SiteId(0), move |_| {
+                h.send(SiteId(0), SiteId(1), payload(PING))
+            });
+            net.send(SiteId(0), SiteId(1), payload(X));
+            net.send(SiteId(0), SiteId(1), payload(PING));
+            while !x_in.load(Ordering::SeqCst) {
+                assert!(net.pump_one());
+            }
+            let pings = pings.load(Ordering::SeqCst);
+            assert!(pings <= 2, "seed {seed}: {pings} pings overtook x");
+        }
     }
 
     #[test]

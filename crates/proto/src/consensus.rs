@@ -20,12 +20,10 @@
 //!    coordinator decides on the first `Ack` and sends no `Decide` — a
 //!    follower's decision waits two message delays, not four. Above 2 the
 //!    coordinator delivers its decision in the computation that reaches
-//!    it, and sends `Decide` to every other member, point to point: without
-//!    the value to a site whose `Ack` of the round it counted — that site
-//!    adopted the value and holds it — and with it to the others. The
-//!    quorum a participant decides on is the one the `Propose` carries, not
-//!    its own view's majority: its view may lag the coordinator's by a
-//!    batch of two joins.
+//!    it, and sends `Decide`, value included, to every other member, point
+//!    to point. The quorum a participant decides on is the one the
+//!    `Propose` carries, not its own view's majority: its view may lag the
+//!    coordinator's by a batch of two joins.
 //!
 //! **A decided site answers for its decision.** A coordinator may crash
 //! after its `Decide` reached some members, or none, or after the first
@@ -416,7 +414,7 @@ impl ConsensusState {
     fn answer(&self, to: SiteId, inst: u64) -> Option<Actions> {
         let i = self.insts.get(&inst).filter(|i| i.decided)?;
         Some(Actions {
-            out: decides([to], inst, i.round, |_| Some(i.est.clone())),
+            out: decides([to], inst, i.round, &i.est),
             decide: Vec::new(),
         })
     }
@@ -769,9 +767,8 @@ impl ConsensusState {
 
     /// With a majority of acks, decide: keep the value and hand it up. If
     /// the `Propose` carried a quorum above 2, send every other member its
-    /// `Decide` — the value only to those whose ack was not counted; at 2
-    /// or fewer every follower that accepts it decides by itself, and only
-    /// the sites refused here are owed one.
+    /// `Decide`; at 2 or fewer every follower that accepts it decides by
+    /// itself, and only the sites refused here are owed one.
     fn try_decide(&mut self, inst: u64) -> Actions {
         let (me, majority) = (self.site, self.view.majority());
         let Some(i) = self.insts.get_mut(&inst) else {
@@ -795,9 +792,7 @@ impl ConsensusState {
             false => self.view.members().to_vec(),
         };
         let told = told.into_iter().filter(|&p| p != me);
-        let out = decides(told, inst, round, |p| {
-            (!c.acks.contains(&p)).then(|| value.clone())
-        });
+        let out = decides(told, inst, round, &value);
         i.decide(round, value.clone());
         Actions {
             out,
@@ -805,22 +800,14 @@ impl ConsensusState {
         }
     }
 
-    /// A `Decide` for `inst` arrived from `from`. Without a value it comes
-    /// from the coordinator that counted this site's ack of `round`, and the
-    /// value is the one adopted then (or in a later round: from the round a
-    /// majority accepted it on, every round proposes that one value).
-    fn on_decide(&mut self, from: SiteId, inst: u64, round: u64, value: Option<Batch>) -> Actions {
+    /// `from`'s `Decide`: `inst` was decided on `value` in `round`.
+    fn on_decide(&mut self, from: SiteId, inst: u64, round: u64, value: Batch) -> Actions {
         if inst < self.delivered {
             return Actions::none();
         }
-        let i = self.insts.entry(inst).or_default();
-        if i.decided {
+        if self.insts.entry(inst).or_default().decided {
             return Actions::none();
         }
-        let adopted = || (i.est_round > round).then(|| i.est.clone());
-        let Some(value) = value.or_else(adopted) else {
-            return Actions::none();
-        };
         self.learn(from, inst, round, value)
     }
 
@@ -843,7 +830,7 @@ impl ConsensusState {
             false => std::mem::take(&mut i.refused),
         };
         let told = told.into_iter().filter(|&p| p != me && p != from);
-        let out = decides(told, inst, round, |_| Some(value.clone()));
+        let out = decides(told, inst, round, &value);
         i.decide(round, value.clone());
         Actions {
             out,
@@ -875,18 +862,18 @@ fn proposals(
         .collect()
 }
 
-/// `Decide(inst, round)` addressed to each of `targets`, with the value
-/// `value_for` gives that target.
+/// `Decide(inst, round, value)` addressed to each of `targets`, each
+/// sharing `value`.
 fn decides(
     targets: impl IntoIterator<Item = SiteId>,
     inst: u64,
     round: u64,
-    value_for: impl Fn(SiteId) -> Option<Batch>,
+    value: &Batch,
 ) -> Vec<(SiteId, ConsMsg)> {
     targets
         .into_iter()
         .map(|t| {
-            let value = value_for(t);
+            let value = value.clone();
             (t, ConsMsg::Decide { inst, round, value })
         })
         .collect()
@@ -1425,7 +1412,7 @@ mod tests {
     }
 
     #[test]
-    fn the_value_rides_only_to_a_site_whose_ack_was_not_counted() {
+    fn above_a_quorum_of_2_every_other_member_gets_the_decision_with_its_value() {
         // Five sites, a quorum of 3: the followers wait for the `Decide`.
         let mut c = ConsensusState::new(s(0), GroupView::of_first(5));
         let v = Batch::from(vec![msg(0, 1)]);
@@ -1442,45 +1429,13 @@ mod tests {
         let acts = c.on_msg(s(2), ack);
         // Decided on the second ack, and delivered here at once.
         assert_eq!(acts.decide, vec![(0, v.clone())]);
-        let decide = |value| ConsMsg::Decide {
-            inst: 0,
-            round: 0,
-            value,
-        };
-        assert_eq!(
-            acts.out,
-            vec![
-                (s(1), decide(None)),
-                (s(2), decide(None)),
-                (s(3), decide(Some(v.clone()))),
-                (s(4), decide(Some(v)))
-            ]
-        );
-    }
-
-    #[test]
-    fn a_decide_without_the_value_decides_what_was_adopted() {
-        let v = Batch::from(vec![msg(0, 1)]);
         let decide = ConsMsg::Decide {
             inst: 0,
             round: 0,
-            value: None,
+            value: v,
         };
-        // Adopted in round 0 and acked: the value is here.
-        let mut c = ConsensusState::new(s(1), GroupView::of_first(5));
-        let propose = ConsMsg::Propose {
-            inst: 0,
-            round: 0,
-            value: v.clone(),
-            stable: 0,
-            quorum: 3,
-        };
-        assert!(c.on_msg(s(0), propose).decide.is_empty());
-        assert_eq!(c.on_msg(s(0), decide.clone()).decide, vec![(0, v)]);
-        // Nothing adopted: nothing to decide on.
-        let mut c = ConsensusState::new(s(2), GroupView::of_first(5));
-        assert_eq!(c.propose(0, Batch::from(vec![msg(2, 1)])), Actions::none());
-        assert_eq!(c.on_msg(s(0), decide), Actions::none());
+        let told: Vec<_> = (1..5).map(|i| (s(i), decide.clone())).collect();
+        assert_eq!(acts.out, told);
     }
 
     #[test]
@@ -1575,12 +1530,12 @@ mod tests {
         // for the instance is answered with the decision, value included.
         let v = Batch::from(vec![msg(0, 1)]);
         let mut c = ConsensusState::new(s(1), GroupView::of_first(3));
-        let decide = |value| ConsMsg::Decide {
+        let decide = ConsMsg::Decide {
             inst: 0,
             round: 0,
-            value,
+            value: v,
         };
-        assert_eq!(c.on_msg(s(0), decide(Some(v.clone()))).decide.len(), 1);
+        assert_eq!(c.on_msg(s(0), decide.clone()).decide.len(), 1);
         let est = Batch::from(vec![msg(2, 1)]);
         for m in [
             ConsMsg::Kick {
@@ -1605,7 +1560,7 @@ mod tests {
             },
         ] {
             let acts = c.on_msg(s(2), m.clone());
-            assert_eq!(acts.out, vec![(s(2), decide(Some(v.clone())))], "{m:?}");
+            assert_eq!(acts.out, vec![(s(2), decide.clone())], "{m:?}");
             assert!(acts.decide.is_empty());
         }
         // An undecided site answers as before.

@@ -278,20 +278,18 @@ pub enum ConsMsg {
         /// below it.
         delivered: u64,
     },
-    /// The decision of `inst`: sent by the coordinator that reached it to
-    /// every other member when its quorum is above 2, by any site that has
-    /// decided `inst` in answer to a `Kick`, `Collect`, `Estimate` or
-    /// `Propose` for it, and by a deciding site to each site whose `Collect`
-    /// or `Propose` for it was refused there.
+    /// The decision of `inst`, value included: sent by the coordinator that
+    /// reached it to every other member when its quorum is above 2, by any
+    /// site that has decided `inst` in answer to a `Kick`, `Collect`,
+    /// `Estimate` or `Propose` for it, and by a deciding site to each site
+    /// whose `Collect` or `Propose` for it was refused there.
     Decide {
         /// Consensus instance.
         inst: u64,
         /// Round the decision was reached in.
         round: u64,
-        /// The decided value. `None` only from the deciding coordinator to
-        /// a site whose `Ack` of `round` it counted: that site adopted the
-        /// value in `round` and holds it.
-        value: Option<Batch>,
+        /// The decided value.
+        value: Batch,
     },
 }
 
@@ -378,11 +376,10 @@ impl Payload {
                 ConsMsg::Kick { est, .. } | ConsMsg::Estimate { est, .. } => {
                     est.first().map(|m| m.uid)
                 }
-                ConsMsg::Propose { value, .. }
-                | ConsMsg::Decide {
-                    value: Some(value), ..
-                } => value.first().map(|m| m.uid),
-                ConsMsg::Collect { .. } | ConsMsg::Ack { .. } | ConsMsg::Decide { .. } => None,
+                ConsMsg::Propose { value, .. } | ConsMsg::Decide { value, .. } => {
+                    value.first().map(|m| m.uid)
+                }
+                ConsMsg::Collect { .. } | ConsMsg::Ack { .. } => None,
             },
             Payload::Sync(_) => None,
         }
@@ -652,10 +649,7 @@ fn put_cons(out: &mut impl BufMut, m: &ConsMsg) {
             out.put_u8(5);
             out.put_u64_le(*inst);
             out.put_u64_le(*round);
-            out.put_u8(u8::from(value.is_some()));
-            if let Some(value) = value {
-                put_batch(out, value);
-            }
+            put_batch(out, value);
         }
     }
 }
@@ -700,11 +694,7 @@ fn get_cons(buf: &mut Bytes) -> DecResult<ConsMsg> {
         5 => ConsMsg::Decide {
             inst,
             round,
-            value: match buf.u8()? {
-                0 => None,
-                1 => Some(get_batch(buf)?),
-                t => return Err(CodecError::BadTag(t)),
-            },
+            value: get_batch(buf)?,
         },
         t => return Err(CodecError::BadTag(t)),
     })
@@ -1071,12 +1061,7 @@ mod tests {
             ConsMsg::Decide {
                 inst: 3,
                 round: 4,
-                value: Some(batch.clone()),
-            },
-            ConsMsg::Decide {
-                inst: 3,
-                round: 4,
-                value: None,
+                value: batch.clone(),
             },
         ] {
             roundtrip(Wire::Data {
@@ -1286,20 +1271,16 @@ mod tests {
             .root_uid(),
             Some(uid(1, 7))
         );
-        // A decision with its body serves the body's first operation; one
-        // without serves none.
-        let decide = |value| {
+        // A decision serves its value's first operation.
+        assert_eq!(
             Payload::Cons(ConsMsg::Decide {
                 inst: 0,
                 round: 1,
-                value,
+                value: Batch::from(vec![ab]),
             })
-        };
-        assert_eq!(
-            decide(Some(Batch::from(vec![ab]))).root_uid(),
+            .root_uid(),
             Some(uid(1, 7))
         );
-        assert_eq!(decide(None).root_uid(), None);
         assert_eq!(
             Payload::Cons(ConsMsg::Collect { inst: 0, round: 1 }).root_uid(),
             None

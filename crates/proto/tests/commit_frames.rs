@@ -171,8 +171,8 @@ fn a_healthy_three_site_commit_is_seven_frames_from_a_follower_and_four_from_the
 fn a_healthy_four_site_commit_still_sends_its_decides() {
     // A quorum of 3: a follower's vote and the coordinator's are not
     // enough, so the followers wait for the coordinator's `Decide`s. The
-    // decision fires on the second ack: the two followers whose acks were
-    // counted get a `Decide` without the value, the third with it.
+    // decision fires on the second ack, and each follower's `Decide`
+    // carries the value its `Propose` did.
     for (origin, requests, frames) in [(1, 5, 14), (0, 0, 9)] {
         let rig = Rig::new(4, 41);
         rig.nodes[origin].abcast("m");
@@ -186,14 +186,20 @@ fn a_healthy_four_site_commit_still_sends_its_decides() {
         }
         assert_eq!(census(&log), expected, "origin {origin}: {log:#?}");
         assert_eq!(log.len(), frames);
-        let decides: Vec<bool> = log
-            .iter()
-            .filter_map(|s| match &s.payload {
-                Some(Payload::Cons(ConsMsg::Decide { value, .. })) => Some(value.is_some()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(decides, [false, false, true], "origin {origin}: {log:#?}");
+        let values = |of_kind: &str| -> Vec<_> {
+            log.iter()
+                .filter(|s| kind(s) == of_kind)
+                .filter_map(|s| match &s.payload {
+                    Some(Payload::Cons(
+                        ConsMsg::Propose { value, .. } | ConsMsg::Decide { value, .. },
+                    )) => Some(value.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let proposed = values("propose");
+        assert!(!proposed[0].is_empty());
+        assert_eq!(values("decide"), proposed, "origin {origin}: {log:#?}");
         assert_eq!(rig.retransmissions(), 0);
     }
 }

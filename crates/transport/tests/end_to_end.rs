@@ -4,10 +4,9 @@
 //! Almost every endpoint runs on a manual network and a manual clock,
 //! driven on virtual time by
 //! [`NetHandle::run_until`](samoa_net::NetHandle::run_until): a resend
-//! happens when the driver rings the sender's alarm. Two tests pin the wall
-//! clock instead, and wait for what they check with a deadline: the timer
-//! thread, and the storm bound under every isolating policy on the threaded
-//! net, whose jitter reorders datagrams as a real network does.
+//! happens when the driver rings the sender's alarm. One test pins the wall
+//! clock instead, and waits for what it checks with a deadline: the timer
+//! thread.
 
 #![allow(clippy::field_reassign_with_default, clippy::needless_range_loop)]
 use std::time::{Duration, Instant};
@@ -42,15 +41,6 @@ fn wait_delivered(net: &TransportNet, endpoint: usize, count: usize) {
     let done = || net.endpoint(endpoint).delivered().len() >= count;
     net.net()
         .run_until(net.endpoints(), Duration::from_secs(60), done);
-}
-
-/// Wait on the wall clock, for a minute at most, until `done` holds.
-fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !done() {
-        assert!(Instant::now() < deadline, "timed out: {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 #[test]
@@ -187,13 +177,10 @@ fn every_isolating_policy_delivers_byte_identically_over_a_lossy_net() {
         cfg.policy = policy;
         cfg.mtu = 16;
         cfg.rto = Duration::from_millis(12);
-        // The threaded net and the timer thread: a manual net delivers
-        // what is in flight together in the order of its delay draws, not
-        // of its sends, so it reorders far more than this jitter does.
-        let net = TransportNet::new(2, NetConfig::fast(8).with_loss(0.1), cfg);
+        let net = transport_net(2, NetConfig::fast(8).with_loss(0.1), cfg);
         let msg = big_message(4, 2_000);
         net.endpoint(0).send(SiteId(1), msg.clone());
-        poll_until(policy.label(), || !net.endpoint(1).delivered().is_empty());
+        wait_delivered(&net, 1, 1);
         assert_eq!(net.endpoint(1).delivered()[0].1, msg, "{policy}");
         let lost = net.net().total_stats().dropped_loss;
         assert!(lost > 0, "{policy}: no loss seen — vacuous");
