@@ -160,6 +160,7 @@ fn an_error_raised_in_the_drain_is_counted_on_both_ingress_paths() {
                 ext,
                 EventData::new(RcDataIn {
                     sender: SiteId(0),
+                    view: 0,
                     seq,
                     ctx: None,
                     payload: Payload::Cast(CastMsg { uid, data }),

@@ -63,15 +63,15 @@
 //! already have chosen, and round 0 has no earlier round. What makes
 //! skipping it safe is that round 0 of instance `k` has exactly one
 //! proposer: atomic broadcast calls [`ConsensusState::propose`]`(k)` only
-//! after delivering every instance below `k`, view changes are delivered
-//! in that prefix, so every site that proposes for `k` does so under the
-//! same view and agrees on `view.coordinator(0)`. That site proposes its
-//! own estimate straight away, provided the instance is *pristine* — it has
+//! after delivering every instance below `k`, view changes are delivered in
+//! that prefix, so every site that proposes for `k` does so under the same
+//! view and agrees on `view.coordinator(0)`. That site proposes its own
+//! estimate straight away, provided the instance is *pristine* — it has
 //! promised, adopted and coordinated nothing. The other sites record their
-//! estimate and send nothing (one exception, below): every request reaches
-//! the coordinator — its own are pending there from the start, anyone
-//! else's come as the origin's copy and a forward of every other site's
-//! first copy (`abcast.rs`) — and it proposes by itself.
+//! estimate and send nothing: every request reaches the coordinator — its
+//! own are pending there from the start, anyone else's come as the origin's
+//! copy and a forward of every other site's first copy (`abcast.rs`) — and
+//! it proposes by itself.
 //!
 //! Every other way a round starts keeps the read phase: `on_kick`, and
 //! `restart` after a suspicion or a view change — `view.coordinator(0)` is a
@@ -79,22 +79,11 @@
 //! site than the one that already proposed in it, and only its `Collect`
 //! finds what a majority may have accepted from the first.
 //!
-//! **A coordinator that has just joined.** Views are sorted, so a joining
-//! lowest site is round 0's coordinator from the moment it is a member, and
-//! both things the silent follower relies on fail for it. Requests cast
-//! before it was a member were never sent its way: atomic broadcast's state
-//! transfer carries them (`SyncMsg::pending`). And RelComm delivers nothing
-//! from a site outside the receiver's view, so a `Propose` of the newcomer
-//! or `Decide` of the newcomer that reaches a site before that site installs
-//! the view is acknowledged, discarded and never resent. So when a view
-//! change makes a site that was not in the previous view round 0's
-//! coordinator, a follower `Kick`s with each proposal, as it would in a
-//! later round, until it has accepted a `Propose` from that coordinator for
-//! the instance it waits on — every decision below it delivered, so none is
-//! lost; and a coordinator kicked for a round it is already writing answers
-//! with that round's `Propose` — a plain retransmission, one proposer, one
-//! value and one quorum per round — or, for an instance it has decided,
-//! with its `Decide`.
+//! A joining lowest site is round 0's coordinator from the moment it is a
+//! member, and nothing here treats it apart: what was pending before it
+//! joined reaches it by atomic broadcast's state transfer, and RelComm
+//! holds its frames at a site that has not installed its view yet and
+//! delivers their resends once that site has (`relcomm.rs`).
 //!
 //! Suspicion of the current coordinator (from the failure detector) bumps
 //! the round; the new coordinator is kicked into action with the kicker's
@@ -227,10 +216,6 @@ pub struct ConsensusState {
     /// or from a coordinator's `Propose`.
     stable: u64,
     insts: HashMap<u64, Inst>,
-    /// Round 0's coordinator joined with the current view and no `Propose`
-    /// of its has been accepted here since (module docs, "A coordinator
-    /// that has just joined").
-    newcomer_coord: bool,
     /// Rounds started (`view_changes` is membership's).
     pub instruments: ConsensusInstruments,
 }
@@ -245,7 +230,6 @@ impl ConsensusState {
             peer_delivered: HashMap::new(),
             stable: 0,
             insts: HashMap::new(),
-            newcomer_coord: false,
             instruments: ConsensusInstruments::default(),
         }
     }
@@ -276,7 +260,7 @@ impl ConsensusState {
             i.est = value;
         }
         let follower = self.view.coordinator(0) != Some(self.site);
-        if i.round > 0 || (follower && self.newcomer_coord) {
+        if i.round > 0 {
             return self.restart(inst);
         }
         if follower {
@@ -355,10 +339,6 @@ impl ConsensusState {
     /// A new view was installed: re-kick undecided instances so they keep
     /// making progress under the new coordinator mapping.
     pub fn set_view(&mut self, view: GroupView) -> Actions {
-        let coord = view.coordinator(0);
-        if coord != self.view.coordinator(0) {
-            self.newcomer_coord = coord.is_some_and(|c| !self.view.contains(c));
-        }
         // A site that left reports nothing more; one that rejoins starts
         // from nothing again.
         self.peer_delivered.retain(|&m, _| view.contains(m));
@@ -516,25 +496,13 @@ impl ConsensusState {
         if self.view.coordinator(round) != Some(me) {
             return Actions::none();
         }
-        {
-            let i = self.insts.entry(inst).or_default();
-            if let Some(c) = &i.coord {
-                if let (true, Phase::Proposing { value, quorum }) = (c.round == round, &c.phase) {
-                    // The kicker has nothing from us for a round we are
-                    // already writing: say it again.
-                    return Actions {
-                        out: proposals([from], inst, round, value, self.stable, *quorum),
-                        decide: Vec::new(),
-                    };
-                }
-            }
-            // Adopt the kicker's estimate as ours if we have none.
-            if i.est.is_empty() {
-                i.est = est.clone();
-                i.est_round = est_round;
-            }
-            i.round = i.round.max(round);
+        let i = self.insts.entry(inst).or_default();
+        // Adopt the kicker's estimate as ours if we have none.
+        if i.est.is_empty() {
+            i.est = est.clone();
+            i.est_round = est_round;
         }
+        i.round = i.round.max(round);
         let mut acts = self.start_collect(inst, round);
         // Record the kicker's estimate as if it were an Estimate reply.
         acts.merge(self.record_estimate(from, inst, round, est, est_round));
@@ -687,8 +655,20 @@ impl ConsensusState {
         i.est = value.clone();
         i.est_round = round + 1;
         i.max_round = round;
+        let stable = self.stable;
+        let propose = |p| {
+            let value = value.clone();
+            let msg = ConsMsg::Propose {
+                inst,
+                round,
+                value,
+                stable,
+                quorum,
+            };
+            (p, msg)
+        };
         let mut acts = Actions {
-            out: proposals(peers, inst, round, &value, self.stable, quorum),
+            out: peers.into_iter().map(propose).collect(),
             decide: Vec::new(),
         };
         acts.merge(self.try_decide(inst));
@@ -725,9 +705,6 @@ impl ConsensusState {
         i.round = i.round.max(round);
         i.est = value.clone();
         i.est_round = round + 1;
-        if self.view.coordinator(0) == Some(from) && inst <= self.delivered {
-            self.newcomer_coord = false;
-        }
         let ack = ConsMsg::Ack {
             inst,
             round,
@@ -837,29 +814,6 @@ impl ConsensusState {
             decide: vec![(inst, value)],
         }
     }
-}
-
-/// `Propose(inst, round, value, stable, quorum)` addressed to each of
-/// `targets`, each sharing `value`.
-fn proposals(
-    targets: impl IntoIterator<Item = SiteId>,
-    inst: u64,
-    round: u64,
-    value: &Batch,
-    stable: u64,
-    quorum: u64,
-) -> Vec<(SiteId, ConsMsg)> {
-    let propose = |value| ConsMsg::Propose {
-        inst,
-        round,
-        value,
-        stable,
-        quorum,
-    };
-    targets
-        .into_iter()
-        .map(|t| (t, propose(value.clone())))
-        .collect()
 }
 
 /// `Decide(inst, round, value)` addressed to each of `targets`, each
@@ -1260,66 +1214,6 @@ mod tests {
             acts.out.as_slice(),
             [(t, ConsMsg::Collect { inst: 0, round: 0 })] if *t == s(2)
         ));
-    }
-
-    #[test]
-    fn followers_kick_a_newcomer_coordinator_until_it_is_heard() {
-        // Site 0 joins {1, 2, 3} and is round 0's coordinator at once. What
-        // it sent site 2 before site 2 installed the view is gone, so site 2
-        // kicks with every proposal until a `Propose` of site 0 for the
-        // instance it waits on gets through. Atomic broadcast proposes for
-        // instance `k` once it has delivered every instance below it.
-        let old = GroupView::initial([s(1), s(2), s(3)]);
-        let new = old.apply(crate::view::ViewOp::Join, s(0));
-        let mut c = ConsensusState::new(s(2), old);
-        assert_eq!(c.propose(0, Batch::from(vec![msg(2, 1)])), Actions::none());
-        c.gc(1);
-        let _ = c.set_view(new);
-        let propose = |inst| ConsMsg::Propose {
-            inst,
-            round: 0,
-            value: Batch::from(vec![msg(2, inst)]),
-            stable: 0,
-            quorum: 3,
-        };
-        let kicks = |acts: Actions| {
-            matches!(
-                acts.out.as_slice(),
-                [(t, ConsMsg::Kick { round: 0, est_round: 0, .. })] if *t == s(0)
-            )
-        };
-        for inst in [1, 2] {
-            c.gc(inst);
-            assert!(kicks(c.propose(inst, Batch::from(vec![msg(2, inst)]))));
-        }
-        // A `Propose` for a later instance is heard, but the decisions in
-        // between may be what was lost: still kicking.
-        let ack = c.on_msg(s(0), propose(3));
-        assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })]));
-        assert!(kicks(c.propose(2, Batch::from(vec![msg(2, 2)]))));
-        let ack = c.on_msg(s(0), propose(2));
-        assert!(matches!(ack.out.as_slice(), [(_, ConsMsg::Ack { .. })]));
-        c.gc(3);
-        assert_eq!(c.propose(3, Batch::from(vec![msg(2, 3)])), Actions::none());
-    }
-
-    #[test]
-    fn a_kick_for_the_round_being_written_is_answered_with_its_propose() {
-        let mut c = ConsensusState::new(s(0), GroupView::of_first(3));
-        let v = Batch::from(vec![msg(0, 1)]);
-        let _ = c.propose(0, v.clone());
-        let kick = ConsMsg::Kick {
-            inst: 0,
-            round: 0,
-            est: Batch::from(vec![msg(2, 1)]),
-            est_round: 0,
-        };
-        let acts = c.on_msg(s(2), kick);
-        assert!(matches!(
-            acts.out.as_slice(),
-            [(t, ConsMsg::Propose { inst: 0, round: 0, value, .. })] if *t == s(2) && *value == v
-        ));
-        assert!(acts.decide.is_empty());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Layering, bottom-up:
 //!
-//! * [`Wire`] — what actually crosses the network: RelComm data frames and
-//!   acks, plus raw failure-detector heartbeats. A datagram is a sequence
-//!   of such frames (acks ride behind the data frame going the same way).
+//! * [`Wire`] — what actually crosses the network: RelComm data frames,
+//!   each led by the id of the view its sender was in, and acks, plus raw
+//!   failure-detector heartbeats. A datagram is a sequence of such frames
+//!   (acks ride behind the data frame going the same way).
 //! * [`Payload`] — what RelComm delivers reliably: RelCast traffic
 //!   ([`CastMsg`]), atomic-broadcast requests on their way to the site that
 //!   orders them ([`AbMsg`]), consensus point-to-point messages
@@ -29,10 +30,10 @@
 //! for their turn. Nothing down the path copies a batch to own it.
 //!
 //! A datagram is decoded frame by frame ([`Frames`]) under the one rule of
-//! what it may hold: a lone heartbeat, a data frame followed by acks, or
-//! acks alone. The Network Module moves each frame straight into the event
-//! of the computation it starts; [`Wire::decode_all`] only collects the
-//! frames.
+//! what it may hold: a lone heartbeat, a view frame and a data frame
+//! followed by acks, or acks alone. The Network Module moves each frame
+//! straight into the event of the computation it starts;
+//! [`Wire::decode_all`] only collects the frames.
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
@@ -404,8 +405,8 @@ pub struct TraceCtx {
 }
 
 /// One frame of a datagram. A datagram is a sequence of frames: RelComm
-/// sends a data frame followed by the acks it owes the same peer, or acks
-/// alone; the failure detector sends a lone heartbeat.
+/// sends a view frame and a data frame followed by the acks it owes the
+/// same peer, or acks alone; the failure detector sends a lone heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Wire {
     /// RelComm data frame: per-destination sequence number plus payload.
@@ -424,6 +425,13 @@ pub enum Wire {
     },
     /// Raw failure-detector heartbeat (bypasses RelComm).
     Heartbeat,
+    /// The id of the view the sender of the data frame behind it was in
+    /// when it first sent that frame: what RelComm reads to tell a sender
+    /// that has left from one that has joined a view not installed here.
+    View {
+        /// The sender's [`GroupView::id`](crate::GroupView::id).
+        id: u64,
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +446,9 @@ pub enum CodecError {
     /// Unknown enum tag.
     BadTag(u8),
     /// A frame where a datagram may not hold it: anything after a
-    /// heartbeat, or anything but an ack after the first frame.
+    /// heartbeat, a data frame without a view frame right before it, a
+    /// view frame anywhere else, or anything but an ack after the data
+    /// frame or the first ack.
     Misplaced,
     /// A `SyncMsg` delivered range with `lo > hi`, or one that overlaps or
     /// precedes the range before it.
@@ -773,6 +783,10 @@ impl Wire {
             Wire::Heartbeat => {
                 out.put_u8(2);
             }
+            Wire::View { id } => {
+                out.put_u8(3);
+                out.put_u64_le(*id);
+            }
         }
     }
 
@@ -837,16 +851,22 @@ impl Wire {
             }
             1 => Ok(Wire::Ack { seq: buf.u64()? }),
             2 => Ok(Wire::Heartbeat),
+            3 => Ok(Wire::View { id: buf.u64()? }),
             t => Err(CodecError::BadTag(t)),
         }
     }
 
-    /// Header-only read of the causal context on a datagram's first frame:
-    /// inspects at most the first 21 bytes, no payload decode. `None` for
-    /// non-data frames, frames without a context, or anything malformed (full
+    /// Header-only read of the causal context on a datagram's data frame,
+    /// the first frame or the one behind a leading view frame: inspects at
+    /// most the first 30 bytes, no payload decode. `None` for non-data
+    /// frames, frames without a context, or anything malformed (full
     /// [`decode`](Wire::decode) is the arbiter of validity).
     pub fn peek_ctx(buf: &Bytes) -> Option<TraceCtx> {
         let mut b = buf.clone();
+        if b.first() == Some(&3) {
+            b.u8().ok()?;
+            b.u64().ok()?;
+        }
         match (b.u8(), b.u64(), b.u8()) {
             (Ok(0), Ok(_), Ok(1)) => get_ctx(&mut b).ok(),
             _ => None,
@@ -855,26 +875,43 @@ impl Wire {
 }
 
 /// One datagram, decoded frame by frame under the rule of what a datagram
-/// may hold: a lone heartbeat, a data frame followed by acks, or acks alone
-/// (an empty datagram yields nothing). Each frame is decoded only when it
-/// is asked for. A frame that is malformed, cut short or out of place is
-/// yielded as an `Err`, and nothing follows it.
+/// may hold: a lone heartbeat, a view frame and a data frame followed by
+/// acks, or acks alone (an empty datagram yields nothing). A view frame is
+/// legal only first and only right before a data frame, and a data frame
+/// only right behind one. Each frame is decoded only when it is asked for.
+/// A frame that is malformed, cut short or out of place is yielded as an
+/// `Err`, and nothing follows it.
 #[derive(Debug)]
 pub struct Frames {
     buf: Bytes,
-    /// No frame has been decoded yet.
-    first: bool,
+    /// What the next frame may be.
+    next: Next,
+}
+
+/// Where a [`Frames`] reader is in the rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// The first frame: a heartbeat, a view frame or an ack.
+    First,
+    /// The data frame behind the view frame.
+    Data,
+    /// Acks, to the end.
+    Acks,
 }
 
 impl Frames {
     /// The frames of the datagram `buf`.
     pub fn new(buf: Bytes) -> Frames {
-        Frames { buf, first: true }
+        Frames {
+            buf,
+            next: Next::First,
+        }
     }
 
     /// How many acks the rest of the datagram holds if it is well formed:
-    /// after the first frame the rule allows only acks, and they have a
-    /// fixed length. A reader sizes the list it collects them into by this.
+    /// after the data frame or the first ack the rule allows only acks, and
+    /// they have a fixed length. A reader sizes the list it collects them
+    /// into by this.
     pub fn acks_left(&self) -> usize {
         self.buf.len() / Wire::ACK_LEN
     }
@@ -887,12 +924,16 @@ impl Iterator for Frames {
         if self.buf.is_empty() {
             return None;
         }
-        let first = std::mem::replace(&mut self.first, false);
+        let at = std::mem::replace(&mut self.next, Next::Acks);
         let frame = Wire::decode_frame(&mut self.buf).and_then(|frame| {
             let in_place = match frame {
-                Wire::Ack { .. } => true,
-                Wire::Data { .. } => first,
-                Wire::Heartbeat => first && self.buf.is_empty(),
+                Wire::Ack { .. } => at != Next::Data,
+                Wire::Data { .. } => at == Next::Data,
+                Wire::Heartbeat => at == Next::First && self.buf.is_empty(),
+                Wire::View { .. } => {
+                    self.next = Next::Data;
+                    at == Next::First && !self.buf.is_empty()
+                }
             };
             if in_place {
                 Ok(frame)
@@ -929,6 +970,12 @@ mod tests {
         roundtrip(Wire::Ack { seq: 0 });
         roundtrip(Wire::Ack { seq: u64::MAX });
         roundtrip(Wire::Heartbeat);
+    }
+
+    #[test]
+    fn roundtrip_view() {
+        roundtrip(Wire::View { id: 0 });
+        roundtrip(Wire::View { id: u64::MAX });
     }
 
     #[test]
@@ -1207,8 +1254,13 @@ mod tests {
             }),
         };
         roundtrip(w.clone());
-        // Header-only peek agrees with the full decode.
+        // Header-only peek agrees with the full decode, on the bare frame
+        // and behind the view frame that leads it in a datagram.
         assert_eq!(Wire::peek_ctx(&w.encode()), Some(ctx));
+        let mut led = BytesMut::new();
+        Wire::View { id: 7 }.encode_into(&mut led);
+        w.encode_into(&mut led);
+        assert_eq!(Wire::peek_ctx(&led.freeze()), Some(ctx));
     }
 
     #[test]
@@ -1226,8 +1278,10 @@ mod tests {
         // Non-data frames.
         assert_eq!(Wire::peek_ctx(&Wire::Ack { seq: 5 }.encode()), None);
         assert_eq!(Wire::peek_ctx(&Wire::Heartbeat.encode()), None);
+        assert_eq!(Wire::peek_ctx(&Wire::View { id: 1 }.encode()), None);
         // Garbage too short to hold a context.
         assert_eq!(Wire::peek_ctx(&Bytes::from_static(&[0, 1, 2])), None);
+        assert_eq!(Wire::peek_ctx(&Bytes::from_static(&[3, 1, 2])), None);
     }
 
     #[test]

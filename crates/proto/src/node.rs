@@ -577,9 +577,10 @@ impl Node {
 impl Host for Node {
     /// The Network Module: decode the datagram frame by frame, straight
     /// into the event of the **one** computation it starts. A datagram is
-    /// a lone heartbeat, a data frame followed by the acks going the same
-    /// way, or acks alone ([`Frames`] holds that rule); anything else is
-    /// malformed and dropped, like a real UDP stack would.
+    /// a lone heartbeat, a view frame and a data frame followed by the acks
+    /// going the same way, or acks alone ([`Frames`] holds that rule); the
+    /// view frame's id goes up with the data frame, in `RcDataIn::view`.
+    /// Anything else is malformed and dropped, like a real UDP stack would.
     fn on_datagram(&self, dg: Datagram) {
         let from = dg.from;
         let mut frames = Frames::new(dg.payload);
@@ -592,10 +593,16 @@ impl Host for Node {
                 self.spawn_external(self.ev.fd_beat, EventData::new(from));
                 return;
             }
-            Wire::Data { seq, ctx, payload } => (
-                Some((seq, ctx, payload)),
-                Vec::with_capacity(frames.acks_left()),
-            ),
+            // The rule admits a view frame only right before a data frame,
+            // and a data frame nowhere else.
+            Wire::View { id } => {
+                let Some(Ok(Wire::Data { seq, ctx, payload })) = frames.next() else {
+                    return;
+                };
+                let acks = Vec::with_capacity(frames.acks_left());
+                (Some((id, seq, ctx, payload)), acks)
+            }
+            Wire::Data { .. } => return,
             Wire::Ack { seq } => {
                 let mut acks = Vec::with_capacity(1 + frames.acks_left());
                 acks.push(seq);
@@ -609,7 +616,7 @@ impl Host for Node {
             }
         }
         match data {
-            Some((seq, ctx, payload)) => {
+            Some((view, seq, ctx, payload)) => {
                 if let (Some(t), Some(c)) = (&self.tracer, ctx) {
                     t.emit(samoa_core::TraceKind::CtxRecv {
                         site: t.site().0,
@@ -626,6 +633,7 @@ impl Host for Node {
                     entry,
                     EventData::new(RcDataIn {
                         sender: from,
+                        view,
                         seq,
                         ctx,
                         payload,
@@ -1139,9 +1147,9 @@ mod tests {
         assert!(run(Observe::traced(sink)).iter().all(|&known| known > 0));
     }
 
-    /// The Network Module's rule for a datagram: a lone heartbeat, a data
-    /// frame followed by acks, or acks alone. Anything else is dropped
-    /// before a computation starts.
+    /// The Network Module's rule for a datagram: a lone heartbeat, a view
+    /// frame and a data frame followed by acks, or acks alone. Anything
+    /// else is dropped before a computation starts.
     #[test]
     fn a_datagram_outside_the_rule_starts_no_computation() {
         let cfg = NodeConfig {
@@ -1193,23 +1201,36 @@ mod tests {
             }
             .encode()
         };
-        let (beat, ack, d1, d2) = (
+        let (beat, ack, view, d1, d2) = (
             Wire::Heartbeat.encode(),
             Wire::Ack { seq: 1 }.encode(),
+            Wire::View { id: 0 }.encode(),
             data(1),
             data(2),
         );
         let nothing = (0, Vec::new());
         for (what, frames) in [
             ("a heartbeat and an ack", vec![&beat[..], &ack[..]]),
-            ("an ack and a data frame", vec![&ack[..], &d1[..]]),
-            ("two data frames", vec![&d1[..], &d2[..]]),
-            ("a truncated trailing ack", vec![&d1[..], &ack[..4]]),
+            ("a data frame without a view frame", vec![&d1[..]]),
+            ("a view frame alone", vec![&view[..]]),
+            ("a view frame and an ack", vec![&view[..], &ack[..]]),
+            ("a view frame behind a data frame", vec![&d1[..], &view[..]]),
+            (
+                "an ack and a data frame",
+                vec![&ack[..], &view[..], &d1[..]],
+            ),
+            ("two data frames", vec![&view[..], &d1[..], &d2[..]]),
+            (
+                "a truncated trailing ack",
+                vec![&view[..], &d1[..], &ack[..4]],
+            ),
             ("an empty datagram", vec![]),
         ] {
             assert_eq!(deliver(&frames), nothing, "{what}");
         }
         assert_eq!(deliver(&[&beat[..]]), (1, vec!["fd.beat".to_string()]));
+        let cast = deliver(&[&view[..], &d1[..], &ack[..]]);
+        assert_eq!(cast.0, 1, "a view frame, a data frame and an ack");
         let acks = deliver(&[&ack[..], &Wire::Ack { seq: 2 }.encode()[..]]);
         assert_eq!(acks, (1, vec!["relcomm.recv_ack".to_string()]));
         assert_eq!(node.external_errors(), 0);

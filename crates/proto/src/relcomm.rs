@@ -13,6 +13,30 @@
 //! to sites that leave the view are discarded, and so are the acks owed to
 //! them.
 //!
+//! ## Frames from outside the view
+//!
+//! Every data frame is led by the id of the view its sender was in when it
+//! first sent it ([`Wire::View`]; a resend carries the same id, so it stays
+//! byte-identical). Views are numbered in the one order atomic broadcast
+//! delivers them, so the id tells the two kinds of non-member apart, and
+//! `recv_data` has three verdicts:
+//!
+//! * the sender is in this site's view: the frame is acked and, if fresh,
+//!   delivered;
+//! * the sender is not, and its view id is at most this site's: it has
+//!   left, or sent the frame before it joined. The frame is acked and
+//!   dropped;
+//! * the sender is not, and its view id is greater: it has joined a view
+//!   not installed here yet. Nothing is done — no ack, no mark in the dedup
+//!   filter, no delivery — so the sender's ARQ resends the frame, and the
+//!   resend that arrives once the view is installed here is delivered.
+//!
+//! Only frames from non-members are held. Holding every frame sent in a
+//! later view would deadlock: a site that lags a view behind needs the
+//! decision of the very instance that installs it, and a member that has
+//! installed that view already may be the one that answers for it. A
+//! member's frame is delivered whatever its view id.
+//!
 //! RelComm copies no batch. The retransmission buffer keeps a clone of the
 //! payload it sent, and the delivery event gets a clone of the payload that
 //! arrived; a payload's [`Batch`](crate::msgs::Batch), where it has one, is
@@ -22,18 +46,19 @@
 //!
 //! ## Deferred acks
 //!
-//! Every data frame is acknowledged — duplicates too, the first ack may
-//! have been lost — but an ack never costs a datagram of its own while
-//! there is traffic the other way. `recv_data` only *records* the ack it
-//! owes the sender (per peer, in arrival order, with the instant the first
-//! of them was recorded). Every data datagram built for that peer (`send`,
-//! `retransmit`) takes the owed list along: the `Wire::Ack` frames follow
-//! the `Wire::Data` frame in the same datagram, and the receiver's Network
-//! Module hands the whole datagram to one computation. An ack waits for a
-//! ride for at most `ACK_DELAY` (10 ms): that is its own deadline, and at
-//! the tick it brings whatever is still owed leaves as one ack-only
-//! datagram per peer — as does a peer's list as soon as `OWED_ACK_CAP`
-//! acks have piled up in it, whichever comes first.
+//! Every data frame RelComm does not hold (above) is acknowledged —
+//! duplicates too, the first ack may have been lost — but an ack never
+//! costs a datagram of its own while there is traffic the other way.
+//! `recv_data` only *records* the ack it owes the sender (per peer, in
+//! arrival order, with the instant the first of them was recorded). Every
+//! data datagram built for that peer (`send`, `retransmit`) takes the owed
+//! list along: the `Wire::Ack` frames follow the `Wire::Data` frame in the
+//! same datagram, and the receiver's Network Module hands the whole
+//! datagram to one computation. An ack waits for a ride for at most
+//! `ACK_DELAY` (10 ms): that is its own deadline, and at the tick it brings
+//! whatever is still owed leaves as one ack-only datagram per peer — as
+//! does a peer's list as soon as `OWED_ACK_CAP` acks have piled up in it,
+//! whichever comes first.
 //!
 //! So an ack is at most `ACK_DELAY` late. The RTT estimator sees the
 //! deferral as part of the round trip and absorbs it; what must hold is
@@ -118,12 +143,15 @@ fn delivery(ev: &Events, sender: SiteId, payload: &Payload) -> Option<(EventType
     })
 }
 
-/// An inbound data datagram (the decoded `Wire::Data` and the acks that
-/// rode behind it), payload of `RcData` and `RcDataUser`.
+/// An inbound data datagram (the decoded `Wire::View` and `Wire::Data`,
+/// and the acks that rode behind them), payload of `RcData` and
+/// `RcDataUser`.
 #[derive(Debug, Clone)]
 pub struct RcDataIn {
     /// The sending site.
     pub sender: SiteId,
+    /// The id of the view the sender was in when it first sent the frame.
+    pub view: u64,
     /// RelComm channel sequence number.
     pub seq: u64,
     /// Causal context carried on the frame, if any.
@@ -197,13 +225,25 @@ impl HopTable {
     }
 }
 
-/// One outbound datagram: the data frame, if any — sequence number, causal
-/// context, payload, encoded from where they are held — then the owed acks.
-/// Its buffer is sized once, by the writer run against a counting sink.
-fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> Bytes {
-    fn write(out: &mut impl BufMut, data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) {
-        if let Some((seq, ctx, payload)) = data {
-            Wire::encode_data_into(seq, ctx, payload, out);
+/// What a data frame carries beside its sequence number and payload, as
+/// first sent: the id of the view the sender was in, and the causal
+/// context. The retransmission buffer keeps it with the payload, so a
+/// resend is byte-identical.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    view: u64,
+    ctx: Option<TraceCtx>,
+}
+
+/// One outbound datagram: the view and data frames, if any — sequence
+/// number, head, payload, encoded from where they are held — then the owed
+/// acks. Its buffer is sized once, by the writer run against a counting
+/// sink.
+fn datagram(data: Option<(u64, Head, &Payload)>, acks: &[u64]) -> Bytes {
+    fn write(out: &mut impl BufMut, data: Option<(u64, Head, &Payload)>, acks: &[u64]) {
+        if let Some((seq, head, payload)) = data {
+            Wire::View { id: head.view }.encode_into(out);
+            Wire::encode_data_into(seq, head.ctx, payload, out);
         }
         for &seq in acks {
             Wire::Ack { seq }.encode_into(out);
@@ -220,7 +260,7 @@ fn datagram(data: Option<(u64, Option<TraceCtx>, &Payload)>, acks: &[u64]) -> By
 fn datagram_to(
     owed: &mut BTreeMap<SiteId, Owed>,
     peer: SiteId,
-    data: Option<(u64, Option<TraceCtx>, &Payload)>,
+    data: Option<(u64, Head, &Payload)>,
 ) -> Bytes {
     match owed.get_mut(&peer) {
         Some(acks) => {
@@ -251,9 +291,9 @@ fn ctx_send(tracer: &Option<ClusterTracer>, from: SiteId, to: SiteId, ctx: Optio
 pub struct RelCommState {
     site: SiteId,
     view: GroupView,
-    /// Sent but unacknowledged: payload and causal context as first
-    /// transmitted (retransmissions must be byte-identical).
-    tx: ArqSender<(Payload, Option<TraceCtx>)>,
+    /// Sent but unacknowledged: payload and head as first transmitted
+    /// (retransmissions must be byte-identical).
+    tx: ArqSender<(Payload, Head)>,
     rx: ArqReceiver,
     /// Acks owed per peer, in arrival order (see the module docs). Ordered,
     /// so that flush order is a pure function of the state, like resends.
@@ -385,15 +425,19 @@ pub fn register(
                     return None; // discard, as the paper prescribes
                 }
                 let wire_ctx = s.ctx_for(payload);
+                let head = Head {
+                    view: s.view.id,
+                    ctx: wire_ctx,
+                };
                 let now = s.clock.now();
-                let seq = s.tx.send(*target, (payload.clone(), wire_ctx), now);
+                let seq = s.tx.send(*target, (payload.clone(), head), now);
                 let rto = s.tx.rto(*target);
                 s.instruments.sends.inc();
                 s.instruments.rto_us.set(rto.as_micros() as u64);
                 // The frame just sent is due for a resend one RTO on.
                 s.arm(now + rto);
                 // The acks owed to the target ride along.
-                let bytes = datagram_to(&mut s.owed, *target, Some((seq, wire_ctx, payload)));
+                let bytes = datagram_to(&mut s.owed, *target, Some((seq, head, payload)));
                 Some((s.site, wire_ctx, bytes))
             });
             if let Some((site, wire_ctx, bytes)) = frame {
@@ -411,7 +455,14 @@ pub fn register(
         let events = *ev;
         b.bind_with_triggers(e, pid, name, classes, move |ctx, data| {
             let m: &RcDataIn = data.expect(e)?;
-            let (me, deliver, overflow) = state.with(ctx, |s| {
+            let verdict = state.with(ctx, |s| {
+                // A non-member that sent from a later view has joined one
+                // not installed here: no ack, no dedup mark, no delivery,
+                // and its resend is delivered once the view is (module
+                // docs, "Frames from outside the view").
+                if !s.view.contains(m.sender) && m.view > s.view.id {
+                    return None;
+                }
                 s.apply_acks(m.sender, &m.acks);
                 // Learn the operation's hop distance so frames this site
                 // forwards on the operation's behalf carry hop + 1 — if it
@@ -441,9 +492,13 @@ pub fn register(
                 owed.seqs.push(m.seq);
                 let overflow =
                     (owed.len() >= OWED_ACK_CAP).then(|| datagram_to(&mut s.owed, m.sender, None));
-                // Deliver only from in-view senders (paper's recv).
-                (s.site, fresh && s.view.contains(m.sender), overflow)
+                // Deliver only from in-view senders (paper's recv); one that
+                // has left, or sent before it joined, is acked and dropped.
+                Some((s.site, fresh && s.view.contains(m.sender), overflow))
             });
+            let Some((me, deliver, overflow)) = verdict else {
+                return Ok(());
+            };
             if let Some(bytes) = overflow {
                 net.send(me, m.sender, bytes);
             }
@@ -497,7 +552,7 @@ pub fn register(
                 s.tx.due(
                     now,
                     |_| false,
-                    |target, seq, attempts, (payload, ctx)| {
+                    |target, seq, attempts, (payload, head)| {
                         s.instruments.retransmits.inc();
                         if let Some(t) = &s.tracer {
                             t.emit(samoa_core::TraceKind::Retransmit {
@@ -507,8 +562,8 @@ pub fn register(
                             });
                         }
                         // The first resend to a target takes its owed acks.
-                        let bytes = datagram_to(&mut s.owed, target, Some((seq, *ctx, payload)));
-                        out.push((target, *ctx, bytes));
+                        let bytes = datagram_to(&mut s.owed, target, Some((seq, *head, payload)));
+                        out.push((target, head.ctx, bytes));
                     },
                 );
                 // Whatever no data datagram took along goes out on its own,
@@ -542,7 +597,7 @@ pub fn register(
                 s.view = v.clone();
                 // Finite buffers: nothing stays queued for a departed site,
                 // neither unacknowledged messages nor the acks owed to it.
-                // (A frame it still sends afterwards is acked as before.)
+                // (A frame it still sends afterwards is acked and dropped.)
                 let view = &s.view;
                 s.tx.retain_peers(|target| view.contains(target));
                 s.owed.retain(|peer, _| view.contains(*peer));
@@ -558,7 +613,8 @@ mod tests {
 
     /// Site 0's RelComm alone, over a manual two-site network and clock,
     /// traced into `trace` or not (a tracer installed in its state before
-    /// `register`, as `Node` does).
+    /// `register`, as `Node` does). `delivered` counts the user casts it
+    /// delivers.
     struct Lone {
         rt: Runtime,
         pid: ProtocolId,
@@ -567,6 +623,7 @@ mod tests {
         trace: Arc<samoa_core::TraceBuffer>,
         clock: ProtoClock,
         net: samoa_net::SimNet,
+        delivered: Arc<std::sync::atomic::AtomicUsize>,
     }
 
     impl Lone {
@@ -582,6 +639,12 @@ mod tests {
             st.tracer = traced.then(|| ClusterTracer::new(SiteId(0), sink, clock.now()));
             let state = ProtocolState::new(pid, st);
             register(&mut b, pid, &ev, state.clone(), Arc::new(net.handle()));
+            let delivered = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let up = Arc::clone(&delivered);
+            b.bind_with_triggers(ev.from_rcomm_user, pid, "up", &[], move |_, _| {
+                up.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(())
+            });
             let rt = Runtime::new(b.build());
             Lone {
                 rt,
@@ -591,6 +654,7 @@ mod tests {
                 trace,
                 clock,
                 net,
+                delivered,
             }
         }
 
@@ -600,10 +664,18 @@ mod tests {
                 .expect("relcomm");
         }
 
-        /// An inbound data frame from site 1, serving its operation `op`.
+        /// An inbound data frame from site 1, serving its operation `op`,
+        /// sent in the initial view.
         fn recv(&self, op: u64, ctx: Option<TraceCtx>) {
+            self.recv_in(0, op, ctx);
+        }
+
+        /// An inbound data frame from site 1, serving its operation `op`,
+        /// sent in view `view`.
+        fn recv_in(&self, view: u64, op: u64, ctx: Option<TraceCtx>) {
             let m = RcDataIn {
                 sender: SiteId(1),
+                view,
                 seq: op,
                 ctx,
                 payload: cast(SiteId(1), op),
@@ -729,6 +801,52 @@ mod tests {
         lone.trigger(lone.ev.retransmit_tick, EventData::empty());
         assert_eq!(lone.net.pending(), 2, "the send, then the owed acks");
         assert_eq!(due(), None, "all acknowledged, nothing owed");
+    }
+
+    /// The three verdicts on a data frame (module docs, "Frames from
+    /// outside the view"), read off what RelComm delivered, the acks it owes
+    /// site 1 and its dedup floor for site 1.
+    #[test]
+    fn a_frame_from_outside_the_view_is_dropped_or_held_by_its_view_id() {
+        let lone = Lone::new(false);
+        let seen = || {
+            let delivered = lone.delivered.load(std::sync::atomic::Ordering::Relaxed);
+            lone.state.read(|s| {
+                let owed = s
+                    .owed
+                    .get(&SiteId(1))
+                    .map_or(Vec::new(), |o| o.seqs.clone());
+                (delivered, owed, s.rx.floor(SiteId(1)))
+            })
+        };
+        let install = |id, members: &[u16]| {
+            let v = GroupView::from_parts(id, members.iter().map(|&m| SiteId(m)));
+            lone.trigger(lone.ev.view_change, EventData::new(v));
+        };
+
+        // A member's frame is delivered, sent in this view or a later one.
+        lone.recv_in(0, 1, None);
+        lone.recv_in(3, 2, None);
+        assert_eq!(seen(), (2, vec![1, 2], 2), "a member");
+
+        // Site 1 leaves in view 1: its frames sent in view 1 or before are
+        // acked and dropped.
+        install(1, &[0]);
+        lone.recv_in(1, 3, None);
+        lone.recv_in(0, 4, None);
+        assert_eq!(seen(), (2, vec![3, 4], 4), "a site that left");
+
+        // Sent in view 2, which site 1 joins and this site has not
+        // installed: neither acked nor marked seen, nor delivered.
+        lone.recv_in(2, 5, None);
+        assert_eq!(seen(), (2, vec![3, 4], 4), "a site that joined");
+
+        // Once view 2 is installed here, the resend is delivered, once.
+        install(2, &[0, 1]);
+        lone.recv_in(2, 5, None);
+        assert_eq!(seen(), (3, vec![3, 4, 5], 5), "the resend");
+        lone.recv_in(2, 5, None);
+        assert_eq!(seen(), (3, vec![3, 4, 5, 5], 5), "a duplicate");
     }
 
     #[test]

@@ -82,13 +82,15 @@ struct Relays {
 impl Transport for Relays {
     fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
         uncounted(|| {
-            let relay = match Wire::decode(payload.clone()) {
-                Ok(Wire::Data {
+            // The data frame, if any, rides behind a view frame.
+            let frames = Wire::decode_all(payload.clone()).unwrap_or_default();
+            let relay = frames.iter().any(|f| match f {
+                Wire::Data {
                     payload: Payload::Request(batch),
                     ..
-                }) => batch.iter().any(|m| m.uid.origin != from),
+                } => batch.iter().any(|m| m.uid.origin != from),
                 _ => false,
-            };
+            });
             self.relay.lock().expect("relay log").push(relay);
         });
         self.inner.send(from, to, payload);

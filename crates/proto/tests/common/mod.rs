@@ -63,6 +63,11 @@ impl Recorder {
 impl Transport for Recorder {
     fn send(&self, from: SiteId, to: SiteId, payload: Bytes) {
         let frames = Wire::decode_all(payload.clone()).expect("RelComm sent a malformed datagram");
+        // A data frame rides behind the view frame that leads its datagram.
+        let frames = match frames.first() {
+            Some(Wire::View { .. }) => &frames[1..],
+            _ => &frames[..],
+        };
         let (data, carried) = match frames.first() {
             Some(Wire::Data { seq, ctx, payload }) => {
                 let mut contexts = self.contexts.lock().expect("recorder contexts");

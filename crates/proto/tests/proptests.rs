@@ -184,19 +184,24 @@ fn arb_tail_frame() -> impl Strategy<Value = Wire> {
     ]
 }
 
+/// The view frame that leads a data frame.
+fn arb_view() -> impl Strategy<Value = Wire> {
+    any::<u64>().prop_map(|id| Wire::View { id })
+}
+
 fn arb_wire() -> impl Strategy<Value = Wire> {
-    prop_oneof![arb_data(), arb_tail_frame()]
+    prop_oneof![arb_data(), arb_tail_frame(), arb_view()]
 }
 
 /// A datagram's frame list under the rule of what one may hold: a lone
-/// heartbeat, `Data Ack*` or `Ack+` (or nothing at all). RelComm emits the
-/// second and third, the failure detector the first.
+/// heartbeat, `View Data Ack*` or `Ack+` (or nothing at all). RelComm emits
+/// the second and third, the failure detector the first.
 fn arb_datagram() -> impl Strategy<Value = Vec<Wire>> {
     let acks = |n| proptest::collection::vec(any::<u64>().prop_map(|seq| Wire::Ack { seq }), n);
     prop_oneof![
         Just(vec![Wire::Heartbeat]),
-        (arb_data(), acks(0..80)).prop_map(|(data, acks)| {
-            let mut frames = vec![data];
+        (arb_view(), arb_data(), acks(0..80)).prop_map(|(view, data, acks)| {
+            let mut frames = vec![view, data];
             frames.extend(acks);
             frames
         }),
@@ -204,12 +209,16 @@ fn arb_datagram() -> impl Strategy<Value = Vec<Wire>> {
     ]
 }
 
-/// Does the frame list keep the rule of what a datagram may hold?
+/// Does the frame list keep the rule of what a datagram may hold? A view
+/// frame is legal only first and only right before a data frame, and a
+/// data frame only right behind one.
 fn in_rule(frames: &[Wire]) -> bool {
     let acks = |rest: &[Wire]| rest.iter().all(|f| matches!(f, Wire::Ack { .. }));
     match frames {
         [Wire::Heartbeat] | [] => true,
-        [Wire::Data { .. }, rest @ ..] | [Wire::Ack { .. }, rest @ ..] => acks(rest),
+        [Wire::View { .. }, Wire::Data { .. }, rest @ ..] | [Wire::Ack { .. }, rest @ ..] => {
+            acks(rest)
+        }
         _ => false,
     }
 }
@@ -336,18 +345,25 @@ proptest! {
 
     /// Readers that only want the data frame — `decode` and the header-only
     /// `peek_ctx` — see on a coalesced datagram exactly what they see on
-    /// the bare data frame.
+    /// the bare data frame; `peek_ctx` also behind a leading view frame,
+    /// where `decode` reads the view frame.
     #[test]
     fn first_frame_readers_ignore_what_follows(
+        view in proptest::collection::vec(arb_view(), 0..2),
         data in arb_data(),
         tail in proptest::collection::vec(arb_tail_frame(), 0..80),
     ) {
         let bare = data.encode();
-        let mut frames = vec![data];
+        let mut frames = view.clone();
+        frames.push(data);
         frames.extend(tail);
         let coalesced = encode_all(&frames);
-        prop_assert_eq!(&coalesced[..bare.len()], &bare[..], "first frame must stay byte-compatible");
-        prop_assert_eq!(Wire::decode(coalesced.clone()), Wire::decode(bare.clone()));
+        let lead = encode_all(&view);
+        prop_assert_eq!(&coalesced[..lead.len()], &lead[..]);
+        let after = coalesced.slice(lead.len()..);
+        prop_assert_eq!(&after[..bare.len()], &bare[..], "data frame must stay byte-compatible");
+        prop_assert_eq!(Wire::decode(after), Wire::decode(bare.clone()));
+        prop_assert_eq!(Wire::decode(coalesced.clone()), Ok(frames[0].clone()));
         prop_assert_eq!(Wire::peek_ctx(&coalesced), Wire::peek_ctx(&bare));
     }
 
@@ -367,8 +383,10 @@ proptest! {
     }
 
     /// A datagram decodes if and only if it keeps the rule: any list of
-    /// well-formed frames is refused when a heartbeat has company or a
-    /// frame other than an ack follows the first.
+    /// well-formed frames is refused when a heartbeat has company, a view
+    /// frame is not first or not right before a data frame, a data frame is
+    /// not right behind one, or a frame other than an ack follows the data
+    /// frame or the first ack.
     #[test]
     fn decode_all_accepts_exactly_the_rule(
         frames in proptest::collection::vec(arb_wire(), 0..5),
@@ -382,8 +400,9 @@ proptest! {
 
     /// The frame decoder itself, read as the Network Module reads it, is
     /// total on arbitrary bytes: it yields at most one frame per input
-    /// byte, nothing after its first error, and, for every frame after the
-    /// first, an ack that `acks_left` counted in advance.
+    /// byte, nothing after its first error, a data frame only right behind
+    /// a leading view frame, and, for every frame after the data frame or
+    /// the first ack, an ack that `acks_left` counted in advance.
     #[test]
     fn frames_are_total_and_stop_at_the_first_error(
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
@@ -391,24 +410,27 @@ proptest! {
         let input = Bytes::from(bytes);
         let mut frames = Frames::new(input.clone());
         let mut yielded = 0;
+        let mut led = false;
         let mut acks_left = None;
         while let Some(frame) = frames.next() {
             yielded += 1;
             let failed = frame.is_err();
-            if yielded > 1 {
-                prop_assert!(failed || matches!(frame, Ok(Wire::Ack { .. })));
+            match (yielded, led) {
+                (1, _) => led = matches!(frame, Ok(Wire::View { .. })),
+                (2, true) => prop_assert!(failed || matches!(frame, Ok(Wire::Data { .. }))),
+                _ => prop_assert!(failed || matches!(frame, Ok(Wire::Ack { .. }))),
             }
             if failed {
                 prop_assert!(frames.next().is_none(), "a frame after an error");
                 break;
             }
-            if yielded == 1 {
+            if yielded == 1 + usize::from(led) {
                 acks_left = Some(frames.acks_left());
             }
         }
         prop_assert!(yielded <= input.len());
         if let (Ok(all), Some(n)) = (Wire::decode_all(input), acks_left) {
-            prop_assert_eq!(all.len() - 1, n);
+            prop_assert_eq!(all.len() - 1 - usize::from(led), n);
         }
     }
 

@@ -205,6 +205,7 @@ impl Lone {
     fn data_from(&self, sender: u16, seq: u64) {
         let m = RcDataIn {
             sender: SiteId(sender),
+            view: 0,
             seq,
             ctx: None,
             payload: Payload::Cast(CastMsg {
